@@ -20,8 +20,11 @@ consequences the service is built around:
 - **Incremental re-scan cost.**  Quiet series re-scanned on the rerun
   cadence should hit the incremental cache and skip the O(window) scan.
 - **Admission overhead.**  Data-quality validators run on every offer;
-  clean in-order samples must ride the two-comparison fast path, so
+  clean in-order frames must ride the array-comparison fast path, so
   goodput with admission on stays within a few percent of admission off.
+- **Frame size.**  The unit of ingest is a per-series frame; the scalar
+  ``ingest()`` is a one-row frame.  The cost per sample of both is put
+  on record (25-row frames, the e2e benchmark's round, vs one-row).
 """
 
 import os
@@ -63,7 +66,7 @@ def burst_stream():
     return bursts
 
 
-def run_burst_ingest(n_shards, bursts, quality="on"):
+def run_burst_ingest(n_shards, bursts, quality="on", clock=time.perf_counter):
     service = StreamingDetectionService(
         n_shards=n_shards,
         queue_capacity=CAPACITY,
@@ -71,13 +74,33 @@ def run_burst_ingest(n_shards, bursts, quality="on"):
         batch_size=CAPACITY,
         quality=QualityConfig() if quality == "on" else None,
     )
-    started = time.perf_counter()
+    started = clock()
     for burst in bursts:
-        for sample in burst:
-            service.ingest_sample(sample)
+        service.ingest_many(burst)  # one 16-row frame per series
         service.flush()
-    elapsed = time.perf_counter() - started
+    elapsed = clock() - started
     return service.stats(), elapsed
+
+
+def best_goodput_by_quality(bursts, reps):
+    """Best goodput, per CPU-second, with admission ``disabled`` and
+    ``validated``.
+
+    Admission overhead is a CPU cost, and on a shared runner wall time
+    mostly measures who else was running: the runs are timed on the
+    process CPU clock, and the two modes alternate rep by rep so a busy
+    spell on the host lands on both sides of the ratio.
+    """
+    best = {"disabled": 0.0, "validated": 0.0}
+    for _ in range(reps):
+        for mode in best:
+            stats, elapsed = run_burst_ingest(
+                4, bursts, quality="on" if mode == "validated" else None,
+                clock=time.process_time,
+            )
+            assert stats.flushed == stats.accepted
+            best[mode] = max(best[mode], stats.accepted / elapsed)
+    return best
 
 
 def test_multi_shard_throughput_scales(capsys):
@@ -105,34 +128,70 @@ def test_admission_overhead_within_bounds(capsys):
 
     Same burst workload with the validators on (the service default)
     and off (``quality=None``).  The stream is clean and in-order, so
-    every sample takes the admission fast path — two comparisons — and
+    every frame takes the admission fast path — array comparisons — and
     goodput should stay within the <= 5% acceptance target (reported in
-    the table).  The assert uses a loose 25% bound so scheduler jitter
-    on busy CI machines never flakes the gate; the precise number is
-    tracked by check_bench_regression.py history, not this assert.
+    the table; three of four frames here are refused by the full queue
+    before admission or the TSDB see them, so the ratio is taken against
+    very little other work).  The assert uses a loose 25% bound so
+    scheduler jitter on busy CI machines never flakes the gate; the
+    precise number is tracked by check_bench_regression.py history, not
+    this assert.
     """
     bursts = burst_stream()
     run_burst_ingest(4, bursts)  # warm-up, untimed
-    rows = ["mode       offered  accepted  goodput(kS/s)"]
-    goodput = {}
-    for mode in ("disabled", "validated"):
-        best = 0.0
-        for _ in range(3):  # best-of-3: goodput, not scheduler jitter
-            stats, elapsed = run_burst_ingest(
-                4, bursts, quality="on" if mode == "validated" else None
-            )
-            best = max(best, stats.accepted / elapsed)
-            assert stats.flushed == stats.accepted
-        goodput[mode] = best
-        rows.append(
-            f"{mode:9s}  {stats.offered:7d}  {stats.accepted:8d}  "
-            f"{goodput[mode] / 1e3:13.1f}"
-        )
+    rows = ["mode       goodput(kS/CPU-s)"]
+    goodput = best_goodput_by_quality(bursts, reps=7)
+    for mode, best in goodput.items():
+        rows.append(f"{mode:9s}  {best / 1e3:13.1f}")
 
     overhead = goodput["disabled"] / goodput["validated"] - 1.0
     rows.append(f"admission overhead: {overhead:+.1%} (target <= 5%)")
     emit("Data-quality admission overhead (clean samples, fast path)", rows)
     assert goodput["validated"] >= goodput["disabled"] / 1.25
+
+
+FRAME_ROWS = 25        # the e2e benchmark's points per series per round
+FRAME_ROUNDS = 20
+
+
+def test_frame_size_cost(capsys):
+    """ns/sample through route + queue + admission + TSDB append, for the
+    same clean stream offered as 25-row frames and as one-row frames."""
+    rounds = [
+        [
+            Sample(name, (r * FRAME_ROWS + k) * INTERVAL, 0.001, {"metric": "gcpu"})
+            for k in range(FRAME_ROWS)
+            for name in SERIES
+        ]
+        for r in range(FRAME_ROUNDS)
+    ]
+    n_samples = FRAME_ROUNDS * FRAME_ROWS * N_SERIES
+
+    def feed_frames(service, batch):
+        return service.ingest_many(batch)
+
+    def feed_rows(service, batch):
+        return sum(service.ingest_sample(sample) for sample in batch)
+
+    rows = ["frame rows  samples  ns/sample"]
+    cost = {}
+    for label, feed in ((FRAME_ROWS, feed_frames), (1, feed_rows)):
+        best = float("inf")
+        for _ in range(3):  # best-of-3: the path's cost, not scheduler jitter
+            service = StreamingDetectionService(
+                n_shards=4, queue_capacity=1 << 20,
+                backpressure=BackpressurePolicy.BLOCK, batch_size=4_096,
+            )
+            started = time.perf_counter()
+            accepted = sum(feed(service, batch) for batch in rounds)
+            flushed = service.flush()
+            best = min(best, time.perf_counter() - started)
+            assert accepted == flushed == n_samples
+        cost[label] = best / n_samples * 1e9
+        rows.append(f"{label:10d}  {n_samples:7d}  {cost[label]:9.0f}")
+    rows.append(f"one-row frames cost {cost[1] / cost[FRAME_ROWS]:.1f}x per sample")
+    emit("Ingest cost by frame size (clean in-order stream, 4 shards)", rows)
+    assert cost[FRAME_ROWS] < cost[1]
 
 
 def scan_config():

@@ -53,6 +53,7 @@ from bench_service_throughput import (  # noqa: E402
     CAPACITY,
     INTERVAL,
     SERIES,
+    best_goodput_by_quality,
     burst_stream,
     run_burst_ingest,
     scan_config,
@@ -137,14 +138,8 @@ def measure() -> dict:
         goodput[n_shards] = stats.accepted / elapsed
 
     # -- admission overhead (floor) ------------------------------------
-    admission = {}
-    for quality in ("on", None):
-        best = 0.0
-        for _ in range(2):  # best-of-2: goodput, not scheduler jitter
-            stats, elapsed = run_burst_ingest(4, bursts, quality=quality)
-            best = max(best, stats.accepted / elapsed)
-        admission[quality] = best
-    admission_ratio = admission["on"] / admission[None]
+    admission = best_goodput_by_quality(bursts, reps=5)
+    admission_ratio = admission["validated"] / admission["disabled"]
 
     # -- columnar batch screening vs seed per-series loop (floor) ------
     batch_scan = measure_batch_scan(BATCH_SCAN_SERIES)

@@ -63,7 +63,7 @@ from repro.service import (
     ServiceStats,
     StreamingDetectionService,
 )
-from repro.tsdb import TimeSeries, TimeSeriesDatabase, WindowSpec
+from repro.tsdb import SeriesFrame, TimeSeries, TimeSeriesDatabase, WindowSpec
 
 __version__ = "1.0.0"
 
@@ -88,6 +88,7 @@ __all__ = [
     "RegressionKind",
     "RunTrace",
     "Sample",
+    "SeriesFrame",
     "Span",
     "TraceStore",
     "ServiceStats",

@@ -37,7 +37,7 @@ from repro.fleet import ChangeEffect, ChangeLog, CodeChange, FleetSimulator
 from repro.reporting import build_report, format_report
 from repro.reporting.funnel import format_funnel_table
 from repro.runtime import CollectingSink
-from repro.service import BackpressurePolicy, StreamingDetectionService
+from repro.service import BackpressurePolicy, Sample, StreamingDetectionService
 from repro.workloads import build_preset, preset_names
 
 __all__ = ["main", "build_parser"]
@@ -266,6 +266,15 @@ def _cmd_detect(args: argparse.Namespace) -> int:
     return 0 if result.reported else 1
 
 
+def _tick_samples(simulator: FleetSimulator, tick_time: float) -> List[Sample]:
+    """The points the simulator's last tick wrote, one per series."""
+    return [
+        Sample(series.name, tick_time, latest[1], dict(series.tags))
+        for series in simulator.database
+        if (latest := series.latest()) is not None and latest[0] == tick_time
+    ]
+
+
 def _stream_dirty(
     args: argparse.Namespace,
     simulator: FleetSimulator,
@@ -282,18 +291,12 @@ def _stream_dirty(
     detection ever looks.
     """
     from repro.fleet.dirty import DirtyDataSpec, dirty_stream
-    from repro.service import Sample
 
     stream: List[Sample] = []
     for _ in range(args.ticks):
         tick_time = simulator.time
         simulator.tick()
-        for series in simulator.database:
-            latest = series.latest()
-            if latest is not None and latest[0] == tick_time:
-                stream.append(
-                    Sample(series.name, latest[0], latest[1], dict(series.tags))
-                )
+        stream.extend(_tick_samples(simulator, tick_time))
     gcpu = sorted({s.name for s in stream if s.name.endswith(".gcpu")})
     quiet = [name for name in gcpu if hottest not in name]
     # One sample per series per tick: a shuffle block spanning ~3 ticks
@@ -433,8 +436,7 @@ def _serve_demo_csv(args: argparse.Namespace) -> int:
         "csv-import", config, series_filter={"source": importer.source_name}
     )
 
-    for sample in samples:
-        stats._observe(sample, bool(service.ingest_sample(sample)))
+    stats.offer(service, samples)
     service.flush()
     # Walk detection through the imported span in ten steps so the
     # monitor scans on its rerun cadence instead of once in hindsight.
@@ -579,12 +581,7 @@ def _cmd_serve_demo(args: argparse.Namespace) -> int:
         for _ in range(args.ticks):
             tick_time = simulator.time
             simulator.tick()
-            for series in simulator.database:
-                latest = series.latest()
-                if latest is not None and latest[0] == tick_time:
-                    service.ingest(
-                        series.name, latest[0], latest[1], dict(series.tags)
-                    )
+            service.ingest_many(_tick_samples(simulator, tick_time))
             service.advance_to(simulator.time)
     service.flush()
 

@@ -1,8 +1,8 @@
 """File-based telemetry importers: CSV and JSON-lines.
 
 The batch edge of :mod:`repro.connectors`: adapt externally exported
-series files into :class:`~repro.service.ingest.Sample` streams and
-offer them to a running
+series files into :class:`~repro.service.ingest.Sample` streams,
+buffer them into one frame per series, and offer those to a running
 :class:`~repro.service.service.StreamingDetectionService` — *through*
 its normal ingest path, so imported points get the same routing,
 backpressure, and data-quality admission (NaN quarantine, counter
@@ -34,11 +34,11 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, field
-from typing import Dict, IO, Iterator, Optional, Union
+from typing import Dict, IO, Iterable, Iterator, Optional, Union
 
 from repro.connectors.mapping import SeriesMapper
 from repro.obs.logging import get_logger
-from repro.service.ingest import Sample
+from repro.service.ingest import Sample, frames_of
 
 __all__ = ["ImportStats", "CsvImporter", "JsonLinesImporter"]
 
@@ -70,15 +70,19 @@ class ImportStats:
     last_timestamp: Optional[float] = None
     _names: set = field(default_factory=set, repr=False)
 
-    def _observe(self, sample: Sample, accepted: bool) -> None:
-        self.offered += 1
-        self.accepted += accepted
-        self._names.add(sample.name)
+    def offer(self, service, samples: Iterable[Sample]) -> None:
+        """Hand ``samples`` to ``service`` (anything with
+        ``ingest_frame``) as one frame per series, and tally them."""
+        for frame in frames_of(samples):
+            self.offered += len(frame)
+            self.accepted += service.ingest_frame(frame)
+            self._names.add(frame.name)
+            first, last = float(frame.timestamps.min()), float(frame.timestamps.max())
+            if self.first_timestamp is None or first < self.first_timestamp:
+                self.first_timestamp = first
+            if self.last_timestamp is None or last > self.last_timestamp:
+                self.last_timestamp = last
         self.series = len(self._names)
-        if self.first_timestamp is None or sample.timestamp < self.first_timestamp:
-            self.first_timestamp = sample.timestamp
-        if self.last_timestamp is None or sample.timestamp > self.last_timestamp:
-            self.last_timestamp = sample.timestamp
 
 
 class _FileImporter:
@@ -134,10 +138,9 @@ class _FileImporter:
         self, service, source: Union[str, IO[str]]
     ) -> ImportStats:
         """Offer every parsed sample to ``service`` (or any object with
-        ``ingest_sample``); returns the run's :class:`ImportStats`."""
+        ``ingest_frame``); returns the run's :class:`ImportStats`."""
         stats = ImportStats()
-        for sample in self.iter_samples(source, stats):
-            stats._observe(sample, bool(service.ingest_sample(sample)))
+        stats.offer(service, self.iter_samples(source, stats))
         _log.info(
             "import finished",
             source=self.source_name,

@@ -222,12 +222,8 @@ def load_corpus(source: Union[str, IO[str]]) -> MozillaCorpus:
 def corpus_samples(
     corpus: MozillaCorpus, mapper: SeriesMapper
 ) -> Iterator[Sample]:
-    """Yield every measurement as a mapped Sample, in push-time order.
-
-    Interleaving across signatures (ordered by timestamp, then
-    signature id) replays the corpus the way a live feed would deliver
-    it, which is what exercises the service's reordering/admission
-    machinery rather than one bulk backfill per series.
+    """Yield every measurement as a mapped Sample, in push-time order
+    (by timestamp, then signature id), the way a live feed delivers it.
 
     Signature identity lives in the mapped *name*; the Perfherder
     dimensions (framework, suite, platform, ...) ride along as tags so
@@ -256,8 +252,7 @@ def import_corpus(
     """Offer the whole corpus to ``service``; returns import stats."""
     mapper = mapper or SeriesMapper(source="mozilla")
     stats = ImportStats()
-    for sample in corpus_samples(corpus, mapper):
-        stats._observe(sample, bool(service.ingest_sample(sample)))
+    stats.offer(service, corpus_samples(corpus, mapper))
     _log.info(
         "mozilla corpus imported",
         dataset=corpus.dataset,

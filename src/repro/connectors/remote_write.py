@@ -20,13 +20,14 @@ A flat convenience form is accepted too — ``{"series": [{"name": ...,
 "labels": {...}, "samples": [[timestamp_ms, value], ...]}]}`` — since
 that is what most homegrown forwarders actually send.
 
-Every sample is mapped through the shared
+Every series is mapped through the shared
 :class:`~repro.connectors.mapping.SeriesMapper` (name mangling, unit
 tags, counter detection — an imported ``*_total`` series gets admission
-counter-rebasing automatically) and offered to the service's normal
-ingest path from the handler thread; the service's queue locks make
-that safe, and its backpressure policy applies to pushed data exactly
-as it does to native ingest.
+counter-rebasing automatically), its samples become one
+:class:`~repro.tsdb.columnar.SeriesFrame`, and the frames are offered to
+the service's normal ingest path from the handler thread; the service's
+queue locks make that safe, and its backpressure policy applies to
+pushed data exactly as it does to native ingest.
 
 Responses: ``200`` with a JSON body ``{"offered": n, "accepted": m}``;
 ``400`` on malformed payloads (with the parse error); ``404`` off-path;
@@ -37,31 +38,44 @@ under ``connectors.remote_write.*`` and surface on ``/metrics``.
 from __future__ import annotations
 
 import json
-import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Iterator, Optional, Tuple
+from typing import List, Optional
+
+import numpy as np
 
 from repro.connectors.mapping import SeriesMapper
-from repro.obs.logging import get_logger
-from repro.service.ingest import Sample
+from repro.obs.http import HttpEndpoint, ReplyHandler
+from repro.tsdb.columnar import SeriesFrame
 
 __all__ = ["RemoteWriteReceiver", "parse_remote_write"]
-
-_log = get_logger("repro.connectors.remote_write")
 
 #: Reject request bodies above this size (a runaway client must not
 #: buffer the receiver into the ground).
 MAX_BODY_BYTES = 32 * 1024 * 1024
 
 
-def parse_remote_write(
-    payload: dict, mapper: SeriesMapper
-) -> Iterator[Sample]:
-    """Yield mapped samples from a remote-write-shaped JSON payload.
+def _float_column(raw: list) -> np.ndarray:
+    """``[float(x) for x in raw]`` as an array, refusing what is not a number.
+
+    ``np.array`` alone would soften the contract: ``None`` becomes NaN
+    (and is then quarantined instead of refused) and ``true`` becomes
+    1.0.  Numbers convert in bulk; numeric strings (how JSON carries
+    ``"NaN"``) go through ``float()``; anything else raises.
+    """
+    kinds = set(map(type, raw))
+    if not kinds <= {int, float}:
+        if not kinds <= {int, float, str}:
+            raise TypeError("samples must be numbers")
+        raw = [float(x) for x in raw]
+    return np.array(raw, dtype=np.float64)
+
+
+def parse_remote_write(payload: dict, mapper: SeriesMapper) -> List[SeriesFrame]:
+    """One mapped frame per series of a remote-write-shaped JSON payload.
 
     Accepts both the prompb-mirrored ``timeseries`` form and the flat
     ``series`` form (see module doc).  Timestamps are Prometheus
-    milliseconds and converted to internal seconds.
+    milliseconds and converted to internal seconds.  Series without
+    samples yield no frame.
 
     Raises:
         ValueError: On a structurally malformed payload.  Individual
@@ -74,6 +88,7 @@ def parse_remote_write(
     entries = payload.get("timeseries", payload.get("series"))
     if not isinstance(entries, list):
         raise ValueError("payload needs a 'timeseries' (or 'series') list")
+    frames = []
     for entry in entries:
         if not isinstance(entry, dict):
             raise ValueError("each timeseries entry must be an object")
@@ -93,49 +108,55 @@ def parse_remote_write(
         samples = entry.get("samples", [])
         if not isinstance(samples, list):
             raise ValueError("samples must be a list")
-        for sample in samples:
-            if isinstance(sample, dict):
-                timestamp_ms = sample.get("timestamp")
-                value = sample.get("value")
-            elif isinstance(sample, (list, tuple)) and len(sample) == 2:
-                timestamp_ms, value = sample
-            else:
-                raise ValueError(f"unparseable sample: {sample!r}")
-            try:
-                timestamp = float(timestamp_ms) / 1000.0
-                value = float(value)
-            except (TypeError, ValueError):
-                raise ValueError(f"non-numeric sample: {sample!r}") from None
-            yield Sample(mapped.name, timestamp, value, mapped.tags)
+        if not samples:
+            continue
+        try:  # prompb shape: [{value, timestamp}, ...]
+            stamps = [sample["timestamp"] for sample in samples]
+            values = [sample["value"] for sample in samples]
+        except (TypeError, KeyError, IndexError):
+            stamps, values = [], []
+            for sample in samples:
+                if isinstance(sample, dict):
+                    sample = (sample.get("timestamp"), sample.get("value"))
+                elif not isinstance(sample, (list, tuple)) or len(sample) != 2:
+                    raise ValueError(f"unparseable sample: {sample!r}") from None
+                stamps.append(sample[0])
+                values.append(sample[1])
+        try:
+            frame = SeriesFrame(
+                mapped.name, mapped.tags, _float_column(stamps) / 1000.0, _float_column(values)
+            )
+        except (TypeError, ValueError, OverflowError):
+            raise ValueError(f"non-numeric sample in series {name!r}") from None
+        frames.append(frame)
+    return frames
 
 
-class _Handler(BaseHTTPRequestHandler):
+class _Handler(ReplyHandler):
     server_version = "repro-remote-write/1.0"
-    protocol_version = "HTTP/1.1"
 
     def do_POST(self) -> None:  # noqa: N802 (http.server API)
         path = self.path.split("?", 1)[0].rstrip("/")
         if path not in ("/api/v1/write", "/write"):
             self._send_json(404, {"error": f"no such endpoint: {path}"})
             return
-        receiver: "RemoteWriteReceiver" = self.server.receiver
+        receiver: "RemoteWriteReceiver" = self.server.endpoint
         try:
             length = int(self.headers.get("Content-Length", 0))
             if length <= 0 or length > MAX_BODY_BYTES:
                 raise ValueError(f"bad Content-Length: {length}")
             payload = json.loads(self.rfile.read(length).decode("utf-8"))
-            samples = list(parse_remote_write(payload, receiver.mapper))
+            frames = parse_remote_write(payload, receiver.mapper)
         except (ValueError, UnicodeDecodeError, json.JSONDecodeError) as error:
             receiver._count("rejected_requests")
             self._send_json(400, {"error": str(error)})
             return
-        accepted = sum(
-            1 for sample in samples if receiver.service.ingest_sample(sample)
-        )
+        offered = sum(len(frame) for frame in frames)
+        accepted = sum(receiver.service.ingest_frame(frame) for frame in frames)
         receiver._count("requests")
-        receiver._count("samples", len(samples))
+        receiver._count("samples", offered)
         receiver._count("accepted", accepted)
-        self._send_json(200, {"offered": len(samples), "accepted": accepted})
+        self._send_json(200, {"offered": offered, "accepted": accepted})
 
     def do_GET(self) -> None:  # noqa: N802 — health probe convenience
         path = self.path.split("?", 1)[0].rstrip("/") or "/"
@@ -146,33 +167,12 @@ class _Handler(BaseHTTPRequestHandler):
         else:
             self._send_json(404, {"error": f"no such endpoint: {path}"})
 
-    def _send_json(self, status: int, payload: dict) -> None:
-        body = json.dumps(payload, sort_keys=True).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json; charset=utf-8")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
 
-    def log_message(self, format: str, *args: object) -> None:
-        _log.debug("http request", detail=format % args,
-                   client=self.client_address[0])
-
-
-class _Server(ThreadingHTTPServer):
-    daemon_threads = True
-    allow_reuse_address = True
-
-    def __init__(self, address: Tuple[str, int], receiver: "RemoteWriteReceiver") -> None:
-        super().__init__(address, _Handler)
-        self.receiver = receiver
-
-
-class RemoteWriteReceiver:
+class RemoteWriteReceiver(HttpEndpoint):
     """Serves the remote-write ingest endpoint for one service.
 
     Args:
-        service: The ingest target — anything with ``ingest_sample``
+        service: The ingest target — anything with ``ingest_frame``
             (normally a
             :class:`~repro.service.service.StreamingDetectionService`);
             its ``metrics`` registry, when present, receives the
@@ -181,10 +181,13 @@ class RemoteWriteReceiver:
             sourced :class:`~repro.connectors.mapping.SeriesMapper`).
         host / port: Bind address; ``port=0`` picks an ephemeral port.
 
-    Lifecycle mirrors :class:`~repro.obs.http.ObservabilityServer`:
-    ``start()`` binds and serves on a daemon thread, ``stop()`` shuts
-    down and releases the port, and both are idempotent.
+    Lifecycle is :class:`~repro.obs.http.HttpEndpoint`'s: ``start()``
+    binds and serves on a daemon thread, ``stop()`` shuts down and
+    releases the port, and both are idempotent.
     """
+
+    handler = _Handler
+    label = "remote-write"
 
     def __init__(
         self,
@@ -193,12 +196,8 @@ class RemoteWriteReceiver:
         host: str = "127.0.0.1",
         port: int = 0,
     ) -> None:
-        self.service = service
+        super().__init__(service, host, port)
         self.mapper = mapper or SeriesMapper(source="remote_write")
-        self.host = host
-        self._requested_port = port
-        self._server: Optional[_Server] = None
-        self._thread: Optional[threading.Thread] = None
 
     def _count(self, name: str, amount: int = 1) -> None:
         metrics = getattr(self.service, "metrics", None)
@@ -206,41 +205,5 @@ class RemoteWriteReceiver:
             metrics.inc(f"connectors.remote_write.{name}", amount)
 
     @property
-    def port(self) -> int:
-        if self._server is not None:
-            return self._server.server_address[1]
-        return self._requested_port
-
-    @property
     def url(self) -> str:
-        return f"http://{self.host}:{self.port}/api/v1/write"
-
-    def start(self) -> "RemoteWriteReceiver":
-        if self._server is not None:
-            return self
-        self._server = _Server((self.host, self._requested_port), self)
-        self._thread = threading.Thread(
-            target=self._server.serve_forever,
-            name=f"repro-remote-write-{self.port}",
-            daemon=True,
-        )
-        self._thread.start()
-        _log.info("remote-write receiver started", url=self.url)
-        return self
-
-    def stop(self) -> None:
-        if self._server is None:
-            return
-        self._server.shutdown()
-        self._server.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-        _log.info("remote-write receiver stopped", url=self.url)
-        self._server = None
-        self._thread = None
-
-    def __enter__(self) -> "RemoteWriteReceiver":
-        return self.start()
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.stop()
+        return f"{super().url}/api/v1/write"

@@ -36,39 +36,21 @@ parallel executor can round-trip shard state without losing it (columns
 are compacted to the live rows), but a *restore* is a trust boundary —
 restored services must call :meth:`IncrementalScanCache.clear` (via
 ``DetectionPipeline.invalidate_incremental``) so stale anchors can never
-suppress a re-scan over replayed or repaired history.  Checkpoints
-written by the older object-per-series layout load transparently.
+suppress a re-scan over replayed or repaired history.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.stats.incremental import StreamingCusum, cusum_screen_batch
+from repro.stats.incremental import cusum_screen_batch
 from repro.tsdb.series import TimeSeries
 
 __all__ = ["IncrementalScanCache"]
 
 _MIN_ROWS = 8
-
-
-@dataclass
-class _SeriesAnchor:
-    """Legacy per-series anchor object.
-
-    Kept only so checkpoints written before the struct-of-arrays layout
-    still unpickle; :meth:`IncrementalScanCache.__setstate__` converts
-    them into column rows on load.
-    """
-
-    anchor_end: float
-    anchor_len: int
-    full_scan_at: float
-    had_candidate: bool
-    screen: StreamingCusum
 
 
 class IncrementalScanCache:
@@ -448,14 +430,6 @@ class IncrementalScanCache:
         self._rows = {}
         self._names = []
         self._size = 0
-        if "_anchors" in state:
-            # Checkpoint from the pre-columnar layout: one Python object
-            # per series.  Adopt each into a column row.
-            anchors = state["_anchors"]
-            self._alloc(max(_MIN_ROWS, len(anchors)))
-            for name, anchor in anchors.items():
-                self._adopt_legacy(name, anchor)
-            return
         names = state["names"]
         columns = state["columns"]
         size = len(names)
@@ -465,20 +439,3 @@ class IncrementalScanCache:
         self._names = list(names)
         self._rows = {name: row for row, name in enumerate(names)}
         self._size = size
-
-    def _adopt_legacy(self, name: str, anchor: _SeriesAnchor) -> None:
-        row = self._size
-        self._size += 1
-        self._rows[name] = row
-        self._names.append(name)
-        screen = anchor.screen
-        self._c_anchor_end[row] = anchor.anchor_end
-        self._c_anchor_len[row] = anchor.anchor_len
-        self._c_full_scan_at[row] = anchor.full_scan_at
-        self._c_had_candidate[row] = anchor.had_candidate
-        self._c_mean[row] = screen.mean
-        self._c_std[row] = screen.std
-        self._c_pos[row] = screen.pos
-        self._c_neg[row] = screen.neg
-        self._c_fired[row] = screen.fired
-        self._c_n[row] = screen.n

@@ -48,27 +48,63 @@ from __future__ import annotations
 
 import json
 import threading
+from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Optional, Tuple
+from typing import Optional
 
 from repro.obs.logging import get_logger
 
-__all__ = ["ObservabilityServer", "PROMETHEUS_CONTENT_TYPE"]
+__all__ = ["HttpEndpoint", "ObservabilityServer", "PROMETHEUS_CONTENT_TYPE", "ReplyHandler"]
 
 PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
+JSON_CONTENT_TYPE = "application/json; charset=utf-8"
 
 _log = get_logger("repro.obs.http")
 
 
-class _Handler(BaseHTTPRequestHandler):
+class ReplyHandler(BaseHTTPRequestHandler):
+    """What the HTTP surfaces share: keep-alive, structured request
+    logs, and replies that leave in one write."""
+
+    protocol_version = "HTTP/1.1"
+
+    def _send_text(self, status: int, body: str, content_type: str) -> None:
+        """Send status line, headers and body in ONE write.
+
+        Written apart (``end_headers()``, then the body) they are two
+        small segments: Nagle holds the second until the client — with
+        nothing to send — gets round to its delayed ACK, ~40 ms a reply.
+        """
+        payload = body.encode("utf-8")
+        head = (
+            f"{self.protocol_version} {status} {HTTPStatus(status).phrase}\r\n"
+            f"Server: {self.version_string()}\r\n"
+            f"Date: {self.date_time_string()}\r\n"
+            f"Content-Type: {content_type}\r\n"
+            f"Content-Length: {len(payload)}\r\n\r\n"
+        )
+        self.log_request(status)
+        self._response_started = True
+        self.wfile.write(head.encode("latin-1") + payload)
+
+    def _send_json(self, status: int, payload: dict) -> None:
+        self._send_text(
+            status, json.dumps(payload, sort_keys=True, default=str), JSON_CONTENT_TYPE
+        )
+
+    def log_message(self, format: str, *args: object) -> None:
+        # Route http.server's stderr chatter through structured logging.
+        _log.debug("http request", detail=format % args, client=self.client_address[0])
+
+
+class _Handler(ReplyHandler):
     """Routes the observability endpoints.
 
-    The owning :class:`_Server` carries the service reference; handler
-    instances are per-request and stateless.
+    The owning :class:`ObservabilityServer` carries the service
+    reference; handler instances are per-request and stateless.
     """
 
     server_version = "repro-obs/1.0"
-    protocol_version = "HTTP/1.1"
 
     def do_GET(self) -> None:  # noqa: N802 (http.server API)
         path = self.path.split("?", 1)[0].rstrip("/") or "/"
@@ -80,14 +116,14 @@ class _Handler(BaseHTTPRequestHandler):
         self._response_started = False
         try:
             if path == "/metrics":
-                self._send_text(200, self.server.service.render_metrics(),
+                self._send_text(200, self.server.endpoint.service.render_metrics(),
                                 PROMETHEUS_CONTENT_TYPE)
             elif path == "/healthz":
-                health = self.server.service.healthz()
+                health = self.server.endpoint.service.healthz()
                 status = 200 if health.get("status") == "ok" else 503
                 self._send_json(status, health)
             elif path == "/status":
-                self._send_json(200, self.server.service.status_snapshot())
+                self._send_json(200, self.server.endpoint.service.status_snapshot())
             elif path == "/faults":
                 self._send_json(200, self._faults_payload())
             elif path == "/quality":
@@ -117,19 +153,19 @@ class _Handler(BaseHTTPRequestHandler):
                     self.close_connection = True
 
     def _quality_payload(self) -> dict:
-        service = self.server.service
+        service = self.server.endpoint.service
         if hasattr(service, "quality_snapshot"):
             return service.quality_snapshot()
         return {"enabled": False}
 
     def _detectors_payload(self) -> dict:
-        service = self.server.service
+        service = self.server.endpoint.service
         if hasattr(service, "detectors_snapshot"):
             return service.detectors_snapshot()
         return {"enabled": False}
 
     def _faults_payload(self) -> dict:
-        service = self.server.service
+        service = self.server.endpoint.service
         snapshot = None
         if hasattr(service, "faults_snapshot"):
             snapshot = service.faults_snapshot()
@@ -141,56 +177,28 @@ class _Handler(BaseHTTPRequestHandler):
             payload["events"] = [event.to_dict() for event in events.events()]
         return payload
 
-    def _send_text(self, status: int, body: str, content_type: str) -> None:
-        payload = body.encode("utf-8")
-        self._response_started = True
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(payload)))
-        self.end_headers()
-        self.wfile.write(payload)
+class HttpEndpoint:
+    """Lifecycle of a stdlib HTTP server on a daemon thread.
 
-    def _send_json(self, status: int, payload: dict) -> None:
-        self._send_text(
-            status,
-            json.dumps(payload, sort_keys=True, default=str),
-            "application/json; charset=utf-8",
-        )
-
-    def log_message(self, format: str, *args: object) -> None:
-        # Route http.server's stderr chatter through structured logging.
-        _log.debug("http request", detail=format % args,
-                   client=self.client_address[0])
-
-
-class _Server(ThreadingHTTPServer):
-    daemon_threads = True
-    allow_reuse_address = True
-
-    def __init__(self, address: Tuple[str, int], service: object) -> None:
-        super().__init__(address, _Handler)
-        self.service = service
-
-
-class ObservabilityServer:
-    """Serves ``/metrics``, ``/healthz``, and ``/status`` for a service.
+    Subclasses name their ``handler`` class; a handler reaches the
+    endpoint object (and its ``service``) as ``self.server.endpoint``.
 
     Args:
-        service: Anything exposing ``render_metrics() -> str``,
-            ``healthz() -> dict`` (with a ``"status"`` key), and
-            ``status_snapshot() -> dict`` — the streaming service's
-            observability contract.
+        service: What the endpoint serves or feeds.
         host: Bind address (default loopback; bind ``0.0.0.0``
             explicitly to expose beyond the machine).
         port: TCP port; ``0`` picks an ephemeral free port (read it
             back from :attr:`port` after :meth:`start`).
     """
 
+    handler: type = BaseHTTPRequestHandler
+    label = "http"
+
     def __init__(self, service: object, host: str = "127.0.0.1", port: int = 0) -> None:
         self.service = service
         self.host = host
         self._requested_port = port
-        self._server: Optional[_Server] = None
+        self._server: Optional[ThreadingHTTPServer] = None
         self._thread: Optional[threading.Thread] = None
 
     @property
@@ -208,7 +216,7 @@ class ObservabilityServer:
     def running(self) -> bool:
         return self._thread is not None and self._thread.is_alive()
 
-    def start(self) -> "ObservabilityServer":
+    def start(self):
         """Bind and serve on a daemon thread (idempotent).
 
         Raises:
@@ -216,14 +224,15 @@ class ObservabilityServer:
         """
         if self._server is not None:
             return self
-        self._server = _Server((self.host, self._requested_port), self.service)
+        self._server = ThreadingHTTPServer((self.host, self._requested_port), self.handler)
+        self._server.endpoint = self
         self._thread = threading.Thread(
             target=self._server.serve_forever,
-            name=f"repro-obs-{self.port}",
+            name=f"repro-{self.label}-{self.port}",
             daemon=True,
         )
         self._thread.start()
-        _log.info("observability server started", url=self.url)
+        _log.info("http endpoint started", endpoint=self.label, url=self.url)
         return self
 
     def stop(self) -> None:
@@ -234,12 +243,27 @@ class ObservabilityServer:
         self._server.server_close()
         if self._thread is not None:
             self._thread.join(timeout=5.0)
-        _log.info("observability server stopped", url=self.url)
+        _log.info("http endpoint stopped", endpoint=self.label, url=self.url)
         self._server = None
         self._thread = None
 
-    def __enter__(self) -> "ObservabilityServer":
+    def __enter__(self):
         return self.start()
 
     def __exit__(self, *exc_info: object) -> None:
         self.stop()
+
+
+class ObservabilityServer(HttpEndpoint):
+    """Serves ``/metrics``, ``/healthz``, and ``/status`` for a service.
+
+    Args:
+        service: Anything exposing ``render_metrics() -> str``,
+            ``healthz() -> dict`` (with a ``"status"`` key), and
+            ``status_snapshot() -> dict`` — the streaming service's
+            observability contract.
+        host / port: Bind address (see :class:`HttpEndpoint`).
+    """
+
+    handler = _Handler
+    label = "obs"

@@ -2,7 +2,12 @@
 
 The :class:`AdmissionController` sits inside each shard's ingest worker
 (under the worker's queue lock, so it needs no locking of its own) and
-sees every sample before it is queued for the TSDB:
+sees every :class:`~repro.tsdb.columnar.SeriesFrame` before it is queued
+for the TSDB.  A frame that is finite, sign-valid, strictly increasing
+and above its series' watermark — the overwhelming common case — is
+admitted whole on a handful of array comparisons.  A frame that flags
+on any of them, and every frame of a counter series, drops to the row
+logic below for that frame only:
 
 - **Not finite** (NaN/Inf) → quarantined, reason ``not_finite``.
 - **Negative value** on a non-negative metric (gCPU cannot go below
@@ -19,33 +24,40 @@ sees every sample before it is queued for the TSDB:
 - **Repeated timestamp**: counted; resolved last-write-wins by the
   TSDB's duplicate policy (or dropped here under the ``reject`` policy).
 - **Out of order**: held in a bounded per-series reordering buffer.
-  In-order samples take a two-comparison fast path straight to the
-  queue; stragglers accumulate sorted and are released as one batch —
-  either when the buffer reaches its bound or at the next flush/advance
+  Stragglers accumulate sorted and are released as one frame — either
+  when the buffer reaches its bound or at the next flush/advance
   boundary — so backfill reaches the TSDB as a single merged pass
   instead of interleaving O(n) single-point inserts with the hot
   append path.
 
-Admission verdicts are tri-state (:data:`ADMIT` / :data:`HELD` /
-:data:`DROP`); the worker translates them into queue operations and
-return values.  All controller state is plain picklable data and rides
-the shard blob through checkpoints, restores, and parallel advances.
+Row verdicts are tri-state (:data:`ADMIT` / :data:`HELD` /
+:data:`DROP`); :meth:`AdmissionController.admit` folds them into the
+rows to enqueue now and a held count, which the worker translates into
+queue operations and return values.  All controller state is plain
+picklable data and rides the shard blob through checkpoints, restores,
+and parallel advances.
 """
 
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, replace
-from typing import Any, Dict, FrozenSet, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, FrozenSet, List, Mapping, Optional, Tuple
+
+import numpy as np
 
 from repro.quality.quarantine import QuarantineStore
+from repro.tsdb.columnar import SeriesFrame
 
 __all__ = ["ADMIT", "DROP", "HELD", "QualityConfig", "AdmissionController"]
 
-#: Verdict codes returned by :meth:`AdmissionController.admit`.
-ADMIT = 0  # enqueue the returned (possibly repaired) sample now
+#: What :meth:`AdmissionController.admit` returns (see there).
+_Admitted = Tuple[int, int, Optional[SeriesFrame], Optional[SeriesFrame]]
+
+#: Row verdicts of the fallback path.
+ADMIT = 0  # enqueue the (possibly repaired) row now
 HELD = 1   # accepted but buffered for reordering; nothing to enqueue yet
-DROP = 2   # quarantined; the sample must not reach the TSDB
+DROP = 2   # quarantined; the row must not reach the TSDB
 
 _INF = float("inf")
 
@@ -94,14 +106,15 @@ class _SeriesState:
     """Per-series validator state (picklable; slots keep it small)."""
 
     __slots__ = (
-        "watermark", "pending_ts", "pending", "non_negative", "is_counter",
-        "counter_offset", "last_raw", "admitted", "quarantined",
+        "watermark", "pending_ts", "pending_vals", "tags", "non_negative",
+        "is_counter", "counter_offset", "last_raw", "admitted", "quarantined",
     )
 
-    def __init__(self, non_negative: bool, is_counter: bool) -> None:
+    def __init__(self, tags: Mapping[str, str], non_negative: bool, is_counter: bool) -> None:
         self.watermark = -_INF      # highest timestamp passed to the queue
-        self.pending_ts: List[float] = []   # sorted straggler timestamps
-        self.pending: List[Any] = []        # parallel straggler samples
+        self.pending_ts: List[float] = []    # sorted straggler timestamps
+        self.pending_vals: List[float] = []  # parallel straggler values
+        self.tags = tags            # identity of the frames released from here
         self.non_negative = non_negative
         self.is_counter = is_counter
         self.counter_offset = 0.0
@@ -143,9 +156,6 @@ class AdmissionController:
         self.metrics = metrics
         self.quarantine = QuarantineStore(capacity=self.config.quarantine_capacity)
         self._series: Dict[str, _SeriesState] = {}
-        # Stragglers whose buffer overflowed, awaiting pickup by the
-        # worker (checked as a cheap truthiness test per offer).
-        self.ready: List[Any] = []
         # Aggregate counters: plain ints, checkpointed with the shard.
         # (``admitted`` is derived from per-series counts — see the
         # property — so the hot path pays one increment, not two.)
@@ -158,189 +168,167 @@ class AdmissionController:
 
     # -- the admission decision -----------------------------------------
 
-    def admit(self, sample: Any) -> Tuple[int, Optional[Any]]:
-        """Validate one sample.
+    def admit(self, frame: SeriesFrame) -> _Admitted:
+        """Validate one (non-empty) frame, in row order.
 
         Returns:
-            ``(ADMIT, sample)`` — enqueue the returned sample (it may be
-            a repaired copy); ``(HELD, None)`` — accepted but buffered
-            for reordering (check :attr:`ready` for a released batch);
-            ``(DROP, None)`` — quarantined.
+            ``(consumed, held, admitted, released)`` — how many leading
+            rows were judged, how many of those are buffered for
+            reordering, the rows to enqueue now (``None`` when there are
+            none; a repaired copy when a value was clamped), and the
+            series' sorted stragglers when the last row judged
+            overflowed its reorder buffer.  Quarantined rows are
+            ``consumed`` minus held and admitted.  ``consumed`` falls
+            short of the frame only after a release: that frame must
+            reach the queue front before the rows behind it are judged.
         """
-        try:
-            state = self._series[sample.name]
-        except KeyError:
-            state = self._create_state(sample)
-        value = sample.value
-        # Fast path: finite (the chained comparison is also False for
-        # NaN), sign-valid, non-counter, in-order — the overwhelming
-        # common case costs a handful of comparisons and one increment.
-        if -_INF < value < _INF and not state.is_counter:
-            if value >= 0.0 or not state.non_negative:
-                timestamp = sample.timestamp
-                if timestamp > state.watermark:
-                    state.watermark = timestamp
-                    state.admitted += 1
-                    return ADMIT, sample
-        return self._admit_slow(state, sample)
+        state = self._series.get(frame.name)
+        if state is None:
+            state = self._create_state(frame)
+        # Fast path: comparisons only (ufunc reductions called directly:
+        # on frames this small the method wrappers cost as much as the work).
+        if not state.is_counter:
+            timestamps, values = frame.timestamps, frame.values
+            if (
+                timestamps[0] > state.watermark
+                and np.logical_and.reduce(np.isfinite(values))
+                and (not state.non_negative or np.minimum.reduce(values) >= 0.0)
+                and np.logical_and.reduce(timestamps[1:] > timestamps[:-1])
+            ):
+                state.watermark = float(timestamps[-1])
+                state.admitted += len(timestamps)
+                return len(timestamps), 0, frame, None
+        return self._admit_slow(state, frame)
 
-    def _admit_slow(
-        self, state: _SeriesState, sample: Any
-    ) -> Tuple[int, Optional[Any]]:
-        """Everything that fell off the fast path: validation failures,
-        counters, duplicates, and stragglers."""
-        value = sample.value
-        timestamp = sample.timestamp
+    def _admit_slow(self, state: _SeriesState, frame: SeriesFrame) -> _Admitted:
+        """Row logic for a frame that fell off the fast path: validation
+        failures, counters, duplicates, and stragglers."""
+        state.tags = frame.tags
+        kept_ts: List[float] = []
+        kept_vals: List[float] = []
+        consumed = held = 0
+        released = None
+        for timestamp, value in zip(frame.timestamps.tolist(), frame.values.tolist()):
+            verdict, value = self._admit_row(state, frame.name, timestamp, value)
+            consumed += 1
+            if verdict == ADMIT:
+                kept_ts.append(timestamp)
+                kept_vals.append(value)
+            elif verdict == HELD:
+                held += 1
+                if len(state.pending_ts) > self.config.reorder_window:
+                    released = self._release(state, frame.name)
+                    break
+        admitted = SeriesFrame(frame.name, frame.tags, kept_ts, kept_vals) if kept_ts else None
+        return consumed, held, admitted, released
 
+    def _admit_row(
+        self, state: _SeriesState, name: str, timestamp: float, value: float
+    ) -> Tuple[int, float]:
+        """Judge one row: ``(verdict, the value to enqueue)``.
+
+        Counter series never admit at arrival: reset detection compares
+        consecutive raw values, which is only meaningful on
+        timestamp-ordered deltas — an out-of-order delivery would
+        masquerade as a rollover and corrupt the rebase.  So counters
+        are always held sorted and rebased when a batch is *released*
+        (:meth:`_release`).
+        """
         # Validators.  NaN is the only float that is != itself.
         if value != value or value == _INF or value == -_INF:
-            self._quarantine(state, sample, "not_finite")
-            return DROP, None
+            self._quarantine(state, name, timestamp, value, "not_finite")
+            return DROP, value
         if value < 0.0 and state.non_negative:
             if not self.config.repair_negative:
-                self._quarantine(state, sample, "negative_value")
-                return DROP, None
-            sample = replace(sample, value=0.0)
+                self._quarantine(state, name, timestamp, value, "negative_value")
+                return DROP, value
+            value = 0.0
             self.repaired += 1
             self._inc("quality.repaired")
-        if state.is_counter:
-            return self._admit_counter(state, sample, timestamp)
-
-        if timestamp > state.watermark:
-            # In order after all (a repaired negative got here).
+        counter = state.is_counter
+        if not counter and timestamp >= state.watermark:
+            if timestamp == state.watermark and self._duplicate_rejected(
+                state, name, timestamp, value
+            ):
+                return DROP, value
             state.watermark = timestamp
             state.admitted += 1
-            return ADMIT, sample
-        if timestamp == state.watermark:
-            self.duplicates += 1
-            self._inc("quality.duplicates")
-            if self.config.duplicate_policy == "reject":
-                self._quarantine(state, sample, "duplicate_reject")
-                return DROP, None
-            state.admitted += 1
-            return ADMIT, sample  # TSDB resolves last-write-wins in place
+            return ADMIT, value  # the TSDB resolves a repeat last-write-wins
 
-        # Straggler: buffer it sorted; release the whole batch when the
-        # buffer overflows (or at the next flush/advance boundary).
         pos = bisect.bisect_right(state.pending_ts, timestamp)
         if pos and state.pending_ts[pos - 1] == timestamp:
-            self.duplicates += 1
-            self._inc("quality.duplicates")
-            if self.config.duplicate_policy == "reject":
-                self._quarantine(state, sample, "duplicate_reject")
-                return DROP, None
-            state.pending[pos - 1] = sample  # last write wins in the buffer
+            if self._duplicate_rejected(state, name, timestamp, value):
+                return DROP, value
+            state.pending_vals[pos - 1] = value  # last write wins in the buffer
             state.admitted += 1
-            return HELD, None
-        state.pending_ts.insert(pos, timestamp)
-        state.pending.insert(pos, sample)
-        state.admitted += 1
-        self.reordered += 1
-        self.buffered += 1
-        self._inc("quality.reordered")
-        if len(state.pending) > self.config.reorder_window:
-            self.ready.extend(state.pending)
-            self.buffered -= len(state.pending)
-            state.pending = []
-            state.pending_ts = []
-        return HELD, None
-
-    def _admit_counter(
-        self, state: _SeriesState, sample: Any, timestamp: float
-    ) -> Tuple[int, Optional[Any]]:
-        """Counter-series path: every point rides the reordering buffer.
-
-        Reset detection compares consecutive raw values, which is only
-        meaningful on timestamp-ordered deltas — an out-of-order
-        delivery would masquerade as a rollover and corrupt the rebase.
-        So counters are always held sorted and rebased when a batch is
-        *released* (:meth:`_release_counter_batch`), never at arrival.
-        """
-        pos = bisect.bisect_right(state.pending_ts, timestamp)
-        if pos and state.pending_ts[pos - 1] == timestamp:
-            self.duplicates += 1
-            self._inc("quality.duplicates")
-            if self.config.duplicate_policy == "reject":
-                self._quarantine(state, sample, "duplicate_reject")
-                return DROP, None
-            state.pending[pos - 1] = sample  # last write wins in the buffer
-            state.admitted += 1
-            return HELD, None
-        if timestamp <= state.watermark:
+            return HELD, value
+        if counter and timestamp <= state.watermark:
             # Arrived after its ordered slot was already released: the
             # sequential rebase pass moved on, so apply the offset in
             # effect without reset detection and let the TSDB backfill.
-            if timestamp == state.watermark:
-                self.duplicates += 1
-                self._inc("quality.duplicates")
-                if self.config.duplicate_policy == "reject":
-                    self._quarantine(state, sample, "duplicate_reject")
-                    return DROP, None
-            else:
+            if timestamp < state.watermark:
                 self.reordered += 1
                 self._inc("quality.reordered")
-            if state.counter_offset:
-                sample = replace(sample, value=sample.value + state.counter_offset)
+            elif self._duplicate_rejected(state, name, timestamp, value):
+                return DROP, value
             state.admitted += 1
-            return ADMIT, sample
-        if state.pending_ts and timestamp < state.pending_ts[-1]:
+            return ADMIT, (value + state.counter_offset if state.counter_offset else value)
+        # Straggler (or any counter row): buffer it sorted; the caller
+        # releases the whole batch when the buffer overflows (or at the
+        # next flush/advance boundary).
+        if not counter or (state.pending_ts and timestamp < state.pending_ts[-1]):
             self.reordered += 1
             self._inc("quality.reordered")
         state.pending_ts.insert(pos, timestamp)
-        state.pending.insert(pos, sample)
+        state.pending_vals.insert(pos, value)
         state.admitted += 1
         self.buffered += 1
-        if len(state.pending) > self.config.reorder_window:
-            self.ready.extend(self._release_counter_batch(state))
-        return HELD, None
+        return HELD, value
 
-    def _release_counter_batch(self, state: _SeriesState) -> List[Any]:
-        """Rebase and release one counter series' sorted pending batch."""
-        batch, state.pending = state.pending, []
-        if not batch:
-            state.pending_ts = []
-            return batch
-        state.watermark = max(state.watermark, state.pending_ts[-1])
-        state.pending_ts = []
-        self.buffered -= len(batch)
-        released: List[Any] = []
-        for sample in batch:
-            raw = sample.value
-            if state.last_raw is not None and raw < state.last_raw:
-                # Reset/rollover: rebase so the cumulative stays continuous.
-                state.counter_offset += state.last_raw
-                self.counter_resets += 1
-                self._inc("quality.counter_resets")
-            state.last_raw = raw
-            if state.counter_offset:
-                sample = replace(sample, value=raw + state.counter_offset)
-            released.append(sample)
-        return released
+    def _duplicate_rejected(
+        self, state: _SeriesState, name: str, timestamp: float, value: float
+    ) -> bool:
+        """Count a repeated timestamp; quarantine it under ``reject``."""
+        self.duplicates += 1
+        self._inc("quality.duplicates")
+        if self.config.duplicate_policy != "reject":
+            return False
+        self._quarantine(state, name, timestamp, value, "duplicate_reject")
+        return True
 
-    def take_ready(self) -> List[Any]:
-        """Remove and return overflowed stragglers awaiting backfill."""
-        ready, self.ready = self.ready, []
-        return ready
+    def _release(self, state: _SeriesState, name: str) -> SeriesFrame:
+        """Empty one series' sorted straggler buffer into a frame,
+        rebasing a counter's raw values on the way out."""
+        timestamps, values = state.pending_ts, state.pending_vals
+        state.pending_ts, state.pending_vals = [], []
+        self.buffered -= len(timestamps)
+        if state.is_counter:
+            state.watermark = max(state.watermark, timestamps[-1])
+            for index, raw in enumerate(values):
+                if state.last_raw is not None and raw < state.last_raw:
+                    # Reset/rollover: rebase so the cumulative stays continuous.
+                    state.counter_offset += state.last_raw
+                    self.counter_resets += 1
+                    self._inc("quality.counter_resets")
+                state.last_raw = raw
+                if state.counter_offset:
+                    values[index] = raw + state.counter_offset
+        return SeriesFrame(name, state.tags, timestamps, values)
 
-    def drain_pending(self) -> List[Any]:
-        """Release *every* held straggler, sorted by timestamp.
+    def drain_pending(self) -> List[SeriesFrame]:
+        """Release *every* held straggler: one sorted frame per series,
+        earliest first.
 
         Called at flush/advance boundaries (detection is about to look
         at the TSDB) and before shard snapshots (held points must travel
         with the queue they are destined for).
         """
-        drained: List[Any] = list(self.ready)
-        self.ready = []
-        for state in self._series.values():
-            if state.pending:
-                if state.is_counter:
-                    drained.extend(self._release_counter_batch(state))
-                else:
-                    drained.extend(state.pending)
-                    state.pending = []
-                    state.pending_ts = []
-        self.buffered = 0
-        drained.sort(key=lambda s: s.timestamp)
+        drained = [
+            self._release(state, name)
+            for name, state in self._series.items()
+            if state.pending_ts
+        ]
+        drained.sort(key=lambda frame: frame.timestamps[0])
         return drained
 
     # -- operator surface -------------------------------------------------
@@ -394,17 +382,20 @@ class AdmissionController:
 
     # -- internals --------------------------------------------------------
 
-    def _create_state(self, sample: Any) -> _SeriesState:
-        tags = sample.tags
+    def _create_state(self, frame: SeriesFrame) -> _SeriesState:
+        tags = frame.tags
         state = _SeriesState(
+            tags,
             non_negative=tags.get("metric") in self.config.non_negative_metrics,
             is_counter=tags.get("type") == "counter",
         )
-        self._series[sample.name] = state
+        self._series[frame.name] = state
         return state
 
-    def _quarantine(self, state: _SeriesState, sample: Any, reason: str) -> None:
-        self.quarantine.add(sample.name, sample.timestamp, sample.value, reason)
+    def _quarantine(
+        self, state: _SeriesState, name: str, timestamp: float, value: float, reason: str
+    ) -> None:
+        self.quarantine.add(name, timestamp, value, reason)
         state.quarantined += 1
         self.quarantined += 1
         self._inc("quality.quarantined")

@@ -26,7 +26,7 @@ service exposes it through :meth:`StreamingDetectionService.healthz`,
 """
 
 from repro.service.checkpoint import CheckpointError, CheckpointManager
-from repro.service.ingest import BackpressurePolicy, Sample, ShardIngestWorker
+from repro.service.ingest import BackpressurePolicy, Sample, ShardIngestWorker, frames_of
 from repro.service.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.service.parallel import ParallelShardExecutor, ShardAdvanceResult
 from repro.service.router import ConsistentHashRouter
@@ -48,4 +48,5 @@ __all__ = [
     "ShardIngestWorker",
     "ShardStats",
     "StreamingDetectionService",
+    "frames_of",
 ]

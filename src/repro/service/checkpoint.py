@@ -42,7 +42,8 @@ from typing import Any, Dict, List, Optional, Tuple
 
 __all__ = ["CheckpointError", "CheckpointManager", "CHECKPOINT_VERSION"]
 
-CHECKPOINT_VERSION = 1
+#: 2: queues and reorder buffers hold per-series frames, not ``Sample`` rows.
+CHECKPOINT_VERSION = 2
 MANIFEST_NAME = "manifest.json"
 
 _GEN_MANIFEST_RE = re.compile(r"^manifest\.g(\d+)\.json$")

@@ -1,34 +1,36 @@
 """Per-shard ingest: bounded queues, batch flushing, backpressure.
 
 Each shard owns one :class:`ShardIngestWorker`.  Producers ``offer()``
-samples; the worker buffers them in a bounded queue and batch-flushes
-into the shard's TSDB through
-:meth:`~repro.tsdb.database.TimeSeriesDatabase.write_batch`.  When the
-queue is full, the configured :class:`BackpressurePolicy` decides what
-gives:
+per-series :class:`~repro.tsdb.columnar.SeriesFrame`\\ s; the worker
+buffers them in a queue bounded in *samples* and batch-flushes into the
+shard's TSDB through
+:meth:`~repro.tsdb.database.TimeSeriesDatabase.write_batch`.  A frame
+that does not fit is split at the room available, so every policy is
+exact to the sample.  When the queue is full, the configured
+:class:`BackpressurePolicy` decides what gives:
 
 - ``BLOCK`` — the *producer* pays: the worker synchronously flushes one
   batch to make room (caller-runs backpressure — nothing is ever lost,
   ingestion slows to the flush rate).
-- ``DROP_OLDEST`` — the oldest buffered sample is evicted (bounded
-  staleness; freshest data wins).
-- ``REJECT`` — the offer fails and the producer is told so (load
-  shedding at the edge).
+- ``DROP_OLDEST`` — the oldest buffered samples are evicted, off the
+  heads of the oldest frames (bounded staleness; freshest data wins).
+- ``REJECT`` — the tail that does not fit is refused and the producer is
+  told how much got in (load shedding at the edge).
 
 Every policy outcome has a counter, both on the worker (plain ints that
 ride along in checkpoints) and in the optional shared
 :class:`~repro.service.metrics.MetricsRegistry`.
 
 When an :class:`~repro.quality.admission.AdmissionController` is
-attached, every offer passes through it first (under the same queue
-lock): quarantined points are dropped before they can reach the TSDB,
-repaired points are enqueued in their repaired form, and out-of-order
-points are held in the controller's reordering buffer — released back
-into the *front* of the queue (they predate everything buffered) when
-the buffer overflows or at a flush/advance boundary, so backfill lands
-as one batched merge.  The controller pickles with the worker, so
-quarantine state and reorder buffers ride checkpoints and parallel
-shard advances like every other counter.
+attached, every frame passes through it first (under the same queue
+lock): quarantined rows are dropped before they can reach the TSDB,
+repaired rows are enqueued in their repaired form, and out-of-order
+rows are held in the controller's reordering buffer — released back
+into the *front* of the queue as one frame (they predate everything
+buffered) when the buffer overflows or at a flush/advance boundary, so
+backfill lands as one batched merge.  The controller pickles with the
+worker, so quarantine state and reorder buffers ride checkpoints and
+parallel shard advances like every other counter.
 """
 
 from __future__ import annotations
@@ -41,10 +43,10 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Deque, Dict, Iterable, Iterator, List, Mapping, Optional
 
-from repro.quality.admission import ADMIT, DROP
+from repro.tsdb.columnar import SeriesFrame
 from repro.tsdb.database import TimeSeriesDatabase
 
-__all__ = ["Sample", "BackpressurePolicy", "ShardIngestWorker"]
+__all__ = ["Sample", "BackpressurePolicy", "ShardIngestWorker", "frames_of"]
 
 
 @dataclass(frozen=True)
@@ -64,6 +66,21 @@ class Sample:
     tags: Mapping[str, str] = field(default_factory=dict)
 
 
+def frames_of(samples: Iterable[Sample]) -> List[SeriesFrame]:
+    """Group samples into one frame per series.
+
+    Frames come out in first-appearance order and keep each series'
+    arrival order; a series' tags are those of its first sample.
+    """
+    rows: Dict[str, List[Sample]] = {}
+    for sample in samples:
+        rows.setdefault(sample.name, []).append(sample)
+    return [
+        SeriesFrame(name, group[0].tags, [s.timestamp for s in group], [s.value for s in group])
+        for name, group in rows.items()
+    ]
+
+
 class BackpressurePolicy(str, enum.Enum):
     """What happens when a shard's ingest queue is full."""
 
@@ -78,7 +95,8 @@ class ShardIngestWorker:
     Args:
         shard_id: Owning shard (labels counters and checkpoints).
         database: The shard's TSDB.
-        capacity: Queue bound; offers beyond it trigger the policy.
+        capacity: Queue bound in samples; offers beyond it trigger the
+            policy.
         policy: Backpressure policy (see module docstring).
         batch_size: Samples per TSDB write batch.
         metrics: Optional shared metrics registry.
@@ -115,7 +133,8 @@ class ShardIngestWorker:
         self.metrics = metrics
         self.fault_injector = fault_injector
         self.admission = admission
-        self._queue: Deque[Sample] = deque()
+        self._queue: Deque[SeriesFrame] = deque()
+        self._pending = 0  # samples across the queued frames
         self._lock = threading.RLock()
         self._cond = threading.Condition(self._lock)
         # While an advance is in flight the queue's contents belong to a
@@ -134,88 +153,125 @@ class ShardIngestWorker:
 
     # -- producer side --------------------------------------------------
 
-    def offer(self, sample: Sample) -> bool:
-        """Enqueue one sample, applying backpressure when full.
+    def offer(self, frame: SeriesFrame) -> int:
+        """Enqueue one frame, applying backpressure when full.
 
-        With an admission controller attached the sample is validated
-        first: quarantined points return ``False`` without touching the
-        queue, out-of-order points are held for reordering (``True`` —
-        they are accepted, just not enqueued yet), and repaired points
-        continue in their repaired form.
+        With an admission controller attached the rows are validated
+        first: quarantined rows never touch the queue, out-of-order rows
+        are held for reordering (they are accepted, just not enqueued
+        yet), and repaired rows continue in their repaired form.
 
         Returns:
-            ``True`` when the sample was buffered (or held for
-            reordering); ``False`` when it was quarantined, or under
-            the ``REJECT`` policy with a full queue.
+            How many rows were buffered or held for reordering — the
+            frame's length minus what was quarantined and, under
+            ``REJECT`` with a full queue, the refused tail.
         """
         with self._lock:
-            self.offered += 1
-            # Backpressure resolves *before* admission: a sample refused
-            # (or evicted for) by a full queue never touches validator
-            # state, so a later retry of the same point is not
-            # misclassified as a duplicate — and refused samples skip
-            # the admission work entirely.
-            if len(self._queue) >= self.capacity:
-                if self.policy is BackpressurePolicy.REJECT:
-                    self.rejected += 1
-                    self._inc("ingest.rejected")
-                    return False
-                if self.policy is BackpressurePolicy.DROP_OLDEST:
-                    self._queue.popleft()
-                    self.dropped_oldest += 1
-                    self._inc("ingest.dropped_oldest")
-                else:  # BLOCK: caller-runs — flush a batch to make room.
-                    self.blocking_flushes += 1
-                    self._inc("ingest.blocking_flushes")
-                    # During an advance the database is stale: wait for
-                    # the swap (or for the drain that accompanies it) to
-                    # make room instead of flushing into discarded state.
-                    while self._advancing and len(self._queue) >= self.capacity:
-                        self._cond.wait()
-                    if len(self._queue) >= self.capacity:
-                        self._flush_batch()
-            if self.admission is not None:
-                verdict, admitted = self.admission.admit(sample)
-                if verdict != ADMIT:
-                    if verdict == DROP:
-                        return False
-                    # HELD: buffered in the controller; if holding this
-                    # point overflowed a reorder buffer, the released
-                    # batch backfills at the queue front now.
-                    if self.admission.ready:
-                        self._release_stragglers(self.admission.take_ready())
-                    return True
-                sample = admitted
-            self._queue.append(sample)
-            self.accepted += 1
-            self._inc("ingest.accepted")
-            return True
+            total = len(frame)
+            self.offered += total
+            evicting = self.policy is BackpressurePolicy.DROP_OLDEST
+            taken = start = 0
+            while start < total:
+                # Backpressure resolves *before* admission: rows refused
+                # by a full queue never touch validator state, so a
+                # later retry of the same points is not misclassified as
+                # duplicates — and refused rows skip the admission work.
+                stop = total
+                if not evicting:
+                    room = self.capacity - self._pending
+                    if room <= 0:
+                        if not self._make_room(total - start):
+                            break
+                        continue
+                    stop = min(total, start + room)
+                rows = frame[start:stop] if stop - start < total else frame
+                if self.admission is None:
+                    consumed, held, admitted, released = len(rows), 0, rows, None
+                else:
+                    consumed, held, admitted, released = self.admission.admit(rows)
+                start += consumed
+                taken += held
+                if admitted is not None:
+                    self._queue.append(admitted)
+                    self._count_enqueued(len(admitted))
+                    taken += len(admitted)
+                    # Eviction makes room for rows that take room: one
+                    # admission quarantined or held evicts nothing.
+                    if evicting and self._pending > self.capacity:
+                        self._evict(min(len(admitted), self._pending - self.capacity))
+                # A row that overflowed its reorder buffer released the
+                # batch: it backfills at the queue front now.
+                if released is not None:
+                    self._release_stragglers([released])
+            return taken
 
-    def offer_many(self, samples: Iterable[Sample]) -> int:
-        """Offer each sample; returns how many were accepted."""
-        return sum(1 for sample in samples if self.offer(sample))
+    def _make_room(self, waiting: int) -> bool:
+        """A full queue under ``REJECT`` / ``BLOCK`` (lock held): refuse
+        the ``waiting`` rows, or flush a batch for them."""
+        if self.policy is BackpressurePolicy.REJECT:
+            self.rejected += waiting
+            self._inc("ingest.rejected", waiting)
+            return False
+        # BLOCK: caller-runs — flush a batch to make room.
+        self.blocking_flushes += 1
+        self._inc("ingest.blocking_flushes")
+        # During an advance the database is stale: wait for the swap (or
+        # for the drain that accompanies it) to make room instead of
+        # flushing into discarded state.
+        while self._advancing and self._pending >= self.capacity:
+            self._cond.wait()
+        if self._pending >= self.capacity:
+            self._flush_batch()
+        return True
 
-    def _release_stragglers(self, samples: List[Sample]) -> None:
-        """Move reordered samples into the queue front (lock held).
+    def _count_enqueued(self, rows: int) -> None:
+        self._pending += rows
+        self.accepted += rows
+        self._inc("ingest.accepted", rows)
+
+    def _release_stragglers(self, frames: List[SeriesFrame]) -> None:
+        """Move reordered frames into the queue front (lock held).
 
         Released stragglers predate everything buffered, so they go to
-        the *front* — a later flush writes them in timestamp order and
-        the TSDB merges them in one backfill pass.  They were already
-        admitted, so they bypass the capacity policy (the transient
-        overshoot is bounded by the admission reorder window); they
-        count as accepted here, on actual enqueue.
+        the *front* — a later flush writes them first and the TSDB
+        merges them in one backfill pass.  They were already admitted,
+        so they bypass the capacity policy (the transient overshoot is
+        bounded by the admission reorder window); they count as
+        accepted here, on actual enqueue.
         """
-        if not samples:
-            return
-        self._queue.extendleft(reversed(samples))
-        self.accepted += len(samples)
-        if self.metrics is not None:
-            self.metrics.inc("ingest.accepted", len(samples))
+        if frames:
+            self._queue.extendleft(reversed(frames))
+            self._count_enqueued(sum(len(frame) for frame in frames))
+
+    def _take(self, limit: int) -> List[SeriesFrame]:
+        """Pop up to ``limit`` samples off the queue head, splitting the
+        frame that straddles the limit (lock held)."""
+        taken: List[SeriesFrame] = []
+        while limit and self._queue:
+            head = self._queue.popleft()
+            if len(head) > limit:
+                self._queue.appendleft(head[limit:])
+                head = head[:limit]
+            taken.append(head)
+            limit -= len(head)
+            self._pending -= len(head)
+        return taken
+
+    def _evict(self, count: int) -> None:
+        self._take(count)
+        self.dropped_oldest += count
+        self._inc("ingest.dropped_oldest", count)
+
+    def _requeue(self, frames: Iterable[SeriesFrame]) -> None:
+        """Put frames taken off the queue back at its front, in order."""
+        frames = list(frames)
+        self._queue.extendleft(reversed(frames))
+        self._pending += sum(len(frame) for frame in frames)
 
     @property
     def pending(self) -> int:
         """Samples buffered but not yet flushed."""
-        return len(self._queue)
+        return self._pending
 
     # -- flush side ------------------------------------------------------
 
@@ -249,26 +305,21 @@ class ShardIngestWorker:
     def _flush_batch(self) -> int:
         """Write up to one batch (caller holds the lock).
 
-        A failed write must not lose the batch: the popped samples are
+        A failed write must not lose the batch: the popped frames are
         put back at the *front* of the queue (they predate everything
         still buffered) before the error propagates, so a retried flush
         writes the same samples in the same order.
         """
-        if not self._queue:
+        batch = self._take(self.batch_size)
+        if not batch:
             return 0
-        batch = [
-            self._queue.popleft()
-            for _ in range(min(self.batch_size, len(self._queue)))
-        ]
         started = time.perf_counter()
         try:
             if self.fault_injector is not None:
                 self.fault_injector.maybe_raise("ingest.flush", self._shard_index())
-            written = self.database.write_batch(
-                (s.name, s.timestamp, s.value, s.tags) for s in batch
-            )
+            written = self.database.write_batch(batch)
         except Exception:
-            self._queue.extendleft(reversed(batch))
+            self._requeue(batch)
             self.flush_failures += 1
             self._inc("ingest.flush_failures")
             raise
@@ -353,27 +404,24 @@ class ShardIngestWorker:
             self.blocking_flushes += (
                 advanced.blocking_flushes - baseline["blocking_flushes"]
             )
-            if advanced._queue:  # pragma: no cover - workers flush fully
-                self._queue.extendleft(reversed(advanced._queue))
+            self._requeue(advanced._queue)  # empty: workers flush fully
             self._advancing = False
             self._cond.notify_all()
 
-    def abort_advance(self, restore: Iterable[Sample] = ()) -> None:
+    def abort_advance(self, restore: Iterable[SeriesFrame] = ()) -> None:
         """Leave advancing mode without installing new state.
 
         Args:
-            restore: Samples that were drained into the (now failed)
+            restore: Frames that were drained into the (now failed)
                 snapshot blob; they are put back at the *front* of the
                 queue — they predate anything offered since.
         """
         with self._lock:
-            restored = list(restore)
-            if restored:
-                self._queue.extendleft(reversed(restored))
+            self._requeue(restore)
             self._advancing = False
             self._cond.notify_all()
 
-    def drain_pending(self) -> List[Sample]:
+    def drain_pending(self) -> List[SeriesFrame]:
         """Remove and return everything buffered, without flushing it.
 
         Used when snapshotting for a worker process: ownership of the
@@ -385,6 +433,7 @@ class ShardIngestWorker:
         with self._lock:
             pending = list(self._queue)
             self._queue.clear()
+            self._pending = 0
             self._cond.notify_all()
             return pending
 
@@ -408,9 +457,9 @@ class ShardIngestWorker:
                 counters[f"quality_{key}"] = value
         return counters
 
-    def _inc(self, name: str) -> None:
+    def _inc(self, name: str, amount: int = 1) -> None:
         if self.metrics is not None:
-            self.metrics.inc(name)
+            self.metrics.inc(name, amount)
 
     def _shard_index(self) -> Optional[int]:
         return self.shard_id if isinstance(self.shard_id, int) else None
@@ -430,11 +479,6 @@ class ShardIngestWorker:
         return state
 
     def __setstate__(self, state: dict) -> None:
-        # Defaults first: blobs pickled by older builds predate these.
-        self.flush_failures = 0
-        self.fault_injector = None
-        self.admission = None
         self.__dict__.update(state)
         self._lock = threading.RLock()
         self._cond = threading.Condition(self._lock)
-        self._advancing = False

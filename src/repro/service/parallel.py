@@ -30,14 +30,15 @@ the only cross-shard coupling is that deterministic merge in the parent.
 Failure paths are first-class: a crashed worker (``BrokenProcessPool``)
 or a shard advance that blows its deadline no longer poisons the cached
 pool or fails the whole ``advance_to``.  The executor retries failed
-shards with exponential backoff on a freshly created pool, and — once
-retries are exhausted — advances the failed shard *in-process* from the
-same snapshot blob.  Because a shard advance is a pure function of
-``(blob, target)``, retried and fallback advances produce the same
-outcomes a healthy worker would, so the determinism contract survives
-every recovery path.  An optional
-:class:`~repro.faults.FaultInjector` hooks the submit path: the parent
-decides per-shard fault directives (crash / hang) that the worker
+shards with exponential backoff on a freshly created pool (a shard that
+only broke as collateral of a neighbour's crash is rerun apart from it
+at once, outside the budget), and — once retries are exhausted —
+advances the failed shard *in-process* from the same snapshot blob.
+Because a shard advance is a pure function of ``(blob, target)``,
+retried and fallback advances produce the same outcomes a healthy worker
+would, so the determinism contract survives every recovery path.  An
+optional :class:`~repro.faults.FaultInjector` hooks the submit path: the
+parent decides per-shard fault directives (crash / hang) that the worker
 executes, which is how the chaos suite drives these recovery paths
 deterministically.
 """
@@ -264,7 +265,7 @@ class ParallelShardExecutor:
                 self._inc("advance.retries", len(remaining))
                 for shard_id in remaining:
                     retry_counts[shard_id] += 1
-            failed = self._attempt(remaining, target, results)
+            failed = self._attempt(remaining, target, results, retry_counts)
             remaining = {shard_id: blobs[shard_id] for shard_id in sorted(failed)}
         for shard_id, blob in remaining.items():
             # Retries exhausted: advance in the parent from the same
@@ -288,12 +289,20 @@ class ParallelShardExecutor:
         shards: Dict[int, bytes],
         target: float,
         results: Dict[int, ShardAdvanceResult],
+        retry_counts: Dict[int, int],
     ) -> List[int]:
-        """Run one submission round; returns the shard ids that failed."""
+        """Run one submission round; returns the shard ids that failed.
+
+        One dead worker fails *every* in-flight future with
+        ``BrokenProcessPool``, so several broken shards cannot be told
+        culprit from collateral: each is rerun alone on a fresh pool
+        (counted as a retry, but outside the budget), and only one that
+        fails by itself is reported failed.
+        """
         pool = self._ensure_pool()
         futures: Dict[int, Future] = {}
         failed: List[int] = []
-        broken = False
+        broken: List[int] = []
         timed_out = False
         for shard_id, blob in shards.items():
             fault = (
@@ -306,14 +315,12 @@ class ParallelShardExecutor:
                     _advance_shard, shard_id, blob, target, fault
                 )
             except BrokenProcessPool:
-                broken = True
-                failed.append(shard_id)
+                broken.append(shard_id)
         for shard_id, future in futures.items():
             try:
                 results[shard_id] = future.result(timeout=self.deadline)
             except BrokenProcessPool as error:
-                broken = True
-                failed.append(shard_id)
+                broken.append(shard_id)
                 _log.warning(
                     "shard advance worker crashed", shard=shard_id, error=str(error)
                 )
@@ -333,6 +340,14 @@ class ParallelShardExecutor:
                 )
         if broken or timed_out:
             self._recycle_pool()
+        if len(broken) > 1:
+            self._inc("advance.retries", len(broken))
+            for shard_id in sorted(broken):
+                retry_counts[shard_id] += 1
+                alone = {shard_id: shards[shard_id]}
+                failed += self._attempt(alone, target, results, retry_counts)
+        else:
+            failed += broken
         return failed
 
     def close(self) -> None:

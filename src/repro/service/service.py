@@ -5,7 +5,7 @@ Composes the pieces of this package into the paper's deployment shape
 scaled down to one process:
 
 - a :class:`~repro.service.router.ConsistentHashRouter` maps each
-  sample's series name to a shard;
+  per-series frame's name to a shard (one hash per frame);
 - every shard owns its own
   :class:`~repro.tsdb.database.TimeSeriesDatabase`, a
   :class:`~repro.service.ingest.ShardIngestWorker` (bounded queue +
@@ -32,7 +32,7 @@ from __future__ import annotations
 import pickle
 import threading
 import time
-from dataclasses import dataclass, replace as dataclass_replace
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.config import DetectionConfig
@@ -53,10 +53,11 @@ from repro.reporting.report import IncidentReport, build_report
 from repro.runtime.scheduler import DetectionScheduler, ScanOutcome
 from repro.runtime.sinks import IncidentSink
 from repro.service.checkpoint import CheckpointManager
-from repro.service.ingest import BackpressurePolicy, Sample, ShardIngestWorker
+from repro.service.ingest import BackpressurePolicy, Sample, ShardIngestWorker, frames_of
 from repro.service.metrics import MetricsRegistry
 from repro.service.parallel import ParallelShardExecutor
 from repro.service.router import ConsistentHashRouter
+from repro.tsdb.columnar import SeriesFrame
 from repro.tsdb.database import TimeSeriesDatabase
 
 __all__ = ["ShardStats", "ServiceStats", "StreamingDetectionService"]
@@ -151,9 +152,6 @@ class _Shard:
     ) -> None:
         self.shard_id = shard_id
         self.database = TimeSeriesDatabase()
-        # Kept so a restore from a pre-quality checkpoint (whose worker
-        # blob has no admission controller) can be given a fresh one.
-        self._quality_config = quality
         self.worker = ShardIngestWorker(
             shard_id,
             self.database,
@@ -177,7 +175,7 @@ class _Shard:
         )
         self.scans = 0
         self._advance_baseline: Dict[str, int] = {}
-        self._advance_drained: List[Sample] = []
+        self._advance_drained: List[SeriesFrame] = []
 
     def state(self) -> dict:
         """Checkpointable state (pickled as one blob, shared refs intact)."""
@@ -223,12 +221,6 @@ class _Shard:
         self.worker.fault_injector = fault_injector
         if self.worker.admission is not None:
             self.worker.admission.metrics = metrics
-        elif self._quality_config is not None:
-            # Pre-quality checkpoint blob: admission starts fresh (there
-            # is no quarantine history to carry).
-            self.worker.admission = AdmissionController(
-                self._quality_config, shard_id=self.shard_id, metrics=metrics
-            )
         self.scheduler.wire_metrics(metrics)
         self.scheduler.wire_tracer(tracer)
         if drop_derived:
@@ -304,9 +296,10 @@ class StreamingDetectionService:
             order to the serial path).
         retention: Per-shard TSDB retention (seconds; 0 disables).
         replicas: Virtual nodes per shard on the hash ring.
-        routing_key: Maps a sample to its routing key (default: the
-            series name).  Use a coarser key (e.g. the service tag) to
-            co-locate series whose cross-series dedup matters.
+        routing_key: Maps a frame (``.name``, ``.tags``) to its routing
+            key (default: the series name).  Use a coarser key (e.g. the
+            service tag) to co-locate series whose cross-series dedup
+            matters.
         realert_tolerance: Window (seconds of change time) within which
             a regression on the same metric counts as already reported.
         trace_capacity: Ring-buffer size (pipeline runs) of the funnel
@@ -355,7 +348,7 @@ class StreamingDetectionService:
         workers: int = 1,
         retention: float = 0.0,
         replicas: int = 64,
-        routing_key: Optional[Callable[[Sample], str]] = None,
+        routing_key: Optional[Callable[[SeriesFrame], str]] = None,
         realert_tolerance: float = 3600.0,
         metrics: Optional[MetricsRegistry] = None,
         trace_capacity: int = 256,
@@ -393,7 +386,7 @@ class StreamingDetectionService:
             else None
         )
         self.router = ConsistentHashRouter(range(n_shards), replicas=replicas)
-        self.routing_key = routing_key or (lambda sample: sample.name)
+        self.routing_key = routing_key or (lambda frame: frame.name)
         self.realert_tolerance = realert_tolerance
         self.quality = quality
         self._shards: Dict[int, _Shard] = {
@@ -410,9 +403,9 @@ class StreamingDetectionService:
             )
             for shard_id in range(n_shards)
         }
-        # Samples a data.reorder fault is holding back (delivered late,
-        # behind the next sample of their series).
-        self._data_held: Dict[str, Sample] = {}
+        # Rows a data.reorder fault is holding back (delivered late,
+        # behind the next row of their series).
+        self._data_held: Dict[str, SeriesFrame] = {}
         self._data_lock = threading.Lock()
         self._clock = 0.0
         self._reported_ledger: Dict[str, List[float]] = {}
@@ -640,64 +633,72 @@ class StreamingDetectionService:
         tags: Optional[Dict[str, str]] = None,
     ) -> bool:
         """Route one point to its shard; returns whether it was accepted."""
-        return self.ingest_sample(Sample(name, timestamp, value, tags or {}))
+        return bool(self.ingest_frame(SeriesFrame(name, tags, [timestamp], [value])))
 
     def ingest_sample(self, sample: Sample) -> bool:
+        return self.ingest(sample.name, sample.timestamp, sample.value, sample.tags)
+
+    def ingest_many(self, samples: Sequence[Sample]) -> int:
+        """Offer ``samples`` as one frame per series (first-appearance
+        order, each series in arrival order); returns how many were
+        accepted."""
+        return sum(self.ingest_frame(frame) for frame in frames_of(samples))
+
+    def ingest_frame(self, frame: SeriesFrame) -> int:
+        """Route one series' frame to its shard — the unit of ingest.
+
+        Returns:
+            How many of its rows were accepted (buffered, or held for
+            reordering).
+        """
         if self.fault_injector is not None and self.fault_injector.has_data_faults:
-            return self._ingest_with_data_faults(sample)
-        return self._offer_routed(sample)
+            # Data faults decide per sample: rows go through one at a time.
+            return sum(
+                self._ingest_with_data_faults(frame[row : row + 1])
+                for row in range(len(frame))
+            )
+        return self._offer_routed(frame)
 
-    def _offer_routed(self, sample: Sample) -> bool:
-        shard_id = self.router.shard_for(self.routing_key(sample))
-        return self._shards[shard_id].worker.offer(sample)
+    def _offer_routed(self, frame: SeriesFrame) -> int:
+        shard_id = self.router.shard_for(self.routing_key(frame))
+        return self._shards[shard_id].worker.offer(frame)
 
-    def _ingest_with_data_faults(self, sample: Sample) -> bool:
-        """Apply a pending data-fault directive to one ingested sample.
+    def _ingest_with_data_faults(self, row: SeriesFrame) -> int:
+        """Apply a pending data-fault directive to one ingested row.
 
-        ``data.gap`` drops the sample before admission (a host restart
+        ``data.gap`` drops the row before admission (a host restart
         losing it); ``data.corrupt`` replaces its value with NaN (a
         collector emitting garbage); ``data.reorder`` holds it back
-        until the *next* sample of its series arrives, so it is
-        delivered late and out of order (a clock-skewed host shipping a
-        delayed batch).  All three exercise the admission layer exactly
-        the way production dirt would.
+        until the *next* row of its series arrives, so it is delivered
+        late and out of order (a clock-skewed host shipping a delayed
+        batch).  All three exercise the admission layer exactly the way
+        production dirt would.
         """
         directive = self.fault_injector.data_directive()
         if directive is FaultKind.DATA_GAP:
-            return False
+            return 0
         if directive is FaultKind.DATA_CORRUPT:
-            sample = dataclass_replace(sample, value=float("nan"))
+            row = SeriesFrame(row.name, row.tags, row.timestamps, [float("nan")])
         with self._data_lock:
+            held = self._data_held.pop(row.name, None)
             if directive is FaultKind.DATA_REORDER:
-                held = self._data_held.pop(sample.name, None)
-                self._data_held[sample.name] = sample
-            else:
-                held = self._data_held.pop(sample.name, None)
-        if directive is FaultKind.DATA_REORDER:
-            # A previously held sample (if any) is displaced and
-            # delivered now — already out of order behind this one's
-            # predecessors.
-            if held is not None:
-                self._offer_routed(held)
-            return True
-        accepted = self._offer_routed(sample)
+                self._data_held[row.name] = row
+        # A previously held row (if any) is displaced and delivered now,
+        # late and out of order, behind the row that displaced it.
+        accepted = 1 if directive is FaultKind.DATA_REORDER else self._offer_routed(row)
         if held is not None:
-            self._offer_routed(held)  # the late, out-of-order arrival
+            self._offer_routed(held)
         return accepted
 
     def _release_data_held(self) -> None:
-        """Deliver every reorder-held sample (advance/flush boundary)."""
+        """Deliver every reorder-held row (advance/flush boundary)."""
         if self.fault_injector is None or not self.fault_injector.has_data_faults:
             return
         with self._data_lock:
             held = list(self._data_held.values())
             self._data_held.clear()
-        for sample in held:
-            self._offer_routed(sample)
-
-    def ingest_many(self, samples: Sequence[Sample]) -> int:
-        """Offer each sample; returns how many were accepted."""
-        return sum(1 for sample in samples if self.ingest_sample(sample))
+        for row in held:
+            self._offer_routed(row)
 
     def flush(self) -> int:
         """Drain every shard queue into its TSDB; returns samples written."""

@@ -27,14 +27,45 @@ Invariants the rest of the stack relies on:
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-__all__ = ["FloatColumn"]
+__all__ = ["FloatColumn", "SeriesFrame"]
 
 #: Smallest non-zero capacity; doubling starts here.
 _MIN_CAPACITY = 8
+
+
+class SeriesFrame:
+    """A run of one series' points: identity once, two ``float64`` columns.
+
+    The unit of ingest from the wire to :meth:`FloatColumn.extend`:
+    routed, queued, admitted and appended whole.  Rows are in arrival
+    order; the columns may be any two equal-length numeric sequences
+    (``float64`` arrays are adopted, not copied).  Slicing returns a
+    zero-copy sub-frame — how a queue bound splits a frame.
+    """
+
+    __slots__ = ("name", "tags", "timestamps", "values")
+
+    def __init__(
+        self,
+        name: str,
+        tags: Optional[Mapping[str, str]],
+        timestamps: Sequence[float],
+        values: Sequence[float],
+    ) -> None:
+        self.name = name
+        self.tags = tags or {}
+        self.timestamps = np.asarray(timestamps, dtype=np.float64)
+        self.values = np.asarray(values, dtype=np.float64)
+
+    def __len__(self) -> int:
+        return len(self.timestamps)
+
+    def __getitem__(self, rows: slice) -> "SeriesFrame":
+        return SeriesFrame(self.name, self.tags, self.timestamps[rows], self.values[rows])
 
 
 class FloatColumn:

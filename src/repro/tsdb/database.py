@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional
 
+from repro.tsdb.columnar import SeriesFrame
 from repro.tsdb.series import TimeSeries
 
 __all__ = ["TimeSeriesDatabase"]
@@ -55,31 +56,22 @@ class TimeSeriesDatabase:
         """Append one point, creating the series if needed."""
         self.create(name, tags).append(timestamp, value)
 
-    def write_batch(
-        self,
-        points: Iterable[Tuple[str, float, float, Optional[Mapping[str, str]]]],
-    ) -> int:
-        """Write many ``(name, timestamp, value, tags)`` points at once.
+    def write_batch(self, frames: Iterable[SeriesFrame]) -> int:
+        """Append every frame's columns to its series, in the order given.
 
-        The streaming-service flush path: points are grouped by series
-        so each series pays one lookup (and one tag merge) per batch
-        rather than per point, then bulk-appended via
-        :meth:`TimeSeries.ingest_many`.
+        The streaming-service flush path: one series lookup (and tag
+        merge) per frame, then
+        :meth:`TimeSeries.ingest_columns <repro.tsdb.series.TimeSeries.ingest_columns>`
+        straight into the column buffers.
 
         Returns:
             Number of points written.
         """
-        grouped: Dict[str, List[Tuple[float, float]]] = {}
-        tags_for: Dict[str, Optional[Mapping[str, str]]] = {}
-        for name, timestamp, value, tags in points:
-            bucket = grouped.get(name)
-            if bucket is None:
-                bucket = grouped[name] = []
-                tags_for[name] = tags
-            bucket.append((timestamp, value))
         written = 0
-        for name, bucket in grouped.items():
-            written += self.create(name, tags_for[name]).ingest_many(bucket)
+        for frame in frames:
+            written += self.create(frame.name, frame.tags).ingest_columns(
+                frame.timestamps, frame.values
+            )
         return written
 
     def query(self, **tag_filters: str) -> List[TimeSeries]:

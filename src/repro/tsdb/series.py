@@ -54,11 +54,6 @@ class TimeSeries:
     def __post_init__(self) -> None:
         if self.duplicate_policy not in ("last_write_wins", "reject"):
             raise ValueError(f"unknown duplicate_policy {self.duplicate_policy!r}")
-        # Tolerate list/array-valued fields (old pickles, direct tests).
-        if not isinstance(self._timestamps, FloatColumn):
-            self._timestamps = FloatColumn(self._timestamps)
-        if not isinstance(self._values, FloatColumn):
-            self._values = FloatColumn(self._values)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TimeSeries):
@@ -76,15 +71,6 @@ class TimeSeries:
 
     def __iter__(self) -> Iterator[Tuple[float, float]]:
         return iter(zip(self._timestamps.tolist(), self._values.tolist()))
-
-    def __setstate__(self, state: Dict[str, object]) -> None:
-        # Checkpoints written by the list-backed storage carry plain
-        # lists in _timestamps/_values; normalize them into columns.
-        self.__dict__.update(state)
-        if not isinstance(self._timestamps, FloatColumn):
-            self._timestamps = FloatColumn(self._timestamps)
-        if not isinstance(self._values, FloatColumn):
-            self._values = FloatColumn(self._values)
 
     def append(self, timestamp: float, value: float) -> None:
         """Append a point; ``timestamp`` must be >= the last timestamp.
@@ -133,9 +119,14 @@ class TimeSeries:
         self._values.insert(pos, float(value))
 
     def ingest_many(self, points: Iterable[Tuple[float, float]]) -> int:
-        """Bulk-append ``points``, tolerating stragglers.
+        """:meth:`ingest_columns` for ``(timestamp, value)`` pairs."""
+        pairs = np.array(list(points), dtype=np.float64).reshape(-1, 2)
+        return self.ingest_columns(pairs[:, 0], pairs[:, 1])
 
-        The streaming ingest path.  A strictly-in-order batch — the
+    def ingest_columns(self, ts: np.ndarray, vals: np.ndarray) -> int:
+        """Bulk-append two parallel columns, tolerating stragglers.
+
+        The streaming ingest path.  A strictly-in-order frame — the
         overwhelmingly common case once the admission layer's reordering
         buffer has done its job — lands as one vectorized bulk append
         (two memcpys).  Anything else (duplicates, late arrivals from
@@ -147,38 +138,30 @@ class TimeSeries:
             Number of points written (last-write-wins overwrites count —
             every accepted point is accounted for).
         """
-        batch = points if isinstance(points, list) else list(points)
-        m = len(batch)
+        m = len(ts)
         if m == 0:
             return 0
-        arr = np.array(batch, dtype=np.float64)
-        ts = np.ascontiguousarray(arr[:, 0])
-        vals = np.ascontiguousarray(arr[:, 1])
-        n = len(self._timestamps)
-        last = self._timestamps.get(-1) if n else float("-inf")
-        if ts[0] > last and (m == 1 or bool(np.all(ts[1:] > ts[:-1]))):
+        last = self._timestamps.get(-1) if len(self._timestamps) else float("-inf")
+        if ts[0] > last and np.logical_and.reduce(ts[1:] > ts[:-1]):
             self._timestamps.extend(ts)
             self._values.extend(vals)
             return m
-        # Dirty batch: per-point semantics (duplicate resolution order,
+        # Dirty frame: per-point semantics (duplicate resolution order,
         # partial state on reject) must match the scalar path exactly.
-        written = 0
         stragglers: List[Tuple[float, float]] = []
-        for k in range(m):
-            timestamp = float(ts[k])
+        for timestamp, value in zip(ts.tolist(), vals.tolist()):
             if timestamp > last:
                 self._timestamps.append(timestamp)
-                self._values.append(float(vals[k]))
+                self._values.append(value)
                 last = timestamp
             elif timestamp == last:
                 self._resolve_duplicate(timestamp)
-                self._values.set(-1, float(vals[k]))
+                self._values.set(-1, value)
             else:
-                stragglers.append((timestamp, float(vals[k])))
-            written += 1
+                stragglers.append((timestamp, value))
         if stragglers:
             self._merge_backfill(stragglers)
-        return written
+        return m
 
     def _resolve_duplicate(self, timestamp: float) -> None:
         """Raise under the ``reject`` policy; no-op under last-write-wins."""

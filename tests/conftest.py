@@ -43,6 +43,33 @@ def empty_db() -> TimeSeriesDatabase:
     return TimeSeriesDatabase()
 
 
+@pytest.fixture
+def socket_writes(monkeypatch):
+    """Sizes of every write ``http.server`` handlers make on their sockets.
+
+    A handler's ``wfile`` is unbuffered, so one write is one ``send``:
+    a reply in two writes is two segments, and the second waits on the
+    client's delayed ACK.
+    """
+    from http.server import BaseHTTPRequestHandler
+
+    writes = []
+    original = BaseHTTPRequestHandler.setup
+
+    def setup(handler):
+        original(handler)
+        send = handler.wfile.write
+
+        def write(data):
+            writes.append(len(data))
+            return send(data)
+
+        handler.wfile.write = write
+
+    monkeypatch.setattr(BaseHTTPRequestHandler, "setup", setup)
+    return writes
+
+
 def fill_series(db: TimeSeriesDatabase, name: str, values, interval: float = 60.0, tags=None):
     """Write ``values`` on a uniform grid starting at t=0."""
     series = db.create(name, tags or {})

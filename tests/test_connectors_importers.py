@@ -5,7 +5,7 @@ import json
 
 from repro.connectors import CsvImporter, ImportStats, JsonLinesImporter
 from repro.quality import QualityConfig
-from repro.service import BackpressurePolicy, StreamingDetectionService
+from repro.service import BackpressurePolicy, Sample, StreamingDetectionService
 
 
 class _Collecting:
@@ -14,9 +14,12 @@ class _Collecting:
     def __init__(self):
         self.samples = []
 
-    def ingest_sample(self, sample):
-        self.samples.append(sample)
-        return True
+    def ingest_frame(self, frame):
+        self.samples.extend(
+            Sample(frame.name, timestamp, value, frame.tags)
+            for timestamp, value in zip(frame.timestamps.tolist(), frame.values.tolist())
+        )
+        return len(frame)
 
 
 class TestCsvImporter:
@@ -129,8 +132,8 @@ class TestImportThroughAdmission:
 
     def test_import_stats_track_acceptance(self):
         class RejectAll:
-            def ingest_sample(self, sample):
-                return False
+            def ingest_frame(self, frame):
+                return 0
 
         stream = io.StringIO("timestamp,value\n0,1.0\n60,2.0\n")
         stats = CsvImporter().import_into(RejectAll(), stream)

@@ -119,17 +119,20 @@ class TestCorpusSamples:
     def test_import_corpus_offers_everything(self):
         class Collecting:
             def __init__(self):
-                self.samples = []
+                self.frames = []
 
-            def ingest_sample(self, sample):
-                self.samples.append(sample)
-                return True
+            def ingest_frame(self, frame):
+                self.frames.append(frame)
+                return len(frame)
 
         corpus = load_corpus(io.StringIO(json.dumps(tiny_slice())))
         target = Collecting()
         stats = import_corpus(target, corpus)
         assert stats.offered == stats.accepted == 5
         assert stats.series == 2
+        # One frame per signature, each in push-time order.
+        assert len(target.frames) == 2
+        assert sorted(len(frame) for frame in target.frames) == [2, 3]
 
 
 class TestCommittedSlice:

@@ -52,20 +52,36 @@ FLAT_PAYLOAD = {
 
 class TestParse:
     def test_prompb_shape(self):
-        samples = list(
-            parse_remote_write(PROMPB_PAYLOAD, SeriesMapper(source="rw"))
-        )
-        assert len(samples) == 2
-        assert samples[0].timestamp == 1_700_000_000.0  # ms -> s
-        assert samples[0].tags["unit"] == "seconds"
-        assert samples[0].tags["job"] == "api"
+        (frame,) = parse_remote_write(PROMPB_PAYLOAD, SeriesMapper(source="rw"))
+        assert len(frame) == 2
+        assert frame.timestamps[0] == 1_700_000_000.0  # ms -> s
+        assert frame.tags["unit"] == "seconds"
+        assert frame.tags["job"] == "api"
 
     def test_flat_shape(self):
-        samples = list(
-            parse_remote_write(FLAT_PAYLOAD, SeriesMapper(source="rw"))
+        (frame,) = parse_remote_write(FLAT_PAYLOAD, SeriesMapper(source="rw"))
+        assert len(frame) == 2
+        assert frame.values[1] == 5.0
+
+    def test_one_frame_per_series_and_none_for_an_empty_one(self):
+        payload = {"series": [
+            {"name": "a", "samples": [[1000, 1.0], {"timestamp": 2000, "value": 2}]},
+            {"name": "b", "samples": []},
+            {"name": "c", "samples": [[1000, "0.5"], [2000, "NaN"]]},
+        ]}
+        first, last = parse_remote_write(payload, SeriesMapper(source="rw"))
+        assert (first.name, first.timestamps.tolist(), first.values.tolist()) == (
+            "a", [1.0, 2.0], [1.0, 2.0]
         )
-        assert len(samples) == 2
-        assert samples[1].value == 5.0
+        # Numeric strings are how JSON carries NaN: parsed, then judged
+        # by admission like any other NaN.
+        assert last.values[0] == 0.5 and last.values[1] != last.values[1]
+
+    def test_array_timestamps_are_bit_identical_to_scalar_division(self):
+        stamps = [1_700_000_000_001, 1_700_000_060_003, 7, 1_699_999_999_999.5, "1234567"]
+        payload = {"series": [{"name": "x", "samples": [[ms, 1.0] for ms in stamps]}]}
+        (frame,) = parse_remote_write(payload, SeriesMapper(source="rw"))
+        assert frame.timestamps.tolist() == [float(ms) / 1000.0 for ms in stamps]
 
     @pytest.mark.parametrize("payload", [
         [],  # not an object
@@ -121,6 +137,47 @@ class TestReceiver:
         assert service.stats().accepted == 0
         counters = service.metrics.snapshot()["counters"]
         assert counters["connectors.remote_write.rejected_requests"] == 1
+
+    @pytest.mark.parametrize("bad", [
+        {"value": None, "timestamp": 2000},       # numpy would make it NaN
+        {"value": True, "timestamp": 2000},       # ... and this 1.0
+        {"value": 1.0, "timestamp": None},
+        {"value": "fast", "timestamp": 2000},     # non-numeric string
+        {"value": 1.0},                            # no timestamp at all
+        [2000],                                    # ragged pairs
+        [2000, 1.0, 3.0],
+        [2000, [1.0]],
+        "2000:1.0",
+    ])
+    def test_one_bad_sample_refuses_the_whole_request(self, service, bad):
+        payload = {"series": [
+            {"name": "good", "samples": [[1000, 1.0], [2000, 2.0]]},
+            {"name": "mixed", "samples": [[1000, 1.0], bad, [3000, 3.0]]},
+        ]}
+        with RemoteWriteReceiver(service) as receiver:
+            status, body = _post(receiver.url, payload, expect_error=True)
+        assert status == 400 and "error" in body
+        assert service.stats().offered == 0  # nothing offered, "good" included
+        assert service.quality_snapshot()["counters"].get("quarantined", 0) == 0
+
+    def test_missing_metric_name_refuses_the_whole_request(self, service):
+        payload = {"timeseries": [
+            {"labels": [{"name": "__name__", "value": "ok"}],
+             "samples": [{"value": 1.0, "timestamp": 1000}]},
+            {"labels": [{"name": "job", "value": "api"}],
+             "samples": [{"value": 1.0, "timestamp": 1000}]},
+        ]}
+        with RemoteWriteReceiver(service) as receiver:
+            status, _ = _post(receiver.url, payload, expect_error=True)
+        assert status == 400
+        assert service.stats().offered == 0
+
+    def test_reply_leaves_in_one_write(self, service, socket_writes):
+        with RemoteWriteReceiver(service) as receiver:
+            assert _post(receiver.url, PROMPB_PAYLOAD)[0] == 200
+            assert len(socket_writes) == 1
+            assert _post(receiver.url, {"timeseries": 1}, expect_error=True)[0] == 400
+            assert len(socket_writes) == 2
 
     def test_unknown_path_404_wrong_method_405(self, service):
         with RemoteWriteReceiver(service) as receiver:

@@ -93,7 +93,8 @@ class TestRollover:
         assert values == [10.0, 20.0, 30.0, 10.0, 20.0, 30.0]
 
     def test_admission_reconstructs_exact_cumulative(self):
-        from repro.quality import HELD, AdmissionController, QualityConfig
+        from repro.quality import AdmissionController, QualityConfig
+        from repro.service import frames_of
 
         counter = [
             Sample("c", float(t), float(7 * (t + 1)), {"type": "counter"})
@@ -101,10 +102,11 @@ class TestRollover:
         ]
         dirty = rollover_counter(counter, "c")
         ctl = AdmissionController(QualityConfig())
-        for sample in dirty:
-            assert ctl.admit(sample)[0] == HELD  # counters ride the buffer
-        repaired = [s.value for s in ctl.drain_pending()]
-        assert repaired == [s.value for s in counter]
+        (frame,) = frames_of(dirty)
+        # Counters ride the buffer: every row is held, none admitted.
+        assert ctl.admit(frame) == (len(dirty), len(dirty), None, None)
+        (released,) = ctl.drain_pending()
+        assert released.values.tolist() == [s.value for s in counter]
         assert ctl.counter_resets == 1
 
     def test_too_short_series_is_noop(self):

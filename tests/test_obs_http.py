@@ -89,6 +89,18 @@ class TestMetricsEndpoint:
         assert "pipeline_incremental_misses" in body
         assert "service_reports_delivered 1" in body
 
+    def test_every_reply_leaves_in_one_write(self, advanced_service, socket_writes):
+        # A server of its own: the shared one's handler threads were set
+        # up before this test's write counter was installed.
+        with ObservabilityServer(advanced_service[0]) as server:
+            for path in ("/metrics", "/healthz", "/status", "/nowhere"):
+                before = len(socket_writes)
+                try:
+                    urllib.request.urlopen(server.url + path, timeout=5.0).read()
+                except urllib.error.HTTPError as error:
+                    error.read()
+                assert len(socket_writes) - before == 1, path
+
     def test_matches_in_process_render(self, advanced_service):
         service, _sink, server, _reports = advanced_service
         _status, _headers, body = _get(server.url + "/metrics")

@@ -17,7 +17,7 @@ from repro.obs.spans import (
 )
 from repro.runtime import CollectingSink
 from repro.service import Sample, StreamingDetectionService
-from repro.tsdb import TimeSeriesDatabase, WindowSpec
+from repro.tsdb import SeriesFrame, TimeSeriesDatabase, WindowSpec
 
 
 def test_pipeline_reexports_canonical_stages():
@@ -127,8 +127,7 @@ def _seeded_database(n_series=6, n_regressed=2, n=1_700, step=600.0, seed=0):
             # extended window, so the went-away check keeps it.
             values[-50:] += 0.5
         database.write_batch(
-            (f"s{index}.gcpu", i * step, float(values[i]), {"metric": "gcpu"})
-            for i in range(n)
+            [SeriesFrame(f"s{index}.gcpu", {"metric": "gcpu"}, np.arange(n) * step, values)]
         )
     return database, n * step
 

@@ -10,21 +10,35 @@ element, across every mutation path (``append`` / ``insert`` /
 duplicate policies.  Hypothesis drives random interleavings against the
 reference model below; any divergence is a storage-layer bug.
 
-A final test replays an :class:`~repro.quality.AdmissionController`
+A further test replays an :class:`~repro.quality.AdmissionController`
 counter-rollover stream (the rebase path) into both backends and checks
 they land on the same rebased cumulative.
+
+The same idea then covers the whole ingest layer
+(:class:`TestFrameSplitsMatchRowByRow`): one sample stream — clean rows,
+NaN/Inf, negatives on a non-negative metric, counter rollovers,
+duplicates, stragglers within and beyond the reorder window — offered to
+a :class:`~repro.service.ShardIngestWorker` as arbitrary frame splits
+must leave exactly what offering it one row at a time leaves: admission
+counters, quarantine records, quality scores, worker counters and the
+TSDB's column bytes, under both duplicate policies and, for a single
+series, under every backpressure policy at a queue bound the stream
+overflows.  The row-at-a-time run is itself held against a model of the
+per-sample queue this layer replaced.
 """
 
 import bisect
+import math
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.quality import AdmissionController, QualityConfig
-from repro.quality.admission import ADMIT, HELD
+from repro.service import BackpressurePolicy, ShardIngestWorker, frames_of
 from repro.service.ingest import Sample
-from repro.tsdb import TimeSeries
+from repro.tsdb import SeriesFrame, TimeSeries, TimeSeriesDatabase
 
 
 class ListSeries:
@@ -225,17 +239,26 @@ class TestColumnarMatchesListModel:
             raw.append(running)
 
         controller = AdmissionController(QualityConfig(reorder_window=4))
-        emitted = []
-        for i, value in enumerate(raw):
-            status, sample = controller.admit(
-                Sample("cpu", float(i * 60), value, {"type": "counter"})
-            )
-            assert status in (ADMIT, HELD)
-            if sample is not None:
-                emitted.append(sample)
-            emitted.extend(controller.take_ready())
-        emitted.extend(controller.drain_pending())
-        emitted.sort(key=lambda s: s.timestamp)
+        frame = SeriesFrame(
+            "cpu", {"type": "counter"}, [float(i * 60) for i in range(len(raw))], raw
+        )
+        released = []
+        start = 0
+        while start < len(raw):
+            consumed, held, admitted, overflow = controller.admit(frame[start:])
+            assert held == consumed and admitted is None  # counters ride the buffer
+            start += consumed
+            if overflow is not None:
+                released.append(overflow)
+        released.extend(controller.drain_pending())
+        emitted = sorted(
+            (
+                Sample(frame.name, timestamp, value)
+                for frame in released
+                for timestamp, value in zip(frame.timestamps.tolist(), frame.values.tolist())
+            ),
+            key=lambda s: s.timestamp,
+        )
         assert len(emitted) == len(raw)
 
         # The rebase keeps the cumulative continuous across the restart.
@@ -250,3 +273,186 @@ class TestColumnarMatchesListModel:
             series.append(sample.timestamp, sample.value)
             model.append(sample.timestamp, sample.value)
         assert_same_state(series, model)
+
+
+# ---------------------------------------------------------------------------
+# The ingest layer: frame splits vs one row at a time
+# ---------------------------------------------------------------------------
+
+_TAGS = {
+    "g": {"metric": "gcpu"},                        # non-negative gauge
+    "d": {"metric": "delta"},                       # any sign
+    "c": {"metric": "requests", "type": "counter"},
+}
+# A tiny grid again: repeats and stragglers everywhere, and with
+# reorder_window=3 plenty of them overflow the reorder buffer.
+_stream_value = st.one_of(
+    st.integers(min_value=0, max_value=50).map(float),
+    st.sampled_from([math.nan, math.inf, -math.inf, -1.0, -0.5]),
+)
+_stream_ts = st.integers(min_value=0, max_value=30).map(float)
+_stream_row = st.tuples(st.sampled_from(sorted(_TAGS)), _stream_ts, _stream_value)
+
+
+def _samples(rows):
+    return [Sample(name, timestamp, value, _TAGS[name]) for name, timestamp, value in rows]
+
+
+def _chunks(samples, cuts):
+    """``samples`` split at the (deduplicated, sorted) ``cuts``."""
+    edges = sorted({cut for cut in cuts if 0 < cut < len(samples)} | {0, len(samples)})
+    return [samples[a:b] for a, b in zip(edges, edges[1:])]
+
+
+def _worker(policy, duplicate_policy, capacity, batch_size=4):
+    admission = AdmissionController(
+        QualityConfig(reorder_window=3, duplicate_policy=duplicate_policy), shard_id=0
+    )
+    return ShardIngestWorker(
+        0, TimeSeriesDatabase(), capacity=capacity, policy=policy,
+        batch_size=batch_size, admission=admission,
+    )
+
+
+def _observe(worker):
+    """Everything the property compares, per series where order across
+    series is free (a chunk is offered series-major)."""
+    admission = worker.admission
+    names = sorted(admission._series)
+    return {
+        "worker": worker.counters(),
+        "quarantine": {
+            name: [record for record in admission.quarantine._records if record[0] == name]
+            for name in names
+        },
+        "reasons": {name: admission.quarantine.reasons(name) for name in names},
+        "scores": {name: admission.quality_score(name) for name in names},
+        "columns": {
+            series.name: (series._timestamps.view().tobytes(), series._values.view().tobytes())
+            for series in worker.database
+        },
+    }
+
+
+def _run(worker, chunks, flush_after, by_row):
+    """Offer each chunk — as its per-series frames, or one row at a time
+    in stream order — flushing after the chunks in ``flush_after``."""
+    accepted = 0
+    for index, chunk in enumerate(chunks):
+        if by_row:
+            frames = [SeriesFrame(s.name, s.tags, [s.timestamp], [s.value]) for s in chunk]
+        else:
+            frames = frames_of(chunk)
+        accepted += sum(worker.offer(frame) for frame in frames)
+        if index in flush_after:
+            worker.flush()
+    worker.flush()
+    return accepted
+
+
+class _RowQueueModel:
+    """The per-sample bounded queue this layer replaced, without admission."""
+
+    def __init__(self, policy, capacity, batch_size):
+        self.policy, self.capacity, self.batch_size = policy, capacity, batch_size
+        self.queue, self.written = deque(), []
+        self.counts = dict.fromkeys(
+            ("offered", "accepted", "rejected", "dropped_oldest", "blocking_flushes",
+             "flushes", "flushed"), 0
+        )
+
+    def flush_batch(self):
+        batch = [self.queue.popleft() for _ in range(min(self.batch_size, len(self.queue)))]
+        self.written.extend(batch)
+        self.counts["flushed"] += len(batch)
+        self.counts["flushes"] += 1
+
+    def offer(self, point):
+        self.counts["offered"] += 1
+        if len(self.queue) >= self.capacity:
+            if self.policy is BackpressurePolicy.REJECT:
+                self.counts["rejected"] += 1
+                return
+            if self.policy is BackpressurePolicy.DROP_OLDEST:
+                self.queue.popleft()
+                self.counts["dropped_oldest"] += 1
+            else:
+                self.counts["blocking_flushes"] += 1
+                self.flush_batch()
+        self.queue.append(point)
+        self.counts["accepted"] += 1
+
+    def flush(self):
+        while self.queue:
+            self.flush_batch()
+
+
+class TestFrameSplitsMatchRowByRow:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        rows=st.lists(_stream_row, min_size=1, max_size=60),
+        cuts=st.lists(st.integers(min_value=1, max_value=59), max_size=8),
+        flushes=st.sets(st.integers(min_value=0, max_value=8), max_size=3),
+        duplicate_policy=st.sampled_from(["last_write_wins", "reject"]),
+    )
+    def test_any_split_of_a_dirty_stream_leaves_the_same_state(
+        self, rows, cuts, flushes, duplicate_policy
+    ):
+        chunks = _chunks(_samples(rows), cuts)
+        whole = _worker(BackpressurePolicy.BLOCK, duplicate_policy, capacity=1 << 16)
+        by_row = _worker(BackpressurePolicy.BLOCK, duplicate_policy, capacity=1 << 16)
+        assert _run(whole, chunks, flushes, by_row=False) == _run(
+            by_row, chunks, flushes, by_row=True
+        )
+        assert _observe(whole) == _observe(by_row)
+        assert whole.pending == 0 and whole.admission.buffered == 0
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        name=st.sampled_from("gc"),
+        points=st.lists(st.tuples(_stream_ts, _stream_value), min_size=1, max_size=60),
+        cuts=st.lists(st.integers(min_value=1, max_value=59), max_size=8),
+        flushes=st.sets(st.integers(min_value=0, max_value=8), max_size=2),
+        policy=st.sampled_from(list(BackpressurePolicy)),
+        duplicate_policy=st.sampled_from(["last_write_wins", "reject"]),
+        capacity=st.integers(min_value=1, max_value=12),
+    )
+    def test_single_series_backpressure_is_exact_to_the_sample(
+        self, name, points, cuts, flushes, policy, duplicate_policy, capacity
+    ):
+        """Dirt, stragglers and a queue the stream overflows, all at once."""
+        chunks = _chunks(_samples([(name, ts, value) for ts, value in points]), cuts)
+        whole = _worker(policy, duplicate_policy, capacity)
+        by_row = _worker(policy, duplicate_policy, capacity)
+        assert _run(whole, chunks, flushes, by_row=False) == _run(
+            by_row, chunks, flushes, by_row=True
+        )
+        assert _observe(whole) == _observe(by_row)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(min_value=1, max_value=60),
+        cuts=st.lists(st.integers(min_value=1, max_value=59), max_size=8),
+        policy=st.sampled_from(list(BackpressurePolicy)),
+        capacity=st.integers(min_value=1, max_value=12),
+        batch_size=st.integers(min_value=1, max_value=6),
+    )
+    def test_clean_stream_matches_the_per_sample_queue_it_replaced(
+        self, n, cuts, policy, capacity, batch_size
+    ):
+        points = [("g", float(i), float(i + 1)) for i in range(n)]
+        model = _RowQueueModel(policy, capacity, batch_size)
+        for point in points:
+            model.offer(point)
+        model.flush()
+        worker = _worker(policy, "last_write_wins", capacity, batch_size)
+        for chunk in _chunks(_samples(points), cuts):
+            for frame in frames_of(chunk):
+                worker.offer(frame)
+        worker.flush()
+        counters = worker.counters()
+        assert {key: counters[key] for key in model.counts} == model.counts
+        stored = worker.database.get("g")
+        assert ([] if stored is None else list(stored)) == [
+            (timestamp, value) for _, timestamp, value in model.written
+        ]

@@ -88,6 +88,19 @@ class TestCheckpointManager:
         with pytest.raises(CheckpointError, match="version"):
             manager.load()
 
+    def test_sample_row_era_checkpoint_is_refused_not_converted(self, tmp_path):
+        """Version 1 queues held ``Sample`` rows; version 2 holds frames."""
+        manager = CheckpointManager(str(tmp_path))
+        manager.save({}, {0: "x"})
+        for name in ("manifest.json", "manifest.g1.json"):
+            path = tmp_path / name
+            manifest = json.loads(path.read_text(encoding="utf-8"))
+            assert manifest["version"] == 2
+            manifest["version"] = 1
+            path.write_text(json.dumps(manifest), encoding="utf-8")
+        with pytest.raises(CheckpointError, match="version 1 != supported 2"):
+            StreamingDetectionService.restore(str(tmp_path))
+
     def test_corrupt_manifest_raises(self, tmp_path):
         manager = CheckpointManager(str(tmp_path))
         manager.save({}, {})

@@ -6,12 +6,25 @@ import time
 
 import pytest
 
-from repro.service import BackpressurePolicy, MetricsRegistry, Sample, ShardIngestWorker
-from repro.tsdb import TimeSeriesDatabase
+from repro.service import BackpressurePolicy, MetricsRegistry, ShardIngestWorker
+from repro.tsdb import SeriesFrame, TimeSeriesDatabase
+
+
+def frame(n, name="s.gcpu", start=0.0):
+    """``n`` in-order points of one series, valued 1..n, as one frame."""
+    return SeriesFrame(
+        name, {}, [start + i * 60.0 for i in range(n)], [float(i + 1) for i in range(n)]
+    )
 
 
 def samples(n, name="s.gcpu", start=0.0):
-    return [Sample(name, start + i * 60.0, float(i + 1)) for i in range(n)]
+    """The same points as :func:`frame`, as ``n`` one-row frames."""
+    whole = frame(n, name, start)
+    return [whole[i : i + 1] for i in range(n)]
+
+
+def row(name, timestamp, value, tags=None):
+    return SeriesFrame(name, tags, [timestamp], [value])
 
 
 def make_worker(policy, capacity=4, batch_size=2, metrics=None):
@@ -26,9 +39,17 @@ class TestRejectPolicy:
     def test_rejects_beyond_capacity(self):
         db, worker = make_worker(BackpressurePolicy.REJECT)
         results = [worker.offer(s) for s in samples(6)]
-        assert results == [True] * 4 + [False] * 2
+        assert results == [1] * 4 + [0] * 2
         assert worker.rejected == 2
         assert worker.pending == 4
+
+    def test_frame_is_split_at_the_room_and_the_tail_refused(self):
+        db, worker = make_worker(BackpressurePolicy.REJECT)
+        assert worker.offer(frame(6)) == 4
+        assert (worker.offered, worker.accepted, worker.rejected) == (6, 4, 2)
+        assert worker.pending == 4
+        worker.flush()
+        assert list(db.get("s.gcpu").values) == [1.0, 2.0, 3.0, 4.0]
 
     def test_rejected_samples_never_reach_tsdb(self):
         db, worker = make_worker(BackpressurePolicy.REJECT)
@@ -50,6 +71,17 @@ class TestDropOldestPolicy:
         # The newest 4 survived.
         assert list(db.get("s.gcpu").values) == [3.0, 4.0, 5.0, 6.0]
 
+    def test_frames_trim_the_heads_of_the_oldest_frames(self):
+        db, worker = make_worker(BackpressurePolicy.DROP_OLDEST)
+        assert worker.offer(frame(3)) == 3
+        assert worker.offer(frame(3, start=180.0)) == 3  # evicts 2 of the first
+        assert (worker.dropped_oldest, worker.pending) == (2, 4)
+        # A frame larger than the queue keeps only its own newest rows.
+        assert worker.offer(frame(6, start=360.0)) == 6
+        assert (worker.dropped_oldest, worker.pending) == (8, 4)
+        worker.flush()
+        assert list(db.get("s.gcpu").timestamps) == [480.0, 540.0, 600.0, 660.0]
+
 
 class TestBlockPolicy:
     def test_caller_runs_flush_keeps_everything(self):
@@ -59,6 +91,17 @@ class TestBlockPolicy:
         worker.flush()
         assert worker.blocking_flushes >= 1
         assert worker.dropped_oldest == 0 and worker.rejected == 0
+        assert list(db.get("s.gcpu").values) == [float(i + 1) for i in range(10)]
+
+    def test_frame_flushes_a_batch_and_continues(self):
+        by_row = make_worker(BackpressurePolicy.BLOCK)[1]
+        for s in samples(10):
+            by_row.offer(s)
+        db, worker = make_worker(BackpressurePolicy.BLOCK)
+        assert worker.offer(frame(10)) == 10
+        # Sample-exact: the same batches were flushed to make room.
+        assert worker.counters() == by_row.counters()
+        worker.flush()
         assert list(db.get("s.gcpu").values) == [float(i + 1) for i in range(10)]
 
 
@@ -80,9 +123,9 @@ class TestFlushing:
 
     def test_batch_groups_multiple_series(self):
         db, worker = make_worker(BackpressurePolicy.BLOCK, capacity=100, batch_size=100)
-        worker.offer(Sample("a.gcpu", 0.0, 1.0, {"metric": "gcpu"}))
-        worker.offer(Sample("b.gcpu", 0.0, 2.0, {"metric": "gcpu"}))
-        worker.offer(Sample("a.gcpu", 60.0, 3.0, {"metric": "gcpu"}))
+        worker.offer(row("a.gcpu", 0.0, 1.0, {"metric": "gcpu"}))
+        worker.offer(row("b.gcpu", 0.0, 2.0, {"metric": "gcpu"}))
+        worker.offer(row("a.gcpu", 60.0, 3.0, {"metric": "gcpu"}))
         worker.flush()
         assert list(db.get("a.gcpu").values) == [1.0, 3.0]
         assert list(db.get("b.gcpu").values) == [2.0]
@@ -90,14 +133,20 @@ class TestFlushing:
 
     def test_out_of_order_sample_inserted_sorted(self):
         db, worker = make_worker(BackpressurePolicy.BLOCK, capacity=100)
-        worker.offer(Sample("s", 120.0, 2.0))
-        worker.offer(Sample("s", 60.0, 1.0))  # straggler
+        worker.offer(row("s", 120.0, 2.0))
+        worker.offer(row("s", 60.0, 1.0))  # straggler
         worker.flush()
         assert list(db.get("s").timestamps) == [60.0, 120.0]
 
     def test_offer_many(self):
         db, worker = make_worker(BackpressurePolicy.REJECT, capacity=3)
-        assert worker.offer_many(samples(5)) == 3
+        assert worker.offer(frame(5)) == 3
+
+    def test_batches_split_frames_at_batch_size(self):
+        db, worker = make_worker(BackpressurePolicy.BLOCK, capacity=100, batch_size=3)
+        worker.offer(frame(7))
+        assert worker.flush() == 7
+        assert worker.flushes == 3  # 3 + 3 + 1, as for seven one-row frames
 
 
 class TestCountersAndMetrics:
@@ -145,7 +194,7 @@ class TestAdvanceProtocol:
 
     def test_flush_is_noop_while_advancing(self):
         db, worker = make_worker(BackpressurePolicy.DROP_OLDEST, capacity=8)
-        worker.offer_many(samples(3))
+        worker.offer(frame(3))
         worker.begin_advance()
         # A background flusher firing mid-advance must not touch the db.
         assert worker.flush() == 0
@@ -157,10 +206,10 @@ class TestAdvanceProtocol:
 
     def test_abort_restores_drained_samples_in_order(self):
         db, worker = make_worker(BackpressurePolicy.DROP_OLDEST, capacity=8)
-        worker.offer_many(samples(2))
+        worker.offer(frame(2))
         worker.begin_advance()
         drained = worker.drain_pending()  # ownership moved to the blob
-        worker.offer_many(samples(2, start=600.0))  # offered mid-advance
+        worker.offer(frame(2, start=600.0))  # offered mid-advance
         worker.abort_advance(drained)  # blob failed: give them back
         worker.flush()
         series = db.get("s.gcpu")
@@ -171,14 +220,14 @@ class TestAdvanceProtocol:
         db, worker = make_worker(
             BackpressurePolicy.BLOCK, capacity=2, batch_size=2
         )
-        worker.offer_many(samples(2))  # queue full
+        worker.offer(frame(2))  # queue full
         baseline = worker.begin_advance()
         advanced = pickle.loads(pickle.dumps(worker))  # worker-process copy
 
         unparked = threading.Event()
 
         def produce():
-            worker.offer(Sample("s.gcpu", 600.0, 9.0))
+            worker.offer(row("s.gcpu", 600.0, 9.0))
             unparked.set()
 
         producer = threading.Thread(target=produce, daemon=True)
@@ -209,9 +258,9 @@ class TestAdvanceProtocol:
         db, worker = make_worker(
             BackpressurePolicy.DROP_OLDEST, capacity=16, batch_size=4
         )
-        worker.offer_many(samples(4))
+        worker.offer(frame(4))
         worker.flush()  # pre-advance flushes belong to the baseline
-        worker.offer_many(samples(4, start=600.0))
+        worker.offer(frame(4, start=600.0))
         baseline = worker.begin_advance()
         advanced = pickle.loads(pickle.dumps(worker))
         worker.drain_pending()
@@ -225,7 +274,7 @@ class TestAdvanceProtocol:
 
     def test_pickled_copy_is_never_advancing(self):
         db, worker = make_worker(BackpressurePolicy.BLOCK, capacity=4)
-        worker.offer_many(samples(2))
+        worker.offer(frame(2))
         worker.begin_advance()
         clone = pickle.loads(pickle.dumps(worker))
         # The blob's copy must flush freely in the worker process.
@@ -247,7 +296,7 @@ class TestFlushFailureSafety:
         worker.fault_injector = FaultInjector(
             FaultPlan(specs=(FaultSpec(FaultKind.FLUSH_ERROR, times=1),))
         )
-        worker.offer_many(samples(6))
+        worker.offer(frame(6))
         with pytest.raises(InjectedFault):
             worker.flush()
         # Nothing written, nothing lost, order preserved.
@@ -271,7 +320,7 @@ class TestFlushFailureSafety:
         def failing(rows):
             raise Boom("disk on fire")
 
-        worker.offer_many(samples(3))
+        worker.offer(frame(3))
         worker.database.write_batch = failing
         with pytest.raises(Boom):
             worker.flush()

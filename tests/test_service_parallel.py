@@ -449,6 +449,36 @@ class TestAdvanceFailureRecovery:
             executor.close()
             service.close()
 
+    def test_collateral_shards_are_rerun_apart_and_outside_the_budget(self):
+        """One dead worker breaks every in-flight future.  With no retry
+        budget at all, the innocent shards must still come back from the
+        pool — only the shard that crashes by itself falls back."""
+        registry = MetricsRegistry()
+        plan = FaultPlan(seed=3, specs=(
+            FaultSpec(FaultKind.WORKER_CRASH, shard=1, times=None),
+        ))
+        executor = ParallelShardExecutor(
+            workers=3, retries=0,
+            injector=FaultInjector(plan, metrics=registry), metrics=registry,
+        )
+        service = StreamingDetectionService(n_shards=3, workers=1)
+        service.register_monitor(
+            "gcpu", small_config(), series_filter={"metric": "gcpu"}
+        )
+        try:
+            blobs = {
+                shard_id: shard.begin_advance()
+                for shard_id, shard in service._shards.items()
+            }
+            results = executor.map_shards(blobs, target=100.0)
+            assert [r.fallback for r in results] == [None, "in_process", None]
+            assert registry.snapshot()["counters"]["advance.fallbacks"] == 1.0
+        finally:
+            for shard in service._shards.values():
+                shard.abort_advance()
+            executor.close()
+            service.close()
+
     def test_degraded_set_then_cleared_on_clean_advance(self):
         plan = FaultPlan(seed=4, specs=(
             FaultSpec(FaultKind.WORKER_CRASH, times=1),
