@@ -3,8 +3,8 @@
 At production scale FBDetect re-scans ~800k subroutine series every
 cycle; most of them are quiet most of the time, yet the offline
 CUSUM+EM+LRT detector pays O(W) per series per scan regardless.  This
-module makes repeat scans cheap: a per-series
-:class:`~repro.stats.incremental.StreamingCusum` screen is anchored on
+module makes repeat scans cheap: a per-series two-sided CUSUM screen
+(:func:`~repro.stats.incremental.cusum_screen_batch`) is anchored on
 the analysis window whenever a full scan runs, and subsequent scans fold
 in only the points that arrived since — O(n) for n new points.  The full
 detector re-runs only when something could plausibly have changed:
@@ -287,7 +287,7 @@ class IncrementalScanCache:
             self._c_neg[idx] = neg_out
             c_fired[idx] = fired_rows
             # n counts through the firing point and freezes consumption
-            # there, matching StreamingCusum.apply_batch_result.
+            # there, like the scalar StreamingCusum.update loop.
             c_n[idx] += np.where(fired_rows, fired_at + 1, width)
             c_anchor_len[idx] += width
             c_anchor_end[idx] = g_ends
@@ -349,7 +349,7 @@ class IncrementalScanCache:
         self._c_anchor_len[row] = len(series)
         self._c_full_scan_at[row] = now
         self._c_had_candidate[row] = bool(had_candidate)
-        # Same reference moments as StreamingCusum.from_reference.
+        # Population moments of the window, the screen's z-score scale.
         self._c_mean[row] = x.mean() if x.size else 0.0
         self._c_std[row] = x.std() if x.size else 0.0
         self._c_pos[row] = 0.0

@@ -8,11 +8,16 @@ threshold -> SameRegressionMerger) and, when enabled, the long-term path
 deduplicated by SOMDedup, filtered by cost-shift analysis, deduplicated
 again by PairwiseDedup, and finally root-caused.
 
-Per-stage survivor counts are kept in :class:`FunnelCounters`, which
-reproduces Table 3's "remaining anomalies after each technique" rows.
-When a tracer (:class:`~repro.obs.spans.TraceStore`) is attached, every
-run additionally records one :class:`~repro.obs.spans.Span` per stage —
-input/output candidate counts, drop reasons, and elapsed time — so the
+Figure 6 is an ordered list of filters, and the code is one too: the
+per-candidate filters are rows of a stage table (:class:`_Stage`) run by
+one loop — the long-term path runs the same table from the threshold row
+on — and the collection stages run through a second loop.  Each loop
+feeds one :class:`~repro.obs.spans.StageTally` per Table 3 row, the only
+ledger of a run: :class:`FunnelCounters` ("remaining anomalies after
+each technique") is read off the tallies' ``outputs`` when the run ends,
+and with a tracer (:class:`~repro.obs.spans.TraceStore`) attached the
+same tallies — inputs, drop reasons and elapsed time included — are
+frozen into one :class:`~repro.obs.spans.Span` per stage, so the
 funnel's attrition is auditable live, not just in aggregate.
 """
 
@@ -20,13 +25,13 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.config import DetectionConfig
-from repro.core.change_point import ChangePointDetector
+from repro.core.change_point import ChangePointCandidate, ChangePointDetector
 from repro.core.cost_shift import CostShiftDetector
 from repro.core.dedup_pairwise import PairwiseDedup
 from repro.core.dedup_som import SOMDedup
@@ -52,6 +57,7 @@ from repro.profiling.stacktrace import StackTrace
 from repro.quality.gaps import QualityGate
 from repro.tsdb.database import TimeSeriesDatabase
 from repro.tsdb.series import TimeSeries
+from repro.tsdb.windows import WindowedView
 
 __all__ = ["STAGES", "FunnelCounters", "PipelineResult", "DetectionPipeline"]
 
@@ -85,14 +91,15 @@ class FunnelCounters:
     def reduction_ratios(self) -> Dict[str, float]:
         """Table 3's "1/N" view: detected count over survivors per stage.
 
-        Stages with zero survivors report ``inf``.
+        Stages with zero survivors report ``inf``.  The one
+        implementation: the ``/status`` payload and the Table 3 text
+        rows both render from it.
         """
         detected = self.counts["change_points"]
-        ratios = {}
-        for stage in STAGES:
-            alive = self.counts[stage]
-            ratios[stage] = detected / alive if alive else float("inf")
-        return ratios
+        return {
+            stage: detected / alive if alive else float("inf")
+            for stage, alive in self.counts.items()
+        }
 
     def merge(self, other: "FunnelCounters") -> None:
         for stage, count in other.counts.items():
@@ -118,6 +125,60 @@ class PipelineResult:
     groups: List[RegressionGroup]
     funnel: FunnelCounters
     now: float
+
+
+@dataclass(frozen=True)
+class _Stage:
+    """One per-candidate filter: a row of the Figure 6 stage table.
+
+    The table is built per run from the pipeline's detectors and
+    ``enable_*`` flags (:meth:`DetectionPipeline._stage_table`), so it
+    never rides a shard pickle.
+
+    Attributes:
+        row: The Table 3 row (span and funnel count) the stage is
+            tallied under.
+        enabled: A disabled stage passes every candidate, unrecorded.
+        check: ``check(regression, candidate)``; the verdict returned is
+            appended to the regression's audit trail, ``None`` passes
+            the candidate with nothing to record.  ``candidate`` is the
+            short-term change point (``None`` on the long-term path).
+        counts_survivor: ``False`` for a suppression that is not a
+            Table 3 row of its own: its drops tally under ``row``, and a
+            pass counts no survivor — the candidate (and the time spent)
+            moves on to the next stage of the same row.
+    """
+
+    row: str
+    enabled: bool
+    check: Callable[
+        [Regression, Optional[ChangePointCandidate]], Optional[DetectionVerdict]
+    ]
+    counts_survivor: bool = True
+
+
+#: The long-term path has no went-away or seasonality stage (§5.3): it
+#: runs the stage table from this row on.
+_LONG_TERM_JOINS_AT = "threshold"
+
+
+class _Stopwatch:
+    """Seconds since the previous :meth:`lap`: one clock read per stage.
+
+    Switched off it reads no clock and every lap is ``0.0``, which is
+    how the per-candidate loop stays clock-free without a tracer.
+    """
+
+    def __init__(self, on: bool) -> None:
+        self.on = on
+        self.at = time.perf_counter() if on else 0.0
+
+    def lap(self) -> float:
+        if not self.on:
+            return 0.0
+        now = time.perf_counter()
+        seconds, self.at = now - self.at, now
+        return seconds
 
 
 class DetectionPipeline:
@@ -160,8 +221,9 @@ class DetectionPipeline:
             :meth:`run` emits one :class:`~repro.obs.spans.RunTrace`
             holding one span per funnel stage, with input/output counts
             that telescope on the short-term path and per-stage drop
-            reasons.  ``None`` (the default) keeps the scan hot path
-            free of tally work.
+            reasons.  ``None`` (the default) keeps the per-candidate
+            loop free of clock reads; the tallies themselves are the
+            run's funnel ledger and always kept.
         quality_gate: Optional :class:`~repro.quality.gaps.QualityGate`
             making detection gap-aware: scan windows whose coverage
             (points present vs the series' own cadence) falls below the
@@ -252,145 +314,46 @@ class DetectionPipeline:
         """One periodic detection scan at reference time ``now``."""
         run_started = time.perf_counter()
         wall_started = time.time()
-        funnel = FunnelCounters()
-        candidates: List[Regression] = []
-        # One StageTally per funnel stage, frozen into spans at the end
-        # of the run.  ``None`` when tracing is off: the per-candidate
-        # sites below then skip all tally (and perf_counter) work.
-        trace: Optional[Dict[str, StageTally]] = (
-            {stage: StageTally() for stage in STAGES}
-            if self.tracer is not None
-            else None
-        )
+        metrics = self.metrics
+        # The run's only ledger: one tally per Table 3 row.  Funnel
+        # counts, spans and stage-latency histograms are all read off it.
+        tallies = {stage: StageTally() for stage in STAGES}
+        block = _Stopwatch(True)
 
-        stage_started = time.perf_counter()
-        # Pass 1: staleness eviction, before any screen state is touched
-        # (an evicted series must cost nothing and fold nothing).
-        scannable: List[TimeSeries]
-        if self.quality_gate is not None:
-            scannable = []
-            for series in self._matching_series(database):
-                if self._evict_if_stale(series, now):
-                    # Evicted from scheduling until it resumes: a dead
-                    # host must cost nothing per tick and never alert.
-                    if trace is not None:
-                        trace["change_points"].observe(False, "stale_series")
-                    continue
-                scannable.append(series)
-        else:
-            scannable = self._matching_series(database)
-        # Pass 2: one vectorized screen over every scannable series —
-        # thousands of per-series CUSUM folds become a few array ops.
-        decisions = (
-            self.incremental_cache.screen_batch(scannable, now)
-            if self.incremental_cache is not None
-            else None
-        )
-        # Pass 3: full windowed scans where the screen demanded one.
-        for series in scannable:
-            candidate = self._short_term(
-                series,
-                now,
-                funnel,
-                trace,
-                must_scan=None if decisions is None else decisions[series.name],
-            )
-            if candidate is not None:
-                candidates.append(candidate)
-            if self.config.long_term:
-                long_candidate = self._long_term(series, now, funnel, trace)
-                if long_candidate is not None:
-                    candidates.append(long_candidate)
-        self._observe_stage("detect", stage_started)
+        candidates = self._detect(database, now, tallies)
+        seconds = block.lap()
+        if metrics is not None:
+            metrics.observe("pipeline.stage.detect_seconds", seconds)
 
-        survivors = [c for c in candidates if not c.verdicts or c.verdicts[-1].passed]
-
-        # SOMDedup: representatives continue, duplicates stop here.
-        stage_started = time.perf_counter()
-        if self.enable_som_dedup:
-            groups = self.som_dedup.deduplicate(survivors)
-            representatives = [g.representative for g in groups if g.representative]
-        else:
-            representatives = list(survivors)
-        funnel.survived("som_dedup", len(representatives))
-        self._observe_stage("som_dedup", stage_started)
-        if trace is not None:
-            trace["som_dedup"].bulk(
-                len(survivors), len(representatives),
-                FilterReason.SOM_DUPLICATE.value,
-                time.perf_counter() - stage_started,
-            )
-
-        # Cost-shift analysis on the surviving representatives.
-        stage_started = time.perf_counter()
-        if self.enable_cost_shift:
-            cost_shift = CostShiftDetector(
-                database, samples=self.samples, change_log=self.change_log
-            )
-            after_cost_shift: List[Regression] = []
-            for regression in representatives:
-                verdict = cost_shift.check(regression)
-                regression.record(verdict)
-                if verdict.passed:
-                    after_cost_shift.append(regression)
-        else:
-            after_cost_shift = representatives
-        funnel.survived("cost_shift", len(after_cost_shift))
-        self._observe_stage("cost_shift", stage_started)
-        if trace is not None:
-            trace["cost_shift"].bulk(
-                len(representatives), len(after_cost_shift),
-                FilterReason.COST_SHIFT.value,
-                time.perf_counter() - stage_started,
-            )
-
-        # PairwiseDedup against groups from prior runs.
-        stage_started = time.perf_counter()
-        if self.enable_pairwise_dedup:
-            touched_groups = self.pairwise_dedup.process(after_cost_shift)
-            reported = [
-                regression
-                for regression in after_cost_shift
-                if regression.verdicts and regression.verdicts[-1].passed
-            ]
-        else:
-            touched_groups = []
-            reported = after_cost_shift
-        funnel.survived("pairwise_dedup", len(reported))
-        self._observe_stage("pairwise_dedup", stage_started)
-        if trace is not None:
-            trace["pairwise_dedup"].bulk(
-                len(after_cost_shift), len(reported),
-                FilterReason.PAIRWISE_DUPLICATE.value,
-                time.perf_counter() - stage_started,
-            )
-
-        # Root-cause analysis for what gets reported.
-        stage_started = time.perf_counter()
-        analyzer = RootCauseAnalyzer(
-            self.change_log,
-            samples_before=self.samples,
-            samples_after=self.samples,
-        )
-        for regression in reported:
-            analyzer.analyze(regression)
-        self._observe_stage("root_cause", stage_started)
+        alive = [c for c in candidates if not c.verdicts or c.verdicts[-1].passed]
+        touched_groups: List[RegressionGroup] = []
+        for name, enabled, apply, drop_reason in self._collection_stages(
+            database, touched_groups
+        ):
+            kept = apply(alive) if enabled else alive
+            seconds = block.lap()
+            if drop_reason is not None:
+                tallies[name].bulk(len(alive), len(kept), drop_reason.value, seconds)
+            if metrics is not None:
+                metrics.observe(f"pipeline.stage.{name}_seconds", seconds)
+            alive = kept
+        reported = alive
 
         run_seconds = time.perf_counter() - run_started
-        if self.metrics is not None:
-            self.metrics.observe("pipeline.run_seconds", run_seconds)
-            self.metrics.inc("pipeline.runs")
-            self.metrics.inc("pipeline.candidates", len(candidates))
-            self.metrics.inc("pipeline.reported", len(reported))
+        if metrics is not None:
+            metrics.observe("pipeline.run_seconds", run_seconds)
+            metrics.inc("pipeline.runs")
+            metrics.inc("pipeline.candidates", len(candidates))
+            metrics.inc("pipeline.reported", len(reported))
 
-        if trace is not None:
+        if self.tracer is not None:
             self.tracer.record(
                 RunTrace(
                     monitor=self.config.name,
                     now=now,
                     wall_started=wall_started,
                     seconds=run_seconds,
-                    spans=tuple(trace[stage].freeze(stage) for stage in STAGES),
+                    spans=tuple(tallies[stage].freeze(stage) for stage in STAGES),
                 )
             )
         if reported and _log.isEnabledFor(logging.INFO):
@@ -408,16 +371,9 @@ class DetectionPipeline:
             reported=reported,
             all_candidates=candidates,
             groups=touched_groups,
-            funnel=funnel,
+            funnel=FunnelCounters({stage: tallies[stage].outputs for stage in STAGES}),
             now=now,
         )
-
-    def _observe_stage(self, stage: str, started: float) -> None:
-        """Record one stage's latency into the optional metrics registry."""
-        if self.metrics is not None:
-            self.metrics.observe(
-                f"pipeline.stage.{stage}_seconds", time.perf_counter() - started
-            )
 
     def invalidate_incremental(self) -> None:
         """Drop all derived incremental-scan state (restore boundary).
@@ -430,8 +386,223 @@ class DetectionPipeline:
             self.incremental_cache.clear()
 
     # ------------------------------------------------------------------
-    # Paths
+    # Stage tables
     # ------------------------------------------------------------------
+
+    def _stage_table(self) -> Tuple[_Stage, ...]:
+        """The per-candidate filters of Figure 6, in order."""
+        return (
+            _Stage(
+                "went_away",
+                self.enable_went_away,
+                lambda regression, candidate: self.went_away_detector.check(
+                    regression.window, candidate
+                ),
+            ),
+            _Stage(
+                "seasonality",
+                self.enable_seasonality,
+                lambda regression, candidate: self.seasonality_detector.check(
+                    regression.window, candidate
+                ),
+            ),
+            _Stage("threshold", True, self._check_threshold),
+            # Planned-change suppression is not a Table 3 row: a drop is
+            # tallied under same_regression so the span still accounts
+            # for every candidate that left the threshold stage alive.
+            _Stage(
+                "same_regression",
+                self.planned_changes is not None,
+                lambda regression, candidate: self.planned_changes.check(regression),
+                counts_survivor=False,
+            ),
+            _Stage(
+                "same_regression",
+                True,
+                lambda regression, candidate: self.same_regression_merger.check(
+                    regression
+                ),
+            ),
+        )
+
+    def _check_threshold(
+        self, regression: Regression, candidate: Optional[ChangePointCandidate]
+    ) -> Optional[DetectionVerdict]:
+        """Drop a shift below the workload's Δ.
+
+        On the long-term path absolute thresholds were enforced inside
+        the detector; relative ones (which need the baseline) bite here.
+        """
+        if self.config.exceeds_threshold(regression.magnitude, regression.mean_before):
+            return None
+        path = "long-term " if regression.kind is RegressionKind.LONG_TERM else ""
+        return DetectionVerdict.drop(
+            FilterReason.BELOW_THRESHOLD,
+            detail=(
+                f"{path}magnitude {regression.magnitude:.3g} below "
+                f"threshold {self.config.threshold:.3g}"
+            ),
+        )
+
+    def _collection_stages(
+        self, database: TimeSeriesDatabase, touched_groups: List[RegressionGroup]
+    ) -> tuple:
+        """The stages that see all survivors at once, in order.
+
+        Rows are ``(name, enabled, apply, drop_reason)``: ``apply`` maps
+        the live regressions to those the stage keeps, ``drop_reason``
+        labels the rest in the stage's span (``None``: not a Table 3
+        row).  Groups PairwiseDedup touches land in ``touched_groups``.
+        """
+
+        def som_representatives(alive: List[Regression]) -> List[Regression]:
+            groups = self.som_dedup.deduplicate(alive)
+            return [g.representative for g in groups if g.representative]
+
+        def cost_shift_survivors(alive: List[Regression]) -> List[Regression]:
+            cost_shift = CostShiftDetector(
+                database, samples=self.samples, change_log=self.change_log
+            )
+            kept: List[Regression] = []
+            for regression in alive:
+                verdict = cost_shift.check(regression)
+                regression.record(verdict)
+                if verdict.passed:
+                    kept.append(regression)
+            return kept
+
+        def pairwise_openers(alive: List[Regression]) -> List[Regression]:
+            # Against groups from prior runs as well as this one's.
+            touched_groups.extend(self.pairwise_dedup.process(alive))
+            return [r for r in alive if r.verdicts and r.verdicts[-1].passed]
+
+        def root_caused(alive: List[Regression]) -> List[Regression]:
+            analyzer = RootCauseAnalyzer(
+                self.change_log,
+                samples_before=self.samples,
+                samples_after=self.samples,
+            )
+            for regression in alive:
+                analyzer.analyze(regression)
+            return alive
+
+        return (
+            ("som_dedup", self.enable_som_dedup, som_representatives,
+             FilterReason.SOM_DUPLICATE),
+            ("cost_shift", self.enable_cost_shift, cost_shift_survivors,
+             FilterReason.COST_SHIFT),
+            ("pairwise_dedup", self.enable_pairwise_dedup, pairwise_openers,
+             FilterReason.PAIRWISE_DUPLICATE),
+            ("root_cause", True, root_caused, None),
+        )
+
+    # ------------------------------------------------------------------
+    # Detection
+    # ------------------------------------------------------------------
+
+    def _detect(
+        self,
+        database: TimeSeriesDatabase,
+        now: float,
+        tallies: Dict[str, StageTally],
+    ) -> List[Regression]:
+        """Change points of every matching series, run through the table.
+
+        Returns every candidate turned regression, each carrying the
+        verdicts of the stages it reached.
+        """
+        detected = tallies["change_points"]
+        # Pass 1: staleness eviction, before any screen state is touched
+        # (an evicted series must cost nothing and fold nothing).
+        scannable = self._matching_series(database)
+        if self.quality_gate is not None:
+            fresh = [s for s in scannable if not self._evict_if_stale(s, now)]
+            if len(fresh) < len(scannable):
+                detected.bulk(len(scannable) - len(fresh), 0, "stale_series", 0.0)
+            scannable = fresh
+        # Pass 2: one vectorized screen over every scannable series —
+        # thousands of per-series CUSUM folds become a few array ops.
+        cache = self.incremental_cache
+        decisions: Optional[Dict[str, bool]] = None
+        if cache is not None:
+            hits, misses = cache.hits, cache.misses
+            decisions = cache.screen_batch(scannable, now)
+            hits, misses = cache.hits - hits, cache.misses - misses
+            # A hit means the screen saw no shift in the new points and
+            # the previous full scan found nothing.  Hits are tallied in
+            # bulk and untimed: that path is O(new points) and must not
+            # be dominated by counter locks or clock reads.  Misses are
+            # counted at the decision so the registry agrees with
+            # IncrementalScanCache.hit_rate even when the scan below
+            # bails on a bad window.
+            if hits:
+                detected.bulk(hits, 0, "cache_hit", 0.0)
+            if self.metrics is not None:
+                if hits:
+                    self.metrics.inc("pipeline.incremental.hits", hits)
+                if misses:
+                    self.metrics.inc("pipeline.incremental.misses", misses)
+        # Pass 3: full windowed scans where the screen demanded one.
+        stages = self._stage_table()
+        long_term = self.config.long_term
+        joins = [stage.row for stage in stages].index(_LONG_TERM_JOINS_AT)
+        long_term_stages = stages[joins:]
+        watch = _Stopwatch(self.tracer is not None)
+        candidates: List[Regression] = []
+
+        def admit(
+            found: Optional[Tuple[Regression, Optional[ChangePointCandidate]]],
+            path: Tuple[_Stage, ...],
+        ) -> None:
+            if found is None:
+                detected.observe(False, "no_change_point", watch.lap())
+                return
+            detected.observe(True, seconds=watch.lap())
+            regression, candidate = found
+            candidates.append(regression)
+            self._run_stages(regression, candidate, path, tallies, watch)
+
+        for series in scannable:
+            short_term = decisions is None or decisions[series.name]
+            if not short_term and not long_term:
+                continue
+            watch.lap()
+            # Windowed and gated once per series, whichever paths run: a
+            # bad window is one skip, not one per path.
+            windowed = self.config.windows.view(series, now)
+            skip = self._window_skip_reason(series, windowed)
+            if skip is not None:
+                # No full-scan anchor is recorded: bad windows must not
+                # seed the incremental screen.
+                detected.observe(False, skip, watch.lap())
+                continue
+            if short_term:
+                admit(self._short_term(series, now, windowed), stages)
+            if long_term:
+                admit(self._long_term(series, now, windowed), long_term_stages)
+        return candidates
+
+    @staticmethod
+    def _run_stages(
+        regression: Regression,
+        candidate: Optional[ChangePointCandidate],
+        stages: Sequence[_Stage],
+        tallies: Dict[str, StageTally],
+        watch: _Stopwatch,
+    ) -> None:
+        """The one stage loop: check, record the verdict, tally once,
+        and stop at the first drop."""
+        for stage in stages:
+            verdict = stage.check(regression, candidate) if stage.enabled else None
+            if verdict is not None:
+                regression.record(verdict)
+            passed = verdict is None or verdict.passed
+            if passed and not stage.counts_survivor:
+                continue
+            reason = None if passed or verdict.reason is None else verdict.reason.value
+            tallies[stage.row].observe(passed, reason, watch.lap())
+            if not passed:
+                return
 
     def _matching_series(self, database: TimeSeriesDatabase) -> List[TimeSeries]:
         if self.series_filter:
@@ -443,7 +614,11 @@ class DetectionPipeline:
         return sorted(self._stale)
 
     def _evict_if_stale(self, series: TimeSeries, now: float) -> bool:
-        """Track and report whether ``series`` stopped reporting."""
+        """Track and report whether ``series`` stopped reporting.
+
+        A stale series is evicted from scheduling until it resumes: a
+        dead host must cost nothing per tick and never alert.
+        """
         last = series.end
         if last is None:
             return False
@@ -458,21 +633,21 @@ class DetectionPipeline:
         self._stale.discard(series.name)
         return False
 
-    def _window_ok(
-        self,
-        series: TimeSeries,
-        windowed,
-        trace: Optional[Dict[str, StageTally]],
-        started: float,
-    ) -> bool:
-        """Quality guards a scan window must clear.
+    def _window_skip_reason(
+        self, series: TimeSeries, windowed: WindowedView
+    ) -> Optional[str]:
+        """Why a scan window must not be scanned, or ``None`` when it may.
 
-        Non-finite values anywhere in the window always suppress the
-        scan (NaN poisons every downstream statistic); with a quality
-        gate attached, windows whose coverage falls below the gate's
-        floor are suppressed too.  Suppressions are counted and traced,
-        never alerted.
+        A window needs the data-sufficiency floors; non-finite values
+        anywhere in it always suppress the scan (NaN poisons every
+        downstream statistic); with a quality gate attached, windows
+        whose coverage falls below the gate's floor are suppressed too.
+        Suppressions are counted and traced, never alerted.
         """
+        if not windowed.has_minimum_data(
+            self.min_historic_points, self.min_analysis_points
+        ):
+            return "insufficient_data"
         finite = (
             bool(np.isfinite(windowed.analysis).all())
             and bool(np.isfinite(windowed.historic).all())
@@ -481,11 +656,7 @@ class DetectionPipeline:
         if not finite:
             if self.metrics is not None:
                 self.metrics.inc("pipeline.quality.non_finite_skips")
-            if trace is not None:
-                trace["change_points"].observe(
-                    False, "non_finite_window", time.perf_counter() - started
-                )
-            return False
+            return "non_finite_window"
         if self.quality_gate is not None:
             ok, _ = self.quality_gate.window_ok(
                 series.timestamps_between(
@@ -498,72 +669,25 @@ class DetectionPipeline:
             if not ok:
                 if self.metrics is not None:
                     self.metrics.inc("pipeline.quality.low_coverage_skips")
-                if trace is not None:
-                    trace["change_points"].observe(
-                        False, "low_quality_window", time.perf_counter() - started
-                    )
-                return False
-        return True
+                return "low_quality_window"
+        return None
 
     def _oriented(self, values: np.ndarray) -> np.ndarray:
         """Map values so that an increase always means a regression."""
         return values if self.config.higher_is_worse else -values
 
     def _short_term(
-        self,
-        series: TimeSeries,
-        now: float,
-        funnel: FunnelCounters,
-        trace: Optional[Dict[str, StageTally]] = None,
-        must_scan: Optional[bool] = None,
-    ) -> Optional[Regression]:
-        cache = self.incremental_cache
-        if cache is not None:
-            # ``must_scan`` carries a decision precomputed by the batch
-            # screen in :meth:`run`; direct callers leave it ``None`` and
-            # the cache is consulted per series instead.
-            if must_scan is None:
-                must_scan = cache.should_scan(series, now)
-            if not must_scan:
-                # Cache hit: the screen saw no shift in the new points and
-                # the previous full scan found nothing — skip the O(W) path.
-                if self.metrics is not None:
-                    self.metrics.inc("pipeline.incremental.hits")
-                # Tallied untimed: the hit path is O(new points) and the
-                # tracer must not dominate it with clock reads.
-                if trace is not None:
-                    trace["change_points"].observe(False, "cache_hit")
-                return None
-            # Count the miss at the decision point so the registry agrees
-            # with IncrementalScanCache.hit_rate even when the scan below
-            # bails on insufficient data.
-            if self.metrics is not None:
-                self.metrics.inc("pipeline.incremental.misses")
-        started = time.perf_counter() if trace is not None else 0.0
-
-        windowed = self.config.windows.view(series, now)
-        if not windowed.has_minimum_data(
-            self.min_historic_points, self.min_analysis_points
-        ):
-            if trace is not None:
-                trace["change_points"].observe(
-                    False, "insufficient_data", time.perf_counter() - started
-                )
-            return None
-        if not self._window_ok(series, windowed, trace, started):
-            # No full-scan anchor is recorded: bad windows must not
-            # seed the incremental screen.
-            return None
-
+        self, series: TimeSeries, now: float, windowed: WindowedView
+    ) -> Optional[Tuple[Regression, ChangePointCandidate]]:
+        """CUSUM+EM+LRT over the analysis window (§5.2.1)."""
         oriented_analysis = self._oriented(windowed.analysis)
         candidate = self.change_point_detector.detect_increase(oriented_analysis)
-        if cache is not None:
-            # Anchor on the *raw* analysis values: should_scan folds raw
-            # tail values into the screen, and the CUSUM is two-sided,
-            # so orientation must not be applied here (a sign-flipped
-            # reference would fire the screen on every quiet
-            # lower-is-worse series).
-            cache.record_full_scan(
+        if self.incremental_cache is not None:
+            # Anchor on the *raw* analysis values: the screen folds raw
+            # tail values in, and the CUSUM is two-sided, so orientation
+            # must not be applied here (a sign-flipped reference would
+            # fire the screen on every quiet lower-is-worse series).
+            self.incremental_cache.record_full_scan(
                 series, now, windowed.analysis, candidate is not None
             )
         if self.shadow is not None:
@@ -578,23 +702,12 @@ class DetectionPipeline:
                 metrics=self.metrics,
             )
         if candidate is None:
-            if trace is not None:
-                trace["change_points"].observe(
-                    False, "no_change_point", time.perf_counter() - started
-                )
             return None
-        funnel.survived("change_points")
-        if trace is not None:
-            trace["change_points"].observe(
-                True, seconds=time.perf_counter() - started
-            )
-
-        context = MetricContext.from_tags(series.name, series.tags)
         interval = (now - windowed.analysis_start) / max(
             1, windowed.analysis.size + windowed.extended.size
         )
         regression = Regression(
-            context=context,
+            context=MetricContext.from_tags(series.name, series.tags),
             kind=RegressionKind.SHORT_TERM,
             change_index=candidate.index,
             change_time=windowed.analysis_start + candidate.index * interval,
@@ -603,192 +716,23 @@ class DetectionPipeline:
             window=self._oriented_view(windowed),
             detected_at=now,
         )
-
-        started = time.perf_counter() if trace is not None else 0.0
-        if self.enable_went_away:
-            verdict = self.went_away_detector.check(regression.window, candidate)
-            regression.record(verdict)
-            if not verdict.passed:
-                if trace is not None:
-                    trace["went_away"].observe(
-                        False,
-                        verdict.reason.value if verdict.reason else None,
-                        time.perf_counter() - started,
-                    )
-                return regression
-        funnel.survived("went_away")
-        if trace is not None:
-            trace["went_away"].observe(True, seconds=time.perf_counter() - started)
-
-        started = time.perf_counter() if trace is not None else 0.0
-        if self.enable_seasonality:
-            verdict = self.seasonality_detector.check(regression.window, candidate)
-            regression.record(verdict)
-            if not verdict.passed:
-                if trace is not None:
-                    trace["seasonality"].observe(
-                        False,
-                        verdict.reason.value if verdict.reason else None,
-                        time.perf_counter() - started,
-                    )
-                return regression
-        funnel.survived("seasonality")
-        if trace is not None:
-            trace["seasonality"].observe(True, seconds=time.perf_counter() - started)
-
-        started = time.perf_counter() if trace is not None else 0.0
-        if not self.config.exceeds_threshold(
-            candidate.magnitude, candidate.mean_before
-        ):
-            regression.record(
-                DetectionVerdict.drop(
-                    FilterReason.BELOW_THRESHOLD,
-                    detail=(
-                        f"magnitude {candidate.magnitude:.3g} below "
-                        f"threshold {self.config.threshold:.3g}"
-                    ),
-                )
-            )
-            if trace is not None:
-                trace["threshold"].observe(
-                    False,
-                    FilterReason.BELOW_THRESHOLD.value,
-                    time.perf_counter() - started,
-                )
-            return regression
-        funnel.survived("threshold")
-        if trace is not None:
-            trace["threshold"].observe(True, seconds=time.perf_counter() - started)
-
-        started = time.perf_counter() if trace is not None else 0.0
-        if self.planned_changes is not None:
-            verdict = self.planned_changes.check(regression)
-            regression.record(verdict)
-            if not verdict.passed:
-                # Planned-change suppression is not a Table 3 funnel
-                # stage; tally the drop under same_regression so the
-                # span still accounts for every candidate that left the
-                # threshold stage alive.
-                if trace is not None:
-                    trace["same_regression"].observe(
-                        False,
-                        verdict.reason.value if verdict.reason else None,
-                        time.perf_counter() - started,
-                    )
-                return regression
-
-        verdict = self.same_regression_merger.check(regression)
-        regression.record(verdict)
-        if not verdict.passed:
-            if trace is not None:
-                trace["same_regression"].observe(
-                    False,
-                    verdict.reason.value if verdict.reason else None,
-                    time.perf_counter() - started,
-                )
-            return regression
-        funnel.survived("same_regression")
-        if trace is not None:
-            trace["same_regression"].observe(
-                True, seconds=time.perf_counter() - started
-            )
-        return regression
+        return regression, candidate
 
     def _long_term(
-        self,
-        series: TimeSeries,
-        now: float,
-        funnel: FunnelCounters,
-        trace: Optional[Dict[str, StageTally]] = None,
-    ) -> Optional[Regression]:
-        started = time.perf_counter() if trace is not None else 0.0
-        windowed = self.config.windows.view(series, now)
-        if not windowed.has_minimum_data(
-            self.min_historic_points, self.min_analysis_points
-        ):
-            if trace is not None:
-                trace["change_points"].observe(
-                    False, "insufficient_data", time.perf_counter() - started
-                )
-            return None
-        if not self._window_ok(series, windowed, trace, started):
-            return None
-        context = MetricContext.from_tags(series.name, series.tags)
+        self, series: TimeSeries, now: float, windowed: WindowedView
+    ) -> Optional[Tuple[Regression, None]]:
+        """STL trend regression over the whole window (§5.3)."""
         regression = self.long_term_detector.detect(
-            self._oriented_view(windowed), context, detected_at=now
+            self._oriented_view(windowed),
+            MetricContext.from_tags(series.name, series.tags),
+            detected_at=now,
         )
-        if regression is None:
-            if trace is not None:
-                trace["change_points"].observe(
-                    False, "no_change_point", time.perf_counter() - started
-                )
-            return None
-        funnel.survived("change_points")
-        if trace is not None:
-            trace["change_points"].observe(
-                True, seconds=time.perf_counter() - started
-            )
-        # The long-term path has no went-away stage by design.  Absolute
-        # thresholds were enforced inside the detector; relative ones
-        # (which need the baseline) are checked here.
-        started = time.perf_counter() if trace is not None else 0.0
-        if not self.config.exceeds_threshold(
-            regression.magnitude, regression.mean_before
-        ):
-            regression.record(
-                DetectionVerdict.drop(
-                    FilterReason.BELOW_THRESHOLD,
-                    detail=(
-                        f"long-term magnitude {regression.magnitude:.3g} below "
-                        f"threshold {self.config.threshold:.3g}"
-                    ),
-                )
-            )
-            if trace is not None:
-                trace["threshold"].observe(
-                    False,
-                    FilterReason.BELOW_THRESHOLD.value,
-                    time.perf_counter() - started,
-                )
-            return regression
-        funnel.survived("threshold")
-        if trace is not None:
-            trace["threshold"].observe(True, seconds=time.perf_counter() - started)
-        started = time.perf_counter() if trace is not None else 0.0
-        if self.planned_changes is not None:
-            verdict = self.planned_changes.check(regression)
-            regression.record(verdict)
-            if not verdict.passed:
-                if trace is not None:
-                    trace["same_regression"].observe(
-                        False,
-                        verdict.reason.value if verdict.reason else None,
-                        time.perf_counter() - started,
-                    )
-                return regression
-        verdict = self.same_regression_merger.check(regression)
-        regression.record(verdict)
-        if not verdict.passed:
-            if trace is not None:
-                trace["same_regression"].observe(
-                    False,
-                    verdict.reason.value if verdict.reason else None,
-                    time.perf_counter() - started,
-                )
-            return regression
-        funnel.survived("same_regression")
-        if trace is not None:
-            trace["same_regression"].observe(
-                True, seconds=time.perf_counter() - started
-            )
-        return regression
+        return None if regression is None else (regression, None)
 
     def _oriented_view(self, windowed):
         """Apply metric orientation to a windowed view."""
         if self.config.higher_is_worse:
             return windowed
-        from dataclasses import replace
-
         return replace(
             windowed,
             historic=-windowed.historic,

@@ -30,15 +30,14 @@ _ROW_LABELS = {
 def funnel_rows(funnel: FunnelCounters) -> List[Tuple[str, str]]:
     """Table 3 rows: (label, value) with "1/N" ratios after the first row."""
     detected = funnel.counts["change_points"]
+    ratios = funnel.reduction_ratios()
     rows: List[Tuple[str, str]] = [(_ROW_LABELS["change_points"], f"{detected}")]
     for stage in STAGES[1:]:
-        alive = funnel.counts[stage]
         if detected == 0:
             value = "--"
-        elif alive == 0:
-            value = "1/inf (0 remaining)"
         else:
-            value = f"1/{detected / alive:.0f} ({alive} remaining)"
+            # An empty stage's ratio is inf, which formats as "1/inf".
+            value = f"1/{ratios[stage]:.0f} ({funnel.counts[stage]} remaining)"
         rows.append((_ROW_LABELS[stage], value))
     return rows
 

@@ -29,6 +29,7 @@ when cross-series dedup matters.
 
 from __future__ import annotations
 
+import math
 import pickle
 import threading
 import time
@@ -1074,11 +1075,6 @@ class StreamingDetectionService:
         JSON-serializable.
         """
         stats = self.stats()
-        detected = self.funnel.counts.get("change_points", 0)
-        reduction = {
-            stage: (detected / alive) if alive else None
-            for stage, alive in self.funnel.counts.items()
-        }
         return {
             "clock": self._clock,
             "n_shards": self.n_shards,
@@ -1095,7 +1091,11 @@ class StreamingDetectionService:
                 "rejected": stats.rejected,
             },
             "funnel": dict(self.funnel.counts),
-            "funnel_reduction": reduction,
+            # JSON has no infinity: an empty stage reads ``null``.
+            "funnel_reduction": {
+                stage: None if math.isinf(ratio) else ratio
+                for stage, ratio in self.funnel.reduction_ratios().items()
+            },
             "funnel_trace": self.funnel_trace().to_dict(),
             "traces": {
                 "retained": len(self.traces),

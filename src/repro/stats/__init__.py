@@ -27,9 +27,8 @@ paper's pipeline relies on:
 - :mod:`repro.stats.correlation` — Pearson correlation with alignment
   helpers (§5.5.2, §5.6).
 - :mod:`repro.stats.descriptive` — percentiles and summary statistics.
-- :mod:`repro.stats.incremental` — O(1)-per-point streaming primitives
-  (Welford moments, Page's CUSUM) backing the pipeline's incremental
-  scan cache.
+- :mod:`repro.stats.incremental` — Page's CUSUM screen, O(n) in new
+  points, backing the pipeline's incremental scan cache.
 """
 
 from repro.stats.autocorrelation import acf, detect_season_length, has_significant_seasonality
@@ -40,23 +39,14 @@ from repro.stats.changepoint_dp import (
     normal_segment_loss,
 )
 from repro.stats.correlation import aligned_pearson, pearson
-from repro.stats.cusum import (
-    CusumResult,
-    cusum_changepoint,
-    cusum_changepoint_batch,
-    cusum_statistic,
-)
-from repro.stats.descriptive import percentile, summarize, summarize_batch
+from repro.stats.cusum import CusumResult, cusum_changepoint, cusum_statistic
+from repro.stats.descriptive import percentile, summarize
 from repro.stats.e_divisive import EDivisiveResult, best_e_divisive_split, e_divisive_test
 from repro.stats.em import em_mean_split
 from repro.stats.hypothesis import LikelihoodRatioResult, likelihood_ratio_test
-from repro.stats.incremental import (
-    RunningMoments,
-    StreamingCusum,
-    cusum_screen_batch,
-)
+from repro.stats.incremental import StreamingCusum, cusum_screen_batch
 from repro.stats.mann_kendall import MannKendallResult, mann_kendall_test
-from repro.stats.robust import mad, mad_batch, mad_threshold, mad_threshold_batch
+from repro.stats.robust import mad, mad_threshold
 from repro.stats.sax import SaxEncoding, sax_encode
 from repro.stats.stl import STLResult, loess_smooth, stl_decompose
 from repro.stats.theil_sen import TheilSenFit, theil_sen
@@ -66,7 +56,6 @@ __all__ = [
     "EDivisiveResult",
     "LikelihoodRatioResult",
     "MannKendallResult",
-    "RunningMoments",
     "STLResult",
     "SplitResult",
     "StreamingCusum",
@@ -77,7 +66,6 @@ __all__ = [
     "best_e_divisive_split",
     "best_split_normal_loss",
     "cusum_changepoint",
-    "cusum_changepoint_batch",
     "cusum_screen_batch",
     "cusum_statistic",
     "detect_season_length",
@@ -87,9 +75,7 @@ __all__ = [
     "likelihood_ratio_test",
     "loess_smooth",
     "mad",
-    "mad_batch",
     "mad_threshold",
-    "mad_threshold_batch",
     "mann_kendall_test",
     "multi_split_normal_loss",
     "normal_segment_loss",
@@ -98,6 +84,5 @@ __all__ = [
     "sax_encode",
     "stl_decompose",
     "summarize",
-    "summarize_batch",
     "theil_sen",
 ]

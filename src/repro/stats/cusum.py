@@ -10,7 +10,7 @@ extremum marks the most likely single shift in the mean.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -18,7 +18,6 @@ __all__ = [
     "CusumResult",
     "cusum_statistic",
     "cusum_changepoint",
-    "cusum_changepoint_batch",
 ]
 
 
@@ -103,54 +102,3 @@ def cusum_changepoint(
         mean_after=float(x[index:].mean()),
         curve=curve,
     )
-
-
-def cusum_changepoint_batch(
-    values: np.ndarray,
-    min_segment: int = 2,
-) -> List[Optional[CusumResult]]:
-    """Row-wise :func:`cusum_changepoint` over a ``(k, n)`` matrix.
-
-    The curve computation and extremum search — the O(k * n) bulk of the
-    scan — run as whole-matrix array ops; only the per-row segment means
-    (O(n) each, over the already-located split) remain per row.  Each
-    row's result is bit-identical to calling :func:`cusum_changepoint`
-    on that row alone.
-
-    Returns:
-        One optional :class:`CusumResult` per row (``None`` for rows too
-        short to contain a change point, i.e. when ``n < 2 *
-        min_segment`` — a property of the matrix width, so then every
-        entry is ``None``).
-    """
-    x = np.asarray(values, dtype=float)
-    if x.ndim != 2:
-        raise ValueError(f"values must be (k, n), got shape {x.shape}")
-    k, n = x.shape
-    if n < 2 * min_segment or n - 2 * min_segment + 1 <= 0:
-        return [None] * k
-
-    curves = np.cumsum(x - x.mean(axis=1, keepdims=True), axis=1)
-    lo = min_segment - 1
-    hi = n - min_segment
-    rows = np.arange(k)
-    splits = lo + np.argmax(np.abs(curves[:, lo:hi]), axis=1)
-    indices = splits + 1
-    stds = x.std(axis=1)
-    extrema = np.abs(curves[rows, splits])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        stats = np.where(stds > 0, extrema / (stds * np.sqrt(n)), 0.0)
-
-    results: List[Optional[CusumResult]] = []
-    for i in range(k):
-        index = int(indices[i])
-        results.append(
-            CusumResult(
-                index=index,
-                statistic=float(stats[i]),
-                mean_before=float(x[i, :index].mean()),
-                mean_after=float(x[i, index:].mean()),
-                curve=curves[i],
-            )
-        )
-    return results

@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import Sequence
 
 import numpy as np
 
-__all__ = ["percentile", "summarize", "summarize_batch", "SeriesSummary"]
+__all__ = ["percentile", "summarize", "SeriesSummary"]
 
 
 def percentile(values: Sequence[float], q: float) -> float:
@@ -63,40 +63,3 @@ def summarize(values: Sequence[float]) -> SeriesSummary:
         p99=float(np.percentile(x, 99)),
         maximum=float(x.max()),
     )
-
-
-def summarize_batch(values: np.ndarray) -> List[SeriesSummary]:
-    """Row-wise :func:`summarize` over a ``(k, n)`` matrix.
-
-    All moments and quantiles are computed as whole-matrix reductions
-    (one pass each instead of one per series); each row's summary is
-    bit-identical to :func:`summarize` of that row.
-
-    Raises:
-        ValueError: On a zero-width matrix.
-    """
-    x = np.asarray(values, dtype=float)
-    if x.ndim != 2:
-        raise ValueError(f"values must be (k, n), got shape {x.shape}")
-    k, n = x.shape
-    if n == 0:
-        raise ValueError("summarize of empty sequence")
-    means = x.mean(axis=1)
-    stds = x.std(axis=1)
-    minima = x.min(axis=1)
-    maxima = x.max(axis=1)
-    quantiles = np.percentile(x, [10, 50, 90, 99], axis=1)
-    return [
-        SeriesSummary(
-            count=n,
-            mean=float(means[i]),
-            std=float(stds[i]),
-            minimum=float(minima[i]),
-            p10=float(quantiles[0, i]),
-            p50=float(quantiles[1, i]),
-            p90=float(quantiles[2, i]),
-            p99=float(quantiles[3, i]),
-            maximum=float(maxima[i]),
-        )
-        for i in range(k)
-    ]

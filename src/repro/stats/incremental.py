@@ -7,16 +7,13 @@ provides the primitives that let the pipeline's incremental scan cache
 (:mod:`repro.core.incremental`) amortize that cost to O(n) for n new
 points:
 
-- :class:`RunningMoments` — Welford's online mean/variance, numerically
-  stable, O(1) per update, with a Chan-merge batch fold.
-- :class:`StreamingCusum` — Page's two-sided CUSUM test anchored on a
-  reference mean/std.  It accumulates evidence of a mean shift; once the
-  statistic crosses the threshold it stays *fired* until re-anchored,
-  signalling that a full offline scan is warranted.
-- :func:`cusum_screen_batch` — the vectorized core: one (k, n) array op
-  advances k anchored screens by n points each, which is how a shard
-  screens thousands of series per advance without a per-series Python
-  loop.
+- :func:`cusum_screen_batch` — the production screen: one (k, n) array
+  op advances k anchored two-sided Page CUSUM tests by n points each,
+  which is how a shard screens thousands of series per advance without
+  a per-series Python loop.
+- :class:`StreamingCusum` — the same test one point at a time, written
+  as the textbook recursion.  Nothing in the pipeline calls it: it is
+  the independent reference the batch kernel is tested against.
 
 Page's recursion ``S_t = max(0, S_{t-1} + a_t)`` vectorizes exactly via
 the running-minimum identity: with ``P_t = S_0 + (a_1 + ... + a_t)``,
@@ -24,69 +21,18 @@ the running-minimum identity: with ``P_t = S_0 + (a_1 + ... + a_t)``,
     ``S_t = P_t - min(0, min_{j<=t} P_j)``
 
 so one ``cumsum`` plus one ``minimum.accumulate`` replaces the per-point
-loop.  :meth:`StreamingCusum.update_many` routes through the same
-batched kernel as :func:`cusum_screen_batch`, so folding a series alone
-or inside a (k, n) matrix produces bit-identical state.
-
-All classes are plain-attribute objects, so they pickle cleanly inside
-shard checkpoints and across process-pool boundaries.
+loop.  Every row of the kernel is computed independently of the others,
+so folding a series alone or inside a (k, n) matrix produces
+bit-identical state.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
-__all__ = ["RunningMoments", "StreamingCusum", "cusum_screen_batch"]
-
-
-class RunningMoments:
-    """Welford online mean/variance accumulator.
-
-    Example::
-
-        moments = RunningMoments()
-        for value in stream:
-            moments.update(value)
-        print(moments.mean, moments.std)
-    """
-
-    def __init__(self) -> None:
-        self.n = 0
-        self.mean = 0.0
-        self._m2 = 0.0
-
-    def update(self, value: float) -> None:
-        """Fold one observation in (O(1))."""
-        self.n += 1
-        delta = value - self.mean
-        self.mean += delta / self.n
-        self._m2 += delta * (value - self.mean)
-
-    def update_many(self, values: Sequence[float]) -> None:
-        """Fold a batch in with Chan's parallel merge (one pass, no loop)."""
-        x = np.asarray(values, dtype=float).ravel()
-        m = int(x.size)
-        if m == 0:
-            return
-        batch_mean = float(x.mean())
-        batch_m2 = float(((x - batch_mean) ** 2).sum())
-        total = self.n + m
-        delta = batch_mean - self.mean
-        self.mean += delta * (m / total)
-        self._m2 += batch_m2 + delta * delta * (self.n * m / total)
-        self.n = total
-
-    @property
-    def variance(self) -> float:
-        """Population variance (0 with fewer than 2 observations)."""
-        return self._m2 / self.n if self.n >= 2 else 0.0
-
-    @property
-    def std(self) -> float:
-        return math.sqrt(self.variance)
+__all__ = ["StreamingCusum", "cusum_screen_batch"]
 
 
 def cusum_screen_batch(
@@ -225,24 +171,6 @@ class StreamingCusum:
         self.fired = False
         self.n = 0
 
-    @classmethod
-    def from_reference(
-        cls,
-        values: Sequence[float],
-        drift: float = 0.75,
-        threshold: float = 6.0,
-    ) -> "StreamingCusum":
-        """Anchor a screen on the mean/std of a reference window."""
-        x = np.asarray(values, dtype=float)
-        mean = float(x.mean()) if x.size else 0.0
-        std = float(x.std()) if x.size else 0.0
-        return cls(mean, std, drift=drift, threshold=threshold)
-
-    @property
-    def statistic(self) -> float:
-        """Current evidence: the larger of the two one-sided sums."""
-        return max(self.pos, self.neg)
-
     def update(self, value: float) -> bool:
         """Fold one observation in (O(1)); returns :attr:`fired`."""
         self.n += 1
@@ -260,52 +188,6 @@ class StreamingCusum:
         if self.pos >= self.threshold or self.neg >= self.threshold:
             self.fired = True
         return self.fired
-
-    def update_many(self, values: Sequence[float]) -> bool:
-        """Fold a batch in (vectorized, O(n) work); returns :attr:`fired`.
-
-        Stops consuming at the first firing point, like the scalar fold:
-        :attr:`n` counts points up to and including the one that fired,
-        and the evidence sums freeze at their firing values.  A screen
-        that is already fired consumes a single point (the scalar fold's
-        early exit) and stays latched.
-        """
-        x = np.asarray(values, dtype=float).ravel()
-        if x.size == 0:
-            return self.fired
-        if self.fired:
-            self.n += 1
-            return True
-        self.apply_batch_result(
-            *(arr[0] for arr in cusum_screen_batch(
-                x[None, :],
-                np.array([self.mean]),
-                np.array([self.std]),
-                np.array([self.pos]),
-                np.array([self.neg]),
-                self.drift,
-                self.threshold,
-            )),
-            batch_size=int(x.size),
-        )
-        return self.fired
-
-    def apply_batch_result(
-        self, pos: float, neg: float, fired_at: int, batch_size: int
-    ) -> None:
-        """Adopt one row of a :func:`cusum_screen_batch` fold.
-
-        The batch-screen path computes evidence for many screens at
-        once and writes each row's outcome back through here, keeping
-        the state transition identical to :meth:`update_many`.
-        """
-        self.pos = float(pos)
-        self.neg = float(neg)
-        if fired_at >= 0:
-            self.fired = True
-            self.n += int(fired_at) + 1
-        else:
-            self.n += batch_size
 
     def reanchor(self, mean: float, std: float) -> None:
         """Reset the accumulated evidence around a new reference."""

@@ -14,9 +14,7 @@ import numpy as np
 
 __all__ = [
     "mad",
-    "mad_batch",
     "mad_threshold",
-    "mad_threshold_batch",
     "NORMALITY_CONSTANT",
 ]
 
@@ -53,27 +51,3 @@ def mad_threshold(
         The threshold; 0.0 when the series is constant or empty.
     """
     return coefficient * mad(values) * NORMALITY_CONSTANT
-
-
-def mad_batch(values: np.ndarray) -> np.ndarray:
-    """Row-wise :func:`mad` over a ``(k, n)`` matrix, as one array op.
-
-    Each entry is bit-identical to :func:`mad` of that row.  Returns an
-    empty array for a zero-row matrix; a zero-width matrix yields 0.0
-    per row (matching :func:`mad` on empty input).
-    """
-    x = np.asarray(values, dtype=float)
-    if x.ndim != 2:
-        raise ValueError(f"values must be (k, n), got shape {x.shape}")
-    if x.size == 0:
-        return np.zeros(x.shape[0])
-    medians = np.median(x, axis=1, keepdims=True)
-    return np.median(np.abs(x - medians), axis=1)
-
-
-def mad_threshold_batch(
-    values: np.ndarray,
-    coefficient: float = 1.5,
-) -> np.ndarray:
-    """Row-wise :func:`mad_threshold` over a ``(k, n)`` matrix."""
-    return coefficient * mad_batch(values) * NORMALITY_CONSTANT

@@ -153,3 +153,23 @@ class TestDesignAndExperimentsCurrent:
         ci = _read(".github", "workflows", "ci.yml")
         assert "check_markdown_links.py" in ci
         assert "run_runbook_quickstart.py" in ci
+
+
+class TestNoCallerlessBatchKernels:
+    """ROADMAP: "a batch kernel is either the production path or it is
+    deleted" — a ``*_batch`` export only tests call is a dead twin."""
+
+    def test_every_exported_batch_kernel_has_a_production_caller(self):
+        import repro.stats
+
+        src = os.path.join(REPO_ROOT, "src", "repro")
+        production = ""
+        for folder, _, files in os.walk(src):
+            if os.path.basename(folder) != "stats":
+                production += "".join(
+                    _read(folder, name) for name in files if name.endswith(".py")
+                )
+        kernels = [name for name in repro.stats.__all__ if name.endswith("_batch")]
+        assert kernels, "the production screen is a *_batch kernel"
+        dead = [name for name in kernels if not re.search(rf"\b{name}\b", production)]
+        assert not dead, f"no caller in src/repro outside repro.stats: {dead}"

@@ -1,0 +1,192 @@
+"""The run ledger as a property: one tally feeds funnel, spans and verdicts.
+
+``DetectionPipeline`` keeps a single ledger per run — one
+:class:`~repro.obs.spans.StageTally` per Table 3 row — and reads both
+``PipelineResult.funnel`` and the tracer's spans off it.  These tests
+pin that identity over every stage-table shape the constructor can
+produce, and that attaching a tracer changes nothing but the clock
+reads.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+
+from repro.config import DetectionConfig
+from repro.core.pipeline import STAGES, DetectionPipeline
+from repro.core.planned_changes import PlannedChange, PlannedChangeCorrelator
+from repro.obs.spans import TraceStore
+from repro.service.metrics import MetricsRegistry
+from repro.tsdb import TimeSeriesDatabase, WindowSpec
+
+from conftest import fill_series
+
+INTERVAL = 60.0
+N_POINTS = 150
+NOW = N_POINTS * INTERVAL
+_ENABLE_FLAGS = (
+    "enable_went_away",
+    "enable_seasonality",
+    "enable_cost_shift",
+    "enable_som_dedup",
+    "enable_pairwise_dedup",
+)
+
+
+def _config(long_term):
+    return DetectionConfig(
+        name="ledger",
+        threshold=0.00005,
+        rerun_interval=300.0,
+        windows=WindowSpec(historic=4_500.0, analysis=3_000.0, extended=1_500.0),
+        long_term=long_term,
+    )
+
+
+def _fleet():
+    """One series per way out of the funnel, seeded."""
+    rng = np.random.default_rng(23)
+
+    def quiet():
+        return rng.normal(0.001, 0.00002, N_POINTS)
+
+    shifted = quiet()
+    shifted[95:] += 0.0002          # persists: survives to the report
+    twin = quiet()
+    twin[95:] += 0.0002             # same change, sibling caller: deduplicated
+    planned = quiet()
+    planned[100:] += 0.0002          # explained by the planned change below
+    transient = quiet()
+    transient[104:120] += 0.0003     # recovers: went-away
+    tiny = quiet()
+    tiny[95:] += 0.00004            # real but below the threshold
+    broken = quiet()
+    broken[105:108] = float("nan")   # non-finite window: never scanned
+    database = TimeSeriesDatabase()
+    for name, values in (
+        ("svc.ns::K::a.gcpu", shifted),
+        ("svc.ns::K::b.gcpu", twin),
+        ("maint.ns::M::c.gcpu", planned),
+        ("svc.ns::K::d.gcpu", transient),
+        ("svc.ns::K::e.gcpu", tiny),
+        ("svc.ns::K::f.gcpu", quiet()),
+        ("svc.ns::K::g.gcpu", broken),
+    ):
+        service, subroutine, _ = name.split(".")
+        fill_series(
+            database, name, values, INTERVAL,
+            tags={"service": service, "subroutine": subroutine, "metric": "gcpu"},
+        )
+    return database
+
+
+def _planned_changes():
+    correlator = PlannedChangeCorrelator()
+    correlator.register(
+        PlannedChange("MAINT-1", start=100 * INTERVAL - 600.0, services={"maint"})
+    )
+    return correlator
+
+
+def _run(database, flags, planned, long_term, tracer):
+    pipeline = DetectionPipeline(
+        _config(long_term),
+        planned_changes=_planned_changes() if planned else None,
+        incremental=True,
+        tracer=tracer,
+        **flags,
+    )
+    # Two scans: the second meets the merger's and PairwiseDedup's memory
+    # of the first, and the incremental cache's hits.
+    return [pipeline.run(database, NOW), pipeline.run(database, NOW + 300.0)]
+
+
+def _outcome(results):
+    return [
+        (
+            [r.context.metric_id for r in result.reported],
+            [
+                (c.context.metric_id, c.kind, [v.reason for v in c.verdicts])
+                for c in result.all_candidates
+            ],
+            result.funnel.counts,
+        )
+        for result in results
+    ]
+
+
+@pytest.fixture(scope="module")
+def database():
+    return _fleet()
+
+
+def _stage_table_shapes():
+    """(enable bits, planned, long_term) for every table the flags build.
+
+    Short-term-only runs take the full product.  A long-term scan costs
+    ten times a short one (a loess pass per series), so with
+    ``long_term`` on the sweep keeps the corners and every one-flag-off
+    neighbour rather than all 32 combinations.
+    """
+    everything = list(itertools.product([True, False], repeat=len(_ENABLE_FLAGS)))
+    near_corners = [bits for bits in everything if sum(bits) in (0, 4, 5)]
+    for long_term, combos in ((False, everything), (True, near_corners)):
+        for bits, planned in itertools.product(combos, [False, True]):
+            yield pytest.param(
+                bits, planned, long_term,
+                id="{}-{}-{}".format(
+                    "".join("1" if bit else "0" for bit in bits),
+                    "planned" if planned else "unplanned",
+                    "long" if long_term else "short",
+                ),
+            )
+
+
+@pytest.mark.parametrize("enabled, planned, long_term", _stage_table_shapes())
+def test_funnel_is_the_spans_outputs(database, enabled, planned, long_term):
+    flags = dict(zip(_ENABLE_FLAGS, enabled))
+    store = TraceStore()
+    traced = _run(database, flags, planned, long_term, store)
+    for result, trace in zip(traced, store.runs()):
+        for stage in STAGES:
+            span = trace.span(stage)
+            assert result.funnel.counts[stage] == span.outputs, stage
+            assert span.outputs + sum(span.drops.values()) == span.inputs, stage
+        if not long_term:
+            assert trace.telescopes()
+    # A tracer only reads the clock: same reports, same verdict trails.
+    assert _outcome(_run(database, flags, planned, long_term, None)) == _outcome(traced)
+
+
+def test_fleet_exercises_every_way_out(database):
+    """The fleet above is only a property test if the stages all bite."""
+    store = TraceStore()
+    first, second = _run(database, {}, planned=True, long_term=False, tracer=store)
+    drops = {}
+    for trace in store.runs():
+        for span in trace.spans:
+            for reason, count in span.drops.items():
+                drops[reason] = drops.get(reason, 0) + count
+    for reason in (
+        "non_finite_window", "no_change_point", "cache_hit", "went_away",
+        "below_threshold", "planned_change", "same_regression",
+    ):
+        assert drops.get(reason), (reason, drops)
+    assert first.reported and not second.reported
+
+
+@pytest.mark.parametrize("long_term", [False, True], ids=["short", "long"])
+def test_bad_window_is_skipped_once_whichever_paths_run(long_term):
+    """One NaN-bearing window is one skip and one drop: the window is
+    cut and gated once per series, not once per detection path."""
+    values = np.random.default_rng(5).normal(0.001, 0.00002, N_POINTS)
+    values[105:108] = float("nan")
+    database = TimeSeriesDatabase()
+    fill_series(database, "svc.burst.gcpu", values, INTERVAL, tags={"metric": "gcpu"})
+    store, metrics = TraceStore(), MetricsRegistry()
+    pipeline = DetectionPipeline(_config(long_term), tracer=store, metrics=metrics)
+    pipeline.run(database, NOW)
+    assert metrics.snapshot()["counters"]["pipeline.quality.non_finite_skips"] == 1
+    span = store.runs()[0].span("change_points")
+    assert (span.inputs, span.drops) == (1, {"non_finite_window": 1})

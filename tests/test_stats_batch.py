@@ -1,14 +1,13 @@
-"""Bit-identity tests: vectorized batch stats vs their scalar twins.
+"""Row-independence and reference tests for the batch CUSUM screen.
 
-The columnar scan path replaces per-series Python loops with whole-matrix
-array ops (:func:`cusum_screen_batch`, :func:`cusum_changepoint_batch`,
-:func:`mad_batch`, :func:`summarize_batch`, ``update_many``).  The
+The columnar scan path replaces per-series Python loops with one
+whole-matrix array op (:func:`cusum_screen_batch`).  The
 incremental-scan correctness argument — and the shadow-mode /
 chaos-drill byte-identical-reports oracle built on it — requires a
-k-row fold to be *bit-identical* to k independent single-row folds
-(row-wise helpers likewise bit-identical to their scalar twins), and
-the vectorized CUSUM fold to agree with the scalar recursion on every
-decision.  Hypothesis hunts for rows where the op order diverges.
+k-row fold to be *bit-identical* to k independent single-row folds, and
+the vectorized fold to agree with the scalar recursion
+(:meth:`StreamingCusum.update`) on every decision.  Hypothesis hunts for
+rows where the op order diverges.
 """
 
 import numpy as np
@@ -16,18 +15,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.stats.cusum import cusum_changepoint, cusum_changepoint_batch
-from repro.stats.descriptive import summarize, summarize_batch
-from repro.stats.incremental import RunningMoments, StreamingCusum, cusum_screen_batch
-from repro.stats.robust import mad, mad_batch, mad_threshold, mad_threshold_batch
+from repro.stats.incremental import StreamingCusum, cusum_screen_batch
 
 _val = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False, allow_infinity=False)
-_matrix = st.integers(min_value=1, max_value=6).flatmap(
-    lambda n: st.lists(
-        st.lists(_val, min_size=n, max_size=n), min_size=1, max_size=5
-    )
-)
 _reference = st.lists(_val, min_size=2, max_size=20)
+
+
+def _assert_rows_fold_alone(values, means, stds, pos0, neg0, drift, threshold):
+    """The k-row fold equals k one-row folds, bit for bit."""
+    pos, neg, fired_at = cusum_screen_batch(
+        values, means, stds, pos0, neg0, drift, threshold
+    )
+    for i in range(len(values)):
+        one = slice(i, i + 1)
+        pos1, neg1, at1 = cusum_screen_batch(
+            values[one], means[one], stds[one], pos0[one], neg0[one], drift, threshold
+        )
+        # Bit-identical, not approx: same kernel, same op order.
+        assert pos[i] == pos1[0], f"row {i} pos"
+        assert neg[i] == neg1[0], f"row {i} neg"
+        assert fired_at[i] == at1[0], f"row {i} fired_at"
 
 
 class TestCusumScreenBatch:
@@ -48,8 +55,8 @@ class TestCusumScreenBatch:
         This is the guarantee the incremental-scan cache leans on: it
         groups series into (k, n) matrices by batch width, so every
         row's outcome must be exactly what screening that one series
-        alone (``should_scan`` / ``update_many``) would produce —
-        regardless of which other series share the matrix.
+        alone would produce — regardless of which other series share
+        the matrix.
         """
         k = len(rows)
         means = np.empty(k)
@@ -61,40 +68,34 @@ class TestCusumScreenBatch:
             stds[i] = x.std()
             # Cycle the drawn points out to the common batch width.
             values[i] = [new[j % len(new)] for j in range(width)]
-        pos, neg, fired_at = cusum_screen_batch(
+        _assert_rows_fold_alone(
             values, means, stds, np.zeros(k), np.zeros(k), drift, threshold
         )
-        for i in range(k):
-            screen = StreamingCusum(means[i], stds[i], drift=drift, threshold=threshold)
-            screen.update_many(values[i])
-            want_at = screen.n - 1 if screen.fired else -1
-            # Bit-identical, not approx: same kernel, same op order.
-            assert pos[i] == screen.pos, f"row {i} pos"
-            assert neg[i] == screen.neg, f"row {i} neg"
-            assert fired_at[i] == want_at, f"row {i} fired_at"
 
     @settings(max_examples=100, deadline=None)
     @given(
-        pos0=st.floats(min_value=0.0, max_value=5.0, allow_nan=False),
-        neg0=st.floats(min_value=0.0, max_value=5.0, allow_nan=False),
+        carried=st.lists(
+            st.tuples(
+                st.floats(min_value=0.0, max_value=5.0, allow_nan=False),
+                st.floats(min_value=0.0, max_value=5.0, allow_nan=False),
+            ),
+            min_size=1,
+            max_size=4,
+        ),
         new=st.lists(_val, min_size=1, max_size=10),
     )
-    def test_carried_evidence_matches_single_row_fold(self, pos0, neg0, new):
+    def test_carried_evidence_matches_single_row_fold(self, carried, new):
         """Non-zero carried-in S+/S- (the checkpointed-anchor path)."""
-        values = np.asarray([new], dtype=float)
-        pos, neg, fired_at = cusum_screen_batch(
-            values, np.array([1.0]), np.array([2.0]),
-            np.array([pos0]), np.array([neg0]), 0.75, 6.0,
-        )
-        screen = StreamingCusum(1.0, 2.0)
-        screen.pos, screen.neg = pos0, neg0
-        screen.update_many(new)
-        assert pos[0] == screen.pos
-        assert neg[0] == screen.neg
-        assert fired_at[0] == (screen.n - 1 if screen.fired else -1)
+        k = len(carried)
+        values = np.tile(np.asarray(new, dtype=float), (k, 1))
+        values += np.arange(k)[:, None]  # rows differ, so a mix-up shows
+        pos0 = np.array([p for p, _ in carried])
+        neg0 = np.array([n for _, n in carried])
+        means, stds = np.full(k, 1.0), np.full(k, 2.0)
+        _assert_rows_fold_alone(values, means, stds, pos0, neg0, 0.75, 6.0)
 
     def test_scalar_and_batch_folds_agree(self):
-        """update() loop vs update_many(): same decisions, ~same sums.
+        """update() loop vs the batch kernel: same decisions, ~same sums.
 
         The vectorized fold reassociates the running sums (cumsum minus
         running minimum instead of an iterated clamp), so sums agree to
@@ -110,17 +111,18 @@ class TestCusumScreenBatch:
         ]
         for values in cases:
             one = StreamingCusum(0.0, 1.0)
-            many = StreamingCusum(0.0, 1.0)
             for value in values:
-                # update_many stops consuming at the firing point (the
-                # pipeline reanchors there), so the scalar mirror does too.
+                # The kernel freezes its sums at the firing point (the
+                # pipeline reanchors there), so the scalar mirror stops too.
                 if one.update(value):
                     break
-            many.update_many(values)
-            assert many.fired == one.fired
-            assert many.n == one.n
-            assert many.pos == pytest.approx(one.pos, rel=1e-9, abs=1e-9)
-            assert many.neg == pytest.approx(one.neg, rel=1e-9, abs=1e-9)
+            pos, neg, fired_at = cusum_screen_batch(
+                values[None, :], np.array([one.mean]), np.array([one.std]),
+                np.zeros(1), np.zeros(1), one.drift, one.threshold,
+            )
+            assert fired_at[0] == (one.n - 1 if one.fired else -1)
+            assert pos[0] == pytest.approx(one.pos, rel=1e-9, abs=1e-9)
+            assert neg[0] == pytest.approx(one.neg, rel=1e-9, abs=1e-9)
 
     def test_degenerate_std_rows(self):
         """std == 0: fire on any value != mean, sums left untouched."""
@@ -133,70 +135,3 @@ class TestCusumScreenBatch:
         assert fired_at[1] == 1
         assert list(pos) == [0.3, 0.4]
         assert list(neg) == [0.1, 0.2]
-
-    def test_update_many_latched_screen_consumes_one_point(self):
-        screen = StreamingCusum(0.0, 1.0, drift=0.0, threshold=0.5)
-        assert screen.update_many([10.0])  # fires on the first point
-        n_at_fire = screen.n
-        assert screen.update_many([0.0, 0.0, 0.0])
-        assert screen.n == n_at_fire + 1  # latched: scalar early-exit
-
-
-class TestBatchScanHelpers:
-    @settings(max_examples=100, deadline=None)
-    @given(matrix=_matrix)
-    def test_mad_batch_matches_scalar(self, matrix):
-        x = np.asarray(matrix, dtype=float)
-        batch = mad_batch(x)
-        thresholds = mad_threshold_batch(x, 2.5)
-        for i, row in enumerate(matrix):
-            assert batch[i] == mad(row)
-            assert thresholds[i] == mad_threshold(row, 2.5)
-
-    @settings(max_examples=100, deadline=None)
-    @given(matrix=_matrix)
-    def test_summarize_batch_matches_scalar(self, matrix):
-        x = np.asarray(matrix, dtype=float)
-        for i, summary in enumerate(summarize_batch(x)):
-            assert summary == summarize(matrix[i])
-
-    @settings(max_examples=100, deadline=None)
-    @given(
-        width=st.integers(min_value=4, max_value=12),
-        seeds=st.lists(st.integers(min_value=0, max_value=2**31), min_size=1, max_size=4),
-    )
-    def test_cusum_changepoint_batch_matches_scalar(self, width, seeds):
-        rows = []
-        for seed in seeds:
-            rng = np.random.default_rng(seed)
-            row = rng.normal(size=width)
-            if seed % 2:  # plant a shift in half the rows
-                row[width // 2:] += 3.0
-            rows.append(row)
-        x = np.asarray(rows)
-        for i, result in enumerate(cusum_changepoint_batch(x)):
-            want = cusum_changepoint(rows[i])
-            if want is None:
-                assert result is None
-            else:
-                # Field-by-field: the curve is an ndarray, so dataclass
-                # equality would be ambiguous.
-                assert result.index == want.index
-                assert result.statistic == want.statistic
-                assert result.mean_before == want.mean_before
-                assert result.mean_after == want.mean_after
-                assert np.array_equal(result.curve, want.curve)
-
-    @settings(max_examples=100, deadline=None)
-    @given(values=st.lists(_val, min_size=1, max_size=30))
-    def test_running_moments_update_many_matches_loop(self, values):
-        one = RunningMoments()
-        many = RunningMoments()
-        for value in values:
-            one.update(value)
-        many.update_many(values)
-        assert many.n == one.n
-        # Chan's merge reassociates the sums, so exact bitwise equality
-        # is not promised here — only numerical agreement.
-        assert many.mean == pytest.approx(one.mean, rel=1e-9, abs=1e-9)
-        assert many.std == pytest.approx(one.std, rel=1e-6, abs=1e-6)

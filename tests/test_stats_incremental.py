@@ -1,42 +1,22 @@
-"""Tests for repro.stats.incremental (Welford moments, Page's CUSUM)."""
+"""Tests for repro.stats.incremental (Page's CUSUM, scalar reference)."""
 
 import pickle
 
 import numpy as np
-import pytest
 
-from repro.stats import RunningMoments, StreamingCusum
+from repro.stats import StreamingCusum
 
 
-class TestRunningMoments:
-    def test_matches_numpy(self):
-        rng = np.random.default_rng(0)
-        values = rng.normal(5.0, 2.0, 500)
-        moments = RunningMoments()
-        moments.update_many(values)
-        assert moments.n == 500
-        assert moments.mean == pytest.approx(values.mean())
-        assert moments.variance == pytest.approx(values.var(), rel=1e-9)
-        assert moments.std == pytest.approx(values.std(), rel=1e-9)
+def _anchored(reference):
+    """A screen anchored on the mean/std of a reference window."""
+    return StreamingCusum(float(reference.mean()), float(reference.std()))
 
-    def test_empty_and_single(self):
-        moments = RunningMoments()
-        assert moments.n == 0
-        assert moments.variance == 0.0
-        moments.update(3.0)
-        assert moments.mean == 3.0
-        assert moments.variance == 0.0
 
-    def test_incremental_equals_batch(self):
-        rng = np.random.default_rng(1)
-        values = rng.normal(0.0, 1.0, 100)
-        one_by_one = RunningMoments()
-        for value in values:
-            one_by_one.update(float(value))
-        batched = RunningMoments()
-        batched.update_many(values)
-        assert one_by_one.mean == pytest.approx(batched.mean)
-        assert one_by_one.variance == pytest.approx(batched.variance)
+def _fold(cusum, values):
+    """The scalar fold: one ``update`` per point; returns ``fired``."""
+    for value in values:
+        cusum.update(float(value))
+    return cusum.fired
 
 
 class TestStreamingCusum:
@@ -45,32 +25,32 @@ class TestStreamingCusum:
         # scans the screen sees at most an analysis span of new data.
         rng = np.random.default_rng(2)
         reference = rng.normal(0.001, 0.00002, 200)
-        cusum = StreamingCusum.from_reference(reference)
-        assert not cusum.update_many(rng.normal(0.001, 0.00002, 150))
+        cusum = _anchored(reference)
+        assert not _fold(cusum, rng.normal(0.001, 0.00002, 150))
 
     def test_fires_on_upward_shift(self):
         rng = np.random.default_rng(3)
         reference = rng.normal(0.001, 0.00002, 200)
-        cusum = StreamingCusum.from_reference(reference)
+        cusum = _anchored(reference)
         shifted = rng.normal(0.001, 0.00002, 100) + 0.0001  # 5 sigma
-        assert cusum.update_many(shifted)
+        assert _fold(cusum, shifted)
         assert cusum.fired
 
     def test_fires_on_downward_shift(self):
         rng = np.random.default_rng(4)
         reference = rng.normal(0.001, 0.00002, 200)
-        cusum = StreamingCusum.from_reference(reference)
-        assert cusum.update_many(rng.normal(0.001, 0.00002, 100) - 0.0001)
+        cusum = _anchored(reference)
+        assert _fold(cusum, rng.normal(0.001, 0.00002, 100) - 0.0001)
 
     def test_fired_is_sticky_until_reanchor(self):
         cusum = StreamingCusum(mean=0.0, std=1.0)
-        cusum.update_many([10.0])
+        _fold(cusum, [10.0])
         assert cusum.fired
-        cusum.update_many([0.0] * 50)  # quiet again, still latched
+        _fold(cusum, [0.0] * 50)  # quiet again, still latched
         assert cusum.fired
         cusum.reanchor(mean=0.0, std=1.0)
         assert not cusum.fired
-        assert not cusum.update_many([0.0] * 10)
+        assert not _fold(cusum, [0.0] * 10)
 
     def test_zero_std_fires_on_any_deviation(self):
         cusum = StreamingCusum(mean=1.0, std=0.0)
@@ -79,7 +59,7 @@ class TestStreamingCusum:
 
     def test_pickle_round_trip(self):
         cusum = StreamingCusum(mean=0.0, std=1.0)
-        cusum.update_many([0.5, -0.5, 0.5])
+        _fold(cusum, [0.5, -0.5, 0.5])
         clone = pickle.loads(pickle.dumps(cusum))
         assert clone.fired == cusum.fired
         assert clone.update(100.0)
