@@ -48,20 +48,17 @@ class ChangePointDetector:
     Args:
         significance_level: LRT rejection level (paper: 0.01).
         min_segment: Minimum points on each side of a change point.
-        max_em_iterations: EM computation budget.
     """
 
     def __init__(
         self,
         significance_level: float = 0.01,
         min_segment: int = 3,
-        max_em_iterations: int = 50,
     ) -> None:
         if not 0 < significance_level < 1:
             raise ValueError("significance_level must be in (0, 1)")
         self.significance_level = significance_level
         self.min_segment = min_segment
-        self.max_em_iterations = max_em_iterations
 
     def detect(self, values: Sequence[float]) -> Optional[ChangePointCandidate]:
         """Find and validate the most likely change point in ``values``.
@@ -75,26 +72,16 @@ class ChangePointDetector:
         if x.size < 2 * self.min_segment:
             return None
 
-        # CUSUM proposes; EM refines.  Iterate until the split stabilizes
-        # (em_mean_split itself iterates to convergence, so one refinement
-        # round after CUSUM suffices; we keep a safety loop mirroring the
-        # paper's "iteratively" phrasing).
+        # CUSUM proposes; EM refines (one call: it converges in a sweep).
         proposal = cusum_changepoint(x, min_segment=self.min_segment)
         if proposal is None:
             return None
-        index = proposal.index
-        for _ in range(3):
-            refined = em_mean_split(
-                x,
-                initial_index=index,
-                min_segment=self.min_segment,
-                max_iterations=self.max_em_iterations,
-            )
-            if refined is None:
-                return None
-            if refined[0] == index:
-                break
-            index = refined[0]
+        refined = em_mean_split(
+            x, initial_index=proposal.index, min_segment=self.min_segment
+        )
+        if refined is None:
+            return None
+        index = refined[0]
 
         test = likelihood_ratio_test(x, index, self.significance_level)
         if not test.significant:

@@ -111,10 +111,14 @@ class WentAwayDetector:
         grid = (historic_enc.bucket_edges[0], historic_enc.bucket_edges[-1])
         post_enc = sax_encode(post, self.n_buckets, self.valid_fraction, value_range=grid)
 
+        # The robust baseline both trend terms measure against.
+        threshold = mad_threshold(historic, self.regression_coefficient)
+        baseline = float(np.median(historic)) if historic.size else None
+
         new_pattern = self._new_pattern(historic_enc, post_enc, post)
         significant = self._significant_regression(historic_enc, post_enc, historic, pre, post)
-        lasting = self._lasting_trend(historic, analysis, post)
-        gone = self._gone_away(historic, post)
+        lasting = self._lasting_trend(baseline, threshold, analysis, post)
+        gone = self._gone_away(baseline, threshold, post)
         return WentAwayDiagnosis(
             new_pattern=new_pattern,
             significant_regression=significant,
@@ -150,9 +154,7 @@ class WentAwayDetector:
         """
         if post.size == 0 or not historic_enc.valid_letters:
             return False
-        outside = sum(
-            1 for letter in post_enc.letters if letter not in historic_enc.valid_letters
-        )
+        outside = post_enc.count_outside(historic_enc.valid_letters)
         if outside / post.size < self.new_pattern_fraction:
             return False
         lowest_valid = min(historic_enc.valid_letters)
@@ -190,7 +192,8 @@ class WentAwayDetector:
 
     def _lasting_trend(
         self,
-        historic: np.ndarray,
+        baseline: Optional[float],
+        threshold: float,
         analysis: np.ndarray,
         post: np.ndarray,
     ) -> bool:
@@ -200,11 +203,11 @@ class WentAwayDetector:
         entire analysis window; Theil-Sen measures any trend found, the
         lower slope winning to avoid over-estimation.  The total rise
         implied by the slope is compared against ``coefficient * MAD *
-        1.4826`` computed over the historic baseline.
+        1.4826`` computed over the historic window (``threshold``), whose
+        median is ``baseline`` (``None`` without history).
         """
         if analysis.size < 3:
             return False
-        threshold = mad_threshold(historic, self.regression_coefficient)
         post_mk = mann_kendall_test(post) if post.size >= 3 else None
 
         # A post window holding flat at an elevated level is the classic
@@ -215,8 +218,8 @@ class WentAwayDetector:
         if (
             post_mk is not None
             and not post_mk.is_decreasing
-            and historic.size > 0
-            and float(np.median(post)) - float(np.median(historic)) >= threshold
+            and baseline is not None
+            and float(np.median(post)) - baseline >= threshold
         ):
             return True
 
@@ -232,19 +235,16 @@ class WentAwayDetector:
         total_rise = slope * analysis.size
         return total_rise >= threshold
 
-    def _gone_away(self, historic: np.ndarray, post: np.ndarray) -> bool:
+    def _gone_away(
+        self, baseline: Optional[float], threshold: float, post: np.ndarray
+    ) -> bool:
         """The regression vanished in the last few data points.
 
         The tail must both trend downward (or sit flat at baseline) and
         have recovered to within the MAD threshold of the historic
         median.
         """
-        if post.size < self.tail_points:
+        if post.size < self.tail_points or baseline is None:
             return False
         tail = post[-self.tail_points :]
-        if historic.size == 0:
-            return False
-        baseline = float(np.median(historic))
-        threshold = mad_threshold(historic, self.regression_coefficient)
-        recovered = float(np.median(tail)) <= baseline + threshold
-        return recovered
+        return float(np.median(tail)) <= baseline + threshold

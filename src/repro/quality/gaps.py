@@ -23,8 +23,9 @@ call, so it is shared safely across monitors and shard processes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from statistics import median
 from typing import Optional, Sequence, Tuple
+
+import numpy as np
 
 __all__ = ["QualityGate", "window_coverage"]
 
@@ -87,14 +88,11 @@ class QualityGate:
         """Median inter-arrival spacing, or None when too few points."""
         if len(timestamps) < self.min_cadence_points:
             return None
-        deltas = [
-            later - earlier
-            for earlier, later in zip(timestamps, timestamps[1:])
-            if later > earlier
-        ]
-        if not deltas:
+        deltas = np.diff(np.asarray(timestamps, dtype=float))
+        deltas = deltas[deltas > 0]
+        if deltas.size == 0:
             return None
-        return median(deltas)
+        return float(np.median(deltas))
 
     def is_stale(self, last_timestamp: float, now: float, analysis_span: float) -> bool:
         """True when the series stopped reporting and should be evicted."""

@@ -10,9 +10,9 @@ points before the change point are drawn from ``N(mu0, sigma^2)`` and
 points after from ``N(mu1, sigma^2)``.  Given a candidate split the M-step
 re-estimates the two means; the E-step then moves the split to the index
 that maximizes the joint log-likelihood of the ordered assignment.  The
-procedure is a coordinate ascent on the split location and is guaranteed
-to terminate because the likelihood is non-decreasing and the split space
-is finite.
+procedure is a coordinate ascent on the split location; because the
+likelihood of a split does not depend on the current one, it converges in
+a single sweep over the admissible splits.
 """
 
 from __future__ import annotations
@@ -24,36 +24,19 @@ import numpy as np
 __all__ = ["em_mean_split"]
 
 
-def _split_loglik(prefix: np.ndarray, prefix_sq: np.ndarray, t: int, n: int) -> float:
-    """Gaussian log-likelihood of splitting at ``t`` (pooled variance).
-
-    Uses precomputed prefix sums so each evaluation is O(1).  Constant
-    terms shared by all splits are dropped.
-    """
-    s1, s2 = prefix[t], prefix[n] - prefix[t]
-    q1, q2 = prefix_sq[t], prefix_sq[n] - prefix_sq[t]
-    n1, n2 = t, n - t
-    # Residual sum of squares around each segment mean.
-    rss = (q1 - s1 * s1 / n1) + (q2 - s2 * s2 / n2)
-    pooled_var = max(rss / n, 1e-30)
-    return -0.5 * n * np.log(pooled_var)
-
-
 def em_mean_split(
     values: Sequence[float],
     initial_index: Optional[int] = None,
     min_segment: int = 2,
-    max_iterations: int = 50,
 ) -> Optional[Tuple[int, float]]:
     """Refine a change-point index by EM-style coordinate ascent.
 
     Args:
         values: The time series.
         initial_index: Starting split (first index of the post-change
-            segment).  Defaults to the midpoint.
+            segment), clipped to leave ``min_segment`` points on each
+            side.  Defaults to the midpoint.
         min_segment: Minimum points on each side of the split.
-        max_iterations: Iteration cap — the paper's "until it uses up the
-            computation time" budget.
 
     Returns:
         ``(index, log_likelihood)`` of the converged split, or ``None``
@@ -71,19 +54,20 @@ def em_mean_split(
     t = initial_index if initial_index is not None else n // 2
     t = int(np.clip(t, lo, hi))
 
-    current = _split_loglik(prefix, prefix_sq, t, n)
-    for _ in range(max_iterations):
-        # E-step over the split location: evaluate the likelihood of every
-        # admissible split under the current segment-mean model, then move
-        # to the argmax.  Because the M-step (segment means) is implicit in
-        # _split_loglik, one sweep is an exact coordinate-ascent step.
-        candidates = np.array(
-            [_split_loglik(prefix, prefix_sq, s, n) for s in range(lo, hi + 1)]
-        )
-        best = lo + int(np.argmax(candidates))
-        best_ll = float(candidates[best - lo])
-        if best == t or best_ll <= current + 1e-12:
-            break
-        t, current = best, best_ll
+    # Gaussian log-likelihood (pooled variance) of every admissible split,
+    # O(1) each from the prefix sums; terms shared by all splits dropped.
+    n1 = np.arange(lo, hi + 1)
+    s1, q1 = prefix[lo : hi + 1], prefix_sq[lo : hi + 1]
+    s2, q2 = prefix[n] - s1, prefix_sq[n] - q1
+    # Residual sum of squares around each segment mean.
+    rss = (q1 - s1 * s1 / n1) + (q2 - s2 * s2 / (n - n1))
+    loglik = -0.5 * n * np.log(np.maximum(rss / n, 1e-30))
 
-    return t, float(current)
+    # The E-step moves to the most likely split under the segment-mean
+    # model; the M-step (the two means) is implicit in ``loglik``, which
+    # therefore does not depend on ``t``: one sweep is the whole ascent.
+    # ``not <=`` rather than ``>`` so a NaN likelihood moves too.
+    best = lo + int(np.argmax(loglik))
+    if not loglik[best - lo] <= loglik[t - lo] + 1e-12:
+        t = best
+    return t, float(loglik[t - lo])

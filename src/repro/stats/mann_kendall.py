@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import stats as sp_stats
+from scipy.special import ndtr
 
 __all__ = ["MannKendallResult", "mann_kendall_test"]
 
@@ -54,7 +54,8 @@ def mann_kendall_test(
 
     Args:
         values: The series to test (at least 3 points for a meaningful
-            result; shorter series report "no trend").
+            result; shorter series, and series holding a NaN or an
+            infinity, report "no trend").
         significance_level: Two-sided rejection level.
 
     Returns:
@@ -62,12 +63,15 @@ def mann_kendall_test(
     """
     x = np.asarray(values, dtype=float)
     n = x.size
-    if n < 3:
+    if n < 3 or not np.isfinite(x).all():
         return MannKendallResult(s=0, z=0.0, p_value=1.0, trend="no trend")
 
-    # S = number of concordant minus discordant pairs.
-    diffs = np.sign(x[None, :] - x[:, None])
-    s = int(np.triu(diffs, k=1).sum())
+    # S = number of concordant minus discordant pairs.  ``later[i, j]`` is
+    # x_j > x_i: above the diagonal it marks a concordant pair, below it
+    # (read transposed) a discordant one, and the diagonal is empty.
+    later = x[None, :] > x[:, None]
+    concordant = int(np.count_nonzero(np.triu(later, k=1)))
+    s = 2 * concordant - int(np.count_nonzero(later))
 
     # Variance with tie correction.
     _, counts = np.unique(x, return_counts=True)
@@ -83,7 +87,7 @@ def mann_kendall_test(
     else:
         z = 0.0
 
-    p_value = float(2.0 * sp_stats.norm.sf(abs(z)))
+    p_value = float(2.0 * ndtr(-abs(z)))  # norm.sf, without the dispatch
     if p_value < significance_level:
         trend = "increasing" if z > 0 else "decreasing"
     else:

@@ -10,8 +10,9 @@ robust to outliers without missing obvious regressions.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Sequence, Tuple
+from typing import AbstractSet, Dict, FrozenSet, Sequence, Tuple
 
 import numpy as np
 
@@ -22,6 +23,7 @@ DEFAULT_BUCKETS = 20
 DEFAULT_VALID_FRACTION = 0.03
 
 _ALPHABET = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
+_ALPHABET_CODES = np.frombuffer(_ALPHABET.encode("ascii"), dtype=np.uint8)
 
 
 @dataclass(frozen=True)
@@ -45,10 +47,7 @@ class SaxEncoding:
 
     def letter_counts(self) -> Dict[int, int]:
         """Map bucket index to number of points in that bucket."""
-        counts: Dict[int, int] = {}
-        for letter in self.letters:
-            counts[letter] = counts.get(letter, 0) + 1
-        return counts
+        return dict(Counter(self.letters))
 
     def max_letter(self) -> int:
         """Highest bucket index that appears at all (-1 if empty)."""
@@ -58,12 +57,16 @@ class SaxEncoding:
         """Highest *valid* bucket index (-1 if no bucket is valid)."""
         return max(self.valid_letters) if self.valid_letters else -1
 
+    def count_outside(self, buckets: AbstractSet[int]) -> int:
+        """Number of points whose bucket is not one of ``buckets``."""
+        counts = self.letter_counts()
+        return sum(count for letter, count in counts.items() if letter not in buckets)
+
     def invalid_fraction(self) -> float:
         """Fraction of points that fall into invalid buckets."""
         if not self.letters:
             return 0.0
-        invalid = sum(1 for letter in self.letters if letter not in self.valid_letters)
-        return invalid / len(self.letters)
+        return self.count_outside(self.valid_letters) / len(self.letters)
 
     def bucket_lower_bound(self, letter: int) -> float:
         """Lower boundary value of bucket ``letter``."""
@@ -120,12 +123,11 @@ def sax_encode(
 
     counts = np.bincount(letters, minlength=n_buckets)
     threshold = max(1, int(np.ceil(valid_fraction * x.size)))
-    valid = frozenset(int(i) for i in np.nonzero(counts >= threshold)[0])
 
     return SaxEncoding(
-        string="".join(_ALPHABET[i] for i in letters),
-        letters=tuple(int(i) for i in letters),
-        valid_letters=valid,
-        bucket_edges=tuple(float(e) for e in edges),
+        string=_ALPHABET_CODES[letters].tobytes().decode("ascii"),
+        letters=tuple(letters.tolist()),
+        valid_letters=frozenset(np.nonzero(counts >= threshold)[0].tolist()),
+        bucket_edges=tuple(edges.tolist()),
         n_buckets=n_buckets,
     )

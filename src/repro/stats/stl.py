@@ -5,7 +5,8 @@ decompose a time series into seasonality + trend + residual with STL
 [Cleveland et al. 1990].  This is a self-contained implementation:
 
 - :func:`loess_smooth` — locally weighted linear regression with the
-  classic tricube kernel.
+  classic tricube kernel, every point's fit at once from a cached plan
+  of the weights.
 - :func:`stl_decompose` — the inner STL loop: cycle-subseries smoothing
   for the seasonal component, low-pass filtering to de-trend it, and
   loess smoothing of the deseasonalized series for the trend.
@@ -14,9 +15,11 @@ decompose a time series into seasonality + trend + residual with STL
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from functools import lru_cache
+from typing import NamedTuple, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = ["STLResult", "loess_smooth", "stl_decompose"]
 
@@ -71,38 +74,58 @@ def loess_smooth(
     n = y.size
     if n == 0:
         return np.empty(0)
-    window = max(2 if degree == 1 else 1, int(np.ceil(span * n)))
-    if window >= n:
-        window = n
+    window = min(n, max(2 if degree == 1 else 1, int(np.ceil(span * n))))
+    if window == 1:
+        return y.copy()  # every local window is the point itself
 
+    plan = _loess_plan(n, window)
+    ys = sliding_window_view(y, window)[plan.lo]
+    ym = (plan.w * ys).sum(axis=1) / plan.sw
+    if degree == 0:
+        return ym
+    # Weighted least squares for a local line, evaluated at each point.
+    slope = (plan.wdx * (ys - ym[:, None])).sum(axis=1) / plan.sxx
+    return ym + slope * plan.offset
+
+
+class _LoessPlan(NamedTuple):
+    """Everything in a loess pass that depends only on ``(n, window)``.
+
+    Row ``i`` describes the local fit at point ``i``: ``lo`` is where its
+    window starts, ``w`` the tricube weights, ``sw`` their sum, ``wdx``
+    ``w * (x - xm)`` around the weighted abscissa mean ``xm``, ``sxx``
+    the weighted spread of ``x`` and ``offset`` ``i - xm``.
+    """
+
+    lo: np.ndarray
+    w: np.ndarray
+    sw: np.ndarray
+    wdx: np.ndarray
+    sxx: np.ndarray
+    offset: np.ndarray
+
+
+@lru_cache(maxsize=8)
+def _loess_plan(n: int, window: int) -> _LoessPlan:
+    """The read-only plan for ``window``-point fits over ``n`` points.
+
+    Bounded: a service scans a handful of distinct window lengths, and a
+    900-point plan at span 0.4 is ~5 MB.  ``window >= 2``, so each row
+    spans distinct integer abscissae with weights >= 1e-6: ``max_dist``
+    and ``sxx`` are never zero.
+    """
     x = np.arange(n, dtype=float)
-    smoothed = np.empty(n)
-    half = window // 2
-    for i in range(n):
-        lo = int(np.clip(i - half, 0, n - window))
-        hi = lo + window
-        xs, ys = x[lo:hi], y[lo:hi]
-        dist = np.abs(xs - i)
-        max_dist = dist.max()
-        if max_dist == 0:
-            smoothed[i] = ys.mean()
-            continue
-        w = (1 - (dist / max_dist) ** 3) ** 3
-        w = np.maximum(w, 1e-6)
-        if degree == 0:
-            smoothed[i] = float(np.average(ys, weights=w))
-        else:
-            # Weighted least squares for a local line, evaluated at i.
-            sw = w.sum()
-            xm = float((w * xs).sum() / sw)
-            ym = float((w * ys).sum() / sw)
-            sxx = float((w * (xs - xm) ** 2).sum())
-            if sxx < 1e-12:
-                smoothed[i] = ym
-            else:
-                slope = float((w * (xs - xm) * (ys - ym)).sum() / sxx)
-                smoothed[i] = ym + slope * (i - xm)
-    return smoothed
+    lo = np.clip(np.arange(n) - window // 2, 0, n - window)
+    xs = sliding_window_view(x, window)[lo]
+    dist = np.abs(xs - x[:, None])
+    w = np.maximum((1 - (dist / dist.max(axis=1)[:, None]) ** 3) ** 3, 1e-6)
+    sw = w.sum(axis=1)
+    xm = (w * xs).sum(axis=1) / sw
+    dx = xs - xm[:, None]
+    plan = _LoessPlan(lo, w, sw, w * dx, (w * dx**2).sum(axis=1), x - xm)
+    for column in plan:
+        column.flags.writeable = False
+    return plan
 
 
 def _cycle_subseries_means(y: np.ndarray, period: int) -> np.ndarray:
@@ -113,12 +136,15 @@ def _cycle_subseries_means(y: np.ndarray, period: int) -> np.ndarray:
     is large ("periodic" mode), which is what regression detection wants —
     a stable seasonal profile rather than one that tracks anomalies.
     """
-    n = y.size
-    seasonal = np.empty(n)
-    for phase in range(period):
-        idx = np.arange(phase, n, period)
-        seasonal[idx] = y[idx].mean()
-    return seasonal
+    cycles, ragged = divmod(y.size, period)
+    # One contiguous row per phase, so each mean sums in the order a 1-D
+    # mean of that subseries would.
+    by_phase = np.ascontiguousarray(y[: cycles * period].reshape(cycles, period).T)
+    means = by_phase.mean(axis=1)
+    if ragged:  # the first phases have one more point
+        longer = np.column_stack([by_phase[:ragged], y[cycles * period :]])
+        means[:ragged] = longer.mean(axis=1)
+    return np.tile(means, cycles + 1)[: y.size]
 
 
 def _moving_average(y: np.ndarray, window: int) -> np.ndarray:

@@ -65,18 +65,23 @@ def theil_sen(
         raise ValueError("x and values must have the same length")
 
     if n <= _EXACT_PAIR_LIMIT:
-        i, j = np.triu_indices(n, k=1)
+        # Every pair i < j, as a mask over the n x n difference matrices.
+        order = np.arange(n)
+        pairs = order[:, None] < order
+        dx = (xs[None, :] - xs[:, None])[pairs]
+        dy = (y[None, :] - y[:, None])[pairs]
     else:
         rng = rng or np.random.default_rng(0)
         count = _EXACT_PAIR_LIMIT * (_EXACT_PAIR_LIMIT - 1) // 2
         i = rng.integers(0, n, size=count)
         j = rng.integers(0, n, size=count)
+        dx = xs[j] - xs[i]
+        dy = y[j] - y[i]
 
-    dx = xs[j] - xs[i]
     valid = dx != 0
     if not valid.any():
         return TheilSenFit(slope=0.0, intercept=float(np.median(y)))
-    slopes = (y[j][valid] - y[i][valid]) / dx[valid]
+    slopes = dy[valid] / dx[valid]
     slope = float(np.median(slopes))
     intercept = float(np.median(y - slope * xs))
     return TheilSenFit(slope=slope, intercept=intercept)

@@ -1,0 +1,231 @@
+"""Scalar reference kernels for the bit-identity properties.
+
+These are the per-point / per-pair / per-split Python loops that
+``repro.stats`` ran before the scan-tail kernels became array
+expressions, kept verbatim as the thing ``tests/test_kernel_identity.py``
+compares the production kernels against.  They exist only here: ``src/``
+holds one kernel per algorithm.
+"""
+
+from __future__ import annotations
+
+from statistics import median
+
+import numpy as np
+from scipy import stats as sp_stats
+
+from repro.stats.stl import _moving_average  # np.convolve: never was a loop
+
+ALPHABET = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
+
+
+# ---------------------------------------------------------------------------
+# Loess / STL
+# ---------------------------------------------------------------------------
+
+
+def loess_smooth(values, span=0.3, degree=1):
+    """One weighted local fit per point."""
+    y = np.asarray(values, dtype=float)
+    n = y.size
+    if n == 0:
+        return np.empty(0)
+    window = max(2 if degree == 1 else 1, int(np.ceil(span * n)))
+    if window >= n:
+        window = n
+
+    x = np.arange(n, dtype=float)
+    smoothed = np.empty(n)
+    half = window // 2
+    for i in range(n):
+        lo = int(np.clip(i - half, 0, n - window))
+        hi = lo + window
+        xs, ys = x[lo:hi], y[lo:hi]
+        dist = np.abs(xs - i)
+        max_dist = dist.max()
+        if max_dist == 0:
+            smoothed[i] = ys.mean()
+            continue
+        w = (1 - (dist / max_dist) ** 3) ** 3
+        w = np.maximum(w, 1e-6)
+        if degree == 0:
+            smoothed[i] = float(np.average(ys, weights=w))
+        else:
+            sw = w.sum()
+            xm = float((w * xs).sum() / sw)
+            ym = float((w * ys).sum() / sw)
+            sxx = float((w * (xs - xm) ** 2).sum())
+            if sxx < 1e-12:
+                smoothed[i] = ym
+            else:
+                slope = float((w * (xs - xm) * (ys - ym)).sum() / sxx)
+                smoothed[i] = ym + slope * (i - xm)
+    return smoothed
+
+
+def cycle_subseries_means(y, period):
+    """One strided mean per phase."""
+    n = y.size
+    seasonal = np.empty(n)
+    for phase in range(period):
+        idx = np.arange(phase, n, period)
+        seasonal[idx] = y[idx].mean()
+    return seasonal
+
+
+def stl_decompose(values, period, iterations=2, trend_span=0.4):
+    """``(seasonal, trend, residual)`` through the scalar loops above."""
+    y = np.asarray(values, dtype=float)
+    trend = np.zeros(y.size)
+    seasonal = np.zeros(y.size)
+    for _ in range(max(1, iterations)):
+        raw_seasonal = cycle_subseries_means(y - trend, period)
+        seasonal = raw_seasonal - _moving_average(raw_seasonal, period)
+        seasonal -= seasonal.mean()
+        trend = loess_smooth(y - seasonal, span=trend_span, degree=1)
+    return seasonal, trend, y - seasonal - trend
+
+
+# ---------------------------------------------------------------------------
+# EM mean split
+# ---------------------------------------------------------------------------
+
+
+def split_loglik(prefix, prefix_sq, t, n):
+    """Pooled-variance Gaussian log-likelihood of one split."""
+    s1, s2 = prefix[t], prefix[n] - prefix[t]
+    q1, q2 = prefix_sq[t], prefix_sq[n] - prefix_sq[t]
+    n1, n2 = t, n - t
+    rss = (q1 - s1 * s1 / n1) + (q2 - s2 * s2 / n2)
+    pooled_var = max(rss / n, 1e-30)
+    return -0.5 * n * np.log(pooled_var)
+
+
+def prefix_sums(values):
+    x = np.asarray(values, dtype=float)
+    return (
+        np.concatenate([[0.0], np.cumsum(x)]),
+        np.concatenate([[0.0], np.cumsum(x * x)]),
+    )
+
+
+def em_mean_split(values, initial_index=None, min_segment=2, max_iterations=50):
+    """Full candidate sweep per iteration, one ``split_loglik`` per split."""
+    x = np.asarray(values, dtype=float)
+    n = x.size
+    if n < 2 * min_segment:
+        return None
+    prefix, prefix_sq = prefix_sums(x)
+    lo, hi = min_segment, n - min_segment
+    t = initial_index if initial_index is not None else n // 2
+    t = int(np.clip(t, lo, hi))
+    current = split_loglik(prefix, prefix_sq, t, n)
+    for _ in range(max_iterations):
+        candidates = np.array(
+            [split_loglik(prefix, prefix_sq, s, n) for s in range(lo, hi + 1)]
+        )
+        best = lo + int(np.argmax(candidates))
+        best_ll = float(candidates[best - lo])
+        if best == t or best_ll <= current + 1e-12:
+            break
+        t, current = best, best_ll
+    return t, float(current)
+
+
+def refine_changepoint(values, proposal, min_segment):
+    """The detector's old ``range(3)`` refinement around the EM loop."""
+    index = proposal
+    refined = None
+    for _ in range(3):
+        refined = em_mean_split(values, initial_index=index, min_segment=min_segment)
+        if refined is None or refined[0] == index:
+            break
+        index = refined[0]
+    return refined
+
+
+# ---------------------------------------------------------------------------
+# Mann-Kendall and the tail probabilities
+# ---------------------------------------------------------------------------
+
+
+def mann_kendall_s(values):
+    """``S`` from the n x n float sign matrix."""
+    x = np.asarray(values, dtype=float)
+    return int(np.triu(np.sign(x[None, :] - x[:, None]), k=1).sum())
+
+
+def mann_kendall(values):
+    """``(s, z, p_value)`` with ``scipy.stats.norm.sf``."""
+    x = np.asarray(values, dtype=float)
+    n = x.size
+    if n < 3:
+        return 0, 0.0, 1.0
+    s = mann_kendall_s(x)
+    _, counts = np.unique(x, return_counts=True)
+    tie_term = float((counts * (counts - 1) * (2 * counts + 5)).sum())
+    var_s = (n * (n - 1) * (2 * n + 5) - tie_term) / 18.0
+    if var_s <= 0:
+        return s, 0.0, 1.0
+    if s > 0:
+        z = (s - 1) / np.sqrt(var_s)
+    elif s < 0:
+        z = (s + 1) / np.sqrt(var_s)
+    else:
+        z = 0.0
+    return s, float(z), float(2.0 * sp_stats.norm.sf(abs(z)))
+
+
+def chi2_sf(statistic):
+    return float(sp_stats.chi2.sf(statistic, df=1))
+
+
+# ---------------------------------------------------------------------------
+# SAX
+# ---------------------------------------------------------------------------
+
+
+def sax_fields(values, n_buckets=20, valid_fraction=0.03, value_range=None):
+    """``(string, letters, valid_letters, bucket_edges)`` built per point."""
+    x = np.asarray(values, dtype=float)
+    if x.size == 0:
+        return "", (), frozenset(), tuple(np.linspace(0.0, 1.0, n_buckets + 1))
+    if value_range is None:
+        lo, hi = float(x.min()), float(x.max())
+    else:
+        lo, hi = value_range
+    if hi <= lo:
+        hi = lo + 1.0
+    edges = np.linspace(lo, hi, n_buckets + 1)
+    letters = np.clip(np.digitize(x, edges[1:-1]), 0, n_buckets - 1)
+    counts = np.bincount(letters, minlength=n_buckets)
+    threshold = max(1, int(np.ceil(valid_fraction * x.size)))
+    return (
+        "".join(ALPHABET[i] for i in letters),
+        tuple(int(i) for i in letters),
+        frozenset(int(i) for i in np.nonzero(counts >= threshold)[0]),
+        tuple(float(e) for e in edges),
+    )
+
+
+def count_outside(letters, valid_letters):
+    return sum(1 for letter in letters if letter not in valid_letters)
+
+
+# ---------------------------------------------------------------------------
+# Cadence
+# ---------------------------------------------------------------------------
+
+
+def cadence(timestamps, min_points=8):
+    """``statistics.median`` over a Python loop of positive gaps."""
+    if len(timestamps) < min_points:
+        return None
+    deltas = [
+        later - earlier
+        for earlier, later in zip(timestamps, timestamps[1:])
+        if later > earlier
+    ]
+    if not deltas:
+        return None
+    return median(deltas)

@@ -1,5 +1,7 @@
 """Tests for repro.core.change_point."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -61,3 +63,11 @@ class TestChangePointDetector:
     def test_p_value_below_significance(self, step_series):
         candidate = ChangePointDetector(significance_level=0.01).detect(step_series)
         assert candidate.p_value < 0.01
+
+    def test_detector_pickled_before_the_em_budget_went_still_detects(self, step_series):
+        # A v2 checkpoint written before ``max_em_iterations`` was removed
+        # carries it in the pickled ``__dict__``.
+        old = ChangePointDetector()
+        old.__dict__["max_em_iterations"] = 50
+        restored = pickle.loads(pickle.dumps(old))
+        assert restored.detect(step_series) == ChangePointDetector().detect(step_series)

@@ -159,17 +159,31 @@ class TestNoCallerlessBatchKernels:
     """ROADMAP: "a batch kernel is either the production path or it is
     deleted" — a ``*_batch`` export only tests call is a dead twin."""
 
+    @staticmethod
+    def _source(skip_folder=None):
+        """All of ``src/repro`` as one string, optionally minus a package."""
+        text = ""
+        for folder, _, files in os.walk(os.path.join(REPO_ROOT, "src", "repro")):
+            if os.path.basename(folder) != skip_folder:
+                text += "".join(_read(folder, name) for name in files if name.endswith(".py"))
+        return text
+
     def test_every_exported_batch_kernel_has_a_production_caller(self):
         import repro.stats
 
-        src = os.path.join(REPO_ROOT, "src", "repro")
-        production = ""
-        for folder, _, files in os.walk(src):
-            if os.path.basename(folder) != "stats":
-                production += "".join(
-                    _read(folder, name) for name in files if name.endswith(".py")
-                )
+        production = self._source(skip_folder="stats")
         kernels = [name for name in repro.stats.__all__ if name.endswith("_batch")]
         assert kernels, "the production screen is a *_batch kernel"
         dead = [name for name in kernels if not re.search(rf"\b{name}\b", production)]
         assert not dead, f"no caller in src/repro outside repro.stats: {dead}"
+
+    def test_scan_tail_kernels_keep_no_scalar_twin(self):
+        """The per-point loess loop, the per-split likelihood, the sign
+        matrix and the EM iteration budget live only under ``tests/``."""
+        src = os.path.join(REPO_ROOT, "src", "repro")
+        whole = self._source()
+        for gone in ("_split_loglik", "max_em_iterations", "max_iterations"):
+            assert gone not in whole, gone
+        assert not re.search(r"for \w+ in range\(n\)", _read(src, "stats", "stl.py"))
+        assert "np.sign(" not in _read(src, "stats", "mann_kendall.py")
+        assert os.path.exists(os.path.join(REPO_ROOT, "tests", "_reference_kernels.py"))

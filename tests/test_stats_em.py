@@ -1,8 +1,8 @@
 """Tests for repro.stats.em."""
 
 import numpy as np
-import pytest
 
+import _reference_kernels as ref
 from repro.stats.em import em_mean_split
 
 
@@ -17,10 +17,12 @@ class TestEmMeanSplit:
         assert abs(index - 100) <= 3
 
     def test_loglik_increases_with_better_split(self, step_series):
-        _, ll_converged = em_mean_split(step_series, initial_index=100)
-        # Forcing 1 iteration from a bad guess still can't beat convergence.
-        index_bad, ll_bad = em_mean_split(step_series, initial_index=10, max_iterations=0)
-        assert ll_converged >= ll_bad
+        index, ll_converged = em_mean_split(step_series, initial_index=100)
+        # The likelihood read at a bad split can't beat convergence, and
+        # starting there converges to the same place.
+        ll_bad = ref.split_loglik(*ref.prefix_sums(step_series), 10, len(step_series))
+        assert ll_converged > ll_bad
+        assert em_mean_split(step_series, initial_index=10) == (index, ll_converged)
 
     def test_too_short_returns_none(self):
         assert em_mean_split([1.0, 2.0], min_segment=2) is None

@@ -51,3 +51,13 @@ class TestMannKendall:
     def test_p_value_in_unit_interval(self, rng):
         result = mann_kendall_test(rng.normal(0, 1, 40))
         assert 0.0 <= result.p_value <= 1.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_reports_no_trend(self, bad):
+        # A NaN used to die in int(nan); a boolean-compare S would count
+        # it silently.  Shadow detectors and direct API users are not
+        # behind the pipeline's non-finite guard.
+        values = np.arange(12.0)
+        values[[4, 9]] = bad
+        result = mann_kendall_test(values)
+        assert (result.s, result.z, result.p_value, result.trend) == (0, 0.0, 1.0, "no trend")
