@@ -66,7 +66,7 @@ def main() -> None:
     changes_a, hot = simulate_services(db)
 
     sink = CollectingSink()
-    scheduler = DetectionScheduler(db, sinks=[sink], max_workers=4, retention=90_000.0)
+    scheduler = DetectionScheduler(db, sinks=[sink], retention=90_000.0)
 
     windows = WindowSpec(36_000.0, 12_000.0, 6_000.0)
     scheduler.register(

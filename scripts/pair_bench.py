@@ -9,12 +9,18 @@ both medians, the parent's quartiles, how many pairs the change won, the
 failed operations of each side, and whether the outputs that must repeat
 exactly (report digest, funnel, admission, ...) are equal.
 
+With ``--layers PREFIX`` (repeatable) each workload then gets one
+``--trace 1`` run per side, and the ``per_layer`` rows whose names start
+with a prefix are printed parent -> change: where a saving appeared.
+
 It judges nothing: the bounds live in ``BENCHMARK.json`` and
 ``benchmarks/e2e/compare.py``.
 
 Usage::
 
     python scripts/pair_bench.py HEAD~1 --workload storm_scan --pairs 10
+    python scripts/pair_bench.py HEAD~1 --workload restart_parallel \\
+        --layers service.parallel --layers tsdb.write_batch
 """
 
 import argparse
@@ -30,14 +36,14 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def run_once(tree, workload, args, scratch):
+def run_once(tree, workload, args, scratch, trace=0):
     details = os.path.join(scratch, "details.json")
     if os.path.exists(details):
         os.unlink(details)
     command = [
         sys.executable, os.path.join(tree, "benchmarks", "e2e", "run.py"),
         "--workload", workload, "--seed", str(args.seed), "--seconds", str(args.seconds),
-        "--trace", "0", "--details", details,
+        "--trace", str(trace), "--details", details,
     ]
     done = subprocess.run(command, cwd=tree, stdout=subprocess.DEVNULL, check=False)
     if not os.path.exists(details):
@@ -55,6 +61,8 @@ def main(argv=None):
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=20240913)
     parser.add_argument("--seconds", type=float, default=contract["run_seconds"])
+    parser.add_argument("--layers", action="append", metavar="PREFIX", default=[],
+                        help="repeatable: also one traced run per side, these per_layer rows")
     args = parser.parse_args(argv)
     workloads = args.workload or [w["name"] for w in contract["workloads"]]
 
@@ -74,6 +82,12 @@ def main(argv=None):
                     runs[side].append(run_once(tree, workload, args, scratch))
                 print(f"[{workload}] pair {pair + 1}/{args.pairs} done", flush=True)
             report(workload, runs, contract)
+            if args.layers:
+                traced = {
+                    side: run_once(tree, workload, args, scratch, trace=1)["per_layer"]
+                    for side, tree in (("parent", parent), ("change", ROOT))
+                }
+                report_layers(traced, tuple(args.layers))
     return 0
 
 
@@ -99,6 +113,17 @@ def report(workload, runs, contract):
         print(f"  {side}: failed ops {failed}/{attempted}, wrong runs {wrong}")
     exact = {json.dumps(run["exact"], sort_keys=True) for side in runs.values() for run in side}
     print(f"  exact outputs equal across all runs: {len(exact) == 1}")
+
+
+def report_layers(traced, prefixes):
+    print("  one traced run per side (not a median):")
+    print(f"  {'layer':<50} {'parent':>14} {'change':>14} {'ratio':>7}  unit")
+    for name, row in traced["parent"].items():
+        if not name.startswith(prefixes) or name not in traced["change"]:
+            continue
+        a, b = row["value"], traced["change"][name]["value"]
+        ratio = b / a if a else float("nan")
+        print(f"  {name:<50} {a:>14.6g} {b:>14.6g} {ratio:>7.3f}  {row['unit']}")
 
 
 if __name__ == "__main__":

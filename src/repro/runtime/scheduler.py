@@ -3,17 +3,24 @@
 Owns many monitors — each a (name, detection config, series filter)
 triple with its own persistent :class:`~repro.core.detector.FBDetect`
 state — and advances simulated time, running every monitor whose re-run
-interval has elapsed.  Scans within one tick execute in parallel worker
-threads, mirroring the paper's serverless deployment that scans
-different time series in parallel.
+interval has elapsed.  Monitors due at the same instant are scanned one
+after another, in registration order, on the calling thread; the paper's
+fan-out (§5.1: serverless functions scanning different series side by
+side) happens a level up, where the streaming service runs one scheduler
+per shard and advances the shards in worker processes.
+
+A scheduler reads its database and writes nothing to it except
+retention.  It remembers the last cutoff it applied
+(:attr:`DetectionScheduler.retention_cutoff`), so one that advanced over
+a copy of a database can be pointed back at the original and the
+original trimmed to match.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.config import DetectionConfig
@@ -66,13 +73,8 @@ class DetectionScheduler:
     Args:
         database: The TSDB all monitors scan.
         sinks: Incident sinks notified for every reported regression.
-        max_workers: Parallel scan threads.
         retention: Seconds of history to keep; older points are dropped
             as time advances (0 disables retention).
-        keep_outcomes: Whether to accumulate every :class:`ScanOutcome`
-            in :attr:`outcomes`.  Long-running services disable this so
-            the scheduler's memory (and checkpoint size) stays bounded;
-            :meth:`advance_to` still returns the outcomes it executed.
         metrics: Optional metrics-registry-like object (must expose
             ``inc(name, n)`` and ``observe(name, value)``); receives
             per-scan latency histograms and scan counters.
@@ -80,8 +82,7 @@ class DetectionScheduler:
     Concurrency: :meth:`advance_to` is safe to call from multiple
     threads — the scheduling loop runs under a lock, so each due scan
     executes exactly once and monitor state is never advanced twice for
-    the same due time.  Scans within one batch still run in parallel
-    worker threads.
+    the same due time.
 
     Example::
 
@@ -91,30 +92,27 @@ class DetectionScheduler:
         outcomes = scheduler.advance_to(simulation_end)
     """
 
+    #: The last cutoff handed to ``database.apply_retention`` (``None``
+    #: before the first).  A class-level default, so a scheduler pickled
+    #: before the attribute existed restores without it.
+    retention_cutoff: Optional[float] = None
+
     def __init__(
         self,
         database: TimeSeriesDatabase,
         sinks: Sequence[IncidentSink] = (),
-        max_workers: int = 4,
         retention: float = 0.0,
-        keep_outcomes: bool = True,
         metrics: Optional[object] = None,
     ) -> None:
-        if max_workers <= 0:
-            raise ValueError("max_workers must be positive")
         if retention < 0:
             raise ValueError("retention must be >= 0")
         self.database = database
         self.sinks = list(sinks)
-        self.max_workers = max_workers
         self.retention = retention
-        self.keep_outcomes = keep_outcomes
         self.metrics = metrics
         self._monitors: Dict[str, MonitorRegistration] = {}
         self._clock = 0.0
-        self._lock = threading.Lock()
         self._advance_lock = threading.RLock()
-        self.outcomes: List[ScanOutcome] = []
 
     @property
     def now(self) -> float:
@@ -226,11 +224,12 @@ class DetectionScheduler:
     def advance_to(self, target: float) -> List[ScanOutcome]:
         """Advance simulated time to ``target``, running due scans.
 
-        Scans due at the same instant run in parallel; a monitor's next
-        run is scheduled one re-run interval after the current one.
+        Monitors due at the same instant are scanned in registration
+        order; a monitor's next run is scheduled one re-run interval
+        after the current one.
 
         Returns:
-            Outcomes of every scan executed, in completion order.
+            Outcomes of every scan executed, in execution order.
 
         Raises:
             ValueError: When moving backwards in time.
@@ -255,7 +254,8 @@ class DetectionScheduler:
                 for monitor in due:
                     monitor.next_run = due_time + monitor.detector.config.rerun_interval
                 if self.retention > 0:
-                    self.database.apply_retention(due_time - self.retention)
+                    self.retention_cutoff = due_time - self.retention
+                    self.database.apply_retention(self.retention_cutoff)
 
             self._clock = max(self._clock, target)
             return executed
@@ -264,8 +264,7 @@ class DetectionScheduler:
         self, monitors: Sequence[MonitorRegistration], now: float
     ) -> List[ScanOutcome]:
         outcomes: List[ScanOutcome] = []
-
-        def scan(monitor: MonitorRegistration) -> Optional[ScanOutcome]:
+        for monitor in monitors:
             started = time.perf_counter()
             try:
                 result = monitor.detector.run(self.database, now)
@@ -282,33 +281,15 @@ class DetectionScheduler:
                     now=now,
                     error=str(error),
                 )
-                return None
+                continue
             if self.metrics is not None:
                 self.metrics.observe(
                     "scheduler.scan_seconds", time.perf_counter() - started
                 )
                 self.metrics.inc("scheduler.scans")
                 self.metrics.inc("scheduler.regressions_reported", len(result.reported))
-            return ScanOutcome(monitor=monitor.name, now=now, result=result)
+            outcomes.append(ScanOutcome(monitor=monitor.name, now=now, result=result))
 
-        if len(monitors) == 1 or self.max_workers == 1:
-            # The overwhelmingly common shape — one monitor due per tick
-            # on a shard — must not pay thread-pool setup/teardown per
-            # advance.  Order matches pool.map (submission order), so
-            # outcomes are identical either way.
-            for monitor in monitors:
-                outcome = scan(monitor)
-                if outcome is not None:
-                    outcomes.append(outcome)
-        else:
-            with ThreadPoolExecutor(max_workers=self.max_workers) as pool:
-                for outcome in pool.map(scan, monitors):
-                    if outcome is not None:
-                        outcomes.append(outcome)
-
-        if self.keep_outcomes:
-            with self._lock:
-                self.outcomes.extend(outcomes)
         for outcome in outcomes:
             for regression in outcome.result.reported:
                 report = build_report(regression)
@@ -354,11 +335,10 @@ class DetectionScheduler:
     # ------------------------------------------------------------------
 
     def __getstate__(self) -> dict:
-        """Pickle support: locks are dropped; sinks and metrics are the
+        """Pickle support: the lock is dropped; sinks and metrics are the
         restoring process's responsibility (delivery targets and shared
         registries are process-local, not checkpoint state)."""
         state = dict(self.__dict__)
-        state.pop("_lock", None)
         state.pop("_advance_lock", None)
         state["sinks"] = []
         state["metrics"] = None
@@ -366,5 +346,4 @@ class DetectionScheduler:
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
-        self._lock = threading.Lock()
         self._advance_lock = threading.RLock()

@@ -29,8 +29,14 @@ rows are held in the controller's reordering buffer — released back
 into the *front* of the queue as one frame (they predate everything
 buffered) when the buffer overflows or at a flush/advance boundary, so
 backfill lands as one batched merge.  The controller pickles with the
-worker, so quarantine state and reorder buffers ride checkpoints and
-parallel shard advances like every other counter.
+worker, so quarantine state and reorder buffers ride checkpoints like
+every other counter.
+
+The worker and its database belong to the service process for life: a
+parallel advance (:mod:`repro.service.parallel`) scans a *copy* taken
+under :meth:`ShardIngestWorker.paused`, so this module has no notion of
+an advance, and the worker crosses a process boundary only inside a
+checkpoint.
 """
 
 from __future__ import annotations
@@ -136,11 +142,6 @@ class ShardIngestWorker:
         self._queue: Deque[SeriesFrame] = deque()
         self._pending = 0  # samples across the queued frames
         self._lock = threading.RLock()
-        self._cond = threading.Condition(self._lock)
-        # While an advance is in flight the queue's contents belong to a
-        # worker-process blob and the live database is about to be
-        # replaced: flushing would write into state that gets discarded.
-        self._advancing = False
         # Plain-int counters: picklable, cheap, checkpointed with the shard.
         self.offered = 0
         self.accepted = 0
@@ -215,13 +216,7 @@ class ShardIngestWorker:
         # BLOCK: caller-runs — flush a batch to make room.
         self.blocking_flushes += 1
         self._inc("ingest.blocking_flushes")
-        # During an advance the database is stale: wait for the swap (or
-        # for the drain that accompanies it) to make room instead of
-        # flushing into discarded state.
-        while self._advancing and self._pending >= self.capacity:
-            self._cond.wait()
-        if self._pending >= self.capacity:
-            self._flush_batch()
+        self._flush_batch()
         return True
 
     def _count_enqueued(self, rows: int) -> None:
@@ -262,9 +257,8 @@ class ShardIngestWorker:
         self.dropped_oldest += count
         self._inc("ingest.dropped_oldest", count)
 
-    def _requeue(self, frames: Iterable[SeriesFrame]) -> None:
+    def _requeue(self, frames: List[SeriesFrame]) -> None:
         """Put frames taken off the queue back at its front, in order."""
-        frames = list(frames)
         self._queue.extendleft(reversed(frames))
         self._pending += sum(len(frame) for frame in frames)
 
@@ -291,11 +285,6 @@ class ShardIngestWorker:
         """
         written = 0
         with self._lock:
-            if self._advancing:
-                # The queue's contents (and the database) are owned by an
-                # in-flight advance; anything buffered here is carried
-                # over when the advanced state is installed.
-                return 0
             if release_stragglers and self.admission is not None:
                 self._release_stragglers(self.admission.drain_pending())
             while self._queue:
@@ -330,112 +319,17 @@ class ShardIngestWorker:
             self.metrics.observe("ingest.flush_seconds", time.perf_counter() - started)
         return written
 
-    # -- state-swap support (parallel executor) --------------------------
-    #
-    # The parallel path never replaces this object: producers and
-    # background flushers hold references to it, and swapping it out
-    # would leave a window where offers land in an abandoned queue.
-    # Instead the service brackets each advance with begin_advance() /
-    # complete_advance() (or abort_advance() on failure), and the
-    # advanced database plus flush-side counter deltas are transplanted
-    # into this live worker under its own lock.
-
     @contextmanager
     def paused(self) -> Iterator[None]:
         """Hold the queue lock for the duration of the block.
 
-        The parallel executor serializes shard state from the service
-        thread while producers may still be offering; pausing makes the
-        pickled snapshot internally consistent (offers block briefly,
-        then land in the live queue and are carried over when the
-        advanced state is installed).
+        How the service takes a consistent copy of the shard for a
+        worker process while producers and flushers are live: inside
+        the block the queue and the database do not move; offers and
+        flushes wait for it, then carry on against the same objects.
         """
         with self._lock:
             yield
-
-    def begin_advance(self) -> Dict[str, int]:
-        """Enter advancing mode: suspend flushes until the swap resolves.
-
-        While advancing, :meth:`flush` is a no-op and BLOCK-policy
-        offers wait instead of flushing — both would otherwise write
-        into a database that is discarded when the advanced state lands.
-        Offer-side counters keep running on this object (it stays
-        authoritative for them throughout).
-
-        Returns:
-            The flush-side counter baseline, to be passed back to
-            :meth:`complete_advance` so the deltas the worker process
-            accrues (it flushes the snapshot's queue) can be merged.
-        """
-        with self._lock:
-            # Held stragglers belong with the queue they are destined
-            # for: release them now so the snapshot blob carries them
-            # (the worker-process copy then does no admission work and
-            # all admission counters stay parent-side).
-            if self.admission is not None:
-                self._release_stragglers(self.admission.drain_pending())
-            self._advancing = True
-            return {
-                "flushed": self.flushed,
-                "flushes": self.flushes,
-                "blocking_flushes": self.blocking_flushes,
-            }
-
-    def complete_advance(
-        self,
-        advanced: "ShardIngestWorker",
-        database: TimeSeriesDatabase,
-        baseline: Dict[str, int],
-    ) -> None:
-        """Adopt an advanced worker's database and flush-counter deltas.
-
-        Args:
-            advanced: The worker copy that ran in the worker process.
-            database: The advanced database this worker flushes into
-                from now on.
-            baseline: Flush counters captured by :meth:`begin_advance`;
-                ``advanced``'s counters minus the baseline are the
-                flushes the worker process performed on our behalf.
-        """
-        with self._lock:
-            self.database = database
-            self.flushed += advanced.flushed - baseline["flushed"]
-            self.flushes += advanced.flushes - baseline["flushes"]
-            self.blocking_flushes += (
-                advanced.blocking_flushes - baseline["blocking_flushes"]
-            )
-            self._requeue(advanced._queue)  # empty: workers flush fully
-            self._advancing = False
-            self._cond.notify_all()
-
-    def abort_advance(self, restore: Iterable[SeriesFrame] = ()) -> None:
-        """Leave advancing mode without installing new state.
-
-        Args:
-            restore: Frames that were drained into the (now failed)
-                snapshot blob; they are put back at the *front* of the
-                queue — they predate anything offered since.
-        """
-        with self._lock:
-            self._requeue(restore)
-            self._advancing = False
-            self._cond.notify_all()
-
-    def drain_pending(self) -> List[SeriesFrame]:
-        """Remove and return everything buffered, without flushing it.
-
-        Used when snapshotting for a worker process: ownership of the
-        buffered samples transfers to the pickled blob (whose copy the
-        worker flushes), so they must leave the live queue to avoid
-        double ingestion.  Waiting BLOCK-policy producers are notified —
-        the queue just gained room.
-        """
-        with self._lock:
-            pending = list(self._queue)
-            self._queue.clear()
-            self._pending = 0
-            self._cond.notify_all()
-            return pending
 
     # -- introspection / pickling ----------------------------------------
 
@@ -467,13 +361,8 @@ class ShardIngestWorker:
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
         state.pop("_lock", None)
-        state.pop("_cond", None)
-        # The advancing flag describes the *live* object: the pickled
-        # copy is exactly what the worker process must flush.
-        state["_advancing"] = False
         # The shared registry and injector are restored by the service,
-        # not the pickle (the injector holds a lock and must stay
-        # parent-only anyway — workers never decide faults).
+        # not the pickle (both are process-local and hold locks).
         state["metrics"] = None
         state["fault_injector"] = None
         return state
@@ -481,4 +370,3 @@ class ShardIngestWorker:
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
         self._lock = threading.RLock()
-        self._cond = threading.Condition(self._lock)

@@ -1,35 +1,41 @@
 """Multi-process shard execution.
 
 The paper's deployment scans different slices of the series space on a
-serverless fleet (§5.1); one Python process with thread-level scan
-parallelism hits the GIL long before it hits the hardware.  This module
-fans per-shard ``DetectionScheduler.advance_to`` slices out to worker
-*processes*:
+serverless fleet (§5.1) whose functions *read* windows out of the
+time-series database; one Python process hits the GIL long before it
+hits the hardware.  This module fans per-shard
+``DetectionScheduler.advance_to`` slices out to worker *processes*
+under one ownership rule: **the parent always owns a shard's database
+and ingest queue; a worker borrows a read-only snapshot and returns
+scheduler state.**
 
-1. the service serializes each shard's state (TSDB + ingest queue +
-   scheduler with its detector/dedup/incremental state) under the
-   shard's queue lock — shard state is already picklable because it is
-   exactly what checkpoints persist;
-2. each worker process deserializes one shard, wires a fresh process-
-   local metrics registry, flushes the queued samples, advances the
-   scheduler to the target time, and ships the advanced state, the scan
-   outcomes, and a metrics snapshot back;
-3. the parent installs the advanced states and merges outcomes **in
-   ascending shard-id order** — the same order the serial path iterates
-   shards — so ledger admission, funnel accumulation, and sink delivery
-   are byte-identical to single-process execution.
+1. the service flushes each shard's queue *in the parent* and pickles
+   the shard's scheduler — monitors with their detector / dedup /
+   incremental state, and the database it reads — under the shard's
+   queue lock;
+2. each worker process unpickles one scheduler, wires a fresh process-
+   local metrics registry and trace store, advances it to the target
+   time, lets go of its database copy, and ships the scheduler, the
+   scan outcomes, a metrics snapshot and the recorded traces back;
+3. the parent points each returned scheduler at the shard's **live**
+   database, trims that to the last retention cutoff the copy applied
+   (the scan path's only write), and merges outcomes **in ascending
+   shard-id order** — the same order the serial path iterates shards —
+   so ledger admission, funnel accumulation, and sink delivery are
+   byte-identical to single-process execution.
 
-The merge barrier is the loop over :meth:`ParallelShardExecutor.map_shards`
-results: report-level side effects happen only in the parent, after all
-futures resolve, which is what makes parallel and serial runs produce
-identical report sets for identical inputs.
-
-Shards never share mutable state (each owns its TSDB and detectors), so
-the only cross-shard coupling is that deterministic merge in the parent.
+Nothing live is ever replaced, so offers and flushes need no bracket
+around an advance: what lands in the database while a worker scans its
+copy is the next scan's tail (incremental anchors are ``(length, last
+timestamp)``, checked against the database they meet next, as after any
+background flush), and a fan-out that fails leaves every shard as it
+was.  The merge barrier is the loop over
+:meth:`ParallelShardExecutor.map_shards` results: report-level side
+effects happen only in the parent, after all futures resolve.
 
 Failure paths are first-class: a crashed worker (``BrokenProcessPool``)
-or a shard advance that blows its deadline no longer poisons the cached
-pool or fails the whole ``advance_to``.  The executor retries failed
+or a shard advance that blows its deadline does not poison the cached
+pool or fail the whole ``advance_to``.  The executor retries failed
 shards with exponential backoff on a freshly created pool (a shard that
 only broke as collateral of a neighbour's crash is rerun apart from it
 at once, outside the budget), and — once retries are exhausted —
@@ -56,7 +62,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.obs.logging import get_logger
 from repro.obs.spans import RunTrace, TraceStore
-from repro.runtime.scheduler import ScanOutcome
+from repro.runtime.scheduler import DetectionScheduler, ScanOutcome
 from repro.service.metrics import MetricsRegistry
 
 __all__ = ["ShardAdvanceResult", "ParallelShardExecutor"]
@@ -70,8 +76,8 @@ class ShardAdvanceResult:
 
     Attributes:
         shard_id: The shard that was advanced.
-        state: The advanced shard-state dict (same shape as
-            ``_Shard.state()`` / the checkpoint blob).
+        state: What came back: the advanced scheduler, detached from
+            the database copy it scanned.
         outcomes: Scan outcomes, in the scheduler's deterministic order.
         metrics: Snapshot of the worker-local metrics registry (scan
             latencies, pipeline counters, cache hits) for the parent to
@@ -89,7 +95,7 @@ class ShardAdvanceResult:
     """
 
     shard_id: int
-    state: dict
+    state: DetectionScheduler
     outcomes: List[ScanOutcome]
     metrics: dict
     elapsed: float
@@ -104,7 +110,7 @@ def _advance_shard(
     target: float,
     fault: Optional[Tuple[str, float]] = None,
 ) -> ShardAdvanceResult:
-    """Worker entry point: advance one pickled shard to ``target``.
+    """Worker entry point: advance one shard snapshot to ``target``.
 
     Module-level so every multiprocessing start method can import it.
     ``fault`` is an injected directive decided by the parent's
@@ -120,28 +126,23 @@ def _advance_shard(
             os._exit(13)
         elif kind == "hang":
             time.sleep(value)
-    state = pickle.loads(blob)
+    scheduler: DetectionScheduler = pickle.loads(blob)
     registry = MetricsRegistry()
     tracer = TraceStore()
-    worker = state["worker"]
-    scheduler = state["scheduler"]
-    worker.metrics = registry
     scheduler.wire_metrics(registry)
     scheduler.wire_tracer(tracer)
     started = time.perf_counter()
-    worker.flush()
     outcomes = scheduler.advance_to(target)
     elapsed = time.perf_counter() - started
-    state["scans"] = state.get("scans", 0) + len(outcomes)
-    # Detach the worker-local registry and trace store before the result
-    # pickles back: the parent owns the authoritative ones and merges the
-    # snapshot / recorded runs explicitly.
-    worker.metrics = None
+    # Only scheduler state goes back: the database copy stays here, and
+    # so do the worker-local registry and trace store (the parent merges
+    # the snapshot / recorded runs explicitly).
+    scheduler.database = None
     scheduler.wire_metrics(None)
     scheduler.wire_tracer(None)
     return ShardAdvanceResult(
         shard_id=shard_id,
-        state=state,
+        state=scheduler,
         outcomes=outcomes,
         metrics=registry.snapshot(),
         elapsed=elapsed,

@@ -15,6 +15,10 @@ scaled down to one process:
 - :meth:`StreamingDetectionService.advance_to` flushes queues, runs due
   scans, filters re-alerts through a durable reported-ledger, and
   delivers :class:`~repro.reporting.report.IncidentReport`\\ s to sinks;
+  with ``workers > 1`` the scans run in worker processes over a
+  snapshot each (:meth:`_Shard.snapshot`) — the shard keeps its database
+  and queue throughout, only the advanced scheduler comes back
+  (:meth:`_Shard.adopt`);
 - :meth:`StreamingDetectionService.checkpoint` /
   :meth:`StreamingDetectionService.restore` persist the whole thing so
   a restarted service resumes without re-alerting on regressions it
@@ -145,7 +149,6 @@ class _Shard:
         queue_capacity: int,
         backpressure: BackpressurePolicy,
         batch_size: int,
-        max_workers: int,
         retention: float,
         metrics: MetricsRegistry,
         fault_injector: Optional[FaultInjector] = None,
@@ -168,15 +171,9 @@ class _Shard:
             ),
         )
         self.scheduler = DetectionScheduler(
-            self.database,
-            max_workers=max_workers,
-            retention=retention,
-            keep_outcomes=False,
-            metrics=metrics,
+            self.database, retention=retention, metrics=metrics
         )
         self.scans = 0
-        self._advance_baseline: Dict[str, int] = {}
-        self._advance_drained: List[SeriesFrame] = []
 
     def state(self) -> dict:
         """Checkpointable state (pickled as one blob, shared refs intact)."""
@@ -199,8 +196,8 @@ class _Shard:
 
         Only used when rebuilding a service from a checkpoint, before
         any producer or flusher thread holds a reference to the shard's
-        worker — the parallel advance path never replaces live objects
-        (see :meth:`begin_advance` / :meth:`complete_advance`).
+        worker — a parallel advance never replaces the database or the
+        worker (see :meth:`snapshot` / :meth:`adopt`).
 
         Args:
             state: A :meth:`state`-shaped dict.
@@ -227,54 +224,42 @@ class _Shard:
         if drop_derived:
             self.scheduler.invalidate_incremental()
 
-    def begin_advance(self) -> bytes:
-        """Snapshot this shard for a worker process and suspend flushes.
+    def snapshot(self) -> bytes:
+        """What a worker process borrows to advance this shard.
 
-        Serializes the shard state under the worker's queue lock;
-        ownership of queued samples transfers to the blob (the worker
-        process flushes the blob's copy), so the live queue is cleared
-        after the dump — the drained samples are kept aside so
-        :meth:`abort_advance` can put them back if the advance fails.
-
-        Until :meth:`complete_advance` or :meth:`abort_advance` runs,
-        the live worker stays in advancing mode: background or
-        BLOCK-policy flushes are held off so no sample is ever written
-        into the stale database this snapshot supersedes.  Offers keep
-        landing in the live queue and are carried across the swap.
+        Under the queue lock: flush in the parent (stragglers released,
+        exactly as the serial path does before it scans), then pickle
+        the scheduler, which carries the database it reads.  A flush
+        that fails re-queues its batch and propagates, as it does on the
+        serial path.  Nothing is suspended afterwards — offers and
+        flushes keep writing to the live queue and database while the
+        worker scans its copy.
         """
         with self.worker.paused():
-            self._advance_baseline = self.worker.begin_advance()
-            blob = pickle.dumps(self.state(), protocol=pickle.HIGHEST_PROTOCOL)
-            self._advance_drained = self.worker.drain_pending()
-            return blob
+            self.worker.flush()
+            return pickle.dumps(self.scheduler, protocol=pickle.HIGHEST_PROTOCOL)
 
-    def complete_advance(
+    def adopt(
         self,
-        state: dict,
+        scheduler: DetectionScheduler,
         metrics: MetricsRegistry,
-        tracer: Optional[TraceStore] = None,
+        tracer: TraceStore,
     ) -> None:
-        """Install a worker process's advanced state into the live shard.
+        """Take back the scheduler a worker advanced over a snapshot.
 
-        The live :class:`~repro.service.ingest.ShardIngestWorker` object
-        is kept (producers and flusher threads hold references to it);
-        it adopts the advanced database and the flush-side counter
-        deltas the worker process accrued, then resumes flushing.
+        It scans the live database from here on.  Retention is the one
+        thing an advance writes, and the worker wrote it to its copy: a
+        cutoff it moved is applied again here.  Incremental-scan anchors
+        need nothing — they are validated against whatever database they
+        meet, so points flushed meanwhile are the next scan's tail.
         """
-        self.database = state["database"]
-        self.scheduler = state["scheduler"]
-        self.scheduler.wire_metrics(metrics)
-        self.scheduler.wire_tracer(tracer)
-        self.scans = state.get("scans", self.scans)
-        self.worker.complete_advance(
-            state["worker"], self.database, self._advance_baseline
-        )
-        self._advance_drained = []
-
-    def abort_advance(self) -> None:
-        """Roll back a failed advance: restore drained samples, resume."""
-        self.worker.abort_advance(self._advance_drained)
-        self._advance_drained = []
+        scheduler.database = self.database
+        scheduler.wire_metrics(metrics)
+        scheduler.wire_tracer(tracer)
+        if scheduler.retention_cutoff != self.scheduler.retention_cutoff:
+            with self.worker.paused():
+                self.database.apply_retention(scheduler.retention_cutoff)
+        self.scheduler = scheduler
 
 
 class StreamingDetectionService:
@@ -287,10 +272,9 @@ class StreamingDetectionService:
         queue_capacity: Per-shard ingest queue bound.
         backpressure: Policy when a shard queue is full.
         batch_size: Samples per TSDB flush batch.
-        max_workers_per_shard: Parallel scan threads per shard.
         workers: Worker *processes* for shard advances.  With ``workers
-            <= 1`` detection runs in-thread (the historical path); with
-            more, :meth:`advance_to` pickles each shard out to a
+            <= 1`` detection runs in-thread; with more,
+            :meth:`advance_to` hands a snapshot of each shard to a
             :class:`~repro.service.parallel.ParallelShardExecutor`,
             advances shards truly in parallel, and merges the results
             deterministically (ascending shard id — identical report
@@ -345,7 +329,6 @@ class StreamingDetectionService:
         queue_capacity: int = 1024,
         backpressure: BackpressurePolicy = BackpressurePolicy.DROP_OLDEST,
         batch_size: int = 256,
-        max_workers_per_shard: int = 2,
         workers: int = 1,
         retention: float = 0.0,
         replicas: int = 64,
@@ -396,7 +379,6 @@ class StreamingDetectionService:
                 queue_capacity=queue_capacity,
                 backpressure=BackpressurePolicy(backpressure),
                 batch_size=batch_size,
-                max_workers=max_workers_per_shard,
                 retention=retention,
                 metrics=self.metrics,
                 fault_injector=fault_injector,
@@ -736,12 +718,9 @@ class StreamingDetectionService:
                     started = time.perf_counter()
                     shard.worker.flush()
                     outcomes = shard.scheduler.advance_to(target)
-                    shard.scans += len(outcomes)
-                    self.metrics.observe(
-                        "service.shard_advance_seconds",
-                        time.perf_counter() - started,
+                    self._deliver(
+                        shard, outcomes, time.perf_counter() - started, delivered
                     )
-                    self._deliver(shard, outcomes, delivered)
         self._clock = max(self._clock, target)
         return delivered
 
@@ -750,24 +729,15 @@ class StreamingDetectionService:
     ) -> None:
         """Fan shard advances out to worker processes and merge back.
 
-        Every shard enters advancing mode before the fan-out (flushes
-        into the soon-to-be-stale databases are held off; offers keep
-        accumulating in the live queues) and leaves it in the merge
-        loop, where the live worker adopts the advanced database and
-        flush-counter deltas under its own lock.  If the pool fails, the
-        snapshots' queued samples are restored and flushing resumes —
-        the nothing-is-lost contract holds on both paths.
+        Each worker borrows a snapshot and returns the advanced
+        scheduler; the shards keep their databases and queues, so there
+        is nothing to roll back — a fan-out that raises leaves every
+        shard as it was, flushed.
         """
         blobs = {
-            shard_id: shard.begin_advance()
-            for shard_id, shard in self._shards.items()
+            shard_id: shard.snapshot() for shard_id, shard in self._shards.items()
         }
-        try:
-            results = self._executor.map_shards(blobs, target)  # sorted by id
-        except BaseException:
-            for shard in self._shards.values():
-                shard.abort_advance()
-            raise
+        results = self._executor.map_shards(blobs, target)  # sorted by id
         self.metrics.inc("service.parallel_advances")
         for result in results:
             shard = self._shards[result.shard_id]
@@ -779,26 +749,30 @@ class StreamingDetectionService:
                 self._set_degraded(result.shard_id, "advance", "advance_retried")
             else:
                 self._clear_degraded(result.shard_id, "advance")
-            shard.complete_advance(result.state, self.metrics, tracer=self.traces)
-            self.metrics.observe("service.shard_advance_seconds", result.elapsed)
+            shard.adopt(result.state, self.metrics, self.traces)
             self.metrics.merge(result.metrics)
             # Worker-local trace stores ship their runs back explicitly;
             # the ascending-shard-id loop keeps the merged order
             # deterministic, matching the serial path.
             self.traces.record_many(result.traces)
-            self._deliver(shard, result.outcomes, delivered)
+            self._deliver(shard, result.outcomes, result.elapsed, delivered)
 
     def _deliver(
         self,
         shard: _Shard,
         outcomes: Sequence[ScanOutcome],
+        elapsed: float,
         delivered: List[IncidentReport],
     ) -> None:
-        """Fold one shard's scan outcomes into service-level state.
+        """Fold one shard's advance (its scan outcomes and how long it
+        took) into service-level state.
 
-        Shared by the serial and parallel paths so ledger admission,
-        funnel accumulation, and sink delivery are identical in both.
+        Shared by the serial and parallel paths so scan counts, ledger
+        admission, funnel accumulation, and sink delivery are identical
+        in both.
         """
+        shard.scans += len(outcomes)
+        self.metrics.observe("service.shard_advance_seconds", elapsed)
         for outcome in outcomes:
             self.funnel.merge(outcome.result.funnel)
             for regression in outcome.result.reported:
@@ -1206,7 +1180,9 @@ class StreamingDetectionService:
             service.funnel.counts[stage] = count
         service._monitor_specs = list(meta.get("monitors", []))
         service.metrics.restore(meta.get("metrics", {}))
+        # The checkpointed registry carries the previous life's gauges.
         service.metrics.set_gauge("service.shards", service.n_shards)
+        service.metrics.set_gauge("service.workers", service.workers)
         service.metrics.inc("service.restores")
         load_info = manager.last_load() or {}
         fallbacks = int(load_info.get("fallbacks", 0) or 0)

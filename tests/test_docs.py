@@ -187,3 +187,24 @@ class TestNoCallerlessBatchKernels:
         assert not re.search(r"for \w+ in range\(n\)", _read(src, "stats", "stl.py"))
         assert "np.sign(" not in _read(src, "stats", "mann_kendall.py")
         assert os.path.exists(os.path.join(REPO_ROOT, "tests", "_reference_kernels.py"))
+
+
+class TestParallelAdvanceOwnership:
+    """A parallel advance borrows a snapshot; the shard keeps its
+    database and queue.  The swap protocol that made a borrowed *copy*
+    safe to install, and the scheduler's thread pool, stay deleted."""
+
+    def test_no_advance_bracket_under_service(self):
+        service = os.path.join(REPO_ROOT, "src", "repro", "service")
+        gone = re.compile(r"begin_advance|complete_advance|abort_advance|_advancing")
+        hits = [
+            f"{name}: {match.group()}"
+            for name in sorted(os.listdir(service))
+            if name.endswith(".py")
+            for match in gone.finditer(_read(service, name))
+        ]
+        assert not hits, hits
+
+    def test_scheduler_imports_no_executor(self):
+        scheduler = _read("src", "repro", "runtime", "scheduler.py")
+        assert not re.search(r"concurrent\.futures|Executor|multiprocessing", scheduler)

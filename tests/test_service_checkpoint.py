@@ -367,6 +367,19 @@ class TestKillRestoreEquivalence:
         )
         assert total_series == 10
 
+    def test_restore_exports_this_life_shape_gauges(self, tmp_path):
+        """The checkpointed registry carries the *previous* life's
+        gauges; a restore under a different ``workers`` must export its
+        own, so ``/metrics`` and ``/healthz`` agree."""
+        directory = str(tmp_path / "ckpt")
+        StreamingDetectionService(n_shards=2, workers=1).checkpoint(directory)
+        restored = StreamingDetectionService.restore(directory, workers=2)
+        gauges = restored.metrics.snapshot()["gauges"]
+        assert gauges["service.workers"] == 2.0 == restored.healthz()["workers"]
+        assert gauges["service.shards"] == 2.0
+        assert "service_workers 2" in restored.render_metrics()
+        restored.close()
+
     def test_restore_missing_checkpoint_raises(self, tmp_path):
         with pytest.raises(CheckpointError):
             StreamingDetectionService.restore(str(tmp_path / "empty"))

@@ -1,8 +1,6 @@
 """Tests for repro.service.ingest (bounded queues and backpressure)."""
 
 import pickle
-import threading
-import time
 
 import pytest
 
@@ -180,106 +178,6 @@ class TestCountersAndMetrics:
             ShardIngestWorker(0, db, capacity=0)
         with pytest.raises(ValueError):
             ShardIngestWorker(0, db, batch_size=0)
-
-
-class TestAdvanceProtocol:
-    """The begin/complete/abort advance bracket around parallel swaps.
-
-    While a shard advance is in flight, the live database is about to be
-    superseded: any flush into it would be silently discarded with it.
-    These tests pin the contract that no code path writes into the stale
-    database — and that nothing is lost on either the success or the
-    failure path.
-    """
-
-    def test_flush_is_noop_while_advancing(self):
-        db, worker = make_worker(BackpressurePolicy.DROP_OLDEST, capacity=8)
-        worker.offer(frame(3))
-        worker.begin_advance()
-        # A background flusher firing mid-advance must not touch the db.
-        assert worker.flush() == 0
-        assert len(db) == 0
-        assert worker.pending == 3
-        worker.abort_advance()
-        assert worker.flush() == 3
-        assert worker.flushed == 3
-
-    def test_abort_restores_drained_samples_in_order(self):
-        db, worker = make_worker(BackpressurePolicy.DROP_OLDEST, capacity=8)
-        worker.offer(frame(2))
-        worker.begin_advance()
-        drained = worker.drain_pending()  # ownership moved to the blob
-        worker.offer(frame(2, start=600.0))  # offered mid-advance
-        worker.abort_advance(drained)  # blob failed: give them back
-        worker.flush()
-        series = db.get("s.gcpu")
-        assert list(series.timestamps) == [0.0, 60.0, 600.0, 660.0]
-        assert worker.flushed == 4
-
-    def test_block_offer_waits_instead_of_flushing_stale_database(self):
-        db, worker = make_worker(
-            BackpressurePolicy.BLOCK, capacity=2, batch_size=2
-        )
-        worker.offer(frame(2))  # queue full
-        baseline = worker.begin_advance()
-        advanced = pickle.loads(pickle.dumps(worker))  # worker-process copy
-
-        unparked = threading.Event()
-
-        def produce():
-            worker.offer(row("s.gcpu", 600.0, 9.0))
-            unparked.set()
-
-        producer = threading.Thread(target=produce, daemon=True)
-        producer.start()
-        time.sleep(0.05)
-        # The BLOCK offer is parked: it did not flush into the stale db.
-        assert not unparked.is_set()
-        assert len(db) == 0
-
-        # The service thread transfers queue ownership to the blob; the
-        # drain frees room, so the parked producer lands in the live queue.
-        worker.drain_pending()
-        assert unparked.wait(timeout=2.0)
-        producer.join(timeout=2.0)
-
-        # Meanwhile the "worker process" flushes the blob's copy and the
-        # advanced state is installed: deltas merge, nothing is lost.
-        advanced.flush()
-        worker.complete_advance(advanced, advanced.database, baseline)
-        assert worker.pending == 1  # the parked offer was carried over
-        worker.flush()
-        assert worker.database is advanced.database
-        total = sum(len(series) for series in advanced.database)
-        assert total == 3
-        assert worker.flushed == 3
-
-    def test_complete_advance_merges_flush_side_deltas(self):
-        db, worker = make_worker(
-            BackpressurePolicy.DROP_OLDEST, capacity=16, batch_size=4
-        )
-        worker.offer(frame(4))
-        worker.flush()  # pre-advance flushes belong to the baseline
-        worker.offer(frame(4, start=600.0))
-        baseline = worker.begin_advance()
-        advanced = pickle.loads(pickle.dumps(worker))
-        worker.drain_pending()
-        advanced.flush()  # the worker process's flushes on our behalf
-        worker.complete_advance(advanced, advanced.database, baseline)
-        assert worker.flushed == 8
-        assert worker.flushes == advanced.flushes
-        # Offer-side counters never left the live object.
-        assert worker.offered == 8
-        assert worker.accepted == 8
-
-    def test_pickled_copy_is_never_advancing(self):
-        db, worker = make_worker(BackpressurePolicy.BLOCK, capacity=4)
-        worker.offer(frame(2))
-        worker.begin_advance()
-        clone = pickle.loads(pickle.dumps(worker))
-        # The blob's copy must flush freely in the worker process.
-        assert clone.flush() == 2
-        worker.abort_advance()
 
 
 class TestFlushFailureSafety:

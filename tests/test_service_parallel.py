@@ -68,7 +68,7 @@ def make_stream(seed, regress_index):
     return samples
 
 
-def make_service(sink, workers, n_shards=4):
+def make_service(sink, workers, n_shards=4, **kwargs):
     service = StreamingDetectionService(
         n_shards=n_shards,
         workers=workers,
@@ -76,19 +76,24 @@ def make_service(sink, workers, n_shards=4):
         queue_capacity=512,
         backpressure=BackpressurePolicy.BLOCK,
         batch_size=128,
+        **kwargs,
     )
     service.register_monitor("gcpu", small_config(), series_filter={"metric": "gcpu"})
     return service
 
 
-def run_stream(samples, workers, n_shards=4, advance_every=200):
-    sink = CollectingSink()
-    service = make_service(sink, workers, n_shards)
+def stream_through(service, samples, advance_every=200):
     chunk = advance_every * len(SERIES)
     for begin in range(0, len(samples), chunk):
         batch = samples[begin : begin + chunk]
         service.ingest_many(batch)
         service.advance_to(batch[-1].timestamp + INTERVAL)
+
+
+def run_stream(samples, workers, n_shards=4, advance_every=200):
+    sink = CollectingSink()
+    service = make_service(sink, workers, n_shards)
+    stream_through(service, samples, advance_every)
     snapshot = service.metrics.snapshot()
     service.close()
     return sink.reports, snapshot
@@ -226,6 +231,208 @@ class TestConcurrentIngestDuringAdvance:
         service.close()
 
 
+class TestSnapshotOwnership:
+    """The ownership rule of a parallel advance: the parent keeps each
+    shard's database and queue for life; a worker process borrows a
+    snapshot and only scheduler state comes back.  Nothing live is ever
+    replaced, so there is no stale database to write into."""
+
+    @staticmethod
+    def series_shape(service):
+        """``name -> (length, first timestamp)`` over every shard."""
+        return {
+            series.name: (len(series), series.timestamp_at(0))
+            for shard_id in range(service.n_shards)
+            for series in service.shard_database(shard_id)
+        }
+
+    def test_writes_during_an_open_advance_land_in_the_live_database(self):
+        injector = FaultInjector(FaultPlan(specs=(
+            FaultSpec(FaultKind.ADVANCE_HANG, times=1, hang_seconds=1.5),
+        )))
+        service = StreamingDetectionService(
+            n_shards=2,
+            workers=2,
+            queue_capacity=4,
+            backpressure=BackpressurePolicy.BLOCK,
+            batch_size=2,
+            fault_injector=injector,
+        )
+        service.register_monitor(
+            "gcpu", small_config(), series_filter={"metric": "gcpu"}
+        )
+        name = SERIES[0]
+        shard_id = service.router.shard_for(name)
+        worker = service._shards[shard_id].worker
+        database = service.shard_database(shard_id)
+        tags = {"metric": "gcpu"}
+
+        advance = threading.Thread(target=service.advance_to, args=(100.0,))
+        advance.start()
+        # The hang directive is handed out at submit time, after every
+        # snapshot was taken: from here on the advance is in flight.
+        deadline = time.monotonic() + 10.0
+        while not injector.counts().get("advance_hang"):
+            assert time.monotonic() < deadline, "the advance never fanned out"
+            time.sleep(0.005)
+        # 1. A plain offer, 2. a frame bigger than the queue (BLOCK:
+        # caller-runs flushes, straight into the live database), 3. a
+        # background-flusher tick for what is still queued.
+        assert service.ingest(name, 0.0, 1.0, tags)
+        assert worker.pending == 1 and len(database) == 0
+        service.ingest_many(
+            [Sample(name, tick * INTERVAL, 1.0, tags) for tick in range(1, 8)]
+        )
+        assert worker.blocking_flushes > 0
+        assert len(database.get(name)) > 0, "BLOCK flushed mid-advance"
+        service.start(flush_interval=0.005)
+        while worker.pending:
+            assert time.monotonic() < deadline, "the flusher never ticked"
+            time.sleep(0.005)
+        assert advance.is_alive(), "all of that happened mid-advance"
+        advance.join(timeout=30.0)
+        assert not advance.is_alive()
+        service.stop()
+
+        # Same objects before and after; every point there exactly once.
+        assert service.shard_database(shard_id) is database
+        assert worker.database is database
+        assert service._shards[shard_id].scheduler.database is database
+        assert list(database.get(name).timestamps) == [
+            tick * INTERVAL for tick in range(8)
+        ]
+        stats = service.stats()
+        assert stats.offered == stats.accepted == stats.flushed == 8
+        service.close()
+
+    def test_flush_error_at_snapshot_time_behaves_as_on_the_serial_path(self):
+        samples = make_stream(seed=7, regress_index=3)
+        reference_reports, _ = run_stream(samples, workers=2)
+        assert reference_reports
+
+        from repro.faults.injector import InjectedFault
+
+        sink = CollectingSink()
+        # A queue that holds a whole chunk: the only flushes are the
+        # ones a snapshot makes, so that is where the fault fires.
+        service = StreamingDetectionService(
+            n_shards=4,
+            workers=2,
+            sinks=[sink],
+            queue_capacity=4096,
+            backpressure=BackpressurePolicy.BLOCK,
+            batch_size=128,
+            fault_injector=FaultInjector(FaultPlan(specs=(
+                FaultSpec(FaultKind.FLUSH_ERROR, times=1),
+            ))),
+        )
+        service.register_monitor(
+            "gcpu", small_config(), series_filter={"metric": "gcpu"}
+        )
+        chunk = 200 * len(SERIES)
+        service.ingest_many(samples[:chunk])
+        pending = [shard.worker.pending for shard in service._shards.values()]
+        target = samples[chunk - 1].timestamp + INTERVAL
+        with pytest.raises(InjectedFault):
+            service.advance_to(target)
+        # The batch was re-queued, nothing was scanned, no shard is left
+        # suspended: the same call simply works the second time.
+        assert [shard.worker.pending for shard in service._shards.values()] == pending
+        assert service.clock == 0.0
+        service.advance_to(target)
+        assert sum(shard.worker.pending for shard in service._shards.values()) == 0
+        stream_through(service, samples[chunk:])
+        assert service.stats().flushed == len(samples)
+        service.close()
+        assert report_bytes(sink.reports) == report_bytes(reference_reports)
+
+    def test_retention_leaves_serial_and_parallel_databases_identical(self):
+        samples = make_stream(seed=7, regress_index=3)
+        runs = {}
+        for workers in (1, 2):
+            sink = CollectingSink()
+            service = make_service(sink, workers, retention=56_000.0)
+            stream_through(service, samples)
+            runs[workers] = (self.series_shape(service), report_bytes(sink.reports))
+            assert sink.reports
+            service.close()
+        shape, _ = runs[2]
+        # The worker trimmed its copy; the parent trimmed the original.
+        assert all(first > 0.0 for _, first in shape.values())
+        assert all(length < N_TICKS for length, _ in shape.values())
+        assert runs[2] == runs[1]
+
+    def test_scheduler_pickled_before_the_cutoff_was_remembered(self, tmp_path):
+        """A checkpoint written by the parent commit has schedulers with
+        no ``retention_cutoff`` (and the options since removed): it must
+        restore and advance under ``workers=2`` all the same."""
+        samples = make_stream(seed=7, regress_index=3)
+        split = 600 * len(SERIES)
+
+        reference_sink = CollectingSink()
+        reference = make_service(reference_sink, workers=1, retention=56_000.0)
+        stream_through(reference, samples)
+        reference_shape = self.series_shape(reference)
+        reference.close()
+
+        before = CollectingSink()
+        victim = make_service(before, workers=1, retention=56_000.0)
+        stream_through(victim, samples[:split])
+        for shard in victim._shards.values():
+            state = shard.scheduler.__dict__
+            state.pop("retention_cutoff", None)
+            state.update(max_workers=2, keep_outcomes=False, outcomes=[])
+            shard.worker._advancing = False
+        directory = str(tmp_path / "ckpt")
+        victim.checkpoint(directory)
+        victim.close()
+
+        after = CollectingSink()
+        restored = StreamingDetectionService.restore(
+            directory, sinks=[after], workers=2
+        )
+        for shard in restored._shards.values():
+            assert "retention_cutoff" not in shard.scheduler.__dict__
+            assert shard.scheduler.retention_cutoff is None
+        stream_through(restored, samples[split:])
+        assert self.series_shape(restored) == reference_shape
+        restored.close()
+        assert report_bytes(before.reports + after.reports) == report_bytes(
+            reference_sink.reports
+        )
+
+    def test_parallel_advance_keeps_column_capacity(self):
+        """The columns a flush appends to are the ones it appended to
+        before the advance, slack and all.  A pickled column is compact
+        (zero slack), so a column that came back from a worker would
+        make the next flush reallocate it."""
+        service = StreamingDetectionService(n_shards=2, workers=2)
+        service.register_monitor(
+            "gcpu", small_config(), series_filter={"metric": "gcpu"}
+        )
+        service.ingest_many(
+            [
+                Sample(name, tick * INTERVAL, 0.001, {"metric": "gcpu"})
+                for name in SERIES
+                for tick in range(10)
+            ]
+        )
+        service.flush()
+
+        def capacities():
+            return {
+                series.name: (series._timestamps.capacity, series._values.capacity)
+                for shard_id in range(2)
+                for series in service.shard_database(shard_id)
+            }
+
+        before = capacities()
+        assert all(cap > 10 for caps in before.values() for cap in caps)
+        service.advance_to(10 * INTERVAL)
+        assert capacities() == before
+        service.close()
+
+
 class TestKillRestoreUnderWorkers:
     KILL_TICK = 950  # after the first report (scan at t=54000) lands
 
@@ -322,7 +529,13 @@ class TestAdvanceFailureRecovery:
         try:
             for round_index in range(4):
                 victim_pid = next(iter(service._executor._pool._processes))
-                os.kill(victim_pid, signal.SIGKILL)
+                try:
+                    os.kill(victim_pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    # The pool noticed the previous round's kill only
+                    # after that round's results were in, and tore
+                    # itself down: this advance meets a dead pool anyway.
+                    pass
                 # The advance runs against a pool with a freshly killed
                 # worker; recovery must be invisible to the caller.
                 service.advance_to((round_index + 2) * 10_000.0)
@@ -398,7 +611,7 @@ class TestAdvanceFailureRecovery:
         )
         try:
             blobs = {
-                shard_id: shard.begin_advance()
+                shard_id: shard.snapshot()
                 for shard_id, shard in service._shards.items()
             }
             started = time.perf_counter()
@@ -412,8 +625,6 @@ class TestAdvanceFailureRecovery:
             hung = [r for r in results if r.retries > 0]
             assert hung and all(r.fallback is None for r in results)
         finally:
-            for shard in service._shards.values():
-                shard.abort_advance()
             executor.close()
             service.close()
 
@@ -434,7 +645,7 @@ class TestAdvanceFailureRecovery:
         )
         try:
             blobs = {
-                shard_id: shard.begin_advance()
+                shard_id: shard.snapshot()
                 for shard_id, shard in service._shards.items()
             }
             results = executor.map_shards(blobs, target=100.0)
@@ -444,8 +655,6 @@ class TestAdvanceFailureRecovery:
             counters = registry.snapshot()["counters"]
             assert counters["advance.fallbacks"] == 1.0
         finally:
-            for shard in service._shards.values():
-                shard.abort_advance()
             executor.close()
             service.close()
 
@@ -467,15 +676,13 @@ class TestAdvanceFailureRecovery:
         )
         try:
             blobs = {
-                shard_id: shard.begin_advance()
+                shard_id: shard.snapshot()
                 for shard_id, shard in service._shards.items()
             }
             results = executor.map_shards(blobs, target=100.0)
             assert [r.fallback for r in results] == [None, "in_process", None]
             assert registry.snapshot()["counters"]["advance.fallbacks"] == 1.0
         finally:
-            for shard in service._shards.values():
-                shard.abort_advance()
             executor.close()
             service.close()
 
