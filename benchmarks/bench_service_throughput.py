@@ -393,8 +393,8 @@ def test_observability_overhead_within_bounds(capsys):
         if not traced:
             # register_monitor already ran inside the builder; detach the
             # span recorder from every pipeline for the untraced run.
-            for shard_id in range(service.n_shards):
-                service._shards[shard_id].scheduler.wire_tracer(None)
+            for shard in service._shards.values():
+                shard.bind(service.metrics, None, None)
         for name, series_values in values.items():
             service.ingest_many(
                 [

@@ -385,6 +385,13 @@ class DetectionPipeline:
         if self.incremental_cache is not None:
             self.incremental_cache.clear()
 
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        # Process-local: re-wired by ``DetectionScheduler.wire``.
+        state["metrics"] = None
+        state["tracer"] = None
+        return state
+
     # ------------------------------------------------------------------
     # Stage tables
     # ------------------------------------------------------------------

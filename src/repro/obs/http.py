@@ -1,8 +1,8 @@
 """The pull-based observability surface (stdlib ``http.server``).
 
 :class:`ObservabilityServer` exposes a running
-:class:`~repro.service.service.StreamingDetectionService` (or anything
-duck-typed like one) on three endpoints:
+:class:`~repro.service.service.StreamingDetectionService` on these
+endpoints:
 
 - ``GET /metrics`` — Prometheus text exposition (version 0.0.4) of the
   self-metrics registry: ingest/backpressure counters, the per-shard
@@ -50,7 +50,7 @@ import json
 import threading
 from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Optional
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.obs.logging import get_logger
 
@@ -97,6 +97,31 @@ class ReplyHandler(BaseHTTPRequestHandler):
         _log.debug("http request", detail=format % args, client=self.client_address[0])
 
 
+def _healthz(service) -> Tuple[int, dict]:
+    health = service.healthz()
+    return (200 if health.get("status") == "ok" else 503), health
+
+
+def _faults(service) -> Tuple[int, dict]:
+    snapshot = service.faults_snapshot()
+    payload: dict = {"enabled": snapshot is not None}
+    if snapshot is not None:
+        payload["plan"] = snapshot
+    payload["events"] = [event.to_dict() for event in service.events.events()]
+    return 200, payload
+
+
+#: The JSON endpoints: path -> view of the service, ``(status, payload)``.
+#: ``GET /`` lists ``/metrics`` (the one text endpoint) and these keys.
+_JSON_VIEWS: Dict[str, Callable[[object], Tuple[int, dict]]] = {
+    "/healthz": _healthz,
+    "/status": lambda service: (200, service.status_snapshot()),
+    "/faults": _faults,
+    "/quality": lambda service: (200, service.quality_snapshot()),
+    "/detectors": lambda service: (200, service.detectors_snapshot()),
+}
+
+
 class _Handler(ReplyHandler):
     """Routes the observability endpoints.
 
@@ -108,6 +133,7 @@ class _Handler(ReplyHandler):
 
     def do_GET(self) -> None:  # noqa: N802 (http.server API)
         path = self.path.split("?", 1)[0].rstrip("/") or "/"
+        service = self.server.endpoint.service
         # Whether a response line/headers already went down the wire.
         # If a renderer raises *after* that point, sending a second
         # response would interleave two HTTP messages on one keep-alive
@@ -116,27 +142,13 @@ class _Handler(ReplyHandler):
         self._response_started = False
         try:
             if path == "/metrics":
-                self._send_text(200, self.server.endpoint.service.render_metrics(),
-                                PROMETHEUS_CONTENT_TYPE)
-            elif path == "/healthz":
-                health = self.server.endpoint.service.healthz()
-                status = 200 if health.get("status") == "ok" else 503
-                self._send_json(status, health)
-            elif path == "/status":
-                self._send_json(200, self.server.endpoint.service.status_snapshot())
-            elif path == "/faults":
-                self._send_json(200, self._faults_payload())
-            elif path == "/quality":
-                self._send_json(200, self._quality_payload())
-            elif path == "/detectors":
-                self._send_json(200, self._detectors_payload())
+                self._send_text(200, service.render_metrics(), PROMETHEUS_CONTENT_TYPE)
+            elif path in _JSON_VIEWS:
+                self._send_json(*_JSON_VIEWS[path](service))
             elif path == "/":
                 self._send_json(200, {
                     "service": "repro-fbdetect",
-                    "endpoints": [
-                        "/metrics", "/healthz", "/status", "/faults",
-                        "/quality", "/detectors",
-                    ],
+                    "endpoints": ["/metrics", *_JSON_VIEWS],
                 })
             else:
                 self._send_json(404, {"error": f"no such endpoint: {path}"})
@@ -152,30 +164,6 @@ class _Handler(ReplyHandler):
                 except Exception:  # pragma: no cover - client went away
                     self.close_connection = True
 
-    def _quality_payload(self) -> dict:
-        service = self.server.endpoint.service
-        if hasattr(service, "quality_snapshot"):
-            return service.quality_snapshot()
-        return {"enabled": False}
-
-    def _detectors_payload(self) -> dict:
-        service = self.server.endpoint.service
-        if hasattr(service, "detectors_snapshot"):
-            return service.detectors_snapshot()
-        return {"enabled": False}
-
-    def _faults_payload(self) -> dict:
-        service = self.server.endpoint.service
-        snapshot = None
-        if hasattr(service, "faults_snapshot"):
-            snapshot = service.faults_snapshot()
-        payload: dict = {"enabled": snapshot is not None}
-        if snapshot is not None:
-            payload["plan"] = snapshot
-        events = getattr(service, "events", None)
-        if events is not None:
-            payload["events"] = [event.to_dict() for event in events.events()]
-        return payload
 
 class HttpEndpoint:
     """Lifecycle of a stdlib HTTP server on a daemon thread.
@@ -255,13 +243,11 @@ class HttpEndpoint:
 
 
 class ObservabilityServer(HttpEndpoint):
-    """Serves ``/metrics``, ``/healthz``, and ``/status`` for a service.
+    """Serves ``/metrics`` and the JSON views for a service.
 
     Args:
-        service: Anything exposing ``render_metrics() -> str``,
-            ``healthz() -> dict`` (with a ``"status"`` key), and
-            ``status_snapshot() -> dict`` — the streaming service's
-            observability contract.
+        service: The service whose ``render_metrics()``, ``healthz()``
+            and ``*_snapshot()`` renderers the endpoints return.
         host / port: Bind address (see :class:`HttpEndpoint`).
     """
 

@@ -14,6 +14,11 @@ retention.  It remembers the last cutoff it applied
 (:attr:`DetectionScheduler.retention_cutoff`), so one that advanced over
 a copy of a database can be pointed back at the original and the
 original trimmed to match.
+
+A pickled scheduler carries its monitors and the database it reads,
+and nothing process-local: the lock, the sinks, the metrics registry and
+each pipeline's trace store stay behind
+(:meth:`DetectionScheduler.wire` hands it the unpickling side's own).
 """
 
 from __future__ import annotations
@@ -92,11 +97,6 @@ class DetectionScheduler:
         outcomes = scheduler.advance_to(simulation_end)
     """
 
-    #: The last cutoff handed to ``database.apply_retention`` (``None``
-    #: before the first).  A class-level default, so a scheduler pickled
-    #: before the attribute existed restores without it.
-    retention_cutoff: Optional[float] = None
-
     def __init__(
         self,
         database: TimeSeriesDatabase,
@@ -110,6 +110,9 @@ class DetectionScheduler:
         self.sinks = list(sinks)
         self.retention = retention
         self.metrics = metrics
+        #: The last cutoff handed to ``database.apply_retention``
+        #: (``None`` before the first).
+        self.retention_cutoff: Optional[float] = None
         self._monitors: Dict[str, MonitorRegistration] = {}
         self._clock = 0.0
         self._advance_lock = threading.RLock()
@@ -162,26 +165,17 @@ class DetectionScheduler:
         """Registered monitor names, sorted."""
         return sorted(self._monitors)
 
-    def wire_metrics(self, metrics: Optional[object]) -> None:
-        """Point this scheduler and every monitor pipeline at ``metrics``.
+    def wire(self, metrics: Optional[object], tracer: Optional[object]) -> None:
+        """Point this scheduler and every monitor pipeline at the
+        process-local ``metrics`` registry and ``tracer``.
 
-        Used after unpickling (checkpoint restore, process-pool
-        round-trips), where the process-local registry is deliberately
-        not part of the serialized state.
+        Both are dropped on pickle, so whoever unpickles a scheduler —
+        a worker process, a restore, the parent taking an advanced one
+        back — wires its own.
         """
         self.metrics = metrics
         for registration in self._monitors.values():
             registration.detector.pipeline.metrics = metrics
-
-    def wire_tracer(self, tracer: Optional[object]) -> None:
-        """Point every monitor pipeline's span recorder at ``tracer``.
-
-        Same lifecycle as :meth:`wire_metrics`: trace stores are
-        process-local observability state, so workers and restored
-        services re-wire a fresh store rather than inheriting one
-        through pickle.
-        """
-        for registration in self._monitors.values():
             registration.detector.pipeline.tracer = tracer
 
     def invalidate_incremental(self) -> None:
@@ -336,8 +330,8 @@ class DetectionScheduler:
 
     def __getstate__(self) -> dict:
         """Pickle support: the lock is dropped; sinks and metrics are the
-        restoring process's responsibility (delivery targets and shared
-        registries are process-local, not checkpoint state)."""
+        unpickling process's responsibility (delivery targets and shared
+        registries are process-local, not state — see :meth:`wire`)."""
         state = dict(self.__dict__)
         state.pop("_advance_lock", None)
         state["sinks"] = []

@@ -16,6 +16,7 @@ Modules:
 - :mod:`repro.service.checkpoint` — durable checkpoint/restore.
 - :mod:`repro.service.metrics` — counters, gauges, latency histograms.
 - :mod:`repro.service.parallel` — multi-process shard execution.
+- :mod:`repro.service.shard` — one shard and its two serialised forms.
 - :mod:`repro.service.service` — the composed streaming service.
 
 Observability (structured logs, funnel spans, and the ``/metrics`` +
@@ -30,7 +31,8 @@ from repro.service.ingest import BackpressurePolicy, Sample, ShardIngestWorker, 
 from repro.service.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.service.parallel import ParallelShardExecutor, ShardAdvanceResult
 from repro.service.router import ConsistentHashRouter
-from repro.service.service import ServiceStats, ShardStats, StreamingDetectionService
+from repro.service.service import ServiceStats, StreamingDetectionService
+from repro.service.shard import ShardStats
 
 __all__ = [
     "BackpressurePolicy",

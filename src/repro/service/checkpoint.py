@@ -13,6 +13,10 @@ Layout of a checkpoint directory (``keep_generations=3`` shown)::
 Manifests are JSON so operators can inspect a checkpoint without
 unpickling anything; each shard blob carries a SHA-256 recorded in its
 manifest so truncated or corrupted blobs are detected at load time.
+The manager never serialises a shard: ``save`` is handed the bytes each
+:class:`~repro.service.shard.Shard` pickled under its own lock, ``load``
+unpickles what it verified.  A manifest of another
+``CHECKPOINT_VERSION`` is refused, not converted.
 
 Durability is layered:
 
@@ -43,7 +47,8 @@ from typing import Any, Dict, List, Optional, Tuple
 __all__ = ["CheckpointError", "CheckpointManager", "CHECKPOINT_VERSION"]
 
 #: 2: queues and reorder buffers hold per-series frames, not ``Sample`` rows.
-CHECKPOINT_VERSION = 2
+#: 3: new ``meta`` keys; a pickled pipeline carries no registry or tracer.
+CHECKPOINT_VERSION = 3
 MANIFEST_NAME = "manifest.json"
 
 _GEN_MANIFEST_RE = re.compile(r"^manifest\.g(\d+)\.json$")
@@ -71,8 +76,8 @@ class CheckpointManager:
     Example::
 
         manager = CheckpointManager("/var/lib/repro/ckpt")
-        manager.save({"clock": 5400.0}, {0: shard0_state, 1: shard1_state})
-        meta, shards = manager.load()
+        manager.save({"clock": 5400.0}, {0: shard0_blob, 1: shard1_blob})
+        meta, shard_states = manager.load()  # blobs verified and unpickled
     """
 
     def __init__(
@@ -108,19 +113,20 @@ class CheckpointManager:
         """
         return self._last_load
 
-    def save(self, meta: dict, shards: Dict[object, object]) -> str:
+    def save(self, meta: dict, shards: Dict[object, bytes]) -> str:
         """Write one new checkpoint generation; returns the manifest path.
 
         Args:
             meta: JSON-serializable service-level state (clock, ledger,
                 metrics snapshot ...).
-            shards: Picklable per-shard state, keyed by shard id.
+            shards: Each shard's pickled state, keyed by shard id
+                (:meth:`~repro.service.shard.Shard.checkpoint_blob`),
+                hashed and written as it is.
         """
         os.makedirs(self.directory, exist_ok=True)
         generation = (self._generations() or [0])[-1] + 1
         shard_index = {}
-        for shard_id, state in shards.items():
-            blob = pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
+        for shard_id, blob in shards.items():
             filename = f"shard-{shard_id}.g{generation}.pkl"
             payload = blob
             if self.fault_injector is not None:

@@ -36,7 +36,7 @@ The worker and its database belong to the service process for life: a
 parallel advance (:mod:`repro.service.parallel`) scans a *copy* taken
 under :meth:`ShardIngestWorker.paused`, so this module has no notion of
 an advance, and the worker crosses a process boundary only inside a
-checkpoint.
+checkpoint blob, pickled under that same lock.
 """
 
 from __future__ import annotations
@@ -269,23 +269,19 @@ class ShardIngestWorker:
 
     # -- flush side ------------------------------------------------------
 
-    def flush(self, release_stragglers: bool = True) -> int:
+    def flush(self) -> int:
         """Drain the whole queue into the TSDB in ``batch_size`` batches.
 
-        Args:
-            release_stragglers: Also release every sample held in the
-                admission reordering buffer first, so detection sees a
-                fully backfilled TSDB.  Background flushers pass
-                ``False`` — they only bound queue depth, and holding
-                stragglers longer lets the buffer absorb more
-                out-of-order arrivals per backfill merge.
+        Every sample held in the admission reordering buffer is released
+        first — by an advance, a snapshot and a background flusher's tick
+        alike — so whatever scans next sees a fully backfilled TSDB.
 
         Returns:
             Number of samples written.
         """
         written = 0
         with self._lock:
-            if release_stragglers and self.admission is not None:
+            if self.admission is not None:
                 self._release_stragglers(self.admission.drain_pending())
             while self._queue:
                 written += self._flush_batch()
@@ -323,8 +319,8 @@ class ShardIngestWorker:
     def paused(self) -> Iterator[None]:
         """Hold the queue lock for the duration of the block.
 
-        How the service takes a consistent copy of the shard for a
-        worker process while producers and flushers are live: inside
+        How a shard is copied consistently — for a worker process or
+        a checkpoint — while producers and flushers are live: inside
         the block the queue and the database do not move; offers and
         flushes wait for it, then carry on against the same objects.
         """
@@ -361,8 +357,8 @@ class ShardIngestWorker:
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
         state.pop("_lock", None)
-        # The shared registry and injector are restored by the service,
-        # not the pickle (both are process-local and hold locks).
+        # The shared registry and injector are process-local and hold
+        # locks: ``Shard.bind`` hands them back, not the pickle.
         state["metrics"] = None
         state["fault_injector"] = None
         return state

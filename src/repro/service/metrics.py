@@ -219,11 +219,17 @@ class MetricsRegistry(_Lockable):
 
     def counter(self, name: str) -> Counter:
         with self._lock:
-            return self._counters.setdefault(name, Counter())
+            counter = self._counters.get(name)
+            if counter is None:
+                counter = self._counters[name] = Counter()
+            return counter
 
     def gauge(self, name: str) -> Gauge:
         with self._lock:
-            return self._gauges.setdefault(name, Gauge())
+            gauge = self._gauges.get(name)
+            if gauge is None:
+                gauge = self._gauges[name] = Gauge()
+            return gauge
 
     def histogram(
         self, name: str, buckets: Sequence[float] = DEFAULT_LATENCY_BUCKETS

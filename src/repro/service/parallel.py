@@ -9,20 +9,22 @@ under one ownership rule: **the parent always owns a shard's database
 and ingest queue; a worker borrows a read-only snapshot and returns
 scheduler state.**
 
-1. the service flushes each shard's queue *in the parent* and pickles
-   the shard's scheduler — monitors with their detector / dedup /
-   incremental state, and the database it reads — under the shard's
-   queue lock;
-2. each worker process unpickles one scheduler, wires a fresh process-
-   local metrics registry and trace store, advances it to the target
-   time, lets go of its database copy, and ships the scheduler, the
-   scan outcomes, a metrics snapshot and the recorded traces back;
-3. the parent points each returned scheduler at the shard's **live**
-   database, trims that to the last retention cutoff the copy applied
-   (the scan path's only write), and merges outcomes **in ascending
-   shard-id order** — the same order the serial path iterates shards —
-   so ledger admission, funnel accumulation, and sink delivery are
-   byte-identical to single-process execution.
+1. the service takes each shard's
+   :meth:`~repro.service.shard.Shard.snapshot`: under the queue lock,
+   flush *in the parent*, then pickle the scheduler — monitors with
+   their detector / dedup / incremental state, and the database it reads;
+2. each worker process unpickles one scheduler, wires a fresh metrics
+   registry and trace store (no process-local handle rides a pickle, in
+   either direction), advances it to the target time, lets go of its
+   database copy, and ships the scheduler, the scan outcomes, a metrics
+   snapshot and the recorded traces back;
+3. :meth:`~repro.service.shard.Shard.adopt` points each returned
+   scheduler at the shard's **live** database, trims that to the last
+   retention cutoff the copy applied (the scan path's only write) and
+   binds the service's handles; outcomes merge **in ascending shard-id
+   order** — the order the serial path iterates shards — so ledger
+   admission, funnel accumulation, and sink delivery are byte-identical
+   to single-process execution.
 
 Nothing live is ever replaced, so offers and flushes need no bracket
 around an advance: what lands in the database while a worker scans its
@@ -129,17 +131,12 @@ def _advance_shard(
     scheduler: DetectionScheduler = pickle.loads(blob)
     registry = MetricsRegistry()
     tracer = TraceStore()
-    scheduler.wire_metrics(registry)
-    scheduler.wire_tracer(tracer)
+    scheduler.wire(registry, tracer)
     started = time.perf_counter()
     outcomes = scheduler.advance_to(target)
     elapsed = time.perf_counter() - started
-    # Only scheduler state goes back: the database copy stays here, and
-    # so do the worker-local registry and trace store (the parent merges
-    # the snapshot / recorded runs explicitly).
+    # Only scheduler state goes back: the database copy stays here.
     scheduler.database = None
-    scheduler.wire_metrics(None)
-    scheduler.wire_tracer(None)
     return ShardAdvanceResult(
         shard_id=shard_id,
         state=scheduler,

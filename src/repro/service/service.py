@@ -16,13 +16,18 @@ scaled down to one process:
   scans, filters re-alerts through a durable reported-ledger, and
   delivers :class:`~repro.reporting.report.IncidentReport`\\ s to sinks;
   with ``workers > 1`` the scans run in worker processes over a
-  snapshot each (:meth:`_Shard.snapshot`) — the shard keeps its database
-  and queue throughout, only the advanced scheduler comes back
-  (:meth:`_Shard.adopt`);
+  snapshot each — the shard keeps its database and queue throughout,
+  only the advanced scheduler comes back;
 - :meth:`StreamingDetectionService.checkpoint` /
   :meth:`StreamingDetectionService.restore` persist the whole thing so
   a restarted service resumes without re-alerting on regressions it
   already reported — and without losing queued samples.
+
+This module is routing, advance and delivery (plus the read-only
+renderers behind the HTTP endpoints).  What a shard is, how it is
+serialised and who holds a process-local handle afterwards is
+:mod:`repro.service.shard`; the on-disk format is
+:mod:`repro.service.checkpoint`.
 
 Deduplication scope: SOM/pairwise dedup runs *within* a shard (each
 shard has its own detectors).  Cross-shard correlation is a later PR;
@@ -34,7 +39,6 @@ when cross-series dedup matters.
 from __future__ import annotations
 
 import math
-import pickle
 import threading
 import time
 from dataclasses import dataclass
@@ -51,34 +55,40 @@ from repro.detectors import (
     build_detector,
     merge_snapshot_rows,
 )
-from repro.quality import AdmissionController, QualityConfig, QualityGate
+from repro.quality import QualityConfig, QualityGate
 from repro.obs.logging import correlation_id, get_logger, log_context
 from repro.obs.spans import EventLog, FunnelTrace, TraceStore
 from repro.reporting.report import IncidentReport, build_report
-from repro.runtime.scheduler import DetectionScheduler, ScanOutcome
+from repro.runtime.scheduler import ScanOutcome
 from repro.runtime.sinks import IncidentSink
 from repro.service.checkpoint import CheckpointManager
-from repro.service.ingest import BackpressurePolicy, Sample, ShardIngestWorker, frames_of
+from repro.service.ingest import BackpressurePolicy, Sample, frames_of
 from repro.service.metrics import MetricsRegistry
 from repro.service.parallel import ParallelShardExecutor
 from repro.service.router import ConsistentHashRouter
+from repro.service.shard import Shard, ShardStats
 from repro.tsdb.columnar import SeriesFrame
 from repro.tsdb.database import TimeSeriesDatabase
 
-__all__ = ["ShardStats", "ServiceStats", "StreamingDetectionService"]
+__all__ = ["ServiceStats", "StreamingDetectionService"]
 
 _log = get_logger("repro.service")
 
+#: Window (seconds of change time) within which a regression on the same
+#: metric counts as already reported.
+REALERT_TOLERANCE = 3600.0
 
-@dataclass(frozen=True)
-class ShardStats:
-    """One shard's health snapshot."""
-
-    shard_id: int
-    series: int
-    pending: int
-    counters: Dict[str, int]
-    scans: int
+#: The service's own durable fields, declared once: manifest ``meta``
+#: key -> the attribute ``checkpoint()`` reads and ``restore()`` writes.
+#: Beside them ride ``n_shards`` and ``replicas`` (they rebuild the ring)
+#: and ``funnel`` and ``metrics`` (objects with a snapshot form of their own).
+_DURABLE = {
+    "clock": "_clock",
+    "reported": "_reported",
+    "suppressed_realerts": "_suppressed_realerts",
+    "reported_ledger": "_reported_ledger",
+    "monitors": "_monitor_specs",
+}
 
 
 @dataclass(frozen=True)
@@ -140,128 +150,6 @@ class ServiceStats:
         return "\n".join(lines)
 
 
-class _Shard:
-    """One shard: its TSDB, ingest worker, scheduler, and counters."""
-
-    def __init__(
-        self,
-        shard_id: int,
-        queue_capacity: int,
-        backpressure: BackpressurePolicy,
-        batch_size: int,
-        retention: float,
-        metrics: MetricsRegistry,
-        fault_injector: Optional[FaultInjector] = None,
-        quality: Optional[QualityConfig] = None,
-    ) -> None:
-        self.shard_id = shard_id
-        self.database = TimeSeriesDatabase()
-        self.worker = ShardIngestWorker(
-            shard_id,
-            self.database,
-            capacity=queue_capacity,
-            policy=backpressure,
-            batch_size=batch_size,
-            metrics=metrics,
-            fault_injector=fault_injector,
-            admission=(
-                AdmissionController(quality, shard_id=shard_id, metrics=metrics)
-                if quality is not None
-                else None
-            ),
-        )
-        self.scheduler = DetectionScheduler(
-            self.database, retention=retention, metrics=metrics
-        )
-        self.scans = 0
-
-    def state(self) -> dict:
-        """Checkpointable state (pickled as one blob, shared refs intact)."""
-        return {
-            "database": self.database,
-            "worker": self.worker,
-            "scheduler": self.scheduler,
-            "scans": self.scans,
-        }
-
-    def load_state(
-        self,
-        state: dict,
-        metrics: MetricsRegistry,
-        drop_derived: bool = False,
-        tracer: Optional[TraceStore] = None,
-        fault_injector: Optional[FaultInjector] = None,
-    ) -> None:
-        """Install (un)pickled shard state (checkpoint-restore path).
-
-        Only used when rebuilding a service from a checkpoint, before
-        any producer or flusher thread holds a reference to the shard's
-        worker — a parallel advance never replaces the database or the
-        worker (see :meth:`snapshot` / :meth:`adopt`).
-
-        Args:
-            state: A :meth:`state`-shaped dict.
-            metrics: The process-local registry to rewire (dropped on
-                pickle).
-            drop_derived: Invalidate derived caches (incremental-scan
-                anchors).  True on checkpoint *restore* — a trust
-                boundary where stale anchors must never suppress a
-                re-scan.
-            tracer: The process-local trace store to rewire (trace
-                buffers are dropped on pickle, like metrics).
-        """
-        self.database = state["database"]
-        self.worker = state["worker"]
-        self.scheduler = state["scheduler"]
-        self.scans = state.get("scans", 0)
-        # Rewire process-local observability state (dropped on pickle).
-        self.worker.metrics = metrics
-        self.worker.fault_injector = fault_injector
-        if self.worker.admission is not None:
-            self.worker.admission.metrics = metrics
-        self.scheduler.wire_metrics(metrics)
-        self.scheduler.wire_tracer(tracer)
-        if drop_derived:
-            self.scheduler.invalidate_incremental()
-
-    def snapshot(self) -> bytes:
-        """What a worker process borrows to advance this shard.
-
-        Under the queue lock: flush in the parent (stragglers released,
-        exactly as the serial path does before it scans), then pickle
-        the scheduler, which carries the database it reads.  A flush
-        that fails re-queues its batch and propagates, as it does on the
-        serial path.  Nothing is suspended afterwards — offers and
-        flushes keep writing to the live queue and database while the
-        worker scans its copy.
-        """
-        with self.worker.paused():
-            self.worker.flush()
-            return pickle.dumps(self.scheduler, protocol=pickle.HIGHEST_PROTOCOL)
-
-    def adopt(
-        self,
-        scheduler: DetectionScheduler,
-        metrics: MetricsRegistry,
-        tracer: TraceStore,
-    ) -> None:
-        """Take back the scheduler a worker advanced over a snapshot.
-
-        It scans the live database from here on.  Retention is the one
-        thing an advance writes, and the worker wrote it to its copy: a
-        cutoff it moved is applied again here.  Incremental-scan anchors
-        need nothing — they are validated against whatever database they
-        meet, so points flushed meanwhile are the next scan's tail.
-        """
-        scheduler.database = self.database
-        scheduler.wire_metrics(metrics)
-        scheduler.wire_tracer(tracer)
-        if scheduler.retention_cutoff != self.scheduler.retention_cutoff:
-            with self.worker.paused():
-                self.database.apply_retention(scheduler.retention_cutoff)
-        self.scheduler = scheduler
-
-
 class StreamingDetectionService:
     """Sharded streaming ingestion + detection with self-metrics.
 
@@ -285,24 +173,13 @@ class StreamingDetectionService:
             key (default: the series name).  Use a coarser key (e.g. the
             service tag) to co-locate series whose cross-series dedup
             matters.
-        realert_tolerance: Window (seconds of change time) within which
-            a regression on the same metric counts as already reported.
-        trace_capacity: Ring-buffer size (pipeline runs) of the funnel
-            trace store behind ``/status`` and :meth:`funnel_trace`.
         fault_injector: Optional :class:`~repro.faults.FaultInjector`
             threaded through the parallel executor, ingest workers,
             background flushers, checkpoint writer, and the service's
             wall clock — ``None`` (production) makes every hook a no-op.
-        advance_retries: Retries per failed shard advance before the
-            in-process fallback (see
-            :class:`~repro.service.parallel.ParallelShardExecutor`).
-        advance_backoff: Base seconds of the exponential backoff between
-            advance retry rounds.
         advance_deadline: Per-shard advance deadline in seconds
             (``None`` disables; a blown deadline counts as a failure and
-            retries).
-        checkpoint_generations: Checkpoint generations retained on disk;
-            restore falls back to the newest intact one.
+            retries, see :class:`~repro.service.parallel.ParallelShardExecutor`).
         quality: Data-quality admission configuration (see
             :class:`~repro.quality.admission.QualityConfig`).  On by
             default: every shard runs per-series validators on ingest
@@ -333,14 +210,9 @@ class StreamingDetectionService:
         retention: float = 0.0,
         replicas: int = 64,
         routing_key: Optional[Callable[[SeriesFrame], str]] = None,
-        realert_tolerance: float = 3600.0,
         metrics: Optional[MetricsRegistry] = None,
-        trace_capacity: int = 256,
         fault_injector: Optional[FaultInjector] = None,
-        advance_retries: int = 2,
-        advance_backoff: float = 0.05,
         advance_deadline: Optional[float] = None,
-        checkpoint_generations: int = 3,
         quality: Optional[QualityConfig] = QualityConfig(),
     ) -> None:
         if n_shards <= 0:
@@ -351,17 +223,14 @@ class StreamingDetectionService:
         self.workers = workers
         self.sinks = list(sinks)
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.traces = TraceStore(capacity=trace_capacity)
-        self.events = EventLog(capacity=trace_capacity)
+        self.traces = TraceStore()
+        self.events = EventLog()
         self.fault_injector = fault_injector
         if fault_injector is not None:
             fault_injector.wire(metrics=self.metrics, events=self.events)
-        self.checkpoint_generations = checkpoint_generations
         self._executor: Optional[ParallelShardExecutor] = (
             ParallelShardExecutor(
                 workers,
-                retries=advance_retries,
-                backoff=advance_backoff,
                 deadline=advance_deadline,
                 injector=fault_injector,
                 metrics=self.metrics,
@@ -371,18 +240,18 @@ class StreamingDetectionService:
         )
         self.router = ConsistentHashRouter(range(n_shards), replicas=replicas)
         self.routing_key = routing_key or (lambda frame: frame.name)
-        self.realert_tolerance = realert_tolerance
         self.quality = quality
-        self._shards: Dict[int, _Shard] = {
-            shard_id: _Shard(
+        self._shards: Dict[int, Shard] = {
+            shard_id: Shard(
                 shard_id,
                 queue_capacity=queue_capacity,
                 backpressure=BackpressurePolicy(backpressure),
                 batch_size=batch_size,
                 retention=retention,
-                metrics=self.metrics,
-                fault_injector=fault_injector,
                 quality=quality,
+                metrics=self.metrics,
+                tracer=self.traces,
+                fault_injector=fault_injector,
             )
             for shard_id in range(n_shards)
         }
@@ -549,8 +418,7 @@ class StreamingDetectionService:
         pipeline's incremental scan cache on (pass ``incremental=False``
         to opt a monitor out): re-scans over quiet series then cost O(n)
         in new points instead of O(window).  Pipelines record funnel
-        spans into the service's :attr:`traces` store (pass
-        ``tracer=None`` to opt a monitor out of tracing).
+        spans into the service's :attr:`traces` store.
 
         ``shadow`` registers challenger detectors (specs accepted by
         :func:`repro.detectors.build_detector` — e.g. ``["mad"]`` or
@@ -561,7 +429,6 @@ class StreamingDetectionService:
         checkpoints like any scheduler state.
         """
         detector_kwargs.setdefault("incremental", True)
-        detector_kwargs.setdefault("tracer", self.traces)
         # Gap-aware scanning rides the quality layer: low-coverage
         # windows are suppressed and stale series evicted (pass
         # ``quality_gate=None`` to opt a monitor out).
@@ -587,6 +454,7 @@ class StreamingDetectionService:
                 series_filter=series_filter,
                 first_run=first_run,
                 metrics=self.metrics,
+                tracer=self.traces,
                 **shard_kwargs,
             )
         self._monitor_specs.append(
@@ -715,12 +583,7 @@ class StreamingDetectionService:
                 self._advance_parallel(target, delivered)
             else:
                 for shard in self._shards.values():
-                    started = time.perf_counter()
-                    shard.worker.flush()
-                    outcomes = shard.scheduler.advance_to(target)
-                    self._deliver(
-                        shard, outcomes, time.perf_counter() - started, delivered
-                    )
+                    self._deliver(shard, *shard.advance(target), delivered)
         self._clock = max(self._clock, target)
         return delivered
 
@@ -749,7 +612,7 @@ class StreamingDetectionService:
                 self._set_degraded(result.shard_id, "advance", "advance_retried")
             else:
                 self._clear_degraded(result.shard_id, "advance")
-            shard.adopt(result.state, self.metrics, self.traces)
+            shard.adopt(result.state)
             self.metrics.merge(result.metrics)
             # Worker-local trace stores ship their runs back explicitly;
             # the ascending-shard-id loop keeps the merged order
@@ -759,7 +622,7 @@ class StreamingDetectionService:
 
     def _deliver(
         self,
-        shard: _Shard,
+        shard: Shard,
         outcomes: Sequence[ScanOutcome],
         elapsed: float,
         delivered: List[IncidentReport],
@@ -848,7 +711,7 @@ class StreamingDetectionService:
         metric = regression.context.metric_id
         priors = self._reported_ledger.setdefault(metric, [])
         for prior in priors:
-            if abs(prior - regression.change_time) <= self.realert_tolerance:
+            if abs(prior - regression.change_time) <= REALERT_TOLERANCE:
                 return False
         priors.append(float(regression.change_time))
         return True
@@ -868,7 +731,7 @@ class StreamingDetectionService:
             raise RuntimeError("service already started")
         self._stop_flushers.clear()
 
-        def drain(shard: _Shard) -> None:
+        def drain(shard: Shard) -> None:
             # A failed flush (TSDB error, injected flusher death) must
             # not kill the thread: the batch was already re-queued by
             # the worker, so we mark the shard degraded and retry on the
@@ -940,33 +803,20 @@ class StreamingDetectionService:
 
     def stats(self) -> ServiceStats:
         """A consistent snapshot of service health."""
-        shards = []
-        totals = {"offered": 0, "accepted": 0, "flushed": 0,
-                  "dropped_oldest": 0, "rejected": 0}
-        scans = 0
-        for shard in self._shards.values():
-            counters = shard.worker.counters()
-            for key in totals:
-                totals[key] += counters[key]
-            scans += shard.scans
-            shards.append(
-                ShardStats(
-                    shard_id=shard.shard_id,
-                    series=len(shard.database),
-                    pending=shard.worker.pending,
-                    counters=counters,
-                    scans=shard.scans,
-                )
-            )
+        shards = [shard.stats() for shard in self._shards.values()]
+
+        def total(counter: str) -> int:
+            return sum(shard.counters[counter] for shard in shards)
+
         return ServiceStats(
             clock=self._clock,
             n_shards=self.n_shards,
-            offered=totals["offered"],
-            accepted=totals["accepted"],
-            flushed=totals["flushed"],
-            dropped=totals["dropped_oldest"],
-            rejected=totals["rejected"],
-            scans=scans,
+            offered=total("offered"),
+            accepted=total("accepted"),
+            flushed=total("flushed"),
+            dropped=total("dropped_oldest"),
+            rejected=total("rejected"),
+            scans=sum(shard.scans for shard in shards),
             reported=self._reported,
             suppressed_realerts=self._suppressed_realerts,
             shards=shards,
@@ -1093,25 +943,16 @@ class StreamingDetectionService:
         clocks and detector/dedup state, the reported-ledger, the
         aggregate funnel, and a metrics snapshot.
         """
-        meta = {
-            "clock": self._clock,
-            "n_shards": self.n_shards,
-            "replicas": self.router.replicas,
-            "realert_tolerance": self.realert_tolerance,
-            "reported": self._reported,
-            "suppressed_realerts": self._suppressed_realerts,
-            "reported_ledger": {k: list(v) for k, v in self._reported_ledger.items()},
-            "funnel": dict(self.funnel.counts),
-            "monitors": list(self._monitor_specs),
-            "metrics": self.metrics.snapshot(),
-        }
-        manager = CheckpointManager(
-            directory,
-            keep_generations=self.checkpoint_generations,
-            fault_injector=self.fault_injector,
+        meta = {key: getattr(self, attr) for key, attr in _DURABLE.items()}
+        meta.update(
+            n_shards=self.n_shards,
+            replicas=self.router.replicas,
+            funnel=self.funnel.counts,
+            metrics=self.metrics.snapshot(),
         )
-        path = manager.save(
-            meta, {shard.shard_id: shard.state() for shard in self._shards.values()}
+        path = CheckpointManager(directory, fault_injector=self.fault_injector).save(
+            meta,
+            {shard_id: shard.checkpoint_blob() for shard_id, shard in self._shards.items()},
         )
         self._last_checkpoint_at = self._wall()
         self._last_checkpoint_mono = time.monotonic()
@@ -1157,29 +998,15 @@ class StreamingDetectionService:
         service = cls(
             n_shards=meta["n_shards"],
             sinks=sinks,
-            replicas=meta.get("replicas", 64),
-            realert_tolerance=meta.get("realert_tolerance", 3600.0),
+            replicas=meta["replicas"],
             **service_kwargs,
         )
         for shard_key, state in shard_states.items():
-            service._shards[int(shard_key)].load_state(
-                state,
-                service.metrics,
-                drop_derived=True,
-                tracer=service.traces,
-                fault_injector=service.fault_injector,
-            )
-        service._clock = meta.get("clock", 0.0)
-        service._reported = meta.get("reported", 0)
-        service._suppressed_realerts = meta.get("suppressed_realerts", 0)
-        service._reported_ledger = {
-            k: list(v) for k, v in meta.get("reported_ledger", {}).items()
-        }
-        service.funnel = FunnelCounters()
-        for stage, count in (meta.get("funnel") or {}).items():
-            service.funnel.counts[stage] = count
-        service._monitor_specs = list(meta.get("monitors", []))
-        service.metrics.restore(meta.get("metrics", {}))
+            service._shards[int(shard_key)].restore(state)
+        for key, attr in _DURABLE.items():
+            setattr(service, attr, meta[key])
+        service.funnel.counts.update(meta["funnel"])
+        service.metrics.restore(meta["metrics"])
         # The checkpointed registry carries the previous life's gauges.
         service.metrics.set_gauge("service.shards", service.n_shards)
         service.metrics.set_gauge("service.workers", service.workers)

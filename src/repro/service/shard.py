@@ -1,0 +1,178 @@
+"""One shard, and the two ways it leaves the process.
+
+A :class:`Shard` is a TSDB, the ingest worker in front of it and the
+scheduler that scans it.  It is serialised in exactly two forms, both
+produced here under ``worker.paused()`` — the queue lock every offer and
+flush takes — so neither can be torn by live producers or flushers:
+
+- :meth:`Shard.checkpoint_blob` / :meth:`Shard.restore` — the durable form:
+  database, worker (queue and held stragglers included), scheduler and
+  scan count in one pickle, so shared references survive;
+- :meth:`Shard.snapshot` / :meth:`Shard.adopt` — what a worker process
+  borrows for one advance: the scheduler goes out with the database it
+  reads, only the scheduler comes back.
+
+Neither form carries a process-local handle: the metrics registry, the
+trace store and the fault injector hold locks and live buffers, and every
+holder drops its reference in ``__getstate__``.  :meth:`Shard.bind` is the
+one list of those holders; the constructor, ``restore`` and ``adopt`` all
+go through it.
+"""
+
+from __future__ import annotations
+
+import pickle
+import time
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
+
+from repro.faults import FaultInjector
+from repro.obs.spans import TraceStore
+from repro.quality import AdmissionController, QualityConfig
+from repro.runtime.scheduler import DetectionScheduler, ScanOutcome
+from repro.service.ingest import BackpressurePolicy, ShardIngestWorker
+from repro.service.metrics import MetricsRegistry
+from repro.tsdb.database import TimeSeriesDatabase
+
+__all__ = ["Shard", "ShardStats"]
+
+
+@dataclass(frozen=True)
+class ShardStats:
+    """One shard's health snapshot."""
+
+    shard_id: int
+    series: int
+    pending: int
+    counters: Dict[str, int]
+    scans: int
+
+
+class Shard:
+    """One shard: its TSDB, ingest worker, scheduler, and scan count."""
+
+    def __init__(
+        self,
+        shard_id: int,
+        queue_capacity: int,
+        backpressure: BackpressurePolicy,
+        batch_size: int,
+        retention: float,
+        quality: Optional[QualityConfig],
+        metrics: MetricsRegistry,
+        tracer: TraceStore,
+        fault_injector: Optional[FaultInjector],
+    ) -> None:
+        self.shard_id = shard_id
+        self.database = TimeSeriesDatabase()
+        self.worker = ShardIngestWorker(
+            shard_id,
+            self.database,
+            capacity=queue_capacity,
+            policy=backpressure,
+            batch_size=batch_size,
+            admission=(
+                AdmissionController(quality, shard_id=shard_id)
+                if quality is not None
+                else None
+            ),
+        )
+        self.scheduler = DetectionScheduler(self.database, retention=retention)
+        self.scans = 0
+        self.bind(metrics, tracer, fault_injector)
+
+    def bind(
+        self,
+        metrics: MetricsRegistry,
+        tracer: Optional[TraceStore],
+        fault_injector: Optional[FaultInjector],
+    ) -> None:
+        """Hand every holder of a process-local handle its handle — the
+        one list of who they are.  All of them pickle it as ``None``."""
+        self._handles = (metrics, tracer, fault_injector)
+        self.worker.metrics = metrics
+        self.worker.fault_injector = fault_injector
+        if self.worker.admission is not None:
+            self.worker.admission.metrics = metrics
+        self.scheduler.wire(metrics, tracer)
+
+    def advance(self, target: float) -> Tuple[List[ScanOutcome], float]:
+        """Flush and scan in this process; ``(outcomes, seconds)`` — what
+        a worker process reports for the same work."""
+        started = time.perf_counter()
+        self.worker.flush()
+        outcomes = self.scheduler.advance_to(target)
+        return outcomes, time.perf_counter() - started
+
+    def stats(self) -> ShardStats:
+        return ShardStats(
+            shard_id=self.shard_id,
+            series=len(self.database),
+            pending=self.worker.pending,
+            counters=self.worker.counters(),
+            scans=self.scans,
+        )
+
+    # -- the durable form ------------------------------------------------
+
+    def checkpoint_blob(self) -> bytes:
+        """Everything the shard must find again after a restart, as one
+        pickle taken under the queue lock: a sample is in the database
+        or in the queue, never both or neither, and the worker's
+        counters describe exactly the frames beside them."""
+        with self.worker.paused():
+            return pickle.dumps(
+                {
+                    "database": self.database,
+                    "worker": self.worker,
+                    "scheduler": self.scheduler,
+                    "scans": self.scans,
+                },
+                protocol=pickle.HIGHEST_PROTOCOL,
+            )
+
+    def restore(self, state: dict) -> None:
+        """Install an unpickled :meth:`checkpoint_blob` — only while a
+        service is being rebuilt, before any thread holds the worker (a
+        live shard never replaces its database or worker).  Anchors of
+        incremental scans are dropped: a restore is a trust boundary,
+        and a stale one must never suppress a re-scan."""
+        self.database = state["database"]
+        self.worker = state["worker"]
+        self.scheduler = state["scheduler"]
+        self.scans = state["scans"]
+        self.bind(*self._handles)
+        self.scheduler.invalidate_incremental()
+
+    # -- the borrowed form -----------------------------------------------
+
+    def snapshot(self) -> bytes:
+        """What a worker process borrows to advance this shard.
+
+        Under the queue lock: flush in the parent (stragglers released,
+        exactly as the serial path does before it scans), then pickle
+        the scheduler, which carries the database it reads.  A flush
+        that fails re-queues its batch and propagates, as it does on the
+        serial path.  Nothing is suspended afterwards — offers and
+        flushes keep writing to the live queue and database while the
+        worker scans its copy.
+        """
+        with self.worker.paused():
+            self.worker.flush()
+            return pickle.dumps(self.scheduler, protocol=pickle.HIGHEST_PROTOCOL)
+
+    def adopt(self, scheduler: DetectionScheduler) -> None:
+        """Take back the scheduler a worker advanced over a snapshot.
+
+        It scans the live database from here on.  Retention is the one
+        thing an advance writes, and the worker wrote it to its copy: a
+        cutoff it moved is applied again here.  Incremental-scan anchors
+        need nothing — they are validated against whatever database they
+        meet, so points flushed meanwhile are the next scan's tail.
+        """
+        scheduler.database = self.database
+        if scheduler.retention_cutoff != self.scheduler.retention_cutoff:
+            with self.worker.paused():
+                self.database.apply_retention(scheduler.retention_cutoff)
+        self.scheduler = scheduler
+        self.bind(*self._handles)

@@ -6,6 +6,7 @@ invariants in the tier-1 suite so a broken link or an undocumented
 benchmark fails ``pytest`` locally, not just in CI.
 """
 
+import ast
 import importlib.util
 import os
 import re
@@ -140,7 +141,7 @@ class TestDesignAndExperimentsCurrent:
     def test_design_documents_obs_layer(self):
         design = _read("DESIGN.md")
         assert "repro.obs" in design
-        assert "wire_tracer" in design
+        assert "Shard.bind" in design
         assert "ObservabilityServer" in design
 
     def test_experiments_documents_service_benchmarks(self):
@@ -208,3 +209,37 @@ class TestParallelAdvanceOwnership:
     def test_scheduler_imports_no_executor(self):
         scheduler = _read("src", "repro", "runtime", "scheduler.py")
         assert not re.search(r"concurrent\.futures|Executor|multiprocessing", scheduler)
+
+
+class TestShardLeavesOneWay:
+    """A shard is serialised in ``service/shard.py`` and nowhere else;
+    ``Shard.bind`` is the one list of process-local handle holders.  The
+    unlocked path and the hand-kept re-wire lists stay deleted."""
+
+    def test_rewire_lists_do_not_reappear(self):
+        whole = TestNoCallerlessBatchKernels._source()
+        for gone in ("wire_metrics", "wire_tracer", "load_state"):
+            assert gone not in whole, gone
+
+    def test_only_the_shard_pickles_shard_state(self):
+        service = os.path.join(REPO_ROOT, "src", "repro", "service")
+        assert not re.search(r"^\s*import pickle", _read(service, "service.py"), re.M)
+        assert "pickle.dumps" not in _read(service, "checkpoint.py")
+        # Both forms, each taken inside the queue lock.
+        tree = ast.parse(_read(service, "shard.py"))
+
+        def dumps_under(node):
+            return {
+                call.lineno
+                for call in ast.walk(node)
+                if isinstance(call, ast.Call) and ast.unparse(call.func) == "pickle.dumps"
+            }
+
+        locked = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.With) and any(
+                ast.unparse(item.context_expr) == "self.worker.paused()"
+                for item in node.items
+            ):
+                locked |= dumps_under(node)
+        assert len(dumps_under(tree)) == 2 and dumps_under(tree) == locked

@@ -286,15 +286,13 @@ class TestHandlerErrorPaths:
 
         from repro.obs import http as obs_http
 
-        def partial_then_raise(self):
+        def partial_then_raise(self, status, payload):
             # Headers and a full body go out the wire...
             self._send_text(200, "partial", "text/plain")
-            # ...and only then does the renderer fail.
+            # ...and only then does the reply fail.
             raise RuntimeError("late failure")
 
-        monkeypatch.setattr(
-            obs_http._Handler, "_quality_payload", partial_then_raise
-        )
+        monkeypatch.setattr(obs_http._Handler, "_send_json", partial_then_raise)
         service, _sink = _service(n_shards=1)
         try:
             with ObservabilityServer(service) as server:

@@ -8,6 +8,7 @@ reports the uninterrupted run would have — no losses, no re-alerts.
 
 import json
 import os
+import pickle
 
 import numpy as np
 import pytest
@@ -22,6 +23,11 @@ from repro.service import (
     StreamingDetectionService,
 )
 from repro.tsdb import WindowSpec
+
+
+def _blobs(shards):
+    """What ``CheckpointManager.save`` takes: each shard's pickled bytes."""
+    return {shard_id: pickle.dumps(state) for shard_id, state in shards.items()}
 
 
 def small_config(**overrides):
@@ -41,7 +47,7 @@ class TestCheckpointManager:
         manager = CheckpointManager(str(tmp_path / "ckpt"))
         meta = {"clock": 5400.0, "ledger": {"svc.sub.gcpu": [1200.0]}}
         shards = {0: {"queue": [1, 2, 3]}, 1: {"queue": []}}
-        manifest_path = manager.save(meta, shards)
+        manifest_path = manager.save(meta, _blobs(shards))
         assert os.path.isfile(manifest_path)
         assert manager.exists()
 
@@ -52,8 +58,8 @@ class TestCheckpointManager:
 
     def test_generation_increments(self, tmp_path):
         manager = CheckpointManager(str(tmp_path))
-        manager.save({}, {0: "a"})
-        manager.save({}, {0: "b"})
+        manager.save({}, _blobs({0: "a"}))
+        manager.save({}, _blobs({0: "b"}))
         with open(manager.manifest_path, encoding="utf-8") as source:
             assert json.load(source)["generation"] == 2
 
@@ -65,7 +71,7 @@ class TestCheckpointManager:
 
     def test_corrupt_blob_detected(self, tmp_path):
         manager = CheckpointManager(str(tmp_path))
-        manager.save({}, {0: list(range(100))})
+        manager.save({}, _blobs({0: list(range(100))}))
         with open(manager.manifest_path, encoding="utf-8") as source:
             blob_name = json.load(source)["shards"]["0"]["file"]
         blob_path = tmp_path / blob_name
@@ -77,7 +83,7 @@ class TestCheckpointManager:
 
     def test_version_mismatch_raises(self, tmp_path):
         manager = CheckpointManager(str(tmp_path))
-        manager.save({}, {0: "x"})
+        manager.save({}, _blobs({0: "x"}))
         # Rewrite every manifest copy (pointer + generation) so there is
         # no intact generation left to fall back to.
         for name in ("manifest.json", "manifest.g1.json"):
@@ -89,21 +95,21 @@ class TestCheckpointManager:
             manager.load()
 
     def test_sample_row_era_checkpoint_is_refused_not_converted(self, tmp_path):
-        """Version 1 queues held ``Sample`` rows; version 2 holds frames."""
+        """Version 1 queues held ``Sample`` rows; later versions hold frames."""
         manager = CheckpointManager(str(tmp_path))
-        manager.save({}, {0: "x"})
+        manager.save({}, _blobs({0: "x"}))
         for name in ("manifest.json", "manifest.g1.json"):
             path = tmp_path / name
             manifest = json.loads(path.read_text(encoding="utf-8"))
-            assert manifest["version"] == 2
+            assert manifest["version"] == 3
             manifest["version"] = 1
             path.write_text(json.dumps(manifest), encoding="utf-8")
-        with pytest.raises(CheckpointError, match="version 1 != supported 2"):
+        with pytest.raises(CheckpointError, match="version 1 != supported 3"):
             StreamingDetectionService.restore(str(tmp_path))
 
     def test_corrupt_manifest_raises(self, tmp_path):
         manager = CheckpointManager(str(tmp_path))
-        manager.save({}, {})
+        manager.save({}, _blobs({}))
         for name in ("manifest.json", "manifest.g1.json"):
             (tmp_path / name).write_text("{not json", encoding="utf-8")
         with pytest.raises(CheckpointError, match="unreadable manifest"):
@@ -120,8 +126,8 @@ class TestCheckpointGenerations:
 
     def test_corrupt_newest_blob_falls_back_one_generation(self, tmp_path):
         manager = CheckpointManager(str(tmp_path))
-        manager.save({"clock": 1.0}, {0: "one"})
-        manager.save({"clock": 2.0}, {0: "two"})
+        manager.save({"clock": 1.0}, _blobs({0: "one"}))
+        manager.save({"clock": 2.0}, _blobs({0: "two"}))
         blob = self._blob_of(tmp_path, 2)
         payload = bytearray(blob.read_bytes())
         payload[len(payload) // 2] ^= 0xFF
@@ -137,9 +143,9 @@ class TestCheckpointGenerations:
 
     def test_truncated_blob_and_corrupt_manifest_fall_back(self, tmp_path):
         manager = CheckpointManager(str(tmp_path))
-        manager.save({"clock": 1.0}, {0: "one"})
-        manager.save({"clock": 2.0}, {0: "two"})
-        manager.save({"clock": 3.0}, {0: "three"})
+        manager.save({"clock": 1.0}, _blobs({0: "one"}))
+        manager.save({"clock": 2.0}, _blobs({0: "two"}))
+        manager.save({"clock": 3.0}, _blobs({0: "three"}))
         # Generation 3: truncated blob.  Generation 2: mangled manifest.
         blob = self._blob_of(tmp_path, 3)
         blob.write_bytes(blob.read_bytes()[:4])
@@ -151,8 +157,8 @@ class TestCheckpointGenerations:
 
     def test_intact_newest_means_no_fallback(self, tmp_path):
         manager = CheckpointManager(str(tmp_path))
-        manager.save({"clock": 1.0}, {0: "one"})
-        manager.save({"clock": 2.0}, {0: "two"})
+        manager.save({"clock": 1.0}, _blobs({0: "one"}))
+        manager.save({"clock": 2.0}, _blobs({0: "two"}))
         meta, _ = manager.load()
         assert meta == {"clock": 2.0}
         assert manager.last_load()["fallbacks"] == 0
@@ -160,7 +166,7 @@ class TestCheckpointGenerations:
     def test_old_generations_and_orphans_pruned(self, tmp_path):
         manager = CheckpointManager(str(tmp_path), keep_generations=2)
         for round_index in range(5):
-            manager.save({"round": round_index}, {0: "x", 1: "y"})
+            manager.save({"round": round_index}, _blobs({0: "x", 1: "y"}))
         names = sorted(os.listdir(tmp_path))
         assert "manifest.g4.json" in names and "manifest.g5.json" in names
         assert not any(name == f"manifest.g{g}.json" for g in (1, 2, 3) for name in names)
@@ -176,15 +182,15 @@ class TestCheckpointGenerations:
 
     def test_shard_shrink_prunes_stale_blobs(self, tmp_path):
         manager = CheckpointManager(str(tmp_path), keep_generations=1)
-        manager.save({}, {0: "a", 1: "b", 2: "c"})
-        manager.save({}, {0: "a"})
+        manager.save({}, _blobs({0: "a", 1: "b", 2: "c"}))
+        manager.save({}, _blobs({0: "a"}))
         blobs = {n for n in os.listdir(tmp_path) if n.endswith(".pkl")}
         assert blobs == {"shard-0.g2.pkl"}
 
     def test_every_generation_corrupt_raises(self, tmp_path):
         manager = CheckpointManager(str(tmp_path))
-        manager.save({}, {0: "one"})
-        manager.save({}, {0: "two"})
+        manager.save({}, _blobs({0: "one"}))
+        manager.save({}, _blobs({0: "two"}))
         for generation in (1, 2):
             blob = self._blob_of(tmp_path, generation)
             blob.write_bytes(b"garbage")

@@ -82,6 +82,29 @@ class TestRegistry:
         assert metrics.counter("x") is metrics.counter("x")
         assert metrics.histogram("y") is metrics.histogram("y")
 
+    def test_recording_on_an_existing_name_constructs_nothing(self, monkeypatch):
+        from repro.service import metrics as metrics_module
+
+        built = []
+
+        def counting(instrument):
+            class Counting(instrument):
+                def __init__(self, *args):
+                    built.append(instrument.__name__)
+                    super().__init__(*args)
+
+            return Counting
+
+        for instrument in (Counter, Gauge, Histogram):
+            monkeypatch.setattr(metrics_module, instrument.__name__, counting(instrument))
+        registry = MetricsRegistry()
+        for _ in range(50):
+            registry.inc("a")
+            registry.set_gauge("g", 1.0)
+            registry.observe("h", 0.1)
+        assert sorted(built) == ["Counter", "Gauge", "Histogram"]
+        assert registry.counter("a").value == 50
+
     def test_timer_observes_elapsed(self):
         metrics = MetricsRegistry()
         with metrics.timer("op.seconds"):

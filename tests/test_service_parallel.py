@@ -362,12 +362,13 @@ class TestSnapshotOwnership:
         assert all(length < N_TICKS for length, _ in shape.values())
         assert runs[2] == runs[1]
 
-    def test_scheduler_pickled_before_the_cutoff_was_remembered(self, tmp_path):
-        """A checkpoint written by the parent commit has schedulers with
-        no ``retention_cutoff`` (and the options since removed): it must
-        restore and advance under ``workers=2`` all the same."""
+    def test_retention_cutoff_rides_a_checkpoint(self, tmp_path):
+        """The last retention cutoff is scheduler state like any other:
+        a service checkpointed mid-stream under ``workers=1`` restores
+        with it and carries on under ``workers=2`` to the databases and
+        reports of the uninterrupted run."""
         samples = make_stream(seed=7, regress_index=3)
-        split = 600 * len(SERIES)
+        split = 1_000 * len(SERIES)  # past the first scans (t=54000, 60000)
 
         reference_sink = CollectingSink()
         reference = make_service(reference_sink, workers=1, retention=56_000.0)
@@ -378,11 +379,10 @@ class TestSnapshotOwnership:
         before = CollectingSink()
         victim = make_service(before, workers=1, retention=56_000.0)
         stream_through(victim, samples[:split])
-        for shard in victim._shards.values():
-            state = shard.scheduler.__dict__
-            state.pop("retention_cutoff", None)
-            state.update(max_workers=2, keep_outcomes=False, outcomes=[])
-            shard.worker._advancing = False
+        cutoffs = [
+            shard.scheduler.retention_cutoff for shard in victim._shards.values()
+        ]
+        assert all(cutoff is not None for cutoff in cutoffs)
         directory = str(tmp_path / "ckpt")
         victim.checkpoint(directory)
         victim.close()
@@ -391,9 +391,9 @@ class TestSnapshotOwnership:
         restored = StreamingDetectionService.restore(
             directory, sinks=[after], workers=2
         )
-        for shard in restored._shards.values():
-            assert "retention_cutoff" not in shard.scheduler.__dict__
-            assert shard.scheduler.retention_cutoff is None
+        assert [
+            shard.scheduler.retention_cutoff for shard in restored._shards.values()
+        ] == cutoffs
         stream_through(restored, samples[split:])
         assert self.series_shape(restored) == reference_shape
         restored.close()
