@@ -5,9 +5,12 @@ Unpacks ``REV`` (``git archive``) into a temporary directory and runs
 ``benchmarks/e2e/run.py --workload W --seed N --seconds S --trace 0``,
 unmodified, from that tree and from this one in turn — the side that goes
 first alternates — ``--pairs`` times per workload.  Prints, per metric,
-both medians, the parent's quartiles, how many pairs the change won, the
+both sides' medians and quartiles, how many pairs the change won, the
 failed operations of each side, and whether the outputs that must repeat
-exactly (report digest, funnel, admission, ...) are equal.
+exactly (report digest, funnel, admission, ...) are equal.  ``--json
+PATH`` also writes all of that, with the host's facts, the seed and the
+commit ``REV`` names — one PR's entry of the ``BENCH_<n>.json``
+trajectory at the repo root.
 
 With ``--layers PREFIX`` (repeatable) each workload then gets one
 ``--trace 1`` run per side, and the ``per_layer`` rows whose names start
@@ -19,6 +22,7 @@ It judges nothing: the bounds live in ``BENCHMARK.json`` and
 Usage::
 
     python scripts/pair_bench.py HEAD~1 --workload storm_scan --pairs 10
+    python scripts/pair_bench.py HEAD~1 --pairs 10 --json BENCH_19.json
     python scripts/pair_bench.py HEAD~1 --workload restart_parallel \\
         --layers service.parallel --layers tsdb.write_batch
 """
@@ -34,6 +38,9 @@ import tarfile
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "benchmarks", "e2e"))
+
+from run import host_facts  # noqa: E402  (the benchmark's own, so the two files agree)
 
 
 def run_once(tree, workload, args, scratch, trace=0):
@@ -63,8 +70,16 @@ def main(argv=None):
     parser.add_argument("--seconds", type=float, default=contract["run_seconds"])
     parser.add_argument("--layers", action="append", metavar="PREFIX", default=[],
                         help="repeatable: also one traced run per side, these per_layer rows")
+    parser.add_argument("--json", metavar="PATH", help="also write what is printed here")
     args = parser.parse_args(argv)
     workloads = args.workload or [w["name"] for w in contract["workloads"]]
+    commit = subprocess.run(
+        ["git", "rev-parse", args.rev], cwd=ROOT, stdout=subprocess.PIPE, text=True, check=True
+    ).stdout.strip()
+    document = {
+        "rev": args.rev, "parent_commit": commit, "seed": args.seed, "seconds": args.seconds,
+        "pairs": args.pairs, "host": host_facts(), "workloads": {},
+    }
 
     with tempfile.TemporaryDirectory(prefix="pair_bench.") as scratch:
         parent = os.path.join(scratch, "parent")
@@ -81,49 +96,85 @@ def main(argv=None):
                     tree = parent if side == "parent" else ROOT
                     runs[side].append(run_once(tree, workload, args, scratch))
                 print(f"[{workload}] pair {pair + 1}/{args.pairs} done", flush=True)
-            report(workload, runs, contract)
+            summary = document["workloads"][workload] = summarise(runs, contract)
+            report(workload, summary)
             if args.layers:
                 traced = {
                     side: run_once(tree, workload, args, scratch, trace=1)["per_layer"]
                     for side, tree in (("parent", parent), ("change", ROOT))
                 }
-                report_layers(traced, tuple(args.layers))
+                summary["layers"] = report_layers(traced, tuple(args.layers))
+    if args.json:
+        with open(args.json, "w", encoding="utf-8") as sink:
+            json.dump(document, sink, indent=1, sort_keys=True)
+            sink.write("\n")
     return 0
 
 
-def report(workload, runs, contract):
-    print(f"{workload}: {len(runs['parent'])} alternating pairs")
-    print(f"  {'metric':<26} {'parent median [q1..q3]':>40} {'change median':>14} "
-          f"{'ratio':>7} {'wins':>6}")
+def summarise(runs, contract):
+    """What ``report`` prints for one workload, as one JSON-ready mapping."""
+    metrics = {}
     for row in contract["end_to_end"]:
-        name = row["name"]
-        a = [run["end_to_end"][name]["value"] for run in runs["parent"]]
-        b = [run["end_to_end"][name]["value"] for run in runs["change"]]
+        sides = {
+            side: [run["end_to_end"][row["name"]]["value"] for run in side_runs]
+            for side, side_runs in runs.items()
+        }
         sign = 1.0 if row["better"] == "higher" else -1.0
-        wins = sum(sign * (y - x) > 0 for x, y in zip(a, b))
-        q1, _, q3 = statistics.quantiles(a, n=4) if len(a) > 1 else (a[0], a[0], a[0])
-        a_med, b_med = statistics.median(a), statistics.median(b)
-        ratio = b_med / a_med if a_med else float("nan")
-        print(f"  {name:<26} {a_med:>14.6g} [{q1:>10.6g}..{q3:<10.6g}] {b_med:>14.6g} "
-              f"{ratio:>7.3f} {wins:>3}/{len(a)}")
-    for side, side_runs in runs.items():
-        failed = sum(run["ops_failed"] for run in side_runs)
-        attempted = sum(run["ops_attempted"] for run in side_runs)
-        wrong = sum(bool(run["problems"]) for run in side_runs)
-        print(f"  {side}: failed ops {failed}/{attempted}, wrong runs {wrong}")
+        entry = {"unit": row["unit"], "better": row["better"]}
+        for side, values in sides.items():
+            q1, _, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
+            entry[side] = {
+                "median": statistics.median(values), "q1": q1, "q3": q3, "values": values,
+            }
+        entry["wins"] = sum(sign * (y - x) > 0 for x, y in zip(sides["parent"], sides["change"]))
+        metrics[row["name"]] = entry
     exact = {json.dumps(run["exact"], sort_keys=True) for side in runs.values() for run in side}
-    print(f"  exact outputs equal across all runs: {len(exact) == 1}")
+    return {
+        "pairs": len(runs["parent"]),
+        "end_to_end": metrics,
+        "ops": {
+            side: {
+                "failed": sum(run["ops_failed"] for run in side_runs),
+                "attempted": sum(run["ops_attempted"] for run in side_runs),
+                "wrong_runs": sum(bool(run["problems"]) for run in side_runs),
+            }
+            for side, side_runs in runs.items()
+        },
+        "exact_equal": len(exact) == 1,
+        "exact": json.loads(min(exact)) if len(exact) == 1 else None,
+    }
+
+
+def report(workload, summary):
+    pairs = summary["pairs"]
+    print(f"{workload}: {pairs} alternating pairs")
+    print(f"  {'metric':<26} {'parent median [q1..q3]':>40} {'change median [q1..q3]':>40} "
+          f"{'ratio':>7} {'wins':>6}")
+    for name, entry in summary["end_to_end"].items():
+        a, b = entry["parent"], entry["change"]
+        ratio = b["median"] / a["median"] if a["median"] else float("nan")
+        cells = " ".join(
+            f"{side['median']:>14.6g} [{side['q1']:>10.6g}..{side['q3']:<10.6g}]" for side in (a, b)
+        )
+        print(f"  {name:<26} {cells} {ratio:>7.3f} {entry['wins']:>3}/{pairs}")
+    for side, ops in summary["ops"].items():
+        print(f"  {side}: failed ops {ops['failed']}/{ops['attempted']}, "
+              f"wrong runs {ops['wrong_runs']}")
+    print(f"  exact outputs equal across all runs: {summary['exact_equal']}")
 
 
 def report_layers(traced, prefixes):
     print("  one traced run per side (not a median):")
     print(f"  {'layer':<50} {'parent':>14} {'change':>14} {'ratio':>7}  unit")
+    rows = {}
     for name, row in traced["parent"].items():
         if not name.startswith(prefixes) or name not in traced["change"]:
             continue
         a, b = row["value"], traced["change"][name]["value"]
         ratio = b / a if a else float("nan")
         print(f"  {name:<50} {a:>14.6g} {b:>14.6g} {ratio:>7.3f}  {row['unit']}")
+        rows[name] = {"parent": a, "change": b, "unit": row["unit"]}
+    return rows
 
 
 if __name__ == "__main__":

@@ -32,6 +32,10 @@ from repro.text.similarity import token_cosine_similarity
 
 __all__ = ["MergeRule", "PairwiseDedup"]
 
+#: ``id(regression) -> series_mapping()``, each built once per ``process()``
+#: call however many comparisons read it (a Regression is unhashable).
+_SeriesMemo = Dict[int, Dict[float, float]]
+
 
 @dataclass(frozen=True)
 class MergeRule:
@@ -104,8 +108,9 @@ class PairwiseDedup:
             Groups that gained members this call (new or extended).
         """
         touched: List[RegressionGroup] = []
+        series: _SeriesMemo = {}
         for regression in regressions:
-            group = self._best_group(regression)
+            group = self._best_group(regression, series)
             if group is not None:
                 group.add(regression)
                 regression.representative = False
@@ -130,12 +135,12 @@ class PairwiseDedup:
     # Scoring
     # ------------------------------------------------------------------
 
-    def _best_group(self, regression: Regression) -> Optional[RegressionGroup]:
+    def _best_group(self, regression: Regression, series: _SeriesMemo) -> Optional[RegressionGroup]:
         """The matching group with the highest aggregate score, if any."""
         best: Optional[RegressionGroup] = None
         best_score = -np.inf
         for group in self.groups:
-            scores = self.feature_scores(regression, group)
+            scores = self.feature_scores(regression, group, series)
             if any(rule.matches(scores) for rule in self.rules):
                 aggregate = sum(scores.values())
                 if aggregate > best_score:
@@ -143,16 +148,19 @@ class PairwiseDedup:
         return best
 
     def feature_scores(
-        self, regression: Regression, group: RegressionGroup
+        self, regression: Regression, group: RegressionGroup, series: _SeriesMemo
     ) -> Dict[str, float]:
         """Similarity features between a regression and a group."""
         members = group.members[: self.max_members_compared]
-        source_series = regression.series_mapping()
+        for one in (regression, *members):
+            if id(one) not in series:
+                series[id(one)] = one.series_mapping()
+        source_series = series[id(regression)]
 
         time_correlation = 0.0
         text_similarity = 0.0
         for member in members:
-            correlation = aligned_pearson(source_series, member.series_mapping())
+            correlation = aligned_pearson(source_series, series[id(member)])
             time_correlation = max(time_correlation, correlation)
             similarity = token_cosine_similarity(
                 regression.context.metric_id, member.context.metric_id

@@ -68,10 +68,9 @@ def gcpu_attribution(
         total = regressed_weight = attributed_weight = 0.0
         for trace in samples:
             total += trace.weight
-            names = set(trace.subroutines)
-            if regressed in names:
+            if regressed in trace.names:
                 regressed_weight += trace.weight
-                if names & modified_set:
+                if trace.names & modified_set:
                     attributed_weight += trace.weight
         return total, regressed_weight, attributed_weight
 

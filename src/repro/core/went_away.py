@@ -23,7 +23,7 @@ import numpy as np
 from repro.core.change_point import ChangePointCandidate
 from repro.core.types import DetectionVerdict, FilterReason
 from repro.stats.mann_kendall import mann_kendall_test
-from repro.stats.robust import mad_threshold
+from repro.stats.robust import NORMALITY_CONSTANT, sorted_median, sorted_percentile
 from repro.stats.sax import DEFAULT_BUCKETS, DEFAULT_VALID_FRACTION, sax_encode
 from repro.stats.theil_sen import theil_sen
 from repro.tsdb.windows import WindowedView
@@ -111,13 +111,21 @@ class WentAwayDetector:
         grid = (historic_enc.bucket_edges[0], historic_enc.bucket_edges[-1])
         post_enc = sax_encode(post, self.n_buckets, self.valid_fraction, value_range=grid)
 
-        # The robust baseline both trend terms measure against.
-        threshold = mad_threshold(historic, self.regression_coefficient)
-        baseline = float(np.median(historic)) if historic.size else None
+        # Each window is sorted once and its medians and percentiles are read
+        # off the copy.  Both trend terms measure against the historic median
+        # (the robust baseline) and against mad_threshold(historic) around it.
+        historic_sorted, post_sorted = np.sort(historic), np.sort(post)
+        baseline, spread = None, 0.0
+        if historic.size:
+            baseline = sorted_median(historic_sorted)
+            spread = sorted_median(np.sort(np.abs(historic - baseline)))
+        threshold = self.regression_coefficient * spread * NORMALITY_CONSTANT
 
         new_pattern = self._new_pattern(historic_enc, post_enc, post)
-        significant = self._significant_regression(historic_enc, post_enc, historic, pre, post)
-        lasting = self._lasting_trend(baseline, threshold, analysis, post)
+        significant = self._significant_regression(
+            historic_enc, post_enc, historic_sorted, pre, post_sorted
+        )
+        lasting = self._lasting_trend(baseline, threshold, analysis, post, post_sorted)
         gone = self._gone_away(baseline, threshold, post)
         return WentAwayDiagnosis(
             new_pattern=new_pattern,
@@ -167,9 +175,9 @@ class WentAwayDetector:
         self,
         historic_enc,
         post_enc,
-        historic: np.ndarray,
+        historic_sorted: np.ndarray,
         pre: np.ndarray,
-        post: np.ndarray,
+        post_sorted: np.ndarray,
     ) -> bool:
         """Magnitude significance via SAX letters and percentiles.
 
@@ -178,15 +186,15 @@ class WentAwayDetector:
         and P90(previous day) — the previous day approximated by the most
         recent pre-change points.
         """
-        if post.size == 0 or pre.size == 0:
+        if post_sorted.size == 0 or pre.size == 0:
             return False
         if post_enc.max_letter() < historic_enc.max_valid_letter():
             return False
-        p90_post = float(np.percentile(post, 90))
-        if historic.size and p90_post <= float(np.percentile(historic, 95)):
+        p90_post = sorted_percentile(post_sorted, 90)
+        if historic_sorted.size and p90_post <= sorted_percentile(historic_sorted, 95):
             return False
-        prev_day = pre[-min(pre.size, max(self.tail_points * 4, 24)):]
-        if p90_post <= float(np.percentile(prev_day, 90)):
+        prev_day = np.sort(pre[-min(pre.size, max(self.tail_points * 4, 24)):])
+        if p90_post <= sorted_percentile(prev_day, 90):
             return False
         return True
 
@@ -196,6 +204,7 @@ class WentAwayDetector:
         threshold: float,
         analysis: np.ndarray,
         post: np.ndarray,
+        post_sorted: np.ndarray,
     ) -> bool:
         """Upward trend persists (Mann-Kendall + Theil-Sen vs MAD threshold).
 
@@ -219,7 +228,7 @@ class WentAwayDetector:
             post_mk is not None
             and not post_mk.is_decreasing
             and baseline is not None
-            and float(np.median(post)) - baseline >= threshold
+            and sorted_median(post_sorted) - baseline >= threshold
         ):
             return True
 
@@ -246,5 +255,5 @@ class WentAwayDetector:
         """
         if post.size < self.tail_points or baseline is None:
             return False
-        tail = post[-self.tail_points :]
-        return float(np.median(tail)) <= baseline + threshold
+        tail = np.sort(post[-self.tail_points :])
+        return sorted_median(tail) <= baseline + threshold

@@ -10,7 +10,7 @@ frame.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.profiling.stacktrace import StackTrace
 
@@ -63,7 +63,7 @@ def compute_gcpu(samples: Iterable[StackTrace]) -> GcpuTable:
     total = 0.0
     for trace in samples:
         total += trace.weight
-        for subroutine in set(trace.subroutines):
+        for subroutine in trace.names:
             weights[subroutine] = weights.get(subroutine, 0.0) + trace.weight
     return GcpuTable(total_weight=total, weights=weights)
 
@@ -83,9 +83,8 @@ def stack_trace_overlap(
     """
     weight_a = weight_b = weight_both = 0.0
     for trace in samples:
-        names: Set[str] = set(trace.subroutines)
-        in_a = subroutine_a in names
-        in_b = subroutine_b in names
+        in_a = subroutine_a in trace.names
+        in_b = subroutine_b in trace.names
         if in_a:
             weight_a += trace.weight
         if in_b:

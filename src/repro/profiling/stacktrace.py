@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import Dict, FrozenSet, Iterator, Optional, Sequence, Tuple
 
 __all__ = ["Frame", "StackTrace", "set_frame_metadata", "current_frame_metadata"]
 
@@ -62,6 +63,10 @@ class StackTrace:
         if self.weight <= 0:
             raise ValueError("weight must be positive")
 
+    def __getstate__(self) -> Dict[str, object]:
+        # The fields alone: the ``names`` memo never rides a pickle.
+        return {"frames": self.frames, "weight": self.weight}
+
     def __len__(self) -> int:
         return len(self.frames)
 
@@ -80,6 +85,11 @@ class StackTrace:
         """Subroutine names, root to leaf."""
         return tuple(frame.subroutine for frame in self.frames)
 
+    @cached_property
+    def names(self) -> FrozenSet[str]:
+        """The distinct subroutine names in the stack, built once per trace."""
+        return frozenset(frame.subroutine for frame in self.frames)
+
     @property
     def leaf(self) -> Optional[Frame]:
         """The innermost frame (on-CPU at sample time), or ``None``."""
@@ -87,7 +97,7 @@ class StackTrace:
 
     def contains(self, subroutine: str) -> bool:
         """Whether ``subroutine`` appears anywhere in the stack."""
-        return any(frame.subroutine == subroutine for frame in self.frames)
+        return subroutine in self.names
 
     def callers_of(self, subroutine: str) -> Tuple[str, ...]:
         """Direct (immediate upstream) callers of ``subroutine`` in this trace."""

@@ -15,6 +15,26 @@ import numpy as np
 __all__ = ["acf", "detect_season_length", "has_significant_seasonality"]
 
 
+# Slack on each comparison the FFT screen makes: its values sit within
+# 1e-15 of the lagged products (tests hold the gap under 1e-12).
+_SCREEN_SLACK = 1e-9
+
+
+def _correlation(x: np.ndarray, denom: float, lag: int) -> float:
+    """One lag of the sample ACF of a centred series: the lagged product."""
+    if denom <= 0:
+        return float(lag == 0)
+    return float((x[: x.size - lag] * x[lag:]).sum()) / denom
+
+
+def _fft_correlations(x: np.ndarray, denom: float, max_lag: int) -> np.ndarray:
+    """Lags ``0..max_lag`` of the same ACF to ~1e-15, in one transform pair."""
+    size = 1 << (x.size + max_lag).bit_length()  # zero-padded: no lag wraps
+    spectrum = np.fft.rfft(x, size)
+    power = spectrum.real**2 + spectrum.imag**2
+    return np.fft.irfft(power, size)[: max_lag + 1] / denom
+
+
 def acf(values: Sequence[float], max_lag: Optional[int] = None) -> np.ndarray:
     """Sample autocorrelation function.
 
@@ -33,18 +53,9 @@ def acf(values: Sequence[float], max_lag: Optional[int] = None) -> np.ndarray:
     if max_lag is None:
         max_lag = n // 2
     max_lag = min(max_lag, n - 1)
-
     x = x - x.mean()
     denom = float((x * x).sum())
-    if denom <= 0:
-        out = np.zeros(max_lag + 1)
-        out[0] = 1.0
-        return out
-
-    result = np.empty(max_lag + 1)
-    for lag in range(max_lag + 1):
-        result[lag] = float((x[: n - lag] * x[lag:]).sum()) / denom
-    return result
+    return np.array([_correlation(x, denom, lag) for lag in range(max_lag + 1)])
 
 
 def detect_season_length(
@@ -53,15 +64,23 @@ def detect_season_length(
     max_period: Optional[int] = None,
     significance: Optional[float] = None,
 ) -> Optional[int]:
-    """Find the dominant season length via the first significant ACF peak.
+    """Find the dominant season length: the highest significant ACF peak.
 
-    A lag is a seasonality candidate when it is a local maximum of the ACF
-    and its correlation exceeds the large-sample significance bound
-    ``z / sqrt(n)`` (z=1.96 for 5%), or the caller-provided threshold.
+    A lag qualifies when it is a local maximum of the ACF (no smaller than
+    either neighbour) and its correlation exceeds the large-sample
+    significance bound ``z / sqrt(n)`` (z=1.96 for 5%), or the
+    caller-provided threshold.  Of the qualifying lags the one with the
+    highest correlation wins (not the first), the shortest on a tie.
+
+    Every value that decides is a lagged product, as in :func:`acf`; the
+    FFT only screens.  A lag it leaves out misses the threshold or a
+    neighbour by more than the transform can err, and where that error
+    is not bounded — a sum of squares that is NaN, infinite or in reach
+    of underflow or overflow — every lag is judged.
 
     Args:
         values: The time series.
-        min_period: Smallest admissible period.
+        min_period: Smallest admissible period (at least 1).
         max_period: Largest admissible period; defaults to ``n // 2``.
         significance: Absolute correlation threshold; defaults to the
             large-sample 5% bound.
@@ -76,16 +95,29 @@ def detect_season_length(
     if max_period is None:
         max_period = n // 2
     threshold = significance if significance is not None else 1.96 / np.sqrt(n)
+    # Lags first .. last - 1 are judged, each against both neighbours.
+    first, last = max(min_period, 1), min(max_period, n - 1)
+    if last <= first:
+        return None
 
-    correlations = acf(x, max_lag=max_period)
+    x = x - x.mean()
+    denom = float((x * x).sum())
+    lags = np.arange(first, last)
+    if 1e-200 < denom < 1e200:  # finite input, squares clear of under- and overflow
+        screen = _fft_correlations(x, denom, last)
+        mid = screen[first:last]
+        lags = lags[
+            ~(mid <= threshold - _SCREEN_SLACK)  # as the scan asks it: a NaN bound passes
+            & (mid >= screen[first - 1 : last - 1] - _SCREEN_SLACK)
+            & (mid >= screen[first + 1 :] - _SCREEN_SLACK)
+        ]
+
     best_lag, best_corr = None, threshold
-    for lag in range(min_period, min(max_period, correlations.size - 1)):
-        c = correlations[lag]
+    for lag in lags.tolist():
+        c = _correlation(x, denom, lag)
         if c <= best_corr:
             continue
-        left = correlations[lag - 1]
-        right = correlations[lag + 1] if lag + 1 < correlations.size else -np.inf
-        if c >= left and c >= right:
+        if c >= _correlation(x, denom, lag - 1) and c >= _correlation(x, denom, lag + 1):
             best_lag, best_corr = lag, c
     return best_lag
 

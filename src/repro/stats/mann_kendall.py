@@ -12,12 +12,32 @@ for tied values.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Sequence, Tuple
 
 import numpy as np
 from scipy.special import ndtr
 
-__all__ = ["MannKendallResult", "mann_kendall_test"]
+__all__ = ["MannKendallResult", "mann_kendall_test", "pair_plan"]
+
+# The pair plan both trend kernels read: ``upper[i, j]`` is ``i < j``,
+# ``gaps[i, j]`` is ``float(j - i)``.  Read-only, n^2 bytes for the largest
+# window seen plus 8 MB at most, and replaced in one assignment: a scan on
+# another thread sees a whole plan, this one or the last.
+_pair_plan = (np.zeros((0, 0), dtype=bool), np.zeros((0, 0)))
+_GAPS_SIDE = 1000  # Theil-Sen, the only reader of ``gaps``, pairs no more points exactly
+
+
+def pair_plan(n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """``(upper, gaps)`` over the pairs of ``n`` points: ``(n, n)`` views, ``gaps`` to its limit."""
+    global _pair_plan
+    upper, gaps = _pair_plan
+    if upper.shape[0] < n:
+        order = np.arange(n)
+        upper = order[:, None] < order
+        gaps = (order[:_GAPS_SIDE] - order[:_GAPS_SIDE, None]).astype(float)
+        upper.flags.writeable = gaps.flags.writeable = False
+        _pair_plan = (upper, gaps)
+    return upper[:n, :n], gaps[:n, :n]
 
 
 @dataclass(frozen=True)
@@ -70,12 +90,16 @@ def mann_kendall_test(
     # x_j > x_i: above the diagonal it marks a concordant pair, below it
     # (read transposed) a discordant one, and the diagonal is empty.
     later = x[None, :] > x[:, None]
-    concordant = int(np.count_nonzero(np.triu(later, k=1)))
-    s = 2 * concordant - int(np.count_nonzero(later))
+    concordant = int(np.count_nonzero(later & pair_plan(n)[0]))
+    ordered = int(np.count_nonzero(later))
+    s = 2 * concordant - ordered
 
-    # Variance with tie correction.
-    _, counts = np.unique(x, return_counts=True)
-    tie_term = float((counts * (counts - 1) * (2 * counts + 5)).sum())
+    # Variance with tie correction: zero when every pair is ordered one way
+    # or the other, which is exactly when no two values tie.
+    tie_term = 0.0
+    if 2 * ordered != n * (n - 1):
+        _, counts = np.unique(x, return_counts=True)
+        tie_term = float((counts * (counts - 1) * (2 * counts + 5)).sum())
     var_s = (n * (n - 1) * (2 * n + 5) - tie_term) / 18.0
     if var_s <= 0:
         return MannKendallResult(s=s, z=0.0, p_value=1.0, trend="no trend")

@@ -15,12 +15,37 @@ import numpy as np
 __all__ = [
     "mad",
     "mad_threshold",
+    "sorted_median",
+    "sorted_percentile",
     "NORMALITY_CONSTANT",
 ]
 
 #: Scale factor making MAD a consistent estimator of the standard
 #: deviation under normality (the paper's "normality constant").
 NORMALITY_CONSTANT = 1.4826
+
+
+def sorted_median(s: np.ndarray) -> float:
+    """``np.median`` of a non-empty window off its ``np.sort`` copy (a NaN sorts last)."""
+    if s[-1] != s[-1]:
+        return float("nan")
+    half = s.size // 2
+    return float(s[half] if s.size % 2 else (s[half - 1] + s[half]) / 2)
+
+
+def sorted_percentile(s: np.ndarray, q: float) -> float:
+    """``np.percentile(window, q)`` of a non-empty window, likewise, by NumPy's steps.
+
+    Virtual index ``(n - 1) * (q / 100)``, both neighbours the last point once it
+    reaches ``n - 1``, then ``_lerp``: ``a + d * g``, or ``b - d * (1 - g)`` at ``g >= 0.5``.
+    """
+    if s[-1] != s[-1]:
+        return float("nan")
+    virtual = (s.size - 1) * (q / 100)
+    lower, upper = (-1, -1) if virtual >= s.size - 1 else (int(virtual), int(virtual) + 1)
+    gamma = virtual - lower
+    diff = s[upper] - s[lower]
+    return float(s[upper] - diff * (1 - gamma) if gamma >= 0.5 else s[lower] + diff * gamma)
 
 
 def mad(values: Sequence[float]) -> float:
@@ -31,7 +56,7 @@ def mad(values: Sequence[float]) -> float:
     x = np.asarray(values, dtype=float)
     if x.size == 0:
         return 0.0
-    return float(np.median(np.abs(x - np.median(x))))
+    return sorted_median(np.sort(np.abs(x - sorted_median(np.sort(x)))))
 
 
 def mad_threshold(

@@ -117,9 +117,9 @@ def sax_encode(
         hi = lo + 1.0  # Degenerate (constant) series: one-bucket grid.
 
     edges = np.linspace(lo, hi, n_buckets + 1)
-    # Values outside the supplied range clip into the edge buckets so the
-    # encoding remains total.
-    letters = np.clip(np.digitize(x, edges[1:-1]), 0, n_buckets - 1)
+    # Searching the inner edges alone puts values outside the supplied
+    # range (and NaN) into the edge buckets, so the encoding stays total.
+    letters = edges[1:-1].searchsorted(x, side="right")
 
     counts = np.bincount(letters, minlength=n_buckets)
     threshold = max(1, int(np.ceil(valid_fraction * x.size)))

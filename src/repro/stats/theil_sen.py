@@ -13,6 +13,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from repro.stats.mann_kendall import pair_plan
+
 __all__ = ["TheilSenFit", "theil_sen"]
 
 # Above this length we subsample pairs to bound the O(n^2) pair count;
@@ -35,6 +37,16 @@ class TheilSenFit:
     def predict(self, x: Sequence[float]) -> np.ndarray:
         """Evaluate the fitted line at ``x``."""
         return self.slope * np.asarray(x, dtype=float) + self.intercept
+
+
+def _median(values: np.ndarray) -> float:
+    """``np.median`` of a non-empty array by one selection, not three: the lower
+    middle point is the left part's maximum; a NaN (they sort last) shows in the right's."""
+    half = values.size // 2
+    part = np.partition(values, half)
+    if np.isnan(part[half:].max()):
+        return float("nan")
+    return float(part[half] if values.size % 2 else (part[:half].max() + part[half]) / 2)
 
 
 def theil_sen(
@@ -65,10 +77,10 @@ def theil_sen(
         raise ValueError("x and values must have the same length")
 
     if n <= _EXACT_PAIR_LIMIT:
-        # Every pair i < j, as a mask over the n x n difference matrices.
-        order = np.arange(n)
-        pairs = order[:, None] < order
-        dx = (xs[None, :] - xs[:, None])[pairs]
+        # Every pair i < j, as a mask over the n x n difference matrices;
+        # with the default abscissa the x differences are the plan's gaps.
+        pairs, gaps = pair_plan(n)
+        dx = (gaps if x is None else xs[None, :] - xs[:, None])[pairs]
         dy = (y[None, :] - y[:, None])[pairs]
     else:
         rng = rng or np.random.default_rng(0)
@@ -79,9 +91,10 @@ def theil_sen(
         dy = y[j] - y[i]
 
     valid = dx != 0
-    if not valid.any():
-        return TheilSenFit(slope=0.0, intercept=float(np.median(y)))
-    slopes = dy[valid] / dx[valid]
-    slope = float(np.median(slopes))
-    intercept = float(np.median(y - slope * xs))
+    if not valid.all():  # repeated abscissae; the default's gaps are never zero
+        if not valid.any():
+            return TheilSenFit(slope=0.0, intercept=_median(y))
+        dx, dy = dx[valid], dy[valid]
+    slope = _median(dy / dx)
+    intercept = _median(y - slope * xs)
     return TheilSenFit(slope=slope, intercept=intercept)

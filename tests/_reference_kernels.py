@@ -2,9 +2,12 @@
 
 These are the per-point / per-pair / per-split Python loops that
 ``repro.stats`` ran before the scan-tail kernels became array
-expressions, kept verbatim as the thing ``tests/test_kernel_identity.py``
-compares the production kernels against.  They exist only here: ``src/``
-holds one kernel per algorithm.
+expressions, and the per-call NumPy forms (``np.median`` /
+``np.percentile`` per went-away term, a pair mask per Theil-Sen fit, a
+dot product per ACF lag) they ran before windows were sorted once and
+pairs planned once — kept verbatim as the thing
+``tests/test_kernel_identity.py`` compares the production kernels
+against.  They exist only here: ``src/`` holds one kernel per algorithm.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from statistics import median
 import numpy as np
 from scipy import stats as sp_stats
 
+from repro.stats.sax import sax_encode  # went_away_terms; its own reference is sax_fields
 from repro.stats.stl import _moving_average  # np.convolve: never was a loop
 
 ALPHABET = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
@@ -156,10 +160,10 @@ def mann_kendall_s(values):
 
 
 def mann_kendall(values):
-    """``(s, z, p_value)`` with ``scipy.stats.norm.sf``."""
+    """``(s, z, p_value)`` with ``scipy.stats.norm.sf``; non-finite input is "no trend"."""
     x = np.asarray(values, dtype=float)
     n = x.size
-    if n < 3:
+    if n < 3 or not np.isfinite(x).all():
         return 0, 0.0, 1.0
     s = mann_kendall_s(x)
     _, counts = np.unique(x, return_counts=True)
@@ -178,6 +182,141 @@ def mann_kendall(values):
 
 def chi2_sf(statistic):
     return float(sp_stats.chi2.sf(statistic, df=1))
+
+
+def mann_kendall_trend(values, significance_level=0.05):
+    _, z, p_value = mann_kendall(values)
+    if p_value < significance_level:
+        return "increasing" if z > 0 else "decreasing"
+    return "no trend"
+
+
+# ---------------------------------------------------------------------------
+# Theil-Sen: the pair mask and both difference matrices rebuilt per call
+# ---------------------------------------------------------------------------
+
+
+def theil_sen(values, x=None):
+    """``(slope, intercept)`` over every pair (``n <= 1000``)."""
+    y = np.asarray(values, dtype=float)
+    n = y.size
+    xs = np.arange(n, dtype=float) if x is None else np.asarray(x, dtype=float)
+    order = np.arange(n)
+    pairs = order[:, None] < order
+    dx = (xs[None, :] - xs[:, None])[pairs]
+    dy = (y[None, :] - y[:, None])[pairs]
+    valid = dx != 0
+    if not valid.any():
+        return 0.0, float(np.median(y))
+    slope = float(np.median(dy[valid] / dx[valid]))
+    return slope, float(np.median(y - slope * xs))
+
+
+# ---------------------------------------------------------------------------
+# Went-away: one np.median / np.percentile call per term
+# ---------------------------------------------------------------------------
+
+
+def went_away_terms(detector, historic, analysis, extended, index):
+    """``(new_pattern, significant, lasting, gone_away)`` the NumPy-call way.
+
+    SAX is the production encoder (``sax_fields`` below is its reference);
+    every median, percentile, trend test and slope is this module's.
+    """
+    post = np.concatenate([analysis[index:], extended])
+    pre = np.concatenate([historic, analysis[:index]])
+    historic_enc = sax_encode(historic, detector.n_buckets, detector.valid_fraction)
+    grid = (historic_enc.bucket_edges[0], historic_enc.bucket_edges[-1])
+    post_enc = sax_encode(post, detector.n_buckets, detector.valid_fraction, value_range=grid)
+    threshold = 0.0
+    baseline = None
+    if historic.size:
+        baseline = float(np.median(historic))
+        spread = float(np.median(np.abs(historic - np.median(historic))))
+        threshold = detector.regression_coefficient * spread * 1.4826
+
+    new_pattern = detector._new_pattern(historic_enc, post_enc, post)
+
+    def significant():
+        if post.size == 0 or pre.size == 0:
+            return False
+        if post_enc.max_letter() < historic_enc.max_valid_letter():
+            return False
+        p90_post = float(np.percentile(post, 90))
+        if historic.size and p90_post <= float(np.percentile(historic, 95)):
+            return False
+        prev_day = pre[-min(pre.size, max(detector.tail_points * 4, 24)) :]
+        return not p90_post <= float(np.percentile(prev_day, 90))
+
+    def lasting():
+        if analysis.size < 3:
+            return False
+        post_trend = mann_kendall_trend(post) if post.size >= 3 else None
+        if (
+            post_trend not in (None, "decreasing")
+            and baseline is not None
+            and float(np.median(post)) - baseline >= threshold
+        ):
+            return True
+        slopes = []
+        if post_trend == "increasing":
+            slopes.append(theil_sen(post)[0])
+        if mann_kendall_trend(analysis) == "increasing":
+            slopes.append(theil_sen(analysis)[0])
+        return bool(slopes) and min(slopes) * analysis.size >= threshold
+
+    def gone_away():
+        if post.size < detector.tail_points or baseline is None:
+            return False
+        return float(np.median(post[-detector.tail_points :])) <= baseline + threshold
+
+    return new_pattern, significant(), lasting(), gone_away()
+
+
+# ---------------------------------------------------------------------------
+# Season length: every lag's dot product, then the scan
+# ---------------------------------------------------------------------------
+
+
+def acf(values, max_lag=None):
+    """One lagged dot product per lag, in a Python loop."""
+    x = np.asarray(values, dtype=float)
+    n = x.size
+    if n == 0:
+        return np.empty(0)
+    if max_lag is None:
+        max_lag = n // 2
+    max_lag = min(max_lag, n - 1)
+    x = x - x.mean()
+    denom = float((x * x).sum())
+    if denom <= 0:
+        out = np.zeros(max_lag + 1)
+        out[0] = 1.0
+        return out
+    result = np.empty(max_lag + 1)
+    for lag in range(max_lag + 1):
+        result[lag] = float((x[: n - lag] * x[lag:]).sum()) / denom
+    return result
+
+
+def detect_season_length(values, min_period=2, max_period=None, significance=None):
+    """The scan over all ``n // 2`` lags of :func:`acf`."""
+    x = np.asarray(values, dtype=float)
+    n = x.size
+    if n < 2 * min_period:
+        return None
+    if max_period is None:
+        max_period = n // 2
+    threshold = significance if significance is not None else 1.96 / np.sqrt(n)
+    correlations = acf(x, max_lag=max_period)
+    best_lag, best_corr = None, threshold
+    for lag in range(min_period, min(max_period, correlations.size - 1)):
+        c = correlations[lag]
+        if c <= best_corr:
+            continue
+        if c >= correlations[lag - 1] and c >= correlations[lag + 1]:
+            best_lag, best_corr = lag, c
+    return best_lag
 
 
 # ---------------------------------------------------------------------------

@@ -207,6 +207,32 @@ class TestPairwiseDedup:
         assert len(dedup.groups) == 1
 
 
+    def test_series_mapping_built_once_per_regression_per_call(self, rng, monkeypatch):
+        """One mapping per regression per ``process()`` call, however many
+        group members it is compared against."""
+        calls = []
+        original = Regression.series_mapping
+
+        def counted(self):
+            calls.append(id(self))
+            return original(self)
+
+        monkeypatch.setattr(Regression, "series_mapping", counted)
+        family = correlated_family(rng, 3)
+        others = [
+            make_regression(f"{name}.qps", rng.normal(5.0, 0.5, 900), metric_name="qps")
+            for name in ("zzz", "yyy")
+        ]
+        batch = [family[0], others[0], family[1], others[1], family[2]]
+        dedup = PairwiseDedup()
+        dedup.process(batch[:3])
+        assert sorted(calls) == sorted(id(one) for one in batch[:3])
+        calls.clear()
+        dedup.process(batch[3:])  # a new call maps the members it meets afresh, once each
+        assert sorted(calls) == sorted(id(one) for one in batch)
+        assert [len(group.members) for group in dedup.groups] == [3, 1, 1]
+
+
 class TestSameRegressionMerger:
     def _regression(self, rng, change_time, magnitude=0.0002, metric="svc.sub.gcpu"):
         values = rng.normal(0.001, 0.00002, 900)

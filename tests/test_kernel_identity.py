@@ -1,10 +1,17 @@
-"""Bit-identity of the scan-tail kernels against their scalar references.
+"""Bit-identity of the scan-tail kernels against their references.
 
-The production kernels in ``repro.stats`` are array expressions; the
-loops they replaced live in ``tests/_reference_kernels.py``.  Reports are
-promised byte-identical, so every property here is ``==`` /
-``np.array_equal`` — never ``approx``.
+The production kernels in ``repro.stats`` are array expressions over
+shared plans and sorted copies; the loops and per-call NumPy forms they
+replaced live in ``tests/_reference_kernels.py``.  Reports are promised
+byte-identical, so every property here is ``==`` / ``np.array_equal`` —
+never ``approx`` (the one inequality bounds the FFT *screen*, which
+decides nothing).
 """
+
+import sys
+import threading
+import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,13 +22,18 @@ from scipy.special import chdtrc, ndtr
 
 import _reference_kernels as ref
 from repro.core.change_point import ChangePointDetector
+from repro.core.went_away import WentAwayDetector
 from repro.quality.gaps import QualityGate
+from repro.stats import autocorrelation, mann_kendall
+from repro.stats.autocorrelation import acf, detect_season_length
 from repro.stats.cusum import cusum_changepoint
 from repro.stats.em import em_mean_split
 from repro.stats.hypothesis import likelihood_ratio_test
 from repro.stats.mann_kendall import mann_kendall_test
+from repro.stats.robust import mad, sorted_median, sorted_percentile
 from repro.stats.sax import sax_encode
 from repro.stats.stl import loess_smooth, stl_decompose
+from repro.stats.theil_sen import theil_sen
 
 
 @st.composite
@@ -44,6 +56,44 @@ def series(draw, min_size=0, max_size=400):
 
 def same(a, b):
     return np.array_equal(a, b, equal_nan=True)
+
+
+@st.composite
+def odd_series(draw, min_size=0, max_size=400):
+    """:func:`series`, sometimes with a NaN or an infinity dropped in."""
+    values = draw(series(min_size, max_size)).copy()
+    damage = draw(st.sampled_from([None, None, np.nan, np.inf, -np.inf]))
+    if damage is not None and values.size:
+        values[draw(st.integers(0, values.size - 1))] = damage
+    return values
+
+
+@st.composite
+def periodic_series(draw, min_size=0, max_size=500):
+    """What season detection meets: noise, sines, steps, constants, exact
+    plateaus (neighbouring lags tie to the last bit), tiled cycles — at
+    any scale, including where squares underflow or overflow."""
+    n = draw(st.integers(min_size, max_size))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["noise", "sine", "step", "constant", "plateau", "tiled"]))
+    t = np.arange(n)
+    if kind == "noise":
+        values = rng.normal(1e-3, 2e-5, n)
+    elif kind == "sine":
+        period = draw(st.integers(2, 60))
+        values = np.sin(2 * np.pi * t / period) + rng.normal(0, draw(st.floats(0, 1)), n)
+    elif kind == "step":
+        values = rng.normal(0.0, 1.0, n)
+        values[n // 3 :] += 2.0
+    elif kind == "constant":
+        values = np.full(n, draw(st.sampled_from([0.0, 0.25, -7.0])))
+    elif kind == "plateau":
+        width = draw(st.integers(1, 7))
+        levels = rng.integers(0, 3, draw(st.integers(1, 4))).astype(float)
+        values = np.resize(np.repeat(levels, width), n)
+    else:
+        values = np.resize(rng.normal(0, 1, draw(st.integers(2, 30))), n)
+    return values * 10.0 ** draw(st.sampled_from([0, 0, 0, -3, 7, -160, -120, 120, 155]))
 
 
 class TestLoess:
@@ -122,12 +172,179 @@ class TestEm:
         assert index == ref_index and np.isnan(loglik) and np.isnan(ref_loglik)
 
 
+class TestSortedWindow:
+    """One sort per window serves its median and its percentiles."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(odd_series(min_size=1, max_size=700))
+    def test_median_and_percentiles_match_numpy(self, values):
+        ordered = np.sort(values)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # inf - inf inside both lerps
+            assert same(sorted_median(ordered), np.median(values))
+            for q in (90, 95, 0, 50, 100, 12.5):
+                assert same(sorted_percentile(ordered, q), np.percentile(values, q)), q
+            assert same(mad(values), np.median(np.abs(values - np.median(values))))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 10, 11, 20, 21, 24, 699, 700])
+    def test_every_small_shape(self, n):
+        """Even, odd and the one-point window (virtual index on the last point)."""
+        values = np.random.default_rng(n).normal(1e-3, 2e-5, n)
+        for window in (values, np.round(values, 4), np.full(n, 0.25)):
+            ordered = np.sort(window)
+            assert sorted_median(ordered) == np.median(window)
+            assert sorted_percentile(ordered, 90) == np.percentile(window, 90)
+            assert sorted_percentile(ordered, 95) == np.percentile(window, 95)
+
+    @settings(max_examples=200, deadline=None)
+    @given(odd_series(min_size=0, max_size=260), st.data())
+    def test_went_away_terms_match_the_numpy_calls(self, values, data):
+        """All four predicate terms, any split of any window (empty ones too)."""
+        cuts = sorted(data.draw(st.tuples(*[st.integers(0, values.size)] * 2)))
+        historic, analysis, extended = np.split(values, cuts)
+        index = data.draw(st.integers(0, analysis.size))
+        detector = WentAwayDetector()
+        view = SimpleNamespace(historic=historic, analysis=analysis, extended=extended)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            got = detector.diagnose(view, SimpleNamespace(index=index))
+            expected = ref.went_away_terms(detector, historic, analysis, extended, index)
+        assert (
+            got.new_pattern, got.significant_regression, got.lasting_trend, got.gone_away
+        ) == expected
+
+
 class TestMannKendall:
     @settings(max_examples=150, deadline=None)
-    @given(series(min_size=0, max_size=300))
+    @given(odd_series(min_size=0, max_size=300))
     def test_s_z_p_match(self, values):
         result = mann_kendall_test(values)
         assert (result.s, result.z, result.p_value) == ref.mann_kendall(values)
+        assert result.trend == ref.mann_kendall_trend(values)
+
+    @settings(max_examples=100, deadline=None)
+    @given(odd_series(min_size=2, max_size=200), st.booleans())
+    def test_theil_sen_matches(self, values, own_abscissa):
+        """The default abscissa reads the plan's gaps; a caller's never does."""
+        x = None
+        if own_abscissa:  # sorted, with repeats: some pairs have no slope
+            x = np.sort(np.random.default_rng(values.size).integers(0, 40, values.size))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            fit = theil_sen(values, x)
+            assert same([fit.slope, fit.intercept], ref.theil_sen(values, x))
+
+    def test_results_hold_across_a_plan_growth(self, monkeypatch):
+        """Small, large (the plan is replaced), small again (a view of the
+        larger plan): each equals the reference, and no plan is writable."""
+        empty = (np.zeros((0, 0), dtype=bool), np.zeros((0, 0)))
+        monkeypatch.setattr(mann_kendall, "_pair_plan", empty)  # and put back afterwards
+        rng = np.random.default_rng(19)
+        first = mann_kendall.pair_plan(3)
+        for n in (40, 41, 333, 40, 7, 334):
+            values = np.round(rng.normal(0, 1, n) + 0.01 * np.arange(n), rng.integers(1, 4))
+            result = mann_kendall_test(values)
+            assert (result.s, result.z, result.p_value) == ref.mann_kendall(values)
+            fit = theil_sen(values)
+            assert (fit.slope, fit.intercept) == ref.theil_sen(values)
+        upper, gaps = mann_kendall._pair_plan
+        assert upper.shape == gaps.shape == (334, 334)
+        assert not upper.flags.writeable and not gaps.flags.writeable
+        assert first[0].shape == (3, 3) and not first[0].flags.writeable
+        assert same(mann_kendall.pair_plan(5)[1], np.arange(5.0) - np.arange(5.0)[:, None])
+        # Past Theil-Sen's exact-pair limit only the mask grows.
+        for n in (1100, 1000):
+            values = rng.normal(0, 1, n) + 0.001 * np.arange(n)
+            result = mann_kendall_test(values)
+            assert (result.s, result.z, result.p_value) == ref.mann_kendall(values)
+        fit = theil_sen(values)
+        assert (fit.slope, fit.intercept) == ref.theil_sen(values)
+        assert [plan.shape[0] for plan in mann_kendall._pair_plan] == [1100, 1000]
+        # (the package exports the function under the module's name)
+        assert mann_kendall._GAPS_SIDE == sys.modules[theil_sen.__module__]._EXACT_PAIR_LIMIT
+
+
+    def test_threads_growing_the_plan_see_whole_plans(self, monkeypatch):
+        """Two services scan on two threads: each may replace the plan, none
+        may read a mask from one and gaps from another."""
+        empty = (np.zeros((0, 0), dtype=bool), np.zeros((0, 0)))
+        monkeypatch.setattr(mann_kendall, "_pair_plan", empty)
+        rng = np.random.default_rng(7)
+        windows = [rng.normal(0, 1, n) + 0.02 * np.arange(n) for n in range(5, 120, 3)]
+        expected = [(ref.mann_kendall(w), ref.theil_sen(w)) for w in windows]
+        wrong = []
+
+        def scan(order):
+            for i in order:
+                result, fit = mann_kendall_test(windows[i]), theil_sen(windows[i])
+                got = ((result.s, result.z, result.p_value), (fit.slope, fit.intercept))
+                if got != expected[i]:
+                    wrong.append(i)
+
+        threads = [
+            threading.Thread(target=scan, args=(rng.permutation(len(windows)).tolist() * 3,))
+            for _ in range(6)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not wrong
+        assert mann_kendall._pair_plan[0].shape == mann_kendall._pair_plan[1].shape
+
+
+class TestSeasonLength:
+    """The FFT proposes, the lagged dot product disposes."""
+
+    KWARGS = st.fixed_dictionaries(
+        {
+            "min_period": st.sampled_from([1, 2, 4]),
+            "max_period": st.sampled_from([None, 3, 50, 10_000]),
+            "significance": st.sampled_from([None, 0.0, 0.3, -0.2, 0.05, float("nan")]),
+        }
+    )
+
+    @settings(max_examples=400, deadline=None)
+    @given(periodic_series(), KWARGS)
+    def test_matches_the_scan_over_every_lag(self, values, kwargs):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # 1.96 / sqrt(0), overflowing squares
+            got = detect_season_length(values, **kwargs)
+            expected = ref.detect_season_length(values, **kwargs)
+        assert got == expected and type(got) is type(expected)
+
+    @settings(max_examples=100, deadline=None)
+    @given(odd_series(min_size=0, max_size=300), KWARGS)
+    def test_non_finite_input_judges_every_lag(self, values, kwargs):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert detect_season_length(values, **kwargs) == ref.detect_season_length(
+                values, **kwargs
+            )
+            assert same(acf(values), ref.acf(values))
+
+    @settings(max_examples=200, deadline=None)
+    @given(periodic_series(min_size=3))
+    def test_screen_error_leaves_the_slack_three_decades(self, values):
+        x = values - values.mean()
+        with np.errstate(over="ignore"):
+            denom = float((x * x).sum())
+        if not 1e-200 < denom < 1e200:  # where the screen is not consulted
+            return
+        exact = ref.acf(values)
+        screen = autocorrelation._fft_correlations(x, denom, exact.size - 1)
+        assert np.abs(screen - exact).max() < 1e-12 < autocorrelation._SCREEN_SLACK / 100
+
+    def test_detected_period_is_a_python_int(self):
+        t = np.arange(400)
+        noise = np.random.default_rng(0).normal(0, 0.1, t.size)
+        assert type(detect_season_length(np.sin(2 * np.pi * t / 24) + noise)) is int
 
 
 class TestTailProbabilities:

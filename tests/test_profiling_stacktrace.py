@@ -1,5 +1,6 @@
 """Tests for repro.profiling.stacktrace."""
 
+import pickle
 import threading
 
 import pytest
@@ -63,6 +64,19 @@ class TestStackTrace:
         trace = StackTrace(frames=())
         assert trace.leaf is None
         assert len(trace) == 0
+        assert trace.names == frozenset()
+
+    def test_names_memo_stays_out_of_pickle_equality_and_hash(self):
+        trace = StackTrace.from_names(["a", "b", "a"], weight=2.0)
+        fresh = StackTrace.from_names(["a", "b", "a"], weight=2.0)
+        cold = pickle.dumps(trace)
+        assert trace.names == frozenset({"a", "b"})
+        assert trace.names is trace.names  # built once
+        assert pickle.dumps(trace) == cold
+        assert trace == fresh and hash(trace) == hash(fresh)
+        restored = pickle.loads(cold)
+        assert restored == trace and "names" not in vars(restored)
+        assert restored.contains("b") and not restored.contains("z")
 
 
 class TestSetFrameMetadata:
