@@ -9,83 +9,58 @@ wobble, recovering drift).  Building it in one place keeps the two
 benches comparable — a detector's scorecard row and the Figure 8 point
 are measured against the identical distribution — and keeps the RNG
 stream stable: the draw order here reproduces the original fig8 fixture
-byte for byte for the default arguments.
+byte for byte.
 """
 
-from typing import List, Optional, Tuple
+from typing import List
 
 import numpy as np
 
 from repro.workloads import LabeledWindow, WindowKind, generate_labeled_window
 
-__all__ = ["BASE", "fig8_corpus"]
+__all__ = ["fig8_corpus"]
 
-BASE = 0.001
+BASE = 0.001            # baseline mean
+NOISE_FRACTION = 0.02   # noise std as a fraction of the baseline
+N_POSITIVE = 25         # true step regressions
+RELATIVE_RANGE = (0.05, 2.0)  # log-uniform relative magnitude of a positive
+NEGATIVES = (
+    (WindowKind.CLEAN, 40),      # noise only
+    (WindowKind.TRANSIENT, 40),  # recovering dip / spike
+    (WindowKind.SEASONAL, 15),   # periodic
+    (WindowKind.WOBBLE, 45),     # AR(1) level noise
+    (WindowKind.DRIFT, 15),      # slow benign excursion
+)
 
 
-def fig8_corpus(
-    seed: int = 88,
-    n_positive: int = 25,
-    n_clean: int = 40,
-    n_transient: int = 40,
-    n_seasonal: int = 15,
-    n_wobble: int = 45,
-    n_drift: int = 15,
-    noise_fraction: float = 0.02,
-    relative_range: Tuple[float, float] = (0.05, 2.0),
-    base: Optional[float] = None,
-) -> List[LabeledWindow]:
+def fig8_corpus() -> List[LabeledWindow]:
     """The Figure 8 labelled corpus (positives first, then negatives).
 
     Mirrors the paper's test set construction: the 107 positives were
     series where FBDetect *reported* regressions, i.e. magnitudes above
     its detectability floor — so positives here sample the detectable
-    range (5%-200% of baseline by default, log-uniform).  Negatives
-    include the benign structure that forces window-level detectors
-    into the FP/FN tradeoff.
-
-    Args:
-        seed: Corpus RNG seed.
-        n_positive: True step regressions.
-        n_clean: Noise-only negatives.
-        n_transient: Recovering dip/spike negatives.
-        n_seasonal: Periodic negatives.
-        n_wobble: AR(1) level-noise negatives.
-        n_drift: Slow benign-excursion negatives.
-        noise_fraction: Noise std as a fraction of the baseline.
-        relative_range: (low, high) bounds of the log-uniform relative
-            magnitude sweep for positives.
-        base: Baseline mean; defaults to :data:`BASE`.
-
-    Returns:
-        The labelled windows, positives first then the negative
-        families in a fixed order (not shuffled — per-family scoring
-        needs the label, and scoring order does not matter).
+    range (5%-200% of baseline, log-uniform).  Negatives include the
+    benign structure that forces window-level detectors into the FP/FN
+    tradeoff.  The families come in a fixed order (not shuffled —
+    per-family scoring needs the label, and scoring order does not
+    matter).
     """
-    level = BASE if base is None else base
-    low, high = relative_range
-    rng = np.random.default_rng(seed)
+    low, high = RELATIVE_RANGE
+    rng = np.random.default_rng(88)
     windows: List[LabeledWindow] = []
-    for _ in range(n_positive):
+    for _ in range(N_POSITIVE):
         relative = float(np.exp(rng.uniform(np.log(low), np.log(high))))
         windows.append(
             generate_labeled_window(
-                WindowKind.REGRESSION, rng, noise_fraction=noise_fraction,
-                base=level, magnitude=level * relative,
+                WindowKind.REGRESSION, rng, noise_fraction=NOISE_FRACTION,
+                base=BASE, magnitude=BASE * relative,
             )
         )
-    composition = (
-        (WindowKind.CLEAN, n_clean),
-        (WindowKind.TRANSIENT, n_transient),
-        (WindowKind.SEASONAL, n_seasonal),
-        (WindowKind.WOBBLE, n_wobble),
-        (WindowKind.DRIFT, n_drift),
-    )
-    for kind, count in composition:
+    for kind, count in NEGATIVES:
         for _ in range(count):
             windows.append(
                 generate_labeled_window(
-                    kind, rng, noise_fraction=noise_fraction, base=level,
+                    kind, rng, noise_fraction=NOISE_FRACTION, base=BASE,
                 )
             )
     return windows

@@ -554,7 +554,7 @@ def _cmd_serve_demo(args: argparse.Namespace) -> int:
         backpressure=BackpressurePolicy(args.policy),
         batch_size=args.batch_size,
         fault_injector=injector,
-        advance_deadline=5.0 if injector is not None else None,
+        **({"advance_deadline": 5.0} if injector is not None else {}),
     )
     if webhook_sink is not None:
         webhook_sink.metrics = service.metrics

@@ -161,6 +161,11 @@ class _Stage:
 #: runs the stage table from this row on.
 _LONG_TERM_JOINS_AT = "threshold"
 
+#: Data-sufficiency floors: a window with fewer points in its baseline
+#: or its analysis span is not scanned.
+MIN_HISTORIC_POINTS = 12
+MIN_ANALYSIS_POINTS = 8
+
 
 class _Stopwatch:
     """Seconds since the previous :meth:`lap`: one clock read per stage.
@@ -191,9 +196,6 @@ class DetectionPipeline:
         samples: Stack-trace history (cost shift, dedup, root cause).
         series_filter: Optional tag filters selecting which series this
             pipeline scans (e.g. ``{"service": "frontfaas"}``).
-        min_historic_points: Data-sufficiency floor for the baseline.
-        min_analysis_points: Data-sufficiency floor for the analysis
-            window.
         planned_changes: Optional correlator suppressing regressions
             explained by registered planned capacity changes (the
             paper's §8 extension).
@@ -251,8 +253,6 @@ class DetectionPipeline:
         change_log: Optional[ChangeLog] = None,
         samples: Sequence[StackTrace] = (),
         series_filter: Optional[Dict[str, str]] = None,
-        min_historic_points: int = 12,
-        min_analysis_points: int = 8,
         planned_changes: Optional[PlannedChangeCorrelator] = None,
         enable_went_away: bool = True,
         enable_seasonality: bool = True,
@@ -269,8 +269,6 @@ class DetectionPipeline:
         self.change_log = change_log if change_log is not None else ChangeLog()
         self.samples = list(samples)
         self.series_filter = dict(series_filter or {})
-        self.min_historic_points = min_historic_points
-        self.min_analysis_points = min_analysis_points
         self.planned_changes = planned_changes
         self.enable_went_away = enable_went_away
         self.enable_seasonality = enable_seasonality
@@ -651,9 +649,7 @@ class DetectionPipeline:
         whose coverage falls below the gate's floor are suppressed too.
         Suppressions are counted and traced, never alerted.
         """
-        if not windowed.has_minimum_data(
-            self.min_historic_points, self.min_analysis_points
-        ):
+        if not windowed.has_minimum_data(MIN_HISTORIC_POINTS, MIN_ANALYSIS_POINTS):
             return "insufficient_data"
         finite = (
             bool(np.isfinite(windowed.analysis).all())

@@ -61,9 +61,9 @@ DROP = 2   # quarantined; the row must not reach the TSDB
 
 _INF = float("inf")
 
-#: Metrics that can never be negative; a negative sample is collector
-#: damage, not data.
-DEFAULT_NON_NEGATIVE: FrozenSet[str] = frozenset(
+#: ``tags["metric"]`` values that can never be negative; a negative
+#: sample is collector damage, not data.
+NON_NEGATIVE_METRICS: FrozenSet[str] = frozenset(
     {"gcpu", "cpu", "throughput", "latency_ms", "error_rate", "coredumps"}
 )
 
@@ -76,21 +76,16 @@ class QualityConfig:
         reorder_window: Per-series straggler-buffer bound; when more
             than this many out-of-order points are pending they are
             released as one backfill batch.
-        quarantine_capacity: Retained quarantined-point records (per
-            shard; see :class:`~repro.quality.quarantine.QuarantineStore`).
         repair_negative: Clamp negative values on non-negative metrics
-            to 0.0 instead of quarantining them.
-        non_negative_metrics: ``tags["metric"]`` values that may never
-            be negative.
+            (:data:`NON_NEGATIVE_METRICS`) to 0.0 instead of
+            quarantining them.
         duplicate_policy: ``"last_write_wins"`` (repeated timestamps
             overwrite, matching the TSDB's policy) or ``"reject"``
             (repeated timestamps are quarantined at admission).
     """
 
     reorder_window: int = 16
-    quarantine_capacity: int = 1024
     repair_negative: bool = True
-    non_negative_metrics: FrozenSet[str] = DEFAULT_NON_NEGATIVE
     duplicate_policy: str = "last_write_wins"
 
     def __post_init__(self) -> None:
@@ -154,7 +149,7 @@ class AdmissionController:
         self.config = config if config is not None else QualityConfig()
         self.shard_id = shard_id
         self.metrics = metrics
-        self.quarantine = QuarantineStore(capacity=self.config.quarantine_capacity)
+        self.quarantine = QuarantineStore()
         self._series: Dict[str, _SeriesState] = {}
         # Aggregate counters: plain ints, checkpointed with the shard.
         # (``admitted`` is derived from per-series counts — see the
@@ -386,7 +381,7 @@ class AdmissionController:
         tags = frame.tags
         state = _SeriesState(
             tags,
-            non_negative=tags.get("metric") in self.config.non_negative_metrics,
+            non_negative=tags.get("metric") in NON_NEGATIVE_METRICS,
             is_counter=tags.get("type") == "counter",
         )
         self._series[frame.name] = state

@@ -17,7 +17,10 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, Dict, List, Optional, Tuple
 
-__all__ = ["QuarantineStore", "REASONS"]
+__all__ = ["QuarantineStore", "QUARANTINE_CAPACITY", "REASONS"]
+
+#: Point records a shard's store retains by default.
+QUARANTINE_CAPACITY = 1024
 
 #: Closed vocabulary of quarantine reason codes (see docs/RUNBOOK.md).
 REASONS: Tuple[str, ...] = (
@@ -39,7 +42,7 @@ class QuarantineStore:
     advances.
     """
 
-    def __init__(self, capacity: int = 1024) -> None:
+    def __init__(self, capacity: int = QUARANTINE_CAPACITY) -> None:
         if capacity <= 0:
             raise ValueError("capacity must be positive")
         self.capacity = capacity

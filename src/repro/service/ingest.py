@@ -320,9 +320,10 @@ class ShardIngestWorker:
         """Hold the queue lock for the duration of the block.
 
         How a shard is copied consistently — for a worker process or
-        a checkpoint — while producers and flushers are live: inside
-        the block the queue and the database do not move; offers and
-        flushes wait for it, then carry on against the same objects.
+        a checkpoint — or scanned in place while producers and flushers
+        are live: inside the block the queue and the database do not
+        move; offers and flushes wait for it, then carry on against the
+        same objects.
         """
         with self._lock:
             yield

@@ -67,9 +67,15 @@ from repro.obs.spans import RunTrace, TraceStore
 from repro.runtime.scheduler import DetectionScheduler, ScanOutcome
 from repro.service.metrics import MetricsRegistry
 
-__all__ = ["ShardAdvanceResult", "ParallelShardExecutor"]
+__all__ = ["ADVANCE_DEADLINE", "ShardAdvanceResult", "ParallelShardExecutor"]
 
 _log = get_logger("repro.service.parallel")
+
+#: Seconds one shard's advance may take in a worker process before it
+#: counts as failed.  Far above a real advance (``service.advance.max_s``
+#: is under 2 s on every benchmark workload); finite so that a worker
+#: killed mid-task cannot park ``future.result()`` for ever.
+ADVANCE_DEADLINE = 60.0
 
 
 @dataclass
@@ -155,17 +161,14 @@ class ParallelShardExecutor:
             the service skips this executor entirely and runs the
             in-thread path; the executor still handles ``workers=1``
             correctly for direct use.
-        mp_context: Optional :mod:`multiprocessing` context (or start
-            method name) — defaults to the platform default, which keeps
-            the executor working under both fork and spawn.
         retries: How many times a failed shard advance is retried on a
             (possibly recreated) pool before falling back in-process.
         backoff: Base delay of the exponential backoff between retry
             rounds (``backoff * 2**round`` seconds).
-        deadline: Per-shard advance deadline in seconds; ``None``
-            disables the timeout.  A shard that blows the deadline is
-            treated as failed (the hung worker is abandoned with the
-            recycled pool) and retried.
+        deadline: Per-shard advance deadline in seconds.  A shard that
+            blows it is treated as failed (the hung worker is abandoned
+            with the recycled pool) and retried.  ``None`` waits for
+            ever — which a SIGKILLed worker can make literal.
         injector: Optional :class:`~repro.faults.FaultInjector`; the
             submit path asks it for per-shard crash/hang directives.
         metrics: Optional registry-like object receiving the
@@ -182,10 +185,9 @@ class ParallelShardExecutor:
     def __init__(
         self,
         workers: int,
-        mp_context: Optional[Any] = None,
         retries: int = 2,
         backoff: float = 0.05,
-        deadline: Optional[float] = None,
+        deadline: Optional[float] = ADVANCE_DEADLINE,
         injector: Optional[Any] = None,
         metrics: Optional[Any] = None,
     ) -> None:
@@ -203,20 +205,11 @@ class ParallelShardExecutor:
         self.deadline = deadline
         self.injector = injector
         self.metrics = metrics
-        self._mp_context = mp_context
         self._pool: Optional[ProcessPoolExecutor] = None
 
     def _ensure_pool(self) -> ProcessPoolExecutor:
         if self._pool is None:
-            kwargs: Dict[str, Any] = {}
-            if self._mp_context is not None:
-                import multiprocessing
-
-                context = self._mp_context
-                if isinstance(context, str):
-                    context = multiprocessing.get_context(context)
-                kwargs["mp_context"] = context
-            self._pool = ProcessPoolExecutor(max_workers=self.workers, **kwargs)
+            self._pool = ProcessPoolExecutor(max_workers=self.workers)
         return self._pool
 
     def _recycle_pool(self) -> None:

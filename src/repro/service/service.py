@@ -64,7 +64,7 @@ from repro.runtime.sinks import IncidentSink
 from repro.service.checkpoint import CheckpointManager
 from repro.service.ingest import BackpressurePolicy, Sample, frames_of
 from repro.service.metrics import MetricsRegistry
-from repro.service.parallel import ParallelShardExecutor
+from repro.service.parallel import ADVANCE_DEADLINE, ParallelShardExecutor
 from repro.service.router import ConsistentHashRouter
 from repro.service.shard import Shard, ShardStats
 from repro.tsdb.columnar import SeriesFrame
@@ -177,9 +177,10 @@ class StreamingDetectionService:
             threaded through the parallel executor, ingest workers,
             background flushers, checkpoint writer, and the service's
             wall clock — ``None`` (production) makes every hook a no-op.
-        advance_deadline: Per-shard advance deadline in seconds
-            (``None`` disables; a blown deadline counts as a failure and
-            retries, see :class:`~repro.service.parallel.ParallelShardExecutor`).
+        advance_deadline: Per-shard advance deadline in seconds (a
+            blown deadline counts as a failure and retries, see
+            :class:`~repro.service.parallel.ParallelShardExecutor`;
+            ``None`` waits for ever).
         quality: Data-quality admission configuration (see
             :class:`~repro.quality.admission.QualityConfig`).  On by
             default: every shard runs per-series validators on ingest
@@ -212,7 +213,7 @@ class StreamingDetectionService:
         routing_key: Optional[Callable[[SeriesFrame], str]] = None,
         metrics: Optional[MetricsRegistry] = None,
         fault_injector: Optional[FaultInjector] = None,
-        advance_deadline: Optional[float] = None,
+        advance_deadline: Optional[float] = ADVANCE_DEADLINE,
         quality: Optional[QualityConfig] = QualityConfig(),
     ) -> None:
         if n_shards <= 0:

@@ -98,10 +98,17 @@ class Shard:
 
     def advance(self, target: float) -> Tuple[List[ScanOutcome], float]:
         """Flush and scan in this process; ``(outcomes, seconds)`` — what
-        a worker process reports for the same work."""
+        a worker process reports for the same work.
+
+        Under the queue lock, like :meth:`snapshot`: the scan reads the
+        live database, and a flusher writing a frame mid-scan extends a
+        series' timestamp column before its value column — a window
+        sliced between the two reads past the values that exist.
+        """
         started = time.perf_counter()
-        self.worker.flush()
-        outcomes = self.scheduler.advance_to(target)
+        with self.worker.paused():
+            self.worker.flush()
+            outcomes = self.scheduler.advance_to(target)
         return outcomes, time.perf_counter() - started
 
     def stats(self) -> ShardStats:

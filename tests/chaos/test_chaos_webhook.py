@@ -174,5 +174,6 @@ def test_webhook_endpoint_dead_from_the_start():
     sink.close(timeout=10.0)
 
     assert chaos_keys == clean_keys
+    assert sink.counters["enqueued"] > 0  # the dead endpoint really was exercised
     assert sink.counters["failed"] == sink.counters["enqueued"]
     assert sink.counters["enqueued"] == len(clean_keys)

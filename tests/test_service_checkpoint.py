@@ -340,6 +340,33 @@ class TestKillRestoreEquivalence:
         assert stats.scans == reference.stats().scans
         assert stats.clock == reference.stats().clock
 
+    def test_a_checkpoint_from_before_the_options_went_restores_and_advances(
+        self, stream, tmp_path
+    ):
+        """``QualityConfig.quarantine_capacity`` / ``.non_negative_metrics``
+        and ``DetectionPipeline.min_*_points`` became module constants.  A
+        pickle written while they were attributes still carries them: they
+        sit in ``__dict__`` unread, and the run goes on as if uninterrupted."""
+        reference_sink = CollectingSink()
+        feed(make_service(reference_sink), stream, 0, N_TICKS)
+        sink = CollectingSink()
+        victim = make_service(sink)
+        feed(victim, stream, 0, KILL_TICK)
+        for shard in victim._shards.values():
+            vars(shard.worker.admission.config).update(
+                quarantine_capacity=1024, non_negative_metrics=frozenset({"gcpu"})
+            )
+            for registration in shard.scheduler._monitors.values():
+                vars(registration.detector.pipeline).update(
+                    min_historic_points=12, min_analysis_points=8
+                )
+        victim.checkpoint(str(tmp_path))
+        restored = StreamingDetectionService.restore(str(tmp_path), sinks=[sink])
+        for shard in restored._shards.values():
+            assert vars(shard.worker.admission.config)["quarantine_capacity"] == 1024
+        feed(restored, stream, KILL_TICK, N_TICKS)
+        assert report_keys(sink.reports) == report_keys(reference_sink.reports)
+
     def test_restore_preserves_series_and_ledger(self, stream, tmp_path):
         sink = CollectingSink()
         service = make_service(sink)

@@ -29,6 +29,7 @@ from repro.service import (
     StreamingDetectionService,
 )
 from repro.service.metrics import MetricsRegistry
+from repro.service.parallel import ADVANCE_DEADLINE
 from repro.tsdb import WindowSpec
 
 N_TICKS = 1_100
@@ -627,6 +628,30 @@ class TestAdvanceFailureRecovery:
         finally:
             executor.close()
             service.close()
+
+    def test_default_built_service_waits_a_finite_time(self):
+        """The bug: ``advance_deadline`` defaulted to ``None``, so a
+        worker killed mid-task could park ``future.result()`` for ever.
+        The default is finite now, and it is the one the hang recovery
+        reads: shortened in place (nobody waits 60 s in a test), an
+        injected hang trips it and the retry delivers."""
+        samples = make_stream(seed=7, regress_index=3)
+        reference_reports, _ = run_stream(samples, workers=1, n_shards=2)
+        plan = FaultPlan(seed=2, specs=(
+            FaultSpec(FaultKind.ADVANCE_HANG, times=1, hang_seconds=5.0),
+        ))
+        sink = CollectingSink()
+        service = make_service(
+            sink, workers=2, n_shards=2, fault_injector=FaultInjector(plan)
+        )
+        assert service._executor.deadline == ADVANCE_DEADLINE < float("inf")
+        service._executor.deadline = 0.5
+        stream_through(service, samples)
+        counters = service.metrics.snapshot()["counters"]
+        service.close()
+        assert counters["advance.deadline_exceeded"] == 1.0
+        assert counters["advance.retries"] >= 1.0
+        assert report_bytes(sink.reports) == report_bytes(reference_reports)
 
     def test_persistent_crash_falls_back_in_process(self):
         """Retries exhausted -> the parent advances the shard itself."""

@@ -14,6 +14,7 @@ import pytest
 
 from repro.config import DetectionConfig
 from repro.faults import FaultInjector, FaultPlan
+from repro.runtime import CollectingSink
 from repro.service import (
     BackpressurePolicy,
     CheckpointError,
@@ -178,3 +179,92 @@ class TestVersionTwoIsRefused:
             path.write_text(json.dumps(manifest), encoding="utf-8")
         with pytest.raises(CheckpointError, match="version 2 != supported 3"):
             StreamingDetectionService.restore(str(tmp_path))
+
+
+class TestSerialAdvanceUnderLiveIngest:
+    """The bug: ``Shard.advance`` flushed and scanned outside the queue
+    lock.  A frame lands timestamps first, values second, so a flusher's
+    write during a *serial* scan let a window, or an incremental
+    screen's tail, slice a value buffer past the values that exist —
+    uninitialised memory, silently."""
+
+    def test_a_producer_waits_at_the_door_while_the_scan_runs(self, monkeypatch):
+        service = StreamingDetectionService(n_shards=1)
+        service.register_monitor("gcpu", small_config(), series_filter=TAGS)
+        scheduler = service._shards[0].scheduler
+        scan = scheduler.advance_to
+        landed = threading.Event()
+        landed_during_scan = []
+
+        def offer():
+            service.ingest_frame(SeriesFrame("svc.late.gcpu", TAGS, [0.0], [0.001]))
+            landed.set()
+
+        def scan_with_a_producer_at_the_door(target):
+            threading.Thread(target=offer, daemon=True).start()
+            landed_during_scan.append(landed.wait(0.2))
+            return scan(target)
+
+        monkeypatch.setattr(scheduler, "advance_to", scan_with_a_producer_at_the_door)
+        service.advance_to(60_000.0)
+        assert landed_during_scan == [False]
+        assert landed.wait(10.0)
+        assert service.stats().accepted == 1
+        service.close()
+
+    def _run(self, live):
+        """Reports and TSDB contents after 11 rounds of 100 ticks, one of
+        8 series stepping up at tick 700.  ``live``: flushers running, and
+        a producer thread offering round r + 1 (and beyond) while round r
+        is scanned."""
+        sink = CollectingSink()
+        service = StreamingDetectionService(
+            n_shards=2, sinks=[sink], workers=1, queue_capacity=1 << 20,
+            backpressure=BackpressurePolicy.BLOCK, batch_size=64,
+        )
+        # A full scan reads [now - window, now): what it reports cannot
+        # depend on how far ahead of ``now`` the producer has run.  The
+        # incremental screen folds every point that has landed, so it
+        # is left out of a run whose reports must repeat.
+        service.register_monitor(
+            "gcpu", small_config(), series_filter=TAGS, incremental=False
+        )
+        values = np.random.default_rng(3).normal(0.001, 0.00002, (8, 1_100))
+        values[3, 700:] += 0.0003
+        offered = [threading.Event() for _ in range(11)]
+
+        def produce():
+            for round_index, done in enumerate(offered):
+                for begin in range(round_index * 100, (round_index + 1) * 100, 10):
+                    stamps = [tick * 60.0 for tick in range(begin, begin + 10)]
+                    for index, row in enumerate(values):
+                        service.ingest_frame(SeriesFrame(
+                            f"svc.sub{index}.gcpu", TAGS, stamps, row[begin : begin + 10]
+                        ))
+                done.set()
+
+        producer = threading.Thread(target=produce, daemon=True)
+        if live:
+            service.start(flush_interval=0.001)
+            producer.start()
+        else:
+            produce()
+        try:
+            for round_index, done in enumerate(offered):
+                assert done.wait(30.0)
+                service.advance_to((round_index + 1) * 6_000.0)
+        finally:
+            service.close()
+        stored = {
+            series.name: (series.timestamps.tolist(), series.values.tolist())
+            for shard_id in range(2)
+            for series in service.shard_database(shard_id)
+        }
+        return json.dumps([r.to_dict() for r in sink.reports], sort_keys=True), stored
+
+    def test_reports_and_tsdb_equal_the_quiescent_run(self):
+        quiet_reports, quiet_stored = self._run(live=False)
+        live_reports, live_stored = self._run(live=True)
+        assert "svc.sub3.gcpu" in quiet_reports
+        assert live_reports == quiet_reports
+        assert live_stored == quiet_stored
