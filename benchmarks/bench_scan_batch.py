@@ -31,7 +31,7 @@ import numpy as np
 
 from _harness import emit
 
-from repro.core.incremental import IncrementalScanCache
+from repro.core.incremental import SCREEN_DRIFT, SCREEN_THRESHOLD, IncrementalScanCache
 from repro.tsdb import TimeSeries
 
 N_SERIES = 10_000
@@ -141,7 +141,7 @@ def build_fleet(n_series, rng=None):
                 full_scan_at=anchor_time,
                 had_candidate=False,
                 screen=SeedScreen(
-                    cache.screen_state(series.name), cache.drift, cache.threshold
+                    cache.screen_state(series.name), SCREEN_DRIFT, SCREEN_THRESHOLD
                 ),
             )
         )

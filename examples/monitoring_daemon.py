@@ -3,10 +3,11 @@
 
 Mirrors production operation (§5.1): one :class:`DetectionScheduler`
 owns monitors for several services with different configurations and
-re-run intervals, scans them in parallel as simulated time advances,
-applies TSDB retention, suppresses a regression explained by a
-registered *planned* capacity change (the paper's §8 extension), and
-files incident reports through a sink.
+re-run intervals, scans them as simulated time advances, applies TSDB
+retention, suppresses a regression explained by a registered *planned*
+capacity change (the paper's §8 extension), and hands back what each
+scan found; ``deliver_outcomes`` files the incident reports through a
+sink.
 
 Run:  python examples/monitoring_daemon.py
 """
@@ -18,7 +19,7 @@ from repro.core.planned_changes import PlannedChange, PlannedChangeCorrelator
 from repro.fleet import ChangeEffect, ChangeLog, CodeChange, FleetSimulator, ServiceSpec
 from repro.fleet.subroutine import build_random_call_graph
 from repro.reporting import format_report
-from repro.runtime import CollectingSink, DetectionScheduler
+from repro.runtime import CollectingSink, DetectionScheduler, deliver_outcomes
 from repro.tsdb import TimeSeriesDatabase, WindowSpec
 
 
@@ -66,7 +67,7 @@ def main() -> None:
     changes_a, hot = simulate_services(db)
 
     sink = CollectingSink()
-    scheduler = DetectionScheduler(db, sinks=[sink], retention=90_000.0)
+    scheduler = DetectionScheduler(db, retention=90_000.0)
 
     windows = WindowSpec(36_000.0, 12_000.0, 6_000.0)
     scheduler.register(
@@ -99,6 +100,7 @@ def main() -> None:
 
     print(f"registered monitors: {scheduler.monitors()}")
     outcomes = scheduler.advance_to(60_000.0)
+    deliver_outcomes(outcomes, [sink])
     print(f"\nran {len(outcomes)} scans across both monitors")
 
     print(f"\n=== {len(sink.reports)} incident(s) filed ===\n")

@@ -11,9 +11,8 @@ back into detection.  The contract the chaos drills assert:
   one background daemon thread.
 - **Never fail an advance.**  A slow, flaky, or dead endpoint shows up
   as retries and (eventually) ``failed`` counts on this sink — never as
-  an exception in the scan loop.  (The service additionally isolates
-  every sink call; see
-  :meth:`~repro.service.service.StreamingDetectionService._deliver_to_sinks`.)
+  an exception in the scan loop.  (Every sink call is additionally
+  isolated by the one fan-out, :func:`repro.runtime.sinks.deliver`.)
 - **Retry with exponential backoff.**  Each queued alert is attempted
   up to ``1 + max_retries`` times, sleeping ``backoff * 2**attempt``
   (capped) between attempts, so a webhook endpoint restarting mid-run
@@ -24,13 +23,13 @@ back into detection.  The contract the chaos drills assert:
   joins on — so monitor overlap or replay can't double-page.
 - **Bounded everything.**  The queue holds ``capacity`` alerts; beyond
   that the *oldest* undelivered alert is evicted (freshest-page-wins,
-  counted under ``evicted``).  The dedup set is capacity-bounded the
-  same way.
+  counted under ``evicted``).  The dedup set is bounded the same way
+  (:data:`DEDUP_CAPACITY` ids).
 
 The payload is Slack's incoming-webhook shape (``text`` plus one
-``attachments`` entry with short fields) built by :func:`slack_payload`;
-pass ``payload_builder`` for a different receiver.  Posting uses stdlib
-``urllib`` — ``poster`` is injectable for tests and transports.
+``attachments`` entry with short fields) built by :func:`slack_payload`.
+Posting uses stdlib ``urllib`` — ``poster`` is injectable for tests and
+transports.
 """
 
 from __future__ import annotations
@@ -50,6 +49,9 @@ from repro.runtime.sinks import IncidentSink
 __all__ = ["WebhookSink", "slack_payload", "alert_id"]
 
 _log = get_logger("repro.connectors.webhook")
+
+#: Remembered alert ids per sink (oldest forgotten first).
+DEDUP_CAPACITY = 4096
 
 
 def alert_id(report: IncidentReport) -> str:
@@ -123,8 +125,6 @@ class WebhookSink(IncidentSink):
         max_retries: Re-attempts after the first failed post.
         backoff: Base seconds of the exponential inter-attempt backoff.
         backoff_cap: Upper bound on one backoff sleep.
-        dedup_capacity: Remembered alert ids (oldest forgotten first).
-        payload_builder: ``report -> dict`` (default :func:`slack_payload`).
         poster: ``(url, body_bytes, timeout) -> None`` transport
             override; raises to signal failure.
         metrics: Optional registry-like object (``inc(name, n)``);
@@ -139,8 +139,6 @@ class WebhookSink(IncidentSink):
         max_retries: int = 4,
         backoff: float = 0.05,
         backoff_cap: float = 2.0,
-        dedup_capacity: int = 4096,
-        payload_builder: Optional[Callable[[IncidentReport], dict]] = None,
         poster: Optional[Callable[[str, bytes, float], None]] = None,
         metrics: Optional[Any] = None,
     ) -> None:
@@ -154,8 +152,6 @@ class WebhookSink(IncidentSink):
         self.max_retries = max_retries
         self.backoff = backoff
         self.backoff_cap = backoff_cap
-        self.dedup_capacity = dedup_capacity
-        self.payload_builder = payload_builder or slack_payload
         self.poster = poster or _http_post
         self.metrics = metrics
         self._queue: Deque[Tuple[str, bytes]] = deque()
@@ -181,16 +177,14 @@ class WebhookSink(IncidentSink):
     def deliver(self, report: IncidentReport) -> None:
         """Enqueue one report for background delivery (non-blocking)."""
         key = alert_id(report)
-        body = json.dumps(
-            self.payload_builder(report), sort_keys=True
-        ).encode("utf-8")
+        body = json.dumps(slack_payload(report), sort_keys=True).encode("utf-8")
         with self._lock:
             if key in self._seen_set:
                 self._count("deduped")
                 return
             self._seen_set.add(key)
             self._seen.append(key)
-            while len(self._seen) > self.dedup_capacity:
+            while len(self._seen) > DEDUP_CAPACITY:
                 self._seen_set.discard(self._seen.popleft())
             if len(self._queue) >= self.capacity:
                 evicted_key, _ = self._queue.popleft()

@@ -48,9 +48,14 @@ import numpy as np
 from repro.stats.incremental import cusum_screen_batch
 from repro.tsdb.series import TimeSeries
 
-__all__ = ["IncrementalScanCache"]
+__all__ = ["IncrementalScanCache", "SCREEN_DRIFT", "SCREEN_THRESHOLD"]
 
 _MIN_ROWS = 8
+
+#: The screen's CUSUM allowance and decision interval, in reference
+#: standard deviations (see :class:`~repro.stats.incremental.StreamingCusum`).
+SCREEN_DRIFT = 0.75
+SCREEN_THRESHOLD = 6.0
 
 
 class IncrementalScanCache:
@@ -61,8 +66,6 @@ class IncrementalScanCache:
             full scan is forced even with a quiet screen.  Callers pass
             the analysis-window duration so a skip is always based on a
             window overlapping the anchored one.
-        drift: Screen allowance (see :class:`StreamingCusum`).
-        threshold: Screen decision interval (see :class:`StreamingCusum`).
 
     Plain-attribute state only (dict, list, numpy arrays): pickles
     inside shard checkpoints and across process-pool boundaries.
@@ -83,17 +86,10 @@ class IncrementalScanCache:
         "_c_n",
     )
 
-    def __init__(
-        self,
-        max_staleness: float,
-        drift: float = 0.75,
-        threshold: float = 6.0,
-    ) -> None:
+    def __init__(self, max_staleness: float) -> None:
         if max_staleness <= 0:
             raise ValueError("max_staleness must be positive")
         self.max_staleness = float(max_staleness)
-        self.drift = float(drift)
-        self.threshold = float(threshold)
         self.hits = 0
         self.misses = 0
         self.invalidations = 0
@@ -279,8 +275,8 @@ class IncrementalScanCache:
                 self._c_std[idx],
                 self._c_pos[idx],
                 self._c_neg[idx],
-                self.drift,
-                self.threshold,
+                SCREEN_DRIFT,
+                SCREEN_THRESHOLD,
             )
             fired_rows = fired_at >= 0
             self._c_pos[idx] = pos_out
@@ -408,8 +404,6 @@ class IncrementalScanCache:
         """Pickle support: columns compact to the live prefix."""
         return {
             "max_staleness": self.max_staleness,
-            "drift": self.drift,
-            "threshold": self.threshold,
             "hits": self.hits,
             "misses": self.misses,
             "invalidations": self.invalidations,
@@ -422,11 +416,9 @@ class IncrementalScanCache:
 
     def __setstate__(self, state: dict) -> None:
         self.max_staleness = state["max_staleness"]
-        self.drift = state["drift"]
-        self.threshold = state["threshold"]
-        self.hits = state.get("hits", 0)
-        self.misses = state.get("misses", 0)
-        self.invalidations = state.get("invalidations", 0)
+        self.hits = state["hits"]
+        self.misses = state["misses"]
+        self.invalidations = state["invalidations"]
         self._rows = {}
         self._names = []
         self._size = 0

@@ -15,10 +15,14 @@ on — and the collection stages run through a second loop.  Each loop
 feeds one :class:`~repro.obs.spans.StageTally` per Table 3 row, the only
 ledger of a run: :class:`FunnelCounters` ("remaining anomalies after
 each technique") is read off the tallies' ``outputs`` when the run ends,
-and with a tracer (:class:`~repro.obs.spans.TraceStore`) attached the
-same tallies — inputs, drop reasons and elapsed time included — are
-frozen into one :class:`~repro.obs.spans.Span` per stage, so the
-funnel's attrition is auditable live, not just in aggregate.
+and the same tallies — inputs, drop reasons and elapsed time included —
+are frozen into one :class:`~repro.obs.spans.Span` per stage.
+
+A run is a function of ``(pipeline state, database, now)``: it holds no
+registry, trace store or sink and pushes nothing anywhere.  Its spans,
+run-level counts and block timings come back as one
+:class:`~repro.obs.spans.RunTrace` on :attr:`PipelineResult.trace`, and
+the caller publishes them (:func:`repro.runtime.scheduler.publish`).
 """
 
 from __future__ import annotations
@@ -52,7 +56,7 @@ from repro.core.types import (
 from repro.core.went_away import WentAwayDetector
 from repro.fleet.changes import ChangeLog
 from repro.obs.logging import get_logger
-from repro.obs.spans import STAGES, RunTrace, StageTally
+from repro.obs.spans import STAGES, RunCounts, RunTrace, StageTally
 from repro.profiling.stacktrace import StackTrace
 from repro.quality.gaps import QualityGate
 from repro.tsdb.database import TimeSeriesDatabase
@@ -118,6 +122,8 @@ class PipelineResult:
         groups: PairwiseDedup groups touched this run.
         funnel: Per-stage survivor counts.
         now: The run's reference time.
+        trace: The run's ledger — one span per funnel stage, plus the
+            run-level counts and block timings under their metric names.
     """
 
     reported: List[Regression]
@@ -125,6 +131,7 @@ class PipelineResult:
     groups: List[RegressionGroup]
     funnel: FunnelCounters
     now: float
+    trace: RunTrace
 
 
 @dataclass(frozen=True)
@@ -168,19 +175,12 @@ MIN_ANALYSIS_POINTS = 8
 
 
 class _Stopwatch:
-    """Seconds since the previous :meth:`lap`: one clock read per stage.
+    """Seconds since the previous :meth:`lap`: one clock read per stage."""
 
-    Switched off it reads no clock and every lap is ``0.0``, which is
-    how the per-candidate loop stays clock-free without a tracer.
-    """
-
-    def __init__(self, on: bool) -> None:
-        self.on = on
-        self.at = time.perf_counter() if on else 0.0
+    def __init__(self) -> None:
+        self.at = time.perf_counter()
 
     def lap(self) -> float:
-        if not self.on:
-            return 0.0
         now = time.perf_counter()
         seconds, self.at = now - self.at, now
         return seconds
@@ -212,20 +212,6 @@ class DetectionPipeline:
             :mod:`repro.core.incremental`).  Off by default so offline
             single-scan analyses (benchmarks, funnel reproduction) stay
             byte-identical; the streaming service turns it on.
-        metrics: Optional metrics-registry-like object (must expose
-            ``inc(name, n)`` and ``observe(name, value)``, e.g.
-            :class:`repro.service.metrics.MetricsRegistry`); receives
-            per-stage latency histograms and candidate counters.  Kept
-            duck-typed so the core pipeline does not import the service
-            layer.
-        tracer: Optional trace recorder (must expose ``record(run)``,
-            e.g. :class:`repro.obs.spans.TraceStore`).  When set, every
-            :meth:`run` emits one :class:`~repro.obs.spans.RunTrace`
-            holding one span per funnel stage, with input/output counts
-            that telescope on the short-term path and per-stage drop
-            reasons.  ``None`` (the default) keeps the per-candidate
-            loop free of clock reads; the tallies themselves are the
-            run's funnel ledger and always kept.
         quality_gate: Optional :class:`~repro.quality.gaps.QualityGate`
             making detection gap-aware: scan windows whose coverage
             (points present vs the series' own cadence) falls below the
@@ -239,8 +225,9 @@ class DetectionPipeline:
             ``score(historic, analysis, extended, primary_fired,
             metrics)``, e.g.
             :class:`repro.detectors.shadow.ShadowScorer`); invoked once
-            per full short-term scan with the oriented window segments
-            and whether the incumbent screen fired.  Shadow scoring is
+            per full short-term scan with the oriented window segments,
+            whether the incumbent screen fired, and the run's own
+            counter recorder as ``metrics``.  Shadow scoring is
             alert-inert: it never touches verdicts, funnels, or
             delivery, so the primary report is byte-identical with or
             without it.  Kept duck-typed so the core pipeline does not
@@ -260,8 +247,6 @@ class DetectionPipeline:
         enable_som_dedup: bool = True,
         enable_pairwise_dedup: bool = True,
         incremental: bool = False,
-        metrics: Optional[object] = None,
-        tracer: Optional[object] = None,
         quality_gate: Optional[QualityGate] = None,
         shadow: Optional[object] = None,
     ) -> None:
@@ -280,8 +265,6 @@ class DetectionPipeline:
             if incremental
             else None
         )
-        self.metrics = metrics
-        self.tracer = tracer
         self.quality_gate = quality_gate
         self.shadow = shadow
         # Series currently evicted for staleness; membership is
@@ -312,16 +295,16 @@ class DetectionPipeline:
         """One periodic detection scan at reference time ``now``."""
         run_started = time.perf_counter()
         wall_started = time.time()
-        metrics = self.metrics
-        # The run's only ledger: one tally per Table 3 row.  Funnel
-        # counts, spans and stage-latency histograms are all read off it.
+        # The run's only ledger: one tally per Table 3 row, and beside
+        # them the run-level counts and block timings.  Funnel counts,
+        # spans and what the caller publishes are all read off it.
         tallies = {stage: StageTally() for stage in STAGES}
-        block = _Stopwatch(True)
+        counts = RunCounts()
+        timings: Dict[str, float] = {}
+        block = _Stopwatch()
 
-        candidates = self._detect(database, now, tallies)
-        seconds = block.lap()
-        if metrics is not None:
-            metrics.observe("pipeline.stage.detect_seconds", seconds)
+        candidates = self._detect(database, now, tallies, counts)
+        timings["pipeline.stage.detect_seconds"] = block.lap()
 
         alive = [c for c in candidates if not c.verdicts or c.verdicts[-1].passed]
         touched_groups: List[RegressionGroup] = []
@@ -329,31 +312,16 @@ class DetectionPipeline:
             database, touched_groups
         ):
             kept = apply(alive) if enabled else alive
-            seconds = block.lap()
+            seconds = timings[f"pipeline.stage.{name}_seconds"] = block.lap()
             if drop_reason is not None:
                 tallies[name].bulk(len(alive), len(kept), drop_reason.value, seconds)
-            if metrics is not None:
-                metrics.observe(f"pipeline.stage.{name}_seconds", seconds)
             alive = kept
         reported = alive
 
-        run_seconds = time.perf_counter() - run_started
-        if metrics is not None:
-            metrics.observe("pipeline.run_seconds", run_seconds)
-            metrics.inc("pipeline.runs")
-            metrics.inc("pipeline.candidates", len(candidates))
-            metrics.inc("pipeline.reported", len(reported))
-
-        if self.tracer is not None:
-            self.tracer.record(
-                RunTrace(
-                    monitor=self.config.name,
-                    now=now,
-                    wall_started=wall_started,
-                    seconds=run_seconds,
-                    spans=tuple(tallies[stage].freeze(stage) for stage in STAGES),
-                )
-            )
+        run_seconds = timings["pipeline.run_seconds"] = time.perf_counter() - run_started
+        counts.inc("pipeline.runs")
+        counts.inc("pipeline.candidates", len(candidates))
+        counts.inc("pipeline.reported", len(reported))
         if reported and _log.isEnabledFor(logging.INFO):
             for regression in reported:
                 _log.info(
@@ -371,6 +339,15 @@ class DetectionPipeline:
             groups=touched_groups,
             funnel=FunnelCounters({stage: tallies[stage].outputs for stage in STAGES}),
             now=now,
+            trace=RunTrace(
+                monitor=self.config.name,
+                now=now,
+                wall_started=wall_started,
+                seconds=run_seconds,
+                spans=tuple(tallies[stage].freeze(stage) for stage in STAGES),
+                counts=counts,
+                timings=timings,
+            ),
         )
 
     def invalidate_incremental(self) -> None:
@@ -382,13 +359,6 @@ class DetectionPipeline:
         """
         if self.incremental_cache is not None:
             self.incremental_cache.clear()
-
-    def __getstate__(self) -> dict:
-        state = dict(self.__dict__)
-        # Process-local: re-wired by ``DetectionScheduler.wire``.
-        state["metrics"] = None
-        state["tracer"] = None
-        return state
 
     # ------------------------------------------------------------------
     # Stage tables
@@ -510,6 +480,7 @@ class DetectionPipeline:
         database: TimeSeriesDatabase,
         now: float,
         tallies: Dict[str, StageTally],
+        counts: RunCounts,
     ) -> List[Regression]:
         """Change points of every matching series, run through the table.
 
@@ -521,7 +492,7 @@ class DetectionPipeline:
         # (an evicted series must cost nothing and fold nothing).
         scannable = self._matching_series(database)
         if self.quality_gate is not None:
-            fresh = [s for s in scannable if not self._evict_if_stale(s, now)]
+            fresh = [s for s in scannable if not self._evict_if_stale(s, now, counts)]
             if len(fresh) < len(scannable):
                 detected.bulk(len(scannable) - len(fresh), 0, "stale_series", 0.0)
             scannable = fresh
@@ -536,23 +507,21 @@ class DetectionPipeline:
             # A hit means the screen saw no shift in the new points and
             # the previous full scan found nothing.  Hits are tallied in
             # bulk and untimed: that path is O(new points) and must not
-            # be dominated by counter locks or clock reads.  Misses are
-            # counted at the decision so the registry agrees with
+            # be dominated by clock reads.  Misses are counted at the
+            # decision so the published counter agrees with
             # IncrementalScanCache.hit_rate even when the scan below
             # bails on a bad window.
             if hits:
                 detected.bulk(hits, 0, "cache_hit", 0.0)
-            if self.metrics is not None:
-                if hits:
-                    self.metrics.inc("pipeline.incremental.hits", hits)
-                if misses:
-                    self.metrics.inc("pipeline.incremental.misses", misses)
+                counts.inc("pipeline.incremental.hits", hits)
+            if misses:
+                counts.inc("pipeline.incremental.misses", misses)
         # Pass 3: full windowed scans where the screen demanded one.
         stages = self._stage_table()
         long_term = self.config.long_term
         joins = [stage.row for stage in stages].index(_LONG_TERM_JOINS_AT)
         long_term_stages = stages[joins:]
-        watch = _Stopwatch(self.tracer is not None)
+        watch = _Stopwatch()
         candidates: List[Regression] = []
 
         def admit(
@@ -575,14 +544,14 @@ class DetectionPipeline:
             # Windowed and gated once per series, whichever paths run: a
             # bad window is one skip, not one per path.
             windowed = self.config.windows.view(series, now)
-            skip = self._window_skip_reason(series, windowed)
+            skip = self._window_skip_reason(series, windowed, counts)
             if skip is not None:
                 # No full-scan anchor is recorded: bad windows must not
                 # seed the incremental screen.
                 detected.observe(False, skip, watch.lap())
                 continue
             if short_term:
-                admit(self._short_term(series, now, windowed), stages)
+                admit(self._short_term(series, now, windowed, counts), stages)
             if long_term:
                 admit(self._long_term(series, now, windowed), long_term_stages)
         return candidates
@@ -618,7 +587,7 @@ class DetectionPipeline:
         """Series currently evicted from scanning for staleness, sorted."""
         return sorted(self._stale)
 
-    def _evict_if_stale(self, series: TimeSeries, now: float) -> bool:
+    def _evict_if_stale(self, series: TimeSeries, now: float, counts: RunCounts) -> bool:
         """Track and report whether ``series`` stopped reporting.
 
         A stale series is evicted from scheduling until it resumes: a
@@ -630,16 +599,14 @@ class DetectionPipeline:
         if self.quality_gate.is_stale(last, now, self.config.windows.analysis):
             if series.name not in self._stale:
                 self._stale.add(series.name)
-                if self.metrics is not None:
-                    self.metrics.inc("pipeline.quality.stale_evictions")
-            if self.metrics is not None:
-                self.metrics.inc("pipeline.quality.stale_skips")
+                counts.inc("pipeline.quality.stale_evictions")
+            counts.inc("pipeline.quality.stale_skips")
             return True
         self._stale.discard(series.name)
         return False
 
     def _window_skip_reason(
-        self, series: TimeSeries, windowed: WindowedView
+        self, series: TimeSeries, windowed: WindowedView, counts: RunCounts
     ) -> Optional[str]:
         """Why a scan window must not be scanned, or ``None`` when it may.
 
@@ -657,8 +624,7 @@ class DetectionPipeline:
             and (windowed.extended.size == 0 or bool(np.isfinite(windowed.extended).all()))
         )
         if not finite:
-            if self.metrics is not None:
-                self.metrics.inc("pipeline.quality.non_finite_skips")
+            counts.inc("pipeline.quality.non_finite_skips")
             return "non_finite_window"
         if self.quality_gate is not None:
             ok, _ = self.quality_gate.window_ok(
@@ -670,8 +636,7 @@ class DetectionPipeline:
                 windowed.extended_start,
             )
             if not ok:
-                if self.metrics is not None:
-                    self.metrics.inc("pipeline.quality.low_coverage_skips")
+                counts.inc("pipeline.quality.low_coverage_skips")
                 return "low_quality_window"
         return None
 
@@ -680,7 +645,7 @@ class DetectionPipeline:
         return values if self.config.higher_is_worse else -values
 
     def _short_term(
-        self, series: TimeSeries, now: float, windowed: WindowedView
+        self, series: TimeSeries, now: float, windowed: WindowedView, counts: RunCounts
     ) -> Optional[Tuple[Regression, ChangePointCandidate]]:
         """CUSUM+EM+LRT over the analysis window (§5.2.1)."""
         oriented_analysis = self._oriented(windowed.analysis)
@@ -702,7 +667,7 @@ class DetectionPipeline:
                 oriented_analysis,
                 self._oriented(windowed.extended),
                 primary_fired=candidate is not None,
-                metrics=self.metrics,
+                metrics=counts,
             )
         if candidate is None:
             return None

@@ -13,8 +13,9 @@ State contract: the scorer holds only detectors and integer tallies, so
 it pickles with the scheduler it lives in — shadow tallies therefore
 ride shard checkpoints and parallel-advance worker round-trips for free,
 and accrue exactly once per scan on both the serial and parallel paths.
-Metrics handles are *passed per call*, never stored, keeping the pickled
-state free of registries.
+The ``metrics`` recorder is *passed per call*, never stored: the
+pipeline hands in the run's own counter ledger, which comes back on the
+scan's result and is published with it.
 """
 
 from __future__ import annotations

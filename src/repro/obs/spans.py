@@ -26,12 +26,13 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 __all__ = [
     "STAGES",
     "Span",
     "StageTally",
+    "RunCounts",
     "RunTrace",
     "TraceStore",
     "FunnelTrace",
@@ -141,26 +142,20 @@ class Span:
     def dropped(self) -> int:
         return self.inputs - self.outputs
 
-    @property
-    def ended(self) -> Optional[float]:
-        return self.started + self.seconds if self.started is not None else None
 
-    def to_dict(self) -> dict:
-        return {
-            "stage": self.stage,
-            "inputs": self.inputs,
-            "outputs": self.outputs,
-            "dropped": self.dropped,
-            "seconds": self.seconds,
-            "drops": dict(self.drops),
-            "started": self.started,
-            "ended": self.ended,
-        }
+class RunCounts(Dict[str, int]):
+    """A run's own counters, ``name -> count``, with a registry's
+    ``inc`` — so the shadow scorer counts into either unchanged."""
+
+    def inc(self, name: str, amount: int = 1) -> None:
+        self[name] = self.get(name, 0) + amount
 
 
 @dataclass(frozen=True)
 class RunTrace:
-    """All spans of one pipeline run (one monitor scan at one time).
+    """The ledger of one pipeline run (one monitor scan at one time),
+    handed back on its result for the caller to publish
+    (:func:`repro.runtime.scheduler.publish`).
 
     Attributes:
         monitor: The detection config name that ran.
@@ -168,6 +163,10 @@ class RunTrace:
         wall_started: Wall-clock start of the run.
         seconds: Wall-clock run duration.
         spans: One span per funnel stage, in :data:`STAGES` order.
+        counts: Run-level counters under their metric names
+            (``pipeline.runs``, ``detector.<id>.scans`` ...).
+        timings: Block seconds under their histogram names
+            (``pipeline.run_seconds``, ``pipeline.stage.*_seconds``).
     """
 
     monitor: str
@@ -175,6 +174,8 @@ class RunTrace:
     wall_started: float
     seconds: float
     spans: Tuple[Span, ...]
+    counts: Dict[str, int] = field(default_factory=dict)
+    timings: Dict[str, float] = field(default_factory=dict)
 
     def span(self, stage: str) -> Span:
         """The span for ``stage``.
@@ -198,78 +199,58 @@ class RunTrace:
             for earlier, later in zip(self.spans, self.spans[1:])
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "monitor": self.monitor,
-            "now": self.now,
-            "wall_started": self.wall_started,
-            "seconds": self.seconds,
-            "telescopes": self.telescopes(),
-            "spans": [span.to_dict() for span in self.spans],
-        }
 
-
-class TraceStore:
-    """Thread-safe ring buffer of the most recent :class:`RunTrace`\\ s.
-
-    This is the object pipelines hold as their ``tracer``: each run
-    calls :meth:`record` once.  The buffer is bounded (``capacity``
-    runs), so an always-on service pays O(capacity) memory however long
-    it lives.  Traces are process-local observability state: pickling a
-    store (checkpoint blobs, parallel shard snapshots) keeps the
-    capacity but *drops the buffered runs* — worker processes record
-    into a fresh store and ship their runs back explicitly, and a
-    restored service starts with an empty trace window.
-    """
+class _Ring:
+    """Thread-safe buffer of the ``capacity`` most recent items: an
+    always-on service pays O(capacity) memory however long it lives.
+    Process-local — nothing that is pickled holds one."""
 
     def __init__(self, capacity: int = 256) -> None:
         if capacity <= 0:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
-        self._runs: Deque[RunTrace] = deque(maxlen=capacity)
+        self._items: deque = deque(maxlen=capacity)
         self._recorded = 0
         self._lock = threading.Lock()
 
-    def record(self, run: RunTrace) -> None:
-        """Append one run trace (evicting the oldest when full)."""
+    def _append(self, item: object) -> None:
         with self._lock:
-            self._runs.append(run)
+            self._items.append(item)
             self._recorded += 1
 
-    def record_many(self, runs: Iterable[RunTrace]) -> None:
-        """Append several run traces (the parallel-merge path)."""
+    def _retained(self) -> list:
         with self._lock:
-            for run in runs:
-                self._runs.append(run)
-                self._recorded += 1
-
-    def runs(self) -> List[RunTrace]:
-        """A snapshot of the retained runs, oldest first."""
-        with self._lock:
-            return list(self._runs)
+            return list(self._items)
 
     def clear(self) -> None:
         with self._lock:
-            self._runs.clear()
+            self._items.clear()
 
     @property
     def recorded(self) -> int:
-        """Total runs ever recorded (including evicted ones)."""
+        """Total items ever recorded (including evicted ones)."""
         return self._recorded
 
     def __len__(self) -> int:
         with self._lock:
-            return len(self._runs)
+            return len(self._items)
 
-    def __getstate__(self) -> dict:
-        # Keep configuration, drop process-local state (lock + buffer).
-        return {"capacity": self.capacity, "_recorded": self._recorded}
 
-    def __setstate__(self, state: dict) -> None:
-        self.capacity = state["capacity"]
-        self._recorded = state.get("_recorded", 0)
-        self._runs = deque(maxlen=self.capacity)
-        self._lock = threading.Lock()
+class TraceStore(_Ring):
+    """Ring buffer of the most recent :class:`RunTrace`\\ s.
+
+    :func:`repro.runtime.scheduler.publish` records one run per scan
+    outcome, in outcome order, whichever process ran the scan; a
+    restored service starts with an empty trace window.
+    """
+
+    def record(self, run: RunTrace) -> None:
+        """Append one run trace (evicting the oldest when full)."""
+        self._append(run)
+
+    def runs(self) -> List[RunTrace]:
+        """A snapshot of the retained runs, oldest first."""
+        return self._retained()
 
 
 @dataclass(frozen=True)
@@ -291,65 +272,30 @@ class Event:
         return {"kind": self.kind, "wall": self.wall, **self.fields}
 
 
-class EventLog:
-    """Thread-safe bounded ring buffer of :class:`Event`\\ s.
+class EventLog(_Ring):
+    """Ring buffer of :class:`Event`\\ s.
 
     The failure-path counterpart of :class:`TraceStore`: where run
     traces answer "what is the funnel doing", the event log answers
     "what broke, and did it recover" — fault injections, per-shard
     degradation transitions, checkpoint-generation fallbacks.  Exposed
-    through the service's ``/faults`` endpoint.  Like the trace store,
-    the buffer is process-local: pickling keeps the capacity but drops
-    the buffered events.
+    through the service's ``/faults`` endpoint.
     """
-
-    def __init__(self, capacity: int = 256) -> None:
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        self.capacity = capacity
-        self._events: Deque[Event] = deque(maxlen=capacity)
-        self._recorded = 0
-        self._lock = threading.Lock()
 
     def record(self, kind: str, wall: Optional[float] = None, **fields: object) -> Event:
         """Append one event (evicting the oldest when full)."""
         event = Event(
             kind=kind, wall=wall if wall is not None else time.time(), fields=fields
         )
-        with self._lock:
-            self._events.append(event)
-            self._recorded += 1
+        self._append(event)
         return event
 
     def events(self, kind: Optional[str] = None) -> List[Event]:
         """Retained events oldest-first, optionally filtered by kind."""
-        with self._lock:
-            retained = list(self._events)
+        retained = self._retained()
         if kind is None:
             return retained
         return [event for event in retained if event.kind == kind]
-
-    def clear(self) -> None:
-        with self._lock:
-            self._events.clear()
-
-    @property
-    def recorded(self) -> int:
-        """Total events ever recorded (including evicted ones)."""
-        return self._recorded
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._events)
-
-    def __getstate__(self) -> dict:
-        return {"capacity": self.capacity, "_recorded": self._recorded}
-
-    def __setstate__(self, state: dict) -> None:
-        self.capacity = state["capacity"]
-        self._recorded = state.get("_recorded", 0)
-        self._events = deque(maxlen=self.capacity)
-        self._lock = threading.Lock()
 
 
 class FunnelTrace:

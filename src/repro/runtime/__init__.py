@@ -3,13 +3,16 @@
 "For ease of operation, FBDetect runs on a common serverless platform at
 Meta, scanning different time series in parallel" (§5.1).  This package
 provides that operational layer: a scheduler that owns many registered
-monitors (one per service/configuration pair), runs their periodic scans
-in parallel worker threads, applies TSDB retention, and delivers
-incident reports to pluggable sinks.
+monitors (one per service/configuration pair), runs their periodic scans,
+applies TSDB retention and *returns* what each scan found; ``publish``
+records those outcomes into a metrics registry and trace store, and
+``deliver`` / ``deliver_outcomes`` fan incident reports out to pluggable
+sinks.
 """
 
 from repro.runtime.scheduler import DetectionScheduler, MonitorRegistration, ScanOutcome
-from repro.runtime.sinks import CollectingSink, IncidentSink, JsonLinesSink, LoggingSink
+from repro.runtime.scheduler import deliver_outcomes, publish
+from repro.runtime.sinks import CollectingSink, IncidentSink, JsonLinesSink, LoggingSink, deliver
 
 __all__ = [
     "CollectingSink",
@@ -19,4 +22,7 @@ __all__ = [
     "LoggingSink",
     "MonitorRegistration",
     "ScanOutcome",
+    "deliver",
+    "deliver_outcomes",
+    "publish",
 ]

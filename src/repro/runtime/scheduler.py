@@ -15,10 +15,12 @@ retention.  It remembers the last cutoff it applied
 a copy of a database can be pointed back at the original and the
 original trimmed to match.
 
-A pickled scheduler carries its monitors and the database it reads,
-and nothing process-local: the lock, the sinks, the metrics registry and
-each pipeline's trace store stay behind
-(:meth:`DetectionScheduler.wire` hands it the unpickling side's own).
+A scheduler holds no registry, trace store or sink: an advance
+*returns* its :class:`ScanOutcome`\\ s — each scan's result, ledger and
+seconds, a scan that raised included — and the caller hands them to
+:func:`publish` (registry and trace store) and :func:`deliver_outcomes`
+(sinks).  So a pickled scheduler carries its monitors and the database
+it reads, and nothing process-local but the lock it re-creates.
 """
 
 from __future__ import annotations
@@ -26,20 +28,26 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Any, Dict, Iterable, List, Optional, Sequence
 
 from repro.config import DetectionConfig
 from repro.core.detector import FBDetect
 from repro.core.pipeline import PipelineResult
 from repro.detectors.shadow import merge_snapshot_rows
 from repro.fleet.changes import ChangeLog
-from repro.obs.logging import correlation_id, get_logger, log_context
+from repro.obs.logging import get_logger
 from repro.profiling.stacktrace import StackTrace
 from repro.reporting.report import build_report
-from repro.runtime.sinks import IncidentSink
+from repro.runtime.sinks import IncidentSink, deliver
 from repro.tsdb.database import TimeSeriesDatabase
 
-__all__ = ["MonitorRegistration", "ScanOutcome", "DetectionScheduler"]
+__all__ = [
+    "MonitorRegistration",
+    "ScanOutcome",
+    "DetectionScheduler",
+    "publish",
+    "deliver_outcomes",
+]
 
 _log = get_logger("repro.runtime.scheduler")
 
@@ -61,15 +69,51 @@ class MonitorRegistration:
 
 @dataclass(frozen=True)
 class ScanOutcome:
-    """Result of one monitor scan."""
+    """One monitor scan: what it found and the seconds it took.
+
+    ``result`` is ``None`` for a scan that raised (the traceback is
+    logged where it happened); its monitor is re-run at its next due
+    time.
+    """
 
     monitor: str
     now: float
-    result: PipelineResult
+    result: Optional[PipelineResult]
+    seconds: float
 
-    @property
-    def reported_count(self) -> int:
-        return len(self.result.reported)
+
+def publish(outcomes: Iterable[ScanOutcome], metrics: Any, tracer: Any) -> None:
+    """Record what ``outcomes`` say about themselves, in outcome order.
+
+    The one place a scan's ledger reaches a metrics registry
+    (``inc(name, n)`` / ``observe(name, value)``) and a trace store
+    (``record(run)``): whoever advanced the scheduler — in this process
+    or another — calls it with the outcomes it got back.
+    """
+    for outcome in outcomes:
+        if outcome.result is None:
+            metrics.inc("scheduler.scan_failures")
+            continue
+        metrics.observe("scheduler.scan_seconds", outcome.seconds)
+        metrics.inc("scheduler.scans")
+        metrics.inc("scheduler.regressions_reported", len(outcome.result.reported))
+        trace = outcome.result.trace
+        for name, amount in trace.counts.items():
+            metrics.inc(name, amount)
+        for name, seconds in trace.timings.items():
+            metrics.observe(name, seconds)
+        tracer.record(trace)
+
+
+def deliver_outcomes(
+    outcomes: Iterable[ScanOutcome], sinks: Sequence[IncidentSink]
+) -> None:
+    """Report every regression in ``outcomes`` to every sink, for users
+    of a bare scheduler (the streaming service adds its re-alert ledger
+    between the two steps)."""
+    for outcome in outcomes:
+        for regression in outcome.result.reported if outcome.result else ():
+            deliver(build_report(regression), sinks)
 
 
 class DetectionScheduler:
@@ -77,12 +121,8 @@ class DetectionScheduler:
 
     Args:
         database: The TSDB all monitors scan.
-        sinks: Incident sinks notified for every reported regression.
         retention: Seconds of history to keep; older points are dropped
             as time advances (0 disables retention).
-        metrics: Optional metrics-registry-like object (must expose
-            ``inc(name, n)`` and ``observe(name, value)``); receives
-            per-scan latency histograms and scan counters.
 
     Concurrency: :meth:`advance_to` is safe to call from multiple
     threads — the scheduling loop runs under a lock, so each due scan
@@ -91,25 +131,21 @@ class DetectionScheduler:
 
     Example::
 
-        scheduler = DetectionScheduler(db, sinks=[CollectingSink()])
+        scheduler = DetectionScheduler(db)
         scheduler.register("frontfaas", table1_config("frontfaas_small"),
                            series_filter={"service": "frontfaas"})
-        outcomes = scheduler.advance_to(simulation_end)
+        deliver_outcomes(scheduler.advance_to(simulation_end), [CollectingSink()])
     """
 
     def __init__(
         self,
         database: TimeSeriesDatabase,
-        sinks: Sequence[IncidentSink] = (),
         retention: float = 0.0,
-        metrics: Optional[object] = None,
     ) -> None:
         if retention < 0:
             raise ValueError("retention must be >= 0")
         self.database = database
-        self.sinks = list(sinks)
         self.retention = retention
-        self.metrics = metrics
         #: The last cutoff handed to ``database.apply_retention``
         #: (``None`` before the first).
         self.retention_cutoff: Optional[float] = None
@@ -165,19 +201,6 @@ class DetectionScheduler:
         """Registered monitor names, sorted."""
         return sorted(self._monitors)
 
-    def wire(self, metrics: Optional[object], tracer: Optional[object]) -> None:
-        """Point this scheduler and every monitor pipeline at the
-        process-local ``metrics`` registry and ``tracer``.
-
-        Both are dropped on pickle, so whoever unpickles a scheduler —
-        a worker process, a restore, the parent taking an advanced one
-        back — wires its own.
-        """
-        self.metrics = metrics
-        for registration in self._monitors.values():
-            registration.detector.pipeline.metrics = metrics
-            registration.detector.pipeline.tracer = tracer
-
     def invalidate_incremental(self) -> None:
         """Drop every monitor's derived incremental-scan cache."""
         for registration in self._monitors.values():
@@ -205,7 +228,7 @@ class DetectionScheduler:
         """
         merged: Dict[str, dict] = {}
         for registration in self._monitors.values():
-            shadow = getattr(registration.detector.pipeline, "shadow", None)
+            shadow = registration.detector.pipeline.shadow
             if shadow is None:
                 continue
             merge_snapshot_rows(merged, shadow.snapshot_rows())
@@ -223,7 +246,7 @@ class DetectionScheduler:
         after the current one.
 
         Returns:
-            Outcomes of every scan executed, in execution order.
+            Outcomes of every scan attempted, in execution order.
 
         Raises:
             ValueError: When moving backwards in time.
@@ -261,67 +284,22 @@ class DetectionScheduler:
         for monitor in monitors:
             started = time.perf_counter()
             try:
-                result = monitor.detector.run(self.database, now)
+                result: Optional[PipelineResult] = monitor.detector.run(self.database, now)
             except Exception as error:
                 # One monitor's scan blowing up must not abort the whole
                 # batch (every other due monitor would silently miss its
                 # tick).  The failed monitor keeps its state and is
                 # re-run at its next due time.
-                if self.metrics is not None:
-                    self.metrics.inc("scheduler.scan_failures")
+                result = None
                 _log.exception(
                     "monitor scan failed",
                     monitor=monitor.name,
                     now=now,
                     error=str(error),
                 )
-                continue
-            if self.metrics is not None:
-                self.metrics.observe(
-                    "scheduler.scan_seconds", time.perf_counter() - started
-                )
-                self.metrics.inc("scheduler.scans")
-                self.metrics.inc("scheduler.regressions_reported", len(result.reported))
-            outcomes.append(ScanOutcome(monitor=monitor.name, now=now, result=result))
-
-        for outcome in outcomes:
-            for regression in outcome.result.reported:
-                report = build_report(regression)
-                # The alert id is deterministic in (series, change time),
-                # so logs from serial, parallel, and restarted runs of
-                # the same incident all join on one key.
-                alert = correlation_id(
-                    regression.context.metric_id,
-                    regression.change_time,
-                    prefix="alert",
-                )
-                with log_context(
-                    series=regression.context.metric_id, alert=alert
-                ):
-                    for sink in self.sinks:
-                        # One raising sink must not abort delivery to
-                        # the rest (or the advance that produced the
-                        # report) — same isolation contract as the
-                        # streaming service's _deliver_to_sinks.
-                        try:
-                            sink.deliver(report)
-                        except Exception as error:
-                            if self.metrics is not None:
-                                self.metrics.inc("scheduler.sink_errors")
-                            _log.exception(
-                                "sink delivery failed",
-                                sink=type(sink).__name__,
-                                monitor=outcome.monitor,
-                                error=str(error),
-                            )
-                    if self.sinks:
-                        _log.info(
-                            "incident delivered",
-                            monitor=outcome.monitor,
-                            detected_at=outcome.now,
-                            sinks=len(self.sinks),
-                            magnitude=regression.magnitude,
-                        )
+            outcomes.append(
+                ScanOutcome(monitor.name, now, result, time.perf_counter() - started)
+            )
         return outcomes
 
     # ------------------------------------------------------------------
@@ -329,13 +307,9 @@ class DetectionScheduler:
     # ------------------------------------------------------------------
 
     def __getstate__(self) -> dict:
-        """Pickle support: the lock is dropped; sinks and metrics are the
-        unpickling process's responsibility (delivery targets and shared
-        registries are process-local, not state — see :meth:`wire`)."""
+        """Pickle support: the lock is dropped and re-created."""
         state = dict(self.__dict__)
         state.pop("_advance_lock", None)
-        state["sinks"] = []
-        state["metrics"] = None
         return state
 
     def __setstate__(self, state: dict) -> None:

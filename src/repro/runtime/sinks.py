@@ -5,13 +5,13 @@ every regression the scheduler's monitors report — the integration point
 for ticket filing, paging, or test collection.
 
 Delivery contract: a sink's :meth:`~IncidentSink.deliver` may raise (a
-full disk, a dead endpoint); the *caller* is responsible for isolating
-that failure so one broken sink never blocks the others or the scan
-loop that produced the report.  The streaming service wraps every sink
-call and counts failures under ``service.sinks.errors`` — see
-:meth:`repro.service.service.StreamingDetectionService`.  Sinks that
-hold resources (file handles, delivery threads) release them in
-:meth:`~IncidentSink.close`, which the service calls on shutdown.
+full disk, a dead endpoint), so nothing calls it directly: reports go
+out through :func:`deliver`, the one fan-out, which isolates each sink —
+a broken one never blocks the others or the scan loop that produced the
+report.  The streaming service counts the failures it is told of under
+``service.sinks.errors``.  Sinks that hold resources (file handles,
+delivery threads) release them in :meth:`~IncidentSink.close`, which
+the service calls on shutdown.
 
 For a network sink with buffered, retried delivery see
 :class:`repro.connectors.WebhookSink`.
@@ -23,11 +23,14 @@ import abc
 import json
 import logging
 import threading
-from typing import IO, List, Optional, Union
+from typing import IO, Callable, List, Optional, Sequence, Union
 
+from repro.obs.logging import get_logger
 from repro.reporting.report import IncidentReport, format_report
 
-__all__ = ["IncidentSink", "CollectingSink", "LoggingSink", "JsonLinesSink"]
+__all__ = ["IncidentSink", "CollectingSink", "LoggingSink", "JsonLinesSink", "deliver"]
+
+_log = get_logger("repro.runtime.sinks")
 
 
 class IncidentSink(abc.ABC):
@@ -39,6 +42,35 @@ class IncidentSink(abc.ABC):
 
     def close(self) -> None:
         """Release held resources (handles, threads).  Default: no-op."""
+
+
+def deliver(
+    report: IncidentReport,
+    sinks: Sequence[IncidentSink],
+    on_error: Optional[Callable[[IncidentSink, IncidentReport, Exception], None]] = None,
+) -> int:
+    """Hand ``report`` to every sink; returns how many took it.
+
+    A raising sink (full disk, dead endpoint, bad plugin) is logged and
+    reported to ``on_error(sink, report, error)``; the remaining sinks
+    still get this report and the caller's loop goes on.
+    """
+    delivered = 0
+    for sink in sinks:
+        try:
+            sink.deliver(report)
+        except Exception as error:
+            _log.exception(
+                "sink delivery failed",
+                sink=type(sink).__name__,
+                metric=report.metric_id,
+                error=str(error),
+            )
+            if on_error is not None:
+                on_error(sink, report, error)
+        else:
+            delivered += 1
+    return delivered
 
 
 class CollectingSink(IncidentSink):
@@ -77,8 +109,8 @@ class JsonLinesSink(IncidentSink):
     errors until delivery time).  A failed write closes the handle so
     the next delivery retries from a fresh open — after an ENOSPC or a
     rotated file, recovery needs a new fd, not the poisoned one.  The
-    error still propagates: routing it is the caller's job (the service
-    counts it under ``service.sinks.errors`` and carries on).
+    error still propagates: :func:`deliver` logs it and tells its
+    caller (the service counts it under ``service.sinks.errors``).
     """
 
     def __init__(self, destination: Union[str, IO[str]]) -> None:

@@ -52,6 +52,7 @@ CHECKPOINT_VERSION = 3
 MANIFEST_NAME = "manifest.json"
 
 _GEN_MANIFEST_RE = re.compile(r"^manifest\.g(\d+)\.json$")
+_GEN_BLOB_RE = re.compile(r"^shard-.+\.g\d+\.pkl$")
 
 
 class CheckpointError(RuntimeError):
@@ -100,8 +101,8 @@ class CheckpointManager:
         return os.path.join(self.directory, MANIFEST_NAME)
 
     def exists(self) -> bool:
-        """Whether a loadable manifest is present."""
-        return os.path.isfile(self.manifest_path) or bool(self._generations())
+        """Whether a generation's manifest is present."""
+        return bool(self._generations())
 
     def last_load(self) -> Optional[Dict[str, object]]:
         """Info about the most recent :meth:`load` on this manager.
@@ -179,20 +180,15 @@ class CheckpointManager:
                 is corrupt.
         """
         generations = self._generations()
-        candidates: List[Tuple[Optional[int], str]] = [
-            (gen, os.path.join(self.directory, f"manifest.g{gen}.json"))
-            for gen in reversed(generations)
-        ]
-        if not candidates:
-            # Pre-generational layout (or an empty directory): the
-            # pointer manifest is the only candidate.
-            candidates = [(None, self.manifest_path)]
+        if not generations:
+            raise CheckpointError(f"no checkpoint manifest in {self.directory}")
         skipped: List[str] = []
-        for generation, path in candidates:
+        for generation in reversed(generations):
+            path = os.path.join(self.directory, f"manifest.g{generation}.json")
             try:
                 meta, shards = self._load_manifest(path)
             except CheckpointError as error:
-                if len(candidates) == 1:
+                if len(generations) == 1:
                     raise
                 skipped.append(str(error))
                 continue
@@ -235,8 +231,7 @@ class CheckpointManager:
             shards[shard_id] = pickle.loads(blob)
         return manifest.get("meta", {}), shards
 
-    def _read_manifest(self, path: Optional[str] = None) -> dict:
-        path = path or self.manifest_path
+    def _read_manifest(self, path: str) -> dict:
         try:
             with open(path, "r", encoding="utf-8") as source:
                 return json.load(source)
@@ -263,7 +258,7 @@ class CheckpointManager:
 
         A blob is an orphan when no retained *readable* manifest
         references it — which also sweeps blobs from a shard-count
-        shrink and files from the pre-generational layout.
+        shrink.
         """
         retained = [
             gen
@@ -284,9 +279,7 @@ class CheckpointManager:
         for name in os.listdir(self.directory):
             if name in referenced or name.endswith(".tmp"):
                 continue
-            if _GEN_MANIFEST_RE.match(name) or (
-                name.startswith("shard-") and name.endswith(".pkl")
-            ):
+            if _GEN_MANIFEST_RE.match(name) or _GEN_BLOB_RE.match(name):
                 try:
                     os.unlink(os.path.join(self.directory, name))
                 except OSError:

@@ -8,10 +8,12 @@ log-spaced buckets, built for latency-in-seconds observations) — plus a
 style text exposition, and snapshots/restores itself for checkpoints.
 
 The registry is deliberately decoupled from the rest of the codebase:
-consumers (:class:`~repro.core.pipeline.DetectionPipeline`,
-:class:`~repro.runtime.scheduler.DetectionScheduler`, the service) take
-an *optional* registry-like object and call only ``inc`` / ``observe`` /
-``set_gauge`` / ``timer`` on it, so no core module imports this one.
+what records into it (:func:`repro.runtime.scheduler.publish`, the
+ingest worker, the admission controller, the fault injector) takes a
+registry-like object and calls only ``inc`` / ``observe`` on it, so no
+core module imports this one.  It is process-local — it holds locks,
+and nothing that is pickled holds it; what survives a restart is its
+:meth:`MetricsRegistry.snapshot`.
 """
 
 from __future__ import annotations
@@ -30,27 +32,11 @@ DEFAULT_LATENCY_BUCKETS: Tuple[float, ...] = (
 )
 
 
-class _Lockable:
-    """Mixin: a per-instrument lock that survives pickling."""
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-
-    def __getstate__(self) -> dict:
-        state = dict(self.__dict__)
-        state.pop("_lock", None)
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._lock = threading.Lock()
-
-
-class Counter(_Lockable):
+class Counter:
     """A monotonically increasing count."""
 
     def __init__(self) -> None:
-        super().__init__()
+        self._lock = threading.Lock()
         self._value = 0.0
 
     def inc(self, amount: float = 1.0) -> None:
@@ -69,11 +55,11 @@ class Counter(_Lockable):
         return self._value
 
 
-class Gauge(_Lockable):
+class Gauge:
     """A value that can go up and down (queue depth, shard count ...)."""
 
     def __init__(self) -> None:
-        super().__init__()
+        self._lock = threading.Lock()
         self._value = 0.0
 
     def set(self, value: float) -> None:
@@ -92,7 +78,7 @@ class Gauge(_Lockable):
         return self._value
 
 
-class Histogram(_Lockable):
+class Histogram:
     """Fixed-bucket histogram with quantile estimation.
 
     Buckets are cumulative-style upper bounds (like Prometheus); one
@@ -102,7 +88,7 @@ class Histogram(_Lockable):
     """
 
     def __init__(self, buckets: Sequence[float] = DEFAULT_LATENCY_BUCKETS) -> None:
-        super().__init__()
+        self._lock = threading.Lock()
         if not buckets or list(buckets) != sorted(buckets):
             raise ValueError("buckets must be a non-empty ascending sequence")
         self.bounds: Tuple[float, ...] = tuple(float(b) for b in buckets)
@@ -176,41 +162,21 @@ class Histogram(_Lockable):
                 "max": self._max if self._count else None,
             }
 
-    def merge_state(self, state: dict) -> None:
-        """Fold another histogram's :meth:`state` into this one.
 
-        Raises:
-            ValueError: When the bucket bounds differ (merging would
-                misattribute observations).
-        """
-        if [float(b) for b in state["bounds"]] != list(self.bounds):
-            raise ValueError("cannot merge histograms with different buckets")
-        with self._lock:
-            self._counts = [
-                mine + theirs for mine, theirs in zip(self._counts, state["counts"])
-            ]
-            self._count += state["count"]
-            self._sum += state["sum"]
-            if state["min"] is not None:
-                self._min = min(self._min, state["min"])
-            if state["max"] is not None:
-                self._max = max(self._max, state["max"])
-
-
-class MetricsRegistry(_Lockable):
+class MetricsRegistry:
     """Named instruments plus convenience record/snapshot/render APIs.
 
     Example::
 
         metrics = MetricsRegistry()
         metrics.inc("service.ingest.accepted", 128)
-        with metrics.timer("pipeline.run_seconds"):
-            run()
+        with metrics.timer("service.advance_seconds"):
+            advance()
         print(metrics.render_text())
     """
 
     def __init__(self) -> None:
-        super().__init__()
+        self._lock = threading.Lock()
         self._counters: Dict[str, Counter] = {}
         self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}
@@ -276,22 +242,6 @@ class MetricsRegistry(_Lockable):
             "gauges": {name: g.value for name, g in sorted(gauges.items())},
             "histograms": {name: h.state() for name, h in sorted(histograms.items())},
         }
-
-    def merge(self, snapshot: dict) -> None:
-        """Fold another registry's :meth:`snapshot` into this one.
-
-        The parallel-executor merge path: worker processes record scan
-        latencies and pipeline counters into their own fresh registries,
-        then the parent folds the returned snapshots in.  Counters and
-        histogram buckets add; gauges take the incoming value (last
-        writer wins, matching single-process semantics).
-        """
-        for name, value in snapshot.get("counters", {}).items():
-            self.counter(name).inc(value)
-        for name, value in snapshot.get("gauges", {}).items():
-            self.gauge(name).set(value)
-        for name, state in snapshot.get("histograms", {}).items():
-            self.histogram(name, state["bounds"]).merge_state(state)
 
     def restore(self, snapshot: dict) -> None:
         """Reset this registry to a :meth:`snapshot`'s state."""

@@ -13,18 +13,18 @@ scheduler state.**
    :meth:`~repro.service.shard.Shard.snapshot`: under the queue lock,
    flush *in the parent*, then pickle the scheduler — monitors with
    their detector / dedup / incremental state, and the database it reads;
-2. each worker process unpickles one scheduler, wires a fresh metrics
-   registry and trace store (no process-local handle rides a pickle, in
-   either direction), advances it to the target time, lets go of its
-   database copy, and ships the scheduler, the scan outcomes, a metrics
-   snapshot and the recorded traces back;
+2. each worker process unpickles one scheduler, advances it to the
+   target time, lets go of its database copy, and ships the scheduler
+   and the scan outcomes back — a scan returns its own ledger (spans,
+   counts, timings), so there is no metrics or trace transport and no
+   process-local handle on either leg;
 3. :meth:`~repro.service.shard.Shard.adopt` points each returned
-   scheduler at the shard's **live** database, trims that to the last
-   retention cutoff the copy applied (the scan path's only write) and
-   binds the service's handles; outcomes merge **in ascending shard-id
-   order** — the order the serial path iterates shards — so ledger
-   admission, funnel accumulation, and sink delivery are byte-identical
-   to single-process execution.
+   scheduler at the shard's **live** database and trims that to the last
+   retention cutoff the copy applied (the scan path's only write);
+   outcomes merge **in ascending shard-id order** — the order the serial
+   path iterates shards — through the same ``_deliver`` the serial path
+   uses, so what is published, ledger admission, funnel accumulation,
+   and sink delivery are byte-identical to single-process execution.
 
 Nothing live is ever replaced, so offers and flushes need no bracket
 around an advance: what lands in the database while a worker scans its
@@ -59,13 +59,11 @@ import time
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeout
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.obs.logging import get_logger
-from repro.obs.spans import RunTrace, TraceStore
 from repro.runtime.scheduler import DetectionScheduler, ScanOutcome
-from repro.service.metrics import MetricsRegistry
 
 __all__ = ["ADVANCE_DEADLINE", "ShardAdvanceResult", "ParallelShardExecutor"]
 
@@ -86,14 +84,9 @@ class ShardAdvanceResult:
         shard_id: The shard that was advanced.
         state: What came back: the advanced scheduler, detached from
             the database copy it scanned.
-        outcomes: Scan outcomes, in the scheduler's deterministic order.
-        metrics: Snapshot of the worker-local metrics registry (scan
-            latencies, pipeline counters, cache hits) for the parent to
-            merge.
-        traces: Funnel run traces the worker's pipelines recorded (a
-            :class:`~repro.obs.spans.TraceStore` pickles to an empty
-            shell, so the runs travel explicitly here and the parent
-            folds them into its live store).
+        outcomes: Scan outcomes, in the scheduler's deterministic
+            order, each carrying its run's ledger for the parent to
+            publish.
         elapsed: Wall-clock seconds the worker spent on this shard.
         retries: How many times this shard's advance was retried before
             this result was produced (0 on the happy path).
@@ -105,9 +98,7 @@ class ShardAdvanceResult:
     shard_id: int
     state: DetectionScheduler
     outcomes: List[ScanOutcome]
-    metrics: dict
     elapsed: float
-    traces: List[RunTrace] = field(default_factory=list)
     retries: int = 0
     fallback: Optional[str] = None
 
@@ -135,9 +126,6 @@ def _advance_shard(
         elif kind == "hang":
             time.sleep(value)
     scheduler: DetectionScheduler = pickle.loads(blob)
-    registry = MetricsRegistry()
-    tracer = TraceStore()
-    scheduler.wire(registry, tracer)
     started = time.perf_counter()
     outcomes = scheduler.advance_to(target)
     elapsed = time.perf_counter() - started
@@ -147,9 +135,7 @@ def _advance_shard(
         shard_id=shard_id,
         state=scheduler,
         outcomes=outcomes,
-        metrics=registry.snapshot(),
         elapsed=elapsed,
-        traces=tracer.runs(),
     )
 
 

@@ -38,6 +38,7 @@ when cross-series dedup matters.
 
 from __future__ import annotations
 
+import collections
 import math
 import threading
 import time
@@ -59,8 +60,8 @@ from repro.quality import QualityConfig, QualityGate
 from repro.obs.logging import correlation_id, get_logger, log_context
 from repro.obs.spans import EventLog, FunnelTrace, TraceStore
 from repro.reporting.report import IncidentReport, build_report
-from repro.runtime.scheduler import ScanOutcome
-from repro.runtime.sinks import IncidentSink
+from repro.runtime.scheduler import ScanOutcome, publish
+from repro.runtime.sinks import IncidentSink, deliver
 from repro.service.checkpoint import CheckpointManager
 from repro.service.ingest import BackpressurePolicy, Sample, frames_of
 from repro.service.metrics import MetricsRegistry
@@ -211,7 +212,6 @@ class StreamingDetectionService:
         retention: float = 0.0,
         replicas: int = 64,
         routing_key: Optional[Callable[[SeriesFrame], str]] = None,
-        metrics: Optional[MetricsRegistry] = None,
         fault_injector: Optional[FaultInjector] = None,
         advance_deadline: Optional[float] = ADVANCE_DEADLINE,
         quality: Optional[QualityConfig] = QualityConfig(),
@@ -223,7 +223,7 @@ class StreamingDetectionService:
         self.n_shards = n_shards
         self.workers = workers
         self.sinks = list(sinks)
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self.metrics = MetricsRegistry()
         self.traces = TraceStore()
         self.events = EventLog()
         self.fault_injector = fault_injector
@@ -251,7 +251,6 @@ class StreamingDetectionService:
                 retention=retention,
                 quality=quality,
                 metrics=self.metrics,
-                tracer=self.traces,
                 fault_injector=fault_injector,
             )
             for shard_id in range(n_shards)
@@ -418,8 +417,8 @@ class StreamingDetectionService:
         shard-local slice of the series space.  The service defaults the
         pipeline's incremental scan cache on (pass ``incremental=False``
         to opt a monitor out): re-scans over quiet series then cost O(n)
-        in new points instead of O(window).  Pipelines record funnel
-        spans into the service's :attr:`traces` store.
+        in new points instead of O(window).  Each scan's funnel spans
+        are published into the service's :attr:`traces` store.
 
         ``shadow`` registers challenger detectors (specs accepted by
         :func:`repro.detectors.build_detector` — e.g. ``["mad"]`` or
@@ -454,8 +453,6 @@ class StreamingDetectionService:
                 config,
                 series_filter=series_filter,
                 first_run=first_run,
-                metrics=self.metrics,
-                tracer=self.traces,
                 **shard_kwargs,
             )
         self._monitor_specs.append(
@@ -614,11 +611,6 @@ class StreamingDetectionService:
             else:
                 self._clear_degraded(result.shard_id, "advance")
             shard.adopt(result.state)
-            self.metrics.merge(result.metrics)
-            # Worker-local trace stores ship their runs back explicitly;
-            # the ascending-shard-id loop keeps the merged order
-            # deterministic, matching the serial path.
-            self.traces.record_many(result.traces)
             self._deliver(shard, result.outcomes, result.elapsed, delivered)
 
     def _deliver(
@@ -631,10 +623,12 @@ class StreamingDetectionService:
         """Fold one shard's advance (its scan outcomes and how long it
         took) into service-level state.
 
-        Shared by the serial and parallel paths so scan counts, ledger
-        admission, funnel accumulation, and sink delivery are identical
-        in both.
+        Shared by the serial and parallel paths so what is published,
+        scan counts, ledger admission, funnel accumulation, and sink
+        delivery are identical in both.
         """
+        publish(outcomes, self.metrics, self.traces)
+        outcomes = [outcome for outcome in outcomes if outcome.result is not None]
         shard.scans += len(outcomes)
         self.metrics.observe("service.shard_advance_seconds", elapsed)
         for outcome in outcomes:
@@ -660,7 +654,9 @@ class StreamingDetectionService:
                         )
                         continue
                     report = build_report(regression)
-                    self._deliver_to_sinks(report)
+                    taken = deliver(report, self.sinks, self._sink_failed)
+                    if taken:
+                        self.metrics.inc("service.sinks.delivered", taken)
                     delivered.append(report)
                     self._reported += 1
                     self.metrics.inc("service.reports.delivered")
@@ -675,37 +671,19 @@ class StreamingDetectionService:
             f"service.shard{shard.shard_id}.series", len(shard.database)
         )
 
-    def _deliver_to_sinks(self, report: IncidentReport) -> None:
-        """Deliver one report to every sink, isolating per-sink faults.
-
-        A raising sink (full disk, dead endpoint, bad plugin) must never
-        abort the report loop mid-advance: the remaining sinks still get
-        this report, every later report in the scan still flows, and the
-        ledger/`service.reports.delivered` stay in sync with what was
-        actually admitted.  Failures are counted per delivery attempt
-        under ``service.sinks.errors`` and recorded on the event log, so
-        a chronically broken sink is visible on ``/metrics`` and
-        ``/faults`` instead of silently eating alerts.
-        """
-        for sink in self.sinks:
-            try:
-                sink.deliver(report)
-            except Exception as error:
-                self.metrics.inc("service.sinks.errors")
-                self.events.record(
-                    "sink_error",
-                    sink=type(sink).__name__,
-                    metric=report.metric_id,
-                    error=str(error),
-                )
-                _log.exception(
-                    "sink delivery failed",
-                    sink=type(sink).__name__,
-                    metric=report.metric_id,
-                    error=str(error),
-                )
-            else:
-                self.metrics.inc("service.sinks.delivered")
+    def _sink_failed(
+        self, sink: IncidentSink, report: IncidentReport, error: Exception
+    ) -> None:
+        """One failed delivery attempt, counted and put on the event log:
+        a chronically broken sink shows on ``/metrics`` and ``/faults``
+        instead of silently eating alerts."""
+        self.metrics.inc("service.sinks.errors")
+        self.events.record(
+            "sink_error",
+            sink=type(sink).__name__,
+            metric=report.metric_id,
+            error=str(error),
+        )
 
     def _ledger_admit(self, regression: Regression) -> bool:
         """Record-and-admit unless already reported within tolerance."""
@@ -1007,6 +985,15 @@ class StreamingDetectionService:
         for key, attr in _DURABLE.items():
             setattr(service, attr, meta[key])
         service.funnel.counts.update(meta["funnel"])
+        # Owners win: ``checkpoint()`` snapshots the registry before each
+        # shard pickles its worker under its own lock, so with a live
+        # producer the snapshot lags the workers' own ints — for good,
+        # unless the restored owners overwrite it here.
+        counters = meta["metrics"]["counters"]
+        owned: Dict[str, int] = collections.Counter()
+        for shard in service._shards.values():
+            owned.update(shard.mirrored_counters())
+        counters.update({n: v for n, v in owned.items() if v or n in counters})
         service.metrics.restore(meta["metrics"])
         # The checkpointed registry carries the previous life's gauges.
         service.metrics.set_gauge("service.shards", service.n_shards)

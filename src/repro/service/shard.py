@@ -12,11 +12,13 @@ flush takes — so neither can be torn by live producers or flushers:
   borrows for one advance: the scheduler goes out with the database it
   reads, only the scheduler comes back.
 
-Neither form carries a process-local handle: the metrics registry, the
-trace store and the fault injector hold locks and live buffers, and every
-holder drops its reference in ``__getstate__``.  :meth:`Shard.bind` is the
-one list of those holders; the constructor, ``restore`` and ``adopt`` all
-go through it.
+Neither form carries a process-local handle.  The scan side — scheduler,
+detectors, pipelines — holds none to begin with: a scan returns its
+ledger and the service publishes it.  The ingest side counts as it
+goes, so the worker and its admission controller hold the metrics
+registry and the fault injector, and drop them in ``__getstate__``;
+:meth:`Shard.bind` is the one list of those two holders, and the
+constructor and ``restore`` go through it.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.faults import FaultInjector
-from repro.obs.spans import TraceStore
 from repro.quality import AdmissionController, QualityConfig
 from repro.runtime.scheduler import DetectionScheduler, ScanOutcome
 from repro.service.ingest import BackpressurePolicy, ShardIngestWorker
@@ -35,6 +36,23 @@ from repro.service.metrics import MetricsRegistry
 from repro.tsdb.database import TimeSeriesDatabase
 
 __all__ = ["Shard", "ShardStats"]
+
+#: Registry counters, by metric name, that mirror an int the ingest worker
+#: or its admission controller owns (its ``ShardIngestWorker.counters()``
+#: key): the ones :meth:`Shard.bind`'s two holders count into the registry.
+_MIRRORED = {
+    **{
+        f"ingest.{key}": key
+        for key in (
+            "accepted", "flushed", "rejected", "dropped_oldest",
+            "blocking_flushes", "flush_failures",
+        )
+    },
+    **{
+        f"quality.{key}": f"quality_{key}"
+        for key in ("quarantined", "repaired", "counter_resets", "duplicates", "reordered")
+    },
+}
 
 
 @dataclass(frozen=True)
@@ -60,7 +78,6 @@ class Shard:
         retention: float,
         quality: Optional[QualityConfig],
         metrics: MetricsRegistry,
-        tracer: TraceStore,
         fault_injector: Optional[FaultInjector],
     ) -> None:
         self.shard_id = shard_id
@@ -79,22 +96,17 @@ class Shard:
         )
         self.scheduler = DetectionScheduler(self.database, retention=retention)
         self.scans = 0
-        self.bind(metrics, tracer, fault_injector)
+        self.bind(metrics, fault_injector)
 
     def bind(
-        self,
-        metrics: MetricsRegistry,
-        tracer: Optional[TraceStore],
-        fault_injector: Optional[FaultInjector],
+        self, metrics: MetricsRegistry, fault_injector: Optional[FaultInjector]
     ) -> None:
-        """Hand every holder of a process-local handle its handle — the
-        one list of who they are.  All of them pickle it as ``None``."""
-        self._handles = (metrics, tracer, fault_injector)
+        """Hand the ingest side its process-local handles — the one list
+        of who holds one.  Both holders pickle theirs as ``None``."""
         self.worker.metrics = metrics
         self.worker.fault_injector = fault_injector
         if self.worker.admission is not None:
             self.worker.admission.metrics = metrics
-        self.scheduler.wire(metrics, tracer)
 
     def advance(self, target: float) -> Tuple[List[ScanOutcome], float]:
         """Flush and scan in this process; ``(outcomes, seconds)`` — what
@@ -120,6 +132,14 @@ class Shard:
             scans=self.scans,
         )
 
+    def mirrored_counters(self) -> Dict[str, int]:
+        """What the registry's ``ingest.*`` / ``quality.*`` counters must
+        read for this shard, by metric name.  The owners' ints ride
+        :meth:`checkpoint_blob` under the lock; the registry snapshot
+        beside it was taken earlier, so on restore these win."""
+        counters = self.worker.counters()
+        return {name: counters.get(key, 0) for name, key in _MIRRORED.items()}
+
     # -- the durable form ------------------------------------------------
 
     def checkpoint_blob(self) -> bytes:
@@ -144,11 +164,12 @@ class Shard:
         live shard never replaces its database or worker).  Anchors of
         incremental scans are dropped: a restore is a trust boundary,
         and a stale one must never suppress a re-scan."""
+        handles = self.worker.metrics, self.worker.fault_injector
         self.database = state["database"]
         self.worker = state["worker"]
         self.scheduler = state["scheduler"]
         self.scans = state["scans"]
-        self.bind(*self._handles)
+        self.bind(*handles)
         self.scheduler.invalidate_incremental()
 
     # -- the borrowed form -----------------------------------------------
@@ -182,4 +203,3 @@ class Shard:
             with self.worker.paused():
                 self.database.apply_retention(scheduler.retention_cutoff)
         self.scheduler = scheduler
-        self.bind(*self._handles)

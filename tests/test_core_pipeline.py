@@ -248,22 +248,19 @@ class TestIncrementalScanIntegration:
         """Misses are counted at the decision point, not after the scan.
 
         A series too short for ``has_minimum_data`` bails before the
-        detector runs; the registry counter must still see that miss or
-        the two hit rates diverge.
+        detector runs; the counter the run publishes must still see that
+        miss or the two hit rates diverge.
         """
-        from repro.service import MetricsRegistry
-
         db = TimeSeriesDatabase()
         fill_series(db, "svc.sparse.gcpu", [0.001] * 5,
                     tags={"metric": "gcpu"})
-        registry = MetricsRegistry()
-        pipeline = DetectionPipeline(
-            small_config(), incremental=True, metrics=registry
-        )
-        pipeline.run(db, now=54_000.0)
-        pipeline.run(db, now=54_060.0)
+        pipeline = DetectionPipeline(small_config(), incremental=True)
+        runs = [pipeline.run(db, now=54_000.0), pipeline.run(db, now=54_060.0)]
         cache = pipeline.incremental_cache
-        counters = registry.snapshot()["counters"]
+
+        def published(name):
+            return sum(run.trace.counts.get(name, 0) for run in runs)
+
         assert cache.misses == 2
-        assert counters.get("pipeline.incremental.misses", 0) == cache.misses
-        assert counters.get("pipeline.incremental.hits", 0) == cache.hits
+        assert published("pipeline.incremental.misses") == cache.misses
+        assert published("pipeline.incremental.hits") == cache.hits

@@ -7,6 +7,7 @@ benchmark fails ``pytest`` locally, not just in CI.
 """
 
 import ast
+import functools
 import importlib.util
 import os
 import re
@@ -266,3 +267,119 @@ class TestShardLeavesOneWay:
             ):
                 locked |= dumps_under(node)
         assert len(dumps_under(tree)) == 2 and dumps_under(tree) == locked
+
+
+class TestScanStackHoldsNoHandles:
+    """A scan returns its ledger: nothing under ``repro.core``,
+    ``repro.runtime`` or ``repro.detectors`` holds a registry, a trace
+    store or a sink; one function publishes, one function fans out, and
+    the transport that carried worker metrics home stays deleted."""
+
+    SRC = os.path.join(REPO_ROOT, "src", "repro")
+
+    @classmethod
+    @functools.lru_cache(maxsize=None)
+    def _functions(cls, *packages):
+        """``(dotted function name, node)`` for every function under the
+        packages (all of ``src/repro`` when none is named)."""
+        found = []
+        for root in [os.path.join(cls.SRC, package) for package in packages] or [cls.SRC]:
+            for folder, _, files in os.walk(root):
+                for name in sorted(files):
+                    if not name.endswith(".py"):
+                        continue
+                    path = os.path.join(folder, name)
+                    module = os.path.relpath(path, cls.SRC)[:-3].replace(os.sep, ".")
+                    found += [
+                        (f"{module}.{node.name}", node)
+                        for node in ast.walk(ast.parse(_read(path)))
+                        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    ]
+        return found
+
+    def test_no_scan_class_assigns_a_handle(self):
+        held = [
+            f"{name}: self.{target.attr}"
+            for name, function in self._functions("core", "runtime", "detectors")
+            for node in ast.walk(function)
+            if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign))
+            for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+            if isinstance(target, ast.Attribute)
+            and ast.unparse(target.value) == "self"
+            and target.attr in ("metrics", "tracer", "sinks")
+        ]
+        assert not held, held
+        # ... and no __getstate__ is left there to null one.
+        scan_stack = _read(self.SRC, "core", "pipeline.py") + _read(
+            self.SRC, "runtime", "scheduler.py"
+        )
+        assert not re.search(r'state\["(metrics|tracer|sinks)"\]', scan_stack)
+
+    @staticmethod
+    def _calls(function):
+        return [node for node in ast.walk(function) if isinstance(node, ast.Call)]
+
+    def test_one_function_calls_a_sink(self):
+        callers = {
+            name
+            for name, function in self._functions()
+            for call in self._calls(function)
+            if ast.unparse(call.func) == "sink.deliver"
+        }
+        assert callers == {"runtime.sinks.deliver"}
+        assert len(re.findall(r"\bsink\.deliver\(", TestNoCallerlessBatchKernels._source())) == 1
+
+    def test_one_function_publishes_scan_metrics(self):
+        """A ``pipeline.`` / ``scheduler.`` metric name reaches a registry
+        in ``publish`` and nowhere else (the pipeline counts into its
+        run-local ``counts``, which is not one)."""
+
+        def names_a_scan_metric(call):
+            if not (
+                isinstance(call.func, ast.Attribute)
+                and call.func.attr in ("inc", "observe", "set_gauge", "timer", "counter",
+                                       "histogram")
+                and ast.unparse(call.func.value).split(".")[-1] in ("metrics", "registry")
+                and call.args
+            ):
+                return False
+            first = call.args[0]
+            if isinstance(first, ast.JoinedStr):  # an f-string: its literal head
+                first = first.values[0] if first.values else first
+            return isinstance(first, ast.Constant) and str(first.value).startswith(
+                ("pipeline.", "scheduler.")
+            )
+
+        publishers = {
+            name
+            for name, function in self._functions()
+            if any(names_a_scan_metric(call) for call in self._calls(function))
+        }
+        assert publishers == {"runtime.scheduler.publish"}
+
+    def test_the_metrics_transport_stays_deleted(self):
+        whole = TestNoCallerlessBatchKernels._source()
+        for gone in ("merge_state", "record_many", "_deliver_to_sinks", "_Lockable"):
+            assert gone not in whole, gone
+        # ``wire`` survives only as the fault injector's own method.
+        defined = [name for name, _ in self._functions() if name.endswith(".wire")]
+        assert defined == ["faults.injector.wire"]
+        called = {
+            ast.unparse(call.func)
+            for _, function in self._functions()
+            for call in self._calls(function)
+            if isinstance(call.func, ast.Attribute) and call.func.attr == "wire"
+        }
+        assert called == {"fault_injector.wire"}
+        registry = ast.parse(_read(self.SRC, "service", "metrics.py"))
+        methods = {
+            node.name for node in ast.walk(registry) if isinstance(node, ast.FunctionDef)
+        }
+        assert not {"merge", "__getstate__", "__setstate__"} & methods
+        worker = next(
+            function
+            for name, function in self._functions("service")
+            if name == "service.parallel._advance_shard"
+        )
+        built = {ast.unparse(call.func) for call in self._calls(worker)}
+        assert not {"MetricsRegistry", "TraceStore"} & built

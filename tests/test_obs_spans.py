@@ -1,7 +1,5 @@
 """Tests for repro.obs.spans (funnel spans, trace store, live funnel)."""
 
-import pickle
-
 import numpy as np
 import pytest
 
@@ -97,21 +95,6 @@ class TestTraceStore:
         assert store.recorded == 5
         assert [run.now for run in store.runs()] == [2.0, 3.0, 4.0]
 
-    def test_record_many_appends_in_order(self):
-        store = TraceStore(capacity=10)
-        store.record_many([self._run(1.0), self._run(2.0)])
-        assert [run.now for run in store.runs()] == [1.0, 2.0]
-
-    def test_pickle_drops_buffered_runs_keeps_config(self):
-        store = TraceStore(capacity=7)
-        store.record(self._run(1.0))
-        clone = pickle.loads(pickle.dumps(store))
-        assert clone.capacity == 7
-        assert clone.recorded == 1  # history counter survives
-        assert len(clone) == 0  # buffered runs are process-local
-        clone.record(self._run(2.0))  # and the clone still works
-        assert len(clone) == 1
-
     def test_zero_capacity_rejected(self):
         with pytest.raises(ValueError):
             TraceStore(capacity=0)
@@ -146,23 +129,20 @@ def _config(**overrides):
 
 
 class TestPipelineTracing:
+    """Every run hands its trace back on the result: nothing to attach."""
+
     def test_each_run_emits_exactly_one_span_per_stage(self):
         database, end = _seeded_database()
-        store = TraceStore()
-        pipeline = DetectionPipeline(_config(), tracer=store)
-        pipeline.run(database, end)
-        pipeline.run(database, end + 600.0)
-        assert len(store) == 2
-        for run in store.runs():
+        pipeline = DetectionPipeline(_config())
+        runs = [pipeline.run(database, end).trace, pipeline.run(database, end + 600.0).trace]
+        for run in runs:
             assert len(run.spans) == len(STAGES)
             assert [span.stage for span in run.spans] == list(STAGES)
 
     def test_short_term_spans_telescope(self):
         database, end = _seeded_database()
-        store = TraceStore()
-        pipeline = DetectionPipeline(_config(), tracer=store)
-        result = pipeline.run(database, end)
-        run = store.runs()[0]
+        result = DetectionPipeline(_config()).run(database, end)
+        run = result.trace
         assert result.reported  # the scenario actually detects something
         assert run.telescopes()
         # Stage N's survivors are exactly stage N+1's inputs.
@@ -171,35 +151,28 @@ class TestPipelineTracing:
 
     def test_span_outputs_equal_funnel_counters(self):
         database, end = _seeded_database()
-        store = TraceStore()
-        pipeline = DetectionPipeline(_config(), tracer=store)
-        result = pipeline.run(database, end)
-        run = store.runs()[0]
+        result = DetectionPipeline(_config()).run(database, end)
         for stage in STAGES:
-            assert run.span(stage).outputs == result.funnel.counts[stage], stage
+            assert result.trace.span(stage).outputs == result.funnel.counts[stage], stage
 
     def test_change_point_drop_reasons_cover_all_series(self):
         database, end = _seeded_database(n_series=6, n_regressed=2)
-        store = TraceStore()
-        pipeline = DetectionPipeline(_config(), tracer=store)
-        pipeline.run(database, end)
-        span = store.runs()[0].span("change_points")
+        span = DetectionPipeline(_config()).run(database, end).trace.span("change_points")
         assert span.inputs == 6  # every matched series entered the stage
         assert span.outputs + sum(span.drops.values()) == span.inputs
 
-    def test_no_tracer_records_nothing(self):
+    def test_a_pipeline_holds_no_handle_to_push_through(self):
         database, end = _seeded_database()
         pipeline = DetectionPipeline(_config())
         result = pipeline.run(database, end)
-        assert pipeline.tracer is None
-        assert result.reported
+        assert not {"metrics", "tracer", "sinks"} & set(vars(pipeline))
+        assert result.reported and result.trace.counts["pipeline.reported"] == len(
+            result.reported
+        )
 
     def test_long_term_path_breaks_telescoping_honestly(self):
         database, end = _seeded_database()
-        store = TraceStore()
-        pipeline = DetectionPipeline(_config(long_term=True), tracer=store)
-        pipeline.run(database, end)
-        run = store.runs()[0]
+        run = DetectionPipeline(_config(long_term=True)).run(database, end).trace
         # Long-term candidates enter at change_points and re-join at
         # threshold, so threshold inputs exceed seasonality outputs.
         assert run.span("threshold").inputs >= run.span("seasonality").outputs
@@ -209,9 +182,9 @@ class TestFunnelTrace:
     def test_aggregates_and_renders(self):
         database, end = _seeded_database()
         store = TraceStore()
-        pipeline = DetectionPipeline(_config(), tracer=store)
-        pipeline.run(database, end)
-        pipeline.run(database, end + 600.0)
+        pipeline = DetectionPipeline(_config())
+        store.record(pipeline.run(database, end).trace)
+        store.record(pipeline.run(database, end + 600.0).trace)
         trace = FunnelTrace.from_store(store)
         assert len(trace.runs) == 2
         per_run = [run.span("change_points").inputs for run in store.runs()]
@@ -329,14 +302,3 @@ class TestEventLog:
         assert len(log) == 4
         assert log.recorded == 10
         assert [e.fields["index"] for e in log.events()] == [6, 7, 8, 9]
-
-    def test_pickles_to_empty_shell(self):
-        from repro.obs.spans import EventLog
-
-        log = EventLog(capacity=4)
-        log.record("tick")
-        clone = pickle.loads(pickle.dumps(log))
-        assert len(clone) == 0
-        assert clone.capacity == 4
-        clone.record("tock")  # usable after unpickling
-        assert len(clone) == 1

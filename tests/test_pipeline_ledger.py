@@ -1,11 +1,13 @@
-"""The run ledger as a property: one tally feeds funnel, spans and verdicts.
+"""The run ledger as a property: ``result.trace`` *is* the ledger.
 
 ``DetectionPipeline`` keeps a single ledger per run — one
-:class:`~repro.obs.spans.StageTally` per Table 3 row — and reads both
-``PipelineResult.funnel`` and the tracer's spans off it.  These tests
-pin that identity over every stage-table shape the constructor can
-produce, and that attaching a tracer changes nothing but the clock
-reads.
+:class:`~repro.obs.spans.StageTally` per Table 3 row, and beside them
+the run-level counts — and hands it back on ``PipelineResult.trace``;
+``PipelineResult.funnel`` is read off the same tallies and
+:func:`~repro.runtime.scheduler.publish` is the only thing that turns it
+into registry counters.  These tests pin that spans, funnel and
+published counters agree over every stage-table shape the constructor
+can produce.
 """
 
 import itertools
@@ -17,6 +19,7 @@ from repro.config import DetectionConfig
 from repro.core.pipeline import STAGES, DetectionPipeline
 from repro.core.planned_changes import PlannedChange, PlannedChangeCorrelator
 from repro.obs.spans import TraceStore
+from repro.runtime import ScanOutcome, publish
 from repro.service.metrics import MetricsRegistry
 from repro.tsdb import TimeSeriesDatabase, WindowSpec
 
@@ -89,12 +92,11 @@ def _planned_changes():
     return correlator
 
 
-def _run(database, flags, planned, long_term, tracer):
+def _run(database, flags, planned, long_term):
     pipeline = DetectionPipeline(
         _config(long_term),
         planned_changes=_planned_changes() if planned else None,
         incremental=True,
-        tracer=tracer,
         **flags,
     )
     # Two scans: the second meets the merger's and PairwiseDedup's memory
@@ -102,18 +104,17 @@ def _run(database, flags, planned, long_term, tracer):
     return [pipeline.run(database, NOW), pipeline.run(database, NOW + 300.0)]
 
 
-def _outcome(results):
-    return [
-        (
-            [r.context.metric_id for r in result.reported],
-            [
-                (c.context.metric_id, c.kind, [v.reason for v in c.verdicts])
-                for c in result.all_candidates
-            ],
-            result.funnel.counts,
-        )
-        for result in results
-    ]
+def _published(results):
+    """``(counters, histogram counts, trace store)`` after publishing."""
+    metrics, store = MetricsRegistry(), TraceStore()
+    publish(
+        [ScanOutcome("ledger", result.now, result, result.trace.seconds) for result in results],
+        metrics,
+        store,
+    )
+    snapshot = metrics.snapshot()
+    counts = {name: state["count"] for name, state in snapshot["histograms"].items()}
+    return snapshot["counters"], counts, store
 
 
 @pytest.fixture(scope="module")
@@ -146,26 +147,47 @@ def _stage_table_shapes():
 @pytest.mark.parametrize("enabled, planned, long_term", _stage_table_shapes())
 def test_funnel_is_the_spans_outputs(database, enabled, planned, long_term):
     flags = dict(zip(_ENABLE_FLAGS, enabled))
-    store = TraceStore()
-    traced = _run(database, flags, planned, long_term, store)
-    for result, trace in zip(traced, store.runs()):
+    results = _run(database, flags, planned, long_term)
+    for result in results:
         for stage in STAGES:
-            span = trace.span(stage)
+            span = result.trace.span(stage)
             assert result.funnel.counts[stage] == span.outputs, stage
             assert span.outputs + sum(span.drops.values()) == span.inputs, stage
         if not long_term:
-            assert trace.telescopes()
-    # A tracer only reads the clock: same reports, same verdict trails.
-    assert _outcome(_run(database, flags, planned, long_term, None)) == _outcome(traced)
+            assert result.trace.telescopes()
+    # What gets published is the same ledger read once more.
+    counters, observed, store = _published(results)
+    assert store.runs() == [result.trace for result in results]
+    scanned = [result.trace.span("change_points") for result in results]
+    assert counters == {
+        "scheduler.scans": len(results),
+        "scheduler.regressions_reported": sum(len(r.reported) for r in results),
+        "pipeline.runs": len(results),
+        "pipeline.candidates": sum(len(r.all_candidates) for r in results),
+        "pipeline.reported": sum(len(r.reported) for r in results),
+        "pipeline.incremental.hits": sum(s.drops.get("cache_hit", 0) for s in scanned),
+        "pipeline.incremental.misses": counters["pipeline.incremental.misses"],
+        "pipeline.quality.non_finite_skips": sum(
+            s.drops.get("non_finite_window", 0) for s in scanned
+        ),
+    }
+    if not long_term:  # with it on, a series is observed once per path
+        assert counters["pipeline.incremental.hits"] + counters[
+            "pipeline.incremental.misses"
+        ] == sum(s.inputs for s in scanned)
+    assert set(observed.values()) == {len(results)}
+    assert set(observed) == {"scheduler.scan_seconds", "pipeline.run_seconds"} | {
+        f"pipeline.stage.{block}_seconds"
+        for block in ("detect", "som_dedup", "cost_shift", "pairwise_dedup", "root_cause")
+    }
 
 
 def test_fleet_exercises_every_way_out(database):
     """The fleet above is only a property test if the stages all bite."""
-    store = TraceStore()
-    first, second = _run(database, {}, planned=True, long_term=False, tracer=store)
+    first, second = _run(database, {}, planned=True, long_term=False)
     drops = {}
-    for trace in store.runs():
-        for span in trace.spans:
+    for result in (first, second):
+        for span in result.trace.spans:
             for reason, count in span.drops.items():
                 drops[reason] = drops.get(reason, 0) + count
     for reason in (
@@ -184,9 +206,7 @@ def test_bad_window_is_skipped_once_whichever_paths_run(long_term):
     values[105:108] = float("nan")
     database = TimeSeriesDatabase()
     fill_series(database, "svc.burst.gcpu", values, INTERVAL, tags={"metric": "gcpu"})
-    store, metrics = TraceStore(), MetricsRegistry()
-    pipeline = DetectionPipeline(_config(long_term), tracer=store, metrics=metrics)
-    pipeline.run(database, NOW)
-    assert metrics.snapshot()["counters"]["pipeline.quality.non_finite_skips"] == 1
-    span = store.runs()[0].span("change_points")
+    trace = DetectionPipeline(_config(long_term)).run(database, NOW).trace
+    assert trace.counts["pipeline.quality.non_finite_skips"] == 1
+    span = trace.span("change_points")
     assert (span.inputs, span.drops) == (1, {"non_finite_window": 1})

@@ -6,7 +6,6 @@ import pytest
 from repro.config import DetectionConfig
 from repro.core.pipeline import DetectionPipeline
 from repro.quality import QualityGate, window_coverage
-from repro.service.metrics import MetricsRegistry
 from repro.tsdb import TimeSeriesDatabase, WindowSpec
 
 from conftest import fill_series
@@ -107,11 +106,9 @@ class TestPipelineDegenerateSeries:
         values[750:780] = float("nan")  # burst inside the analysis window
         db = TimeSeriesDatabase()
         fill_series(db, "svc.burst.gcpu", values, tags={"metric": "gcpu"})
-        pipeline = DetectionPipeline(small_config(), metrics=MetricsRegistry())
-        result = pipeline.run(db, now=54_000.0)
+        result = DetectionPipeline(small_config()).run(db, now=54_000.0)
         assert result.reported == []
-        counters = pipeline.metrics.snapshot()["counters"]
-        assert counters.get("pipeline.quality.non_finite_skips", 0) >= 1
+        assert result.trace.counts.get("pipeline.quality.non_finite_skips", 0) >= 1
 
 
 class TestPipelineGapGating:
@@ -129,13 +126,11 @@ class TestPipelineGapGating:
                 continue
             series.append(tick, float(value) + (0.5 if tick >= 36_000.0 else 0.0))
         pipeline = DetectionPipeline(
-            small_config(), quality_gate=QualityGate(min_coverage=0.5),
-            metrics=MetricsRegistry(),
+            small_config(), quality_gate=QualityGate(min_coverage=0.5)
         )
         result = pipeline.run(db, now=54_000.0)
         assert result.reported == []
-        counters = pipeline.metrics.snapshot()["counters"]
-        assert counters.get("pipeline.quality.low_coverage_skips", 0) >= 1
+        assert result.trace.counts.get("pipeline.quality.low_coverage_skips", 0) >= 1
 
     def test_stale_series_evicted_until_it_resumes(self):
         rng = np.random.default_rng(13)
@@ -144,15 +139,13 @@ class TestPipelineGapGating:
             db, "svc.dead.gcpu", rng.normal(0.001, 0.00002, 900),
             tags={"metric": "gcpu"},
         )
-        pipeline = DetectionPipeline(small_config(), quality_gate=QualityGate(),
-                                     metrics=MetricsRegistry())
+        pipeline = DetectionPipeline(small_config(), quality_gate=QualityGate())
         # Newest point is 900 ticks old => far beyond 3 analysis spans.
         far_future = 900 * INTERVAL + 4 * 12_000.0
         result = pipeline.run(db, now=far_future)
         assert result.reported == []
         assert pipeline.stale_series() == ["svc.dead.gcpu"]
-        counters = pipeline.metrics.snapshot()["counters"]
-        assert counters.get("pipeline.quality.stale_evictions", 0) == 1
+        assert result.trace.counts.get("pipeline.quality.stale_evictions", 0) == 1
         # The series resumes: next run un-evicts it.
         series.append(far_future - INTERVAL, 0.001)
         pipeline.run(db, now=far_future)

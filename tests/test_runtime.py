@@ -6,7 +6,15 @@ import numpy as np
 import pytest
 
 from repro.config import DetectionConfig
-from repro.runtime import CollectingSink, DetectionScheduler, LoggingSink
+from repro.obs.spans import TraceStore
+from repro.runtime import (
+    CollectingSink,
+    DetectionScheduler,
+    LoggingSink,
+    deliver_outcomes,
+    publish,
+)
+from repro.service.metrics import MetricsRegistry
 from repro.tsdb import TimeSeriesDatabase, WindowSpec
 
 from conftest import fill_series
@@ -59,11 +67,13 @@ class TestDetectionScheduler:
     def test_advance_runs_due_scans(self, rng):
         db = regression_db(rng)
         sink = CollectingSink()
-        scheduler = DetectionScheduler(db, sinks=[sink])
+        scheduler = DetectionScheduler(db)
         scheduler.register("svc", small_config(), series_filter={"service": "svc"})
         outcomes = scheduler.advance_to(66_000.0)
+        deliver_outcomes(outcomes, [sink])
         # First run at windows.total = 54000, then 60000, 66000.
         assert [o.now for o in outcomes] == [54_000.0, 60_000.0, 66_000.0]
+        assert all(o.seconds > 0.0 for o in outcomes)
         assert len(sink.reports) == 1  # SameRegressionMerger dedups re-runs
         assert sink.reports[0].metric_id == "svc.sub.gcpu"
 
@@ -81,12 +91,13 @@ class TestDetectionScheduler:
         values = rng.normal(0.002, 0.00002, 1100)
         fill_series(db, "b.sub.gcpu", values, tags={"service": "b", "metric": "gcpu"})
         sink = CollectingSink()
-        scheduler = DetectionScheduler(db, sinks=[sink])
+        scheduler = DetectionScheduler(db)
         scheduler.register("mon-a", small_config(), series_filter={"service": "a"},
                            first_run=54_000.0)
         scheduler.register("mon-b", small_config(), series_filter={"service": "b"},
                            first_run=54_000.0)
         outcomes = scheduler.advance_to(54_000.0)
+        deliver_outcomes(outcomes, [sink])
         # Same tick: scanned one after another, in registration order.
         assert [o.monitor for o in outcomes] == ["mon-a", "mon-b"]
         assert len(sink.reports) == 1  # only service a regressed
@@ -119,18 +130,18 @@ class TestSinks:
     def test_collecting_sink_len(self, rng):
         db = regression_db(rng)
         sink = CollectingSink()
-        scheduler = DetectionScheduler(db, sinks=[sink])
+        scheduler = DetectionScheduler(db)
         scheduler.register("svc", small_config(), first_run=54_000.0)
-        scheduler.advance_to(54_000.0)
+        deliver_outcomes(scheduler.advance_to(54_000.0), [sink])
         assert len(sink) == 1
 
     def test_logging_sink(self, rng, caplog):
         db = regression_db(rng)
         logger = logging.getLogger("repro.runtime.test")
-        scheduler = DetectionScheduler(db, sinks=[LoggingSink(logger)])
+        scheduler = DetectionScheduler(db)
         scheduler.register("svc", small_config(), first_run=54_000.0)
         with caplog.at_level(logging.WARNING, logger="repro.runtime.test"):
-            scheduler.advance_to(54_000.0)
+            deliver_outcomes(scheduler.advance_to(54_000.0), [LoggingSink(logger)])
         assert any("Performance regression" in r.message for r in caplog.records)
 
 
@@ -138,19 +149,8 @@ class TestScanFailureIsolation:
     """One monitor's scan blowing up must not abort the whole batch."""
 
     def test_failing_monitor_does_not_starve_others(self, rng):
-        class _Registry:
-            def __init__(self):
-                self.counters = {}
-
-            def inc(self, name, amount=1.0):
-                self.counters[name] = self.counters.get(name, 0.0) + amount
-
-            def observe(self, name, value):
-                pass
-
-        registry = _Registry()
         db = regression_db(rng)
-        scheduler = DetectionScheduler(db, metrics=registry)
+        scheduler = DetectionScheduler(db)
         scheduler.register("healthy", small_config(), first_run=54_000.0)
         broken = scheduler.register("broken", small_config(), first_run=54_000.0)
 
@@ -159,8 +159,17 @@ class TestScanFailureIsolation:
 
         broken.detector.run = explode
         outcomes = scheduler.advance_to(54_000.0)
-        assert [o.monitor for o in outcomes] == ["healthy"]
-        assert registry.counters["scheduler.scan_failures"] == 1.0
-        assert registry.counters["scheduler.scans"] == 1.0
+        # The failure is in what the advance returns, not counted on the side.
+        assert [(o.monitor, o.result is None) for o in outcomes] == [
+            ("healthy", False), ("broken", True),
+        ]
         # The failed monitor is rescheduled, not stuck at its old due time.
         assert broken.next_run > 54_000.0
+        # Publishing counts it; delivering steps over it.
+        registry, store, sink = MetricsRegistry(), TraceStore(), CollectingSink()
+        publish(outcomes, registry, store)
+        deliver_outcomes(outcomes, [sink])
+        counters = registry.snapshot()["counters"]
+        assert counters["scheduler.scan_failures"] == 1.0
+        assert counters["scheduler.scans"] == 1.0
+        assert len(store) == 1 and len(sink) == 1

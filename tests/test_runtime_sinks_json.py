@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from repro.config import DetectionConfig
-from repro.runtime import DetectionScheduler, JsonLinesSink
+from repro.runtime import DetectionScheduler, JsonLinesSink, deliver_outcomes
 from repro.tsdb import TimeSeriesDatabase, WindowSpec
 
 from conftest import fill_series
@@ -52,7 +52,7 @@ class TestJsonLinesSink:
         fill_series(db, "svc.sub.gcpu", values,
                     tags={"service": "svc", "subroutine": "sub", "metric": "gcpu"})
         path = tmp_path / "incidents.jsonl"
-        scheduler = DetectionScheduler(db, sinks=[JsonLinesSink(str(path))])
+        scheduler = DetectionScheduler(db)
         scheduler.register(
             "svc",
             DetectionConfig(
@@ -60,7 +60,7 @@ class TestJsonLinesSink:
                 windows=WindowSpec(36_000.0, 12_000.0, 6_000.0), long_term=False,
             ),
         )
-        scheduler.advance_to(60_000.0)
+        deliver_outcomes(scheduler.advance_to(60_000.0), [JsonLinesSink(str(path))])
         lines = path.read_text().strip().splitlines()
         assert len(lines) == 1
         payload = json.loads(lines[0])

@@ -13,7 +13,7 @@ import threading
 import numpy as np
 
 from repro.config import DetectionConfig
-from repro.runtime import CollectingSink, DetectionScheduler
+from repro.runtime import CollectingSink, DetectionScheduler, deliver_outcomes
 from repro.tsdb import TimeSeriesDatabase, WindowSpec
 
 from conftest import fill_series
@@ -49,7 +49,7 @@ class TestConcurrentAdvance:
     def test_each_due_scan_runs_exactly_once(self):
         db = regression_db()
         sink = CollectingSink()
-        scheduler = DetectionScheduler(db, sinks=[sink])
+        scheduler = DetectionScheduler(db)
         scheduler.register("svc", small_config(), series_filter={"service": "svc"})
 
         target = 120_000.0
@@ -62,6 +62,8 @@ class TestConcurrentAdvance:
             try:
                 barrier.wait()
                 outcomes_per_thread[slot] = scheduler.advance_to(target)
+                # Each thread delivers the outcomes it was returned.
+                deliver_outcomes(outcomes_per_thread[slot], [sink])
             except Exception as error:  # pragma: no cover - failure path
                 errors.append(error)
 

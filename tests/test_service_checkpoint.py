@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.config import DetectionConfig
+from repro.core.incremental import IncrementalScanCache
 from repro.runtime import CollectingSink
 from repro.service import (
     BackpressurePolicy,
@@ -65,6 +66,17 @@ class TestCheckpointManager:
 
     def test_missing_manifest_raises(self, tmp_path):
         manager = CheckpointManager(str(tmp_path / "nowhere"))
+        assert not manager.exists()
+        with pytest.raises(CheckpointError, match="no checkpoint manifest"):
+            manager.load()
+
+    def test_a_pointer_manifest_alone_is_not_a_checkpoint(self, tmp_path):
+        """Only versions the loader refuses ever wrote a bare
+        ``manifest.json`` with no generation beside it."""
+        manager = CheckpointManager(str(tmp_path))
+        manager.save({"clock": 1.0}, _blobs({0: "x"}))
+        os.unlink(tmp_path / "manifest.g1.json")
+        assert os.path.isfile(manager.manifest_path)
         assert not manager.exists()
         with pytest.raises(CheckpointError, match="no checkpoint manifest"):
             manager.load()
@@ -341,12 +353,15 @@ class TestKillRestoreEquivalence:
         assert stats.clock == reference.stats().clock
 
     def test_a_checkpoint_from_before_the_options_went_restores_and_advances(
-        self, stream, tmp_path
+        self, stream, tmp_path, monkeypatch
     ):
-        """``QualityConfig.quarantine_capacity`` / ``.non_negative_metrics``
-        and ``DetectionPipeline.min_*_points`` became module constants.  A
-        pickle written while they were attributes still carries them: they
-        sit in ``__dict__`` unread, and the run goes on as if uninterrupted."""
+        """``QualityConfig.quarantine_capacity`` / ``.non_negative_metrics``,
+        ``DetectionPipeline.min_*_points`` and the screen's ``drift`` /
+        ``threshold`` became module constants, and the scan stack stopped
+        holding ``metrics`` / ``tracer`` / ``sinks``.  A pickle written
+        while they were attributes still carries them (the handles nulled):
+        they sit in ``__dict__`` unread, and the run goes on as if
+        uninterrupted."""
         reference_sink = CollectingSink()
         feed(make_service(reference_sink), stream, 0, N_TICKS)
         sink = CollectingSink()
@@ -356,14 +371,22 @@ class TestKillRestoreEquivalence:
             vars(shard.worker.admission.config).update(
                 quarantine_capacity=1024, non_negative_metrics=frozenset({"gcpu"})
             )
+            vars(shard.scheduler).update(metrics=None, sinks=[])
             for registration in shard.scheduler._monitors.values():
                 vars(registration.detector.pipeline).update(
-                    min_historic_points=12, min_analysis_points=8
+                    min_historic_points=12, min_analysis_points=8,
+                    metrics=None, tracer=None,
                 )
+        cache_state = IncrementalScanCache.__getstate__
+        monkeypatch.setattr(
+            IncrementalScanCache, "__getstate__",
+            lambda cache: {**cache_state(cache), "drift": 0.75, "threshold": 6.0},
+        )
         victim.checkpoint(str(tmp_path))
         restored = StreamingDetectionService.restore(str(tmp_path), sinks=[sink])
         for shard in restored._shards.values():
             assert vars(shard.worker.admission.config)["quarantine_capacity"] == 1024
+            assert vars(shard.scheduler)["sinks"] == []
         feed(restored, stream, KILL_TICK, N_TICKS)
         assert report_keys(sink.reports) == report_keys(reference_sink.reports)
 

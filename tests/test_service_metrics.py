@@ -1,6 +1,5 @@
 """Tests for repro.service.metrics (counters, gauges, histograms, registry)."""
 
-import pickle
 import threading
 
 import pytest
@@ -152,15 +151,6 @@ class TestRegistry:
 
     def test_render_empty(self):
         assert MetricsRegistry().render_text() == ""
-
-    def test_pickle_round_trip(self):
-        metrics = MetricsRegistry()
-        metrics.inc("c", 2)
-        metrics.observe("h", 0.5)
-        clone = pickle.loads(pickle.dumps(metrics))
-        assert clone.counter("c").value == 2
-        assert clone.histogram("h").count == 1
-        clone.inc("c")  # lock recreated, still usable
 
     def test_thread_safety_under_contention(self):
         metrics = MetricsRegistry()

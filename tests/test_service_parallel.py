@@ -157,7 +157,8 @@ class TestSerialParallelEquivalence:
         counters = metrics["counters"]
         assert metrics["gauges"]["service.workers"] == 4.0
         assert counters["service.parallel_advances"] > 0
-        # Worker-side instruments survived the merge back into the parent.
+        # What the workers' scans measured came home on their outcomes
+        # and was published by the parent.
         assert counters["ingest.flushed"] == len(SERIES) * N_TICKS
         assert metrics["histograms"]["service.shard_advance_seconds"]["count"] > 0
         assert metrics["histograms"]["scheduler.scan_seconds"]["count"] > 0

@@ -2,25 +2,30 @@
 
 Two serialised forms — the checkpoint blob and the snapshot a worker
 process borrows — both taken under the shard's queue lock, neither
-carrying a process-local handle; ``Shard.bind`` hands the handles back.
+carrying a process-local handle: the scan side holds none, and
+``Shard.bind`` hands the ingest side's back.
 """
 
+import io
 import json
 import pickle
 import threading
+import time
 
 import numpy as np
 import pytest
 
 from repro.config import DetectionConfig
 from repro.faults import FaultInjector, FaultPlan
-from repro.runtime import CollectingSink
+from repro.obs.spans import EventLog, TraceStore
+from repro.runtime import CollectingSink, IncidentSink
 from repro.service import (
     BackpressurePolicy,
     CheckpointError,
     CheckpointManager,
     StreamingDetectionService,
 )
+from repro.service.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.tsdb import SeriesFrame, WindowSpec
 
 TAGS = {"metric": "gcpu"}
@@ -98,10 +103,94 @@ class TestCheckpointUnderLiveIngest:
         assert not torn, torn[:5]
 
 
+class TestRestoredLedgersAgree:
+    """The bug: ``checkpoint()`` snapshots the registry before each shard
+    pickles its worker under its own lock, so with a live producer the
+    restored ``ingest.*`` / ``quality.*`` registry counters lagged the
+    restored workers' own ints — and ``/metrics`` and ``stats()`` never
+    agreed again.  Owners win on restore."""
+
+    def test_registry_counters_equal_the_sums_over_the_restored_owners(self, tmp_path):
+        service = StreamingDetectionService(
+            n_shards=4, queue_capacity=1 << 20, backpressure=BackpressurePolicy.BLOCK
+        )
+        stop = threading.Event()
+
+        def produce():
+            tick = 0
+            while not stop.is_set():
+                stamps = [float(tick + row) for row in range(4)]
+                # One row in four is garbage: quality.* moves with ingest.*.
+                values = [0.001, float("nan"), 0.001, 0.001]
+                for index in range(16):
+                    service.ingest_frame(
+                        SeriesFrame(f"svc.sub{index}.gcpu", TAGS, stamps, values)
+                    )
+                tick += 4
+                stop.wait(0.0005)  # a steady trickle: the blobs stay small
+
+        def disagreements(restored):
+            counters = restored.metrics.snapshot()["counters"]
+            owned = [shard.counters for shard in restored.stats().shards]
+            assert sum(c["accepted"] for c in owned) > 0
+            assert sum(c["quality_quarantined"] for c in owned) > 0
+            pairs = [
+                (f"ingest.{key}", sum(c[key] for c in owned))
+                for key in ("accepted", "flushed", "rejected", "dropped_oldest")
+            ] + [
+                (f"quality.{key}", sum(c[f"quality_{key}"] for c in owned))
+                for key in ("quarantined", "repaired", "duplicates", "reordered")
+            ]
+            return [
+                (name, counters.get(name, 0), total)
+                for name, total in pairs
+                if counters.get(name, 0) != total
+            ]
+
+        producer = threading.Thread(target=produce, daemon=True)
+        producer.start()
+        torn = []
+        try:
+            deadline = time.monotonic() + 30.0
+            while service.stats().accepted < 500 and time.monotonic() < deadline:
+                time.sleep(0.001)
+            # One checkpoint can land between two frames by luck; eight
+            # against a producer that keeps offering do not.
+            for round_index in range(8):
+                directory = str(tmp_path / f"ckpt{round_index}")
+                service.checkpoint(directory)
+                restored = StreamingDetectionService.restore(directory)
+                torn += disagreements(restored)
+                restored.close()
+        finally:
+            stop.set()
+            producer.join(timeout=10.0)
+            service.close()
+        assert not producer.is_alive()
+        assert torn == []
+
+
+class _NoHandles(pickle.Pickler):
+    """Pickles like ``pickle.dumps`` but refuses anything process-local
+    by *type* — a holder that nulls its handle in ``__getstate__`` passes,
+    one that relies on the handle pickling to an empty shell does not."""
+
+    FORBIDDEN = (
+        MetricsRegistry, Counter, Gauge, Histogram, TraceStore, EventLog,
+        FaultInjector, IncidentSink, type(threading.Lock()), type(threading.RLock()),
+    )
+
+    def reducer_override(self, obj):
+        if isinstance(obj, self.FORBIDDEN):
+            raise pickle.PicklingError(f"{type(obj).__name__} on board")
+        return NotImplemented
+
+
 class TestNothingProcessLocalOnBoard:
     """No serialised form of a shard carries the registry, an
-    instrument, the trace store or the fault injector; whoever unpickles
-    one finds ``None`` where a handle was and wires its own."""
+    instrument, the trace store, the event log, the fault injector, a
+    sink or a lock.  The scan side has no attribute for one; the ingest
+    side finds ``None`` where its handle was and ``bind`` hands it back."""
 
     HANDLES = (b"MetricsRegistry", b"Histogram", b"TraceStore", b"FaultInjector")
 
@@ -127,25 +216,48 @@ class TestNothingProcessLocalOnBoard:
             for blob in (shard.snapshot(), shard.checkpoint_blob()):
                 assert [name for name in self.HANDLES if name in blob] == []
 
+    def test_the_object_graphs_hold_nothing_process_local(self, service):
+        """The picklability of registries, trace stores and event logs is
+        gone because nothing pickled reaches one: walk what ``snapshot()``
+        and ``checkpoint_blob()`` pickle and refuse every such object."""
+        for shard in service._shards.values():
+            with shard.worker.paused():
+                snapshot = pickle.loads(shard.snapshot())
+                durable = pickle.loads(shard.checkpoint_blob())
+                for graph in (
+                    shard.scheduler,
+                    {"database": shard.database, "worker": shard.worker,
+                     "scheduler": shard.scheduler, "scans": shard.scans},
+                    # What comes back out is as clean as what went in.
+                    snapshot, durable,
+                ):
+                    _NoHandles(io.BytesIO(), protocol=pickle.HIGHEST_PROTOCOL).dump(graph)
+        # The walk does see what it is looking for, and the handles
+        # themselves no longer pretend to be picklable.
+        stowaway = {"scheduler": shard.scheduler, "registry": service.metrics}
+        with pytest.raises(pickle.PicklingError, match="MetricsRegistry on board"):
+            _NoHandles(io.BytesIO()).dump(stowaway)
+        for handle in (service.metrics, service.traces, service.events):
+            with pytest.raises(TypeError, match="cannot pickle"):
+                pickle.dumps(handle)
+
     def test_an_unpickled_snapshot_is_unwired_and_the_shard_stays_bound(self, service):
         for shard in service._shards.values():
             scheduler = pickle.loads(shard.snapshot())
-            assert scheduler.metrics is None
             pipelines = [
                 registration.detector.pipeline
                 for registration in scheduler._monitors.values()
             ]
             assert pipelines
-            for pipeline in pipelines:
-                assert pipeline.metrics is None and pipeline.tracer is None
-            # The copy came back advanced: adopting it binds every handle.
+            for holder in (scheduler, *pipelines):
+                assert not {"metrics", "tracer", "sinks"} & set(vars(holder))
+            # The copy came back advanced: adopting it re-points it at the
+            # live database, and there is nothing on it to bind.
             shard.adopt(scheduler)
             assert shard.scheduler is scheduler
             assert scheduler.database is shard.database
-            assert scheduler.metrics is service.metrics
-            for pipeline in pipelines:
-                assert pipeline.metrics is service.metrics
-                assert pipeline.tracer is service.traces
+            assert shard.worker.metrics is service.metrics
+            assert shard.worker.fault_injector is service.fault_injector
 
     def test_restore_binds_every_holder(self, service, tmp_path):
         directory = str(tmp_path / "ckpt")
@@ -157,11 +269,7 @@ class TestNothingProcessLocalOnBoard:
                 assert shard.worker.metrics is restored.metrics
                 assert shard.worker.fault_injector is injector
                 assert shard.worker.admission.metrics is restored.metrics
-                assert shard.scheduler.metrics is restored.metrics
                 assert shard.scheduler.database is shard.database is shard.worker.database
-                for registration in shard.scheduler._monitors.values():
-                    assert registration.detector.pipeline.metrics is restored.metrics
-                    assert registration.detector.pipeline.tracer is restored.traces
             assert restored.stats().scans == service.stats().scans
         finally:
             restored.close()

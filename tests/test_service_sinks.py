@@ -1,4 +1,4 @@
-"""Per-sink fault isolation in report delivery (service and scheduler).
+"""Per-sink fault isolation in report delivery (the one ``deliver``).
 
 The regression these tests pin down: sink delivery used to run inline
 with no isolation, so one raising sink aborted the delivery loop —
@@ -13,11 +13,10 @@ import pytest
 
 from repro.config import DetectionConfig
 from repro.reporting import build_report
-from repro.runtime import CollectingSink, DetectionScheduler, JsonLinesSink
+from repro.runtime import CollectingSink, JsonLinesSink, deliver
 from repro.service import BackpressurePolicy, Sample, StreamingDetectionService
-from repro.tsdb import TimeSeriesDatabase, WindowSpec
+from repro.tsdb import WindowSpec
 
-from conftest import fill_series
 from test_reporting import make_regression
 
 N_SERIES = 8
@@ -108,7 +107,7 @@ class TestServiceSinkIsolation:
             n_shards=1, sinks=[RaisingSink()], queue_capacity=64,
             backpressure=BackpressurePolicy.BLOCK, batch_size=8,
         )
-        service._deliver_to_sinks(build_report(make_regression()))
+        deliver(build_report(make_regression()), service.sinks, service._sink_failed)
         events = service.events.events("sink_error")
         assert len(events) == 1
         assert events[0].fields["sink"] == "RaisingSink"
@@ -127,24 +126,30 @@ class TestServiceSinkIsolation:
         assert bad.closed and good.closed
 
 
-class TestSchedulerSinkIsolation:
-    def test_raising_sink_does_not_starve_later_sinks(self, rng, tmp_path):
-        db = TimeSeriesDatabase()
-        values = rng.normal(0.001, 0.00002, 1100)
-        values[700:] += 0.0002
-        fill_series(db, "svc.sub.gcpu", values,
-                    tags={"service": "svc", "subroutine": "sub",
-                          "metric": "gcpu"})
+class TestDeliverIsolation:
+    """``repro.runtime.sinks.deliver`` is the only caller of a sink's
+    ``deliver`` in ``src/``: the service and bare-scheduler users both
+    fan out through it, so its isolation is everybody's."""
+
+    def test_raising_sink_does_not_starve_later_sinks(self, tmp_path):
         path = tmp_path / "incidents.jsonl"
-        raising = RaisingSink()
-        scheduler = DetectionScheduler(
-            db, sinks=[raising, JsonLinesSink(str(path))]
+        raising, failures = RaisingSink(), []
+        report = build_report(make_regression())
+        taken = deliver(
+            report,
+            [raising, JsonLinesSink(str(path)), CollectingSink()],
+            on_error=lambda sink, failed, error: failures.append((sink, failed, str(error))),
         )
-        scheduler.register("svc", scan_config())
-        scheduler.advance_to(66_000.0)
         assert raising.attempts == 1
-        # The sink after the raising one still received the report.
+        # The sinks after the raising one still received the report.
+        assert taken == 2
         assert len(path.read_text().strip().splitlines()) == 1
+        assert failures == [(raising, report, "sink exploded")]
+
+    def test_without_a_callback_a_failure_is_only_logged(self):
+        good = CollectingSink()
+        assert deliver(build_report(make_regression()), [RaisingSink(), good]) == 1
+        assert len(good) == 1
 
 
 class TestJsonLinesSinkHandle:
