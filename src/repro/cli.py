@@ -29,15 +29,13 @@ import sys
 from dataclasses import replace
 from typing import List, Optional, Sequence
 
-import numpy as np
-
 from repro import FBDetect, TimeSeriesDatabase, table1_config
 from repro.config import TABLE1_CONFIGS
 from repro.fleet import ChangeEffect, ChangeLog, CodeChange, FleetSimulator
 from repro.reporting import build_report, format_report
 from repro.reporting.funnel import format_funnel_table
 from repro.runtime import CollectingSink
-from repro.service import BackpressurePolicy, Sample, StreamingDetectionService
+from repro.service import BackpressurePolicy, Sample, StreamingDetectionService, views
 from repro.workloads import build_preset, preset_names
 
 __all__ = ["main", "build_parser"]
@@ -177,25 +175,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
-    preset = build_preset(args.preset, seed=args.seed)
+def _hottest_and_change(preset, regress: float, deploy_time: float):
+    """The preset's hottest non-root subroutine, and a change log that
+    multiplies its cost by ``regress`` at ``deploy_time`` (empty for 0)."""
     graph = preset.service.call_graph
     probabilities = graph.inclusion_probabilities()
     hottest = max(
         (name for name in graph.names() if name != graph.root),
         key=lambda name: probabilities[name],
     )
-
     change_log = ChangeLog()
-    if args.regress:
+    if regress:
         change_log.add(
             CodeChange(
                 "cli-injected",
-                deploy_time=0.7 * args.ticks * args.interval,
+                deploy_time=deploy_time,
                 title=f"cli: regress {hottest}",
-                effects=(ChangeEffect(hottest, args.regress),),
+                effects=(ChangeEffect(hottest, regress),),
             )
         )
+    return hottest, change_log
+
+
+def _cmd_simulate(args: argparse.Namespace) -> int:
+    preset = build_preset(args.preset, seed=args.seed)
+    hottest, change_log = _hottest_and_change(
+        preset, args.regress, 0.7 * args.ticks * args.interval
+    )
 
     simulation = FleetSimulator(
         preset.service, change_log=change_log, interval=args.interval, seed=args.seed
@@ -241,8 +247,6 @@ def _cmd_detect(args: argparse.Namespace) -> int:
 
     config = table1_config(args.config)
     if args.threshold is not None:
-        from dataclasses import replace
-
         config = replace(config, threshold=args.threshold)
     span = timestamps[-1] - timestamps[0]
     if args.fit_windows and span > 0:
@@ -359,24 +363,51 @@ def _parse_shadow_specs(raw_specs):
     return specs
 
 
-def _make_webhook_sink(args: argparse.Namespace):
-    """Build the optional --webhook sink (None when the flag is absent)."""
-    if not args.webhook:
-        return None
-    from repro.connectors import WebhookSink
+def _build_service(args: argparse.Namespace, **service_kwargs):
+    """The service both serve-demo paths run: ``(service, collecting
+    sink, webhook sink)`` — the last ``None`` without ``--webhook``,
+    else delivering beside the first and counting into the service's
+    registry."""
+    sink = CollectingSink()
+    sinks = [sink]
+    webhook_sink = None
+    if args.webhook:
+        from repro.connectors import WebhookSink
 
-    return WebhookSink(args.webhook)
-
-
-def _print_webhook_summary(webhook_sink) -> None:
-    """One-line delivery tally, printed after the sink has been closed."""
-    if webhook_sink is None:
-        return
-    tally = ", ".join(
-        f"{name}={count}" for name, count in sorted(webhook_sink.counters.items())
+        webhook_sink = WebhookSink(args.webhook)
+        sinks.append(webhook_sink)
+    service = StreamingDetectionService(
+        n_shards=args.shards,
+        workers=args.workers,
+        sinks=sinks,
+        queue_capacity=args.capacity,
+        backpressure=BackpressurePolicy(args.policy),
+        batch_size=args.batch_size,
+        **service_kwargs,
     )
-    print()
-    print(f"webhook delivery ({webhook_sink.url}): {tally}")
+    if webhook_sink is not None:
+        webhook_sink.metrics = service.metrics
+    return service, sink, webhook_sink
+
+
+def _print_reports(sink: CollectingSink) -> None:
+    print(f"incident reports delivered: {len(sink.reports)}")
+    for report in sink.reports:
+        print(f"  - {report.metric_id} ({report.relative_magnitude:+.1%} "
+              f"at t={report.change_time:.0f})")
+
+
+def _close(service: StreamingDetectionService, webhook_sink) -> int:
+    """Close the service, then tally the webhook deliveries its close
+    flushed; the exit code of a demo that ran."""
+    service.close()
+    if webhook_sink is not None:
+        tally = ", ".join(
+            f"{name}={count}" for name, count in sorted(webhook_sink.counters.items())
+        )
+        print()
+        print(f"webhook delivery ({webhook_sink.url}): {tally}")
+    return 0
 
 
 def _serve_demo_csv(args: argparse.Namespace) -> int:
@@ -417,21 +448,7 @@ def _serve_demo_csv(args: argparse.Namespace) -> int:
         long_term=False,
     )
 
-    sink = CollectingSink()
-    sinks = [sink]
-    webhook_sink = _make_webhook_sink(args)
-    if webhook_sink is not None:
-        sinks.append(webhook_sink)
-    service = StreamingDetectionService(
-        n_shards=args.shards,
-        workers=args.workers,
-        sinks=sinks,
-        queue_capacity=args.capacity,
-        backpressure=BackpressurePolicy(args.policy),
-        batch_size=args.batch_size,
-    )
-    if webhook_sink is not None:
-        webhook_sink.metrics = service.metrics
+    service, sink, webhook_sink = _build_service(args)
     service.register_monitor(
         "csv-import", config, series_filter={"source": importer.source_name}
     )
@@ -444,22 +461,16 @@ def _serve_demo_csv(args: argparse.Namespace) -> int:
     for index in range(1, steps + 1):
         service.advance_to(first + span * index / steps + args.interval)
 
-    service_stats = service.stats()
     print(f"imported {stats.offered} samples from {args.ingest_csv} "
           f"({stats.accepted} accepted, {stats.bad_rows} malformed rows "
           f"skipped)")
     print(f"{stats.series} series spanning t=[{first:.0f}, {last:.0f}] "
           f"through {args.shards} shard(s), {args.workers} worker(s)")
     print()
-    print(service_stats.render())
+    print(service.stats().render())
     print()
-    print(f"incident reports delivered: {len(sink.reports)}")
-    for report in sink.reports:
-        print(f"  - {report.metric_id} ({report.relative_magnitude:+.1%} "
-              f"at t={report.change_time:.0f})")
-    service.close()
-    _print_webhook_summary(webhook_sink)
-    return 0
+    _print_reports(sink)
+    return _close(service, webhook_sink)
 
 
 def _cmd_serve_demo(args: argparse.Namespace) -> int:
@@ -475,24 +486,8 @@ def _cmd_serve_demo(args: argparse.Namespace) -> int:
     if args.ingest_csv:
         return _serve_demo_csv(args)
     preset = build_preset(args.preset, seed=args.seed)
-    graph = preset.service.call_graph
-    probabilities = graph.inclusion_probabilities()
-    hottest = max(
-        (name for name in graph.names() if name != graph.root),
-        key=lambda name: probabilities[name],
-    )
-
     span = args.ticks * args.interval
-    change_log = ChangeLog()
-    if args.regress:
-        change_log.add(
-            CodeChange(
-                "cli-injected",
-                deploy_time=0.6 * span,
-                title=f"cli: regress {hottest}",
-                effects=(ChangeEffect(hottest, args.regress),),
-            )
-        )
+    hottest, change_log = _hottest_and_change(preset, args.regress, 0.6 * span)
 
     simulator = FleetSimulator(
         preset.service, change_log=change_log, interval=args.interval, seed=args.seed
@@ -541,30 +536,17 @@ def _cmd_serve_demo(args: argparse.Namespace) -> int:
             print(f"error: {error}", file=sys.stderr)
             return 2
 
-    sink = CollectingSink()
-    sinks = [sink]
-    webhook_sink = _make_webhook_sink(args)
-    if webhook_sink is not None:
-        sinks.append(webhook_sink)
-    service = StreamingDetectionService(
-        n_shards=args.shards,
-        workers=args.workers,
-        sinks=sinks,
-        queue_capacity=args.capacity,
-        backpressure=BackpressurePolicy(args.policy),
-        batch_size=args.batch_size,
+    service, sink, webhook_sink = _build_service(
+        args,
         fault_injector=injector,
         **({"advance_deadline": 5.0} if injector is not None else {}),
     )
-    if webhook_sink is not None:
-        webhook_sink.metrics = service.metrics
     service.register_monitor(
         args.preset, config, series_filter={"metric": "gcpu"},
         shadow=shadow_specs,
     )
     if shadow_specs:
-        snapshot_rows = service.detectors_snapshot()["detectors"]
-        names = ", ".join(row["id"] for row in snapshot_rows)
+        names = ", ".join(row["id"] for row in views.detectors(service)[1]["detectors"])
         print(f"shadow mode armed: {names} (alert-inert challengers)")
 
     obs_server = None
@@ -586,7 +568,7 @@ def _cmd_serve_demo(args: argparse.Namespace) -> int:
     service.flush()
 
     stats = service.stats()
-    snapshot = service.metrics.snapshot()
+    snapshot = stats.metrics
     print(f"streamed {stats.accepted} samples over {args.ticks} ticks "
           f"({len(simulator.database)} series) through {args.shards} shard(s), "
           f"{args.workers} worker(s)")
@@ -611,11 +593,8 @@ def _cmd_serve_demo(args: argparse.Namespace) -> int:
               f"p99 {histogram.quantile(0.99) * 1e3:.2f} ms "
               f"over {shard_hist['count']} advances")
     print()
-    print(f"incident reports delivered: {len(sink.reports)}")
-    for report in sink.reports:
-        print(f"  - {report.metric_id} (+{report.relative_magnitude:.1%} "
-              f"at t={report.change_time:.0f})")
-    quality = service.quality_snapshot()
+    _print_reports(sink)
+    _, quality = views.quality(service)
     if quality["enabled"]:
         counters = quality["counters"]
         print()
@@ -628,7 +607,7 @@ def _cmd_serve_demo(args: argparse.Namespace) -> int:
         stale = quality["stale_series"]
         if stale:
             print(f"stale series evicted from scheduling: {', '.join(stale)}")
-    detectors = service.detectors_snapshot()
+    _, detectors = views.detectors(service)
     if detectors["enabled"]:
         print()
         print("shadow detectors (alert-inert challengers):")
@@ -675,11 +654,9 @@ def _cmd_serve_demo(args: argparse.Namespace) -> int:
             except OSError as error:  # pragma: no cover - diagnostics only
                 print(f"self-scrape {endpoint}: failed ({error})")
         print()
-        print(service.funnel_trace().render())
+        print(views.funnel_trace(service).render())
         obs_server.stop()
-    service.close()
-    _print_webhook_summary(webhook_sink)
-    return 0
+    return _close(service, webhook_sink)
 
 
 def _cmd_presets(_: argparse.Namespace) -> int:

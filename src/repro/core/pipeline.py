@@ -584,7 +584,8 @@ class DetectionPipeline:
         return list(database)
 
     def stale_series(self) -> List[str]:
-        """Series currently evicted from scanning for staleness, sorted."""
+        """Series currently evicted from scanning for staleness, sorted
+        (``sorted`` copies the set first: safe beside a running scan)."""
         return sorted(self._stale)
 
     def _evict_if_stale(self, series: TimeSeries, now: float, counts: RunCounts) -> bool:

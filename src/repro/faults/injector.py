@@ -26,10 +26,11 @@ from __future__ import annotations
 
 import random
 import threading
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.faults.plan import FaultKind, FaultPlan, FaultSpec
 from repro.obs.logging import get_logger
+from repro.tsdb.columnar import SeriesFrame
 
 __all__ = ["FaultInjector", "InjectedFault"]
 
@@ -56,7 +57,8 @@ class _SpecState:
         self.rng = random.Random(f"repro.faults:{seed}:{index}:{spec.kind.value}")
 
     def matches(self, site: str, shard: Optional[int]) -> bool:
-        if self.spec.site != site:
+        """``site`` is a site, or a prefix naming a family (``"data."``)."""
+        if not self.spec.site.startswith(site):
             return False
         return self.spec.shard is None or shard is None or self.spec.shard == shard
 
@@ -78,25 +80,19 @@ class FaultInjector:
 
     Args:
         plan: The schedule to execute.
-        metrics: Optional registry-like object (``inc(name, n)``) for
-            the ``faults.injected`` counters; also settable later via
-            :meth:`wire`.
-        events: Optional :class:`~repro.obs.spans.EventLog` receiving
-            one event per fired fault.
+
+    Firings are counted and logged where :meth:`wire` points — the
+    service wires its own registry and event log; unwired, the injector
+    only decides.
 
     Thread-safe: hook points are called from the advance thread, the
     background flushers, and checkpoint writers concurrently.
     """
 
-    def __init__(
-        self,
-        plan: FaultPlan,
-        metrics: Optional[object] = None,
-        events: Optional[object] = None,
-    ) -> None:
+    def __init__(self, plan: FaultPlan) -> None:
         self.plan = plan
-        self.metrics = metrics
-        self.events = events
+        self.metrics: Optional[object] = None
+        self.events: Optional[object] = None
         self._lock = threading.Lock()
         self._states = [
             _SpecState(spec, plan.seed, index)
@@ -108,9 +104,14 @@ class FaultInjector:
         self.has_data_faults = any(
             spec.site.startswith("data.") for spec in plan.specs
         )
+        # Rows a data.reorder fault is holding back, by series (delivered
+        # late, behind the next row of their series).
+        self._held: Dict[str, SeriesFrame] = {}
 
     def wire(self, metrics: Optional[object] = None, events: Optional[object] = None) -> None:
-        """Attach the service's metrics registry and event log."""
+        """Attach a registry-like object (``inc(name, n)``) for the
+        ``faults.injected`` counters and an
+        :class:`~repro.obs.spans.EventLog` for one event per firing."""
         if metrics is not None:
             self.metrics = metrics
         if events is not None:
@@ -164,30 +165,52 @@ class FaultInjector:
         """Sites ``data.corrupt`` / ``data.reorder`` / ``data.gap``.
 
         One ingested sample is one invocation of the whole data plane:
-        each data-fault spec sees it (counters advance together) and the
-        first firing spec wins — at most one data fault per sample,
-        mirroring :meth:`_fire` across the three sites.
+        the three sites are consulted as one (:meth:`_fire` on their
+        common prefix), so at most one data fault fires per sample.
 
         Returns:
             The winning :class:`FaultKind` (``DATA_CORRUPT`` /
             ``DATA_REORDER`` / ``DATA_GAP``) or ``None``.
         """
+        spec = self._fire("data.", shard)
+        return spec.kind if spec is not None else None
+
+    def ingest(self, frame: SeriesFrame, offer: Callable[[SeriesFrame], int]) -> int:
+        """Pass a frame to ``offer`` through the data faults — one row at
+        a time, because they decide per sample; returns the rows accepted.
+
+        ``data.gap`` drops the row before admission, ``data.corrupt``
+        replaces its value with NaN, ``data.reorder`` holds it back until
+        the *next* row of its series arrives, so it is delivered late and
+        out of order: the admission layer meets them exactly the way it
+        would production dirt.  Callers guard on :attr:`has_data_faults`.
+        """
+        accepted = 0
+        for index in range(len(frame)):
+            row = frame[index : index + 1]
+            directive = self.data_directive()
+            if directive is FaultKind.DATA_GAP:
+                continue
+            if directive is FaultKind.DATA_CORRUPT:
+                row = SeriesFrame(row.name, row.tags, row.timestamps, [float("nan")])
+            with self._lock:
+                held = self._held.pop(row.name, None)
+                if directive is FaultKind.DATA_REORDER:
+                    self._held[row.name] = row
+            # A previously held row (if any) is displaced and delivered
+            # now, late and out of order, behind the row that displaced it.
+            accepted += 1 if directive is FaultKind.DATA_REORDER else offer(row)
+            if held is not None:
+                offer(held)
+        return accepted
+
+    def release_held(self, offer: Callable[[SeriesFrame], int]) -> None:
+        """Deliver every reorder-held row (an advance/flush boundary)."""
         with self._lock:
-            winner = None
-            for state in self._states:
-                if not state.spec.site.startswith("data."):
-                    continue
-                if state.spec.shard is not None and shard is not None:
-                    if state.spec.shard != shard:
-                        continue
-                if winner is None and state.consider():
-                    winner = state.spec
-                # Later matching specs do not see this sample once a
-                # winner fired: one sample, at most one data fault.
-        if winner is not None:
-            self._record(winner, winner.site, shard)
-            return winner.kind
-        return None
+            held = list(self._held.values())
+            self._held.clear()
+        for row in held:
+            offer(row)
 
     def clock_skew(self) -> float:
         """Site ``clock``: the current wall-clock offset in seconds.
@@ -211,7 +234,7 @@ class FaultInjector:
                     )
                 ):
                     state.fired = 1
-                    self._record(state.spec, "clock", None)
+                    self._record(state.spec, None)
                 if state.fired:
                     offset += state.spec.skew_seconds
             return offset
@@ -268,15 +291,15 @@ class FaultInjector:
                 # Later matching specs do not see this invocation once a
                 # winner fired: one invocation, at most one fault.
         if winner is not None:
-            self._record(winner, site, shard)
+            self._record(winner, shard)
         return winner
 
-    def _record(self, spec: FaultSpec, site: str, shard: Optional[int]) -> None:
+    def _record(self, spec: FaultSpec, shard: Optional[int]) -> None:
         if self.metrics is not None:
             self.metrics.inc("faults.injected")
             self.metrics.inc(f"faults.injected.{spec.kind.value}")
         if self.events is not None:
             self.events.record(
-                "fault_injected", fault=spec.kind.value, site=site, shard=shard
+                "fault_injected", fault=spec.kind.value, site=spec.site, shard=shard
             )
-        _log.info("fault injected", kind=spec.kind.value, site=site, shard=shard)
+        _log.info("fault injected", kind=spec.kind.value, site=spec.site, shard=shard)

@@ -15,8 +15,8 @@ from __future__ import annotations
 import enum
 import json
 import random
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Tuple
 
 __all__ = ["FaultKind", "FaultSpec", "FaultPlan", "SITES"]
 
@@ -163,9 +163,6 @@ class FaultPlan:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "specs", tuple(self.specs))
-
-    def with_specs(self, specs: Sequence[FaultSpec]) -> "FaultPlan":
-        return replace(self, specs=tuple(specs))
 
     def to_dict(self) -> dict:
         return {"seed": self.seed, "specs": [spec.to_dict() for spec in self.specs]}

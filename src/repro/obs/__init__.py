@@ -14,14 +14,15 @@ reproduction operable the same way:
   :class:`TraceStore`; :class:`FunnelTrace` aggregates the retained
   runs into a live Table 3-style stage-attrition view.
 - :mod:`repro.obs.http` — a stdlib :mod:`http.server` pull surface for
-  the streaming service: ``/metrics`` (Prometheus text exposition of
-  the self-metrics registry), ``/healthz`` (shard liveness, queue
-  depth vs. backpressure threshold, checkpoint age), and ``/status``
-  (JSON funnel snapshot plus the live funnel trace).
+  the streaming service: it routes the ``path -> view`` table of
+  :mod:`repro.service.views` (``/metrics``, ``/healthz``, ``/status``,
+  ``/faults``, ``/quality``, ``/detectors``).
 
-Dependency direction: this package imports only the standard library,
-so :mod:`repro.core`, :mod:`repro.runtime`, and :mod:`repro.service`
-may all depend on it without cycles.
+Dependency direction: :mod:`repro.obs.logging` and :mod:`repro.obs.spans`
+import only the standard library, so :mod:`repro.core`,
+:mod:`repro.runtime`, and :mod:`repro.service` may all depend on them
+without cycles; :mod:`repro.obs.http` sits above the service (it imports
+the view table) and is loaded lazily.
 """
 
 from repro.obs.logging import (

@@ -1,39 +1,28 @@
 """The pull-based observability surface (stdlib ``http.server``).
 
-:class:`ObservabilityServer` exposes a running
-:class:`~repro.service.service.StreamingDetectionService` on these
-endpoints:
+:class:`ObservabilityServer` routes one table,
+:data:`repro.service.views.VIEWS` (``path -> view(service) -> (status,
+payload)``), for a running
+:class:`~repro.service.service.StreamingDetectionService`; an endpoint
+is a row of that table, and this module reaches into no service or
+shard internals itself.  The rows today:
 
 - ``GET /metrics`` — Prometheus text exposition (version 0.0.4) of the
-  self-metrics registry: ingest/backpressure counters, the per-shard
-  advance-latency histograms, incremental-cache hit counters, pipeline
-  stage timings.
-- ``GET /healthz`` — liveness/readiness JSON: per-shard queue depth vs.
-  the backpressure threshold, flusher liveness, checkpoint age.  Answers
-  ``200`` when healthy and ``503`` when degraded, so load balancers and
-  Kubernetes probes can consume it directly.
-- ``GET /status`` — the operator's funnel snapshot: cumulative
-  :class:`~repro.core.pipeline.FunnelCounters`, the live
-  :class:`~repro.obs.spans.FunnelTrace` over retained run traces, and
-  recent per-run spans.
-- ``GET /faults`` — the fault-injection view: the active
-  :class:`~repro.faults.FaultPlan` with per-spec seen/fired counters,
-  plus recent fault/degradation events.  During chaos drills this is
-  how an operator tells injected failures from real ones; without an
-  injector it reports ``{"enabled": false}``.
-- ``GET /quality`` — the data-quality view: aggregate admission
-  counters, per-shard quarantine snapshots (worst offenders, reason
-  codes, quality scores), and stale-evicted series.  With the quality
-  layer disabled it reports ``{"enabled": false}``.
-- ``GET /detectors`` — the shadow-detector view: per-challenger funnel
-  tallies (scans, fired, agreement with the incumbent, errors) merged
-  across shards, keyed by deterministic param-hash detector IDs.  With
-  no challengers registered it reports ``{"enabled": false}``.
+  self-metrics registry;
+- ``GET /healthz`` — liveness/readiness JSON; ``200`` when healthy and
+  ``503`` when degraded, so load balancers and Kubernetes probes can
+  consume it directly;
+- ``GET /status``, ``/faults``, ``/quality``, ``/detectors`` — the
+  funnel, fault-injection, data-quality and shadow-detector views (what
+  each carries is its function's docstring in
+  :mod:`repro.service.views`).
 
 ``GET /`` returns a small JSON index of the endpoints.  The server runs
 on a daemon thread (one handler thread per request), binds an ephemeral
-port when ``port=0``, and never blocks detection: every endpoint reads
-snapshots under the service's own locks.
+port when ``port=0``, and never blocks detection — nor waits for it: no
+view takes a shard's queue lock (a serial advance holds it for a whole
+scan); only the registry, the trace ring and the event log are read
+under their own, short locks.
 
 Example::
 
@@ -50,9 +39,10 @@ import json
 import threading
 from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Callable, Dict, Optional, Tuple
+from typing import Optional
 
 from repro.obs.logging import get_logger
+from repro.service.views import VIEWS
 
 __all__ = ["HttpEndpoint", "ObservabilityServer", "PROMETHEUS_CONTENT_TYPE", "ReplyHandler"]
 
@@ -97,31 +87,6 @@ class ReplyHandler(BaseHTTPRequestHandler):
         _log.debug("http request", detail=format % args, client=self.client_address[0])
 
 
-def _healthz(service) -> Tuple[int, dict]:
-    health = service.healthz()
-    return (200 if health.get("status") == "ok" else 503), health
-
-
-def _faults(service) -> Tuple[int, dict]:
-    snapshot = service.faults_snapshot()
-    payload: dict = {"enabled": snapshot is not None}
-    if snapshot is not None:
-        payload["plan"] = snapshot
-    payload["events"] = [event.to_dict() for event in service.events.events()]
-    return 200, payload
-
-
-#: The JSON endpoints: path -> view of the service, ``(status, payload)``.
-#: ``GET /`` lists ``/metrics`` (the one text endpoint) and these keys.
-_JSON_VIEWS: Dict[str, Callable[[object], Tuple[int, dict]]] = {
-    "/healthz": _healthz,
-    "/status": lambda service: (200, service.status_snapshot()),
-    "/faults": _faults,
-    "/quality": lambda service: (200, service.quality_snapshot()),
-    "/detectors": lambda service: (200, service.detectors_snapshot()),
-}
-
-
 class _Handler(ReplyHandler):
     """Routes the observability endpoints.
 
@@ -141,15 +106,14 @@ class _Handler(ReplyHandler):
         # recovery is to drop the connection.
         self._response_started = False
         try:
-            if path == "/metrics":
-                self._send_text(200, service.render_metrics(), PROMETHEUS_CONTENT_TYPE)
-            elif path in _JSON_VIEWS:
-                self._send_json(*_JSON_VIEWS[path](service))
+            if path in VIEWS:
+                status, payload = VIEWS[path](service)
+                if isinstance(payload, str):  # /metrics, the one text view
+                    self._send_text(status, payload, PROMETHEUS_CONTENT_TYPE)
+                else:
+                    self._send_json(status, payload)
             elif path == "/":
-                self._send_json(200, {
-                    "service": "repro-fbdetect",
-                    "endpoints": ["/metrics", *_JSON_VIEWS],
-                })
+                self._send_json(200, {"service": "repro-fbdetect", "endpoints": list(VIEWS)})
             else:
                 self._send_json(404, {"error": f"no such endpoint: {path}"})
         except Exception as error:
@@ -243,11 +207,10 @@ class HttpEndpoint:
 
 
 class ObservabilityServer(HttpEndpoint):
-    """Serves ``/metrics`` and the JSON views for a service.
+    """Serves :data:`repro.service.views.VIEWS` for a service.
 
     Args:
-        service: The service whose ``render_metrics()``, ``healthz()``
-            and ``*_snapshot()`` renderers the endpoints return.
+        service: The service the views fold over.
         host / port: Bind address (see :class:`HttpEndpoint`).
     """
 

@@ -136,8 +136,10 @@ class AdmissionController:
             Only *events* (quarantines, repairs, reorders) touch it, so
             the clean-sample hot path stays registry-free.
 
-    Not thread-safe on its own: every call happens under the owning
-    ingest worker's queue lock.
+    Not thread-safe on its own: every call that *writes* happens under
+    the owning ingest worker's queue lock.  Scrapes call the read side
+    (:meth:`counters`, :meth:`snapshot`) without it: each copies what it
+    iterates first, so it never raises and is at worst one offer behind.
     """
 
     def __init__(
@@ -348,7 +350,7 @@ class AdmissionController:
     def admitted(self) -> int:
         """Total admitted samples, derived from the per-series counts
         (the hot path pays one per-series increment, nothing aggregate)."""
-        return sum(state.admitted for state in self._series.values())
+        return sum(state.admitted for state in list(self._series.values()))
 
     def counters(self) -> Dict[str, int]:
         """Aggregate admission counters as a plain dict."""

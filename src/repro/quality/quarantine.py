@@ -105,9 +105,15 @@ class QuarantineStore:
         return released
 
     def snapshot(self, limit: int = 50) -> dict:
-        """JSON view for ``/quality``: totals plus the worst offenders."""
+        """JSON view for ``/quality``: totals plus the worst offenders.
+
+        Read without the lock :meth:`add` runs under, so it copies first:
+        ``dict(d)`` and ``list(q)`` allocate nothing per element.  Not
+        ``d.items()`` — each pair is a tracked tuple, an allocation can
+        start a collection, and a finalizer it runs can switch threads
+        mid-copy (``dictionary changed size during iteration``)."""
         offenders = sorted(
-            self._by_series.items(),
+            dict(self._by_series).items(),
             key=lambda item: (-sum(item[1].values()), item[0]),
         )
         return {

@@ -214,7 +214,7 @@ class DetectionScheduler:
         (surfaced on the service's ``/quality`` endpoint).
         """
         stale: set = set()
-        for registration in self._monitors.values():
+        for registration in list(self._monitors.values()):
             stale.update(registration.detector.pipeline.stale_series())
         return sorted(stale)
 
@@ -227,7 +227,7 @@ class DetectionScheduler:
         ``/detectors`` endpoint.
         """
         merged: Dict[str, dict] = {}
-        for registration in self._monitors.values():
+        for registration in list(self._monitors.values()):
             shadow = registration.detector.pipeline.shadow
             if shadow is None:
                 continue

@@ -16,14 +16,15 @@ Modules:
 - :mod:`repro.service.checkpoint` — durable checkpoint/restore.
 - :mod:`repro.service.metrics` — counters, gauges, latency histograms.
 - :mod:`repro.service.parallel` — multi-process shard execution.
-- :mod:`repro.service.shard` — one shard and its two serialised forms.
-- :mod:`repro.service.service` — the composed streaming service.
+- :mod:`repro.service.shard` — one shard, its two serialised forms, and
+  the accessors the views read.
+- :mod:`repro.service.service` — the composed streaming service:
+  routing, advance, delivery, lifecycle, checkpoint.
+- :mod:`repro.service.views` — the read side: one ``path -> view``
+  table (``/metrics``, ``/healthz``, ``/status``, …) folding over shards.
 
-Observability (structured logs, funnel spans, and the ``/metrics`` +
-``/healthz`` + ``/status`` HTTP surface) lives in :mod:`repro.obs`; the
-service exposes it through :meth:`StreamingDetectionService.healthz`,
-:meth:`~StreamingDetectionService.status_snapshot`, and
-:class:`repro.obs.ObservabilityServer`.
+Structured logs, funnel spans and the HTTP server that routes the view
+table (:class:`repro.obs.ObservabilityServer`) live in :mod:`repro.obs`.
 """
 
 from repro.service.checkpoint import CheckpointError, CheckpointManager
@@ -31,8 +32,9 @@ from repro.service.ingest import BackpressurePolicy, Sample, ShardIngestWorker, 
 from repro.service.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.service.parallel import ParallelShardExecutor, ShardAdvanceResult
 from repro.service.router import ConsistentHashRouter
-from repro.service.service import ServiceStats, StreamingDetectionService
+from repro.service.service import StreamingDetectionService
 from repro.service.shard import ShardStats
+from repro.service.views import ServiceStats
 
 __all__ = [
     "BackpressurePolicy",

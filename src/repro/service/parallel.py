@@ -75,6 +75,14 @@ _log = get_logger("repro.service.parallel")
 #: killed mid-task cannot park ``future.result()`` for ever.
 ADVANCE_DEADLINE = 60.0
 
+#: How many times a failed shard advance is retried on a (possibly
+#: recreated) pool before the parent advances it in-process.
+ADVANCE_RETRIES = 2
+
+#: Base delay of the exponential backoff between retry rounds
+#: (``RETRY_BACKOFF * 2**round`` seconds).
+RETRY_BACKOFF = 0.05
+
 
 @dataclass
 class ShardAdvanceResult:
@@ -147,10 +155,6 @@ class ParallelShardExecutor:
             the service skips this executor entirely and runs the
             in-thread path; the executor still handles ``workers=1``
             correctly for direct use.
-        retries: How many times a failed shard advance is retried on a
-            (possibly recreated) pool before falling back in-process.
-        backoff: Base delay of the exponential backoff between retry
-            rounds (``backoff * 2**round`` seconds).
         deadline: Per-shard advance deadline in seconds.  A shard that
             blows it is treated as failed (the hung worker is abandoned
             with the recycled pool) and retried.  ``None`` waits for
@@ -171,23 +175,15 @@ class ParallelShardExecutor:
     def __init__(
         self,
         workers: int,
-        retries: int = 2,
-        backoff: float = 0.05,
         deadline: Optional[float] = ADVANCE_DEADLINE,
         injector: Optional[Any] = None,
         metrics: Optional[Any] = None,
     ) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
-        if retries < 0:
-            raise ValueError("retries must be >= 0")
-        if backoff < 0:
-            raise ValueError("backoff must be >= 0")
         if deadline is not None and deadline <= 0:
             raise ValueError("deadline must be positive (or None)")
         self.workers = workers
-        self.retries = retries
-        self.backoff = backoff
         self.deadline = deadline
         self.injector = injector
         self.metrics = metrics
@@ -225,7 +221,7 @@ class ParallelShardExecutor:
 
         Failure handling: shards whose worker crashed, raised, or blew
         the deadline are retried (with exponential backoff, on a fresh
-        pool when the old one broke) up to ``retries`` times, then
+        pool when the old one broke) up to :data:`ADVANCE_RETRIES` times, then
         advanced in-process from the same snapshot.  Every shard in
         ``blobs`` is therefore represented in the returned list — a
         genuine deterministic error (a bug, not a crash) still
@@ -234,11 +230,11 @@ class ParallelShardExecutor:
         results: Dict[int, ShardAdvanceResult] = {}
         retry_counts: Dict[int, int] = {shard_id: 0 for shard_id in blobs}
         remaining: Dict[int, bytes] = dict(sorted(blobs.items()))
-        for attempt in range(self.retries + 1):
+        for attempt in range(ADVANCE_RETRIES + 1):
             if not remaining:
                 break
             if attempt:
-                time.sleep(self.backoff * (2 ** (attempt - 1)))
+                time.sleep(RETRY_BACKOFF * (2 ** (attempt - 1)))
                 self._inc("advance.retries", len(remaining))
                 for shard_id in remaining:
                     retry_counts[shard_id] += 1

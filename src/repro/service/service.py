@@ -23,11 +23,12 @@ scaled down to one process:
   a restarted service resumes without re-alerting on regressions it
   already reported — and without losing queued samples.
 
-This module is routing, advance and delivery (plus the read-only
-renderers behind the HTTP endpoints).  What a shard is, how it is
-serialised and who holds a process-local handle afterwards is
-:mod:`repro.service.shard`; the on-disk format is
-:mod:`repro.service.checkpoint`.
+This module is routing, advance, delivery, lifecycle and checkpoint.
+What a shard is, how it is serialised and who holds a process-local
+handle afterwards is :mod:`repro.service.shard`; the on-disk format is
+:mod:`repro.service.checkpoint`; everything an operator *reads* —
+``/healthz``, ``/status``, ``/quality``, … and :meth:`stats` — is a fold
+over shards in :mod:`repro.service.views`.
 
 Deduplication scope: SOM/pairwise dedup runs *within* a shard (each
 shard has its own detectors).  Cross-shard correlation is a later PR;
@@ -39,26 +40,18 @@ when cross-series dedup matters.
 from __future__ import annotations
 
 import collections
-import math
 import threading
 import time
-from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.config import DetectionConfig
 from repro.core.pipeline import FunnelCounters
 from repro.faults import FaultInjector
-from repro.faults.plan import FaultKind
 from repro.core.types import Regression
-from repro.detectors import (
-    DetectorSpec,
-    ShadowScorer,
-    build_detector,
-    merge_snapshot_rows,
-)
+from repro.detectors import DetectorSpec, ShadowScorer, build_detector
 from repro.quality import QualityConfig, QualityGate
 from repro.obs.logging import correlation_id, get_logger, log_context
-from repro.obs.spans import EventLog, FunnelTrace, TraceStore
+from repro.obs.spans import EventLog, TraceStore
 from repro.reporting.report import IncidentReport, build_report
 from repro.runtime.scheduler import ScanOutcome, publish
 from repro.runtime.sinks import IncidentSink, deliver
@@ -67,11 +60,12 @@ from repro.service.ingest import BackpressurePolicy, Sample, frames_of
 from repro.service.metrics import MetricsRegistry
 from repro.service.parallel import ADVANCE_DEADLINE, ParallelShardExecutor
 from repro.service.router import ConsistentHashRouter
-from repro.service.shard import Shard, ShardStats
+from repro.service import views
+from repro.service.shard import Shard
 from repro.tsdb.columnar import SeriesFrame
 from repro.tsdb.database import TimeSeriesDatabase
 
-__all__ = ["ServiceStats", "StreamingDetectionService"]
+__all__ = ["StreamingDetectionService"]
 
 _log = get_logger("repro.service")
 
@@ -90,65 +84,6 @@ _DURABLE = {
     "reported_ledger": "_reported_ledger",
     "monitors": "_monitor_specs",
 }
-
-
-@dataclass(frozen=True)
-class ServiceStats:
-    """Whole-service health snapshot (returned by :meth:`stats`).
-
-    Attributes:
-        clock: Last advanced detection time.
-        n_shards: Shard count.
-        offered/accepted/flushed/dropped/rejected: Ingest totals across
-            shards.
-        scans: Detection scans executed.
-        reported: Incident reports delivered to sinks.
-        suppressed_realerts: Reports suppressed by the reported-ledger
-            (non-zero only when replayed data re-surfaces a regression
-            the service already alerted on, e.g. after a restore).
-        shards: Per-shard breakdowns.
-        metrics: Full self-metrics snapshot (counters, gauges, latency
-            histograms).
-    """
-
-    clock: float
-    n_shards: int
-    offered: int
-    accepted: int
-    flushed: int
-    dropped: int
-    rejected: int
-    scans: int
-    reported: int
-    suppressed_realerts: int
-    shards: List[ShardStats]
-    metrics: dict
-
-    def render(self) -> str:
-        """Human-readable multi-line summary."""
-        lines = [
-            f"ServiceStats @ t={self.clock:g}",
-            f"  shards={self.n_shards} scans={self.scans} "
-            f"reported={self.reported} suppressed_realerts={self.suppressed_realerts}",
-            f"  ingest: offered={self.offered} accepted={self.accepted} "
-            f"flushed={self.flushed} dropped={self.dropped} rejected={self.rejected}",
-        ]
-        for shard in self.shards:
-            counters = shard.counters
-            lines.append(
-                f"  shard {shard.shard_id}: series={shard.series} "
-                f"pending={shard.pending} accepted={counters['accepted']} "
-                f"flushed={counters['flushed']} dropped={counters['dropped_oldest']} "
-                f"rejected={counters['rejected']} scans={shard.scans}"
-            )
-        histograms = self.metrics.get("histograms", {})
-        scan = histograms.get("scheduler.scan_seconds")
-        if scan and scan["count"]:
-            lines.append(
-                f"  scan latency: n={scan['count']} "
-                f"mean={scan['sum'] / scan['count'] * 1e3:.2f}ms"
-            )
-        return "\n".join(lines)
 
 
 class StreamingDetectionService:
@@ -255,10 +190,6 @@ class StreamingDetectionService:
             )
             for shard_id in range(n_shards)
         }
-        # Rows a data.reorder fault is holding back (delivered late,
-        # behind the next row of their series).
-        self._data_held: Dict[str, SeriesFrame] = {}
-        self._data_lock = threading.Lock()
         self._clock = 0.0
         self._reported_ledger: Dict[str, List[float]] = {}
         self._suppressed_realerts = 0
@@ -326,61 +257,6 @@ class StreamingDetectionService:
         with self._degraded_lock:
             return {shard: dict(reasons) for shard, reasons in self._degraded.items()}
 
-    def faults_snapshot(self) -> Optional[dict]:
-        """The fault injector's plan/execution view (``/faults``).
-
-        ``None`` when no injector is configured — the production case.
-        """
-        if self.fault_injector is None:
-            return None
-        return self.fault_injector.snapshot()
-
-    def quality_snapshot(self) -> dict:
-        """Data-quality view across shards (the ``/quality`` payload).
-
-        Aggregate admission counters, per-shard quarantine snapshots
-        (worst offenders with reason codes and quality scores), and the
-        series currently evicted from scanning for staleness.  See
-        docs/RUNBOOK.md for the triage workflow.
-        """
-        shards = []
-        totals: Dict[str, int] = {}
-        stale: set = set()
-        for shard in self._shards.values():
-            admission = shard.worker.admission
-            if admission is not None:
-                snap = admission.snapshot()
-                shards.append(snap)
-                for key, value in snap["counters"].items():
-                    totals[key] = totals.get(key, 0) + value
-            stale.update(shard.scheduler.stale_series())
-        return {
-            "enabled": bool(shards),
-            "counters": totals,
-            # Current attribution (drops when a series is released),
-            # unlike counters["quarantined"] which is cumulative.
-            "quarantined_points": sum(
-                snap["quarantine"]["total"] for snap in shards
-            ),
-            "stale_series": sorted(stale),
-            "shards": shards,
-        }
-
-    def detectors_snapshot(self) -> dict:
-        """Shadow-detector funnels across shards (the ``/detectors`` payload).
-
-        Per-detector rows merged over every shard's scheduler (identity
-        fields plus summed :class:`~repro.detectors.shadow.ShadowTally`
-        buckets), id-sorted.  ``enabled`` is False when no monitor has
-        challengers registered.  Shadow tallies are scheduler state, so
-        this view survives parallel advances, checkpoints, and restores.
-        """
-        merged: Dict[str, dict] = {}
-        for shard in self._shards.values():
-            merge_snapshot_rows(merged, shard.scheduler.shadow_snapshot())
-        rows = [merged[det_id] for det_id in sorted(merged)]
-        return {"enabled": bool(rows), "detectors": rows}
-
     def unquarantine(self, name: str) -> int:
         """Release one series from quarantine on every shard.
 
@@ -391,11 +267,7 @@ class StreamingDetectionService:
         Returns:
             How many quarantined points were attributed to the series.
         """
-        released = 0
-        for shard in self._shards.values():
-            admission = shard.worker.admission
-            if admission is not None:
-                released += admission.release_series(name)
+        released = sum(shard.unquarantine(name) for shard in self._shards.values())
         if released:
             self.metrics.inc("quality.released", released)
             self.events.record("series_unquarantined", series=name, points=released)
@@ -425,8 +297,8 @@ class StreamingDetectionService:
         ``[("e_divisive", {"n_permutations": 49})]``): each shard gets
         its own :class:`~repro.detectors.shadow.ShadowScorer` scoring
         every full scan alert-inertly; tallies surface on
-        :meth:`detectors_snapshot` / ``/detectors`` and ride shard
-        checkpoints like any scheduler state.
+        :func:`repro.service.views.detectors` / ``/detectors`` and ride
+        shard checkpoints like any scheduler state.
         """
         detector_kwargs.setdefault("incremental", True)
         # Gap-aware scanning rides the quality layer: low-coverage
@@ -465,10 +337,8 @@ class StreamingDetectionService:
         )
 
     def monitors(self) -> List[str]:
-        """Registered monitor names (identical on every shard)."""
-        if not self._shards:
-            return []
-        return next(iter(self._shards.values())).scheduler.monitors()
+        """Registered monitor names (identical on every shard), sorted."""
+        return sorted(spec["name"] for spec in self._monitor_specs)
 
     # ------------------------------------------------------------------
     # Ingest
@@ -500,58 +370,19 @@ class StreamingDetectionService:
             How many of its rows were accepted (buffered, or held for
             reordering).
         """
-        if self.fault_injector is not None and self.fault_injector.has_data_faults:
-            # Data faults decide per sample: rows go through one at a time.
-            return sum(
-                self._ingest_with_data_faults(frame[row : row + 1])
-                for row in range(len(frame))
-            )
+        injector = self.fault_injector
+        if injector is not None and injector.has_data_faults:
+            return injector.ingest(frame, self._offer_routed)
         return self._offer_routed(frame)
 
     def _offer_routed(self, frame: SeriesFrame) -> int:
         shard_id = self.router.shard_for(self.routing_key(frame))
         return self._shards[shard_id].worker.offer(frame)
 
-    def _ingest_with_data_faults(self, row: SeriesFrame) -> int:
-        """Apply a pending data-fault directive to one ingested row.
-
-        ``data.gap`` drops the row before admission (a host restart
-        losing it); ``data.corrupt`` replaces its value with NaN (a
-        collector emitting garbage); ``data.reorder`` holds it back
-        until the *next* row of its series arrives, so it is delivered
-        late and out of order (a clock-skewed host shipping a delayed
-        batch).  All three exercise the admission layer exactly the way
-        production dirt would.
-        """
-        directive = self.fault_injector.data_directive()
-        if directive is FaultKind.DATA_GAP:
-            return 0
-        if directive is FaultKind.DATA_CORRUPT:
-            row = SeriesFrame(row.name, row.tags, row.timestamps, [float("nan")])
-        with self._data_lock:
-            held = self._data_held.pop(row.name, None)
-            if directive is FaultKind.DATA_REORDER:
-                self._data_held[row.name] = row
-        # A previously held row (if any) is displaced and delivered now,
-        # late and out of order, behind the row that displaced it.
-        accepted = 1 if directive is FaultKind.DATA_REORDER else self._offer_routed(row)
-        if held is not None:
-            self._offer_routed(held)
-        return accepted
-
-    def _release_data_held(self) -> None:
-        """Deliver every reorder-held row (advance/flush boundary)."""
-        if self.fault_injector is None or not self.fault_injector.has_data_faults:
-            return
-        with self._data_lock:
-            held = list(self._data_held.values())
-            self._data_held.clear()
-        for row in held:
-            self._offer_routed(row)
-
     def flush(self) -> int:
         """Drain every shard queue into its TSDB; returns samples written."""
-        self._release_data_held()
+        if self.fault_injector is not None:
+            self.fault_injector.release_held(self._offer_routed)
         return sum(shard.worker.flush() for shard in self._shards.values())
 
     # ------------------------------------------------------------------
@@ -575,7 +406,8 @@ class StreamingDetectionService:
             The incident reports delivered to sinks by this call.
         """
         delivered: List[IncidentReport] = []
-        self._release_data_held()
+        if self.fault_injector is not None:
+            self.fault_injector.release_held(self._offer_routed)
         with self.metrics.timer("service.advance_seconds"):
             if self._executor is not None and self.n_shards > 1:
                 self._advance_parallel(target, delivered)
@@ -780,132 +612,10 @@ class StreamingDetectionService:
     # Introspection
     # ------------------------------------------------------------------
 
-    def stats(self) -> ServiceStats:
-        """A consistent snapshot of service health."""
-        shards = [shard.stats() for shard in self._shards.values()]
-
-        def total(counter: str) -> int:
-            return sum(shard.counters[counter] for shard in shards)
-
-        return ServiceStats(
-            clock=self._clock,
-            n_shards=self.n_shards,
-            offered=total("offered"),
-            accepted=total("accepted"),
-            flushed=total("flushed"),
-            dropped=total("dropped_oldest"),
-            rejected=total("rejected"),
-            scans=sum(shard.scans for shard in shards),
-            reported=self._reported,
-            suppressed_realerts=self._suppressed_realerts,
-            shards=shards,
-            metrics=self.metrics.snapshot(),
-        )
-
-    def render_metrics(self) -> str:
-        """Text exposition of the self-metrics registry."""
-        return self.metrics.render_text()
-
-    def funnel_trace(self) -> FunnelTrace:
-        """The live Table 3 view over the retained funnel run traces."""
-        return FunnelTrace.from_store(self.traces)
-
-    def healthz(self) -> dict:
-        """Liveness/readiness snapshot (the ``/healthz`` payload).
-
-        A shard is *saturated* when its queue has reached the
-        backpressure threshold (pending >= capacity): offers are now
-        blocking, rejecting, or evicting depending on policy.  A shard
-        is *degraded* while a recovery path is engaged on its behalf
-        (advance retries / in-process fallback, failed background
-        flushes) — the per-shard ``degraded`` map names the reasons, and
-        they clear on the next clean pass.  Either condition degrades
-        the whole service: the endpoint answers 503 so probes and load
-        balancers shed traffic before samples are lost.
-
-        ``checkpoint.age_seconds`` is measured on the *monotonic* clock
-        since the last :meth:`checkpoint` (or restore) in this process
-        (``None`` when no checkpoint was ever taken) — how much progress
-        a crash right now would replay.  An NTP step moves ``last_at``
-        (display, wall clock) but can never make the age lie.
-        """
-        shards = []
-        saturated_shards = 0
-        degraded_reasons = self.degraded_reasons()
-        for shard in self._shards.values():
-            worker = shard.worker
-            pending = worker.pending
-            saturated = pending >= worker.capacity
-            saturated_shards += bool(saturated)
-            shards.append(
-                {
-                    "shard": shard.shard_id,
-                    "pending": pending,
-                    "capacity": worker.capacity,
-                    "policy": worker.policy.value,
-                    "saturated": saturated,
-                    "scans": shard.scans,
-                    "degraded": degraded_reasons.get(shard.shard_id, {}),
-                }
-            )
-        checkpoint_age = (
-            time.monotonic() - self._last_checkpoint_mono
-            if self._last_checkpoint_mono is not None
-            else None
-        )
-        healthy = saturated_shards == 0 and not degraded_reasons
-        return {
-            "status": "ok" if healthy else "degraded",
-            "clock": self._clock,
-            "shards": shards,
-            "saturated_shards": saturated_shards,
-            "degraded_shards": len(degraded_reasons),
-            "flushers_alive": sum(t.is_alive() for t in self._flushers),
-            "workers": self.workers,
-            "checkpoint": {
-                "last_at": self._last_checkpoint_at,
-                "age_seconds": checkpoint_age,
-            },
-        }
-
-    def status_snapshot(self) -> dict:
-        """Operator funnel snapshot (the ``/status`` payload).
-
-        ``funnel`` is the cumulative :class:`FunnelCounters` view (every
-        scan since the service — or its checkpoint lineage — started);
-        ``funnel_trace`` is the windowed live view over the trace ring
-        buffer, with per-stage drop reasons and timings.  All values are
-        JSON-serializable.
-        """
-        stats = self.stats()
-        return {
-            "clock": self._clock,
-            "n_shards": self.n_shards,
-            "workers": self.workers,
-            "monitors": self.monitors(),
-            "scans": stats.scans,
-            "reported": self._reported,
-            "suppressed_realerts": self._suppressed_realerts,
-            "ingest": {
-                "offered": stats.offered,
-                "accepted": stats.accepted,
-                "flushed": stats.flushed,
-                "dropped": stats.dropped,
-                "rejected": stats.rejected,
-            },
-            "funnel": dict(self.funnel.counts),
-            # JSON has no infinity: an empty stage reads ``null``.
-            "funnel_reduction": {
-                stage: None if math.isinf(ratio) else ratio
-                for stage, ratio in self.funnel.reduction_ratios().items()
-            },
-            "funnel_trace": self.funnel_trace().to_dict(),
-            "traces": {
-                "retained": len(self.traces),
-                "recorded": self.traces.recorded,
-                "capacity": self.traces.capacity,
-            },
-        }
+    def stats(self) -> views.ServiceStats:
+        """A snapshot of service health: the per-shard fold of
+        :func:`repro.service.views.stats`, beside the other views."""
+        return views.stats(self)
 
     def shard_database(self, shard_id: int) -> TimeSeriesDatabase:
         """Direct access to one shard's TSDB (tests, demos)."""

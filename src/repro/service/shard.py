@@ -123,6 +123,14 @@ class Shard:
             outcomes = self.scheduler.advance_to(target)
         return outcomes, time.perf_counter() - started
 
+    # -- what the views read ---------------------------------------------
+    # :mod:`repro.service.views` folds these and reaches no further in.
+    # None takes the queue lock — a serial advance holds it for a whole
+    # scan, and ``/healthz`` must not wait on that; every owner first
+    # copies what it iterates instead (one C-level call that allocates
+    # nothing per element: ``QuarantineStore.snapshot`` says why), so a
+    # read never raises under live ingest and is at worst one offer behind.
+
     def stats(self) -> ShardStats:
         return ShardStats(
             shard_id=self.shard_id,
@@ -131,6 +139,42 @@ class Shard:
             counters=self.worker.counters(),
             scans=self.scans,
         )
+
+    def health(self) -> dict:
+        """This shard's ``/healthz`` row.  *Saturated*: offers are now
+        blocking, rejecting or evicting, depending on policy."""
+        worker = self.worker
+        pending = worker.pending
+        return {
+            "shard": self.shard_id,
+            "pending": pending,
+            "capacity": worker.capacity,
+            "policy": worker.policy.value,
+            "saturated": pending >= worker.capacity,
+            "scans": self.scans,
+        }
+
+    def quality(self) -> Tuple[Optional[dict], List[str]]:
+        """This shard's ``/quality`` slice: the admission snapshot (``None``
+        with the quality layer off) and the series evicted as stale."""
+        admission = self.worker.admission
+        return (
+            admission.snapshot() if admission is not None else None,
+            self.scheduler.stale_series(),
+        )
+
+    def shadow_rows(self) -> List[dict]:
+        """This shard's ``/detectors`` rows (challenger tallies by id)."""
+        return self.scheduler.shadow_snapshot()
+
+    def unquarantine(self, name: str) -> int:
+        """Release one series from quarantine; returns the points that
+        were attributed to it.  Under the queue lock, like the offers
+        that quarantine: released beside a concurrent ``add``, the
+        store's total and its per-series counts drift apart for good."""
+        with self.worker.paused():
+            admission = self.worker.admission
+            return admission.release_series(name) if admission is not None else 0
 
     def mirrored_counters(self) -> Dict[str, int]:
         """What the registry's ``ingest.*`` / ``quality.*`` counters must

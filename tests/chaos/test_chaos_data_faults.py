@@ -28,6 +28,7 @@ from repro.config import DetectionConfig
 from repro.faults import FaultInjector, FaultKind, FaultPlan, FaultSpec
 from repro.runtime import CollectingSink
 from repro.service import BackpressurePolicy, Sample, StreamingDetectionService
+from repro.service import views
 from repro.tsdb import WindowSpec
 
 N_TICKS = 1_100
@@ -130,7 +131,7 @@ def drive(service, samples, ckpt_dir):
         service.advance_to(batch[-1].timestamp + INTERVAL)
         if index == CHECKPOINT_ROUND:
             service.checkpoint(ckpt_dir)
-            at_checkpoint = service.quality_snapshot()
+            at_checkpoint = views.quality(service)[1]
     service.flush()
     return at_checkpoint
 
@@ -173,7 +174,7 @@ def dirty_run(tmp_path_factory):
             "alerted": {report.metric_id for report in sink.reports},
             "counts": injector.counts(),
             "exhausted": injector.exhausted(),
-            "quality": service.quality_snapshot(),
+            "quality": views.quality(service)[1],
             "at_checkpoint": at_checkpoint,
             "ckpt_dir": ckpt_dir,
             "total_points": total_tsdb_points(service),
@@ -223,7 +224,7 @@ class TestQuarantineSurvivesKill:
             dirty_run["ckpt_dir"], sinks=[CollectingSink()], workers=4
         )
         try:
-            after = restored.quality_snapshot()
+            after = views.quality(restored)[1]
             assert after["counters"] == before["counters"]
             assert after["quarantined_points"] == before["quarantined_points"]
             by_shard = {
@@ -236,7 +237,7 @@ class TestQuarantineSurvivesKill:
             restored.ingest(SERIES[0], (N_TICKS + 10) * INTERVAL, math.nan,
                             {"metric": "gcpu"})
             assert (
-                restored.quality_snapshot()["quarantined_points"]
+                views.quality(restored)[1]["quarantined_points"]
                 == before["quarantined_points"] + 1
             )
         finally:

@@ -27,6 +27,7 @@ from repro.config import DetectionConfig
 from repro.faults import FaultInjector, FaultKind, FaultPlan, FaultSpec
 from repro.runtime import CollectingSink
 from repro.service import BackpressurePolicy, Sample, StreamingDetectionService
+from repro.service import views
 from repro.tsdb import WindowSpec
 
 N_TICKS = 1_100
@@ -147,7 +148,7 @@ def dump_artifacts(seed, service, injector, ckpt_dir):
         "injector": injector.snapshot(),
         "metrics": service.metrics.snapshot(),
         "degraded": service.degraded_reasons(),
-        "healthz": service.healthz(),
+        "healthz": views.healthz(service)[1],
         "events": [event.to_dict() for event in service.events.events()],
     }
     with open(os.path.join(target, "chaos-state.json"), "w", encoding="utf-8") as fh:
@@ -211,7 +212,7 @@ class TestChaosDrill:
 
             # Degraded -> ok: every degradation recovered, and the final
             # health answer is a clean 200.
-            health = service.healthz()
+            health = views.healthz(service)[1]
             assert health["status"] == "ok"
             assert health["degraded_shards"] == 0
             degraded = [
@@ -308,7 +309,7 @@ class TestTargetedRecoveries:
             stats = service.stats()
             assert stats.flushed == len(samples)
             assert stats.dropped == 0 and stats.rejected == 0
-            assert service.healthz()["status"] == "ok"
+            assert views.healthz(service)[1]["status"] == "ok"
             counters = service.metrics.snapshot()["counters"]
             assert counters["service.flush_failures"] == 2.0
             assert service.events.events(kind="recovered")
@@ -322,7 +323,7 @@ class TestTargetedRecoveries:
         service = make_service(CollectingSink(), injector=FaultInjector(plan))
         try:
             service.checkpoint(str(tmp_path / "ckpt"))
-            health = service.healthz()
+            health = views.healthz(service)[1]
             age = health["checkpoint"]["age_seconds"]
             assert age is not None and 0.0 <= age < 60.0
             assert health["checkpoint"]["last_at"] < time.time() - 3600.0

@@ -23,6 +23,7 @@ from repro.config import DetectionConfig
 from repro.faults import FaultInjector, FaultPlan
 from repro.runtime import CollectingSink
 from repro.service import BackpressurePolicy, Sample, StreamingDetectionService
+from repro.service import views
 from repro.tsdb import WindowSpec
 
 N_TICKS = 1_100
@@ -132,7 +133,7 @@ def reference_run(tmp_path_factory):
         )
         service.advance_to(stream_end + 0.001 * INTERVAL)
         service.stop()
-        assert service.detectors_snapshot() == {"enabled": False, "detectors": []}
+        assert views.detectors(service)[1] == {"enabled": False, "detectors": []}
     finally:
         service.close()
     return samples, report_bytes(sink.reports)
@@ -160,7 +161,7 @@ class TestChaosShadowDrill:
             # the incident reports still match the challenger-free run.
             assert report_bytes(sink.reports) == reference
 
-            before = service.detectors_snapshot()
+            before = views.detectors(service)[1]
             assert before["enabled"]
             assert [row["id"] for row in before["detectors"]] == SHADOW_IDS
             assert all(row["tally"]["scans"] > 0 for row in before["detectors"])
@@ -175,7 +176,7 @@ class TestChaosShadowDrill:
             final_ckpt, sinks=[CollectingSink()], workers=4
         )
         try:
-            assert restored.detectors_snapshot() == before
+            assert views.detectors(restored)[1] == before
             # The restored scorer is live: extend the stream across the
             # next rerun boundary and the same detector rows keep
             # accruing scans.
@@ -184,7 +185,7 @@ class TestChaosShadowDrill:
                 [s for s in tail if s.timestamp >= restored.clock]
             )
             restored.advance_to(tail[-1].timestamp + INTERVAL)
-            final = restored.detectors_snapshot()
+            final = views.detectors(restored)[1]
             assert [row["id"] for row in final["detectors"]] == SHADOW_IDS
             assert all(
                 final_row["tally"]["scans"] > before_row["tally"]["scans"]

@@ -6,6 +6,7 @@ import json
 from repro.connectors import CsvImporter, ImportStats, JsonLinesImporter
 from repro.quality import QualityConfig
 from repro.service import BackpressurePolicy, Sample, StreamingDetectionService
+from repro.service import views
 
 
 class _Collecting:
@@ -126,7 +127,7 @@ class TestImportThroughAdmission:
         )
         service.flush()
         assert stats.accepted == stats.offered == 24
-        counters = service.quality_snapshot()["counters"]
+        counters = views.quality(service)[1]["counters"]
         assert counters.get("counter_resets", 0) == 1
         service.close()
 

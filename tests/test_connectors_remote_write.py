@@ -8,6 +8,7 @@ import pytest
 
 from repro.connectors import RemoteWriteReceiver, SeriesMapper, parse_remote_write
 from repro.service import BackpressurePolicy, StreamingDetectionService
+from repro.service import views
 
 
 def _post(url, payload, expect_error=False):
@@ -158,7 +159,7 @@ class TestReceiver:
             status, body = _post(receiver.url, payload, expect_error=True)
         assert status == 400 and "error" in body
         assert service.stats().offered == 0  # nothing offered, "good" included
-        assert service.quality_snapshot()["counters"].get("quarantined", 0) == 0
+        assert views.quality(service)[1]["counters"].get("quarantined", 0) == 0
 
     def test_missing_metric_name_refuses_the_whole_request(self, service):
         payload = {"timeseries": [

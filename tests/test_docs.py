@@ -383,3 +383,76 @@ class TestScanStackHoldsNoHandles:
         )
         built = {ast.unparse(call.func) for call in self._calls(worker)}
         assert not {"MetricsRegistry", "TraceStore"} & built
+
+
+class TestAShardAnswersForItself:
+    """The read side is one ``path -> view`` table folding ``Shard``
+    accessors: no view (and nothing under ``repro.obs``) reaches through
+    to a shard's worker or scheduler, and the service keeps routing,
+    advance, delivery, lifecycle and checkpoint — none of the renderers."""
+
+    SRC = TestScanStackHoldsNoHandles.SRC
+    MOVED = {
+        "healthz", "status_snapshot", "faults_snapshot", "quality_snapshot",
+        "detectors_snapshot", "render_metrics", "funnel_trace",
+    }
+
+    @classmethod
+    def _tree(cls, *parts):
+        return ast.parse(_read(cls.SRC, *parts))
+
+    def test_views_and_obs_reach_into_no_shard(self):
+        modules = [("service", "views.py")] + [
+            ("obs", name) for name in sorted(os.listdir(os.path.join(self.SRC, "obs")))
+            if name.endswith(".py")
+        ]
+        reached = [
+            f"{'/'.join(parts)}:{node.lineno} .{node.attr}"
+            for parts in modules
+            for node in ast.walk(self._tree(*parts))
+            if isinstance(node, ast.Attribute)
+            and node.attr in ("worker", "scheduler", "admission", "_series", "_stale")
+        ]
+        assert not reached, reached
+
+    def test_every_view_in_the_table_is_a_named_function(self):
+        tree = self._tree("service", "views.py")
+        functions = {
+            node.name for node in tree.body if isinstance(node, ast.FunctionDef)
+        }
+        (table,) = [
+            node.value for node in tree.body
+            if isinstance(node, ast.AnnAssign) and ast.unparse(node.target) == "VIEWS"
+        ]
+        assert len(table.values) >= 6
+        for value in table.values:
+            assert isinstance(value, ast.Name) and value.id in functions, ast.unparse(value)
+        # ... and the HTTP layer routes that table, not one of its own.
+        http = _read(self.SRC, "obs", "http.py")
+        assert "from repro.service.views import VIEWS" in http
+        assert "lambda" not in http and "def _healthz" not in http
+
+    def test_no_moved_view_is_left_on_the_service(self):
+        tree = self._tree("service", "service.py")
+        (service,) = [
+            node for node in tree.body
+            if isinstance(node, ast.ClassDef) and node.name == "StreamingDetectionService"
+        ]
+        defined = {
+            node.name for node in ast.walk(service) if isinstance(node, ast.FunctionDef)
+        }
+        assert not defined & self.MOVED, defined & self.MOVED
+        assert not {name for name in defined if "data_faults" in name}
+        source = _read(self.SRC, "service", "service.py")
+        assert "FaultKind" not in source and "_data_held" not in source
+        assert len(source.splitlines()) <= 800
+
+    def test_the_service_touches_a_shards_parts_only_to_offer_flush_and_register(self):
+        uses = {
+            node.attr
+            for node in ast.walk(self._tree("service", "service.py"))
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Attribute)
+            and node.value.attr in ("worker", "scheduler")
+        }
+        assert uses == {"offer", "flush", "register"}

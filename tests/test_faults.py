@@ -18,6 +18,7 @@ from repro.faults import (
     InjectedFault,
 )
 from repro.obs.spans import EventLog
+from repro.service import views
 from repro.service.metrics import MetricsRegistry
 
 
@@ -185,7 +186,8 @@ class TestInjectorDecisions:
         registry = MetricsRegistry()
         events = EventLog()
         plan = FaultPlan(specs=(FaultSpec(FaultKind.FLUSH_ERROR, times=2),))
-        injector = FaultInjector(plan, metrics=registry, events=events)
+        injector = FaultInjector(plan)
+        injector.wire(metrics=registry, events=events)
         for _ in range(2):
             with pytest.raises(InjectedFault):
                 injector.maybe_raise("ingest.flush", shard=1)
@@ -226,9 +228,9 @@ class TestServiceClockHygiene:
             n_shards=1, fault_injector=FaultInjector(plan)
         )
         try:
-            assert service.healthz()["checkpoint"]["age_seconds"] is None
+            assert views.healthz(service)[1]["checkpoint"]["age_seconds"] is None
             service.checkpoint(str(tmp_path / "ckpt"))
-            health = service.healthz()
+            health = views.healthz(service)[1]
             age = health["checkpoint"]["age_seconds"]
             assert age is not None and 0.0 <= age < 60.0
             # The displayed wall timestamp carries the injected -2h step.
@@ -241,6 +243,6 @@ class TestServiceClockHygiene:
 
         service = StreamingDetectionService(n_shards=1)
         try:
-            assert service.faults_snapshot() is None
+            assert views.faults(service)[1] == {"enabled": False, "events": []}
         finally:
             service.close()

@@ -1,6 +1,9 @@
 """Tests for repro.obs.http (the /metrics, /healthz, /status endpoints)."""
 
 import json
+import sys
+import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -12,6 +15,7 @@ from repro.obs import STAGES, ObservabilityServer
 from repro.obs.http import PROMETHEUS_CONTENT_TYPE
 from repro.runtime import CollectingSink
 from repro.service import BackpressurePolicy, Sample, StreamingDetectionService
+from repro.service import views
 from repro.tsdb import WindowSpec
 
 N_TICKS = 1_100
@@ -104,7 +108,7 @@ class TestMetricsEndpoint:
     def test_matches_in_process_render(self, advanced_service):
         service, _sink, server, _reports = advanced_service
         _status, _headers, body = _get(server.url + "/metrics")
-        assert body == service.render_metrics()
+        assert body == views.metrics(service)[1]
 
 
 class TestHealthzEndpoint:
@@ -124,9 +128,9 @@ class TestHealthzEndpoint:
     def test_checkpoint_age_reported_after_checkpoint(self, tmp_path):
         service, _sink = _service(n_shards=1)
         try:
-            assert service.healthz()["checkpoint"]["age_seconds"] is None
+            assert views.healthz(service)[1]["checkpoint"]["age_seconds"] is None
             service.checkpoint(str(tmp_path / "ckpt"))
-            age = service.healthz()["checkpoint"]["age_seconds"]
+            age = views.healthz(service)[1]["checkpoint"]["age_seconds"]
             assert age is not None and 0.0 <= age < 60.0
         finally:
             service.close()
@@ -142,7 +146,7 @@ class TestHealthzEndpoint:
             # beyond capacity are rejected, pending == capacity.
             for tick in range(20):
                 service.ingest("svc.sub0.gcpu", float(tick), 1.0, {"metric": "gcpu"})
-            health = service.healthz()
+            health = views.healthz(service)[1]
             assert health["status"] == "degraded"
             assert health["saturated_shards"] == 1
             assert health["shards"][0]["pending"] == 8
@@ -175,7 +179,7 @@ class TestStatusEndpoint:
 
     def test_funnel_trace_telescopes_and_matches_funnel(self, advanced_service):
         service, _sink, _server, _reports = advanced_service
-        payload = service.status_snapshot()
+        payload = views.status(service)[1]
         trace = payload["funnel_trace"]
         assert trace["telescopes"]
         stages = {row["stage"]: row for row in trace["stages"]}
@@ -257,13 +261,13 @@ class TestHandlerErrorPaths:
     keep-alive connection, desynchronizing every request behind it.
     """
 
-    def test_error_before_headers_answers_500_and_survives(self):
+    def test_error_before_headers_answers_500_and_survives(self, monkeypatch):
         service, _sink = _service(n_shards=1)
         try:
-            def boom():
+            def boom(_service):
                 raise RuntimeError("renderer exploded")
 
-            service.status_snapshot = boom
+            monkeypatch.setitem(views.VIEWS, "/status", boom)
             with ObservabilityServer(service) as server:
                 with pytest.raises(urllib.error.HTTPError) as excinfo:
                     urllib.request.urlopen(server.url + "/status", timeout=5.0)
@@ -324,3 +328,118 @@ class TestHandlerErrorPaths:
             assert b"500" not in received.split(b"\r\n", 1)[0]
         finally:
             service.close()
+
+
+def _run_for(seconds, *loops):
+    """Run each ``loop(stop)`` on a thread of its own for ``seconds``,
+    switching threads every 20 us instead of every 5 ms so that a race a
+    few bytecodes wide is met many times; returns what any of them raised."""
+    stop = threading.Event()
+    raised = []
+    interval = sys.getswitchinterval()
+
+    def guarded(loop):
+        try:
+            loop(stop)
+        except Exception as error:  # the assertion reads this list
+            raised.append(repr(error))
+            stop.set()
+
+    threads = [threading.Thread(target=guarded, args=(loop,)) for loop in loops]
+    sys.setswitchinterval(2e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        time.sleep(seconds)
+        stop.set()
+        for thread in threads:
+            thread.join(timeout=30.0)
+    finally:
+        sys.setswitchinterval(interval)
+    return raised
+
+
+class TestScrapeUnderLiveIngest:
+    """A view takes no queue lock, so it reads owners that producers and
+    a serial advance are writing.  The bugs: ``AdmissionController.admitted``
+    iterated the live per-series dict (``dictionary changed size during
+    iteration`` out of ``stats()``, ``/status`` and ``/quality`` — a 500)
+    and ``unquarantine`` released outside the lock ``add`` runs under
+    (``quarantine.total`` drifted from the per-series counts for good)."""
+
+    NAN = float("nan")
+
+    def test_every_scrape_answers_while_series_appear_and_scans_run(self):
+        service, _sink = _service(n_shards=2)
+        answers = {}
+
+        def produce(stop):
+            born = 0
+            while not stop.is_set():
+                born += 1
+                base = born * 10.0
+                service.ingest_many([
+                    Sample(f"live.s{born}.gcpu", base + k, self.NAN if k == 2 else 1.0,
+                           {"metric": "gcpu"})
+                    for k in range(4)
+                ])
+
+        def advance(stop):
+            clock = 0.0
+            while not stop.is_set():
+                clock += 6_000.0
+                service.advance_to(clock)
+
+        def scrape(stop):
+            while not stop.is_set():
+                for path in views.VIEWS:
+                    try:
+                        status = _get(server.url + path)[0]
+                    except urllib.error.HTTPError as error:
+                        status, body = error.code, error.read().decode()
+                        if status != 503:  # say what broke, not just that it did
+                            status = (status, body)
+                    answers.setdefault(path, set()).add(status)
+                service.stats()
+
+        try:
+            with ObservabilityServer(service) as server:
+                raised = _run_for(2.0, produce, advance, scrape, scrape, scrape)
+        finally:
+            service.close()
+        assert raised == []
+        assert sorted(answers) == sorted(views.VIEWS)
+        for path, statuses in answers.items():
+            assert statuses <= {200, 503}, (path, statuses)
+
+    def test_quarantine_ledgers_agree_after_racing_unquarantine(self):
+        service, _sink = _service(n_shards=2)
+        names = [f"rot.s{index}.gcpu" for index in range(6)]
+
+        def rot(stop):
+            tick = 0.0
+            while not stop.is_set():
+                tick += 1.0
+                for name in names:
+                    service.ingest(name, tick, self.NAN, {"metric": "gcpu"})
+
+        def release(stop):
+            while not stop.is_set():
+                for name in names:
+                    service.unquarantine(name)
+
+        try:
+            raised = _run_for(2.0, rot, rot, release)
+            with ObservabilityServer(service) as server:
+                quality = json.loads(_get(server.url + "/quality")[2])
+        finally:
+            service.close()
+        assert raised == []
+        assert len(quality["shards"]) == 2
+        for shard in quality["shards"]:
+            store = shard["quarantine"]
+            listed = sum(row["count"] for row in store["series"].values())
+            assert store["total"] == listed, shard["shard"]
+        assert quality["quarantined_points"] == sum(
+            shard["quarantine"]["total"] for shard in quality["shards"]
+        )

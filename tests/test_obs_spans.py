@@ -15,6 +15,7 @@ from repro.obs.spans import (
 )
 from repro.runtime import CollectingSink
 from repro.service import Sample, StreamingDetectionService
+from repro.service import views
 from repro.tsdb import SeriesFrame, TimeSeriesDatabase, WindowSpec
 
 
@@ -273,7 +274,7 @@ class TestServiceTracing:
     def test_funnel_trace_outputs_match_service_funnel(self):
         service, end = _streamed_service(workers=1)
         service.advance_to(end)
-        trace = service.funnel_trace()
+        trace = views.funnel_trace(service)
         for stage in STAGES:
             assert trace.totals[stage].outputs == service.funnel.counts[stage]
         service.close()

@@ -23,6 +23,7 @@ import pytest
 
 from repro.runtime import CollectingSink
 from repro.service import BackpressurePolicy, Sample, StreamingDetectionService
+from repro.service import views
 
 import test_report_fence as fence
 
@@ -68,7 +69,7 @@ def run_drill(workers):
         service.ingest_many(_dirt(start, stop))
         service.advance_to(stop * fence.INTERVAL)
         start = stop
-    exposition = service.render_metrics()
+    exposition = views.metrics(service)[1]
     service.close()
     return service, exposition
 

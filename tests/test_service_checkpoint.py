@@ -23,6 +23,7 @@ from repro.service import (
     Sample,
     StreamingDetectionService,
 )
+from repro.service import views
 from repro.tsdb import WindowSpec
 
 
@@ -431,9 +432,9 @@ class TestKillRestoreEquivalence:
         StreamingDetectionService(n_shards=2, workers=1).checkpoint(directory)
         restored = StreamingDetectionService.restore(directory, workers=2)
         gauges = restored.metrics.snapshot()["gauges"]
-        assert gauges["service.workers"] == 2.0 == restored.healthz()["workers"]
+        assert gauges["service.workers"] == 2.0 == views.healthz(restored)[1]["workers"]
         assert gauges["service.shards"] == 2.0
-        assert "service_workers 2" in restored.render_metrics()
+        assert "service_workers 2" in views.metrics(restored)[1]
         restored.close()
 
     def test_restore_missing_checkpoint_raises(self, tmp_path):

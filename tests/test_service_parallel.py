@@ -28,6 +28,7 @@ from repro.service import (
     Sample,
     StreamingDetectionService,
 )
+from repro.service import parallel, views
 from repro.service.metrics import MetricsRegistry
 from repro.service.parallel import ADVANCE_DEADLINE
 from repro.tsdb import WindowSpec
@@ -596,16 +597,17 @@ class TestAdvanceFailureRecovery:
         assert counters["advance.pool_recreations"] > 0
         assert report_bytes(sink.reports) == report_bytes(reference_reports)
 
-    def test_hang_past_deadline_retries_and_recovers(self):
+    def test_hang_past_deadline_retries_and_recovers(self, monkeypatch):
         """A hung worker trips the per-shard deadline, then the retry wins."""
+        monkeypatch.setattr(parallel, "RETRY_BACKOFF", 0.01)
         registry = MetricsRegistry()
         plan = FaultPlan(seed=2, specs=(
             FaultSpec(FaultKind.ADVANCE_HANG, times=1, hang_seconds=5.0),
         ))
-        injector = FaultInjector(plan, metrics=registry)
+        injector = FaultInjector(plan)
+        injector.wire(metrics=registry)
         executor = ParallelShardExecutor(
-            workers=2, retries=2, backoff=0.01, deadline=0.5,
-            injector=injector, metrics=registry,
+            workers=2, deadline=0.5, injector=injector, metrics=registry,
         )
         service = StreamingDetectionService(n_shards=2, workers=1)
         service.register_monitor(
@@ -654,16 +656,18 @@ class TestAdvanceFailureRecovery:
         assert counters["advance.retries"] >= 1.0
         assert report_bytes(sink.reports) == report_bytes(reference_reports)
 
-    def test_persistent_crash_falls_back_in_process(self):
+    def test_persistent_crash_falls_back_in_process(self, monkeypatch):
         """Retries exhausted -> the parent advances the shard itself."""
+        monkeypatch.setattr(parallel, "ADVANCE_RETRIES", 1)
+        monkeypatch.setattr(parallel, "RETRY_BACKOFF", 0.01)
         registry = MetricsRegistry()
         plan = FaultPlan(seed=3, specs=(
             FaultSpec(FaultKind.WORKER_CRASH, shard=0, times=None),
         ))
-        injector = FaultInjector(plan, metrics=registry)
+        injector = FaultInjector(plan)
+        injector.wire(metrics=registry)
         executor = ParallelShardExecutor(
-            workers=2, retries=1, backoff=0.01,
-            injector=injector, metrics=registry,
+            workers=2, injector=injector, metrics=registry,
         )
         service = StreamingDetectionService(n_shards=2, workers=1)
         service.register_monitor(
@@ -684,18 +688,18 @@ class TestAdvanceFailureRecovery:
             executor.close()
             service.close()
 
-    def test_collateral_shards_are_rerun_apart_and_outside_the_budget(self):
+    def test_collateral_shards_are_rerun_apart_and_outside_the_budget(self, monkeypatch):
         """One dead worker breaks every in-flight future.  With no retry
         budget at all, the innocent shards must still come back from the
         pool — only the shard that crashes by itself falls back."""
+        monkeypatch.setattr(parallel, "ADVANCE_RETRIES", 0)
         registry = MetricsRegistry()
         plan = FaultPlan(seed=3, specs=(
             FaultSpec(FaultKind.WORKER_CRASH, shard=1, times=None),
         ))
-        executor = ParallelShardExecutor(
-            workers=3, retries=0,
-            injector=FaultInjector(plan, metrics=registry), metrics=registry,
-        )
+        injector = FaultInjector(plan)
+        injector.wire(metrics=registry)
+        executor = ParallelShardExecutor(workers=3, injector=injector, metrics=registry)
         service = StreamingDetectionService(n_shards=3, workers=1)
         service.register_monitor(
             "gcpu", small_config(), series_filter={"metric": "gcpu"}
@@ -729,17 +733,19 @@ class TestAdvanceFailureRecovery:
             reasons.get("advance") in {"advance_retried", "in_process_fallback"}
             for reasons in degraded.values()
         )
-        assert service.healthz()["status"] == "degraded"
+        assert views.healthz(service)[1]["status"] == "degraded"
         service.advance_to(20_000.0)  # budget spent -> clean advance
         assert service.degraded_reasons() == {}
-        assert service.healthz()["status"] == "ok"
+        assert views.healthz(service)[1]["status"] == "ok"
         transitions = [e.kind for e in service.events.events()]
         assert "degraded" in transitions and "recovered" in transitions
         service.close()
 
-    def test_deterministic_error_still_propagates(self):
+    def test_deterministic_error_still_propagates(self, monkeypatch):
         """A genuine bug (not a crash) must fail the advance, loudly."""
-        executor = ParallelShardExecutor(workers=2, retries=1, backoff=0.01)
+        monkeypatch.setattr(parallel, "ADVANCE_RETRIES", 1)
+        monkeypatch.setattr(parallel, "RETRY_BACKOFF", 0.01)
+        executor = ParallelShardExecutor(workers=2)
         try:
             with pytest.raises(Exception):
                 executor.map_shards({0: b"not a pickle"}, target=1.0)

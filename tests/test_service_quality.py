@@ -20,6 +20,7 @@ from repro.fleet import DirtyDataSpec, dirty_stream
 from repro.obs import ObservabilityServer
 from repro.runtime import CollectingSink
 from repro.service import BackpressurePolicy, Sample, StreamingDetectionService
+from repro.service import views
 from repro.tsdb import WindowSpec
 
 N_TICKS = 1_100
@@ -135,7 +136,7 @@ def clean_run():
     try:
         drive(service, samples)
         assert [r.metric_id for r in sink.reports] == [SERIES[REGRESS_INDEX]]
-        quality = service.quality_snapshot()
+        quality = views.quality(service)[1]
         assert quality["enabled"]
         # Clean data: admission is transparent.
         assert quality["quarantined_points"] == 0
@@ -169,7 +170,7 @@ class TestDirtyDataDrill:
                 assert dirty_tsdb[name] == arrays, name
 
             # The damage actually happened and was absorbed.
-            quality = service.quality_snapshot()
+            quality = views.quality(service)[1]
             counters = quality["counters"]
             n_nans = sum(1 for s in dirty if s.value != s.value)
             assert n_nans > 0
@@ -219,7 +220,7 @@ class TestQualityEndpoint:
             n_shards=1, sinks=[sink], quality=None
         )
         try:
-            assert service.quality_snapshot() == {
+            assert views.quality(service)[1] == {
                 "enabled": False,
                 "counters": {},
                 "quarantined_points": 0,
@@ -243,7 +244,7 @@ class TestCheckpointRestore:
         try:
             service.ingest_many(dirty)
             service.advance_to(400 * INTERVAL)
-            before = service.quality_snapshot()
+            before = views.quality(service)[1]
             assert before["quarantined_points"] > 0
             service.checkpoint(ckpt)
         finally:
@@ -253,7 +254,7 @@ class TestCheckpointRestore:
             ckpt, sinks=[CollectingSink()], workers=4
         )
         try:
-            after = restored.quality_snapshot()
+            after = views.quality(restored)[1]
             assert after["enabled"]
             assert after["counters"] == before["counters"]
             assert after["quarantined_points"] == before["quarantined_points"]
@@ -269,7 +270,7 @@ class TestCheckpointRestore:
             restored.ingest(SERIES[0], 500 * INTERVAL, math.nan,
                             {"metric": "gcpu"})
             assert (
-                restored.quality_snapshot()["quarantined_points"]
+                views.quality(restored)[1]["quarantined_points"]
                 == before["quarantined_points"] + 1
             )
         finally:
@@ -284,9 +285,9 @@ class TestUnquarantine:
             for tick in range(4):
                 service.ingest(SERIES[0], tick * INTERVAL, math.nan,
                                {"metric": "gcpu"})
-            assert service.quality_snapshot()["quarantined_points"] == 4
+            assert views.quality(service)[1]["quarantined_points"] == 4
             assert service.unquarantine(SERIES[0]) == 4
-            assert service.quality_snapshot()["quarantined_points"] == 0
+            assert views.quality(service)[1]["quarantined_points"] == 0
             counters = service.metrics.snapshot()["counters"]
             assert counters["quality.released"] == 4.0
             assert service.events.events(kind="series_unquarantined")
@@ -305,7 +306,7 @@ class TestPrometheusNaming:
         try:
             service.ingest(SERIES[0], 0.0, math.nan, {"metric": "gcpu"})
             service.ingest(SERIES[0], INTERVAL, -1.0, {"metric": "gcpu"})
-            text = service.render_metrics()
+            text = views.metrics(service)[1]
             assert "# TYPE quality_quarantined counter" in text
             assert "quality_quarantined_not_finite 1" in text
             assert "# TYPE quality_repaired counter" in text

@@ -20,6 +20,7 @@ from repro.config import DetectionConfig
 from repro.obs import ObservabilityServer
 from repro.runtime import CollectingSink
 from repro.service import BackpressurePolicy, Sample, StreamingDetectionService
+from repro.service import views
 from repro.tsdb import WindowSpec
 
 N_TICKS = 1_100
@@ -98,7 +99,7 @@ def plain_run():
     try:
         drive(service, samples)
         assert [r.metric_id for r in sink.reports] == [SERIES[REGRESS_INDEX]]
-        snapshot = service.detectors_snapshot()
+        snapshot = views.detectors(service)[1]
         assert snapshot == {"enabled": False, "detectors": []}
         return samples, report_bytes(sink.reports)
     finally:
@@ -112,8 +113,8 @@ def run_with_shadow(samples, workers):
         drive(service, samples)
         return (
             report_bytes(sink.reports),
-            service.detectors_snapshot(),
-            service.render_metrics(),
+            views.detectors(service)[1],
+            views.metrics(service)[1],
         )
     finally:
         service.close()
@@ -163,7 +164,7 @@ class TestDetectorsEndpoint:
                     index = json.loads(response.read())
             assert "/detectors" in index["endpoints"]
             assert payload == json.loads(
-                json.dumps(service.detectors_snapshot(), sort_keys=True,
+                json.dumps(views.detectors(service)[1], sort_keys=True,
                            default=str)
             )
             assert payload["enabled"]
@@ -196,7 +197,7 @@ class TestCheckpointRestore:
         try:
             service.ingest_many([s for s in samples if s.timestamp < cut])
             service.advance_to(cut)  # first scan lands at tick 900
-            before = service.detectors_snapshot()
+            before = views.detectors(service)[1]
             assert before["enabled"]
             assert all(row["tally"]["scans"] > 0 for row in before["detectors"])
             service.checkpoint(ckpt)
@@ -207,7 +208,7 @@ class TestCheckpointRestore:
             ckpt, sinks=[CollectingSink()], workers=4
         )
         try:
-            after = restored.detectors_snapshot()
+            after = views.detectors(restored)[1]
             assert after == before
             # The restored scorer is live: replay the stream tail across
             # the next rerun boundary and the tallies grow on the same
@@ -216,7 +217,7 @@ class TestCheckpointRestore:
                 [s for s in samples if s.timestamp >= restored.clock]
             )
             restored.advance_to(N_TICKS * INTERVAL + 6_000.0)
-            final = restored.detectors_snapshot()
+            final = views.detectors(restored)[1]
             assert [row["id"] for row in final["detectors"]] == SHADOW_IDS
             assert all(
                 final_row["tally"]["scans"] > before_row["tally"]["scans"]

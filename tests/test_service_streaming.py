@@ -11,6 +11,7 @@ from repro.service import (
     ServiceStats,
     StreamingDetectionService,
 )
+from repro.service import views
 from repro.tsdb import WindowSpec
 
 
@@ -119,7 +120,7 @@ class TestEndToEnd:
         service = build(CollectingSink(), n_shards=2)
         service.ingest_many(samples[: len(SERIES) * 10])
         service.advance_to(600.0)
-        text = service.render_metrics()
+        text = views.metrics(service)[1]
         assert "ingest_accepted" in text
         assert "service_advance_seconds" in text
         assert "# TYPE service_shards gauge" in text
