@@ -25,7 +25,7 @@ class FaultKind(str, enum.Enum):
     """Every fault the injector knows how to execute."""
 
     #: The worker process advancing a shard dies hard (``os._exit``),
-    #: which surfaces in the parent as ``BrokenProcessPool``.
+    #: which the parent sees as end-of-file on that worker's pipe.
     WORKER_CRASH = "worker_crash"
     #: The worker process sleeps past the per-shard advance deadline.
     ADVANCE_HANG = "advance_hang"

@@ -33,10 +33,12 @@ worker, so quarantine state and reorder buffers ride checkpoints like
 every other counter.
 
 The worker and its database belong to the service process for life: a
-parallel advance (:mod:`repro.service.parallel`) scans a *copy* taken
-under :meth:`ShardIngestWorker.paused`, so this module has no notion of
-an advance, and the worker crosses a process boundary only inside a
-checkpoint blob, pickled under that same lock.
+parallel advance (:mod:`repro.service.parallel`) scans a *replica* in
+another process, so this module has no notion of an advance — while a
+replica exists the shard hangs a :attr:`ShardIngestWorker.write_log` on
+the worker and every batch written is also noted there — and the worker
+crosses a process boundary only inside a checkpoint blob, pickled under
+:meth:`ShardIngestWorker.paused`.
 """
 
 from __future__ import annotations
@@ -115,6 +117,11 @@ class ShardIngestWorker:
 
     Thread-safe: producers may ``offer()`` concurrently with ``flush()``.
     """
+
+    #: Set by the shard while a worker process holds a replica of
+    #: ``database``: every batch written is noted there too.  Process-
+    #: local like the replica it describes, so it never rides a pickle.
+    write_log: Optional[Any] = None
 
     def __init__(
         self,
@@ -310,6 +317,8 @@ class ShardIngestWorker:
             raise
         self.flushed += written
         self.flushes += 1
+        if self.write_log is not None and not self.write_log.wrote(batch, written):
+            self.write_log = None  # replaying it would cost more than a seed
         if self.metrics is not None:
             self.metrics.inc("ingest.flushed", written)
             self.metrics.observe("ingest.flush_seconds", time.perf_counter() - started)
@@ -362,6 +371,7 @@ class ShardIngestWorker:
         # locks: ``Shard.bind`` hands them back, not the pickle.
         state["metrics"] = None
         state["fault_injector"] = None
+        state.pop("write_log", None)
         return state
 
     def __setstate__(self, state: dict) -> None:

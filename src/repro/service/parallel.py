@@ -1,66 +1,57 @@
-"""Multi-process shard execution.
+"""Multi-process shard execution: resident workers holding read replicas.
 
 The paper's deployment scans different slices of the series space on a
-serverless fleet (§5.1) whose functions *read* windows out of the
-time-series database; one Python process hits the GIL long before it
-hits the hardware.  This module fans per-shard
-``DetectionScheduler.advance_to`` slices out to worker *processes*
-under one ownership rule: **the parent always owns a shard's database
-and ingest queue; a worker borrows a read-only snapshot and returns
-scheduler state.**
+fleet of workers that *read* the time-series database (§5.1); one Python
+process hits the GIL long before it hits the hardware.  This module
+keeps ``workers`` long-lived processes — shard ``i`` always on worker
+``i % workers`` — under one ownership rule: **the parent is the only
+writer of a shard's database and ingest queue; a worker holds a read
+replica (a seed plus, in order, every write the parent made since) and
+returns scheduler state.**
 
-1. the service takes each shard's
-   :meth:`~repro.service.shard.Shard.snapshot`: under the queue lock,
-   flush *in the parent*, then pickle the scheduler — monitors with
-   their detector / dedup / incremental state, and the database it reads;
-2. each worker process unpickles one scheduler, advances it to the
-   target time, lets go of its database copy, and ships the scheduler
-   and the scan outcomes back — a scan returns its own ledger (spans,
-   counts, timings), so there is no metrics or trace transport and no
-   process-local handle on either leg;
-3. :meth:`~repro.service.shard.Shard.adopt` points each returned
-   scheduler at the shard's **live** database and trims that to the last
-   retention cutoff the copy applied (the scan path's only write);
-   outcomes merge **in ascending shard-id order** — the order the serial
-   path iterates shards — through the same ``_deliver`` the serial path
-   uses, so what is published, ledger admission, funnel accumulation,
-   and sink delivery are byte-identical to single-process execution.
+Per advance the parent cuts one blob per shard, under the queue lock
+after a flush *in the parent*: a **delta**
+(:meth:`~repro.service.shard.Shard.delta`: the ordered log of what it
+wrote to that database since the last cut, naming the replica generation
+it extends) or, for a shard with no replica it trusts, a **seed**
+(:meth:`~repro.service.shard.Shard.seed`: the pickled scheduler with the
+database it reads, which any worker accepts).  The worker replays a
+delta through the same ``write_batch`` / ``apply_retention`` the parent
+ran (same code, same order: an equal database), advances the scheduler
+it kept over the replica, and ships back a detached copy of it with the
+scan outcomes, each carrying its ledger — nothing process-local rides
+either leg.  :meth:`~repro.service.shard.Shard.adopt` points that
+scheduler at the **live** database; outcomes merge **in ascending
+shard-id order**, as the serial path iterates shards, through the same
+``_deliver``, so reports are byte-identical to one process's.
 
-Nothing live is ever replaced, so offers and flushes need no bracket
-around an advance: what lands in the database while a worker scans its
-copy is the next scan's tail (incremental anchors are ``(length, last
-timestamp)``, checked against the database they meet next, as after any
-background flush), and a fan-out that fails leaves every shard as it
-was.  The merge barrier is the loop over
-:meth:`ParallelShardExecutor.map_shards` results: report-level side
-effects happen only in the parent, after all futures resolve.
-
-Failure paths are first-class: a crashed worker (``BrokenProcessPool``)
-or a shard advance that blows its deadline does not poison the cached
-pool or fail the whole ``advance_to``.  The executor retries failed
-shards with exponential backoff on a freshly created pool (a shard that
-only broke as collateral of a neighbour's crash is rerun apart from it
-at once, outside the budget), and — once retries are exhausted —
-advances the failed shard *in-process* from the same snapshot blob.
-Because a shard advance is a pure function of ``(blob, target)``,
-retried and fallback advances produce the same outcomes a healthy worker
-would, so the determinism contract survives every recovery path.  An
-optional :class:`~repro.faults.FaultInjector` hooks the submit path: the
-parent decides per-shard fault directives (crash / hang) that the worker
-executes, which is how the chaos suite drives these recovery paths
-deterministically.
+A replica is trusted by generation, not by hope: both sides count the
+advances a shard made since its seed, and a worker handed a delta for
+any other generation *refuses* it and is sent a seed at once.  The
+parent gives a replica up — the next blob is a seed — whenever an
+advance did not come back clean at the first attempt, or it changed the
+scheduler itself.  Nothing live is ever replaced, so a failed fan-out
+leaves every shard as it was; one request is in flight per worker, so a
+dead process names exactly the shard it was scanning.  A worker that
+crashed or blew the deadline is killed, reaped and respawned (its other
+replicas go with it: their next deltas are refused) and that shard alone
+is retried with backoff, then advanced by the parent in-process, which
+keeps no replica.  Both run from a full seed, so a shard advance stays a
+pure function of ``(seed, target)`` on every recovery path (DESIGN.md has
+the failure table); a :class:`~repro.faults.FaultInjector` can decide
+crash / hang directives the worker executes, for the chaos suite.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import pickle
 import time
-from concurrent.futures import Future, ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeout
-from concurrent.futures.process import BrokenProcessPool
+from collections import deque
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from multiprocessing.connection import Connection, wait
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.obs.logging import get_logger
 from repro.runtime.scheduler import DetectionScheduler, ScanOutcome
@@ -69,19 +60,21 @@ __all__ = ["ADVANCE_DEADLINE", "ShardAdvanceResult", "ParallelShardExecutor"]
 
 _log = get_logger("repro.service.parallel")
 
-#: Seconds one shard's advance may take in a worker process before it
-#: counts as failed.  Far above a real advance (``service.advance.max_s``
-#: is under 2 s on every benchmark workload); finite so that a worker
-#: killed mid-task cannot park ``future.result()`` for ever.
+#: Seconds one shard's advance may take before it counts as failed and
+#: its worker is killed.  Far above a real advance (under 2 s on every
+#: benchmark workload); finite so that a wedged worker cannot park
+#: ``advance_to`` for ever.
 ADVANCE_DEADLINE = 60.0
 
-#: How many times a failed shard advance is retried on a (possibly
-#: recreated) pool before the parent advances it in-process.
+#: Retry rounds for a failed shard advance before the parent runs it.
 ADVANCE_RETRIES = 2
 
-#: Base delay of the exponential backoff between retry rounds
-#: (``RETRY_BACKOFF * 2**round`` seconds).
+#: Backoff between retry rounds: ``RETRY_BACKOFF * 2**round`` seconds.
 RETRY_BACKOFF = 0.05
+
+
+class ReplicaRefused(Exception):
+    """A delta met no replica of the generation it extends: "seed me"."""
 
 
 @dataclass
@@ -90,17 +83,13 @@ class ShardAdvanceResult:
 
     Attributes:
         shard_id: The shard that was advanced.
-        state: What came back: the advanced scheduler, detached from
-            the database copy it scanned.
+        state: The advanced scheduler, detached from the replica.
         outcomes: Scan outcomes, in the scheduler's deterministic
-            order, each carrying its run's ledger for the parent to
-            publish.
+            order, each carrying its ledger for the parent to publish.
         elapsed: Wall-clock seconds the worker spent on this shard.
-        retries: How many times this shard's advance was retried before
-            this result was produced (0 on the happy path).
-        fallback: ``"in_process"`` when the result came from the
-            parent-process fallback after retries were exhausted,
-            ``None`` when a pool worker produced it.
+        retries: Retry rounds before this result (0 on the happy path).
+        fallback: ``"in_process"`` when the parent produced it after
+            retries were exhausted, ``None`` when a worker did.
     """
 
     shard_id: int
@@ -116,16 +105,16 @@ def _advance_shard(
     blob: bytes,
     target: float,
     fault: Optional[Tuple[str, float]] = None,
+    replicas: Optional[Dict[int, tuple]] = None,
 ) -> ShardAdvanceResult:
-    """Worker entry point: advance one shard snapshot to ``target``.
+    """Worker entry point: bring one shard level with ``blob``, advance it.
 
-    Module-level so every multiprocessing start method can import it.
-    ``fault`` is an injected directive decided by the parent's
-    :class:`~repro.faults.FaultInjector` — ``("crash", _)`` kills this
-    process hard (surfacing as ``BrokenProcessPool``), ``("hang", s)``
-    sleeps ``s`` seconds before working (tripping the caller's
-    per-shard deadline).  The in-process fallback always passes
-    ``None``, which is what guarantees chaos runs make progress.
+    ``replicas`` is the calling worker's ``shard id -> (generation,
+    scheduler, database)``; the parent's fallback passes none and so
+    keeps none.  ``fault`` is an injected directive — ``("crash", _)``
+    kills this process hard, ``("hang", s)`` sleeps ``s`` seconds first
+    — which the fallback never passes, so chaos runs make progress.
+    Raises :class:`ReplicaRefused` for a delta whose generation is not held.
     """
     if fault is not None:
         kind, value = fault
@@ -133,43 +122,69 @@ def _advance_shard(
             os._exit(13)
         elif kind == "hang":
             time.sleep(value)
-    scheduler: DetectionScheduler = pickle.loads(blob)
+    payload = pickle.loads(blob)
+    if isinstance(payload, DetectionScheduler):  # a seed
+        generation, scheduler, database = 0, payload, payload.database
+    else:
+        held = replicas.get(shard_id) if replicas else None
+        if held is None or held[0] != payload.generation:
+            raise ReplicaRefused(f"shard {shard_id}: generation {payload.generation}")
+        generation, scheduler, database = held
+        payload.replay(database)
+        scheduler.database = database
     started = time.perf_counter()
     outcomes = scheduler.advance_to(target)
     elapsed = time.perf_counter() - started
-    # Only scheduler state goes back: the database copy stays here.
+    # Only scheduler state goes back: the replica stays here.
     scheduler.database = None
-    return ShardAdvanceResult(
-        shard_id=shard_id,
-        state=scheduler,
-        outcomes=outcomes,
-        elapsed=elapsed,
-    )
+    if replicas is not None:
+        replicas[shard_id] = (generation + 1, scheduler, database)
+    return ShardAdvanceResult(shard_id, scheduler, outcomes, elapsed)
+
+
+def _serve(conn: Connection) -> None:
+    """A resident worker's life: one request at a time, its replicas kept
+    in between.  It answers a result, a :class:`ReplicaRefused`, or the
+    text of what the advance raised."""
+    replicas: Dict[int, tuple] = {}
+    while True:
+        try:
+            request = conn.recv()
+        except EOFError:  # the parent is gone
+            return
+        try:
+            # Through the module global: a tracer wraps it before the fork.
+            answer: Any = _advance_shard(*request, replicas)
+        except ReplicaRefused as refusal:
+            answer = refusal
+        except Exception as error:
+            replicas.pop(request[0], None)  # how far it got is unknown
+            answer = repr(error)
+        conn.send(answer)
 
 
 class ParallelShardExecutor:
-    """Fans shard advances out to a lazily created process pool.
+    """Advances shards on ``workers`` resident processes, forked here.
 
     Args:
         workers: Worker process count (must be >= 1).  With one worker
-            the service skips this executor entirely and runs the
-            in-thread path; the executor still handles ``workers=1``
-            correctly for direct use.
+            the service skips this executor and runs in-thread.
         deadline: Per-shard advance deadline in seconds.  A shard that
-            blows it is treated as failed (the hung worker is abandoned
-            with the recycled pool) and retried.  ``None`` waits for
-            ever — which a SIGKILLed worker can make literal.
+            blows it is treated as failed and retried; the worker is
+            killed and replaced.  ``None`` waits for ever.
         injector: Optional :class:`~repro.faults.FaultInjector`; the
-            submit path asks it for per-shard crash/hang directives.
+            send path asks it for per-shard crash/hang directives.
         metrics: Optional registry-like object receiving the
-            ``advance.retries`` / ``advance.fallbacks`` /
-            ``advance.pool_recreations`` counters.
+            ``advance.*`` counters (bytes out and in, retries,
+            fallbacks, blown deadlines, workers replaced).
+        seeds: ``shard id -> seed blob``, asked when a shard must start
+            over (delta refused, retry, fallback).  Without it the blob
+            given to :meth:`map_shards` is sent again: it was a seed.
 
     Example::
 
-        executor = ParallelShardExecutor(workers=4)
-        results = executor.map_shards({0: blob0, 1: blob1}, target=3600.0)
-        executor.close()
+        with ParallelShardExecutor(workers=4) as executor:
+            results = executor.map_shards({0: seed0, 1: seed1}, target=3600.0)
     """
 
     def __init__(
@@ -178,6 +193,7 @@ class ParallelShardExecutor:
         deadline: Optional[float] = ADVANCE_DEADLINE,
         injector: Optional[Any] = None,
         metrics: Optional[Any] = None,
+        seeds: Optional[Callable[[int], bytes]] = None,
     ) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
@@ -187,48 +203,38 @@ class ParallelShardExecutor:
         self.deadline = deadline
         self.injector = injector
         self.metrics = metrics
-        self._pool: Optional[ProcessPoolExecutor] = None
+        self.seeds = seeds
+        self._procs = [self._spawn() for _ in range(workers)]
 
-    def _ensure_pool(self) -> ProcessPoolExecutor:
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(max_workers=self.workers)
-        return self._pool
+    @staticmethod
+    def _spawn() -> Tuple[multiprocessing.Process, Connection]:
+        ours, theirs = multiprocessing.Pipe()
+        process = multiprocessing.Process(target=_serve, args=(theirs,), daemon=True)
+        process.start()
+        theirs.close()
+        return process, ours
 
-    def _recycle_pool(self) -> None:
-        """Throw the pool away (broken, or wedged on a hung worker).
-
-        ``wait=False`` abandons any still-running worker: its eventual
-        result is discarded, which is safe because workers only ever
-        mutate their own unpickled copies of shard state.
-        """
-        if self._pool is not None:
-            self._pool.shutdown(wait=False, cancel_futures=True)
-            self._pool = None
-        self._inc("advance.pool_recreations")
+    def worker_pids(self) -> List[int]:
+        """Process ids of the live workers, by worker index."""
+        return [process.pid for process, _ in self._procs]
 
     def _inc(self, name: str, amount: int = 1) -> None:
         if self.metrics is not None:
             self.metrics.inc(name, amount)
 
-    def map_shards(
-        self, blobs: Dict[int, bytes], target: float
-    ) -> List[ShardAdvanceResult]:
+    def map_shards(self, blobs: Dict[int, bytes], target: float) -> List[ShardAdvanceResult]:
         """Advance every shard blob to ``target``; results sorted by id.
 
         The sort is the determinism contract: callers fold results in
-        ascending shard-id order, matching the serial path's iteration
-        order exactly.
-
-        Failure handling: shards whose worker crashed, raised, or blew
-        the deadline are retried (with exponential backoff, on a fresh
-        pool when the old one broke) up to :data:`ADVANCE_RETRIES` times, then
-        advanced in-process from the same snapshot.  Every shard in
-        ``blobs`` is therefore represented in the returned list — a
-        genuine deterministic error (a bug, not a crash) still
-        propagates, from the in-process attempt.
+        ascending shard-id order, as the serial path iterates shards.
+        Shards whose worker crashed, raised, or blew the deadline are
+        retried from a seed, with exponential backoff, for
+        :data:`ADVANCE_RETRIES` rounds, then advanced in-process from
+        one: every shard in ``blobs`` is in the returned list, and a
+        deterministic error (a bug, not a crash) propagates from there.
         """
+        seed = self.seeds or blobs.__getitem__
         results: Dict[int, ShardAdvanceResult] = {}
-        retry_counts: Dict[int, int] = {shard_id: 0 for shard_id in blobs}
         remaining: Dict[int, bytes] = dict(sorted(blobs.items()))
         for attempt in range(ADVANCE_RETRIES + 1):
             if not remaining:
@@ -236,25 +242,14 @@ class ParallelShardExecutor:
             if attempt:
                 time.sleep(RETRY_BACKOFF * (2 ** (attempt - 1)))
                 self._inc("advance.retries", len(remaining))
-                for shard_id in remaining:
-                    retry_counts[shard_id] += 1
-            failed = self._attempt(remaining, target, results, retry_counts)
-            remaining = {shard_id: blobs[shard_id] for shard_id in sorted(failed)}
+            failed = self._attempt(remaining, target, results, attempt)
+            remaining = {shard_id: seed(shard_id) for shard_id in sorted(failed)}
         for shard_id, blob in remaining.items():
-            # Retries exhausted: advance in the parent from the same
-            # snapshot.  No fault directive is ever passed here, so a
-            # chaos plan cannot starve a shard forever.
-            _log.warning(
-                "shard advance falling back in-process",
-                shard=shard_id,
-                retries=retry_counts[shard_id],
-            )
-            result = _advance_shard(shard_id, blob, target)
-            result.fallback = "in_process"
+            # No fault directive is passed: a chaos plan cannot starve a shard.
+            _log.warning("shard advance falling back in-process", shard=shard_id)
+            results[shard_id] = result = _advance_shard(shard_id, blob, target)
+            result.retries, result.fallback = ADVANCE_RETRIES, "in_process"
             self._inc("advance.fallbacks")
-            results[shard_id] = result
-        for shard_id, result in results.items():
-            result.retries = retry_counts.get(shard_id, 0)
         return [results[shard_id] for shard_id in sorted(results)]
 
     def _attempt(
@@ -262,72 +257,77 @@ class ParallelShardExecutor:
         shards: Dict[int, bytes],
         target: float,
         results: Dict[int, ShardAdvanceResult],
-        retry_counts: Dict[int, int],
+        attempt: int,
     ) -> List[int]:
-        """Run one submission round; returns the shard ids that failed.
-
-        One dead worker fails *every* in-flight future with
-        ``BrokenProcessPool``, so several broken shards cannot be told
-        culprit from collateral: each is rerun alone on a fresh pool
-        (counted as a retry, but outside the budget), and only one that
-        fails by itself is reported failed.
-        """
-        pool = self._ensure_pool()
-        futures: Dict[int, Future] = {}
+        """Run round ``attempt``, each worker taking its shards one
+        after another; returns the shard ids that failed."""
+        # Decided up front, in shard order, whatever order workers finish in.
+        directive = self.injector.worker_directive if self.injector else lambda _: None
+        faults = {shard_id: directive(shard_id) for shard_id in shards}
+        queues = [deque(s for s in shards if s % self.workers == w) for w in range(self.workers)]
+        due: Dict[int, float] = {}  # busy worker -> when the head of its queue is due
         failed: List[int] = []
-        broken: List[int] = []
-        timed_out = False
-        for shard_id, blob in shards.items():
-            fault = (
-                self.injector.worker_directive(shard_id)
-                if self.injector is not None
-                else None
-            )
+        while True:
+            for index, queue in enumerate(queues):
+                if queue and index not in due:
+                    blob = shards[queue[0]]
+                    try:
+                        request = (queue[0], blob, target, faults.pop(queue[0], None))
+                        self._procs[index][1].send(request)
+                    except OSError:
+                        pass  # it died idle: the read below says so
+                    self._inc("advance.bytes_out", len(blob))
+                    due[index] = time.monotonic() + (self.deadline or float("inf"))
+            if not due:
+                return failed
+            wake = max(min(due.values()) - time.monotonic(), 0.0)
+            conns = [self._procs[index][1] for index in due]
+            ready = wait(conns, None if self.deadline is None else wake)
+            now = time.monotonic()
+            for index in [i for i in due if self._procs[i][1] in ready or due[i] <= now]:
+                shard_id = queues[index][0]
+                del due[index]
+                answer = self._answer(index, self._procs[index][1] in ready)
+                if isinstance(answer, ReplicaRefused) and self.seeds is not None:
+                    shards[shard_id] = self.seeds(shard_id)  # next, to the same worker
+                    continue
+                queues[index].popleft()
+                if isinstance(answer, ShardAdvanceResult):
+                    answer.retries = attempt  # every round retries all that failed
+                    results[shard_id] = answer
+                else:
+                    failed.append(shard_id)
+                    _log.warning("shard advance failed", shard=shard_id, error=str(answer))
+
+    def _answer(self, index: int, in_time: bool) -> Any:
+        """A result, a refusal, or the text of what went wrong — by then
+        a worker that died or ran out of time is reaped and replaced."""
+        process, conn = self._procs[index]
+        if in_time:
             try:
-                futures[shard_id] = pool.submit(
-                    _advance_shard, shard_id, blob, target, fault
-                )
-            except BrokenProcessPool:
-                broken.append(shard_id)
-        for shard_id, future in futures.items():
-            try:
-                results[shard_id] = future.result(timeout=self.deadline)
-            except BrokenProcessPool as error:
-                broken.append(shard_id)
-                _log.warning(
-                    "shard advance worker crashed", shard=shard_id, error=str(error)
-                )
-            except FutureTimeout:
-                timed_out = True
-                failed.append(shard_id)
-                self._inc("advance.deadline_exceeded")
-                _log.warning(
-                    "shard advance blew its deadline",
-                    shard=shard_id,
-                    deadline=self.deadline,
-                )
-            except Exception as error:
-                failed.append(shard_id)
-                _log.warning(
-                    "shard advance raised", shard=shard_id, error=str(error)
-                )
-        if broken or timed_out:
-            self._recycle_pool()
-        if len(broken) > 1:
-            self._inc("advance.retries", len(broken))
-            for shard_id in sorted(broken):
-                retry_counts[shard_id] += 1
-                alone = {shard_id: shards[shard_id]}
-                failed += self._attempt(alone, target, results, retry_counts)
+                data = conn.recv_bytes()
+            except (EOFError, OSError):
+                why = "worker crashed"
+            else:
+                self._inc("advance.bytes_in", len(data))
+                return pickle.loads(data)
         else:
-            failed += broken
-        return failed
+            why = f"blew its {self.deadline} s deadline"
+            self._inc("advance.deadline_exceeded")
+        process.kill()
+        process.join()
+        conn.close()
+        self._procs[index] = self._spawn()
+        self._inc("advance.pool_recreations")
+        return why
 
     def close(self) -> None:
-        """Shut the pool down (idempotent)."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
+        """Kill and join every worker: none holds anything of its own."""
+        for process, conn in self._procs:
+            process.kill()
+            process.join()
+            conn.close()
+        self._procs = []
 
     def __enter__(self) -> "ParallelShardExecutor":
         return self

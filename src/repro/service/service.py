@@ -15,8 +15,9 @@ scaled down to one process:
 - :meth:`StreamingDetectionService.advance_to` flushes queues, runs due
   scans, filters re-alerts through a durable reported-ledger, and
   delivers :class:`~repro.reporting.report.IncidentReport`\\ s to sinks;
-  with ``workers > 1`` the scans run in worker processes over a
-  snapshot each — the shard keeps its database and queue throughout,
+  with ``workers > 1`` the scans run in resident worker processes, each
+  over a read replica — the shard keeps its database and queue
+  throughout, only what it wrote since the last advance goes out and
   only the advanced scheduler comes back;
 - :meth:`StreamingDetectionService.checkpoint` /
   :meth:`StreamingDetectionService.restore` persist the whole thing so
@@ -96,13 +97,14 @@ class StreamingDetectionService:
         queue_capacity: Per-shard ingest queue bound.
         backpressure: Policy when a shard queue is full.
         batch_size: Samples per TSDB flush batch.
-        workers: Worker *processes* for shard advances.  With ``workers
-            <= 1`` detection runs in-thread; with more,
-            :meth:`advance_to` hands a snapshot of each shard to a
-            :class:`~repro.service.parallel.ParallelShardExecutor`,
-            advances shards truly in parallel, and merges the results
-            deterministically (ascending shard id — identical report
-            order to the serial path).
+        workers: Worker *processes* for shard advances, forked here —
+            before the service has threads.  With ``workers <= 1``
+            detection runs in-thread; with more, :meth:`advance_to`
+            hands each shard's new writes to the replica a
+            :class:`~repro.service.parallel.ParallelShardExecutor`
+            worker holds, advances shards truly in parallel, and merges
+            the results deterministically (ascending shard id —
+            identical report order to the serial path).
         retention: Per-shard TSDB retention (seconds; 0 disables).
         replicas: Virtual nodes per shard on the hash ring.
         routing_key: Maps a frame (``.name``, ``.tags``) to its routing
@@ -170,6 +172,7 @@ class StreamingDetectionService:
                 deadline=advance_deadline,
                 injector=fault_injector,
                 metrics=self.metrics,
+                seeds=self._seed,
             )
             if workers > 1
             else None
@@ -327,6 +330,7 @@ class StreamingDetectionService:
                 first_run=first_run,
                 **shard_kwargs,
             )
+            shard.forget_replica()  # its scheduler has no such monitor
         self._monitor_specs.append(
             {
                 "name": name,
@@ -422,15 +426,23 @@ class StreamingDetectionService:
     ) -> None:
         """Fan shard advances out to worker processes and merge back.
 
-        Each worker borrows a snapshot and returns the advanced
-        scheduler; the shards keep their databases and queues, so there
-        is nothing to roll back — a fan-out that raises leaves every
-        shard as it was, flushed.
+        Each worker brings its replica level with what the shard wrote
+        since the last advance (or is seeded afresh) and returns the
+        advanced scheduler; the shards keep their databases and queues,
+        so there is nothing to roll back — a fan-out that raises leaves
+        every shard as it was, flushed, and every replica untrusted.
         """
-        blobs = {
-            shard_id: shard.snapshot() for shard_id, shard in self._shards.items()
-        }
-        results = self._executor.map_shards(blobs, target)  # sorted by id
+        try:
+            blobs = {
+                shard_id: shard.delta() or self._seed(shard_id)
+                for shard_id, shard in self._shards.items()
+            }
+            results = self._executor.map_shards(blobs, target)  # sorted by id
+        except BaseException:
+            # Logs were cut for advances that will not be adopted.
+            for shard in self._shards.values():
+                shard.forget_replica()
+            raise
         self.metrics.inc("service.parallel_advances")
         for result in results:
             shard = self._shards[result.shard_id]
@@ -443,7 +455,17 @@ class StreamingDetectionService:
             else:
                 self._clear_degraded(result.shard_id, "advance")
             shard.adopt(result.state)
+            if result.fallback is not None or result.retries:
+                shard.forget_replica()  # recovered: start over from a seed
             self._deliver(shard, result.outcomes, result.elapsed, delivered)
+
+    def _seed(self, shard_id: int) -> bytes:
+        """A seed for one shard's worker (also the executor's way to
+        start a shard over); one that gives up a replica is counted."""
+        shard = self._shards[shard_id]
+        if shard.seeded:
+            self.metrics.inc("advance.reseeds")
+        return shard.seed()
 
     def _deliver(
         self,
@@ -581,7 +603,7 @@ class StreamingDetectionService:
         self.flush()
 
     def close(self) -> None:
-        """Release resources: flushers, the worker pool, and the sinks.
+        """Release resources: flushers, the worker processes, and the sinks.
 
         Sinks close last (and each in isolation) so buffered deliveries
         — a webhook queue draining, a held file handle — get their

@@ -1,16 +1,19 @@
-"""One shard, and the two ways it leaves the process.
+"""One shard, and the ways it leaves the process.
 
 A :class:`Shard` is a TSDB, the ingest worker in front of it and the
-scheduler that scans it.  It is serialised in exactly two forms, both
-produced here under ``worker.paused()`` — the queue lock every offer and
-flush takes — so neither can be torn by live producers or flushers:
+scheduler that scans it.  Every serialised form of it is produced here
+under ``worker.paused()`` — the queue lock every offer and flush takes —
+so none can be torn by live producers or flushers:
 
 - :meth:`Shard.checkpoint_blob` / :meth:`Shard.restore` — the durable form:
   database, worker (queue and held stragglers included), scheduler and
   scan count in one pickle, so shared references survive;
-- :meth:`Shard.snapshot` / :meth:`Shard.adopt` — what a worker process
-  borrows for one advance: the scheduler goes out with the database it
-  reads, only the scheduler comes back.
+- :meth:`Shard.seed` (a :meth:`Shard.snapshot` that starts a
+  :class:`WriteLog`) — what a worker process builds its read replica
+  from: the scheduler goes out with the database it reads;
+- :meth:`Shard.delta` / :meth:`Shard.adopt` — what keeps that replica
+  level: the writes logged since the last cut go out as a
+  :class:`ShardDelta`, only the advanced scheduler comes back.
 
 Neither form carries a process-local handle.  The scan side — scheduler,
 detectors, pipelines — holds none to begin with: a scan returns its
@@ -28,14 +31,17 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
 from repro.faults import FaultInjector
 from repro.quality import AdmissionController, QualityConfig
 from repro.runtime.scheduler import DetectionScheduler, ScanOutcome
 from repro.service.ingest import BackpressurePolicy, ShardIngestWorker
 from repro.service.metrics import MetricsRegistry
+from repro.tsdb.columnar import SeriesFrame
 from repro.tsdb.database import TimeSeriesDatabase
 
-__all__ = ["Shard", "ShardStats"]
+__all__ = ["Shard", "ShardDelta", "ShardStats", "WriteLog"]
 
 #: Registry counters, by metric name, that mirror an int the ingest worker
 #: or its admission controller owns (its ``ShardIngestWorker.counters()``
@@ -64,6 +70,96 @@ class ShardStats:
     pending: int
     counters: Dict[str, int]
     scans: int
+
+
+@dataclass
+class ShardDelta:
+    """A cut of a :class:`WriteLog`: the frames written, flattened to two
+    contiguous ``float64`` columns plus names, tags and lengths, and the
+    retention cutoffs applied between them (``(frames before it,
+    cutoff)``).  ``generation`` names the replica state it extends."""
+
+    generation: int
+    names: List[str]
+    tags: List[dict]
+    lengths: np.ndarray
+    timestamps: np.ndarray
+    values: np.ndarray
+    cutoffs: List[Tuple[int, float]]
+
+    def replay(self, database: TimeSeriesDatabase) -> None:
+        """Write to ``database`` what was written to the logged one,
+        through the same calls in the same order."""
+        stops = np.cumsum(self.lengths).tolist()
+        frames = [
+            SeriesFrame(name, tags, self.timestamps[start:stop], self.values[start:stop])
+            for name, tags, start, stop in zip(self.names, self.tags, [0] + stops, stops)
+        ]
+        done = 0
+        for before, cutoff in self.cutoffs:
+            database.write_batch(frames[done:before])
+            database.apply_retention(cutoff)
+            done = before
+        database.write_batch(frames[done:])
+
+
+class WriteLog:
+    """Every write to one shard's database since its replica was last
+    brought level, in order; the caller holds the queue lock.
+
+    It is bounded by a rule: a log holding more points than the database
+    does costs more to replay than a seed, so :meth:`wrote` and
+    :meth:`trimmed` answer whether it is still worth keeping.
+    """
+
+    def __init__(self, database: TimeSeriesDatabase) -> None:
+        self.database = database
+        #: Advances adopted since the seed: the replica state the next
+        #: :meth:`cut` extends.
+        self.generation = 0
+        self._clear()
+        self._room = 0  # the database's size when last counted
+
+    def _clear(self) -> None:
+        self.frames: List[SeriesFrame] = []
+        self.cutoffs: List[Tuple[int, float]] = []
+        self.points = 0
+
+    def _fits(self) -> bool:
+        # The database only shrinks in ``trimmed``: between counts it is
+        # at least ``_room``, so most writes need no recount.
+        if self.points > self._room:
+            self._room = sum(len(series) for series in self.database)
+        return self.points <= self._room
+
+    def wrote(self, frames: List[SeriesFrame], points: int) -> bool:
+        """Note one ``write_batch`` that succeeded."""
+        self.frames.extend(frames)
+        self.points += points
+        return self._fits()
+
+    def trimmed(self, cutoff: float) -> bool:
+        """Note one ``apply_retention`` — a write like any other: a
+        straggler older than the cutoff, flushed after the cut, is gone
+        from the live database and must go from the replica."""
+        self.cutoffs.append((len(self.frames), cutoff))
+        self._room = 0
+        return self._fits()
+
+    def cut(self) -> ShardDelta:
+        """Everything logged so far, as a delta; the log starts over."""
+        nothing = [np.empty(0)]  # concatenate refuses an empty list
+        delta = ShardDelta(
+            self.generation,
+            [frame.name for frame in self.frames],
+            [frame.tags for frame in self.frames],
+            np.array([len(frame) for frame in self.frames], dtype=np.int64),
+            np.concatenate([frame.timestamps for frame in self.frames] or nothing),
+            np.concatenate([frame.values for frame in self.frames] or nothing),
+            self.cutoffs,
+        )
+        self._clear()
+        return delta
 
 
 class Shard:
@@ -96,6 +192,9 @@ class Shard:
         )
         self.scheduler = DetectionScheduler(self.database, retention=retention)
         self.scans = 0
+        #: Whether a worker process was ever seeded with this shard (a
+        #: seed after the first means a replica was given up).
+        self.seeded = False
         self.bind(metrics, fault_injector)
 
     def bind(
@@ -216,10 +315,10 @@ class Shard:
         self.bind(*handles)
         self.scheduler.invalidate_incremental()
 
-    # -- the borrowed form -----------------------------------------------
+    # -- the replicated form ---------------------------------------------
 
     def snapshot(self) -> bytes:
-        """What a worker process borrows to advance this shard.
+        """This shard as a worker process can advance it, self-contained.
 
         Under the queue lock: flush in the parent (stragglers released,
         exactly as the serial path does before it scans), then pickle
@@ -233,17 +332,50 @@ class Shard:
             self.worker.flush()
             return pickle.dumps(self.scheduler, protocol=pickle.HIGHEST_PROTOCOL)
 
+    def seed(self) -> bytes:
+        """A :meth:`snapshot` to build a replica from: every write from
+        here on is logged, so :meth:`delta` can keep that replica level."""
+        with self.worker.paused():
+            blob = self.snapshot()
+            self.worker.write_log = WriteLog(self.database)
+            self.seeded = True
+            return blob
+
+    def delta(self) -> Optional[bytes]:
+        """What this shard's replica has not seen: flush, then cut the
+        log.  ``None`` when no replica is trusted — never seeded, given
+        up by :meth:`forget_replica`, or the log outgrew the database —
+        and the caller must :meth:`seed` one instead."""
+        with self.worker.paused():
+            self.worker.flush()
+            log = self.worker.write_log
+            if log is None:
+                return None
+            return pickle.dumps(log.cut(), protocol=pickle.HIGHEST_PROTOCOL)
+
+    def forget_replica(self) -> None:
+        """Stop trusting the replica: the advance it made was not
+        adopted as it was made, or the scheduler changed on this side."""
+        self.worker.write_log = None
+
     def adopt(self, scheduler: DetectionScheduler) -> None:
-        """Take back the scheduler a worker advanced over a snapshot.
+        """Take back the scheduler a worker advanced over its replica.
 
         It scans the live database from here on.  Retention is the one
-        thing an advance writes, and the worker wrote it to its copy: a
-        cutoff it moved is applied again here.  Incremental-scan anchors
-        need nothing — they are validated against whatever database they
-        meet, so points flushed meanwhile are the next scan's tail.
+        thing an advance writes, and the worker wrote it to its replica:
+        a cutoff it moved is applied again here, and logged.
+        Incremental-scan anchors need nothing — they are validated
+        against whatever database they meet, so points flushed meanwhile
+        are the next scan's tail.
         """
         scheduler.database = self.database
-        if scheduler.retention_cutoff != self.scheduler.retention_cutoff:
-            with self.worker.paused():
-                self.database.apply_retention(scheduler.retention_cutoff)
+        cutoff = scheduler.retention_cutoff
+        with self.worker.paused():
+            log = self.worker.write_log
+            if cutoff != self.scheduler.retention_cutoff:
+                self.database.apply_retention(cutoff)
+                if log is not None and not log.trimmed(cutoff):
+                    self.forget_replica()
+            if self.worker.write_log is not None:
+                log.generation += 1
         self.scheduler = scheduler

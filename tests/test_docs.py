@@ -215,9 +215,48 @@ class TestNoCallerlessBatchKernels:
 
 
 class TestParallelAdvanceOwnership:
-    """A parallel advance borrows a snapshot; the shard keeps its
-    database and queue.  The swap protocol that made a borrowed *copy*
-    safe to install, and the scheduler's thread pool, stay deleted."""
+    """A parallel advance reads a replica in a resident worker; the
+    shard keeps its database and queue.  The swap protocol that made a
+    borrowed *copy* safe to install, the scheduler's thread pool, and the
+    per-advance process pool with its recreation and collateral reruns
+    stay deleted."""
+
+    def test_the_process_pool_stays_replaced_not_forked(self):
+        service = os.path.join(REPO_ROOT, "src", "repro", "service")
+        source = _read(service, "parallel.py")
+        for gone in ("ProcessPoolExecutor", "BrokenProcessPool", "concurrent.futures"):
+            assert gone not in source, gone
+        # What the pool, its recreation and the collateral rerun took up
+        # pays for the worker loop: no longer than before them.
+        assert len(source.splitlines()) <= 336
+
+    def test_a_database_is_unpickled_only_where_a_worker_starts(self):
+        """Shard state leaves pickled from ``shard.py`` alone, and comes
+        back to life in three places: a checkpoint being restored, the
+        worker entry point (a seed, or a delta for the replica it
+        holds), and the parent reading a worker's answer — a scheduler
+        detached from any database."""
+        service = os.path.join(REPO_ROOT, "src", "repro", "service")
+        loads = set()
+        for name in sorted(os.listdir(service)):
+            if not name.endswith(".py"):
+                continue
+            for function in ast.walk(ast.parse(_read(service, name))):
+                if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    loads |= {
+                        (name, function.name, ast.unparse(call.func))
+                        for call in ast.walk(function)
+                        if isinstance(call, ast.Call)
+                        and re.fullmatch(r"pickle\.loads?|\w+\.recv", ast.unparse(call.func))
+                    }
+        assert loads == {
+            ("checkpoint.py", "_load_manifest", "pickle.loads"),
+            ("parallel.py", "_advance_shard", "pickle.loads"),
+            ("parallel.py", "_serve", "conn.recv"),
+            ("parallel.py", "_answer", "pickle.loads"),
+        }
+        worker = _read(service, "parallel.py").split("def _advance_shard")[1]
+        assert "scheduler.database = None" in worker.split("def _serve")[0]
 
     def test_no_advance_bracket_under_service(self):
         service = os.path.join(REPO_ROOT, "src", "repro", "service")
@@ -249,7 +288,7 @@ class TestShardLeavesOneWay:
         service = os.path.join(REPO_ROOT, "src", "repro", "service")
         assert not re.search(r"^\s*import pickle", _read(service, "service.py"), re.M)
         assert "pickle.dumps" not in _read(service, "checkpoint.py")
-        # Both forms, each taken inside the queue lock.
+        # All three forms (checkpoint, seed, delta), each taken inside the queue lock.
         tree = ast.parse(_read(service, "shard.py"))
 
         def dumps_under(node):
@@ -266,7 +305,7 @@ class TestShardLeavesOneWay:
                 for item in node.items
             ):
                 locked |= dumps_under(node)
-        assert len(dumps_under(tree)) == 2 and dumps_under(tree) == locked
+        assert len(dumps_under(tree)) == 3 and dumps_under(tree) == locked
 
 
 class TestScanStackHoldsNoHandles:

@@ -25,10 +25,17 @@ TSDB's column bytes, under both duplicate policies and, for a single
 series, under every backpressure policy at a queue bound the stream
 overflows.  The row-at-a-time run is itself held against a model of the
 per-sample queue this layer replaced.
+
+Last, the read replica a worker process keeps
+(:class:`TestReplicaFollowsTheLog`): a copy of a database taken at any
+point, fed the :class:`~repro.service.shard.WriteLog` of what was
+written since — frames in order, shuffled, repeating timestamps, arriving
+late, with retention cutoffs in between — equals the live database.
 """
 
 import bisect
 import math
+import pickle
 from collections import deque
 
 import pytest
@@ -38,6 +45,7 @@ from hypothesis import strategies as st
 from repro.quality import AdmissionController, QualityConfig
 from repro.service import BackpressurePolicy, ShardIngestWorker, frames_of
 from repro.service.ingest import Sample
+from repro.service.shard import WriteLog
 from repro.tsdb import SeriesFrame, TimeSeries, TimeSeriesDatabase
 
 
@@ -456,3 +464,62 @@ class TestFrameSplitsMatchRowByRow:
         assert ([] if stored is None else list(stored)) == [
             (timestamp, value) for _, timestamp, value in model.written
         ]
+
+
+# Three series on a 40-tick grid: most frames repeat a timestamp, start
+# before what is stored (a late head) or come shuffled.
+_frame = st.builds(
+    lambda name, rows, tag: SeriesFrame(
+        name, {"metric": "gcpu", **tag}, [float(t) for t, _ in rows], [v for _, v in rows]
+    ),
+    st.sampled_from(["a", "b", "c"]),
+    st.lists(
+        st.tuples(st.integers(0, 40), st.integers(0, 9).map(float)), min_size=1, max_size=8
+    ),
+    st.sampled_from([{}, {"host": "x"}, {"host": "y"}]),
+)
+_batch = st.lists(_frame, max_size=4)
+#: ``(frames flushed, cutoff)``: a plain flush when the cutoff is
+#: ``None``, else an advance — whose frames land between the cut and
+#: ``adopt`` (stragglers older than the cutoff among them).
+_step = st.tuples(_batch, st.one_of(st.none(), st.integers(0, 40).map(float)))
+
+
+class TestReplicaFollowsTheLog:
+    @settings(max_examples=200, deadline=None)
+    @given(steps=st.lists(_step, min_size=1, max_size=12), seed_at=st.integers(0, 11))
+    def test_a_seed_plus_the_log_equals_the_live_database(self, steps, seed_at):
+        live = TimeSeriesDatabase()
+        state = {"replica": None, "log": None, "seeds": 0}
+
+        def write(frames):
+            live.write_batch(frames)
+            log = state["log"]
+            if log is not None and not log.wrote(frames, sum(len(f) for f in frames)):
+                state["log"] = None  # outgrew the database
+
+        def level():
+            """What an advance does first: a delta, or a seed."""
+            if state["log"] is None:
+                state["replica"] = pickle.loads(pickle.dumps(live))
+                state["log"] = WriteLog(live)
+                state["seeds"] += 1
+            else:
+                assert state["log"].points <= sum(len(series) for series in live)
+                pickle.loads(pickle.dumps(state["log"].cut())).replay(state["replica"])
+
+        for index, (frames, cutoff) in enumerate(steps):
+            if cutoff is None or index < seed_at:
+                write(frames)
+                if cutoff is not None:
+                    live.apply_retention(cutoff)  # no replica yet: a serial advance
+                continue
+            level()
+            state["replica"].apply_retention(cutoff)  # the worker's scan trims its own
+            write(frames)
+            live.apply_retention(cutoff)  # adopt
+            if state["log"] is not None and not state["log"].trimmed(cutoff):
+                state["log"] = None
+        level()
+        assert state["seeds"] >= 1
+        assert list(state["replica"]) == list(live)

@@ -531,14 +531,8 @@ class TestAdvanceFailureRecovery:
             producer.start()
         try:
             for round_index in range(4):
-                victim_pid = next(iter(service._executor._pool._processes))
-                try:
-                    os.kill(victim_pid, signal.SIGKILL)
-                except ProcessLookupError:
-                    # The pool noticed the previous round's kill only
-                    # after that round's results were in, and tore
-                    # itself down: this advance meets a dead pool anyway.
-                    pass
+                victim_pid = service._executor.worker_pids()[0]
+                os.kill(victim_pid, signal.SIGKILL)
                 # The advance runs against a pool with a freshly killed
                 # worker; recovery must be invisible to the caller.
                 service.advance_to((round_index + 2) * 10_000.0)

@@ -1,0 +1,280 @@
+"""Resident shard workers: a replica is a seed plus the ordered log.
+
+With ``workers > 1`` each worker process keeps a read replica of the
+shards it hosts; the parent stays the only writer and per advance ships
+what it wrote since the last one (:meth:`Shard.delta`) or, when it does
+not trust the replica, the whole shard (:meth:`Shard.seed`).  The tests
+here hold the protocol to its promises: workers exist before the service
+has threads and a hung one is killed, a delta for the wrong generation
+is refused and re-seeded, a parent-side scheduler change reaches the
+replica, the log never outgrows the database, and replay off the TSDB's
+fast path (backfill merges, re-sent tails, late heads, NaN bursts)
+leaves the replica equal to the live database — all with reports
+byte-identical to ``workers=1``.
+"""
+
+import os
+import pickle
+
+import pytest
+
+from repro.faults import FaultInjector, FaultKind, FaultPlan, FaultSpec
+from repro.fleet import dirty_stream
+from repro.runtime import CollectingSink
+from repro.service import ParallelShardExecutor, Sample, StreamingDetectionService
+from repro.service import parallel
+from repro.service.metrics import MetricsRegistry
+
+import test_service_parallel as fleet
+import test_service_quality as drill
+
+
+def alive(pid):
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+def advance_counters(service):
+    counters = service.metrics.snapshot()["counters"]
+    return {
+        name[len("advance."):]: value
+        for name, value in counters.items()
+        if name.startswith("advance.")
+    }
+
+
+def databases(service):
+    return [list(service.shard_database(i)) for i in range(service.n_shards)]
+
+
+def points(database):
+    return sum(len(series) for series in database)
+
+
+class TestWorkerLifecycle:
+    def test_workers_are_forked_before_the_service_has_threads(self):
+        """Not lazily at the first advance after ``start()`` made
+        flusher threads: both exist before any advance."""
+        service = fleet.make_service(CollectingSink(), workers=2)
+        try:
+            pids = service._executor.worker_pids()
+            assert len(set(pids)) == 2 and os.getpid() not in pids
+            assert all(alive(pid) for pid in pids)
+            service.start(flush_interval=0.01)
+            service.advance_to(100.0)
+            assert service._executor.worker_pids() == pids
+        finally:
+            service.close()
+        assert not any(alive(pid) for pid in pids)
+
+    def test_a_hung_worker_is_killed_not_abandoned(self, monkeypatch):
+        """The bug: a worker that blew the deadline stayed alive —
+        asleep, holding its shard copy — for the life of the service."""
+        monkeypatch.setattr(parallel, "RETRY_BACKOFF", 0.01)
+        plan = FaultPlan(seed=2, specs=(
+            FaultSpec(FaultKind.ADVANCE_HANG, shard=0, times=1, hang_seconds=5.0),
+        ))
+        registry = MetricsRegistry()
+        executor = ParallelShardExecutor(
+            workers=2, deadline=0.5, injector=FaultInjector(plan), metrics=registry,
+        )
+        service = fleet.make_service(CollectingSink(), workers=1, n_shards=2)
+        try:
+            before = executor.worker_pids()
+            seeds = {i: shard.snapshot() for i, shard in service._shards.items()}
+            results = executor.map_shards(seeds, target=100.0)
+            assert [r.retries for r in results] == [1, 0]
+            after = executor.worker_pids()
+            assert not alive(before[0]), "the hung worker outlived its deadline"
+            assert after[1] == before[1] and after[0] != before[0]
+            assert all(alive(pid) for pid in after) and len(after) == 2
+            assert registry.snapshot()["counters"]["advance.deadline_exceeded"] == 1.0
+        finally:
+            executor.close()
+            service.close()
+        assert not any(alive(pid) for pid in after)
+
+
+class TestGenerations:
+    def test_a_delta_for_the_wrong_generation_is_refused_and_reseeded(self):
+        samples = fleet.make_stream(seed=7, regress_index=3)
+        reference, _ = fleet.run_stream(samples, workers=1)
+        sink = CollectingSink()
+        service = fleet.make_service(sink, workers=2)
+        try:
+            chunk = 200 * len(fleet.SERIES)
+            for round_index, begin in enumerate(range(0, len(samples), chunk)):
+                if round_index == 3:
+                    # The parent believes in a replica state no worker holds.
+                    service._shards[1].worker.write_log.generation += 1
+                batch = samples[begin : begin + chunk]
+                service.ingest_many(batch)
+                service.advance_to(batch[-1].timestamp + fleet.INTERVAL)
+            counters = advance_counters(service)
+            assert counters["reseeds"] == 1.0
+            assert "retries" not in counters and "fallbacks" not in counters
+            assert service.degraded_reasons() == {}
+            # Trusted again from the new seed on: deltas, not seeds.
+            assert service._shards[1].worker.write_log.generation == 3
+        finally:
+            service.close()
+        assert fleet.report_bytes(sink.reports) == fleet.report_bytes(reference)
+
+    def test_the_worker_entry_point_refuses_what_it_does_not_hold(self):
+        service = fleet.make_service(CollectingSink(), workers=1, n_shards=1)
+        shard = service._shards[0]
+        try:
+            replicas = {}
+            parallel._advance_shard(0, shard.seed(), 10.0, None, replicas)
+            assert replicas[0][0] == 1
+            delta = shard.delta()  # extends generation 0: never adopted
+            with pytest.raises(parallel.ReplicaRefused):
+                parallel._advance_shard(0, delta, 20.0, None, replicas)
+            with pytest.raises(parallel.ReplicaRefused):
+                parallel._advance_shard(0, shard.delta(), 20.0, None, {})
+            assert replicas[0][0] == 1, "a refused delta must not be applied"
+        finally:
+            service.close()
+
+    def test_a_monitor_registered_after_the_first_advance_reaches_the_replica(self):
+        samples = fleet.make_stream(seed=7, regress_index=3)
+
+        def run(workers):
+            sink = CollectingSink()
+            service = fleet.make_service(sink, workers)
+            try:
+                chunk = 200 * len(fleet.SERIES)
+                for round_index, begin in enumerate(range(0, len(samples), chunk)):
+                    if round_index == 2:
+                        service.register_monitor(
+                            "late",
+                            fleet.small_config(name="late", threshold=0.0001),
+                            series_filter={"metric": "gcpu"},
+                        )
+                    batch = samples[begin : begin + chunk]
+                    service.ingest_many(batch)
+                    service.advance_to(batch[-1].timestamp + fleet.INTERVAL)
+                scans = [shard.scans for shard in service.stats().shards]
+                return sink.reports, scans, advance_counters(service)
+            finally:
+                service.close()
+
+        serial_reports, serial_scans, _ = run(workers=1)
+        parallel_reports, parallel_scans, counters = run(workers=2)
+        assert fleet.report_bytes(parallel_reports) == fleet.report_bytes(serial_reports)
+        assert parallel_scans == serial_scans
+        assert counters["reseeds"] == 4.0  # every shard's scheduler changed
+
+
+class TestLogBound:
+    def test_a_log_that_outgrows_the_database_is_dropped(self):
+        """The same tail re-sent over and over writes points the
+        database does not grow by: replaying them would cost more than
+        a seed, so the log goes — and the next advance seeds."""
+        def run(workers):
+            sink = CollectingSink()
+            service = fleet.make_service(sink, workers, quality=None)
+            tail = [
+                Sample(name, tick * fleet.INTERVAL, 0.001 + 1e-6 * tick, {"metric": "gcpu"})
+                for name in fleet.SERIES
+                for tick in range(40)
+            ]
+            try:
+                service.ingest_many(tail)
+                service.advance_to(40 * fleet.INTERVAL)
+                dropped = set()
+                for _ in range(3):
+                    service.ingest_many(tail)
+                    service.flush()
+                    for shard_id, shard in service._shards.items():
+                        log = shard.worker.write_log
+                        if workers > 1 and log is None:
+                            dropped.add(shard_id)
+                        elif log is not None:
+                            assert log.points <= points(shard.database)
+                service.advance_to(80 * fleet.INTERVAL)
+                return databases(service), dropped, advance_counters(service)
+            finally:
+                service.close()
+
+        serial, _, _ = run(workers=1)
+        replicated, dropped, counters = run(workers=2)
+        assert replicated == serial
+        populated = {i for i, database in enumerate(serial) if database}
+        assert dropped == populated and populated
+        assert counters["reseeds"] == float(len(populated))
+
+
+class TestReplayOffTheFastPath:
+    """Dirty data makes ``write_batch`` merge, overwrite and drop; the
+    replica must take the same turns."""
+
+    @staticmethod
+    def rounds():
+        """The quality drill's dirty stream in its timestamp rounds,
+        each followed by the previous round's tail re-sent (duplicates
+        of flushed points) and one late frame head."""
+        samples = dirty_stream(drill.make_stream(), drill.dirty_spec())
+        span = drill.ROUND_TICKS * drill.INTERVAL
+        batches = []
+        for index in range(-(-drill.N_TICKS // drill.ROUND_TICKS)):
+            begin, end = index * span, (index + 1) * span
+            batch = [s for s in samples if begin <= s.timestamp < end]
+            resent = [s for s in samples if begin - 20 * drill.INTERVAL <= s.timestamp < begin]
+            late = [s for s in batch if s.name == drill.SERIES[4]][:5]
+            batches.append((batch + resent + late, end))
+        return batches
+
+    def run(self, workers):
+        sink = CollectingSink()
+        service = drill.make_service(sink, workers=workers)
+        try:
+            for batch, end in self.rounds():
+                service.ingest_many(batch)
+                service.advance_to(end)
+            quality = service.stats()
+            return sink.reports, databases(service), quality, advance_counters(service)
+        finally:
+            service.close()
+
+    def test_workers_2_over_dirty_rounds_equals_workers_1(self):
+        serial_reports, serial_dbs, serial_stats, _ = self.run(workers=1)
+        reports, dbs, stats, counters = self.run(workers=2)
+        assert drill.report_bytes(reports) == drill.report_bytes(serial_reports)
+        assert [r.metric_id for r in reports] == [drill.SERIES[drill.REGRESS_INDEX]]
+        assert dbs == serial_dbs
+        assert [s.counters for s in stats.shards] == [s.counters for s in serial_stats.shards]
+        assert sum(s.counters["quality_quarantined"] for s in stats.shards) > 0
+        # Re-sent points were written (over what was there): the slow path ran.
+        assert stats.flushed > sum(points(database) for database in dbs)
+        assert set(counters) == {"bytes_out", "bytes_in"}  # deltas all the way
+
+    def test_the_replica_itself_equals_the_live_database(self):
+        """The worker entry point run in-process, its replicas in a
+        dict this test can read: after every dirty round, each shard's
+        replica holds exactly what the live database holds."""
+        service = StreamingDetectionService(
+            n_shards=2, workers=1, retention=400 * drill.INTERVAL, batch_size=64,
+        )
+        service.register_monitor(
+            "gcpu", drill.small_config(), series_filter={"metric": "gcpu"}
+        )
+        replicas = {}
+        try:
+            for round_index, (batch, end) in enumerate(self.rounds()):
+                service.ingest_many(batch)
+                for shard_id, shard in service._shards.items():
+                    blob = shard.delta() or shard.seed()
+                    result = parallel._advance_shard(shard_id, blob, end, None, replicas)
+                    # Over the pipe, as a copy: the replica keeps its own.
+                    shard.adopt(pickle.loads(pickle.dumps(result.state)))
+                    generation, scheduler, replica = replicas[shard_id]
+                    assert generation == round_index + 1
+                    assert list(replica) == list(shard.database) and len(replica) > 0
+                    assert scheduler.retention_cutoff == shard.scheduler.retention_cutoff
+            assert shard.scheduler.retention_cutoff is not None
+        finally:
+            service.close()
