@@ -25,14 +25,25 @@ Usage::
 
 from __future__ import annotations
 
+import os
+import sys
 import time
+import tracemalloc
 
 import numpy as np
 
 from _harness import emit
 
+from repro.config import DetectionConfig
+from repro.core import pipeline as pipeline_module
+from repro.core.change_point import ChangePointDetector
 from repro.core.incremental import SCREEN_DRIFT, SCREEN_THRESHOLD, IncrementalScanCache
-from repro.tsdb import TimeSeries
+from repro.core.pipeline import DetectionPipeline
+from repro.tsdb import TimeSeries, TimeSeriesDatabase, WindowSpec
+
+# The per-series detector the matrix pass replaced lives with the tests.
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "tests"))
+import _reference_kernels as ref  # noqa: E402
 
 N_SERIES = 10_000
 INTERVAL = 60.0
@@ -254,3 +265,97 @@ def test_batch_matches_sequential_on_shifted_fleet():
         assert batch_decisions[series.name] == seed_decision, series.name
         fired += int(cache.screen_state(series.name)["fired"])
     assert fired >= 512 // 8  # every shifted series latched
+
+
+# ---------------------------------------------------------------------------
+# The re-anchor round: every anchor stale, so every series is a full scan
+# ---------------------------------------------------------------------------
+
+REANCHOR_POINTS = 600      # per series; windows are 200 historic + 200 analysis
+REANCHOR_SPEEDUP_FLOOR = 3.0
+#: Peak traced allocation of the timed run over what it returns: a block
+#: of window snapshots and kernel temporaries, the decisions, the series
+#: list — at 10k series and at 2.5k alike.
+REANCHOR_SCRATCH_BYTES = 4 * 1024 * 1024
+
+
+def measure_reanchor(n_series=N_SERIES, per_series=False, trace_memory=False):
+    """Anchor a quiet fleet, then time the one run, an analysis window
+    later, that must re-anchor every series.
+
+    The series already hold the later points at the first run (a window
+    ends at its ``now``, an anchor at the series' end), so the second run
+    finds nothing to fold and every anchor stale: it is full scans only.
+    ``per_series`` runs the loop the matrix pass replaced through the
+    same pipeline: one series a block, the reference ``detect`` a row.
+    Went-away and seasonality are off on both sides: one window in ten of
+    pure noise passes the LRT, and what the filters then cost a candidate
+    is the same on either path and another bench's subject
+    (``bench_fig7_went_away.py``); the threshold stage drops them instead.
+    Returns ``(seconds, candidates, anchors, scratch_bytes)``.
+    """
+    rng = np.random.default_rng(24)
+    values = rng.normal(0.001, 0.00002, (n_series, REANCHOR_POINTS))
+    stamps = np.arange(REANCHOR_POINTS, dtype=float) * INTERVAL
+    database = TimeSeriesDatabase()
+    for i in range(n_series):
+        series = database.create(f"fleet.sub{i}.gcpu", {"metric": "gcpu"})
+        series.ingest_many(list(zip(stamps, values[i])))
+    config = DetectionConfig(
+        name="reanchor", threshold=5e-5, rerun_interval=200 * INTERVAL,
+        windows=WindowSpec(historic=200 * INTERVAL, analysis=200 * INTERVAL),
+        long_term=False,
+    )
+    kernel, block = ChangePointDetector.detect_rows, pipeline_module.SCAN_BLOCK_ROWS
+    if per_series:
+        ChangePointDetector.detect_rows = ref.detect_rows
+        pipeline_module.SCAN_BLOCK_ROWS = 1
+    try:
+        pipeline = DetectionPipeline(
+            config, incremental=True, enable_went_away=False, enable_seasonality=False
+        )
+        pipeline.run(database, 400 * INTERVAL)
+        if trace_memory:
+            tracemalloc.start()
+        started = time.perf_counter()
+        result = pipeline.run(database, REANCHOR_POINTS * INTERVAL)
+        seconds = time.perf_counter() - started
+        kept, peak = 0, 0
+        if trace_memory:
+            kept, peak = tracemalloc.get_traced_memory()
+            tracemalloc.stop()
+    finally:
+        ChangePointDetector.detect_rows, pipeline_module.SCAN_BLOCK_ROWS = kernel, block
+    counts = result.trace.counts
+    assert counts["pipeline.full_scan.rows"] == n_series  # every anchor was stale
+    assert "pipeline.incremental.hits" not in counts
+    cache = pipeline.incremental_cache
+    candidates = [
+        (c.context.metric_id, c.change_index, c.mean_before, c.mean_after)
+        for c in result.all_candidates
+    ]
+    return seconds, candidates, [cache.screen_state(s.name) for s in database], peak - kept
+
+
+def test_reanchor_round_is_one_matrix_pass(capsys):
+    loop_s, loop_found, loop_anchors, _ = measure_reanchor(per_series=True)
+    pass_s, found, anchors, _ = measure_reanchor()
+    assert found == loop_found and anchors == loop_anchors
+    # Traced runs are not timed: tracemalloc taxes every allocation.
+    scratch = measure_reanchor(trace_memory=True)[3]
+    quarter = measure_reanchor(N_SERIES // 4, trace_memory=True)[3]
+    emit(
+        "Re-anchor round: every anchor stale, one DetectionPipeline.run",
+        [
+            "path        series  full scans/s  elapsed-relative",
+            f"per-series  {N_SERIES:6d}  {N_SERIES / loop_s:12.0f}  1.0x",
+            f"matrix      {N_SERIES:6d}  {N_SERIES / pass_s:12.0f}  {loop_s / pass_s:.1f}x",
+            f"candidates: {len(found)} of {N_SERIES} (equal on both paths, anchors too)",
+            (
+                f"peak scratch: {scratch / 2**20:.1f} MiB at {N_SERIES} series, "
+                f"{quarter / 2**20:.1f} MiB at {N_SERIES // 4}"
+            ),
+        ],
+    )
+    assert loop_s / pass_s >= REANCHOR_SPEEDUP_FLOOR
+    assert scratch <= REANCHOR_SCRATCH_BYTES

@@ -10,13 +10,16 @@ historic window only downstream (went-away, thresholds).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.stats.cusum import cusum_changepoint
-from repro.stats.em import em_mean_split
-from repro.stats.hypothesis import likelihood_ratio_test
+from repro.stats.cusum import cusum_split_rows
+
+# ``em_mean_split`` is not called here: the end-to-end benchmark's tracer
+# resolves it on this module (``benchmarks/e2e/layers.py``, ``stats.em``).
+from repro.stats.em import em_mean_split, em_split_rows  # noqa: F401
+from repro.stats.hypothesis import likelihood_ratio_test, lrt_screen_rows
 
 __all__ = ["ChangePointCandidate", "ChangePointDetector"]
 
@@ -60,38 +63,71 @@ class ChangePointDetector:
         self.significance_level = significance_level
         self.min_segment = min_segment
 
+    def detect_rows(
+        self, rows: np.ndarray, increases_only: bool = False
+    ) -> Tuple[List[Optional[ChangePointCandidate]], int]:
+        """:meth:`detect` over every row of a ``(k, n)`` matrix at once.
+
+        The CUSUM proposal and the EM sweep are row-wise array
+        expressions that reduce each row in the order the 1-D call does,
+        so their indices are bit-for-bit the one-row ones.  The LRT's
+        two-pass sums have a per-row length and cannot be stacked
+        bit-for-bit; :func:`~repro.stats.hypothesis.lrt_screen_rows`
+        clears the rows that cannot be significant (screened statistic
+        below the critical value by more than ``LRT_SCREEN_MARGIN``,
+        1e-6, against a rounding error under 2.4e-7) and every other row
+        takes the exact :func:`~repro.stats.hypothesis.likelihood_ratio_test`
+        and segment means — so every candidate, and every float it
+        carries, is computed by the same expressions whatever the batch.
+
+        Args:
+            rows: C-contiguous float matrix, one series per row.
+            increases_only: Report only mean increases (:meth:`detect_increase`).
+
+        Returns:
+            ``(candidates, exact)``: one validated candidate or ``None``
+            per row, and how many rows needed the exact test.
+        """
+        k, n = rows.shape
+        found: List[Optional[ChangePointCandidate]] = [None] * k
+        if k == 0 or n < max(2 * self.min_segment, 1):
+            return found, 0
+
+        # CUSUM proposes; EM refines (one call: it converges in a sweep).
+        mean = rows.mean(axis=1)
+        centred = rows - mean[:, None]
+        proposal, curve = cusum_split_rows(centred, self.min_segment)
+        index, _ = em_split_rows(rows, proposal, self.min_segment)
+
+        undecided = np.flatnonzero(
+            lrt_screen_rows(centred, curve, mean, index, self.significance_level)
+        ).tolist()
+        for i, at in zip(undecided, index[undecided].tolist()):
+            x = rows[i]
+            test = likelihood_ratio_test(x, at, self.significance_level)
+            if not test.significant:
+                continue
+            candidate = ChangePointCandidate(
+                index=at,
+                mean_before=float(x[:at].mean()),
+                mean_after=float(x[at:].mean()),
+                p_value=test.p_value,
+            )
+            if not increases_only or candidate.magnitude > 0:
+                found[i] = candidate
+        return found, len(undecided)
+
     def detect(self, values: Sequence[float]) -> Optional[ChangePointCandidate]:
         """Find and validate the most likely change point in ``values``.
+
+        The one-row view of :meth:`detect_rows`.
 
         Returns:
             A validated candidate, or ``None`` when the series is too
             short, contains no extremum, or the null hypothesis (no
             change) cannot be rejected.
         """
-        x = np.asarray(values, dtype=float)
-        if x.size < 2 * self.min_segment:
-            return None
-
-        # CUSUM proposes; EM refines (one call: it converges in a sweep).
-        proposal = cusum_changepoint(x, min_segment=self.min_segment)
-        if proposal is None:
-            return None
-        refined = em_mean_split(
-            x, initial_index=proposal.index, min_segment=self.min_segment
-        )
-        if refined is None:
-            return None
-        index = refined[0]
-
-        test = likelihood_ratio_test(x, index, self.significance_level)
-        if not test.significant:
-            return None
-        return ChangePointCandidate(
-            index=index,
-            mean_before=float(x[:index].mean()),
-            mean_after=float(x[index:].mean()),
-            p_value=test.p_value,
-        )
+        return self.detect_rows(np.asarray(values, dtype=float)[None, :])[0][0]
 
     def detect_increase(self, values: Sequence[float]) -> Optional[ChangePointCandidate]:
         """Like :meth:`detect`, but only report mean *increases*.
@@ -99,7 +135,5 @@ class ChangePointDetector:
         The paper's convention: "Without loss of generality, we assume
         that an increase in a metric's value means a regression" (§5.2).
         """
-        candidate = self.detect(values)
-        if candidate is None or candidate.magnitude <= 0:
-            return None
-        return candidate
+        rows = np.asarray(values, dtype=float)[None, :]
+        return self.detect_rows(rows, increases_only=True)[0][0]

@@ -316,6 +316,49 @@ class IncrementalScanCache:
             self._remove(name)
         return decisions
 
+    def record_full_scans(
+        self,
+        series_list: Sequence[TimeSeries],
+        now: float,
+        means: Sequence[float],
+        stds: Sequence[float],
+        had_candidates: Sequence[bool],
+    ) -> None:
+        """Re-anchor every series of a batch of full scans at ``now``.
+
+        ``means`` / ``stds`` are the population moments of each series'
+        analysis window (the screen's z-score scale) in the series' raw
+        value domain — no metric orientation applied: :meth:`should_scan`
+        folds raw tail values into the screen, and the two-sided CUSUM
+        catches shifts in either direction anyway.  New rows are taken
+        in list order; the rest is one write per column.  Series must be
+        non-empty and unique within the batch.
+        """
+        rows, ends, lengths = [], [], []
+        for series in series_list:
+            row = self._rows.get(series.name)
+            if row is None:
+                if self._size == len(self._c_anchor_end):
+                    self._grow()
+                row = self._size
+                self._size += 1
+                self._rows[series.name] = row
+                self._names.append(series.name)
+            rows.append(row)
+            ends.append(series.timestamp_at(-1))
+            lengths.append(len(series))
+        idx = np.fromiter(rows, dtype=np.intp, count=len(rows))
+        self._c_anchor_end[idx] = ends
+        self._c_anchor_len[idx] = lengths
+        self._c_full_scan_at[idx] = now
+        self._c_had_candidate[idx] = had_candidates
+        self._c_mean[idx] = means
+        self._c_std[idx] = stds
+        self._c_pos[idx] = 0.0
+        self._c_neg[idx] = 0.0
+        self._c_fired[idx] = False
+        self._c_n[idx] = 0
+
     def record_full_scan(
         self,
         series: TimeSeries,
@@ -323,35 +366,13 @@ class IncrementalScanCache:
         analysis_values: Sequence[float],
         had_candidate: bool,
     ) -> None:
-        """Re-anchor ``series`` after a full scan at reference ``now``.
-
-        ``analysis_values`` must be in the series' raw value domain (no
-        metric orientation applied): :meth:`should_scan` folds raw tail
-        values into the screen, and the two-sided CUSUM catches shifts
-        in either direction anyway.
-        """
+        """Re-anchor ``series`` after a full scan over the raw
+        ``analysis_values``: one-series view of :meth:`record_full_scans`."""
         if len(series) == 0:
             return
         x = np.asarray(analysis_values, dtype=float)
-        row = self._rows.get(series.name)
-        if row is None:
-            if self._size == len(self._c_anchor_end):
-                self._grow()
-            row = self._size
-            self._size += 1
-            self._rows[series.name] = row
-            self._names.append(series.name)
-        self._c_anchor_end[row] = series.timestamp_at(-1)
-        self._c_anchor_len[row] = len(series)
-        self._c_full_scan_at[row] = now
-        self._c_had_candidate[row] = bool(had_candidate)
-        # Population moments of the window, the screen's z-score scale.
-        self._c_mean[row] = x.mean() if x.size else 0.0
-        self._c_std[row] = x.std() if x.size else 0.0
-        self._c_pos[row] = 0.0
-        self._c_neg[row] = 0.0
-        self._c_fired[row] = False
-        self._c_n[row] = 0
+        mean, std = (x.mean(), x.std()) if x.size else (0.0, 0.0)
+        self.record_full_scans([series], now, [mean], [std], [bool(had_candidate)])
 
     def screen_state(self, name: str) -> Optional[Dict[str, float]]:
         """One series' anchor + screen state as a plain dict, or None.

@@ -13,10 +13,10 @@ per-candidate filters are rows of a stage table (:class:`_Stage`) run by
 one loop — the long-term path runs the same table from the threshold row
 on — and the collection stages run through a second loop.  Each loop
 feeds one :class:`~repro.obs.spans.StageTally` per Table 3 row, the only
-ledger of a run: :class:`FunnelCounters` ("remaining anomalies after
-each technique") is read off the tallies' ``outputs`` when the run ends,
-and the same tallies — inputs, drop reasons and elapsed time included —
-are frozen into one :class:`~repro.obs.spans.Span` per stage.
+ledger of a run: :class:`~repro.obs.spans.FunnelCounters` ("remaining
+anomalies after each technique") is read off the tallies' ``outputs``
+when the run ends, and the same tallies — inputs, drop reasons and elapsed
+time included — are frozen into one :class:`~repro.obs.spans.Span` per stage.
 
 A run is a function of ``(pipeline state, database, now)``: it holds no
 registry, trace store or sink and pushes nothing anywhere.  Its spans,
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -56,7 +56,7 @@ from repro.core.types import (
 from repro.core.went_away import WentAwayDetector
 from repro.fleet.changes import ChangeLog
 from repro.obs.logging import get_logger
-from repro.obs.spans import STAGES, RunCounts, RunTrace, StageTally
+from repro.obs.spans import STAGES, FunnelCounters, RunCounts, RunTrace, StageTally
 from repro.profiling.stacktrace import StackTrace
 from repro.quality.gaps import QualityGate
 from repro.tsdb.database import TimeSeriesDatabase
@@ -65,49 +65,9 @@ from repro.tsdb.windows import WindowedView
 
 __all__ = ["STAGES", "FunnelCounters", "PipelineResult", "DetectionPipeline"]
 
-# STAGES (the canonical Table 3 stage order) now lives in
-# repro.obs.spans so observability consumers need no detection imports;
-# it is re-exported here for compatibility.
+# STAGES and FunnelCounters live in repro.obs.spans; re-exported here.
 
 _log = get_logger("repro.core.pipeline")
-
-
-@dataclass
-class FunnelCounters:
-    """Survivor counts after each pipeline stage (Table 3).
-
-    ``counts[stage]`` is the number of candidates still alive *after*
-    the stage ran.  ``counts["change_points"]`` is the number detected.
-    """
-
-    counts: Dict[str, int] = field(default_factory=lambda: {s: 0 for s in STAGES})
-
-    def survived(self, stage: str, n: int = 1) -> None:
-        """Record ``n`` survivors of ``stage``.
-
-        Raises:
-            KeyError: On an unknown stage name.
-        """
-        if stage not in self.counts:
-            raise KeyError(f"unknown stage {stage!r}")
-        self.counts[stage] += n
-
-    def reduction_ratios(self) -> Dict[str, float]:
-        """Table 3's "1/N" view: detected count over survivors per stage.
-
-        Stages with zero survivors report ``inf``.  The one
-        implementation: the ``/status`` payload and the Table 3 text
-        rows both render from it.
-        """
-        detected = self.counts["change_points"]
-        return {
-            stage: detected / alive if alive else float("inf")
-            for stage, alive in self.counts.items()
-        }
-
-    def merge(self, other: "FunnelCounters") -> None:
-        for stage, count in other.counts.items():
-            self.counts[stage] = self.counts.get(stage, 0) + count
 
 
 @dataclass
@@ -172,6 +132,11 @@ _LONG_TERM_JOINS_AT = "threshold"
 #: or its analysis span is not scanned.
 MIN_HISTORIC_POINTS = 12
 MIN_ANALYSIS_POINTS = 8
+
+#: Series windowed and scanned per matrix pass: bounds the detection scratch
+#: (window snapshots, kernel temporaries) by a constant, not the fleet.  256
+#: rows were no faster end to end and cost 2 MB of peak RSS.
+SCAN_BLOCK_ROWS = 64
 
 
 class _Stopwatch:
@@ -516,18 +481,21 @@ class DetectionPipeline:
                 counts.inc("pipeline.incremental.hits", hits)
             if misses:
                 counts.inc("pipeline.incremental.misses", misses)
-        # Pass 3: full windowed scans where the screen demanded one.
+        # Pass 3: full windowed scans where the screen demanded one, a
+        # block of series at a time — windowed and gated per series, the
+        # block's short-term scans as one matrix pass, then, in series
+        # order, what is per candidate and order-dependent (the merger
+        # is stateful).  The pass's seconds reach the tally on the next
+        # lap, so the span still accounts for the block.
         stages = self._stage_table()
         long_term = self.config.long_term
         joins = [stage.row for stage in stages].index(_LONG_TERM_JOINS_AT)
         long_term_stages = stages[joins:]
         watch = _Stopwatch()
         candidates: List[Regression] = []
+        block: List[Tuple[TimeSeries, WindowedView, bool]] = []
 
-        def admit(
-            found: Optional[Tuple[Regression, Optional[ChangePointCandidate]]],
-            path: Tuple[_Stage, ...],
-        ) -> None:
+        def admit(found: Optional[tuple], path: Tuple[_Stage, ...]) -> None:
             if found is None:
                 detected.observe(False, "no_change_point", watch.lap())
                 return
@@ -536,24 +504,33 @@ class DetectionPipeline:
             candidates.append(regression)
             self._run_stages(regression, candidate, path, tallies, watch)
 
+        def flush() -> None:
+            scanned = [(series, windowed) for series, windowed, short in block if short]
+            change_points = iter(self._change_points(scanned, now, counts))
+            for series, windowed, short_term in block:
+                if short_term:
+                    hit = next(change_points)
+                    admit(self._short_term(series, now, windowed, hit, counts), stages)
+                if long_term:
+                    admit(self._long_term(series, now, windowed), long_term_stages)
+            block.clear()
+
         for series in scannable:
             short_term = decisions is None or decisions[series.name]
             if not short_term and not long_term:
                 continue
-            watch.lap()
             # Windowed and gated once per series, whichever paths run: a
-            # bad window is one skip, not one per path.
+            # bad window is one skip, not one per path, and never reaches
+            # the matrix, so it cannot seed the incremental screen.
             windowed = self.config.windows.view(series, now)
             skip = self._window_skip_reason(series, windowed, counts)
             if skip is not None:
-                # No full-scan anchor is recorded: bad windows must not
-                # seed the incremental screen.
                 detected.observe(False, skip, watch.lap())
                 continue
-            if short_term:
-                admit(self._short_term(series, now, windowed, counts), stages)
-            if long_term:
-                admit(self._long_term(series, now, windowed), long_term_stages)
+            block.append((series, windowed, short_term))
+            if len(block) == SCAN_BLOCK_ROWS:
+                flush()
+        flush()
         return candidates
 
     @staticmethod
@@ -645,30 +622,57 @@ class DetectionPipeline:
         """Map values so that an increase always means a regression."""
         return values if self.config.higher_is_worse else -values
 
-    def _short_term(
-        self, series: TimeSeries, now: float, windowed: WindowedView, counts: RunCounts
-    ) -> Optional[Tuple[Regression, ChangePointCandidate]]:
-        """CUSUM+EM+LRT over the analysis window (§5.2.1)."""
-        oriented_analysis = self._oriented(windowed.analysis)
-        candidate = self.change_point_detector.detect_increase(oriented_analysis)
-        if self.incremental_cache is not None:
-            # Anchor on the *raw* analysis values: the screen folds raw
-            # tail values in, and the CUSUM is two-sided, so orientation
-            # must not be applied here (a sign-flipped reference would
-            # fire the screen on every quiet lower-is-worse series).
-            self.incremental_cache.record_full_scan(
-                series, now, windowed.analysis, candidate is not None
+    def _change_points(
+        self, scanned: Sequence[Tuple[TimeSeries, WindowedView]], now: float, counts: RunCounts
+    ) -> List[Optional[ChangePointCandidate]]:
+        """CUSUM+EM+LRT (§5.2.1) over the analysis windows of a block of
+        series — stacked by length, never padded, one row-wise pass per
+        stack — and their re-anchor; a candidate or ``None`` per series."""
+        found: List[Optional[ChangePointCandidate]] = [None] * len(scanned)
+        if not scanned:
+            return found
+        means, stds = np.empty(len(scanned)), np.empty(len(scanned))
+        stacks: Dict[int, List[int]] = {}
+        for i, (_, windowed) in enumerate(scanned):
+            stacks.setdefault(windowed.analysis.size, []).append(i)
+        exact = 0
+        for length, members in stacks.items():
+            raw = np.concatenate([scanned[i][1].analysis for i in members])
+            raw = raw.reshape(len(members), length)
+            hits, undecided = self.change_point_detector.detect_rows(
+                self._oriented(raw), increases_only=True
             )
+            exact += undecided
+            for i, hit in zip(members, hits):
+                found[i] = hit
+            # Anchor on the *raw* values: the screen folds raw tail values
+            # in and is two-sided, so a sign-flipped reference would fire
+            # it on every quiet lower-is-worse series.
+            means[members], stds[members] = raw.mean(axis=1), raw.std(axis=1)
+        counts.inc("pipeline.full_scan.rows", len(scanned))
+        counts.inc("pipeline.full_scan.exact_lrt", exact)
+        if self.incremental_cache is not None:
+            self.incremental_cache.record_full_scans(
+                [series for series, _ in scanned], now, means, stds,
+                [hit is not None for hit in found],
+            )
+        return found
+
+    def _short_term(
+        self, series: TimeSeries, now: float, windowed: WindowedView,
+        candidate: Optional[ChangePointCandidate], counts: RunCounts,
+    ) -> Optional[Tuple[Regression, ChangePointCandidate]]:
+        """The regression behind a short-term change point, if any."""
+        if self.shadow is None and candidate is None:
+            return None
+        view = self._oriented_view(windowed)
         if self.shadow is not None:
             # Challengers see exactly what the incumbent scanned (same
             # orientation, same segments) on every full scan — fired or
             # quiet — so their tallies measure both FP and FN behavior.
             self.shadow.score(
-                self._oriented(windowed.historic),
-                oriented_analysis,
-                self._oriented(windowed.extended),
-                primary_fired=candidate is not None,
-                metrics=counts,
+                view.historic, view.analysis, view.extended,
+                primary_fired=candidate is not None, metrics=counts,
             )
         if candidate is None:
             return None
@@ -682,7 +686,7 @@ class DetectionPipeline:
             change_time=windowed.analysis_start + candidate.index * interval,
             mean_before=candidate.mean_before,
             mean_after=candidate.mean_after,
-            window=self._oriented_view(windowed),
+            window=view,
             detected_at=now,
         )
         return regression, candidate
@@ -702,9 +706,5 @@ class DetectionPipeline:
         """Apply metric orientation to a windowed view."""
         if self.config.higher_is_worse:
             return windowed
-        return replace(
-            windowed,
-            historic=-windowed.historic,
-            analysis=-windowed.analysis,
-            extended=-windowed.extended,
-        )
+        w = windowed
+        return replace(w, historic=-w.historic, analysis=-w.analysis, extended=-w.extended)

@@ -32,6 +32,7 @@ __all__ = [
     "STAGES",
     "Span",
     "StageTally",
+    "FunnelCounters",
     "RunCounts",
     "RunTrace",
     "TraceStore",
@@ -141,6 +142,44 @@ class Span:
     @property
     def dropped(self) -> int:
         return self.inputs - self.outputs
+
+
+@dataclass
+class FunnelCounters:
+    """Survivor counts after each pipeline stage (Table 3).
+
+    ``counts[stage]`` is the number of candidates still alive *after*
+    the stage ran.  ``counts["change_points"]`` is the number detected.
+    """
+
+    counts: Dict[str, int] = field(default_factory=lambda: {s: 0 for s in STAGES})
+
+    def survived(self, stage: str, n: int = 1) -> None:
+        """Record ``n`` survivors of ``stage``.
+
+        Raises:
+            KeyError: On an unknown stage name.
+        """
+        if stage not in self.counts:
+            raise KeyError(f"unknown stage {stage!r}")
+        self.counts[stage] += n
+
+    def reduction_ratios(self) -> Dict[str, float]:
+        """Table 3's "1/N" view: detected count over survivors per stage.
+
+        Stages with zero survivors report ``inf``.  The one
+        implementation: the ``/status`` payload and the Table 3 text
+        rows both render from it.
+        """
+        detected = self.counts["change_points"]
+        return {
+            stage: detected / alive if alive else float("inf")
+            for stage, alive in self.counts.items()
+        }
+
+    def merge(self, other: "FunnelCounters") -> None:
+        for stage, count in other.counts.items():
+            self.counts[stage] = self.counts.get(stage, 0) + count
 
 
 class RunCounts(Dict[str, int]):
@@ -301,7 +340,7 @@ class EventLog(_Ring):
 class FunnelTrace:
     """Live Table 3: stage attrition aggregated over retained run traces.
 
-    Where :class:`~repro.core.pipeline.FunnelCounters` keeps cumulative
+    Where :class:`FunnelCounters` keeps cumulative
     survivor counts since the service started, a ``FunnelTrace`` is the
     *windowed* view over whatever the ring buffer still holds — inputs,
     outputs, drop reasons, and time per stage — which is what an on-call

@@ -51,7 +51,7 @@ import time
 from collections import deque
 from dataclasses import dataclass
 from multiprocessing.connection import Connection, wait
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.logging import get_logger
 from repro.runtime.scheduler import DetectionScheduler, ScanOutcome
@@ -60,10 +60,9 @@ __all__ = ["ADVANCE_DEADLINE", "ShardAdvanceResult", "ParallelShardExecutor"]
 
 _log = get_logger("repro.service.parallel")
 
-#: Seconds one shard's advance may take before it counts as failed and
-#: its worker is killed.  Far above a real advance (under 2 s on every
-#: benchmark workload); finite so that a wedged worker cannot park
-#: ``advance_to`` for ever.
+#: Seconds one shard's advance may take before it counts as failed and its
+#: worker is killed.  Far above a real advance (under 2 s on every benchmark
+#: workload); finite so a wedged worker cannot park ``advance_to`` for ever.
 ADVANCE_DEADLINE = 60.0
 
 #: Retry rounds for a failed shard advance before the parent runs it.
@@ -142,10 +141,14 @@ def _advance_shard(
     return ShardAdvanceResult(shard_id, scheduler, outcomes, elapsed)
 
 
-def _serve(conn: Connection) -> None:
+def _serve(conn: Connection, inherited: Sequence[Connection] = ()) -> None:
     """A resident worker's life: one request at a time, its replicas kept
     in between.  It answers a result, a :class:`ReplicaRefused`, or the
-    text of what the advance raised."""
+    text of what the advance raised.  ``inherited``: the parent-side pipe
+    ends the fork copied in (this worker's and every earlier one's); left
+    open here, a dead parent would never read as EOF."""
+    for end in inherited:
+        end.close()
     replicas: Dict[int, tuple] = {}
     while True:
         try:
@@ -169,14 +172,12 @@ class ParallelShardExecutor:
     Args:
         workers: Worker process count (must be >= 1).  With one worker
             the service skips this executor and runs in-thread.
-        deadline: Per-shard advance deadline in seconds.  A shard that
-            blows it is treated as failed and retried; the worker is
-            killed and replaced.  ``None`` waits for ever.
+        deadline: Per-shard advance deadline in seconds.  A shard that blows it
+            is failed and retried, its worker replaced.  ``None`` waits for ever.
         injector: Optional :class:`~repro.faults.FaultInjector`; the
             send path asks it for per-shard crash/hang directives.
-        metrics: Optional registry-like object receiving the
-            ``advance.*`` counters (bytes out and in, retries,
-            fallbacks, blown deadlines, workers replaced).
+        metrics: Optional registry-like object receiving the ``advance.*``
+            counters (bytes out and in, retries, fallbacks, deadlines, respawns).
         seeds: ``shard id -> seed blob``, asked when a shard must start
             over (delta refused, retry, fallback).  Without it the blob
             given to :meth:`map_shards` is sent again: it was a seed.
@@ -204,12 +205,14 @@ class ParallelShardExecutor:
         self.injector = injector
         self.metrics = metrics
         self.seeds = seeds
-        self._procs = [self._spawn() for _ in range(workers)]
+        self._procs: List[Tuple[multiprocessing.Process, Connection]] = []
+        for _ in range(workers):  # one at a time: each closes the ends made before it
+            self._procs.append(self._spawn())
 
-    @staticmethod
-    def _spawn() -> Tuple[multiprocessing.Process, Connection]:
+    def _spawn(self) -> Tuple[multiprocessing.Process, Connection]:
         ours, theirs = multiprocessing.Pipe()
-        process = multiprocessing.Process(target=_serve, args=(theirs,), daemon=True)
+        inherited = [ours] + [conn for _, conn in self._procs]
+        process = multiprocessing.Process(target=_serve, args=(theirs, inherited), daemon=True)
         process.start()
         theirs.close()
         return process, ours
@@ -229,9 +232,9 @@ class ParallelShardExecutor:
         ascending shard-id order, as the serial path iterates shards.
         Shards whose worker crashed, raised, or blew the deadline are
         retried from a seed, with exponential backoff, for
-        :data:`ADVANCE_RETRIES` rounds, then advanced in-process from
-        one: every shard in ``blobs`` is in the returned list, and a
-        deterministic error (a bug, not a crash) propagates from there.
+        :data:`ADVANCE_RETRIES` rounds, then advanced in-process from one:
+        every shard in ``blobs`` is returned, and a deterministic error (a
+        bug, not a crash) propagates from there.
         """
         seed = self.seeds or blobs.__getitem__
         results: Dict[int, ShardAdvanceResult] = {}
@@ -253,11 +256,8 @@ class ParallelShardExecutor:
         return [results[shard_id] for shard_id in sorted(results)]
 
     def _attempt(
-        self,
-        shards: Dict[int, bytes],
-        target: float,
-        results: Dict[int, ShardAdvanceResult],
-        attempt: int,
+        self, shards: Dict[int, bytes], target: float,
+        results: Dict[int, ShardAdvanceResult], attempt: int,
     ) -> List[int]:
         """Run round ``attempt``, each worker taking its shards one
         after another; returns the shard ids that failed."""

@@ -39,11 +39,11 @@ from repro.stats.changepoint_dp import (
     normal_segment_loss,
 )
 from repro.stats.correlation import aligned_pearson, pearson
-from repro.stats.cusum import CusumResult, cusum_changepoint, cusum_statistic
+from repro.stats.cusum import CusumResult, cusum_changepoint, cusum_split_rows, cusum_statistic
 from repro.stats.descriptive import percentile, summarize
 from repro.stats.e_divisive import EDivisiveResult, best_e_divisive_split, e_divisive_test
-from repro.stats.em import em_mean_split
-from repro.stats.hypothesis import LikelihoodRatioResult, likelihood_ratio_test
+from repro.stats.em import em_mean_split, em_split_rows
+from repro.stats.hypothesis import LikelihoodRatioResult, likelihood_ratio_test, lrt_screen_rows
 from repro.stats.incremental import StreamingCusum, cusum_screen_batch
 from repro.stats.mann_kendall import MannKendallResult, mann_kendall_test
 from repro.stats.robust import mad, mad_threshold
@@ -67,13 +67,16 @@ __all__ = [
     "best_split_normal_loss",
     "cusum_changepoint",
     "cusum_screen_batch",
+    "cusum_split_rows",
     "cusum_statistic",
     "detect_season_length",
     "e_divisive_test",
     "em_mean_split",
+    "em_split_rows",
     "has_significant_seasonality",
     "likelihood_ratio_test",
     "loess_smooth",
+    "lrt_screen_rows",
     "mad",
     "mad_threshold",
     "mann_kendall_test",

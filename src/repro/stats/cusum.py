@@ -10,13 +10,14 @@ extremum marks the most likely single shift in the mean.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 __all__ = [
     "CusumResult",
     "cusum_statistic",
+    "cusum_split_rows",
     "cusum_changepoint",
 ]
 
@@ -61,6 +62,32 @@ def cusum_statistic(values: Sequence[float]) -> np.ndarray:
     return np.cumsum(x - x.mean())
 
 
+def cusum_split_rows(
+    centred: np.ndarray, min_segment: int = 2
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The CUSUM proposal of every row of a ``(k, n)`` matrix at once.
+
+    Args:
+        centred: Rows already centred on their own means (``x - x.mean()``);
+            ``n >= 2 * min_segment``.
+        min_segment: Minimum points on each side of a proposed split.
+
+    Returns:
+        ``(index, curve)``: per row, the first index of the post-change
+        segment, and the cumulative-deviation curves ``(k, n)``.  A
+        cumulative sum along a C-contiguous row adds in the order the
+        1-D call does, so each row's curve and index are the bits that
+        row gets alone (:func:`cusum_changepoint` is the one-row view).
+    """
+    curve = np.cumsum(centred, axis=1)
+    # Restrict the extremum search so both segments have >= min_segment
+    # points.  curve index t corresponds to a split between t and t+1, so
+    # the post-change segment starts at t+1.
+    lo = min_segment - 1
+    hi = centred.shape[1] - min_segment
+    return lo + np.argmax(np.abs(curve[:, lo:hi]), axis=1) + 1, curve
+
+
 def cusum_changepoint(
     values: Sequence[float],
     min_segment: int = 2,
@@ -78,23 +105,14 @@ def cusum_changepoint(
     """
     x = np.asarray(values, dtype=float)
     n = x.size
-    if n < 2 * min_segment:
+    if n < max(2 * min_segment, 1):
         return None
 
-    curve = cusum_statistic(x)
-    # Restrict the extremum search so both segments have >= min_segment
-    # points.  curve index t corresponds to a split between t and t+1, so
-    # the post-change segment starts at t+1.
-    lo = min_segment - 1
-    hi = n - min_segment
-    window = np.abs(curve[lo:hi])
-    if window.size == 0:
-        return None
-    split = lo + int(np.argmax(window))
-    index = split + 1
+    indices, curves = cusum_split_rows((x - x.mean())[None, :], min_segment)
+    index, curve = int(indices[0]), curves[0]
 
     std = float(x.std())
-    stat = float(abs(curve[split]) / (std * np.sqrt(n))) if std > 0 else 0.0
+    stat = float(abs(curve[index - 1]) / (std * np.sqrt(n))) if std > 0 else 0.0
     return CusumResult(
         index=index,
         statistic=stat,

@@ -7,7 +7,10 @@ expressions, and the per-call NumPy forms (``np.median`` /
 dot product per ACF lag) they ran before windows were sorted once and
 pairs planned once — kept verbatim as the thing
 ``tests/test_kernel_identity.py`` compares the production kernels
-against.  They exist only here: ``src/`` holds one kernel per algorithm.
+against.  The per-series CUSUM proposal, one-sweep EM and ``detect`` that
+``repro.core.change_point`` ran before a round's full scans became one
+row-wise pass are here too, under their old names.  They exist only
+here: ``src/`` holds one kernel per algorithm.
 """
 
 from __future__ import annotations
@@ -17,6 +20,8 @@ from statistics import median
 import numpy as np
 from scipy import stats as sp_stats
 
+from repro.core.change_point import ChangePointCandidate
+from repro.stats.hypothesis import likelihood_ratio_test  # exact, and never batched
 from repro.stats.sax import sax_encode  # went_away_terms; its own reference is sax_fields
 from repro.stats.stl import _moving_average  # np.convolve: never was a loop
 
@@ -146,6 +151,92 @@ def refine_changepoint(values, proposal, min_segment):
             break
         index = refined[0]
     return refined
+
+
+# ---------------------------------------------------------------------------
+# Change-point detection, one series per call
+# ---------------------------------------------------------------------------
+
+
+def cusum_changepoint(values, min_segment=2):
+    """``(index, statistic, mean_before, mean_after, curve)`` or ``None``."""
+    x = np.asarray(values, dtype=float)
+    n = x.size
+    if n < 2 * min_segment:
+        return None
+
+    curve = np.cumsum(x - x.mean()) if n else np.empty(0)
+    lo = min_segment - 1
+    hi = n - min_segment
+    window = np.abs(curve[lo:hi])
+    if window.size == 0:
+        return None
+    split = lo + int(np.argmax(window))
+    index = split + 1
+
+    std = float(x.std())
+    stat = float(abs(curve[split]) / (std * np.sqrt(n))) if std > 0 else 0.0
+    return index, stat, float(x[:index].mean()), float(x[index:].mean()), curve
+
+
+def em_sweep(values, initial_index=None, min_segment=2):
+    """The one-sweep EM on one series (what replaced the loop above)."""
+    x = np.asarray(values, dtype=float)
+    n = x.size
+    if n < 2 * min_segment:
+        return None
+
+    prefix = np.concatenate([[0.0], np.cumsum(x)])
+    prefix_sq = np.concatenate([[0.0], np.cumsum(x * x)])
+
+    lo, hi = min_segment, n - min_segment
+    t = initial_index if initial_index is not None else n // 2
+    t = int(np.clip(t, lo, hi))
+
+    n1 = np.arange(lo, hi + 1)
+    s1, q1 = prefix[lo : hi + 1], prefix_sq[lo : hi + 1]
+    s2, q2 = prefix[n] - s1, prefix_sq[n] - q1
+    rss = (q1 - s1 * s1 / n1) + (q2 - s2 * s2 / (n - n1))
+    loglik = -0.5 * n * np.log(np.maximum(rss / n, 1e-30))
+
+    best = lo + int(np.argmax(loglik))
+    if not loglik[best - lo] <= loglik[t - lo] + 1e-12:
+        t = best
+    return t, float(loglik[t - lo])
+
+
+def detect(values, significance_level=0.01, min_segment=3):
+    """``ChangePointDetector.detect`` as it ran per series."""
+    x = np.asarray(values, dtype=float)
+    if x.size < 2 * min_segment:
+        return None
+
+    proposal = cusum_changepoint(x, min_segment=min_segment)
+    if proposal is None:
+        return None
+    refined = em_sweep(x, initial_index=proposal[0], min_segment=min_segment)
+    if refined is None:
+        return None
+    index = refined[0]
+
+    test = likelihood_ratio_test(x, index, significance_level)
+    if not test.significant:
+        return None
+    return ChangePointCandidate(
+        index=index,
+        mean_before=float(x[:index].mean()),
+        mean_after=float(x[index:].mean()),
+        p_value=test.p_value,
+    )
+
+
+def detect_rows(detector, rows, increases_only=False):
+    """``ChangePointDetector.detect_rows`` as the loop it replaced: one
+    :func:`detect` a row (every row counts as having taken the exact test)."""
+    found = [detect(x, detector.significance_level, detector.min_segment) for x in rows]
+    if increases_only:
+        found = [c if c is not None and c.magnitude > 0 else None for c in found]
+    return found, len(rows)
 
 
 # ---------------------------------------------------------------------------

@@ -177,10 +177,40 @@ class TestNoCallerlessBatchKernels:
         import repro.stats
 
         production = self._source(skip_folder="stats")
-        kernels = [name for name in repro.stats.__all__ if name.endswith("_batch")]
-        assert kernels, "the production screen is a *_batch kernel"
+        kernels = [name for name in repro.stats.__all__ if name.endswith(("_batch", "_rows"))]
+        assert "cusum_screen_batch" in kernels, "the production screen is a *_batch kernel"
+        assert len(kernels) >= 4, "the full scan is three *_rows kernels"
         dead = [name for name in kernels if not re.search(rf"\b{name}\b", production)]
         assert not dead, f"no caller in src/repro outside repro.stats: {dead}"
+        # The detector's row-wise kernel is the pipeline's full scan.
+        pipeline = _read(REPO_ROOT, "src", "repro", "core", "pipeline.py")
+        assert "change_point_detector.detect_rows(" in pipeline
+
+    def test_full_scan_kernels_keep_no_per_series_twin(self):
+        """One CUSUM proposal, one EM sweep: the per-series bodies live
+        under ``tests/``, the one-row entry points call the row-wise
+        kernels, and the pipeline scans no series inside its loops."""
+        src = os.path.join(REPO_ROOT, "src", "repro")
+        cusum, em = _read(src, "stats", "cusum.py"), _read(src, "stats", "em.py")
+        assert cusum.count("np.argmax(") == 1 and cusum.count("cusum_split_rows(") == 2
+        assert em.count("np.argmax(") == 1 and em.count("em_split_rows(") == 2
+        detector = _read(src, "core", "change_point.py")
+        assert detector.count("likelihood_ratio_test(") == 1  # no second evaluator
+        assert detector.count("self.detect_rows(") == 2  # detect, detect_increase
+        source = _read(src, "core", "pipeline.py")
+        # What the matrix pass and its second loop took up, no more.
+        assert len(source.splitlines()) <= 710
+        per_series = [
+            ast.unparse(call.func)
+            for loop in ast.walk(ast.parse(source))
+            if isinstance(loop, ast.For)
+            and "series" in {n.id for n in ast.walk(loop.target) if isinstance(n, ast.Name)}
+            for call in ast.walk(loop)
+            if isinstance(call, ast.Call)
+            and isinstance(call.func, ast.Attribute)
+            and call.func.attr in ("detect", "detect_increase", "detect_rows")
+        ]
+        assert not per_series, per_series
 
     def test_scan_tail_kernels_keep_no_scalar_twin(self):
         """The per-point loess loop, the per-split likelihood, the sign

@@ -4,8 +4,8 @@ The production kernels in ``repro.stats`` are array expressions over
 shared plans and sorted copies; the loops and per-call NumPy forms they
 replaced live in ``tests/_reference_kernels.py``.  Reports are promised
 byte-identical, so every property here is ``==`` / ``np.array_equal`` —
-never ``approx`` (the one inequality bounds the FFT *screen*, which
-decides nothing).
+never ``approx`` (the two inequalities bound the FFT and LRT *screens*,
+which decide nothing that is reported).
 """
 
 import sys
@@ -26,9 +26,14 @@ from repro.core.went_away import WentAwayDetector
 from repro.quality.gaps import QualityGate
 from repro.stats import autocorrelation, mann_kendall
 from repro.stats.autocorrelation import acf, detect_season_length
-from repro.stats.cusum import cusum_changepoint
-from repro.stats.em import em_mean_split
-from repro.stats.hypothesis import likelihood_ratio_test
+from repro.stats.cusum import cusum_changepoint, cusum_split_rows
+from repro.stats.em import em_mean_split, em_split_rows
+from repro.stats.hypothesis import (
+    LRT_SCREEN_MARGIN,
+    LRT_SCREEN_MAX_POINTS,
+    likelihood_ratio_test,
+    lrt_screen_rows,
+)
 from repro.stats.mann_kendall import mann_kendall_test
 from repro.stats.robust import mad, sorted_median, sorted_percentile
 from repro.stats.sax import sax_encode
@@ -170,6 +175,149 @@ class TestEm:
         index, loglik = em_mean_split(values, 5, 2)
         ref_index, ref_loglik = ref.em_mean_split(values, 5, 2)
         assert index == ref_index and np.isnan(loglik) and np.isnan(ref_loglik)
+
+
+@st.composite
+def scan_matrix(draw, max_rows=12):
+    """A ``(k, n)`` stack of analysis windows: noise, steps of every size
+    around the significance edge, ramps, constants, offsets up to 1e12
+    under noise down to 1e-9, one huge outlier — at any scale squares
+    survive, and ``n`` from below ``2 * min_segment`` up."""
+    k, n = draw(st.integers(1, max_rows)), draw(st.integers(2, 400))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = np.empty((k, n))
+    for i, kind in enumerate(rng.integers(0, 6, k)):
+        sigma = 10.0 ** rng.uniform(-4, -1)
+        x = 1.0 + sigma * rng.normal(0, 1, n)
+        if kind == 1:  # a step of 0..1.5 sigma: most land near the critical value
+            x[rng.integers(0, n) :] += sigma * rng.uniform(0, 1.5) * rng.choice([-1, 1])
+        elif kind == 2:
+            x += sigma * rng.uniform(-3, 3) * np.arange(n) / n
+        elif kind == 3:
+            x[:] = rng.choice([0.0, 0.25, -7.0, 1e-3])
+        elif kind == 4:
+            x = 10.0 ** rng.uniform(0, 12) + 10.0 ** rng.uniform(-9, 0) * rng.normal(0, 1, n)
+        elif kind == 5:
+            x[rng.integers(0, n)] *= 10.0 ** rng.uniform(3, 12)
+        rows[i] = x * 10.0 ** rng.choice([0, 0, -3, 6, -150, -100, 100, 150])
+    return rows
+
+
+def reference_rows(detector, rows):
+    return ref.detect_rows(detector, rows)[0]
+
+
+class TestFullScanRows:
+    """A round's full scans as one matrix pass: the row-wise CUSUM -> EM ->
+    LRT returns, row by row, what the per-series ``detect`` returned."""
+
+    DETECTORS = st.builds(
+        ChangePointDetector,
+        significance_level=st.sampled_from([0.01, 0.01, 0.05, 1e-6, 0.5]),
+        min_segment=st.sampled_from([3, 3, 1, 2, 5]),
+    )
+
+    @settings(max_examples=300, deadline=None)
+    @given(scan_matrix(), DETECTORS)
+    def test_rows_match_the_per_series_detector(self, rows, detector):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # overflowing squares, 0/0 on constants
+            found, exact = detector.detect_rows(rows)
+            expected = reference_rows(detector, rows)
+            assert found == expected
+            assert sum(c is not None for c in found) <= exact <= len(rows)
+            increases, _ = detector.detect_rows(rows, increases_only=True)
+            assert increases == [c if c and c.magnitude > 0 else None for c in expected]
+            # The one-row views are the same kernel.
+            assert detector.detect(rows[0]) == expected[0]
+            assert detector.detect_increase(rows[-1]) == increases[-1]
+
+    @settings(max_examples=150, deadline=None)
+    @given(scan_matrix(), st.data())
+    def test_a_row_does_not_depend_on_its_neighbours(self, rows, data):
+        detector = ChangePointDetector()
+        order = data.draw(st.permutations(range(len(rows))))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            found, _ = detector.detect_rows(rows)
+            assert detector.detect_rows(rows[order])[0] == [found[i] for i in order]
+            for i in range(len(rows)):
+                assert detector.detect_rows(rows[i : i + 1])[0][0] == found[i]
+
+    @settings(max_examples=150, deadline=None)
+    @given(scan_matrix(), st.integers(1, 4))
+    def test_proposal_and_sweep_are_the_one_row_bits(self, rows, min_segment):
+        n = rows.shape[1]
+        if n < 2 * min_segment:
+            return
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            centred = rows - rows.mean(axis=1)[:, None]
+            proposal, curve = cusum_split_rows(centred, min_segment)
+            index, loglik = em_split_rows(rows, proposal, min_segment)
+            for i, x in enumerate(rows):
+                split, _, _, _, one_curve = ref.cusum_changepoint(x, min_segment)
+                assert proposal[i] == split and same(curve[i], one_curve)
+                refined = ref.em_sweep(x, split, min_segment)
+                assert (int(index[i]), float(loglik[i])) == refined or (
+                    index[i] == refined[0] and np.isnan(loglik[i]) and np.isnan(refined[1])
+                )
+
+    @staticmethod
+    def _edge_pair(seed, n=200):
+        """Two windows one step-size apart whose exact p-values straddle
+        0.01, or ``None`` when the split moves under the bisection."""
+        rng = np.random.default_rng(seed)
+        noise, step = rng.normal(0, 1, n), np.arange(n) >= n // 2
+
+        def p_value(size):
+            x = 5.0 + noise + size * step
+            index = ref.em_sweep(x, ref.cusum_changepoint(x, 3)[0], 3)[0]
+            return likelihood_ratio_test(x, index).p_value
+
+        quiet, loud = 0.0, 3.0
+        for _ in range(80):
+            middle = 0.5 * (quiet + loud)
+            quiet, loud = (middle, loud) if p_value(middle) >= 0.01 else (quiet, middle)
+        if max(abs(p_value(quiet) - 0.01), abs(p_value(loud) - 0.01)) > 1e-12:
+            return None
+        return 5.0 + noise + quiet * step, 5.0 + noise + loud * step
+
+    def test_rows_on_the_significance_edge_take_the_exact_tail(self):
+        pairs = [pair for pair in map(self._edge_pair, range(12)) if pair is not None]
+        assert len(pairs) >= 6
+        rows = np.array([x for pair in pairs for x in pair])
+        detector = ChangePointDetector()
+        found, exact = detector.detect_rows(rows)
+        assert found == reference_rows(detector, rows)
+        assert [c is not None for c in found] == [False, True] * len(pairs)
+        assert exact == len(rows)  # the screen decided none of them
+
+    @settings(max_examples=300, deadline=None)
+    @given(scan_matrix(max_rows=6), st.sampled_from([1, 3]))
+    def test_screen_error_leaves_the_margin_three_decades(self, rows, min_segment):
+        """Where the screen is trusted its statistic is within 1e-9 of the
+        exact one, so nothing the margin clears could have been significant."""
+        n = rows.shape[1]
+        if n < 2 * min_segment:
+            return
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            mean = rows.mean(axis=1)
+            centred = rows - mean[:, None]
+            proposal, curve = cusum_split_rows(centred, min_segment)
+            index, _ = em_split_rows(rows, proposal, min_segment)
+            # Level 0.5: critical value 0.455, so most rows are cleared.
+            undecided = lrt_screen_rows(centred, curve, mean, index, 0.5)
+            for i in np.flatnonzero(~undecided):
+                exact = likelihood_ratio_test(rows[i], int(index[i]), 0.5)
+                assert not exact.significant
+                assert exact.statistic < 0.455 - LRT_SCREEN_MARGIN + 1e-9 < 0.455
+
+    def test_rows_too_long_to_bound_take_the_exact_tail(self):
+        rows = np.random.default_rng(3).normal(1.0, 0.01, (2, LRT_SCREEN_MAX_POINTS + 1))
+        detector = ChangePointDetector()
+        assert detector.detect_rows(rows) == (reference_rows(detector, rows), 2)
 
 
 class TestSortedWindow:

@@ -170,7 +170,12 @@ def test_funnel_is_the_spans_outputs(database, enabled, planned, long_term):
         "pipeline.quality.non_finite_skips": sum(
             s.drops.get("non_finite_window", 0) for s in scanned
         ),
+        # Every miss is a row of the matrix pass unless its window was bad.
+        "pipeline.full_scan.rows": counters["pipeline.incremental.misses"]
+        - counters["pipeline.quality.non_finite_skips"],
+        "pipeline.full_scan.exact_lrt": counters["pipeline.full_scan.exact_lrt"],
     }
+    assert 0 < counters["pipeline.full_scan.exact_lrt"] <= counters["pipeline.full_scan.rows"]
     if not long_term:  # with it on, a series is observed once per path
         assert counters["pipeline.incremental.hits"] + counters[
             "pipeline.incremental.misses"

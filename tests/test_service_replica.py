@@ -15,6 +15,10 @@ byte-identical to ``workers=1``.
 
 import os
 import pickle
+import signal
+import subprocess
+import sys
+import time
 
 import pytest
 
@@ -96,6 +100,48 @@ class TestWorkerLifecycle:
             executor.close()
             service.close()
         assert not any(alive(pid) for pid in after)
+
+
+    def test_workers_of_a_sigkilled_parent_exit(self):
+        """The bug: every worker was forked holding the parent's end of
+        its own pipe and of each earlier worker's, so with the parent
+        dead no ``recv`` read EOF and the workers sat on their replicas
+        for ever."""
+        script = (
+            "import sys, time\n"
+            "from repro.service import ParallelShardExecutor\n"
+            "executor = ParallelShardExecutor(workers=2)\n"
+            "print(*executor.worker_pids(), flush=True)\n"
+            "time.sleep(60)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        parent = subprocess.Popen(
+            [sys.executable, "-c", script], stdout=subprocess.PIPE, text=True, env=env
+        )
+        try:
+            pids = [int(pid) for pid in parent.stdout.readline().split()]
+            assert len(pids) == 2 and all(alive(pid) for pid in pids)
+            parent.send_signal(signal.SIGKILL)
+            parent.wait(timeout=5)
+
+            def gone(pid):  # reparented: nobody here reaps it, so a zombie counts
+                try:
+                    with open(f"/proc/{pid}/stat", encoding="ascii") as stat:
+                        return stat.read().rpartition(")")[2].split()[0] == "Z"
+                except FileNotFoundError:
+                    return True
+
+            deadline = time.monotonic() + 5.0
+            while not all(map(gone, pids)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert all(map(gone, pids)), "workers outlived their SIGKILLed parent"
+        finally:
+            parent.kill()
+            for pid in pids:
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
 
 
 class TestGenerations:
