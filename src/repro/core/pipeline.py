@@ -187,12 +187,10 @@ class DetectionPipeline:
             Independently of the gate, windows containing non-finite
             values are never scanned.
         shadow: Optional shadow scorer (must expose
-            ``score(historic, analysis, extended, primary_fired,
-            metrics)``, e.g.
+            ``score(historic, analysis, extended, primary_fired)``, e.g.
             :class:`repro.detectors.shadow.ShadowScorer`); invoked once
-            per full short-term scan with the oriented window segments,
-            whether the incumbent screen fired, and the run's own
-            counter recorder as ``metrics``.  Shadow scoring is
+            per full short-term scan with the oriented window segments
+            and whether the incumbent screen fired.  Shadow scoring is
             alert-inert: it never touches verdicts, funnels, or
             delivery, so the primary report is byte-identical with or
             without it.  Kept duck-typed so the core pipeline does not
@@ -510,7 +508,7 @@ class DetectionPipeline:
             for series, windowed, short_term in block:
                 if short_term:
                     hit = next(change_points)
-                    admit(self._short_term(series, now, windowed, hit, counts), stages)
+                    admit(self._short_term(series, now, windowed, hit), stages)
                 if long_term:
                     admit(self._long_term(series, now, windowed), long_term_stages)
             block.clear()
@@ -660,7 +658,7 @@ class DetectionPipeline:
 
     def _short_term(
         self, series: TimeSeries, now: float, windowed: WindowedView,
-        candidate: Optional[ChangePointCandidate], counts: RunCounts,
+        candidate: Optional[ChangePointCandidate],
     ) -> Optional[Tuple[Regression, ChangePointCandidate]]:
         """The regression behind a short-term change point, if any."""
         if self.shadow is None and candidate is None:
@@ -672,7 +670,7 @@ class DetectionPipeline:
             # quiet — so their tallies measure both FP and FN behavior.
             self.shadow.score(
                 view.historic, view.analysis, view.extended,
-                primary_fired=candidate is not None, metrics=counts,
+                primary_fired=candidate is not None,
             )
         if candidate is None:
             return None

@@ -3,25 +3,24 @@
 A :class:`ShadowScorer` rides inside a pipeline and is invoked once per
 full (cache-miss) short-term scan with the same oriented window segments
 the incumbent just scanned.  Each registered challenger scores the
-window; the verdicts land in per-detector :class:`ShadowTally` funnels
-and ``detector.{id}.*`` metrics counters — and **nothing else**.  Shadow
-scoring never touches delivery, the reported ledger, or the primary
-funnel, which is what makes the primary report byte-identical with or
-without challengers registered.
+window; the verdicts land in per-detector :class:`ShadowTally` funnels —
+and **nothing else**.  Shadow scoring never touches delivery, the
+reported ledger, or the primary funnel, which is what makes the primary
+report byte-identical with or without challengers registered.
 
 State contract: the scorer holds only detectors and integer tallies, so
 it pickles with the scheduler it lives in — shadow tallies therefore
 ride shard checkpoints and parallel-advance worker round-trips for free,
 and accrue exactly once per scan on both the serial and parallel paths.
-The ``metrics`` recorder is *passed per call*, never stored: the
-pipeline hands in the run's own counter ledger, which comes back on the
-scan's result and is published with it.
+A tally is the one home of its counts: ``/metrics`` serves
+``detector.{id}.{scans,fired,errors}`` by folding the tallies over
+shards (:mod:`repro.service.views`).
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Sequence
 
 import numpy as np
 
@@ -87,7 +86,6 @@ class ShadowScorer:
         analysis: np.ndarray,
         extended: np.ndarray,
         primary_fired: bool,
-        metrics: Optional[object] = None,
     ) -> None:
         """Score one scan's window with every challenger.
 
@@ -102,16 +100,13 @@ class ShadowScorer:
             det_id = detector.detector_id
             tally = self.tallies[det_id]
             tally.scans += 1
-            self._inc(metrics, det_id, "scans")
             try:
                 decision = detector.scan(window)
             except Exception:
                 tally.errors += 1
-                self._inc(metrics, det_id, "errors")
                 continue
             if decision.fired:
                 tally.fired += 1
-                self._inc(metrics, det_id, "fired")
             if decision.fired and primary_fired:
                 tally.agree_fired += 1
             elif decision.fired:
@@ -120,11 +115,6 @@ class ShadowScorer:
                 tally.primary_only += 1
             else:
                 tally.both_quiet += 1
-
-    @staticmethod
-    def _inc(metrics: Optional[object], det_id: str, field: str) -> None:
-        if metrics is not None:
-            metrics.inc(f"detector.{det_id}.{field}")
 
     def snapshot_rows(self) -> List[dict]:
         """Per-detector rows: identity + funnel tally, id-sorted."""

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import Any, Dict, FrozenSet, List, Mapping, Optional, Tuple
+from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -131,10 +131,9 @@ class AdmissionController:
     Args:
         config: Admission tuning (see :class:`QualityConfig`).
         shard_id: Owning shard, for snapshot labelling only.
-        metrics: Optional registry-like object (``inc(name, n)``).
-            Process-local: dropped on pickle, re-wired by the service.
-            Only *events* (quarantines, repairs, reorders) touch it, so
-            the clean-sample hot path stays registry-free.
+
+    Its counters are plain ints, the ``quality.*`` metrics' one home:
+    ``/metrics`` folds them over shards, nothing records them twice.
 
     Not thread-safe on its own: every call that *writes* happens under
     the owning ingest worker's queue lock.  Scrapes call the read side
@@ -146,17 +145,18 @@ class AdmissionController:
         self,
         config: Optional[QualityConfig] = None,
         shard_id: Optional[int] = None,
-        metrics: Optional[Any] = None,
     ) -> None:
         self.config = config if config is not None else QualityConfig()
         self.shard_id = shard_id
-        self.metrics = metrics
         self.quarantine = QuarantineStore()
         self._series: Dict[str, _SeriesState] = {}
         # Aggregate counters: plain ints, checkpointed with the shard.
         # (``admitted`` is derived from per-series counts — see the
         # property — so the hot path pays one increment, not two.)
         self.quarantined = 0
+        #: ``quarantined`` by reason code, cumulative like it — unlike the
+        #: store's per-series attribution, which ``release_series`` drops.
+        self.quarantined_by_reason: Dict[str, int] = {}
         self.repaired = 0
         self.counter_resets = 0
         self.duplicates = 0
@@ -241,7 +241,6 @@ class AdmissionController:
                 return DROP, value
             value = 0.0
             self.repaired += 1
-            self._inc("quality.repaired")
         counter = state.is_counter
         if not counter and timestamp >= state.watermark:
             if timestamp == state.watermark and self._duplicate_rejected(
@@ -265,7 +264,6 @@ class AdmissionController:
             # effect without reset detection and let the TSDB backfill.
             if timestamp < state.watermark:
                 self.reordered += 1
-                self._inc("quality.reordered")
             elif self._duplicate_rejected(state, name, timestamp, value):
                 return DROP, value
             state.admitted += 1
@@ -275,7 +273,6 @@ class AdmissionController:
         # next flush/advance boundary).
         if not counter or (state.pending_ts and timestamp < state.pending_ts[-1]):
             self.reordered += 1
-            self._inc("quality.reordered")
         state.pending_ts.insert(pos, timestamp)
         state.pending_vals.insert(pos, value)
         state.admitted += 1
@@ -287,7 +284,6 @@ class AdmissionController:
     ) -> bool:
         """Count a repeated timestamp; quarantine it under ``reject``."""
         self.duplicates += 1
-        self._inc("quality.duplicates")
         if self.config.duplicate_policy != "reject":
             return False
         self._quarantine(state, name, timestamp, value, "duplicate_reject")
@@ -306,7 +302,6 @@ class AdmissionController:
                     # Reset/rollover: rebase so the cumulative stays continuous.
                     state.counter_offset += state.last_raw
                     self.counter_resets += 1
-                    self._inc("quality.counter_resets")
                 state.last_raw = raw
                 if state.counter_offset:
                     values[index] = raw + state.counter_offset
@@ -395,14 +390,5 @@ class AdmissionController:
         self.quarantine.add(name, timestamp, value, reason)
         state.quarantined += 1
         self.quarantined += 1
-        self._inc("quality.quarantined")
-        self._inc(f"quality.quarantined.{reason}")
-
-    def _inc(self, name: str) -> None:
-        if self.metrics is not None:
-            self.metrics.inc(name)
-
-    def __getstate__(self) -> dict:
-        state = dict(self.__dict__)
-        state["metrics"] = None  # process-local; re-wired by the service
-        return state
+        by_reason = self.quarantined_by_reason
+        by_reason[reason] = by_reason.get(reason, 0) + 1

@@ -48,7 +48,9 @@ __all__ = ["CheckpointError", "CheckpointManager", "CHECKPOINT_VERSION"]
 
 #: 2: queues and reorder buffers hold per-series frames, not ``Sample`` rows.
 #: 3: new ``meta`` keys; a pickled pipeline carries no registry or tracer.
-CHECKPOINT_VERSION = 3
+#: 4: ingest workers keep their flush histogram and admission its
+#: quarantines by reason; ``meta["metrics"]`` holds no count they own.
+CHECKPOINT_VERSION = 4
 MANIFEST_NAME = "manifest.json"
 
 _GEN_MANIFEST_RE = re.compile(r"^manifest\.g(\d+)\.json$")

@@ -17,9 +17,10 @@ exact to the sample.  When the queue is full, the configured
 - ``REJECT`` — the tail that does not fit is refused and the producer is
   told how much got in (load shedding at the edge).
 
-Every policy outcome has a counter, both on the worker (plain ints that
-ride along in checkpoints) and in the optional shared
-:class:`~repro.service.metrics.MetricsRegistry`.
+Every policy outcome has a counter on the worker — plain ints that ride
+along in checkpoints, beside the worker's own flush-latency histogram.
+They are the ``ingest.*`` metrics: ``/metrics`` sums them over shards
+(:mod:`repro.service.views`), and nothing records them anywhere else.
 
 When an :class:`~repro.quality.admission.AdmissionController` is
 attached, every frame passes through it first (under the same queue
@@ -51,6 +52,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Deque, Dict, Iterable, Iterator, List, Mapping, Optional
 
+from repro.service.metrics import Histogram
 from repro.tsdb.columnar import SeriesFrame
 from repro.tsdb.database import TimeSeriesDatabase
 
@@ -107,7 +109,6 @@ class ShardIngestWorker:
             policy.
         policy: Backpressure policy (see module docstring).
         batch_size: Samples per TSDB write batch.
-        metrics: Optional shared metrics registry.
         fault_injector: Optional :class:`~repro.faults.FaultInjector`
             consulted at the ``ingest.flush`` site before each batch
             write (chaos drills; ``None`` in production).
@@ -130,7 +131,6 @@ class ShardIngestWorker:
         capacity: int = 1024,
         policy: BackpressurePolicy = BackpressurePolicy.DROP_OLDEST,
         batch_size: int = 256,
-        metrics: Optional[Any] = None,
         fault_injector: Optional[Any] = None,
         admission: Optional[Any] = None,
     ) -> None:
@@ -143,7 +143,6 @@ class ShardIngestWorker:
         self.capacity = capacity
         self.policy = BackpressurePolicy(policy)
         self.batch_size = batch_size
-        self.metrics = metrics
         self.fault_injector = fault_injector
         self.admission = admission
         self._queue: Deque[SeriesFrame] = deque()
@@ -158,6 +157,9 @@ class ShardIngestWorker:
         self.blocking_flushes = 0
         self.flushes = 0
         self.flush_failures = 0
+        #: Seconds per batch written (``ingest.flush_seconds``); pickled
+        #: as its plain :meth:`~repro.service.metrics.Histogram.state`.
+        self.flush_seconds = Histogram()
 
     # -- producer side --------------------------------------------------
 
@@ -218,18 +220,15 @@ class ShardIngestWorker:
         the ``waiting`` rows, or flush a batch for them."""
         if self.policy is BackpressurePolicy.REJECT:
             self.rejected += waiting
-            self._inc("ingest.rejected", waiting)
             return False
         # BLOCK: caller-runs — flush a batch to make room.
         self.blocking_flushes += 1
-        self._inc("ingest.blocking_flushes")
         self._flush_batch()
         return True
 
     def _count_enqueued(self, rows: int) -> None:
         self._pending += rows
         self.accepted += rows
-        self._inc("ingest.accepted", rows)
 
     def _release_stragglers(self, frames: List[SeriesFrame]) -> None:
         """Move reordered frames into the queue front (lock held).
@@ -262,7 +261,6 @@ class ShardIngestWorker:
     def _evict(self, count: int) -> None:
         self._take(count)
         self.dropped_oldest += count
-        self._inc("ingest.dropped_oldest", count)
 
     def _requeue(self, frames: List[SeriesFrame]) -> None:
         """Put frames taken off the queue back at its front, in order."""
@@ -313,15 +311,12 @@ class ShardIngestWorker:
         except Exception:
             self._requeue(batch)
             self.flush_failures += 1
-            self._inc("ingest.flush_failures")
             raise
         self.flushed += written
         self.flushes += 1
         if self.write_log is not None and not self.write_log.wrote(batch, written):
             self.write_log = None  # replaying it would cost more than a seed
-        if self.metrics is not None:
-            self.metrics.inc("ingest.flushed", written)
-            self.metrics.observe("ingest.flush_seconds", time.perf_counter() - started)
+        self.flush_seconds.observe(time.perf_counter() - started)
         return written
 
     @contextmanager
@@ -357,23 +352,20 @@ class ShardIngestWorker:
                 counters[f"quality_{key}"] = value
         return counters
 
-    def _inc(self, name: str, amount: int = 1) -> None:
-        if self.metrics is not None:
-            self.metrics.inc(name, amount)
-
     def _shard_index(self) -> Optional[int]:
         return self.shard_id if isinstance(self.shard_id, int) else None
 
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
         state.pop("_lock", None)
-        # The shared registry and injector are process-local and hold
-        # locks: ``Shard.bind`` hands them back, not the pickle.
-        state["metrics"] = None
+        # The injector is process-local and holds a lock: ``Shard.bind``
+        # hands it back, not the pickle.
         state["fault_injector"] = None
         state.pop("write_log", None)
+        state["flush_seconds"] = self.flush_seconds.state()
         return state
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
         self._lock = threading.RLock()
+        self.flush_seconds = Histogram.from_state(state["flush_seconds"])

@@ -7,12 +7,15 @@ log-spaced buckets, built for latency-in-seconds observations) — plus a
 :class:`MetricsRegistry` that owns them by name, renders a Prometheus
 style text exposition, and snapshots/restores itself for checkpoints.
 
-The registry is deliberately decoupled from the rest of the codebase:
-what records into it (:func:`repro.runtime.scheduler.publish`, the
-ingest worker, the admission controller, the fault injector) takes a
-registry-like object and calls only ``inc`` / ``observe`` on it, so no
-core module imports this one.  It is process-local — it holds locks,
-and nothing that is pickled holds it; what survives a restart is its
+The registry holds what has no other home: a count an object already
+keeps (ingest workers, admission, shadow tallies, the service's own
+ints) is folded into ``/metrics`` from that owner by
+:mod:`repro.service.views`, never recorded here.  What does record
+(:func:`repro.runtime.scheduler.publish`, the service's timers, the
+parallel executor, the fault injector, ``WebhookSink``, the remote-write
+receiver) calls only ``inc`` / ``observe``, so no core module imports
+this one.  It is process-local — it holds locks, and nothing that is
+pickled holds it; what survives a restart is its
 :meth:`MetricsRegistry.snapshot`.
 """
 
@@ -23,7 +26,7 @@ import time
 from contextlib import contextmanager
 from typing import Dict, Iterator, List, Sequence, Tuple
 
-__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry", "DEFAULT_LATENCY_BUCKETS"]
+__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry", "DEFAULT_LATENCY_BUCKETS", "render"]
 
 #: Log-spaced latency buckets (seconds): 100µs .. 30s, plus +inf.
 DEFAULT_LATENCY_BUCKETS: Tuple[float, ...] = (
@@ -162,6 +165,17 @@ class Histogram:
                 "max": self._max if self._count else None,
             }
 
+    @classmethod
+    def from_state(cls, state: dict) -> "Histogram":
+        """The histogram a :meth:`state` describes."""
+        histogram = cls(state["bounds"])
+        histogram._counts = list(state["counts"])
+        histogram._count = state["count"]
+        histogram._sum = state["sum"]
+        histogram._min = state["min"] if state["min"] is not None else float("inf")
+        histogram._max = state["max"] if state["max"] is not None else float("-inf")
+        return histogram
+
 
 class MetricsRegistry:
     """Named instruments plus convenience record/snapshot/render APIs.
@@ -169,7 +183,7 @@ class MetricsRegistry:
     Example::
 
         metrics = MetricsRegistry()
-        metrics.inc("service.ingest.accepted", 128)
+        metrics.inc("service.sinks.delivered", 2)
         with metrics.timer("service.advance_seconds"):
             advance()
         print(metrics.render_text())
@@ -248,43 +262,44 @@ class MetricsRegistry:
         with self._lock:
             self._counters.clear()
             self._gauges.clear()
-            self._histograms.clear()
+            self._histograms = {
+                name: Histogram.from_state(state)
+                for name, state in snapshot.get("histograms", {}).items()
+            }
         for name, value in snapshot.get("counters", {}).items():
             self.counter(name).inc(value)
         for name, value in snapshot.get("gauges", {}).items():
             self.gauge(name).set(value)
-        for name, state in snapshot.get("histograms", {}).items():
-            histogram = self.histogram(name, state["bounds"])
-            histogram._counts = list(state["counts"])
-            histogram._count = state["count"]
-            histogram._sum = state["sum"]
-            histogram._min = state["min"] if state["min"] is not None else float("inf")
-            histogram._max = state["max"] if state["max"] is not None else float("-inf")
 
     def render_text(self) -> str:
         """Prometheus-style text exposition of every instrument."""
-        lines: List[str] = []
-        snapshot = self.snapshot()
-        for name, value in snapshot["counters"].items():
-            metric = _sanitize(name)
-            lines.append(f"# TYPE {metric} counter")
-            lines.append(f"{metric} {value:g}")
-        for name, value in snapshot["gauges"].items():
-            metric = _sanitize(name)
-            lines.append(f"# TYPE {metric} gauge")
-            lines.append(f"{metric} {value:g}")
-        for name, state in snapshot["histograms"].items():
-            metric = _sanitize(name)
-            lines.append(f"# TYPE {metric} histogram")
-            cumulative = 0
-            for bound, count in zip(state["bounds"], state["counts"]):
-                cumulative += count
-                lines.append(f'{metric}_bucket{{le="{bound:g}"}} {cumulative}')
-            cumulative += state["counts"][-1]
-            lines.append(f'{metric}_bucket{{le="+Inf"}} {cumulative}')
-            lines.append(f"{metric}_sum {state['sum']:g}")
-            lines.append(f"{metric}_count {state['count']}")
-        return "\n".join(lines) + ("\n" if lines else "")
+        return render(self.snapshot())
+
+
+def render(snapshot: dict) -> str:
+    """Prometheus-style text exposition of a :meth:`MetricsRegistry.snapshot`
+    (or of anything shaped like one)."""
+    lines: List[str] = []
+    for name, value in snapshot["counters"].items():
+        metric = _sanitize(name)
+        lines.append(f"# TYPE {metric} counter")
+        lines.append(f"{metric} {value:g}")
+    for name, value in snapshot["gauges"].items():
+        metric = _sanitize(name)
+        lines.append(f"# TYPE {metric} gauge")
+        lines.append(f"{metric} {value:g}")
+    for name, state in snapshot["histograms"].items():
+        metric = _sanitize(name)
+        lines.append(f"# TYPE {metric} histogram")
+        cumulative = 0
+        for bound, count in zip(state["bounds"], state["counts"]):
+            cumulative += count
+            lines.append(f'{metric}_bucket{{le="{bound:g}"}} {cumulative}')
+        cumulative += state["counts"][-1]
+        lines.append(f'{metric}_bucket{{le="+Inf"}} {cumulative}')
+        lines.append(f"{metric}_sum {state['sum']:g}")
+        lines.append(f"{metric}_count {state['count']}")
+    return "\n".join(lines) + ("\n" if lines else "")
 
 
 def _sanitize(name: str) -> str:

@@ -274,9 +274,9 @@ class ParallelShardExecutor:
                     try:
                         request = (queue[0], blob, target, faults.pop(queue[0], None))
                         self._procs[index][1].send(request)
+                        self._inc("advance.bytes_out", len(blob))  # only what left
                     except OSError:
                         pass  # it died idle: the read below says so
-                    self._inc("advance.bytes_out", len(blob))
                     due[index] = time.monotonic() + (self.deadline or float("inf"))
             if not due:
                 return failed

@@ -40,7 +40,6 @@ when cross-series dedup matters.
 
 from __future__ import annotations
 
-import collections
 import threading
 import time
 from typing import Callable, Dict, List, Optional, Sequence
@@ -188,7 +187,6 @@ class StreamingDetectionService:
                 batch_size=batch_size,
                 retention=retention,
                 quality=quality,
-                metrics=self.metrics,
                 fault_injector=fault_injector,
             )
             for shard_id in range(n_shards)
@@ -212,8 +210,6 @@ class StreamingDetectionService:
         # /healthz shows degraded -> ok transitions around each fault.
         self._degraded: Dict[int, Dict[str, str]] = {}
         self._degraded_lock = threading.Lock()
-        self.metrics.set_gauge("service.shards", n_shards)
-        self.metrics.set_gauge("service.workers", workers)
 
     # ------------------------------------------------------------------
     # Monitors
@@ -500,7 +496,6 @@ class StreamingDetectionService:
                 ):
                     if not self._ledger_admit(regression):
                         self._suppressed_realerts += 1
-                        self.metrics.inc("service.reports.suppressed")
                         _log.info(
                             "re-alert suppressed",
                             monitor=outcome.monitor,
@@ -513,7 +508,6 @@ class StreamingDetectionService:
                         self.metrics.inc("service.sinks.delivered", taken)
                     delivered.append(report)
                     self._reported += 1
-                    self.metrics.inc("service.reports.delivered")
                     _log.info(
                         "incident delivered",
                         monitor=outcome.monitor,
@@ -521,9 +515,6 @@ class StreamingDetectionService:
                         magnitude=regression.magnitude,
                         sinks=len(self.sinks),
                     )
-        self.metrics.set_gauge(
-            f"service.shard{shard.shard_id}.series", len(shard.database)
-        )
 
     def _sink_failed(
         self, sink: IncidentSink, report: IncidentReport, error: Exception
@@ -652,7 +643,7 @@ class StreamingDetectionService:
 
         Captures per-shard TSDBs, un-flushed queue contents, scheduler
         clocks and detector/dedup state, the reported-ledger, the
-        aggregate funnel, and a metrics snapshot.
+        aggregate funnel, and the registry's snapshot.
         """
         meta = {key: getattr(self, attr) for key, attr in _DURABLE.items()}
         meta.update(
@@ -717,19 +708,7 @@ class StreamingDetectionService:
         for key, attr in _DURABLE.items():
             setattr(service, attr, meta[key])
         service.funnel.counts.update(meta["funnel"])
-        # Owners win: ``checkpoint()`` snapshots the registry before each
-        # shard pickles its worker under its own lock, so with a live
-        # producer the snapshot lags the workers' own ints — for good,
-        # unless the restored owners overwrite it here.
-        counters = meta["metrics"]["counters"]
-        owned: Dict[str, int] = collections.Counter()
-        for shard in service._shards.values():
-            owned.update(shard.mirrored_counters())
-        counters.update({n: v for n, v in owned.items() if v or n in counters})
         service.metrics.restore(meta["metrics"])
-        # The checkpointed registry carries the previous life's gauges.
-        service.metrics.set_gauge("service.shards", service.n_shards)
-        service.metrics.set_gauge("service.workers", service.workers)
         service.metrics.inc("service.restores")
         load_info = manager.last_load() or {}
         fallbacks = int(load_info.get("fallbacks", 0) or 0)

@@ -17,10 +17,10 @@ so none can be torn by live producers or flushers:
 
 Neither form carries a process-local handle.  The scan side — scheduler,
 detectors, pipelines — holds none to begin with: a scan returns its
-ledger and the service publishes it.  The ingest side counts as it
-goes, so the worker and its admission controller hold the metrics
-registry and the fault injector, and drop them in ``__getstate__``;
-:meth:`Shard.bind` is the one list of those two holders, and the
+ledger and the service publishes it.  The ingest side keeps its counts
+itself (plain ints and a histogram state that ride the pickle; the views
+fold them), so the one handle it holds is the fault injector, which the
+worker drops in ``__getstate__`` and :meth:`Shard.bind` hands back — the
 constructor and ``restore`` go through it.
 """
 
@@ -37,39 +37,23 @@ from repro.faults import FaultInjector
 from repro.quality import AdmissionController, QualityConfig
 from repro.runtime.scheduler import DetectionScheduler, ScanOutcome
 from repro.service.ingest import BackpressurePolicy, ShardIngestWorker
-from repro.service.metrics import MetricsRegistry
 from repro.tsdb.columnar import SeriesFrame
 from repro.tsdb.database import TimeSeriesDatabase
 
 __all__ = ["Shard", "ShardDelta", "ShardStats", "WriteLog"]
 
-#: Registry counters, by metric name, that mirror an int the ingest worker
-#: or its admission controller owns (its ``ShardIngestWorker.counters()``
-#: key): the ones :meth:`Shard.bind`'s two holders count into the registry.
-_MIRRORED = {
-    **{
-        f"ingest.{key}": key
-        for key in (
-            "accepted", "flushed", "rejected", "dropped_oldest",
-            "blocking_flushes", "flush_failures",
-        )
-    },
-    **{
-        f"quality.{key}": f"quality_{key}"
-        for key in ("quarantined", "repaired", "counter_resets", "duplicates", "reordered")
-    },
-}
-
 
 @dataclass(frozen=True)
 class ShardStats:
-    """One shard's health snapshot."""
+    """One shard's health snapshot, and every count its ingest side owns."""
 
     shard_id: int
     series: int
     pending: int
     counters: Dict[str, int]
     scans: int
+    quarantined_by_reason: Dict[str, int]
+    flush_seconds: dict
 
 
 @dataclass
@@ -173,7 +157,6 @@ class Shard:
         batch_size: int,
         retention: float,
         quality: Optional[QualityConfig],
-        metrics: MetricsRegistry,
         fault_injector: Optional[FaultInjector],
     ) -> None:
         self.shard_id = shard_id
@@ -195,17 +178,12 @@ class Shard:
         #: Whether a worker process was ever seeded with this shard (a
         #: seed after the first means a replica was given up).
         self.seeded = False
-        self.bind(metrics, fault_injector)
+        self.bind(fault_injector)
 
-    def bind(
-        self, metrics: MetricsRegistry, fault_injector: Optional[FaultInjector]
-    ) -> None:
-        """Hand the ingest side its process-local handles — the one list
-        of who holds one.  Both holders pickle theirs as ``None``."""
-        self.worker.metrics = metrics
+    def bind(self, fault_injector: Optional[FaultInjector]) -> None:
+        """Hand the ingest worker the one process-local handle a shard
+        holds; the worker pickles it as ``None``."""
         self.worker.fault_injector = fault_injector
-        if self.worker.admission is not None:
-            self.worker.admission.metrics = metrics
 
     def advance(self, target: float) -> Tuple[List[ScanOutcome], float]:
         """Flush and scan in this process; ``(outcomes, seconds)`` — what
@@ -231,12 +209,17 @@ class Shard:
     # read never raises under live ingest and is at worst one offer behind.
 
     def stats(self) -> ShardStats:
+        admission = self.worker.admission
         return ShardStats(
             shard_id=self.shard_id,
             series=len(self.database),
             pending=self.worker.pending,
             counters=self.worker.counters(),
             scans=self.scans,
+            quarantined_by_reason=(
+                dict(admission.quarantined_by_reason) if admission is not None else {}
+            ),
+            flush_seconds=self.worker.flush_seconds.state(),
         )
 
     def health(self) -> dict:
@@ -275,14 +258,6 @@ class Shard:
             admission = self.worker.admission
             return admission.release_series(name) if admission is not None else 0
 
-    def mirrored_counters(self) -> Dict[str, int]:
-        """What the registry's ``ingest.*`` / ``quality.*`` counters must
-        read for this shard, by metric name.  The owners' ints ride
-        :meth:`checkpoint_blob` under the lock; the registry snapshot
-        beside it was taken earlier, so on restore these win."""
-        counters = self.worker.counters()
-        return {name: counters.get(key, 0) for name, key in _MIRRORED.items()}
-
     # -- the durable form ------------------------------------------------
 
     def checkpoint_blob(self) -> bytes:
@@ -307,12 +282,12 @@ class Shard:
         live shard never replaces its database or worker).  Anchors of
         incremental scans are dropped: a restore is a trust boundary,
         and a stale one must never suppress a re-scan."""
-        handles = self.worker.metrics, self.worker.fault_injector
+        injector = self.worker.fault_injector
         self.database = state["database"]
         self.worker = state["worker"]
         self.scheduler = state["scheduler"]
         self.scans = state["scans"]
-        self.bind(*handles)
+        self.bind(injector)
         self.scheduler.invalidate_incremental()
 
     # -- the replicated form ---------------------------------------------

@@ -11,18 +11,21 @@ Views fold over shards and write nothing.  A shard answers for itself
 (``Shard.stats`` / ``health`` / ``quality`` / ``shadow_rows``): no view
 reaches through to a shard's worker or scheduler, so none assumes they
 live in this process, and none takes a queue lock (see
-:mod:`repro.service.shard` for what makes that safe).
+:mod:`repro.service.shard` for what makes that safe).  A count an owner
+keeps is folded here (:func:`_snapshot`) and recorded nowhere else.
 """
 
 from __future__ import annotations
 
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Tuple, Union
 
 from repro.detectors import merge_snapshot_rows
 from repro.obs.spans import FunnelTrace
+from repro.service.metrics import render
 from repro.service.shard import ShardStats
 
 __all__ = ["VIEWS", "ServiceStats", "funnel_trace", "stats"]
@@ -48,7 +51,7 @@ class ServiceStats:
             the service already alerted on, e.g. after a restore).
         shards: Per-shard breakdowns.
         metrics: Full self-metrics snapshot (counters, gauges, latency
-            histograms).
+            histograms) — what ``/metrics`` renders.
     """
 
     clock: float
@@ -97,6 +100,13 @@ _INGEST = dict(
 )
 
 
+#: ``ShardStats.counters`` key -> the counter that sums it over shards.
+_SHARD_COUNTERS = {key: f"ingest.{key}" for key in (
+    "accepted", "flushed", "rejected", "dropped_oldest", "blocking_flushes", "flush_failures")}
+_SHARD_COUNTERS.update({f"quality_{key}": f"quality.{key}" for key in (
+    "quarantined", "repaired", "counter_resets", "duplicates", "reordered")})
+
+
 def _fold(service) -> Tuple[List[ShardStats], Dict[str, int], int]:
     """Every shard's stats row, the ingest totals over them, the scans."""
     shards = [shard.stats() for shard in service._shards.values()]
@@ -105,6 +115,45 @@ def _fold(service) -> Tuple[List[ShardStats], Dict[str, int], int]:
         for total, counter in _INGEST.items()
     }
     return shards, ingest, sum(shard.scans for shard in shards)
+
+
+def _snapshot(service, shards: List[ShardStats]) -> dict:
+    """What ``/metrics`` serves: the registry's snapshot beside the counts
+    whose one home is an owner, each kind sorted by name.  Owned counts
+    read as the registry served them when it mirrored them — a counter
+    once non-zero, every gauge, a histogram once observed."""
+    counters: Dict[str, int] = Counter()
+    for shard in shards:
+        for key, name in _SHARD_COUNTERS.items():
+            counters[name] += shard.counters.get(key, 0)
+        for reason, count in shard.quarantined_by_reason.items():
+            counters[f"quality.quarantined.{reason}"] += count
+    for row in _challengers(service):
+        for field in ("scans", "fired", "errors"):
+            counters[f"detector.{row['id']}.{field}"] = row["tally"][field]
+    counters["service.reports.delivered"] = service._reported
+    counters["service.reports.suppressed"] = service._suppressed_realerts
+    gauges = {"service.shards": service.n_shards, "service.workers": service.workers}
+    gauges.update({f"service.shard{shard.shard_id}.series": shard.series for shard in shards})
+    histograms = {}
+    flushed = [shard.flush_seconds for shard in shards if shard.flush_seconds["count"]]
+    if flushed:  # one histogram over the shards' (same buckets, counts summed)
+        histograms["ingest.flush_seconds"] = dict(
+            flushed[0],
+            counts=[sum(column) for column in zip(*(s["counts"] for s in flushed))],
+            count=sum(s["count"] for s in flushed), sum=sum(s["sum"] for s in flushed),
+            min=min(s["min"] for s in flushed), max=max(s["max"] for s in flushed),
+        )
+    owned = {
+        "counters": {name: float(value) for name, value in counters.items() if value},
+        "gauges": {name: float(value) for name, value in gauges.items()},
+        "histograms": histograms,
+    }
+    merged = service.metrics.snapshot()
+    for kind, values in merged.items():
+        assert not values.keys() & owned[kind].keys(), "an owned count was recorded"
+        merged[kind] = dict(sorted({**values, **owned[kind]}.items()))
+    return merged
 
 
 def stats(service) -> ServiceStats:
@@ -117,7 +166,7 @@ def stats(service) -> ServiceStats:
         reported=service._reported,
         suppressed_realerts=service._suppressed_realerts,
         shards=shards,
-        metrics=service.metrics.snapshot(),
+        metrics=_snapshot(service, shards),
         **ingest,
     )
 
@@ -128,8 +177,8 @@ def funnel_trace(service) -> FunnelTrace:
 
 
 def metrics(service) -> View:
-    """``/metrics``: text exposition of the self-metrics registry."""
-    return 200, service.metrics.render_text()
+    """``/metrics``: text exposition of :attr:`ServiceStats.metrics`."""
+    return 200, render(_snapshot(service, _fold(service)[0]))
 
 
 def healthz(service) -> View:
@@ -260,11 +309,16 @@ def detectors(service) -> View:
     state, so this view survives parallel advances, checkpoints, and
     restores.
     """
+    rows = _challengers(service)
+    return 200, {"enabled": bool(rows), "detectors": rows}
+
+
+def _challengers(service) -> List[dict]:
+    """Challenger rows merged over shards, sorted by id."""
     merged: Dict[str, dict] = {}
     for shard in service._shards.values():
         merge_snapshot_rows(merged, shard.shadow_rows())
-    rows = [merged[det_id] for det_id in sorted(merged)]
-    return 200, {"enabled": bool(rows), "detectors": rows}
+    return [merged[det_id] for det_id in sorted(merged)]
 
 
 #: The endpoints: path -> view.  ``GET /`` lists these keys.

@@ -236,21 +236,17 @@ class TestShadowScorer:
         assert scorer.tallies[MADDetector().detector_id].fired == 1
 
     def test_metrics_counters(self):
-        class FakeMetrics:
-            def __init__(self):
-                self.counts = {}
-
-            def inc(self, name, n=1):
-                self.counts[name] = self.counts.get(name, 0) + n
-
-        metrics = FakeMetrics()
+        """The tally is what ``detector.<id>.{scans,fired,errors}`` reads
+        on ``/metrics``; ``score`` takes no recorder."""
         scorer = ShadowScorer([MADDetector()])
         window = make_window(shift=SHIFT)
         scorer.score(window.historic, window.analysis, window.extended,
-                     primary_fired=True, metrics=metrics)
-        det_id = MADDetector().detector_id
-        assert metrics.counts[f"detector.{det_id}.scans"] == 1
-        assert metrics.counts[f"detector.{det_id}.fired"] == 1
+                     primary_fired=True)
+        tally = scorer.tallies[MADDetector().detector_id]
+        assert (tally.scans, tally.fired, tally.errors) == (1, 1, 0)
+        with pytest.raises(TypeError, match="metrics"):
+            scorer.score(window.historic, window.analysis, window.extended,
+                         primary_fired=True, metrics=object())
 
     def test_pickle_round_trip_preserves_tallies(self):
         scorer = ShadowScorer([MADDetector(), ThresholdDetector(level=0.00105)])

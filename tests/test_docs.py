@@ -9,6 +9,7 @@ benchmark fails ``pytest`` locally, not just in CI.
 import ast
 import functools
 import importlib.util
+import json
 import os
 import re
 import sys
@@ -452,6 +453,145 @@ class TestScanStackHoldsNoHandles:
         )
         built = {ast.unparse(call.func) for call in self._calls(worker)}
         assert not {"MetricsRegistry", "TraceStore"} & built
+
+
+#: Registry methods whose first argument is a metric name.
+RECORDERS = ("inc", "observe", "set_gauge", "timer", "counter", "gauge", "histogram", "_inc")
+
+
+def _recorded(call):
+    """The metric name a registry call records — an f-string's formatted
+    parts read ``*`` — or ``None`` when the call records no literal name."""
+    if not (isinstance(call.func, ast.Attribute) and call.func.attr in RECORDERS and call.args):
+        return None
+    first = call.args[0]
+    if isinstance(first, ast.Constant) and isinstance(first.value, str):
+        return first.value
+    if isinstance(first, ast.JoinedStr):
+        return "".join(
+            part.value if isinstance(part, ast.Constant) else "*" for part in first.values
+        )
+    return None
+
+
+@functools.lru_cache(maxsize=None)
+def _overlap(a, b):
+    """Whether two ``*`` globs match some common string."""
+    if not a or not b:
+        return set(a + b) <= {"*"}
+    if "*" in (a[0], b[0]):
+        star, other = (a, b) if a[0] == "*" else (b, a)
+        return _overlap(star[1:], other) or _overlap(star, other[1:])
+    return a[0] == b[0] and _overlap(a[1:], b[1:])
+
+
+def _sanitized(name):
+    return re.sub(r"[^0-9A-Za-z_*]", "_", name)
+
+
+class TestOneHomePerCount:
+    """A count its owner keeps — ingest worker, admission, shadow tally,
+    the service's own ints — reaches ``/metrics`` through the fold in
+    ``repro.service.views`` and nowhere else: the ingest side holds no
+    registry, no call in ``src/`` records an owned name, and the restore
+    step that reconciled the mirrors stays deleted."""
+
+    SRC = TestScanStackHoldsNoHandles.SRC
+
+    def test_the_ingest_side_holds_no_registry(self):
+        functions = TestScanStackHoldsNoHandles._functions("quality", "detectors") + [
+            (name, function)
+            for name, function in TestScanStackHoldsNoHandles._functions("service")
+            if name.startswith("service.ingest.")
+        ]
+        assert any(name.startswith("service.ingest.") for name, _ in functions)
+        held = [
+            f"{name}: self.metrics"
+            for name, function in functions
+            for node in ast.walk(function)
+            if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign))
+            for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+            if ast.unparse(target) == "self.metrics"
+        ]
+        assert not held, held
+
+    def test_no_call_records_an_owned_name(self):
+        from test_owned_metrics import OWNED
+
+        recorded = {
+            (name, _recorded(call))
+            for name, function in TestScanStackHoldsNoHandles._functions()
+            for call in TestScanStackHoldsNoHandles._calls(function)
+            if _recorded(call) is not None
+        }
+        assert ("runtime.scheduler.publish", "scheduler.scans") in recorded  # sees names
+        assert not _overlap("sink.webhook.*", "ingest.accepted")  # ... and tells them apart
+        clashes = sorted(
+            (name, metric)
+            for name, metric in recorded
+            if any(_overlap(metric, pattern) for pattern in OWNED)
+        )
+        assert not clashes, clashes
+
+    def test_the_reconciliation_stays_deleted(self):
+        whole = TestNoCallerlessBatchKernels._source()
+        for gone in ("_MIRRORED", "mirrored_counters"):
+            assert gone not in whole, gone
+        assert "owners win" not in whole.lower()
+        service = _read(self.SRC, "service", "service.py")
+        assert len(service.splitlines()) < 760
+
+
+class TestRunbookNamesWhatMetricsServes:
+    """Every name in RUNBOOK's ``/metrics`` table is served: it is in the
+    ``/metrics`` golden, a name ``src/`` records, or a family the fold
+    emits — and the table says who owns each."""
+
+    @staticmethod
+    def _rows():
+        runbook = _read("docs", "RUNBOOK.md")
+        section = runbook.split("### `/metrics`")[1].split("\n### ")[0]
+        return [line for line in section.splitlines() if line.startswith("| `")]
+
+    @classmethod
+    def _names(cls):
+        """Column one's names; ``_suffix`` swaps the last part of the
+        cell's first name (``pipeline_incremental_hits`` / ``_misses``)."""
+        names = []
+        for row in cls._rows():
+            cell = re.findall(r"`([^`]+)`", row.split("|")[1])
+            stem = cell[0].rsplit("_", 1)[0]
+            names += [stem + token if token.startswith("_") else token for token in cell]
+        return names
+
+    def test_every_listed_metric_is_served(self):
+        from test_owned_metrics import OWNED
+
+        with open(os.path.join(REPO_ROOT, "tests", "data", "metrics_golden.json"),
+                  encoding="utf-8") as source:
+            golden = set(json.load(source)["names"])
+        recorded = {
+            _sanitized(_recorded(call))
+            for _, function in TestScanStackHoldsNoHandles._functions()
+            for call in TestScanStackHoldsNoHandles._calls(function)
+            if _recorded(call) is not None
+        }
+        known = recorded | {_sanitized(pattern) for pattern in OWNED}
+        names = self._names()
+        unserved = [
+            name for name in names
+            if name not in golden
+            and not any(_overlap(re.sub(r"\{[^}]*\}", "*", name), glob) for glob in known)
+        ]
+        assert not unserved, unserved
+        assert {"ingest_dropped_oldest", "quality_quarantined_{reason}"} <= set(names)
+
+    def test_every_row_names_its_owner(self):
+        owners = {"worker", "admission", "shadow tally", "service", "registry"}
+        header = _read("docs", "RUNBOOK.md").split("### `/metrics`")[1]
+        assert "| Metric | Type | Owner | Meaning |" in header
+        for row in self._rows():
+            assert row.split("|")[3].strip() in owners, row
 
 
 class TestAShardAnswersForItself:

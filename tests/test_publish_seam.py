@@ -75,8 +75,8 @@ def run_drill(workers):
 
 
 def _ledger(service):
-    """Everything in the registry that does not read a clock's value."""
-    snapshot = service.metrics.snapshot()
+    """Everything ``/metrics`` serves that does not read a clock's value."""
+    snapshot = service.stats().metrics
     return {
         "counters": snapshot["counters"],
         "gauges": snapshot["gauges"],

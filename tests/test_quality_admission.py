@@ -315,37 +315,38 @@ class TestOperatorSurface:
         assert "s.gcpu" in snapshot["scores"]
 
     def test_metrics_events_only(self):
-        class Registry:
-            def __init__(self):
-                self.counts = {}
-
-            def inc(self, name, n=1):
-                self.counts[name] = self.counts.get(name, 0) + n
-
-        registry = Registry()
-        ctl = AdmissionController(QualityConfig(), shard_id=0, metrics=registry)
-        admit(ctl, make(ts=1.0, value=0.5))   # clean: no registry traffic
-        assert registry.counts == {}
+        """The controller is the one home of ``quality.*``: only events
+        move its counts, and the per-reason totals are cumulative — a
+        release drops the attribution, not the count."""
+        ctl = AdmissionController(QualityConfig(repair_negative=False), shard_id=0)
+        admit(ctl, make(ts=1.0, value=0.5))   # clean: no event counted
+        assert ctl.quarantined_by_reason == {}
+        assert {k: v for k, v in ctl.counters().items() if k != "admitted"} == dict.fromkeys(
+            ("quarantined", "repaired", "counter_resets", "duplicates", "reordered",
+             "buffered"), 0
+        )
         admit(ctl, make(ts=2.0, value=math.nan))
-        assert registry.counts == {
-            "quality.quarantined": 1,
-            "quality.quarantined.not_finite": 1,
-        }
+        admit(ctl, make(ts=3.0, value=-1.0))
+        admit(ctl, make(ts=4.0, value=math.inf))
+        assert ctl.quarantined == 3
+        assert ctl.quarantined_by_reason == {"not_finite": 2, "negative_value": 1}
+        assert ctl.release_series("s.gcpu") == 3
+        assert ctl.quarantined_by_reason == {"not_finite": 2, "negative_value": 1}
+        assert not hasattr(ctl, "metrics")
 
 
 class TestPickling:
     def test_round_trip_preserves_state_and_drops_metrics(self):
-        class Registry:
-            def inc(self, name, n=1):
-                pass
-
-        ctl = AdmissionController(QualityConfig(), shard_id=3, metrics=Registry())
+        """There is no registry handle to drop any more: the pickle is
+        the controller's own state, per-reason totals included."""
+        ctl = AdmissionController(QualityConfig(), shard_id=3)
         admit(ctl, make(ts=5.0))
         admit(ctl, make(ts=1.0))           # held straggler
         admit(ctl, make(ts=6.0, value=math.nan))
         clone = pickle.loads(pickle.dumps(ctl))
-        assert clone.metrics is None
+        assert "metrics" not in vars(clone)
         assert clone.counters() == ctl.counters()
+        assert clone.quarantined_by_reason == {"not_finite": 1}
         assert clone.quarantine.total == 1
         assert [s.timestamp for s in rows(clone.drain_pending())] == [1.0]
         # Watermark survives: the old straggler is still a straggler.

@@ -114,10 +114,10 @@ class TestCheckpointManager:
         for name in ("manifest.json", "manifest.g1.json"):
             path = tmp_path / name
             manifest = json.loads(path.read_text(encoding="utf-8"))
-            assert manifest["version"] == 3
+            assert manifest["version"] == 4
             manifest["version"] = 1
             path.write_text(json.dumps(manifest), encoding="utf-8")
-        with pytest.raises(CheckpointError, match="version 1 != supported 3"):
+        with pytest.raises(CheckpointError, match="version 1 != supported 4"):
             StreamingDetectionService.restore(str(tmp_path))
 
     def test_corrupt_manifest_raises(self, tmp_path):
@@ -425,13 +425,14 @@ class TestKillRestoreEquivalence:
         assert total_series == 10
 
     def test_restore_exports_this_life_shape_gauges(self, tmp_path):
-        """The checkpointed registry carries the *previous* life's
-        gauges; a restore under a different ``workers`` must export its
-        own, so ``/metrics`` and ``/healthz`` agree."""
+        """A restore under a different ``workers`` exports its own shape,
+        so ``/metrics`` and ``/healthz`` agree: the gauges are read off
+        the service, and the checkpointed registry carries none."""
         directory = str(tmp_path / "ckpt")
         StreamingDetectionService(n_shards=2, workers=1).checkpoint(directory)
         restored = StreamingDetectionService.restore(directory, workers=2)
-        gauges = restored.metrics.snapshot()["gauges"]
+        assert restored.metrics.snapshot()["gauges"] == {}
+        gauges = restored.stats().metrics["gauges"]
         assert gauges["service.workers"] == 2.0 == views.healthz(restored)[1]["workers"]
         assert gauges["service.shards"] == 2.0
         assert "service_workers 2" in views.metrics(restored)[1]

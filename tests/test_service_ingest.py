@@ -4,7 +4,7 @@ import pickle
 
 import pytest
 
-from repro.service import BackpressurePolicy, MetricsRegistry, ShardIngestWorker
+from repro.service import BackpressurePolicy, ShardIngestWorker
 from repro.tsdb import SeriesFrame, TimeSeriesDatabase
 
 
@@ -25,11 +25,9 @@ def row(name, timestamp, value, tags=None):
     return SeriesFrame(name, tags, [timestamp], [value])
 
 
-def make_worker(policy, capacity=4, batch_size=2, metrics=None):
+def make_worker(policy, capacity=4, batch_size=2):
     db = TimeSeriesDatabase()
-    worker = ShardIngestWorker(
-        0, db, capacity=capacity, policy=policy, batch_size=batch_size, metrics=metrics
-    )
+    worker = ShardIngestWorker(0, db, capacity=capacity, policy=policy, batch_size=batch_size)
     return db, worker
 
 
@@ -160,17 +158,19 @@ class TestCountersAndMetrics:
         assert counters["flushed"] == 4
         assert counters["pending"] == 0
 
-    def test_metrics_registry_wired(self):
-        metrics = MetricsRegistry()
-        db, worker = make_worker(BackpressurePolicy.DROP_OLDEST, metrics=metrics)
+    def test_ingest_metrics_live_on_the_worker(self):
+        """The worker is the one home of the ``ingest.*`` metrics: its
+        ints and its flush histogram, which pickles as a plain state."""
+        db, worker = make_worker(BackpressurePolicy.DROP_OLDEST)
         for s in samples(6):
             worker.offer(s)
         worker.flush()
-        snapshot = metrics.snapshot()
-        assert snapshot["counters"]["ingest.accepted"] == 6
-        assert snapshot["counters"]["ingest.dropped_oldest"] == 2
-        assert snapshot["counters"]["ingest.flushed"] == 4
-        assert snapshot["histograms"]["ingest.flush_seconds"]["count"] >= 1
+        assert (worker.accepted, worker.dropped_oldest, worker.flushed) == (6, 2, 4)
+        assert worker.flush_seconds.count == worker.flushes >= 1
+        clone = pickle.loads(pickle.dumps(worker))
+        assert clone.flush_seconds.state() == worker.flush_seconds.state()
+        assert b"Histogram" not in pickle.dumps(worker)
+        assert not hasattr(worker, "metrics")
 
     def test_invalid_params(self):
         db = TimeSeriesDatabase()
@@ -187,10 +187,7 @@ class TestFlushFailureSafety:
         from repro.faults import FaultInjector, FaultKind, FaultPlan, FaultSpec
         from repro.faults.injector import InjectedFault
 
-        registry = MetricsRegistry()
-        db, worker = make_worker(
-            BackpressurePolicy.BLOCK, capacity=16, batch_size=4, metrics=registry
-        )
+        db, worker = make_worker(BackpressurePolicy.BLOCK, capacity=16, batch_size=4)
         worker.fault_injector = FaultInjector(
             FaultPlan(specs=(FaultSpec(FaultKind.FLUSH_ERROR, times=1),))
         )
@@ -200,8 +197,8 @@ class TestFlushFailureSafety:
         # Nothing written, nothing lost, order preserved.
         assert worker.pending == 6
         assert worker.flushed == 0
-        assert worker.flush_failures == 1
-        assert registry.snapshot()["counters"]["ingest.flush_failures"] == 1.0
+        assert worker.flush_failures == 1 == worker.counters()["flush_failures"]
+        assert worker.flush_seconds.count == 0  # a failed write is not a flush
         # The retry writes the same samples in the same order.
         assert worker.flush() == 6
         series = db.get("s.gcpu")

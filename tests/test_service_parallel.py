@@ -96,7 +96,7 @@ def run_stream(samples, workers, n_shards=4, advance_every=200):
     sink = CollectingSink()
     service = make_service(sink, workers, n_shards)
     stream_through(service, samples, advance_every)
-    snapshot = service.metrics.snapshot()
+    snapshot = service.stats().metrics
     service.close()
     return sink.reports, snapshot
 

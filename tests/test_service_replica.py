@@ -102,6 +102,31 @@ class TestWorkerLifecycle:
         assert not any(alive(pid) for pid in after)
 
 
+    def test_bytes_out_counts_only_blobs_that_left(self, monkeypatch):
+        """The bug: ``advance.bytes_out`` grew by a blob's size when the
+        send raised on a worker that had died idle — bytes that never
+        left.  Kill an idle worker, advance both shards: the counter
+        grows by what the surviving worker and the respawned one got."""
+        monkeypatch.setattr(parallel, "RETRY_BACKOFF", 0.01)
+        registry = MetricsRegistry()
+        executor = ParallelShardExecutor(workers=2, metrics=registry)
+        service = fleet.make_service(CollectingSink(), workers=1, n_shards=2)
+        try:
+            seeds = {i: shard.snapshot() for i, shard in service._shards.items()}
+            victim, _ = executor._procs[0]
+            os.kill(victim.pid, signal.SIGKILL)
+            victim.join(timeout=5)
+            results = executor.map_shards(seeds, target=100.0)
+            # Shard 0's first send failed; its retry reached the respawned worker.
+            assert [r.retries for r in results] == [1, 0]
+            assert executor.worker_pids()[0] != victim.pid
+            counters = registry.snapshot()["counters"]
+            assert counters["advance.pool_recreations"] == 1.0
+            assert counters["advance.bytes_out"] == len(seeds[0]) + len(seeds[1])
+        finally:
+            executor.close()
+            service.close()
+
     def test_workers_of_a_sigkilled_parent_exit(self):
         """The bug: every worker was forked holding the parent's end of
         its own pipe and of each earlier worker's, so with the parent

@@ -2,8 +2,9 @@
 
 Two serialised forms — the checkpoint blob and the snapshot a worker
 process borrows — both taken under the shard's queue lock, neither
-carrying a process-local handle: the scan side holds none, and
-``Shard.bind`` hands the ingest side's back.
+carrying a process-local handle: the scan side holds none, the ingest
+side keeps its counts itself, and ``Shard.bind`` hands the worker back
+its fault injector.
 """
 
 import io
@@ -108,7 +109,9 @@ class TestRestoredLedgersAgree:
     pickles its worker under its own lock, so with a live producer the
     restored ``ingest.*`` / ``quality.*`` registry counters lagged the
     restored workers' own ints — and ``/metrics`` and ``stats()`` never
-    agreed again.  Owners win on restore."""
+    agreed again.  Those counts now live only on their owners and what
+    ``/metrics`` serves (``stats().metrics``) folds them, so there is
+    nothing left to disagree."""
 
     def test_registry_counters_equal_the_sums_over_the_restored_owners(self, tmp_path):
         service = StreamingDetectionService(
@@ -130,7 +133,7 @@ class TestRestoredLedgersAgree:
                 stop.wait(0.0005)  # a steady trickle: the blobs stay small
 
         def disagreements(restored):
-            counters = restored.metrics.snapshot()["counters"]
+            counters = restored.stats().metrics["counters"]
             owned = [shard.counters for shard in restored.stats().shards]
             assert sum(c["accepted"] for c in owned) > 0
             assert sum(c["quality_quarantined"] for c in owned) > 0
@@ -190,7 +193,9 @@ class TestNothingProcessLocalOnBoard:
     """No serialised form of a shard carries the registry, an
     instrument, the trace store, the event log, the fault injector, a
     sink or a lock.  The scan side has no attribute for one; the ingest
-    side finds ``None`` where its handle was and ``bind`` hands it back."""
+    worker holds no registry (its flush histogram pickles as a plain
+    state), finds ``None`` where its injector was, and ``bind`` hands
+    that back."""
 
     HANDLES = (b"MetricsRegistry", b"Histogram", b"TraceStore", b"FaultInjector")
 
@@ -256,7 +261,7 @@ class TestNothingProcessLocalOnBoard:
             shard.adopt(scheduler)
             assert shard.scheduler is scheduler
             assert scheduler.database is shard.database
-            assert shard.worker.metrics is service.metrics
+            assert "metrics" not in vars(shard.worker)
             assert shard.worker.fault_injector is service.fault_injector
 
     def test_restore_binds_every_holder(self, service, tmp_path):
@@ -266,9 +271,9 @@ class TestNothingProcessLocalOnBoard:
         restored = StreamingDetectionService.restore(directory, fault_injector=injector)
         try:
             for shard in restored._shards.values():
-                assert shard.worker.metrics is restored.metrics
                 assert shard.worker.fault_injector is injector
-                assert shard.worker.admission.metrics is restored.metrics
+                for holder in (shard.worker, shard.worker.admission):
+                    assert "metrics" not in vars(holder)
                 assert shard.scheduler.database is shard.database is shard.worker.database
             assert restored.stats().scans == service.stats().scans
         finally:
@@ -285,7 +290,7 @@ class TestVersionTwoIsRefused:
             manifest = json.loads(path.read_text(encoding="utf-8"))
             manifest["version"] = 2
             path.write_text(json.dumps(manifest), encoding="utf-8")
-        with pytest.raises(CheckpointError, match="version 2 != supported 3"):
+        with pytest.raises(CheckpointError, match="version 2 != supported 4"):
             StreamingDetectionService.restore(str(tmp_path))
 
 
