@@ -7,12 +7,21 @@ offered as 25-row frames (the e2e benchmark's round) and as one-row
 frames, and the frame path must be the cheaper one.  The same path
 layer by layer is the end-to-end benchmark's traced run
 (``service.ingest.*``, ``quality.admission.*``, ``tsdb.write_batch_*``).
+
+A second row offers a dirty stream built with the ``repro.fleet.dirty``
+transforms — half the series gauges reordered within 8-row blocks, half
+counters rolled over and kept in order, NaN bursts on both — and puts
+ns/sample through offer and through flush on record.  It asserts only
+counts that cannot flake: the in-order counters never take the TSDB's
+backfill merge, and the TSDB ends byte-equal to the clean stream's.
 """
 
 import time
 
 from _harness import emit
+from repro.fleet.dirty import inject_nan_bursts, reorder_within_blocks, rollover_counter
 from repro.service import BackpressurePolicy, Sample, StreamingDetectionService
+from repro.tsdb import TimeSeries
 
 N_SERIES = 64
 INTERVAL = 60.0
@@ -20,6 +29,13 @@ SERIES = [f"svc.sub{i}.gcpu" for i in range(N_SERIES)]
 
 FRAME_ROWS = 25        # the e2e benchmark's points per series per round
 FRAME_ROUNDS = 20
+
+
+def _service():
+    return StreamingDetectionService(
+        n_shards=4, queue_capacity=1 << 20,
+        backpressure=BackpressurePolicy.BLOCK, batch_size=4_096,
+    )
 
 
 def test_frame_size_cost(capsys):
@@ -46,10 +62,7 @@ def test_frame_size_cost(capsys):
     for label, feed in ((FRAME_ROWS, feed_frames), (1, feed_rows)):
         best = float("inf")
         for _ in range(3):  # best-of-3: the path's cost, not scheduler jitter
-            service = StreamingDetectionService(
-                n_shards=4, queue_capacity=1 << 20,
-                backpressure=BackpressurePolicy.BLOCK, batch_size=4_096,
-            )
+            service = _service()
             started = time.perf_counter()
             accepted = sum(feed(service, batch) for batch in rounds)
             flushed = service.flush()
@@ -60,3 +73,87 @@ def test_frame_size_cost(capsys):
     rows.append(f"one-row frames cost {cost[1] / cost[FRAME_ROWS]:.1f}x per sample")
     emit("Ingest cost by frame size (clean in-order stream, 4 shards)", rows)
     assert cost[FRAME_ROWS] < cost[1]
+
+
+def _streams():
+    """Per series, the clean points and the dirty delivery of them."""
+    clean, dirty = [], []
+    for i in range(N_SERIES):
+        ticks = range(FRAME_ROUNDS * FRAME_ROWS)
+        if i % 2:  # integer cumulative counters: the rebase is bit-exact
+            name, tags = f"svc.route{i}.requests_total", {"metric": "requests", "type": "counter"}
+            stream = [Sample(name, k * INTERVAL, float(7 * (k + 1) + i), tags) for k in ticks]
+            damaged = rollover_counter(stream, name)
+        else:
+            name, tags = SERIES[i], {"metric": "gcpu"}
+            stream = [Sample(name, k * INTERVAL, 0.001 * (1 + k % 7 / 100), tags) for k in ticks]
+            damaged = reorder_within_blocks(stream, block=8, seed=i)
+        clean.append(stream)
+        dirty.append(inject_nan_bursts(damaged, [name], seed=i))
+    return clean, dirty
+
+
+def _rounds(streams):
+    """Each series cut into ``FRAME_ROUNDS`` runs, interleaved position
+    by position per round — the order a collector fan-in delivers."""
+    rounds = []
+    for r in range(FRAME_ROUNDS):
+        runs = [s[len(s) * r // FRAME_ROUNDS : len(s) * (r + 1) // FRAME_ROUNDS] for s in streams]
+        depth = max(len(run) for run in runs)
+        rounds.append([run[k] for k in range(depth) for run in runs if k < len(run)])
+    return rounds
+
+
+def _columns(service):
+    return {
+        series.name: (series._timestamps.view().tobytes(), series._values.view().tobytes())
+        for shard in range(service.n_shards)
+        for series in service.shard_database(shard)
+    }
+
+
+def test_dirty_stream_cost(monkeypatch):
+    """ns/sample through offer and through flush for a dirty stream, one
+    flush a round; the in-order counter half is never merged."""
+    clean, dirty = _streams()
+    reference = _service()
+    for batch in _rounds(clean):
+        reference.ingest_many(batch)
+        reference.flush()
+
+    merged = []
+    merge = TimeSeries._merge
+
+    def counting(series, ts, vals):
+        merged.append(series.name)
+        merge(series, ts, vals)
+
+    monkeypatch.setattr(TimeSeries, "_merge", counting)
+    rounds = _rounds(dirty)
+    n_samples = sum(len(batch) for batch in rounds)
+    best = (float("inf"), float("inf"))
+    for _ in range(3):  # best-of-3, as above
+        service = _service()
+        merged.clear()
+        offer = flush = 0.0
+        for batch in rounds:
+            started = time.perf_counter()
+            service.ingest_many(batch)
+            offered = time.perf_counter()
+            service.flush()
+            offer, flush = offer + offered - started, flush + time.perf_counter() - offered
+        best = min(best, (offer, flush), key=sum)
+        assert _columns(service) == _columns(reference)
+    counter_merges = sum(name.endswith("requests_total") for name in merged)
+    offer_ns, flush_ns = (part / n_samples * 1e9 for part in best)
+    emit(
+        "Dirty stream: half gauges reordered in 8-row blocks, half counters "
+        "rolled over in order, NaN bursts on both (4 shards, a flush a round)",
+        [
+            "samples  offer ns/sample  flush ns/sample  merges (gauges / counters)",
+            f"{n_samples:7d}  {offer_ns:15.0f}  {flush_ns:15.0f}  "
+            f"{len(merged) - counter_merges} / {counter_merges}",
+            "TSDB bytes equal the clean stream's",
+        ],
+    )
+    assert counter_merges == 0

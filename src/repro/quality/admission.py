@@ -5,8 +5,9 @@ The :class:`AdmissionController` sits inside each shard's ingest worker
 sees every :class:`~repro.tsdb.columnar.SeriesFrame` before it is queued
 for the TSDB.  A frame that is finite, sign-valid, strictly increasing
 and above its series' watermark — the overwhelming common case — is
-admitted whole on a handful of array comparisons.  A frame that flags
-on any of them, and every frame of a counter series, drops to the row
+admitted whole on a handful of array comparisons; a counter's frame
+that passes them and lies above its held rows is held whole, up to
+the reorder bound.  A frame that flags on any of them drops to the row
 logic below for that frame only:
 
 - **Not finite** (NaN/Inf) → quarantined, reason ``not_finite``.
@@ -26,9 +27,9 @@ logic below for that frame only:
 - **Out of order**: held in a bounded per-series reordering buffer.
   Stragglers accumulate sorted and are released as one frame — either
   when the buffer reaches its bound or at the next flush/advance
-  boundary — so backfill reaches the TSDB as a single merged pass
-  instead of interleaving O(n) single-point inserts with the hot
-  append path.
+  boundary — which the ingest worker queues behind what is already
+  queued, so backfill reaches the TSDB as one merge over the series'
+  tail instead of O(n) single-point inserts, and in arrival order.
 
 Row verdicts are tri-state (:data:`ADMIT` / :data:`HELD` /
 :data:`DROP`); :meth:`AdmissionController.admit` folds them into the
@@ -177,29 +178,50 @@ class AdmissionController:
             overflowed its reorder buffer.  Quarantined rows are
             ``consumed`` minus held and admitted.  ``consumed`` falls
             short of the frame only after a release: that frame must
-            reach the queue front before the rows behind it are judged.
+            be queued before the rows behind it are judged.
         """
         state = self._series.get(frame.name)
         if state is None:
             state = self._create_state(frame)
         # Fast path: comparisons only (ufunc reductions called directly:
         # on frames this small the method wrappers cost as much as the work).
-        if not state.is_counter:
-            timestamps, values = frame.timestamps, frame.values
-            if (
-                timestamps[0] > state.watermark
-                and np.logical_and.reduce(np.isfinite(values))
-                and (not state.non_negative or np.minimum.reduce(values) >= 0.0)
-                and np.logical_and.reduce(timestamps[1:] > timestamps[:-1])
-            ):
-                state.watermark = float(timestamps[-1])
-                state.admitted += len(timestamps)
-                return len(timestamps), 0, frame, None
+        # A counter's frame must also start above its held rows, which
+        # all lie above its watermark.
+        timestamps, values = frame.timestamps, frame.values
+        floor = state.pending_ts[-1] if state.is_counter and state.pending_ts else state.watermark
+        if (
+            timestamps[0] > floor
+            and np.logical_and.reduce(np.isfinite(values))
+            and (not state.non_negative or np.minimum.reduce(values) >= 0.0)
+            and np.logical_and.reduce(timestamps[1:] > timestamps[:-1])
+        ):
+            if state.is_counter:
+                return self._hold(state, frame)
+            state.watermark = float(timestamps[-1])
+            state.admitted += len(timestamps)
+            return len(timestamps), 0, frame, None
         return self._admit_slow(state, frame)
+
+    def _hold(self, state: _SeriesState, frame: SeriesFrame) -> _Admitted:
+        """Hold an orderly counter frame whole, up to the row that
+        overflows the reorder buffer — what the row logic does one row
+        at a time for rows that are in order, finite and new."""
+        state.tags = frame.tags
+        room = self.config.reorder_window + 1 - len(state.pending_ts)
+        timestamps = frame.timestamps[:room].tolist()
+        state.pending_ts.extend(timestamps)
+        state.pending_vals.extend(frame.values[:room].tolist())
+        held = len(timestamps)
+        state.admitted += held
+        self.buffered += held
+        released = None
+        if len(state.pending_ts) > self.config.reorder_window:
+            released = self._release(state, frame.name)
+        return held, held, None, released
 
     def _admit_slow(self, state: _SeriesState, frame: SeriesFrame) -> _Admitted:
         """Row logic for a frame that fell off the fast path: validation
-        failures, counters, duplicates, and stragglers."""
+        failures, duplicates, and stragglers."""
         state.tags = frame.tags
         kept_ts: List[float] = []
         kept_vals: List[float] = []
@@ -291,7 +313,12 @@ class AdmissionController:
 
     def _release(self, state: _SeriesState, name: str) -> SeriesFrame:
         """Empty one series' sorted straggler buffer into a frame,
-        rebasing a counter's raw values on the way out."""
+        rebasing a counter's raw values on the way out.
+
+        The rebase stays a Python loop: a release holds at most
+        ``reorder_window + 1`` rows, and at that size the loop costs a
+        fraction of an array pass's per-call overhead.
+        """
         timestamps, values = state.pending_ts, state.pending_vals
         state.pending_ts, state.pending_vals = [], []
         self.buffered -= len(timestamps)

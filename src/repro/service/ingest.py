@@ -26,12 +26,14 @@ When an :class:`~repro.quality.admission.AdmissionController` is
 attached, every frame passes through it first (under the same queue
 lock): quarantined rows are dropped before they can reach the TSDB,
 repaired rows are enqueued in their repaired form, and out-of-order
-rows are held in the controller's reordering buffer — released back
-into the *front* of the queue as one frame (they predate everything
-buffered) when the buffer overflows or at a flush/advance boundary, so
-backfill lands as one batched merge.  The controller pickles with the
-worker, so quarantine state and reorder buffers ride checkpoints like
-every other counter.
+rows are held in the controller's reordering buffer — released as one
+sorted frame when the buffer overflows or at a flush/advance boundary,
+onto the queue's *back* like every other frame.  So per timestamp the
+TSDB is written in arrival order, and a repeat resolves to the last
+arrival wherever the flushes fall; held counter rows postdate
+everything queued for their series and append without a merge.  The
+controller pickles with the worker, so quarantine state and reorder
+buffers ride checkpoints like every other counter.
 
 The worker and its database belong to the service process for life: a
 parallel advance (:mod:`repro.service.parallel`) scans a *replica* in
@@ -210,7 +212,7 @@ class ShardIngestWorker:
                     if evicting and self._pending > self.capacity:
                         self._evict(min(len(admitted), self._pending - self.capacity))
                 # A row that overflowed its reorder buffer released the
-                # batch: it backfills at the queue front now.
+                # batch: it is queued before the rows behind it are judged.
                 if released is not None:
                     self._release_stragglers([released])
             return taken
@@ -231,17 +233,18 @@ class ShardIngestWorker:
         self.accepted += rows
 
     def _release_stragglers(self, frames: List[SeriesFrame]) -> None:
-        """Move reordered frames into the queue front (lock held).
+        """Queue released reorder buffers at the back (lock held).
 
-        Released stragglers predate everything buffered, so they go to
-        the *front* — a later flush writes them first and the TSDB
-        merges them in one backfill pass.  They were already admitted,
-        so they bypass the capacity policy (the transient overshoot is
-        bounded by the admission reorder window); they count as
-        accepted here, on actual enqueue.
+        A released frame joins the queue like any other.  What is queued
+        ahead of it for its series either arrived earlier or holds other
+        timestamps, so per timestamp the TSDB sees the writes in arrival
+        order and the last arrival wins a repeat.  They were already
+        admitted, so they bypass the capacity policy (the transient
+        overshoot is bounded by the admission reorder window); they
+        count as accepted here, on actual enqueue.
         """
         if frames:
-            self._queue.extendleft(reversed(frames))
+            self._queue.extend(frames)
             self._count_enqueued(sum(len(frame) for frame in frames))
 
     def _take(self, limit: int) -> List[SeriesFrame]:

@@ -12,14 +12,16 @@ Invariants the rest of the stack relies on:
 - **Views are read-only.**  Every array returned by :meth:`view` has
   ``writeable=False``; consumers that need to mutate (orientation flips,
   windowed snapshots) copy explicitly.
-- **Growth reallocates, compaction reallocates.**  Doubling and
-  :meth:`replace` both swap in a *fresh* buffer, so a view handed out
-  earlier keeps seeing the exact bytes it was created over — it can go
-  stale (miss newer appends) but never see shifted or reused memory.
-- **In-place overwrite is the only mutation views can observe.**
-  Last-write-wins duplicate resolution rewrites one cell of the live
-  buffer; callers that must not observe it (stored window snapshots)
-  take copies at the boundary (``WindowSpec.view``).
+- **Growth, merges and compaction reallocate.**  Doubling,
+  :meth:`splice` and :meth:`replace` all swap in a *fresh* buffer, so a
+  view handed out earlier keeps seeing the exact bytes it was created
+  over — it can go stale (miss newer appends) but never see shifted or
+  reused memory.
+- **In-place overwrite is the only mutation views can observe.**  A
+  repeated timestamp through ``TimeSeries.append`` / ``insert`` rewrites
+  one cell of the live buffer; callers that must not observe it
+  (stored window snapshots) take copies at the boundary
+  (``WindowSpec.view``).
 - **Pickles are compact.**  Only the live prefix round-trips through
   ``__getstate__`` — slack capacity never rides shard checkpoints or
   worker round trips.
@@ -137,12 +139,26 @@ class FloatColumn:
         self._buffer[index] = value
         self._length += 1
 
+    def splice(self, start: int, values: np.ndarray) -> None:
+        """Keep ``[:start]`` and follow it with ``values``, in a fresh
+        buffer of the current or a doubled capacity with room to spare.
+
+        The backfill merge's write: outstanding views keep pointing at
+        the old buffer (stale but intact), and the next append does not
+        reallocate.
+        """
+        length = start + int(values.size)
+        self._length = start
+        self._grow_to(length + 1)
+        self._buffer[start:length] = values
+        self._length = length
+
     def replace(self, values: np.ndarray) -> None:
         """Adopt ``values`` as the new content, in a fresh buffer.
 
-        Used by backfill merges and retention compaction: outstanding
-        views keep pointing at the old buffer (stale but intact) rather
-        than observing shifted data.
+        Used by retention compaction: outstanding views keep pointing at
+        the old buffer (stale but intact) rather than observing shifted
+        data.
         """
         self._buffer = np.array(values, dtype=np.float64).ravel()
         self._length = int(self._buffer.size)

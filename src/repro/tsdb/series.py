@@ -11,7 +11,7 @@ view-invalidation rules the buffers guarantee.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, Iterator, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -107,8 +107,8 @@ class TimeSeries:
         Bisect finds the position in O(log n); an existing point at the
         same timestamp resolves by ``duplicate_policy`` (last-write-wins
         overwrites in place, no shifting).  For *batches* of stragglers
-        prefer :meth:`ingest_many`, which merges them in one O(n + m)
-        pass instead of m O(n) shifted inserts.
+        prefer :meth:`ingest_many`, which merges them in one pass over
+        the tail they reach instead of m O(n) shifted inserts.
         """
         pos = self._timestamps.searchsorted(timestamp, side="right")
         if pos and self._timestamps.get(pos - 1) == timestamp:
@@ -129,10 +129,13 @@ class TimeSeries:
         The streaming ingest path.  A strictly-in-order frame — the
         overwhelmingly common case once the admission layer's reordering
         buffer has done its job — lands as one vectorized bulk append
-        (two memcpys).  Anything else (duplicates, late arrivals from
-        concurrent producers) falls back to the per-point path: in-order
-        points append, out-of-order ones are collected and merged into
-        place in a single sorted O(n + m) pass at the end.
+        (two memcpys).  Anything else (repeats, late arrivals) is one
+        array merge over the frame and the series' tail at or after the
+        frame's oldest timestamp (:meth:`_merge`): the last arrival wins
+        each timestamp.  Under ``reject`` a frame keeps its partial
+        state: rows above the running last timestamp append up to the
+        first repeat of it, which raises; late rows then merge all or
+        nothing.
 
         Returns:
             Number of points written (last-write-wins overwrites count —
@@ -146,21 +149,20 @@ class TimeSeries:
             self._timestamps.extend(ts)
             self._values.extend(vals)
             return m
-        # Dirty frame: per-point semantics (duplicate resolution order,
-        # partial state on reject) must match the scalar path exactly.
-        stragglers: List[Tuple[float, float]] = []
-        for timestamp, value in zip(ts.tolist(), vals.tolist()):
-            if timestamp > last:
-                self._timestamps.append(timestamp)
-                self._values.append(value)
-                last = timestamp
-            elif timestamp == last:
-                self._resolve_duplicate(timestamp)
-                self._values.set(-1, value)
-            else:
-                stragglers.append((timestamp, value))
-        if stragglers:
-            self._merge_backfill(stragglers)
+        if self.duplicate_policy == "reject":
+            # The running last timestamp each row meets, one at a time.
+            prior = np.maximum.accumulate(np.concatenate(([last], ts[:-1])))
+            repeat = np.flatnonzero(ts == prior)
+            cut = int(repeat[0]) if repeat.size else m
+            fresh = ts[:cut] > prior[:cut]
+            self._timestamps.extend(ts[:cut][fresh])
+            self._values.extend(vals[:cut][fresh])
+            if repeat.size:
+                self._resolve_duplicate(float(ts[cut]))
+            ts, vals = ts[~fresh], vals[~fresh]
+            if not ts.size:
+                return m
+        self._merge(ts, vals)
         return m
 
     def _resolve_duplicate(self, timestamp: float) -> None:
@@ -171,38 +173,31 @@ class TimeSeries:
                 "(duplicate_policy='reject')"
             )
 
-    def _merge_backfill(self, points: List[Tuple[float, float]]) -> None:
-        """Merge out-of-order ``points`` into the series in O(n + m).
+    def _merge(self, ts: np.ndarray, vals: np.ndarray) -> None:
+        """Merge rows (any order, repeats allowed) into the series.
 
-        ``points`` may be unsorted and may repeat timestamps present in
-        the series or among themselves; repeats resolve by
-        ``duplicate_policy``.  The merge is a vectorized stable sort
-        over (existing + incoming) with keep-last duplicate collapse:
-        existing points sort before incoming ones at equal timestamps
-        and incoming points keep arrival order, so under last-write-wins
-        the latest arrival survives — exactly the scalar merge's
-        resolution order.  Nothing is published until the merge
-        completes, so a ``reject`` raise leaves the series untouched.
+        Only the tail at or after the rows' oldest timestamp is
+        re-sorted.  A stable sort of (tail + rows) puts a stored point
+        before the rows and keeps the rows in arrival order, so keeping
+        the last of each run of equal timestamps is last-write-wins by
+        arrival.  The result goes to fresh buffers
+        (:meth:`FloatColumn.splice`): views handed out earlier keep
+        their bytes, and under ``reject`` a repeat raises before
+        anything is written.
         """
-        incoming = np.array(points, dtype=np.float64)
-        in_ts = incoming[:, 0]
-        in_vals = incoming[:, 1]
-        arrival = np.argsort(in_ts, kind="stable")
-        all_ts = np.concatenate([self._timestamps.view(), in_ts[arrival]])
-        all_vals = np.concatenate([self._values.view(), in_vals[arrival]])
-        order = np.argsort(all_ts, kind="stable")
-        sorted_ts = all_ts[order]
-        sorted_vals = all_vals[order]
-        dup_next = sorted_ts[1:] == sorted_ts[:-1]
-        if dup_next.any():
-            if self.duplicate_policy == "reject":
-                first = int(np.argmax(dup_next))
-                self._resolve_duplicate(float(sorted_ts[first]))
-            keep = np.concatenate([~dup_next, [True]])
-            sorted_ts = sorted_ts[keep]
-            sorted_vals = sorted_vals[keep]
-        self._timestamps.replace(sorted_ts)
-        self._values.replace(sorted_vals)
+        lo = self._timestamps.searchsorted(float(ts.min()))
+        merged_ts = np.concatenate((self._timestamps.view(lo), ts))
+        order = np.argsort(merged_ts, kind="stable")
+        merged_ts = merged_ts[order]
+        merged_vals = np.concatenate((self._values.view(lo), vals))[order]
+        keep = np.empty(merged_ts.size, dtype=bool)
+        np.not_equal(merged_ts[1:], merged_ts[:-1], out=keep[:-1])
+        keep[-1] = True
+        if not keep.all():
+            self._resolve_duplicate(float(merged_ts[np.argmin(keep)]))
+            merged_ts, merged_vals = merged_ts[keep], merged_vals[keep]
+        self._timestamps.splice(lo, merged_ts)
+        self._values.splice(lo, merged_vals)
 
     def latest(self) -> Optional[Tuple[float, float]]:
         """The most recent ``(timestamp, value)`` point, if any."""

@@ -10,20 +10,25 @@ pairs planned once — kept verbatim as the thing
 against.  The per-series CUSUM proposal, one-sweep EM and ``detect`` that
 ``repro.core.change_point`` ran before a round's full scans became one
 row-wise pass are here too, under their old names.  They exist only
-here: ``src/`` holds one kernel per algorithm.
+here: ``src/`` holds one kernel per algorithm.  So does admission as it
+judged every counter frame, one row at a time (:class:`RowAdmission`),
+before an orderly counter frame was held whole.
 """
 
 from __future__ import annotations
 
+import bisect
 from statistics import median
 
 import numpy as np
 from scipy import stats as sp_stats
 
 from repro.core.change_point import ChangePointCandidate
+from repro.quality.admission import ADMIT, DROP, HELD, AdmissionController
 from repro.stats.hypothesis import likelihood_ratio_test  # exact, and never batched
 from repro.stats.sax import sax_encode  # went_away_terms; its own reference is sax_fields
 from repro.stats.stl import _moving_average  # np.convolve: never was a loop
+from repro.tsdb import SeriesFrame
 
 ALPHABET = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
@@ -459,3 +464,95 @@ def cadence(timestamps, min_points=8):
     if not deltas:
         return None
     return median(deltas)
+
+
+# ---------------------------------------------------------------------------
+# Admission: every frame judged one row at a time
+# ---------------------------------------------------------------------------
+
+_INF = float("inf")
+
+
+class RowAdmission(AdmissionController):
+    """The controller with every frame on the row path: ``_admit_row``
+    judges each row and a release rebases a counter's values in a loop —
+    how a counter's frames were admitted before an orderly one was held
+    whole."""
+
+    def admit(self, frame):
+        state = self._series.get(frame.name)
+        if state is None:
+            state = self._create_state(frame)
+        state.tags = frame.tags
+        kept_ts, kept_vals = [], []
+        consumed = held = 0
+        released = None
+        for timestamp, value in zip(frame.timestamps.tolist(), frame.values.tolist()):
+            verdict, value = self._admit_row(state, frame.name, timestamp, value)
+            consumed += 1
+            if verdict == ADMIT:
+                kept_ts.append(timestamp)
+                kept_vals.append(value)
+            elif verdict == HELD:
+                held += 1
+                if len(state.pending_ts) > self.config.reorder_window:
+                    released = self._release(state, frame.name)
+                    break
+        admitted = SeriesFrame(frame.name, frame.tags, kept_ts, kept_vals) if kept_ts else None
+        return consumed, held, admitted, released
+
+    def _admit_row(self, state, name, timestamp, value):
+        if value != value or value == _INF or value == -_INF:
+            self._quarantine(state, name, timestamp, value, "not_finite")
+            return DROP, value
+        if value < 0.0 and state.non_negative:
+            if not self.config.repair_negative:
+                self._quarantine(state, name, timestamp, value, "negative_value")
+                return DROP, value
+            value = 0.0
+            self.repaired += 1
+        counter = state.is_counter
+        if not counter and timestamp >= state.watermark:
+            if timestamp == state.watermark and self._duplicate_rejected(
+                state, name, timestamp, value
+            ):
+                return DROP, value
+            state.watermark = timestamp
+            state.admitted += 1
+            return ADMIT, value
+        pos = bisect.bisect_right(state.pending_ts, timestamp)
+        if pos and state.pending_ts[pos - 1] == timestamp:
+            if self._duplicate_rejected(state, name, timestamp, value):
+                return DROP, value
+            state.pending_vals[pos - 1] = value
+            state.admitted += 1
+            return HELD, value
+        if counter and timestamp <= state.watermark:
+            if timestamp < state.watermark:
+                self.reordered += 1
+            elif self._duplicate_rejected(state, name, timestamp, value):
+                return DROP, value
+            state.admitted += 1
+            return ADMIT, (value + state.counter_offset if state.counter_offset else value)
+        if not counter or (state.pending_ts and timestamp < state.pending_ts[-1]):
+            self.reordered += 1
+        state.pending_ts.insert(pos, timestamp)
+        state.pending_vals.insert(pos, value)
+        state.admitted += 1
+        self.buffered += 1
+        return HELD, value
+
+    def _release(self, state, name):
+        timestamps, values = state.pending_ts, state.pending_vals
+        state.pending_ts, state.pending_vals = [], []
+        self.buffered -= len(timestamps)
+        if state.is_counter:
+            state.watermark = max(state.watermark, timestamps[-1])
+            for index, raw in enumerate(values):
+                if state.last_raw is not None and raw < state.last_raw:
+                    state.counter_offset += state.last_raw
+                    self.counter_resets += 1
+                state.last_raw = raw
+                if state.counter_offset:
+                    values[index] = raw + state.counter_offset
+        return SeriesFrame(name, state.tags, timestamps, values)

@@ -26,27 +26,53 @@ series, under every backpressure policy at a queue bound the stream
 overflows.  The row-at-a-time run is itself held against a model of the
 per-sample queue this layer replaced.
 
-Last, the read replica a worker process keeps
+The read replica a worker process keeps
 (:class:`TestReplicaFollowsTheLog`): a copy of a database taken at any
 point, fed the :class:`~repro.service.shard.WriteLog` of what was
 written since — frames in order, shuffled, repeating timestamps, arriving
 late, with retention cutoffs in between — equals the live database.
+
+Admission holds an orderly counter frame whole; against the row logic
+it replaced (``_reference_kernels.RowAdmission``) every call's outcome,
+counter, quarantine record and release is equal bit for bit
+(:class:`TestAdmissionMatchesTheRowReference`).
+
+Last, arrival order is write order (:class:`TestArrivalOrderIsWriteOrder`):
+for any frame split, flush points and cross-series interleaving that
+keeps each series' order, a gauge stores the last finite arrival per
+timestamp and an in-order counter the running-offset rebase, appended
+without a merge; and through the service a stepped dirty stream reports
+the same set (:class:`TestReportsIgnoreSplitsAndInterleaving`).
 """
 
 import bisect
+import functools
+import json
 import math
 import pickle
+import random
 from collections import deque
+from unittest.mock import patch
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import _reference_kernels as ref
+from repro.config import DetectionConfig
+from repro.fleet import DirtyDataSpec, dirty_stream
 from repro.quality import AdmissionController, QualityConfig
-from repro.service import BackpressurePolicy, ShardIngestWorker, frames_of
+from repro.runtime import CollectingSink
+from repro.service import (
+    BackpressurePolicy,
+    ShardIngestWorker,
+    StreamingDetectionService,
+    frames_of,
+)
 from repro.service.ingest import Sample
 from repro.service.shard import WriteLog
-from repro.tsdb import SeriesFrame, TimeSeries, TimeSeriesDatabase
+from repro.tsdb import SeriesFrame, TimeSeries, TimeSeriesDatabase, WindowSpec
 
 
 class ListSeries:
@@ -79,10 +105,23 @@ class ListSeries:
         self.vals.insert(pos, value)
 
     def ingest_many(self, points):
-        # Last-write-wins only: point-at-a-time insertion is equivalent
-        # to the real batch path (in-order extend + sorted backfill
-        # merge) because under LWW the latest arrival wins at every
-        # duplicate timestamp regardless of batching.
+        if self.duplicate_policy == "reject":
+            # Point at a time up to the first repeat of the last
+            # timestamp, which raises; late points merge all or nothing.
+            late = []
+            for timestamp, value in points:
+                if self.ts and timestamp < self.ts[-1]:
+                    late.append((timestamp, value))
+                else:
+                    self.append(timestamp, value)
+            stamps = [timestamp for timestamp, _ in late]
+            if len(set(stamps)) < len(stamps) or set(stamps) & set(self.ts):
+                raise ValueError("duplicate")
+            for timestamp, value in late:
+                self.insert(timestamp, value)
+            return len(points)
+        # Last-write-wins: point-at-a-time insertion is the latest
+        # arrival winning at every repeated timestamp, however batched.
         written = 0
         for timestamp, value in points:
             if not self.ts or timestamp > self.ts[-1]:
@@ -140,6 +179,7 @@ _lww_op = st.one_of(
 _reject_op = st.one_of(
     st.tuples(st.just("append"), _point),
     st.tuples(st.just("insert"), _point),
+    st.tuples(st.just("ingest"), st.lists(_point, min_size=1, max_size=8)),
     st.tuples(st.just("drop_before"), _ts),
 )
 
@@ -171,7 +211,18 @@ def _apply(series, model, op, payload):
             model_exc = exc
         assert (real is None) == (model_exc is None)
     elif op == "ingest":
-        assert series.ingest_many(payload) == model.ingest_many(payload)
+        real = model_exc = None
+        try:
+            written = series.ingest_many(payload)
+        except ValueError as exc:
+            real = exc
+        try:
+            expected = model.ingest_many(payload)
+        except ValueError as exc:
+            model_exc = exc
+        assert (real is None) == (model_exc is None)
+        if real is None:
+            assert written == expected
     elif op == "drop_before":
         assert series.drop_before(payload) == model.drop_before(payload)
     else:  # pragma: no cover - strategy bug
@@ -523,3 +574,253 @@ class TestReplicaFollowsTheLog:
         level()
         assert state["seeds"] >= 1
         assert list(state["replica"]) == list(live)
+
+
+# ---------------------------------------------------------------------------
+# Admission against the row-at-a-time reference
+# ---------------------------------------------------------------------------
+
+#: One counter row: the tick step from the row before (0 repeats a
+#: timestamp, a negative step is a straggler) and what the raw value does
+#: — grow by 0…9, restart from zero, or arrive NaN or negative.
+_counter_row = st.tuples(
+    st.integers(-3, 3),
+    st.one_of(st.integers(0, 9), st.sampled_from(["restart", "nan", "negative"])),
+)
+
+
+def _counter_stream(rows):
+    tick, running, stamps, values = 10, 0.0, [], []
+    for step, change in rows:
+        tick = max(0, tick + step)
+        if change == "nan":
+            value = math.nan
+        elif change == "negative":
+            value = -2.0
+        else:
+            running = 0.0 if change == "restart" else running + change
+            value = running
+        stamps.append(float(tick))
+        values.append(value)
+    return stamps, values
+
+
+def _frame_bytes(frame):
+    if frame is None:
+        return None
+    return frame.name, frame.timestamps.tobytes(), frame.values.tobytes()
+
+
+def _admit_all(controller, frame):
+    """Offer ``frame`` the way the ingest worker does: every call's outcome."""
+    outcomes = []
+    while len(frame):
+        consumed, held, admitted, released = controller.admit(frame)
+        outcomes.append((consumed, held, _frame_bytes(admitted), _frame_bytes(released)))
+        frame = frame[consumed:]
+    return outcomes
+
+
+class TestAdmissionMatchesTheRowReference:
+    """An orderly counter frame is held whole; a one-row frame takes that
+    path too, so the row logic it replaces is held here as a reference."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        rows=st.lists(_counter_row, min_size=1, max_size=60),
+        cuts=st.lists(st.integers(min_value=1, max_value=59), max_size=10),
+        drains=st.sets(st.integers(min_value=0, max_value=10), max_size=3),
+        window=st.integers(min_value=1, max_value=4),
+        metric=st.sampled_from(["requests", "gcpu"]),
+        duplicate_policy=st.sampled_from(["last_write_wins", "reject"]),
+    )
+    def test_counter_streams_admit_bit_for_bit(
+        self, rows, cuts, drains, window, metric, duplicate_policy
+    ):
+        stamps, values = _counter_stream(rows)
+        whole = SeriesFrame("c", {"metric": metric, "type": "counter"}, stamps, values)
+        config = QualityConfig(reorder_window=window, duplicate_policy=duplicate_policy)
+        controller, reference = AdmissionController(config, 0), ref.RowAdmission(config, 0)
+        edges = sorted({cut for cut in cuts if 0 < cut < len(whole)} | {0, len(whole)})
+        for index, (a, b) in enumerate(zip(edges, edges[1:])):
+            assert _admit_all(controller, whole[a:b]) == _admit_all(reference, whole[a:b])
+            if index in drains:
+                assert [_frame_bytes(f) for f in controller.drain_pending()] == [
+                    _frame_bytes(f) for f in reference.drain_pending()
+                ]
+        assert [_frame_bytes(f) for f in controller.drain_pending()] == [
+            _frame_bytes(f) for f in reference.drain_pending()
+        ]
+        assert controller.counters() == reference.counters()
+        assert controller.quarantined_by_reason == reference.quarantined_by_reason
+        assert controller.quarantine.reasons("c") == reference.quarantine.reasons("c")
+        assert list(controller.quarantine._records) == list(reference.quarantine._records)
+
+
+# ---------------------------------------------------------------------------
+# The TSDB against arrival order: splits, flushes and interleaving are free
+# ---------------------------------------------------------------------------
+
+
+def _interleaved(rows, rng):
+    """``rows`` re-interleaved across series at random, each series' rows
+    kept in their order."""
+    queues = {}
+    for row in rows:
+        queues.setdefault(row[0], deque()).append(row)
+    names = [row[0] for row in rows]
+    rng.shuffle(names)
+    return [queues[name].popleft() for name in names]
+
+
+def _columns(database):
+    return {
+        series.name: (series.timestamps.tolist(), series.values.tolist())
+        for series in database
+    }
+
+
+_COUNTER_TAGS = {"metric": "requests", "type": "counter"}
+
+
+class TestArrivalOrderIsWriteOrder:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(st.sampled_from("gd"), _stream_ts, _stream_value), min_size=1, max_size=60
+        ),
+        rng=st.randoms(use_true_random=False),
+        cuts=st.lists(st.integers(min_value=1, max_value=59), max_size=8),
+        flushes=st.sets(st.integers(min_value=0, max_value=8), max_size=4),
+    )
+    def test_gauges_hold_the_last_finite_arrival(self, rows, rng, cuts, flushes):
+        """Stragglers, repeats, NaN and negatives; any frame split, flush
+        points and cross-series interleaving that keeps each series'
+        order: per timestamp, the last finite arrival is stored (clamped
+        to zero where the metric cannot go negative)."""
+        latest = {}
+        for name, timestamp, value in rows:
+            if math.isfinite(value):
+                if value < 0.0 and name == "g":
+                    value = 0.0
+                latest.setdefault(name, {})[timestamp] = value
+        worker = _worker(BackpressurePolicy.BLOCK, "last_write_wins", capacity=1 << 16)
+        _run(worker, _chunks(_samples(_interleaved(rows, rng)), cuts), flushes, by_row=False)
+        assert _columns(worker.database) == {
+            name: (sorted(points), [points[t] for t in sorted(points)])
+            for name, points in latest.items()
+        }
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        streams=st.lists(
+            st.lists(st.one_of(st.integers(0, 9), st.just("restart")), min_size=1, max_size=40),
+            min_size=1,
+            max_size=3,
+        ),
+        rng=st.randoms(use_true_random=False),
+        cuts=st.lists(st.integers(min_value=1, max_value=119), max_size=8),
+        flushes=st.sets(st.integers(min_value=0, max_value=8), max_size=4),
+    )
+    def test_in_order_counters_rebase_without_a_merge(self, streams, rng, cuts, flushes):
+        """In-order counters with restarts, any flush points: the stored
+        cumulative is the running-offset rebase, appended, never merged."""
+        rows, expected = [], {}
+        for index, changes in enumerate(streams):
+            name, raw, last, offset = f"c{index}", 0.0, None, 0.0
+            stamps, values = [], []
+            for tick, change in enumerate(changes):
+                raw = 0.0 if change == "restart" else raw + change
+                if last is not None and raw < last:
+                    offset += last
+                last = raw
+                stamps.append(tick * 60.0)
+                values.append(raw + offset if offset else raw)
+                rows.append((name, tick * 60.0, raw))
+            expected[name] = (stamps, values)
+        samples = [Sample(*row, _COUNTER_TAGS) for row in _interleaved(rows, rng)]
+        worker = _worker(BackpressurePolicy.BLOCK, "last_write_wins", capacity=1 << 16)
+        with patch.object(
+            TimeSeries, "_merge", autospec=True, side_effect=TimeSeries._merge
+        ) as merge:
+            _run(worker, _chunks(samples, cuts), flushes, by_row=False)
+        assert merge.call_count == 0
+        assert _columns(worker.database) == expected
+
+
+# ---------------------------------------------------------------------------
+# Through the service: the report set ignores splits and interleaving
+# ---------------------------------------------------------------------------
+
+_TICKS = 1_000
+_ROUND = 200 * 60.0
+_GCPU = [f"svc.sub{i}.gcpu" for i in range(3)]
+_COUNTER = "svc.requests.count"
+
+
+def _stepped_dirty_stream():
+    """Three gCPU series, one stepped at tick 700, and a counter:
+    reordered, NaN bursts and a rollover."""
+    rng = np.random.default_rng(3)
+    table = {name: rng.normal(0.001, 0.00002, _TICKS) for name in _GCPU}
+    table[_GCPU[1]][700:] += 0.0003
+    samples = []
+    for tick in range(_TICKS):
+        for name in _GCPU:
+            samples.append(Sample(name, tick * 60.0, float(table[name][tick]), {"metric": "gcpu"}))
+        samples.append(Sample(_COUNTER, tick * 60.0, float(7 * tick), _COUNTER_TAGS))
+    spec = DirtyDataSpec(
+        seed=5, reorder_block=12, nan_series=(_GCPU[0], _GCPU[1]), rollover_series=(_COUNTER,)
+    )
+    return dirty_stream(samples, spec)
+
+
+_DIRTY = _stepped_dirty_stream()
+
+
+def _report_set(n_shards, rng=None, pieces=1):
+    """Reports of the stream in rounds; with ``rng`` each round is
+    re-interleaved across series and offered in ``pieces`` calls."""
+    sink = CollectingSink()
+    service = StreamingDetectionService(
+        n_shards=n_shards, sinks=[sink], queue_capacity=1 << 14,
+        backpressure=BackpressurePolicy.BLOCK,
+    )
+    service.register_monitor(
+        "gcpu",
+        DetectionConfig(
+            name="splits", threshold=0.00005, rerun_interval=6_000.0,
+            windows=WindowSpec(historic=36_000.0, analysis=12_000.0, extended=6_000.0),
+            long_term=False,
+        ),
+        series_filter={"metric": "gcpu"},
+    )
+    try:
+        for end in np.arange(1, math.ceil(_TICKS * 60.0 / _ROUND) + 1) * _ROUND:
+            batch = [s for s in _DIRTY if end - _ROUND <= s.timestamp < end]
+            if rng is not None:
+                rows = _interleaved([(s.name, s) for s in batch], rng)
+                batch = [sample for _, sample in rows]
+            cuts = sorted(rng.sample(range(1, len(batch)), pieces - 1)) if rng else []
+            for chunk in _chunks(batch, cuts):
+                service.ingest_many(chunk)
+            service.advance_to(float(end))
+    finally:
+        service.close()
+    return tuple(sorted(json.dumps(report.to_dict(), sort_keys=True) for report in sink.reports))
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_report_set(n_shards):
+    """The stream's reports when each round is offered as it came."""
+    return _report_set(n_shards)
+
+
+class TestReportsIgnoreSplitsAndInterleaving:
+    @pytest.mark.parametrize("n_shards", [1, 4])
+    @settings(max_examples=12, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1), pieces=st.integers(1, 8))
+    def test_report_set_is_invariant(self, n_shards, seed, pieces):
+        reference = _reference_report_set(n_shards)
+        assert len(reference) == 1  # the step, and nothing else
+        assert _report_set(n_shards, random.Random(seed), pieces) == reference

@@ -278,8 +278,8 @@ class TestFrames:
         ctl = controller(reorder_window=2)
         admit(ctl, make(ts=10.0))
         frame = self.frame([1.0, 2.0, 3.0, 4.0, 5.0], [0.1] * 5)
-        # Row 3 overflows the window: the released frame has to reach
-        # the queue front before rows 4 and 5 are judged.
+        # Row 3 overflows the window: the released frame has to be
+        # queued before rows 4 and 5 are judged.
         consumed, held, admitted, released = ctl.admit(frame)
         assert (consumed, held, admitted) == (3, 3, None)
         assert released.timestamps.tolist() == [1.0, 2.0, 3.0]

@@ -1,11 +1,16 @@
 """Tests for repro.service.ingest (bounded queues and backpressure)."""
 
+import json
 import pickle
+import urllib.request
 
+import numpy as np
 import pytest
 
-from repro.service import BackpressurePolicy, ShardIngestWorker
-from repro.tsdb import SeriesFrame, TimeSeriesDatabase
+from repro.connectors import RemoteWriteReceiver
+from repro.quality import AdmissionController, QualityConfig
+from repro.service import BackpressurePolicy, Sample, ShardIngestWorker, StreamingDetectionService
+from repro.tsdb import SeriesFrame, TimeSeries, TimeSeriesDatabase
 
 
 def frame(n, name="s.gcpu", start=0.0):
@@ -230,3 +235,142 @@ class TestFlushFailureSafety:
         worker.fault_injector = FaultInjector(FaultPlan())
         clone = pickle.loads(pickle.dumps(worker))
         assert clone.fault_injector is None
+
+
+def admitting_worker(reorder_window=16):
+    db = TimeSeriesDatabase()
+    admission = AdmissionController(QualityConfig(reorder_window=reorder_window), shard_id=0)
+    worker = ShardIngestWorker(
+        0, db, capacity=1 << 16, policy=BackpressurePolicy.BLOCK, batch_size=256,
+        admission=admission,
+    )
+    return db, worker
+
+
+def columns(databases):
+    """Every series' stored columns, by name."""
+    return {
+        series.name: (series.timestamps.tolist(), series.values.tolist())
+        for database in databases
+        for series in database
+    }
+
+
+#: ``s`` at t = 60 … 300 with values 1 … 5, then t = 180 re-sent as 99.
+ORIGINAL = [(60.0 * k, float(k)) for k in range(1, 6)]
+RESENT = (180.0, 99.0)
+EXPECTED = ([60.0, 120.0, 180.0, 240.0, 300.0], [1.0, 2.0, 99.0, 4.0, 5.0])
+
+
+class TestResentPointWinsWhereverTheFlushFalls:
+    """A re-sent point arrives behind its series' watermark, so admission
+    holds it as a straggler.  Released at the flush, it must still be
+    written after the original it repeats: the TSDB equals the run where
+    a flush sits between the two offers."""
+
+    def test_through_a_worker(self):
+        def run(flush_between):
+            db, worker = admitting_worker()
+            worker.offer(SeriesFrame("s", {}, *zip(*ORIGINAL)))
+            if flush_between:
+                worker.flush()
+            worker.offer(row("s", *RESENT))
+            worker.flush()
+            return columns([db])
+
+        assert run(flush_between=False) == run(flush_between=True) == {"s": EXPECTED}
+
+    def test_through_ingest_many(self):
+        tags = {"metric": "gcpu"}
+        original = [Sample("s.gcpu", ts, value, tags) for ts, value in ORIGINAL]
+        resent = [Sample("s.gcpu", *RESENT, tags)]
+
+        def run(calls, flush_between=False):
+            service = StreamingDetectionService(n_shards=2)
+            try:
+                for index, samples in enumerate(calls):
+                    if index and flush_between:
+                        service.flush()
+                    service.ingest_many(samples)
+                service.flush()
+                return columns(service.shard_database(i) for i in range(2))
+            finally:
+                service.close()
+
+        flushed = run([original, resent], flush_between=True)
+        assert flushed == {"s.gcpu": EXPECTED}
+        assert run([original, resent]) == flushed
+        assert run([original + resent]) == flushed
+
+    def test_through_two_remote_write_posts(self):
+        def body(points):
+            samples = [[int(ts * 1000), value] for ts, value in points]
+            return json.dumps({"series": [{"name": "s", "samples": samples}]}).encode()
+
+        def post(url, data):
+            request = urllib.request.Request(
+                url, data=data, headers={"Content-Type": "application/json"}
+            )
+            with urllib.request.urlopen(request, timeout=5.0) as response:
+                assert response.status == 200
+
+        def run(flush_between):
+            service = StreamingDetectionService(n_shards=2)
+            try:
+                with RemoteWriteReceiver(service) as receiver:
+                    post(receiver.url, body(ORIGINAL))
+                    if flush_between:
+                        service.flush()
+                    post(receiver.url, body([RESENT]))
+                service.flush()
+                return columns(service.shard_database(i) for i in range(2))
+            finally:
+                service.close()
+
+        flushed = run(flush_between=True)
+        assert list(flushed.values()) == [EXPECTED]
+        assert run(flush_between=False) == flushed
+
+
+class TestInOrderDataIsNeverMerged:
+    def test_in_order_counter_frames_append_without_a_merge(self, monkeypatch):
+        """A counter's frames are held for reset detection; released at
+        the back of the queue, they land above everything stored for the
+        series, so 25-row in-order frames never take the merge."""
+        merged = []
+        merge = TimeSeries._merge
+
+        def counting(series, ts, vals):
+            merged.append(series.name)
+            merge(series, ts, vals)
+
+        monkeypatch.setattr(TimeSeries, "_merge", counting)
+        db, worker = admitting_worker(reorder_window=16)
+        tags = {"metric": "requests", "type": "counter"}
+        names = [f"edge.route{i}.requests_total" for i in range(4)]
+        points = 40 * 25
+        for start in range(0, points, 25):
+            ticks = np.arange(start, start + 25, dtype=float)
+            for i, name in enumerate(names):
+                worker.offer(SeriesFrame(name, tags, ticks * 60.0, (i + 1) * (ticks + 1)))
+            worker.flush()
+        assert merged == []
+        ticks = np.arange(points, dtype=float)
+        assert columns([db]) == {
+            name: ((ticks * 60.0).tolist(), ((i + 1) * (ticks + 1)).tolist())
+            for i, name in enumerate(names)
+        }
+
+    def test_a_straggler_merge_writes_fresh_buffers_with_slack(self):
+        series = TimeSeries("s")
+        series.ingest_columns(np.arange(8.0) * 60.0, np.arange(8.0))
+        assert series._timestamps.capacity == len(series)  # no slack left
+        stamps, values = series.timestamps_between(0.0, 1e9), series.values_between(0.0, 1e9)
+        before = (stamps.tobytes(), values.tobytes())
+        series.ingest_columns(np.array([150.0, 480.0, 90.0]), np.array([9.0, 9.5, 9.9]))
+        assert (stamps.tobytes(), values.tobytes()) == before
+        assert list(series.timestamps) == [0.0, 60.0, 90.0, 120.0, 150.0] + [
+            180.0, 240.0, 300.0, 360.0, 420.0, 480.0
+        ]
+        assert series._timestamps.capacity > len(series)
+        assert series._values.capacity > len(series)
