@@ -14,6 +14,10 @@ asserts:
   inside a running service is the end-to-end benchmark's
   ``core.incremental.screen_us_per_series`` row.
 
+Two more rows time what a round's full scans became: the re-anchor round
+as one matrix pass, and went-away over a block's candidates as one row
+pass.
+
 The seed path here is a faithful reimplementation of the pre-refactor
 hot loop: list-backed tail reads converted per scan, and Page's CUSUM
 advanced one float at a time per series.
@@ -39,6 +43,7 @@ from repro.core import pipeline as pipeline_module
 from repro.core.change_point import ChangePointDetector
 from repro.core.incremental import SCREEN_DRIFT, SCREEN_THRESHOLD, IncrementalScanCache
 from repro.core.pipeline import DetectionPipeline
+from repro.core.went_away import WentAwayDetector
 from repro.tsdb import TimeSeries, TimeSeriesDatabase, WindowSpec
 
 # The per-series detector the matrix pass replaced lives with the tests.
@@ -359,3 +364,93 @@ def test_reanchor_round_is_one_matrix_pass(capsys):
     )
     assert loop_s / pass_s >= REANCHOR_SPEEDUP_FLOOR
     assert scratch <= REANCHOR_SCRATCH_BYTES
+
+
+# ---------------------------------------------------------------------------
+# Went-away over a block's candidates: one row pass
+# ---------------------------------------------------------------------------
+
+#: The end-to-end workloads' windows at their 60 s cadence: 600 historic,
+#: 200 analysis and 100 extended points.
+WENT_AWAY_SHAPE = (600, 200, 100)
+WENT_AWAY_CANDIDATES = 200
+WENT_AWAY_BLOCK = 20  # a storm_scan block holds 19 candidates on average
+WENT_AWAY_FLOOR = 1.6
+
+
+def went_away_candidates(n=WENT_AWAY_CANDIDATES, seed=27):
+    """Oriented windows of change-point candidates, split at the change:
+    steps that last, transients that recover, ramps and plain noise."""
+    rng = np.random.default_rng(seed)
+    nh, na, ne = WENT_AWAY_SHAPE
+    rows = 0.001 + 0.00002 * rng.normal(0, 1, (n, nh + na + ne))
+    at = rng.integers(10, na - 10, n)
+    for i, kind in enumerate(rng.integers(0, 4, n)):
+        start = nh + at[i]
+        if kind == 0:
+            rows[i, start:] += 0.0003
+        elif kind == 1:
+            rows[i, start : start + 40] += 0.0003
+        elif kind == 2:
+            rows[i, nh:] += 0.000002 * np.arange(na + ne)
+    return rows[:, :nh], rows[:, nh : nh + na], rows[:, nh + na :], at
+
+
+def measure_went_away():
+    """µs per candidate: the per-candidate reference loop, and the row
+    pass over blocks of one and of ``WENT_AWAY_BLOCK`` candidates.
+
+    Every row's four terms are asserted equal to the reference first; the
+    three paths are then timed back to back per rep, best rep counting.
+    """
+    detector = WentAwayDetector()
+    historic, analysis, extended, at = went_away_candidates()
+    n = len(at)
+    expected = [
+        ref.went_away_terms(detector, historic[i], analysis[i], extended[i], at[i])
+        for i in range(n)
+    ]
+    got = detector.diagnose_rows(historic, analysis, extended, at)
+    assert [
+        (d.new_pattern, d.significant_regression, d.lasting_trend, d.gone_away) for d in got
+    ] == expected
+
+    def loop():
+        for i in range(n):
+            ref.went_away_terms(detector, historic[i], analysis[i], extended[i], at[i])
+
+    def rows(block):
+        def run():
+            for lo in range(0, n, block):
+                part = slice(lo, lo + block)
+                detector.diagnose_rows(historic[part], analysis[part], extended[part], at[part])
+
+        return run
+
+    best = {}
+    for _ in range(REPS):
+        for name, run in (("reference", loop), ("k=1", rows(1)), ("k=block", rows(WENT_AWAY_BLOCK))):
+            started = time.perf_counter()
+            run()
+            elapsed = (time.perf_counter() - started) / n * 1e6
+            best[name] = min(best.get(name, float("inf")), elapsed)
+    return best
+
+
+def test_went_away_is_a_row_pass(capsys):
+    us = measure_went_away()
+    emit(
+        "Went-away: one row pass per block vs the per-candidate reference loop",
+        [
+            "path                      us/candidate  speedup",
+            f"reference loop            {us['reference']:12.0f}  1.0x",
+            f"row pass, k = 1           {us['k=1']:12.0f}  {us['reference'] / us['k=1']:.1f}x",
+            (
+                f"row pass, k = {WENT_AWAY_BLOCK:<11d} {us['k=block']:12.0f}  "
+                f"{us['reference'] / us['k=block']:.1f}x"
+            ),
+            f"{WENT_AWAY_CANDIDATES} candidates, windows {WENT_AWAY_SHAPE}, terms equal on every row",
+        ],
+    )
+    assert us["reference"] / us["k=block"] >= WENT_AWAY_FLOOR
+    assert us["k=1"] <= us["reference"]

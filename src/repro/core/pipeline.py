@@ -170,31 +170,24 @@ class DetectionPipeline:
             (AdServing runs without it, per Table 3).
         enable_som_dedup: Ablation switch for SOMDedup.
         enable_pairwise_dedup: Ablation switch for PairwiseDedup.
-        incremental: Enable the per-series incremental scan cache: a
-            streaming CUSUM screen anchored at each full scan lets
-            repeat scans over quiet series cost O(n) in *new* points
-            instead of O(W) in window size (see
-            :mod:`repro.core.incremental`).  Off by default so offline
-            single-scan analyses (benchmarks, funnel reproduction) stay
-            byte-identical; the streaming service turns it on.
+        incremental: Enable the per-series incremental scan cache
+            (:mod:`repro.core.incremental`): a CUSUM screen anchored at
+            each full scan makes a repeat scan of a quiet series O(new
+            points), not O(window).  Off by default so offline analyses
+            stay byte-identical; the streaming service turns it on.
         quality_gate: Optional :class:`~repro.quality.gaps.QualityGate`
-            making detection gap-aware: scan windows whose coverage
-            (points present vs the series' own cadence) falls below the
-            gate's floor are suppressed instead of scanned — a window
-            that is mostly gap fires false positives — and series that
-            stopped reporting are evicted from scanning until they
-            resume (see :meth:`stale_series`).  ``None`` disables both.
-            Independently of the gate, windows containing non-finite
-            values are never scanned.
-        shadow: Optional shadow scorer (must expose
-            ``score(historic, analysis, extended, primary_fired)``, e.g.
-            :class:`repro.detectors.shadow.ShadowScorer`); invoked once
-            per full short-term scan with the oriented window segments
-            and whether the incumbent screen fired.  Shadow scoring is
-            alert-inert: it never touches verdicts, funnels, or
-            delivery, so the primary report is byte-identical with or
-            without it.  Kept duck-typed so the core pipeline does not
-            import the detectors layer.
+            making detection gap-aware: windows whose coverage (points
+            present vs the series' own cadence) is below its floor are
+            suppressed — mostly-gap windows fire false positives — and
+            series that stopped reporting are evicted until they resume
+            (:meth:`stale_series`).  Windows holding a non-finite value
+            are never scanned, gate or not.
+        shadow: Optional shadow scorer exposing ``score(historic,
+            analysis, extended, primary_fired)`` (e.g.
+            :class:`repro.detectors.shadow.ShadowScorer`), called once per
+            full short-term scan with the oriented windows.  Alert-inert:
+            it never touches verdicts, funnels or delivery.  Duck-typed,
+            so the core pipeline does not import the detectors layer.
     """
 
     def __init__(
@@ -327,16 +320,11 @@ class DetectionPipeline:
     # Stage tables
     # ------------------------------------------------------------------
 
-    def _stage_table(self) -> Tuple[_Stage, ...]:
-        """The per-candidate filters of Figure 6, in order."""
+    def _stage_table(self, went_away: Dict[int, DetectionVerdict]) -> Tuple[_Stage, ...]:
+        """The per-candidate filters of Figure 6, in order.  Went-away is judged a
+        block at a time (:meth:`_went_away`): its row pops the regression's verdict."""
         return (
-            _Stage(
-                "went_away",
-                self.enable_went_away,
-                lambda regression, candidate: self.went_away_detector.check(
-                    regression.window, candidate
-                ),
-            ),
+            _Stage("went_away", self.enable_went_away, lambda r, _: went_away.pop(id(r))),
             _Stage(
                 "seasonality",
                 self.enable_seasonality,
@@ -467,13 +455,11 @@ class DetectionPipeline:
             hits, misses = cache.hits, cache.misses
             decisions = cache.screen_batch(scannable, now)
             hits, misses = cache.hits - hits, cache.misses - misses
-            # A hit means the screen saw no shift in the new points and
-            # the previous full scan found nothing.  Hits are tallied in
-            # bulk and untimed: that path is O(new points) and must not
-            # be dominated by clock reads.  Misses are counted at the
-            # decision so the published counter agrees with
-            # IncrementalScanCache.hit_rate even when the scan below
-            # bails on a bad window.
+            # A hit: no shift in the new points, and the previous full scan
+            # found nothing.  Hits are tallied in bulk and untimed (that
+            # path is O(new points)); misses are counted at the decision,
+            # so the counter agrees with IncrementalScanCache.hit_rate even
+            # when the scan below bails on a bad window.
             if hits:
                 detected.bulk(hits, 0, "cache_hit", 0.0)
                 counts.inc("pipeline.incremental.hits", hits)
@@ -481,11 +467,13 @@ class DetectionPipeline:
                 counts.inc("pipeline.incremental.misses", misses)
         # Pass 3: full windowed scans where the screen demanded one, a
         # block of series at a time — windowed and gated per series, the
-        # block's short-term scans as one matrix pass, then, in series
-        # order, what is per candidate and order-dependent (the merger
-        # is stateful).  The pass's seconds reach the tally on the next
-        # lap, so the span still accounts for the block.
-        stages = self._stage_table()
+        # block's short-term scans as one matrix pass and its candidates'
+        # went-away as one row pass, then, in series order, what is per
+        # candidate and order-dependent (the merger is stateful).  Each
+        # pass's seconds reach its tally on the next lap, so the spans
+        # still account for the block.
+        went_away: Dict[int, DetectionVerdict] = {}
+        stages = self._stage_table(went_away)
         long_term = self.config.long_term
         joins = [stage.row for stage in stages].index(_LONG_TERM_JOINS_AT)
         long_term_stages = stages[joins:]
@@ -504,11 +492,15 @@ class DetectionPipeline:
 
         def flush() -> None:
             scanned = [(series, windowed) for series, windowed, short in block if short]
-            change_points = iter(self._change_points(scanned, now, counts))
-            for series, windowed, short_term in block:
+            hits = iter(self._change_points(scanned, now, counts))
+            found = [
+                self._short_term(series, now, windowed, next(hits)) if short else None
+                for series, windowed, short in block
+            ]
+            self._went_away(found, went_away, tallies, watch)
+            for (series, windowed, short_term), short in zip(block, found):
                 if short_term:
-                    hit = next(change_points)
-                    admit(self._short_term(series, now, windowed, hit), stages)
+                    admit(short, stages)
                 if long_term:
                     admit(self._long_term(series, now, windowed), long_term_stages)
             block.clear()
@@ -553,6 +545,22 @@ class DetectionPipeline:
             if not passed:
                 return
 
+    def _went_away(self, found: list, verdicts: dict, tallies: dict, watch: _Stopwatch) -> None:
+        """Went-away (§5.2.2) over a block's short-term candidates as one
+        row pass; the stage table reads the verdicts.  The block's windows
+        and matrix pass are lapped onto the change-point tally first."""
+        regressions = [pair[0] for pair in found if pair is not None]
+        if not self.enable_went_away or not regressions:
+            return
+        tallies["change_points"].bulk(0, 0, "no_change_point", watch.lap())
+        windows = [regression.window for regression in regressions]
+        diagnoses = self.went_away_detector.diagnose_rows(
+            [w.historic for w in windows], [w.analysis for w in windows],
+            [w.extended for w in windows], [r.change_index for r in regressions],
+        )
+        verdicts.update((id(r), d.verdict()) for r, d in zip(regressions, diagnoses))
+        tallies["went_away"].bulk(0, 0, FilterReason.WENT_AWAY.value, watch.lap())
+
     def _matching_series(self, database: TimeSeriesDatabase) -> List[TimeSeries]:
         if self.series_filter:
             return database.query(**self.series_filter)
@@ -594,22 +602,14 @@ class DetectionPipeline:
         """
         if not windowed.has_minimum_data(MIN_HISTORIC_POINTS, MIN_ANALYSIS_POINTS):
             return "insufficient_data"
-        finite = (
-            bool(np.isfinite(windowed.analysis).all())
-            and bool(np.isfinite(windowed.historic).all())
-            and (windowed.extended.size == 0 or bool(np.isfinite(windowed.extended).all()))
-        )
-        if not finite:
+        at, values = windowed.cut  # one finiteness pass, no second bisect
+        if not np.isfinite(values).all():
             counts.inc("pipeline.quality.non_finite_skips")
             return "non_finite_window"
         if self.quality_gate is not None:
             ok, _ = self.quality_gate.window_ok(
-                series.timestamps_between(
-                    windowed.historic_start, windowed.analysis_start
-                ),
-                int(windowed.analysis.size),
-                windowed.analysis_start,
-                windowed.extended_start,
+                series.timestamps_at(at[0], at[1]), int(windowed.analysis.size),
+                windowed.analysis_start, windowed.extended_start,
             )
             if not ok:
                 counts.inc("pipeline.quality.low_coverage_skips")
@@ -700,9 +700,9 @@ class DetectionPipeline:
         )
         return None if regression is None else (regression, None)
 
-    def _oriented_view(self, windowed):
-        """Apply metric orientation to a windowed view."""
+    def _oriented_view(self, w: WindowedView) -> WindowedView:
+        """Apply metric orientation to a windowed view (a flipped one has no cut)."""
         if self.config.higher_is_worse:
-            return windowed
-        w = windowed
-        return replace(w, historic=-w.historic, analysis=-w.analysis, extended=-w.extended)
+            return w
+        return replace(w, historic=-w.historic, analysis=-w.analysis, extended=-w.extended,
+                       cut=None)

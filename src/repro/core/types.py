@@ -148,18 +148,6 @@ class Regression:
             return float("inf") if self.magnitude != 0 else 0.0
         return self.magnitude / abs(self.mean_before)
 
-    @property
-    def post_change(self) -> np.ndarray:
-        """Analysis-window values after the change point."""
-        return self.window.analysis[self.change_index :]
-
-    @property
-    def pre_change(self) -> np.ndarray:
-        """Historic baseline plus pre-change analysis values."""
-        return np.concatenate(
-            [self.window.historic, self.window.analysis[: self.change_index]]
-        )
-
     def record(self, verdict: DetectionVerdict) -> None:
         self.verdicts.append(verdict)
 

@@ -11,24 +11,38 @@ evaluated on SAX-discretized windows (N=20 buckets, 3% validity) so that
 "very different" value patterns after different change points are
 recognized as having different causes (the Figure 7 problem: a historic
 spike must not mask a true regression at the end of the series).
+
+A scan's candidates are judged a block at a time
+(:meth:`WentAwayDetector.diagnose_rows`): every sort, median, MAD
+threshold, percentile and SAX bucket count is one expression over the
+stacked windows, both Mann-Kendall tests of a row come from one compare
+of its dense ranks, and Theil-Sen is decided by counting pair slopes,
+not computed.  Every term is the one the per-candidate expressions gave
+(``tests/_reference_kernels.py`` keeps them); :meth:`~WentAwayDetector.diagnose`
+and :meth:`~WentAwayDetector.check` are the one-row view.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.change_point import ChangePointCandidate
 from repro.core.types import DetectionVerdict, FilterReason
-from repro.stats.mann_kendall import mann_kendall_test
-from repro.stats.robust import NORMALITY_CONSTANT, sorted_median, sorted_percentile
+from repro.stats.mann_kendall import mann_kendall_scores, mann_kendall_test, pair_plan
+from repro.stats.robust import NORMALITY_CONSTANT, sorted_medians, sorted_percentiles
 from repro.stats.sax import DEFAULT_BUCKETS, DEFAULT_VALID_FRACTION, sax_encode
-from repro.stats.theil_sen import theil_sen
+from repro.stats.theil_sen import _EXACT_PAIR_LIMIT, theil_sen
 from repro.tsdb.windows import WindowedView
 
 __all__ = ["WentAwayDetector", "WentAwayDiagnosis"]
+
+#: Mann-Kendall's level, as :func:`mann_kendall_test` defaults it.
+_TREND_LEVEL = 0.05
+#: Dense ranks are int16: a row longer than this takes :func:`mann_kendall_test`.
+_RANKED_POINTS = int(np.iinfo(np.int16).max)
 
 
 @dataclass(frozen=True)
@@ -56,6 +70,13 @@ class WentAwayDiagnosis:
         return self.new_pattern or (
             self.significant_regression and self.lasting_trend and not self.gone_away
         )
+
+    def verdict(self) -> DetectionVerdict:
+        """Keep a true regression; drop the rest as went-away."""
+        detail = f"went-away terms: {self}"
+        if self.is_true_regression:
+            return DetectionVerdict.keep(detail=detail)
+        return DetectionVerdict.drop(FilterReason.WENT_AWAY, detail=detail)
 
 
 class WentAwayDetector:
@@ -94,166 +115,333 @@ class WentAwayDetector:
     # Public API
     # ------------------------------------------------------------------
 
+    def diagnose_rows(
+        self,
+        historic: Sequence[np.ndarray],
+        analysis: Sequence[np.ndarray],
+        extended: Sequence[np.ndarray],
+        indices: Sequence[int],
+    ) -> List[WentAwayDiagnosis]:
+        """All four predicate terms for a block of candidates.
+
+        Row ``i`` is the change point at ``indices[i]`` of ``analysis[i]``,
+        judged against ``historic[i]`` and persisting into ``extended[i]``
+        (already oriented: an increase is a regression).  Rows are stacked
+        by their three lengths, never padded, and each stack is one pass
+        (:meth:`_stack_terms`); a row's terms do not depend on its
+        neighbours.  A 2-D array is a sequence of rows.
+
+        Returns:
+            One :class:`WentAwayDiagnosis` per row, in row order.
+        """
+        found: List[Optional[WentAwayDiagnosis]] = [None] * len(indices)
+        stacks: Dict[Tuple[int, int, int], List[int]] = {}
+        for i in range(len(indices)):
+            shape = (len(historic[i]), len(analysis[i]), len(extended[i]))
+            stacks.setdefault(shape, []).append(i)
+        for widths, members in stacks.items():
+            windows = [
+                np.array([rows[i] for i in members], dtype=float).reshape(len(members), width)
+                for rows, width in zip((historic, analysis, extended), widths)
+            ]
+            at = np.array([indices[i] for i in members], dtype=np.intp)
+            terms = zip(*(term.tolist() for term in self._stack_terms(*windows, at)))
+            for i, row in zip(members, terms):
+                found[i] = WentAwayDiagnosis(*row)
+        return found
+
     def diagnose(
         self,
         view: WindowedView,
         candidate: ChangePointCandidate,
     ) -> WentAwayDiagnosis:
-        """Evaluate all four predicate terms for a candidate."""
-        historic = view.historic
-        analysis = view.analysis
-        post = np.concatenate([analysis[candidate.index :], view.extended])
-        pre = np.concatenate([historic, analysis[: candidate.index]])
-
-        historic_enc = sax_encode(
-            historic, self.n_buckets, self.valid_fraction
-        )
-        grid = (historic_enc.bucket_edges[0], historic_enc.bucket_edges[-1])
-        post_enc = sax_encode(post, self.n_buckets, self.valid_fraction, value_range=grid)
-
-        # Each window is sorted once and its medians and percentiles are read
-        # off the copy.  Both trend terms measure against the historic median
-        # (the robust baseline) and against mad_threshold(historic) around it.
-        historic_sorted, post_sorted = np.sort(historic), np.sort(post)
-        baseline, spread = None, 0.0
-        if historic.size:
-            baseline = sorted_median(historic_sorted)
-            spread = sorted_median(np.sort(np.abs(historic - baseline)))
-        threshold = self.regression_coefficient * spread * NORMALITY_CONSTANT
-
-        new_pattern = self._new_pattern(historic_enc, post_enc, post)
-        significant = self._significant_regression(
-            historic_enc, post_enc, historic_sorted, pre, post_sorted
-        )
-        lasting = self._lasting_trend(baseline, threshold, analysis, post, post_sorted)
-        gone = self._gone_away(baseline, threshold, post)
-        return WentAwayDiagnosis(
-            new_pattern=new_pattern,
-            significant_regression=significant,
-            lasting_trend=lasting,
-            gone_away=gone,
-        )
+        """Evaluate all four predicate terms for a candidate: the one-row
+        view of :meth:`diagnose_rows`."""
+        return self.diagnose_rows(
+            [view.historic], [view.analysis], [view.extended], [candidate.index]
+        )[0]
 
     def check(
         self,
         view: WindowedView,
         candidate: ChangePointCandidate,
     ) -> DetectionVerdict:
-        """Verdict form of :meth:`diagnose` for pipeline use."""
-        diagnosis = self.diagnose(view, candidate)
-        if diagnosis.is_true_regression:
-            return DetectionVerdict.keep(detail=f"went-away terms: {diagnosis}")
-        return DetectionVerdict.drop(
-            FilterReason.WENT_AWAY, detail=f"went-away terms: {diagnosis}"
-        )
+        """Verdict form of :meth:`diagnose`."""
+        return self.diagnose(view, candidate).verdict()
 
     # ------------------------------------------------------------------
-    # Predicate terms
+    # One stack of same-shaped rows
     # ------------------------------------------------------------------
 
-    def _new_pattern(self, historic_enc, post_enc, post: np.ndarray) -> bool:
-        """Post-change values form a historically unseen pattern.
+    def _stack_terms(
+        self, historic: np.ndarray, analysis: np.ndarray, extended: np.ndarray, at: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``(new_pattern, significant, lasting, gone_away)`` per row.
 
-        "If most letters in the post-regression SAX string are invalid
-        [relative to history], FBDetect treats the post-regression time
-        series as a new pattern and reports a regression, unless the
-        average value is lower than the lowest valid bucket in historical
-        data, indicating no significant cost increase."
+        Each term is the per-candidate expression of the paper's
+        predicate, written over the stack: a post window (``analysis[at:]``
+        then ``extended``) has a per-row length, so it is the row with its
+        pre-change columns set to +inf, sorted, and read at its own
+        length; a NaN sorts past the padding, so the last column still
+        says whether a window holds one.  Rows holding a NaN or an
+        infinity, and rows too long to rank in int16, take
+        :func:`~repro.stats.sax.sax_encode` and
+        :func:`~repro.stats.mann_kendall.mann_kendall_test` per row.
         """
-        if post.size == 0 or not historic_enc.valid_letters:
-            return False
-        outside = post_enc.count_outside(historic_enc.valid_letters)
-        if outside / post.size < self.new_pattern_fraction:
-            return False
-        lowest_valid = min(historic_enc.valid_letters)
-        lowest_bound = historic_enc.bucket_lower_bound(lowest_valid)
-        if float(post.mean()) < lowest_bound:
-            return False  # New pattern, but cheaper — an improvement.
-        return True
+        k, nh = historic.shape
+        na = analysis.shape[1]
+        tail = np.concatenate([analysis, extended], axis=1)  # what follows history
+        m = tail.shape[1]
+        n_post, n_pre = m - at, nh + at
+        in_post = np.arange(m) >= at[:, None]
+        # A NaN or an infinity anywhere leaves a row's sum not finite.
+        exact = ~np.isfinite(historic.sum(axis=1) + tail.sum(axis=1)) | (m > _RANKED_POINTS)
 
-    def _significant_regression(
+        with np.errstate(all="ignore"):  # inf - inf in a lerp; NaN rows
+            # The sorted windows: history, the post window, the previous day
+            # (the last pre-change points) and the last few points.
+            historic_sorted = np.sort(historic, axis=1)
+            post_sorted = np.sort(np.where(in_post, tail, np.inf), axis=1)
+            span = max(self.tail_points * 4, 24)
+            skip = max(nh - span, 0)  # history before the longest previous day
+            prior = np.concatenate([historic[:, skip:], analysis], axis=1)
+            columns = (n_pre - span - skip)[:, None] + np.arange(span)
+            width = prior.shape[1]
+            picked = np.inf  # no pre-change point at all: every column pads
+            if width:
+                picked = prior.ravel()[np.arange(0, k * width, width)[:, None] + np.maximum(columns, 0)]
+            prev_day = np.sort(np.where(columns >= 0, picked, np.inf), axis=1)
+            last = self.tail_points
+            recent, n_recent = post_sorted, n_post  # as post[-0:] reads it
+            if 0 < last <= m:
+                recent, n_recent = np.sort(tail[:, m - last :], axis=1), last
+
+            # Both trend terms measure against the historic median (the
+            # robust baseline) and the MAD threshold around it.
+            baseline = sorted_medians(historic_sorted, nh)
+            spread = sorted_medians(np.sort(np.abs(historic - baseline[:, None]), axis=1), nh)
+            p95_historic = sorted_percentiles(historic_sorted, nh, 95)
+            post_median = sorted_medians(post_sorted, n_post)
+            p90_post = sorted_percentiles(post_sorted, n_post, 90)
+            p90_prev = sorted_percentiles(prev_day, np.minimum(n_pre, span), 90)
+            recent_median = sorted_medians(recent, n_recent)
+            threshold = np.zeros(k)  # no history: the MAD of nothing is 0
+            if nh:
+                threshold = self.regression_coefficient * spread * NORMALITY_CONSTANT
+
+            # SignificantRegression: the largest post letter reaches the
+            # largest valid historic one, and P90(post) exceeds P95(historic)
+            # and P90(previous day).
+            letters = self._letters(historic, historic_sorted, tail, at, post_sorted, exact)
+            any_valid, lowest_bound, max_valid, outside, max_letter = letters
+            significant = (
+                (n_post > 0)
+                & (n_pre > 0)
+                & ~(max_letter < max_valid)
+                & ~((nh > 0) & (p90_post <= p95_historic))
+                & ~(p90_post <= p90_prev)
+            )
+
+            # NewPattern: most post letters fall outside the historically
+            # valid buckets, unless the post mean sits below the lowest
+            # valid one (a cheaper new pattern: an improvement).  The mean
+            # is exact per row, and only read where it decides.
+            new_pattern = np.zeros(k, dtype=bool)
+            unseen = ~(outside / np.maximum(n_post, 1) < self.new_pattern_fraction)
+            for i in np.flatnonzero((n_post > 0) & any_valid & unseen).tolist():
+                new_pattern[i] = not tail[i, at[i] :].mean() < lowest_bound[i]
+
+            # LastingTrend: a post window holding flat at an elevated level
+            # (no decreasing tendency, median over the threshold) is the
+            # classic lasting step; otherwise every rising window's
+            # Theil-Sen slope must clear the threshold over the analysis span.
+            lasting = np.zeros(k, dtype=bool)
+            if na >= 3:
+                post_trend, analysis_trend = self._trends(tail, at, na, in_post, exact)
+                lasting = (
+                    (n_post >= 3)
+                    & (post_trend >= 0)
+                    & (nh > 0)
+                    & (post_median - baseline >= threshold)
+                )
+                rising = ~lasting & ((post_trend > 0) | (analysis_trend > 0))
+                for i in np.flatnonzero(rising).tolist():
+                    lasting[i] = _slopes_clear(
+                        tail[i], int(at[i]), na, post_trend[i] > 0, analysis_trend[i] > 0,
+                        float(threshold[i]),
+                    )
+
+            # RegressionGoneAway: the last few points are back within the
+            # threshold of the historic median.
+            gone = (n_post >= max(last, 1)) & (nh > 0) & (recent_median <= baseline + threshold)
+        return new_pattern, significant, lasting, gone
+
+    def _letters(
         self,
-        historic_enc,
-        post_enc,
+        historic: np.ndarray,
         historic_sorted: np.ndarray,
-        pre: np.ndarray,
+        tail: np.ndarray,
+        at: np.ndarray,
         post_sorted: np.ndarray,
-    ) -> bool:
-        """Magnitude significance via SAX letters and percentiles.
+        exact: np.ndarray,
+    ) -> Tuple[np.ndarray, ...]:
+        """The SAX facts the predicate reads, per row.
 
-        The largest post-change letter must reach the largest valid
-        pre-change letter, and P90(post) must exceed both P95(historic)
-        and P90(previous day) — the previous day approximated by the most
-        recent pre-change points.
+        ``(any_valid, lowest_bound, max_valid, outside, max_letter)``: whether
+        any historic bucket is valid, the lower edge of the lowest valid
+        one, the highest valid letter (-1: none), how many post points fall
+        outside the valid buckets, and the highest post letter (-1: empty).
+        The post window is encoded on the historic grid, whose edges are
+        those of the historic encoding, so both are bucket counts off the
+        sorted rows, and both come from one stable merge with the edges.
         """
-        if post_sorted.size == 0 or pre.size == 0:
-            return False
-        if post_enc.max_letter() < historic_enc.max_valid_letter():
-            return False
-        p90_post = sorted_percentile(post_sorted, 90)
-        if historic_sorted.size and p90_post <= sorted_percentile(historic_sorted, 95):
-            return False
-        prev_day = np.sort(pre[-min(pre.size, max(self.tail_points * 4, 24)):])
-        if p90_post <= sorted_percentile(prev_day, 90):
-            return False
-        return True
+        k, nh = historic.shape
+        buckets = self.n_buckets
+        n_post = tail.shape[1] - at
+        if not nh:  # no history, no valid letter: the letters decide nothing
+            none = np.full(k, -1)
+            return np.zeros(k, dtype=bool), np.zeros(k), none, np.zeros(k, dtype=np.intp), none
+        # The sorted ends are the extremes of a finite row; a row whose step
+        # is zero or overflows (np.linspace's other branch) is encoded as today.
+        lo, hi = historic_sorted[:, 0], historic_sorted[:, -1]
+        hi = np.where(hi <= lo, lo + 1.0, hi)
+        step = (hi - lo) / buckets
+        exact = exact | ~((step > 0) & (step < np.inf))
+        edges = np.arange(buckets + 1.0) * step[:, None] + lo[:, None]
+        edges[:, -1] = hi
 
-    def _lasting_trend(
-        self,
-        baseline: Optional[float],
-        threshold: float,
-        analysis: np.ndarray,
-        post: np.ndarray,
-        post_sorted: np.ndarray,
-    ) -> bool:
-        """Upward trend persists (Mann-Kendall + Theil-Sen vs MAD threshold).
+        # Bucket counts of history (rows :k) and of the post window (rows
+        # k:), off one stable merge with the edges; -inf and +inf stand for
+        # the outer edges, so the +inf padding falls outside every bucket.
+        values = np.full((2 * k, max(nh, tail.shape[1])), np.inf)
+        values[:k, :nh] = historic_sorted
+        values[k:, : tail.shape[1]] = post_sorted
+        bounds = np.concatenate([edges, edges])
+        bounds[:, 0], bounds[:, -1] = -np.inf, np.inf
+        merged = np.argsort(np.concatenate([bounds, values], axis=1), axis=1, kind="stable")
+        below = np.nonzero(merged <= buckets)[1].reshape(2 * k, buckets + 1)
+        counts = np.diff(below - np.arange(buckets + 1), axis=1)
+        valid = counts[:k] >= max(1, int(np.ceil(self.valid_fraction * nh)))
+        post_counts = counts[k:]
 
-        Mann-Kendall runs on both the post-regression window and the
-        entire analysis window; Theil-Sen measures any trend found, the
-        lower slope winning to avoid over-estimation.  The total rise
-        implied by the slope is compared against ``coefficient * MAD *
-        1.4826`` computed over the historic window (``threshold``), whose
-        median is ``baseline`` (``None`` without history).
+        any_valid = valid.any(axis=1)
+        lowest_bound = edges[np.arange(k), valid.argmax(axis=1)]
+        max_valid = np.where(any_valid, buckets - 1 - valid[:, ::-1].argmax(axis=1), -1)
+        outside = (post_counts * ~valid).sum(axis=1)
+        reached = buckets - 1 - (post_counts[:, ::-1] > 0).argmax(axis=1)
+        max_letter = np.where(n_post > 0, reached, -1)
+        for i in np.flatnonzero(exact).tolist():
+            historic_enc = sax_encode(historic[i], buckets, self.valid_fraction)
+            grid = (historic_enc.bucket_edges[0], historic_enc.bucket_edges[-1])
+            post_enc = sax_encode(
+                tail[i, at[i] :], buckets, self.valid_fraction, value_range=grid
+            )
+            valid_letters = historic_enc.valid_letters
+            any_valid[i] = bool(valid_letters)
+            if valid_letters:
+                lowest_bound[i] = historic_enc.bucket_lower_bound(min(valid_letters))
+            max_valid[i] = historic_enc.max_valid_letter()
+            outside[i] = post_enc.count_outside(valid_letters)
+            max_letter[i] = post_enc.max_letter()
+        return any_valid, lowest_bound, max_valid, outside, max_letter
+
+    @staticmethod
+    def _trends(
+        tail: np.ndarray, at: np.ndarray, na: int, in_post: np.ndarray, exact: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Mann-Kendall trend (+1, -1, 0) of each row's post and analysis window.
+
+        Both tests come from one compare of the row's int16 *dense* ranks
+        over analysis + extended (equal values share a rank, so ``S`` and
+        the tie counts are the integers the float compare gives): the post
+        test is the block ``[at:, at:]`` of the pair matrix, the analysis
+        test ``[:na, :na]``.  A post window under 3 points has no trend.
         """
-        if analysis.size < 3:
+        k, m = tail.shape
+        n_post = m - at
+        post, analysis = np.zeros(k, dtype=int), np.zeros(k, dtype=int)
+        if m <= _RANKED_POINTS:
+            start = np.arange(0, k * m, m)[:, None]
+            order = np.argsort(tail, axis=1)
+            order += start
+            ordered = tail.ravel()[order]
+            fresh = np.empty((k, m), dtype=np.int16)
+            fresh[:, 0] = 0
+            np.not_equal(ordered[:, 1:], ordered[:, :-1], out=fresh[:, 1:])
+            dense = np.cumsum(fresh, axis=1, dtype=np.int16)
+            ranks = np.empty(k * m, dtype=np.int16)
+            ranks[order] = dense
+            ranks = ranks.reshape(k, m)
+
+            # Groups of tied values per window (post rows, then analysis
+            # rows), off one bincount; a row whose last dense rank is m - 1
+            # has none.
+            ties = np.zeros((2 * k, m), dtype=np.int64)
+            if (dense[:, -1] < m - 1).any():
+                keys = ranks + start
+                ties = np.bincount(
+                    np.concatenate([keys[in_post], keys[:, :na].ravel() + k * m]),
+                    minlength=2 * k * m,
+                ).reshape(2 * k, m)
+
+            upper = pair_plan(m)[0]
+            concordant = np.zeros(2 * k, dtype=np.int64)
+            for i, j in enumerate(at.tolist()):
+                later = ranks[i, None, :] > ranks[i, :, None]
+                later &= upper
+                concordant[i] = np.count_nonzero(later[j:, j:])
+                concordant[k + i] = np.count_nonzero(later[:na, :na])
+
+            n = np.concatenate([n_post, np.full(k, na)])
+            tied = ties * (ties - 1)
+            s = 2 * concordant - (n * (n - 1) - tied.sum(axis=1)) // 2
+            z, p_value = mann_kendall_scores(s, n, (tied * (2 * ties + 5)).sum(axis=1) * 1.0)
+            trend = np.sign(z).astype(int) * (p_value < _TREND_LEVEL)
+            post, analysis = trend[:k] * (n_post >= 3), trend[k:]
+        for i in np.flatnonzero(exact).tolist():
+            post[i] = _direction(mann_kendall_test(tail[i, at[i] :])) if n_post[i] >= 3 else 0
+            analysis[i] = _direction(mann_kendall_test(tail[i, :na]))
+        return post, analysis
+
+
+def _direction(result) -> int:
+    return 1 if result.is_increasing else -1 if result.is_decreasing else 0
+
+
+def _slopes_clear(
+    tail: np.ndarray, at: int, na: int, post: bool, analysis: bool, threshold: float
+) -> bool:
+    """``min(slopes) * na >= threshold`` over the Theil-Sen slopes of the
+    rising windows (``tail[at:]`` if ``post``, ``tail[:na]`` if ``analysis``).
+
+    ``fl(x * na) >= threshold`` is monotone in ``x``, so the slopes that
+    clear it are the top of their sorted order: the median clears it when
+    the count of clearing pair slopes reaches its rank.  Only an even
+    count landing exactly on the middle pair needs the median itself, and
+    takes the exact :func:`~repro.stats.theil_sen.theil_sen`, as does a
+    window past its exact-pair limit.
+    """
+    lo, hi = (0 if analysis else at), (tail.size if post else na)
+    window = tail[lo:hi]
+    blocks = ([(at - lo, hi - lo)] if post else []) + ([(0, na)] if analysis else [])
+    if window.size > _EXACT_PAIR_LIMIT:
+        return all(theil_sen(window[a:b]).slope * na >= threshold for a, b in blocks)
+    # Pair (j, i) has the slope of pair (i, j), bit for bit (IEEE negation is
+    # exact both in the difference and in the quotient), and the diagonal's
+    # 0 / 0 clears nothing: a block holds every pair slope twice.
+    slopes = window[None, :] - window[:, None]
+    np.divide(slopes, pair_plan(window.size)[1], out=slopes)
+    np.multiply(slopes, na, out=slopes)
+    clear = slopes >= threshold
+    for a, b in blocks:
+        pairs = (b - a) * (b - a - 1) // 2
+        count, middle = np.count_nonzero(clear[a:b, a:b]) // 2, pairs // 2
+        if pairs % 2:
+            passed = count >= pairs - middle
+        elif count != middle:
+            passed = count > middle
+        else:
+            passed = theil_sen(window[a:b]).slope * na >= threshold
+        if not passed:
             return False
-        post_mk = mann_kendall_test(post) if post.size >= 3 else None
-
-        # A post window holding flat at an elevated level is the classic
-        # lasting step: no decreasing tendency, and the sustained level
-        # clears the robust threshold over the historic baseline.  (A
-        # pure trend test under-measures steps that land early in the
-        # analysis window, where most point pairs lie after the change.)
-        if (
-            post_mk is not None
-            and not post_mk.is_decreasing
-            and baseline is not None
-            and sorted_median(post_sorted) - baseline >= threshold
-        ):
-            return True
-
-        slopes = []
-        if post_mk is not None and post_mk.is_increasing:
-            slopes.append(theil_sen(post).slope)
-        analysis_mk = mann_kendall_test(analysis)
-        if analysis_mk.is_increasing:
-            slopes.append(theil_sen(analysis).slope)
-        if not slopes:
-            return False
-        slope = min(slopes)
-        total_rise = slope * analysis.size
-        return total_rise >= threshold
-
-    def _gone_away(
-        self, baseline: Optional[float], threshold: float, post: np.ndarray
-    ) -> bool:
-        """The regression vanished in the last few data points.
-
-        The tail must both trend downward (or sit flat at baseline) and
-        have recovered to within the MAD threshold of the historic
-        median.
-        """
-        if post.size < self.tail_points or baseline is None:
-            return False
-        tail = np.sort(post[-self.tail_points :])
-        return sorted_median(tail) <= baseline + threshold
+    return True

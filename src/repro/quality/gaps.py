@@ -85,13 +85,21 @@ class QualityGate:
             raise ValueError("min_cadence_points must be >= 2")
 
     def cadence(self, timestamps: Sequence[float]) -> Optional[float]:
-        """Median inter-arrival spacing, or None when too few points."""
+        """Median inter-arrival spacing, or None when too few points.
+
+        On a regular grid every positive gap is the same one, and that gap
+        is what ``np.median`` returns (``(g + g) / 2 == g`` while ``g + g``
+        stays finite), so the partition is only paid for irregular columns.
+        """
         if len(timestamps) < self.min_cadence_points:
             return None
         deltas = np.diff(np.asarray(timestamps, dtype=float))
         deltas = deltas[deltas > 0]
         if deltas.size == 0:
             return None
+        low, high = deltas.min(), deltas.max()
+        if low == high and low + low < np.inf:
+            return float(low)
         return float(np.median(deltas))
 
     def is_stale(self, last_timestamp: float, now: float, analysis_span: float) -> bool:

@@ -17,7 +17,7 @@ from typing import Sequence, Tuple
 import numpy as np
 from scipy.special import ndtr
 
-__all__ = ["MannKendallResult", "mann_kendall_test", "pair_plan"]
+__all__ = ["MannKendallResult", "mann_kendall_scores", "mann_kendall_test", "pair_plan"]
 
 # The pair plan both trend kernels read: ``upper[i, j]`` is ``i < j``,
 # ``gaps[i, j]`` is ``float(j - i)``.  Read-only, n^2 bytes for the largest
@@ -100,20 +100,28 @@ def mann_kendall_test(
     if 2 * ordered != n * (n - 1):
         _, counts = np.unique(x, return_counts=True)
         tie_term = float((counts * (counts - 1) * (2 * counts + 5)).sum())
-    var_s = (n * (n - 1) * (2 * n + 5) - tie_term) / 18.0
-    if var_s <= 0:
-        return MannKendallResult(s=s, z=0.0, p_value=1.0, trend="no trend")
-
-    if s > 0:
-        z = (s - 1) / np.sqrt(var_s)
-    elif s < 0:
-        z = (s + 1) / np.sqrt(var_s)
-    else:
-        z = 0.0
-
-    p_value = float(2.0 * ndtr(-abs(z)))  # norm.sf, without the dispatch
+    z, p_value = mann_kendall_scores(np.array([s]), np.array([n]), np.array([tie_term]))
+    z, p_value = float(z[0]), float(p_value[0])
     if p_value < significance_level:
         trend = "increasing" if z > 0 else "decreasing"
     else:
         trend = "no trend"
-    return MannKendallResult(s=s, z=float(z), p_value=p_value, trend=trend)
+    return MannKendallResult(s=s, z=z, p_value=p_value, trend=trend)
+
+
+def mann_kendall_scores(
+    s: np.ndarray, n: np.ndarray, tie_term: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(z, p_value)`` of Mann-Kendall statistics, elementwise.
+
+    ``s`` and ``n`` are integer arrays, ``tie_term`` the float
+    ``sum(c (c - 1) (2c + 5))`` over each window's groups of tied values.
+    The one scoring of :func:`mann_kendall_test` and of the went-away
+    rows: a window whose variance is not positive scores ``(0.0, 1.0)``.
+    """
+    var_s = (n * (n - 1) * (2 * n + 5) - tie_term) / 18.0
+    scored = var_s > 0
+    # S moved one step towards zero (continuity), over its deviation.
+    toward_zero = s - (s > 0) + (s < 0)
+    z = np.where(scored, toward_zero / np.sqrt(np.where(scored, var_s, 1.0)), 0.0)
+    return z, 2.0 * ndtr(-np.abs(z))  # norm.sf, without the dispatch

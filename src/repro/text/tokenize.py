@@ -7,8 +7,9 @@ comparable tokens before TF-IDF vectorization.
 
 from __future__ import annotations
 
+import functools
 import re
-from typing import List
+from typing import List, Tuple
 
 __all__ = ["tokenize_identifier", "tokenize_text", "char_ngrams"]
 
@@ -35,12 +36,19 @@ def tokenize_text(text: str) -> List[str]:
 
     Identifier-like words embedded in prose are further split the same way
     code identifiers are, so "loosening constraints for fooBar" matches a
-    regression in subroutine ``foo_bar``.
+    regression in subroutine ``foo_bar``.  A scan asks for the same few
+    titles and metric IDs over and over, so the tokens are memoised; each
+    call gets a fresh list, and no caller can alter what is cached.
     """
+    return list(_text_tokens(text))
+
+
+@functools.lru_cache(maxsize=4096)
+def _text_tokens(text: str) -> Tuple[str, ...]:
     tokens: List[str] = []
     for word in text.split():
         tokens.extend(tokenize_identifier(word))
-    return tokens
+    return tuple(tokens)
 
 
 def char_ngrams(text: str, n_values: tuple = (2, 3)) -> List[str]:

@@ -11,7 +11,7 @@ view-invalidation rules the buffers guarantee.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, Mapping, Optional, Tuple
+from typing import Dict, Iterable, Iterator, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -267,6 +267,17 @@ class TimeSeries:
         lo = self._timestamps.searchsorted(start, side="left")
         hi = self._timestamps.searchsorted(end, side="left")
         return self._timestamps.view(lo, hi)
+
+    def cut(self, bounds: Sequence[float]) -> Tuple[Tuple[int, ...], np.ndarray]:
+        """Column positions of ascending ``bounds``, each bisected as
+        :meth:`values_between` bisects it, and a copy of the values from the
+        first position to the last: one bisect of every bound, one copy."""
+        at = tuple(np.searchsorted(self._timestamps.view(), bounds).tolist())
+        return at, np.array(self._values.view(at[0], at[-1]))
+
+    def timestamps_at(self, start: int, stop: int) -> np.ndarray:
+        """Timestamps at column positions ``[start, stop)`` (zero-copy view)."""
+        return self._timestamps.view(start, stop)
 
     def as_mapping(self) -> Mapping[float, float]:
         """The series as a ``{timestamp: value}`` dict (for alignment)."""

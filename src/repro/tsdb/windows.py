@@ -21,7 +21,8 @@ window.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -56,8 +57,9 @@ class WindowSpec:
     def view(self, series: TimeSeries, now: float) -> "WindowedView":
         """Slice ``series`` into the three windows ending at ``now``.
 
-        The returned arrays are *snapshots* (bulk copies of the columnar
-        buffers), not live views: a ``WindowedView`` outlives the scan
+        One bisect of the four bounds and one copy of ``[historic_start,
+        now)``; the three windows are views into that copy.  It is a
+        *snapshot*, not a live view: a ``WindowedView`` outlives the scan
         that made it — it rides ``Regression.window`` through dedup,
         checkpoints and worker round trips — so it must never alias a
         buffer that a later last-write-wins overwrite could mutate.
@@ -65,15 +67,18 @@ class WindowSpec:
         extended_start = now - self.extended
         analysis_start = extended_start - self.analysis
         historic_start = analysis_start - self.historic
+        at, values = series.cut((historic_start, analysis_start, extended_start, now))
+        analysis_at, extended_at = at[1] - at[0], at[2] - at[0]
         return WindowedView(
             spec=self,
             now=now,
-            historic=np.array(series.values_between(historic_start, analysis_start)),
-            analysis=np.array(series.values_between(analysis_start, extended_start)),
-            extended=np.array(series.values_between(extended_start, now)),
+            historic=values[:analysis_at],
+            analysis=values[analysis_at:extended_at],
+            extended=values[extended_at:],
             historic_start=historic_start,
             analysis_start=analysis_start,
             extended_start=extended_start,
+            cut=(at, values),
         )
 
 
@@ -89,6 +94,18 @@ class WindowedView:
     historic_start: float
     analysis_start: float
     extended_start: float
+    #: Set by :meth:`WindowSpec.view` for the scan that makes the view: the
+    #: column positions of the four bounds in the series, and the one copy
+    #: the three windows are views of.  It describes the series at the cut,
+    #: so it is neither compared nor pickled.
+    cut: Optional[Tuple[Tuple[int, ...], np.ndarray]] = field(
+        default=None, compare=False, repr=False
+    )
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("cut", None)
+        return state
 
     @property
     def analysis_and_extended(self) -> np.ndarray:

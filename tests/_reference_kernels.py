@@ -12,7 +12,10 @@ against.  The per-series CUSUM proposal, one-sweep EM and ``detect`` that
 row-wise pass are here too, under their old names.  They exist only
 here: ``src/`` holds one kernel per algorithm.  So does admission as it
 judged every counter frame, one row at a time (:class:`RowAdmission`),
-before an orderly counter frame was held whole.
+before an orderly counter frame was held whole, and the window skip check
+as it read every window before a window became one copy
+(:func:`window_skip_reason`).  :func:`went_away_terms` is the
+per-candidate form the went-away row pass is held to.
 """
 
 from __future__ import annotations
@@ -24,7 +27,9 @@ import numpy as np
 from scipy import stats as sp_stats
 
 from repro.core.change_point import ChangePointCandidate
+from repro.core.pipeline import MIN_ANALYSIS_POINTS, MIN_HISTORIC_POINTS
 from repro.quality.admission import ADMIT, DROP, HELD, AdmissionController
+from repro.quality.gaps import window_coverage
 from repro.stats.hypothesis import likelihood_ratio_test  # exact, and never batched
 from repro.stats.sax import sax_encode  # went_away_terms; its own reference is sax_fields
 from repro.stats.stl import _moving_average  # np.convolve: never was a loop
@@ -331,7 +336,14 @@ def went_away_terms(detector, historic, analysis, extended, index):
         spread = float(np.median(np.abs(historic - np.median(historic))))
         threshold = detector.regression_coefficient * spread * 1.4826
 
-    new_pattern = detector._new_pattern(historic_enc, post_enc, post)
+    def new_pattern():
+        if post.size == 0 or not historic_enc.valid_letters:
+            return False
+        outside = post_enc.count_outside(historic_enc.valid_letters)
+        if outside / post.size < detector.new_pattern_fraction:
+            return False
+        lowest_bound = historic_enc.bucket_lower_bound(min(historic_enc.valid_letters))
+        return not float(post.mean()) < lowest_bound
 
     def significant():
         if post.size == 0 or pre.size == 0:
@@ -366,7 +378,7 @@ def went_away_terms(detector, historic, analysis, extended, index):
             return False
         return float(np.median(post[-detector.tail_points :])) <= baseline + threshold
 
-    return new_pattern, significant(), lasting(), gone_away()
+    return new_pattern(), significant(), lasting(), gone_away()
 
 
 # ---------------------------------------------------------------------------
@@ -464,6 +476,26 @@ def cadence(timestamps, min_points=8):
     if not deltas:
         return None
     return median(deltas)
+
+
+def window_skip_reason(pipeline, series, windowed):
+    """``DetectionPipeline._window_skip_reason`` as it judged each window: a
+    finiteness pass per window, the historic timestamps bisected again, and
+    the cadence by :func:`cadence`."""
+    if not windowed.has_minimum_data(MIN_HISTORIC_POINTS, MIN_ANALYSIS_POINTS):
+        return "insufficient_data"
+    for values in (windowed.historic, windowed.analysis, windowed.extended):
+        if not np.isfinite(values).all():
+            return "non_finite_window"
+    gate = pipeline.quality_gate
+    if gate is not None:
+        stamps = series.timestamps_between(windowed.historic_start, windowed.analysis_start)
+        spacing = cadence(stamps.tolist(), gate.min_cadence_points)
+        present = int(windowed.analysis.size)
+        start, end = windowed.analysis_start, windowed.extended_start
+        if spacing is not None and window_coverage(present, start, end, spacing) < gate.min_coverage:
+            return "low_quality_window"
+    return None
 
 
 # ---------------------------------------------------------------------------

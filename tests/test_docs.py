@@ -236,13 +236,24 @@ class TestNoCallerlessBatchKernels:
         autocorrelation = _read(src, "stats", "autocorrelation.py")
         assert len(re.findall(r"\* x\[lag:\]", autocorrelation)) == 1
         assert "* x[lag:]" in autocorrelation  # the pattern above still means something
-        # The stages call these module globals; the benchmark's tracer wraps them by name.
-        for module, name in (
-            ("core/went_away.py", "mann_kendall_test("),
-            ("core/went_away.py", "sax_encode("),
-            ("core/seasonality.py", "stl_decompose("),
+        # The benchmark's tracer wraps these by name, so each must resolve.
+        # Seasonality calls stl_decompose per candidate; went-away is one row
+        # pass, which calls mann_kendall_test and sax_encode only for rows
+        # holding a NaN or an infinity, and the pipeline never calls check.
+        import repro.core.seasonality as seasonality
+        import repro.core.went_away as went_away
+
+        for owner, name in (
+            (went_away, "mann_kendall_test"),
+            (went_away, "sax_encode"),
+            (went_away.WentAwayDetector, "check"),
+            (seasonality, "stl_decompose"),
         ):
-            assert name in _read(src, *module.split("/")), (module, name)
+            assert callable(getattr(owner, name)), name
+        assert "stl_decompose(" in _read(src, "core", "seasonality.py")
+        pipeline = _read(src, "core", "pipeline.py")
+        assert "went_away_detector.diagnose_rows(" in pipeline
+        assert "went_away_detector.check(" not in pipeline
 
 
 class TestParallelAdvanceOwnership:

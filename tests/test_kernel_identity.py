@@ -8,6 +8,7 @@ never ``approx`` (the two inequalities bound the FFT and LRT *screens*,
 which decide nothing that is reported).
 """
 
+import pickle
 import sys
 import threading
 import warnings
@@ -21,8 +22,11 @@ from scipy import stats as sp_stats
 from scipy.special import chdtrc, ndtr
 
 import _reference_kernels as ref
+from repro.config import DetectionConfig
 from repro.core.change_point import ChangePointDetector
+from repro.core.pipeline import DetectionPipeline
 from repro.core.went_away import WentAwayDetector
+from repro.obs.spans import RunCounts
 from repro.quality.gaps import QualityGate
 from repro.stats import autocorrelation, mann_kendall
 from repro.stats.autocorrelation import acf, detect_season_length
@@ -39,6 +43,7 @@ from repro.stats.robust import mad, sorted_median, sorted_percentile
 from repro.stats.sax import sax_encode
 from repro.stats.stl import loess_smooth, stl_decompose
 from repro.stats.theil_sen import theil_sen
+from repro.tsdb import TimeSeries, WindowSpec
 
 
 @st.composite
@@ -362,6 +367,155 @@ class TestSortedWindow:
         ) == expected
 
 
+@st.composite
+def went_away_stack(draw, max_rows=8):
+    """A block of same-shaped went-away rows ``(historic, analysis,
+    extended, indices)``: noise, lasting steps, transients, ramps, values
+    rounded to a few levels (ties inside and across the analysis and
+    extended windows), constant history, scales 1e-150...1e150 and rows
+    holding a NaN or an infinity; indices include 0 and ``analysis.size``,
+    and windows run from empty up, so posts under 3 and 5 points occur."""
+    nh = draw(st.sampled_from([0, 1, 3, 12, 40, 120]))
+    na = draw(st.sampled_from([0, 1, 2, 3, 5, 8, 30, 90]))
+    ne = draw(st.sampled_from([0, 1, 2, 4, 10, 40]))
+    k = draw(st.integers(1, max_rows))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = np.empty((k, nh + na + ne))
+    for i, kind in enumerate(rng.integers(0, 8, k)):
+        sigma = 10.0 ** rng.uniform(-5, 0)
+        x = 1.0 + sigma * rng.normal(0, 1, rows.shape[1])
+        start = nh + int(rng.integers(0, na + 1))
+        if kind == 1:  # a step that lasts
+            x[start:] += sigma * rng.uniform(0, 8)
+        elif kind == 2:  # a transient that recovers
+            x[start : start + int(rng.integers(1, 30))] += sigma * rng.uniform(2, 20)
+        elif kind == 3:  # a ramp through analysis and extended
+            x[nh:] += sigma * rng.uniform(-0.2, 0.5) * np.arange(na + ne)
+        elif kind == 4:
+            x = np.round(x, int(rng.integers(0, 3)) - int(np.log10(sigma)))
+        elif kind == 5:
+            x[:nh] = rng.choice([0.0, 1.0, -7.0])
+        elif kind == 6:
+            x *= 10.0 ** rng.choice([-150, -100, 100, 150])
+        elif kind == 7 and x.size:
+            x[int(rng.integers(0, x.size))] = rng.choice([np.nan, np.inf, -np.inf])
+        rows[i] = x
+    indices = rng.integers(0, na + 1, k)
+    indices[rng.random(k) < 0.2] = 0
+    indices[rng.random(k) < 0.2] = na
+    return rows[:, :nh], rows[:, nh : nh + na], rows[:, nh + na :], indices
+
+
+def terms(diagnosis):
+    return (
+        diagnosis.new_pattern,
+        diagnosis.significant_regression,
+        diagnosis.lasting_trend,
+        diagnosis.gone_away,
+    )
+
+
+class TestWentAwayRows:
+    """A block of candidates' went-away as one row pass: every row equals
+    the per-candidate expressions, whatever its neighbours."""
+
+    DETECTORS = st.builds(
+        WentAwayDetector,
+        n_buckets=st.sampled_from([20, 20, 7, 1]),
+        tail_points=st.sampled_from([5, 5, 1, 12]),
+        new_pattern_fraction=st.sampled_from([0.65, 0.65, 0.2]),
+    )
+
+    @settings(max_examples=250, deadline=None)
+    @given(went_away_stack(), DETECTORS, st.data())
+    def test_rows_match_the_reference_in_any_order(self, stack, detector, data):
+        historic, analysis, extended, indices = stack
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            found = detector.diagnose_rows(historic, analysis, extended, indices)
+            for i, diagnosis in enumerate(found):
+                assert terms(diagnosis) == ref.went_away_terms(
+                    detector, historic[i], analysis[i], extended[i], indices[i]
+                ), i
+            order = data.draw(st.permutations(range(len(indices))))
+            shuffled = [rows[order] for rows in stack]
+            assert detector.diagnose_rows(*shuffled) == [found[i] for i in order]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(went_away_stack(max_rows=3), min_size=2, max_size=3), st.randoms())
+    def test_mixed_shapes_stack_by_shape(self, stacks, shuffle):
+        """Rows of several shapes in one call: each is its own stack's row."""
+        detector = WentAwayDetector()
+        rows = [(s, i) for s, stack in enumerate(stacks) for i in range(len(stack[3]))]
+        shuffle.shuffle(rows)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            mixed = detector.diagnose_rows(
+                *([stacks[s][part][i] for s, i in rows] for part in range(4))
+            )
+            alone = [detector.diagnose_rows(*stack) for stack in stacks]
+        assert mixed == [alone[s][i] for s, i in rows]
+
+    @staticmethod
+    def _middle_pair_row(scale):
+        """A rising 5-point analysis window whose 10 pair slopes split 5 / 5
+        around the threshold, so the median itself must be read."""
+        historic = scale * np.array([-2.0, -1.0, 0.0, 1.0, 2.0])  # median 0, MAD scale
+        analysis = np.array([0.0, 1.0, 2.0, 10.0, 11.0])
+        return historic, analysis, np.empty(0), 5
+
+    @pytest.mark.parametrize("scale", [6.5, 7.0])
+    def test_an_even_count_on_the_middle_takes_the_exact_slope(self, monkeypatch, scale):
+        import repro.core.went_away as went_away
+
+        calls = []
+
+        def counted(values, *args, **kwargs):
+            calls.append(len(values))
+            return theil_sen(values, *args, **kwargs)
+
+        monkeypatch.setattr(went_away, "theil_sen", counted)
+        historic, analysis, extended, index = self._middle_pair_row(scale)
+        detector = WentAwayDetector()
+        got = detector.diagnose_rows([historic], [analysis], [extended], [index])[0]
+        assert terms(got) == ref.went_away_terms(detector, historic, analysis, extended, index)
+        assert calls == [5]
+        # The threshold sits between the two middle slopes (2.75 and 10 / 3
+        # over 5 points), and the median (3.04...) falls on either side of it.
+        assert got.lasting_trend is (scale == 6.5)
+
+    def test_rows_past_the_rank_and_pair_limits_take_the_exact_calls(self, monkeypatch):
+        import repro.core.went_away as went_away
+
+        calls = {"mann_kendall_test": 0, "theil_sen": 0}
+
+        def counted(name):
+            kernel = getattr(went_away, name)
+
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return kernel(*args, **kwargs)
+
+            return call
+
+        for name in calls:
+            monkeypatch.setattr(went_away, name, counted(name))
+        monkeypatch.setattr(went_away, "_RANKED_POINTS", 40)
+        monkeypatch.setattr(went_away, "_EXACT_PAIR_LIMIT", 20)
+        rng = np.random.default_rng(5)
+        historic = rng.normal(1.0, 0.01, (6, 60))
+        # A gentle rise: significant, but below the lasting-step level.
+        after = 1.0 + rng.normal(0, 0.001, (6, 50)) + 0.0002 * np.arange(50)
+        analysis, extended = after[:, :35], after[:, 35:]
+        indices = np.array([0, 5, 17, 30, 35, 12])
+        detector = WentAwayDetector()
+        for i, diagnosis in enumerate(detector.diagnose_rows(historic, analysis, extended, indices)):
+            assert terms(diagnosis) == ref.went_away_terms(
+                detector, historic[i], analysis[i], extended[i], indices[i]
+            )
+        assert calls["mann_kendall_test"] >= 6 and calls["theil_sen"] >= 1
+
+
 class TestMannKendall:
     @settings(max_examples=150, deadline=None)
     @given(odd_series(min_size=0, max_size=300))
@@ -535,7 +689,42 @@ class TestSax:
         assert encoding.count_outside(frozenset({0, 1})) == ref.count_outside(letters, {0, 1})
 
 
+def irregular_stamps(rng, step, n):
+    """A timestamp column as the TSDB holds one: strictly increasing, on a
+    ``step`` grid, with gaps, an off-grid (late) head and some jitter."""
+    stamps = 1.7e9 + step * np.arange(n, dtype=float)
+    kind = rng.integers(0, 4)
+    if kind >= 1 and n:  # gaps: runs of missing points
+        for _ in range(int(rng.integers(1, 6))):
+            lo = int(rng.integers(0, n))
+            stamps[lo : lo + int(rng.integers(1, 40))] = np.nan
+    if kind >= 2 and n:  # a late head: the first points arrived off the grid
+        head = int(rng.integers(1, 6))
+        stamps[:head] -= step * rng.uniform(0.05, 0.95)
+    if kind == 3 and n:  # jitter on a few points
+        picked = rng.integers(0, n, int(rng.integers(1, 5)))
+        stamps[picked] += step * rng.uniform(-0.3, 0.3, picked.size)
+    return np.unique(stamps[np.isfinite(stamps)])
+
+
 class TestCadence:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([60.0, 1.0, 0.25, 1e-3, 3600.0]))
+    def test_irregular_columns_match_statistics_median(self, seed, step):
+        """Regular grids take the common gap, gapped or jittered ones the
+        median; both are the reference's number."""
+        rng = np.random.default_rng(seed)
+        stamps = irregular_stamps(rng, step, int(rng.integers(0, 300)))
+        gate = QualityGate()
+        assert gate.cadence(stamps) == ref.cadence(stamps.tolist(), gate.min_cadence_points)
+
+    def test_a_gap_too_large_to_double_takes_the_median(self):
+        """Past 2**1023 the mean of two equal gaps is inf, and so is the median."""
+        gap = 1.25 * 2.0**1023
+        stamps = np.array([-gap, 0.0, gap])
+        gate = QualityGate(min_cadence_points=3)
+        assert gate.cadence(stamps) == ref.cadence(stamps.tolist(), 3) == np.inf
+
     @settings(max_examples=150, deadline=None)
     @given(
         st.lists(
@@ -552,3 +741,55 @@ class TestCadence:
         expected = ref.cadence(stamps, gate.min_cadence_points)
         assert gate.cadence(np.array(stamps)) == expected
         assert gate.cadence(stamps) == expected
+
+
+class TestWindowCut:
+    """A window is one bisect of its four bounds and one copy, and the
+    skip check reads that copy once: the same arrays as three
+    ``values_between`` slices, the same skip reason as three finiteness
+    passes and a second bisect."""
+
+    SPECS = st.builds(
+        WindowSpec,
+        historic=st.sampled_from([930.5, 36000.0, 6000.0]),
+        analysis=st.sampled_from([12000.0, 3000.0, 90.0]),
+        extended=st.sampled_from([6000.0, 0.0, 120.0]),
+    )
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32 - 1), SPECS, st.floats(0.0, 1.0))
+    def test_views_and_skip_reasons_match_the_per_window_reads(self, seed, spec, when):
+        rng = np.random.default_rng(seed)
+        stamps = irregular_stamps(rng, 60.0, int(rng.integers(0, 1200)))
+        now = 1.7e9 + when * 1300 * 60.0
+        analysis_start = now - spec.extended - spec.analysis
+        if rng.random() < 0.5:  # the cadence halves part way: history and analysis differ
+            pivot = rng.choice([analysis_start, 1.7e9 + rng.uniform(0, 1200) * 60.0])
+            later = stamps >= pivot
+            stamps = stamps[~later | (np.cumsum(later) % 2 == 0)]
+        values = rng.normal(1.0, 0.01, stamps.size)
+        if stamps.size and rng.random() < 0.5:  # a NaN or an infinity near a window's edge
+            edge = rng.choice([now - spec.total, analysis_start, now - 600.0])
+            at = int(stamps.searchsorted(edge) + rng.integers(-2, 10))
+            values[min(max(at, 0), stamps.size - 1)] = rng.choice([np.nan, np.inf, -np.inf])
+        series = TimeSeries("fleet.x.gcpu")
+        series.ingest_columns(stamps, values)
+        view = spec.view(series, now)
+        bounds = (view.historic_start, view.analysis_start, view.extended_start, now)
+        windows = (view.historic, view.analysis, view.extended)
+        for got, (lo, hi) in zip(windows, zip(bounds, bounds[1:])):
+            assert same(got, series.values_between(lo, hi))
+        config = DetectionConfig(name="cut", threshold=1e-4, windows=spec, long_term=False)
+        for gate in (None, QualityGate(), QualityGate(min_coverage=0.95)):
+            pipeline = DetectionPipeline(config, quality_gate=gate)
+            assert pipeline._window_skip_reason(series, view, RunCounts()) == (
+                ref.window_skip_reason(pipeline, series, view)
+            )
+        # A snapshot: a last-write-wins overwrite of the column leaves it be.
+        kept = [np.array(window) for window in windows]
+        if stamps.size:
+            series.append(float(stamps[-1]), 12345.0)
+        assert all(same(a, b) for a, b in zip(windows, kept))
+        # The cut describes the series at the scan: it rides no pickle.
+        clone = pickle.loads(pickle.dumps(view))
+        assert clone.cut is None and pickle.dumps(clone) == pickle.dumps(view)

@@ -47,6 +47,14 @@ class TestTokenizeText:
         tokens = tokenize_text("optimize fooBar handler")
         assert "foo" in tokens and "bar" in tokens
 
+    def test_memoised_tokens_come_back_as_a_fresh_list(self):
+        """A caller may do what it likes with its list: the cache keeps its own."""
+        first = tokenize_text("optimize fooBar handler")
+        first.append("corrupted")
+        first[0] = "x"
+        again = tokenize_text("optimize fooBar handler")
+        assert again == ["optimize", "foo", "bar", "handler"] and again is not first
+
 
 class TestCharNgrams:
     def test_paper_gram_lengths(self):
