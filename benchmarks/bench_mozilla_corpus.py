@@ -4,9 +4,8 @@
 2503.16332) publishes Perfherder series together with sheriff-triaged
 alerts — real-world labels a detector can be scored against, the same
 confusion-matrix exercise §6.2 runs on synthetic windows.  This bench
-replays the committed slice (``benchmarks/data/mozilla_slice.json``,
-regenerated by ``scripts/make_mozilla_slice.py``) through the *entire*
-service path — connector mapping, admission, sharded ingest, scheduled
+replays a slice of it (``scripts/make_mozilla_slice.py`` writes one into
+a temporary directory per run) through the *entire* service path — connector mapping, admission, sharded ingest, scheduled
 detection — and scores delivered reports against the corpus labels:
 
 - a report matches a labeled regression when it lands on the same
@@ -24,6 +23,8 @@ The test asserts F1 = 1.0 over the slice; CI's ``bench-smoke`` job runs it.
 """
 
 import os
+import sys
+import tempfile
 
 from _harness import emit
 from repro.config import DetectionConfig
@@ -32,8 +33,9 @@ from repro.quality import QualityConfig
 from repro.service import BackpressurePolicy, StreamingDetectionService
 from repro.tsdb import WindowSpec
 
-SLICE_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                          "data", "mozilla_slice.json")
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                                "scripts"))
+from make_mozilla_slice import write_slice  # noqa: E402
 
 #: A report and a label agree when their times are within one day.
 MATCH_TOLERANCE = 24 * 3600.0
@@ -59,15 +61,20 @@ def corpus_config(interval: float) -> DetectionConfig:
     )
 
 
-def run_corpus(path: str = SLICE_PATH, sinks=()):
-    """Replay one corpus slice through the full service path.
+def run_corpus(path=None, sinks=()):
+    """Replay one corpus slice (``None``: a freshly generated one)
+    through the full service path.
 
     Returns ``(corpus, stats, reports, labels)`` — the loaded corpus,
     the importer's :class:`~repro.connectors.ImportStats`, every
     delivered incident report, and the ground-truth label map keyed by
     mapped series name.
     """
-    corpus = load_corpus(path)
+    if path is None:
+        with tempfile.TemporaryDirectory() as scratch:
+            corpus = load_corpus(write_slice(os.path.join(scratch, "mozilla_slice.json")))
+    else:
+        corpus = load_corpus(path)
     mapper = SeriesMapper(source="mozilla")
     interval = corpus.interval_seconds
     config = corpus_config(interval)
@@ -143,7 +150,7 @@ def test_mozilla_corpus_scores(capsys):
     corpus, stats, reports, labels = run_corpus()
     scores = score_corpus(reports, labels)
 
-    # The committed slice is clean and deterministic: every measurement
+    # The slice is clean and deterministic: every measurement
     # parses and is admitted, and every labeled regression is caught
     # with no false alarms — including the sheriff-invalid transient
     # and the improvement, which must stay silent.

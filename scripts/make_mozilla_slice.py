@@ -1,13 +1,16 @@
 #!/usr/bin/env python
-"""Regenerate the committed Mozilla corpus slice deterministically.
+"""Generate the Mozilla corpus slice deterministically.
 
-``benchmarks/data/mozilla_slice.json`` is a small, committed slice in
-the schema of *"A Dataset of Performance Measurements and Alerts from
-Mozilla"* (arXiv 2503.16332): Perfherder signature series plus
-sheriff-triaged alerts.  CI cannot download the real multi-GB artifact,
-so this script synthesizes a slice with the same shape and the same
-labeling semantics, seeded and value-rounded so the committed file is
-byte-stable across regenerations:
+The slice is a small corpus in the schema of *"A Dataset of Performance
+Measurements and Alerts from Mozilla"* (arXiv 2503.16332): Perfherder
+signature series plus sheriff-triaged alerts.  The real multi-GB
+artifact cannot be downloaded here, so this script synthesizes a slice
+with the same shape and the same labeling semantics, seeded and
+value-rounded so every generation is byte-identical.  Nothing commits
+its output: ``benchmarks/bench_mozilla_corpus.py``,
+``scripts/run_connector_smoke.py`` and ``tests/test_connectors_mozilla.py``
+each write one into a temporary directory (:func:`write_slice`).  It
+holds:
 
 - four genuine step regressions (5–12%) with *valid* alerts
   (``acknowledged``/``fixed`` — ground truth for the FP/FN benchmark);
@@ -21,11 +24,7 @@ byte-stable across regenerations:
 
 Usage::
 
-    PYTHONPATH=src python scripts/make_mozilla_slice.py \
-        [--out benchmarks/data/mozilla_slice.json]
-
-The output is stable; ``tests/test_connectors_mozilla.py`` asserts the
-committed file matches what this script generates.
+    PYTHONPATH=src python scripts/make_mozilla_slice.py --out slice.json
 """
 
 import argparse
@@ -39,11 +38,6 @@ SEED = 163332  # nod to arXiv 2503.16332
 START = 1_700_000_000  # epoch-aligned corpus start
 INTERVAL = 3600.0  # hourly pushes
 N_POINTS = 240  # ten days of measurements per signature
-
-DEFAULT_OUT = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-    "benchmarks", "data", "mozilla_slice.json",
-)
 
 # (signature_id, framework, suite, platform, test, unit, base,
 #  noise_fraction, shape, shape_args)
@@ -137,27 +131,19 @@ def build_slice():
     }
 
 
+def write_slice(path):
+    """Write the slice to ``path``; returns ``path``."""
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(build_slice(), handle, indent=1, sort_keys=True)
+        handle.write("\n")
+    return path
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--out", default=DEFAULT_OUT)
-    parser.add_argument(
-        "--check", action="store_true",
-        help="verify the existing file matches instead of writing",
-    )
+    parser.add_argument("--out", required=True)
     args = parser.parse_args(argv)
-
-    payload = json.dumps(build_slice(), indent=1, sort_keys=True) + "\n"
-    if args.check:
-        with open(args.out, "r", encoding="utf-8") as handle:
-            if handle.read() != payload:
-                print(f"STALE: {args.out} differs from the generator output")
-                return 1
-        print(f"OK: {args.out} is up to date")
-        return 0
-    os.makedirs(os.path.dirname(args.out), exist_ok=True)
-    with open(args.out, "w", encoding="utf-8") as handle:
-        handle.write(payload)
-    print(f"wrote {args.out} ({len(payload)} bytes)")
+    print(f"wrote {write_slice(args.out)} ({os.path.getsize(args.out)} bytes)")
     return 0
 
 

@@ -2,8 +2,8 @@
 """CI connector smoke: corpus in one end, webhooks out the other.
 
 End-to-end over the real-data edge added with ``repro.connectors``:
-loads the committed Mozilla slice (``benchmarks/data/mozilla_slice.json``),
-imports it through the series mapper and the admission layer, runs
+generates the Mozilla slice (``scripts/make_mozilla_slice.py``, into a
+temporary directory), imports it through the series mapper and the admission layer, runs
 scheduled detection over it, and delivers every incident to a
 :class:`~repro.connectors.WebhookSink` posting to an in-process HTTP
 endpoint.  Gates on:
@@ -32,7 +32,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(REPO, "benchmarks"))
 
-from bench_mozilla_corpus import SLICE_PATH, run_corpus, score_corpus  # noqa: E402
+from bench_mozilla_corpus import run_corpus, score_corpus  # noqa: E402
 from repro.connectors import WebhookSink, alert_id  # noqa: E402
 
 
@@ -73,8 +73,8 @@ class RecordingEndpoint:
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--slice", default=SLICE_PATH,
-                        help="corpus slice to replay (default: committed)")
+    parser.add_argument("--slice", default=None,
+                        help="corpus slice to replay (default: a generated one)")
     args = parser.parse_args(argv)
 
     failures = []

@@ -9,9 +9,9 @@ sheriff (acknowledged / invalid / ...).  That makes it a *labelled*
 real-world corpus: the acknowledged regression alerts are ground truth,
 and any detector can be scored FP/FN against them.
 
-This module reads a JSON slice of that artifact — the committed
-``benchmarks/data/mozilla_slice.json`` carries the schema below; a full
-download converts into the same shape — and feeds it through the
+This module reads a JSON slice of that artifact — the one
+``scripts/make_mozilla_slice.py`` generates carries the schema below; a
+full download converts into the same shape — and feeds it through the
 service's front door so imported measurements get admission, detection,
 and sink delivery exactly like native telemetry::
 

@@ -106,10 +106,6 @@ class CostShiftDetector:
         if extra_providers:
             self._providers.extend(extra_providers)
 
-    def add_provider(self, provider: DomainProvider) -> None:
-        """Register a custom cost-domain provider."""
-        self._providers.append(provider)
-
     # ------------------------------------------------------------------
     # Verdict
     # ------------------------------------------------------------------

@@ -137,12 +137,6 @@ class IncrementalScanCache:
     def __len__(self) -> int:
         return self._size
 
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of scan decisions answered from the cache."""
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
     def should_scan(self, series: TimeSeries, now: float) -> bool:
         """Whether the full windowed detector must run for ``series``.
 
@@ -395,10 +389,6 @@ class IncrementalScanCache:
             "fired": bool(self._c_fired[row]),
             "n": int(self._c_n[row]),
         }
-
-    def forget(self, name: str) -> None:
-        """Drop one series' anchor (e.g. the series was deleted)."""
-        self._remove(name)
 
     def clear(self) -> None:
         """Drop every anchor (restore path: derived state is rebuilt)."""

@@ -452,19 +452,14 @@ class DetectionPipeline:
         cache = self.incremental_cache
         decisions: Optional[Dict[str, bool]] = None
         if cache is not None:
-            hits, misses = cache.hits, cache.misses
+            hits = cache.hits
             decisions = cache.screen_batch(scannable, now)
-            hits, misses = cache.hits - hits, cache.misses - misses
             # A hit: no shift in the new points, and the previous full scan
             # found nothing.  Hits are tallied in bulk and untimed (that
-            # path is O(new points)); misses are counted at the decision,
-            # so the counter agrees with IncrementalScanCache.hit_rate even
-            # when the scan below bails on a bad window.
-            if hits:
-                detected.bulk(hits, 0, "cache_hit", 0.0)
-                counts.inc("pipeline.incremental.hits", hits)
-            if misses:
-                counts.inc("pipeline.incremental.misses", misses)
+            # path is O(new points)).  The cache's own hits / misses are
+            # the one count of these decisions (``/metrics`` folds them).
+            if cache.hits > hits:
+                detected.bulk(cache.hits - hits, 0, "cache_hit", 0.0)
         # Pass 3: full windowed scans where the screen demanded one, a
         # block of series at a time — windowed and gated per series, the
         # block's short-term scans as one matrix pass and its candidates'

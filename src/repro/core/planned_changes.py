@@ -90,12 +90,6 @@ class PlannedChangeCorrelator:
         """Register a planned change."""
         self._planned.append(change)
 
-    def withdraw(self, change_id: str) -> bool:
-        """Remove a planned change by id; returns whether it existed."""
-        before = len(self._planned)
-        self._planned = [c for c in self._planned if c.change_id != change_id]
-        return len(self._planned) < before
-
     def planned(self) -> List[PlannedChange]:
         """Registered changes, ordered by start time."""
         return sorted(self._planned, key=lambda c: c.start)

@@ -137,11 +137,3 @@ class ChangeLog:
     def all_between(self, start: float, end: float) -> List[CodeChange]:
         """All changes in the window, exported or not (simulator use)."""
         return [c for c in self._changes if start <= c.deploy_time < end]
-
-    def modifying(self, subroutine: str) -> List[CodeChange]:
-        """Exported changes that touch ``subroutine``."""
-        return [
-            c
-            for c in self._changes
-            if c.exported and subroutine in c.modified_subroutines
-        ]

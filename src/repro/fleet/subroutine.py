@@ -129,11 +129,6 @@ class CallGraph:
             raise ValueError("factor must be >= 0")
         self._nodes[name].self_cost *= factor
 
-    def add_cost(self, name: str, delta: float) -> None:
-        """Add ``delta`` to a subroutine's self cost (floored at 0)."""
-        node = self._nodes[name]
-        node.self_cost = max(0.0, node.self_cost + delta)
-
     def move_cost(self, source: str, target: str, fraction: float) -> float:
         """Shift a fraction of ``source``'s self cost to ``target``.
 

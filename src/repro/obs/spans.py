@@ -154,16 +154,6 @@ class FunnelCounters:
 
     counts: Dict[str, int] = field(default_factory=lambda: {s: 0 for s in STAGES})
 
-    def survived(self, stage: str, n: int = 1) -> None:
-        """Record ``n`` survivors of ``stage``.
-
-        Raises:
-            KeyError: On an unknown stage name.
-        """
-        if stage not in self.counts:
-            raise KeyError(f"unknown stage {stage!r}")
-        self.counts[stage] += n
-
     def reduction_ratios(self) -> Dict[str, float]:
         """Table 3's "1/N" view: detected count over survivors per stage.
 

@@ -25,7 +25,7 @@ from repro.profiling.pyperf import (
     merge_stacks,
 )
 from repro.profiling.sampler import SamplerStats, ThreadStackSampler
-from repro.profiling.stacktrace import Frame, StackTrace, set_frame_metadata
+from repro.profiling.stacktrace import Frame, StackTrace
 
 __all__ = [
     "EVAL_FRAME_SYMBOL",
@@ -39,6 +39,5 @@ __all__ = [
     "ThreadStackSampler",
     "compute_gcpu",
     "merge_stacks",
-    "set_frame_metadata",
     "stack_trace_overlap",
 ]

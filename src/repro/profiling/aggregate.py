@@ -114,22 +114,6 @@ class StackTrie:
             walk(child, [])
         return "\n".join(lines)
 
-    def hottest_paths(self, k: int = 10) -> List[Tuple[Tuple[str, ...], float]]:
-        """The ``k`` heaviest root-to-frame paths by self weight."""
-        heap: List[Tuple[Tuple[str, ...], float]] = []
-
-        def walk(node: StackTrieNode, prefix: Tuple[str, ...]) -> None:
-            path = prefix + (node.name,)
-            if node.self_weight > 0:
-                heap.append((path, node.self_weight))
-            for child in node.children.values():
-                walk(child, path)
-
-        for child in self.root.children.values():
-            walk(child, ())
-        heap.sort(key=lambda item: (-item[1], item[0]))
-        return heap[:k]
-
 
 @dataclass(frozen=True)
 class FrameDiff:

@@ -138,7 +138,6 @@ class SimulatedCPythonProcess:
         self._system_stack = [Frame("_start", kind="system")] + [
             Frame(symbol, kind="interpreter") for symbol in bootstrap
         ]
-        self._bootstrap_depth = len(self._system_stack)
         self._vcs = []
 
     def call_python(self, function: str, metadata: Optional[str] = None) -> None:
@@ -149,18 +148,6 @@ class SimulatedCPythonProcess:
     def call_native(self, symbol: str) -> None:
         """Enter a native C/C++ library function (system stack only)."""
         self._system_stack.append(Frame(symbol, kind="native"))
-
-    def ret(self) -> None:
-        """Return from the innermost call.
-
-        Raises:
-            IndexError: If nothing above the interpreter bootstrap remains.
-        """
-        if len(self._system_stack) <= self._bootstrap_depth:
-            raise IndexError("return past the interpreter bootstrap frames")
-        frame = self._system_stack.pop()
-        if frame.subroutine == EVAL_FRAME_SYMBOL:
-            self._vcs.pop()
 
     @property
     def system_stack(self) -> Tuple[Frame, ...]:

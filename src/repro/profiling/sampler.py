@@ -16,7 +16,7 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.profiling.stacktrace import Frame, StackTrace, current_frame_metadata
+from repro.profiling.stacktrace import Frame, StackTrace
 
 __all__ = ["ThreadStackSampler", "SamplerStats"]
 
@@ -109,7 +109,6 @@ class ThreadStackSampler:
 
     def _snapshot(self, own_ident: int) -> None:
         frames_by_thread: Dict[int, object] = sys._current_frames()
-        metadata = current_frame_metadata()
         for ident, top in frames_by_thread.items():
             if ident == own_ident:
                 continue
@@ -121,7 +120,7 @@ class ThreadStackSampler:
             while frame is not None and depth < self.max_depth:
                 code = frame.f_code
                 name = f"{code.co_filename.rsplit('/', 1)[-1]}:{code.co_name}"
-                stack.append(Frame(name, kind="python", metadata=metadata))
+                stack.append(Frame(name, kind="python"))
                 frame = frame.f_back
                 depth += 1
             stack.reverse()  # root-first, matching StackTrace convention

@@ -9,12 +9,11 @@ specific category of users) and as a cost-domain grouping key (§5.4).
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Dict, FrozenSet, Iterator, Optional, Sequence, Tuple
 
-__all__ = ["Frame", "StackTrace", "set_frame_metadata", "current_frame_metadata"]
+__all__ = ["Frame", "StackTrace"]
 
 
 @dataclass(frozen=True)
@@ -32,16 +31,6 @@ class Frame:
     subroutine: str
     kind: str = "native"
     metadata: Optional[str] = None
-
-    def with_metadata(self, metadata: str) -> "Frame":
-        """A copy of this frame carrying ``metadata``."""
-        return Frame(subroutine=self.subroutine, kind=self.kind, metadata=metadata)
-
-    @property
-    def class_name(self) -> Optional[str]:
-        """The enclosing class, parsed from ``Namespace::Class::method`` names."""
-        parts = self.subroutine.rsplit("::", 1)
-        return parts[0] if len(parts) == 2 else None
 
 
 @dataclass(frozen=True)
@@ -114,53 +103,7 @@ class StackTrace:
                 return tuple(f.subroutine for f in self.frames[i + 1 :])
         return ()
 
-    def metadata_values(self) -> Tuple[str, ...]:
-        """All frame-metadata annotations present in the stack."""
-        return tuple(f.metadata for f in self.frames if f.metadata is not None)
-
     def key(self) -> Tuple[Tuple[str, Optional[str]], ...]:
         """Hashable identity used to collapse identical samples."""
         return tuple((f.subroutine, f.metadata) for f in self.frames)
 
-
-# ---------------------------------------------------------------------------
-# SetFrameMetadata: the in-process annotation API (§3).  Real services call
-# this inside a request handler; our simulator and the real thread sampler
-# both read the thread-local annotation stack when producing samples.
-# ---------------------------------------------------------------------------
-
-_frame_metadata = threading.local()
-
-
-class set_frame_metadata:
-    """Context manager annotating the current (simulated) stack frame.
-
-    Mirrors FrontFaaS's ``SetFrameMetadata()``: while the context is
-    active, samples taken of this thread carry the annotation, enabling
-    metadata-annotated regression detection.
-
-    Example::
-
-        with set_frame_metadata("user_category:enterprise"):
-            handle_request()
-    """
-
-    def __init__(self, metadata: str) -> None:
-        self.metadata = metadata
-
-    def __enter__(self) -> "set_frame_metadata":
-        stack = getattr(_frame_metadata, "stack", None)
-        if stack is None:
-            stack = []
-            _frame_metadata.stack = stack
-        stack.append(self.metadata)
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        _frame_metadata.stack.pop()
-
-
-def current_frame_metadata() -> Optional[str]:
-    """The innermost active annotation of the calling thread, if any."""
-    stack = getattr(_frame_metadata, "stack", None)
-    return stack[-1] if stack else None

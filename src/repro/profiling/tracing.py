@@ -84,10 +84,6 @@ class RequestTrace:
     def thread_count(self) -> int:
         return len({span.thread_name for span in self.spans})
 
-    def children_of(self, span_id: Optional[int]) -> List[Span]:
-        """Direct children of ``span_id`` (``None`` for roots)."""
-        return [span for span in self.spans if span.parent_id == span_id]
-
     def subtree_cost(self, span_id: int) -> float:
         """CPU cost of a span including its transitive children."""
         by_parent: Dict[Optional[int], List[Span]] = {}

@@ -12,14 +12,12 @@ sinks.
 
 from repro.runtime.scheduler import DetectionScheduler, MonitorRegistration, ScanOutcome
 from repro.runtime.scheduler import deliver_outcomes, publish
-from repro.runtime.sinks import CollectingSink, IncidentSink, JsonLinesSink, LoggingSink, deliver
+from repro.runtime.sinks import CollectingSink, IncidentSink, deliver
 
 __all__ = [
     "CollectingSink",
     "DetectionScheduler",
     "IncidentSink",
-    "JsonLinesSink",
-    "LoggingSink",
     "MonitorRegistration",
     "ScanOutcome",
     "deliver",

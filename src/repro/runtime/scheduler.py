@@ -95,7 +95,6 @@ def publish(outcomes: Iterable[ScanOutcome], metrics: Any, tracer: Any) -> None:
             metrics.inc("scheduler.scan_failures")
             continue
         metrics.observe("scheduler.scan_seconds", outcome.seconds)
-        metrics.inc("scheduler.scans")
         metrics.inc("scheduler.regressions_reported", len(outcome.result.reported))
         trace = outcome.result.trace
         for name, amount in trace.counts.items():
@@ -149,6 +148,8 @@ class DetectionScheduler:
         #: The last cutoff handed to ``database.apply_retention``
         #: (``None`` before the first).
         self.retention_cutoff: Optional[float] = None
+        #: Scans that returned a result (a scan that raised is not one).
+        self.scans = 0
         self._monitors: Dict[str, MonitorRegistration] = {}
         self._clock = 0.0
         self._advance_lock = threading.RLock()
@@ -193,10 +194,6 @@ class DetectionScheduler:
         self._monitors[name] = registration
         return registration
 
-    def unregister(self, name: str) -> bool:
-        """Remove a monitor; returns whether it existed."""
-        return self._monitors.pop(name, None) is not None
-
     def monitors(self) -> List[str]:
         """Registered monitor names, sorted."""
         return sorted(self._monitors)
@@ -233,6 +230,19 @@ class DetectionScheduler:
                 continue
             merge_snapshot_rows(merged, shadow.snapshot_rows())
         return [merged[det_id] for det_id in sorted(merged)]
+
+    def incremental_counts(self) -> Dict[str, int]:
+        """Incremental-cache decisions summed over this scheduler's
+        monitors: ``{"hits": ..., "misses": ...}``.  The caches are the one
+        home of these counts; ``/metrics`` folds them from here as
+        ``pipeline.incremental.*``."""
+        counts = {"hits": 0, "misses": 0}
+        for registration in list(self._monitors.values()):
+            cache = registration.detector.pipeline.incremental_cache
+            if cache is not None:
+                counts["hits"] += cache.hits
+                counts["misses"] += cache.misses
+        return counts
 
     # ------------------------------------------------------------------
     # Time advancement
@@ -285,6 +295,7 @@ class DetectionScheduler:
             started = time.perf_counter()
             try:
                 result: Optional[PipelineResult] = monitor.detector.run(self.database, now)
+                self.scans += 1
             except Exception as error:
                 # One monitor's scan blowing up must not abort the whole
                 # batch (every other due monitor would silently miss its

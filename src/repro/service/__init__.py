@@ -14,7 +14,7 @@ Modules:
 - :mod:`repro.service.router` — consistent-hash shard routing.
 - :mod:`repro.service.ingest` — bounded ingest queues + backpressure.
 - :mod:`repro.service.checkpoint` — durable checkpoint/restore.
-- :mod:`repro.service.metrics` — counters, gauges, latency histograms.
+- :mod:`repro.service.metrics` — counters, latency histograms, the exposition.
 - :mod:`repro.service.parallel` — multi-process shard execution.
 - :mod:`repro.service.shard` — one shard, its two serialised forms, and
   the accessors the views read.
@@ -29,7 +29,7 @@ table (:class:`repro.obs.ObservabilityServer`) live in :mod:`repro.obs`.
 
 from repro.service.checkpoint import CheckpointError, CheckpointManager
 from repro.service.ingest import BackpressurePolicy, Sample, ShardIngestWorker, frames_of
-from repro.service.metrics import Counter, Gauge, Histogram, MetricsRegistry
+from repro.service.metrics import Counter, Histogram, MetricsRegistry
 from repro.service.parallel import ParallelShardExecutor, ShardAdvanceResult
 from repro.service.router import ConsistentHashRouter
 from repro.service.service import StreamingDetectionService
@@ -42,7 +42,6 @@ __all__ = [
     "CheckpointManager",
     "ConsistentHashRouter",
     "Counter",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "ParallelShardExecutor",

@@ -50,7 +50,9 @@ __all__ = ["CheckpointError", "CheckpointManager", "CHECKPOINT_VERSION"]
 #: 3: new ``meta`` keys; a pickled pipeline carries no registry or tracer.
 #: 4: ingest workers keep their flush histogram and admission its
 #: quarantines by reason; ``meta["metrics"]`` holds no count they own.
-CHECKPOINT_VERSION = 4
+#: 5: a scheduler counts its scans and the blob has no ``scans`` key;
+#: ``meta["metrics"]`` holds no scan or incremental-cache count.
+CHECKPOINT_VERSION = 5
 MANIFEST_NAME = "manifest.json"
 
 _GEN_MANIFEST_RE = re.compile(r"^manifest\.g(\d+)\.json$")

@@ -1,16 +1,17 @@
 """Self-metrics: the service measures its own pipeline.
 
 FBDetect's §6.6 overhead analysis only makes sense once the detector is
-itself instrumented.  This module provides the three classic instrument
-kinds — :class:`Counter`, :class:`Gauge`, and :class:`Histogram` (fixed
-log-spaced buckets, built for latency-in-seconds observations) — plus a
-:class:`MetricsRegistry` that owns them by name, renders a Prometheus
-style text exposition, and snapshots/restores itself for checkpoints.
+itself instrumented.  This module provides two instrument kinds —
+:class:`Counter` and :class:`Histogram` (fixed log-spaced buckets, built
+for latency-in-seconds observations) — plus a :class:`MetricsRegistry`
+that owns them by name and snapshots/restores itself for checkpoints,
+and :func:`render`, the Prometheus style text exposition of ``/metrics``.
 
 The registry holds what has no other home: a count an object already
-keeps (ingest workers, admission, shadow tallies, the service's own
-ints) is folded into ``/metrics`` from that owner by
-:mod:`repro.service.views`, never recorded here.  What does record
+keeps (ingest workers, admission, shadow tallies, the schedulers' scan
+counts and incremental caches, the service's own ints — every gauge
+``/metrics`` serves among them) is folded into ``/metrics`` from that
+owner by :mod:`repro.service.views`, never recorded here.  What does record
 (:func:`repro.runtime.scheduler.publish`, the service's timers, the
 parallel executor, the fault injector, ``WebhookSink``, the remote-write
 receiver) calls only ``inc`` / ``observe``, so no core module imports
@@ -26,7 +27,7 @@ import time
 from contextlib import contextmanager
 from typing import Dict, Iterator, List, Sequence, Tuple
 
-__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry", "DEFAULT_LATENCY_BUCKETS", "render"]
+__all__ = ["Counter", "Histogram", "MetricsRegistry", "DEFAULT_LATENCY_BUCKETS", "render"]
 
 #: Log-spaced latency buckets (seconds): 100µs .. 30s, plus +inf.
 DEFAULT_LATENCY_BUCKETS: Tuple[float, ...] = (
@@ -52,29 +53,6 @@ class Counter:
             raise ValueError("counters only go up")
         with self._lock:
             self._value += amount
-
-    @property
-    def value(self) -> float:
-        return self._value
-
-
-class Gauge:
-    """A value that can go up and down (queue depth, shard count ...)."""
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._value = 0.0
-
-    def set(self, value: float) -> None:
-        with self._lock:
-            self._value = float(value)
-
-    def inc(self, amount: float = 1.0) -> None:
-        with self._lock:
-            self._value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        self.inc(-amount)
 
     @property
     def value(self) -> float:
@@ -178,7 +156,7 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """Named instruments plus convenience record/snapshot/render APIs.
+    """Named instruments plus convenience record/snapshot APIs.
 
     Example::
 
@@ -186,13 +164,12 @@ class MetricsRegistry:
         metrics.inc("service.sinks.delivered", 2)
         with metrics.timer("service.advance_seconds"):
             advance()
-        print(metrics.render_text())
+        print(render(metrics.snapshot()))
     """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._counters: Dict[str, Counter] = {}
-        self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}
 
     # -- instrument accessors (create on first use) --------------------
@@ -203,13 +180,6 @@ class MetricsRegistry:
             if counter is None:
                 counter = self._counters[name] = Counter()
             return counter
-
-    def gauge(self, name: str) -> Gauge:
-        with self._lock:
-            gauge = self._gauges.get(name)
-            if gauge is None:
-                gauge = self._gauges[name] = Gauge()
-            return gauge
 
     def histogram(
         self, name: str, buckets: Sequence[float] = DEFAULT_LATENCY_BUCKETS
@@ -224,9 +194,6 @@ class MetricsRegistry:
 
     def inc(self, name: str, amount: float = 1.0) -> None:
         self.counter(name).inc(amount)
-
-    def set_gauge(self, name: str, value: float) -> None:
-        self.gauge(name).set(value)
 
     def observe(self, name: str, value: float) -> None:
         self.histogram(name).observe(value)
@@ -249,11 +216,9 @@ class MetricsRegistry:
         """
         with self._lock:
             counters = dict(self._counters)
-            gauges = dict(self._gauges)
             histograms = dict(self._histograms)
         return {
             "counters": {name: c.value for name, c in sorted(counters.items())},
-            "gauges": {name: g.value for name, g in sorted(gauges.items())},
             "histograms": {name: h.state() for name, h in sorted(histograms.items())},
         }
 
@@ -261,33 +226,23 @@ class MetricsRegistry:
         """Reset this registry to a :meth:`snapshot`'s state."""
         with self._lock:
             self._counters.clear()
-            self._gauges.clear()
             self._histograms = {
                 name: Histogram.from_state(state)
                 for name, state in snapshot.get("histograms", {}).items()
             }
         for name, value in snapshot.get("counters", {}).items():
             self.counter(name).inc(value)
-        for name, value in snapshot.get("gauges", {}).items():
-            self.gauge(name).set(value)
-
-    def render_text(self) -> str:
-        """Prometheus-style text exposition of every instrument."""
-        return render(self.snapshot())
 
 
 def render(snapshot: dict) -> str:
     """Prometheus-style text exposition of a :meth:`MetricsRegistry.snapshot`
-    (or of anything shaped like one)."""
+    or of what ``/metrics`` serves, which adds ``"gauges"`` beside them."""
     lines: List[str] = []
-    for name, value in snapshot["counters"].items():
-        metric = _sanitize(name)
-        lines.append(f"# TYPE {metric} counter")
-        lines.append(f"{metric} {value:g}")
-    for name, value in snapshot["gauges"].items():
-        metric = _sanitize(name)
-        lines.append(f"# TYPE {metric} gauge")
-        lines.append(f"{metric} {value:g}")
+    for kind, metric_type in (("counters", "counter"), ("gauges", "gauge")):
+        for name, value in snapshot.get(kind, {}).items():
+            metric = _sanitize(name)
+            lines.append(f"# TYPE {metric} {metric_type}")
+            lines.append(f"{metric} {value:g}")
     for name, state in snapshot["histograms"].items():
         metric = _sanitize(name)
         lines.append(f"# TYPE {metric} histogram")

@@ -4,15 +4,15 @@ Maps series keys to shards the way the paper's serverless deployment
 spreads ~800k series across workers: a hash ring with virtual nodes, so
 (a) routing is deterministic across processes and restarts (the digest
 is :func:`hashlib.blake2b`, immune to ``PYTHONHASHSEED``), (b) load
-spreads evenly, and (c) adding or removing a shard only remaps the keys
-that touched it — the property every later resharding PR relies on.
+spreads evenly, and (c) a ring with one shard more or less maps every
+other shard's keys the same — the property resharding would rely on.
 """
 
 from __future__ import annotations
 
 import bisect
 import hashlib
-from typing import Dict, Hashable, Iterable, List, Sequence
+from typing import Hashable, Iterable, List
 
 __all__ = ["ConsistentHashRouter"]
 
@@ -76,23 +76,6 @@ class ConsistentHashRouter:
             self._points.insert(index, point)
             self._owners.insert(index, shard)
 
-    def remove_shard(self, shard: Hashable) -> None:
-        """Remove a shard; its keys redistribute to ring successors.
-
-        Raises:
-            ValueError: When the shard is not registered.
-        """
-        if shard not in self._shards:
-            raise ValueError(f"shard {shard!r} not registered")
-        self._shards.remove(shard)
-        keep = [
-            (point, owner)
-            for point, owner in zip(self._points, self._owners)
-            if owner != shard
-        ]
-        self._points = [point for point, _ in keep]
-        self._owners = [owner for _, owner in keep]
-
     def shard_for(self, key: str) -> Hashable:
         """The shard owning ``key``.
 
@@ -105,10 +88,3 @@ class ConsistentHashRouter:
         if index == len(self._points):
             index = 0  # wrap around the ring
         return self._owners[index]
-
-    def distribution(self, keys: Sequence[str]) -> Dict[Hashable, int]:
-        """Per-shard key counts for ``keys`` (balance diagnostics)."""
-        counts: Dict[Hashable, int] = {shard: 0 for shard in self._shards}
-        for key in keys:
-            counts[self.shard_for(key)] += 1
-        return counts

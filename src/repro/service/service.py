@@ -474,12 +474,11 @@ class StreamingDetectionService:
         took) into service-level state.
 
         Shared by the serial and parallel paths so what is published,
-        scan counts, ledger admission, funnel accumulation, and sink
-        delivery are identical in both.
+        ledger admission, funnel accumulation, and sink delivery are
+        identical in both.
         """
         publish(outcomes, self.metrics, self.traces)
         outcomes = [outcome for outcome in outcomes if outcome.result is not None]
-        shard.scans += len(outcomes)
         self.metrics.observe("service.shard_advance_seconds", elapsed)
         for outcome in outcomes:
             self.funnel.merge(outcome.result.funnel)

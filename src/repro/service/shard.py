@@ -6,8 +6,8 @@ under ``worker.paused()`` — the queue lock every offer and flush takes —
 so none can be torn by live producers or flushers:
 
 - :meth:`Shard.checkpoint_blob` / :meth:`Shard.restore` — the durable form:
-  database, worker (queue and held stragglers included), scheduler and
-  scan count in one pickle, so shared references survive;
+  database, worker (queue and held stragglers included) and scheduler
+  in one pickle, so shared references survive;
 - :meth:`Shard.seed` (a :meth:`Shard.snapshot` that starts a
   :class:`WriteLog`) — what a worker process builds its read replica
   from: the scheduler goes out with the database it reads;
@@ -45,13 +45,16 @@ __all__ = ["Shard", "ShardDelta", "ShardStats", "WriteLog"]
 
 @dataclass(frozen=True)
 class ShardStats:
-    """One shard's health snapshot, and every count its ingest side owns."""
+    """One shard's health snapshot, and every count its owners keep: the
+    ingest side's, the scheduler's scans and its monitors' incremental
+    caches (``{"hits": ..., "misses": ...}``)."""
 
     shard_id: int
     series: int
     pending: int
     counters: Dict[str, int]
     scans: int
+    incremental: Dict[str, int]
     quarantined_by_reason: Dict[str, int]
     flush_seconds: dict
 
@@ -147,7 +150,7 @@ class WriteLog:
 
 
 class Shard:
-    """One shard: its TSDB, ingest worker, scheduler, and scan count."""
+    """One shard: its TSDB, ingest worker and scheduler."""
 
     def __init__(
         self,
@@ -174,7 +177,6 @@ class Shard:
             ),
         )
         self.scheduler = DetectionScheduler(self.database, retention=retention)
-        self.scans = 0
         #: Whether a worker process was ever seeded with this shard (a
         #: seed after the first means a replica was given up).
         self.seeded = False
@@ -215,7 +217,8 @@ class Shard:
             series=len(self.database),
             pending=self.worker.pending,
             counters=self.worker.counters(),
-            scans=self.scans,
+            scans=self.scheduler.scans,
+            incremental=self.scheduler.incremental_counts(),
             quarantined_by_reason=(
                 dict(admission.quarantined_by_reason) if admission is not None else {}
             ),
@@ -233,7 +236,7 @@ class Shard:
             "capacity": worker.capacity,
             "policy": worker.policy.value,
             "saturated": pending >= worker.capacity,
-            "scans": self.scans,
+            "scans": self.scheduler.scans,
         }
 
     def quality(self) -> Tuple[Optional[dict], List[str]]:
@@ -271,7 +274,6 @@ class Shard:
                     "database": self.database,
                     "worker": self.worker,
                     "scheduler": self.scheduler,
-                    "scans": self.scans,
                 },
                 protocol=pickle.HIGHEST_PROTOCOL,
             )
@@ -286,7 +288,6 @@ class Shard:
         self.database = state["database"]
         self.worker = state["worker"]
         self.scheduler = state["scheduler"]
-        self.scans = state["scans"]
         self.bind(injector)
         self.scheduler.invalidate_incremental()
 

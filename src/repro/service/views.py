@@ -128,6 +128,9 @@ def _snapshot(service, shards: List[ShardStats]) -> dict:
             counters[name] += shard.counters.get(key, 0)
         for reason, count in shard.quarantined_by_reason.items():
             counters[f"quality.quarantined.{reason}"] += count
+        counters["scheduler.scans"] += shard.scans
+        for key, count in shard.incremental.items():
+            counters[f"pipeline.incremental.{key}"] += count
     for row in _challengers(service):
         for field in ("scans", "fired", "errors"):
             counters[f"detector.{row['id']}.{field}"] = row["tally"][field]
@@ -149,10 +152,11 @@ def _snapshot(service, shards: List[ShardStats]) -> dict:
         "gauges": {name: float(value) for name, value in gauges.items()},
         "histograms": histograms,
     }
-    merged = service.metrics.snapshot()
-    for kind, values in merged.items():
-        assert not values.keys() & owned[kind].keys(), "an owned count was recorded"
-        merged[kind] = dict(sorted({**values, **owned[kind]}.items()))
+    registry, merged = service.metrics.snapshot(), {}
+    for kind, values in owned.items():
+        recorded = registry.get(kind, {})  # the registry keeps no gauges
+        assert not recorded.keys() & values.keys(), "an owned count was recorded"
+        merged[kind] = dict(sorted({**recorded, **values}.items()))
     return merged
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -111,10 +111,6 @@ class SelfOrganizingMap:
             raise RuntimeError("SOM has not been fitted")
         x = (np.asarray(data, dtype=float) - self._mean) / self._std
         return np.array([self._best_matching_unit(p) for p in x])
-
-    def unit_coordinates(self, unit: int) -> Tuple[int, int]:
-        """Grid ``(row, col)`` of a unit index."""
-        return divmod(unit, self.grid_cols)
 
 
 def _merge_close_units(

@@ -31,17 +31,16 @@ paper's pipeline relies on:
   points, backing the pipeline's incremental scan cache.
 """
 
-from repro.stats.autocorrelation import acf, detect_season_length, has_significant_seasonality
+from repro.stats.autocorrelation import acf, detect_season_length
 from repro.stats.changepoint_dp import (
     SplitResult,
     best_split_normal_loss,
-    multi_split_normal_loss,
     normal_segment_loss,
 )
 from repro.stats.correlation import aligned_pearson, pearson
 from repro.stats.cusum import CusumResult, cusum_changepoint, cusum_split_rows, cusum_statistic
 from repro.stats.descriptive import percentile, summarize
-from repro.stats.e_divisive import EDivisiveResult, best_e_divisive_split, e_divisive_test
+from repro.stats.e_divisive import EDivisiveResult, e_divisive_test
 from repro.stats.em import em_mean_split, em_split_rows
 from repro.stats.hypothesis import LikelihoodRatioResult, likelihood_ratio_test, lrt_screen_rows
 from repro.stats.incremental import StreamingCusum, cusum_screen_batch
@@ -63,7 +62,6 @@ __all__ = [
     "TheilSenFit",
     "acf",
     "aligned_pearson",
-    "best_e_divisive_split",
     "best_split_normal_loss",
     "cusum_changepoint",
     "cusum_screen_batch",
@@ -73,14 +71,12 @@ __all__ = [
     "e_divisive_test",
     "em_mean_split",
     "em_split_rows",
-    "has_significant_seasonality",
     "likelihood_ratio_test",
     "loess_smooth",
     "lrt_screen_rows",
     "mad",
     "mad_threshold",
     "mann_kendall_test",
-    "multi_split_normal_loss",
     "normal_segment_loss",
     "pearson",
     "percentile",

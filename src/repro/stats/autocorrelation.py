@@ -12,7 +12,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-__all__ = ["acf", "detect_season_length", "has_significant_seasonality"]
+__all__ = ["acf", "detect_season_length"]
 
 
 # Slack on each comparison the FFT screen makes: its values sit within
@@ -121,11 +121,3 @@ def detect_season_length(
             best_lag, best_corr = lag, c
     return best_lag
 
-
-def has_significant_seasonality(
-    values: Sequence[float],
-    min_period: int = 2,
-    max_period: Optional[int] = None,
-) -> bool:
-    """Whether the series shows a statistically significant periodic ACF peak."""
-    return detect_season_length(values, min_period=min_period, max_period=max_period) is not None

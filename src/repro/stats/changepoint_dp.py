@@ -12,14 +12,13 @@ residual sum of squares; prefix sums make the scan O(n).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 __all__ = [
     "SplitResult",
     "best_split_normal_loss",
-    "multi_split_normal_loss",
     "normal_segment_loss",
 ]
 
@@ -88,53 +87,3 @@ def best_split_normal_loss(
     assert best_idx is not None
     return SplitResult(index=best_idx, loss=float(best_loss), gain=float(no_split - best_loss))
 
-
-def multi_split_normal_loss(
-    values: Sequence[float],
-    n_changepoints: int,
-    min_segment: int = 2,
-) -> List[int]:
-    """Exact dynamic program for up to ``n_changepoints`` change points.
-
-    Solves the optimal-partition problem with normal loss: choose segment
-    boundaries minimizing the total within-segment RSS.  O(K n^2) time.
-
-    Args:
-        values: The time series.
-        n_changepoints: Number of change points to place (K).
-        min_segment: Minimum points per segment.
-
-    Returns:
-        Sorted change-point indices (each is the first index of its
-        segment); fewer than K when the series cannot fit them.
-    """
-    x = np.asarray(values, dtype=float)
-    n = x.size
-    if n_changepoints <= 0 or n < (n_changepoints + 1) * min_segment:
-        return []
-    prefix, prefix_sq = _prefix_sums(x)
-
-    # cost[k][t] = min loss of x[:t] split into k+1 segments.
-    inf = np.inf
-    cost = np.full((n_changepoints + 1, n + 1), inf)
-    back: List[List[int]] = [[-1] * (n + 1) for _ in range(n_changepoints + 1)]
-    for t in range(min_segment, n + 1):
-        cost[0][t] = normal_segment_loss(prefix, prefix_sq, 0, t)
-    for k in range(1, n_changepoints + 1):
-        for t in range((k + 1) * min_segment, n + 1):
-            for s in range(k * min_segment, t - min_segment + 1):
-                candidate = cost[k - 1][s] + normal_segment_loss(prefix, prefix_sq, s, t)
-                if candidate < cost[k][t]:
-                    cost[k][t] = candidate
-                    back[k][t] = s
-
-    # Reconstruct boundaries for the full series with K change points.
-    boundaries: List[int] = []
-    k, t = n_changepoints, n
-    while k > 0:
-        s = back[k][t]
-        if s < 0:
-            return []
-        boundaries.append(s)
-        k, t = k - 1, s
-    return sorted(boundaries)

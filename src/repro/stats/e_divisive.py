@@ -33,7 +33,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["EDivisiveResult", "best_e_divisive_split", "e_divisive_test"]
+__all__ = ["EDivisiveResult", "e_divisive_test"]
 
 
 @dataclass(frozen=True)
@@ -98,28 +98,6 @@ def _split_statistics(
     energy = term_cross - term_a - term_b
     q = (m * k / (m + k)) * energy
     return t_values, q
-
-
-def best_e_divisive_split(
-    values: Sequence[float],
-    min_segment: int = 2,
-) -> Optional[Tuple[int, float]]:
-    """Best single split by energy divergence.
-
-    Args:
-        values: The time series.
-        min_segment: Minimum points per segment.
-
-    Returns:
-        ``(index, statistic)`` where ``index`` is the first index of the
-        second segment, or ``None`` when the series is too short.
-    """
-    x = np.asarray(values, dtype=float)
-    if x.size < 2 * min_segment:
-        return None
-    t_values, q = _split_statistics(_distance_matrix(x), min_segment)
-    best = int(np.argmax(q))
-    return int(t_values[best]), float(q[best])
 
 
 def e_divisive_test(

@@ -62,12 +62,6 @@ class SaxEncoding:
         counts = self.letter_counts()
         return sum(count for letter, count in counts.items() if letter not in buckets)
 
-    def invalid_fraction(self) -> float:
-        """Fraction of points that fall into invalid buckets."""
-        if not self.letters:
-            return 0.0
-        return self.count_outside(self.valid_letters) / len(self.letters)
-
     def bucket_lower_bound(self, letter: int) -> float:
         """Lower boundary value of bucket ``letter``."""
         return self.bucket_edges[letter]

@@ -4,27 +4,20 @@
   associations) with per-data-type I/O metrics.  PythonFaaS/FrontFaaS
   workloads detect "per-data-type I/O regressions to the downstream
   database" (§3); this substrate produces those series.
-- :mod:`repro.substrates.kraken` — a Kraken-style load tester that
-  measures a service's per-server maximum throughput, the input to
-  Capacity Triage's supply-side detection (§3).
 - :mod:`repro.substrates.canary` — canary-test analysis (control vs
   canary server groups, Welch's t-test), the pre-production tool whose
   findings §6.2 uses to corroborate FBDetect's reports.
 """
 
 from repro.substrates.canary import CanaryAnalysis, CanaryVerdict, compare_canary
-from repro.substrates.kraken import KrakenLoadTester, LoadTestResult, ThroughputModel
 from repro.substrates.tao import Association, TaoMetricsEmitter, TaoObject, TaoStore
 
 __all__ = [
     "Association",
     "CanaryAnalysis",
     "CanaryVerdict",
-    "KrakenLoadTester",
-    "LoadTestResult",
     "TaoMetricsEmitter",
     "TaoObject",
     "TaoStore",
-    "ThroughputModel",
     "compare_canary",
 ]

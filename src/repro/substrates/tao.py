@@ -7,8 +7,8 @@ query-processing throughput and, for serverless-platform traffic, the
 per-data-type I/O it receives (§3).
 
 This is a functional in-memory implementation: typed objects and
-associations with the classic TAO API (``assoc_add``, ``assoc_get``,
-``assoc_range``, ``assoc_count``, ``obj_get`` ...), a per-operation cost
+associations with the classic TAO API (``assoc_add``, ``assoc_range``,
+``assoc_count``, ``obj_get`` ...), a per-operation cost
 model, and a metrics emitter producing the per-data-type time series the
 detection pipeline scans.
 """
@@ -62,11 +62,9 @@ class Association:
 _OPERATION_COSTS = {
     "obj_get": 1.0,
     "obj_add": 1.5,
-    "assoc_get": 1.2,
     "assoc_range": 2.5,
     "assoc_count": 0.8,
     "assoc_add": 2.0,
-    "assoc_delete": 1.8,
 }
 
 
@@ -154,22 +152,6 @@ class TaoStore:
         bucket.sort(key=lambda a: -a.time)  # newest first, TAO order
         self._record("assoc_add", atype)
         return assoc
-
-    def assoc_delete(self, id1: int, atype: str, id2: int) -> bool:
-        """Remove an association; returns whether it existed."""
-        bucket = self._assoc_lists.get((id1, atype), [])
-        before = len(bucket)
-        bucket[:] = [a for a in bucket if a.id2 != id2]
-        self._record("assoc_delete", atype)
-        return len(bucket) < before
-
-    def assoc_get(self, id1: int, atype: str, id2: int) -> Optional[Association]:
-        """Point lookup of one association."""
-        self._record("assoc_get", atype)
-        for assoc in self._assoc_lists.get((id1, atype), []):
-            if assoc.id2 == id2:
-                return assoc
-        return None
 
     def assoc_range(
         self, id1: int, atype: str, offset: int = 0, limit: int = 50

@@ -8,7 +8,7 @@ with L2 normalization, over either word tokens (root-cause text analysis,
 from __future__ import annotations
 
 from collections import Counter
-from typing import Callable, Dict, Iterable, List, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Tuple
 
 import numpy as np
 
@@ -30,11 +30,6 @@ class TfidfVectorizer:
         self._vocabulary: Dict[str, int] = {}
         self._idf: np.ndarray = np.empty(0)
         self._fitted = False
-
-    @property
-    def vocabulary(self) -> Dict[str, int]:
-        """Token-to-column mapping (available after :meth:`fit`)."""
-        return dict(self._vocabulary)
 
     def fit(self, corpus: Iterable[str]) -> "TfidfVectorizer":
         """Learn vocabulary and inverse document frequencies from ``corpus``."""
@@ -69,11 +64,6 @@ class TfidfVectorizer:
                 vector[col] = count * self._idf[col]
         norm = np.linalg.norm(vector)
         return vector / norm if norm > 0 else vector
-
-    def fit_transform(self, corpus: Sequence[str]) -> np.ndarray:
-        """Fit on ``corpus`` and return the stacked document matrix."""
-        self.fit(corpus)
-        return np.vstack([self.transform(doc) for doc in corpus])
 
 
 class NgramTfidfVectorizer(TfidfVectorizer):

@@ -11,7 +11,7 @@ view-invalidation rules the buffers guarantee.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -213,16 +213,6 @@ class TimeSeries:
         """
         return self._timestamps.get(index)
 
-    def tail_values(self, start: int) -> np.ndarray:
-        """Values from position ``start`` to the end (zero-copy view).
-
-        The incremental-scan fast path: with ``start`` set to the length
-        at the previous scan, this returns exactly the points appended
-        since — O(1), no per-point conversion.  The view is read-only
-        and must be consumed before the series is mutated again.
-        """
-        return self._values.view(start)
-
     @property
     def timestamps(self) -> np.ndarray:
         """Timestamps as a numpy array (copy)."""
@@ -262,12 +252,6 @@ class TimeSeries:
         hi = self._timestamps.searchsorted(end, side="left")
         return self._values.view(lo, hi)
 
-    def timestamps_between(self, start: float, end: float) -> np.ndarray:
-        """Timestamps falling in ``[start, end)`` (zero-copy view)."""
-        lo = self._timestamps.searchsorted(start, side="left")
-        hi = self._timestamps.searchsorted(end, side="left")
-        return self._timestamps.view(lo, hi)
-
     def cut(self, bounds: Sequence[float]) -> Tuple[Tuple[int, ...], np.ndarray]:
         """Column positions of ascending ``bounds``, each bisected as
         :meth:`values_between` bisects it, and a copy of the values from the
@@ -278,10 +262,6 @@ class TimeSeries:
     def timestamps_at(self, start: int, stop: int) -> np.ndarray:
         """Timestamps at column positions ``[start, stop)`` (zero-copy view)."""
         return self._timestamps.view(start, stop)
-
-    def as_mapping(self) -> Mapping[float, float]:
-        """The series as a ``{timestamp: value}`` dict (for alignment)."""
-        return dict(zip(self._timestamps.tolist(), self._values.tolist()))
 
     def drop_before(self, cutoff: float) -> int:
         """Retention: drop points older than ``cutoff``; returns count dropped.

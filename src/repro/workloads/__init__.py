@@ -13,7 +13,6 @@ from repro.workloads.generators import (
     WindowKind,
     generate_corpus,
     generate_labeled_window,
-    magnitude_distribution,
 )
 from repro.workloads.presets import WorkloadPreset, build_preset, preset_names
 
@@ -24,6 +23,5 @@ __all__ = [
     "build_preset",
     "generate_corpus",
     "generate_labeled_window",
-    "magnitude_distribution",
     "preset_names",
 ]

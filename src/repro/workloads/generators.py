@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -20,7 +20,6 @@ __all__ = [
     "LabeledWindow",
     "generate_labeled_window",
     "generate_corpus",
-    "magnitude_distribution",
 ]
 
 
@@ -210,7 +209,3 @@ def generate_corpus(
     rng.shuffle(corpus)
     return corpus
 
-
-def magnitude_distribution(windows: Sequence[LabeledWindow]) -> np.ndarray:
-    """Injected magnitudes of the true regressions in a corpus."""
-    return np.array([w.magnitude for w in windows if w.is_true_regression])

@@ -489,7 +489,7 @@ def window_skip_reason(pipeline, series, windowed):
             return "non_finite_window"
     gate = pipeline.quality_gate
     if gate is not None:
-        stamps = series.timestamps_between(windowed.historic_start, windowed.analysis_start)
+        stamps = series.between(windowed.historic_start, windowed.analysis_start).timestamps
         spacing = cadence(stamps.tolist(), gate.min_cadence_points)
         present = int(windowed.analysis.size)
         start, end = windowed.analysis_start, windowed.extended_start

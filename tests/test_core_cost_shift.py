@@ -162,8 +162,7 @@ class TestCostShiftDetector:
             name="my-domain", kind="custom",
             members=frozenset({"ns::K::A", "ns::K::B"}),
         )
-        detector = CostShiftDetector(db)
-        detector.add_provider(lambda regression: [custom_domain])
+        detector = CostShiftDetector(db, extra_providers=[lambda regression: [custom_domain]])
         verdict = detector.check(make_regression(db, "ns::K::B"))
         assert not verdict.passed
 

@@ -75,14 +75,6 @@ class TestPlannedChangeCorrelator:
         )
         assert correlator.check(make_regression()).passed
 
-    def test_register_and_withdraw(self):
-        correlator = PlannedChangeCorrelator()
-        correlator.register(PlannedChange("a", start=0.0))
-        assert [c.change_id for c in correlator.planned()] == ["a"]
-        assert correlator.withdraw("a")
-        assert not correlator.withdraw("a")
-        assert correlator.check(make_regression()).passed
-
     def test_invalid_slack_raises(self):
         with pytest.raises(ValueError):
             PlannedChangeCorrelator(time_slack=-1.0)

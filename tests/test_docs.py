@@ -418,8 +418,7 @@ class TestScanStackHoldsNoHandles:
         def names_a_scan_metric(call):
             if not (
                 isinstance(call.func, ast.Attribute)
-                and call.func.attr in ("inc", "observe", "set_gauge", "timer", "counter",
-                                       "histogram")
+                and call.func.attr in ("inc", "observe", "timer", "counter", "histogram")
                 and ast.unparse(call.func.value).split(".")[-1] in ("metrics", "registry")
                 and call.args
             ):
@@ -467,7 +466,7 @@ class TestScanStackHoldsNoHandles:
 
 
 #: Registry methods whose first argument is a metric name.
-RECORDERS = ("inc", "observe", "set_gauge", "timer", "counter", "gauge", "histogram", "_inc")
+RECORDERS = ("inc", "observe", "timer", "counter", "histogram", "_inc")
 
 
 def _recorded(call):
@@ -502,10 +501,11 @@ def _sanitized(name):
 
 class TestOneHomePerCount:
     """A count its owner keeps — ingest worker, admission, shadow tally,
-    the service's own ints — reaches ``/metrics`` through the fold in
-    ``repro.service.views`` and nowhere else: the ingest side holds no
-    registry, no call in ``src/`` records an owned name, and the restore
-    step that reconciled the mirrors stays deleted."""
+    scheduler, incremental-scan cache, the service's own ints — reaches
+    ``/metrics`` through the fold in ``repro.service.views`` and nowhere
+    else: the ingest side holds no registry, no call in ``src/`` records
+    an owned name (a run's ledger included), and the restore step that
+    reconciled the mirrors stays deleted."""
 
     SRC = TestScanStackHoldsNoHandles.SRC
 
@@ -535,7 +535,7 @@ class TestOneHomePerCount:
             for call in TestScanStackHoldsNoHandles._calls(function)
             if _recorded(call) is not None
         }
-        assert ("runtime.scheduler.publish", "scheduler.scans") in recorded  # sees names
+        assert ("runtime.scheduler.publish", "scheduler.scan_failures") in recorded  # sees names
         assert not _overlap("sink.webhook.*", "ingest.accepted")  # ... and tells them apart
         clashes = sorted(
             (name, metric)
@@ -598,7 +598,8 @@ class TestRunbookNamesWhatMetricsServes:
         assert {"ingest_dropped_oldest", "quality_quarantined_{reason}"} <= set(names)
 
     def test_every_row_names_its_owner(self):
-        owners = {"worker", "admission", "shadow tally", "service", "registry"}
+        owners = {"worker", "admission", "shadow tally", "scheduler", "cache", "service",
+                  "registry"}
         header = _read("docs", "RUNBOOK.md").split("### `/metrics`")[1]
         assert "| Metric | Type | Owner | Meaning |" in header
         for row in self._rows():
@@ -676,3 +677,128 @@ class TestAShardAnswersForItself:
             and node.value.attr in ("worker", "scheduler")
         }
         assert uses == {"offer", "flush", "register"}
+
+
+class TestEveryPublicNameHasACaller:
+    """Every public definition in ``src/repro`` — a module-level def or
+    class, and each public method of such a class — is used from
+    ``src/``, ``benchmarks/``, ``examples/`` or ``scripts/``, or sits in
+    :attr:`ALLOWED` with the reason it is kept.  A use is a name or an
+    attribute with its name, an import outside an ``__init__.py`` (a
+    re-export is no user) or a ``_target`` row of the benchmark's tracer
+    (``benchmarks/e2e/layers.py`` wraps what it names); one inside the
+    definition's own body does not count, nor does an ``__all__``
+    string.  Matching is by name, so this finds no false orphans; it may
+    miss a real one that shares its name with something used."""
+
+    #: Stdlib handler overrides: the HTTP server calls them.
+    EXEMPT = {"do_GET", "do_POST", "log_message"}
+    #: The only reasons a name without a caller may stay: a seam a chaos
+    #: or SIGKILL drill needs, a reference implementation tests compare
+    #: against, an input a ROADMAP item names, or API a doc names.
+    CATEGORIES = ("seam:", "reference:", "roadmap:", "doc:")
+    ALLOWED = {
+        "repro.service.parallel.ParallelShardExecutor.worker_pids":
+            "seam: the SIGKILL drills kill a resident worker by its pid",
+        "repro.faults.injector.FaultInjector.exhausted":
+            "seam: the chaos drills assert that every planned fault fired",
+        "repro.obs.http.HttpEndpoint.running":
+            "seam: the HTTP tests watch the listener start and stop",
+        "repro.tsdb.series.TimeSeries.between":
+            "seam: the reference window checks and the TSDB model read sub-series",
+        "repro.fleet.subroutine.CallGraph.clone":
+            "seam: the fleet tests mutate a copy of a call graph",
+        "repro.stats.incremental.StreamingCusum":
+            "reference: the scalar screen cusum_screen_batch is held to",
+        "repro.stats.incremental.StreamingCusum.reanchor":
+            "reference: the scalar screen's re-anchor after a full scan",
+        "repro.stats.autocorrelation.acf":
+            "reference: held equal to the per-lag loop in _reference_kernels",
+        "repro.stats.cusum.cusum_statistic":
+            "reference: the whole CUSUM curve the split kernels are checked by",
+        "repro.stats.robust.mad_threshold":
+            "reference: the scalar MAD threshold of section 5.2.2",
+        "repro.stats.robust.sorted_percentile":
+            "reference: the one-row percentile held to np.percentile",
+        "repro.profiling.aggregate.StackTrie.folded":
+            "roadmap: item 4(d), /profile returns folded stacks",
+        "repro.fleet.scenarios.single_server_cpu":
+            "roadmap: item 3(a) borrows its shape families from repro.fleet.scenarios",
+        "repro.fleet.scenarios.cost_shift_series":
+            "roadmap: item 3(a) borrows its shape families from repro.fleet.scenarios",
+        "repro.fleet.scenarios.spike_then_regression":
+            "roadmap: item 3(a) borrows its shape families from repro.fleet.scenarios",
+        "repro.fleet.scenarios.noisy_step_series":
+            "roadmap: item 3(a) borrows its shape families from repro.fleet.scenarios",
+        "repro.connectors.importers.JsonLinesImporter":
+            "doc: docs/RUNBOOK.md, Importing real data, names JsonLinesImporter.import_into",
+        "repro.service.service.StreamingDetectionService.unquarantine":
+            "doc: docs/RUNBOOK.md, Data-quality triage, calls service.unquarantine",
+    }
+
+    @staticmethod
+    def _trees(*tops):
+        for top in tops:
+            for folder, _, names in os.walk(os.path.join(REPO_ROOT, top)):
+                for name in sorted(names):
+                    if name.endswith(".py"):
+                        path = os.path.join(folder, name)
+                        yield path, ast.parse(_read(path))
+
+    @classmethod
+    def _definitions(cls):
+        """``(qualified name, node, path)`` of every counted definition."""
+        src = os.path.join(REPO_ROOT, "src", "repro")
+        public = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+        for path, tree in cls._trees(os.path.join("src", "repro")):
+            module = "repro." + os.path.relpath(path, src)[:-3].replace(os.sep, ".")
+            module = module.removesuffix(".__init__")
+            for node in tree.body:
+                if not isinstance(node, public) or node.name.startswith("_"):
+                    continue
+                yield f"{module}.{node.name}", node, path
+                for member in node.body if isinstance(node, ast.ClassDef) else ():
+                    if isinstance(member, public[:2]) and not member.name.startswith("_"):
+                        yield f"{module}.{node.name}.{member.name}", member, path
+
+    @classmethod
+    def _uses(cls):
+        """name -> ``[(path, line)]`` of every counted use."""
+        uses = {}
+        for path, tree in cls._trees("src", "benchmarks", "examples", "scripts"):
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Name):
+                    names = [node.id]
+                elif isinstance(node, ast.Attribute):
+                    names = [node.attr]
+                elif isinstance(node, ast.ImportFrom) and not path.endswith("__init__.py"):
+                    names = [alias.name for alias in node.names]
+                elif (  # _target(layer, module, "Class.attr", kind, ...)
+                    isinstance(node, ast.Call) and ast.unparse(node.func) == "_target"
+                    and len(node.args) > 2 and isinstance(node.args[2], ast.Constant)
+                ):
+                    names = node.args[2].value.split(".")
+                else:
+                    continue
+                for name in names:
+                    uses.setdefault(name, []).append((path, node.lineno))
+        return uses
+
+    def test_every_public_definition_has_a_caller_or_a_reason(self):
+        uses = self._uses()
+        orphans = {
+            qualified
+            for qualified, node, path in self._definitions()
+            if node.name not in self.EXEMPT
+            and all(
+                where == path and node.lineno <= line <= node.end_lineno
+                for where, line in uses.get(node.name, ())
+            )
+        }
+        assert sorted(orphans - self.ALLOWED.keys()) == [], "delete it, or allow-list it"
+        # An entry whose name gained a caller, or is gone, leaves the list.
+        assert sorted(self.ALLOWED.keys() - orphans) == []
+
+    def test_every_reason_is_one_of_the_four(self):
+        for name, reason in self.ALLOWED.items():
+            assert reason.startswith(self.CATEGORIES), name

@@ -73,18 +73,6 @@ class TestChangeLog:
         assert log.get("early").deploy_time == 10.0
         assert log.get("nope") is None
 
-    def test_modifying(self):
-        log = ChangeLog(
-            [
-                CodeChange("c1", 0.0, effects=(ChangeEffect("foo", 1.1),)),
-                CodeChange("c2", 0.0, effects=(ChangeEffect("bar", 1.1),)),
-                CodeChange(
-                    "c3", 0.0, exported=False, effects=(ChangeEffect("foo", 1.1),)
-                ),
-            ]
-        )
-        assert [c.change_id for c in log.modifying("foo")] == ["c1"]
-
 
 class TestTransientEvent:
     def test_active_window(self):

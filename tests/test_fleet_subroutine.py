@@ -67,11 +67,6 @@ class TestMutation:
         with pytest.raises(ValueError):
             simple_graph().scale_cost("main", -1.0)
 
-    def test_add_cost_floors_at_zero(self):
-        graph = simple_graph()
-        graph.add_cost("ns::A::f", -100.0)
-        assert graph.get("ns::A::f").self_cost == 0.0
-
     def test_move_cost_conserves_total(self):
         graph = simple_graph()
         before = graph.total_cost()

@@ -1,9 +1,11 @@
 """One number per fact: a count an owner keeps is served from that owner.
 
 Ingest workers (``ingest.*``), admission controllers (``quality.*``,
-quarantines by reason included), shadow tallies (``detector.*``) and the
-service's own ints (``service.reports.*`` and the shape gauges) hold
-their counts themselves.  ``/metrics`` and ``stats().metrics`` fold them
+quarantines by reason included), shadow tallies (``detector.*``),
+schedulers (``scheduler.scans``), incremental-scan caches
+(``pipeline.incremental.*``) and the service's own ints
+(``service.reports.*`` and the shape gauges) hold their counts
+themselves.  ``/metrics`` and ``stats().metrics`` fold them
 in beside the registry's snapshot (``repro.service.views``), nothing
 records them into the registry, and so neither a restore, a worker pool
 nor a recovery path can serve a count that disagrees with its owner.
@@ -16,6 +18,7 @@ import time
 
 import pytest
 
+from repro.core.pipeline import DetectionPipeline
 from repro.faults import FaultInjector, FaultKind, FaultPlan, FaultSpec
 from repro.quality import QualityConfig
 from repro.runtime import CollectingSink
@@ -36,6 +39,7 @@ OWNED = (
     "detector.*.scans", "detector.*.fired", "detector.*.errors",
     "service.reports.delivered", "service.reports.suppressed",
     "service.shards", "service.workers", "service.shard*.series",
+    "scheduler.scans", "pipeline.incremental.hits", "pipeline.incremental.misses",
 )
 
 TAGS = {"metric": "gcpu"}
@@ -234,7 +238,7 @@ class TestTheManifestCarriesNoOwnedCount:
 
     def test_meta_metrics_holds_no_owned_name(self, drills, checkpointed):
         manifest = json.loads((checkpointed / "manifest.json").read_text(encoding="utf-8"))
-        assert manifest["version"] == 4
+        assert manifest["version"] == 5
         recorded = manifest["meta"]["metrics"]
         assert recorded["counters"], "the registry's own counts still ride the manifest"
         assert [name for kind in recorded.values() for name in kind if owned(name)] == []
@@ -250,11 +254,85 @@ class TestTheManifestCarriesNoOwnedCount:
         finally:
             restored.close()
 
-    def test_a_version_three_checkpoint_is_refused(self, checkpointed):
+    @staticmethod
+    def _refused(checkpointed, version):
         for name in ("manifest.json", "manifest.g1.json"):
             path = checkpointed / name
             manifest = json.loads(path.read_text(encoding="utf-8"))
-            manifest["version"] = 3
+            manifest["version"] = version
             path.write_text(json.dumps(manifest), encoding="utf-8")
-        with pytest.raises(CheckpointError, match="version 3 != supported 4"):
+        with pytest.raises(CheckpointError, match=f"version {version} != supported 5"):
             StreamingDetectionService.restore(str(checkpointed))
+
+    def test_a_version_three_checkpoint_is_refused(self, checkpointed):
+        self._refused(checkpointed, 3)
+
+    def test_a_version_four_checkpoint_is_refused(self, checkpointed):
+        """A v4 manifest's ``meta.metrics`` holds ``scheduler.scans`` and
+        ``pipeline.incremental.*``, which the schedulers and caches now
+        own: restored, the fold's disjointness assert would trip."""
+        self._refused(checkpointed, 4)
+
+
+#: The due time of the drill's second scan, the first with cache hits.
+FAILS_AT = fence.CONFIG.windows.total + fence.CONFIG.rerun_interval
+#: The counts a scheduler and its monitors' caches keep.
+SCAN_COUNTS = ("scheduler.scans", "pipeline.incremental.hits", "pipeline.incremental.misses")
+
+
+def owner_sums(service):
+    """The scan counts summed straight off their owners: every shard's
+    scheduler and every monitor's incremental-scan cache."""
+    schedulers = [shard.scheduler for shard in service._shards.values()]
+    caches = [
+        registration.detector.pipeline.incremental_cache
+        for scheduler in schedulers
+        for registration in scheduler._monitors.values()
+    ]
+    return dict(zip(SCAN_COUNTS, (
+        sum(scheduler.scans for scheduler in schedulers),
+        sum(cache.hits for cache in caches),
+        sum(cache.misses for cache in caches),
+    )))
+
+
+@pytest.fixture(scope="module", params=[1, 2], ids=lambda workers: f"workers={workers}")
+def raised(request):
+    """The drill with every scan due at :data:`FAILS_AT` raising after
+    the screen (the workers fork with the patch in place)."""
+    change_points = DetectionPipeline._change_points
+
+    def raising(self, scanned, now, counts):
+        if now == FAILS_AT:
+            raise RuntimeError("injected: the scan raised after the screen")
+        return change_points(self, scanned, now, counts)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(DetectionPipeline, "_change_points", raising)
+        return drill(request.param)
+
+
+class TestAScanThatRaisedAfterTheScreen:
+    """The bug: a run's ledger carried ``pipeline.incremental.*`` and
+    ``publish`` counted ``scheduler.scans``, beside the caches' and the
+    shards' own ints.  A scan that raised after the screen lost its
+    ledger while its screen decisions stood, so ``/metrics`` served fewer
+    hits and misses than the caches held.  The owners are now the only
+    count, whichever path advanced them and across a restore."""
+
+    def test_metrics_serve_the_owners_sums(self, raised):
+        counters = raised.stats().metrics["counters"]
+        assert counters["scheduler.scan_failures"] >= 1
+        sums = owner_sums(raised)
+        assert sums["pipeline.incremental.hits"] > 0
+        assert {name: counters[name] for name in SCAN_COUNTS} == sums
+
+    def test_a_restore_serves_the_same_owners(self, raised, tmp_path):
+        raised.checkpoint(str(tmp_path))
+        restored = StreamingDetectionService.restore(str(tmp_path))
+        try:
+            counters = restored.stats().metrics["counters"]
+            assert {name: counters[name] for name in SCAN_COUNTS} == owner_sums(raised)
+            assert owner_sums(restored) == owner_sums(raised)
+        finally:
+            restored.close()

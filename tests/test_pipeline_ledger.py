@@ -101,7 +101,8 @@ def _run(database, flags, planned, long_term):
     )
     # Two scans: the second meets the merger's and PairwiseDedup's memory
     # of the first, and the incremental cache's hits.
-    return [pipeline.run(database, NOW), pipeline.run(database, NOW + 300.0)]
+    runs = [pipeline.run(database, NOW), pipeline.run(database, NOW + 300.0)]
+    return pipeline.incremental_cache, runs
 
 
 def _published(results):
@@ -147,7 +148,7 @@ def _stage_table_shapes():
 @pytest.mark.parametrize("enabled, planned, long_term", _stage_table_shapes())
 def test_funnel_is_the_spans_outputs(database, enabled, planned, long_term):
     flags = dict(zip(_ENABLE_FLAGS, enabled))
-    results = _run(database, flags, planned, long_term)
+    cache, results = _run(database, flags, planned, long_term)
     for result in results:
         for stage in STAGES:
             span = result.trace.span(stage)
@@ -159,27 +160,25 @@ def test_funnel_is_the_spans_outputs(database, enabled, planned, long_term):
     counters, observed, store = _published(results)
     assert store.runs() == [result.trace for result in results]
     scanned = [result.trace.span("change_points") for result in results]
+    # The scan and cache-decision counts are their owners' (the scheduler,
+    # the cache), never the ledger's.
     assert counters == {
-        "scheduler.scans": len(results),
         "scheduler.regressions_reported": sum(len(r.reported) for r in results),
         "pipeline.runs": len(results),
         "pipeline.candidates": sum(len(r.all_candidates) for r in results),
         "pipeline.reported": sum(len(r.reported) for r in results),
-        "pipeline.incremental.hits": sum(s.drops.get("cache_hit", 0) for s in scanned),
-        "pipeline.incremental.misses": counters["pipeline.incremental.misses"],
         "pipeline.quality.non_finite_skips": sum(
             s.drops.get("non_finite_window", 0) for s in scanned
         ),
         # Every miss is a row of the matrix pass unless its window was bad.
-        "pipeline.full_scan.rows": counters["pipeline.incremental.misses"]
+        "pipeline.full_scan.rows": cache.misses
         - counters["pipeline.quality.non_finite_skips"],
         "pipeline.full_scan.exact_lrt": counters["pipeline.full_scan.exact_lrt"],
     }
     assert 0 < counters["pipeline.full_scan.exact_lrt"] <= counters["pipeline.full_scan.rows"]
+    assert cache.hits == sum(s.drops.get("cache_hit", 0) for s in scanned)
     if not long_term:  # with it on, a series is observed once per path
-        assert counters["pipeline.incremental.hits"] + counters[
-            "pipeline.incremental.misses"
-        ] == sum(s.inputs for s in scanned)
+        assert cache.hits + cache.misses == sum(s.inputs for s in scanned)
     assert set(observed.values()) == {len(results)}
     assert set(observed) == {"scheduler.scan_seconds", "pipeline.run_seconds"} | {
         f"pipeline.stage.{block}_seconds"
@@ -189,7 +188,7 @@ def test_funnel_is_the_spans_outputs(database, enabled, planned, long_term):
 
 def test_fleet_exercises_every_way_out(database):
     """The fleet above is only a property test if the stages all bite."""
-    first, second = _run(database, {}, planned=True, long_term=False)
+    _, (first, second) = _run(database, {}, planned=True, long_term=False)
     drops = {}
     for result in (first, second):
         for span in result.trace.spans:

@@ -46,15 +46,6 @@ class TestStackTrie:
         total = sum(float(line.rsplit(" ", 1)[1]) for line in trie.folded().splitlines())
         assert total == pytest.approx(10.0)
 
-    def test_hottest_paths(self):
-        trie = StackTrie().add_all(
-            traces((["a", "hot"], 9.0), (["a", "warm"], 5.0), (["cold"], 1.0))
-        )
-        hottest = trie.hottest_paths(2)
-        assert hottest[0][0] == ("a", "hot")
-        assert hottest[0][1] == 9.0
-        assert len(hottest) == 2
-
 
 class TestDiffTries:
     def test_regression_surfaces_first(self):

@@ -48,20 +48,6 @@ class TestMergeStacks:
 
 
 class TestSimulatedCPythonProcess:
-    def test_call_and_return(self):
-        proc = SimulatedCPythonProcess()
-        proc.call_python("main")
-        proc.call_native("zlib")
-        assert len(proc.vcs) == 1
-        proc.ret()  # zlib
-        proc.ret()  # main
-        assert len(proc.vcs) == 0
-
-    def test_return_past_bootstrap_raises(self):
-        proc = SimulatedCPythonProcess()
-        with pytest.raises(IndexError):
-            proc.ret()
-
     def test_vcs_tracks_python_only(self):
         proc = SimulatedCPythonProcess()
         proc.call_python("a")
@@ -129,10 +115,3 @@ class TestInterpreterVersions:
             profiler.naive_sample(old).subroutines
             != profiler.naive_sample(new).subroutines
         )
-
-    def test_ret_guard_respects_version_bootstrap(self):
-        proc = SimulatedCPythonProcess(python_version="3.12")
-        proc.call_python("f")
-        proc.ret()
-        with pytest.raises(IndexError):
-            proc.ret()

@@ -1,27 +1,10 @@
 """Tests for repro.profiling.stacktrace."""
 
 import pickle
-import threading
 
 import pytest
 
-from repro.profiling.stacktrace import (
-    Frame,
-    StackTrace,
-    current_frame_metadata,
-    set_frame_metadata,
-)
-
-
-class TestFrame:
-    def test_class_name_parsing(self):
-        assert Frame("ns::Klass::method").class_name == "ns::Klass"
-        assert Frame("plain_function").class_name is None
-
-    def test_with_metadata(self):
-        frame = Frame("f").with_metadata("user:vip")
-        assert frame.metadata == "user:vip"
-        assert frame.subroutine == "f"
+from repro.profiling.stacktrace import StackTrace
 
 
 class TestStackTrace:
@@ -51,10 +34,6 @@ class TestStackTrace:
         assert trace.callees_of("d") == ()
         assert trace.callees_of("zzz") == ()
 
-    def test_metadata_values(self):
-        frames = (Frame("a"), Frame("b", metadata="m1"), Frame("c", metadata="m2"))
-        assert StackTrace(frames=frames).metadata_values() == ("m1", "m2")
-
     def test_key_collapses_identical(self):
         t1 = StackTrace.from_names(["a", "b"])
         t2 = StackTrace.from_names(["a", "b"], weight=5.0)
@@ -78,28 +57,3 @@ class TestStackTrace:
         assert restored == trace and "names" not in vars(restored)
         assert restored.contains("b") and not restored.contains("z")
 
-
-class TestSetFrameMetadata:
-    def test_context_manager(self):
-        assert current_frame_metadata() is None
-        with set_frame_metadata("user_category:enterprise"):
-            assert current_frame_metadata() == "user_category:enterprise"
-        assert current_frame_metadata() is None
-
-    def test_nesting_innermost_wins(self):
-        with set_frame_metadata("outer"):
-            with set_frame_metadata("inner"):
-                assert current_frame_metadata() == "inner"
-            assert current_frame_metadata() == "outer"
-
-    def test_thread_local(self):
-        results = {}
-
-        def worker():
-            results["other"] = current_frame_metadata()
-
-        with set_frame_metadata("main-only"):
-            thread = threading.Thread(target=worker)
-            thread.start()
-            thread.join()
-        assert results["other"] is None

@@ -29,7 +29,7 @@ class TestTracer:
                     pass
         assert inner.parent_id == outer.span_id
         assert outer.parent_id is None
-        assert [s.name for s in trace.children_of(outer.span_id)] == ["inner"]
+        assert [s.name for s in trace.spans if s.parent_id == outer.span_id] == ["inner"]
 
     def test_span_outside_request_raises(self):
         tracer = Tracer()

@@ -5,8 +5,8 @@ amortized doubling, zero-copy tail views) must be observationally
 identical to the obvious pure-Python implementation — element for
 element, across every mutation path (``append`` / ``insert`` /
 ``ingest_many`` / ``drop_before``), every read path (``values`` /
-``timestamps`` / ``between`` / ``tail_values`` / ``values_between`` /
-``timestamps_between`` / ``as_mapping`` / ``latest``), and both
+``timestamps`` / ``between`` / ``values_between`` / ``timestamps_at`` /
+``latest``), and both
 duplicate policies.  Hypothesis drives random interleavings against the
 reference model below; any divergence is a storage-layer bug.
 
@@ -147,7 +147,6 @@ def assert_same_state(series, model):
         assert series.latest() == (model.ts[-1], model.vals[-1])
         assert series.start == model.ts[0]
         assert series.end == model.ts[-1]
-        assert dict(series.as_mapping()) == dict(zip(model.ts, model.vals))
     else:
         assert series.latest() is None
 
@@ -156,12 +155,12 @@ def assert_same_windows(series, model, start, end, k):
     lo = bisect.bisect_left(model.ts, start)
     hi = bisect.bisect_left(model.ts, end)
     assert list(series.values_between(start, end)) == model.vals[lo:hi]
-    assert list(series.timestamps_between(start, end)) == model.ts[lo:hi]
     window = series.between(start, end)
     assert list(window.timestamps) == model.ts[lo:hi]
     assert list(window.values) == model.vals[lo:hi]
     k = min(k, len(model.ts))
-    assert list(series.tail_values(len(model.ts) - k)) == (model.vals[-k:] if k else [])
+    n = len(model.ts)
+    assert list(series.timestamps_at(n - k, n)) == (model.ts[-k:] if k else [])
 
 
 # Timestamps on a tiny integer grid so duplicates and stragglers are

@@ -81,14 +81,10 @@ class TestFormatReport:
 class TestFunnelFormatting:
     def _funnel(self):
         funnel = FunnelCounters()
-        funnel.survived("change_points", 1000)
-        funnel.survived("went_away", 10)
-        funnel.survived("seasonality", 8)
-        funnel.survived("threshold", 6)
-        funnel.survived("same_regression", 5)
-        funnel.survived("som_dedup", 3)
-        funnel.survived("cost_shift", 2)
-        funnel.survived("pairwise_dedup", 1)
+        funnel.counts.update(
+            change_points=1000, went_away=10, seasonality=8, threshold=6,
+            same_regression=5, som_dedup=3, cost_shift=2, pairwise_dedup=1,
+        )
         return funnel
 
     def test_funnel_rows_ratios(self):
@@ -99,7 +95,7 @@ class TestFunnelFormatting:
 
     def test_zero_survivors(self):
         funnel = FunnelCounters()
-        funnel.survived("change_points", 10)
+        funnel.counts["change_points"] = 10
         rows = dict(funnel_rows(funnel))
         assert "inf" in rows["After went-away detection"]
 

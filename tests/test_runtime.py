@@ -1,7 +1,5 @@
 """Tests for repro.runtime (scheduler and sinks)."""
 
-import logging
-
 import numpy as np
 import pytest
 
@@ -10,7 +8,6 @@ from repro.obs.spans import TraceStore
 from repro.runtime import (
     CollectingSink,
     DetectionScheduler,
-    LoggingSink,
     deliver_outcomes,
     publish,
 )
@@ -57,12 +54,6 @@ class TestDetectionScheduler:
         scheduler.register("a", small_config())
         with pytest.raises(ValueError, match="already registered"):
             scheduler.register("a", small_config())
-
-    def test_unregister(self):
-        scheduler = DetectionScheduler(TimeSeriesDatabase())
-        scheduler.register("a", small_config())
-        assert scheduler.unregister("a")
-        assert not scheduler.unregister("a")
 
     def test_advance_runs_due_scans(self, rng):
         db = regression_db(rng)
@@ -135,15 +126,6 @@ class TestSinks:
         deliver_outcomes(scheduler.advance_to(54_000.0), [sink])
         assert len(sink) == 1
 
-    def test_logging_sink(self, rng, caplog):
-        db = regression_db(rng)
-        logger = logging.getLogger("repro.runtime.test")
-        scheduler = DetectionScheduler(db)
-        scheduler.register("svc", small_config(), first_run=54_000.0)
-        with caplog.at_level(logging.WARNING, logger="repro.runtime.test"):
-            deliver_outcomes(scheduler.advance_to(54_000.0), [LoggingSink(logger)])
-        assert any("Performance regression" in r.message for r in caplog.records)
-
 
 class TestScanFailureIsolation:
     """One monitor's scan blowing up must not abort the whole batch."""
@@ -171,5 +153,6 @@ class TestScanFailureIsolation:
         deliver_outcomes(outcomes, [sink])
         counters = registry.snapshot()["counters"]
         assert counters["scheduler.scan_failures"] == 1.0
-        assert counters["scheduler.scans"] == 1.0
+        assert scheduler.scans == 1  # the scheduler's own count, not the registry's
+        assert "scheduler.scans" not in counters
         assert len(store) == 1 and len(sink) == 1

@@ -114,10 +114,10 @@ class TestCheckpointManager:
         for name in ("manifest.json", "manifest.g1.json"):
             path = tmp_path / name
             manifest = json.loads(path.read_text(encoding="utf-8"))
-            assert manifest["version"] == 4
+            assert manifest["version"] == 5
             manifest["version"] = 1
             path.write_text(json.dumps(manifest), encoding="utf-8")
-        with pytest.raises(CheckpointError, match="version 1 != supported 4"):
+        with pytest.raises(CheckpointError, match="version 1 != supported 5"):
             StreamingDetectionService.restore(str(tmp_path))
 
     def test_corrupt_manifest_raises(self, tmp_path):
@@ -431,7 +431,7 @@ class TestKillRestoreEquivalence:
         directory = str(tmp_path / "ckpt")
         StreamingDetectionService(n_shards=2, workers=1).checkpoint(directory)
         restored = StreamingDetectionService.restore(directory, workers=2)
-        assert restored.metrics.snapshot()["gauges"] == {}
+        assert "gauges" not in restored.metrics.snapshot()  # the registry has no gauge kind
         gauges = restored.stats().metrics["gauges"]
         assert gauges["service.workers"] == 2.0 == views.healthz(restored)[1]["workers"]
         assert gauges["service.shards"] == 2.0

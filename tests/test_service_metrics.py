@@ -1,10 +1,11 @@
-"""Tests for repro.service.metrics (counters, gauges, histograms, registry)."""
+"""Tests for repro.service.metrics (counters, histograms, registry, exposition)."""
 
 import threading
 
 import pytest
 
-from repro.service import Counter, Gauge, Histogram, MetricsRegistry
+from repro.service import Counter, Histogram, MetricsRegistry
+from repro.service.metrics import render
 
 
 class TestCounter:
@@ -17,15 +18,6 @@ class TestCounter:
     def test_negative_raises(self):
         with pytest.raises(ValueError, match="only go up"):
             Counter().inc(-1)
-
-
-class TestGauge:
-    def test_set_inc_dec(self):
-        gauge = Gauge()
-        gauge.set(10)
-        gauge.inc(2.5)
-        gauge.dec()
-        assert gauge.value == 11.5
 
 
 class TestHistogram:
@@ -70,10 +62,8 @@ class TestRegistry:
     def test_instruments_created_on_first_use(self):
         metrics = MetricsRegistry()
         metrics.inc("a.count", 3)
-        metrics.set_gauge("a.depth", 7)
         metrics.observe("a.seconds", 0.01)
         assert metrics.counter("a.count").value == 3
-        assert metrics.gauge("a.depth").value == 7
         assert metrics.histogram("a.seconds").count == 1
 
     def test_same_instance_returned(self):
@@ -94,14 +84,13 @@ class TestRegistry:
 
             return Counting
 
-        for instrument in (Counter, Gauge, Histogram):
+        for instrument in (Counter, Histogram):
             monkeypatch.setattr(metrics_module, instrument.__name__, counting(instrument))
         registry = MetricsRegistry()
         for _ in range(50):
             registry.inc("a")
-            registry.set_gauge("g", 1.0)
             registry.observe("h", 0.1)
-        assert sorted(built) == ["Counter", "Gauge", "Histogram"]
+        assert sorted(built) == ["Counter", "Histogram"]
         assert registry.counter("a").value == 50
 
     def test_timer_observes_elapsed(self):
@@ -115,7 +104,6 @@ class TestRegistry:
     def test_snapshot_restore_round_trip(self):
         metrics = MetricsRegistry()
         metrics.inc("c", 5)
-        metrics.set_gauge("g", -2.5)
         for value in (0.001, 0.05, 3.0):
             metrics.observe("h", value)
 
@@ -139,9 +127,9 @@ class TestRegistry:
     def test_render_text_exposition(self):
         metrics = MetricsRegistry()
         metrics.inc("service.ingest.accepted", 12)
-        metrics.set_gauge("service.queue.depth", 3)
         metrics.observe("pipeline.run_seconds", 0.12)
-        text = metrics.render_text()
+        # Gauges come from the owners ``/metrics`` folds in beside the registry.
+        text = render({**metrics.snapshot(), "gauges": {"service.queue.depth": 3}})
         assert "# TYPE service_ingest_accepted counter" in text
         assert "service_ingest_accepted 12" in text
         assert "# TYPE service_queue_depth gauge" in text
@@ -150,7 +138,7 @@ class TestRegistry:
         assert "pipeline_run_seconds_count 1" in text
 
     def test_render_empty(self):
-        assert MetricsRegistry().render_text() == ""
+        assert render(MetricsRegistry().snapshot()) == ""
 
     def test_thread_safety_under_contention(self):
         metrics = MetricsRegistry()

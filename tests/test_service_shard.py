@@ -26,7 +26,7 @@ from repro.service import (
     CheckpointManager,
     StreamingDetectionService,
 )
-from repro.service.metrics import Counter, Gauge, Histogram, MetricsRegistry
+from repro.service.metrics import Counter, Histogram, MetricsRegistry
 from repro.tsdb import SeriesFrame, WindowSpec
 
 TAGS = {"metric": "gcpu"}
@@ -179,7 +179,7 @@ class _NoHandles(pickle.Pickler):
     one that relies on the handle pickling to an empty shell does not."""
 
     FORBIDDEN = (
-        MetricsRegistry, Counter, Gauge, Histogram, TraceStore, EventLog,
+        MetricsRegistry, Counter, Histogram, TraceStore, EventLog,
         FaultInjector, IncidentSink, type(threading.Lock()), type(threading.RLock()),
     )
 
@@ -232,7 +232,7 @@ class TestNothingProcessLocalOnBoard:
                 for graph in (
                     shard.scheduler,
                     {"database": shard.database, "worker": shard.worker,
-                     "scheduler": shard.scheduler, "scans": shard.scans},
+                     "scheduler": shard.scheduler},
                     # What comes back out is as clean as what went in.
                     snapshot, durable,
                 ):
@@ -290,7 +290,7 @@ class TestVersionTwoIsRefused:
             manifest = json.loads(path.read_text(encoding="utf-8"))
             manifest["version"] = 2
             path.write_text(json.dumps(manifest), encoding="utf-8")
-        with pytest.raises(CheckpointError, match="version 2 != supported 4"):
+        with pytest.raises(CheckpointError, match="version 2 != supported 5"):
             StreamingDetectionService.restore(str(tmp_path))
 
 

@@ -9,11 +9,10 @@ report, and the advance returns normally.
 """
 
 import numpy as np
-import pytest
 
 from repro.config import DetectionConfig
 from repro.reporting import build_report
-from repro.runtime import CollectingSink, JsonLinesSink, deliver
+from repro.runtime import CollectingSink, deliver
 from repro.service import BackpressurePolicy, Sample, StreamingDetectionService
 from repro.tsdb import WindowSpec
 
@@ -131,62 +130,22 @@ class TestDeliverIsolation:
     ``deliver`` in ``src/``: the service and bare-scheduler users both
     fan out through it, so its isolation is everybody's."""
 
-    def test_raising_sink_does_not_starve_later_sinks(self, tmp_path):
-        path = tmp_path / "incidents.jsonl"
+    def test_raising_sink_does_not_starve_later_sinks(self):
         raising, failures = RaisingSink(), []
+        later = [CollectingSink(), CollectingSink()]
         report = build_report(make_regression())
         taken = deliver(
             report,
-            [raising, JsonLinesSink(str(path)), CollectingSink()],
+            [raising, *later],
             on_error=lambda sink, failed, error: failures.append((sink, failed, str(error))),
         )
         assert raising.attempts == 1
         # The sinks after the raising one still received the report.
         assert taken == 2
-        assert len(path.read_text().strip().splitlines()) == 1
+        assert [sink.reports for sink in later] == [[report], [report]]
         assert failures == [(raising, report, "sink exploded")]
 
     def test_without_a_callback_a_failure_is_only_logged(self):
         good = CollectingSink()
         assert deliver(build_report(make_regression()), [RaisingSink(), good]) == 1
         assert len(good) == 1
-
-
-class TestJsonLinesSinkHandle:
-    def test_path_mode_holds_one_handle(self, tmp_path):
-        path = tmp_path / "incidents.jsonl"
-        sink = JsonLinesSink(str(path))
-        sink.deliver(build_report(make_regression()))
-        first_stream = sink._stream
-        assert first_stream is not None
-        sink.deliver(build_report(make_regression()))
-        assert sink._stream is first_stream  # no reopen per report
-        sink.close()
-        assert len(path.read_text().strip().splitlines()) == 2
-
-    def test_write_failure_reopens_on_next_delivery(self, tmp_path):
-        path = tmp_path / "incidents.jsonl"
-        sink = JsonLinesSink(str(path))
-        sink.deliver(build_report(make_regression()))
-        sink._stream.close()  # simulate the fd dying under the sink
-        with pytest.raises(ValueError):
-            sink.deliver(build_report(make_regression()))
-        # The dead handle was dropped; delivery recovers on a fresh one.
-        sink.deliver(build_report(make_regression()))
-        sink.close()
-        assert len(path.read_text().strip().splitlines()) == 2
-
-    def test_close_leaves_caller_owned_streams_open(self):
-        import io
-
-        stream = io.StringIO()
-        sink = JsonLinesSink(stream)
-        sink.deliver(build_report(make_regression()))
-        sink.close()
-        assert not stream.closed  # caller owns it, caller closes it
-
-    def test_close_idempotent(self, tmp_path):
-        sink = JsonLinesSink(str(tmp_path / "x.jsonl"))
-        sink.deliver(build_report(make_regression()))
-        sink.close()
-        sink.close()

@@ -44,12 +44,6 @@ class TestSelfOrganizingMap:
         units_b = set(som.predict(b))
         assert units_a.isdisjoint(units_b)
 
-    def test_unit_coordinates(self):
-        som = SelfOrganizingMap(grid_rows=3, grid_cols=4)
-        assert som.unit_coordinates(0) == (0, 0)
-        assert som.unit_coordinates(5) == (1, 1)
-        assert som.n_units == 12
-
     def test_deterministic_with_seed(self, rng):
         data = rng.normal(0, 1, (30, 3))
         w1 = SelfOrganizingMap(2, 2, seed=7).fit(data).weights

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.stats.autocorrelation import acf, detect_season_length, has_significant_seasonality
+from repro.stats.autocorrelation import acf, detect_season_length
 
 
 class TestAcf:
@@ -54,13 +54,3 @@ class TestDetectSeasonLength:
         # Period 5 exists but we forbid periods below 10: harmonic at 10 ok.
         period = detect_season_length(y, min_period=10)
         assert period is None or period % 5 == 0
-
-
-class TestHasSignificantSeasonality:
-    def test_true_for_seasonal(self, rng):
-        t = np.arange(300)
-        y = np.sin(2 * np.pi * t / 30) + rng.normal(0, 0.1, 300)
-        assert has_significant_seasonality(y)
-
-    def test_false_for_noise(self, rng):
-        assert not has_significant_seasonality(rng.normal(0, 1, 300))

@@ -3,10 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.stats.changepoint_dp import (
-    best_split_normal_loss,
-    multi_split_normal_loss,
-)
+from repro.stats.changepoint_dp import best_split_normal_loss
 
 
 class TestBestSplit:
@@ -37,21 +34,3 @@ class TestBestSplit:
         x = np.concatenate([np.zeros(3), np.ones(47)])
         result = best_split_normal_loss(x, min_segment=10)
         assert 10 <= result.index <= 40
-
-
-class TestMultiSplit:
-    def test_two_changepoints(self):
-        x = np.concatenate([np.zeros(30), np.full(30, 5.0), np.full(30, 10.0)])
-        splits = multi_split_normal_loss(x, n_changepoints=2)
-        assert splits == [30, 60]
-
-    def test_zero_changepoints(self):
-        assert multi_split_normal_loss(np.arange(20.0), 0) == []
-
-    def test_too_short_for_k(self):
-        assert multi_split_normal_loss(np.arange(5.0), 3, min_segment=2) == []
-
-    def test_single_equals_best_split(self, step_series):
-        multi = multi_split_normal_loss(step_series, 1)
-        single = best_split_normal_loss(step_series)
-        assert multi == [single.index]

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.stats import EDivisiveResult, best_e_divisive_split, e_divisive_test
+from repro.stats import EDivisiveResult, e_divisive_test
 from repro.stats.e_divisive import _distance_matrix, _split_statistics
 
 
@@ -18,21 +18,20 @@ class TestBestSplit:
     def test_tiny_hand_case(self):
         # [0, 0, 1, 1]: the only admissible split at min_segment=2 is the
         # true one; E = 2*1 - 0 - 0 = 2 scaled by m*k/(m+k) = 1.
-        split = best_e_divisive_split(np.array([0.0, 0.0, 1.0, 1.0]))
+        split = e_divisive_test(np.array([0.0, 0.0, 1.0, 1.0]), n_permutations=0)
         assert split is not None
-        index, statistic = split
-        assert index == 2
-        assert statistic == pytest.approx(2.0)
+        assert split.index == 2
+        assert split.statistic == pytest.approx(2.0)
 
     def test_too_short_returns_none(self):
-        assert best_e_divisive_split(np.array([1.0, 2.0, 3.0])) is None
-        assert best_e_divisive_split(np.array([])) is None
+        assert e_divisive_test(np.array([1.0, 2.0, 3.0]), n_permutations=0) is None
+        assert e_divisive_test(np.array([]), n_permutations=0) is None
 
     def test_finds_step_location(self):
         values = step_series()
-        split = best_e_divisive_split(values)
+        split = e_divisive_test(values, n_permutations=0)
         assert split is not None
-        assert abs(split[0] - 160) <= 3
+        assert abs(split.index - 160) <= 3
 
     def test_prefix_sums_match_bruteforce(self):
         # The O(1)-per-split prefix-sum reads must equal the brute-force

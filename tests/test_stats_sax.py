@@ -31,7 +31,7 @@ class TestSaxEncode:
     def test_constant_series_single_bucket(self):
         enc = sax_encode(np.full(10, 3.0), n_buckets=5)
         assert len(set(enc.letters)) == 1
-        assert enc.invalid_fraction() == 0.0
+        assert enc.count_outside(enc.valid_letters) == 0
 
     def test_validity_threshold(self):
         # 97 points in bucket 'a', 3 in top bucket: at 3% of 100 = 3 points,
@@ -72,8 +72,3 @@ class TestSaxEncode:
             sax_encode([1.0], n_buckets=0)
         with pytest.raises(ValueError):
             sax_encode([1.0], n_buckets=100)
-
-    def test_invalid_fraction_computation(self):
-        values = [0.0] * 99 + [10.0]
-        enc = sax_encode(values, n_buckets=10, valid_fraction=0.03)
-        assert enc.invalid_fraction() == pytest.approx(0.01)

@@ -35,8 +35,7 @@ class TestTaoAssociations:
     def test_add_and_get(self):
         store = self._store()
         store.assoc_add(self.alice.object_id, "friend", self.bob.object_id, time=1.0)
-        assoc = store.assoc_get(self.alice.object_id, "friend", self.bob.object_id)
-        assert assoc is not None
+        (assoc,) = store.assoc_range(self.alice.object_id, "friend")
         assert assoc.id2 == self.bob.object_id
 
     def test_range_newest_first(self):
@@ -58,15 +57,8 @@ class TestTaoAssociations:
         store.assoc_add(self.alice.object_id, "friend", self.bob.object_id, time=1.0)
         store.assoc_add(self.alice.object_id, "friend", self.bob.object_id, time=9.0)
         assert store.assoc_count(self.alice.object_id, "friend") == 1
-        assoc = store.assoc_get(self.alice.object_id, "friend", self.bob.object_id)
+        (assoc,) = store.assoc_range(self.alice.object_id, "friend")
         assert assoc.time == 9.0
-
-    def test_delete(self):
-        store = self._store()
-        store.assoc_add(self.alice.object_id, "friend", self.bob.object_id, time=1.0)
-        assert store.assoc_delete(self.alice.object_id, "friend", self.bob.object_id)
-        assert not store.assoc_delete(self.alice.object_id, "friend", self.bob.object_id)
-        assert store.assoc_count(self.alice.object_id, "friend") == 0
 
     def test_count(self):
         store = self._store()

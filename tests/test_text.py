@@ -87,18 +87,14 @@ class TestTfidfVectorizer:
         corpus = ["common rare", "common other", "common thing"]
         v = TfidfVectorizer().fit(corpus)
         vec = v.transform("common rare")
-        rare_weight = vec[v.vocabulary["rare"]]
-        common_weight = vec[v.vocabulary["common"]]
+        rare_weight = vec @ v.transform("rare")  # one-token documents are unit vectors
+        common_weight = vec @ v.transform("common")
         assert rare_weight > common_weight
 
     def test_oov_ignored(self):
         v = TfidfVectorizer().fit(["alpha"])
         vec = v.transform("completely unknown words")
         assert np.allclose(vec, 0.0)
-
-    def test_fit_transform_shape(self):
-        matrix = TfidfVectorizer().fit_transform(["a b", "b c", "c d"])
-        assert matrix.shape[0] == 3
 
 
 class TestNgramTfidf:

@@ -70,11 +70,6 @@ class TestTimeSeries:
         assert list(series.timestamps) == [0.0, 2.0, 4.0]
         assert list(series.values) == [-1.0, 20.0, 40.0]
 
-    def test_timestamps_between(self):
-        series = TimeSeries("s")
-        series.extend([(float(i), 0.0) for i in range(10)])
-        assert list(series.timestamps_between(2.0, 5.0)) == [2.0, 3.0, 4.0]
-
     def test_between_half_open(self):
         series = TimeSeries("s")
         series.extend([(0.0, 0.0), (1.0, 1.0), (2.0, 2.0), (3.0, 3.0)])
@@ -98,11 +93,6 @@ class TestTimeSeries:
         dropped = series.drop_before(4.0)
         assert dropped == 4
         assert series.start == 4.0
-
-    def test_as_mapping(self):
-        series = TimeSeries("s")
-        series.extend([(0.0, 1.0), (1.0, 2.0)])
-        assert series.as_mapping() == {0.0: 1.0, 1.0: 2.0}
 
 
 class TestTimeSeriesDatabase:

@@ -9,7 +9,6 @@ from repro.workloads import (
     build_preset,
     generate_corpus,
     generate_labeled_window,
-    magnitude_distribution,
     preset_names,
 )
 
@@ -44,9 +43,9 @@ class TestGenerateLabeledWindow:
 
     def test_seasonal_has_periodicity(self, rng):
         window = generate_labeled_window(WindowKind.SEASONAL, rng)
-        from repro.stats.autocorrelation import has_significant_seasonality
+        from repro.stats.autocorrelation import detect_season_length
 
-        assert has_significant_seasonality(window.values)
+        assert detect_season_length(window.values) is not None
 
     def test_gradual_is_true_regression(self, rng):
         window = generate_labeled_window(WindowKind.GRADUAL, rng)
@@ -76,7 +75,7 @@ class TestGenerateCorpus:
 
     def test_magnitude_distribution(self):
         corpus = generate_corpus(n_regressions=50, n_clean=0, n_transients=0, seed=7)
-        magnitudes = magnitude_distribution(corpus)
+        magnitudes = np.array([w.magnitude for w in corpus if w.is_true_regression])
         assert magnitudes.size == 50
         # Paper-like spread: smallest well below median, largest well above.
         assert magnitudes.min() < np.median(magnitudes) / 3
