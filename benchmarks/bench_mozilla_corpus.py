@@ -29,7 +29,6 @@ import tempfile
 from _harness import emit
 from repro.config import DetectionConfig
 from repro.connectors import SeriesMapper, import_corpus, load_corpus
-from repro.quality import QualityConfig
 from repro.service import BackpressurePolicy, StreamingDetectionService
 from repro.tsdb import WindowSpec
 
@@ -84,7 +83,6 @@ def run_corpus(path=None, sinks=()):
         queue_capacity=1 << 20,
         backpressure=BackpressurePolicy.BLOCK,
         batch_size=4_096,
-        quality=QualityConfig(),
     )
     service.register_monitor(
         "mozilla", config, series_filter={"source": "mozilla"}

@@ -36,6 +36,7 @@ from repro.reporting import build_report, format_report
 from repro.reporting.funnel import format_funnel_table
 from repro.runtime import CollectingSink
 from repro.service import BackpressurePolicy, Sample, StreamingDetectionService, views
+from repro.service.parallel import ADVANCE_DEADLINE
 from repro.workloads import build_preset, preset_names
 
 __all__ = ["main", "build_parser"]
@@ -70,12 +71,6 @@ def build_parser() -> argparse.ArgumentParser:
     detect = sub.add_parser("detect", help="detect regressions in a CSV series")
     detect.add_argument("csv_path", help="CSV of timestamp,value rows")
     detect.add_argument("--config", default="frontfaas_small", choices=sorted(TABLE1_CONFIGS))
-    detect.add_argument(
-        "--fit-windows",
-        action="store_true",
-        default=True,
-        help="shrink the configured windows to span the CSV (default on)",
-    )
     detect.add_argument("--threshold", type=float, default=None, help="override threshold")
 
     serve = sub.add_parser(
@@ -249,7 +244,7 @@ def _cmd_detect(args: argparse.Namespace) -> int:
     if args.threshold is not None:
         config = replace(config, threshold=args.threshold)
     span = timestamps[-1] - timestamps[0]
-    if args.fit_windows and span > 0:
+    if span > 0:  # shrink the configured windows to span the CSV
         config = config.with_windows(
             historic=span * 2 / 3, analysis=span * 2 / 9, extended=span * 1 / 9
         )
@@ -363,11 +358,11 @@ def _parse_shadow_specs(raw_specs):
     return specs
 
 
-def _build_service(args: argparse.Namespace, **service_kwargs):
+def _build_service(args: argparse.Namespace, fault_injector=None):
     """The service both serve-demo paths run: ``(service, collecting
     sink, webhook sink)`` — the last ``None`` without ``--webhook``,
     else delivering beside the first and counting into the service's
-    registry."""
+    registry.  Under a fault plan a shard advance gets a 5 s deadline."""
     sink = CollectingSink()
     sinks = [sink]
     webhook_sink = None
@@ -383,7 +378,8 @@ def _build_service(args: argparse.Namespace, **service_kwargs):
         queue_capacity=args.capacity,
         backpressure=BackpressurePolicy(args.policy),
         batch_size=args.batch_size,
-        **service_kwargs,
+        fault_injector=fault_injector,
+        advance_deadline=ADVANCE_DEADLINE if fault_injector is None else 5.0,
     )
     if webhook_sink is not None:
         webhook_sink.metrics = service.metrics
@@ -433,10 +429,10 @@ def _serve_demo_csv(args: argparse.Namespace) -> int:
         print("error: the CSV spans a single timestamp", file=sys.stderr)
         return 2
 
-    # Fit the detection windows to the file's span (the ``detect``
-    # subcommand's --fit-windows idea); imported series carry arbitrary
-    # units, so the threshold is relative — 1%, loose enough to clear
-    # collection noise yet tight enough for simulator-scale shifts.
+    # Fit the detection windows to the file's span (as ``detect``
+    # does); imported series carry arbitrary units, so the threshold is
+    # relative — 1%, loose enough to clear collection noise yet tight
+    # enough for simulator-scale shifts.
     config = DetectionConfig(
         name="csv-import",
         threshold=0.01,
@@ -536,11 +532,7 @@ def _cmd_serve_demo(args: argparse.Namespace) -> int:
             print(f"error: {error}", file=sys.stderr)
             return 2
 
-    service, sink, webhook_sink = _build_service(
-        args,
-        fault_injector=injector,
-        **({"advance_deadline": 5.0} if injector is not None else {}),
-    )
+    service, sink, webhook_sink = _build_service(args, injector)
     service.register_monitor(
         args.preset, config, series_filter={"metric": "gcpu"},
         shadow=shadow_specs,
@@ -595,18 +587,17 @@ def _cmd_serve_demo(args: argparse.Namespace) -> int:
     print()
     _print_reports(sink)
     _, quality = views.quality(service)
-    if quality["enabled"]:
-        counters = quality["counters"]
-        print()
-        print(f"data quality: {counters.get('admitted', 0)} admitted, "
-              f"{counters.get('quarantined', 0)} quarantined, "
-              f"{counters.get('repaired', 0)} repaired, "
-              f"{counters.get('reordered', 0)} reordered, "
-              f"{counters.get('counter_resets', 0)} counter resets, "
-              f"{counters.get('duplicates', 0)} duplicates")
-        stale = quality["stale_series"]
-        if stale:
-            print(f"stale series evicted from scheduling: {', '.join(stale)}")
+    counters = quality["counters"]
+    print()
+    print(f"data quality: {counters['admitted']} admitted, "
+          f"{counters['quarantined']} quarantined, "
+          f"{counters['repaired']} repaired, "
+          f"{counters['reordered']} reordered, "
+          f"{counters['counter_resets']} counter resets, "
+          f"{counters['duplicates']} duplicates")
+    stale = quality["stale_series"]
+    if stale:
+        print(f"stale series evicted from scheduling: {', '.join(stale)}")
     _, detectors = views.detectors(service)
     if detectors["enabled"]:
         print()

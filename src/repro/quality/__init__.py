@@ -9,13 +9,12 @@ apply before data reaches analysis:
 
 - :class:`~repro.quality.admission.AdmissionController` runs per-series
   validators on every write: NaN/Inf points are quarantined, negative
-  values on non-negative metrics are clamped (or quarantined), counter
-  resets are detected and rebased so rollovers look continuous,
-  repeated timestamps resolve by the TSDB's duplicate policy, and
-  out-of-order arrivals are absorbed in a bounded per-series reordering
-  buffer so stragglers reach the TSDB as one batched backfill merge
-  instead of interleaving O(n) single-point inserts with the hot
-  append path.
+  values on non-negative metrics are clamped, counter resets are
+  detected and rebased so rollovers look continuous, repeated
+  timestamps resolve last-write-wins, and out-of-order arrivals are
+  absorbed in a bounded per-series reordering buffer so stragglers
+  reach the TSDB as one batched backfill merge instead of interleaving
+  O(n) single-point inserts with the hot append path.
 - :class:`~repro.quality.quarantine.QuarantineStore` keeps the
   irreparable points (capped, with reason codes and per-series quality
   scores) for operator triage on the ``/quality`` endpoint.
@@ -30,7 +29,6 @@ from repro.quality.admission import (
     DROP,
     HELD,
     AdmissionController,
-    QualityConfig,
 )
 from repro.quality.gaps import QualityGate, window_coverage
 from repro.quality.quarantine import QuarantineStore, REASONS
@@ -40,7 +38,6 @@ __all__ = [
     "DROP",
     "HELD",
     "AdmissionController",
-    "QualityConfig",
     "QualityGate",
     "QuarantineStore",
     "REASONS",

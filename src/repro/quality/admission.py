@@ -12,8 +12,7 @@ logic below for that frame only:
 
 - **Not finite** (NaN/Inf) → quarantined, reason ``not_finite``.
 - **Negative value** on a non-negative metric (gCPU cannot go below
-  zero) → clamped to 0.0 when ``repair_negative`` is on, else
-  quarantined with reason ``negative_value``.
+  zero) → clamped to 0.0 and counted as ``repaired``.
 - **Counter reset** on a counter-typed series (``tags["type"] ==
   "counter"``): a raw value below the previous raw value means the
   counter wrapped or the process restarted; the running offset is
@@ -22,14 +21,15 @@ logic below for that frame only:
   meaningful on timestamp-ordered deltas, so counter series always
   ride the reordering buffer and are rebased when a sorted batch is
   released, never at arrival.
-- **Repeated timestamp**: counted; resolved last-write-wins by the
-  TSDB's duplicate policy (or dropped here under the ``reject`` policy).
-- **Out of order**: held in a bounded per-series reordering buffer.
-  Stragglers accumulate sorted and are released as one frame — either
-  when the buffer reaches its bound or at the next flush/advance
-  boundary — which the ingest worker queues behind what is already
-  queued, so backfill reaches the TSDB as one merge over the series'
-  tail instead of O(n) single-point inserts, and in arrival order.
+- **Repeated timestamp**: counted, and admitted — the last write wins,
+  in the reorder buffer and in the TSDB alike.
+- **Out of order**: held in a per-series reordering buffer of
+  :data:`REORDER_WINDOW` rows.  Stragglers accumulate sorted and are
+  released as one frame — either when the buffer reaches its bound or
+  at the next flush/advance boundary — which the ingest worker queues
+  behind what is already queued, so backfill reaches the TSDB as one
+  merge over the series' tail instead of O(n) single-point inserts,
+  and in arrival order.
 
 Row verdicts are tri-state (:data:`ADMIT` / :data:`HELD` /
 :data:`DROP`); :meth:`AdmissionController.admit` folds them into the
@@ -42,7 +42,6 @@ and parallel advances.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
 
 import numpy as np
@@ -50,7 +49,7 @@ import numpy as np
 from repro.quality.quarantine import QuarantineStore
 from repro.tsdb.columnar import SeriesFrame
 
-__all__ = ["ADMIT", "DROP", "HELD", "QualityConfig", "AdmissionController"]
+__all__ = ["ADMIT", "DROP", "HELD", "REORDER_WINDOW", "AdmissionController"]
 
 #: What :meth:`AdmissionController.admit` returns (see there).
 _Admitted = Tuple[int, int, Optional[SeriesFrame], Optional[SeriesFrame]]
@@ -68,34 +67,10 @@ NON_NEGATIVE_METRICS: FrozenSet[str] = frozenset(
     {"gcpu", "cpu", "throughput", "latency_ms", "error_rate", "coredumps"}
 )
 
-
-@dataclass(frozen=True)
-class QualityConfig:
-    """Tuning knobs for the admission layer.
-
-    Attributes:
-        reorder_window: Per-series straggler-buffer bound; when more
-            than this many out-of-order points are pending they are
-            released as one backfill batch.
-        repair_negative: Clamp negative values on non-negative metrics
-            (:data:`NON_NEGATIVE_METRICS`) to 0.0 instead of
-            quarantining them.
-        duplicate_policy: ``"last_write_wins"`` (repeated timestamps
-            overwrite, matching the TSDB's policy) or ``"reject"``
-            (repeated timestamps are quarantined at admission).
-    """
-
-    reorder_window: int = 16
-    repair_negative: bool = True
-    duplicate_policy: str = "last_write_wins"
-
-    def __post_init__(self) -> None:
-        if self.reorder_window < 1:
-            raise ValueError("reorder_window must be >= 1")
-        if self.duplicate_policy not in ("last_write_wins", "reject"):
-            raise ValueError(
-                f"unknown duplicate_policy {self.duplicate_policy!r}"
-            )
+#: Per-series straggler-buffer bound: when more than this many
+#: out-of-order points are pending they are released as one backfill
+#: batch.
+REORDER_WINDOW = 16
 
 
 class _SeriesState:
@@ -130,7 +105,6 @@ class AdmissionController:
     """Validators + reordering buffer + quarantine for one shard.
 
     Args:
-        config: Admission tuning (see :class:`QualityConfig`).
         shard_id: Owning shard, for snapshot labelling only.
 
     Its counters are plain ints, the ``quality.*`` metrics' one home:
@@ -142,12 +116,7 @@ class AdmissionController:
     iterates first, so it never raises and is at worst one offer behind.
     """
 
-    def __init__(
-        self,
-        config: Optional[QualityConfig] = None,
-        shard_id: Optional[int] = None,
-    ) -> None:
-        self.config = config if config is not None else QualityConfig()
+    def __init__(self, shard_id: int) -> None:
         self.shard_id = shard_id
         self.quarantine = QuarantineStore()
         self._series: Dict[str, _SeriesState] = {}
@@ -207,7 +176,7 @@ class AdmissionController:
         overflows the reorder buffer — what the row logic does one row
         at a time for rows that are in order, finite and new."""
         state.tags = frame.tags
-        room = self.config.reorder_window + 1 - len(state.pending_ts)
+        room = REORDER_WINDOW + 1 - len(state.pending_ts)
         timestamps = frame.timestamps[:room].tolist()
         state.pending_ts.extend(timestamps)
         state.pending_vals.extend(frame.values[:room].tolist())
@@ -215,7 +184,7 @@ class AdmissionController:
         state.admitted += held
         self.buffered += held
         released = None
-        if len(state.pending_ts) > self.config.reorder_window:
+        if len(state.pending_ts) > REORDER_WINDOW:
             released = self._release(state, frame.name)
         return held, held, None, released
 
@@ -235,7 +204,7 @@ class AdmissionController:
                 kept_vals.append(value)
             elif verdict == HELD:
                 held += 1
-                if len(state.pending_ts) > self.config.reorder_window:
+                if len(state.pending_ts) > REORDER_WINDOW:
                     released = self._release(state, frame.name)
                     break
         admitted = SeriesFrame(frame.name, frame.tags, kept_ts, kept_vals) if kept_ts else None
@@ -258,25 +227,19 @@ class AdmissionController:
             self._quarantine(state, name, timestamp, value, "not_finite")
             return DROP, value
         if value < 0.0 and state.non_negative:
-            if not self.config.repair_negative:
-                self._quarantine(state, name, timestamp, value, "negative_value")
-                return DROP, value
             value = 0.0
             self.repaired += 1
         counter = state.is_counter
         if not counter and timestamp >= state.watermark:
-            if timestamp == state.watermark and self._duplicate_rejected(
-                state, name, timestamp, value
-            ):
-                return DROP, value
+            if timestamp == state.watermark:
+                self.duplicates += 1
             state.watermark = timestamp
             state.admitted += 1
             return ADMIT, value  # the TSDB resolves a repeat last-write-wins
 
         pos = bisect.bisect_right(state.pending_ts, timestamp)
         if pos and state.pending_ts[pos - 1] == timestamp:
-            if self._duplicate_rejected(state, name, timestamp, value):
-                return DROP, value
+            self.duplicates += 1
             state.pending_vals[pos - 1] = value  # last write wins in the buffer
             state.admitted += 1
             return HELD, value
@@ -286,8 +249,8 @@ class AdmissionController:
             # effect without reset detection and let the TSDB backfill.
             if timestamp < state.watermark:
                 self.reordered += 1
-            elif self._duplicate_rejected(state, name, timestamp, value):
-                return DROP, value
+            else:
+                self.duplicates += 1
             state.admitted += 1
             return ADMIT, (value + state.counter_offset if state.counter_offset else value)
         # Straggler (or any counter row): buffer it sorted; the caller
@@ -301,22 +264,12 @@ class AdmissionController:
         self.buffered += 1
         return HELD, value
 
-    def _duplicate_rejected(
-        self, state: _SeriesState, name: str, timestamp: float, value: float
-    ) -> bool:
-        """Count a repeated timestamp; quarantine it under ``reject``."""
-        self.duplicates += 1
-        if self.config.duplicate_policy != "reject":
-            return False
-        self._quarantine(state, name, timestamp, value, "duplicate_reject")
-        return True
-
     def _release(self, state: _SeriesState, name: str) -> SeriesFrame:
         """Empty one series' sorted straggler buffer into a frame,
         rebasing a counter's raw values on the way out.
 
         The rebase stays a Python loop: a release holds at most
-        ``reorder_window + 1`` rows, and at that size the loop costs a
+        ``REORDER_WINDOW + 1`` rows, and at that size the loop costs a
         fraction of an array pass's per-call overhead.
         """
         timestamps, values = state.pending_ts, state.pending_vals

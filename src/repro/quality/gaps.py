@@ -9,25 +9,37 @@ against history and fires false positives, so the pipeline consults a
 - **Coverage**: the fraction of expected points actually present in the
   window, where "expected" comes from the series' own cadence (median
   inter-arrival spacing over the historic window — no configuration to
-  drift out of sync with the fleet).  Windows below ``min_coverage``
+  drift out of sync with the fleet).  Windows below :data:`MIN_COVERAGE`
   are suppressed and tallied, not scanned.
 - **Staleness**: a series whose newest point is more than
-  ``stale_after_analysis_windows`` analysis-spans behind ``now`` has
+  :data:`STALE_AFTER_ANALYSIS_WINDOWS` analysis-spans behind ``now`` has
   stopped reporting; it is evicted from scanning entirely until new
   data resumes, so dead hosts cost nothing per tick.
 
 The gate is stateless and picklable — everything it needs arrives per
-call, so it is shared safely across monitors and shard processes.
+call and its thresholds are the module constants below, so it is shared
+safely across monitors and shard processes.  Whether a pipeline has one
+at all is the choice: offline runs scan gap-blind, the service's
+monitors default to a gate.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 __all__ = ["QualityGate", "window_coverage"]
+
+#: Scan windows with coverage below this are suppressed (counted, not
+#: alerted).
+MIN_COVERAGE = 0.5
+#: A series whose newest point lags ``now`` by more than this many
+#: analysis-window spans is evicted from scanning until it resumes.
+STALE_AFTER_ANALYSIS_WINDOWS = 3.0
+#: Minimum historic points needed to estimate cadence; below it the gate
+#: abstains (scan proceeds) rather than judge coverage from noise.
+MIN_CADENCE_POINTS = 8
 
 
 def window_coverage(
@@ -57,32 +69,9 @@ def window_coverage(
     return min(1.0, present / expected)
 
 
-@dataclass(frozen=True)
 class QualityGate:
-    """Suppression thresholds for gap-aware scanning.
-
-    Attributes:
-        min_coverage: Scan windows with coverage below this are
-            suppressed (counted, not alerted).
-        stale_after_analysis_windows: A series whose newest point lags
-            ``now`` by more than this many analysis-window spans is
-            evicted from scanning until it resumes.
-        min_cadence_points: Minimum historic points needed to estimate
-            cadence; below it the gate abstains (scan proceeds) rather
-            than judge coverage from noise.
-    """
-
-    min_coverage: float = 0.5
-    stale_after_analysis_windows: float = 3.0
-    min_cadence_points: int = 8
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.min_coverage <= 1.0:
-            raise ValueError("min_coverage must be in (0, 1]")
-        if self.stale_after_analysis_windows <= 0.0:
-            raise ValueError("stale_after_analysis_windows must be positive")
-        if self.min_cadence_points < 2:
-            raise ValueError("min_cadence_points must be >= 2")
+    """Gap-aware scanning: coverage and staleness judged against the
+    module's thresholds."""
 
     def cadence(self, timestamps: Sequence[float]) -> Optional[float]:
         """Median inter-arrival spacing, or None when too few points.
@@ -91,7 +80,7 @@ class QualityGate:
         is what ``np.median`` returns (``(g + g) / 2 == g`` while ``g + g``
         stays finite), so the partition is only paid for irregular columns.
         """
-        if len(timestamps) < self.min_cadence_points:
+        if len(timestamps) < MIN_CADENCE_POINTS:
             return None
         deltas = np.diff(np.asarray(timestamps, dtype=float))
         deltas = deltas[deltas > 0]
@@ -106,7 +95,7 @@ class QualityGate:
         """True when the series stopped reporting and should be evicted."""
         if analysis_span <= 0.0:
             return False
-        return (now - last_timestamp) > self.stale_after_analysis_windows * analysis_span
+        return (now - last_timestamp) > STALE_AFTER_ANALYSIS_WINDOWS * analysis_span
 
     def window_ok(
         self,
@@ -130,4 +119,4 @@ class QualityGate:
         if spacing is None:
             return True, 1.0
         coverage = window_coverage(present, start, end, spacing)
-        return coverage >= self.min_coverage, coverage
+        return coverage >= MIN_COVERAGE, coverage

@@ -25,8 +25,6 @@ QUARANTINE_CAPACITY = 1024
 #: Closed vocabulary of quarantine reason codes (see docs/RUNBOOK.md).
 REASONS: Tuple[str, ...] = (
     "not_finite",       # NaN or +/-Inf value
-    "negative_value",   # negative value on a non-negative metric, repair off
-    "duplicate_reject", # repeated timestamp under the reject policy
 )
 
 

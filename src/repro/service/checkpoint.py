@@ -52,7 +52,9 @@ __all__ = ["CheckpointError", "CheckpointManager", "CHECKPOINT_VERSION"]
 #: quarantines by reason; ``meta["metrics"]`` holds no count they own.
 #: 5: a scheduler counts its scans and the blob has no ``scans`` key;
 #: ``meta["metrics"]`` holds no scan or incremental-cache count.
-CHECKPOINT_VERSION = 5
+#: 6: no ``meta["replicas"]``; a series has no duplicate policy and an
+#: admission controller no config.
+CHECKPOINT_VERSION = 6
 MANIFEST_NAME = "manifest.json"
 
 _GEN_MANIFEST_RE = re.compile(r"^manifest\.g(\d+)\.json$")

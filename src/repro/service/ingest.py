@@ -22,13 +22,13 @@ along in checkpoints, beside the worker's own flush-latency histogram.
 They are the ``ingest.*`` metrics: ``/metrics`` sums them over shards
 (:mod:`repro.service.views`), and nothing records them anywhere else.
 
-When an :class:`~repro.quality.admission.AdmissionController` is
-attached, every frame passes through it first (under the same queue
-lock): quarantined rows are dropped before they can reach the TSDB,
-repaired rows are enqueued in their repaired form, and out-of-order
-rows are held in the controller's reordering buffer — released as one
-sorted frame when the buffer overflows or at a flush/advance boundary,
-onto the queue's *back* like every other frame.  So per timestamp the
+Every frame passes through the worker's
+:class:`~repro.quality.admission.AdmissionController` first (under the
+same queue lock): quarantined rows are dropped before they can reach
+the TSDB, repaired rows are enqueued in their repaired form, and
+out-of-order rows are held in the controller's reordering buffer —
+released as one sorted frame when the buffer overflows or at a
+flush/advance boundary, onto the queue's *back* like every other frame.  So per timestamp the
 TSDB is written in arrival order, and a repeat resolves to the last
 arrival wherever the flushes fall; held counter rows postdate
 everything queued for their series and append without a merge.  The
@@ -54,6 +54,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Deque, Dict, Iterable, Iterator, List, Mapping, Optional
 
+from repro.quality.admission import AdmissionController
 from repro.service.metrics import Histogram
 from repro.tsdb.columnar import SeriesFrame
 from repro.tsdb.database import TimeSeriesDatabase
@@ -107,19 +108,22 @@ class ShardIngestWorker:
     Args:
         shard_id: Owning shard (labels counters and checkpoints).
         database: The shard's TSDB.
+        admission: The
+            :class:`~repro.quality.admission.AdmissionController` run on
+            every offer.
         capacity: Queue bound in samples; offers beyond it trigger the
             policy.
         policy: Backpressure policy (see module docstring).
         batch_size: Samples per TSDB write batch.
-        fault_injector: Optional :class:`~repro.faults.FaultInjector`
-            consulted at the ``ingest.flush`` site before each batch
-            write (chaos drills; ``None`` in production).
-        admission: Optional
-            :class:`~repro.quality.admission.AdmissionController` run on
-            every offer (``None`` disables data-quality admission).
 
     Thread-safe: producers may ``offer()`` concurrently with ``flush()``.
     """
+
+    #: Set by the shard (:meth:`~repro.service.shard.Shard.bind`): a
+    #: :class:`~repro.faults.FaultInjector` consulted at the
+    #: ``ingest.flush`` site before each batch write (chaos drills; ``None``
+    #: in production).  Process-local and lock-holding, so never pickled.
+    fault_injector: Optional[Any] = None
 
     #: Set by the shard while a worker process holds a replica of
     #: ``database``: every batch written is noted there too.  Process-
@@ -130,11 +134,10 @@ class ShardIngestWorker:
         self,
         shard_id: object,
         database: TimeSeriesDatabase,
+        admission: AdmissionController,
         capacity: int = 1024,
         policy: BackpressurePolicy = BackpressurePolicy.DROP_OLDEST,
         batch_size: int = 256,
-        fault_injector: Optional[Any] = None,
-        admission: Optional[Any] = None,
     ) -> None:
         if capacity <= 0:
             raise ValueError("capacity must be positive")
@@ -145,7 +148,6 @@ class ShardIngestWorker:
         self.capacity = capacity
         self.policy = BackpressurePolicy(policy)
         self.batch_size = batch_size
-        self.fault_injector = fault_injector
         self.admission = admission
         self._queue: Deque[SeriesFrame] = deque()
         self._pending = 0  # samples across the queued frames
@@ -168,10 +170,10 @@ class ShardIngestWorker:
     def offer(self, frame: SeriesFrame) -> int:
         """Enqueue one frame, applying backpressure when full.
 
-        With an admission controller attached the rows are validated
-        first: quarantined rows never touch the queue, out-of-order rows
-        are held for reordering (they are accepted, just not enqueued
-        yet), and repaired rows continue in their repaired form.
+        The rows are validated first: quarantined rows never touch the
+        queue, out-of-order rows are held for reordering (they are
+        accepted, just not enqueued yet), and repaired rows continue in
+        their repaired form.
 
         Returns:
             How many rows were buffered or held for reordering — the
@@ -197,10 +199,7 @@ class ShardIngestWorker:
                         continue
                     stop = min(total, start + room)
                 rows = frame[start:stop] if stop - start < total else frame
-                if self.admission is None:
-                    consumed, held, admitted, released = len(rows), 0, rows, None
-                else:
-                    consumed, held, admitted, released = self.admission.admit(rows)
+                consumed, held, admitted, released = self.admission.admit(rows)
                 start += consumed
                 taken += held
                 if admitted is not None:
@@ -289,8 +288,7 @@ class ShardIngestWorker:
         """
         written = 0
         with self._lock:
-            if self.admission is not None:
-                self._release_stragglers(self.admission.drain_pending())
+            self._release_stragglers(self.admission.drain_pending())
             while self._queue:
                 written += self._flush_batch()
         return written
@@ -350,9 +348,8 @@ class ShardIngestWorker:
             "flushes": self.flushes,
             "flush_failures": self.flush_failures,
         }
-        if self.admission is not None:
-            for key, value in self.admission.counters().items():
-                counters[f"quality_{key}"] = value
+        for key, value in self.admission.counters().items():
+            counters[f"quality_{key}"] = value
         return counters
 
     def _shard_index(self) -> Optional[int]:
@@ -361,9 +358,8 @@ class ShardIngestWorker:
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
         state.pop("_lock", None)
-        # The injector is process-local and holds a lock: ``Shard.bind``
-        # hands it back, not the pickle.
-        state["fault_injector"] = None
+        # ``Shard.bind`` hands the injector back, not the pickle.
+        state.pop("fault_injector", None)
         state.pop("write_log", None)
         state["flush_seconds"] = self.flush_seconds.state()
         return state

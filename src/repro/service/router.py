@@ -14,7 +14,11 @@ import bisect
 import hashlib
 from typing import Hashable, Iterable, List
 
-__all__ = ["ConsistentHashRouter"]
+__all__ = ["ConsistentHashRouter", "RING_REPLICAS"]
+
+#: Virtual nodes per shard on the ring; more of them smooth the load
+#: distribution at the cost of a larger ring.
+RING_REPLICAS = 64
 
 
 def _hash64(key: str) -> int:
@@ -28,9 +32,8 @@ class ConsistentHashRouter:
     """A hash ring mapping series keys to shard ids.
 
     Args:
-        shards: Initial shard ids (any hashable, typically ints).
-        replicas: Virtual nodes per shard; more replicas smooth the load
-            distribution at the cost of a larger ring.
+        shards: Initial shard ids (any hashable, typically ints), each
+            placed at :data:`RING_REPLICAS` points.
 
     Example::
 
@@ -38,10 +41,7 @@ class ConsistentHashRouter:
         shard = router.shard_for("frontfaas.render_feed.gcpu")
     """
 
-    def __init__(self, shards: Iterable[Hashable] = (), replicas: int = 64) -> None:
-        if replicas <= 0:
-            raise ValueError("replicas must be positive")
-        self.replicas = replicas
+    def __init__(self, shards: Iterable[Hashable] = ()) -> None:
         self._points: List[int] = []
         self._owners: List[Hashable] = []
         self._shards: List[Hashable] = []
@@ -60,7 +60,7 @@ class ConsistentHashRouter:
         return list(self._shards)
 
     def _ring_points(self, shard: Hashable) -> List[int]:
-        return [_hash64(f"{shard!r}#{replica}") for replica in range(self.replicas)]
+        return [_hash64(f"{shard!r}#{replica}") for replica in range(RING_REPLICAS)]
 
     def add_shard(self, shard: Hashable) -> None:
         """Add a shard to the ring.

@@ -32,24 +32,24 @@ handle afterwards is :mod:`repro.service.shard`; the on-disk format is
 over shards in :mod:`repro.service.views`.
 
 Deduplication scope: SOM/pairwise dedup runs *within* a shard (each
-shard has its own detectors).  Cross-shard correlation is a later PR;
-series of one service hash to one shard only by key-prefix accident, so
-the router accepts a custom ``routing_key`` to co-locate related series
-when cross-series dedup matters.
+shard has its own detectors).  A frame is routed by its series name
+alone, so series of one service share a shard only by hash accident,
+and regressions on series in different shards are never deduplicated
+against each other.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.config import DetectionConfig
 from repro.core.pipeline import FunnelCounters
 from repro.faults import FaultInjector
 from repro.core.types import Regression
 from repro.detectors import DetectorSpec, ShadowScorer, build_detector
-from repro.quality import QualityConfig, QualityGate
+from repro.quality import QualityGate
 from repro.obs.logging import correlation_id, get_logger, log_context
 from repro.obs.spans import EventLog, TraceStore
 from repro.reporting.report import IncidentReport, build_report
@@ -75,8 +75,8 @@ REALERT_TOLERANCE = 3600.0
 
 #: The service's own durable fields, declared once: manifest ``meta``
 #: key -> the attribute ``checkpoint()`` reads and ``restore()`` writes.
-#: Beside them ride ``n_shards`` and ``replicas`` (they rebuild the ring)
-#: and ``funnel`` and ``metrics`` (objects with a snapshot form of their own).
+#: Beside them ride ``n_shards`` (it rebuilds the ring) and ``funnel`` and
+#: ``metrics`` (objects with a snapshot form of their own).
 _DURABLE = {
     "clock": "_clock",
     "reported": "_reported",
@@ -105,11 +105,6 @@ class StreamingDetectionService:
             the results deterministically (ascending shard id —
             identical report order to the serial path).
         retention: Per-shard TSDB retention (seconds; 0 disables).
-        replicas: Virtual nodes per shard on the hash ring.
-        routing_key: Maps a frame (``.name``, ``.tags``) to its routing
-            key (default: the series name).  Use a coarser key (e.g. the
-            service tag) to co-locate series whose cross-series dedup
-            matters.
         fault_injector: Optional :class:`~repro.faults.FaultInjector`
             threaded through the parallel executor, ingest workers,
             background flushers, checkpoint writer, and the service's
@@ -118,14 +113,12 @@ class StreamingDetectionService:
             blown deadline counts as a failure and retries, see
             :class:`~repro.service.parallel.ParallelShardExecutor`;
             ``None`` waits for ever).
-        quality: Data-quality admission configuration (see
-            :class:`~repro.quality.admission.QualityConfig`).  On by
-            default: every shard runs per-series validators on ingest
-            (NaN/Inf quarantine, negative-value repair, counter-reset
-            rebasing, duplicate handling, out-of-order reordering) and
-            monitors default to a gap-aware
-            :class:`~repro.quality.gaps.QualityGate`.  Pass ``None`` to
-            disable the whole layer (raw writes, gap-blind scans).
+
+    Every shard runs per-series admission on ingest (NaN/Inf quarantine,
+    negative-value repair, counter-reset rebasing, last-write-wins
+    repeats, out-of-order reordering; see
+    :mod:`repro.quality.admission`), and monitors default to a gap-aware
+    :class:`~repro.quality.gaps.QualityGate`.
 
     Example::
 
@@ -146,11 +139,8 @@ class StreamingDetectionService:
         batch_size: int = 256,
         workers: int = 1,
         retention: float = 0.0,
-        replicas: int = 64,
-        routing_key: Optional[Callable[[SeriesFrame], str]] = None,
         fault_injector: Optional[FaultInjector] = None,
         advance_deadline: Optional[float] = ADVANCE_DEADLINE,
-        quality: Optional[QualityConfig] = QualityConfig(),
     ) -> None:
         if n_shards <= 0:
             raise ValueError("n_shards must be positive")
@@ -176,9 +166,7 @@ class StreamingDetectionService:
             if workers > 1
             else None
         )
-        self.router = ConsistentHashRouter(range(n_shards), replicas=replicas)
-        self.routing_key = routing_key or (lambda frame: frame.name)
-        self.quality = quality
+        self.router = ConsistentHashRouter(range(n_shards))
         self._shards: Dict[int, Shard] = {
             shard_id: Shard(
                 shard_id,
@@ -186,7 +174,6 @@ class StreamingDetectionService:
                 backpressure=BackpressurePolicy(backpressure),
                 batch_size=batch_size,
                 retention=retention,
-                quality=quality,
                 fault_injector=fault_injector,
             )
             for shard_id in range(n_shards)
@@ -300,12 +287,10 @@ class StreamingDetectionService:
         shard checkpoints like any scheduler state.
         """
         detector_kwargs.setdefault("incremental", True)
-        # Gap-aware scanning rides the quality layer: low-coverage
-        # windows are suppressed and stale series evicted (pass
-        # ``quality_gate=None`` to opt a monitor out).
-        detector_kwargs.setdefault(
-            "quality_gate", QualityGate() if self.quality is not None else None
-        )
+        # Gap-aware scanning: low-coverage windows are suppressed and
+        # stale series evicted (pass ``quality_gate=None`` to opt a
+        # monitor out).
+        detector_kwargs.setdefault("quality_gate", QualityGate())
         shadow_specs = list(shadow or [])
         shadow_ids: List[str] = []
         for shard in self._shards.values():
@@ -376,7 +361,7 @@ class StreamingDetectionService:
         return self._offer_routed(frame)
 
     def _offer_routed(self, frame: SeriesFrame) -> int:
-        shard_id = self.router.shard_for(self.routing_key(frame))
+        shard_id = self.router.shard_for(frame.name)
         return self._shards[shard_id].worker.offer(frame)
 
     def flush(self) -> int:
@@ -647,7 +632,6 @@ class StreamingDetectionService:
         meta = {key: getattr(self, attr) for key, attr in _DURABLE.items()}
         meta.update(
             n_shards=self.n_shards,
-            replicas=self.router.replicas,
             funnel=self.funnel.counts,
             metrics=self.metrics.snapshot(),
         )
@@ -699,7 +683,6 @@ class StreamingDetectionService:
         service = cls(
             n_shards=meta["n_shards"],
             sinks=sinks,
-            replicas=meta["replicas"],
             **service_kwargs,
         )
         for shard_key, state in shard_states.items():

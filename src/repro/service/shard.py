@@ -34,7 +34,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.faults import FaultInjector
-from repro.quality import AdmissionController, QualityConfig
+from repro.quality import AdmissionController
 from repro.runtime.scheduler import DetectionScheduler, ScanOutcome
 from repro.service.ingest import BackpressurePolicy, ShardIngestWorker
 from repro.tsdb.columnar import SeriesFrame
@@ -159,7 +159,6 @@ class Shard:
         backpressure: BackpressurePolicy,
         batch_size: int,
         retention: float,
-        quality: Optional[QualityConfig],
         fault_injector: Optional[FaultInjector],
     ) -> None:
         self.shard_id = shard_id
@@ -167,14 +166,10 @@ class Shard:
         self.worker = ShardIngestWorker(
             shard_id,
             self.database,
+            admission=AdmissionController(shard_id),
             capacity=queue_capacity,
             policy=backpressure,
             batch_size=batch_size,
-            admission=(
-                AdmissionController(quality, shard_id=shard_id)
-                if quality is not None
-                else None
-            ),
         )
         self.scheduler = DetectionScheduler(self.database, retention=retention)
         #: Whether a worker process was ever seeded with this shard (a
@@ -211,7 +206,6 @@ class Shard:
     # read never raises under live ingest and is at worst one offer behind.
 
     def stats(self) -> ShardStats:
-        admission = self.worker.admission
         return ShardStats(
             shard_id=self.shard_id,
             series=len(self.database),
@@ -219,9 +213,7 @@ class Shard:
             counters=self.worker.counters(),
             scans=self.scheduler.scans,
             incremental=self.scheduler.incremental_counts(),
-            quarantined_by_reason=(
-                dict(admission.quarantined_by_reason) if admission is not None else {}
-            ),
+            quarantined_by_reason=dict(self.worker.admission.quarantined_by_reason),
             flush_seconds=self.worker.flush_seconds.state(),
         )
 
@@ -239,14 +231,10 @@ class Shard:
             "scans": self.scheduler.scans,
         }
 
-    def quality(self) -> Tuple[Optional[dict], List[str]]:
-        """This shard's ``/quality`` slice: the admission snapshot (``None``
-        with the quality layer off) and the series evicted as stale."""
-        admission = self.worker.admission
-        return (
-            admission.snapshot() if admission is not None else None,
-            self.scheduler.stale_series(),
-        )
+    def quality(self) -> Tuple[dict, List[str]]:
+        """This shard's ``/quality`` slice: the admission snapshot and the
+        series evicted as stale."""
+        return self.worker.admission.snapshot(), self.scheduler.stale_series()
 
     def shadow_rows(self) -> List[dict]:
         """This shard's ``/detectors`` rows (challenger tallies by id)."""
@@ -258,8 +246,7 @@ class Shard:
         that quarantine: released beside a concurrent ``add``, the
         store's total and its per-series counts drift apart for good."""
         with self.worker.paused():
-            admission = self.worker.admission
-            return admission.release_series(name) if admission is not None else 0
+            return self.worker.admission.release_series(name)
 
     # -- the durable form ------------------------------------------------
 

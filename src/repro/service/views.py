@@ -278,9 +278,8 @@ def quality(service) -> View:
 
     Aggregate admission counters, per-shard quarantine snapshots (worst
     offenders with reason codes and quality scores), and the series
-    currently evicted from scanning for staleness; ``enabled`` is False
-    with the quality layer off.  See docs/RUNBOOK.md for the triage
-    workflow.
+    currently evicted from scanning for staleness.  See docs/RUNBOOK.md
+    for the triage workflow.
     """
     shards = []
     totals: Dict[str, int] = {}
@@ -288,12 +287,10 @@ def quality(service) -> View:
     for shard in service._shards.values():
         snapshot, evicted = shard.quality()
         stale.update(evicted)
-        if snapshot is not None:
-            shards.append(snapshot)
-            for key, value in snapshot["counters"].items():
-                totals[key] = totals.get(key, 0) + value
+        shards.append(snapshot)
+        for key, value in snapshot["counters"].items():
+            totals[key] = totals.get(key, 0) + value
     return 200, {
-        "enabled": bool(shards),
         "counters": totals,
         # Current attribution (drops when a series is released),
         # unlike counters["quarantined"] which is cumulative.

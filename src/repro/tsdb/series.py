@@ -28,13 +28,10 @@ class TimeSeries:
     time, matching how monitoring pipelines ingest data.  Out-of-order
     inserts go through :meth:`insert`, which keeps the arrays sorted.
 
-    Repeated timestamps resolve by ``duplicate_policy``:
-    ``"last_write_wins"`` (default) overwrites the existing value in
-    place — a point is an observation, and the latest observation for
-    an instant supersedes earlier ones; ``"reject"`` raises
-    ``ValueError`` instead, for callers that treat a repeat as data
-    corruption.  Either way the series never holds two points with the
-    same timestamp, so window sizes equal covered time.
+    A repeated timestamp overwrites the stored value in place — a point
+    is an observation, and the latest observation for an instant
+    supersedes earlier ones.  So the series never holds two points with
+    the same timestamp, and window sizes equal covered time.
 
     Attributes:
         name: Fully qualified metric name, e.g.
@@ -42,18 +39,12 @@ class TimeSeries:
         tags: Free-form key/value metadata (service, metric type,
             subroutine, endpoint ...), used by the pipeline to route
             series to detectors.
-        duplicate_policy: ``"last_write_wins"`` or ``"reject"``.
     """
 
     name: str
     tags: Dict[str, str] = field(default_factory=dict)
-    duplicate_policy: str = "last_write_wins"
-    _timestamps: FloatColumn = field(default_factory=FloatColumn, repr=False)
-    _values: FloatColumn = field(default_factory=FloatColumn, repr=False)
-
-    def __post_init__(self) -> None:
-        if self.duplicate_policy not in ("last_write_wins", "reject"):
-            raise ValueError(f"unknown duplicate_policy {self.duplicate_policy!r}")
+    _timestamps: FloatColumn = field(default_factory=FloatColumn, init=False, repr=False)
+    _values: FloatColumn = field(default_factory=FloatColumn, init=False, repr=False)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TimeSeries):
@@ -61,7 +52,6 @@ class TimeSeries:
         return (
             self.name == other.name
             and self.tags == other.tags
-            and self.duplicate_policy == other.duplicate_policy
             and self._timestamps == other._timestamps
             and self._values == other._values
         )
@@ -75,11 +65,10 @@ class TimeSeries:
     def append(self, timestamp: float, value: float) -> None:
         """Append a point; ``timestamp`` must be >= the last timestamp.
 
-        A timestamp equal to the last resolves by ``duplicate_policy``.
+        A timestamp equal to the last overwrites its value.
 
         Raises:
-            ValueError: On an out-of-order timestamp (use :meth:`insert`),
-                or on a repeated one under the ``reject`` policy.
+            ValueError: On an out-of-order timestamp (use :meth:`insert`).
         """
         n = len(self._timestamps)
         if n:
@@ -90,7 +79,6 @@ class TimeSeries:
                     "use insert() for backfill"
                 )
             if timestamp == last:
-                self._resolve_duplicate(timestamp)
                 self._values.set(-1, float(value))
                 return
         self._timestamps.append(float(timestamp))
@@ -105,14 +93,13 @@ class TimeSeries:
         """Insert one point keeping timestamp order.
 
         Bisect finds the position in O(log n); an existing point at the
-        same timestamp resolves by ``duplicate_policy`` (last-write-wins
-        overwrites in place, no shifting).  For *batches* of stragglers
-        prefer :meth:`ingest_many`, which merges them in one pass over
-        the tail they reach instead of m O(n) shifted inserts.
+        same timestamp is overwritten in place, no shifting.  For
+        *batches* of stragglers prefer :meth:`ingest_many`, which merges
+        them in one pass over the tail they reach instead of m O(n)
+        shifted inserts.
         """
         pos = self._timestamps.searchsorted(timestamp, side="right")
         if pos and self._timestamps.get(pos - 1) == timestamp:
-            self._resolve_duplicate(timestamp)
             self._values.set(pos - 1, float(value))
             return
         self._timestamps.insert(pos, float(timestamp))
@@ -132,10 +119,7 @@ class TimeSeries:
         (two memcpys).  Anything else (repeats, late arrivals) is one
         array merge over the frame and the series' tail at or after the
         frame's oldest timestamp (:meth:`_merge`): the last arrival wins
-        each timestamp.  Under ``reject`` a frame keeps its partial
-        state: rows above the running last timestamp append up to the
-        first repeat of it, which raises; late rows then merge all or
-        nothing.
+        each timestamp.
 
         Returns:
             Number of points written (last-write-wins overwrites count —
@@ -149,29 +133,8 @@ class TimeSeries:
             self._timestamps.extend(ts)
             self._values.extend(vals)
             return m
-        if self.duplicate_policy == "reject":
-            # The running last timestamp each row meets, one at a time.
-            prior = np.maximum.accumulate(np.concatenate(([last], ts[:-1])))
-            repeat = np.flatnonzero(ts == prior)
-            cut = int(repeat[0]) if repeat.size else m
-            fresh = ts[:cut] > prior[:cut]
-            self._timestamps.extend(ts[:cut][fresh])
-            self._values.extend(vals[:cut][fresh])
-            if repeat.size:
-                self._resolve_duplicate(float(ts[cut]))
-            ts, vals = ts[~fresh], vals[~fresh]
-            if not ts.size:
-                return m
         self._merge(ts, vals)
         return m
-
-    def _resolve_duplicate(self, timestamp: float) -> None:
-        """Raise under the ``reject`` policy; no-op under last-write-wins."""
-        if self.duplicate_policy == "reject":
-            raise ValueError(
-                f"duplicate timestamp {timestamp} on {self.name!r} "
-                "(duplicate_policy='reject')"
-            )
 
     def _merge(self, ts: np.ndarray, vals: np.ndarray) -> None:
         """Merge rows (any order, repeats allowed) into the series.
@@ -182,8 +145,7 @@ class TimeSeries:
         the last of each run of equal timestamps is last-write-wins by
         arrival.  The result goes to fresh buffers
         (:meth:`FloatColumn.splice`): views handed out earlier keep
-        their bytes, and under ``reject`` a repeat raises before
-        anything is written.
+        their bytes.
         """
         lo = self._timestamps.searchsorted(float(ts.min()))
         merged_ts = np.concatenate((self._timestamps.view(lo), ts))
@@ -194,7 +156,6 @@ class TimeSeries:
         np.not_equal(merged_ts[1:], merged_ts[:-1], out=keep[:-1])
         keep[-1] = True
         if not keep.all():
-            self._resolve_duplicate(float(merged_ts[np.argmin(keep)]))
             merged_ts, merged_vals = merged_ts[keep], merged_vals[keep]
         self._timestamps.splice(lo, merged_ts)
         self._values.splice(lo, merged_vals)
@@ -235,9 +196,7 @@ class TimeSeries:
         """Sub-series with timestamps in ``[start, end)`` (own storage)."""
         lo = self._timestamps.searchsorted(start, side="left")
         hi = self._timestamps.searchsorted(end, side="left")
-        sub = TimeSeries(
-            name=self.name, tags=dict(self.tags), duplicate_policy=self.duplicate_policy
-        )
+        sub = TimeSeries(name=self.name, tags=dict(self.tags))
         sub._timestamps = FloatColumn(self._timestamps.view(lo, hi))
         sub._values = FloatColumn(self._values.view(lo, hi))
         return sub

@@ -28,6 +28,7 @@ from scipy import stats as sp_stats
 
 from repro.core.change_point import ChangePointCandidate
 from repro.core.pipeline import MIN_ANALYSIS_POINTS, MIN_HISTORIC_POINTS
+from repro.quality import admission, gaps
 from repro.quality.admission import ADMIT, DROP, HELD, AdmissionController
 from repro.quality.gaps import window_coverage
 from repro.stats.hypothesis import likelihood_ratio_test  # exact, and never batched
@@ -487,13 +488,12 @@ def window_skip_reason(pipeline, series, windowed):
     for values in (windowed.historic, windowed.analysis, windowed.extended):
         if not np.isfinite(values).all():
             return "non_finite_window"
-    gate = pipeline.quality_gate
-    if gate is not None:
+    if pipeline.quality_gate is not None:
         stamps = series.between(windowed.historic_start, windowed.analysis_start).timestamps
-        spacing = cadence(stamps.tolist(), gate.min_cadence_points)
+        spacing = cadence(stamps.tolist(), gaps.MIN_CADENCE_POINTS)
         present = int(windowed.analysis.size)
         start, end = windowed.analysis_start, windowed.extended_start
-        if spacing is not None and window_coverage(present, start, end, spacing) < gate.min_coverage:
+        if spacing is not None and window_coverage(present, start, end, spacing) < gaps.MIN_COVERAGE:
             return "low_quality_window"
     return None
 
@@ -527,7 +527,7 @@ class RowAdmission(AdmissionController):
                 kept_vals.append(value)
             elif verdict == HELD:
                 held += 1
-                if len(state.pending_ts) > self.config.reorder_window:
+                if len(state.pending_ts) > admission.REORDER_WINDOW:
                     released = self._release(state, frame.name)
                     break
         admitted = SeriesFrame(frame.name, frame.tags, kept_ts, kept_vals) if kept_ts else None
@@ -538,32 +538,26 @@ class RowAdmission(AdmissionController):
             self._quarantine(state, name, timestamp, value, "not_finite")
             return DROP, value
         if value < 0.0 and state.non_negative:
-            if not self.config.repair_negative:
-                self._quarantine(state, name, timestamp, value, "negative_value")
-                return DROP, value
             value = 0.0
             self.repaired += 1
         counter = state.is_counter
         if not counter and timestamp >= state.watermark:
-            if timestamp == state.watermark and self._duplicate_rejected(
-                state, name, timestamp, value
-            ):
-                return DROP, value
+            if timestamp == state.watermark:
+                self.duplicates += 1
             state.watermark = timestamp
             state.admitted += 1
             return ADMIT, value
         pos = bisect.bisect_right(state.pending_ts, timestamp)
         if pos and state.pending_ts[pos - 1] == timestamp:
-            if self._duplicate_rejected(state, name, timestamp, value):
-                return DROP, value
+            self.duplicates += 1
             state.pending_vals[pos - 1] = value
             state.admitted += 1
             return HELD, value
         if counter and timestamp <= state.watermark:
             if timestamp < state.watermark:
                 self.reordered += 1
-            elif self._duplicate_rejected(state, name, timestamp, value):
-                return DROP, value
+            else:
+                self.duplicates += 1
             state.admitted += 1
             return ADMIT, (value + state.counter_offset if state.counter_offset else value)
         if not counter or (state.pending_ts and timestamp < state.pending_ts[-1]):

@@ -4,7 +4,6 @@ import io
 import json
 
 from repro.connectors import CsvImporter, ImportStats, JsonLinesImporter
-from repro.quality import QualityConfig
 from repro.service import BackpressurePolicy, Sample, StreamingDetectionService
 from repro.service import views
 
@@ -110,7 +109,6 @@ class TestImportThroughAdmission:
         service = StreamingDetectionService(
             n_shards=1, queue_capacity=1024,
             backpressure=BackpressurePolicy.BLOCK, batch_size=8,
-            quality=QualityConfig(),
         )
         lines = []
         value, ts = 0.0, 0.0

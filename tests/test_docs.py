@@ -802,3 +802,106 @@ class TestEveryPublicNameHasACaller:
     def test_every_reason_is_one_of_the_four(self):
         for name, reason in self.ALLOWED.items():
             assert reason.startswith(self.CATEGORIES), name
+
+
+class TestEveryIngestKnobIsSet:
+    """Every parameter of the ingest path's constructors, and every init
+    field of its two dataclasses, is set by some call in ``src/``,
+    ``benchmarks/``, ``examples/`` or ``scripts/``, or sits in
+    :attr:`ALLOWED` with the reason it is kept.  A value only tests set
+    is a second configuration every ingest property has to cover: make
+    it a module constant (a test patches it) or delete it.  A call sets
+    a parameter by position or by keyword, unless the keyword's value is
+    spelled as the default is; a call inside the class itself sets
+    nothing, nor does ``**kwargs``."""
+
+    CONSTRUCTORS = (
+        "StreamingDetectionService", "Shard", "ShardIngestWorker", "AdmissionController",
+        "ConsistentHashRouter",
+    )
+    DATACLASSES = ("TimeSeries", "QualityGate")
+    ALLOWED = {
+        "StreamingDetectionService.retention":
+            "deployment: bounds a long-running service's memory",
+    }
+
+    @staticmethod
+    def _fields(body):
+        """``(name, default)`` of a dataclass body's init fields."""
+        for statement in body:
+            if not (isinstance(statement, ast.AnnAssign) and isinstance(statement.target, ast.Name)):
+                continue
+            value = statement.value
+            if isinstance(value, ast.Call) and "init=False" in map(ast.unparse, value.keywords):
+                continue
+            yield statement.target.id, value and ast.unparse(value)
+
+    @staticmethod
+    def _parameters(init):
+        """``(name, default)`` of ``__init__``'s parameters after ``self``."""
+        arguments = init.args
+        positional = arguments.args[1:]
+        defaults = [None] * (len(positional) - len(arguments.defaults)) + arguments.defaults
+        pairs = list(zip(positional, defaults)) + list(zip(arguments.kwonlyargs, arguments.kw_defaults))
+        return [(argument.arg, default and ast.unparse(default)) for argument, default in pairs]
+
+    @classmethod
+    def _knobs(cls):
+        """Class name -> ``(path, class node, [(name, default)] in
+        positional order)``."""
+        knobs = {}
+        for path, tree in TestEveryPublicNameHasACaller._trees(os.path.join("src", "repro")):
+            for node in tree.body:
+                if isinstance(node, ast.ClassDef) and node.name in cls.CONSTRUCTORS:
+                    (init,) = [
+                        member for member in node.body
+                        if isinstance(member, ast.FunctionDef) and member.name == "__init__"
+                    ]
+                    knobs[node.name] = (path, node, cls._parameters(init))
+                elif isinstance(node, ast.ClassDef) and node.name in cls.DATACLASSES:
+                    knobs[node.name] = (path, node, list(cls._fields(node.body)))
+        return knobs
+
+    @classmethod
+    def _set(cls, knobs):
+        """``Class.name`` of every knob some call sets."""
+        done = set()
+        for path, tree in TestEveryPublicNameHasACaller._trees(
+            "src", "benchmarks", "examples", "scripts"
+        ):
+            for node in ast.walk(tree):
+                callee = isinstance(node, ast.Call) and getattr(
+                    node.func, "id", getattr(node.func, "attr", None)
+                )
+                if callee not in knobs:
+                    continue
+                where, owner, parameters = knobs[callee]
+                if where == path and owner.lineno <= node.lineno <= owner.end_lineno:
+                    continue
+                positional = []
+                for argument in node.args:
+                    if isinstance(argument, ast.Starred):
+                        break
+                    positional.append(argument)
+                names = [name for name, _ in parameters[: len(positional)]]
+                defaults = dict(parameters)
+                names += [
+                    keyword.arg for keyword in node.keywords
+                    if keyword.arg and ast.unparse(keyword.value) != defaults.get(keyword.arg)
+                ]
+                done.update(f"{callee}.{name}" for name in names)
+        return done
+
+    def test_every_knob_is_set_outside_the_tests_or_has_a_reason(self):
+        knobs = self._knobs()
+        assert sorted(knobs) == sorted(self.CONSTRUCTORS + self.DATACLASSES)
+        every = {
+            f"{owner}.{name}" for owner, (_, _, parameters) in knobs.items()
+            for name, _ in parameters
+        }
+        unset = every - self._set(knobs)
+        assert sorted(unset - self.ALLOWED.keys()) == [], "make it a constant, or delete it"
+        # An entry whose knob gained a caller, or is gone, leaves the list.
+        assert sorted(self.ALLOWED.keys() - unset) == []
+        for name, reason in self.ALLOWED.items():
+            assert reason.startswith("deployment:"), name

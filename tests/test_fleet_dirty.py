@@ -93,7 +93,7 @@ class TestRollover:
         assert values == [10.0, 20.0, 30.0, 10.0, 20.0, 30.0]
 
     def test_admission_reconstructs_exact_cumulative(self):
-        from repro.quality import AdmissionController, QualityConfig
+        from repro.quality import AdmissionController
         from repro.service import frames_of
 
         counter = [
@@ -101,7 +101,7 @@ class TestRollover:
             for t in range(10)
         ]
         dirty = rollover_counter(counter, "c")
-        ctl = AdmissionController(QualityConfig())
+        ctl = AdmissionController(0)
         (frame,) = frames_of(dirty)
         # Counters ride the buffer: every row is held, none admitted.
         assert ctl.admit(frame) == (len(dirty), len(dirty), None, None)

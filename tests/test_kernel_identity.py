@@ -13,6 +13,7 @@ import sys
 import threading
 import warnings
 from types import SimpleNamespace
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from repro.core.change_point import ChangePointDetector
 from repro.core.pipeline import DetectionPipeline
 from repro.core.went_away import WentAwayDetector
 from repro.obs.spans import RunCounts
+from repro.quality import gaps
 from repro.quality.gaps import QualityGate
 from repro.stats import autocorrelation, mann_kendall
 from repro.stats.autocorrelation import acf, detect_season_length
@@ -716,14 +718,14 @@ class TestCadence:
         rng = np.random.default_rng(seed)
         stamps = irregular_stamps(rng, step, int(rng.integers(0, 300)))
         gate = QualityGate()
-        assert gate.cadence(stamps) == ref.cadence(stamps.tolist(), gate.min_cadence_points)
+        assert gate.cadence(stamps) == ref.cadence(stamps.tolist(), gaps.MIN_CADENCE_POINTS)
 
     def test_a_gap_too_large_to_double_takes_the_median(self):
         """Past 2**1023 the mean of two equal gaps is inf, and so is the median."""
         gap = 1.25 * 2.0**1023
         stamps = np.array([-gap, 0.0, gap])
-        gate = QualityGate(min_cadence_points=3)
-        assert gate.cadence(stamps) == ref.cadence(stamps.tolist(), 3) == np.inf
+        with patch.object(gaps, "MIN_CADENCE_POINTS", 3):
+            assert QualityGate().cadence(stamps) == ref.cadence(stamps.tolist(), 3) == np.inf
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -738,7 +740,7 @@ class TestCadence:
         if order != "as drawn":
             stamps = sorted(stamps, reverse=order == "descending")
         gate = QualityGate()
-        expected = ref.cadence(stamps, gate.min_cadence_points)
+        expected = ref.cadence(stamps, gaps.MIN_CADENCE_POINTS)
         assert gate.cadence(np.array(stamps)) == expected
         assert gate.cadence(stamps) == expected
 
@@ -780,11 +782,12 @@ class TestWindowCut:
         for got, (lo, hi) in zip(windows, zip(bounds, bounds[1:])):
             assert same(got, series.values_between(lo, hi))
         config = DetectionConfig(name="cut", threshold=1e-4, windows=spec, long_term=False)
-        for gate in (None, QualityGate(), QualityGate(min_coverage=0.95)):
+        for gate, coverage in ((None, 0.5), (QualityGate(), 0.5), (QualityGate(), 0.95)):
             pipeline = DetectionPipeline(config, quality_gate=gate)
-            assert pipeline._window_skip_reason(series, view, RunCounts()) == (
-                ref.window_skip_reason(pipeline, series, view)
-            )
+            with patch.object(gaps, "MIN_COVERAGE", coverage):
+                assert pipeline._window_skip_reason(series, view, RunCounts()) == (
+                    ref.window_skip_reason(pipeline, series, view)
+                )
         # A snapshot: a last-write-wins overwrite of the column leaves it be.
         kept = [np.array(window) for window in windows]
         if stamps.size:

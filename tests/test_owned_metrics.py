@@ -20,7 +20,6 @@ import pytest
 
 from repro.core.pipeline import DetectionPipeline
 from repro.faults import FaultInjector, FaultKind, FaultPlan, FaultSpec
-from repro.quality import QualityConfig
 from repro.runtime import CollectingSink
 from repro.service import BackpressurePolicy, CheckpointError, StreamingDetectionService
 from repro.service import parallel, views
@@ -112,18 +111,16 @@ class TestRestoredServicesServeTheirOwners:
     SERIES = 400
 
     def test_quarantines_by_reason_add_up_after_every_restore(self, tmp_path):
-        quality = QualityConfig(repair_negative=False, duplicate_policy="reject")
         service = StreamingDetectionService(
             n_shards=4, queue_capacity=1 << 20, backpressure=BackpressurePolicy.BLOCK,
-            quality=quality,
         )
         stop = threading.Event()
 
         def produce():
             tick = 0
             while not stop.is_set():
-                # Per frame: a repeated timestamp (``duplicate_reject``)
-                # and one NaN, negative or infinite value.
+                # Per frame: a repeated timestamp (counted, overwritten)
+                # and one NaN, negative (repaired) or infinite value.
                 stamps = [float(tick), float(tick), tick + 1.0, tick + 2.0]
                 for index in range(self.SERIES):
                     bad = (float("nan"), -1.0, float("inf"))[index % 3]
@@ -144,7 +141,7 @@ class TestRestoredServicesServeTheirOwners:
             for round_index in range(8):
                 directory = str(tmp_path / f"ckpt{round_index}")
                 service.checkpoint(directory)
-                restored = StreamingDetectionService.restore(directory, quality=quality)
+                restored = StreamingDetectionService.restore(directory)
                 counters = restored.stats().metrics["counters"]
                 reasons |= {
                     name for name in counters if name.startswith("quality.quarantined.")
@@ -156,11 +153,7 @@ class TestRestoredServicesServeTheirOwners:
             producer.join(timeout=10.0)
             service.close()
         assert not producer.is_alive()
-        assert reasons == {
-            "quality.quarantined.not_finite",
-            "quality.quarantined.negative_value",
-            "quality.quarantined.duplicate_reject",
-        }
+        assert reasons == {"quality.quarantined.not_finite"}
         assert torn == []
 
 
@@ -238,7 +231,7 @@ class TestTheManifestCarriesNoOwnedCount:
 
     def test_meta_metrics_holds_no_owned_name(self, drills, checkpointed):
         manifest = json.loads((checkpointed / "manifest.json").read_text(encoding="utf-8"))
-        assert manifest["version"] == 5
+        assert manifest["version"] == 6
         recorded = manifest["meta"]["metrics"]
         assert recorded["counters"], "the registry's own counts still ride the manifest"
         assert [name for kind in recorded.values() for name in kind if owned(name)] == []
@@ -261,7 +254,7 @@ class TestTheManifestCarriesNoOwnedCount:
             manifest = json.loads(path.read_text(encoding="utf-8"))
             manifest["version"] = version
             path.write_text(json.dumps(manifest), encoding="utf-8")
-        with pytest.raises(CheckpointError, match=f"version {version} != supported 5"):
+        with pytest.raises(CheckpointError, match=f"version {version} != supported 6"):
             StreamingDetectionService.restore(str(checkpointed))
 
     def test_a_version_three_checkpoint_is_refused(self, checkpointed):
@@ -272,6 +265,12 @@ class TestTheManifestCarriesNoOwnedCount:
         ``pipeline.incremental.*``, which the schedulers and caches now
         own: restored, the fold's disjointness assert would trip."""
         self._refused(checkpointed, 4)
+
+    def test_a_version_five_checkpoint_is_refused(self, checkpointed):
+        """A v5 manifest's ``meta`` carries the ring's ``replicas``, and its
+        pickles a series' duplicate policy and admission's config: the
+        knobs they name are gone."""
+        self._refused(checkpointed, 5)
 
 
 #: The due time of the drill's second scan, the first with cache hits.

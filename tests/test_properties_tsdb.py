@@ -6,8 +6,7 @@ identical to the obvious pure-Python implementation — element for
 element, across every mutation path (``append`` / ``insert`` /
 ``ingest_many`` / ``drop_before``), every read path (``values`` /
 ``timestamps`` / ``between`` / ``values_between`` / ``timestamps_at`` /
-``latest``), and both
-duplicate policies.  Hypothesis drives random interleavings against the
+``latest``).  Hypothesis drives random interleavings against the
 reference model below; any divergence is a storage-layer bug.
 
 A further test replays an :class:`~repro.quality.AdmissionController`
@@ -21,8 +20,8 @@ duplicates, stragglers within and beyond the reorder window — offered to
 a :class:`~repro.service.ShardIngestWorker` as arbitrary frame splits
 must leave exactly what offering it one row at a time leaves: admission
 counters, quarantine records, quality scores, worker counters and the
-TSDB's column bytes, under both duplicate policies and, for a single
-series, under every backpressure policy at a queue bound the stream
+TSDB's column bytes, and, for a single series, under every
+backpressure policy at a queue bound the stream
 overflows.  The row-at-a-time run is itself held against a model of the
 per-sample queue this layer replaced.
 
@@ -62,7 +61,7 @@ from hypothesis import strategies as st
 import _reference_kernels as ref
 from repro.config import DetectionConfig
 from repro.fleet import DirtyDataSpec, dirty_stream
-from repro.quality import AdmissionController, QualityConfig
+from repro.quality import AdmissionController, admission
 from repro.runtime import CollectingSink
 from repro.service import (
     BackpressurePolicy,
@@ -78,8 +77,7 @@ from repro.tsdb import SeriesFrame, TimeSeries, TimeSeriesDatabase, WindowSpec
 class ListSeries:
     """Reference model: TimeSeries semantics over two Python lists."""
 
-    def __init__(self, duplicate_policy="last_write_wins"):
-        self.duplicate_policy = duplicate_policy
+    def __init__(self):
         self.ts = []
         self.vals = []
 
@@ -87,8 +85,6 @@ class ListSeries:
         if self.ts and timestamp < self.ts[-1]:
             raise ValueError("out of order")
         if self.ts and timestamp == self.ts[-1]:
-            if self.duplicate_policy == "reject":
-                raise ValueError("duplicate")
             self.vals[-1] = value
             return
         self.ts.append(timestamp)
@@ -97,31 +93,14 @@ class ListSeries:
     def insert(self, timestamp, value):
         pos = bisect.bisect_right(self.ts, timestamp)
         if pos and self.ts[pos - 1] == timestamp:
-            if self.duplicate_policy == "reject":
-                raise ValueError("duplicate")
             self.vals[pos - 1] = value
             return
         self.ts.insert(pos, timestamp)
         self.vals.insert(pos, value)
 
     def ingest_many(self, points):
-        if self.duplicate_policy == "reject":
-            # Point at a time up to the first repeat of the last
-            # timestamp, which raises; late points merge all or nothing.
-            late = []
-            for timestamp, value in points:
-                if self.ts and timestamp < self.ts[-1]:
-                    late.append((timestamp, value))
-                else:
-                    self.append(timestamp, value)
-            stamps = [timestamp for timestamp, _ in late]
-            if len(set(stamps)) < len(stamps) or set(stamps) & set(self.ts):
-                raise ValueError("duplicate")
-            for timestamp, value in late:
-                self.insert(timestamp, value)
-            return len(points)
-        # Last-write-wins: point-at-a-time insertion is the latest
-        # arrival winning at every repeated timestamp, however batched.
+        # Point-at-a-time insertion is the latest arrival winning at
+        # every repeated timestamp, however batched.
         written = 0
         for timestamp, value in points:
             if not self.ts or timestamp > self.ts[-1]:
@@ -169,13 +148,7 @@ _ts = st.integers(min_value=0, max_value=40).map(float)
 _val = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
 _point = st.tuples(_ts, _val)
 
-_lww_op = st.one_of(
-    st.tuples(st.just("append"), _point),
-    st.tuples(st.just("insert"), _point),
-    st.tuples(st.just("ingest"), st.lists(_point, min_size=1, max_size=8)),
-    st.tuples(st.just("drop_before"), _ts),
-)
-_reject_op = st.one_of(
+_op = st.one_of(
     st.tuples(st.just("append"), _point),
     st.tuples(st.just("insert"), _point),
     st.tuples(st.just("ingest"), st.lists(_point, min_size=1, max_size=8)),
@@ -231,7 +204,7 @@ def _apply(series, model, op, payload):
 class TestColumnarMatchesListModel:
     @settings(max_examples=200, deadline=None)
     @given(
-        ops=st.lists(_lww_op, min_size=1, max_size=40),
+        ops=st.lists(_op, min_size=1, max_size=40),
         start=_ts,
         width=st.integers(min_value=0, max_value=20),
         k=st.integers(min_value=0, max_value=12),
@@ -243,37 +216,6 @@ class TestColumnarMatchesListModel:
             _apply(series, model, op, payload)
             assert_same_state(series, model)
         assert_same_windows(series, model, start, start + width, k)
-
-    @settings(max_examples=200, deadline=None)
-    @given(
-        ops=st.lists(_reject_op, min_size=1, max_size=40),
-        start=_ts,
-        width=st.integers(min_value=0, max_value=20),
-        k=st.integers(min_value=0, max_value=12),
-    )
-    def test_reject_interleavings(self, ops, start, width, k):
-        series = TimeSeries(name="p", duplicate_policy="reject")
-        model = ListSeries(duplicate_policy="reject")
-        for op, payload in ops:
-            _apply(series, model, op, payload)
-            # A rejected duplicate must leave the series untouched, so
-            # the model stays in lockstep even across raises.
-            assert_same_state(series, model)
-        assert_same_windows(series, model, start, start + width, k)
-
-    def test_reject_backfill_batch_leaves_series_untouched(self):
-        series = TimeSeries(name="p", duplicate_policy="reject")
-        for i in range(5):
-            series.append(float(i * 10), float(i))
-        before_ts = list(series.timestamps)
-        before_vals = list(series.values)
-        # All-straggler batch (every point < last timestamp) containing
-        # a duplicate: the sorted backfill merge must raise and roll
-        # back nothing because it never wrote anything.
-        with pytest.raises(ValueError):
-            series.ingest_many([(5.0, 1.0), (15.0, 2.0), (15.0, 3.0)])
-        assert list(series.timestamps) == before_ts
-        assert list(series.values) == before_vals
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -296,19 +238,20 @@ class TestColumnarMatchesListModel:
             running += inc
             raw.append(running)
 
-        controller = AdmissionController(QualityConfig(reorder_window=4))
+        controller = AdmissionController(0)
         frame = SeriesFrame(
             "cpu", {"type": "counter"}, [float(i * 60) for i in range(len(raw))], raw
         )
         released = []
         start = 0
-        while start < len(raw):
-            consumed, held, admitted, overflow = controller.admit(frame[start:])
-            assert held == consumed and admitted is None  # counters ride the buffer
-            start += consumed
-            if overflow is not None:
-                released.append(overflow)
-        released.extend(controller.drain_pending())
+        with _reorder_window(4):
+            while start < len(raw):
+                consumed, held, admitted, overflow = controller.admit(frame[start:])
+                assert held == consumed and admitted is None  # counters ride the buffer
+                start += consumed
+                if overflow is not None:
+                    released.append(overflow)
+            released.extend(controller.drain_pending())
         emitted = sorted(
             (
                 Sample(frame.name, timestamp, value)
@@ -342,14 +285,19 @@ _TAGS = {
     "d": {"metric": "delta"},                       # any sign
     "c": {"metric": "requests", "type": "counter"},
 }
-# A tiny grid again: repeats and stragglers everywhere, and with
-# reorder_window=3 plenty of them overflow the reorder buffer.
+# A tiny grid again: repeats and stragglers everywhere, and with the
+# reorder window shrunk to 3 plenty of them overflow the reorder buffer.
 _stream_value = st.one_of(
     st.integers(min_value=0, max_value=50).map(float),
     st.sampled_from([math.nan, math.inf, -math.inf, -1.0, -0.5]),
 )
 _stream_ts = st.integers(min_value=0, max_value=30).map(float)
 _stream_row = st.tuples(st.sampled_from(sorted(_TAGS)), _stream_ts, _stream_value)
+
+
+def _reorder_window(rows):
+    """Admission's reorder bound shrunk to ``rows`` for a ``with`` block."""
+    return patch.object(admission, "REORDER_WINDOW", rows)
 
 
 def _samples(rows):
@@ -362,13 +310,10 @@ def _chunks(samples, cuts):
     return [samples[a:b] for a, b in zip(edges, edges[1:])]
 
 
-def _worker(policy, duplicate_policy, capacity, batch_size=4):
-    admission = AdmissionController(
-        QualityConfig(reorder_window=3, duplicate_policy=duplicate_policy), shard_id=0
-    )
+def _worker(policy, capacity, batch_size=4):
     return ShardIngestWorker(
-        0, TimeSeriesDatabase(), capacity=capacity, policy=policy,
-        batch_size=batch_size, admission=admission,
+        0, TimeSeriesDatabase(), AdmissionController(0), capacity=capacity, policy=policy,
+        batch_size=batch_size,
     )
 
 
@@ -451,17 +396,15 @@ class TestFrameSplitsMatchRowByRow:
         rows=st.lists(_stream_row, min_size=1, max_size=60),
         cuts=st.lists(st.integers(min_value=1, max_value=59), max_size=8),
         flushes=st.sets(st.integers(min_value=0, max_value=8), max_size=3),
-        duplicate_policy=st.sampled_from(["last_write_wins", "reject"]),
     )
-    def test_any_split_of_a_dirty_stream_leaves_the_same_state(
-        self, rows, cuts, flushes, duplicate_policy
-    ):
+    def test_any_split_of_a_dirty_stream_leaves_the_same_state(self, rows, cuts, flushes):
         chunks = _chunks(_samples(rows), cuts)
-        whole = _worker(BackpressurePolicy.BLOCK, duplicate_policy, capacity=1 << 16)
-        by_row = _worker(BackpressurePolicy.BLOCK, duplicate_policy, capacity=1 << 16)
-        assert _run(whole, chunks, flushes, by_row=False) == _run(
-            by_row, chunks, flushes, by_row=True
-        )
+        whole = _worker(BackpressurePolicy.BLOCK, capacity=1 << 16)
+        by_row = _worker(BackpressurePolicy.BLOCK, capacity=1 << 16)
+        with _reorder_window(3):
+            assert _run(whole, chunks, flushes, by_row=False) == _run(
+                by_row, chunks, flushes, by_row=True
+            )
         assert _observe(whole) == _observe(by_row)
         assert whole.pending == 0 and whole.admission.buffered == 0
 
@@ -472,19 +415,19 @@ class TestFrameSplitsMatchRowByRow:
         cuts=st.lists(st.integers(min_value=1, max_value=59), max_size=8),
         flushes=st.sets(st.integers(min_value=0, max_value=8), max_size=2),
         policy=st.sampled_from(list(BackpressurePolicy)),
-        duplicate_policy=st.sampled_from(["last_write_wins", "reject"]),
         capacity=st.integers(min_value=1, max_value=12),
     )
     def test_single_series_backpressure_is_exact_to_the_sample(
-        self, name, points, cuts, flushes, policy, duplicate_policy, capacity
+        self, name, points, cuts, flushes, policy, capacity
     ):
         """Dirt, stragglers and a queue the stream overflows, all at once."""
         chunks = _chunks(_samples([(name, ts, value) for ts, value in points]), cuts)
-        whole = _worker(policy, duplicate_policy, capacity)
-        by_row = _worker(policy, duplicate_policy, capacity)
-        assert _run(whole, chunks, flushes, by_row=False) == _run(
-            by_row, chunks, flushes, by_row=True
-        )
+        whole = _worker(policy, capacity)
+        by_row = _worker(policy, capacity)
+        with _reorder_window(3):
+            assert _run(whole, chunks, flushes, by_row=False) == _run(
+                by_row, chunks, flushes, by_row=True
+            )
         assert _observe(whole) == _observe(by_row)
 
     @settings(max_examples=150, deadline=None)
@@ -503,7 +446,7 @@ class TestFrameSplitsMatchRowByRow:
         for point in points:
             model.offer(point)
         model.flush()
-        worker = _worker(policy, "last_write_wins", capacity, batch_size)
+        worker = _worker(policy, capacity, batch_size)
         for chunk in _chunks(_samples(points), cuts):
             for frame in frames_of(chunk):
                 worker.offer(frame)
@@ -631,25 +574,22 @@ class TestAdmissionMatchesTheRowReference:
         drains=st.sets(st.integers(min_value=0, max_value=10), max_size=3),
         window=st.integers(min_value=1, max_value=4),
         metric=st.sampled_from(["requests", "gcpu"]),
-        duplicate_policy=st.sampled_from(["last_write_wins", "reject"]),
     )
-    def test_counter_streams_admit_bit_for_bit(
-        self, rows, cuts, drains, window, metric, duplicate_policy
-    ):
+    def test_counter_streams_admit_bit_for_bit(self, rows, cuts, drains, window, metric):
         stamps, values = _counter_stream(rows)
         whole = SeriesFrame("c", {"metric": metric, "type": "counter"}, stamps, values)
-        config = QualityConfig(reorder_window=window, duplicate_policy=duplicate_policy)
-        controller, reference = AdmissionController(config, 0), ref.RowAdmission(config, 0)
+        controller, reference = AdmissionController(0), ref.RowAdmission(0)
         edges = sorted({cut for cut in cuts if 0 < cut < len(whole)} | {0, len(whole)})
-        for index, (a, b) in enumerate(zip(edges, edges[1:])):
-            assert _admit_all(controller, whole[a:b]) == _admit_all(reference, whole[a:b])
-            if index in drains:
-                assert [_frame_bytes(f) for f in controller.drain_pending()] == [
-                    _frame_bytes(f) for f in reference.drain_pending()
-                ]
-        assert [_frame_bytes(f) for f in controller.drain_pending()] == [
-            _frame_bytes(f) for f in reference.drain_pending()
-        ]
+        with _reorder_window(window):
+            for index, (a, b) in enumerate(zip(edges, edges[1:])):
+                assert _admit_all(controller, whole[a:b]) == _admit_all(reference, whole[a:b])
+                if index in drains:
+                    assert [_frame_bytes(f) for f in controller.drain_pending()] == [
+                        _frame_bytes(f) for f in reference.drain_pending()
+                    ]
+            assert [_frame_bytes(f) for f in controller.drain_pending()] == [
+                _frame_bytes(f) for f in reference.drain_pending()
+            ]
         assert controller.counters() == reference.counters()
         assert controller.quarantined_by_reason == reference.quarantined_by_reason
         assert controller.quarantine.reasons("c") == reference.quarantine.reasons("c")
@@ -703,8 +643,9 @@ class TestArrivalOrderIsWriteOrder:
                 if value < 0.0 and name == "g":
                     value = 0.0
                 latest.setdefault(name, {})[timestamp] = value
-        worker = _worker(BackpressurePolicy.BLOCK, "last_write_wins", capacity=1 << 16)
-        _run(worker, _chunks(_samples(_interleaved(rows, rng)), cuts), flushes, by_row=False)
+        worker = _worker(BackpressurePolicy.BLOCK, capacity=1 << 16)
+        with _reorder_window(3):
+            _run(worker, _chunks(_samples(_interleaved(rows, rng)), cuts), flushes, by_row=False)
         assert _columns(worker.database) == {
             name: (sorted(points), [points[t] for t in sorted(points)])
             for name, points in latest.items()
@@ -738,8 +679,8 @@ class TestArrivalOrderIsWriteOrder:
                 rows.append((name, tick * 60.0, raw))
             expected[name] = (stamps, values)
         samples = [Sample(*row, _COUNTER_TAGS) for row in _interleaved(rows, rng)]
-        worker = _worker(BackpressurePolicy.BLOCK, "last_write_wins", capacity=1 << 16)
-        with patch.object(
+        worker = _worker(BackpressurePolicy.BLOCK, capacity=1 << 16)
+        with _reorder_window(3), patch.object(
             TimeSeries, "_merge", autospec=True, side_effect=TimeSeries._merge
         ) as merge:
             _run(worker, _chunks(samples, cuts), flushes, by_row=False)

@@ -2,6 +2,7 @@
 
 import math
 import pickle
+from unittest.mock import patch
 
 import pytest
 
@@ -10,10 +11,10 @@ from repro.quality import (
     DROP,
     HELD,
     AdmissionController,
-    QualityConfig,
     QuarantineStore,
     REASONS,
 )
+from repro.quality import admission
 from repro.service import Sample
 from repro.tsdb import SeriesFrame
 
@@ -49,8 +50,13 @@ def admit(ctl, sample, released=None):
     return (HELD if held else DROP), None
 
 
-def controller(**kwargs):
-    return AdmissionController(QualityConfig(**kwargs), shard_id=0)
+def controller():
+    return AdmissionController(shard_id=0)
+
+
+def reorder_window(rows):
+    """Shrink the reorder buffer to ``rows`` for the ``with`` block."""
+    return patch.object(admission, "REORDER_WINDOW", rows)
 
 
 class TestValidators:
@@ -80,12 +86,6 @@ class TestValidators:
         assert verdict == ADMIT
         assert sample.value == 0.0
         assert ctl.repaired == 1 and ctl.quarantined == 0
-
-    def test_negative_without_repair_is_quarantined(self):
-        ctl = controller(repair_negative=False)
-        verdict, _ = admit(ctl, make(ts=1.0, value=-0.25))
-        assert verdict == DROP
-        assert ctl.quarantine.reasons("s.gcpu")["negative_value"] == 1
 
     def test_negative_on_unknown_metric_passes_through(self):
         ctl = controller()
@@ -123,52 +123,56 @@ class TestValidators:
     def test_out_of_order_counter_does_not_fake_resets(self):
         """A locally shuffled monotone counter must come out exactly as
         delivered in order — no spurious rollover rebasing."""
-        ctl = controller(reorder_window=8)
+        ctl = controller()
         tags = {"type": "counter"}
         order = [2, 0, 1, 4, 3, 5, 7, 6]
-        for tick in order:
-            sample = make("c", ts=float(tick), value=float(10 * tick), tags=tags)
-            assert admit(ctl, sample)[0] == HELD
-        released = rows(ctl.drain_pending())
+        with reorder_window(8):
+            for tick in order:
+                sample = make("c", ts=float(tick), value=float(10 * tick), tags=tags)
+                assert admit(ctl, sample)[0] == HELD
+            released = rows(ctl.drain_pending())
         assert [(s.timestamp, s.value) for s in released] == [
             (float(t), float(10 * t)) for t in range(8)
         ]
         assert ctl.counter_resets == 0
 
     def test_counter_rollover_under_reordering_reconstructs_exactly(self):
-        ctl = controller(reorder_window=8)
+        ctl = controller()
         tags = {"type": "counter"}
         clean = [float(7 * (t + 1)) for t in range(10)]
         raw = clean[:5] + [v - clean[4] for v in clean[5:]]  # restart at 5
         order = [0, 2, 1, 3, 4, 6, 5, 7, 9, 8]  # local shuffle
         out = []
-        for tick in order:
-            verdict, sample = admit(
-                ctl, make("c", ts=float(tick), value=raw[tick], tags=tags), out
-            )
-            if verdict == ADMIT:  # released past its batch: direct admit
-                out.append(sample)
-        out.extend(rows(ctl.drain_pending()))
+        with reorder_window(8):
+            for tick in order:
+                verdict, sample = admit(
+                    ctl, make("c", ts=float(tick), value=raw[tick], tags=tags), out
+                )
+                if verdict == ADMIT:  # released past its batch: direct admit
+                    out.append(sample)
+            out.extend(rows(ctl.drain_pending()))
         out.sort(key=lambda s: s.timestamp)
         assert [s.value for s in out] == clean
         assert ctl.counter_resets == 1
 
     def test_counter_buffer_overflow_releases_rebased_batch(self):
-        ctl = controller(reorder_window=3)
+        ctl = controller()
         tags = {"type": "counter"}
         batch = []
-        for tick in range(4):  # fourth point overflows the window
-            admit(ctl, make("c", ts=float(tick), value=float(tick), tags=tags), batch)
+        with reorder_window(3):
+            for tick in range(4):  # fourth point overflows the window
+                admit(ctl, make("c", ts=float(tick), value=float(tick), tags=tags), batch)
         assert [s.value for s in batch] == [0.0, 1.0, 2.0, 3.0]
         assert ctl.buffered == 0
 
     def test_counter_straggler_past_release_admits_with_offset(self):
-        ctl = controller(reorder_window=2)
+        ctl = controller()
         tags = {"type": "counter"}
-        for tick, value in [(0, 10.0), (1, 20.0), (2, 2.0)]:
-            admit(ctl, make("c", ts=float(tick), value=value, tags=tags), [])
-        # The third point released the batch: watermark now 2.0, offset 20.0.
-        verdict, sample = admit(ctl, make("c", ts=1.5, value=21.0, tags=tags))
+        with reorder_window(2):
+            for tick, value in [(0, 10.0), (1, 20.0), (2, 2.0)]:
+                admit(ctl, make("c", ts=float(tick), value=value, tags=tags), [])
+            # The third point released the batch: watermark now 2.0, offset 20.0.
+            verdict, sample = admit(ctl, make("c", ts=1.5, value=21.0, tags=tags))
         # Too late for the ordered pass: current offset, straight admit.
         assert verdict == ADMIT
         assert sample.value == 41.0
@@ -182,22 +186,17 @@ class TestOrdering:
         assert verdict == ADMIT and sample.value == 2.0
         assert ctl.duplicates == 1
 
-    def test_duplicate_timestamp_reject_quarantines(self):
-        ctl = controller(duplicate_policy="reject")
-        assert admit(ctl, make(ts=1.0, value=1.0))[0] == ADMIT
-        assert admit(ctl, make(ts=1.0, value=2.0))[0] == DROP
-        assert ctl.quarantine.reasons("s.gcpu")["duplicate_reject"] == 1
-
     def test_stragglers_buffer_and_release_on_overflow(self):
-        ctl = controller(reorder_window=3)
-        assert admit(ctl, make(ts=10.0))[0] == ADMIT
-        for ts in (3.0, 1.0, 2.0):
-            verdict, none = admit(ctl, make(ts=ts))  # asserts nothing is released
-            assert verdict == HELD and none is None
-        assert ctl.buffered == 3
-        # Fourth straggler overflows the window: whole batch released.
-        batch = []
-        assert admit(ctl, make(ts=4.0), batch)[0] == HELD
+        ctl = controller()
+        with reorder_window(3):
+            assert admit(ctl, make(ts=10.0))[0] == ADMIT
+            for ts in (3.0, 1.0, 2.0):
+                verdict, none = admit(ctl, make(ts=ts))  # asserts nothing is released
+                assert verdict == HELD and none is None
+            assert ctl.buffered == 3
+            # Fourth straggler overflows the window: whole batch released.
+            batch = []
+            assert admit(ctl, make(ts=4.0), batch)[0] == HELD
         assert [s.timestamp for s in batch] == [1.0, 2.0, 3.0, 4.0]
         assert ctl.buffered == 0 and ctl.reordered == 4
 
@@ -275,15 +274,16 @@ class TestFrames:
         assert [s.value for s in rows(ctl.drain_pending())] == [10.0, 20.0, 25.0]
 
     def test_stops_at_the_row_that_overflows_the_reorder_buffer(self):
-        ctl = controller(reorder_window=2)
+        ctl = controller()
         admit(ctl, make(ts=10.0))
         frame = self.frame([1.0, 2.0, 3.0, 4.0, 5.0], [0.1] * 5)
         # Row 3 overflows the window: the released frame has to be
         # queued before rows 4 and 5 are judged.
-        consumed, held, admitted, released = ctl.admit(frame)
-        assert (consumed, held, admitted) == (3, 3, None)
-        assert released.timestamps.tolist() == [1.0, 2.0, 3.0]
-        assert ctl.admit(frame[3:]) == (2, 2, None, None)
+        with reorder_window(2):
+            consumed, held, admitted, released = ctl.admit(frame)
+            assert (consumed, held, admitted) == (3, 3, None)
+            assert released.timestamps.tolist() == [1.0, 2.0, 3.0]
+            assert ctl.admit(frame[3:]) == (2, 2, None, None)
         assert ctl.buffered == 2
 
 
@@ -318,7 +318,7 @@ class TestOperatorSurface:
         """The controller is the one home of ``quality.*``: only events
         move its counts, and the per-reason totals are cumulative — a
         release drops the attribution, not the count."""
-        ctl = AdmissionController(QualityConfig(repair_negative=False), shard_id=0)
+        ctl = controller()
         admit(ctl, make(ts=1.0, value=0.5))   # clean: no event counted
         assert ctl.quarantined_by_reason == {}
         assert {k: v for k, v in ctl.counters().items() if k != "admitted"} == dict.fromkeys(
@@ -326,12 +326,12 @@ class TestOperatorSurface:
              "buffered"), 0
         )
         admit(ctl, make(ts=2.0, value=math.nan))
-        admit(ctl, make(ts=3.0, value=-1.0))
+        admit(ctl, make(ts=3.0, value=-1.0))  # repaired, not quarantined
         admit(ctl, make(ts=4.0, value=math.inf))
-        assert ctl.quarantined == 3
-        assert ctl.quarantined_by_reason == {"not_finite": 2, "negative_value": 1}
-        assert ctl.release_series("s.gcpu") == 3
-        assert ctl.quarantined_by_reason == {"not_finite": 2, "negative_value": 1}
+        assert (ctl.quarantined, ctl.repaired) == (2, 1)
+        assert ctl.quarantined_by_reason == {"not_finite": 2}
+        assert ctl.release_series("s.gcpu") == 2
+        assert ctl.quarantined_by_reason == {"not_finite": 2}
         assert not hasattr(ctl, "metrics")
 
 
@@ -339,7 +339,7 @@ class TestPickling:
     def test_round_trip_preserves_state_and_drops_metrics(self):
         """There is no registry handle to drop any more: the pickle is
         the controller's own state, per-reason totals included."""
-        ctl = AdmissionController(QualityConfig(), shard_id=3)
+        ctl = AdmissionController(shard_id=3)
         admit(ctl, make(ts=5.0))
         admit(ctl, make(ts=1.0))           # held straggler
         admit(ctl, make(ts=6.0, value=math.nan))
@@ -369,12 +369,12 @@ class TestQuarantineStore:
             store.add("s", 0.0, 1.0, "because")
 
     def test_reasons_is_closed_vocabulary(self):
-        assert REASONS == ("not_finite", "negative_value", "duplicate_reject")
+        assert REASONS == ("not_finite",)
 
 
 class TestQualityConfig:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            QualityConfig(reorder_window=0)
-        with pytest.raises(ValueError):
-            QualityConfig(duplicate_policy="first_write_wins")
+        """Admission's one setting is a constant, in the range its config
+        field was validated against; the controller holds no config."""
+        assert admission.REORDER_WINDOW >= 1
+        assert not hasattr(controller(), "config")

@@ -1,11 +1,13 @@
 """Tests for repro.quality.gaps and the pipeline's gap-aware gating."""
 
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 
 from repro.config import DetectionConfig
 from repro.core.pipeline import DetectionPipeline
-from repro.quality import QualityGate, window_coverage
+from repro.quality import QualityGate, gaps, window_coverage
 from repro.tsdb import TimeSeriesDatabase, WindowSpec
 
 from conftest import fill_series
@@ -42,17 +44,18 @@ class TestWindowCoverage:
 
 class TestQualityGate:
     def test_cadence_is_median_spacing(self):
-        gate = QualityGate(min_cadence_points=4)
-        assert gate.cadence([0.0, 60.0, 120.0, 180.0]) == 60.0
-        # One late batch does not move the median.
-        assert gate.cadence([0.0, 60.0, 120.0, 300.0, 360.0]) == 60.0
+        gate = QualityGate()
+        with patch.object(gaps, "MIN_CADENCE_POINTS", 4):
+            assert gate.cadence([0.0, 60.0, 120.0, 180.0]) == 60.0
+            # One late batch does not move the median.
+            assert gate.cadence([0.0, 60.0, 120.0, 300.0, 360.0]) == 60.0
 
     def test_cadence_abstains_on_short_history(self):
         gate = QualityGate()
         assert gate.cadence([0.0, 60.0]) is None
 
     def test_window_ok_thresholds(self):
-        gate = QualityGate(min_coverage=0.5, min_cadence_points=4)
+        gate = QualityGate()
         historic = [i * 60.0 for i in range(20)]
         ok, coverage = gate.window_ok(historic, 10, 1200.0, 1800.0)
         assert ok and coverage == 1.0
@@ -64,18 +67,17 @@ class TestQualityGate:
         assert gate.window_ok([0.0, 60.0], 0, 0.0, 600.0) == (True, 1.0)
 
     def test_staleness(self):
-        gate = QualityGate(stale_after_analysis_windows=3.0)
+        gate = QualityGate()
         assert not gate.is_stale(9_000.0, 10_000.0, 1_000.0)
         assert gate.is_stale(5_000.0, 10_000.0, 1_000.0)
         assert not gate.is_stale(5_000.0, 10_000.0, 0.0)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            QualityGate(min_coverage=0.0)
-        with pytest.raises(ValueError):
-            QualityGate(stale_after_analysis_windows=0.0)
-        with pytest.raises(ValueError):
-            QualityGate(min_cadence_points=1)
+        """The thresholds are constants now; they hold the ranges the
+        gate's fields were validated against."""
+        assert 0.0 < gaps.MIN_COVERAGE <= 1.0
+        assert gaps.STALE_AFTER_ANALYSIS_WINDOWS > 0.0
+        assert gaps.MIN_CADENCE_POINTS >= 2
 
 
 class TestPipelineDegenerateSeries:
@@ -125,9 +127,7 @@ class TestPipelineGapGating:
             if 36_000.0 <= tick < 48_000.0 and index % 10:
                 continue
             series.append(tick, float(value) + (0.5 if tick >= 36_000.0 else 0.0))
-        pipeline = DetectionPipeline(
-            small_config(), quality_gate=QualityGate(min_coverage=0.5)
-        )
+        pipeline = DetectionPipeline(small_config(), quality_gate=QualityGate())
         result = pipeline.run(db, now=54_000.0)
         assert result.reported == []
         assert result.trace.counts.get("pipeline.quality.low_coverage_skips", 0) >= 1

@@ -114,10 +114,10 @@ class TestCheckpointManager:
         for name in ("manifest.json", "manifest.g1.json"):
             path = tmp_path / name
             manifest = json.loads(path.read_text(encoding="utf-8"))
-            assert manifest["version"] == 5
+            assert manifest["version"] == 6
             manifest["version"] = 1
             path.write_text(json.dumps(manifest), encoding="utf-8")
-        with pytest.raises(CheckpointError, match="version 1 != supported 5"):
+        with pytest.raises(CheckpointError, match="version 1 != supported 6"):
             StreamingDetectionService.restore(str(tmp_path))
 
     def test_corrupt_manifest_raises(self, tmp_path):
@@ -356,9 +356,10 @@ class TestKillRestoreEquivalence:
     def test_a_checkpoint_from_before_the_options_went_restores_and_advances(
         self, stream, tmp_path, monkeypatch
     ):
-        """``QualityConfig.quarantine_capacity`` / ``.non_negative_metrics``,
-        ``DetectionPipeline.min_*_points`` and the screen's ``drift`` /
-        ``threshold`` became module constants, and the scan stack stopped
+        """Admission's ``config`` / ``quarantine_capacity`` /
+        ``non_negative_metrics``, ``DetectionPipeline.min_*_points`` and the
+        screen's ``drift`` / ``threshold`` became module constants, and the
+        scan stack stopped
         holding ``metrics`` / ``tracer`` / ``sinks``.  A pickle written
         while they were attributes still carries them (the handles nulled):
         they sit in ``__dict__`` unread, and the run goes on as if
@@ -369,8 +370,9 @@ class TestKillRestoreEquivalence:
         victim = make_service(sink)
         feed(victim, stream, 0, KILL_TICK)
         for shard in victim._shards.values():
-            vars(shard.worker.admission.config).update(
-                quarantine_capacity=1024, non_negative_metrics=frozenset({"gcpu"})
+            vars(shard.worker.admission).update(
+                config=None, quarantine_capacity=1024,
+                non_negative_metrics=frozenset({"gcpu"}),
             )
             vars(shard.scheduler).update(metrics=None, sinks=[])
             for registration in shard.scheduler._monitors.values():
@@ -386,7 +388,7 @@ class TestKillRestoreEquivalence:
         victim.checkpoint(str(tmp_path))
         restored = StreamingDetectionService.restore(str(tmp_path), sinks=[sink])
         for shard in restored._shards.values():
-            assert vars(shard.worker.admission.config)["quarantine_capacity"] == 1024
+            assert vars(shard.worker.admission)["quarantine_capacity"] == 1024
             assert vars(shard.scheduler)["sinks"] == []
         feed(restored, stream, KILL_TICK, N_TICKS)
         assert report_keys(sink.reports) == report_keys(reference_sink.reports)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.connectors import RemoteWriteReceiver
-from repro.quality import AdmissionController, QualityConfig
+from repro.quality import AdmissionController
 from repro.service import BackpressurePolicy, Sample, ShardIngestWorker, StreamingDetectionService
 from repro.tsdb import SeriesFrame, TimeSeries, TimeSeriesDatabase
 
@@ -32,7 +32,9 @@ def row(name, timestamp, value, tags=None):
 
 def make_worker(policy, capacity=4, batch_size=2):
     db = TimeSeriesDatabase()
-    worker = ShardIngestWorker(0, db, capacity=capacity, policy=policy, batch_size=batch_size)
+    worker = ShardIngestWorker(
+        0, db, AdmissionController(0), capacity=capacity, policy=policy, batch_size=batch_size
+    )
     return db, worker
 
 
@@ -180,9 +182,9 @@ class TestCountersAndMetrics:
     def test_invalid_params(self):
         db = TimeSeriesDatabase()
         with pytest.raises(ValueError):
-            ShardIngestWorker(0, db, capacity=0)
+            ShardIngestWorker(0, db, AdmissionController(0), capacity=0)
         with pytest.raises(ValueError):
-            ShardIngestWorker(0, db, batch_size=0)
+            ShardIngestWorker(0, db, AdmissionController(0), batch_size=0)
 
 
 class TestFlushFailureSafety:
@@ -237,14 +239,8 @@ class TestFlushFailureSafety:
         assert clone.fault_injector is None
 
 
-def admitting_worker(reorder_window=16):
-    db = TimeSeriesDatabase()
-    admission = AdmissionController(QualityConfig(reorder_window=reorder_window), shard_id=0)
-    worker = ShardIngestWorker(
-        0, db, capacity=1 << 16, policy=BackpressurePolicy.BLOCK, batch_size=256,
-        admission=admission,
-    )
-    return db, worker
+def admitting_worker():
+    return make_worker(BackpressurePolicy.BLOCK, capacity=1 << 16, batch_size=256)
 
 
 def columns(databases):
@@ -345,7 +341,7 @@ class TestInOrderDataIsNeverMerged:
             merge(series, ts, vals)
 
         monkeypatch.setattr(TimeSeries, "_merge", counting)
-        db, worker = admitting_worker(reorder_window=16)
+        db, worker = admitting_worker()
         tags = {"metric": "requests", "type": "counter"}
         names = [f"edge.route{i}.requests_total" for i in range(4)]
         points = 40 * 25

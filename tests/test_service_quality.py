@@ -137,7 +137,6 @@ def clean_run():
         drive(service, samples)
         assert [r.metric_id for r in sink.reports] == [SERIES[REGRESS_INDEX]]
         quality = views.quality(service)[1]
-        assert quality["enabled"]
         # Clean data: admission is transparent.
         assert quality["quarantined_points"] == 0
         assert quality["counters"]["repaired"] == 0
@@ -202,7 +201,6 @@ class TestQualityEndpoint:
                     server.url + "/quality", timeout=5.0
                 ) as response:
                     payload = json.loads(response.read())
-            assert payload["enabled"]
             assert payload["quarantined_points"] == 3
             shard = next(
                 s for s in payload["shards"]
@@ -211,22 +209,6 @@ class TestQualityEndpoint:
             offender = shard["quarantine"]["series"][SERIES[0]]
             assert offender["reasons"] == {"not_finite": 3}
             assert shard["scores"][SERIES[0]] == pytest.approx(20 / 23)
-        finally:
-            service.close()
-
-    def test_disabled_quality_reports_disabled(self):
-        sink = CollectingSink()
-        service = StreamingDetectionService(
-            n_shards=1, sinks=[sink], quality=None
-        )
-        try:
-            assert views.quality(service)[1] == {
-                "enabled": False,
-                "counters": {},
-                "quarantined_points": 0,
-                "stale_series": [],
-                "shards": [],
-            }
         finally:
             service.close()
 
@@ -255,7 +237,6 @@ class TestCheckpointRestore:
         )
         try:
             after = views.quality(restored)[1]
-            assert after["enabled"]
             assert after["counters"] == before["counters"]
             assert after["quarantined_points"] == before["quarantined_points"]
             shard_quarantines = {

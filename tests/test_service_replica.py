@@ -247,7 +247,7 @@ class TestLogBound:
         a seed, so the log goes — and the next advance seeds."""
         def run(workers):
             sink = CollectingSink()
-            service = fleet.make_service(sink, workers, quality=None)
+            service = fleet.make_service(sink, workers)
             tail = [
                 Sample(name, tick * fleet.INTERVAL, 0.001 + 1e-6 * tick, {"metric": "gcpu"})
                 for name in fleet.SERIES

@@ -1,8 +1,11 @@
 """Tests for repro.service.router (consistent-hash shard routing)."""
 
+from unittest.mock import patch
+
 import pytest
 
 from repro.service import ConsistentHashRouter
+from repro.service import router as ring
 
 
 KEYS = [f"svc{i % 7}.sub{i}.gcpu" for i in range(1000)]
@@ -38,19 +41,21 @@ class TestDeterminism:
 
 class TestBalance:
     def test_every_shard_used(self):
-        router = ConsistentHashRouter(range(8), replicas=64)
+        router = ConsistentHashRouter(range(8))
         counts = distribution(router)
         assert all(count > 0 for count in counts.values())
 
     def test_no_shard_dominates(self):
-        router = ConsistentHashRouter(range(8), replicas=64)
+        router = ConsistentHashRouter(range(8))
         counts = distribution(router)
         mean = len(KEYS) / len(counts)
         assert max(counts.values()) < 3 * mean
 
     def test_more_replicas_smooth_distribution(self):
-        coarse = ConsistentHashRouter(range(8), replicas=4)
-        fine = ConsistentHashRouter(range(8), replicas=256)
+        with patch.object(ring, "RING_REPLICAS", 4):
+            coarse = ConsistentHashRouter(range(8))
+        with patch.object(ring, "RING_REPLICAS", 256):
+            fine = ConsistentHashRouter(range(8))
 
         def spread(router):
             counts = distribution(router)
@@ -93,7 +98,3 @@ class TestMembership:
         assert 2 in router
         assert 7 not in router
         assert router.shards == [0, 1, 2]
-
-    def test_invalid_replicas(self):
-        with pytest.raises(ValueError, match="replicas"):
-            ConsistentHashRouter(range(2), replicas=0)

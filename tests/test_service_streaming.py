@@ -155,15 +155,3 @@ class TestConfigurationErrors:
     def test_invalid_shard_count(self):
         with pytest.raises(ValueError, match="n_shards"):
             StreamingDetectionService(n_shards=0)
-
-    def test_custom_routing_key_co_locates(self, samples):
-        service = StreamingDetectionService(
-            n_shards=4, routing_key=lambda sample: sample.tags["service"]
-        )
-        service.ingest_many(samples[: len(SERIES)])
-        service.flush()
-        populated = [
-            shard_id for shard_id in range(4) if len(service.shard_database(shard_id))
-        ]
-        assert len(populated) == 1  # whole service on one shard
-        assert len(service.shard_database(populated[0])) == len(SERIES)

@@ -27,17 +27,9 @@ class TestTimeSeries:
         assert len(series) == 1
         assert list(series) == [(1.0, 2.0)]
 
-    def test_equal_timestamp_reject_policy_raises(self):
-        series = TimeSeries("s", duplicate_policy="reject")
-        series.append(1.0, 1.0)
-        with pytest.raises(ValueError):
-            series.append(1.0, 2.0)
-        with pytest.raises(ValueError):
-            series.insert(1.0, 3.0)
-        assert list(series) == [(1.0, 1.0)]
-
     def test_unknown_duplicate_policy_raises(self):
-        with pytest.raises(ValueError):
+        # Repeats resolve last-write-wins: there is no policy to choose.
+        with pytest.raises(TypeError):
             TimeSeries("s", duplicate_policy="first_write_wins")
 
     def test_insert_keeps_order(self):
