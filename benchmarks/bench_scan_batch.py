@@ -407,7 +407,7 @@ def measure_went_away():
     historic, analysis, extended, at = went_away_candidates()
     n = len(at)
     expected = [
-        ref.went_away_terms(detector, historic[i], analysis[i], extended[i], at[i])
+        ref.went_away_terms(historic[i], analysis[i], extended[i], at[i])
         for i in range(n)
     ]
     got = detector.diagnose_rows(historic, analysis, extended, at)
@@ -417,7 +417,7 @@ def measure_went_away():
 
     def loop():
         for i in range(n):
-            ref.went_away_terms(detector, historic[i], analysis[i], extended[i], at[i])
+            ref.went_away_terms(historic[i], analysis[i], extended[i], at[i])
 
     def rows(block):
         def run():

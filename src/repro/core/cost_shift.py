@@ -8,9 +8,9 @@ evaluation).  The detector examines higher-level *cost domains* — groups
 of subroutines within which a cost shift is likely — and filters the
 regression when the domain's total cost barely moved.
 
-Default domains: upstream callers, the enclosing class, shared metadata
+Domains: upstream callers, the enclosing class, shared metadata
 prefixes, endpoint name prefixes, and subroutines modified by the same
-code commit.  Custom domain providers can be registered.
+code commit.
 
 Decision rules per (regression, domain):
 
@@ -25,10 +25,8 @@ Decision rules per (regression, domain):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set
-
-import numpy as np
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Set
 
 from repro.core.types import DetectionVerdict, FilterReason, Regression
 from repro.fleet.changes import ChangeLog
@@ -45,7 +43,7 @@ class CostDomain:
     Attributes:
         name: Human-readable domain label (shows up in verdict details).
         kind: Provider that produced it (``"caller"``, ``"class"``,
-            ``"metadata"``, ``"endpoint"``, ``"commit"``, ``"custom"``).
+            ``"metadata"``, ``"endpoint"``, ``"commit"``).
         members: Subroutine names composing the domain.
     """
 
@@ -58,7 +56,17 @@ class CostDomain:
             object.__setattr__(self, "members", frozenset(self.members))
 
 
-DomainProvider = Callable[[Regression], List[CostDomain]]
+#: Rule 2 bound: domains whose absolute cost exceeds ``EXCLUSION_RATIO *
+#: |regression cost change|`` are inconclusive.  The bound also guards
+#: against a subtlety of relative metrics: a domain covering (almost) the
+#: whole process has a gCPU share that stays flat under *any* regression,
+#: so large domains must never be treated as cost-shift evidence.  The
+#: paper's 20%-domain vs 0.005%-regression example corresponds to a ratio
+#: of 4000; we use 20.
+EXCLUSION_RATIO = 20.0
+#: Rule 3 bound: the domain's cost change is negligible when below this
+#: fraction of the regression's.
+NEGLIGIBLE_FRACTION = 0.25
 
 
 class CostShiftDetector:
@@ -68,18 +76,6 @@ class CostShiftDetector:
         database: TSDB holding gCPU series (domain cost lookups).
         samples: Stack-trace history for caller-domain derivation.
         change_log: Change log for commit domains.
-        exclusion_ratio: Rule 2 bound — domains whose absolute cost
-            exceeds ``exclusion_ratio * |regression cost change|`` are
-            inconclusive.  The bound also guards against a subtlety of
-            relative metrics: a domain covering (almost) the whole
-            process has a gCPU share that stays flat under *any*
-            regression, so large domains must never be treated as
-            cost-shift evidence.  The paper's 20%-domain vs
-            0.005%-regression example corresponds to a ratio of 4000;
-            we default to 20.
-        negligible_fraction: Rule 3 bound — the domain's cost change is
-            negligible when below this fraction of the regression's.
-        extra_providers: Additional custom domain providers.
     """
 
     def __init__(
@@ -87,24 +83,10 @@ class CostShiftDetector:
         database: TimeSeriesDatabase,
         samples: Optional[Sequence[StackTrace]] = None,
         change_log: Optional[ChangeLog] = None,
-        exclusion_ratio: float = 20.0,
-        negligible_fraction: float = 0.25,
-        extra_providers: Optional[Sequence[DomainProvider]] = None,
     ) -> None:
         self.database = database
         self.samples = list(samples or [])
         self.change_log = change_log
-        self.exclusion_ratio = exclusion_ratio
-        self.negligible_fraction = negligible_fraction
-        self._providers: List[DomainProvider] = [
-            self._caller_domains,
-            self._class_domains,
-            self._metadata_domains,
-            self._endpoint_domains,
-            self._commit_domains,
-        ]
-        if extra_providers:
-            self._providers.extend(extra_providers)
 
     # ------------------------------------------------------------------
     # Verdict
@@ -119,7 +101,13 @@ class CostShiftDetector:
             return DetectionVerdict.keep(detail="zero-magnitude regression")
 
         domains: List[CostDomain] = []
-        for provider in self._providers:
+        for provider in (
+            self._caller_domains,
+            self._class_domains,
+            self._metadata_domains,
+            self._endpoint_domains,
+            self._commit_domains,
+        ):
             domains.extend(provider(regression))
 
         for domain in domains:
@@ -142,10 +130,10 @@ class CostShiftDetector:
             return None  # Rule 1: domain has no pre-regression existence.
         if after is None:
             return None
-        if before > self.exclusion_ratio * regression_delta:
+        if before > EXCLUSION_RATIO * regression_delta:
             return None  # Rule 2: domain too large to be conclusive.
         domain_delta = abs(after - before)
-        if domain_delta < self.negligible_fraction * regression_delta:
+        if domain_delta < NEGLIGIBLE_FRACTION * regression_delta:
             return DetectionVerdict.drop(
                 FilterReason.COST_SHIFT,
                 detail=(

@@ -3,8 +3,8 @@
 Where SOMDedup deduplicates same-type metrics within one analysis window,
 PairwiseDedup merges regressions *across* windows and metric types (gCPU
 vs throughput).  Each new representative regression is compared against
-existing groups on a set of similarity features; user-defined merge rules
-decide whether the scores warrant a merge.
+existing groups on a set of similarity features; the merge rules
+(:data:`MERGE_RULES`) decide whether the scores warrant a merge.
 
 Built-in features:
 
@@ -19,8 +19,8 @@ Built-in features:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence
+from dataclasses import dataclass
+from typing import Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -39,7 +39,7 @@ _SeriesMemo = Dict[int, Dict[float, float]]
 
 @dataclass(frozen=True)
 class MergeRule:
-    """A user-defined merge policy over feature scores.
+    """A merge policy over feature scores.
 
     Attributes:
         thresholds: Per-feature minimum score.
@@ -60,9 +60,9 @@ class MergeRule:
         return all(checks) if self.require_all else any(checks)
 
 
-#: Default policy: strong time correlation alone, strong text similarity
+#: The merge policy: strong time correlation alone, strong text similarity
 #: alone, or meaningful stack overlap, merges.
-DEFAULT_RULES = (
+MERGE_RULES = (
     MergeRule({"time_correlation": 0.9}),
     MergeRule({"text_similarity": 0.75}),
     MergeRule({"stack_overlap": 0.6}),
@@ -74,6 +74,8 @@ DEFAULT_RULES = (
         {"time_correlation": 0.7, "text_similarity": 0.65}, require_all=True
     ),
 )
+#: Cap on per-group member comparisons, to bound the pairwise cost.
+MAX_MEMBERS_COMPARED = 10
 
 
 class PairwiseDedup:
@@ -81,20 +83,10 @@ class PairwiseDedup:
 
     Args:
         samples: Stack-trace history for the stack-overlap feature.
-        rules: Merge rules (defaults above).
-        max_members_compared: Cap on per-group member comparisons, to
-            bound the pairwise cost.
     """
 
-    def __init__(
-        self,
-        samples: Sequence[StackTrace] = (),
-        rules: Sequence[MergeRule] = DEFAULT_RULES,
-        max_members_compared: int = 10,
-    ) -> None:
+    def __init__(self, samples: Sequence[StackTrace] = ()) -> None:
         self.samples = list(samples)
-        self.rules = list(rules)
-        self.max_members_compared = max_members_compared
         self.groups: List[RegressionGroup] = []
         self._next_group_id = 1_000_000  # distinct from SOMDedup ids
 
@@ -141,7 +133,7 @@ class PairwiseDedup:
         best_score = -np.inf
         for group in self.groups:
             scores = self.feature_scores(regression, group, series)
-            if any(rule.matches(scores) for rule in self.rules):
+            if any(rule.matches(scores) for rule in MERGE_RULES):
                 aggregate = sum(scores.values())
                 if aggregate > best_score:
                     best, best_score = group, aggregate
@@ -151,7 +143,7 @@ class PairwiseDedup:
         self, regression: Regression, group: RegressionGroup, series: _SeriesMemo
     ) -> Dict[str, float]:
         """Similarity features between a regression and a group."""
-        members = group.members[: self.max_members_compared]
+        members = group.members[:MAX_MEMBERS_COMPARED]
         for one in (regression, *members):
             if id(one) not in series:
                 series[id(one)] = one.series_mapping()

@@ -19,11 +19,11 @@ presented as the representative.
 from __future__ import annotations
 
 import zlib
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.importance import ImportanceWeights, importance_score
+from repro.core.importance import importance_score
 from repro.core.types import DetectionVerdict, FilterReason, Regression, RegressionGroup
 from repro.fleet.changes import ChangeLog
 from repro.profiling.stacktrace import StackTrace
@@ -36,6 +36,11 @@ __all__ = ["SOMDedup"]
 _N_FOURIER = 3
 #: Width of the root-cause bitmap projection.
 _BITMAP_BUCKETS = 4
+#: How far before the change point (seconds) to search for candidate
+#: root-cause changes.
+LOOKBACK = 6 * 3600.0
+#: SOM training seed.
+SOM_SEED = 0
 
 
 class SOMDedup:
@@ -44,25 +49,15 @@ class SOMDedup:
     Args:
         change_log: Change log for the root-cause-bitmap feature.
         samples: Stack-trace history for ImportanceScore's popularity.
-        weights: ImportanceScore weights.
-        lookback: How far before the change point (seconds) to search for
-            candidate root-cause changes.
-        seed: SOM training seed.
     """
 
     def __init__(
         self,
         change_log: Optional[ChangeLog] = None,
         samples: Sequence[StackTrace] = (),
-        weights: ImportanceWeights = ImportanceWeights(),
-        lookback: float = 6 * 3600.0,
-        seed: int = 0,
     ) -> None:
         self.change_log = change_log
         self.samples = samples
-        self.weights = weights
-        self.lookback = lookback
-        self.seed = seed
         self._next_group_id = 0
 
     # ------------------------------------------------------------------
@@ -93,7 +88,7 @@ class SOMDedup:
         if not regressions:
             return []
         features = self._feature_matrix(regressions)
-        clusters = som_cluster(features, seed=self.seed)
+        clusters = som_cluster(features, seed=SOM_SEED)
 
         groups = []
         for member_indices in clusters:
@@ -101,7 +96,7 @@ class SOMDedup:
             self._next_group_id += 1
             members = [regressions[i] for i in member_indices]
             scored = [
-                (importance_score(m, self.samples, self.weights), i, m)
+                (importance_score(m, self.samples), i, m)
                 for i, m in enumerate(members)
             ]
             scored.sort(key=lambda item: (-item[0], item[1]))
@@ -184,7 +179,7 @@ class SOMDedup:
         buckets = [0.0] * _BITMAP_BUCKETS
         if self.change_log is None or regression.context.subroutine is None:
             return buckets
-        window_start = regression.change_time - self.lookback
+        window_start = regression.change_time - LOOKBACK
         for change in self.change_log.deployed_between(
             window_start, regression.change_time + 1.0
         ):

@@ -62,10 +62,6 @@ class FBDetect:
         """One detection scan at reference time ``now``."""
         return self.pipeline.run(database, now)
 
-    def invalidate_incremental(self) -> None:
-        """Drop derived incremental-scan caches (see the pipeline)."""
-        self.pipeline.invalidate_incremental()
-
     def run_periodic(
         self,
         database: TimeSeriesDatabase,

@@ -7,32 +7,28 @@
                     + w3 * (1 - PopularityScore)
                     + w4 * PotentialRootCauseFound
 
-with default weights w = (0.2, 0.6, 0.1, 0.1).  The representative should
+with the paper's weights w = (0.2, 0.6, 0.1, 0.1).  The representative should
 have a significant change, avoid widely invoked subroutines (high
 popularity), and ideally have known root-cause candidates.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
-
-import numpy as np
 
 from repro.core.types import Regression
 from repro.profiling.stacktrace import StackTrace
 
-__all__ = ["ImportanceWeights", "importance_score", "popularity_score"]
+__all__ = ["importance_score", "popularity_score"]
 
-
-@dataclass(frozen=True)
-class ImportanceWeights:
-    """Tunable weights (paper defaults)."""
-
-    relative_cost: float = 0.2
-    absolute_cost: float = 0.6
-    unpopularity: float = 0.1
-    root_cause_found: float = 0.1
+#: The term weights w1..w4 (§5.5.1's defaults).
+RELATIVE_COST_WEIGHT = 0.2
+ABSOLUTE_COST_WEIGHT = 0.6
+UNPOPULARITY_WEIGHT = 0.1
+ROOT_CAUSE_FOUND_WEIGHT = 0.1
+#: Absolute cost change that maps to a full 1.0 on the AbsoluteCostChange
+#: term (cost changes are unbounded, so they are squashed against it).
+ABSOLUTE_SCALE = 0.01
 
 
 def popularity_score(
@@ -50,32 +46,23 @@ def popularity_score(
     return hits / total if total > 0 else 0.0
 
 
-def importance_score(
-    regression: Regression,
-    samples: Sequence[StackTrace] = (),
-    weights: ImportanceWeights = ImportanceWeights(),
-    absolute_scale: float = 0.01,
-) -> float:
+def importance_score(regression: Regression, samples: Sequence[StackTrace] = ()) -> float:
     """ImportanceScore of a regression.
 
     Args:
         regression: The candidate representative.
         samples: Stack-trace history for the popularity term.
-        weights: Term weights.
-        absolute_scale: Absolute cost change that maps to a full 1.0 on
-            the AbsoluteCostChange term (cost changes are unbounded, so
-            they are squashed against this scale).
 
     Returns:
         The score; higher means a better representative.
     """
     relative = min(1.0, abs(regression.relative_magnitude))
-    absolute = min(1.0, abs(regression.magnitude) / absolute_scale)
+    absolute = min(1.0, abs(regression.magnitude) / ABSOLUTE_SCALE)
     popularity = popularity_score(regression.context.subroutine, samples)
     has_root_cause = 1.0 if regression.root_cause_candidates else 0.0
     return (
-        weights.relative_cost * relative
-        + weights.absolute_cost * absolute
-        + weights.unpopularity * (1.0 - popularity)
-        + weights.root_cause_found * has_root_cause
+        RELATIVE_COST_WEIGHT * relative
+        + ABSOLUTE_COST_WEIGHT * absolute
+        + UNPOPULARITY_WEIGHT * (1.0 - popularity)
+        + ROOT_CAUSE_FOUND_WEIGHT * has_root_cause
     )

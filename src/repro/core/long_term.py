@@ -26,6 +26,7 @@ from typing import Optional
 
 import numpy as np
 
+from repro.core.seasonality import MIN_PERIOD
 from repro.core.types import MetricContext, Regression, RegressionKind
 from repro.stats.autocorrelation import detect_season_length
 from repro.stats.changepoint_dp import best_split_normal_loss
@@ -33,6 +34,11 @@ from repro.stats.stl import loess_smooth, stl_decompose
 from repro.tsdb.windows import WindowedView
 
 __all__ = ["LongTermDetector"]
+
+#: Normalized-RMSE bound under which the trend is considered one gradual ramp.
+RMSE_THRESHOLD = 0.1
+#: Fraction of the window used for the start/end mean estimates.
+EDGE_FRACTION = 0.15
 
 
 @dataclass(frozen=True)
@@ -48,28 +54,15 @@ class LongTermDetector:
 
     Args:
         threshold: Minimum (current - baseline) trend shift to report.
-        rmse_threshold: Normalized-RMSE bound under which the trend is
-            considered one gradual ramp.
-        edge_fraction: Fraction of the window used for the start/end mean
-            estimates.
-        min_period: Smallest season length for the STL step.
-        known_period: Externally known season length; skips detection.
+        known_period: Externally known season length; skips detection
+            (else the STL step considers seasons from
+            :data:`~repro.core.seasonality.MIN_PERIOD` up).
     """
 
-    def __init__(
-        self,
-        threshold: float,
-        rmse_threshold: float = 0.1,
-        edge_fraction: float = 0.15,
-        min_period: int = 4,
-        known_period: Optional[int] = None,
-    ) -> None:
+    def __init__(self, threshold: float, known_period: Optional[int] = None) -> None:
         if threshold < 0:
             raise ValueError("threshold must be >= 0")
         self.threshold = threshold
-        self.rmse_threshold = rmse_threshold
-        self.edge_fraction = edge_fraction
-        self.min_period = min_period
         self.known_period = known_period
 
     def detect(
@@ -118,7 +111,7 @@ class LongTermDetector:
     def _trend_of(self, series: np.ndarray) -> np.ndarray:
         """STL trend when seasonality is present, else a loess smooth."""
         period = self.known_period or detect_season_length(
-            series, min_period=self.min_period
+            series, min_period=MIN_PERIOD
         )
         if period is not None and series.size >= 2 * period:
             return stl_decompose(series, period).trend
@@ -134,7 +127,7 @@ class LongTermDetector:
         analysis_trend = trend[n_hist : n_hist + n_analysis]
         extended_trend = trend[n_hist + n_analysis :]
 
-        edge = max(3, int(self.edge_fraction * max(1, n_analysis)))
+        edge = max(3, int(EDGE_FRACTION * max(1, n_analysis)))
         start_hist = float(hist_trend[:edge].mean()) if hist_trend.size else -np.inf
         start_analysis = (
             float(analysis_trend[:edge].mean()) if analysis_trend.size else -np.inf
@@ -159,7 +152,7 @@ class LongTermDetector:
         x = np.arange(normalized.size, dtype=float)
         slope, intercept = np.polyfit(x, normalized, 1)
         rmse = float(np.sqrt(np.mean((normalized - (slope * x + intercept)) ** 2)))
-        if rmse < self.rmse_threshold:
+        if rmse < RMSE_THRESHOLD:
             return _TrendSplit(index=0, gradual=True)
         split = best_split_normal_loss(trend)
         if split is None:

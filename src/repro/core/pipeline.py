@@ -168,8 +168,6 @@ class DetectionPipeline:
         enable_seasonality: Ablation switch for the seasonality detector.
         enable_cost_shift: Ablation switch for cost-shift analysis
             (AdServing runs without it, per Table 3).
-        enable_som_dedup: Ablation switch for SOMDedup.
-        enable_pairwise_dedup: Ablation switch for PairwiseDedup.
         incremental: Enable the per-series incremental scan cache
             (:mod:`repro.core.incremental`): a CUSUM screen anchored at
             each full scan makes a repeat scan of a quiet series O(new
@@ -200,8 +198,6 @@ class DetectionPipeline:
         enable_went_away: bool = True,
         enable_seasonality: bool = True,
         enable_cost_shift: bool = True,
-        enable_som_dedup: bool = True,
-        enable_pairwise_dedup: bool = True,
         incremental: bool = False,
         quality_gate: Optional[QualityGate] = None,
         shadow: Optional[object] = None,
@@ -214,8 +210,6 @@ class DetectionPipeline:
         self.enable_went_away = enable_went_away
         self.enable_seasonality = enable_seasonality
         self.enable_cost_shift = enable_cost_shift
-        self.enable_som_dedup = enable_som_dedup
-        self.enable_pairwise_dedup = enable_pairwise_dedup
         self.incremental_cache: Optional[IncrementalScanCache] = (
             IncrementalScanCache(max_staleness=config.windows.analysis)
             if incremental
@@ -413,12 +407,10 @@ class DetectionPipeline:
             return alive
 
         return (
-            ("som_dedup", self.enable_som_dedup, som_representatives,
-             FilterReason.SOM_DUPLICATE),
+            ("som_dedup", True, som_representatives, FilterReason.SOM_DUPLICATE),
             ("cost_shift", self.enable_cost_shift, cost_shift_survivors,
              FilterReason.COST_SHIFT),
-            ("pairwise_dedup", self.enable_pairwise_dedup, pairwise_openers,
-             FilterReason.PAIRWISE_DUPLICATE),
+            ("pairwise_dedup", True, pairwise_openers, FilterReason.PAIRWISE_DUPLICATE),
             ("root_cause", True, root_caused, None),
         )
 

@@ -11,12 +11,16 @@ declared impact — is suppressed as expected.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import List, Sequence
 
 from repro.core.types import DetectionVerdict, FilterReason, Regression
 
 __all__ = ["PlannedChange", "PlannedChangeCorrelator"]
+
+#: Tolerance (seconds) around a change's window when matching regression
+#: change points: deploys rarely land at the exact planned instant.
+TIME_SLACK = 1800.0
 
 
 @dataclass(frozen=True)
@@ -71,20 +75,10 @@ class PlannedChangeCorrelator:
 
     Args:
         planned: Initially registered changes.
-        time_slack: Tolerance (seconds) around a change's window when
-            matching regression change points — deploys rarely land at
-            the exact planned instant.
     """
 
-    def __init__(
-        self,
-        planned: Sequence[PlannedChange] = (),
-        time_slack: float = 1800.0,
-    ) -> None:
-        if time_slack < 0:
-            raise ValueError("time_slack must be >= 0")
+    def __init__(self, planned: Sequence[PlannedChange] = ()) -> None:
         self._planned: List[PlannedChange] = list(planned)
-        self.time_slack = time_slack
 
     def register(self, change: PlannedChange) -> None:
         """Register a planned change."""
@@ -97,7 +91,7 @@ class PlannedChangeCorrelator:
     def check(self, regression: Regression) -> DetectionVerdict:
         """Keep the regression unless a planned change explains it."""
         for change in self._planned:
-            if change.covers(regression, self.time_slack):
+            if change.covers(regression, TIME_SLACK):
                 return DetectionVerdict.drop(
                     FilterReason.PLANNED_CHANGE,
                     detail=(

@@ -27,13 +27,20 @@ import numpy as np
 
 from repro.core.types import Regression, RootCauseScore
 from repro.fleet.changes import ChangeLog, CodeChange
-from repro.profiling.gcpu import compute_gcpu
 from repro.profiling.stacktrace import StackTrace
 from repro.stats.correlation import aligned_pearson
 from repro.text.similarity import text_cosine_similarity
-from repro.text.tfidf import TfidfVectorizer
 
 __all__ = ["RootCauseAnalyzer", "RootCauseCandidate", "gcpu_attribution"]
+
+#: How long before the change point to harvest candidates (seconds).
+LOOKBACK = 6 * 3600.0
+#: Weights of the three factors in a candidate's score.
+FACTOR_WEIGHTS = {"gcpu_attribution": 0.5, "text_similarity": 0.3, "time_correlation": 0.2}
+#: Minimum top score to suggest anything.
+CONFIDENCE_THRESHOLD = 0.25
+#: Number of candidates reported (the paper judges the top 3).
+TOP_K = 3
 
 
 @dataclass(frozen=True)
@@ -95,10 +102,6 @@ class RootCauseAnalyzer:
         samples_after: Stack samples from after the regression.
         setup_series: Optional ``{change_id: {timestamp: value}}`` setup
             metrics for the time-correlation factor.
-        lookback: How long before the change point to harvest candidates.
-        factor_weights: Weights for (attribution, text, correlation).
-        confidence_threshold: Minimum top score to suggest anything.
-        top_k: Number of candidates reported (paper judges top-3).
     """
 
     def __init__(
@@ -107,21 +110,11 @@ class RootCauseAnalyzer:
         samples_before: Sequence[StackTrace] = (),
         samples_after: Sequence[StackTrace] = (),
         setup_series: Optional[Mapping[str, Mapping[float, float]]] = None,
-        lookback: float = 6 * 3600.0,
-        factor_weights: Optional[Mapping[str, float]] = None,
-        confidence_threshold: float = 0.25,
-        top_k: int = 3,
     ) -> None:
         self.change_log = change_log
         self.samples_before = list(samples_before)
         self.samples_after = list(samples_after)
         self.setup_series = dict(setup_series or {})
-        self.lookback = lookback
-        self.factor_weights = dict(
-            factor_weights or {"gcpu_attribution": 0.5, "text_similarity": 0.3, "time_correlation": 0.2}
-        )
-        self.confidence_threshold = confidence_threshold
-        self.top_k = top_k
 
     # ------------------------------------------------------------------
     # Public API
@@ -135,16 +128,16 @@ class RootCauseAnalyzer:
         diffuse feature releases or un-exported changes (§6.3).
         """
         candidates = self.change_log.deployed_between(
-            regression.change_time - self.lookback, regression.change_time + 1.0
+            regression.change_time - LOOKBACK, regression.change_time + 1.0
         )
         if not candidates:
             return []
 
         scored = [self._score(regression, change) for change in candidates]
         scored.sort(key=lambda c: -c.score)
-        if not scored or scored[0].score < self.confidence_threshold:
+        if not scored or scored[0].score < CONFIDENCE_THRESHOLD:
             return []
-        top = scored[: self.top_k]
+        top = scored[:TOP_K]
         regression.root_cause_candidates = [
             RootCauseScore(change_id=c.change.change_id, score=c.score, factors=c.factors)
             for c in top
@@ -161,7 +154,7 @@ class RootCauseAnalyzer:
             "text_similarity": self._text_factor(regression, change),
             "time_correlation": self._correlation_factor(regression, change),
         }
-        score = sum(self.factor_weights.get(name, 0.0) * value for name, value in factors.items())
+        score = sum(FACTOR_WEIGHTS[name] * value for name, value in factors.items())
         # Direct modification of the regressed subroutine is itself strong
         # code-and-stack-trace evidence ("changes that modify downstream
         # subroutines transitively invoked ... are flagged as suspects").

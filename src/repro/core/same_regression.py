@@ -10,11 +10,15 @@ at (approximately) the same change time with a similar magnitude.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List
 
 from repro.core.types import DetectionVerdict, FilterReason, Regression
 
 __all__ = ["SameRegressionMerger"]
+
+#: Relative magnitude difference below which two reports are the same
+#: regression.
+MAGNITUDE_TOLERANCE = 0.5
 
 
 @dataclass
@@ -29,17 +33,10 @@ class SameRegressionMerger:
     Args:
         time_tolerance: Change times within this many seconds count as
             the same change.
-        magnitude_tolerance: Relative magnitude difference below which
-            two reports are the same regression.
     """
 
-    def __init__(
-        self,
-        time_tolerance: float = 3600.0,
-        magnitude_tolerance: float = 0.5,
-    ) -> None:
+    def __init__(self, time_tolerance: float = 3600.0) -> None:
         self.time_tolerance = time_tolerance
-        self.magnitude_tolerance = magnitude_tolerance
         self._seen: Dict[str, List[_PriorRegression]] = {}
 
     def check(self, regression: Regression) -> DetectionVerdict:
@@ -71,7 +68,7 @@ class SameRegressionMerger:
         scale = max(abs(a), abs(b))
         if scale == 0:
             return True
-        return abs(a - b) / scale <= self.magnitude_tolerance
+        return abs(a - b) / scale <= MAGNITUDE_TOLERANCE
 
     def reset(self) -> None:
         """Forget all prior regressions (new evaluation period)."""

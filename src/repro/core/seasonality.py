@@ -26,26 +26,22 @@ from repro.tsdb.windows import WindowedView
 
 __all__ = ["SeasonalityDetector"]
 
+#: Minimum pseudo z-score for the deseasonalized shift to count as a real
+#: regression (a float: the audit trail prints it).
+Z_THRESHOLD = 2.0
+#: Smallest season length considered.
+MIN_PERIOD = 4
+
 
 class SeasonalityDetector:
     """STL-based seasonality false-positive filter.
 
     Args:
-        z_threshold: Minimum pseudo z-score for the deseasonalized shift
-            to count as a real regression.
-        min_period: Smallest season length considered.
         known_period: Optional externally known season length (e.g. one
             day in samples); skips ACF-based detection when provided.
     """
 
-    def __init__(
-        self,
-        z_threshold: float = 2.0,
-        min_period: int = 4,
-        known_period: Optional[int] = None,
-    ) -> None:
-        self.z_threshold = z_threshold
-        self.min_period = min_period
+    def __init__(self, known_period: Optional[int] = None) -> None:
         self.known_period = known_period
 
     def check(
@@ -56,7 +52,7 @@ class SeasonalityDetector:
         """Keep the regression unless deseasonalizing makes it vanish."""
         full = view.full
         period = self.known_period or detect_season_length(
-            full, min_period=self.min_period
+            full, min_period=MIN_PERIOD
         )
         if period is None or full.size < 2 * period:
             return DetectionVerdict.keep(detail="no significant seasonality")
@@ -68,19 +64,19 @@ class SeasonalityDetector:
         z_analysis = self._zscore(
             full[: view.historic.size + view.analysis.size], change_full, period
         )
-        if z_analysis is not None and z_analysis < self.z_threshold:
+        if z_analysis is not None and z_analysis < Z_THRESHOLD:
             return DetectionVerdict.drop(
                 FilterReason.SEASONALITY,
-                detail=f"analysis-window z-score {z_analysis:.2f} < {self.z_threshold}",
+                detail=f"analysis-window z-score {z_analysis:.2f} < {Z_THRESHOLD}",
             )
         if view.extended.size > 0:
             z_extended = self._zscore(full, change_full, period)
-            if z_extended is not None and z_extended < self.z_threshold:
+            if z_extended is not None and z_extended < Z_THRESHOLD:
                 return DetectionVerdict.drop(
                     FilterReason.SEASONALITY,
-                    detail=f"extended-window z-score {z_extended:.2f} < {self.z_threshold}",
+                    detail=f"extended-window z-score {z_extended:.2f} < {Z_THRESHOLD}",
                 )
-        detail = f"deseasonalized z-score >= {self.z_threshold} (period={period})"
+        detail = f"deseasonalized z-score >= {Z_THRESHOLD} (period={period})"
         return DetectionVerdict.keep(detail=detail)
 
     def _zscore(self, series: np.ndarray, changepoint: int, period: int) -> Optional[float]:

@@ -39,6 +39,15 @@ from repro.tsdb.windows import WindowedView
 
 __all__ = ["WentAwayDetector", "WentAwayDiagnosis"]
 
+#: Sensitivity multiplier on the MAD threshold (paper default: 1.5).
+REGRESSION_COEFFICIENT = 1.5
+#: Fraction of post-change points that must fall in historically invalid
+#: buckets for NewPattern ("most letters ... invalid").  0.65 tolerates
+#: transients occupying up to ~half the post window (plus the few baseline
+#: points that always land in sparse tail buckets) without firing.
+NEW_PATTERN_FRACTION = 0.65
+#: Final data points RegressionGoneAway examines ("the last few data points").
+TAIL_POINTS = 5
 #: Mann-Kendall's level, as :func:`mann_kendall_test` defaults it.
 _TREND_LEVEL = 0.05
 #: Dense ranks are int16: a row longer than this takes :func:`mann_kendall_test`.
@@ -80,36 +89,11 @@ class WentAwayDiagnosis:
 
 
 class WentAwayDetector:
-    """Implements the §5.2.2 predicate.
-
-    Args:
-        n_buckets: SAX bucket count N (paper: 20).
-        valid_fraction: SAX bucket-validity fraction X (paper: 3%).
-        regression_coefficient: Sensitivity multiplier on the MAD
-            threshold (paper default: 1.5).
-        new_pattern_fraction: Fraction of post-change points that must
-            fall in historically invalid buckets for NewPattern ("most
-            letters ... invalid").  The default of 0.65 tolerates
-            transients occupying up to ~half the post window (plus the
-            few baseline points that always land in sparse tail buckets)
-            without firing.
-        tail_points: Number of final data points RegressionGoneAway
-            examines ("the last few data points").
-    """
-
-    def __init__(
-        self,
-        n_buckets: int = DEFAULT_BUCKETS,
-        valid_fraction: float = DEFAULT_VALID_FRACTION,
-        regression_coefficient: float = 1.5,
-        new_pattern_fraction: float = 0.65,
-        tail_points: int = 5,
-    ) -> None:
-        self.n_buckets = n_buckets
-        self.valid_fraction = valid_fraction
-        self.regression_coefficient = regression_coefficient
-        self.new_pattern_fraction = new_pattern_fraction
-        self.tail_points = tail_points
+    """Implements the §5.2.2 predicate on the paper's settings: SAX with
+    :data:`~repro.stats.sax.DEFAULT_BUCKETS` buckets (N) and
+    :data:`~repro.stats.sax.DEFAULT_VALID_FRACTION` validity (X), and
+    this module's :data:`REGRESSION_COEFFICIENT`,
+    :data:`NEW_PATTERN_FRACTION` and :data:`TAIL_POINTS`."""
 
     # ------------------------------------------------------------------
     # Public API
@@ -202,7 +186,7 @@ class WentAwayDetector:
             # (the last pre-change points) and the last few points.
             historic_sorted = np.sort(historic, axis=1)
             post_sorted = np.sort(np.where(in_post, tail, np.inf), axis=1)
-            span = max(self.tail_points * 4, 24)
+            span = max(TAIL_POINTS * 4, 24)
             skip = max(nh - span, 0)  # history before the longest previous day
             prior = np.concatenate([historic[:, skip:], analysis], axis=1)
             columns = (n_pre - span - skip)[:, None] + np.arange(span)
@@ -211,7 +195,7 @@ class WentAwayDetector:
             if width:
                 picked = prior.ravel()[np.arange(0, k * width, width)[:, None] + np.maximum(columns, 0)]
             prev_day = np.sort(np.where(columns >= 0, picked, np.inf), axis=1)
-            last = self.tail_points
+            last = TAIL_POINTS
             recent, n_recent = post_sorted, n_post  # as post[-0:] reads it
             if 0 < last <= m:
                 recent, n_recent = np.sort(tail[:, m - last :], axis=1), last
@@ -227,7 +211,7 @@ class WentAwayDetector:
             recent_median = sorted_medians(recent, n_recent)
             threshold = np.zeros(k)  # no history: the MAD of nothing is 0
             if nh:
-                threshold = self.regression_coefficient * spread * NORMALITY_CONSTANT
+                threshold = REGRESSION_COEFFICIENT * spread * NORMALITY_CONSTANT
 
             # SignificantRegression: the largest post letter reaches the
             # largest valid historic one, and P90(post) exceeds P95(historic)
@@ -247,7 +231,7 @@ class WentAwayDetector:
             # valid one (a cheaper new pattern: an improvement).  The mean
             # is exact per row, and only read where it decides.
             new_pattern = np.zeros(k, dtype=bool)
-            unseen = ~(outside / np.maximum(n_post, 1) < self.new_pattern_fraction)
+            unseen = ~(outside / np.maximum(n_post, 1) < NEW_PATTERN_FRACTION)
             for i in np.flatnonzero((n_post > 0) & any_valid & unseen).tolist():
                 new_pattern[i] = not tail[i, at[i] :].mean() < lowest_bound[i]
 
@@ -276,8 +260,8 @@ class WentAwayDetector:
             gone = (n_post >= max(last, 1)) & (nh > 0) & (recent_median <= baseline + threshold)
         return new_pattern, significant, lasting, gone
 
+    @staticmethod
     def _letters(
-        self,
         historic: np.ndarray,
         historic_sorted: np.ndarray,
         tail: np.ndarray,
@@ -296,7 +280,7 @@ class WentAwayDetector:
         sorted rows, and both come from one stable merge with the edges.
         """
         k, nh = historic.shape
-        buckets = self.n_buckets
+        buckets = DEFAULT_BUCKETS
         n_post = tail.shape[1] - at
         if not nh:  # no history, no valid letter: the letters decide nothing
             none = np.full(k, -1)
@@ -321,7 +305,7 @@ class WentAwayDetector:
         merged = np.argsort(np.concatenate([bounds, values], axis=1), axis=1, kind="stable")
         below = np.nonzero(merged <= buckets)[1].reshape(2 * k, buckets + 1)
         counts = np.diff(below - np.arange(buckets + 1), axis=1)
-        valid = counts[:k] >= max(1, int(np.ceil(self.valid_fraction * nh)))
+        valid = counts[:k] >= max(1, int(np.ceil(DEFAULT_VALID_FRACTION * nh)))
         post_counts = counts[k:]
 
         any_valid = valid.any(axis=1)
@@ -331,10 +315,10 @@ class WentAwayDetector:
         reached = buckets - 1 - (post_counts[:, ::-1] > 0).argmax(axis=1)
         max_letter = np.where(n_post > 0, reached, -1)
         for i in np.flatnonzero(exact).tolist():
-            historic_enc = sax_encode(historic[i], buckets, self.valid_fraction)
+            historic_enc = sax_encode(historic[i], buckets, DEFAULT_VALID_FRACTION)
             grid = (historic_enc.bucket_edges[0], historic_enc.bucket_edges[-1])
             post_enc = sax_encode(
-                tail[i, at[i] :], buckets, self.valid_fraction, value_range=grid
+                tail[i, at[i] :], buckets, DEFAULT_VALID_FRACTION, value_range=grid
             )
             valid_letters = historic_enc.valid_letters
             any_valid[i] = bool(valid_letters)

@@ -1,9 +1,11 @@
 """The detection scheduler.
 
 Owns many monitors — each a (name, detection config, series filter)
-triple with its own persistent :class:`~repro.core.detector.FBDetect`
-state — and advances simulated time, running every monitor whose re-run
-interval has elapsed.  Monitors due at the same instant are scanned one
+triple with its own persistent
+:class:`~repro.core.pipeline.DetectionPipeline` — and advances simulated
+time, running every monitor whose re-run interval has elapsed.  The
+offline :class:`~repro.core.detector.FBDetect` facade wraps the same
+pipeline.  Monitors due at the same instant are scanned one
 after another, in registration order, on the calling thread; the paper's
 fan-out (§5.1: serverless functions scanning different series side by
 side) happens a level up, where the streaming service runs one scheduler
@@ -31,8 +33,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Sequence
 
 from repro.config import DetectionConfig
-from repro.core.detector import FBDetect
-from repro.core.pipeline import PipelineResult
+from repro.core.pipeline import DetectionPipeline, PipelineResult
 from repro.detectors.shadow import merge_snapshot_rows
 from repro.fleet.changes import ChangeLog
 from repro.obs.logging import get_logger
@@ -58,12 +59,12 @@ class MonitorRegistration:
 
     Attributes:
         name: Monitor label (shows up in outcomes).
-        detector: The FBDetect instance (holds dedup state across scans).
+        pipeline: The monitor's pipeline (holds dedup state across scans).
         next_run: Simulated time of the next scheduled scan.
     """
 
     name: str
-    detector: FBDetect
+    pipeline: DetectionPipeline
     next_run: float
 
 
@@ -166,7 +167,7 @@ class DetectionScheduler:
         change_log: Optional[ChangeLog] = None,
         samples: Sequence[StackTrace] = (),
         first_run: Optional[float] = None,
-        **detector_kwargs,
+        **pipeline_kwargs,
     ) -> MonitorRegistration:
         """Register a monitor; its first scan happens at ``first_run``
         (default: one full window after time zero, when enough data
@@ -179,16 +180,16 @@ class DetectionScheduler:
         """
         if name in self._monitors:
             raise ValueError(f"monitor {name!r} already registered")
-        detector = FBDetect(
+        pipeline = DetectionPipeline(
             config,
             change_log=change_log,
             samples=samples,
             series_filter=series_filter,
-            **detector_kwargs,
+            **pipeline_kwargs,
         )
         registration = MonitorRegistration(
             name=name,
-            detector=detector,
+            pipeline=pipeline,
             next_run=first_run if first_run is not None else config.windows.total,
         )
         self._monitors[name] = registration
@@ -201,7 +202,7 @@ class DetectionScheduler:
     def invalidate_incremental(self) -> None:
         """Drop every monitor's derived incremental-scan cache."""
         for registration in self._monitors.values():
-            registration.detector.invalidate_incremental()
+            registration.pipeline.invalidate_incremental()
 
     def stale_series(self) -> List[str]:
         """Series evicted from scanning for staleness, across monitors.
@@ -212,7 +213,7 @@ class DetectionScheduler:
         """
         stale: set = set()
         for registration in list(self._monitors.values()):
-            stale.update(registration.detector.pipeline.stale_series())
+            stale.update(registration.pipeline.stale_series())
         return sorted(stale)
 
     def shadow_snapshot(self) -> List[dict]:
@@ -225,7 +226,7 @@ class DetectionScheduler:
         """
         merged: Dict[str, dict] = {}
         for registration in list(self._monitors.values()):
-            shadow = registration.detector.pipeline.shadow
+            shadow = registration.pipeline.shadow
             if shadow is None:
                 continue
             merge_snapshot_rows(merged, shadow.snapshot_rows())
@@ -238,7 +239,7 @@ class DetectionScheduler:
         ``pipeline.incremental.*``."""
         counts = {"hits": 0, "misses": 0}
         for registration in list(self._monitors.values()):
-            cache = registration.detector.pipeline.incremental_cache
+            cache = registration.pipeline.incremental_cache
             if cache is not None:
                 counts["hits"] += cache.hits
                 counts["misses"] += cache.misses
@@ -279,7 +280,7 @@ class DetectionScheduler:
                 due = [m for m in self._monitors.values() if m.next_run == due_time]
                 executed.extend(self._run_batch(due, due_time))
                 for monitor in due:
-                    monitor.next_run = due_time + monitor.detector.config.rerun_interval
+                    monitor.next_run = due_time + monitor.pipeline.config.rerun_interval
                 if self.retention > 0:
                     self.retention_cutoff = due_time - self.retention
                     self.database.apply_retention(self.retention_cutoff)
@@ -294,7 +295,7 @@ class DetectionScheduler:
         for monitor in monitors:
             started = time.perf_counter()
             try:
-                result: Optional[PipelineResult] = monitor.detector.run(self.database, now)
+                result: Optional[PipelineResult] = monitor.pipeline.run(self.database, now)
                 self.scans += 1
             except Exception as error:
                 # One monitor's scan blowing up must not abort the whole

@@ -54,7 +54,9 @@ __all__ = ["CheckpointError", "CheckpointManager", "CHECKPOINT_VERSION"]
 #: ``meta["metrics"]`` holds no scan or incremental-cache count.
 #: 6: no ``meta["replicas"]``; a series has no duplicate policy and an
 #: admission controller no config.
-CHECKPOINT_VERSION = 6
+#: 7: a monitor holds its pipeline (no ``FBDetect`` wrapper), and the
+#: pipeline's detectors carry no settings (they are module constants).
+CHECKPOINT_VERSION = 7
 MANIFEST_NAME = "manifest.json"
 
 _GEN_MANIFEST_RE = re.compile(r"^manifest\.g(\d+)\.json$")

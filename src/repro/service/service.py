@@ -10,8 +10,8 @@ scaled down to one process:
   :class:`~repro.tsdb.database.TimeSeriesDatabase`, a
   :class:`~repro.service.ingest.ShardIngestWorker` (bounded queue +
   backpressure + batch flush), and a
-  :class:`~repro.runtime.scheduler.DetectionScheduler` whose monitors
-  carry the per-shard FBDetect dedup state;
+  :class:`~repro.runtime.scheduler.DetectionScheduler` whose monitors'
+  pipelines carry the per-shard dedup state;
 - :meth:`StreamingDetectionService.advance_to` flushes queues, runs due
   scans, filters re-alerts through a durable reported-ledger, and
   delivers :class:`~repro.reporting.report.IncidentReport`\\ s to sinks;
@@ -117,8 +117,8 @@ class StreamingDetectionService:
     Every shard runs per-series admission on ingest (NaN/Inf quarantine,
     negative-value repair, counter-reset rebasing, last-write-wins
     repeats, out-of-order reordering; see
-    :mod:`repro.quality.admission`), and monitors default to a gap-aware
-    :class:`~repro.quality.gaps.QualityGate`.
+    :mod:`repro.quality.admission`), and every monitor scans through a
+    gap-aware :class:`~repro.quality.gaps.QualityGate`.
 
     Example::
 
@@ -267,16 +267,20 @@ class StreamingDetectionService:
         series_filter: Optional[Dict[str, str]] = None,
         first_run: Optional[float] = None,
         shadow: Optional[Sequence[DetectorSpec]] = None,
-        **detector_kwargs,
+        incremental: bool = True,
+        **pipeline_kwargs,
     ) -> None:
         """Register a monitor on *every* shard.
 
-        Each shard gets its own detector (and dedup state) scanning the
-        shard-local slice of the series space.  The service defaults the
-        pipeline's incremental scan cache on (pass ``incremental=False``
-        to opt a monitor out): re-scans over quiet series then cost O(n)
-        in new points instead of O(window).  Each scan's funnel spans
-        are published into the service's :attr:`traces` store.
+        Each shard gets its own pipeline (and dedup state) scanning the
+        shard-local slice of the series space, gap-aware through a
+        :class:`~repro.quality.gaps.QualityGate`: low-coverage windows
+        are suppressed and stale series evicted.  The pipeline's
+        incremental scan cache is on: re-scans over quiet series then
+        cost O(n) in new points instead of O(window).  ``incremental=False``
+        scans every due series in full, the baseline the screen's
+        deferrals are measured against.  Each scan's funnel spans are
+        published into the service's :attr:`traces` store.
 
         ``shadow`` registers challenger detectors (specs accepted by
         :func:`repro.detectors.build_detector` — e.g. ``["mad"]`` or
@@ -286,15 +290,10 @@ class StreamingDetectionService:
         :func:`repro.service.views.detectors` / ``/detectors`` and ride
         shard checkpoints like any scheduler state.
         """
-        detector_kwargs.setdefault("incremental", True)
-        # Gap-aware scanning: low-coverage windows are suppressed and
-        # stale series evicted (pass ``quality_gate=None`` to opt a
-        # monitor out).
-        detector_kwargs.setdefault("quality_gate", QualityGate())
         shadow_specs = list(shadow or [])
         shadow_ids: List[str] = []
         for shard in self._shards.values():
-            shard_kwargs = dict(detector_kwargs)
+            scorer = None
             if shadow_specs:
                 # Fresh challenger instances per shard: scorer state is
                 # shard state (it rides that shard's pickles), so shards
@@ -303,13 +302,15 @@ class StreamingDetectionService:
                     [build_detector(spec) for spec in shadow_specs]
                 )
                 shadow_ids = scorer.detector_ids
-                shard_kwargs["shadow"] = scorer
             shard.scheduler.register(
                 name,
                 config,
                 series_filter=series_filter,
                 first_run=first_run,
-                **shard_kwargs,
+                incremental=incremental,
+                quality_gate=QualityGate(),
+                shadow=scorer,
+                **pipeline_kwargs,
             )
             shard.forget_replica()  # its scheduler has no such monitor
         self._monitor_specs.append(

@@ -26,6 +26,7 @@ from statistics import median
 import numpy as np
 from scipy import stats as sp_stats
 
+from repro.core import went_away
 from repro.core.change_point import ChangePointCandidate
 from repro.core.pipeline import MIN_ANALYSIS_POINTS, MIN_HISTORIC_POINTS
 from repro.quality import admission, gaps
@@ -319,29 +320,33 @@ def theil_sen(values, x=None):
 # ---------------------------------------------------------------------------
 
 
-def went_away_terms(detector, historic, analysis, extended, index):
+def went_away_terms(historic, analysis, extended, index):
     """``(new_pattern, significant, lasting, gone_away)`` the NumPy-call way.
 
     SAX is the production encoder (``sax_fields`` below is its reference);
-    every median, percentile, trend test and slope is this module's.
+    every median, percentile, trend test and slope is this module's.  The
+    settings are read off :mod:`repro.core.went_away` at call time, so a
+    test that patches them there holds both sides to the same values.
     """
+    buckets, valid_fraction = went_away.DEFAULT_BUCKETS, went_away.DEFAULT_VALID_FRACTION
+    tail_points = went_away.TAIL_POINTS
     post = np.concatenate([analysis[index:], extended])
     pre = np.concatenate([historic, analysis[:index]])
-    historic_enc = sax_encode(historic, detector.n_buckets, detector.valid_fraction)
+    historic_enc = sax_encode(historic, buckets, valid_fraction)
     grid = (historic_enc.bucket_edges[0], historic_enc.bucket_edges[-1])
-    post_enc = sax_encode(post, detector.n_buckets, detector.valid_fraction, value_range=grid)
+    post_enc = sax_encode(post, buckets, valid_fraction, value_range=grid)
     threshold = 0.0
     baseline = None
     if historic.size:
         baseline = float(np.median(historic))
         spread = float(np.median(np.abs(historic - np.median(historic))))
-        threshold = detector.regression_coefficient * spread * 1.4826
+        threshold = went_away.REGRESSION_COEFFICIENT * spread * 1.4826
 
     def new_pattern():
         if post.size == 0 or not historic_enc.valid_letters:
             return False
         outside = post_enc.count_outside(historic_enc.valid_letters)
-        if outside / post.size < detector.new_pattern_fraction:
+        if outside / post.size < went_away.NEW_PATTERN_FRACTION:
             return False
         lowest_bound = historic_enc.bucket_lower_bound(min(historic_enc.valid_letters))
         return not float(post.mean()) < lowest_bound
@@ -354,7 +359,7 @@ def went_away_terms(detector, historic, analysis, extended, index):
         p90_post = float(np.percentile(post, 90))
         if historic.size and p90_post <= float(np.percentile(historic, 95)):
             return False
-        prev_day = pre[-min(pre.size, max(detector.tail_points * 4, 24)) :]
+        prev_day = pre[-min(pre.size, max(tail_points * 4, 24)) :]
         return not p90_post <= float(np.percentile(prev_day, 90))
 
     def lasting():
@@ -375,9 +380,9 @@ def went_away_terms(detector, historic, analysis, extended, index):
         return bool(slopes) and min(slopes) * analysis.size >= threshold
 
     def gone_away():
-        if post.size < detector.tail_points or baseline is None:
+        if post.size < tail_points or baseline is None:
             return False
-        return float(np.median(post[-detector.tail_points :])) <= baseline + threshold
+        return float(np.median(post[-tail_points:])) <= baseline + threshold
 
     return new_pattern(), significant(), lasting(), gone_away()
 

@@ -29,19 +29,6 @@ def transient_db(seed=5):
     return db
 
 
-def family_db(rng, n=5):
-    db = TimeSeriesDatabase()
-    shared = rng.normal(0, 0.00002, 900)
-    for i in range(n):
-        values = 0.001 + shared + rng.normal(0, 2e-6, 900)
-        values[700:] += 0.0002
-        fill_series(
-            db, f"svc.ns::K::c{i}.gcpu", values,
-            tags={"metric": "gcpu", "subroutine": f"ns::K::c{i}", "service": "svc"},
-        )
-    return db
-
-
 class TestAblationFlags:
     def test_disable_went_away_lets_transient_through(self):
         strict = FBDetect(config()).run(transient_db(), now=54_000.0)
@@ -50,24 +37,6 @@ class TestAblationFlags:
         )
         assert strict.reported == []
         assert len(loose.reported) >= 1
-
-    def test_disable_som_dedup_multiplies_reports(self, rng):
-        db = family_db(rng)
-        merged = FBDetect(config()).run(db, now=54_000.0)
-        unmerged = FBDetect(
-            config(), enable_som_dedup=False, enable_pairwise_dedup=False
-        ).run(db, now=54_000.0)
-        assert len(unmerged.reported) > len(merged.reported)
-        assert len(unmerged.reported) == 5
-
-    def test_disable_pairwise_only(self, rng):
-        # A larger family: SOM clustering quality improves with more
-        # items (n=12 -> a 2x2 grid with clear density structure).
-        db = family_db(rng, n=12)
-        result = FBDetect(config(), enable_pairwise_dedup=False).run(db, now=54_000.0)
-        # SOMDedup alone still collapses most of the family.
-        assert len(result.reported) < 12
-        assert result.groups == []
 
     def test_funnel_stages_still_counted_when_disabled(self):
         result = FBDetect(config(), enable_went_away=False).run(
@@ -82,5 +51,3 @@ class TestAblationFlags:
         assert pipeline.enable_went_away
         assert pipeline.enable_seasonality
         assert pipeline.enable_cost_shift
-        assert pipeline.enable_som_dedup
-        assert pipeline.enable_pairwise_dedup

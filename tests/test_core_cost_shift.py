@@ -1,10 +1,12 @@
 """Tests for repro.core.cost_shift."""
 
 import zlib
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 
+from repro.core import cost_shift
 from repro.core.cost_shift import CostDomain, CostShiftDetector
 from repro.core.types import FilterReason, MetricContext, Regression, RegressionKind
 from repro.fleet.changes import ChangeEffect, ChangeLog, CodeChange, CostShift
@@ -97,8 +99,8 @@ class TestCostShiftDetector:
                      {"service": "svc", "subroutine": "ns::K::B", "metric": "gcpu"})
         write_series(db, "svc.ns::K::A.gcpu", 0.2, 0.2,  # 20% CPU class-mate
                      {"service": "svc", "subroutine": "ns::K::A", "metric": "gcpu"})
-        detector = CostShiftDetector(db, exclusion_ratio=100.0)
-        verdict = detector.check(make_regression(db, "ns::K::B"))
+        with patch.object(cost_shift, "EXCLUSION_RATIO", 100.0):
+            verdict = CostShiftDetector(db).check(make_regression(db, "ns::K::B"))
         assert verdict.passed
 
     def test_new_subroutine_not_cost_shift(self):
@@ -153,16 +155,6 @@ class TestCostShiftDetector:
             ]
         )
         detector = CostShiftDetector(db, change_log=log)
-        verdict = detector.check(make_regression(db, "ns::K::B"))
-        assert not verdict.passed
-
-    def test_custom_provider(self):
-        db = self._db_with_shift()
-        custom_domain = CostDomain(
-            name="my-domain", kind="custom",
-            members=frozenset({"ns::K::A", "ns::K::B"}),
-        )
-        detector = CostShiftDetector(db, extra_providers=[lambda regression: [custom_domain]])
         verdict = detector.check(make_regression(db, "ns::K::B"))
         assert not verdict.passed
 

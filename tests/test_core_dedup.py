@@ -5,7 +5,8 @@ import pytest
 
 from repro.core.dedup_pairwise import MergeRule, PairwiseDedup
 from repro.core.dedup_som import SOMDedup
-from repro.core.importance import ImportanceWeights, importance_score, popularity_score
+from repro.core import importance
+from repro.core.importance import importance_score, popularity_score
 from repro.core.same_regression import SameRegressionMerger
 from repro.core.types import FilterReason, MetricContext, Regression, RegressionKind
 from repro.fleet.changes import ChangeEffect, ChangeLog, CodeChange
@@ -94,9 +95,10 @@ class TestImportanceScore:
         assert importance_score(obscure, samples) > importance_score(popular, samples)
 
     def test_paper_default_weights(self):
-        weights = ImportanceWeights()
-        assert (weights.relative_cost, weights.absolute_cost,
-                weights.unpopularity, weights.root_cause_found) == (0.2, 0.6, 0.1, 0.1)
+        assert (importance.RELATIVE_COST_WEIGHT, importance.ABSOLUTE_COST_WEIGHT,
+                importance.UNPOPULARITY_WEIGHT, importance.ROOT_CAUSE_FOUND_WEIGHT) == (
+            0.2, 0.6, 0.1, 0.1
+        )
 
 
 class TestSOMDedup:

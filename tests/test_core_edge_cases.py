@@ -1,11 +1,14 @@
 """Edge-case tests across the detection core."""
 
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 
 from repro import FBDetect, TimeSeriesDatabase
 from repro.config import DetectionConfig
 from repro.core.change_point import ChangePointCandidate, ChangePointDetector
+from repro.core import went_away
 from repro.core.long_term import LongTermDetector
 from repro.core.types import MetricContext, Regression, RegressionKind
 from repro.core.went_away import WentAwayDetector
@@ -60,8 +63,8 @@ class TestWentAwayEdgeCases:
         candidate = ChangePointCandidate(
             index=199, mean_before=0.001, mean_after=0.001, p_value=0.5
         )
-        detector = WentAwayDetector(tail_points=500)
-        diagnosis = detector.diagnose(view, candidate)
+        with patch.object(went_away, "TAIL_POINTS", 500):
+            diagnosis = WentAwayDetector().diagnose(view, candidate)
         assert not diagnosis.gone_away  # post too short for tail check
 
 

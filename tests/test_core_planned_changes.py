@@ -5,6 +5,7 @@ import pytest
 
 from repro import FBDetect, TimeSeriesDatabase
 from repro.config import DetectionConfig
+from repro.core import planned_changes
 from repro.core.planned_changes import PlannedChange, PlannedChangeCorrelator
 from repro.core.types import FilterReason, MetricContext, Regression, RegressionKind
 from repro.tsdb import TimeSeries, WindowSpec
@@ -76,7 +77,9 @@ class TestPlannedChangeCorrelator:
         assert correlator.check(make_regression()).passed
 
     def test_invalid_slack_raises(self):
-        with pytest.raises(ValueError):
+        # The slack is one constant, not a per-correlator setting.
+        assert planned_changes.TIME_SLACK >= 0
+        with pytest.raises(TypeError):
             PlannedChangeCorrelator(time_slack=-1.0)
 
 

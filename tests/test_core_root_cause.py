@@ -1,8 +1,11 @@
 """Tests for repro.core.root_cause."""
 
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 
+from repro.core import root_cause
 from repro.core.root_cause import RootCauseAnalyzer, gcpu_attribution
 from repro.core.types import MetricContext, Regression, RegressionKind
 from repro.fleet.changes import ChangeEffect, ChangeLog, CodeChange
@@ -115,14 +118,15 @@ class TestRootCauseAnalyzer:
 
     def test_ranks_guilty_change_first(self):
         # Lookback of 2000s covers the two recent changes only.
-        analyzer = RootCauseAnalyzer(self._log(), lookback=2_000.0)
-        candidates = analyzer.analyze(make_regression())
+        with patch.object(root_cause, "LOOKBACK", 2_000.0):
+            candidates = RootCauseAnalyzer(self._log()).analyze(make_regression())
         assert candidates
         assert candidates[0].change.change_id == "guilty"
 
     def test_candidates_limited_to_lookback(self):
-        analyzer = RootCauseAnalyzer(self._log(), lookback=2_000.0)
-        ids = [c.change.change_id for c in analyzer.analyze(make_regression())]
+        with patch.object(root_cause, "LOOKBACK", 2_000.0):
+            found = RootCauseAnalyzer(self._log()).analyze(make_regression())
+        ids = [c.change.change_id for c in found]
         assert "too-old" not in ids
 
     def test_no_candidates_when_log_empty(self):
@@ -131,8 +135,8 @@ class TestRootCauseAnalyzer:
 
     def test_low_confidence_suggests_nothing(self):
         log = ChangeLog([CodeChange("vague", deploy_time=11_900.0, title="misc")])
-        analyzer = RootCauseAnalyzer(log, confidence_threshold=0.9)
-        assert analyzer.analyze(make_regression()) == []
+        with patch.object(root_cause, "CONFIDENCE_THRESHOLD", 0.9):
+            assert RootCauseAnalyzer(log).analyze(make_regression()) == []
 
     def test_attribution_factor_uses_samples(self):
         before, after = table2_samples()
@@ -158,14 +162,16 @@ class TestRootCauseAnalyzer:
             "flagged": dict(regression.series_mapping()),
         }
         log = ChangeLog([CodeChange("flagged", deploy_time=11_900.0, title="algo switch")])
-        analyzer = RootCauseAnalyzer(log, setup_series=setup, confidence_threshold=0.1)
-        candidates = analyzer.analyze(regression)
+        analyzer = RootCauseAnalyzer(log, setup_series=setup)
+        with patch.object(root_cause, "CONFIDENCE_THRESHOLD", 0.1):
+            candidates = analyzer.analyze(regression)
         assert candidates
         assert candidates[0].factors["time_correlation"] == pytest.approx(1.0)
 
     def test_results_stored_on_regression(self):
         regression = make_regression()
-        RootCauseAnalyzer(self._log(), lookback=2_000.0).analyze(regression)
+        with patch.object(root_cause, "LOOKBACK", 2_000.0):
+            RootCauseAnalyzer(self._log()).analyze(regression)
         assert regression.root_cause_candidates
         assert regression.root_cause_candidates[0].change_id == "guilty"
 
@@ -179,8 +185,8 @@ class TestRootCauseAnalyzer:
             )
             for i in range(6)
         ]
-        analyzer = RootCauseAnalyzer(ChangeLog(changes), top_k=3)
-        assert len(analyzer.analyze(make_regression())) == 3
+        assert root_cause.TOP_K == 3
+        assert len(RootCauseAnalyzer(ChangeLog(changes)).analyze(make_regression())) == 3
 
     def test_unexported_changes_invisible(self):
         log = ChangeLog(

@@ -804,25 +804,38 @@ class TestEveryPublicNameHasACaller:
             assert reason.startswith(self.CATEGORIES), name
 
 
-class TestEveryIngestKnobIsSet:
-    """Every parameter of the ingest path's constructors, and every init
-    field of its two dataclasses, is set by some call in ``src/``,
-    ``benchmarks/``, ``examples/`` or ``scripts/``, or sits in
-    :attr:`ALLOWED` with the reason it is kept.  A value only tests set
-    is a second configuration every ingest property has to cover: make
-    it a module constant (a test patches it) or delete it.  A call sets
-    a parameter by position or by keyword, unless the keyword's value is
-    spelled as the default is; a call inside the class itself sets
-    nothing, nor does ``**kwargs``."""
+class TestEveryKnobIsSet:
+    """Every parameter of the ingest path's and the Figure 6 scan stack's
+    constructors, and every init field of their dataclasses, is set by
+    some call in ``src/``, ``benchmarks/``, ``examples/`` or
+    ``scripts/``, or sits in :attr:`ALLOWED` with the reason it is kept.
+    A value only tests set is a second configuration every property has
+    to cover: make it a module constant (a test patches it) or delete it.
+    A call sets a parameter by position or by keyword, unless the
+    keyword's value is spelled as the default is; a call inside the class
+    itself sets nothing, nor does ``**kwargs``.  The calls in
+    :attr:`FORWARDERS` hand their ``**kwargs`` to the pipeline, so a
+    keyword on one of them naming a :class:`DetectionPipeline` parameter
+    sets that parameter."""
 
     CONSTRUCTORS = (
         "StreamingDetectionService", "Shard", "ShardIngestWorker", "AdmissionController",
-        "ConsistentHashRouter",
+        "ConsistentHashRouter", "DetectionPipeline", "FBDetect", "DetectionScheduler",
+        "ChangePointDetector", "WentAwayDetector", "SeasonalityDetector", "LongTermDetector",
+        "SameRegressionMerger", "SOMDedup", "PairwiseDedup", "CostShiftDetector",
+        "RootCauseAnalyzer", "IncrementalScanCache", "PlannedChangeCorrelator",
     )
-    DATACLASSES = ("TimeSeries", "QualityGate")
+    DATACLASSES = ("TimeSeries", "QualityGate", "DetectionConfig", "MergeRule")
+    FORWARDERS = ("FBDetect", "register", "register_monitor")
+    #: Reasons a knob nothing sets may stay: a deployment sizes it, or it
+    #: is input data the paper's method reads.
+    CATEGORIES = ("deployment:", "input:")
     ALLOWED = {
         "StreamingDetectionService.retention":
             "deployment: bounds a long-running service's memory",
+        "RootCauseAnalyzer.setup_series":
+            "input: the setup metrics behind section 5.6's third factor, "
+            "reported as time_correlation",
     }
 
     @staticmethod
@@ -853,19 +866,29 @@ class TestEveryIngestKnobIsSet:
         for path, tree in TestEveryPublicNameHasACaller._trees(os.path.join("src", "repro")):
             for node in tree.body:
                 if isinstance(node, ast.ClassDef) and node.name in cls.CONSTRUCTORS:
-                    (init,) = [
+                    inits = [  # a class without one takes nothing
                         member for member in node.body
                         if isinstance(member, ast.FunctionDef) and member.name == "__init__"
                     ]
-                    knobs[node.name] = (path, node, cls._parameters(init))
+                    knobs[node.name] = (path, node, [p for i in inits for p in cls._parameters(i)])
                 elif isinstance(node, ast.ClassDef) and node.name in cls.DATACLASSES:
                     knobs[node.name] = (path, node, list(cls._fields(node.body)))
         return knobs
+
+    @staticmethod
+    def _keywords(node, parameters):
+        """Names ``node`` sets by a keyword not spelled as the default."""
+        defaults = dict(parameters)
+        return [
+            keyword.arg for keyword in node.keywords
+            if keyword.arg in defaults and ast.unparse(keyword.value) != defaults[keyword.arg]
+        ]
 
     @classmethod
     def _set(cls, knobs):
         """``Class.name`` of every knob some call sets."""
         done = set()
+        pipeline = knobs["DetectionPipeline"][2]
         for path, tree in TestEveryPublicNameHasACaller._trees(
             "src", "benchmarks", "examples", "scripts"
         ):
@@ -873,6 +896,10 @@ class TestEveryIngestKnobIsSet:
                 callee = isinstance(node, ast.Call) and getattr(
                     node.func, "id", getattr(node.func, "attr", None)
                 )
+                if callee in cls.FORWARDERS:
+                    done.update(
+                        f"DetectionPipeline.{name}" for name in cls._keywords(node, pipeline)
+                    )
                 if callee not in knobs:
                     continue
                 where, owner, parameters = knobs[callee]
@@ -884,11 +911,7 @@ class TestEveryIngestKnobIsSet:
                         break
                     positional.append(argument)
                 names = [name for name, _ in parameters[: len(positional)]]
-                defaults = dict(parameters)
-                names += [
-                    keyword.arg for keyword in node.keywords
-                    if keyword.arg and ast.unparse(keyword.value) != defaults.get(keyword.arg)
-                ]
+                names += cls._keywords(node, parameters)
                 done.update(f"{callee}.{name}" for name in names)
         return done
 
@@ -904,4 +927,4 @@ class TestEveryIngestKnobIsSet:
         # An entry whose knob gained a caller, or is gone, leaves the list.
         assert sorted(self.ALLOWED.keys() - unset) == []
         for name, reason in self.ALLOWED.items():
-            assert reason.startswith("deployment:"), name
+            assert reason.startswith(self.CATEGORIES), name

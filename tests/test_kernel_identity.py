@@ -25,6 +25,7 @@ from scipy.special import chdtrc, ndtr
 import _reference_kernels as ref
 from repro.config import DetectionConfig
 from repro.core.change_point import ChangePointDetector
+from repro.core import went_away
 from repro.core.pipeline import DetectionPipeline
 from repro.core.went_away import WentAwayDetector
 from repro.obs.spans import RunCounts
@@ -363,7 +364,7 @@ class TestSortedWindow:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             got = detector.diagnose(view, SimpleNamespace(index=index))
-            expected = ref.went_away_terms(detector, historic, analysis, extended, index)
+            expected = ref.went_away_terms(historic, analysis, extended, index)
         assert (
             got.new_pattern, got.significant_regression, got.lasting_trend, got.gone_away
         ) == expected
@@ -421,23 +422,27 @@ class TestWentAwayRows:
     """A block of candidates' went-away as one row pass: every row equals
     the per-candidate expressions, whatever its neighbours."""
 
-    DETECTORS = st.builds(
-        WentAwayDetector,
-        n_buckets=st.sampled_from([20, 20, 7, 1]),
-        tail_points=st.sampled_from([5, 5, 1, 12]),
-        new_pattern_fraction=st.sampled_from([0.65, 0.65, 0.2]),
+    #: The module constants sampled off the paper's settings, patched on
+    #: both sides (the reference reads them off the module too).
+    SETTINGS = st.fixed_dictionaries(
+        {
+            "DEFAULT_BUCKETS": st.sampled_from([20, 20, 7, 1]),
+            "TAIL_POINTS": st.sampled_from([5, 5, 1, 12]),
+            "NEW_PATTERN_FRACTION": st.sampled_from([0.65, 0.65, 0.2]),
+        }
     )
 
     @settings(max_examples=250, deadline=None)
-    @given(went_away_stack(), DETECTORS, st.data())
-    def test_rows_match_the_reference_in_any_order(self, stack, detector, data):
+    @given(went_away_stack(), SETTINGS, st.data())
+    def test_rows_match_the_reference_in_any_order(self, stack, constants, data):
         historic, analysis, extended, indices = stack
-        with warnings.catch_warnings():
+        detector = WentAwayDetector()
+        with patch.multiple(went_away, **constants), warnings.catch_warnings():
             warnings.simplefilter("ignore")
             found = detector.diagnose_rows(historic, analysis, extended, indices)
             for i, diagnosis in enumerate(found):
                 assert terms(diagnosis) == ref.went_away_terms(
-                    detector, historic[i], analysis[i], extended[i], indices[i]
+                    historic[i], analysis[i], extended[i], indices[i]
                 ), i
             order = data.draw(st.permutations(range(len(indices))))
             shuffled = [rows[order] for rows in stack]
@@ -468,8 +473,6 @@ class TestWentAwayRows:
 
     @pytest.mark.parametrize("scale", [6.5, 7.0])
     def test_an_even_count_on_the_middle_takes_the_exact_slope(self, monkeypatch, scale):
-        import repro.core.went_away as went_away
-
         calls = []
 
         def counted(values, *args, **kwargs):
@@ -480,15 +483,13 @@ class TestWentAwayRows:
         historic, analysis, extended, index = self._middle_pair_row(scale)
         detector = WentAwayDetector()
         got = detector.diagnose_rows([historic], [analysis], [extended], [index])[0]
-        assert terms(got) == ref.went_away_terms(detector, historic, analysis, extended, index)
+        assert terms(got) == ref.went_away_terms(historic, analysis, extended, index)
         assert calls == [5]
         # The threshold sits between the two middle slopes (2.75 and 10 / 3
         # over 5 points), and the median (3.04...) falls on either side of it.
         assert got.lasting_trend is (scale == 6.5)
 
     def test_rows_past_the_rank_and_pair_limits_take_the_exact_calls(self, monkeypatch):
-        import repro.core.went_away as went_away
-
         calls = {"mann_kendall_test": 0, "theil_sen": 0}
 
         def counted(name):
@@ -513,7 +514,7 @@ class TestWentAwayRows:
         detector = WentAwayDetector()
         for i, diagnosis in enumerate(detector.diagnose_rows(historic, analysis, extended, indices)):
             assert terms(diagnosis) == ref.went_away_terms(
-                detector, historic[i], analysis[i], extended[i], indices[i]
+                historic[i], analysis[i], extended[i], indices[i]
             )
         assert calls["mann_kendall_test"] >= 6 and calls["theil_sen"] >= 1
 

@@ -231,7 +231,7 @@ class TestTheManifestCarriesNoOwnedCount:
 
     def test_meta_metrics_holds_no_owned_name(self, drills, checkpointed):
         manifest = json.loads((checkpointed / "manifest.json").read_text(encoding="utf-8"))
-        assert manifest["version"] == 6
+        assert manifest["version"] == 7
         recorded = manifest["meta"]["metrics"]
         assert recorded["counters"], "the registry's own counts still ride the manifest"
         assert [name for kind in recorded.values() for name in kind if owned(name)] == []
@@ -254,7 +254,7 @@ class TestTheManifestCarriesNoOwnedCount:
             manifest = json.loads(path.read_text(encoding="utf-8"))
             manifest["version"] = version
             path.write_text(json.dumps(manifest), encoding="utf-8")
-        with pytest.raises(CheckpointError, match=f"version {version} != supported 6"):
+        with pytest.raises(CheckpointError, match=f"version {version} != supported 7"):
             StreamingDetectionService.restore(str(checkpointed))
 
     def test_a_version_three_checkpoint_is_refused(self, checkpointed):
@@ -272,6 +272,11 @@ class TestTheManifestCarriesNoOwnedCount:
         knobs they name are gone."""
         self._refused(checkpointed, 5)
 
+    def test_a_version_six_checkpoint_is_refused(self, checkpointed):
+        """A v6 blob's monitors wrap their pipeline in an ``FBDetect``, and
+        its detectors pickle the settings that are module constants now."""
+        self._refused(checkpointed, 6)
+
 
 #: The due time of the drill's second scan, the first with cache hits.
 FAILS_AT = fence.CONFIG.windows.total + fence.CONFIG.rerun_interval
@@ -284,7 +289,7 @@ def owner_sums(service):
     scheduler and every monitor's incremental-scan cache."""
     schedulers = [shard.scheduler for shard in service._shards.values()]
     caches = [
-        registration.detector.pipeline.incremental_cache
+        registration.pipeline.incremental_cache
         for scheduler in schedulers
         for registration in scheduler._monitors.values()
     ]

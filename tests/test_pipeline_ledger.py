@@ -6,8 +6,9 @@ the run-level counts — and hands it back on ``PipelineResult.trace``;
 ``PipelineResult.funnel`` is read off the same tallies and
 :func:`~repro.runtime.scheduler.publish` is the only thing that turns it
 into registry counters.  These tests pin that spans, funnel and
-published counters agree over every stage-table shape the constructor
-can produce.
+published counters agree over every run shape the constructor can
+produce: its three ablation switches, the incremental screen and the
+quality gate.
 """
 
 import itertools
@@ -19,6 +20,7 @@ from repro.config import DetectionConfig
 from repro.core.pipeline import STAGES, DetectionPipeline
 from repro.core.planned_changes import PlannedChange, PlannedChangeCorrelator
 from repro.obs.spans import TraceStore
+from repro.quality.gaps import QualityGate
 from repro.runtime import ScanOutcome, publish
 from repro.service.metrics import MetricsRegistry
 from repro.tsdb import TimeSeriesDatabase, WindowSpec
@@ -28,13 +30,15 @@ from conftest import fill_series
 INTERVAL = 60.0
 N_POINTS = 150
 NOW = N_POINTS * INTERVAL
-_ENABLE_FLAGS = (
+#: The constructor's on/off switches, in the order of a test id's bits.
+_SWITCHES = (
     "enable_went_away",
     "enable_seasonality",
     "enable_cost_shift",
-    "enable_som_dedup",
-    "enable_pairwise_dedup",
+    "incremental",
+    "quality_gate",
 )
+_EVERYTHING_ON = (True,) * len(_SWITCHES)
 
 
 def _config(long_term):
@@ -92,11 +96,12 @@ def _planned_changes():
     return correlator
 
 
-def _run(database, flags, planned, long_term):
+def _run(database, switches, planned, long_term):
+    flags = dict(zip(_SWITCHES, switches))
+    flags["quality_gate"] = QualityGate() if flags["quality_gate"] else None
     pipeline = DetectionPipeline(
         _config(long_term),
         planned_changes=_planned_changes() if planned else None,
-        incremental=True,
         **flags,
     )
     # Two scans: the second meets the merger's and PairwiseDedup's memory
@@ -124,14 +129,14 @@ def database():
 
 
 def _stage_table_shapes():
-    """(enable bits, planned, long_term) for every table the flags build.
+    """(switch bits, planned, long_term) for every run the switches build.
 
     Short-term-only runs take the full product.  A long-term scan costs
     ten times a short one (a loess pass per series), so with
-    ``long_term`` on the sweep keeps the corners and every one-flag-off
+    ``long_term`` on the sweep keeps the corners and every one-switch-off
     neighbour rather than all 32 combinations.
     """
-    everything = list(itertools.product([True, False], repeat=len(_ENABLE_FLAGS)))
+    everything = list(itertools.product([True, False], repeat=len(_SWITCHES)))
     near_corners = [bits for bits in everything if sum(bits) in (0, 4, 5)]
     for long_term, combos in ((False, everything), (True, near_corners)):
         for bits, planned in itertools.product(combos, [False, True]):
@@ -147,8 +152,7 @@ def _stage_table_shapes():
 
 @pytest.mark.parametrize("enabled, planned, long_term", _stage_table_shapes())
 def test_funnel_is_the_spans_outputs(database, enabled, planned, long_term):
-    flags = dict(zip(_ENABLE_FLAGS, enabled))
-    cache, results = _run(database, flags, planned, long_term)
+    cache, results = _run(database, enabled, planned, long_term)
     for result in results:
         for stage in STAGES:
             span = result.trace.span(stage)
@@ -160,6 +164,8 @@ def test_funnel_is_the_spans_outputs(database, enabled, planned, long_term):
     counters, observed, store = _published(results)
     assert store.runs() == [result.trace for result in results]
     scanned = [result.trace.span("change_points") for result in results]
+    # Without the screen every series is scanned in full, every run.
+    misses = cache.misses if cache else len(list(database)) * len(results)
     # The scan and cache-decision counts are their owners' (the scheduler,
     # the cache), never the ledger's.
     assert counters == {
@@ -171,14 +177,15 @@ def test_funnel_is_the_spans_outputs(database, enabled, planned, long_term):
             s.drops.get("non_finite_window", 0) for s in scanned
         ),
         # Every miss is a row of the matrix pass unless its window was bad.
-        "pipeline.full_scan.rows": cache.misses
+        "pipeline.full_scan.rows": misses
         - counters["pipeline.quality.non_finite_skips"],
         "pipeline.full_scan.exact_lrt": counters["pipeline.full_scan.exact_lrt"],
     }
     assert 0 < counters["pipeline.full_scan.exact_lrt"] <= counters["pipeline.full_scan.rows"]
-    assert cache.hits == sum(s.drops.get("cache_hit", 0) for s in scanned)
+    hits = cache.hits if cache else 0
+    assert hits == sum(s.drops.get("cache_hit", 0) for s in scanned)
     if not long_term:  # with it on, a series is observed once per path
-        assert cache.hits + cache.misses == sum(s.inputs for s in scanned)
+        assert hits + misses == sum(s.inputs for s in scanned)
     assert set(observed.values()) == {len(results)}
     assert set(observed) == {"scheduler.scan_seconds", "pipeline.run_seconds"} | {
         f"pipeline.stage.{block}_seconds"
@@ -188,7 +195,7 @@ def test_funnel_is_the_spans_outputs(database, enabled, planned, long_term):
 
 def test_fleet_exercises_every_way_out(database):
     """The fleet above is only a property test if the stages all bite."""
-    _, (first, second) = _run(database, {}, planned=True, long_term=False)
+    _, (first, second) = _run(database, _EVERYTHING_ON, planned=True, long_term=False)
     drops = {}
     for result in (first, second):
         for span in result.trace.spans:

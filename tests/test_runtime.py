@@ -139,7 +139,7 @@ class TestScanFailureIsolation:
         def explode(database, now):
             raise RuntimeError("scan bug")
 
-        broken.detector.run = explode
+        broken.pipeline.run = explode
         outcomes = scheduler.advance_to(54_000.0)
         # The failure is in what the advance returns, not counted on the side.
         assert [(o.monitor, o.result is None) for o in outcomes] == [

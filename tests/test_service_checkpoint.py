@@ -114,10 +114,10 @@ class TestCheckpointManager:
         for name in ("manifest.json", "manifest.g1.json"):
             path = tmp_path / name
             manifest = json.loads(path.read_text(encoding="utf-8"))
-            assert manifest["version"] == 6
+            assert manifest["version"] == 7
             manifest["version"] = 1
             path.write_text(json.dumps(manifest), encoding="utf-8")
-        with pytest.raises(CheckpointError, match="version 1 != supported 6"):
+        with pytest.raises(CheckpointError, match="version 1 != supported 7"):
             StreamingDetectionService.restore(str(tmp_path))
 
     def test_corrupt_manifest_raises(self, tmp_path):
@@ -376,7 +376,7 @@ class TestKillRestoreEquivalence:
             )
             vars(shard.scheduler).update(metrics=None, sinks=[])
             for registration in shard.scheduler._monitors.values():
-                vars(registration.detector.pipeline).update(
+                vars(registration.pipeline).update(
                     min_historic_points=12, min_analysis_points=8,
                     metrics=None, tracer=None,
                 )

@@ -473,7 +473,7 @@ class TestKillRestoreUnderWorkers:
         # empty incremental cache, whatever the blob carried.
         for shard in restored._shards.values():
             for registration in shard.scheduler._monitors.values():
-                cache = registration.detector.pipeline.incremental_cache
+                cache = registration.pipeline.incremental_cache
                 assert cache is not None and len(cache) == 0
 
         for begin in range(split, len(samples), chunk):
@@ -761,7 +761,7 @@ class TestKillRestoreUnderWorkersCaches:
             service.advance_to(batch[-1].timestamp + INTERVAL)
         # The live service holds warm anchors by now.
         warm = sum(
-            len(registration.detector.pipeline.incremental_cache)
+            len(registration.pipeline.incremental_cache)
             for shard in service._shards.values()
             for registration in shard.scheduler._monitors.values()
         )
@@ -770,7 +770,7 @@ class TestKillRestoreUnderWorkersCaches:
         service.checkpoint(directory)
         restored = StreamingDetectionService.restore(directory)
         cold = sum(
-            len(registration.detector.pipeline.incremental_cache)
+            len(registration.pipeline.incremental_cache)
             for shard in restored._shards.values()
             for registration in shard.scheduler._monitors.values()
         )

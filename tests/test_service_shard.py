@@ -250,7 +250,7 @@ class TestNothingProcessLocalOnBoard:
         for shard in service._shards.values():
             scheduler = pickle.loads(shard.snapshot())
             pipelines = [
-                registration.detector.pipeline
+                registration.pipeline
                 for registration in scheduler._monitors.values()
             ]
             assert pipelines
@@ -290,7 +290,7 @@ class TestVersionTwoIsRefused:
             manifest = json.loads(path.read_text(encoding="utf-8"))
             manifest["version"] = 2
             path.write_text(json.dumps(manifest), encoding="utf-8")
-        with pytest.raises(CheckpointError, match="version 2 != supported 6"):
+        with pytest.raises(CheckpointError, match="version 2 != supported 7"):
             StreamingDetectionService.restore(str(tmp_path))
 
 
