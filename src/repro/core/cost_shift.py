@@ -148,15 +148,11 @@ class CostShiftDetector:
     ) -> tuple:
         """(pre, post) mean cost of the domain around the change time.
 
-        Sums member gCPU series; pre covers the historic window through
-        the change point, post covers the remainder of the analysis
-        window plus the extended window.
+        Sums member gCPU series; pre covers the historic window up to the
+        regression's change time, post covers the rest of the window.
         """
         view = regression.window
-        interval = (view.now - view.historic_start) / max(
-            1, view.full.size
-        )
-        change_time = view.analysis_start + regression.change_index * interval
+        change_time = regression.change_time
 
         pre_total = post_total = 0.0
         pre_seen = post_seen = False

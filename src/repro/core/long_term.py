@@ -89,14 +89,11 @@ class LongTermDetector:
         analysis_index = int(
             np.clip(split.index - view.historic.size, 0, max(0, view.analysis.size - 1))
         )
-        interval = (view.now - view.historic_start) / max(1, full.size)
-        change_time = view.historic_start + split.index * interval
-
         return Regression(
             context=context,
             kind=RegressionKind.LONG_TERM,
             change_index=analysis_index,
-            change_time=change_time,
+            change_time=float(view.times[split.index]),
             mean_before=baseline,
             mean_after=current,
             window=view,

@@ -500,7 +500,7 @@ class DetectionPipeline:
             # bad window is one skip, not one per path, and never reaches
             # the matrix, so it cannot seed the incremental screen.
             windowed = self.config.windows.view(series, now)
-            skip = self._window_skip_reason(series, windowed, counts)
+            skip = self._window_skip_reason(windowed, counts)
             if skip is not None:
                 detected.observe(False, skip, watch.lap())
                 continue
@@ -576,9 +576,7 @@ class DetectionPipeline:
         self._stale.discard(series.name)
         return False
 
-    def _window_skip_reason(
-        self, series: TimeSeries, windowed: WindowedView, counts: RunCounts
-    ) -> Optional[str]:
+    def _window_skip_reason(self, windowed: WindowedView, counts: RunCounts) -> Optional[str]:
         """Why a scan window must not be scanned, or ``None`` when it may.
 
         A window needs the data-sufficiency floors; non-finite values
@@ -589,13 +587,12 @@ class DetectionPipeline:
         """
         if not windowed.has_minimum_data(MIN_HISTORIC_POINTS, MIN_ANALYSIS_POINTS):
             return "insufficient_data"
-        at, values = windowed.cut  # one finiteness pass, no second bisect
-        if not np.isfinite(values).all():
+        if not np.isfinite(windowed.values).all():
             counts.inc("pipeline.quality.non_finite_skips")
             return "non_finite_window"
         if self.quality_gate is not None:
             ok, _ = self.quality_gate.window_ok(
-                series.timestamps_at(at[0], at[1]), int(windowed.analysis.size),
+                windowed.times[: windowed.analysis_at], int(windowed.analysis.size),
                 windowed.analysis_start, windowed.extended_start,
             )
             if not ok:
@@ -661,14 +658,11 @@ class DetectionPipeline:
             )
         if candidate is None:
             return None
-        interval = (now - windowed.analysis_start) / max(
-            1, windowed.analysis.size + windowed.extended.size
-        )
         regression = Regression(
             context=MetricContext.from_tags(series.name, series.tags),
             kind=RegressionKind.SHORT_TERM,
             change_index=candidate.index,
-            change_time=windowed.analysis_start + candidate.index * interval,
+            change_time=float(windowed.times[windowed.analysis_at + candidate.index]),
             mean_before=candidate.mean_before,
             mean_after=candidate.mean_after,
             window=view,
@@ -688,8 +682,5 @@ class DetectionPipeline:
         return None if regression is None else (regression, None)
 
     def _oriented_view(self, w: WindowedView) -> WindowedView:
-        """Apply metric orientation to a windowed view (a flipped one has no cut)."""
-        if self.config.higher_is_worse:
-            return w
-        return replace(w, historic=-w.historic, analysis=-w.analysis, extended=-w.extended,
-                       cut=None)
+        """Apply metric orientation to a windowed view."""
+        return w if self.config.higher_is_worse else replace(w, values=-w.values)

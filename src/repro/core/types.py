@@ -6,8 +6,6 @@ import enum
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.tsdb.windows import WindowedView
 
 __all__ = [
@@ -152,19 +150,11 @@ class Regression:
         self.verdicts.append(verdict)
 
     def series_mapping(self) -> Dict[float, float]:
-        """Approximate ``{time: value}`` of analysis+extended values.
-
-        Times are reconstructed on a uniform grid over the analysis and
-        extended windows — sufficient for the correlation features that
-        consume this.
-        """
-        values = self.window.analysis_and_extended
-        if values.size == 0:
-            return {}
-        start = self.window.analysis_start
-        end = self.window.now
-        times = np.linspace(start, end, values.size, endpoint=False)
-        return {float(t): float(v) for t, v in zip(times, values)}
+        """``{time: value}`` of the analysis and extended samples, keyed
+        by the times they were stored at."""
+        window = self.window
+        times = window.times[window.analysis_at :]
+        return dict(zip(times.tolist(), window.analysis_and_extended.tolist()))
 
 
 @dataclass(frozen=True)

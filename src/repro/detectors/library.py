@@ -107,19 +107,16 @@ class IncumbentDetector(Detector):
         The stage detectors only read the value arrays, but their API
         takes a view; the time geometry just has to be self-consistent.
         """
-        h = float(max(window.historic.size, 1))
-        a = float(max(window.analysis.size, 1))
-        e = float(window.extended.size)
-        now = h + a + e
+        nh, na = window.historic.size, window.analysis.size
+        h, a, e = float(max(nh, 1)), float(max(na, 1)), float(window.extended.size)
+        values = np.concatenate([window.historic, window.analysis, window.extended])
         return WindowedView(
             spec=WindowSpec(historic=h, analysis=a, extended=e),
-            now=now,
-            historic=window.historic,
-            analysis=window.analysis,
-            extended=window.extended,
-            historic_start=0.0,
-            analysis_start=h,
-            extended_start=h + a,
+            now=h + a + e,
+            times=np.arange(values.size, dtype=float),
+            values=values,
+            analysis_at=nh,
+            extended_at=nh + na,
         )
 
     def scan(self, window: DetectorWindow) -> DetectorDecision:

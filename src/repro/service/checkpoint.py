@@ -56,7 +56,9 @@ __all__ = ["CheckpointError", "CheckpointManager", "CHECKPOINT_VERSION"]
 #: admission controller no config.
 #: 7: a monitor holds its pipeline (no ``FBDetect`` wrapper), and the
 #: pipeline's detectors carry no settings (they are module constants).
-CHECKPOINT_VERSION = 7
+#: 8: a regression's window holds its samples' timestamps and one value
+#: array (``WindowedView.times`` / ``values``), not three value arrays.
+CHECKPOINT_VERSION = 8
 MANIFEST_NAME = "manifest.json"
 
 _GEN_MANIFEST_RE = re.compile(r"^manifest\.g(\d+)\.json$")

@@ -34,25 +34,27 @@ def pearson(a: Sequence[float], b: Sequence[float]) -> float:
     return float(((x - x.mean()) * (y - y.mean())).mean() / (sx * sy))
 
 
-def aligned_pearson(
-    a: Mapping[float, float],
-    b: Mapping[float, float],
-    min_overlap: int = 3,
-) -> float:
+#: Fewest shared timestamps :func:`aligned_pearson` scores.
+MIN_OVERLAP = 3
+
+
+def aligned_pearson(a: Mapping[float, float], b: Mapping[float, float]) -> float:
     """Pearson correlation over the timestamps two series share.
 
     Production series rarely sample at identical instants; this aligns two
-    ``{timestamp: value}`` mappings on their common timestamps first.
+    ``{timestamp: value}`` mappings on their common timestamps first.  A
+    handful of shared points says nothing about two long series, so the
+    shared timestamps must cover at least half of the shorter mapping, and
+    at least :data:`MIN_OVERLAP` points.
 
     Args:
         a: First series as a timestamp-to-value mapping.
         b: Second series.
-        min_overlap: Minimum shared timestamps for a meaningful score.
 
     Returns:
         The correlation, or 0.0 when overlap is insufficient.
     """
     shared = sorted(set(a) & set(b))
-    if len(shared) < min_overlap:
+    if len(shared) < max(MIN_OVERLAP, min(len(a), len(b)) / 2):
         return 0.0
     return pearson([a[t] for t in shared], [b[t] for t in shared])

@@ -211,16 +211,16 @@ class TimeSeries:
         hi = self._timestamps.searchsorted(end, side="left")
         return self._values.view(lo, hi)
 
-    def cut(self, bounds: Sequence[float]) -> Tuple[Tuple[int, ...], np.ndarray]:
+    def cut(
+        self, bounds: Sequence[float]
+    ) -> Tuple[Tuple[int, ...], np.ndarray, np.ndarray]:
         """Column positions of ascending ``bounds``, each bisected as
-        :meth:`values_between` bisects it, and a copy of the values from the
-        first position to the last: one bisect of every bound, one copy."""
-        at = tuple(np.searchsorted(self._timestamps.view(), bounds).tolist())
-        return at, np.array(self._values.view(at[0], at[-1]))
-
-    def timestamps_at(self, start: int, stop: int) -> np.ndarray:
-        """Timestamps at column positions ``[start, stop)`` (zero-copy view)."""
-        return self._timestamps.view(start, stop)
+        :meth:`values_between` bisects it, and copies of the timestamps and
+        values from the first position to the last: one bisect of every
+        bound, one copy of each column."""
+        stamps = self._timestamps.view()
+        at = tuple(np.searchsorted(stamps, bounds).tolist())
+        return at, np.array(stamps[at[0] : at[-1]]), np.array(self._values.view(at[0], at[-1]))
 
     def drop_before(self, cutoff: float) -> int:
         """Retention: drop points older than ``cutoff``; returns count dropped.

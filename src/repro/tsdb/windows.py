@@ -21,8 +21,8 @@ window.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
 
@@ -54,68 +54,79 @@ class WindowSpec:
     def total(self) -> float:
         return self.historic + self.analysis + self.extended
 
+    def starts(self, now: float) -> Tuple[float, float, float]:
+        """``(historic_start, analysis_start, extended_start)`` of the
+        windows ending at ``now``."""
+        extended_start = now - self.extended
+        analysis_start = extended_start - self.analysis
+        return analysis_start - self.historic, analysis_start, extended_start
+
     def view(self, series: TimeSeries, now: float) -> "WindowedView":
         """Slice ``series`` into the three windows ending at ``now``.
 
-        One bisect of the four bounds and one copy of ``[historic_start,
-        now)``; the three windows are views into that copy.  It is a
-        *snapshot*, not a live view: a ``WindowedView`` outlives the scan
-        that made it — it rides ``Regression.window`` through dedup,
-        checkpoints and worker round trips — so it must never alias a
-        buffer that a later last-write-wins overwrite could mutate.
+        One bisect of the four bounds and one copy of each column over
+        ``[historic_start, now)``; the three windows are views into that
+        copy.  It is a *snapshot*, not a live view: a ``WindowedView``
+        outlives the scan that made it — it rides ``Regression.window``
+        through dedup, checkpoints and worker round trips — so it must
+        never alias a buffer that a later last-write-wins overwrite could
+        mutate.
         """
-        extended_start = now - self.extended
-        analysis_start = extended_start - self.analysis
-        historic_start = analysis_start - self.historic
-        at, values = series.cut((historic_start, analysis_start, extended_start, now))
-        analysis_at, extended_at = at[1] - at[0], at[2] - at[0]
-        return WindowedView(
-            spec=self,
-            now=now,
-            historic=values[:analysis_at],
-            analysis=values[analysis_at:extended_at],
-            extended=values[extended_at:],
-            historic_start=historic_start,
-            analysis_start=analysis_start,
-            extended_start=extended_start,
-            cut=(at, values),
-        )
+        at, times, values = series.cut((*self.starts(now), now))
+        return WindowedView(self, now, times, values, at[1] - at[0], at[2] - at[0])
 
 
 @dataclass(frozen=True)
 class WindowedView:
-    """A series sliced into historic / analysis / extended windows."""
+    """One snapshot of a series' samples over ``[historic_start, now)``.
+
+    ``times`` and ``values`` are the samples in time order; the historic
+    window is ``[:analysis_at]``, the analysis window
+    ``[analysis_at:extended_at]`` and the extended window
+    ``[extended_at:]``.  An index into them names a sample, and its time
+    is the one it was stored at: ``times[index]``.
+    """
 
     spec: WindowSpec
     now: float
-    historic: np.ndarray
-    analysis: np.ndarray
-    extended: np.ndarray
-    historic_start: float
-    analysis_start: float
-    extended_start: float
-    #: Set by :meth:`WindowSpec.view` for the scan that makes the view: the
-    #: column positions of the four bounds in the series, and the one copy
-    #: the three windows are views of.  It describes the series at the cut,
-    #: so it is neither compared nor pickled.
-    cut: Optional[Tuple[Tuple[int, ...], np.ndarray]] = field(
-        default=None, compare=False, repr=False
-    )
+    times: np.ndarray
+    values: np.ndarray
+    analysis_at: int
+    extended_at: int
 
-    def __getstate__(self) -> dict:
-        state = dict(self.__dict__)
-        state.pop("cut", None)
-        return state
+    @property
+    def historic_start(self) -> float:
+        return self.spec.starts(self.now)[0]
+
+    @property
+    def analysis_start(self) -> float:
+        return self.spec.starts(self.now)[1]
+
+    @property
+    def extended_start(self) -> float:
+        return self.spec.starts(self.now)[2]
+
+    @property
+    def historic(self) -> np.ndarray:
+        return self.values[: self.analysis_at]
+
+    @property
+    def analysis(self) -> np.ndarray:
+        return self.values[self.analysis_at : self.extended_at]
+
+    @property
+    def extended(self) -> np.ndarray:
+        return self.values[self.extended_at :]
 
     @property
     def analysis_and_extended(self) -> np.ndarray:
         """Analysis + extended values, in time order."""
-        return np.concatenate([self.analysis, self.extended])
+        return self.values[self.analysis_at :]
 
     @property
     def full(self) -> np.ndarray:
-        """All three windows concatenated in time order."""
-        return np.concatenate([self.historic, self.analysis, self.extended])
+        """All three windows in time order."""
+        return self.values
 
     def has_minimum_data(self, min_historic: int = 10, min_analysis: int = 5) -> bool:
         """Whether both baseline and analysis windows hold enough points."""

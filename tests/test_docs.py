@@ -256,6 +256,54 @@ class TestNoCallerlessBatchKernels:
         assert "went_away_detector.check(" not in pipeline
 
 
+class TestOneTimeAxis:
+    """A window carries its samples' timestamps, and every index -> time
+    question reads them: no module of the scan stack rebuilds a time on a
+    uniform grid, and the view keeps no second description of the series."""
+
+    @staticmethod
+    def _names(node):
+        return {
+            n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))
+        }
+
+    def test_no_core_module_rebuilds_a_time_from_an_index(self):
+        core = os.path.join(REPO_ROOT, "src", "repro", "core")
+        found = []
+        for name in sorted(os.listdir(core)):
+            if not name.endswith(".py"):
+                continue
+            for node in ast.walk(ast.parse(_read(core, name))):
+                if isinstance(node, ast.Attribute) and node.attr == "linspace":
+                    found.append(f"{name}:{node.lineno} linspace")
+                if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+                    sides = [self._names(node.left), self._names(node.right)]
+                    index = [any("index" in n for n in side) for side in sides]
+                    spacing = [
+                        any(word in n for n in side for word in ("interval", "spacing"))
+                        for side in sides
+                    ]
+                    if (index[0] and spacing[1]) or (index[1] and spacing[0]):
+                        found.append(f"{name}:{node.lineno} {ast.unparse(node)}")
+        assert found == []
+
+    def test_a_view_holds_times_and_no_cut(self):
+        tree = ast.parse(_read(REPO_ROOT, "src", "repro", "tsdb", "windows.py"))
+        [view] = [
+            node for node in tree.body
+            if isinstance(node, ast.ClassDef) and node.name == "WindowedView"
+        ]
+        members = {
+            statement.target.id if isinstance(statement, ast.AnnAssign) else statement.name
+            for statement in view.body
+            if isinstance(statement, (ast.AnnAssign, ast.FunctionDef))
+        }
+        assert {"times", "values"} <= members
+        assert not members & {"cut", "__getstate__"}
+
+
 class TestParallelAdvanceOwnership:
     """A parallel advance reads a replica in a resident worker; the
     shard keeps its database and queue.  The swap protocol that made a

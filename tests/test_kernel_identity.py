@@ -782,11 +782,12 @@ class TestWindowCut:
         windows = (view.historic, view.analysis, view.extended)
         for got, (lo, hi) in zip(windows, zip(bounds, bounds[1:])):
             assert same(got, series.values_between(lo, hi))
+        assert same(view.times, series.between(bounds[0], now).timestamps)
         config = DetectionConfig(name="cut", threshold=1e-4, windows=spec, long_term=False)
         for gate, coverage in ((None, 0.5), (QualityGate(), 0.5), (QualityGate(), 0.95)):
             pipeline = DetectionPipeline(config, quality_gate=gate)
             with patch.object(gaps, "MIN_COVERAGE", coverage):
-                assert pipeline._window_skip_reason(series, view, RunCounts()) == (
+                assert pipeline._window_skip_reason(view, RunCounts()) == (
                     ref.window_skip_reason(pipeline, series, view)
                 )
         # A snapshot: a last-write-wins overwrite of the column leaves it be.
@@ -794,6 +795,8 @@ class TestWindowCut:
         if stamps.size:
             series.append(float(stamps[-1]), 12345.0)
         assert all(same(a, b) for a, b in zip(windows, kept))
-        # The cut describes the series at the scan: it rides no pickle.
+        # Times and values ride a pickle, and nothing else does.
         clone = pickle.loads(pickle.dumps(view))
-        assert clone.cut is None and pickle.dumps(clone) == pickle.dumps(view)
+        assert same(clone.times, view.times) and same(clone.values, view.values)
+        assert (clone.analysis_at, clone.extended_at) == (view.analysis_at, view.extended_at)
+        assert set(vars(clone)) == {"spec", "now", "times", "values", "analysis_at", "extended_at"}

@@ -231,7 +231,7 @@ class TestTheManifestCarriesNoOwnedCount:
 
     def test_meta_metrics_holds_no_owned_name(self, drills, checkpointed):
         manifest = json.loads((checkpointed / "manifest.json").read_text(encoding="utf-8"))
-        assert manifest["version"] == 7
+        assert manifest["version"] == 8
         recorded = manifest["meta"]["metrics"]
         assert recorded["counters"], "the registry's own counts still ride the manifest"
         assert [name for kind in recorded.values() for name in kind if owned(name)] == []
@@ -254,7 +254,7 @@ class TestTheManifestCarriesNoOwnedCount:
             manifest = json.loads(path.read_text(encoding="utf-8"))
             manifest["version"] = version
             path.write_text(json.dumps(manifest), encoding="utf-8")
-        with pytest.raises(CheckpointError, match=f"version {version} != supported 7"):
+        with pytest.raises(CheckpointError, match=f"version {version} != supported 8"):
             StreamingDetectionService.restore(str(checkpointed))
 
     def test_a_version_three_checkpoint_is_refused(self, checkpointed):
@@ -276,6 +276,11 @@ class TestTheManifestCarriesNoOwnedCount:
         """A v6 blob's monitors wrap their pipeline in an ``FBDetect``, and
         its detectors pickle the settings that are module constants now."""
         self._refused(checkpointed, 6)
+
+    def test_a_version_seven_checkpoint_is_refused(self, checkpointed):
+        """A v7 blob's regressions pickle their windows as three value
+        arrays and no timestamps."""
+        self._refused(checkpointed, 7)
 
 
 #: The due time of the drill's second scan, the first with cache hits.

@@ -5,7 +5,7 @@ amortized doubling, zero-copy tail views) must be observationally
 identical to the obvious pure-Python implementation — element for
 element, across every mutation path (``append`` / ``insert`` /
 ``ingest_many`` / ``drop_before``), every read path (``values`` /
-``timestamps`` / ``between`` / ``values_between`` / ``timestamps_at`` /
+``timestamps`` / ``between`` / ``values_between`` / ``cut`` /
 ``latest``).  Hypothesis drives random interleavings against the
 reference model below; any divergence is a storage-layer bug.
 
@@ -138,8 +138,10 @@ def assert_same_windows(series, model, start, end, k):
     assert list(window.timestamps) == model.ts[lo:hi]
     assert list(window.values) == model.vals[lo:hi]
     k = min(k, len(model.ts))
-    n = len(model.ts)
-    assert list(series.timestamps_at(n - k, n)) == (model.ts[-k:] if k else [])
+    bounds = (model.ts[-k] if k else math.inf, math.inf)
+    at, stamps, values = series.cut(bounds)
+    assert (list(stamps), list(values)) == ((model.ts[-k:], model.vals[-k:]) if k else ([], []))
+    assert at == (len(model.ts) - k, len(model.ts))
 
 
 # Timestamps on a tiny integer grid so duplicates and stragglers are

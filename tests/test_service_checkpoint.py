@@ -114,10 +114,10 @@ class TestCheckpointManager:
         for name in ("manifest.json", "manifest.g1.json"):
             path = tmp_path / name
             manifest = json.loads(path.read_text(encoding="utf-8"))
-            assert manifest["version"] == 7
+            assert manifest["version"] == 8
             manifest["version"] = 1
             path.write_text(json.dumps(manifest), encoding="utf-8")
-        with pytest.raises(CheckpointError, match="version 1 != supported 7"):
+        with pytest.raises(CheckpointError, match="version 1 != supported 8"):
             StreamingDetectionService.restore(str(tmp_path))
 
     def test_corrupt_manifest_raises(self, tmp_path):

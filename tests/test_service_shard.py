@@ -290,7 +290,7 @@ class TestVersionTwoIsRefused:
             manifest = json.loads(path.read_text(encoding="utf-8"))
             manifest["version"] = 2
             path.write_text(json.dumps(manifest), encoding="utf-8")
-        with pytest.raises(CheckpointError, match="version 2 != supported 7"):
+        with pytest.raises(CheckpointError, match="version 2 != supported 8"):
             StreamingDetectionService.restore(str(tmp_path))
 
 

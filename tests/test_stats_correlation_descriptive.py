@@ -43,6 +43,21 @@ class TestAlignedPearson:
     def test_disjoint(self):
         assert aligned_pearson({0.0: 1.0, 1.0: 2.0}, {5.0: 1.0, 6.0: 2.0}) == 0.0
 
+    def test_five_shared_points_of_two_long_series_say_nothing(self, rng):
+        """Two 300-point series sharing 5 timestamps: the 5 correlate at
+        ~0.999, but they cover under half of either series."""
+        a = {float(t): float(t) for t in range(300)}
+        b = {float(t): 2.0 * t + rng.normal(0, 0.05) for t in range(295, 595)}
+        shared = sorted(set(a) & set(b))
+        assert len(shared) == 5
+        assert pearson([a[t] for t in shared], [b[t] for t in shared]) > 0.99
+        assert aligned_pearson(a, b) == 0.0
+
+    def test_half_the_shorter_series_is_enough(self):
+        a = {float(t): float(t) for t in range(10)}
+        b = {float(t): float(t) ** 2 for t in range(5, 105)}
+        assert aligned_pearson(a, b) > 0.99
+
 
 class TestPercentile:
     def test_median(self):
