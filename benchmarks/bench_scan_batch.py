@@ -276,7 +276,7 @@ def test_batch_matches_sequential_on_shifted_fleet():
 # The re-anchor round: every anchor stale, so every series is a full scan
 # ---------------------------------------------------------------------------
 
-REANCHOR_POINTS = 600      # per series; windows are 200 historic + 200 analysis
+REANCHOR_POINTS = 600      # per series; windows are 200 historic + 200 analysis + 200 extended
 REANCHOR_SPEEDUP_FLOOR = 3.0
 #: Peak traced allocation of the timed run over what it returns: a block
 #: of window snapshots and kernel temporaries, the decisions, the series
@@ -288,9 +288,10 @@ def measure_reanchor(n_series=N_SERIES, per_series=False, trace_memory=False):
     """Anchor a quiet fleet, then time the one run, an analysis window
     later, that must re-anchor every series.
 
-    The series already hold the later points at the first run (a window
-    ends at its ``now``, an anchor at the series' end), so the second run
-    finds nothing to fold and every anchor stale: it is full scans only.
+    The first run's ``now`` is past every series' last sample, so its
+    anchors hold the whole series; the timed run, an analysis window
+    later, finds nothing stamped before its ``now`` to fold (its extended
+    window is empty) and every anchor stale: it is full scans only.
     ``per_series`` runs the loop the matrix pass replaced through the
     same pipeline: one series a block, the reference ``detect`` a row.
     Went-away and seasonality are off on both sides: one window in ten of
@@ -308,7 +309,9 @@ def measure_reanchor(n_series=N_SERIES, per_series=False, trace_memory=False):
         series.ingest_many(list(zip(stamps, values[i])))
     config = DetectionConfig(
         name="reanchor", threshold=5e-5, rerun_interval=200 * INTERVAL,
-        windows=WindowSpec(historic=200 * INTERVAL, analysis=200 * INTERVAL),
+        windows=WindowSpec(
+            historic=200 * INTERVAL, analysis=200 * INTERVAL, extended=200 * INTERVAL
+        ),
         long_term=False,
     )
     kernel, block = ChangePointDetector.detect_rows, pipeline_module.SCAN_BLOCK_ROWS
@@ -319,11 +322,11 @@ def measure_reanchor(n_series=N_SERIES, per_series=False, trace_memory=False):
         pipeline = DetectionPipeline(
             config, incremental=True, enable_went_away=False, enable_seasonality=False
         )
-        pipeline.run(database, 400 * INTERVAL)
+        pipeline.run(database, REANCHOR_POINTS * INTERVAL)
         if trace_memory:
             tracemalloc.start()
         started = time.perf_counter()
-        result = pipeline.run(database, REANCHOR_POINTS * INTERVAL)
+        result = pipeline.run(database, (REANCHOR_POINTS + 200) * INTERVAL)
         seconds = time.perf_counter() - started
         kept, peak = 0, 0
         if trace_memory:

@@ -90,16 +90,12 @@ class PairwiseDedup:
         self.groups: List[RegressionGroup] = []
         self._next_group_id = 1_000_000  # distinct from SOMDedup ids
 
-    def process(self, regressions: Sequence[Regression]) -> List[RegressionGroup]:
-        """Merge each new regression into groups or open new ones.
+    def process(self, regressions: Sequence[Regression]) -> None:
+        """Merge each new regression into :attr:`groups` or open a new one.
 
         Regressions merged into an existing group receive a
         PAIRWISE_DUPLICATE verdict; group openers a keep verdict.
-
-        Returns:
-            Groups that gained members this call (new or extended).
         """
-        touched: List[RegressionGroup] = []
         series: _SeriesMemo = {}
         for regression in regressions:
             group = self._best_group(regression, series)
@@ -119,9 +115,6 @@ class PairwiseDedup:
                 group.representative = regression
                 regression.record(DetectionVerdict.keep(detail="PairwiseDedup new group"))
                 self.groups.append(group)
-            if group not in touched:
-                touched.append(group)
-        return touched
 
     # ------------------------------------------------------------------
     # Scoring

@@ -84,7 +84,6 @@ class FBDetect:
     def detect_series(
         self,
         values: Sequence[float],
-        interval: float = 60.0,
         name: str = "adhoc.series",
         tags: Optional[Dict[str, str]] = None,
     ) -> PipelineResult:
@@ -96,8 +95,6 @@ class FBDetect:
 
         Args:
             values: The series values, oldest first.
-            interval: Ignored except as a scale; the grid is derived from
-                the window spec so the array always spans it.
             name: Metric id given to the ad-hoc series.
             tags: Optional tags (service/subroutine/metric).
         """

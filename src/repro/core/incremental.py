@@ -15,12 +15,24 @@ detector re-runs only when something could plausibly have changed:
 - the window drifted a full analysis span past the anchor (bounds the
   approximation: a skip is only ever based on a window that still
   overlaps the anchored one),
-- or the series stopped being append-only (backfill, retention, or a
-  restore rewrote history), which invalidates the anchor outright.
+- or the series stopped being append-only under the anchor (backfill
+  or retention), which invalidates the anchor outright.
 
-The cache is deliberately conservative: the screen is tuned to fire on
-smaller shifts than the offline detector reports, so a skipped scan is
-one the full pipeline would almost surely have scored "no candidate".
+One cut: the screen folds, and anchors on, exactly the samples a window
+ending at ``now`` holds — those stamped before ``now``
+(:meth:`~repro.tsdb.windows.WindowSpec.view` bisects the same bound).
+Samples that landed ahead of the clock wait for the scan whose window
+reaches them, so a decision depends on the stored history, never on
+how far ingest ran ahead of the scheduler.
+
+The screen's contract, in reference standard deviations σ of the
+anchored analysis window: a sustained shift of δσ with δ >
+:data:`SCREEN_DRIFT` raises the evidence by δ − SCREEN_DRIFT per
+point, so a noiseless one fires the screen after
+⌈SCREEN_THRESHOLD / (δ − SCREEN_DRIFT)⌉ points (5 at δ = 2).  A shift
+of at most SCREEN_DRIFT σ never fires it: such a series is fully
+scanned only when its anchor goes stale, at most ``max_staleness``
+after its last full scan.
 
 Storage layout: anchors live in a struct-of-arrays — one row per series
 across parallel numpy columns (anchor bounds, reference moments, screen
@@ -31,12 +43,13 @@ screen fold, state writeback, scan decisions, and counters are all whole-
 batch array ops.  Screening thousands of series costs a handful of
 ``(k, n)`` kernels instead of ~10 interpreter operations per series.
 
-Checkpoint semantics: the cache pickles with its pipeline so the
-parallel executor can round-trip shard state without losing it (columns
-are compacted to the live rows), but a *restore* is a trust boundary —
-restored services must call :meth:`IncrementalScanCache.clear` (via
-``DetectionPipeline.invalidate_incremental``) so stale anchors can never
-suppress a re-scan over replayed or repaired history.
+Checkpoint semantics: the cache pickles with its pipeline — in every
+parallel round trip and in every checkpoint — with columns compacted
+to the live rows.  Wherever it lands, its anchors are trusted by one
+per-series rule: the series still holds at least ``anchor_len``
+samples before ``now`` and the anchored end timestamp still sits at
+``anchor_len - 1``.  A restored service keeps the anchors its
+checkpoint carried, and its first advance is an ordinary screened one.
 """
 
 from __future__ import annotations
@@ -140,9 +153,10 @@ class IncrementalScanCache:
     def should_scan(self, series: TimeSeries, now: float) -> bool:
         """Whether the full windowed detector must run for ``series``.
 
-        Folds any newly appended points into the series' screen (O(n))
-        either way; a ``False`` return is a cache hit — the previous
-        "no candidate" outcome still stands.  One-series view of
+        Folds the points stamped before ``now`` that arrived since the
+        anchor into the series' screen (O(n)) either way; a ``False``
+        return is a cache hit — the previous "no candidate" outcome
+        still stands.  One-series view of
         :meth:`screen_batch`, so a series screened alone or inside a
         batch reaches the same decision with the same counter updates.
         """
@@ -217,16 +231,19 @@ class IncrementalScanCache:
             ts = series._timestamps
             buf = ts._buffer
             n = ts._length
+            if n and buf[n - 1] >= now:
+                # The tail runs ahead of the clock: cut at ``now``.
+                n = int(np.searchsorted(buf[:n], now))
             anchor_len = r_anchor_len[row]
             if (
                 n < anchor_len
                 or anchor_len == 0
                 or buf[anchor_len - 1] != r_anchor_end[row]
             ):
-                # History was rewritten under the anchor (retention,
-                # backfill, or a restore): the screen's reference is no
-                # longer valid.  Removal is deferred so row indices
-                # collected above stay stable for the whole batch.
+                # History was rewritten under the anchor (retention or
+                # backfill): the screen's reference is no longer valid.
+                # Removal is deferred so row indices collected above
+                # stay stable for the whole batch.
                 invalidations += 1
                 misses += 1
                 invalidated.append(name)
@@ -318,7 +335,10 @@ class IncrementalScanCache:
         stds: Sequence[float],
         had_candidates: Sequence[bool],
     ) -> None:
-        """Re-anchor every series of a batch of full scans at ``now``.
+        """Re-anchor every series of a batch of full scans at ``now``:
+        on the samples stamped before ``now``, the ones the scan's window
+        read (one comparison per series, a bisect only for a tail that
+        runs ahead of the clock).
 
         ``means`` / ``stds`` are the population moments of each series'
         analysis window (the screen's z-score scale) in the series' raw
@@ -338,9 +358,13 @@ class IncrementalScanCache:
                 self._size += 1
                 self._rows[series.name] = row
                 self._names.append(series.name)
+            stamps = series._timestamps
+            n = len(stamps)
+            if stamps.get(-1) >= now:
+                n = stamps.searchsorted(now)
             rows.append(row)
-            ends.append(series.timestamp_at(-1))
-            lengths.append(len(series))
+            ends.append(stamps.get(n - 1) if n else 0.0)
+            lengths.append(n)
         idx = np.fromiter(rows, dtype=np.intp, count=len(rows))
         self._c_anchor_end[idx] = ends
         self._c_anchor_len[idx] = lengths
@@ -389,14 +413,6 @@ class IncrementalScanCache:
             "fired": bool(self._c_fired[row]),
             "n": int(self._c_n[row]),
         }
-
-    def clear(self) -> None:
-        """Drop every anchor (restore path: derived state is rebuilt)."""
-        if self._size:
-            self.invalidations += self._size
-        self._rows.clear()
-        self._names.clear()
-        self._size = 0
 
     def counters(self) -> Dict[str, int]:
         """Hit/miss/invalidation counters as a plain dict."""

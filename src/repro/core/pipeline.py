@@ -50,7 +50,6 @@ from repro.core.types import (
     FilterReason,
     MetricContext,
     Regression,
-    RegressionGroup,
     RegressionKind,
 )
 from repro.core.went_away import WentAwayDetector
@@ -79,7 +78,6 @@ class PipelineResult:
             representatives after all filtering and deduplication).
         all_candidates: Every change-point candidate turned regression
             (including later-filtered ones, each carrying its verdicts).
-        groups: PairwiseDedup groups touched this run.
         funnel: Per-stage survivor counts.
         now: The run's reference time.
         trace: The run's ledger — one span per funnel stage, plus the
@@ -88,7 +86,6 @@ class PipelineResult:
 
     reported: List[Regression]
     all_candidates: List[Regression]
-    groups: List[RegressionGroup]
     funnel: FunnelCounters
     now: float
     trace: RunTrace
@@ -257,10 +254,7 @@ class DetectionPipeline:
         timings["pipeline.stage.detect_seconds"] = block.lap()
 
         alive = [c for c in candidates if not c.verdicts or c.verdicts[-1].passed]
-        touched_groups: List[RegressionGroup] = []
-        for name, enabled, apply, drop_reason in self._collection_stages(
-            database, touched_groups
-        ):
+        for name, enabled, apply, drop_reason in self._collection_stages(database):
             kept = apply(alive) if enabled else alive
             seconds = timings[f"pipeline.stage.{name}_seconds"] = block.lap()
             if drop_reason is not None:
@@ -286,7 +280,6 @@ class DetectionPipeline:
         return PipelineResult(
             reported=reported,
             all_candidates=candidates,
-            groups=touched_groups,
             funnel=FunnelCounters({stage: tallies[stage].outputs for stage in STAGES}),
             now=now,
             trace=RunTrace(
@@ -299,16 +292,6 @@ class DetectionPipeline:
                 timings=timings,
             ),
         )
-
-    def invalidate_incremental(self) -> None:
-        """Drop all derived incremental-scan state (restore boundary).
-
-        Called when shard state is restored from a checkpoint: anchors
-        computed in a previous life must never suppress a re-scan over
-        replayed or repaired history.  No-op when the cache is disabled.
-        """
-        if self.incremental_cache is not None:
-            self.incremental_cache.clear()
 
     # ------------------------------------------------------------------
     # Stage tables
@@ -364,15 +347,13 @@ class DetectionPipeline:
             ),
         )
 
-    def _collection_stages(
-        self, database: TimeSeriesDatabase, touched_groups: List[RegressionGroup]
-    ) -> tuple:
+    def _collection_stages(self, database: TimeSeriesDatabase) -> tuple:
         """The stages that see all survivors at once, in order.
 
         Rows are ``(name, enabled, apply, drop_reason)``: ``apply`` maps
         the live regressions to those the stage keeps, ``drop_reason``
         labels the rest in the stage's span (``None``: not a Table 3
-        row).  Groups PairwiseDedup touches land in ``touched_groups``.
+        row).
         """
 
         def som_representatives(alive: List[Regression]) -> List[Regression]:
@@ -393,7 +374,7 @@ class DetectionPipeline:
 
         def pairwise_openers(alive: List[Regression]) -> List[Regression]:
             # Against groups from prior runs as well as this one's.
-            touched_groups.extend(self.pairwise_dedup.process(alive))
+            self.pairwise_dedup.process(alive)
             return [r for r in alive if r.verdicts and r.verdicts[-1].passed]
 
         def root_caused(alive: List[Regression]) -> List[Regression]:

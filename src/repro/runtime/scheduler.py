@@ -199,11 +199,6 @@ class DetectionScheduler:
         """Registered monitor names, sorted."""
         return sorted(self._monitors)
 
-    def invalidate_incremental(self) -> None:
-        """Drop every monitor's derived incremental-scan cache."""
-        for registration in self._monitors.values():
-            registration.pipeline.invalidate_incremental()
-
     def stale_series(self) -> List[str]:
         """Series evicted from scanning for staleness, across monitors.
 

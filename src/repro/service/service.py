@@ -663,11 +663,10 @@ class StreamingDetectionService:
 
         The restored service resumes exactly where the checkpointed one
         stopped: queued-but-unflushed samples are still queued, and
-        regressions already reported are not re-alerted.  Derived
-        incremental-scan caches are dropped — a stale anchor from the
-        previous life must never suppress a re-scan over replayed
-        history — so the first scan after a restore pays full price and
-        re-anchors from the restored data.
+        regressions already reported are not re-alerted.  Incremental
+        scan anchors come back with the data they were taken on and are
+        checked per series like any other, so the first advance after a
+        restore is an ordinary screened one.
 
         When the newest checkpoint generation is corrupt (bad checksum,
         truncated blob, damaged manifest), the load falls back to the

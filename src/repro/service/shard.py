@@ -268,15 +268,14 @@ class Shard:
     def restore(self, state: dict) -> None:
         """Install an unpickled :meth:`checkpoint_blob` — only while a
         service is being rebuilt, before any thread holds the worker (a
-        live shard never replaces its database or worker).  Anchors of
-        incremental scans are dropped: a restore is a trust boundary,
-        and a stale one must never suppress a re-scan."""
+        live shard never replaces its database or worker).  Incremental
+        scan anchors are kept: they are checked per series against the
+        database they meet, exactly as after :meth:`adopt`."""
         injector = self.worker.fault_injector
         self.database = state["database"]
         self.worker = state["worker"]
         self.scheduler = state["scheduler"]
         self.bind(injector)
-        self.scheduler.invalidate_incremental()
 
     # -- the replicated form ---------------------------------------------
 

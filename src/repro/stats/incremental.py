@@ -132,13 +132,12 @@ class StreamingCusum:
         S- = max(0, S- + (-z - drift))
 
     and fires when either side reaches ``threshold``.  ``drift`` (the
-    allowance ``k``) absorbs noise around the reference mean; the
-    defaults (``drift=0.75``, ``threshold=6.0``, both in standard
-    deviations) keep the in-control false-fire rate under ~2% across a
-    full analysis window of quiet points while still firing on any
-    sustained shift of ~2 sigma — far smaller than anything the
-    pipeline's offline detector reports — so a skip decision based on an
-    unfired screen is conservative.
+    allowance ``k``) absorbs noise around the reference mean.  Its
+    contract: a sustained shift of ``d`` standard deviations with ``d >
+    drift`` adds ``d - drift`` to one side per point, so a noiseless one
+    fires after ``ceil(threshold / (d - drift))`` points; a shift of at
+    most ``drift`` never fires it (see :mod:`repro.core.incremental` for
+    what the scan cache does about that).
 
     A zero/degenerate reference std means the anchored window was
     constant: any deviation from the reference mean fires immediately.

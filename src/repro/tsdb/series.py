@@ -166,14 +166,6 @@ class TimeSeries:
             return None
         return self._timestamps.get(-1), self._values.get(-1)
 
-    def timestamp_at(self, index: int) -> float:
-        """The timestamp at position ``index`` (supports negatives).
-
-        Raises:
-            IndexError: When the position does not exist.
-        """
-        return self._timestamps.get(index)
-
     @property
     def timestamps(self) -> np.ndarray:
         """Timestamps as a numpy array (copy)."""

@@ -161,7 +161,7 @@ class TestPairwiseDedup:
         r2 = make_regression("svc.sub.throughput", v2, metric_name="throughput")
         dedup = PairwiseDedup()
         dedup.process([r1])
-        groups = dedup.process([r2])
+        dedup.process([r2])
         assert len(dedup.groups) == 1
         assert r2.verdicts[-1].reason is FilterReason.PAIRWISE_DUPLICATE
 

@@ -1,11 +1,13 @@
 """Tests for repro.core.incremental (the per-series scan cache)."""
 
+import math
 import pickle
 
 import numpy as np
 import pytest
 
 from repro.core import IncrementalScanCache
+from repro.core.incremental import SCREEN_DRIFT, SCREEN_THRESHOLD
 from repro.tsdb.series import TimeSeries
 
 
@@ -33,9 +35,9 @@ class TestIncrementalScanCache:
     def test_quiet_series_hits_until_staleness(self):
         cache = IncrementalScanCache(max_staleness=12_000.0)
         series = make_series()
-        now = series.timestamp_at(-1)
+        now = series.timestamps[-1]
         anchor(cache, series, now)
-        # No new data, within staleness: the previous verdict stands.
+        # Only quiet data since, within staleness: the verdict stands.
         assert not cache.should_scan(series, now + 6_000.0)
         # A full analysis span later the anchor is too old.
         assert cache.should_scan(series, now + 12_000.0)
@@ -44,7 +46,7 @@ class TestIncrementalScanCache:
     def test_quiet_appends_stay_hits(self):
         cache = IncrementalScanCache(max_staleness=12_000.0)
         series = make_series(seed=1)
-        now = series.timestamp_at(-1)
+        now = series.timestamps[-1]
         anchor(cache, series, now)
         rng = np.random.default_rng(2)
         for tick in range(20):
@@ -56,7 +58,7 @@ class TestIncrementalScanCache:
     def test_shifted_appends_force_full_scan(self):
         cache = IncrementalScanCache(max_staleness=1e9)
         series = make_series(seed=3)
-        now = series.timestamp_at(-1)
+        now = series.timestamps[-1]
         anchor(cache, series, now)
         for tick in range(30):  # 5-sigma shift: the screen must fire
             series.append(now + (tick + 1) * 60.0, 0.0011)
@@ -65,14 +67,14 @@ class TestIncrementalScanCache:
     def test_candidate_series_always_rescanned(self):
         cache = IncrementalScanCache(max_staleness=1e9)
         series = make_series(seed=4)
-        now = series.timestamp_at(-1)
+        now = series.timestamps[-1]
         anchor(cache, series, now, had_candidate=True)
         assert cache.should_scan(series, now + 60.0)
 
     def test_backfill_invalidates_anchor(self):
         cache = IncrementalScanCache(max_staleness=1e9)
         series = make_series(seed=5)
-        now = series.timestamp_at(-1)
+        now = series.timestamps[-1]
         anchor(cache, series, now)
         series.insert(30.0, 0.5)  # out-of-order backfill rewrites history
         assert cache.should_scan(series, now + 60.0)
@@ -82,20 +84,10 @@ class TestIncrementalScanCache:
     def test_shrunk_series_invalidates_anchor(self):
         cache = IncrementalScanCache(max_staleness=1e9)
         series = make_series(seed=6)
-        anchor(cache, series, series.timestamp_at(-1))
+        anchor(cache, series, series.timestamps[-1])
         shorter = make_series(n=100, seed=6, name=series.name)
         assert cache.should_scan(shorter, 1e6)
         assert cache.invalidations == 1
-
-    def test_clear_counts_invalidations(self):
-        cache = IncrementalScanCache(max_staleness=1e9)
-        for index in range(3):
-            series = make_series(seed=index, name=f"svc.sub{index}.gcpu")
-            anchor(cache, series, series.timestamp_at(-1))
-        assert len(cache) == 3
-        cache.clear()
-        assert len(cache) == 0
-        assert cache.invalidations == 3
 
     def test_rejects_nonpositive_staleness(self):
         with pytest.raises(ValueError, match="max_staleness"):
@@ -104,8 +96,80 @@ class TestIncrementalScanCache:
     def test_pickle_round_trip_preserves_anchors(self):
         cache = IncrementalScanCache(max_staleness=12_000.0)
         series = make_series(seed=8)
-        now = series.timestamp_at(-1)
+        now = series.timestamps[-1]
         anchor(cache, series, now)
         clone = pickle.loads(pickle.dumps(cache))
         assert len(clone) == 1
         assert not clone.should_scan(series, now + 60.0)
+
+
+class TestOneCut:
+    """The screen reads what a window ending at ``now`` reads: the
+    samples stamped before ``now``, never one that landed ahead of it."""
+
+    def test_anchor_sits_at_the_position_of_now(self):
+        cache = IncrementalScanCache(max_staleness=1e9)
+        series = make_series()  # ticks 0 .. 299, 60 s apart
+        anchor(cache, series, 200 * 60.0)
+        state = cache.screen_state(series.name)
+        assert (state["anchor_len"], state["anchor_end"]) == (200, 199 * 60.0)
+        # A sample stamped exactly at ``now`` is outside the window too.
+        anchor(cache, series, 199 * 60.0)
+        assert cache.screen_state(series.name)["anchor_len"] == 199
+
+    def test_samples_ahead_of_now_are_not_folded(self):
+        cache = IncrementalScanCache(max_staleness=1e9)
+        series = make_series(seed=3)
+        now = series.timestamps[-1] + 60.0
+        anchor(cache, series, now)
+        for tick in range(30):  # a 5-sigma shift, stamped from ``now`` on
+            series.append(now + tick * 60.0, 0.0011)
+        assert not cache.should_scan(series, now)
+        assert cache.screen_state(series.name)["n"] == 0
+        assert cache.should_scan(series, now + 1_800.0)
+
+
+class TestScreenContract:
+    """What the screen promises, in reference standard deviations of
+    the anchored analysis window."""
+
+    MEAN, SIGMA = 1.0, 0.01
+
+    def anchored(self, max_staleness):
+        """A cache anchored at ``now`` on a window whose population
+        moments are exactly (MEAN, SIGMA), and the series it watches."""
+        cache = IncrementalScanCache(max_staleness=max_staleness)
+        series = TimeSeries("svc.contract.gcpu")
+        window = [self.MEAN + self.SIGMA * (-1) ** tick for tick in range(100)]
+        series.extend((tick * 60.0, value) for tick, value in enumerate(window))
+        now = series.timestamps[-1] + 60.0
+        cache.record_full_scan(series, now, window, had_candidate=False)
+        return cache, series, now
+
+    def decisions(self, cache, series, now, step, points):
+        """Append ``points`` samples of a noiseless ``step``-sigma shift
+        one at a time, screening after each; the decisions in order."""
+        out = []
+        for tick in range(points):
+            series.append(now + tick * 60.0, self.MEAN + step * self.SIGMA)
+            out.append(cache.should_scan(series, now + (tick + 1) * 60.0))
+        return out
+
+    def test_a_two_sigma_step_fires_after_the_contract_count(self):
+        cache, series, now = self.anchored(max_staleness=1e9)
+        expected = math.ceil(SCREEN_THRESHOLD / (2.0 - SCREEN_DRIFT))
+        assert self.decisions(cache, series, now, 2.0, expected) == (
+            [False] * (expected - 1) + [True]
+        )
+        assert cache.screen_state(series.name)["fired"]
+
+    def test_a_step_below_the_drift_is_scanned_only_when_stale(self):
+        max_staleness = 12_000.0
+        cache, series, now = self.anchored(max_staleness)
+        points = 2 * int(max_staleness / 60.0)
+        decided = self.decisions(cache, series, now, 0.9 * SCREEN_DRIFT, points)
+        assert not cache.screen_state(series.name)["fired"]
+        # Screened at now + (i + 1) * 60 s: the first forced scan is the
+        # one at which the anchor is max_staleness old, and none before.
+        stale_from = int(max_staleness / 60.0) - 1
+        assert decided == [False] * stale_from + [True] * (points - stale_from)

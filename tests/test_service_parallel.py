@@ -244,7 +244,7 @@ class TestSnapshotOwnership:
     def series_shape(service):
         """``name -> (length, first timestamp)`` over every shard."""
         return {
-            series.name: (len(series), series.timestamp_at(0))
+            series.name: (len(series), series.timestamps[0])
             for shard_id in range(service.n_shards)
             for series in service.shard_database(shard_id)
         }
@@ -440,12 +440,9 @@ class TestKillRestoreUnderWorkers:
     KILL_TICK = 950  # after the first report (scan at t=54000) lands
 
     def test_kill_mid_stream_restore_with_workers(self, tmp_path):
-        """Regression test: restore must drop derived incremental state.
-
-        A service killed mid-stream and restored under ``workers=4``
+        """A service killed mid-stream and restored under ``workers=4``
         must deliver exactly the reports the uninterrupted run would
-        have — even though the checkpoint blobs carry warm scan caches
-        whose anchors describe pre-kill history.
+        have, with the warm scan caches its checkpoint blobs carry.
         """
         samples = make_stream(seed=7, regress_index=3)
         split = self.KILL_TICK * len(SERIES)
@@ -469,13 +466,6 @@ class TestKillRestoreUnderWorkers:
         restored = StreamingDetectionService.restore(
             directory, sinks=[sink_after], workers=4
         )
-        # The trust boundary: every restored pipeline starts with an
-        # empty incremental cache, whatever the blob carried.
-        for shard in restored._shards.values():
-            for registration in shard.scheduler._monitors.values():
-                cache = registration.pipeline.incremental_cache
-                assert cache is not None and len(cache) == 0
-
         for begin in range(split, len(samples), chunk):
             batch = samples[begin : begin + chunk]
             restored.ingest_many(batch)
@@ -750,7 +740,7 @@ class TestAdvanceFailureRecovery:
 class TestKillRestoreUnderWorkersCaches:
     KILL_TICK = TestKillRestoreUnderWorkers.KILL_TICK
 
-    def test_checkpoint_blobs_keep_caches_but_restore_drops_them(self, tmp_path):
+    def test_restore_keeps_checkpoint_anchors(self, tmp_path):
         samples = make_stream(seed=7, regress_index=3)
         split = self.KILL_TICK * len(SERIES)
         service = make_service(CollectingSink(), workers=1)
@@ -759,19 +749,25 @@ class TestKillRestoreUnderWorkersCaches:
             batch = samples[begin : min(begin + chunk, split)]
             service.ingest_many(batch)
             service.advance_to(batch[-1].timestamp + INTERVAL)
-        # The live service holds warm anchors by now.
-        warm = sum(
-            len(registration.pipeline.incremental_cache)
-            for shard in service._shards.values()
-            for registration in shard.scheduler._monitors.values()
-        )
-        assert warm > 0
+
+        def anchors(svc):
+            """``(shard, monitor, series) -> screen state`` of every anchor."""
+            return {
+                (shard_id, monitor, series.name): state
+                for shard_id, shard in svc._shards.items()
+                for monitor, registration in shard.scheduler._monitors.items()
+                for series in svc.shard_database(shard_id)
+                for state in [
+                    registration.pipeline.incremental_cache.screen_state(series.name)
+                ]
+                if state is not None
+            }
+
+        warm = anchors(service)
+        assert warm, "the live service holds warm anchors by now"
         directory = str(tmp_path / "ckpt")
         service.checkpoint(directory)
         restored = StreamingDetectionService.restore(directory)
-        cold = sum(
-            len(registration.pipeline.incremental_cache)
-            for shard in restored._shards.values()
-            for registration in shard.scheduler._monitors.values()
-        )
-        assert cold == 0
+        assert anchors(restored) == warm
+        service.close()
+        restored.close()

@@ -335,13 +335,7 @@ class TestSerialAdvanceUnderLiveIngest:
             n_shards=2, sinks=[sink], workers=1, queue_capacity=1 << 20,
             backpressure=BackpressurePolicy.BLOCK, batch_size=64,
         )
-        # A full scan reads [now - window, now): what it reports cannot
-        # depend on how far ahead of ``now`` the producer has run.  The
-        # incremental screen folds every point that has landed, so it
-        # is left out of a run whose reports must repeat.
-        service.register_monitor(
-            "gcpu", small_config(), series_filter=TAGS, incremental=False
-        )
+        service.register_monitor("gcpu", small_config(), series_filter=TAGS)
         values = np.random.default_rng(3).normal(0.001, 0.00002, (8, 1_100))
         values[3, 700:] += 0.0003
         offered = [threading.Event() for _ in range(11)]
