@@ -127,7 +127,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="JSON_PATH_OR_SEED",
         help="run the demo under fault injection: a path to a fault-plan "
-        "JSON file, or 'chaos:<seed>' for a generated chaos schedule",
+        "JSON file, or 'chaos:<seed>' for a generated chaos schedule. Kinds: "
+        "worker_crash, advance_hang, flush_error, flusher_death; damage the "
+        "data itself with --dirty-data",
     )
     serve.add_argument(
         "--dirty-data",

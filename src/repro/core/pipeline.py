@@ -543,12 +543,17 @@ class DetectionPipeline:
         """Track and report whether ``series`` stopped reporting.
 
         A stale series is evicted from scheduling until it resumes: a
-        dead host must cost nothing per tick and never alert.
+        dead host must cost nothing per tick and never alert.  Its last
+        sample is the last one stamped before ``now`` — the cut a window
+        at ``now`` holds — however far ingest runs ahead of the clock.
         """
-        last = series.end
-        if last is None:
+        stamps = series._timestamps
+        n = len(stamps)
+        if n and stamps.get(-1) >= now:  # the tail runs ahead of the clock
+            n = stamps.searchsorted(now)
+        if not n:
             return False
-        if self.quality_gate.is_stale(last, now, self.config.windows.analysis):
+        if self.quality_gate.is_stale(stamps.get(n - 1), now, self.config.windows.analysis):
             if series.name not in self._stale:
                 self._stale.add(series.name)
                 counts.inc("pipeline.quality.stale_evictions")

@@ -5,13 +5,19 @@ deployment keeps detecting through host failures, rolling updates, and
 canary churn (§7).  A reproduction that only exercises the happy path
 cannot claim that property, so this package makes the failure paths
 first-class: a seedable :class:`FaultPlan` describes *which* faults fire
-*when* (worker-process crashes, shard-advance hangs, checkpoint blob
-corruption, flush-thread death, clock skew), and a :class:`FaultInjector`
-is threaded through the service's hook points
+*when* (worker-process crashes, shard-advance hangs, TSDB flush errors,
+flush-thread death), and a :class:`FaultInjector` is threaded through
+the service's hook points
 (:class:`~repro.service.parallel.ParallelShardExecutor`,
-:class:`~repro.service.ingest.ShardIngestWorker`,
-:class:`~repro.service.checkpoint.CheckpointManager`, the background
-flushers, and the service's wall clock) to execute it.
+:class:`~repro.service.ingest.ShardIngestWorker` and the background
+flushers) to execute it.
+
+The injector holds only failures that must land at a point *inside* a
+running flush or advance.  Damage a caller can do from outside is done
+from outside: dirty data is a transformed stream
+(:mod:`repro.fleet.dirty`, ``serve-demo --dirty-data``), a damaged
+checkpoint is bytes flipped on disk, and a stepped wall clock is a
+stepped ``time.time``.
 
 Determinism is the design constraint: every injection decision is drawn
 from a per-(spec) seeded RNG stream, so the same plan against the same

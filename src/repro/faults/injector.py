@@ -26,11 +26,10 @@ from __future__ import annotations
 
 import random
 import threading
-from typing import Callable, Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.faults.plan import FaultKind, FaultPlan, FaultSpec
 from repro.obs.logging import get_logger
-from repro.tsdb.columnar import SeriesFrame
 
 __all__ = ["FaultInjector", "InjectedFault"]
 
@@ -57,10 +56,9 @@ class _SpecState:
         self.rng = random.Random(f"repro.faults:{seed}:{index}:{spec.kind.value}")
 
     def matches(self, site: str, shard: Optional[int]) -> bool:
-        """``site`` is a site, or a prefix naming a family (``"data."``)."""
-        if not self.spec.site.startswith(site):
-            return False
-        return self.spec.shard is None or shard is None or self.spec.shard == shard
+        return self.spec.site == site and (
+            self.spec.shard is None or shard is None or self.spec.shard == shard
+        )
 
     def consider(self) -> bool:
         """Advance this spec's invocation counter; report whether it fires."""
@@ -85,8 +83,8 @@ class FaultInjector:
     service wires its own registry and event log; unwired, the injector
     only decides.
 
-    Thread-safe: hook points are called from the advance thread, the
-    background flushers, and checkpoint writers concurrently.
+    Thread-safe: hook points are called from the advance thread and the
+    background flushers concurrently.
     """
 
     def __init__(self, plan: FaultPlan) -> None:
@@ -98,15 +96,6 @@ class FaultInjector:
             _SpecState(spec, plan.seed, index)
             for index, spec in enumerate(plan.specs)
         ]
-        # Cached so the per-sample ingest path pays one attribute read,
-        # not a spec scan, when the plan has no data faults (the common
-        # case, and all pre-existing plans).
-        self.has_data_faults = any(
-            spec.site.startswith("data.") for spec in plan.specs
-        )
-        # Rows a data.reorder fault is holding back, by series (delivered
-        # late, behind the next row of their series).
-        self._held: Dict[str, SeriesFrame] = {}
 
     def wire(self, metrics: Optional[object] = None, events: Optional[object] = None) -> None:
         """Attach a registry-like object (``inc(name, n)``) for the
@@ -143,102 +132,6 @@ class FaultInjector:
         if spec is not None:
             raise InjectedFault(f"injected {spec.kind.value} at {site} (shard={shard})")
 
-    def corrupt_payload(self, site: str, payload: bytes) -> Optional[bytes]:
-        """Sites ``checkpoint.blob`` / ``checkpoint.manifest``.
-
-        Returns the bytes to write *instead of* ``payload`` when a spec
-        fires (flipped byte or truncation), else ``None``.  The caller
-        records the checksum of the pristine payload, so the damage is
-        latent until load time — like real disk corruption.
-        """
-        spec = self._fire(site, None)
-        if spec is None:
-            return None
-        if spec.kind is FaultKind.CHECKPOINT_TRUNCATE:
-            return payload[: max(1, len(payload) // 2)]
-        mutated = bytearray(payload)
-        if mutated:
-            mutated[len(mutated) // 2] ^= 0xFF
-        return bytes(mutated)
-
-    def data_directive(self, shard: Optional[int] = None) -> Optional[FaultKind]:
-        """Sites ``data.corrupt`` / ``data.reorder`` / ``data.gap``.
-
-        One ingested sample is one invocation of the whole data plane:
-        the three sites are consulted as one (:meth:`_fire` on their
-        common prefix), so at most one data fault fires per sample.
-
-        Returns:
-            The winning :class:`FaultKind` (``DATA_CORRUPT`` /
-            ``DATA_REORDER`` / ``DATA_GAP``) or ``None``.
-        """
-        spec = self._fire("data.", shard)
-        return spec.kind if spec is not None else None
-
-    def ingest(self, frame: SeriesFrame, offer: Callable[[SeriesFrame], int]) -> int:
-        """Pass a frame to ``offer`` through the data faults — one row at
-        a time, because they decide per sample; returns the rows accepted.
-
-        ``data.gap`` drops the row before admission, ``data.corrupt``
-        replaces its value with NaN, ``data.reorder`` holds it back until
-        the *next* row of its series arrives, so it is delivered late and
-        out of order: the admission layer meets them exactly the way it
-        would production dirt.  Callers guard on :attr:`has_data_faults`.
-        """
-        accepted = 0
-        for index in range(len(frame)):
-            row = frame[index : index + 1]
-            directive = self.data_directive()
-            if directive is FaultKind.DATA_GAP:
-                continue
-            if directive is FaultKind.DATA_CORRUPT:
-                row = SeriesFrame(row.name, row.tags, row.timestamps, [float("nan")])
-            with self._lock:
-                held = self._held.pop(row.name, None)
-                if directive is FaultKind.DATA_REORDER:
-                    self._held[row.name] = row
-            # A previously held row (if any) is displaced and delivered
-            # now, late and out of order, behind the row that displaced it.
-            accepted += 1 if directive is FaultKind.DATA_REORDER else offer(row)
-            if held is not None:
-                offer(held)
-        return accepted
-
-    def release_held(self, offer: Callable[[SeriesFrame], int]) -> None:
-        """Deliver every reorder-held row (an advance/flush boundary)."""
-        with self._lock:
-            held = list(self._held.values())
-            self._held.clear()
-        for row in held:
-            offer(row)
-
-    def clock_skew(self) -> float:
-        """Site ``clock``: the current wall-clock offset in seconds.
-
-        A skew spec fires once (per budget unit) and then *stays
-        applied* — an NTP step moves the clock, it does not tick it —
-        so the sum of all fired skews is the live offset.
-        """
-        with self._lock:
-            offset = 0.0
-            for state in self._states:
-                if state.spec.kind is not FaultKind.CLOCK_SKEW:
-                    continue
-                state.seen += 1
-                if (
-                    state.fired == 0
-                    and state.seen > state.spec.after
-                    and (
-                        state.spec.probability >= 1.0
-                        or state.rng.random() < state.spec.probability
-                    )
-                ):
-                    state.fired = 1
-                    self._record(state.spec, None)
-                if state.fired:
-                    offset += state.spec.skew_seconds
-            return offset
-
     # -- introspection ---------------------------------------------------
 
     def counts(self) -> Dict[str, int]:
@@ -257,7 +150,6 @@ class FaultInjector:
             return all(
                 state.spec.times is None or state.fired >= state.spec.times
                 for state in self._states
-                if state.spec.kind is not FaultKind.CLOCK_SKEW
             )
 
     def snapshot(self) -> dict:

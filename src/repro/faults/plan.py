@@ -33,26 +33,6 @@ class FaultKind(str, enum.Enum):
     FLUSH_ERROR = "flush_error"
     #: A background flusher iteration dies.
     FLUSHER_DEATH = "flusher_death"
-    #: A checkpoint shard blob is written with a flipped byte (the
-    #: manifest records the true SHA-256, so the corruption is latent
-    #: until load time — exactly like real disk corruption).
-    CHECKPOINT_CORRUPT = "checkpoint_corrupt"
-    #: A checkpoint shard blob is written truncated to half its size.
-    CHECKPOINT_TRUNCATE = "checkpoint_truncate"
-    #: A checkpoint manifest is written corrupted.
-    MANIFEST_CORRUPT = "manifest_corrupt"
-    #: The service's wall clock steps by ``skew_seconds`` (an NTP step);
-    #: monotonic readings are unaffected, which is the point under test.
-    CLOCK_SKEW = "clock_skew"
-    #: One ingested sample's value is replaced with NaN before it
-    #: reaches admission (a collector emitting garbage).
-    DATA_CORRUPT = "data_corrupt"
-    #: One ingested sample is delivered late, after the next sample of
-    #: its series (a clock-skewed host shipping an out-of-order batch).
-    DATA_REORDER = "data_reorder"
-    #: One ingested sample is silently dropped before admission (a host
-    #: restart losing samples).
-    DATA_GAP = "data_gap"
 
 
 #: Hook-point site for each fault kind.  Sites are the vocabulary the
@@ -64,13 +44,6 @@ SITES: Dict[FaultKind, str] = {
     FaultKind.ADVANCE_HANG: "worker.advance",
     FaultKind.FLUSH_ERROR: "ingest.flush",
     FaultKind.FLUSHER_DEATH: "flusher",
-    FaultKind.CHECKPOINT_CORRUPT: "checkpoint.blob",
-    FaultKind.CHECKPOINT_TRUNCATE: "checkpoint.blob",
-    FaultKind.MANIFEST_CORRUPT: "checkpoint.manifest",
-    FaultKind.CLOCK_SKEW: "clock",
-    FaultKind.DATA_CORRUPT: "data.corrupt",
-    FaultKind.DATA_REORDER: "data.reorder",
-    FaultKind.DATA_GAP: "data.gap",
 }
 
 
@@ -89,8 +62,6 @@ class FaultSpec:
         probability: Chance of firing per eligible invocation, drawn
             from the spec's seeded RNG stream (1.0 = always).
         hang_seconds: Sleep duration for :attr:`FaultKind.ADVANCE_HANG`.
-        skew_seconds: Wall-clock step for :attr:`FaultKind.CLOCK_SKEW`
-            (negative steps the clock backwards).
     """
 
     kind: FaultKind
@@ -99,7 +70,6 @@ class FaultSpec:
     after: int = 0
     probability: float = 1.0
     hang_seconds: float = 0.5
-    skew_seconds: float = 0.0
 
     def __post_init__(self) -> None:
         if self.times is not None and self.times < 1:
@@ -121,7 +91,6 @@ class FaultSpec:
             "after": self.after,
             "probability": self.probability,
             "hang_seconds": self.hang_seconds,
-            "skew_seconds": self.skew_seconds,
         }
 
     @classmethod
@@ -137,7 +106,7 @@ class FaultSpec:
             kind = FaultKind(data.pop("kind"))
         except (KeyError, ValueError) as error:
             raise ValueError(f"unknown or missing fault kind in {payload!r}") from error
-        known = {"shard", "times", "after", "probability", "hang_seconds", "skew_seconds"}
+        known = {"shard", "times", "after", "probability", "hang_seconds"}
         unknown = set(data) - known
         if unknown:
             raise ValueError(f"unknown fault spec keys: {sorted(unknown)}")
@@ -153,7 +122,7 @@ class FaultPlan:
         plan = FaultPlan(seed=7, specs=(
             FaultSpec(FaultKind.WORKER_CRASH, times=2),
             FaultSpec(FaultKind.ADVANCE_HANG, hang_seconds=0.6, after=3),
-            FaultSpec(FaultKind.CHECKPOINT_CORRUPT),
+            FaultSpec(FaultKind.FLUSH_ERROR, shard=1),
         ))
         injector = FaultInjector(plan)
     """
@@ -187,23 +156,13 @@ class FaultPlan:
         return cls.from_dict(payload)
 
     @classmethod
-    def chaos(
-        cls,
-        seed: int,
-        n_shards: int = 4,
-        include_clock_skew: bool = True,
-        include_data_faults: bool = False,
-    ) -> "FaultPlan":
+    def chaos(cls, seed: int, n_shards: int = 4) -> "FaultPlan":
         """A randomized-but-reproducible chaos schedule for drills.
 
         The same seed always yields the same plan, so a CI seed matrix
         reruns the exact drill that failed.  Every generated spec has a
         finite budget — chaos plans must *exhaust*, or the run could
         never converge back to the fault-free outcome.
-
-        Data faults (``include_data_faults``) are drawn *after* every
-        process-plane spec, so enabling them never changes the plan an
-        existing seed produces for the process plane.
         """
         rng = random.Random(f"repro.faults.chaos:{seed}")
         specs: List[FaultSpec] = [
@@ -223,12 +182,6 @@ class FaultPlan:
                     after=rng.randint(0, 6),
                 )
             )
-        specs.append(
-            FaultSpec(
-                rng.choice([FaultKind.CHECKPOINT_CORRUPT, FaultKind.CHECKPOINT_TRUNCATE]),
-                after=rng.randint(0, 2),
-            )
-        )
         if rng.random() < 0.6:
             specs.append(
                 FaultSpec(
@@ -236,41 +189,6 @@ class FaultPlan:
                     shard=rng.choice([None] + list(range(n_shards))),
                     times=rng.randint(1, 3),
                     after=rng.randint(0, 20),
-                )
-            )
-        if include_clock_skew and rng.random() < 0.7:
-            specs.append(
-                FaultSpec(
-                    FaultKind.CLOCK_SKEW,
-                    skew_seconds=rng.choice([-1.0, 1.0]) * rng.uniform(100.0, 7200.0),
-                    after=rng.randint(0, 3),
-                )
-            )
-        if include_data_faults:
-            # Data faults fire per ingested *sample*, not per advance, so
-            # their budgets are an order larger than the process-plane
-            # specs' — still finite, so the drill exhausts.
-            specs.append(
-                FaultSpec(
-                    FaultKind.DATA_CORRUPT,
-                    times=rng.randint(3, 12),
-                    after=rng.randint(0, 50),
-                )
-            )
-            specs.append(
-                FaultSpec(
-                    FaultKind.DATA_REORDER,
-                    times=rng.randint(10, 40),
-                    after=rng.randint(0, 50),
-                    probability=round(rng.uniform(0.3, 0.9), 3),
-                )
-            )
-            specs.append(
-                FaultSpec(
-                    FaultKind.DATA_GAP,
-                    times=rng.randint(5, 25),
-                    after=rng.randint(0, 50),
-                    probability=round(rng.uniform(0.3, 0.9), 3),
                 )
             )
         return cls(seed=seed, specs=tuple(specs))

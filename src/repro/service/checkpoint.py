@@ -42,7 +42,7 @@ import json
 import os
 import pickle
 import re
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 __all__ = ["CheckpointError", "CheckpointManager", "CHECKPOINT_VERSION"]
 
@@ -78,11 +78,6 @@ class CheckpointManager:
             than one is what makes corruption survivable: when the
             newest generation fails its checksums, :meth:`load` falls
             back to the next intact one.
-        fault_injector: Optional :class:`~repro.faults.FaultInjector`
-            consulted at the ``checkpoint.blob`` / ``checkpoint.manifest``
-            sites; when a spec fires, the *mutated* bytes are written
-            while the manifest records the pristine SHA-256 — latent
-            damage, detected at load time like real disk corruption.
 
     Example::
 
@@ -95,13 +90,11 @@ class CheckpointManager:
         self,
         directory: str,
         keep_generations: int = 3,
-        fault_injector: Optional[Any] = None,
     ) -> None:
         if keep_generations < 1:
             raise ValueError("keep_generations must be >= 1")
         self.directory = str(directory)
         self.keep_generations = keep_generations
-        self.fault_injector = fault_injector
         # Filled by load(): which generation satisfied it and how many
         # newer generations had to be skipped as corrupt.
         self._last_load: Optional[Dict[str, object]] = None
@@ -139,14 +132,7 @@ class CheckpointManager:
         shard_index = {}
         for shard_id, blob in shards.items():
             filename = f"shard-{shard_id}.g{generation}.pkl"
-            payload = blob
-            if self.fault_injector is not None:
-                mutated = self.fault_injector.corrupt_payload("checkpoint.blob", blob)
-                if mutated is not None:
-                    payload = mutated
-            self._atomic_write(filename, payload)
-            # The SHA is always of the *pristine* blob: injected
-            # corruption stays latent until load, like the real thing.
+            self._atomic_write(filename, blob)
             shard_index[str(shard_id)] = {
                 "file": filename,
                 "sha256": hashlib.sha256(blob).hexdigest(),
@@ -159,17 +145,11 @@ class CheckpointManager:
             "shards": shard_index,
         }
         encoded = json.dumps(manifest, indent=2, sort_keys=True).encode()
-        manifest_payload = encoded
-        if self.fault_injector is not None:
-            mutated = self.fault_injector.corrupt_payload("checkpoint.manifest", encoded)
-            if mutated is not None:
-                manifest_payload = mutated
-        self._atomic_write(f"manifest.g{generation}.json", manifest_payload)
+        self._atomic_write(f"manifest.g{generation}.json", encoded)
         # The pointer is written last: until it lands, loaders see the
-        # previous generation.  It gets the same (possibly corrupted)
-        # bytes — load() falls back to per-generation manifests when the
-        # pointer is damaged.
-        self._atomic_write(MANIFEST_NAME, manifest_payload)
+        # previous generation.  load() falls back to per-generation
+        # manifests when the pointer is damaged.
+        self._atomic_write(MANIFEST_NAME, encoded)
         self._prune(keep_from=generation)
         return self.manifest_path
 
@@ -247,7 +227,7 @@ class CheckpointManager:
                 return json.load(source)
         except FileNotFoundError as error:
             raise CheckpointError(f"no checkpoint manifest at {path}") from error
-        except (OSError, json.JSONDecodeError) as error:
+        except (OSError, ValueError) as error:  # bad JSON, or not UTF-8 at all
             raise CheckpointError(f"unreadable manifest: {error}") from error
 
     def _generations(self) -> List[int]:

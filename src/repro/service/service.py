@@ -106,9 +106,9 @@ class StreamingDetectionService:
             identical report order to the serial path).
         retention: Per-shard TSDB retention (seconds; 0 disables).
         fault_injector: Optional :class:`~repro.faults.FaultInjector`
-            threaded through the parallel executor, ingest workers,
-            background flushers, checkpoint writer, and the service's
-            wall clock — ``None`` (production) makes every hook a no-op.
+            threaded through the parallel executor, ingest workers and
+            background flushers — ``None`` (production) makes every
+            hook a no-op.
         advance_deadline: Per-shard advance deadline in seconds (a
             blown deadline counts as a failure and retries, see
             :class:`~repro.service.parallel.ParallelShardExecutor`;
@@ -187,8 +187,7 @@ class StreamingDetectionService:
         self._flushers: List[threading.Thread] = []
         self._stop_flushers = threading.Event()
         # Wall clock is for display only; recovery/aging decisions use
-        # the monotonic reading, which an NTP step (or injected clock
-        # skew) cannot move.
+        # the monotonic reading, which an NTP step cannot move.
         self._last_checkpoint_at: Optional[float] = None
         self._last_checkpoint_mono: Optional[float] = None
         # Per-shard degradation reasons, keyed (shard_id, category) ->
@@ -205,18 +204,6 @@ class StreamingDetectionService:
     @property
     def clock(self) -> float:
         return self._clock
-
-    def _wall(self) -> float:
-        """Wall-clock time, including any injected NTP-style skew.
-
-        Display timestamps come from here; durations and ages never do
-        (they use ``time.monotonic``), which is exactly the property the
-        clock-skew chaos drill asserts.
-        """
-        now = time.time()
-        if self.fault_injector is not None:
-            now += self.fault_injector.clock_skew()
-        return now
 
     def _set_degraded(self, shard_id: int, category: str, reason: str) -> None:
         with self._degraded_lock:
@@ -356,19 +343,11 @@ class StreamingDetectionService:
             How many of its rows were accepted (buffered, or held for
             reordering).
         """
-        injector = self.fault_injector
-        if injector is not None and injector.has_data_faults:
-            return injector.ingest(frame, self._offer_routed)
-        return self._offer_routed(frame)
-
-    def _offer_routed(self, frame: SeriesFrame) -> int:
         shard_id = self.router.shard_for(frame.name)
         return self._shards[shard_id].worker.offer(frame)
 
     def flush(self) -> int:
         """Drain every shard queue into its TSDB; returns samples written."""
-        if self.fault_injector is not None:
-            self.fault_injector.release_held(self._offer_routed)
         return sum(shard.worker.flush() for shard in self._shards.values())
 
     # ------------------------------------------------------------------
@@ -392,8 +371,6 @@ class StreamingDetectionService:
             The incident reports delivered to sinks by this call.
         """
         delivered: List[IncidentReport] = []
-        if self.fault_injector is not None:
-            self.fault_injector.release_held(self._offer_routed)
         with self.metrics.timer("service.advance_seconds"):
             if self._executor is not None and self.n_shards > 1:
                 self._advance_parallel(target, delivered)
@@ -636,11 +613,11 @@ class StreamingDetectionService:
             funnel=self.funnel.counts,
             metrics=self.metrics.snapshot(),
         )
-        path = CheckpointManager(directory, fault_injector=self.fault_injector).save(
+        path = CheckpointManager(directory).save(
             meta,
             {shard_id: shard.checkpoint_blob() for shard_id, shard in self._shards.items()},
         )
-        self._last_checkpoint_at = self._wall()
+        self._last_checkpoint_at = time.time()
         self._last_checkpoint_mono = time.monotonic()
         self.events.record("checkpoint_written", clock=self._clock)
         _log.info(
@@ -709,7 +686,7 @@ class StreamingDetectionService:
             )
         # The restored in-memory state is exactly as fresh as the load;
         # the trace ring buffer starts empty (process-local state).
-        service._last_checkpoint_at = service._wall()
+        service._last_checkpoint_at = time.time()
         service._last_checkpoint_mono = time.monotonic()
         _log.info(
             "service restored",

@@ -1,20 +1,20 @@
-"""Chaos drill for the data plane: ``data.corrupt`` / ``data.reorder`` /
-``data.gap`` fault sites versus a clean run.
+"""Chaos drill for the data plane: a stream damaged from outside by
+:mod:`repro.fleet.dirty` — NaN bursts, gaps on quiet series, reordering —
+versus the clean run.
 
-Data faults differ from process faults: they genuinely remove points
-(gaps) or replace them with garbage (corruption), so the dirty run
-cannot be byte-identical to the clean one.  The contract is instead:
+Gaps genuinely remove points, so the dirty run cannot be byte-identical
+to the clean one.  The contract is instead:
 
 - zero false alerts and zero missed regressions — the *set* of alerted
   metrics matches the clean run exactly;
-- every damaged sample is accounted for — quarantined (corruption),
+- every damaged sample is accounted for — quarantined (the NaN extras),
   absent (gaps), or re-sequenced (reordering), never silently wrong in
   a shard TSDB;
 - quarantine state and admission counters survive the SIGKILL pattern
   (checkpoint -> abandon the process -> restore), under parallel
   (``workers=4``) shard advances.
 
-``REPRO_CHAOS_SEED`` overrides the fault-plan seed, mirroring the
+``REPRO_CHAOS_SEED`` overrides the damage seed, mirroring the
 process-fault drill next door.
 """
 
@@ -25,7 +25,7 @@ import numpy as np
 import pytest
 
 from repro.config import DetectionConfig
-from repro.faults import FaultInjector, FaultKind, FaultPlan, FaultSpec
+from repro.fleet.dirty import DirtyDataSpec, dirty_stream
 from repro.runtime import CollectingSink
 from repro.service import BackpressurePolicy, Sample, StreamingDetectionService
 from repro.service import views
@@ -40,12 +40,7 @@ N_SHARDS = 4
 ADVANCE_EVERY = 200  # ticks per ingest/advance round
 CHECKPOINT_ROUND = 2  # round after which the kill-pattern checkpoint lands
 
-# Budgets for the one data-fault seed: finite, so the run provably
-# absorbs *all* of the damage (``injector.exhausted()``), and small
-# enough that gaps stay far below the gap-gate's coverage floor.
-CORRUPT_BUDGET = 15
-GAP_BUDGET = 60
-REORDER_BUDGET = 400
+ROUND_SPAN = ADVANCE_EVERY * INTERVAL
 
 
 def _seed():
@@ -81,24 +76,20 @@ def make_stream(seed=7):
     return samples
 
 
-def data_plan(seed):
-    """One data-fault chaos schedule.
-
-    The small budgets go first: :meth:`FaultInjector.data_directive` is
-    winner-takes-all per sample, so the large reorder budget must not
-    shadow the corrupt/gap draws.
-    """
-    return FaultPlan(seed=seed, specs=(
-        FaultSpec(FaultKind.DATA_CORRUPT, times=CORRUPT_BUDGET,
-                  after=40, probability=0.5),
-        FaultSpec(FaultKind.DATA_GAP, times=GAP_BUDGET,
-                  after=90, probability=0.4),
-        FaultSpec(FaultKind.DATA_REORDER, times=REORDER_BUDGET,
-                  after=20, probability=0.5),
-    ))
+def dirty_spec(seed):
+    """The damage: NaN bursts on three series, gaps on two quiet ones
+    (far below the gap gate's coverage floor), and reordering in blocks
+    of four ticks — all of it within admission's reorder window."""
+    return DirtyDataSpec(
+        seed=seed,
+        reorder_block=4 * len(SERIES),
+        nan_series=tuple(SERIES[:3]),
+        gap_series=(SERIES[5], SERIES[6]),
+        gap_fraction=0.03,
+    )
 
 
-def make_service(sink, injector=None):
+def make_service(sink):
     service = StreamingDetectionService(
         n_shards=N_SHARDS,
         workers=4,
@@ -106,7 +97,6 @@ def make_service(sink, injector=None):
         queue_capacity=2**14,
         backpressure=BackpressurePolicy.BLOCK,
         batch_size=128,
-        fault_injector=injector,
     )
     service.register_monitor(
         "gcpu", small_config(), series_filter={"metric": "gcpu"}
@@ -117,18 +107,20 @@ def make_service(sink, injector=None):
 def drive(service, samples, ckpt_dir):
     """Ingest/advance in fixed rounds with one mid-stream checkpoint.
 
+    A round is the samples stamped inside its span, in delivery order,
+    so a reordered stream meets the same advances as the clean one.
     Returns the quality snapshot captured at the checkpoint instant —
     the ground truth the SIGKILL-restore test compares against.  No
     background flusher runs and every round is synchronous, so nothing
     mutates admission state between the checkpoint and the snapshot.
     """
     at_checkpoint = None
-    chunk = ADVANCE_EVERY * len(SERIES)
-    rounds = [samples[begin: begin + chunk]
-              for begin in range(0, len(samples), chunk)]
-    for index, batch in enumerate(rounds):
-        service.ingest_many(batch)
-        service.advance_to(batch[-1].timestamp + INTERVAL)
+    rounds = {}
+    for sample in samples:
+        rounds.setdefault(int(sample.timestamp // ROUND_SPAN), []).append(sample)
+    for index in sorted(rounds):
+        service.ingest_many(rounds[index])
+        service.advance_to((index + 1) * ROUND_SPAN)
         if index == CHECKPOINT_ROUND:
             service.checkpoint(ckpt_dir)
             at_checkpoint = views.quality(service)[1]
@@ -145,35 +137,36 @@ def total_tsdb_points(service):
 
 
 @pytest.fixture(scope="module")
-def clean_alerts(tmp_path_factory):
-    """The fault-free drill outcome: exactly the planted regression."""
+def clean_run(tmp_path_factory):
+    """The undamaged drill outcome: exactly the planted regression."""
     sink = CollectingSink()
     service = make_service(sink)
     try:
         drive(service, make_stream(),
               str(tmp_path_factory.mktemp("clean") / "ckpt"))
+        total_points = total_tsdb_points(service)
     finally:
         service.close()
     alerted = {report.metric_id for report in sink.reports}
     assert alerted == {SERIES[REGRESS_INDEX]}
-    return alerted
+    return alerted, total_points
 
 
 @pytest.fixture(scope="module")
 def dirty_run(tmp_path_factory):
-    """One drill through the data-fault schedule, shared by the tests."""
+    """One drill through the damaged stream, shared by the tests."""
     samples = make_stream()
-    injector = FaultInjector(data_plan(_seed()))
+    dirty = dirty_stream(samples, dirty_spec(_seed()))
     sink = CollectingSink()
-    service = make_service(sink, injector=injector)
+    service = make_service(sink)
     ckpt_dir = str(tmp_path_factory.mktemp("data-faults") / "ckpt")
     try:
-        at_checkpoint = drive(service, samples, ckpt_dir)
+        at_checkpoint = drive(service, dirty, ckpt_dir)
+        n_nans = sum(1 for sample in dirty if math.isnan(sample.value))
         return {
-            "n_samples": len(samples),
             "alerted": {report.metric_id for report in sink.reports},
-            "counts": injector.counts(),
-            "exhausted": injector.exhausted(),
+            "n_nans": n_nans,
+            "n_gaps": len(samples) - (len(dirty) - n_nans),
             "quality": views.quality(service)[1],
             "at_checkpoint": at_checkpoint,
             "ckpt_dir": ckpt_dir,
@@ -184,33 +177,25 @@ def dirty_run(tmp_path_factory):
 
 
 class TestDataFaultDrill:
-    def test_schedule_fired_and_exhausted(self, dirty_run):
-        counts = dirty_run["counts"]
-        assert dirty_run["exhausted"]
-        assert counts["data_corrupt"] == CORRUPT_BUDGET
-        assert counts["data_gap"] == GAP_BUDGET
-        assert counts["data_reorder"] == REORDER_BUDGET
-
-    def test_zero_false_alerts_vs_clean(self, dirty_run, clean_alerts):
+    def test_zero_false_alerts_vs_clean(self, dirty_run, clean_run):
         # Set equality, both directions: no alert the clean run did not
         # raise (false alert) and no clean alert missing (missed
         # regression).  Bytes can differ — gaps genuinely drop points.
-        assert dirty_run["alerted"] == clean_alerts
+        assert dirty_run["alerted"] == clean_run[0]
 
-    def test_every_damaged_sample_is_accounted_for(self, dirty_run):
-        counts = dirty_run["counts"]
+    def test_every_damaged_sample_is_accounted_for(self, dirty_run, clean_run):
         quality = dirty_run["quality"]
-        # Corrupted samples were quarantined, not written.
-        assert quality["counters"]["quarantined"] == counts["data_corrupt"]
-        assert quality["quarantined_points"] == counts["data_corrupt"]
+        # The damage happened: NaN extras, lost points, reordering.
+        assert dirty_run["n_nans"] > 0 and dirty_run["n_gaps"] > 0
+        # The NaN extras were quarantined, not written.
+        assert quality["counters"]["quarantined"] == dirty_run["n_nans"]
+        assert quality["quarantined_points"] == dirty_run["n_nans"]
         # Reordered deliveries were re-sequenced through the buffer.
         assert quality["counters"]["reordered"] > 0
         assert quality["counters"]["duplicates"] == 0
-        # TSDB conservation: every sample landed exactly once, minus the
-        # gap-dropped and the quarantined.
-        expected = (dirty_run["n_samples"]
-                    - counts["data_gap"] - counts["data_corrupt"])
-        assert dirty_run["total_points"] == expected
+        # TSDB conservation: every clean sample landed exactly once,
+        # minus the gaps.
+        assert dirty_run["total_points"] == clean_run[1] - dirty_run["n_gaps"]
 
 
 class TestQuarantineSurvivesKill:

@@ -2,11 +2,13 @@
 
 The contract: a service driven through an exhausting
 :meth:`~repro.faults.FaultPlan.chaos` schedule — worker crashes, advance
-hangs, latent checkpoint corruption, flusher deaths, clock skew —
-delivers **byte-identical** incident reports to a fault-free run over
-the same stream, loses zero accepted samples, and converges back to
-``healthz() == "ok"`` with every ``degraded`` event paired with a later
-``recovered`` event.
+hangs, flusher deaths — delivers **byte-identical** incident reports to
+a fault-free run over the same stream, loses zero accepted samples, and
+converges back to ``healthz() == "ok"`` with every ``degraded`` event
+paired with a later ``recovered`` event.  Damage that needs no hook
+inside the service is done from outside: the restore drill flips or
+truncates a file of the newest checkpoint generation on disk, and the
+clock drill steps ``time.time``.
 
 Environment knobs (both optional, for CI and local triage):
 
@@ -17,6 +19,7 @@ Environment knobs (both optional, for CI and local triage):
 
 import json
 import os
+import random
 import shutil
 import time
 
@@ -96,8 +99,8 @@ def drive(service, samples, ckpt_dir):
     """The drill schedule, identical for clean and chaotic runs.
 
     Ingest/advance in fixed rounds with background flushers running, and
-    checkpoint at fixed rounds so checkpoint-corruption specs get blob
-    invocations to fire on.  Detection is clock-driven, so two services
+    checkpoint at fixed rounds, so the restore drill has generations to
+    fall back across.  Detection is clock-driven, so two services
     driven through this schedule scan at identical instants.
     """
     service.start(flush_interval=0.005)
@@ -130,6 +133,32 @@ def settle(service, injector, stream_end):
 
 def report_bytes(reports):
     return json.dumps([r.to_dict() for r in reports], sort_keys=True)
+
+
+def damage_newest_generation(ckpt_dir, seed):
+    """Flip a byte of, or truncate, one seeded-chosen file of the newest
+    checkpoint generation — a blob or its manifest — as a failing disk
+    would.  Returns the damaged file's name."""
+    rng = random.Random(f"chaos.checkpoint-damage:{seed}")
+    newest = max(
+        int(name[len("manifest.g"):-len(".json")])
+        for name in os.listdir(ckpt_dir)
+        if name.startswith("manifest.g")
+    )
+    manifest = f"manifest.g{newest}.json"
+    with open(os.path.join(ckpt_dir, manifest), encoding="utf-8") as source:
+        blobs = [entry["file"] for entry in json.load(source)["shards"].values()]
+    target = rng.choice([manifest] + sorted(blobs))
+    path = os.path.join(ckpt_dir, target)
+    with open(path, "rb") as source:
+        payload = bytearray(source.read())
+    if rng.random() < 0.5:
+        payload = payload[: len(payload) // 2]
+    else:
+        payload[rng.randrange(len(payload))] ^= 0xFF
+    with open(path, "wb") as sink:
+        sink.write(bytes(payload))
+    return target
 
 
 def dump_artifacts(seed, service, injector, ckpt_dir):
@@ -235,9 +264,10 @@ class TestChaosDrill:
     def test_chaos_checkpoints_restore_or_fall_back(
         self, seed, reference_run, tmp_path
     ):
-        """Checkpoints written *during* chaos stay usable: restore either
-        loads the newest generation or falls back to an intact older one,
-        and the restored service replays to the clean outcome."""
+        """Checkpoints written *during* chaos stay usable: with a file of
+        the newest generation damaged on disk, restore falls back to the
+        intact older one, and the restored service replays to the clean
+        outcome."""
         samples, reference = reference_run
         injector = FaultInjector(FaultPlan.chaos(seed, n_shards=N_SHARDS))
         sink = CollectingSink()
@@ -252,11 +282,14 @@ class TestChaosDrill:
         finally:
             service.close()
 
+        damage_newest_generation(ckpt_dir, seed)
         resume_sink = CollectingSink()
         restored = StreamingDetectionService.restore(
             ckpt_dir, sinks=[resume_sink], workers=4
         )
         try:
+            counters = restored.metrics.snapshot()["counters"]
+            assert counters["checkpoint.fallbacks"] >= 1
             resume_from = restored.clock
             assert resume_from > 0.0
             restored.ingest_many(
@@ -316,16 +349,15 @@ class TestTargetedRecoveries:
         finally:
             service.close()
 
-    def test_clock_skew_never_corrupts_checkpoint_age(self, tmp_path):
-        plan = FaultPlan(specs=(
-            FaultSpec(FaultKind.CLOCK_SKEW, skew_seconds=-7200.0),
-        ))
-        service = make_service(CollectingSink(), injector=FaultInjector(plan))
+    def test_clock_skew_never_corrupts_checkpoint_age(self, tmp_path, monkeypatch):
+        service = make_service(CollectingSink())
         try:
+            wall = time.time
+            monkeypatch.setattr(time, "time", lambda: wall() - 7200.0)  # NTP step
             service.checkpoint(str(tmp_path / "ckpt"))
             health = views.healthz(service)[1]
             age = health["checkpoint"]["age_seconds"]
             assert age is not None and 0.0 <= age < 60.0
-            assert health["checkpoint"]["last_at"] < time.time() - 3600.0
+            assert health["checkpoint"]["last_at"] < wall() - 3600.0
         finally:
             service.close()

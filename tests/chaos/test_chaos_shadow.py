@@ -2,8 +2,7 @@
 
 The detector-registry contract under fire: a service carrying a shadow
 challenger through a full :meth:`~repro.faults.FaultPlan.chaos` schedule
-(worker kills, advance hangs, checkpoint corruption, flusher deaths,
-clock skew) still delivers **byte-identical** incident reports to a
+(worker kills, advance hangs, flusher deaths) still delivers **byte-identical** incident reports to a
 fault-free run *without* any challenger — shadow scoring is alert-inert
 even while shards crash and restore — and the funnel tallies ride the
 checkpoint into a restored service where they keep accruing.

@@ -1,6 +1,7 @@
 """Tests for repro.cli."""
 
 import csv
+import json
 
 import numpy as np
 import pytest
@@ -179,3 +180,29 @@ class TestServeDemoCommand:
         )
         assert code == 2
         assert "--workers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["data_gap", "checkpoint_corrupt", "clock_skew"])
+    def test_fault_plan_naming_a_removed_kind_is_refused(self, kind, tmp_path, capsys):
+        """Data, disk and clock damage are done from outside; a plan that
+        still names them fails loudly instead of injecting nothing."""
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps({"seed": 1, "specs": [{"kind": kind}]}), encoding="utf-8")
+        code = main(
+            [
+                "serve-demo",
+                "--preset", "invoicer_short",
+                "--ticks", "10",
+                "--fault-plan", str(plan),
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "unknown or missing fault kind" in err and kind in err
+
+    def test_fault_plan_help_names_the_four_kinds(self, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve-demo", "--help"])
+        usage = " ".join(capsys.readouterr().out.split())
+        for kind in ("worker_crash", "advance_hang", "flush_error", "flusher_death"):
+            assert kind in usage
+        assert "damage the data itself with --dirty-data" in usage

@@ -769,15 +769,15 @@ class TestEveryPublicNameHasACaller:
         "repro.stats.robust.sorted_percentile":
             "reference: the one-row percentile held to np.percentile",
         "repro.profiling.aggregate.StackTrie.folded":
-            "roadmap: item 4(d), /profile returns folded stacks",
+            "roadmap: item 7(d), /profile returns folded stacks",
         "repro.fleet.scenarios.single_server_cpu":
-            "roadmap: item 3(a) borrows its shape families from repro.fleet.scenarios",
+            "roadmap: item 6(a) borrows its shape families from repro.fleet.scenarios",
         "repro.fleet.scenarios.cost_shift_series":
-            "roadmap: item 3(a) borrows its shape families from repro.fleet.scenarios",
+            "roadmap: item 6(a) borrows its shape families from repro.fleet.scenarios",
         "repro.fleet.scenarios.spike_then_regression":
-            "roadmap: item 3(a) borrows its shape families from repro.fleet.scenarios",
+            "roadmap: item 6(a) borrows its shape families from repro.fleet.scenarios",
         "repro.fleet.scenarios.noisy_step_series":
-            "roadmap: item 3(a) borrows its shape families from repro.fleet.scenarios",
+            "roadmap: item 6(a) borrows its shape families from repro.fleet.scenarios",
         "repro.connectors.importers.JsonLinesImporter":
             "doc: docs/RUNBOOK.md, Importing real data, names JsonLinesImporter.import_into",
         "repro.service.service.StreamingDetectionService.unquarantine":
@@ -976,3 +976,45 @@ class TestEveryKnobIsSet:
         assert sorted(self.ALLOWED.keys() - unset) == []
         for name, reason in self.ALLOWED.items():
             assert reason.startswith(self.CATEGORIES), name
+
+
+class TestFaultsComeFromOutside:
+    """The injector keeps only failures that must land inside a running
+    flush or advance.  Dirty data (``repro.fleet.dirty``), damaged
+    checkpoints (bytes flipped on disk) and a stepped wall clock (a
+    stepped ``time.time``) are done to the service from outside, so no
+    hook for them comes back."""
+
+    SRC = os.path.join(REPO_ROOT, "src", "repro")
+    CALLED = {"maybe_raise", "worker_directive", "wire", "counts", "snapshot", "exhausted"}
+
+    def test_four_kinds(self):
+        from repro.faults import FaultKind
+
+        assert {kind.name for kind in FaultKind} == {
+            "WORKER_CRASH", "ADVANCE_HANG", "FLUSH_ERROR", "FLUSHER_DEATH",
+        }
+
+    def test_no_checkpoint_or_clock_or_ingest_hook(self):
+        import inspect
+
+        from repro.service import StreamingDetectionService
+        from repro.service.checkpoint import CheckpointManager
+
+        assert "fault_injector" not in inspect.signature(CheckpointManager.__init__).parameters
+        for gone in ("_wall", "_offer_routed"):
+            assert not hasattr(StreamingDetectionService, gone), gone
+
+    def test_only_the_kept_injector_methods_are_called(self):
+        used = set()
+        for folder, _, files in os.walk(self.SRC):
+            for name in files:
+                if name.endswith(".py"):
+                    tree = ast.parse(_read(folder, name))
+                    used.update(
+                        node.attr
+                        for node in ast.walk(tree)
+                        if isinstance(node, ast.Attribute)
+                        and ast.unparse(node.value).endswith("injector")
+                    )
+        assert used <= self.CALLED, sorted(used - self.CALLED)

@@ -1,4 +1,5 @@
-"""Tests for repro.faults: plans, specs, and the injector's decision model.
+"""Tests for repro.faults: plans, specs, and the injector's decision model
+over the four kinds that land inside a running flush or advance.
 
 The property that matters everywhere: injection decisions are pure
 functions of (plan, seed, invocation history) — two injectors built from
@@ -28,8 +29,6 @@ class TestFaultSpec:
         assert FaultSpec(FaultKind.ADVANCE_HANG).site == "worker.advance"
         assert FaultSpec(FaultKind.FLUSH_ERROR).site == "ingest.flush"
         assert FaultSpec(FaultKind.FLUSHER_DEATH).site == "flusher"
-        assert FaultSpec(FaultKind.CHECKPOINT_CORRUPT).site == "checkpoint.blob"
-        assert FaultSpec(FaultKind.CLOCK_SKEW).site == "clock"
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -57,12 +56,21 @@ class TestFaultSpec:
         with pytest.raises(ValueError, match="unknown fault spec keys"):
             FaultSpec.from_dict({"kind": "worker_crash", "blast_radius": 3})
 
+    @pytest.mark.parametrize(
+        "kind", ["data_gap", "checkpoint_corrupt", "manifest_corrupt", "clock_skew"]
+    )
+    def test_damage_done_from_outside_is_not_a_kind(self, kind):
+        """Dirty data, damaged checkpoints and clock steps are applied
+        to the service from outside; a plan naming them fails loudly."""
+        with pytest.raises(ValueError, match="kind"):
+            FaultSpec.from_dict({"kind": kind})
+
 
 class TestFaultPlan:
     def test_json_round_trip(self, tmp_path):
         plan = FaultPlan(seed=9, specs=(
             FaultSpec(FaultKind.WORKER_CRASH, times=2),
-            FaultSpec(FaultKind.CLOCK_SKEW, skew_seconds=-3600.0),
+            FaultSpec(FaultKind.FLUSHER_DEATH, shard=1, after=4),
         ))
         path = tmp_path / "plan.json"
         path.write_text(json.dumps(plan.to_dict()), encoding="utf-8")
@@ -87,9 +95,7 @@ class TestFaultPlan:
         assert plan.specs
         for spec in plan.specs:
             assert spec.times is not None
-        kinds = {spec.kind for spec in plan.specs}
-        assert FaultKind.WORKER_CRASH in kinds
-        assert kinds & {FaultKind.CHECKPOINT_CORRUPT, FaultKind.CHECKPOINT_TRUNCATE}
+        assert FaultKind.WORKER_CRASH in {spec.kind for spec in plan.specs}
 
 
 class TestInjectorDecisions:
@@ -157,31 +163,6 @@ class TestInjectorDecisions:
         assert injector.worker_directive(0) == ("hang", 0.7)
         assert injector.worker_directive(0) is None
 
-    def test_corrupt_payload_flip_and_truncate(self):
-        payload = bytes(range(64))
-        flip = FaultInjector(FaultPlan(specs=(
-            FaultSpec(FaultKind.CHECKPOINT_CORRUPT),
-        )))
-        mutated = flip.corrupt_payload("checkpoint.blob", payload)
-        assert mutated is not None and mutated != payload
-        assert len(mutated) == len(payload)
-        assert flip.corrupt_payload("checkpoint.blob", payload) is None  # spent
-
-        truncate = FaultInjector(FaultPlan(specs=(
-            FaultSpec(FaultKind.CHECKPOINT_TRUNCATE),
-        )))
-        short = truncate.corrupt_payload("checkpoint.blob", payload)
-        assert short == payload[:32]
-
-    def test_clock_skew_stays_applied(self):
-        plan = FaultPlan(specs=(
-            FaultSpec(FaultKind.CLOCK_SKEW, skew_seconds=-3600.0, after=1),
-        ))
-        injector = FaultInjector(plan)
-        assert injector.clock_skew() == 0.0  # gated by after
-        assert injector.clock_skew() == -3600.0  # the step lands
-        assert injector.clock_skew() == -3600.0  # ... and stays
-
     def test_metrics_and_events_record_every_firing(self):
         registry = MetricsRegistry()
         events = EventLog()
@@ -213,28 +194,25 @@ class TestInjectorDecisions:
 
 class TestServiceClockHygiene:
     """Checkpoint age must come from the monotonic clock (satellite of
-    the NTP-step bug): an injected wall-clock skew moves the displayed
-    ``last_at`` but can never make ``age_seconds`` lie."""
+    the NTP-step bug): a wall-clock step moves the displayed ``last_at``
+    but can never make ``age_seconds`` lie."""
 
-    def test_skew_moves_display_not_age(self, tmp_path):
+    def test_skew_moves_display_not_age(self, tmp_path, monkeypatch):
         import time
 
         from repro.service import StreamingDetectionService
 
-        plan = FaultPlan(specs=(
-            FaultSpec(FaultKind.CLOCK_SKEW, skew_seconds=-7200.0),
-        ))
-        service = StreamingDetectionService(
-            n_shards=1, fault_injector=FaultInjector(plan)
-        )
+        service = StreamingDetectionService(n_shards=1)
         try:
             assert views.healthz(service)[1]["checkpoint"]["age_seconds"] is None
+            wall = time.time
+            monkeypatch.setattr(time, "time", lambda: wall() - 7200.0)  # NTP step
             service.checkpoint(str(tmp_path / "ckpt"))
             health = views.healthz(service)[1]
             age = health["checkpoint"]["age_seconds"]
             assert age is not None and 0.0 <= age < 60.0
-            # The displayed wall timestamp carries the injected -2h step.
-            assert health["checkpoint"]["last_at"] < time.time() - 3600.0
+            # The displayed wall timestamp carries the -2h step.
+            assert health["checkpoint"]["last_at"] < wall() - 3600.0
         finally:
             service.close()
 

@@ -168,6 +168,21 @@ class TestCheckpointGenerations:
         assert meta == {"clock": 1.0} and shards == {"0": "one"}
         assert manager.last_load()["fallbacks"] == 2
 
+    def test_manifest_with_a_flipped_byte_falls_back(self, tmp_path):
+        """A flipped byte in a JSON manifest is rarely still UTF-8: the
+        load must treat an undecodable manifest as corrupt too."""
+        manager = CheckpointManager(str(tmp_path))
+        manager.save({"clock": 1.0}, _blobs({0: "one"}))
+        manager.save({"clock": 2.0}, _blobs({0: "two"}))
+        manifest = tmp_path / "manifest.g2.json"
+        payload = bytearray(manifest.read_bytes())
+        payload[len(payload) // 2] ^= 0xFF
+        manifest.write_bytes(bytes(payload))
+
+        meta, shards = manager.load()
+        assert meta == {"clock": 1.0} and shards == {"0": "one"}
+        assert manager.last_load()["fallbacks"] == 1
+
     def test_intact_newest_means_no_fallback(self, tmp_path):
         manager = CheckpointManager(str(tmp_path))
         manager.save({"clock": 1.0}, _blobs({0: "one"}))

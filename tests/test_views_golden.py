@@ -4,11 +4,12 @@ The read side of the service is one ``path -> view`` table
 (:mod:`repro.service.views`) folding over shard accessors; before that
 the same payloads were built by methods on the service that reached
 through to each shard's worker and scheduler.  The golden beside this
-test was generated at the commit before the move, over real HTTP, from
-one seeded drill — the fence fleet plus dirt, two shadow challengers, a
-data-fault plan with a clock step, an unquarantine and a checkpoint —
-once with ``workers=1`` and once with ``workers=2``; the five JSON
-payloads must equal it, with the fields that read a clock masked.
+test is generated over real HTTP from one seeded drill — the fence fleet
+plus dirt (reordered and NaN-burst from outside by
+:mod:`repro.fleet.dirty`), two shadow challengers, a worker-crash plan,
+an unquarantine and a checkpoint — once with ``workers=1`` and once with
+``workers=2``; the five JSON payloads must equal it, with the fields
+that read a clock masked.
 
 Regenerate (only when a payload is *meant* to change)::
 
@@ -24,6 +25,7 @@ import urllib.request
 import pytest
 
 from repro.faults import FaultInjector, FaultKind, FaultPlan, FaultSpec
+from repro.fleet.dirty import DirtyDataSpec, dirty_stream
 from repro.obs import ObservabilityServer
 from repro.runtime import CollectingSink
 from repro.service import BackpressurePolicy, StreamingDetectionService
@@ -38,11 +40,12 @@ PATHS = ("/healthz", "/status", "/faults", "/quality", "/detectors")
 CLOCKED = ("wall", "seconds", "last_at", "age_seconds")
 
 PLAN = FaultPlan(seed=22, specs=(
-    FaultSpec(FaultKind.DATA_CORRUPT, probability=0.002, times=20),
-    FaultSpec(FaultKind.DATA_REORDER, probability=0.01, times=40),
-    FaultSpec(FaultKind.DATA_GAP, probability=0.005, times=30),
-    FaultSpec(FaultKind.CLOCK_SKEW, skew_seconds=-7200.0),
+    FaultSpec(FaultKind.WORKER_CRASH, after=2, times=1),
 ))
+
+#: Damage to each round's dirt: local reordering, and a NaN burst on a
+#: series that stays quarantined.
+DIRT = DirtyDataSpec(seed=22, reorder_block=12, nan_series=("dirt.holed.gcpu",), nan_bursts=1)
 
 
 def _masked(value):
@@ -81,7 +84,7 @@ def run_drill(workers, tmp_dir):
         start = 0
         for stop in range(fence.PRELOAD_POINTS, seam.N_POINTS + 1, fence.POINTS_PER_ROUND):
             service.ingest_many(fence._samples(names, tags, values, start, stop))
-            service.ingest_many(seam._dirt(start, stop))
+            service.ingest_many(dirty_stream(seam._dirt(start, stop), DIRT))
             service.advance_to(stop * fence.INTERVAL)
             start = stop
         service.unquarantine("dirt.burst.gcpu")
