@@ -2,7 +2,7 @@
 
 The boundary layer between external telemetry systems and the
 detection service.  Everything here adapts *into* the service's normal
-front door (``ingest_frame`` → admission → detection) or *out of* its
+front door (``ingest_frames`` → admission → detection) or *out of* its
 normal delivery path (:class:`~repro.runtime.sinks.IncidentSink`) —
 connectors never bypass routing, backpressure, data-quality admission,
 or per-sink fault isolation.

@@ -72,10 +72,12 @@ class ImportStats:
 
     def offer(self, service, samples: Iterable[Sample]) -> None:
         """Hand ``samples`` to ``service`` (anything with
-        ``ingest_frame``) as one frame per series, and tally them."""
-        for frame in frames_of(samples):
+        ``ingest_frames``) as one frame per series in one call, and
+        tally them."""
+        frames = frames_of(samples)
+        self.accepted += service.ingest_frames(frames)
+        for frame in frames:
             self.offered += len(frame)
-            self.accepted += service.ingest_frame(frame)
             self._names.add(frame.name)
             first, last = float(frame.timestamps.min()), float(frame.timestamps.max())
             if self.first_timestamp is None or first < self.first_timestamp:
@@ -138,7 +140,7 @@ class _FileImporter:
         self, service, source: Union[str, IO[str]]
     ) -> ImportStats:
         """Offer every parsed sample to ``service`` (or any object with
-        ``ingest_frame``); returns the run's :class:`ImportStats`."""
+        ``ingest_frames``); returns the run's :class:`ImportStats`."""
         stats = ImportStats()
         stats.offer(service, self.iter_samples(source, stats))
         _log.info(

@@ -24,10 +24,11 @@ Every series is mapped through the shared
 :class:`~repro.connectors.mapping.SeriesMapper` (name mangling, unit
 tags, counter detection — an imported ``*_total`` series gets admission
 counter-rebasing automatically), its samples become one
-:class:`~repro.tsdb.columnar.SeriesFrame`, and the frames are offered to
-the service's normal ingest path from the handler thread; the service's
-queue locks make that safe, and its backpressure policy applies to
-pushed data exactly as it does to native ingest.
+:class:`~repro.tsdb.columnar.SeriesFrame`, and a POST's frames are
+offered to the service's normal ingest path in one ``ingest_frames``
+call from the handler thread; the service's queue locks make that
+safe, and its backpressure policy applies to pushed data exactly as it
+does to native ingest.
 
 Responses: ``200`` with a JSON body ``{"offered": n, "accepted": m}``;
 ``400`` on malformed payloads (with the parse error); ``404`` off-path;
@@ -152,7 +153,7 @@ class _Handler(ReplyHandler):
             self._send_json(400, {"error": str(error)})
             return
         offered = sum(len(frame) for frame in frames)
-        accepted = sum(receiver.service.ingest_frame(frame) for frame in frames)
+        accepted = receiver.service.ingest_frames(frames)
         receiver._count("requests")
         receiver._count("samples", offered)
         receiver._count("accepted", accepted)
@@ -172,7 +173,7 @@ class RemoteWriteReceiver(HttpEndpoint):
     """Serves the remote-write ingest endpoint for one service.
 
     Args:
-        service: The ingest target — anything with ``ingest_frame``
+        service: The ingest target — anything with ``ingest_frames``
             (normally a
             :class:`~repro.service.service.StreamingDetectionService`);
             its ``metrics`` registry, when present, receives the

@@ -3,11 +3,13 @@
 The :class:`AdmissionController` sits inside each shard's ingest worker
 (under the worker's queue lock, so it needs no locking of its own) and
 sees every :class:`~repro.tsdb.columnar.SeriesFrame` before it is queued
-for the TSDB.  A frame that is finite, sign-valid, strictly increasing
-and above its series' watermark — the overwhelming common case — is
-admitted whole on a handful of array comparisons; a counter's frame
-that passes them and lies above its held rows is held whole, up to
-the reorder bound.  A frame that flags on any of them drops to the row
+for the TSDB.  What a frame alone decides — finite, sign-valid,
+strictly increasing — is judged for a whole batch of frames in one
+array pass; what state decides — above the series' watermark — is one
+float comparison per frame, live.  A frame that passes both — the
+overwhelming common case — is admitted whole; a counter's frame that
+passes them and lies above its held rows is held whole, up to the
+reorder bound.  A frame that flags on any of them drops to the row
 logic below for that frame only:
 
 - **Not finite** (NaN/Inf) → quarantined, reason ``not_finite``.
@@ -32,26 +34,26 @@ logic below for that frame only:
   and in arrival order.
 
 Row verdicts are tri-state (:data:`ADMIT` / :data:`HELD` /
-:data:`DROP`); :meth:`AdmissionController.admit` folds them into the
-rows to enqueue now and a held count, which the worker translates into
-queue operations and return values.  All controller state is plain
-picklable data and rides the shard blob through checkpoints, restores,
-and parallel advances.
+:data:`DROP`); :meth:`AdmissionController.admit` folds them, per
+frame, into the rows to enqueue now and a held count, which the worker
+translates into queue operations and return values.  All controller
+state is plain picklable data and rides the shard blob through
+checkpoints, restores, and parallel advances.
 """
 
 from __future__ import annotations
 
 import bisect
-from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
+from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.quality.quarantine import QuarantineStore
-from repro.tsdb.columnar import SeriesFrame
+from repro.tsdb.columnar import SeriesFrame, rising_runs
 
 __all__ = ["ADMIT", "DROP", "HELD", "REORDER_WINDOW", "AdmissionController"]
 
-#: What :meth:`AdmissionController.admit` returns (see there).
+#: One judgement of :meth:`AdmissionController.admit` (see there).
 _Admitted = Tuple[int, int, Optional[SeriesFrame], Optional[SeriesFrame]]
 
 #: Row verdicts of the fallback path.
@@ -71,6 +73,24 @@ NON_NEGATIVE_METRICS: FrozenSet[str] = frozenset(
 #: out-of-order points are pending they are released as one backfill
 #: batch.
 REORDER_WINDOW = 16
+
+
+def _screen(frames: Sequence[SeriesFrame]) -> Tuple[list, list, list, list, list]:
+    """What each (non-empty) frame alone decides, in one array pass over
+    the batch: per frame, its length, whether every value is finite and
+    the timestamps strictly increase, its smallest value (NaN when one
+    is), and its first and last timestamp — as Python lists, so the
+    per-frame loop that follows compares numbers, not arrays."""
+    starts, stops, timestamps, clean = rising_runs(frames)
+    values = np.concatenate([frame.values for frame in frames])
+    clean &= np.isfinite(values)
+    return (
+        (stops - starts).tolist(),
+        np.logical_and.reduceat(clean, starts).tolist(),
+        np.minimum.reduceat(values, starts).tolist(),
+        timestamps[starts].tolist(),
+        timestamps[stops - 1].tolist(),
+    )
 
 
 class _SeriesState:
@@ -135,41 +155,65 @@ class AdmissionController:
 
     # -- the admission decision -----------------------------------------
 
-    def admit(self, frame: SeriesFrame) -> _Admitted:
-        """Validate one (non-empty) frame, in row order.
+    def admit(self, frames: Sequence[SeriesFrame]) -> List[_Admitted]:
+        """Validate a batch of frames, in order, row order within each.
+
+        What a frame alone decides — every value finite, none negative,
+        timestamps strictly increasing — is one array pass over the
+        batch (:func:`_screen`).  What state decides is judged per
+        frame, live, so a series repeated in the batch sees its earlier
+        frames: the first row must lie above the series' watermark (a
+        counter's: above its held rows).  A frame that passes is
+        admitted whole (a counter's is held, :meth:`_hold`); any other
+        drops to the row logic (:meth:`_admit_slow`).  Empty frames are
+        skipped: they judge nothing and create no series state.
 
         Returns:
-            ``(consumed, held, admitted, released)`` — how many leading
-            rows were judged, how many of those are buffered for
-            reordering, the rows to enqueue now (``None`` when there are
-            none; a repaired copy when a value was clamped), and the
-            series' sorted stragglers when the last row judged
-            overflowed its reorder buffer.  Quarantined rows are
-            ``consumed`` minus held and admitted.  ``consumed`` falls
-            short of the frame only after a release: that frame must
-            be queued before the rows behind it are judged.
+            One ``(consumed, held, admitted, released)`` per judgement,
+            in order: how many leading rows were judged, how many of
+            those are buffered for reordering, the rows to enqueue now
+            (``None`` when there are none; a repaired copy when a value
+            was clamped), and the series' sorted stragglers when the
+            last row judged overflowed its reorder buffer.  Quarantined
+            rows are ``consumed`` minus held and admitted.  ``consumed``
+            falls short of a frame only after a release, and the rest of
+            the frame is judged in the next entry: queued in entry
+            order, a release lands ahead of the rows behind it.  Rows
+            are judged without asking for room, so a caller with a
+            bounded queue offers only what fits, counting the held rows
+            a release may add.
         """
-        state = self._series.get(frame.name)
-        if state is None:
-            state = self._create_state(frame)
-        # Fast path: comparisons only (ufunc reductions called directly:
-        # on frames this small the method wrappers cost as much as the work).
-        # A counter's frame must also start above its held rows, which
-        # all lie above its watermark.
-        timestamps, values = frame.timestamps, frame.values
-        floor = state.pending_ts[-1] if state.is_counter and state.pending_ts else state.watermark
-        if (
-            timestamps[0] > floor
-            and np.logical_and.reduce(np.isfinite(values))
-            and (not state.non_negative or np.minimum.reduce(values) >= 0.0)
-            and np.logical_and.reduce(timestamps[1:] > timestamps[:-1])
-        ):
-            if state.is_counter:
-                return self._hold(state, frame)
-            state.watermark = float(timestamps[-1])
-            state.admitted += len(timestamps)
-            return len(timestamps), 0, frame, None
-        return self._admit_slow(state, frame)
+        frames = [frame for frame in frames if len(frame)]
+        if not frames:
+            return []
+        judged: List[_Admitted] = []
+        for frame, rows, clean, lowest, first, last in zip(frames, *_screen(frames)):
+            state = self._series.get(frame.name)
+            if state is None:
+                state = self._create_state(frame)
+            clean = clean and (lowest >= 0.0 or not state.non_negative)
+            while True:
+                floor = (
+                    state.pending_ts[-1] if state.is_counter and state.pending_ts
+                    else state.watermark
+                )
+                if not clean or not first > floor:
+                    outcome = self._admit_slow(state, frame)
+                elif state.is_counter:
+                    outcome = self._hold(state, frame)
+                else:
+                    state.watermark = last
+                    state.admitted += rows
+                    judged.append((rows, 0, frame, None))
+                    break
+                judged.append(outcome)
+                consumed = outcome[0]
+                if consumed == rows:
+                    break
+                # A release cut the frame short: judge the rest afresh.
+                frame, rows = frame[consumed:], rows - consumed
+                first = float(frame.timestamps[0])
+        return judged
 
     def _hold(self, state: _SeriesState, frame: SeriesFrame) -> _Admitted:
         """Hold an orderly counter frame whole, up to the row that

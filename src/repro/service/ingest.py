@@ -1,9 +1,9 @@
 """Per-shard ingest: bounded queues, batch flushing, backpressure.
 
 Each shard owns one :class:`ShardIngestWorker`.  Producers ``offer()``
-per-series :class:`~repro.tsdb.columnar.SeriesFrame`\\ s; the worker
-buffers them in a queue bounded in *samples* and batch-flushes into the
-shard's TSDB through
+batches of per-series :class:`~repro.tsdb.columnar.SeriesFrame`\\ s,
+one call per shard per ingest call; the worker buffers them in a queue
+bounded in *samples* and batch-flushes into the shard's TSDB through
 :meth:`~repro.tsdb.database.TimeSeriesDatabase.write_batch`.  A frame
 that does not fit is split at the room available, so every policy is
 exact to the sample.  When the queue is full, the configured
@@ -22,10 +22,10 @@ along in checkpoints, beside the worker's own flush-latency histogram.
 They are the ``ingest.*`` metrics: ``/metrics`` sums them over shards
 (:mod:`repro.service.views`), and nothing records them anywhere else.
 
-Every frame passes through the worker's
+Every batch passes through the worker's
 :class:`~repro.quality.admission.AdmissionController` first (under the
-same queue lock): quarantined rows are dropped before they can reach
-the TSDB, repaired rows are enqueued in their repaired form, and
+same queue lock, taken once per batch): quarantined rows are dropped
+before they can reach the TSDB, repaired rows are enqueued in their repaired form, and
 out-of-order rows are held in the controller's reordering buffer —
 released as one sorted frame when the buffer overflows or at a
 flush/advance boundary, onto the queue's *back* like every other frame.  So per timestamp the
@@ -52,7 +52,7 @@ import time
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Deque, Dict, Iterable, Iterator, List, Mapping, Optional
+from typing import Any, Deque, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.quality.admission import AdmissionController
 from repro.service.metrics import Histogram
@@ -167,54 +167,82 @@ class ShardIngestWorker:
 
     # -- producer side --------------------------------------------------
 
-    def offer(self, frame: SeriesFrame) -> int:
-        """Enqueue one frame, applying backpressure when full.
+    def offer(self, frames: Sequence[SeriesFrame]) -> int:
+        """Enqueue a batch of frames, in order, applying backpressure
+        when full; the lock is taken once for the batch.
 
         The rows are validated first: quarantined rows never touch the
         queue, out-of-order rows are held for reordering (they are
         accepted, just not enqueued yet), and repaired rows continue in
-        their repaired form.
+        their repaired form.  A batch that fits the room left — counting
+        every held row a release could add — is admitted in one call;
+        otherwise each frame is offered on its own (:meth:`_offer_frame`).
 
         Returns:
             How many rows were buffered or held for reordering — the
-            frame's length minus what was quarantined and, under
-            ``REJECT`` with a full queue, the refused tail.
+            frames' length minus what was quarantined and, under
+            ``REJECT`` with a full queue, the refused tails.
         """
         with self._lock:
-            total = len(frame)
+            total = sum(map(len, frames))
             self.offered += total
-            evicting = self.policy is BackpressurePolicy.DROP_OLDEST
-            taken = start = 0
-            while start < total:
-                # Backpressure resolves *before* admission: rows refused
-                # by a full queue never touch validator state, so a
-                # later retry of the same points is not misclassified as
-                # duplicates — and refused rows skip the admission work.
-                stop = total
-                if not evicting:
-                    room = self.capacity - self._pending
-                    if room <= 0:
-                        if not self._make_room(total - start):
-                            break
-                        continue
-                    stop = min(total, start + room)
-                rows = frame[start:stop] if stop - start < total else frame
-                consumed, held, admitted, released = self.admission.admit(rows)
-                start += consumed
-                taken += held
-                if admitted is not None:
-                    self._queue.append(admitted)
-                    self._count_enqueued(len(admitted))
-                    taken += len(admitted)
-                    # Eviction makes room for rows that take room: one
-                    # admission quarantined or held evicts nothing.
-                    if evicting and self._pending > self.capacity:
-                        self._evict(min(len(admitted), self._pending - self.capacity))
-                # A row that overflowed its reorder buffer released the
-                # batch: it is queued before the rows behind it are judged.
-                if released is not None:
-                    self._release_stragglers([released])
-            return taken
+            if (
+                self.policy is BackpressurePolicy.DROP_OLDEST
+                or self._pending + self.admission.buffered + total <= self.capacity
+            ):
+                return self._enqueue(self.admission.admit(frames))
+            return sum(self._offer_frame(frame) for frame in frames)
+
+    def _offer_frame(self, frame: SeriesFrame) -> int:
+        """Offer one frame to a queue it may not fit (lock held), in
+        slices that do.
+
+        Backpressure resolves *before* admission: rows refused by a full
+        queue never touch validator state, so a later retry of the same
+        points is not misclassified as duplicates — and refused rows
+        skip the admission work.  Admission judges a slice without
+        asking for room, so a slice is short enough that each of its
+        rows still finds room even if every row before it and every
+        held row a release could add were queued first; at the bound
+        that is one row.
+        """
+        total = len(frame)
+        taken = start = 0
+        while start < total:
+            room = self.capacity - self._pending
+            if room <= 0:
+                if not self._make_room(total - start):
+                    break
+                continue
+            stop = min(total, start + max(1, room - self.admission.buffered))
+            rows = frame[start:stop] if stop - start < total else frame
+            taken += self._enqueue(self.admission.admit([rows]))
+            start = stop
+        return taken
+
+    def _enqueue(
+        self, judged: List[Tuple[int, int, Optional[SeriesFrame], Optional[SeriesFrame]]]
+    ) -> int:
+        """Queue what admission judged, entry by entry (lock held);
+        returns the rows taken: admitted plus held."""
+        taken = 0
+        evicting = self.policy is BackpressurePolicy.DROP_OLDEST
+        for _, held, admitted, released in judged:
+            taken += held
+            if admitted is not None:
+                self._queue.append(admitted)
+                rows = len(admitted)
+                self._count_enqueued(rows)
+                taken += rows
+                # Eviction makes room for rows that take room: one
+                # admission quarantined or held evicts nothing.
+                if evicting and self._pending > self.capacity:
+                    self._evict(min(rows, self._pending - self.capacity))
+            # A row that overflowed its reorder buffer released the
+            # batch: it is queued before the rows behind it.
+            if released is not None:
+                self._release_stragglers([released])
+        return taken
 
     def _make_room(self, waiting: int) -> bool:
         """A full queue under ``REJECT`` / ``BLOCK`` (lock held): refuse

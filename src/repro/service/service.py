@@ -325,7 +325,7 @@ class StreamingDetectionService:
         tags: Optional[Dict[str, str]] = None,
     ) -> bool:
         """Route one point to its shard; returns whether it was accepted."""
-        return bool(self.ingest_frame(SeriesFrame(name, tags, [timestamp], [value])))
+        return bool(self.ingest_frames([SeriesFrame(name, tags, [timestamp], [value])]))
 
     def ingest_sample(self, sample: Sample) -> bool:
         return self.ingest(sample.name, sample.timestamp, sample.value, sample.tags)
@@ -334,17 +334,26 @@ class StreamingDetectionService:
         """Offer ``samples`` as one frame per series (first-appearance
         order, each series in arrival order); returns how many were
         accepted."""
-        return sum(self.ingest_frame(frame) for frame in frames_of(samples))
+        return self.ingest_frames(frames_of(samples))
 
-    def ingest_frame(self, frame: SeriesFrame) -> int:
-        """Route one series' frame to its shard — the unit of ingest.
+    def ingest_frames(self, frames: Sequence[SeriesFrame]) -> int:
+        """Route per-series frames to their shards — the unit of ingest.
+
+        Each shard is offered its frames once, as one batch in arrival
+        order; shards are offered in the order their first frame
+        arrived.
 
         Returns:
-            How many of its rows were accepted (buffered, or held for
+            How many rows were accepted (buffered, or held for
             reordering).
         """
-        shard_id = self.router.shard_for(frame.name)
-        return self._shards[shard_id].worker.offer(frame)
+        batches: Dict[int, List[SeriesFrame]] = {}
+        shard_for = self.router.shard_for
+        for frame in frames:
+            batches.setdefault(shard_for(frame.name), []).append(frame)
+        return sum(
+            self._shards[shard_id].worker.offer(batch) for shard_id, batch in batches.items()
+        )
 
     def flush(self) -> int:
         """Drain every shard queue into its TSDB; returns samples written."""

@@ -29,11 +29,11 @@ Invariants the rest of the stack relies on:
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["FloatColumn", "SeriesFrame"]
+__all__ = ["FloatColumn", "SeriesFrame", "rising_runs"]
 
 #: Smallest non-zero capacity; doubling starts here.
 _MIN_CAPACITY = 8
@@ -68,6 +68,30 @@ class SeriesFrame:
 
     def __getitem__(self, rows: slice) -> "SeriesFrame":
         return SeriesFrame(self.name, self.tags, self.timestamps[rows], self.values[rows])
+
+
+def rising_runs(
+    frames: Sequence[SeriesFrame],
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The timestamps of non-empty ``frames`` end to end, for one array
+    pass over a batch instead of a few numpy calls per frame.
+
+    Returns:
+        ``(starts, stops, timestamps, rising)``: where each frame's rows
+        begin and end in the concatenated timestamp column, that column,
+        and per row whether it lies above the row before it in its frame
+        (a first row always does) — so a frame's timestamps strictly
+        increase when ``np.logical_and.reduceat(rising, starts)`` says so.
+    """
+    columns = [frame.timestamps for frame in frames]
+    lengths = np.fromiter(map(len, columns), dtype=np.intp, count=len(columns))
+    stops = np.cumsum(lengths)
+    starts = stops - lengths
+    timestamps = np.concatenate(columns)
+    rising = np.empty(timestamps.size, dtype=bool)
+    np.greater(timestamps[1:], timestamps[:-1], out=rising[1:])
+    rising[starts] = True
+    return starts, stops, timestamps, rising
 
 
 class FloatColumn:

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional
 
-from repro.tsdb.columnar import SeriesFrame
+import numpy as np
+
+from repro.tsdb.columnar import SeriesFrame, rising_runs
 from repro.tsdb.series import TimeSeries
 
 __all__ = ["TimeSeriesDatabase"]
@@ -59,19 +61,33 @@ class TimeSeriesDatabase:
     def write_batch(self, frames: Iterable[SeriesFrame]) -> int:
         """Append every frame's columns to its series, in the order given.
 
-        The streaming-service flush path: one series lookup (and tag
-        merge) per frame, then
+        The streaming-service flush path.  Whether a frame's timestamps
+        strictly increase is one array pass over the batch
+        (:func:`~repro.tsdb.columnar.rising_runs`); whether it starts
+        above its series' last stored timestamp is decided per frame,
+        live, so a series repeated in the batch sees its earlier frames.
+        A frame that passes both is two bulk appends; any other goes
+        through
         :meth:`TimeSeries.ingest_columns <repro.tsdb.series.TimeSeries.ingest_columns>`
-        straight into the column buffers.
+        and its merge.  Empty frames write nothing and create no series.
 
         Returns:
             Number of points written.
         """
+        frames = [frame for frame in frames if len(frame)]
+        if not frames:
+            return 0
+        starts, _, timestamps, rising = rising_runs(frames)
+        ordered = np.logical_and.reduceat(rising, starts).tolist()
         written = 0
-        for frame in frames:
-            written += self.create(frame.name, frame.tags).ingest_columns(
-                frame.timestamps, frame.values
-            )
+        for frame, in_order, first in zip(frames, ordered, timestamps[starts].tolist()):
+            series = self.create(frame.name, frame.tags)
+            end = series.end
+            if in_order and (end is None or first > end):
+                series.append_columns(frame.timestamps, frame.values)
+            else:
+                series.ingest_columns(frame.timestamps, frame.values)
+            written += len(frame)
         return written
 
     def query(self, **tag_filters: str) -> List[TimeSeries]:

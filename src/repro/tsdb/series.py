@@ -130,11 +130,17 @@ class TimeSeries:
             return 0
         last = self._timestamps.get(-1) if len(self._timestamps) else float("-inf")
         if ts[0] > last and np.logical_and.reduce(ts[1:] > ts[:-1]):
-            self._timestamps.extend(ts)
-            self._values.extend(vals)
-            return m
-        self._merge(ts, vals)
+            self.append_columns(ts, vals)
+        else:
+            self._merge(ts, vals)
         return m
+
+    def append_columns(self, ts: np.ndarray, vals: np.ndarray) -> None:
+        """Bulk-append two parallel columns whose timestamps the caller
+        has checked strictly increase from above :attr:`end`: two
+        memcpys, no check of its own."""
+        self._timestamps.extend(ts)
+        self._values.extend(vals)
 
     def _merge(self, ts: np.ndarray, vals: np.ndarray) -> None:
         """Merge rows (any order, repeats allowed) into the series.

@@ -516,7 +516,15 @@ class RowAdmission(AdmissionController):
     how a counter's frames were admitted before an orderly one was held
     whole."""
 
-    def admit(self, frame):
+    def admit(self, frames):
+        judged = []
+        for frame in frames:
+            while len(frame):
+                judged.append(self._admit_frame(frame))
+                frame = frame[judged[-1][0]:]
+        return judged
+
+    def _admit_frame(self, frame):
         state = self._series.get(frame.name)
         if state is None:
             state = self._create_state(frame)

@@ -44,7 +44,7 @@ def drive(service, series, ahead):
         upto = ROUNDS[ahead_of] if ahead_of < len(ROUNDS) else math.inf
         for name, (stamps, values) in series.items():
             keep = (stamps >= landed) & (stamps < upto)
-            service.ingest_frame(SeriesFrame(name, TAGS, stamps[keep], values[keep]))
+            service.ingest_frames([SeriesFrame(name, TAGS, stamps[keep], values[keep])])
         landed = upto
         service.advance_to(float(now))
         yield

@@ -14,12 +14,13 @@ class _Collecting:
     def __init__(self):
         self.samples = []
 
-    def ingest_frame(self, frame):
+    def ingest_frames(self, frames):
         self.samples.extend(
             Sample(frame.name, timestamp, value, frame.tags)
+            for frame in frames
             for timestamp, value in zip(frame.timestamps.tolist(), frame.values.tolist())
         )
-        return len(frame)
+        return sum(len(frame) for frame in frames)
 
 
 class TestCsvImporter:
@@ -131,7 +132,7 @@ class TestImportThroughAdmission:
 
     def test_import_stats_track_acceptance(self):
         class RejectAll:
-            def ingest_frame(self, frame):
+            def ingest_frames(self, frames):
                 return 0
 
         stream = io.StringIO("timestamp,value\n0,1.0\n60,2.0\n")

@@ -127,9 +127,9 @@ class TestCorpusSamples:
             def __init__(self):
                 self.frames = []
 
-            def ingest_frame(self, frame):
-                self.frames.append(frame)
-                return len(frame)
+            def ingest_frames(self, frames):
+                self.frames.extend(frames)
+                return sum(len(frame) for frame in frames)
 
         corpus = load_corpus(io.StringIO(json.dumps(tiny_slice())))
         target = Collecting()

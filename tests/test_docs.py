@@ -727,6 +727,51 @@ class TestAShardAnswersForItself:
         assert uses == {"offer", "flush", "register"}
 
 
+class TestOneIngestEntry:
+    """Ingest goes in by the batch: the service routes a call's frames to
+    each shard once, and the worker and admission each take frames
+    through one public method, whose parameter is a batch — no per-frame
+    method beside it."""
+
+    SRC = TestScanStackHoldsNoHandles.SRC
+
+    @classmethod
+    def _methods(cls, module, name):
+        tree = ast.parse(_read(cls.SRC, *module.split("/")))
+        (node,) = [
+            node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == name
+        ]
+        return [item for item in node.body if isinstance(item, ast.FunctionDef)]
+
+    @staticmethod
+    def _takes_frames(arg):
+        annotation = ast.unparse(arg.annotation) if arg.annotation is not None else ""
+        return arg.arg in ("frame", "frames") or "SeriesFrame" in annotation
+
+    def test_the_service_ingests_frames_by_the_call(self):
+        defined = {
+            method.name
+            for method in self._methods("service/service.py", "StreamingDetectionService")
+        }
+        assert "ingest_frames" in defined and "ingest_frame" not in defined
+
+    @pytest.mark.parametrize(
+        "module, name, entry",
+        [
+            ("service/ingest.py", "ShardIngestWorker", "offer"),
+            ("quality/admission.py", "AdmissionController", "admit"),
+        ],
+    )
+    def test_one_public_method_takes_frames(self, module, name, entry):
+        taking = [
+            (method.name, [arg.arg for arg in method.args.args[1:] if self._takes_frames(arg)])
+            for method in self._methods(module, name)
+            if not method.name.startswith("_")
+            and any(self._takes_frames(arg) for arg in method.args.args[1:])
+        ]
+        assert taking == [(entry, ["frames"])]
+
+
 class TestEveryPublicNameHasACaller:
     """Every public definition in ``src/repro`` — a module-level def or
     class, and each public method of such a class — is used from

@@ -104,7 +104,7 @@ class TestRollover:
         ctl = AdmissionController(0)
         (frame,) = frames_of(dirty)
         # Counters ride the buffer: every row is held, none admitted.
-        assert ctl.admit(frame) == (len(dirty), len(dirty), None, None)
+        assert ctl.admit([frame]) == [(len(dirty), len(dirty), None, None)]
         (released,) = ctl.drain_pending()
         assert released.values.tolist() == [s.value for s in counter]
         assert ctl.counter_resets == 1

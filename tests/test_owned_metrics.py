@@ -125,9 +125,9 @@ class TestRestoredServicesServeTheirOwners:
                 for index in range(self.SERIES):
                     bad = (float("nan"), -1.0, float("inf"))[index % 3]
                     values = [0.001, 0.001, bad, 0.001]
-                    service.ingest_frame(
+                    service.ingest_frames([
                         SeriesFrame(f"svc.sub{index}.gcpu", TAGS, stamps, values)
-                    )
+                    ])
                 tick += 3
                 stop.wait(0.001)
 

@@ -25,6 +25,12 @@ backpressure policy at a queue bound the stream
 overflows.  The row-at-a-time run is itself held against a model of the
 per-sample queue this layer replaced.
 
+Grouping frames into calls is invisible too
+(:class:`TestShardBatchesMatchOneCallPerFrame`): through a two-shard
+service, any partition of a dirty frame list into ``ingest_frames``
+calls leaves every shard where one call per frame — and one call per
+row — leaves it, under every backpressure policy at a small queue.
+
 The read replica a worker process keeps
 (:class:`TestReplicaFollowsTheLog`): a copy of a database taken at any
 point, fed the :class:`~repro.service.shard.WriteLog` of what was
@@ -55,7 +61,7 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import _reference_kernels as ref
@@ -245,14 +251,13 @@ class TestColumnarMatchesListModel:
             "cpu", {"type": "counter"}, [float(i * 60) for i in range(len(raw))], raw
         )
         released = []
-        start = 0
         with _reorder_window(4):
-            while start < len(raw):
-                consumed, held, admitted, overflow = controller.admit(frame[start:])
+            judged = controller.admit([frame])
+            for consumed, held, admitted, overflow in judged:
                 assert held == consumed and admitted is None  # counters ride the buffer
-                start += consumed
                 if overflow is not None:
                     released.append(overflow)
+            assert sum(consumed for consumed, *_ in judged) == len(raw)
             released.extend(controller.drain_pending())
         emitted = sorted(
             (
@@ -348,7 +353,7 @@ def _run(worker, chunks, flush_after, by_row):
             frames = [SeriesFrame(s.name, s.tags, [s.timestamp], [s.value]) for s in chunk]
         else:
             frames = frames_of(chunk)
-        accepted += sum(worker.offer(frame) for frame in frames)
+        accepted += sum(worker.offer([frame]) for frame in frames)
         if index in flush_after:
             worker.flush()
     worker.flush()
@@ -451,7 +456,7 @@ class TestFrameSplitsMatchRowByRow:
         worker = _worker(policy, capacity, batch_size)
         for chunk in _chunks(_samples(points), cuts):
             for frame in frames_of(chunk):
-                worker.offer(frame)
+                worker.offer([frame])
         worker.flush()
         counters = worker.counters()
         assert {key: counters[key] for key in model.counts} == model.counts
@@ -459,6 +464,147 @@ class TestFrameSplitsMatchRowByRow:
         assert ([] if stored is None else list(stored)) == [
             (timestamp, value) for _, timestamp, value in model.written
         ]
+
+
+# ---------------------------------------------------------------------------
+# Shard batches: any grouping of frames into calls, one call per frame
+# ---------------------------------------------------------------------------
+
+#: Two non-negative gauges, an any-sign gauge and two counters.  Counter
+#: values are integers on a small range, so a drop (a rollover) is common.
+_BATCH_TAGS = {
+    "g0": {"metric": "gcpu"},
+    "g1": {"metric": "gcpu"},
+    "d": {"metric": "delta"},
+    "c0": {"metric": "requests", "type": "counter"},
+    "c1": {"metric": "requests", "type": "counter"},
+}
+_batch_frame = st.builds(
+    lambda name, rows: SeriesFrame(
+        name, _BATCH_TAGS[name], [t for t, _ in rows], [v for _, v in rows]
+    ),
+    st.sampled_from(sorted(_BATCH_TAGS)),
+    # Empty frames too; a tiny grid makes re-sent points and stragglers
+    # common, and so are NaN / Inf / negatives.
+    st.lists(st.tuples(_stream_ts, _stream_value), max_size=8),
+)
+
+
+def _offer_grouped(service, frames, edges, flush_at, by_row=False):
+    """Offer ``frames`` as one ``ingest_frames`` call per span between
+    consecutive ``edges`` — or, ``by_row``, one call per row — flushing
+    after the spans that end in ``flush_at``."""
+    accepted = 0
+    for a, b in zip(edges, edges[1:]):
+        if by_row:
+            accepted += sum(
+                service.ingest_frames([frame[row : row + 1]])
+                for frame in frames[a:b]
+                for row in range(len(frame))
+            )
+        else:
+            accepted += service.ingest_frames(frames[a:b])
+        if b in flush_at:
+            service.flush()
+    service.flush()
+    return accepted
+
+
+def _shard_states(service):
+    """Per shard, everything an offer leaves behind, in the order it was
+    left: counters, quarantine records, series creation order, column
+    bytes."""
+    states = []
+    for shard_id in range(service.n_shards):
+        worker = service._shards[shard_id].worker
+        controller = worker.admission
+        states.append({
+            "counters": worker.counters(),
+            "by_reason": dict(controller.quarantined_by_reason),
+            "quarantine": list(controller.quarantine._records),
+            "admission_series": list(controller._series),
+            "columns": [
+                (series.name, series._timestamps.view().tobytes(), series._values.view().tobytes())
+                for series in worker.database
+            ],
+        })
+    return states
+
+
+def _two_shards(policy, capacity, batch_size):
+    return StreamingDetectionService(
+        n_shards=2, queue_capacity=capacity, backpressure=policy, batch_size=batch_size
+    )
+
+
+_OVERLOADED = [  # a repeated series, an empty frame, and calls past capacity
+    SeriesFrame("g0", _BATCH_TAGS["g0"], [1.0, 2.0, 3.0], [0.5, math.nan, 0.7]),
+    SeriesFrame("c0", _BATCH_TAGS["c0"], [1.0, 2.0, 3.0, 4.0], [5.0, 6.0, 1.0, 2.0]),
+    SeriesFrame("d", _BATCH_TAGS["d"], [], []),
+    SeriesFrame("g0", _BATCH_TAGS["g0"], [4.0, 2.0, 5.0, 5.0, 6.0], [0.1, -1.0, 0.2, 0.3, 0.4]),
+    SeriesFrame("c0", _BATCH_TAGS["c0"], [5.0, 6.0, 7.0, 8.0], [3.0, 4.0, 5.0, 6.0]),
+    SeriesFrame("g1", _BATCH_TAGS["g1"], [7.0, 8.0, 9.0, 10.0], [0.2, 0.3, 0.4, 0.5]),
+]
+#: Two held counter rows, then a frame whose second row releases all
+#: four into a queue of four: the rows behind the release find it full.
+_RELEASE_FILLS_THE_QUEUE = [
+    SeriesFrame("c0", _BATCH_TAGS["c0"], [1.0, 2.0], [1.0, 2.0]),
+    SeriesFrame("c0", _BATCH_TAGS["c0"], [3.0, 4.0, 5.0, 6.0], [3.0, 4.0, 5.0, 6.0]),
+]
+
+
+class TestShardBatchesMatchOneCallPerFrame:
+    """``ingest_frames`` offers each shard its frames as one batch: one
+    array pass judges what a frame alone decides, state is judged per
+    frame, live.  So however the frames are grouped into calls, every
+    shard ends where one call per frame leaves it — and where one call
+    per row does, the sample-exact reference."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        frames=st.lists(_batch_frame, min_size=1, max_size=24),
+        cuts=st.lists(st.integers(min_value=1, max_value=23), max_size=6),
+        flushes=st.lists(st.integers(min_value=1, max_value=23), max_size=2),
+        policy=st.sampled_from(list(BackpressurePolicy)),
+        capacity=st.integers(min_value=1, max_value=12),
+        batch_size=st.integers(min_value=1, max_value=6),
+    )
+    @example(
+        frames=_OVERLOADED, cuts=[4], flushes=[], policy=BackpressurePolicy.REJECT,
+        capacity=6, batch_size=2,
+    )
+    @example(
+        frames=_OVERLOADED, cuts=[], flushes=[], policy=BackpressurePolicy.BLOCK,
+        capacity=5, batch_size=3,
+    )
+    @example(
+        frames=_OVERLOADED, cuts=[2], flushes=[2], policy=BackpressurePolicy.DROP_OLDEST,
+        capacity=4, batch_size=2,
+    )
+    @example(
+        frames=_RELEASE_FILLS_THE_QUEUE, cuts=[], flushes=[], policy=BackpressurePolicy.REJECT,
+        capacity=4, batch_size=2,
+    )
+    @example(
+        frames=_RELEASE_FILLS_THE_QUEUE, cuts=[], flushes=[], policy=BackpressurePolicy.BLOCK,
+        capacity=4, batch_size=2,
+    )
+    def test_any_grouping_leaves_every_shard_where_one_per_call_does(
+        self, frames, cuts, flushes, policy, capacity, batch_size
+    ):
+        edges = sorted({cut for cut in cuts if cut < len(frames)} | {0, len(frames)})
+        flush_at = {edge for edge in flushes if edge in edges}
+        services = [_two_shards(policy, capacity, batch_size) for _ in range(3)]
+        grouped, single, by_row = services
+        each = range(len(frames) + 1)
+        with _reorder_window(3):
+            accepted = {
+                _offer_grouped(grouped, frames, edges, flush_at),
+                _offer_grouped(single, frames, each, flush_at),
+                _offer_grouped(by_row, frames, each, flush_at, by_row=True),
+            }
+        assert len(accepted) == 1
+        assert _shard_states(grouped) == _shard_states(single) == _shard_states(by_row)
 
 
 # Three series on a 40-tick grid: most frames repeat a timestamp, start
@@ -556,13 +702,11 @@ def _frame_bytes(frame):
 
 
 def _admit_all(controller, frame):
-    """Offer ``frame`` the way the ingest worker does: every call's outcome."""
-    outcomes = []
-    while len(frame):
-        consumed, held, admitted, released = controller.admit(frame)
-        outcomes.append((consumed, held, _frame_bytes(admitted), _frame_bytes(released)))
-        frame = frame[consumed:]
-    return outcomes
+    """Offer ``frame`` the way the ingest worker does: every judgement."""
+    return [
+        (consumed, held, _frame_bytes(admitted), _frame_bytes(released))
+        for consumed, held, admitted, released in controller.admit([frame])
+    ]
 
 
 class TestAdmissionMatchesTheRowReference:

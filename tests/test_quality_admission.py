@@ -38,8 +38,8 @@ def admit(ctl, sample, released=None):
     A batch the point released from its reorder buffer is appended, as
     rows, to ``released``.
     """
-    consumed, held, admitted, overflow = ctl.admit(
-        SeriesFrame(sample.name, sample.tags, [sample.timestamp], [sample.value])
+    ((consumed, held, admitted, overflow),) = ctl.admit(
+        [SeriesFrame(sample.name, sample.tags, [sample.timestamp], [sample.value])]
     )
     assert consumed == 1
     if overflow is not None:
@@ -236,10 +236,10 @@ class TestFrames:
     def test_clean_frame_admits_whole_without_copying(self):
         ctl = controller()
         frame = self.frame([1.0, 2.0, 3.0], [0.5, 0.0, 0.7])
-        assert ctl.admit(frame) == (3, 0, frame, None)
+        assert ctl.admit([frame]) == [(3, 0, frame, None)]
         assert ctl.counters()["admitted"] == 3
         # The watermark moved: the next frame must start above it.
-        consumed, held, admitted, _ = ctl.admit(self.frame([3.0, 4.0], [0.1, 0.2]))
+        ((consumed, held, admitted, _),) = ctl.admit([self.frame([3.0, 4.0], [0.1, 0.2])])
         assert (consumed, held, ctl.duplicates) == (2, 0, 1)
         assert [s.timestamp for s in rows([admitted])] == [3.0, 4.0]
 
@@ -255,7 +255,7 @@ class TestFrames:
     )
     def test_flagged_frame_matches_row_by_row(self, stamps, values):
         whole, by_row = controller(), controller()
-        consumed, held, admitted, _ = whole.admit(self.frame(stamps, values))
+        ((consumed, held, admitted, _),) = whole.admit([self.frame(stamps, values)])
         assert consumed == 3
         kept = []
         for ts, value in zip(stamps, values):
@@ -270,7 +270,7 @@ class TestFrames:
     def test_counter_frames_always_take_the_row_path(self):
         ctl = controller()
         frame = self.frame([0.0, 1.0, 2.0], [10.0, 20.0, 5.0], "c", {"type": "counter"})
-        assert ctl.admit(frame) == (3, 3, None, None)
+        assert ctl.admit([frame]) == [(3, 3, None, None)]
         assert [s.value for s in rows(ctl.drain_pending())] == [10.0, 20.0, 25.0]
 
     def test_stops_at_the_row_that_overflows_the_reorder_buffer(self):
@@ -278,12 +278,12 @@ class TestFrames:
         admit(ctl, make(ts=10.0))
         frame = self.frame([1.0, 2.0, 3.0, 4.0, 5.0], [0.1] * 5)
         # Row 3 overflows the window: the released frame has to be
-        # queued before rows 4 and 5 are judged.
+        # queued before rows 4 and 5, which are judged in their own entry.
         with reorder_window(2):
-            consumed, held, admitted, released = ctl.admit(frame)
+            (consumed, held, admitted, released), rest = ctl.admit([frame])
             assert (consumed, held, admitted) == (3, 3, None)
             assert released.timestamps.tolist() == [1.0, 2.0, 3.0]
-            assert ctl.admit(frame[3:]) == (2, 2, None, None)
+            assert rest == (2, 2, None, None)
         assert ctl.buffered == 2
 
 

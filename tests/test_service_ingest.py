@@ -41,14 +41,14 @@ def make_worker(policy, capacity=4, batch_size=2):
 class TestRejectPolicy:
     def test_rejects_beyond_capacity(self):
         db, worker = make_worker(BackpressurePolicy.REJECT)
-        results = [worker.offer(s) for s in samples(6)]
+        results = [worker.offer([s]) for s in samples(6)]
         assert results == [1] * 4 + [0] * 2
         assert worker.rejected == 2
         assert worker.pending == 4
 
     def test_frame_is_split_at_the_room_and_the_tail_refused(self):
         db, worker = make_worker(BackpressurePolicy.REJECT)
-        assert worker.offer(frame(6)) == 4
+        assert worker.offer([frame(6)]) == 4
         assert (worker.offered, worker.accepted, worker.rejected) == (6, 4, 2)
         assert worker.pending == 4
         worker.flush()
@@ -57,7 +57,7 @@ class TestRejectPolicy:
     def test_rejected_samples_never_reach_tsdb(self):
         db, worker = make_worker(BackpressurePolicy.REJECT)
         for s in samples(6):
-            worker.offer(s)
+            worker.offer([s])
         worker.flush()
         series = db.get("s.gcpu")
         # The oldest 4 were kept; the newest 2 rejected.
@@ -68,7 +68,7 @@ class TestDropOldestPolicy:
     def test_oldest_evicted(self):
         db, worker = make_worker(BackpressurePolicy.DROP_OLDEST)
         for s in samples(6):
-            assert worker.offer(s)  # drop-oldest never refuses the new sample
+            assert worker.offer([s])  # drop-oldest never refuses the new sample
         assert worker.dropped_oldest == 2
         worker.flush()
         # The newest 4 survived.
@@ -76,11 +76,11 @@ class TestDropOldestPolicy:
 
     def test_frames_trim_the_heads_of_the_oldest_frames(self):
         db, worker = make_worker(BackpressurePolicy.DROP_OLDEST)
-        assert worker.offer(frame(3)) == 3
-        assert worker.offer(frame(3, start=180.0)) == 3  # evicts 2 of the first
+        assert worker.offer([frame(3)]) == 3
+        assert worker.offer([frame(3, start=180.0)]) == 3  # evicts 2 of the first
         assert (worker.dropped_oldest, worker.pending) == (2, 4)
         # A frame larger than the queue keeps only its own newest rows.
-        assert worker.offer(frame(6, start=360.0)) == 6
+        assert worker.offer([frame(6, start=360.0)]) == 6
         assert (worker.dropped_oldest, worker.pending) == (8, 4)
         worker.flush()
         assert list(db.get("s.gcpu").timestamps) == [480.0, 540.0, 600.0, 660.0]
@@ -90,7 +90,7 @@ class TestBlockPolicy:
     def test_caller_runs_flush_keeps_everything(self):
         db, worker = make_worker(BackpressurePolicy.BLOCK)
         for s in samples(10):
-            assert worker.offer(s)
+            assert worker.offer([s])
         worker.flush()
         assert worker.blocking_flushes >= 1
         assert worker.dropped_oldest == 0 and worker.rejected == 0
@@ -99,9 +99,9 @@ class TestBlockPolicy:
     def test_frame_flushes_a_batch_and_continues(self):
         by_row = make_worker(BackpressurePolicy.BLOCK)[1]
         for s in samples(10):
-            by_row.offer(s)
+            by_row.offer([s])
         db, worker = make_worker(BackpressurePolicy.BLOCK)
-        assert worker.offer(frame(10)) == 10
+        assert worker.offer([frame(10)]) == 10
         # Sample-exact: the same batches were flushed to make room.
         assert worker.counters() == by_row.counters()
         worker.flush()
@@ -112,7 +112,7 @@ class TestFlushing:
     def test_flush_returns_written_count(self):
         db, worker = make_worker(BackpressurePolicy.BLOCK, capacity=100)
         for s in samples(7):
-            worker.offer(s)
+            worker.offer([s])
         assert worker.flush() == 7
         assert worker.pending == 0
         assert worker.flushed == 7
@@ -120,15 +120,15 @@ class TestFlushing:
     def test_flush_batches_by_batch_size(self):
         db, worker = make_worker(BackpressurePolicy.BLOCK, capacity=100, batch_size=3)
         for s in samples(7):
-            worker.offer(s)
+            worker.offer([s])
         worker.flush()
         assert worker.flushes == 3  # 3 + 3 + 1
 
     def test_batch_groups_multiple_series(self):
         db, worker = make_worker(BackpressurePolicy.BLOCK, capacity=100, batch_size=100)
-        worker.offer(row("a.gcpu", 0.0, 1.0, {"metric": "gcpu"}))
-        worker.offer(row("b.gcpu", 0.0, 2.0, {"metric": "gcpu"}))
-        worker.offer(row("a.gcpu", 60.0, 3.0, {"metric": "gcpu"}))
+        worker.offer([row("a.gcpu", 0.0, 1.0, {"metric": "gcpu"})])
+        worker.offer([row("b.gcpu", 0.0, 2.0, {"metric": "gcpu"})])
+        worker.offer([row("a.gcpu", 60.0, 3.0, {"metric": "gcpu"})])
         worker.flush()
         assert list(db.get("a.gcpu").values) == [1.0, 3.0]
         assert list(db.get("b.gcpu").values) == [2.0]
@@ -136,18 +136,18 @@ class TestFlushing:
 
     def test_out_of_order_sample_inserted_sorted(self):
         db, worker = make_worker(BackpressurePolicy.BLOCK, capacity=100)
-        worker.offer(row("s", 120.0, 2.0))
-        worker.offer(row("s", 60.0, 1.0))  # straggler
+        worker.offer([row("s", 120.0, 2.0)])
+        worker.offer([row("s", 60.0, 1.0)])  # straggler
         worker.flush()
         assert list(db.get("s").timestamps) == [60.0, 120.0]
 
     def test_offer_many(self):
         db, worker = make_worker(BackpressurePolicy.REJECT, capacity=3)
-        assert worker.offer(frame(5)) == 3
+        assert worker.offer([frame(5)]) == 3
 
     def test_batches_split_frames_at_batch_size(self):
         db, worker = make_worker(BackpressurePolicy.BLOCK, capacity=100, batch_size=3)
-        worker.offer(frame(7))
+        worker.offer([frame(7)])
         assert worker.flush() == 7
         assert worker.flushes == 3  # 3 + 3 + 1, as for seven one-row frames
 
@@ -156,7 +156,7 @@ class TestCountersAndMetrics:
     def test_counters_dict(self):
         db, worker = make_worker(BackpressurePolicy.DROP_OLDEST)
         for s in samples(6):
-            worker.offer(s)
+            worker.offer([s])
         worker.flush()
         counters = worker.counters()
         assert counters["offered"] == 6
@@ -170,7 +170,7 @@ class TestCountersAndMetrics:
         ints and its flush histogram, which pickles as a plain state."""
         db, worker = make_worker(BackpressurePolicy.DROP_OLDEST)
         for s in samples(6):
-            worker.offer(s)
+            worker.offer([s])
         worker.flush()
         assert (worker.accepted, worker.dropped_oldest, worker.flushed) == (6, 2, 4)
         assert worker.flush_seconds.count == worker.flushes >= 1
@@ -198,7 +198,7 @@ class TestFlushFailureSafety:
         worker.fault_injector = FaultInjector(
             FaultPlan(specs=(FaultSpec(FaultKind.FLUSH_ERROR, times=1),))
         )
-        worker.offer(frame(6))
+        worker.offer([frame(6)])
         with pytest.raises(InjectedFault):
             worker.flush()
         # Nothing written, nothing lost, order preserved.
@@ -222,7 +222,7 @@ class TestFlushFailureSafety:
         def failing(rows):
             raise Boom("disk on fire")
 
-        worker.offer(frame(3))
+        worker.offer([frame(3)])
         worker.database.write_batch = failing
         with pytest.raises(Boom):
             worker.flush()
@@ -267,10 +267,10 @@ class TestResentPointWinsWhereverTheFlushFalls:
     def test_through_a_worker(self):
         def run(flush_between):
             db, worker = admitting_worker()
-            worker.offer(SeriesFrame("s", {}, *zip(*ORIGINAL)))
+            worker.offer([SeriesFrame("s", {}, *zip(*ORIGINAL))])
             if flush_between:
                 worker.flush()
-            worker.offer(row("s", *RESENT))
+            worker.offer([row("s", *RESENT)])
             worker.flush()
             return columns([db])
 
@@ -348,7 +348,7 @@ class TestInOrderDataIsNeverMerged:
         for start in range(0, points, 25):
             ticks = np.arange(start, start + 25, dtype=float)
             for i, name in enumerate(names):
-                worker.offer(SeriesFrame(name, tags, ticks * 60.0, (i + 1) * (ticks + 1)))
+                worker.offer([SeriesFrame(name, tags, ticks * 60.0, (i + 1) * (ticks + 1))])
             worker.flush()
         assert merged == []
         ticks = np.arange(points, dtype=float)

@@ -66,7 +66,7 @@ class TestCheckpointUnderLiveIngest:
             while not stop.is_set():
                 stamps = [float(tick + row) for row in range(10)]
                 for name in names:
-                    service.ingest_frame(SeriesFrame(name, TAGS, stamps, stamps))
+                    service.ingest_frames([SeriesFrame(name, TAGS, stamps, stamps)])
                 tick += 10
                 stop.wait(0.001)  # a steady trickle: the databases stay small
 
@@ -126,9 +126,9 @@ class TestRestoredLedgersAgree:
                 # One row in four is garbage: quality.* moves with ingest.*.
                 values = [0.001, float("nan"), 0.001, 0.001]
                 for index in range(16):
-                    service.ingest_frame(
+                    service.ingest_frames([
                         SeriesFrame(f"svc.sub{index}.gcpu", TAGS, stamps, values)
-                    )
+                    ])
                 tick += 4
                 stop.wait(0.0005)  # a steady trickle: the blobs stay small
 
@@ -209,7 +209,7 @@ class TestNothingProcessLocalOnBoard:
         stamps = [tick * 60.0 for tick in range(1_000)]
         for index in range(6):
             values = rng.normal(0.001, 0.00002, len(stamps))
-            service.ingest_frame(SeriesFrame(f"svc.sub{index}.gcpu", TAGS, stamps, values))
+            service.ingest_frames([SeriesFrame(f"svc.sub{index}.gcpu", TAGS, stamps, values)])
         service.advance_to(60_000.0)  # two scans: histograms observed, runs traced
         assert service.metrics.histogram("scheduler.scan_seconds").count
         assert len(service.traces)
@@ -310,7 +310,7 @@ class TestSerialAdvanceUnderLiveIngest:
         landed_during_scan = []
 
         def offer():
-            service.ingest_frame(SeriesFrame("svc.late.gcpu", TAGS, [0.0], [0.001]))
+            service.ingest_frames([SeriesFrame("svc.late.gcpu", TAGS, [0.0], [0.001])])
             landed.set()
 
         def scan_with_a_producer_at_the_door(target):
@@ -345,9 +345,9 @@ class TestSerialAdvanceUnderLiveIngest:
                 for begin in range(round_index * 100, (round_index + 1) * 100, 10):
                     stamps = [tick * 60.0 for tick in range(begin, begin + 10)]
                     for index, row in enumerate(values):
-                        service.ingest_frame(SeriesFrame(
+                        service.ingest_frames([SeriesFrame(
                             f"svc.sub{index}.gcpu", TAGS, stamps, row[begin : begin + 10]
-                        ))
+                        )])
                 done.set()
 
         producer = threading.Thread(target=produce, daemon=True)

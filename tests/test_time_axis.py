@@ -163,9 +163,9 @@ def delivered(n_shards, heads, lag, shift=0.0):
                 keep = (stamps[name] >= end - CONFIG.rerun_interval - lag * 60.0) & (
                     stamps[name] < end - lag * 60.0
                 )
-                service.ingest_frame(
+                service.ingest_frames([
                     SeriesFrame(name, {"metric": "gcpu"}, stamps[name][keep], _LEVELS[row][keep])
-                )
+                ])
             service.advance_to(float(end))
     finally:
         service.close()

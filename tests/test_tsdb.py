@@ -1,9 +1,12 @@
 """Tests for repro.tsdb (series, database, windows)."""
 
+import pickle
+
 import numpy as np
 import pytest
 
-from repro.tsdb import TimeSeries, TimeSeriesDatabase, WindowSpec
+from repro.service.shard import WriteLog
+from repro.tsdb import SeriesFrame, TimeSeries, TimeSeriesDatabase, WindowSpec
 
 
 class TestTimeSeries:
@@ -123,6 +126,55 @@ class TestTimeSeriesDatabase:
             db.write("s", float(i), 0.0)
         assert db.apply_retention(5.0) == 5
         assert db.get("s").start == 5.0
+
+
+class TestWriteBatch:
+    """One array pass judges a batch's frames; whether a frame starts
+    above its series' last stored timestamp is judged live, frame by
+    frame, so a series repeated in the batch sees its earlier frames."""
+
+    BATCH = [
+        SeriesFrame("s", {"metric": "gcpu"}, [0.0, 60.0, 120.0], [1.0, 2.0, 3.0]),
+        SeriesFrame("t", {}, [0.0, 60.0], [7.0, 8.0]),
+        SeriesFrame("s", {}, [180.0, 240.0], [4.0, 5.0]),     # appends
+        SeriesFrame("s", {}, [60.0, 90.0], [9.5, 9.0]),       # a re-sent point and a straggler
+        SeriesFrame("t", {}, [], []),
+        SeriesFrame("s", {"host": "a"}, [300.0, 360.0], [6.0, 7.0]),  # appends again
+        SeriesFrame("t", {}, [120.0, 120.0], [1.0, 2.0]),     # a repeat inside the frame
+    ]
+
+    @staticmethod
+    def columns(database):
+        return [
+            (series.name, series.tags, series._timestamps.view().tobytes(),
+             series._values.view().tobytes())
+            for series in database
+        ]
+
+    def test_one_batch_equals_one_ingest_columns_call_per_frame(self):
+        batched = TimeSeriesDatabase()
+        assert batched.write_batch(self.BATCH) == 13
+        sequential = TimeSeriesDatabase()
+        for frame in self.BATCH:
+            if len(frame):
+                sequential.create(frame.name, frame.tags).ingest_columns(
+                    frame.timestamps, frame.values
+                )
+        assert self.columns(batched) == self.columns(sequential)
+        stored = batched.get("s")
+        assert stored.timestamps.tolist() == [0.0, 60.0, 90.0, 120.0, 180.0, 240.0, 300.0, 360.0]
+        assert stored.values.tolist() == [1.0, 9.5, 9.0, 3.0, 4.0, 5.0, 6.0, 7.0]
+        assert batched.get("t").values.tolist() == [7.0, 8.0, 2.0]
+
+    def test_a_replayed_delta_equals_the_live_database(self):
+        live = TimeSeriesDatabase()
+        live.write_batch(self.BATCH[:1])
+        replica = pickle.loads(pickle.dumps(live))
+        log = WriteLog(live)
+        written = live.write_batch(self.BATCH[1:])
+        assert log.wrote(self.BATCH[1:], written)
+        pickle.loads(pickle.dumps(log.cut())).replay(replica)
+        assert self.columns(replica) == self.columns(live)
 
 
 class TestWindowSpec:
