@@ -1,7 +1,7 @@
 """Shared labelled-corpus construction for detection benchmarks.
 
 ``bench_fig8_egads.py`` (FBDetect vs EGADS tradeoff) and
-``bench_detector_scorecard.py`` (multi-detector registry scorecard)
+``bench_detector_scorecard.py`` (offline multi-detector scorecard)
 score the same kind of corpus: true step regressions sampled from the
 detectable magnitude range, plus the messy-but-benign negative families
 production series carry (long transients, seasonality, autocorrelated

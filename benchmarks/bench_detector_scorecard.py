@@ -1,9 +1,9 @@
-"""Detector scorecard — the registry's challengers ranked on one corpus.
+"""Detector scorecard — the offline suite's challengers ranked on one corpus.
 
 Hunter (arXiv 2301.03034) runs E-divisive means over benchmark
 fetch-rates; BIPeC (arXiv 2408.12414) argues no single analyzer wins
-everywhere and combines them.  The ``repro.detectors`` registry makes
-that comparison concrete here: every registrable detector — the
+everywhere and combines them.  ``repro.detectors.default_suite()`` makes
+that comparison concrete here: every built-in detector — the
 incumbent FBDetect pipeline, the from-scratch E-divisive tester, the
 DP-changepoint detector, and the robust threshold/MAD presets — scores
 the shared Figure 8 corpus (see ``_corpus.py``), and the scorecard
@@ -37,8 +37,7 @@ def score_detectors(
     """Score each detector over a labelled corpus.
 
     Every window is scanned through :class:`DetectorWindow.from_labeled`
-    (the same historic/analysis/extended orientation shadow mode feeds
-    challengers in production).  A scan that raises counts as an error
+    (the same historic/analysis/extended segments the pipeline scans).  A scan that raises counts as an error
     and as a miss on true regressions — a crashing detector must not
     look better than a quiet one.
 
@@ -109,7 +108,7 @@ def scorecard(corpus):
 
 def test_scorecard_covers_registry(scorecard):
     # The acceptance bar: at least four detectors of four distinct
-    # registered types scored on the same corpus.
+    # types scored on the same corpus.
     assert len(scorecard) >= 4
     assert len({row["type"] for row in scorecard}) >= 4
     for row in scorecard:
@@ -141,7 +140,7 @@ def test_scorecard_measures_latency(scorecard):
 
 def test_scorecard_challengers_trade_errors(scorecard):
     # Single-analyzer challengers fire on some windows (they are not
-    # dead weight in shadow mode) but pay benign-family FPs or misses
+    # dead weight) but pay benign-family FPs or misses
     # the incumbent avoids — the BIPeC motivation for running a panel.
     incumbent = next(row for row in scorecard if row["type"] == "incumbent")
     challengers = [row for row in scorecard if row["type"] != "incumbent"]
@@ -166,7 +165,7 @@ def test_scorecard_emit(scorecard):
         )
     rows.append("ranked by combined FP+FN; corpus = fig8 (25 pos / 155 neg)")
     rows.append("Hunter-style E-divisive and DP single analyzers vs the full pipeline")
-    emit("Detector scorecard — registry over the Figure 8 corpus", rows)
+    emit("Detector scorecard — default suite over the Figure 8 corpus", rows)
     assert [row["combined"] for row in scorecard] == sorted(
         row["combined"] for row in scorecard
     )

@@ -139,16 +139,6 @@ def build_parser() -> argparse.ArgumentParser:
         "data-quality admission layer",
     )
     serve.add_argument(
-        "--shadow",
-        action="append",
-        default=None,
-        metavar="DETECTOR",
-        help="register a challenger detector in shadow mode (repeatable; "
-        "a registry type name like 'mad' or 'e_divisive', or "
-        "'type:{json params}'); challengers score every scan but never "
-        "alert — tallies land on /detectors",
-    )
-    serve.add_argument(
         "--ingest-csv",
         default=None,
         metavar="CSV_PATH",
@@ -325,41 +315,6 @@ def _stream_dirty(
     service.advance_to(simulator.time)
 
 
-def _parse_shadow_specs(raw_specs):
-    """Parse ``--shadow`` values into build_detector specs.
-
-    Accepts a bare registry type name (``mad``) or a name with inline
-    JSON parameters (``e_divisive:{"n_permutations": 49}``).
-
-    Raises:
-        ValueError: On unknown types or malformed parameter JSON.
-    """
-    import json as json_module
-
-    from repro.detectors import DEFAULT_REGISTRY
-
-    specs = []
-    for raw in raw_specs:
-        type_name, _, params_json = raw.partition(":")
-        type_name = type_name.strip()
-        if type_name not in DEFAULT_REGISTRY:
-            known = ", ".join(DEFAULT_REGISTRY.types())
-            raise ValueError(
-                f"unknown shadow detector {type_name!r} (known: {known})"
-            )
-        if params_json:
-            try:
-                params = json_module.loads(params_json)
-            except json_module.JSONDecodeError as error:
-                raise ValueError(
-                    f"bad JSON params for shadow detector {type_name!r}: {error}"
-                ) from None
-            specs.append((type_name, params))
-        else:
-            specs.append(type_name)
-    return specs
-
-
 def _build_service(args: argparse.Namespace, fault_injector=None):
     """The service both serve-demo paths run: ``(service, collecting
     sink, webhook sink)`` — the last ``None`` without ``--webhook``,
@@ -526,22 +481,8 @@ def _cmd_serve_demo(args: argparse.Namespace) -> int:
         print(f"fault injection armed: seed={plan.seed}, "
               f"{len(plan.specs)} spec(s)")
 
-    shadow_specs = None
-    if args.shadow:
-        try:
-            shadow_specs = _parse_shadow_specs(args.shadow)
-        except ValueError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-
     service, sink, webhook_sink = _build_service(args, injector)
-    service.register_monitor(
-        args.preset, config, series_filter={"metric": "gcpu"},
-        shadow=shadow_specs,
-    )
-    if shadow_specs:
-        names = ", ".join(row["id"] for row in views.detectors(service)[1]["detectors"])
-        print(f"shadow mode armed: {names} (alert-inert challengers)")
+    service.register_monitor(args.preset, config, series_filter={"metric": "gcpu"})
 
     obs_server = None
     if args.obs_port is not None:
@@ -549,7 +490,7 @@ def _cmd_serve_demo(args: argparse.Namespace) -> int:
 
         obs_server = ObservabilityServer(service, port=args.obs_port).start()
         print(f"observability endpoints at {obs_server.url} "
-              "(/metrics /healthz /status /faults /quality /detectors)")
+              "(/metrics /healthz /status /faults /quality)")
 
     if args.dirty_data:
         _stream_dirty(args, simulator, service, hottest)
@@ -600,17 +541,6 @@ def _cmd_serve_demo(args: argparse.Namespace) -> int:
     stale = quality["stale_series"]
     if stale:
         print(f"stale series evicted from scheduling: {', '.join(stale)}")
-    _, detectors = views.detectors(service)
-    if detectors["enabled"]:
-        print()
-        print("shadow detectors (alert-inert challengers):")
-        for row in detectors["detectors"]:
-            tally = row["tally"]
-            print(f"  {row['id']}: scans={tally['scans']} "
-                  f"fired={tally['fired']} agree={tally['agree_fired']} "
-                  f"shadow_only={tally['shadow_only']} "
-                  f"primary_only={tally['primary_only']} "
-                  f"errors={tally['errors']}")
     if injector is not None:
         fired = injector.counts()
         total = sum(fired.values())
@@ -636,8 +566,7 @@ def _cmd_serve_demo(args: argparse.Namespace) -> int:
         import urllib.request
 
         print()
-        for endpoint in ("/metrics", "/healthz", "/status", "/quality",
-                         "/detectors"):
+        for endpoint in ("/metrics", "/healthz", "/status", "/quality"):
             try:
                 with urllib.request.urlopen(
                     obs_server.url + endpoint, timeout=5.0

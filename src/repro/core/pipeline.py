@@ -177,12 +177,6 @@ class DetectionPipeline:
             series that stopped reporting are evicted until they resume
             (:meth:`stale_series`).  Windows holding a non-finite value
             are never scanned, gate or not.
-        shadow: Optional shadow scorer exposing ``score(historic,
-            analysis, extended, primary_fired)`` (e.g.
-            :class:`repro.detectors.shadow.ShadowScorer`), called once per
-            full short-term scan with the oriented windows.  Alert-inert:
-            it never touches verdicts, funnels or delivery.  Duck-typed,
-            so the core pipeline does not import the detectors layer.
     """
 
     def __init__(
@@ -197,7 +191,6 @@ class DetectionPipeline:
         enable_cost_shift: bool = True,
         incremental: bool = False,
         quality_gate: Optional[QualityGate] = None,
-        shadow: Optional[object] = None,
     ) -> None:
         self.config = config
         self.change_log = change_log if change_log is not None else ChangeLog()
@@ -213,7 +206,6 @@ class DetectionPipeline:
             else None
         )
         self.quality_gate = quality_gate
-        self.shadow = shadow
         # Series currently evicted for staleness; membership is
         # re-evaluated every run, so a series that resumes reporting
         # leaves the set on its next scan.
@@ -631,19 +623,9 @@ class DetectionPipeline:
         candidate: Optional[ChangePointCandidate],
     ) -> Optional[Tuple[Regression, ChangePointCandidate]]:
         """The regression behind a short-term change point, if any."""
-        if self.shadow is None and candidate is None:
-            return None
-        view = self._oriented_view(windowed)
-        if self.shadow is not None:
-            # Challengers see exactly what the incumbent scanned (same
-            # orientation, same segments) on every full scan — fired or
-            # quiet — so their tallies measure both FP and FN behavior.
-            self.shadow.score(
-                view.historic, view.analysis, view.extended,
-                primary_fired=candidate is not None,
-            )
         if candidate is None:
             return None
+        view = self._oriented_view(windowed)
         regression = Regression(
             context=MetricContext.from_tags(series.name, series.tags),
             kind=RegressionKind.SHORT_TERM,

@@ -1,23 +1,19 @@
-"""Multi-detector registry and shadow mode.
+"""An offline detector suite, judged on a labelled corpus.
 
 FBDetect commits to a single detection stack, but the literature
 disagrees on the best change-point detector: Hunter's core is an
 E-divisive significance tester (arXiv 2301.03034) and BIPeC argues a
 combination of analyzers beats any single one (arXiv 2408.12414).  This
-subsystem lets the service run *challenger* detectors beside the
-incumbent pipeline without risking alert quality:
+subsystem scores *challenger* detectors against the incumbent pipeline
+offline, on one corpus (``benchmarks/bench_detector_scorecard.py``); a
+monitor in the service always runs the Figure 6 stack:
 
 - :mod:`repro.detectors.base` — the :class:`Detector` unit: named,
   versioned, identified by a deterministic blake2b param-hash ID.
-- :mod:`repro.detectors.library` — five built-ins: the wrapped
+- :mod:`repro.detectors.library` — five built-ins (the wrapped
   incumbent pipeline, an E-divisive tester, a DP-changepoint detector,
-  and MAD/threshold presets.
-- :mod:`repro.detectors.registry` — type-name factories,
-  :func:`build_detector` spec parsing, and the scorecard
-  :func:`default_suite`.
-- :mod:`repro.detectors.shadow` — the alert-inert
-  :class:`ShadowScorer` whose tallies ride shard checkpoints and feed
-  the ``/detectors`` endpoint and ``detector_*`` metrics.
+  and MAD/threshold presets) and :func:`default_suite`, one of each as
+  the scorecard runs them.
 """
 
 from repro.detectors.base import (
@@ -33,33 +29,19 @@ from repro.detectors.library import (
     IncumbentDetector,
     MADDetector,
     ThresholdDetector,
-)
-from repro.detectors.registry import (
-    DEFAULT_REGISTRY,
-    DetectorRegistry,
-    DetectorSpec,
-    build_detector,
     default_suite,
 )
-from repro.detectors.shadow import ShadowScorer, ShadowTally, merge_snapshot_rows
 
 __all__ = [
-    "DEFAULT_REGISTRY",
     "DPChangePointDetector",
     "Detector",
     "DetectorDecision",
-    "DetectorRegistry",
-    "DetectorSpec",
     "DetectorWindow",
     "EDivisiveDetector",
     "IncumbentDetector",
     "MADDetector",
-    "ShadowScorer",
-    "ShadowTally",
     "ThresholdDetector",
-    "build_detector",
     "default_suite",
     "make_detector_id",
-    "merge_snapshot_rows",
     "param_hash",
 ]

@@ -1,21 +1,19 @@
 """Detector units: named, versioned, with deterministic param-hash IDs.
 
-A *detector* is the unit the registry trades in: a pure function from a
+A *detector* is the unit the offline suite scores: a pure function from a
 window of series values to a fired/quiet decision, carrying a stable
 identity of the form ``{type}-v{version}-{hash8}`` where ``hash8`` is a
 blake2b digest over the canonical (sorted-key JSON) parameter encoding —
 the detectk-style scheme.  Two detectors with the same type, version,
 and parameters therefore share an ID in every process regardless of
-``PYTHONHASHSEED``, which is what lets shadow tallies merge across shard
-workers, checkpoints, and restarts without a coordination step (the same
-property :func:`repro.obs.logging.correlation_id` gives alert keys).
+``PYTHONHASHSEED``, so a scorecard row can be compared across runs and
+commits by its ID (the same property
+:func:`repro.obs.logging.correlation_id` gives alert keys).
 
 Detectors must be:
 
 - **pure** — ``scan`` reads the window arrays and returns a decision; it
-  never mutates them (the pipeline passes views of live buffers);
-- **picklable** — shadow scorers ride shard state through worker
-  round-trips and checkpoints;
+  never mutates them (a caller may pass views of live buffers);
 - **deterministic** — same window, same decision, in any process (use
   seeded fresh RNGs, never global or wall-clock state).
 """
@@ -67,10 +65,10 @@ def make_detector_id(type_name: str, version: int, params: Mapping[str, object])
 class DetectorWindow:
     """One scan's worth of series data, oriented so higher is worse.
 
-    The pipeline hands every detector the same three segments it scans
-    itself: the historic baseline, the analysis window, and the extended
-    (persistence) window.  Arrays may be views of live buffers —
-    detectors must treat them as read-only.
+    The same three segments the pipeline scans: the historic baseline,
+    the analysis window, and the extended (persistence) window.  Arrays
+    may be views of live buffers — detectors must treat them as
+    read-only.
     """
 
     historic: np.ndarray
@@ -123,12 +121,12 @@ class DetectorDecision:
 
 
 class Detector(abc.ABC):
-    """Base class for registrable detectors.
+    """Base class for detectors.
 
     Subclasses set ``type_name`` and ``version`` as class attributes and
     implement :meth:`params` (the identity-defining configuration) and
     :meth:`scan`.  Bump ``version`` whenever the algorithm changes in a
-    way that makes old tallies incomparable — the ID changes with it.
+    way that makes old scores incomparable — the ID changes with it.
     """
 
     type_name: str = "abstract"
@@ -148,7 +146,7 @@ class Detector(abc.ABC):
         return make_detector_id(self.type_name, self.version, self.params())
 
     def describe(self) -> dict:
-        """Registry/endpoint row: identity plus parameters."""
+        """Scorecard row: identity plus parameters."""
         return {
             "id": self.detector_id,
             "type": self.type_name,

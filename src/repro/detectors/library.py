@@ -1,12 +1,13 @@
-"""The built-in detector library.
+"""The built-in detector library and the suite that scores it.
 
-Five registrable detectors spanning the approaches the literature
-disagrees on (BIPeC's premise — arXiv 2408.12414 — is that no single
-change-point analyzer wins everywhere):
+Five detectors spanning the approaches the literature disagrees on
+(BIPeC's premise — arXiv 2408.12414 — is that no single change-point
+analyzer wins everywhere), and :func:`default_suite`, one of each as the
+scorecard runs them:
 
 - :class:`IncumbentDetector` — the paper's own stack (CUSUM+EM screen,
   went-away predicate, seasonality filter, threshold) wrapped as a
-  registry unit, so challengers are always measured against it.
+  detector unit, so challengers are always measured against it.
 - :class:`EDivisiveDetector` — Hunter-style energy-statistic split with
   permutation significance (:mod:`repro.stats.e_divisive`).
 - :class:`DPChangePointDetector` — normal-loss dynamic-programming split
@@ -25,7 +26,7 @@ no per-detector offset bookkeeping.
 
 from __future__ import annotations
 
-from typing import Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -36,7 +37,7 @@ from repro.detectors.base import Detector, DetectorDecision, DetectorWindow
 from repro.stats.changepoint_dp import best_split_normal_loss
 from repro.stats.e_divisive import e_divisive_test
 from repro.stats.hypothesis import likelihood_ratio_test
-from repro.stats.robust import NORMALITY_CONSTANT
+from repro.stats.robust import mad_threshold
 from repro.tsdb.windows import WindowSpec, WindowedView
 
 __all__ = [
@@ -45,6 +46,7 @@ __all__ = [
     "IncumbentDetector",
     "MADDetector",
     "ThresholdDetector",
+    "default_suite",
 ]
 
 
@@ -61,12 +63,12 @@ def _first_run(exceeds: np.ndarray, min_run: int) -> Optional[int]:
 
 
 class IncumbentDetector(Detector):
-    """The paper's short-term pipeline as a registry unit.
+    """The paper's short-term pipeline as a detector unit.
 
     Runs the same stage chain the production scan runs on a window —
     CUSUM+EM change-point screen, went-away predicate, seasonality
-    filter, absolute-magnitude threshold — so scorecards and shadow
-    funnels always include the stack challengers must beat.
+    filter, absolute-magnitude threshold — so a scorecard always
+    includes the stack challengers must beat.
     """
 
     type_name = "incumbent"
@@ -304,15 +306,8 @@ class MADDetector(Detector):
         baseline = window.historic
         if baseline.size == 0:
             return DetectorDecision.quiet("no baseline")
-        # One median pass feeds both the center and the MAD scale
-        # (mad_threshold would recompute it; this runs on every shadow
-        # score, so the duplicate O(n) pass matters).
         median = float(np.median(baseline))
-        scale = (
-            self.coefficient
-            * float(np.median(np.abs(baseline - median)))
-            * NORMALITY_CONSTANT
-        )
+        scale = mad_threshold(baseline, self.coefficient)
         if scale <= 0.0:
             return DetectorDecision.quiet("baseline has zero dispersion")
         level = median + scale
@@ -361,3 +356,35 @@ class ThresholdDetector(Detector):
             score=magnitude / self.level if self.level else magnitude,
             detail=f"run above static level {self.level:.3g}",
         )
+
+
+def default_suite(
+    threshold: float = 0.000004,
+    base: float = 0.001,
+    overrides: Optional[Mapping[str, Mapping[str, object]]] = None,
+) -> List[Detector]:
+    """One of each built-in detector, tuned for the bench corpora.
+
+    Args:
+        threshold: Incumbent magnitude threshold (the fig8 bench value).
+        base: Baseline level the static presets key off.
+        overrides: Per-type parameter overrides merged over the
+            defaults, e.g. ``{"e_divisive": {"n_permutations": 29}}``.
+
+    Returns:
+        Five detectors — incumbent, e_divisive, dp_change, mad,
+        threshold — each carrying its param-hash ID.
+    """
+    params: Dict[type, Dict[str, object]] = {
+        IncumbentDetector: {"threshold": threshold},
+        EDivisiveDetector: {},
+        DPChangePointDetector: {},
+        MADDetector: {},
+        ThresholdDetector: {"level": base * 1.05},
+    }
+    by_name = {cls.type_name: cls for cls in params}
+    for type_name, extra in (overrides or {}).items():
+        if type_name not in by_name:
+            raise KeyError(f"unknown detector type in overrides: {type_name!r}")
+        params[by_name[type_name]].update(extra)
+    return [cls(**cls_params) for cls, cls_params in params.items()]

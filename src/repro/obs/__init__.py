@@ -16,7 +16,7 @@ reproduction operable the same way:
 - :mod:`repro.obs.http` — a stdlib :mod:`http.server` pull surface for
   the streaming service: it routes the ``path -> view`` table of
   :mod:`repro.service.views` (``/metrics``, ``/healthz``, ``/status``,
-  ``/faults``, ``/quality``, ``/detectors``).
+  ``/faults``, ``/quality``).
 
 Dependency direction: :mod:`repro.obs.logging` and :mod:`repro.obs.spans`
 import only the standard library, so :mod:`repro.core`,

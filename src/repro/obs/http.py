@@ -12,10 +12,9 @@ shard internals itself.  The rows today:
 - ``GET /healthz`` — liveness/readiness JSON; ``200`` when healthy and
   ``503`` when degraded, so load balancers and Kubernetes probes can
   consume it directly;
-- ``GET /status``, ``/faults``, ``/quality``, ``/detectors`` — the
-  funnel, fault-injection, data-quality and shadow-detector views (what
-  each carries is its function's docstring in
-  :mod:`repro.service.views`).
+- ``GET /status``, ``/faults``, ``/quality`` — the funnel,
+  fault-injection and data-quality views (what each carries is its
+  function's docstring in :mod:`repro.service.views`).
 
 ``GET /`` returns a small JSON index of the endpoints.  The server runs
 on a daemon thread (one handler thread per request), binds an ephemeral

@@ -174,7 +174,7 @@ class FunnelCounters:
 
 class RunCounts(Dict[str, int]):
     """A run's own counters, ``name -> count``, with a registry's
-    ``inc`` — so the shadow scorer counts into either unchanged."""
+    ``inc`` — so code that counts into one counts into either."""
 
     def inc(self, name: str, amount: int = 1) -> None:
         self[name] = self.get(name, 0) + amount

@@ -34,7 +34,6 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence
 
 from repro.config import DetectionConfig
 from repro.core.pipeline import DetectionPipeline, PipelineResult
-from repro.detectors.shadow import merge_snapshot_rows
 from repro.fleet.changes import ChangeLog
 from repro.obs.logging import get_logger
 from repro.profiling.stacktrace import StackTrace
@@ -210,22 +209,6 @@ class DetectionScheduler:
         for registration in list(self._monitors.values()):
             stale.update(registration.pipeline.stale_series())
         return sorted(stale)
-
-    def shadow_snapshot(self) -> List[dict]:
-        """Shadow-detector tallies across this scheduler's monitors.
-
-        Merged per detector ID (identity fields from the first row,
-        tally fields summed), sorted by ID.  Empty when no monitor has
-        a shadow scorer attached.  Surfaced on the service's
-        ``/detectors`` endpoint.
-        """
-        merged: Dict[str, dict] = {}
-        for registration in list(self._monitors.values()):
-            shadow = registration.pipeline.shadow
-            if shadow is None:
-                continue
-            merge_snapshot_rows(merged, shadow.snapshot_rows())
-        return [merged[det_id] for det_id in sorted(merged)]
 
     def incremental_counts(self) -> Dict[str, int]:
         """Incremental-cache decisions summed over this scheduler's

@@ -58,7 +58,8 @@ __all__ = ["CheckpointError", "CheckpointManager", "CHECKPOINT_VERSION"]
 #: pipeline's detectors carry no settings (they are module constants).
 #: 8: a regression's window holds its samples' timestamps and one value
 #: array (``WindowedView.times`` / ``values``), not three value arrays.
-CHECKPOINT_VERSION = 8
+#: 9: a pipeline holds no shadow scorer and a monitor spec no shadow ids.
+CHECKPOINT_VERSION = 9
 MANIFEST_NAME = "manifest.json"
 
 _GEN_MANIFEST_RE = re.compile(r"^manifest\.g(\d+)\.json$")

@@ -8,10 +8,10 @@ that owns them by name and snapshots/restores itself for checkpoints,
 and :func:`render`, the Prometheus style text exposition of ``/metrics``.
 
 The registry holds what has no other home: a count an object already
-keeps (ingest workers, admission, shadow tallies, the schedulers' scan
-counts and incremental caches, the service's own ints — every gauge
-``/metrics`` serves among them) is folded into ``/metrics`` from that
-owner by :mod:`repro.service.views`, never recorded here.  What does record
+keeps (ingest workers, admission, the schedulers' scan counts and
+incremental caches, the service's own ints — every gauge ``/metrics``
+serves among them) is folded into ``/metrics`` from that owner by
+:mod:`repro.service.views`, never recorded here.  What does record
 (:func:`repro.runtime.scheduler.publish`, the service's timers, the
 parallel executor, the fault injector, ``WebhookSink``, the remote-write
 receiver) calls only ``inc`` / ``observe``, so no core module imports

@@ -48,7 +48,6 @@ from repro.config import DetectionConfig
 from repro.core.pipeline import FunnelCounters
 from repro.faults import FaultInjector
 from repro.core.types import Regression
-from repro.detectors import DetectorSpec, ShadowScorer, build_detector
 from repro.quality import QualityGate
 from repro.obs.logging import correlation_id, get_logger, log_context
 from repro.obs.spans import EventLog, TraceStore
@@ -253,7 +252,6 @@ class StreamingDetectionService:
         config: DetectionConfig,
         series_filter: Optional[Dict[str, str]] = None,
         first_run: Optional[float] = None,
-        shadow: Optional[Sequence[DetectorSpec]] = None,
         incremental: bool = True,
         **pipeline_kwargs,
     ) -> None:
@@ -268,27 +266,8 @@ class StreamingDetectionService:
         scans every due series in full, the baseline the screen's
         deferrals are measured against.  Each scan's funnel spans are
         published into the service's :attr:`traces` store.
-
-        ``shadow`` registers challenger detectors (specs accepted by
-        :func:`repro.detectors.build_detector` — e.g. ``["mad"]`` or
-        ``[("e_divisive", {"n_permutations": 49})]``): each shard gets
-        its own :class:`~repro.detectors.shadow.ShadowScorer` scoring
-        every full scan alert-inertly; tallies surface on
-        :func:`repro.service.views.detectors` / ``/detectors`` and ride
-        shard checkpoints like any scheduler state.
         """
-        shadow_specs = list(shadow or [])
-        shadow_ids: List[str] = []
         for shard in self._shards.values():
-            scorer = None
-            if shadow_specs:
-                # Fresh challenger instances per shard: scorer state is
-                # shard state (it rides that shard's pickles), so shards
-                # must never share detector or tally objects.
-                scorer = ShadowScorer(
-                    [build_detector(spec) for spec in shadow_specs]
-                )
-                shadow_ids = scorer.detector_ids
             shard.scheduler.register(
                 name,
                 config,
@@ -296,7 +275,6 @@ class StreamingDetectionService:
                 first_run=first_run,
                 incremental=incremental,
                 quality_gate=QualityGate(),
-                shadow=scorer,
                 **pipeline_kwargs,
             )
             shard.forget_replica()  # its scheduler has no such monitor
@@ -305,7 +283,6 @@ class StreamingDetectionService:
                 "name": name,
                 "config": config.name,
                 "series_filter": dict(series_filter or {}),
-                "shadow": shadow_ids,
             }
         )
 

@@ -236,10 +236,6 @@ class Shard:
         series evicted as stale."""
         return self.worker.admission.snapshot(), self.scheduler.stale_series()
 
-    def shadow_rows(self) -> List[dict]:
-        """This shard's ``/detectors`` rows (challenger tallies by id)."""
-        return self.scheduler.shadow_snapshot()
-
     def unquarantine(self, name: str) -> int:
         """Release one series from quarantine; returns the points that
         were attributed to it.  Under the queue lock, like the offers

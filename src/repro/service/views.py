@@ -8,7 +8,7 @@ endpoint is a new row.  ``cli.py`` and the tests call the same
 functions, so what HTTP serves and what a test asserts cannot differ.
 
 Views fold over shards and write nothing.  A shard answers for itself
-(``Shard.stats`` / ``health`` / ``quality`` / ``shadow_rows``): no view
+(``Shard.stats`` / ``health`` / ``quality``): no view
 reaches through to a shard's worker or scheduler, so none assumes they
 live in this process, and none takes a queue lock (see
 :mod:`repro.service.shard` for what makes that safe).  A count an owner
@@ -23,7 +23,6 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Tuple, Union
 
-from repro.detectors import merge_snapshot_rows
 from repro.obs.spans import FunnelTrace
 from repro.service.metrics import render
 from repro.service.shard import ShardStats
@@ -131,9 +130,6 @@ def _snapshot(service, shards: List[ShardStats]) -> dict:
         counters["scheduler.scans"] += shard.scans
         for key, count in shard.incremental.items():
             counters[f"pipeline.incremental.{key}"] += count
-    for row in _challengers(service):
-        for field in ("scans", "fired", "errors"):
-            counters[f"detector.{row['id']}.{field}"] = row["tally"][field]
     counters["service.reports.delivered"] = service._reported
     counters["service.reports.suppressed"] = service._suppressed_realerts
     gauges = {"service.shards": service.n_shards, "service.workers": service.workers}
@@ -300,28 +296,6 @@ def quality(service) -> View:
     }
 
 
-def detectors(service) -> View:
-    """``/detectors``: shadow-detector funnels across shards.
-
-    Per-challenger rows merged over every shard (identity fields plus
-    summed :class:`~repro.detectors.shadow.ShadowTally` buckets), sorted
-    by their deterministic param-hash ids.  ``enabled`` is False when no
-    monitor has challengers registered.  Shadow tallies are scheduler
-    state, so this view survives parallel advances, checkpoints, and
-    restores.
-    """
-    rows = _challengers(service)
-    return 200, {"enabled": bool(rows), "detectors": rows}
-
-
-def _challengers(service) -> List[dict]:
-    """Challenger rows merged over shards, sorted by id."""
-    merged: Dict[str, dict] = {}
-    for shard in service._shards.values():
-        merge_snapshot_rows(merged, shard.shadow_rows())
-    return [merged[det_id] for det_id in sorted(merged)]
-
-
 #: The endpoints: path -> view.  ``GET /`` lists these keys.
 VIEWS: Dict[str, Callable[[object], View]] = {
     "/metrics": metrics,
@@ -329,5 +303,4 @@ VIEWS: Dict[str, Callable[[object], View]] = {
     "/status": status,
     "/faults": faults,
     "/quality": quality,
-    "/detectors": detectors,
 }

@@ -6,8 +6,8 @@ maximizing the *energy divergence* between the two sides, and its
 significance is judged by a permutation test — shuffle the series, redo
 the split search, and ask how often chance alone matches the observed
 divergence.  This module implements that tester from scratch so the
-detector registry can run a Hunter-style challenger beside the paper's
-CUSUM+EM incumbent.
+offline detector suite can score a Hunter-style challenger against the
+paper's CUSUM+EM incumbent.
 
 For a split of ``x`` into ``A = x[:t]`` (m points) and ``B = x[t:]``
 (k points), the sample energy divergence is
@@ -22,8 +22,8 @@ All splits are scored at once from the pairwise distance matrix via 2-D
 prefix sums, so one sweep costs O(n^2) and each permutation reuses the
 same matrix under a fancy-index shuffle.  Determinism: the permutation
 stream comes from a fresh seeded :class:`numpy.random.Generator`, so the
-same series and parameters always yield the same p-value — a property
-the shadow-mode byte-identity contract relies on.
+same series and parameters always yield the same p-value, so a
+scorecard row is the same in every run.
 """
 
 from __future__ import annotations

@@ -1,7 +1,6 @@
-"""The detector registry: IDs, specs, library behavior, shadow scoring."""
+"""The detector library: IDs, the default suite, library behavior."""
 
 import os
-import pickle
 import subprocess
 import sys
 
@@ -9,20 +8,14 @@ import numpy as np
 import pytest
 
 from repro.detectors import (
-    DEFAULT_REGISTRY,
-    Detector,
     DetectorDecision,
-    DetectorRegistry,
     DetectorWindow,
     EDivisiveDetector,
     IncumbentDetector,
     MADDetector,
-    ShadowScorer,
     ThresholdDetector,
-    build_detector,
     default_suite,
     make_detector_id,
-    merge_snapshot_rows,
     param_hash,
 )
 
@@ -62,9 +55,9 @@ class TestIdentity:
         )
 
     def test_pinned_default_ids(self):
-        # Literal pins: shadow tallies merge across shards, checkpoints,
-        # and restarts on these strings — changing a default parameter or
-        # the hashing scheme must be a conscious, version-bumped act.
+        # Literal pins: scorecard rows are compared across runs and
+        # commits on these strings — changing a default parameter or the
+        # hashing scheme must be a conscious, version-bumped act.
         assert IncumbentDetector().detector_id == "incumbent-v1-24aeac9b"
         assert IncumbentDetector(threshold=0.000004).detector_id == (
             "incumbent-v1-b9523665"  # the default_suite / fig8 tuning
@@ -101,37 +94,15 @@ class TestIdentity:
 
 
 class TestRegistry:
-    def test_default_registry_types(self):
-        for type_name in ("incumbent", "e_divisive", "dp_change", "mad",
-                          "threshold"):
-            assert type_name in DEFAULT_REGISTRY
-
-    def test_unknown_type_raises_with_known_list(self):
-        with pytest.raises(KeyError, match="mad"):
-            DEFAULT_REGISTRY.create("nope")
-
-    def test_custom_registry_isolated(self):
-        registry = DetectorRegistry()
-        registry.register("mad", MADDetector)
-        assert "mad" in registry
-        assert "incumbent" not in registry
-        with pytest.raises(ValueError, match="already registered"):
-            registry.register("mad", MADDetector)
-
-    def test_build_detector_forms(self):
-        instance = MADDetector(coefficient=2.5)
-        assert build_detector(instance) is instance
-        assert build_detector("mad").detector_id == MADDetector().detector_id
-        by_tuple = build_detector(("mad", {"coefficient": 2.5}))
-        assert by_tuple.detector_id == instance.detector_id
-        by_mapping = build_detector({"type": "mad", "params": {"coefficient": 2.5}})
-        assert by_mapping.detector_id == instance.detector_id
+    """The default suite: one of each built-in type."""
 
     def test_default_suite_covers_registry(self):
         suite = default_suite()
         assert len(suite) == 5
         assert len({d.detector_id for d in suite}) == 5
-        assert {d.type_name for d in suite} == set(DEFAULT_REGISTRY.types())
+        assert {d.type_name for d in suite} == {
+            "incumbent", "e_divisive", "dp_change", "mad", "threshold"
+        }
 
     def test_default_suite_overrides(self):
         plain = {d.type_name: d for d in default_suite()}
@@ -192,88 +163,3 @@ class TestLibrary:
         assert window.analysis_start == labeled.historic_points
         assert window.full.size == labeled.values.size
         assert labeled.change_index >= window.analysis_start
-
-
-class _Exploding(Detector):
-    type_name = "exploding"
-    version = 1
-
-    def params(self):
-        return {}
-
-    def scan(self, window):
-        raise RuntimeError("boom")
-
-
-class TestShadowScorer:
-    def test_tally_partition(self):
-        scorer = ShadowScorer([MADDetector()])
-        hot, quiet = make_window(shift=SHIFT), make_window()
-        scorer.score(hot.historic, hot.analysis, hot.extended,
-                     primary_fired=True)
-        scorer.score(quiet.historic, quiet.analysis, quiet.extended,
-                     primary_fired=False)
-        scorer.score(quiet.historic, quiet.analysis, quiet.extended,
-                     primary_fired=True)
-        tally = scorer.tallies[MADDetector().detector_id]
-        assert tally.scans == 3
-        assert tally.fired == 1
-        assert tally.agree_fired == 1
-        assert tally.both_quiet == 1
-        assert tally.primary_only == 1
-        assert tally.errors == 0
-
-    def test_duplicate_ids_rejected(self):
-        with pytest.raises(ValueError, match="duplicate"):
-            ShadowScorer([MADDetector(), MADDetector()])
-
-    def test_errors_contained_and_tallied(self):
-        scorer = ShadowScorer([_Exploding(), MADDetector()])
-        window = make_window(shift=SHIFT)
-        scorer.score(window.historic, window.analysis, window.extended,
-                     primary_fired=True)
-        assert scorer.tallies[_Exploding().detector_id].errors == 1
-        assert scorer.tallies[MADDetector().detector_id].fired == 1
-
-    def test_metrics_counters(self):
-        """The tally is what ``detector.<id>.{scans,fired,errors}`` reads
-        on ``/metrics``; ``score`` takes no recorder."""
-        scorer = ShadowScorer([MADDetector()])
-        window = make_window(shift=SHIFT)
-        scorer.score(window.historic, window.analysis, window.extended,
-                     primary_fired=True)
-        tally = scorer.tallies[MADDetector().detector_id]
-        assert (tally.scans, tally.fired, tally.errors) == (1, 1, 0)
-        with pytest.raises(TypeError, match="metrics"):
-            scorer.score(window.historic, window.analysis, window.extended,
-                         primary_fired=True, metrics=object())
-
-    def test_pickle_round_trip_preserves_tallies(self):
-        scorer = ShadowScorer([MADDetector(), ThresholdDetector(level=0.00105)])
-        window = make_window(shift=SHIFT)
-        scorer.score(window.historic, window.analysis, window.extended,
-                     primary_fired=True)
-        restored = pickle.loads(pickle.dumps(scorer))
-        assert restored.snapshot_rows() == scorer.snapshot_rows()
-        # The restored scorer keeps accruing on the same keys.
-        restored.score(window.historic, window.analysis, window.extended,
-                       primary_fired=True)
-        det_id = MADDetector().detector_id
-        assert restored.tallies[det_id].scans == scorer.tallies[det_id].scans + 1
-
-    def test_merge_snapshot_rows_sums_tallies(self):
-        scorer_a = ShadowScorer([MADDetector()])
-        scorer_b = ShadowScorer([MADDetector()])
-        window = make_window(shift=SHIFT)
-        scorer_a.score(window.historic, window.analysis, window.extended,
-                       primary_fired=True)
-        scorer_b.score(window.historic, window.analysis, window.extended,
-                       primary_fired=False)
-        merged = {}
-        merge_snapshot_rows(merged, scorer_a.snapshot_rows())
-        merge_snapshot_rows(merged, scorer_b.snapshot_rows())
-        (row,) = merged.values()
-        assert row["tally"]["scans"] == 2
-        assert row["tally"]["fired"] == 2
-        assert row["tally"]["agree_fired"] == 1
-        assert row["tally"]["shadow_only"] == 1

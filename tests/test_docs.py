@@ -6,6 +6,7 @@ invariants in the tier-1 suite so a broken link or an undocumented
 benchmark fails ``pytest`` locally, not just in CI.
 """
 
+import argparse
 import ast
 import functools
 import importlib.util
@@ -548,8 +549,8 @@ def _sanitized(name):
 
 
 class TestOneHomePerCount:
-    """A count its owner keeps — ingest worker, admission, shadow tally,
-    scheduler, incremental-scan cache, the service's own ints — reaches
+    """A count its owner keeps — ingest worker, admission, scheduler,
+    incremental-scan cache, the service's own ints — reaches
     ``/metrics`` through the fold in ``repro.service.views`` and nowhere
     else: the ingest side holds no registry, no call in ``src/`` records
     an owned name (a run's ledger included), and the restore step that
@@ -646,8 +647,7 @@ class TestRunbookNamesWhatMetricsServes:
         assert {"ingest_dropped_oldest", "quality_quarantined_{reason}"} <= set(names)
 
     def test_every_row_names_its_owner(self):
-        owners = {"worker", "admission", "shadow tally", "scheduler", "cache", "service",
-                  "registry"}
+        owners = {"worker", "admission", "scheduler", "cache", "service", "registry"}
         header = _read("docs", "RUNBOOK.md").split("### `/metrics`")[1]
         assert "| Metric | Type | Owner | Meaning |" in header
         for row in self._rows():
@@ -693,7 +693,7 @@ class TestAShardAnswersForItself:
             node.value for node in tree.body
             if isinstance(node, ast.AnnAssign) and ast.unparse(node.target) == "VIEWS"
         ]
-        assert len(table.values) >= 6
+        assert len(table.values) >= 5
         for value in table.values:
             assert isinstance(value, ast.Name) and value.id in functions, ast.unparse(value)
         # ... and the HTTP layer routes that table, not one of its own.
@@ -809,20 +809,18 @@ class TestEveryPublicNameHasACaller:
             "reference: held equal to the per-lag loop in _reference_kernels",
         "repro.stats.cusum.cusum_statistic":
             "reference: the whole CUSUM curve the split kernels are checked by",
-        "repro.stats.robust.mad_threshold":
-            "reference: the scalar MAD threshold of section 5.2.2",
         "repro.stats.robust.sorted_percentile":
             "reference: the one-row percentile held to np.percentile",
         "repro.profiling.aggregate.StackTrie.folded":
             "roadmap: item 7(d), /profile returns folded stacks",
         "repro.fleet.scenarios.single_server_cpu":
-            "roadmap: item 6(a) borrows its shape families from repro.fleet.scenarios",
+            "roadmap: item 3(d)'s fleet workload draws its shapes from repro.fleet.scenarios",
         "repro.fleet.scenarios.cost_shift_series":
-            "roadmap: item 6(a) borrows its shape families from repro.fleet.scenarios",
+            "roadmap: item 3(d)'s fleet workload draws its shapes from repro.fleet.scenarios",
         "repro.fleet.scenarios.spike_then_regression":
-            "roadmap: item 6(a) borrows its shape families from repro.fleet.scenarios",
+            "roadmap: item 3(d)'s fleet workload draws its shapes from repro.fleet.scenarios",
         "repro.fleet.scenarios.noisy_step_series":
-            "roadmap: item 6(a) borrows its shape families from repro.fleet.scenarios",
+            "roadmap: item 3(d)'s fleet workload draws its shapes from repro.fleet.scenarios",
         "repro.connectors.importers.JsonLinesImporter":
             "doc: docs/RUNBOOK.md, Importing real data, names JsonLinesImporter.import_into",
         "repro.service.service.StreamingDetectionService.unquarantine":
@@ -1063,3 +1061,60 @@ class TestFaultsComeFromOutside:
                         and ast.unparse(node.value).endswith("injector")
                     )
         assert used <= self.CALLED, sorted(used - self.CALLED)
+
+
+class TestChallengersAreJudgedOffline:
+    """A challenger detector is scored offline, by ``default_suite()`` on
+    the scorecard corpus (``benchmarks/bench_detector_scorecard.py``),
+    never beside a live scan: nothing in the service imports the
+    detectors, no constructor takes a challenger, and no endpoint or
+    flag serves one, so no hook for them comes back."""
+
+    SRC = TestFaultsComeFromOutside.SRC
+
+    def test_only_the_detectors_package_imports_it(self):
+        importers = []
+        for folder, _, files in os.walk(self.SRC):
+            if os.path.relpath(folder, self.SRC).split(os.sep)[0] == "detectors":
+                continue
+            for name in files:
+                if not name.endswith(".py"):
+                    continue
+                for node in ast.walk(ast.parse(_read(folder, name))):
+                    if isinstance(node, ast.ImportFrom):
+                        modules = [node.module or ""]
+                    elif isinstance(node, ast.Import):
+                        modules = [alias.name for alias in node.names]
+                    else:
+                        continue
+                    importers += [
+                        f"{os.path.relpath(os.path.join(folder, name), self.SRC)}:{node.lineno}"
+                        for module in modules
+                        if module == "repro.detectors" or module.startswith("repro.detectors.")
+                    ]
+        assert not importers, importers
+
+    def test_no_constructor_takes_a_challenger(self):
+        import inspect
+
+        from repro.core.pipeline import DetectionPipeline
+        from repro.service import StreamingDetectionService
+
+        for function in (StreamingDetectionService.register_monitor, DetectionPipeline.__init__):
+            assert "shadow" not in inspect.signature(function).parameters, function
+
+    def test_no_endpoint_or_flag_serves_one(self):
+        from repro.cli import build_parser
+        from repro.service.views import VIEWS
+
+        assert "/detectors" not in VIEWS
+        (subparsers,) = [
+            action for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        flags = {
+            flag for action in subparsers.choices["serve-demo"]._actions
+            for flag in action.option_strings
+        }
+        assert "--obs-port" in flags  # sees the flags ...
+        assert "--shadow" not in flags  # ... and this one is gone

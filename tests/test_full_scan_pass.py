@@ -5,8 +5,8 @@ the screen sent to a full scan and runs CUSUM -> EM -> LRT row-wise; a
 second loop, in series order, does what is per candidate.  These tests
 pin that the pass finds what the per-series loop found — candidates in
 the same order with the same verdict chains and floats, anchors with the
-same moments — whatever the block size, orientation or shadow scorer,
-and that a window the gate refuses never reaches the matrix.
+same moments — whatever the block size or orientation, and that a
+window the gate refuses never reaches the matrix.
 """
 
 import numpy as np
@@ -18,8 +18,6 @@ from repro.config import DetectionConfig
 from repro.core import pipeline as pipeline_module
 from repro.core.change_point import ChangePointDetector
 from repro.core.pipeline import DetectionPipeline
-from repro.detectors import build_detector
-from repro.detectors.shadow import ShadowScorer
 from repro.quality.gaps import QualityGate
 from repro.tsdb import TimeSeriesDatabase, WindowSpec
 
@@ -39,7 +37,7 @@ def _config(higher_is_worse):
     )
 
 
-def _scan(higher_is_worse, shadow, block_rows, monkeypatch, reference=False):
+def _scan(higher_is_worse, block_rows, monkeypatch, reference=False):
     """The fence fleet in one database, scanned for ``ROUNDS`` rounds;
     returns what every run found and the anchors it left."""
     names, tags, values = fence._fleet()
@@ -48,9 +46,8 @@ def _scan(higher_is_worse, shadow, block_rows, monkeypatch, reference=False):
     monkeypatch.setattr(pipeline_module, "SCAN_BLOCK_ROWS", block_rows)
     if reference:
         monkeypatch.setattr(ChangePointDetector, "detect_rows", ref.detect_rows)
-    scorer = ShadowScorer([build_detector("mad")]) if shadow else None
     pipeline = DetectionPipeline(
-        _config(higher_is_worse), incremental=True, quality_gate=QualityGate(), shadow=scorer
+        _config(higher_is_worse), incremental=True, quality_gate=QualityGate()
     )
     database = TimeSeriesDatabase()
     stored = [database.create(name, tag) for name, tag in zip(names, tags)]
@@ -80,22 +77,19 @@ def _scan(higher_is_worse, shadow, block_rows, monkeypatch, reference=False):
             if state["full_scan_at"] == now:
                 raw = pipeline.config.windows.view(series, now).analysis
                 assert (state["mean"], state["std"]) == (raw.mean(), raw.std())
-    tallies = scorer.tallies if shadow else None
-    return found, anchors, tallies, result.trace.counts
+    return found, anchors, result.trace.counts
 
 
-@pytest.mark.parametrize("shadow", [False, True], ids=["bare", "shadow"])
 @pytest.mark.parametrize("higher_is_worse", [True, False], ids=["higher", "lower"])
-def test_matrix_pass_finds_what_the_per_series_loop_found(higher_is_worse, shadow, monkeypatch):
-    expected = _scan(higher_is_worse, shadow, 256, monkeypatch, reference=True)
+def test_matrix_pass_finds_what_the_per_series_loop_found(higher_is_worse, monkeypatch):
+    expected = _scan(higher_is_worse, 256, monkeypatch, reference=True)
     monkeypatch.undo()
     assert sum(len(run) for run in expected[0]) >= 10  # the fleet fires this way round too
     for block_rows in (256, 7, 1):
-        found, anchors, tallies, counts = _scan(higher_is_worse, shadow, block_rows, monkeypatch)
+        found, anchors, counts = _scan(higher_is_worse, block_rows, monkeypatch)
         monkeypatch.undo()
         assert found == expected[0]
         assert anchors == expected[1]
-        assert tallies == expected[2]
         assert 0 < counts["pipeline.full_scan.exact_lrt"] < counts["pipeline.full_scan.rows"]
 
 

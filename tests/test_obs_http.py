@@ -203,7 +203,6 @@ class TestStatusEndpoint:
             "/status",
             "/faults",
             "/quality",
-            "/detectors",
         }
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             _get(server.url + "/nope")

@@ -1,8 +1,8 @@
 """One number per fact: a count an owner keeps is served from that owner.
 
 Ingest workers (``ingest.*``), admission controllers (``quality.*``,
-quarantines by reason included), shadow tallies (``detector.*``),
-schedulers (``scheduler.scans``), incremental-scan caches
+quarantines by reason included), schedulers (``scheduler.scans``),
+incremental-scan caches
 (``pipeline.incremental.*``) and the service's own ints
 (``service.reports.*`` and the shape gauges) hold their counts
 themselves.  ``/metrics`` and ``stats().metrics`` fold them
@@ -35,7 +35,6 @@ OWNED = (
     "ingest.blocking_flushes", "ingest.flush_failures", "ingest.flush_seconds",
     "quality.quarantined", "quality.quarantined.*", "quality.repaired",
     "quality.counter_resets", "quality.duplicates", "quality.reordered",
-    "detector.*.scans", "detector.*.fired", "detector.*.errors",
     "service.reports.delivered", "service.reports.suppressed",
     "service.shards", "service.workers", "service.shard*.series",
     "scheduler.scans", "pipeline.incremental.hits", "pipeline.incremental.misses",
@@ -51,8 +50,8 @@ def owned(name):
 def disagreements(service):
     """``(name, served, owner)`` for every owned count ``stats().metrics``
     serves differently from the view of its owner (``/status`` ingest,
-    ``/quality`` counters, ``/detectors`` tallies, the shard databases);
-    ``[]`` when all agree."""
+    ``/quality`` counters, the shard databases); ``[]`` when all
+    agree."""
     stats = service.stats()
     counters, gauges = stats.metrics["counters"], stats.metrics["gauges"]
     status, quality = views.status(service)[1], views.quality(service)[1]
@@ -65,9 +64,6 @@ def disagreements(service):
     }
     for key in ("quarantined", "repaired", "counter_resets", "duplicates", "reordered"):
         expected[f"quality.{key}"] = quality["counters"].get(key, 0)
-    for row in views.detectors(service)[1]["detectors"]:
-        for field in ("scans", "fired", "errors"):
-            expected[f"detector.{row['id']}.{field}"] = row["tally"][field]
     expected["service.reports.delivered"] = status["reported"]
     expected["service.reports.suppressed"] = status["suppressed_realerts"]
     # The reasons add up to the total.
@@ -158,18 +154,15 @@ class TestRestoredServicesServeTheirOwners:
 
 
 def drill(workers, fault_injector=None):
-    """The publish-seam fleet plus dirt, two challengers armed: the
-    service, closed, after every round was ingested and advanced."""
+    """The publish-seam fleet plus dirt: the service, closed, after
+    every round was ingested and advanced."""
     names, tags, values = fence._fleet()
     service = StreamingDetectionService(
         n_shards=2, workers=workers, sinks=[CollectingSink()],
         queue_capacity=1 << 16, backpressure=BackpressurePolicy.BLOCK,
         fault_injector=fault_injector,
     )
-    service.register_monitor(
-        "fence", fence.CONFIG, series_filter={"metric": "gcpu"},
-        shadow=["mad", ("threshold", {"level": 1e-4})],
-    )
+    service.register_monitor("fence", fence.CONFIG, series_filter={"metric": "gcpu"})
     start = 0
     for stop in range(fence.PRELOAD_POINTS, seam.N_POINTS + 1, fence.POINTS_PER_ROUND):
         service.ingest_many(fence._samples(names, tags, values, start, stop))
@@ -201,7 +194,6 @@ class TestEveryPathFoldsTheSameOwners:
         assert disagreements(service) == []
         counters = service.stats().metrics["counters"]
         assert counters["quality.quarantined.not_finite"] > 0
-        assert sum(name.startswith("detector.") for name in counters) >= 4
         assert counters["service.reports.delivered"] > 0
 
     @pytest.mark.parametrize("path", ["workers=1", "workers=2", "fallback"])
@@ -231,7 +223,7 @@ class TestTheManifestCarriesNoOwnedCount:
 
     def test_meta_metrics_holds_no_owned_name(self, drills, checkpointed):
         manifest = json.loads((checkpointed / "manifest.json").read_text(encoding="utf-8"))
-        assert manifest["version"] == 8
+        assert manifest["version"] == 9
         recorded = manifest["meta"]["metrics"]
         assert recorded["counters"], "the registry's own counts still ride the manifest"
         assert [name for kind in recorded.values() for name in kind if owned(name)] == []
@@ -254,7 +246,7 @@ class TestTheManifestCarriesNoOwnedCount:
             manifest = json.loads(path.read_text(encoding="utf-8"))
             manifest["version"] = version
             path.write_text(json.dumps(manifest), encoding="utf-8")
-        with pytest.raises(CheckpointError, match=f"version {version} != supported 8"):
+        with pytest.raises(CheckpointError, match=f"version {version} != supported 9"):
             StreamingDetectionService.restore(str(checkpointed))
 
     def test_a_version_three_checkpoint_is_refused(self, checkpointed):
@@ -281,6 +273,11 @@ class TestTheManifestCarriesNoOwnedCount:
         """A v7 blob's regressions pickle their windows as three value
         arrays and no timestamps."""
         self._refused(checkpointed, 7)
+
+    def test_a_version_eight_checkpoint_is_refused(self, checkpointed):
+        """A v8 blob's pipelines may pickle a shadow scorer, whose module
+        is gone: unpickled, it would raise past the fallback."""
+        self._refused(checkpointed, 8)
 
 
 #: The due time of the drill's second scan, the first with cache hits.

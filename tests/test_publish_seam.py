@@ -53,16 +53,14 @@ def _dirt(start, stop):
 
 
 def run_drill(workers):
-    """The fence fleet plus dirt, a shadow challenger armed; returns the
-    service (closed) and the text ``/metrics`` served last."""
+    """The fence fleet plus dirt; returns the service (closed) and the
+    text ``/metrics`` served last."""
     names, tags, values = fence._fleet()
     service = StreamingDetectionService(
         n_shards=2, workers=workers, sinks=[CollectingSink()],
         queue_capacity=1 << 16, backpressure=BackpressurePolicy.BLOCK,
     )
-    service.register_monitor(
-        "fence", fence.CONFIG, series_filter={"metric": "gcpu"}, shadow=["mad"]
-    )
+    service.register_monitor("fence", fence.CONFIG, series_filter={"metric": "gcpu"})
     start = 0
     for stop in range(fence.PRELOAD_POINTS, N_POINTS + 1, fence.POINTS_PER_ROUND):
         service.ingest_many(fence._samples(names, tags, values, start, stop))
@@ -126,7 +124,6 @@ class TestMetricsAreWhatTheyWere:
             "scheduler_scan_seconds", "service_sinks_delivered", "quality_quarantined",
         ):
             assert family in names, family
-        assert any(name.startswith("detector_mad_") for name in names)
 
 
 class TestOnePublishServesBothPaths:
@@ -138,7 +135,6 @@ class TestOnePublishServesBothPaths:
             for name in [n for n in section if n.startswith(PARALLEL_ONLY)]:
                 del section[name]
         assert two == one
-        assert any(name.startswith("detector.") for name in one["counters"])
 
     def test_trace_stores_agree_run_for_run(self, serial, parallel):
         def contents(service):

@@ -2,8 +2,8 @@
 
 The columnar scan path replaces per-series Python loops with one
 whole-matrix array op (:func:`cusum_screen_batch`).  The
-incremental-scan correctness argument — and the shadow-mode /
-chaos-drill byte-identical-reports oracle built on it — requires a
+incremental-scan correctness argument — and the chaos-drill
+byte-identical-reports oracle built on it — requires a
 k-row fold to be *bit-identical* to k independent single-row folds, and
 the vectorized fold to agree with the scalar recursion
 (:meth:`StreamingCusum.update`) on every decision.  Hypothesis hunts for

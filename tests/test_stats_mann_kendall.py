@@ -55,8 +55,8 @@ class TestMannKendall:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_input_reports_no_trend(self, bad):
         # A NaN used to die in int(nan); a boolean-compare S would count
-        # it silently.  Shadow detectors and direct API users are not
-        # behind the pipeline's non-finite guard.
+        # it silently.  The offline detector suite and direct API users
+        # are not behind the pipeline's non-finite guard.
         values = np.arange(12.0)
         values[[4, 9]] = bad
         result = mann_kendall_test(values)
