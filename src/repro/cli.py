@@ -31,6 +31,7 @@ from typing import List, Optional, Sequence
 
 from repro import FBDetect, TimeSeriesDatabase, table1_config
 from repro.config import TABLE1_CONFIGS
+from repro.connectors import CsvImporter, ImportStats
 from repro.fleet import ChangeEffect, ChangeLog, CodeChange, FleetSimulator
 from repro.reporting import build_report, format_report
 from repro.reporting.funnel import format_funnel_table
@@ -69,7 +70,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     detect = sub.add_parser("detect", help="detect regressions in a CSV series")
-    detect.add_argument("csv_path", help="CSV of timestamp,value rows")
+    detect.add_argument(
+        "csv_path",
+        help="CSV of one series: timestamp,value rows (header optional) or "
+        "the long form name,timestamp,value; malformed rows are skipped",
+    )
     detect.add_argument("--config", default="frontfaas_small", choices=sorted(TABLE1_CONFIGS))
     detect.add_argument("--threshold", type=float, default=None, help="override threshold")
 
@@ -128,7 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="JSON_PATH_OR_SEED",
         help="run the demo under fault injection: a path to a fault-plan "
         "JSON file, or 'chaos:<seed>' for a generated chaos schedule. Kinds: "
-        "worker_crash, advance_hang, flush_error, flusher_death; damage the "
+        "worker_crash, advance_hang, flush_error; damage the "
         "data itself with --dirty-data",
     )
     serve.add_argument(
@@ -214,40 +219,38 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_detect(args: argparse.Namespace) -> int:
-    timestamps: List[float] = []
-    values: List[float] = []
-    with open(args.csv_path, newline="", encoding="utf-8") as source:
-        reader = csv.reader(source)
-        header = next(reader, None)
-        if header and header[0] != "timestamp":
-            # Headerless file: first row is data.
-            timestamps.append(float(header[0]))
-            values.append(float(header[1]))
-        for row in reader:
-            if not row:
-                continue
-            timestamps.append(float(row[0]))
-            values.append(float(row[1]))
-    if len(values) < 30:
+    stats = ImportStats()
+    try:
+        samples = list(CsvImporter().iter_samples(args.csv_path, stats))
+    except OSError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
+    if stats.bad_rows:
+        print(f"skipped {stats.bad_rows} malformed rows", file=sys.stderr)
+    names = {sample.name for sample in samples}
+    if len(names) > 1:
+        print(f"error: the CSV names {len(names)} series; detect reads one",
+              file=sys.stderr)
+        return 2
+    if len(samples) < 30:
         print("error: need at least 30 points", file=sys.stderr)
         return 2
+
+    database = TimeSeriesDatabase()
+    series = database.create("cli.series", {"metric": "cli"})
+    series.ingest_many((sample.timestamp, sample.value) for sample in samples)
 
     config = table1_config(args.config)
     if args.threshold is not None:
         config = replace(config, threshold=args.threshold)
-    span = timestamps[-1] - timestamps[0]
+    span = series.end - series.start
     if span > 0:  # shrink the configured windows to span the CSV
         config = config.with_windows(
             historic=span * 2 / 3, analysis=span * 2 / 9, extended=span * 1 / 9
         )
 
-    database = TimeSeriesDatabase()
-    series = database.create("cli.series", {"metric": "cli"})
-    for timestamp, value in zip(timestamps, values):
-        series.append(timestamp, value)
-
     detector = FBDetect(config)
-    result = detector.run(database, now=timestamps[-1] + 1e-9)
+    result = detector.run(database, now=series.end + 1e-9)
 
     print(f"change points detected: {result.funnel.counts['change_points']}")
     print(f"regressions reported:   {len(result.reported)}")
@@ -366,7 +369,6 @@ def _close(service: StreamingDetectionService, webhook_sink) -> int:
 def _serve_demo_csv(args: argparse.Namespace) -> int:
     """serve-demo --ingest-csv: real data through the connector path."""
     from repro.config import DetectionConfig
-    from repro.connectors import CsvImporter, ImportStats
     from repro.tsdb import WindowSpec
 
     importer = CsvImporter()

@@ -26,7 +26,7 @@ no per-detector offset bookkeeping.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -358,33 +358,19 @@ class ThresholdDetector(Detector):
         )
 
 
-def default_suite(
-    threshold: float = 0.000004,
-    base: float = 0.001,
-    overrides: Optional[Mapping[str, Mapping[str, object]]] = None,
-) -> List[Detector]:
+def default_suite() -> List[Detector]:
     """One of each built-in detector, tuned for the bench corpora.
 
-    Args:
-        threshold: Incumbent magnitude threshold (the fig8 bench value).
-        base: Baseline level the static presets key off.
-        overrides: Per-type parameter overrides merged over the
-            defaults, e.g. ``{"e_divisive": {"n_permutations": 29}}``.
-
     Returns:
-        Five detectors — incumbent, e_divisive, dp_change, mad,
-        threshold — each carrying its param-hash ID.
+        Five detectors — incumbent (at the fig8 bench threshold),
+        e_divisive, dp_change, mad, and threshold (5% over the 0.001
+        baseline the static presets key off) — each carrying its
+        param-hash ID.
     """
-    params: Dict[type, Dict[str, object]] = {
-        IncumbentDetector: {"threshold": threshold},
-        EDivisiveDetector: {},
-        DPChangePointDetector: {},
-        MADDetector: {},
-        ThresholdDetector: {"level": base * 1.05},
-    }
-    by_name = {cls.type_name: cls for cls in params}
-    for type_name, extra in (overrides or {}).items():
-        if type_name not in by_name:
-            raise KeyError(f"unknown detector type in overrides: {type_name!r}")
-        params[by_name[type_name]].update(extra)
-    return [cls(**cls_params) for cls, cls_params in params.items()]
+    return [
+        IncumbentDetector(threshold=0.000004),
+        EDivisiveDetector(),
+        DPChangePointDetector(),
+        MADDetector(),
+        ThresholdDetector(level=0.001 * 1.05),
+    ]

@@ -5,12 +5,10 @@ deployment keeps detecting through host failures, rolling updates, and
 canary churn (§7).  A reproduction that only exercises the happy path
 cannot claim that property, so this package makes the failure paths
 first-class: a seedable :class:`FaultPlan` describes *which* faults fire
-*when* (worker-process crashes, shard-advance hangs, TSDB flush errors,
-flush-thread death), and a :class:`FaultInjector` is threaded through
-the service's hook points
-(:class:`~repro.service.parallel.ParallelShardExecutor`,
-:class:`~repro.service.ingest.ShardIngestWorker` and the background
-flushers) to execute it.
+*when* (worker-process crashes, shard-advance hangs, TSDB flush errors),
+and a :class:`FaultInjector` is threaded through the service's hook
+points (:class:`~repro.service.parallel.ParallelShardExecutor` and
+:class:`~repro.service.ingest.ShardIngestWorker`) to execute it.
 
 The injector holds only failures that must land at a point *inside* a
 running flush or advance.  Damage a caller can do from outside is done

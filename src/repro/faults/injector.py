@@ -37,7 +37,7 @@ _log = get_logger("repro.faults")
 
 
 class InjectedFault(RuntimeError):
-    """Raised at raising-kind hook points (flush errors, flusher death).
+    """Raised at the raising hook point (a flush error).
 
     Catching code treats it like any other runtime failure — the class
     exists so tests and logs can tell injected chaos from real bugs.
@@ -84,7 +84,7 @@ class FaultInjector:
     only decides.
 
     Thread-safe: hook points are called from the advance thread and the
-    background flushers concurrently.
+    producers' caller-runs flushes concurrently.
     """
 
     def __init__(self, plan: FaultPlan) -> None:
@@ -123,7 +123,7 @@ class FaultInjector:
         return ("hang", spec.hang_seconds)
 
     def maybe_raise(self, site: str, shard: Optional[int] = None) -> None:
-        """Sites ``ingest.flush`` / ``flusher``: raise if a spec fires.
+        """Site ``ingest.flush``: raise if a spec fires.
 
         Raises:
             InjectedFault: When a matching spec fires.

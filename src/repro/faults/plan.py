@@ -31,8 +31,6 @@ class FaultKind(str, enum.Enum):
     ADVANCE_HANG = "advance_hang"
     #: One TSDB batch write raises mid-flush.
     FLUSH_ERROR = "flush_error"
-    #: A background flusher iteration dies.
-    FLUSHER_DEATH = "flusher_death"
 
 
 #: Hook-point site for each fault kind.  Sites are the vocabulary the
@@ -43,7 +41,6 @@ SITES: Dict[FaultKind, str] = {
     FaultKind.WORKER_CRASH: "worker.advance",
     FaultKind.ADVANCE_HANG: "worker.advance",
     FaultKind.FLUSH_ERROR: "ingest.flush",
-    FaultKind.FLUSHER_DEATH: "flusher",
 }
 
 
@@ -180,15 +177,6 @@ class FaultPlan:
                     FaultKind.ADVANCE_HANG,
                     hang_seconds=round(rng.uniform(0.4, 0.8), 3),
                     after=rng.randint(0, 6),
-                )
-            )
-        if rng.random() < 0.6:
-            specs.append(
-                FaultSpec(
-                    FaultKind.FLUSHER_DEATH,
-                    shard=rng.choice([None] + list(range(n_shards))),
-                    times=rng.randint(1, 3),
-                    after=rng.randint(0, 20),
                 )
             )
         return cls(seed=seed, specs=tuple(specs))

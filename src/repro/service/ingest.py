@@ -103,7 +103,7 @@ class BackpressurePolicy(str, enum.Enum):
 
 
 class ShardIngestWorker:
-    """Bounded ingest queue + batch flusher for one shard.
+    """Bounded ingest queue + batch flush for one shard.
 
     Args:
         shard_id: Owning shard (labels counters and checkpoints).
@@ -308,7 +308,8 @@ class ShardIngestWorker:
         """Drain the whole queue into the TSDB in ``batch_size`` batches.
 
         Every sample held in the admission reordering buffer is released
-        first — by an advance, a snapshot and a background flusher's tick
+        first — by an advance, a snapshot and a caller's
+        :meth:`~repro.service.service.StreamingDetectionService.flush`
         alike — so whatever scans next sees a fully backfilled TSDB.
 
         Returns:
@@ -353,10 +354,10 @@ class ShardIngestWorker:
         """Hold the queue lock for the duration of the block.
 
         How a shard is copied consistently — for a worker process or
-        a checkpoint — or scanned in place while producers and flushers
-        are live: inside the block the queue and the database do not
-        move; offers and flushes wait for it, then carry on against the
-        same objects.
+        a checkpoint — or scanned in place while producers (and their
+        caller-runs flushes) are live: inside the block the queue and
+        the database do not move; offers and flushes wait for it, then
+        carry on against the same objects.
         """
         with self._lock:
             yield

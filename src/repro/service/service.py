@@ -95,19 +95,18 @@ class StreamingDetectionService:
         queue_capacity: Per-shard ingest queue bound.
         backpressure: Policy when a shard queue is full.
         batch_size: Samples per TSDB flush batch.
-        workers: Worker *processes* for shard advances, forked here —
-            before the service has threads.  With ``workers <= 1``
-            detection runs in-thread; with more, :meth:`advance_to`
-            hands each shard's new writes to the replica a
-            :class:`~repro.service.parallel.ParallelShardExecutor`
+        workers: Worker *processes* for shard advances, forked here
+            (the service starts no threads of its own).  With
+            ``workers <= 1`` detection runs in-thread; with more,
+            :meth:`advance_to` hands each shard's new writes to the
+            replica a :class:`~repro.service.parallel.ParallelShardExecutor`
             worker holds, advances shards truly in parallel, and merges
             the results deterministically (ascending shard id —
             identical report order to the serial path).
         retention: Per-shard TSDB retention (seconds; 0 disables).
         fault_injector: Optional :class:`~repro.faults.FaultInjector`
-            threaded through the parallel executor, ingest workers and
-            background flushers — ``None`` (production) makes every
-            hook a no-op.
+            threaded through the parallel executor and the ingest
+            workers — ``None`` (production) makes every hook a no-op.
         advance_deadline: Per-shard advance deadline in seconds (a
             blown deadline counts as a failure and retries, see
             :class:`~repro.service.parallel.ParallelShardExecutor`;
@@ -123,8 +122,7 @@ class StreamingDetectionService:
 
         service = StreamingDetectionService(n_shards=4, sinks=[sink])
         service.register_monitor("gcpu", config, series_filter={"metric": "gcpu"})
-        for sample in stream:
-            service.ingest(sample.name, sample.timestamp, sample.value, sample.tags)
+        service.ingest_many(samples)
         service.advance_to(stream_end)
         print(service.stats().render())
     """
@@ -183,17 +181,15 @@ class StreamingDetectionService:
         self._reported = 0
         self.funnel = FunnelCounters()
         self._monitor_specs: List[dict] = []
-        self._flushers: List[threading.Thread] = []
-        self._stop_flushers = threading.Event()
         # Wall clock is for display only; recovery/aging decisions use
         # the monotonic reading, which an NTP step cannot move.
         self._last_checkpoint_at: Optional[float] = None
         self._last_checkpoint_mono: Optional[float] = None
-        # Per-shard degradation reasons, keyed (shard_id, category) ->
-        # reason string.  Categories ("advance", "flusher") are set when
-        # a recovery path engages and cleared by the next clean pass, so
-        # /healthz shows degraded -> ok transitions around each fault.
-        self._degraded: Dict[int, Dict[str, str]] = {}
+        # Per-shard degradation reason, shard_id -> reason string: set
+        # when an advance's recovery path engages and cleared by the
+        # next clean one, so /healthz shows degraded -> ok transitions
+        # around each fault.
+        self._degraded: Dict[int, str] = {}
         self._degraded_lock = threading.Lock()
 
     # ------------------------------------------------------------------
@@ -204,30 +200,24 @@ class StreamingDetectionService:
     def clock(self) -> float:
         return self._clock
 
-    def _set_degraded(self, shard_id: int, category: str, reason: str) -> None:
+    def _set_degraded(self, shard_id: int, reason: str) -> None:
         with self._degraded_lock:
-            previous = self._degraded.setdefault(shard_id, {}).get(category)
-            self._degraded[shard_id][category] = reason
+            previous = self._degraded.get(shard_id)
+            self._degraded[shard_id] = reason
         if previous != reason:
             self.metrics.inc("service.degraded_transitions")
-            self.events.record(
-                "degraded", shard=shard_id, category=category, reason=reason
-            )
+            self.events.record("degraded", shard=shard_id, reason=reason)
 
-    def _clear_degraded(self, shard_id: int, category: str) -> None:
+    def _clear_degraded(self, shard_id: int) -> None:
         with self._degraded_lock:
-            reasons = self._degraded.get(shard_id)
-            if not reasons or category not in reasons:
+            if self._degraded.pop(shard_id, None) is None:
                 return
-            del reasons[category]
-            if not reasons:
-                del self._degraded[shard_id]
-        self.events.record("recovered", shard=shard_id, category=category)
+        self.events.record("recovered", shard=shard_id)
 
-    def degraded_reasons(self) -> Dict[int, Dict[str, str]]:
-        """Per-shard degradation reasons (empty when fully healthy)."""
+    def degraded_reasons(self) -> Dict[int, str]:
+        """Per-shard degradation reason (empty when fully healthy)."""
         with self._degraded_lock:
-            return {shard: dict(reasons) for shard, reasons in self._degraded.items()}
+            return dict(self._degraded)
 
     def unquarantine(self, name: str) -> int:
         """Release one series from quarantine on every shard.
@@ -392,13 +382,11 @@ class StreamingDetectionService:
         for result in results:
             shard = self._shards[result.shard_id]
             if result.fallback is not None:
-                self._set_degraded(
-                    result.shard_id, "advance", "in_process_fallback"
-                )
+                self._set_degraded(result.shard_id, "in_process_fallback")
             elif result.retries:
-                self._set_degraded(result.shard_id, "advance", "advance_retried")
+                self._set_degraded(result.shard_id, "advance_retried")
             else:
-                self._clear_degraded(result.shard_id, "advance")
+                self._clear_degraded(result.shard_id)
             shard.adopt(result.state)
             if result.fallback is not None or result.retries:
                 shard.forget_replica()  # recovered: start over from a seed
@@ -488,68 +476,13 @@ class StreamingDetectionService:
         priors.append(float(regression.change_time))
         return True
 
-    # ------------------------------------------------------------------
-    # Background flushing (live streaming mode)
-    # ------------------------------------------------------------------
-
-    def start(self, flush_interval: float = 0.05) -> None:
-        """Start one background flusher thread per shard.
-
-        Detection still runs through explicit :meth:`advance_to` calls
-        (time is caller-owned); the flushers only keep bounded queues
-        draining between them.
-        """
-        if self._flushers:
-            raise RuntimeError("service already started")
-        self._stop_flushers.clear()
-
-        def drain(shard: Shard) -> None:
-            # A failed flush (TSDB error, injected flusher death) must
-            # not kill the thread: the batch was already re-queued by
-            # the worker, so we mark the shard degraded and retry on the
-            # next tick.  The first clean flush clears the flag — the
-            # degraded -> ok transition /healthz watchers key on.
-            while not self._stop_flushers.wait(flush_interval):
-                try:
-                    if self.fault_injector is not None:
-                        self.fault_injector.maybe_raise("flusher", shard.shard_id)
-                    shard.worker.flush()
-                except Exception as error:
-                    self.metrics.inc("service.flush_failures")
-                    self._set_degraded(shard.shard_id, "flusher", "flush_failed")
-                    _log.exception(
-                        "background flush failed",
-                        shard=shard.shard_id,
-                        error=str(error),
-                    )
-                else:
-                    self._clear_degraded(shard.shard_id, "flusher")
-
-        for shard in self._shards.values():
-            thread = threading.Thread(
-                target=drain, args=(shard,), name=f"repro-shard-{shard.shard_id}",
-                daemon=True,
-            )
-            thread.start()
-            self._flushers.append(thread)
-
-    def stop(self) -> None:
-        """Stop background flushers and drain what is left."""
-        self._stop_flushers.set()
-        for thread in self._flushers:
-            thread.join(timeout=5.0)
-        self._flushers.clear()
-        self.flush()
-
     def close(self) -> None:
-        """Release resources: flushers, the worker processes, and the sinks.
+        """Release resources: the worker processes, and the sinks.
 
         Sinks close last (and each in isolation) so buffered deliveries
         — a webhook queue draining, a held file handle — get their
         flush-on-close after the final advance's reports went out.
         """
-        if self._flushers:
-            self.stop()
         if self._executor is not None:
             self._executor.close()
         for sink in self.sinks:

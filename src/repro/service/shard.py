@@ -3,7 +3,7 @@
 A :class:`Shard` is a TSDB, the ingest worker in front of it and the
 scheduler that scans it.  Every serialised form of it is produced here
 under ``worker.paused()`` — the queue lock every offer and flush takes —
-so none can be torn by live producers or flushers:
+so none can be torn by live producers or their caller-runs flushes:
 
 - :meth:`Shard.checkpoint_blob` / :meth:`Shard.restore` — the durable form:
   database, worker (queue and held stragglers included) and scheduler
@@ -187,9 +187,10 @@ class Shard:
         a worker process reports for the same work.
 
         Under the queue lock, like :meth:`snapshot`: the scan reads the
-        live database, and a flusher writing a frame mid-scan extends a
-        series' timestamp column before its value column — a window
-        sliced between the two reads past the values that exist.
+        live database, and a producer's caller-runs flush writing a frame
+        mid-scan extends a series' timestamp column before its value
+        column — a window sliced between the two reads past the values
+        that exist.
         """
         started = time.perf_counter()
         with self.worker.paused():

@@ -185,10 +185,10 @@ def healthz(service) -> View:
     """``/healthz``: liveness/readiness.
 
     A shard is *saturated* when its queue has reached the backpressure
-    threshold (pending >= capacity), *degraded* while a
-    recovery path is engaged on its behalf (advance retries / in-process
-    fallback, failed background flushes) — the per-shard ``degraded``
-    map names the reasons, and they clear on the next clean pass.
+    threshold (pending >= capacity), *degraded* while an advance's
+    recovery path is engaged on its behalf (retries or the in-process
+    fallback) — the per-shard ``degraded`` entry names the reason
+    (``null`` when healthy), and it clears on the next clean advance.
     Either condition degrades the whole service: the view answers 503 so
     probes and load balancers shed traffic before samples are lost.
 
@@ -199,7 +199,7 @@ def healthz(service) -> View:
     """
     degraded = service.degraded_reasons()
     shards = [
-        {**shard.health(), "degraded": degraded.get(shard.shard_id, {})}
+        {**shard.health(), "degraded": degraded.get(shard.shard_id)}
         for shard in service._shards.values()
     ]
     saturated = sum(row["saturated"] for row in shards)
@@ -211,7 +211,6 @@ def healthz(service) -> View:
         "shards": shards,
         "saturated_shards": saturated,
         "degraded_shards": len(degraded),
-        "flushers_alive": sum(t.is_alive() for t in service._flushers),
         "workers": service.workers,
         "checkpoint": {
             "last_at": service._last_checkpoint_at,

@@ -18,10 +18,9 @@ Invariants the rest of the stack relies on:
   over — it can go stale (miss newer appends) but never see shifted or
   reused memory.
 - **In-place overwrite is the only mutation views can observe.**  A
-  repeated timestamp through ``TimeSeries.append`` / ``insert`` rewrites
-  one cell of the live buffer; callers that must not observe it
-  (stored window snapshots) take copies at the boundary
-  (``WindowSpec.view``).
+  repeated timestamp through ``TimeSeries.append`` rewrites one cell of
+  the live buffer; callers that must not observe it (stored window
+  snapshots) take copies at the boundary (``WindowSpec.view``).
 - **Pickles are compact.**  Only the live prefix round-trips through
   ``__getstate__`` — slack capacity never rides shard checkpoints or
   worker round trips.
@@ -152,16 +151,6 @@ class FloatColumn:
         if not 0 <= index < self._length:
             raise IndexError(f"column index {index} out of range")
         self._buffer[index] = value
-
-    def insert(self, index: int, value: float) -> None:
-        """Insert at ``index``, shifting the tail right (O(n - index))."""
-        if self._length == self._buffer.size:
-            self._grow_to(self._length + 1)
-        self._buffer[index + 1 : self._length + 1] = self._buffer[
-            index : self._length
-        ]
-        self._buffer[index] = value
-        self._length += 1
 
     def splice(self, start: int, values: np.ndarray) -> None:
         """Keep ``[:start]`` and follow it with ``values``, in a fresh

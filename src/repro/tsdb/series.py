@@ -26,7 +26,8 @@ class TimeSeries:
 
     Timestamps are floats (seconds); appends must be non-decreasing in
     time, matching how monitoring pipelines ingest data.  Out-of-order
-    inserts go through :meth:`insert`, which keeps the arrays sorted.
+    points go through :meth:`ingest_columns`, which keeps the arrays
+    sorted.
 
     A repeated timestamp overwrites the stored value in place — a point
     is an observation, and the latest observation for an instant
@@ -68,7 +69,8 @@ class TimeSeries:
         A timestamp equal to the last overwrites its value.
 
         Raises:
-            ValueError: On an out-of-order timestamp (use :meth:`insert`).
+            ValueError: On an out-of-order timestamp (use
+                :meth:`ingest_columns`).
         """
         n = len(self._timestamps)
         if n:
@@ -76,7 +78,7 @@ class TimeSeries:
             if timestamp < last:
                 raise ValueError(
                     f"out-of-order append at {timestamp} < {last}; "
-                    "use insert() for backfill"
+                    "use ingest_columns() for backfill"
                 )
             if timestamp == last:
                 self._values.set(-1, float(value))
@@ -88,22 +90,6 @@ class TimeSeries:
         """Append many ``(timestamp, value)`` points in order."""
         for timestamp, value in points:
             self.append(timestamp, value)
-
-    def insert(self, timestamp: float, value: float) -> None:
-        """Insert one point keeping timestamp order.
-
-        Bisect finds the position in O(log n); an existing point at the
-        same timestamp is overwritten in place, no shifting.  For
-        *batches* of stragglers prefer :meth:`ingest_many`, which merges
-        them in one pass over the tail they reach instead of m O(n)
-        shifted inserts.
-        """
-        pos = self._timestamps.searchsorted(timestamp, side="right")
-        if pos and self._timestamps.get(pos - 1) == timestamp:
-            self._values.set(pos - 1, float(value))
-            return
-        self._timestamps.insert(pos, float(timestamp))
-        self._values.insert(pos, float(value))
 
     def ingest_many(self, points: Iterable[Tuple[float, float]]) -> int:
         """:meth:`ingest_columns` for ``(timestamp, value)`` pairs."""

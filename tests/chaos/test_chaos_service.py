@@ -1,8 +1,8 @@
 """Chaos drills: randomized-but-reproducible fault schedules vs clean runs.
 
 The contract: a service driven through an exhausting
-:meth:`~repro.faults.FaultPlan.chaos` schedule — worker crashes, advance
-hangs, flusher deaths — delivers **byte-identical** incident reports to
+:meth:`~repro.faults.FaultPlan.chaos` schedule — worker crashes and
+advance hangs — delivers **byte-identical** incident reports to
 a fault-free run over the same stream, loses zero accepted samples, and
 converges back to ``healthz() == "ok"`` with every ``degraded`` event
 paired with a later ``recovered`` event.  Damage that needs no hook
@@ -27,7 +27,7 @@ import numpy as np
 import pytest
 
 from repro.config import DetectionConfig
-from repro.faults import FaultInjector, FaultKind, FaultPlan, FaultSpec
+from repro.faults import FaultInjector, FaultPlan
 from repro.runtime import CollectingSink
 from repro.service import BackpressurePolicy, Sample, StreamingDetectionService
 from repro.service import views
@@ -84,7 +84,9 @@ def make_service(sink, injector=None):
         n_shards=N_SHARDS,
         workers=4,
         sinks=[sink],
-        queue_capacity=2**14,
+        # Smaller than a round: each round's ingest pays caller-runs
+        # flushes, so the drill writes the TSDB the way producers do.
+        queue_capacity=256,
         backpressure=BackpressurePolicy.BLOCK,
         batch_size=128,
         fault_injector=injector,
@@ -98,12 +100,11 @@ def make_service(sink, injector=None):
 def drive(service, samples, ckpt_dir):
     """The drill schedule, identical for clean and chaotic runs.
 
-    Ingest/advance in fixed rounds with background flushers running, and
-    checkpoint at fixed rounds, so the restore drill has generations to
-    fall back across.  Detection is clock-driven, so two services
-    driven through this schedule scan at identical instants.
+    Ingest/advance in fixed rounds, and checkpoint at fixed rounds, so
+    the restore drill has generations to fall back across.  Detection is
+    clock-driven, so two services driven through this schedule scan at
+    identical instants.
     """
-    service.start(flush_interval=0.005)
     chunk = ADVANCE_EVERY * len(SERIES)
     rounds = [samples[begin: begin + chunk] for begin in range(0, len(samples), chunk)]
     for round_index, batch in enumerate(rounds):
@@ -118,17 +119,16 @@ def settle(service, injector, stream_end):
     """Post-stream convergence: drain remaining fault budgets, recover.
 
     Small advances past the stream end keep feeding ``worker.advance``
-    invocations (and flusher ticks keep running) until every finite spec
-    has spent its budget, then one more clean pass clears the degraded
-    flags.  The advances stay far below the next rerun boundary, so they
-    can never produce a report and never diverge from the clean run.
+    invocations until every finite spec has spent its budget, then one
+    more clean pass clears the degraded flags.  The advances stay far
+    below the next rerun boundary, so they can never produce a report
+    and never diverge from the clean run.
     """
     for step in range(1, SETTLE_LIMIT + 1):
         service.advance_to(stream_end + step * 0.001 * INTERVAL)
         if injector.exhausted() and not service.degraded_reasons():
             break
-        time.sleep(0.02)
-    service.stop()
+    service.flush()
 
 
 def report_bytes(reports):
@@ -195,7 +195,7 @@ def reference_run(tmp_path_factory):
             service, samples, str(tmp_path_factory.mktemp("clean") / "ckpt")
         )
         service.advance_to(stream_end + 0.001 * INTERVAL)
-        service.stop()
+        service.flush()
         stats = service.stats()
         assert stats.offered == stats.flushed == len(samples)
     finally:
@@ -232,6 +232,7 @@ class TestChaosDrill:
             assert stats.accepted == len(samples)
             assert stats.dropped == 0 and stats.rejected == 0
             assert stats.flushed == len(samples)
+            assert sum(shard.counters["blocking_flushes"] for shard in stats.shards) > 0
             total_points = sum(
                 len(series)
                 for shard_id in range(N_SHARDS)
@@ -244,16 +245,12 @@ class TestChaosDrill:
             health = views.healthz(service)[1]
             assert health["status"] == "ok"
             assert health["degraded_shards"] == 0
-            degraded = [
-                (e.fields["shard"], e.fields["category"])
-                for e in service.events.events(kind="degraded")
-            ]
+            degraded = [e.fields["shard"] for e in service.events.events(kind="degraded")]
             recover_times = {}
             for event in service.events.events(kind="recovered"):
-                key = (event.fields["shard"], event.fields["category"])
-                recover_times.setdefault(key, []).append(event.wall)
-            for key in degraded:
-                assert key in recover_times, f"no recovery for {key}"
+                recover_times.setdefault(event.fields["shard"], []).append(event.wall)
+            for shard in degraded:
+                assert shard in recover_times, f"no recovery for shard {shard}"
         except AssertionError:
             dump_artifacts(seed, service, injector, ckpt_dir)
             raise
@@ -316,38 +313,6 @@ class TestChaosDrill:
 
 class TestTargetedRecoveries:
     """Deterministic single-fault drills with explicit plans."""
-
-    def test_flusher_death_recovers_without_loss(self):
-        plan = FaultPlan(specs=(
-            FaultSpec(FaultKind.FLUSHER_DEATH, times=2),
-        ))
-        injector = FaultInjector(plan)
-        sink = CollectingSink()
-        service = make_service(sink, injector=injector)
-        try:
-            service.start(flush_interval=0.005)
-            samples = make_stream(seed=7)[: 4 * len(SERIES) * 50]
-            service.ingest_many(samples)
-            deadline = time.monotonic() + 10.0
-            while time.monotonic() < deadline:
-                if (
-                    injector.exhausted()
-                    and not service.degraded_reasons()
-                    and service.stats().flushed == len(samples)
-                ):
-                    break
-                time.sleep(0.01)
-            service.stop()
-            assert injector.counts() == {"flusher_death": 2}
-            stats = service.stats()
-            assert stats.flushed == len(samples)
-            assert stats.dropped == 0 and stats.rejected == 0
-            assert views.healthz(service)[1]["status"] == "ok"
-            counters = service.metrics.snapshot()["counters"]
-            assert counters["service.flush_failures"] == 2.0
-            assert service.events.events(kind="recovered")
-        finally:
-            service.close()
 
     def test_clock_skew_never_corrupts_checkpoint_age(self, tmp_path, monkeypatch):
         service = make_service(CollectingSink())

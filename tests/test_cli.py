@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
+from repro.faults import FaultKind
 
 
 class TestParser:
@@ -114,6 +115,36 @@ class TestDetectCommand:
                 writer.writerow([i * 60.0, value])
         assert main(["detect", str(path), "--config", "frontfaas_small"]) == 0
 
+    def test_capitalised_header_and_a_garbage_row_are_read_not_raised(self, tmp_path, capsys):
+        rng = np.random.default_rng(0)
+        values = rng.normal(0.001, 0.00002, 900)
+        values[700:] += 0.0002
+        path = tmp_path / "series.csv"
+        with path.open("w", newline="") as sink:
+            writer = csv.writer(sink)
+            writer.writerow(["Timestamp", "Value"])
+            for i, value in enumerate(values):
+                writer.writerow([i * 60.0, value])
+                if i == 450:
+                    writer.writerow(["not-a-time", "oops"])
+        assert main(["detect", str(path), "--config", "frontfaas_small"]) == 0
+        captured = capsys.readouterr()
+        assert "regressions reported:   1" in captured.out
+        assert "skipped 1 malformed rows" in captured.err
+
+    def test_long_form_naming_two_series_is_refused(self, tmp_path, capsys):
+        path = tmp_path / "series.csv"
+        with path.open("w", newline="") as sink:
+            writer = csv.writer(sink)
+            writer.writerow(["name", "timestamp", "value"])
+            for i in range(60):
+                writer.writerow([f"svc.s{i % 2}.gcpu", i * 60.0, 0.001])
+        assert main(["detect", str(path)]) == 2
+        assert "names 2 series" in capsys.readouterr().err
+
+    def test_missing_file_errors(self, tmp_path, capsys):
+        assert main(["detect", str(tmp_path / "missing.csv")]) == 2
+
 
 class TestServeDemoCommand:
     def test_streams_and_prints_stats(self, capsys):
@@ -181,10 +212,13 @@ class TestServeDemoCommand:
         assert code == 2
         assert "--workers" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("kind", ["data_gap", "checkpoint_corrupt", "clock_skew"])
+    @pytest.mark.parametrize(
+        "kind", ["data_gap", "checkpoint_corrupt", "clock_skew", "flusher_death"]
+    )
     def test_fault_plan_naming_a_removed_kind_is_refused(self, kind, tmp_path, capsys):
-        """Data, disk and clock damage are done from outside; a plan that
-        still names them fails loudly instead of injecting nothing."""
+        """Data, disk and clock damage are done from outside, and the
+        service runs no flusher to kill; a plan that still names one of
+        them fails loudly instead of injecting nothing."""
         plan = tmp_path / "plan.json"
         plan.write_text(json.dumps({"seed": 1, "specs": [{"kind": kind}]}), encoding="utf-8")
         code = main(
@@ -203,6 +237,6 @@ class TestServeDemoCommand:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["serve-demo", "--help"])
         usage = " ".join(capsys.readouterr().out.split())
-        for kind in ("worker_crash", "advance_hang", "flush_error", "flusher_death"):
-            assert kind in usage
+        for kind in FaultKind:
+            assert kind.value in usage
         assert "damage the data itself with --dirty-data" in usage

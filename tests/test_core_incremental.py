@@ -76,7 +76,8 @@ class TestIncrementalScanCache:
         series = make_series(seed=5)
         now = series.timestamps[-1]
         anchor(cache, series, now)
-        series.insert(30.0, 0.5)  # out-of-order backfill rewrites history
+        # Out-of-order backfill rewrites history.
+        series.ingest_columns(np.array([30.0]), np.array([0.5]))
         assert cache.should_scan(series, now + 60.0)
         assert cache.invalidations == 1
         assert len(cache) == 0

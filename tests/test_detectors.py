@@ -104,21 +104,6 @@ class TestRegistry:
             "incumbent", "e_divisive", "dp_change", "mad", "threshold"
         }
 
-    def test_default_suite_overrides(self):
-        plain = {d.type_name: d for d in default_suite()}
-        tuned = {
-            d.type_name: d
-            for d in default_suite(
-                overrides={"e_divisive": {"n_permutations": 29}}
-            )
-        }
-        assert tuned["e_divisive"].detector_id != plain["e_divisive"].detector_id
-        assert tuned["mad"].detector_id == plain["mad"].detector_id
-
-    def test_default_suite_unknown_override_raises(self):
-        with pytest.raises(KeyError):
-            default_suite(overrides={"nope": {}})
-
 
 class TestLibrary:
     @pytest.mark.parametrize("detector", default_suite(), ids=lambda d: d.type_name)

@@ -1035,7 +1035,7 @@ class TestFaultsComeFromOutside:
         from repro.faults import FaultKind
 
         assert {kind.name for kind in FaultKind} == {
-            "WORKER_CRASH", "ADVANCE_HANG", "FLUSH_ERROR", "FLUSHER_DEATH",
+            "WORKER_CRASH", "ADVANCE_HANG", "FLUSH_ERROR",
         }
 
     def test_no_checkpoint_or_clock_or_ingest_hook(self):
@@ -1118,3 +1118,52 @@ class TestChallengersAreJudgedOffline:
         }
         assert "--obs-port" in flags  # sees the flags ...
         assert "--shadow" not in flags  # ... and this one is gone
+
+
+class TestServiceStartsNoThreads:
+    """Time is the caller's: data reaches a shard's TSDB through
+    ``advance_to``, a snapshot, ``flush()`` or a BLOCK producer's
+    caller-runs flush, never on a thread of the service's own.  So no
+    background-flusher mode comes back: no module under
+    ``repro.service`` constructs a thread, the service has no ``start``
+    / ``stop``, and ``/healthz`` counts no flushers."""
+
+    SERVICE = os.path.join(TestFaultsComeFromOutside.SRC, "service")
+    THREADS = {"Thread", "Timer", "ThreadPoolExecutor", "start_new_thread"}
+
+    def test_no_service_module_constructs_a_thread(self):
+        made = []
+        for folder, _, files in os.walk(self.SERVICE):
+            for name in sorted(files):
+                if not name.endswith(".py"):
+                    continue
+                for node in ast.walk(ast.parse(_read(folder, name))):
+                    if isinstance(node, ast.Call):
+                        called = [node.func]
+                    elif isinstance(node, ast.ClassDef):
+                        called = node.bases  # a Thread subclass is one too
+                    else:
+                        continue
+                    made += [
+                        f"{name}:{node.lineno}"
+                        for target in called
+                        if ast.unparse(target).split(".")[-1] in self.THREADS
+                    ]
+        assert not made, made
+
+    def test_the_service_has_no_start_or_stop(self):
+        from repro.service import StreamingDetectionService
+
+        with StreamingDetectionService(n_shards=1) as service:
+            for gone in ("start", "stop", "_flushers", "_stop_flushers"):
+                assert not hasattr(service, gone), gone
+
+    def test_healthz_counts_no_flushers(self):
+        from repro.service import StreamingDetectionService
+        from repro.service import views
+
+        with StreamingDetectionService(n_shards=2) as service:
+            status, payload = views.healthz(service)
+        assert status == 200
+        assert "flushers_alive" not in payload
+        assert [shard["degraded"] for shard in payload["shards"]] == [None, None]

@@ -1,5 +1,5 @@
 """Tests for repro.faults: plans, specs, and the injector's decision model
-over the four kinds that land inside a running flush or advance.
+over the three kinds that land inside a running flush or advance.
 
 The property that matters everywhere: injection decisions are pure
 functions of (plan, seed, invocation history) — two injectors built from
@@ -28,7 +28,6 @@ class TestFaultSpec:
         assert FaultSpec(FaultKind.WORKER_CRASH).site == "worker.advance"
         assert FaultSpec(FaultKind.ADVANCE_HANG).site == "worker.advance"
         assert FaultSpec(FaultKind.FLUSH_ERROR).site == "ingest.flush"
-        assert FaultSpec(FaultKind.FLUSHER_DEATH).site == "flusher"
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -70,7 +69,7 @@ class TestFaultPlan:
     def test_json_round_trip(self, tmp_path):
         plan = FaultPlan(seed=9, specs=(
             FaultSpec(FaultKind.WORKER_CRASH, times=2),
-            FaultSpec(FaultKind.FLUSHER_DEATH, shard=1, after=4),
+            FaultSpec(FaultKind.FLUSH_ERROR, shard=1, after=4),
         ))
         path = tmp_path / "plan.json"
         path.write_text(json.dumps(plan.to_dict()), encoding="utf-8")

@@ -285,14 +285,14 @@ class TestEventLog:
         from repro.obs.spans import EventLog
 
         log = EventLog(capacity=8)
-        log.record("degraded", shard=1, category="advance")
-        log.record("recovered", shard=1, category="advance")
-        log.record("degraded", shard=0, category="flusher")
+        log.record("degraded", shard=1, reason="advance_retried")
+        log.record("recovered", shard=1)
+        log.record("degraded", shard=0, reason="in_process_fallback")
         assert len(log) == 3
         assert log.recorded == 3
         degraded = log.events(kind="degraded")
         assert [e.fields["shard"] for e in degraded] == [1, 0]
-        assert degraded[0].to_dict()["category"] == "advance"
+        assert degraded[0].to_dict()["reason"] == "advance_retried"
 
     def test_capacity_bounds_buffer_but_not_recorded(self):
         from repro.obs.spans import EventLog

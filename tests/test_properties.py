@@ -161,9 +161,10 @@ class TestSomProperties:
 class TestTsdbProperties:
     @given(st.lists(st.tuples(finite_floats, finite_floats), min_size=0, max_size=30))
     def test_insert_always_sorted(self, points):
+        """Point-at-a-time back-fill through the merge keeps order."""
         series = TimeSeries("s")
         for timestamp, value in points:
-            series.insert(timestamp, value)
+            series.ingest_columns(np.array([timestamp]), np.array([value]))
         timestamps = series.timestamps
         assert np.all(timestamps[:-1] <= timestamps[1:])
 

@@ -3,8 +3,8 @@
 The columnar :class:`~repro.tsdb.TimeSeries` (contiguous numpy buffers,
 amortized doubling, zero-copy tail views) must be observationally
 identical to the obvious pure-Python implementation — element for
-element, across every mutation path (``append`` / ``insert`` /
-``ingest_many`` / ``drop_before``), every read path (``values`` /
+element, across every mutation path (``append`` / ``ingest_many`` /
+``drop_before``), every read path (``values`` /
 ``timestamps`` / ``between`` / ``values_between`` / ``cut`` /
 ``latest``).  Hypothesis drives random interleavings against the
 reference model below; any divergence is a storage-layer bug.
@@ -96,24 +96,17 @@ class ListSeries:
         self.ts.append(timestamp)
         self.vals.append(value)
 
-    def insert(self, timestamp, value):
-        pos = bisect.bisect_right(self.ts, timestamp)
-        if pos and self.ts[pos - 1] == timestamp:
-            self.vals[pos - 1] = value
-            return
-        self.ts.insert(pos, timestamp)
-        self.vals.insert(pos, value)
-
     def ingest_many(self, points):
         # Point-at-a-time insertion is the latest arrival winning at
         # every repeated timestamp, however batched.
         written = 0
         for timestamp, value in points:
-            if not self.ts or timestamp > self.ts[-1]:
-                self.ts.append(timestamp)
-                self.vals.append(value)
+            pos = bisect.bisect_right(self.ts, timestamp)
+            if pos and self.ts[pos - 1] == timestamp:
+                self.vals[pos - 1] = value
             else:
-                self.insert(timestamp, value)
+                self.ts.insert(pos, timestamp)
+                self.vals.insert(pos, value)
             written += 1
         return written
 
@@ -158,7 +151,6 @@ _point = st.tuples(_ts, _val)
 
 _op = st.one_of(
     st.tuples(st.just("append"), _point),
-    st.tuples(st.just("insert"), _point),
     st.tuples(st.just("ingest"), st.lists(_point, min_size=1, max_size=8)),
     st.tuples(st.just("drop_before"), _ts),
 )
@@ -175,18 +167,6 @@ def _apply(series, model, op, payload):
             real = exc
         try:
             model.append(timestamp, value)
-        except ValueError as exc:
-            model_exc = exc
-        assert (real is None) == (model_exc is None)
-    elif op == "insert":
-        timestamp, value = payload
-        real = model_exc = None
-        try:
-            series.insert(timestamp, value)
-        except ValueError as exc:
-            real = exc
-        try:
-            model.insert(timestamp, value)
         except ValueError as exc:
             model_exc = exc
         assert (real is None) == (model_exc is None)

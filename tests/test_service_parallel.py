@@ -168,12 +168,11 @@ class TestSerialParallelEquivalence:
 class TestConcurrentIngestDuringAdvance:
     """The nothing-is-lost contract under live streaming + workers>1.
 
-    Regression test for the stale-database flush race: with background
-    flushers (``start()``) or BLOCK-policy caller-runs flushes active
-    while a parallel advance is in flight, samples used to be flushed
-    into the superseded pre-advance database and silently discarded
-    when the advanced state landed.  Every accepted sample must end up
-    in a shard TSDB, exactly once.
+    Regression test for the stale-database flush race: with BLOCK-policy
+    caller-runs flushes active while a parallel advance is in flight,
+    samples used to be flushed into the superseded pre-advance database
+    and silently discarded when the advanced state landed.  Every
+    accepted sample must end up in a shard TSDB, exactly once.
     """
 
     N_PRODUCERS = 4
@@ -189,7 +188,6 @@ class TestConcurrentIngestDuringAdvance:
         service.register_monitor(
             "gcpu", small_config(), series_filter={"metric": "gcpu"}
         )
-        service.start(flush_interval=0.001)
         stop = threading.Event()
         counts = [0] * self.N_PRODUCERS
 
@@ -208,16 +206,23 @@ class TestConcurrentIngestDuringAdvance:
         ]
         for producer in producers:
             producer.start()
-        # Parallel advances race against live producers and flushers.
+        # Parallel advances race against live producers.  Each round
+        # offers more than both queues hold, so a producer flushes into
+        # the TSDB itself (BLOCK) between or during the advances.
         for round_index in range(4):
+            offered = sum(counts) + 4 * 32  # twice what both queues hold
+            deadline = time.monotonic() + 10.0
+            while sum(counts) < offered and time.monotonic() < deadline:
+                time.sleep(0.001)
             service.advance_to((round_index + 1) * 10_000.0)
         stop.set()
         for producer in producers:
             producer.join(timeout=10.0)
         assert not any(producer.is_alive() for producer in producers)
-        service.stop()  # drain whatever is still queued
+        service.flush()  # drain whatever is still queued
 
         stats = service.stats()
+        assert sum(shard.counters["blocking_flushes"] for shard in stats.shards) > 0
         total_offered = sum(counts)
         assert stats.offered == total_offered
         assert stats.accepted == total_offered  # BLOCK never sheds load
@@ -280,7 +285,7 @@ class TestSnapshotOwnership:
             time.sleep(0.005)
         # 1. A plain offer, 2. a frame bigger than the queue (BLOCK:
         # caller-runs flushes, straight into the live database), 3. a
-        # background-flusher tick for what is still queued.
+        # caller's flush of what is still queued.
         assert service.ingest(name, 0.0, 1.0, tags)
         assert worker.pending == 1 and len(database) == 0
         service.ingest_many(
@@ -288,14 +293,12 @@ class TestSnapshotOwnership:
         )
         assert worker.blocking_flushes > 0
         assert len(database.get(name)) > 0, "BLOCK flushed mid-advance"
-        service.start(flush_interval=0.005)
-        while worker.pending:
-            assert time.monotonic() < deadline, "the flusher never ticked"
-            time.sleep(0.005)
+        assert service.flush() > 0
+        assert worker.pending == 0
         assert advance.is_alive(), "all of that happened mid-advance"
         advance.join(timeout=30.0)
         assert not advance.is_alive()
-        service.stop()
+        service.flush()
 
         # Same objects before and after; every point there exactly once.
         assert service.shard_database(shard_id) is database
@@ -498,7 +501,6 @@ class TestAdvanceFailureRecovery:
         service.register_monitor(
             "gcpu", small_config(), series_filter={"metric": "gcpu"}
         )
-        service.start(flush_interval=0.001)
         # Prime the pool so worker processes exist to kill.
         service.advance_to(1.0)
         stop = threading.Event()
@@ -521,6 +523,12 @@ class TestAdvanceFailureRecovery:
             producer.start()
         try:
             for round_index in range(4):
+                # Twice what the four queues hold: one fills, and its
+                # producer flushes into the TSDB itself (BLOCK).
+                offered = sum(counts) + 8 * 64
+                deadline = time.monotonic() + 10.0
+                while sum(counts) < offered and time.monotonic() < deadline:
+                    time.sleep(0.001)
                 victim_pid = service._executor.worker_pids()[0]
                 os.kill(victim_pid, signal.SIGKILL)
                 # The advance runs against a pool with a freshly killed
@@ -531,9 +539,11 @@ class TestAdvanceFailureRecovery:
             for producer in producers:
                 producer.join(timeout=10.0)
         assert not any(producer.is_alive() for producer in producers)
-        service.stop()
+        service.flush()
 
         stats = service.stats()
+        # The producers' full queues made them write the TSDB themselves.
+        assert sum(shard.counters["blocking_flushes"] for shard in stats.shards) > 0
         total_offered = sum(counts)
         assert stats.offered == total_offered
         assert stats.accepted == total_offered
@@ -714,8 +724,8 @@ class TestAdvanceFailureRecovery:
         degraded = service.degraded_reasons()
         assert degraded, "retried advance must surface as degraded"
         assert all(
-            reasons.get("advance") in {"advance_retried", "in_process_fallback"}
-            for reasons in degraded.values()
+            reason in {"advance_retried", "in_process_fallback"}
+            for reason in degraded.values()
         )
         assert views.healthz(service)[1]["status"] == "degraded"
         service.advance_to(20_000.0)  # budget spent -> clean advance

@@ -4,8 +4,8 @@ With ``workers > 1`` each worker process keeps a read replica of the
 shards it hosts; the parent stays the only writer and per advance ships
 what it wrote since the last one (:meth:`Shard.delta`) or, when it does
 not trust the replica, the whole shard (:meth:`Shard.seed`).  The tests
-here hold the protocol to its promises: workers exist before the service
-has threads and a hung one is killed, a delta for the wrong generation
+here hold the protocol to its promises: workers exist before any
+producer thread does and a hung one is killed, a delta for the wrong generation
 is refused and re-seeded, a parent-side scheduler change reaches the
 replica, the log never outgrows the database, and replay off the TSDB's
 fast path (backfill merges, re-sent tails, late heads, NaN bursts)
@@ -18,6 +18,7 @@ import pickle
 import signal
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
@@ -60,17 +61,35 @@ def points(database):
 
 class TestWorkerLifecycle:
     def test_workers_are_forked_before_the_service_has_threads(self):
-        """Not lazily at the first advance after ``start()`` made
-        flusher threads: both exist before any advance."""
+        """Not lazily at the first advance, when a producer thread may
+        already be writing the TSDB: both workers exist before any
+        advance."""
         service = fleet.make_service(CollectingSink(), workers=2)
+        stop = threading.Event()
+        tags = {"metric": "gcpu"}
+
+        def produce():
+            # Past the queue bound (BLOCK): the producer flushes itself.
+            tick = 0
+            while tick < 1_024 or not stop.is_set():
+                service.ingest(fleet.SERIES[0], tick * fleet.INTERVAL, 0.001, tags)
+                tick += 1
+
+        producer = threading.Thread(target=produce, daemon=True)
         try:
             pids = service._executor.worker_pids()
             assert len(set(pids)) == 2 and os.getpid() not in pids
             assert all(alive(pid) for pid in pids)
-            service.start(flush_interval=0.01)
+            producer.start()
             service.advance_to(100.0)
+            stop.set()
+            producer.join(timeout=10.0)
+            assert not producer.is_alive()
             assert service._executor.worker_pids() == pids
+            stats = service.stats()
+            assert sum(shard.counters["blocking_flushes"] for shard in stats.shards) > 0
         finally:
+            stop.set()
             service.close()
         assert not any(alive(pid) for pid in pids)
 

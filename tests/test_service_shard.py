@@ -44,9 +44,10 @@ def small_config():
 
 class TestCheckpointUnderLiveIngest:
     """The bug: ``checkpoint()`` pickled each shard without the queue
-    lock, so with producers and flushers live a blob could hold a series
-    whose columns differ in length, or a queue whose counters disagree
-    with its frames — silently."""
+    lock, so with producers live — their full queues flushing into the
+    TSDB under BLOCK — a blob could hold a series whose columns differ in
+    length, or a queue whose counters disagree with its frames —
+    silently."""
 
     ROUNDS = 40
     PRODUCERS = 3
@@ -54,7 +55,7 @@ class TestCheckpointUnderLiveIngest:
     def test_checkpoint_is_never_torn(self, tmp_path):
         service = StreamingDetectionService(
             n_shards=4,
-            queue_capacity=1 << 20,
+            queue_capacity=64,
             backpressure=BackpressurePolicy.BLOCK,
             batch_size=64,
         )
@@ -74,7 +75,6 @@ class TestCheckpointUnderLiveIngest:
             threading.Thread(target=produce, args=(producer,), daemon=True)
             for producer in range(self.PRODUCERS)
         ]
-        service.start(flush_interval=0.001)
         for thread in producers:
             thread.start()
         directory = str(tmp_path / "ckpt")
@@ -100,7 +100,9 @@ class TestCheckpointUnderLiveIngest:
                 thread.join(timeout=10.0)
             service.close()
         assert not any(thread.is_alive() for thread in producers)
-        assert service.stats().accepted > 0
+        stats = service.stats()
+        assert stats.accepted > 0
+        assert sum(shard.counters["blocking_flushes"] for shard in stats.shards) > 0
         assert not torn, torn[:5]
 
 
@@ -296,10 +298,10 @@ class TestVersionTwoIsRefused:
 
 class TestSerialAdvanceUnderLiveIngest:
     """The bug: ``Shard.advance`` flushed and scanned outside the queue
-    lock.  A frame lands timestamps first, values second, so a flusher's
-    write during a *serial* scan let a window, or an incremental
-    screen's tail, slice a value buffer past the values that exist —
-    uninitialised memory, silently."""
+    lock.  A frame lands timestamps first, values second, so a producer's
+    caller-runs flush during a *serial* scan let a window, or an
+    incremental screen's tail, slice a value buffer past the values that
+    exist — uninitialised memory, silently."""
 
     def test_a_producer_waits_at_the_door_while_the_scan_runs(self, monkeypatch):
         service = StreamingDetectionService(n_shards=1)
@@ -327,12 +329,12 @@ class TestSerialAdvanceUnderLiveIngest:
 
     def _run(self, live):
         """Reports and TSDB contents after 11 rounds of 100 ticks, one of
-        8 series stepping up at tick 700.  ``live``: flushers running, and
-        a producer thread offering round r + 1 (and beyond) while round r
-        is scanned."""
+        8 series stepping up at tick 700.  ``live``: a producer thread
+        offering round r + 1 (and beyond) while round r is scanned, its
+        full queues (BLOCK) making it flush into the TSDB itself."""
         sink = CollectingSink()
         service = StreamingDetectionService(
-            n_shards=2, sinks=[sink], workers=1, queue_capacity=1 << 20,
+            n_shards=2, sinks=[sink], workers=1, queue_capacity=64,
             backpressure=BackpressurePolicy.BLOCK, batch_size=64,
         )
         service.register_monitor("gcpu", small_config(), series_filter=TAGS)
@@ -352,7 +354,6 @@ class TestSerialAdvanceUnderLiveIngest:
 
         producer = threading.Thread(target=produce, daemon=True)
         if live:
-            service.start(flush_interval=0.001)
             producer.start()
         else:
             produce()
@@ -362,6 +363,8 @@ class TestSerialAdvanceUnderLiveIngest:
                 service.advance_to((round_index + 1) * 6_000.0)
         finally:
             service.close()
+        stats = service.stats()
+        assert sum(shard.counters["blocking_flushes"] for shard in stats.shards) > 0
         stored = {
             series.name: (series.timestamps.tolist(), series.values.tolist())
             for shard_id in range(2)

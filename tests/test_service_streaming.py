@@ -125,31 +125,6 @@ class TestEndToEnd:
         assert "service_advance_seconds" in text
         assert "# TYPE service_shards gauge" in text
 
-    def test_background_flushers_drain_queues(self, samples):
-        service = build(CollectingSink(), n_shards=2, queue_capacity=100_000)
-        service.start(flush_interval=0.01)
-        try:
-            service.ingest_many(samples[:4_000])
-            import time
-
-            deadline = time.monotonic() + 5.0
-            while time.monotonic() < deadline and service.stats().flushed < 4_000:
-                time.sleep(0.01)
-        finally:
-            service.stop()
-        stats = service.stats()
-        assert stats.flushed == 4_000
-        assert all(shard.pending == 0 for shard in stats.shards)
-
-    def test_start_twice_raises(self):
-        service = StreamingDetectionService(n_shards=1)
-        service.start()
-        try:
-            with pytest.raises(RuntimeError, match="already started"):
-                service.start()
-        finally:
-            service.stop()
-
 
 class TestConfigurationErrors:
     def test_invalid_shard_count(self):

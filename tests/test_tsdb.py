@@ -38,13 +38,13 @@ class TestTimeSeries:
     def test_insert_keeps_order(self):
         series = TimeSeries("s")
         series.extend([(0.0, 0.0), (2.0, 2.0)])
-        series.insert(1.0, 1.0)
+        series.ingest_many([(1.0, 1.0)])
         assert list(series.timestamps) == [0.0, 1.0, 2.0]
 
     def test_insert_duplicate_overwrites_in_place(self):
         series = TimeSeries("s")
         series.extend([(0.0, 0.0), (1.0, 1.0), (2.0, 2.0)])
-        series.insert(1.0, 9.0)
+        series.ingest_many([(1.0, 9.0)])
         assert list(series.timestamps) == [0.0, 1.0, 2.0]
         assert list(series.values) == [0.0, 9.0, 2.0]
 
