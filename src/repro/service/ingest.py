@@ -345,7 +345,7 @@ class ShardIngestWorker:
         self.flushed += written
         self.flushes += 1
         if self.write_log is not None and not self.write_log.wrote(batch, written):
-            self.write_log = None  # replaying it would cost more than a seed
+            self.write_log = None  # replaying it would cost more than a re-fork
         self.flush_seconds.observe(time.perf_counter() - started)
         return written
 

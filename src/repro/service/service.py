@@ -42,7 +42,8 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Dict, List, Optional, Sequence
+from contextlib import ExitStack, contextmanager
+from typing import Dict, Iterator, List, Optional, Sequence
 
 from repro.config import DetectionConfig
 from repro.core.pipeline import FunnelCounters
@@ -95,8 +96,8 @@ class StreamingDetectionService:
         queue_capacity: Per-shard ingest queue bound.
         backpressure: Policy when a shard queue is full.
         batch_size: Samples per TSDB flush batch.
-        workers: Worker *processes* for shard advances, forked here
-            (the service starts no threads of its own).  With
+        workers: Worker *processes* for shard advances, forked by the
+            advances that need them (the service starts no threads).  With
             ``workers <= 1`` detection runs in-thread; with more,
             :meth:`advance_to` hands each shard's new writes to the
             replica a :class:`~repro.service.parallel.ParallelShardExecutor`
@@ -155,10 +156,10 @@ class StreamingDetectionService:
         self._executor: Optional[ParallelShardExecutor] = (
             ParallelShardExecutor(
                 workers,
+                self._replicas,
                 deadline=advance_deadline,
                 injector=fault_injector,
                 metrics=self.metrics,
-                seeds=self._seed,
             )
             if workers > 1
             else None
@@ -362,24 +363,27 @@ class StreamingDetectionService:
         """Fan shard advances out to worker processes and merge back.
 
         Each worker brings its replica level with what the shard wrote
-        since the last advance (or is seeded afresh) and returns the
+        since the last advance (or is forked afresh) and returns the
         advanced scheduler; the shards keep their databases and queues,
         so there is nothing to roll back — a fan-out that raises leaves
-        every shard as it was, flushed, and every replica untrusted.
-        """
+        every shard as it was, flushed, and every replica untrusted.  A
+        shard no worker could advance is advanced here, before anything
+        is adopted."""
         try:
-            blobs = {
-                shard_id: shard.delta() or self._seed(shard_id)
-                for shard_id, shard in self._shards.items()
-            }
+            blobs = {shard_id: shard.delta() for shard_id, shard in self._shards.items()}
             results = self._executor.map_shards(blobs, target)  # sorted by id
+            advanced = [
+                (result.outcomes, result.elapsed) if result.fallback is None
+                else self._shards[result.shard_id].advance(target)
+                for result in results
+            ]
         except BaseException:
             # Logs were cut for advances that will not be adopted.
             for shard in self._shards.values():
                 shard.forget_replica()
             raise
         self.metrics.inc("service.parallel_advances")
-        for result in results:
+        for result, (outcomes, elapsed) in zip(results, advanced):
             shard = self._shards[result.shard_id]
             if result.fallback is not None:
                 self._set_degraded(result.shard_id, "in_process_fallback")
@@ -387,18 +391,22 @@ class StreamingDetectionService:
                 self._set_degraded(result.shard_id, "advance_retried")
             else:
                 self._clear_degraded(result.shard_id)
-            shard.adopt(result.state)
-            if result.fallback is not None or result.retries:
-                shard.forget_replica()  # recovered: start over from a seed
-            self._deliver(shard, result.outcomes, result.elapsed, delivered)
+            if result.fallback is None:
+                shard.adopt(result.state)
+            if result.fallback is not None or result.retries or result.stale:
+                shard.forget_replica()  # start over from a fork
+            self._deliver(shard, outcomes, elapsed, delivered)
 
-    def _seed(self, shard_id: int) -> bytes:
-        """A seed for one shard's worker (also the executor's way to
-        start a shard over); one that gives up a replica is counted."""
-        shard = self._shards[shard_id]
-        if shard.seeded:
-            self.metrics.inc("advance.reseeds")
-        return shard.seed()
+    @contextmanager
+    def _replicas(self, index: int) -> Iterator[Dict[int, tuple]]:
+        """What worker ``index`` is forked holding: each of its shards'
+        scheduler and database, held still until the fork is done."""
+        with ExitStack() as held:
+            yield {
+                shard_id: held.enter_context(shard.forking())
+                for shard_id, shard in self._shards.items()
+                if shard_id % self.workers == index
+            }
 
     def _deliver(
         self,

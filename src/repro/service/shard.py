@@ -8,14 +8,15 @@ so none can be torn by live producers or their caller-runs flushes:
 - :meth:`Shard.checkpoint_blob` / :meth:`Shard.restore` — the durable form:
   database, worker (queue and held stragglers included) and scheduler
   in one pickle, so shared references survive;
-- :meth:`Shard.seed` (a :meth:`Shard.snapshot` that starts a
-  :class:`WriteLog`) — what a worker process builds its read replica
-  from: the scheduler goes out with the database it reads;
-- :meth:`Shard.delta` / :meth:`Shard.adopt` — what keeps that replica
-  level: the writes logged since the last cut go out as a
-  :class:`ShardDelta`, only the advanced scheduler comes back.
+- :meth:`Shard.delta` / :meth:`Shard.adopt` — what keeps a worker
+  process's read replica level: the writes logged since the last cut
+  go out as a :class:`ShardDelta`, only the advanced scheduler comes
+  back.
 
-Neither form carries a process-local handle.  The scan side — scheduler,
+A replica itself is never pickled: :meth:`Shard.forking` holds the
+shard still — flushed, a fresh :class:`WriteLog` hung — while a worker
+is forked holding its scheduler and database.  Neither serialised form
+carries a process-local handle.  The scan side — scheduler,
 detectors, pipelines — holds none to begin with: a scan returns its
 ledger and the service publishes it.  The ingest side keeps its counts
 itself (plain ints and a histogram state that ride the pickle; the views
@@ -28,8 +29,9 @@ from __future__ import annotations
 
 import pickle
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -95,13 +97,13 @@ class WriteLog:
     brought level, in order; the caller holds the queue lock.
 
     It is bounded by a rule: a log holding more points than the database
-    does costs more to replay than a seed, so :meth:`wrote` and
+    does costs more to replay than a re-fork, so :meth:`wrote` and
     :meth:`trimmed` answer whether it is still worth keeping.
     """
 
     def __init__(self, database: TimeSeriesDatabase) -> None:
         self.database = database
-        #: Advances adopted since the seed: the replica state the next
+        #: Advances adopted since the fork: the replica state the next
         #: :meth:`cut` extends.
         self.generation = 0
         self._clear()
@@ -172,9 +174,6 @@ class Shard:
             batch_size=batch_size,
         )
         self.scheduler = DetectionScheduler(self.database, retention=retention)
-        #: Whether a worker process was ever seeded with this shard (a
-        #: seed after the first means a replica was given up).
-        self.seeded = False
         self.bind(fault_injector)
 
     def bind(self, fault_injector: Optional[FaultInjector]) -> None:
@@ -186,7 +185,7 @@ class Shard:
         """Flush and scan in this process; ``(outcomes, seconds)`` — what
         a worker process reports for the same work.
 
-        Under the queue lock, like :meth:`snapshot`: the scan reads the
+        Under the queue lock, like :meth:`forking`: the scan reads the
         live database, and a producer's caller-runs flush writing a frame
         mid-scan extends a series' timestamp column before its value
         column — a window sliced between the two reads past the values
@@ -276,40 +275,31 @@ class Shard:
 
     # -- the replicated form ---------------------------------------------
 
-    def snapshot(self) -> bytes:
-        """This shard as a worker process can advance it, self-contained.
+    @contextmanager
+    def forking(self) -> Iterator[Tuple[DetectionScheduler, TimeSeriesDatabase]]:
+        """Hold this shard still while a worker is forked with it.
 
-        Under the queue lock: flush in the parent (stragglers released,
-        exactly as the serial path does before it scans), then pickle
-        the scheduler, which carries the database it reads.  A flush
-        that fails re-queues its batch and propagates, as it does on the
-        serial path.  Nothing is suspended afterwards — offers and
-        flushes keep writing to the live queue and database while the
-        worker scans its copy.
+        Under the queue lock throughout: flush in the parent (stragglers
+        released, as the serial path does before it scans), hang a fresh
+        :class:`WriteLog` (generation 0: what the fork holds), and yield
+        the scheduler and database the child starts from.  A failed
+        flush re-queues its batch and propagates, as on the serial path.
         """
         with self.worker.paused():
             self.worker.flush()
-            return pickle.dumps(self.scheduler, protocol=pickle.HIGHEST_PROTOCOL)
-
-    def seed(self) -> bytes:
-        """A :meth:`snapshot` to build a replica from: every write from
-        here on is logged, so :meth:`delta` can keep that replica level."""
-        with self.worker.paused():
-            blob = self.snapshot()
             self.worker.write_log = WriteLog(self.database)
-            self.seeded = True
-            return blob
+            yield self.scheduler, self.database
 
-    def delta(self) -> Optional[bytes]:
+    def delta(self) -> bytes:
         """What this shard's replica has not seen: flush, then cut the
-        log.  ``None`` when no replica is trusted — never seeded, given
+        log.  ``b""`` when no replica is trusted — none forked yet, given
         up by :meth:`forget_replica`, or the log outgrew the database —
-        and the caller must :meth:`seed` one instead."""
+        and its worker must be forked afresh."""
         with self.worker.paused():
             self.worker.flush()
             log = self.worker.write_log
             if log is None:
-                return None
+                return b""
             return pickle.dumps(log.cut(), protocol=pickle.HIGHEST_PROTOCOL)
 
     def forget_replica(self) -> None:

@@ -233,7 +233,7 @@ class TestServeDemoCommand:
         err = capsys.readouterr().err
         assert "unknown or missing fault kind" in err and kind in err
 
-    def test_fault_plan_help_names_the_four_kinds(self, capsys):
+    def test_fault_plan_help_names_the_three_kinds(self, capsys):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["serve-demo", "--help"])
         usage = " ".join(capsys.readouterr().out.split())

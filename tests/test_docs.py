@@ -324,9 +324,9 @@ class TestParallelAdvanceOwnership:
     def test_a_database_is_unpickled_only_where_a_worker_starts(self):
         """Shard state leaves pickled from ``shard.py`` alone, and comes
         back to life in three places: a checkpoint being restored, the
-        worker entry point (a seed, or a delta for the replica it
-        holds), and the parent reading a worker's answer — a scheduler
-        detached from any database."""
+        worker entry point (a delta for the replica its fork holds), and
+        the parent reading a worker's answer — a scheduler detached from
+        any database."""
         service = os.path.join(REPO_ROOT, "src", "repro", "service")
         loads = set()
         for name in sorted(os.listdir(service)):
@@ -379,7 +379,7 @@ class TestShardLeavesOneWay:
         service = os.path.join(REPO_ROOT, "src", "repro", "service")
         assert not re.search(r"^\s*import pickle", _read(service, "service.py"), re.M)
         assert "pickle.dumps" not in _read(service, "checkpoint.py")
-        # All three forms (checkpoint, seed, delta), each taken inside the queue lock.
+        # Both forms (checkpoint, delta), each taken inside the queue lock.
         tree = ast.parse(_read(service, "shard.py"))
 
         def dumps_under(node):
@@ -396,7 +396,7 @@ class TestShardLeavesOneWay:
                 for item in node.items
             ):
                 locked |= dumps_under(node)
-        assert len(dumps_under(tree)) == 3 and dumps_under(tree) == locked
+        assert len(dumps_under(tree)) == 2 and dumps_under(tree) == locked
 
 
 class TestScanStackHoldsNoHandles:
@@ -1031,7 +1031,7 @@ class TestFaultsComeFromOutside:
     SRC = os.path.join(REPO_ROOT, "src", "repro")
     CALLED = {"maybe_raise", "worker_directive", "wire", "counts", "snapshot", "exhausted"}
 
-    def test_four_kinds(self):
+    def test_three_kinds(self):
         from repro.faults import FaultKind
 
         assert {kind.name for kind in FaultKind} == {
@@ -1122,8 +1122,9 @@ class TestChallengersAreJudgedOffline:
 
 class TestServiceStartsNoThreads:
     """Time is the caller's: data reaches a shard's TSDB through
-    ``advance_to``, a snapshot, ``flush()`` or a BLOCK producer's
-    caller-runs flush, never on a thread of the service's own.  So no
+    ``advance_to`` (a delta's or a worker fork's flush among it),
+    ``flush()`` or a BLOCK producer's caller-runs flush, never on a
+    thread of the service's own.  So no
     background-flusher mode comes back: no module under
     ``repro.service`` constructs a thread, the service has no ``start``
     / ``stop``, and ``/healthz`` counts no flushers."""
@@ -1167,3 +1168,53 @@ class TestServiceStartsNoThreads:
         assert status == 200
         assert "flushers_alive" not in payload
         assert [shard["degraded"] for shard in payload["shards"]] == [None, None]
+
+
+class TestReplicasAreForked:
+    """A worker process is forked holding its shards, at the first
+    parallel advance that needs it: no shard is pickled to build a
+    replica, so the seed form stays deleted, the executor's constructor
+    starts no process, and ``shard.py`` pickles only the durable form
+    and the delta."""
+
+    SERVICE = TestServiceStartsNoThreads.SERVICE
+
+    def test_the_shard_has_no_seed_form(self):
+        from repro.service import BackpressurePolicy
+        from repro.service.shard import Shard
+
+        shard = Shard(0, 4, BackpressurePolicy.BLOCK, 4, 0.0, None)
+        names = set(dir(Shard)) | set(vars(shard))
+        assert not {"seed", "snapshot", "seeded"} & names
+
+    def test_the_executor_constructor_starts_no_process(self):
+        import contextlib
+        import inspect
+        import multiprocessing
+
+        from repro.service import ParallelShardExecutor
+
+        assert "seeds" not in inspect.signature(ParallelShardExecutor.__init__).parameters
+        before = set(multiprocessing.active_children())
+        with ParallelShardExecutor(2, lambda index: contextlib.nullcontext({})) as executor:
+            assert executor.worker_pids() == []
+            assert set(multiprocessing.active_children()) == before
+
+    def test_shard_pickles_only_the_checkpoint_and_the_delta(self):
+        tree = ast.parse(_read(self.SERVICE, "shard.py"))
+
+        def dumps(node):
+            return {
+                call.lineno
+                for call in ast.walk(node)
+                if isinstance(call, ast.Call) and ast.unparse(call.func) == "pickle.dumps"
+            }
+
+        kept = [
+            dumps(function)
+            for function in ast.walk(tree)
+            if isinstance(function, ast.FunctionDef)
+            and function.name in ("checkpoint_blob", "delta")
+        ]
+        assert len(kept) == 2 and all(kept)
+        assert dumps(tree) == set().union(*kept)

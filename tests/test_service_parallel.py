@@ -8,6 +8,7 @@ correctly under ``workers=4`` — with every derived incremental-scan
 cache dropped at the trust boundary.
 """
 
+import contextlib
 import json
 import os
 import signal
@@ -22,6 +23,7 @@ from hypothesis import strategies as st
 from repro.config import DetectionConfig
 from repro.faults import FaultInjector, FaultKind, FaultPlan, FaultSpec
 from repro.runtime import CollectingSink
+from repro.runtime.scheduler import DetectionScheduler
 from repro.service import (
     BackpressurePolicy,
     ParallelShardExecutor,
@@ -29,7 +31,6 @@ from repro.service import (
     StreamingDetectionService,
 )
 from repro.service import parallel, views
-from repro.service.metrics import MetricsRegistry
 from repro.service.parallel import ADVANCE_DEADLINE
 from repro.tsdb import WindowSpec
 
@@ -105,19 +106,63 @@ def report_bytes(reports):
     return json.dumps([r.to_dict() for r in reports], sort_keys=True)
 
 
+def no_replicas(index):
+    """An executor's ``replicas`` for one that never advances."""
+    return contextlib.nullcontext({})
+
+
+def record_results(service):
+    """Every ``map_shards`` answer the service's executor gives, in order."""
+    rounds = []
+    original = service._executor.map_shards
+
+    def recording(blobs, target):
+        rounds.append(original(blobs, target))
+        return rounds[-1]
+
+    service._executor.map_shards = recording
+    return rounds
+
+
 class TestParallelShardExecutor:
     def test_rejects_zero_workers(self):
         with pytest.raises(ValueError, match="workers"):
-            ParallelShardExecutor(workers=0)
+            ParallelShardExecutor(0, no_replicas)
 
     def test_close_is_idempotent(self):
-        executor = ParallelShardExecutor(workers=2)
+        executor = ParallelShardExecutor(2, no_replicas)
         executor.close()
         executor.close()
 
     def test_context_manager(self):
-        with ParallelShardExecutor(workers=2) as executor:
+        with ParallelShardExecutor(2, no_replicas) as executor:
             assert executor.workers == 2
+
+    def test_a_fork_that_lacks_the_shard_fails_it_once(self, monkeypatch):
+        """A refusal of what the fork should hold is a failure, not one
+        more re-fork: a ``replicas`` that leaves a shard out must not
+        make ``map_shards`` fork for ever."""
+        monkeypatch.setattr(parallel, "ADVANCE_RETRIES", 1)
+        monkeypatch.setattr(parallel, "RETRY_BACKOFF", 0.01)
+        with ParallelShardExecutor(2, no_replicas) as executor:
+            results = executor.map_shards({0: b"", 1: b""}, target=1.0)
+        assert [(r.retries, r.fallback) for r in results] == [(1, "in_process")] * 2
+
+    def test_a_closed_executor_forks_nothing(self):
+        """The bug: once forking is lazy, an advance after ``close()``
+        would fork fresh workers (before that, it died on an
+        ``IndexError``).  It is refused, and nothing is held to fork."""
+        asked = []
+
+        def replicas(index):
+            asked.append(index)
+            return contextlib.nullcontext({})
+
+        executor = ParallelShardExecutor(2, replicas)
+        executor.close()
+        with pytest.raises(RuntimeError, match="closed"):
+            executor.map_shards({0: b"", 1: b""}, target=1.0)
+        assert asked == [] and executor.worker_pids() == []
 
     def test_service_rejects_zero_workers(self):
         with pytest.raises(ValueError, match="workers"):
@@ -241,8 +286,8 @@ class TestConcurrentIngestDuringAdvance:
 
 class TestSnapshotOwnership:
     """The ownership rule of a parallel advance: the parent keeps each
-    shard's database and queue for life; a worker process borrows a
-    snapshot and only scheduler state comes back.  Nothing live is ever
+    shard's database and queue for life; a worker process holds a
+    replica and only scheduler state comes back.  Nothing live is ever
     replaced, so there is no stale database to write into."""
 
     @staticmethod
@@ -278,7 +323,7 @@ class TestSnapshotOwnership:
         advance = threading.Thread(target=service.advance_to, args=(100.0,))
         advance.start()
         # The hang directive is handed out at submit time, after every
-        # snapshot was taken: from here on the advance is in flight.
+        # delta was cut: from here on the advance is in flight.
         deadline = time.monotonic() + 10.0
         while not injector.counts().get("advance_hang"):
             assert time.monotonic() < deadline, "the advance never fanned out"
@@ -320,7 +365,7 @@ class TestSnapshotOwnership:
 
         sink = CollectingSink()
         # A queue that holds a whole chunk: the only flushes are the
-        # ones a snapshot makes, so that is where the fault fires.
+        # ones a delta makes, so that is where the fault fires.
         service = StreamingDetectionService(
             n_shards=4,
             workers=2,
@@ -594,36 +639,29 @@ class TestAdvanceFailureRecovery:
     def test_hang_past_deadline_retries_and_recovers(self, monkeypatch):
         """A hung worker trips the per-shard deadline, then the retry wins."""
         monkeypatch.setattr(parallel, "RETRY_BACKOFF", 0.01)
-        registry = MetricsRegistry()
         plan = FaultPlan(seed=2, specs=(
             FaultSpec(FaultKind.ADVANCE_HANG, times=1, hang_seconds=5.0),
         ))
-        injector = FaultInjector(plan)
-        injector.wire(metrics=registry)
-        executor = ParallelShardExecutor(
-            workers=2, deadline=0.5, injector=injector, metrics=registry,
+        service = StreamingDetectionService(
+            n_shards=2, workers=2, advance_deadline=0.5, fault_injector=FaultInjector(plan),
         )
-        service = StreamingDetectionService(n_shards=2, workers=1)
         service.register_monitor(
             "gcpu", small_config(), series_filter={"metric": "gcpu"}
         )
+        rounds = record_results(service)
         try:
-            blobs = {
-                shard_id: shard.snapshot()
-                for shard_id, shard in service._shards.items()
-            }
             started = time.perf_counter()
-            results = executor.map_shards(blobs, target=100.0)
+            service.advance_to(100.0)
             elapsed = time.perf_counter() - started
+            (results,) = rounds
             assert [r.shard_id for r in results] == [0, 1]
             assert elapsed < 5.0, "the hung worker was abandoned, not awaited"
-            counters = registry.snapshot()["counters"]
+            counters = service.metrics.snapshot()["counters"]
             assert counters["advance.deadline_exceeded"] == 1.0
             assert counters["advance.retries"] >= 1.0
             hung = [r for r in results if r.retries > 0]
             assert hung and all(r.fallback is None for r in results)
         finally:
-            executor.close()
             service.close()
 
     def test_default_built_service_waits_a_finite_time(self):
@@ -651,35 +689,30 @@ class TestAdvanceFailureRecovery:
         assert report_bytes(sink.reports) == report_bytes(reference_reports)
 
     def test_persistent_crash_falls_back_in_process(self, monkeypatch):
-        """Retries exhausted -> the parent advances the shard itself."""
+        """Retries exhausted -> the parent advances the live shard itself,
+        as ``workers=1`` does, and keeps no replica of it."""
         monkeypatch.setattr(parallel, "ADVANCE_RETRIES", 1)
         monkeypatch.setattr(parallel, "RETRY_BACKOFF", 0.01)
-        registry = MetricsRegistry()
         plan = FaultPlan(seed=3, specs=(
             FaultSpec(FaultKind.WORKER_CRASH, shard=0, times=None),
         ))
-        injector = FaultInjector(plan)
-        injector.wire(metrics=registry)
-        executor = ParallelShardExecutor(
-            workers=2, injector=injector, metrics=registry,
+        service = StreamingDetectionService(
+            n_shards=2, workers=2, fault_injector=FaultInjector(plan),
         )
-        service = StreamingDetectionService(n_shards=2, workers=1)
         service.register_monitor(
             "gcpu", small_config(), series_filter={"metric": "gcpu"}
         )
+        rounds = record_results(service)
         try:
-            blobs = {
-                shard_id: shard.snapshot()
-                for shard_id, shard in service._shards.items()
-            }
-            results = executor.map_shards(blobs, target=100.0)
-            by_shard = {r.shard_id: r for r in results}
+            service.advance_to(100.0)
+            by_shard = {r.shard_id: r for r in rounds[0]}
             assert by_shard[0].fallback == "in_process"
             assert by_shard[1].fallback is None
-            counters = registry.snapshot()["counters"]
+            counters = service.metrics.snapshot()["counters"]
             assert counters["advance.fallbacks"] == 1.0
+            assert service._shards[0].worker.write_log is None
+            assert [shard.scheduler.now for shard in service._shards.values()] == [100.0] * 2
         finally:
-            executor.close()
             service.close()
 
     def test_collateral_shards_are_rerun_apart_and_outside_the_budget(self, monkeypatch):
@@ -687,27 +720,21 @@ class TestAdvanceFailureRecovery:
         budget at all, the innocent shards must still come back from the
         pool — only the shard that crashes by itself falls back."""
         monkeypatch.setattr(parallel, "ADVANCE_RETRIES", 0)
-        registry = MetricsRegistry()
         plan = FaultPlan(seed=3, specs=(
             FaultSpec(FaultKind.WORKER_CRASH, shard=1, times=None),
         ))
-        injector = FaultInjector(plan)
-        injector.wire(metrics=registry)
-        executor = ParallelShardExecutor(workers=3, injector=injector, metrics=registry)
-        service = StreamingDetectionService(n_shards=3, workers=1)
+        service = StreamingDetectionService(
+            n_shards=3, workers=3, fault_injector=FaultInjector(plan),
+        )
         service.register_monitor(
             "gcpu", small_config(), series_filter={"metric": "gcpu"}
         )
+        rounds = record_results(service)
         try:
-            blobs = {
-                shard_id: shard.snapshot()
-                for shard_id, shard in service._shards.items()
-            }
-            results = executor.map_shards(blobs, target=100.0)
-            assert [r.fallback for r in results] == [None, "in_process", None]
-            assert registry.snapshot()["counters"]["advance.fallbacks"] == 1.0
+            service.advance_to(100.0)
+            assert [r.fallback for r in rounds[0]] == [None, "in_process", None]
+            assert service.metrics.snapshot()["counters"]["advance.fallbacks"] == 1.0
         finally:
-            executor.close()
             service.close()
 
     def test_degraded_set_then_cleared_on_clean_advance(self):
@@ -736,15 +763,24 @@ class TestAdvanceFailureRecovery:
         service.close()
 
     def test_deterministic_error_still_propagates(self, monkeypatch):
-        """A genuine bug (not a crash) must fail the advance, loudly."""
+        """A genuine bug (not a crash) must fail the advance, loudly:
+        in the workers, in their retries, and in the parent's fallback."""
         monkeypatch.setattr(parallel, "ADVANCE_RETRIES", 1)
         monkeypatch.setattr(parallel, "RETRY_BACKOFF", 0.01)
-        executor = ParallelShardExecutor(workers=2)
+
+        def bug(scheduler, target):
+            raise ZeroDivisionError("a bug, not a crash")
+
+        monkeypatch.setattr(DetectionScheduler, "advance_to", bug)  # before the forks
+        service = StreamingDetectionService(n_shards=2, workers=2)
         try:
-            with pytest.raises(Exception):
-                executor.map_shards({0: b"not a pickle"}, target=1.0)
+            with pytest.raises(ZeroDivisionError, match="a bug"):
+                service.advance_to(1.0)
+            counters = service.metrics.snapshot()["counters"]
+            assert counters["advance.retries"] == 2.0
+            assert counters["advance.fallbacks"] == 2.0
         finally:
-            executor.close()
+            service.close()
 
 
 class TestKillRestoreUnderWorkersCaches:

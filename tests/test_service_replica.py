@@ -1,12 +1,14 @@
-"""Resident shard workers: a replica is a seed plus the ordered log.
+"""Resident shard workers: a replica is a fork plus the ordered log.
 
 With ``workers > 1`` each worker process keeps a read replica of the
-shards it hosts; the parent stays the only writer and per advance ships
-what it wrote since the last one (:meth:`Shard.delta`) or, when it does
-not trust the replica, the whole shard (:meth:`Shard.seed`).  The tests
-here hold the protocol to its promises: workers exist before any
-producer thread does and a hung one is killed, a delta for the wrong generation
-is refused and re-seeded, a parent-side scheduler change reaches the
+shards it hosts, copied by the fork that made it; the parent stays the
+only writer and per advance ships what it wrote since the last one
+(:meth:`Shard.delta`) or, when it does not trust the replica, forks that
+worker afresh — no shard is pickled to build one.  The tests here hold
+the protocol to its promises: workers are forked at the first parallel
+advance even with a producer thread writing and a hung one is killed, a
+restore ships no seed, a delta for the wrong generation is refused and
+the worker re-forked, a parent-side scheduler change reaches the
 replica, the log never outgrows the database, and replay off the TSDB's
 fast path (backfill merges, re-sent tails, late heads, NaN bursts)
 leaves the replica equal to the live database — all with reports
@@ -26,9 +28,9 @@ import pytest
 from repro.faults import FaultInjector, FaultKind, FaultPlan, FaultSpec
 from repro.fleet import dirty_stream
 from repro.runtime import CollectingSink
-from repro.service import ParallelShardExecutor, Sample, StreamingDetectionService
+from repro.service import BackpressurePolicy, Sample, StreamingDetectionService
 from repro.service import parallel
-from repro.service.metrics import MetricsRegistry
+from repro.service.shard import ShardDelta
 
 import test_service_parallel as fleet
 import test_service_quality as drill
@@ -60,31 +62,40 @@ def points(database):
 
 
 class TestWorkerLifecycle:
-    def test_workers_are_forked_before_the_service_has_threads(self):
-        """Not lazily at the first advance, when a producer thread may
-        already be writing the TSDB: both workers exist before any
-        advance."""
-        service = fleet.make_service(CollectingSink(), workers=2)
+    def test_workers_are_forked_at_the_first_advance(self):
+        """Not in the constructor: the first parallel advance forks both
+        workers, each holding its shards, while a producer thread writes
+        past the queue bound (BLOCK: it flushes into the TSDB itself).
+        Its series is one no monitor reads, so the reports still equal
+        ``workers=1``'s."""
+        samples = fleet.make_stream(seed=7, regress_index=3)
+        reference, _ = fleet.run_stream(samples, workers=1)
+        sink = CollectingSink()
+        service = fleet.make_service(sink, workers=2)
         stop = threading.Event()
-        tags = {"metric": "gcpu"}
+        tags = {"metric": "unmonitored"}
 
         def produce():
-            # Past the queue bound (BLOCK): the producer flushes itself.
             tick = 0
             while tick < 1_024 or not stop.is_set():
-                service.ingest(fleet.SERIES[0], tick * fleet.INTERVAL, 0.001, tags)
+                service.ingest("noise.gauge", tick * fleet.INTERVAL, 1.0, tags)
                 tick += 1
 
         producer = threading.Thread(target=produce, daemon=True)
+        chunk = 200 * len(fleet.SERIES)
         try:
+            assert service._executor.worker_pids() == []
+            producer.start()
+            service.ingest_many(samples[:chunk])
+            service.advance_to(samples[chunk - 1].timestamp + fleet.INTERVAL)
             pids = service._executor.worker_pids()
             assert len(set(pids)) == 2 and os.getpid() not in pids
             assert all(alive(pid) for pid in pids)
-            producer.start()
-            service.advance_to(100.0)
+            assert producer.is_alive(), "the fork happened with the producer writing"
             stop.set()
             producer.join(timeout=10.0)
             assert not producer.is_alive()
+            fleet.stream_through(service, samples[chunk:])
             assert service._executor.worker_pids() == pids
             stats = service.stats()
             assert sum(shard.counters["blocking_flushes"] for shard in stats.shards) > 0
@@ -92,59 +103,118 @@ class TestWorkerLifecycle:
             stop.set()
             service.close()
         assert not any(alive(pid) for pid in pids)
+        assert fleet.report_bytes(sink.reports) == fleet.report_bytes(reference)
 
     def test_a_hung_worker_is_killed_not_abandoned(self, monkeypatch):
         """The bug: a worker that blew the deadline stayed alive —
         asleep, holding its shard copy — for the life of the service."""
         monkeypatch.setattr(parallel, "RETRY_BACKOFF", 0.01)
         plan = FaultPlan(seed=2, specs=(
-            FaultSpec(FaultKind.ADVANCE_HANG, shard=0, times=1, hang_seconds=5.0),
+            FaultSpec(FaultKind.ADVANCE_HANG, shard=0, times=1, after=1, hang_seconds=5.0),
         ))
-        registry = MetricsRegistry()
-        executor = ParallelShardExecutor(
-            workers=2, deadline=0.5, injector=FaultInjector(plan), metrics=registry,
+        service = fleet.make_service(
+            CollectingSink(), workers=2, n_shards=2,
+            advance_deadline=0.5, fault_injector=FaultInjector(plan),
         )
-        service = fleet.make_service(CollectingSink(), workers=1, n_shards=2)
+        rounds = fleet.record_results(service)
         try:
-            before = executor.worker_pids()
-            seeds = {i: shard.snapshot() for i, shard in service._shards.items()}
-            results = executor.map_shards(seeds, target=100.0)
-            assert [r.retries for r in results] == [1, 0]
-            after = executor.worker_pids()
+            service.advance_to(50.0)  # forks both; the hang is planned for the next
+            before = service._executor.worker_pids()
+            service.advance_to(100.0)
+            assert [r.retries for r in rounds[-1]] == [1, 0]
+            after = service._executor.worker_pids()
             assert not alive(before[0]), "the hung worker outlived its deadline"
             assert after[1] == before[1] and after[0] != before[0]
             assert all(alive(pid) for pid in after) and len(after) == 2
-            assert registry.snapshot()["counters"]["advance.deadline_exceeded"] == 1.0
+            counters = advance_counters(service)
+            assert counters["deadline_exceeded"] == 1.0
         finally:
-            executor.close()
             service.close()
         assert not any(alive(pid) for pid in after)
-
 
     def test_bytes_out_counts_only_blobs_that_left(self, monkeypatch):
         """The bug: ``advance.bytes_out`` grew by a blob's size when the
         send raised on a worker that had died idle — bytes that never
         left.  Kill an idle worker, advance both shards: the counter
-        grows by what the surviving worker and the respawned one got."""
+        grows by the delta the surviving worker got, and by nothing for
+        the re-forked one, which holds its shard as forked."""
         monkeypatch.setattr(parallel, "RETRY_BACKOFF", 0.01)
-        registry = MetricsRegistry()
-        executor = ParallelShardExecutor(workers=2, metrics=registry)
-        service = fleet.make_service(CollectingSink(), workers=1, n_shards=2)
+        samples = fleet.make_stream(seed=7, regress_index=3)
+        service = fleet.make_service(CollectingSink(), workers=2, n_shards=2)
+        sent = []
+        original = service._executor.map_shards
+
+        def recording(blobs, target):
+            sent.append(dict(blobs))
+            return original(blobs, target)
+
+        service._executor.map_shards = recording
+        rounds = fleet.record_results(service)
         try:
-            seeds = {i: shard.snapshot() for i, shard in service._shards.items()}
-            victim, _ = executor._procs[0]
-            os.kill(victim.pid, signal.SIGKILL)
-            victim.join(timeout=5)
-            results = executor.map_shards(seeds, target=100.0)
-            # Shard 0's first send failed; its retry reached the respawned worker.
-            assert [r.retries for r in results] == [1, 0]
-            assert executor.worker_pids()[0] != victim.pid
-            counters = registry.snapshot()["counters"]
-            assert counters["advance.pool_recreations"] == 1.0
-            assert counters["advance.bytes_out"] == len(seeds[0]) + len(seeds[1])
+            fleet.stream_through(service, samples[: 400 * len(fleet.SERIES)])
+            before = advance_counters(service)
+            process, _ = service._executor._procs[0]
+            victim = process.pid
+            os.kill(victim, signal.SIGKILL)
+            process.join(timeout=5)
+            service.ingest_many(samples[400 * len(fleet.SERIES) : 500 * len(fleet.SERIES)])
+            service.advance_to(500 * fleet.INTERVAL)
+            # Shard 0's first send failed; its retry reached the re-forked worker.
+            assert [r.retries for r in rounds[-1]] == [1, 0]
+            assert service._executor.worker_pids()[0] != victim
+            counters = advance_counters(service)
+            assert counters["pool_recreations"] == 1.0
+            assert all(sent[-1].values()), "both blobs were deltas"
+            assert counters["bytes_out"] - before["bytes_out"] == len(sent[-1][1])
         finally:
-            executor.close()
             service.close()
+
+    def test_a_restore_ships_no_seed(self, tmp_path):
+        """A restored ``workers=2`` service forks its workers holding the
+        restored shards: its first advance sends deltas only, where a
+        seed used to send every shard whole."""
+        samples = fleet.make_stream(seed=7, regress_index=3)
+        split = 600 * len(fleet.SERIES)
+        directory = str(tmp_path / "ckpt")
+        service = fleet.make_service(CollectingSink(), workers=2)
+        fleet.stream_through(service, samples[:split])
+        service.checkpoint(directory)
+        service.close()
+
+        def resume(workers):
+            sink = CollectingSink()
+            restored = StreamingDetectionService.restore(
+                directory, sinks=[sink], workers=workers,
+                queue_capacity=512, backpressure=BackpressurePolicy.BLOCK, batch_size=128,
+            )
+            return sink, restored
+
+        reference, serial = resume(workers=1)
+        sink, restored = resume(workers=2)
+        sent = []
+        original = restored._executor.map_shards
+
+        def recording(blobs, target):
+            sent.append(dict(blobs))
+            return original(blobs, target)
+
+        restored._executor.map_shards = recording
+        batch = samples[split : split + 200 * len(fleet.SERIES)]
+        try:
+            before = advance_counters(restored).get("bytes_out", 0.0)
+            for each in (serial, restored):
+                each.ingest_many(batch)
+                each.advance_to(batch[-1].timestamp + fleet.INTERVAL)
+            grown = advance_counters(restored)["bytes_out"] - before
+            (blobs,) = sent
+            for blob in blobs.values():
+                assert blob == b"" or isinstance(pickle.loads(blob), ShardDelta)
+            assert grown == sum(len(blob) for blob in blobs.values())
+            assert len(restored._executor.worker_pids()) == 2
+        finally:
+            serial.close()
+            restored.close()
+        assert fleet.report_bytes(sink.reports) == fleet.report_bytes(reference.reports)
 
     def test_workers_of_a_sigkilled_parent_exit(self):
         """The bug: every worker was forked holding the parent's end of
@@ -153,9 +223,10 @@ class TestWorkerLifecycle:
         for ever."""
         script = (
             "import sys, time\n"
-            "from repro.service import ParallelShardExecutor\n"
-            "executor = ParallelShardExecutor(workers=2)\n"
-            "print(*executor.worker_pids(), flush=True)\n"
+            "from repro.service import StreamingDetectionService\n"
+            "service = StreamingDetectionService(n_shards=2, workers=2)\n"
+            "service.advance_to(1.0)  # the workers are forked here\n"
+            "print(*service._executor.worker_pids(), flush=True)\n"
             "time.sleep(60)\n"
         )
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
@@ -207,8 +278,38 @@ class TestGenerations:
             assert counters["reseeds"] == 1.0
             assert "retries" not in counters and "fallbacks" not in counters
             assert service.degraded_reasons() == {}
-            # Trusted again from the new seed on: deltas, not seeds.
+            # Trusted again from the re-fork on: deltas all the way.
             assert service._shards[1].worker.write_log.generation == 3
+        finally:
+            service.close()
+        assert fleet.report_bytes(sink.reports) == fleet.report_bytes(reference)
+
+    def test_a_result_its_worker_outlived_is_forgotten(self):
+        """Worker 1 hosts shards 1 and 3 and takes them in that order.
+        Shard 3's delta is refused after shard 1's result came back, so
+        the re-fork holds shard 1 as it was before that advance: its
+        result is still adopted, but stale, and the next advance forks
+        worker 1 again rather than trust a replica one generation behind."""
+        samples = fleet.make_stream(seed=7, regress_index=3)
+        reference, _ = fleet.run_stream(samples, workers=1)
+        sink = CollectingSink()
+        service = fleet.make_service(sink, workers=2)
+        rounds = fleet.record_results(service)
+        try:
+            chunk = 200 * len(fleet.SERIES)
+            for round_index, begin in enumerate(range(0, len(samples), chunk)):
+                if round_index == 3:
+                    service._shards[3].worker.write_log.generation += 1
+                batch = samples[begin : begin + chunk]
+                service.ingest_many(batch)
+                service.advance_to(batch[-1].timestamp + fleet.INTERVAL)
+                if round_index == 3:
+                    assert [r.stale for r in rounds[-1]] == [False, True, False, False]
+                    assert service._shards[1].worker.write_log is None
+                    assert service._shards[3].worker.write_log.generation == 1
+            counters = advance_counters(service)
+            assert counters["reseeds"] == 2.0  # the refusal, then the stale shard
+            assert "retries" not in counters and service.degraded_reasons() == {}
         finally:
             service.close()
         assert fleet.report_bytes(sink.reports) == fleet.report_bytes(reference)
@@ -217,9 +318,13 @@ class TestGenerations:
         service = fleet.make_service(CollectingSink(), workers=1, n_shards=1)
         shard = service._shards[0]
         try:
-            replicas = {}
-            parallel._advance_shard(0, shard.seed(), 10.0, None, replicas)
+            assert shard.delta() == b"", "no replica is trusted yet"
+            with shard.forking() as state:
+                replicas = {0: (0, *pickle.loads(pickle.dumps(state)))}  # as a fork copies it
+            parallel._advance_shard(0, b"", 10.0, None, replicas)
             assert replicas[0][0] == 1
+            with pytest.raises(parallel.ReplicaRefused):  # "as forked" is generation 0
+                parallel._advance_shard(0, b"", 20.0, None, replicas)
             delta = shard.delta()  # extends generation 0: never adopted
             with pytest.raises(parallel.ReplicaRefused):
                 parallel._advance_shard(0, delta, 20.0, None, replicas)
@@ -256,14 +361,14 @@ class TestGenerations:
         parallel_reports, parallel_scans, counters = run(workers=2)
         assert fleet.report_bytes(parallel_reports) == fleet.report_bytes(serial_reports)
         assert parallel_scans == serial_scans
-        assert counters["reseeds"] == 4.0  # every shard's scheduler changed
+        assert counters["reseeds"] == 2.0  # every shard's scheduler changed: both re-forked
 
 
 class TestLogBound:
     def test_a_log_that_outgrows_the_database_is_dropped(self):
         """The same tail re-sent over and over writes points the
         database does not grow by: replaying them would cost more than
-        a seed, so the log goes — and the next advance seeds."""
+        a re-fork, so the log goes — and the next advance re-forks."""
         def run(workers):
             sink = CollectingSink()
             service = fleet.make_service(sink, workers)
@@ -295,7 +400,7 @@ class TestLogBound:
         assert replicated == serial
         populated = {i for i, database in enumerate(serial) if database}
         assert dropped == populated and populated
-        assert counters["reseeds"] == float(len(populated))
+        assert counters["reseeds"] == float(len({shard_id % 2 for shard_id in populated}))
 
 
 class TestReplayOffTheFastPath:
@@ -357,7 +462,10 @@ class TestReplayOffTheFastPath:
             for round_index, (batch, end) in enumerate(self.rounds()):
                 service.ingest_many(batch)
                 for shard_id, shard in service._shards.items():
-                    blob = shard.delta() or shard.seed()
+                    blob = shard.delta()
+                    if not blob:  # no replica yet: one as a fork copies it
+                        with shard.forking() as state:
+                            replicas[shard_id] = (0, *pickle.loads(pickle.dumps(state)))
                     result = parallel._advance_shard(shard_id, blob, end, None, replicas)
                     # Over the pipe, as a copy: the replica keeps its own.
                     shard.adopt(pickle.loads(pickle.dumps(result.state)))

@@ -1,12 +1,14 @@
 """Tests for repro.service.shard: how a shard leaves the process.
 
-Two serialised forms — the checkpoint blob and the snapshot a worker
-process borrows — both taken under the shard's queue lock, neither
-carrying a process-local handle: the scan side holds none, the ingest
-side keeps its counts itself, and ``Shard.bind`` hands the worker back
-its fault injector.
+Two serialised forms — the checkpoint blob, and the delta a worker
+process replays onto the replica its fork copied — both taken under the
+shard's queue lock; neither they nor the scheduler a worker sends back
+carry a process-local handle: the scan side holds none, the ingest side
+keeps its counts itself, and ``Shard.bind`` hands the worker back its
+fault injector.
 """
 
+import copy
 import io
 import json
 import pickle
@@ -26,6 +28,7 @@ from repro.service import (
     CheckpointManager,
     StreamingDetectionService,
 )
+from repro.service import parallel
 from repro.service.metrics import Counter, Histogram, MetricsRegistry
 from repro.tsdb import SeriesFrame, WindowSpec
 
@@ -191,6 +194,15 @@ class _NoHandles(pickle.Pickler):
         return NotImplemented
 
 
+def worker_answer(shard):
+    """What a worker process sends home for ``shard``: an advance of a
+    replica copied as a fork copies it, pickled as its pipe pickles it."""
+    with shard.forking() as state:
+        replicas = {shard.shard_id: (0, *copy.deepcopy(state))}
+    result = parallel._advance_shard(shard.shard_id, b"", shard.scheduler.now, None, replicas)
+    return pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
+
+
 class TestNothingProcessLocalOnBoard:
     """No serialised form of a shard carries the registry, an
     instrument, the trace store, the event log, the fault injector, a
@@ -220,16 +232,16 @@ class TestNothingProcessLocalOnBoard:
 
     def test_no_handle_rides_a_snapshot_or_a_checkpoint_blob(self, service):
         for shard in service._shards.values():
-            for blob in (shard.snapshot(), shard.checkpoint_blob()):
+            for blob in (worker_answer(shard), shard.delta(), shard.checkpoint_blob()):
                 assert [name for name in self.HANDLES if name in blob] == []
 
     def test_the_object_graphs_hold_nothing_process_local(self, service):
         """The picklability of registries, trace stores and event logs is
-        gone because nothing pickled reaches one: walk what ``snapshot()``
-        and ``checkpoint_blob()`` pickle and refuse every such object."""
+        gone because nothing pickled reaches one: walk what a worker's
+        answer and ``checkpoint_blob()`` pickle and refuse every such object."""
         for shard in service._shards.values():
             with shard.worker.paused():
-                snapshot = pickle.loads(shard.snapshot())
+                snapshot = pickle.loads(worker_answer(shard)).state
                 durable = pickle.loads(shard.checkpoint_blob())
                 for graph in (
                     shard.scheduler,
@@ -250,7 +262,7 @@ class TestNothingProcessLocalOnBoard:
 
     def test_an_unpickled_snapshot_is_unwired_and_the_shard_stays_bound(self, service):
         for shard in service._shards.values():
-            scheduler = pickle.loads(shard.snapshot())
+            scheduler = pickle.loads(worker_answer(shard)).state
             pipelines = [
                 registration.pipeline
                 for registration in scheduler._monitors.values()
