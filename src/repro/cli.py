@@ -37,7 +37,6 @@ from repro.reporting import build_report, format_report
 from repro.reporting.funnel import format_funnel_table
 from repro.runtime import CollectingSink
 from repro.service import BackpressurePolicy, Sample, StreamingDetectionService, views
-from repro.service.parallel import ADVANCE_DEADLINE
 from repro.workloads import build_preset, preset_names
 
 __all__ = ["main", "build_parser"]
@@ -126,15 +125,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--log-json",
         action="store_true",
         help="emit structured JSON logs (one object per line) on stderr",
-    )
-    serve.add_argument(
-        "--fault-plan",
-        default=None,
-        metavar="JSON_PATH_OR_SEED",
-        help="run the demo under fault injection: a path to a fault-plan "
-        "JSON file, or 'chaos:<seed>' for a generated chaos schedule. Kinds: "
-        "worker_crash, advance_hang, flush_error; damage the "
-        "data itself with --dirty-data",
     )
     serve.add_argument(
         "--dirty-data",
@@ -318,11 +308,11 @@ def _stream_dirty(
     service.advance_to(simulator.time)
 
 
-def _build_service(args: argparse.Namespace, fault_injector=None):
+def _build_service(args: argparse.Namespace):
     """The service both serve-demo paths run: ``(service, collecting
     sink, webhook sink)`` — the last ``None`` without ``--webhook``,
     else delivering beside the first and counting into the service's
-    registry.  Under a fault plan a shard advance gets a 5 s deadline."""
+    registry."""
     sink = CollectingSink()
     sinks = [sink]
     webhook_sink = None
@@ -338,8 +328,6 @@ def _build_service(args: argparse.Namespace, fault_injector=None):
         queue_capacity=args.capacity,
         backpressure=BackpressurePolicy(args.policy),
         batch_size=args.batch_size,
-        fault_injector=fault_injector,
-        advance_deadline=ADVANCE_DEADLINE if fault_injector is None else 5.0,
     )
     if webhook_sink is not None:
         webhook_sink.metrics = service.metrics
@@ -461,29 +449,7 @@ def _cmd_serve_demo(args: argparse.Namespace) -> int:
 
         configure_json_logging()
 
-    injector = None
-    if args.fault_plan:
-        from repro.faults import FaultInjector, FaultPlan
-
-        if args.fault_plan.startswith("chaos:"):
-            try:
-                chaos_seed = int(args.fault_plan.split(":", 1)[1])
-            except ValueError:
-                print("error: --fault-plan chaos:<seed> needs an integer seed",
-                      file=sys.stderr)
-                return 2
-            plan = FaultPlan.chaos(chaos_seed, n_shards=args.shards)
-        else:
-            try:
-                plan = FaultPlan.from_json_file(args.fault_plan)
-            except ValueError as error:
-                print(f"error: {error}", file=sys.stderr)
-                return 2
-        injector = FaultInjector(plan)
-        print(f"fault injection armed: seed={plan.seed}, "
-              f"{len(plan.specs)} spec(s)")
-
-    service, sink, webhook_sink = _build_service(args, injector)
+    service, sink, webhook_sink = _build_service(args)
     service.register_monitor(args.preset, config, series_filter={"metric": "gcpu"})
 
     obs_server = None
@@ -543,16 +509,11 @@ def _cmd_serve_demo(args: argparse.Namespace) -> int:
     stale = quality["stale_series"]
     if stale:
         print(f"stale series evicted from scheduling: {', '.join(stale)}")
-    if injector is not None:
-        fired = injector.counts()
-        total = sum(fired.values())
+    retries = snapshot["counters"].get("advance.retries", 0.0)
+    fallbacks = snapshot["counters"].get("advance.fallbacks", 0.0)
+    ckpt_fallbacks = snapshot["counters"].get("checkpoint.fallbacks", 0.0)
+    if retries or fallbacks or ckpt_fallbacks:  # a worker killed from outside shows here
         print()
-        print(f"faults injected: {total}"
-              + (f" ({', '.join(f'{k}={v}' for k, v in sorted(fired.items()))})"
-                 if fired else ""))
-        retries = snapshot["counters"].get("advance.retries", 0.0)
-        fallbacks = snapshot["counters"].get("advance.fallbacks", 0.0)
-        ckpt_fallbacks = snapshot["counters"].get("checkpoint.fallbacks", 0.0)
         print(f"recoveries: advance retries={retries:.0f}, "
               f"in-process fallbacks={fallbacks:.0f}, "
               f"checkpoint fallbacks={ckpt_fallbacks:.0f}")

@@ -13,7 +13,7 @@ shard internals itself.  The rows today:
   ``503`` when degraded, so load balancers and Kubernetes probes can
   consume it directly;
 - ``GET /status``, ``/faults``, ``/quality`` — the funnel,
-  fault-injection and data-quality views (what each carries is its
+  operational-event and data-quality views (what each carries is its
   function's docstring in :mod:`repro.service.views`).
 
 ``GET /`` returns a small JSON index of the endpoints.  The server runs

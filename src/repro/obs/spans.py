@@ -284,13 +284,13 @@ class TraceStore(_Ring):
 
 @dataclass(frozen=True)
 class Event:
-    """One operational event (fault injected, shard degraded, recovered).
+    """One operational event (shard degraded, recovered, checkpoint fallback).
 
     Attributes:
-        kind: Event type (``fault_injected``, ``degraded``,
-            ``recovered``, ``checkpoint_fallback`` ...).
+        kind: Event type (``degraded``, ``recovered``,
+            ``checkpoint_fallback`` ...).
         wall: Wall-clock time the event was recorded.
-        fields: Event-specific payload (shard id, reason, fault kind).
+        fields: Event-specific payload (shard id, reason, generation).
     """
 
     kind: str
@@ -306,8 +306,8 @@ class EventLog(_Ring):
 
     The failure-path counterpart of :class:`TraceStore`: where run
     traces answer "what is the funnel doing", the event log answers
-    "what broke, and did it recover" — fault injections, per-shard
-    degradation transitions, checkpoint-generation fallbacks.  Exposed
+    "what broke, and did it recover" — per-shard degradation
+    transitions, checkpoint-generation fallbacks.  Exposed
     through the service's ``/faults`` endpoint.
     """
 

@@ -119,12 +119,6 @@ class ShardIngestWorker:
     Thread-safe: producers may ``offer()`` concurrently with ``flush()``.
     """
 
-    #: Set by the shard (:meth:`~repro.service.shard.Shard.bind`): a
-    #: :class:`~repro.faults.FaultInjector` consulted at the
-    #: ``ingest.flush`` site before each batch write (chaos drills; ``None``
-    #: in production).  Process-local and lock-holding, so never pickled.
-    fault_injector: Optional[Any] = None
-
     #: Set by the shard while a worker process holds a replica of
     #: ``database``: every batch written is noted there too.  Process-
     #: local like the replica it describes, so it never rides a pickle.
@@ -335,8 +329,6 @@ class ShardIngestWorker:
             return 0
         started = time.perf_counter()
         try:
-            if self.fault_injector is not None:
-                self.fault_injector.maybe_raise("ingest.flush", self._shard_index())
             written = self.database.write_batch(batch)
         except Exception:
             self._requeue(batch)
@@ -381,14 +373,9 @@ class ShardIngestWorker:
             counters[f"quality_{key}"] = value
         return counters
 
-    def _shard_index(self) -> Optional[int]:
-        return self.shard_id if isinstance(self.shard_id, int) else None
-
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
         state.pop("_lock", None)
-        # ``Shard.bind`` hands the injector back, not the pickle.
-        state.pop("fault_injector", None)
         state.pop("write_log", None)
         state["flush_seconds"] = self.flush_seconds.state()
         return state

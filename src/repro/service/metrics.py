@@ -13,11 +13,10 @@ incremental caches, the service's own ints — every gauge ``/metrics``
 serves among them) is folded into ``/metrics`` from that owner by
 :mod:`repro.service.views`, never recorded here.  What does record
 (:func:`repro.runtime.scheduler.publish`, the service's timers, the
-parallel executor, the fault injector, ``WebhookSink``, the remote-write
-receiver) calls only ``inc`` / ``observe``, so no core module imports
-this one.  It is process-local — it holds locks, and nothing that is
-pickled holds it; what survives a restart is its
-:meth:`MetricsRegistry.snapshot`.
+parallel executor, ``WebhookSink``, the remote-write receiver) calls
+only ``inc`` / ``observe``, so no core module imports this one.  It is
+process-local — it holds locks, and nothing that is pickled holds it;
+what survives a restart is its :meth:`MetricsRegistry.snapshot`.
 """
 
 from __future__ import annotations

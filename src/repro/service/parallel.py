@@ -29,7 +29,6 @@ is safe and the failure table.
 from __future__ import annotations
 
 import multiprocessing
-import os
 import pickle
 import time
 from collections import deque
@@ -48,6 +47,7 @@ _log = get_logger("repro.service.parallel")
 #: Seconds one shard's advance may take before it counts as failed and its
 #: worker is killed.  Far above a real advance (under 2 s on every benchmark
 #: workload); finite so a wedged worker cannot park ``advance_to`` for ever.
+#: Read at every send, so a test patches it.
 ADVANCE_DEADLINE = 60.0
 
 #: Retry rounds for a failed shard advance before the parent runs it.
@@ -90,24 +90,15 @@ class ShardAdvanceResult:
 
 
 def _advance_shard(
-    shard_id: int, blob: bytes, target: float, fault: Optional[Tuple[str, float]],
-    replicas: Dict[int, tuple],
+    shard_id: int, blob: bytes, target: float, replicas: Dict[int, tuple],
 ) -> ShardAdvanceResult:
     """Worker entry point: bring one shard level with ``blob``, advance it.
 
     ``replicas`` is the calling worker's ``shard id -> (generation,
     scheduler, database)``, generation 0 as forked, which an empty
-    ``blob`` advances as it is.  ``fault`` is an injected directive —
-    ``("crash", _)`` kills this process hard, ``("hang", s)`` sleeps
-    ``s`` seconds first.  Raises :class:`ReplicaRefused` for a
+    ``blob`` advances as it is.  Raises :class:`ReplicaRefused` for a
     generation not held.
     """
-    if fault is not None:
-        kind, value = fault
-        if kind == "crash":
-            os._exit(13)
-        elif kind == "hang":
-            time.sleep(value)
     delta = pickle.loads(blob) if blob else None
     wanted = delta.generation if delta is not None else 0
     held = replicas.get(shard_id)
@@ -140,7 +131,8 @@ def _serve(conn: Connection, inherited: List[Connection], forked: Dict[int, tupl
         except EOFError:  # the parent is gone
             return
         try:
-            # Through the module global: a tracer wraps it before the fork.
+            # Through the module global: a tracer, or a drill that crashes
+            # or stalls a worker, wraps it before the fork.
             answer: Any = _advance_shard(*request, replicas)
         except ReplicaRefused as refusal:
             answer = refusal
@@ -159,28 +151,22 @@ class ParallelShardExecutor:
         replicas: ``worker index ->`` a context manager yielding ``{shard id:
             (scheduler, database)}`` for the shards that worker hosts, held
             still (queue locks, flush, fresh logs) until its fork is done.
-        deadline: Per-shard advance deadline in seconds.  A shard that blows it
-            is failed and retried, its worker replaced.  ``None`` waits for ever.
-        injector: Optional :class:`~repro.faults.FaultInjector`; the
-            send path asks it for per-shard crash/hang directives.
         metrics: Optional registry-like object receiving the ``advance.*``
             counters (bytes out and in, retries, fallbacks, deadlines,
             respawns, re-forks).
+
+    A shard that takes longer than :data:`ADVANCE_DEADLINE` is failed and
+    retried, its worker replaced.
     """
 
     def __init__(
         self, workers: int, replicas: Callable[[int], ContextManager[Dict[int, tuple]]],
-        deadline: Optional[float] = ADVANCE_DEADLINE, injector: Optional[Any] = None,
         metrics: Optional[Any] = None,
     ) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
-        if deadline is not None and deadline <= 0:
-            raise ValueError("deadline must be positive (or None)")
         self.workers = workers
         self.replicas = replicas
-        self.deadline = deadline
-        self.injector = injector
         self.metrics = metrics
         self._procs: List[Optional[Tuple[Any, Connection]]] = [None] * workers
         self._forked: Set[int] = set()  # indices forked at least once
@@ -259,30 +245,27 @@ class ParallelShardExecutor:
         queues = [deque(s for s in shards if s % self.workers == w) for w in range(self.workers)]
         due: Dict[int, float] = {}  # busy worker -> when the head of its queue is due
         failed: List[int] = []
-        with ExitStack() as stack:  # held from their flush, before any directive, to their fork
+        with ExitStack() as stack:  # held from their flush to their fork
             held = {
                 index: stack.enter_context(self.replicas(index))
                 for index, queue in enumerate(queues)
                 if queue and (self._procs[index] is None or b"" in [shards[s] for s in queue])
             }
-            # Decided up front, in shard order, whatever order workers finish in.
-            directive = self.injector.worker_directive if self.injector else lambda _: None
-            faults = {shard_id: directive(shard_id) for shard_id in shards}
             for index in held:  # each scans its first shard while the next one forks
                 self._fork(index, held[index], shards, results)
-                self._send(index, queues[index][0], shards, target, faults, due)
+                self._send(index, queues[index][0], shards, target, due)
         while True:
             for index, queue in enumerate(queues):
                 if queue and index not in due:
                     if self._procs[index] is None:  # retired in this round
                         with self.replicas(index) as state:
                             self._fork(index, state, shards, results)
-                    self._send(index, queue[0], shards, target, faults, due)
+                    self._send(index, queue[0], shards, target, due)
             if not due:
                 return failed
             wake = max(min(due.values()) - time.monotonic(), 0.0)
             conns = [self._procs[index][1] for index in due]
-            ready = wait(conns, None if self.deadline is None else wake)
+            ready = wait(conns, wake)
             now = time.monotonic()
             for index in [i for i in due if self._procs[i][1] in ready or due[i] <= now]:
                 shard_id = queues[index][0]
@@ -298,21 +281,21 @@ class ParallelShardExecutor:
                 failed.append(queues[index].popleft())
                 _log.warning("shard advance failed", shard=shard_id, error=str(answer))
 
-    def _send(self, index: int, shard_id: int, blobs: dict, target: float, faults, due) -> None:
+    def _send(self, index: int, shard_id: int, blobs: dict, target: float, due) -> None:
         blob = blobs[shard_id] or b""
         try:
-            self._procs[index][1].send((shard_id, blob, target, faults.pop(shard_id, None)))
+            self._procs[index][1].send((shard_id, blob, target))
             self._inc("advance.bytes_out", len(blob))  # only what left
         except OSError:
             pass  # it died idle: the read below says so
-        due[index] = time.monotonic() + (self.deadline or float("inf"))
+        due[index] = time.monotonic() + ADVANCE_DEADLINE
 
     def _answer(self, index: int, in_time: bool) -> Any:
         """A result, a refusal, or the text of what went wrong."""
         if not in_time:
             self._inc("advance.deadline_exceeded")
             self._inc("advance.pool_recreations")
-            return f"blew its {self.deadline} s deadline"
+            return f"blew its {ADVANCE_DEADLINE} s deadline"
         try:
             data = self._procs[index][1].recv_bytes()
         except (EOFError, OSError):

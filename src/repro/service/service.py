@@ -47,7 +47,6 @@ from typing import Dict, Iterator, List, Optional, Sequence
 
 from repro.config import DetectionConfig
 from repro.core.pipeline import FunnelCounters
-from repro.faults import FaultInjector
 from repro.core.types import Regression
 from repro.quality import QualityGate
 from repro.obs.logging import correlation_id, get_logger, log_context
@@ -58,7 +57,7 @@ from repro.runtime.sinks import IncidentSink, deliver
 from repro.service.checkpoint import CheckpointManager
 from repro.service.ingest import BackpressurePolicy, Sample, frames_of
 from repro.service.metrics import MetricsRegistry
-from repro.service.parallel import ADVANCE_DEADLINE, ParallelShardExecutor
+from repro.service.parallel import ParallelShardExecutor
 from repro.service.router import ConsistentHashRouter
 from repro.service import views
 from repro.service.shard import Shard
@@ -105,13 +104,6 @@ class StreamingDetectionService:
             the results deterministically (ascending shard id —
             identical report order to the serial path).
         retention: Per-shard TSDB retention (seconds; 0 disables).
-        fault_injector: Optional :class:`~repro.faults.FaultInjector`
-            threaded through the parallel executor and the ingest
-            workers — ``None`` (production) makes every hook a no-op.
-        advance_deadline: Per-shard advance deadline in seconds (a
-            blown deadline counts as a failure and retries, see
-            :class:`~repro.service.parallel.ParallelShardExecutor`;
-            ``None`` waits for ever).
 
     Every shard runs per-series admission on ingest (NaN/Inf quarantine,
     negative-value repair, counter-reset rebasing, last-write-wins
@@ -137,8 +129,6 @@ class StreamingDetectionService:
         batch_size: int = 256,
         workers: int = 1,
         retention: float = 0.0,
-        fault_injector: Optional[FaultInjector] = None,
-        advance_deadline: Optional[float] = ADVANCE_DEADLINE,
     ) -> None:
         if n_shards <= 0:
             raise ValueError("n_shards must be positive")
@@ -150,17 +140,8 @@ class StreamingDetectionService:
         self.metrics = MetricsRegistry()
         self.traces = TraceStore()
         self.events = EventLog()
-        self.fault_injector = fault_injector
-        if fault_injector is not None:
-            fault_injector.wire(metrics=self.metrics, events=self.events)
         self._executor: Optional[ParallelShardExecutor] = (
-            ParallelShardExecutor(
-                workers,
-                self._replicas,
-                deadline=advance_deadline,
-                injector=fault_injector,
-                metrics=self.metrics,
-            )
+            ParallelShardExecutor(workers, self._replicas, metrics=self.metrics)
             if workers > 1
             else None
         )
@@ -172,7 +153,6 @@ class StreamingDetectionService:
                 backpressure=BackpressurePolicy(backpressure),
                 batch_size=batch_size,
                 retention=retention,
-                fault_injector=fault_injector,
             )
             for shard_id in range(n_shards)
         }

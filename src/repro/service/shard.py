@@ -20,9 +20,8 @@ carries a process-local handle.  The scan side — scheduler,
 detectors, pipelines — holds none to begin with: a scan returns its
 ledger and the service publishes it.  The ingest side keeps its counts
 itself (plain ints and a histogram state that ride the pickle; the views
-fold them), so the one handle it holds is the fault injector, which the
-worker drops in ``__getstate__`` and :meth:`Shard.bind` hands back — the
-constructor and ``restore`` go through it.
+fold them), and the one process-local thing it holds, the write log of a
+replica, it drops in ``__getstate__``.
 """
 
 from __future__ import annotations
@@ -31,11 +30,10 @@ import pickle
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 import numpy as np
 
-from repro.faults import FaultInjector
 from repro.quality import AdmissionController
 from repro.runtime.scheduler import DetectionScheduler, ScanOutcome
 from repro.service.ingest import BackpressurePolicy, ShardIngestWorker
@@ -161,7 +159,6 @@ class Shard:
         backpressure: BackpressurePolicy,
         batch_size: int,
         retention: float,
-        fault_injector: Optional[FaultInjector],
     ) -> None:
         self.shard_id = shard_id
         self.database = TimeSeriesDatabase()
@@ -174,12 +171,6 @@ class Shard:
             batch_size=batch_size,
         )
         self.scheduler = DetectionScheduler(self.database, retention=retention)
-        self.bind(fault_injector)
-
-    def bind(self, fault_injector: Optional[FaultInjector]) -> None:
-        """Hand the ingest worker the one process-local handle a shard
-        holds; the worker pickles it as ``None``."""
-        self.worker.fault_injector = fault_injector
 
     def advance(self, target: float) -> Tuple[List[ScanOutcome], float]:
         """Flush and scan in this process; ``(outcomes, seconds)`` — what
@@ -267,11 +258,9 @@ class Shard:
         live shard never replaces its database or worker).  Incremental
         scan anchors are kept: they are checked per series against the
         database they meet, exactly as after :meth:`adopt`."""
-        injector = self.worker.fault_injector
         self.database = state["database"]
         self.worker = state["worker"]
         self.scheduler = state["scheduler"]
-        self.bind(injector)
 
     # -- the replicated form ---------------------------------------------
 

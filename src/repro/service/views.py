@@ -256,16 +256,10 @@ def status(service) -> View:
 
 
 def faults(service) -> View:
-    """``/faults``: the injector's plan with per-spec seen/fired counts
-    (absent in production, where no injector is configured), and the
-    recent fault / degradation / recovery events either way — how an
-    operator tells injected failures from real ones during a drill."""
-    injector = service.fault_injector
-    payload: dict = {"enabled": injector is not None}
-    if injector is not None:
-        payload["plan"] = injector.snapshot()
-    payload["events"] = [event.to_dict() for event in service.events.events()]
-    return 200, payload
+    """``/faults``: the recent operational events — degradations,
+    recoveries, checkpoint fallbacks, sink errors — the trail an operator
+    follows during an incident or a drill done from outside."""
+    return 200, {"events": [event.to_dict() for event in service.events.events()]}
 
 
 def quality(service) -> View:

@@ -1,36 +1,39 @@
 """Chaos drills: randomized-but-reproducible fault schedules vs clean runs.
 
-The contract: a service driven through an exhausting
-:meth:`~repro.faults.FaultPlan.chaos` schedule — worker crashes and
-advance hangs — delivers **byte-identical** incident reports to
-a fault-free run over the same stream, loses zero accepted samples, and
-converges back to ``healthz() == "ok"`` with every ``degraded`` event
-paired with a later ``recovered`` event.  Damage that needs no hook
-inside the service is done from outside: the restore drill flips or
-truncates a file of the newest checkpoint generation on disk, and the
-clock drill steps ``time.time``.
+Every fault is done to the service from outside, as an operator or a
+failing host would.  Per seed, a schedule picks one or two rounds
+before whose advance a resident worker gets ``SIGKILL``, and one before
+which a worker gets ``SIGSTOP``, so that it answers nothing and blows
+:data:`~repro.service.parallel.ADVANCE_DEADLINE`, shortened to about a
+second here.  The contract: the service delivers
+**byte-identical** incident reports to a fault-free run over the same
+stream, loses zero accepted samples, and converges back to
+``healthz() == "ok"`` with every ``degraded`` event paired with a later
+``recovered`` event.  The restore drill flips or truncates a file of
+the newest checkpoint generation on disk, and the clock drill steps
+``time.time``.
 
 Environment knobs (both optional, for CI and local triage):
 
 - ``REPRO_CHAOS_SEED``: run a single seed instead of the default matrix.
 - ``REPRO_CHAOS_ARTIFACTS``: directory that receives the failing run's
-  checkpoint directory, event log, metrics, and injector snapshot.
+  checkpoint directory, event log, metrics, and fault schedule.
 """
 
 import json
 import os
 import random
 import shutil
+import signal
 import time
 
 import numpy as np
 import pytest
 
 from repro.config import DetectionConfig
-from repro.faults import FaultInjector, FaultPlan
 from repro.runtime import CollectingSink
 from repro.service import BackpressurePolicy, Sample, StreamingDetectionService
-from repro.service import views
+from repro.service import parallel, views
 from repro.tsdb import WindowSpec
 
 N_TICKS = 1_100
@@ -41,6 +44,8 @@ N_SHARDS = 4
 ADVANCE_EVERY = 200  # ticks per ingest/advance round
 CHECKPOINT_ROUNDS = (1, 3)  # rounds after which a checkpoint is written
 SETTLE_LIMIT = 40  # max post-stream settle advances (stays < rerun_interval)
+#: Seconds a stopped worker is waited for before it is killed.
+DRILL_DEADLINE = 1.0
 
 
 def _seeds():
@@ -79,7 +84,23 @@ def make_stream(seed, regress_index=3):
     return samples
 
 
-def make_service(sink, injector=None):
+def fault_schedule(seed):
+    """``round -> (signal, worker index)``, sent before that round's
+    advance: ``SIGKILL`` in one or two rounds and ``SIGSTOP`` in one.
+    Each goes to a round of its own after the first, which forks the
+    workers, and to a worker of its own: a worker whose advance failed
+    is re-forked at its next round anyway, which would hide a second
+    signal to it."""
+    rng = random.Random(f"chaos:{seed}")
+    rounds = -(-N_TICKS // ADVANCE_EVERY)
+    kills = rng.randint(1, 2)
+    picked = rng.sample(range(1, rounds), kills + 1)
+    workers = rng.sample(range(N_SHARDS), kills + 1)
+    signals = [signal.SIGKILL] * kills + [signal.SIGSTOP]
+    return dict(zip(picked, zip(signals, workers)))
+
+
+def make_service(sink):
     service = StreamingDetectionService(
         n_shards=N_SHARDS,
         workers=4,
@@ -89,7 +110,6 @@ def make_service(sink, injector=None):
         queue_capacity=256,
         backpressure=BackpressurePolicy.BLOCK,
         batch_size=128,
-        fault_injector=injector,
     )
     service.register_monitor(
         "gcpu", small_config(), series_filter={"metric": "gcpu"}
@@ -97,36 +117,39 @@ def make_service(sink, injector=None):
     return service
 
 
-def drive(service, samples, ckpt_dir):
+def drive(service, samples, ckpt_dir, faults=None):
     """The drill schedule, identical for clean and chaotic runs.
 
     Ingest/advance in fixed rounds, and checkpoint at fixed rounds, so
     the restore drill has generations to fall back across.  Detection is
     clock-driven, so two services driven through this schedule scan at
-    identical instants.
+    identical instants.  ``faults`` (see :func:`fault_schedule`) signals
+    a worker before the advance of its rounds.
     """
     chunk = ADVANCE_EVERY * len(SERIES)
     rounds = [samples[begin: begin + chunk] for begin in range(0, len(samples), chunk)]
     for round_index, batch in enumerate(rounds):
         service.ingest_many(batch)
+        if faults and round_index in faults:
+            signum, worker = faults[round_index]
+            os.kill(service._executor.worker_pids()[worker], signum)
         service.advance_to(batch[-1].timestamp + INTERVAL)
         if round_index in CHECKPOINT_ROUNDS:
             service.checkpoint(ckpt_dir)
     return samples[-1].timestamp + INTERVAL
 
 
-def settle(service, injector, stream_end):
-    """Post-stream convergence: drain remaining fault budgets, recover.
+def settle(service, stream_end):
+    """Post-stream convergence: advance until no shard is degraded.
 
-    Small advances past the stream end keep feeding ``worker.advance``
-    invocations until every finite spec has spent its budget, then one
-    more clean pass clears the degraded flags.  The advances stay far
-    below the next rerun boundary, so they can never produce a report
-    and never diverge from the clean run.
+    A fault in the last round leaves its shard degraded until one clean
+    advance clears it.  The advances stay far below the next rerun
+    boundary, so they can never produce a report and never diverge from
+    the clean run.
     """
     for step in range(1, SETTLE_LIMIT + 1):
         service.advance_to(stream_end + step * 0.001 * INTERVAL)
-        if injector.exhausted() and not service.degraded_reasons():
+        if not service.degraded_reasons():
             break
     service.flush()
 
@@ -161,7 +184,7 @@ def damage_newest_generation(ckpt_dir, seed):
     return target
 
 
-def dump_artifacts(seed, service, injector, ckpt_dir):
+def dump_artifacts(seed, service, faults, ckpt_dir):
     root = os.environ.get("REPRO_CHAOS_ARTIFACTS")
     if not root:
         return
@@ -173,8 +196,10 @@ def dump_artifacts(seed, service, injector, ckpt_dir):
         )
     state = {
         "seed": seed,
-        "plan": injector.plan.to_dict(),
-        "injector": injector.snapshot(),
+        "schedule": {
+            str(round_index): [signal.Signals(signum).name, worker]
+            for round_index, (signum, worker) in sorted(faults.items())
+        },
         "metrics": service.metrics.snapshot(),
         "degraded": service.degraded_reasons(),
         "healthz": views.healthz(service)[1],
@@ -203,24 +228,32 @@ def reference_run(tmp_path_factory):
     return samples, report_bytes(sink.reports)
 
 
+@pytest.fixture()
+def short_deadline(monkeypatch):
+    """A stopped worker is killed after :data:`DRILL_DEADLINE`, not 60 s."""
+    monkeypatch.setattr(parallel, "ADVANCE_DEADLINE", DRILL_DEADLINE)
+
+
+@pytest.mark.usefixtures("short_deadline")
 class TestChaosDrill:
     @pytest.mark.parametrize("seed", _seeds())
     def test_chaos_run_converges_to_clean_outcome(
         self, seed, reference_run, tmp_path
     ):
         samples, reference = reference_run
-        plan = FaultPlan.chaos(seed, n_shards=N_SHARDS)
-        injector = FaultInjector(plan)
+        faults = fault_schedule(seed)
         sink = CollectingSink()
-        service = make_service(sink, injector=injector)
+        service = make_service(sink)
         ckpt_dir = str(tmp_path / "ckpt")
         try:
-            stream_end = drive(service, samples, ckpt_dir)
-            settle(service, injector, stream_end)
+            stream_end = drive(service, samples, ckpt_dir, faults)
+            settle(service, stream_end)
 
-            # The schedule actually injected chaos, and all of it spent.
-            assert injector.snapshot()["injected_total"] >= 1
-            assert injector.exhausted()
+            # Every signal landed: a SIGKILLed worker is found dead and
+            # re-forked, a SIGSTOPped one blows its deadline and is killed.
+            counters = service.metrics.snapshot()["counters"]
+            assert counters["advance.deadline_exceeded"] >= 1
+            assert counters["advance.pool_recreations"] >= 2
 
             # Byte-identical incident reports despite the chaos.
             assert report_bytes(sink.reports) == reference
@@ -252,7 +285,7 @@ class TestChaosDrill:
             for shard in degraded:
                 assert shard in recover_times, f"no recovery for shard {shard}"
         except AssertionError:
-            dump_artifacts(seed, service, injector, ckpt_dir)
+            dump_artifacts(seed, service, faults, ckpt_dir)
             raise
         finally:
             service.close()
@@ -266,15 +299,15 @@ class TestChaosDrill:
         intact older one, and the restored service replays to the clean
         outcome."""
         samples, reference = reference_run
-        injector = FaultInjector(FaultPlan.chaos(seed, n_shards=N_SHARDS))
+        faults = fault_schedule(seed)
         sink = CollectingSink()
-        service = make_service(sink, injector=injector)
+        service = make_service(sink)
         ckpt_dir = str(tmp_path / "ckpt")
         try:
-            stream_end = drive(service, samples, ckpt_dir)
-            settle(service, injector, stream_end)
+            stream_end = drive(service, samples, ckpt_dir, faults)
+            settle(service, stream_end)
         except Exception:
-            dump_artifacts(seed, service, injector, ckpt_dir)
+            dump_artifacts(seed, service, faults, ckpt_dir)
             raise
         finally:
             service.close()
@@ -305,18 +338,21 @@ class TestChaosDrill:
             }
             assert seen == expected
         except AssertionError:
-            dump_artifacts(seed, restored, injector, ckpt_dir)
+            dump_artifacts(seed, restored, faults, ckpt_dir)
             raise
         finally:
             restored.close()
 
 
 class TestTargetedRecoveries:
-    """Deterministic single-fault drills with explicit plans."""
+    """Deterministic single-fault drills."""
 
     def test_clock_skew_never_corrupts_checkpoint_age(self, tmp_path, monkeypatch):
+        """Checkpoint age comes from the monotonic clock: a wall-clock
+        step moves the displayed ``last_at`` but never ``age_seconds``."""
         service = make_service(CollectingSink())
         try:
+            assert views.healthz(service)[1]["checkpoint"]["age_seconds"] is None
             wall = time.time
             monkeypatch.setattr(time, "time", lambda: wall() - 7200.0)  # NTP step
             service.checkpoint(str(tmp_path / "ckpt"))

@@ -1,13 +1,13 @@
 """Tests for repro.cli."""
 
 import csv
-import json
+import os
 
 import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
-from repro.faults import FaultKind
+from repro.service import parallel
 
 
 class TestParser:
@@ -212,31 +212,31 @@ class TestServeDemoCommand:
         assert code == 2
         assert "--workers" in capsys.readouterr().err
 
-    @pytest.mark.parametrize(
-        "kind", ["data_gap", "checkpoint_corrupt", "clock_skew", "flusher_death"]
-    )
-    def test_fault_plan_naming_a_removed_kind_is_refused(self, kind, tmp_path, capsys):
-        """Data, disk and clock damage are done from outside, and the
-        service runs no flusher to kill; a plan that still names one of
-        them fails loudly instead of injecting nothing."""
-        plan = tmp_path / "plan.json"
-        plan.write_text(json.dumps({"seed": 1, "specs": [{"kind": kind}]}), encoding="utf-8")
+    def test_a_worker_crash_shows_in_the_run_summary(self, monkeypatch, tmp_path, capsys):
+        """A worker that dies under the demo, as a ``kill -9`` from outside
+        would kill it, shows as one retried advance and a recovery."""
+        advance = parallel._advance_shard
+        budget = tmp_path / "crashed"
+
+        def crashing_once(shard_id, *args):
+            try:
+                os.close(os.open(budget, os.O_CREAT | os.O_EXCL))
+            except FileExistsError:
+                return advance(shard_id, *args)
+            os._exit(13)
+
+        monkeypatch.setattr(parallel, "_advance_shard", crashing_once)  # before the fork
         code = main(
             [
                 "serve-demo",
                 "--preset", "invoicer_short",
-                "--ticks", "10",
-                "--fault-plan", str(plan),
+                "--ticks", "60",
+                "--shards", "2",
+                "--workers", "2",
+                "--regress", "0",
             ]
         )
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "unknown or missing fault kind" in err and kind in err
-
-    def test_fault_plan_help_names_the_three_kinds(self, capsys):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["serve-demo", "--help"])
-        usage = " ".join(capsys.readouterr().out.split())
-        for kind in FaultKind:
-            assert kind.value in usage
-        assert "damage the data itself with --dirty-data" in usage
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "recoveries: advance retries=1, in-process fallbacks=0" in out
+        assert "degraded shards at exit: none (recovered)" in out

@@ -147,7 +147,7 @@ class TestDesignAndExperimentsCurrent:
     def test_design_documents_obs_layer(self):
         design = _read("DESIGN.md")
         assert "repro.obs" in design
-        assert "Shard.bind" in design
+        assert "EventLog" in design
         assert "ObservabilityServer" in design
 
     def test_experiments_documents_service_benchmarks(self):
@@ -490,16 +490,15 @@ class TestScanStackHoldsNoHandles:
         whole = TestNoCallerlessBatchKernels._source()
         for gone in ("merge_state", "record_many", "_deliver_to_sinks", "_Lockable"):
             assert gone not in whole, gone
-        # ``wire`` survives only as the fault injector's own method.
         defined = [name for name, _ in self._functions() if name.endswith(".wire")]
-        assert defined == ["faults.injector.wire"]
+        assert defined == []
         called = {
             ast.unparse(call.func)
             for _, function in self._functions()
             for call in self._calls(function)
             if isinstance(call.func, ast.Attribute) and call.func.attr == "wire"
         }
-        assert called == {"fault_injector.wire"}
+        assert called == set()
         registry = ast.parse(_read(self.SRC, "service", "metrics.py"))
         methods = {
             node.name for node in ast.walk(registry) if isinstance(node, ast.FunctionDef)
@@ -793,8 +792,6 @@ class TestEveryPublicNameHasACaller:
     ALLOWED = {
         "repro.service.parallel.ParallelShardExecutor.worker_pids":
             "seam: the SIGKILL drills kill a resident worker by its pid",
-        "repro.faults.injector.FaultInjector.exhausted":
-            "seam: the chaos drills assert that every planned fault fired",
         "repro.obs.http.HttpEndpoint.running":
             "seam: the HTTP tests watch the listener start and stop",
         "repro.tsdb.series.TimeSeries.between":
@@ -1022,21 +1019,69 @@ class TestEveryKnobIsSet:
 
 
 class TestFaultsComeFromOutside:
-    """The injector keeps only failures that must land inside a running
-    flush or advance.  Dirty data (``repro.fleet.dirty``), damaged
-    checkpoints (bytes flipped on disk) and a stepped wall clock (a
-    stepped ``time.time``) are done to the service from outside, so no
-    hook for them comes back."""
+    """Every fault a drill needs is done to the service from outside: a
+    signal to a worker pid (``ParallelShardExecutor.worker_pids()``), a
+    wrapper around ``parallel._advance_shard`` installed before the fork,
+    a ``write_batch`` that raises, dirty data (``repro.fleet.dirty``),
+    bytes flipped on disk, a stepped ``time.time``.  So no injector, no
+    hook for one and no deadline knob comes back: the deadline is the
+    module constant ``ADVANCE_DEADLINE``, which a test patches."""
 
     SRC = os.path.join(REPO_ROOT, "src", "repro")
-    CALLED = {"maybe_raise", "worker_directive", "wire", "counts", "snapshot", "exhausted"}
 
-    def test_three_kinds(self):
-        from repro.faults import FaultKind
+    def test_the_injector_package_is_gone(self):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.faults")
 
-        assert {kind.name for kind in FaultKind} == {
-            "WORKER_CRASH", "ADVANCE_HANG", "FLUSH_ERROR",
-        }
+    def test_no_signature_takes_an_injector_or_a_deadline(self):
+        taking = []
+        for path, tree in TestEveryPublicNameHasACaller._trees(os.path.join("src", "repro")):
+            for owner in ast.walk(tree):
+                for node in ast.iter_child_nodes(owner):
+                    if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                        continue
+                    arguments = node.args
+                    names = [
+                        argument.arg
+                        for argument in (
+                            arguments.posonlyargs + arguments.args + arguments.kwonlyargs
+                            + [arguments.vararg, arguments.kwarg]
+                        )
+                        if argument is not None
+                    ]
+                    on_the_service = getattr(owner, "name", None) in (
+                        "StreamingDetectionService", "ParallelShardExecutor",
+                    )
+                    taking += [
+                        f"{os.path.basename(path)}:{node.name}({name})"
+                        for name in names
+                        if "injector" in name or (on_the_service and "deadline" in name)
+                    ]
+        assert taking == []
+
+    def test_the_worker_entry_point_takes_only_its_work(self):
+        tree = ast.parse(_read(self.SRC, "service", "parallel.py"))
+        (entry,) = [
+            node for node in tree.body
+            if isinstance(node, ast.FunctionDef) and node.name == "_advance_shard"
+        ]
+        assert [argument.arg for argument in entry.args.args] == [
+            "shard_id", "blob", "target", "replicas",
+        ]
+
+    def test_the_executor_neither_exits_nor_sleeps_but_to_back_off(self):
+        tree = ast.parse(_read(self.SRC, "service", "parallel.py"))
+        calls = [
+            (function.name, ast.unparse(call))
+            for function in ast.walk(tree)
+            if isinstance(function, ast.FunctionDef)
+            for call in ast.walk(function)
+            if isinstance(call, ast.Call)
+            and ast.unparse(call.func) in ("os._exit", "time.sleep", "sleep", "_exit")
+        ]
+        assert calls == [
+            ("map_shards", "time.sleep(RETRY_BACKOFF * 2 ** (attempt - 1))"),
+        ]
 
     def test_no_checkpoint_or_clock_or_ingest_hook(self):
         import inspect
@@ -1047,20 +1092,6 @@ class TestFaultsComeFromOutside:
         assert "fault_injector" not in inspect.signature(CheckpointManager.__init__).parameters
         for gone in ("_wall", "_offer_routed"):
             assert not hasattr(StreamingDetectionService, gone), gone
-
-    def test_only_the_kept_injector_methods_are_called(self):
-        used = set()
-        for folder, _, files in os.walk(self.SRC):
-            for name in files:
-                if name.endswith(".py"):
-                    tree = ast.parse(_read(folder, name))
-                    used.update(
-                        node.attr
-                        for node in ast.walk(tree)
-                        if isinstance(node, ast.Attribute)
-                        and ast.unparse(node.value).endswith("injector")
-                    )
-        assert used <= self.CALLED, sorted(used - self.CALLED)
 
 
 class TestChallengersAreJudgedOffline:
@@ -1183,7 +1214,7 @@ class TestReplicasAreForked:
         from repro.service import BackpressurePolicy
         from repro.service.shard import Shard
 
-        shard = Shard(0, 4, BackpressurePolicy.BLOCK, 4, 0.0, None)
+        shard = Shard(0, 4, BackpressurePolicy.BLOCK, 4, 0.0)
         names = set(dir(Shard)) | set(vars(shard))
         assert not {"seed", "snapshot", "seeded"} & names
 

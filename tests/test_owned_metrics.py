@@ -13,13 +13,13 @@ nor a recovery path can serve a count that disagrees with its owner.
 
 import fnmatch
 import json
+import os
 import threading
 import time
 
 import pytest
 
 from repro.core.pipeline import DetectionPipeline
-from repro.faults import FaultInjector, FaultKind, FaultPlan, FaultSpec
 from repro.runtime import CollectingSink
 from repro.service import BackpressurePolicy, CheckpointError, StreamingDetectionService
 from repro.service import parallel, views
@@ -153,14 +153,13 @@ class TestRestoredServicesServeTheirOwners:
         assert torn == []
 
 
-def drill(workers, fault_injector=None):
+def drill(workers):
     """The publish-seam fleet plus dirt: the service, closed, after
     every round was ingested and advanced."""
     names, tags, values = fence._fleet()
     service = StreamingDetectionService(
         n_shards=2, workers=workers, sinks=[CollectingSink()],
         queue_capacity=1 << 16, backpressure=BackpressurePolicy.BLOCK,
-        fault_injector=fault_injector,
     )
     service.register_monitor("fence", fence.CONFIG, series_filter={"metric": "gcpu"})
     start = 0
@@ -175,16 +174,22 @@ def drill(workers, fault_injector=None):
 
 @pytest.fixture(scope="module")
 def drills():
-    crashing = FaultPlan(seed=3, specs=(FaultSpec(FaultKind.WORKER_CRASH, shard=0, times=None),))
+    advance = parallel._advance_shard
+
+    def crashing(shard_id, *args):
+        if shard_id == 0:
+            os._exit(13)
+        return advance(shard_id, *args)
+
     with pytest.MonkeyPatch.context() as patch:
-        # Shard 0 crashes on every attempt: the in-process fallback runs it.
         patch.setattr(parallel, "ADVANCE_RETRIES", 1)
         patch.setattr(parallel, "RETRY_BACKOFF", 0.01)
-        return {
-            "workers=1": drill(1),
-            "workers=2": drill(2),
-            "fallback": drill(2, FaultInjector(crashing)),
-        }
+        drills = {"workers=1": drill(1), "workers=2": drill(2)}
+        # Shard 0's worker dies on every attempt (wrapped before the
+        # fork): the in-process fallback runs it.
+        patch.setattr(parallel, "_advance_shard", crashing)
+        drills["fallback"] = drill(2)
+        return drills
 
 
 class TestEveryPathFoldsTheSameOwners:
@@ -239,8 +244,27 @@ class TestTheManifestCarriesNoOwnedCount:
         finally:
             restored.close()
 
-    @staticmethod
-    def _refused(checkpointed, version):
+    @pytest.mark.parametrize("version", [
+        3,
+        # A v4 manifest's ``meta.metrics`` holds ``scheduler.scans`` and
+        # ``pipeline.incremental.*``, which the schedulers and caches now
+        # own: restored, the fold's disjointness assert would trip.
+        4,
+        # A v5 manifest's ``meta`` carries the ring's ``replicas``, and its
+        # pickles a series' duplicate policy and admission's config: the
+        # knobs they name are gone.
+        5,
+        # A v6 blob's monitors wrap their pipeline in an ``FBDetect``, and
+        # its detectors pickle the settings that are module constants now.
+        6,
+        # A v7 blob's regressions pickle their windows as three value
+        # arrays and no timestamps.
+        7,
+        # A v8 blob's pipelines may pickle a shadow scorer, whose module
+        # is gone: unpickled, it would raise past the fallback.
+        8,
+    ])
+    def test_an_older_checkpoint_is_refused(self, checkpointed, version):
         for name in ("manifest.json", "manifest.g1.json"):
             path = checkpointed / name
             manifest = json.loads(path.read_text(encoding="utf-8"))
@@ -248,36 +272,6 @@ class TestTheManifestCarriesNoOwnedCount:
             path.write_text(json.dumps(manifest), encoding="utf-8")
         with pytest.raises(CheckpointError, match=f"version {version} != supported 9"):
             StreamingDetectionService.restore(str(checkpointed))
-
-    def test_a_version_three_checkpoint_is_refused(self, checkpointed):
-        self._refused(checkpointed, 3)
-
-    def test_a_version_four_checkpoint_is_refused(self, checkpointed):
-        """A v4 manifest's ``meta.metrics`` holds ``scheduler.scans`` and
-        ``pipeline.incremental.*``, which the schedulers and caches now
-        own: restored, the fold's disjointness assert would trip."""
-        self._refused(checkpointed, 4)
-
-    def test_a_version_five_checkpoint_is_refused(self, checkpointed):
-        """A v5 manifest's ``meta`` carries the ring's ``replicas``, and its
-        pickles a series' duplicate policy and admission's config: the
-        knobs they name are gone."""
-        self._refused(checkpointed, 5)
-
-    def test_a_version_six_checkpoint_is_refused(self, checkpointed):
-        """A v6 blob's monitors wrap their pipeline in an ``FBDetect``, and
-        its detectors pickle the settings that are module constants now."""
-        self._refused(checkpointed, 6)
-
-    def test_a_version_seven_checkpoint_is_refused(self, checkpointed):
-        """A v7 blob's regressions pickle their windows as three value
-        arrays and no timestamps."""
-        self._refused(checkpointed, 7)
-
-    def test_a_version_eight_checkpoint_is_refused(self, checkpointed):
-        """A v8 blob's pipelines may pickle a shadow scorer, whose module
-        is gone: unpickled, it would raise past the fallback."""
-        self._refused(checkpointed, 8)
 
 
 #: The due time of the drill's second scan, the first with cache hits.

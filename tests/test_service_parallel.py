@@ -21,7 +21,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.config import DetectionConfig
-from repro.faults import FaultInjector, FaultKind, FaultPlan, FaultSpec
 from repro.runtime import CollectingSink
 from repro.runtime.scheduler import DetectionScheduler
 from repro.service import (
@@ -31,8 +30,7 @@ from repro.service import (
     StreamingDetectionService,
 )
 from repro.service import parallel, views
-from repro.service.parallel import ADVANCE_DEADLINE
-from repro.tsdb import WindowSpec
+from repro.tsdb import TimeSeriesDatabase, WindowSpec
 
 N_TICKS = 1_100
 INTERVAL = 60.0
@@ -122,6 +120,28 @@ def record_results(service):
 
     service._executor.map_shards = recording
     return rounds
+
+
+def wrap_advance(monkeypatch, fault):
+    """Have every worker call ``fault(shard_id, target)`` before each shard
+    advance.  Installed before the first advance forks them, so re-forks
+    inherit it too."""
+    advance = parallel._advance_shard
+
+    def faulty(shard_id, blob, target, replicas):
+        fault(shard_id, target)
+        return advance(shard_id, blob, target, replicas)
+
+    monkeypatch.setattr(parallel, "_advance_shard", faulty)
+
+
+def once(path):
+    """True for the first process to ask: the spent budget is the file."""
+    try:
+        os.close(os.open(path, os.O_CREAT | os.O_EXCL))
+    except FileExistsError:
+        return False
+    return True
 
 
 class TestParallelShardExecutor:
@@ -299,17 +319,22 @@ class TestSnapshotOwnership:
             for series in service.shard_database(shard_id)
         }
 
-    def test_writes_during_an_open_advance_land_in_the_live_database(self):
-        injector = FaultInjector(FaultPlan(specs=(
-            FaultSpec(FaultKind.ADVANCE_HANG, times=1, hang_seconds=1.5),
-        )))
+    def test_writes_during_an_open_advance_land_in_the_live_database(
+        self, monkeypatch, tmp_path
+    ):
+        in_flight = tmp_path / "in-flight"
+
+        def stall(shard_id, target):
+            if once(in_flight):  # the first shard to start says so, then stalls
+                time.sleep(1.5)
+
+        wrap_advance(monkeypatch, stall)
         service = StreamingDetectionService(
             n_shards=2,
             workers=2,
             queue_capacity=4,
             backpressure=BackpressurePolicy.BLOCK,
             batch_size=2,
-            fault_injector=injector,
         )
         service.register_monitor(
             "gcpu", small_config(), series_filter={"metric": "gcpu"}
@@ -322,10 +347,10 @@ class TestSnapshotOwnership:
 
         advance = threading.Thread(target=service.advance_to, args=(100.0,))
         advance.start()
-        # The hang directive is handed out at submit time, after every
-        # delta was cut: from here on the advance is in flight.
+        # A worker is advancing, so every delta was cut: from here on
+        # the advance is in flight.
         deadline = time.monotonic() + 10.0
-        while not injector.counts().get("advance_hang"):
+        while not in_flight.exists():
             assert time.monotonic() < deadline, "the advance never fanned out"
             time.sleep(0.005)
         # 1. A plain offer, 2. a frame bigger than the queue (BLOCK:
@@ -356,13 +381,23 @@ class TestSnapshotOwnership:
         assert stats.offered == stats.accepted == stats.flushed == 8
         service.close()
 
-    def test_flush_error_at_snapshot_time_behaves_as_on_the_serial_path(self):
+    def test_flush_error_at_snapshot_time_behaves_as_on_the_serial_path(self, monkeypatch):
         samples = make_stream(seed=7, regress_index=3)
         reference_reports, _ = run_stream(samples, workers=2)
         assert reference_reports
 
-        from repro.faults.injector import InjectedFault
+        class DiskError(RuntimeError):
+            pass
 
+        write_batch = TimeSeriesDatabase.write_batch
+        failures = [DiskError("the first batch write fails")]
+
+        def failing_once(database, rows):
+            if failures:
+                raise failures.pop()
+            return write_batch(database, rows)
+
+        monkeypatch.setattr(TimeSeriesDatabase, "write_batch", failing_once)
         sink = CollectingSink()
         # A queue that holds a whole chunk: the only flushes are the
         # ones a delta makes, so that is where the fault fires.
@@ -373,9 +408,6 @@ class TestSnapshotOwnership:
             queue_capacity=4096,
             backpressure=BackpressurePolicy.BLOCK,
             batch_size=128,
-            fault_injector=FaultInjector(FaultPlan(specs=(
-                FaultSpec(FaultKind.FLUSH_ERROR, times=1),
-            ))),
         )
         service.register_monitor(
             "gcpu", small_config(), series_filter={"metric": "gcpu"}
@@ -384,7 +416,7 @@ class TestSnapshotOwnership:
         service.ingest_many(samples[:chunk])
         pending = [shard.worker.pending for shard in service._shards.values()]
         target = samples[chunk - 1].timestamp + INTERVAL
-        with pytest.raises(InjectedFault):
+        with pytest.raises(DiskError):
             service.advance_to(target)
         # The batch was re-queued, nothing was scanned, no shard is left
         # suspended: the same call simply works the second time.
@@ -602,14 +634,16 @@ class TestAdvanceFailureRecovery:
         assert total_points == total_offered
         service.close()
 
-    def test_injected_worker_crash_reports_byte_identical(self):
+    def test_injected_worker_crash_reports_byte_identical(self, monkeypatch, tmp_path):
         """A mid-advance worker crash must not change what gets reported."""
         samples = make_stream(seed=7, regress_index=3)
         reference_reports, _ = run_stream(samples, workers=4)
 
-        plan = FaultPlan(seed=1, specs=(
-            FaultSpec(FaultKind.WORKER_CRASH, times=2, after=1),
-        ))
+        def crash_twice(shard_id, target):
+            if once(tmp_path / "first") or once(tmp_path / "second"):
+                os._exit(13)
+
+        wrap_advance(monkeypatch, crash_twice)
         sink = CollectingSink()
         service = StreamingDetectionService(
             n_shards=4,
@@ -618,7 +652,6 @@ class TestAdvanceFailureRecovery:
             queue_capacity=512,
             backpressure=BackpressurePolicy.BLOCK,
             batch_size=128,
-            fault_injector=FaultInjector(plan),
         )
         service.register_monitor(
             "gcpu", small_config(), series_filter={"metric": "gcpu"}
@@ -631,20 +664,18 @@ class TestAdvanceFailureRecovery:
         counters = service.metrics.snapshot()["counters"]
         service.close()
 
-        assert counters["faults.injected.worker_crash"] == 2.0
+        assert counters["advance.pool_recreations"] == 2.0
         assert counters["advance.retries"] > 0
-        assert counters["advance.pool_recreations"] > 0
         assert report_bytes(sink.reports) == report_bytes(reference_reports)
 
-    def test_hang_past_deadline_retries_and_recovers(self, monkeypatch):
+    def test_hang_past_deadline_retries_and_recovers(self, monkeypatch, tmp_path):
         """A hung worker trips the per-shard deadline, then the retry wins."""
         monkeypatch.setattr(parallel, "RETRY_BACKOFF", 0.01)
-        plan = FaultPlan(seed=2, specs=(
-            FaultSpec(FaultKind.ADVANCE_HANG, times=1, hang_seconds=5.0),
-        ))
-        service = StreamingDetectionService(
-            n_shards=2, workers=2, advance_deadline=0.5, fault_injector=FaultInjector(plan),
+        monkeypatch.setattr(parallel, "ADVANCE_DEADLINE", 0.5)
+        wrap_advance(
+            monkeypatch, lambda shard_id, target: once(tmp_path / "hang") and time.sleep(5.0)
         )
+        service = StreamingDetectionService(n_shards=2, workers=2)
         service.register_monitor(
             "gcpu", small_config(), series_filter={"metric": "gcpu"}
         )
@@ -664,23 +695,21 @@ class TestAdvanceFailureRecovery:
         finally:
             service.close()
 
-    def test_default_built_service_waits_a_finite_time(self):
-        """The bug: ``advance_deadline`` defaulted to ``None``, so a
+    def test_default_built_service_waits_a_finite_time(self, monkeypatch, tmp_path):
+        """The bug: the advance deadline defaulted to ``None``, so a
         worker killed mid-task could park ``future.result()`` for ever.
-        The default is finite now, and it is the one the hang recovery
-        reads: shortened in place (nobody waits 60 s in a test), an
-        injected hang trips it and the retry delivers."""
+        It is a finite module constant now, and it is the one the hang
+        recovery reads: shortened (nobody waits 60 s in a test), a
+        stalled worker trips it and the retry delivers."""
         samples = make_stream(seed=7, regress_index=3)
         reference_reports, _ = run_stream(samples, workers=1, n_shards=2)
-        plan = FaultPlan(seed=2, specs=(
-            FaultSpec(FaultKind.ADVANCE_HANG, times=1, hang_seconds=5.0),
-        ))
-        sink = CollectingSink()
-        service = make_service(
-            sink, workers=2, n_shards=2, fault_injector=FaultInjector(plan)
+        assert parallel.ADVANCE_DEADLINE < float("inf")
+        monkeypatch.setattr(parallel, "ADVANCE_DEADLINE", 0.5)
+        wrap_advance(
+            monkeypatch, lambda shard_id, target: once(tmp_path / "hang") and time.sleep(5.0)
         )
-        assert service._executor.deadline == ADVANCE_DEADLINE < float("inf")
-        service._executor.deadline = 0.5
+        sink = CollectingSink()
+        service = make_service(sink, workers=2, n_shards=2)
         stream_through(service, samples)
         counters = service.metrics.snapshot()["counters"]
         service.close()
@@ -693,12 +722,8 @@ class TestAdvanceFailureRecovery:
         as ``workers=1`` does, and keeps no replica of it."""
         monkeypatch.setattr(parallel, "ADVANCE_RETRIES", 1)
         monkeypatch.setattr(parallel, "RETRY_BACKOFF", 0.01)
-        plan = FaultPlan(seed=3, specs=(
-            FaultSpec(FaultKind.WORKER_CRASH, shard=0, times=None),
-        ))
-        service = StreamingDetectionService(
-            n_shards=2, workers=2, fault_injector=FaultInjector(plan),
-        )
+        wrap_advance(monkeypatch, lambda shard_id, target: shard_id == 0 and os._exit(13))
+        service = StreamingDetectionService(n_shards=2, workers=2)
         service.register_monitor(
             "gcpu", small_config(), series_filter={"metric": "gcpu"}
         )
@@ -720,12 +745,8 @@ class TestAdvanceFailureRecovery:
         budget at all, the innocent shards must still come back from the
         pool — only the shard that crashes by itself falls back."""
         monkeypatch.setattr(parallel, "ADVANCE_RETRIES", 0)
-        plan = FaultPlan(seed=3, specs=(
-            FaultSpec(FaultKind.WORKER_CRASH, shard=1, times=None),
-        ))
-        service = StreamingDetectionService(
-            n_shards=3, workers=3, fault_injector=FaultInjector(plan),
-        )
+        wrap_advance(monkeypatch, lambda shard_id, target: shard_id == 1 and os._exit(13))
+        service = StreamingDetectionService(n_shards=3, workers=3)
         service.register_monitor(
             "gcpu", small_config(), series_filter={"metric": "gcpu"}
         )
@@ -737,13 +758,11 @@ class TestAdvanceFailureRecovery:
         finally:
             service.close()
 
-    def test_degraded_set_then_cleared_on_clean_advance(self):
-        plan = FaultPlan(seed=4, specs=(
-            FaultSpec(FaultKind.WORKER_CRASH, times=1),
-        ))
-        service = StreamingDetectionService(
-            n_shards=2, workers=2, fault_injector=FaultInjector(plan),
+    def test_degraded_set_then_cleared_on_clean_advance(self, monkeypatch, tmp_path):
+        wrap_advance(
+            monkeypatch, lambda shard_id, target: once(tmp_path / "crash") and os._exit(13)
         )
+        service = StreamingDetectionService(n_shards=2, workers=2)
         service.register_monitor(
             "gcpu", small_config(), series_filter={"metric": "gcpu"}
         )

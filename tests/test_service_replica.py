@@ -25,7 +25,6 @@ import time
 
 import pytest
 
-from repro.faults import FaultInjector, FaultKind, FaultPlan, FaultSpec
 from repro.fleet import dirty_stream
 from repro.runtime import CollectingSink
 from repro.service import BackpressurePolicy, Sample, StreamingDetectionService
@@ -107,19 +106,16 @@ class TestWorkerLifecycle:
 
     def test_a_hung_worker_is_killed_not_abandoned(self, monkeypatch):
         """The bug: a worker that blew the deadline stayed alive —
-        asleep, holding its shard copy — for the life of the service."""
+        asleep, holding its shard copy — for the life of the service.
+        A worker stopped by ``SIGSTOP`` answers nothing until it is killed."""
         monkeypatch.setattr(parallel, "RETRY_BACKOFF", 0.01)
-        plan = FaultPlan(seed=2, specs=(
-            FaultSpec(FaultKind.ADVANCE_HANG, shard=0, times=1, after=1, hang_seconds=5.0),
-        ))
-        service = fleet.make_service(
-            CollectingSink(), workers=2, n_shards=2,
-            advance_deadline=0.5, fault_injector=FaultInjector(plan),
-        )
+        monkeypatch.setattr(parallel, "ADVANCE_DEADLINE", 0.5)
+        service = fleet.make_service(CollectingSink(), workers=2, n_shards=2)
         rounds = fleet.record_results(service)
         try:
-            service.advance_to(50.0)  # forks both; the hang is planned for the next
+            service.advance_to(50.0)  # forks both
             before = service._executor.worker_pids()
+            os.kill(before[0], signal.SIGSTOP)
             service.advance_to(100.0)
             assert [r.retries for r in rounds[-1]] == [1, 0]
             after = service._executor.worker_pids()
@@ -321,15 +317,15 @@ class TestGenerations:
             assert shard.delta() == b"", "no replica is trusted yet"
             with shard.forking() as state:
                 replicas = {0: (0, *pickle.loads(pickle.dumps(state)))}  # as a fork copies it
-            parallel._advance_shard(0, b"", 10.0, None, replicas)
+            parallel._advance_shard(0, b"", 10.0, replicas)
             assert replicas[0][0] == 1
             with pytest.raises(parallel.ReplicaRefused):  # "as forked" is generation 0
-                parallel._advance_shard(0, b"", 20.0, None, replicas)
+                parallel._advance_shard(0, b"", 20.0, replicas)
             delta = shard.delta()  # extends generation 0: never adopted
             with pytest.raises(parallel.ReplicaRefused):
-                parallel._advance_shard(0, delta, 20.0, None, replicas)
+                parallel._advance_shard(0, delta, 20.0, replicas)
             with pytest.raises(parallel.ReplicaRefused):
-                parallel._advance_shard(0, shard.delta(), 20.0, None, {})
+                parallel._advance_shard(0, shard.delta(), 20.0, {})
             assert replicas[0][0] == 1, "a refused delta must not be applied"
         finally:
             service.close()
@@ -466,7 +462,7 @@ class TestReplayOffTheFastPath:
                     if not blob:  # no replica yet: one as a fork copies it
                         with shard.forking() as state:
                             replicas[shard_id] = (0, *pickle.loads(pickle.dumps(state)))
-                    result = parallel._advance_shard(shard_id, blob, end, None, replicas)
+                    result = parallel._advance_shard(shard_id, blob, end, replicas)
                     # Over the pipe, as a copy: the replica keeps its own.
                     shard.adopt(pickle.loads(pickle.dumps(result.state)))
                     generation, scheduler, replica = replicas[shard_id]

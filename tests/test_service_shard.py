@@ -3,9 +3,8 @@
 Two serialised forms — the checkpoint blob, and the delta a worker
 process replays onto the replica its fork copied — both taken under the
 shard's queue lock; neither they nor the scheduler a worker sends back
-carry a process-local handle: the scan side holds none, the ingest side
-keeps its counts itself, and ``Shard.bind`` hands the worker back its
-fault injector.
+carry a process-local handle: the scan side holds none, and the ingest
+side keeps its counts itself.
 """
 
 import copy
@@ -19,7 +18,6 @@ import numpy as np
 import pytest
 
 from repro.config import DetectionConfig
-from repro.faults import FaultInjector, FaultPlan
 from repro.obs.spans import EventLog, TraceStore
 from repro.runtime import CollectingSink, IncidentSink
 from repro.service import (
@@ -185,7 +183,7 @@ class _NoHandles(pickle.Pickler):
 
     FORBIDDEN = (
         MetricsRegistry, Counter, Histogram, TraceStore, EventLog,
-        FaultInjector, IncidentSink, type(threading.Lock()), type(threading.RLock()),
+        IncidentSink, type(threading.Lock()), type(threading.RLock()),
     )
 
     def reducer_override(self, obj):
@@ -199,25 +197,21 @@ def worker_answer(shard):
     replica copied as a fork copies it, pickled as its pipe pickles it."""
     with shard.forking() as state:
         replicas = {shard.shard_id: (0, *copy.deepcopy(state))}
-    result = parallel._advance_shard(shard.shard_id, b"", shard.scheduler.now, None, replicas)
+    result = parallel._advance_shard(shard.shard_id, b"", shard.scheduler.now, replicas)
     return pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
 
 
 class TestNothingProcessLocalOnBoard:
     """No serialised form of a shard carries the registry, an
-    instrument, the trace store, the event log, the fault injector, a
-    sink or a lock.  The scan side has no attribute for one; the ingest
-    worker holds no registry (its flush histogram pickles as a plain
-    state), finds ``None`` where its injector was, and ``bind`` hands
-    that back."""
+    instrument, the trace store, the event log, a sink or a lock.  The
+    scan side has no attribute for one; the ingest worker holds no
+    registry (its flush histogram pickles as a plain state)."""
 
-    HANDLES = (b"MetricsRegistry", b"Histogram", b"TraceStore", b"FaultInjector")
+    HANDLES = (b"MetricsRegistry", b"Histogram", b"TraceStore", b"EventLog")
 
     @pytest.fixture()
     def service(self):
-        service = StreamingDetectionService(
-            n_shards=2, fault_injector=FaultInjector(FaultPlan(specs=()))
-        )
+        service = StreamingDetectionService(n_shards=2)
         service.register_monitor("gcpu", small_config(), series_filter=TAGS)
         rng = np.random.default_rng(0)
         stamps = [tick * 60.0 for tick in range(1_000)]
@@ -276,16 +270,13 @@ class TestNothingProcessLocalOnBoard:
             assert shard.scheduler is scheduler
             assert scheduler.database is shard.database
             assert "metrics" not in vars(shard.worker)
-            assert shard.worker.fault_injector is service.fault_injector
 
     def test_restore_binds_every_holder(self, service, tmp_path):
         directory = str(tmp_path / "ckpt")
         service.checkpoint(directory)
-        injector = FaultInjector(FaultPlan(specs=()))
-        restored = StreamingDetectionService.restore(directory, fault_injector=injector)
+        restored = StreamingDetectionService.restore(directory)
         try:
             for shard in restored._shards.values():
-                assert shard.worker.fault_injector is injector
                 for holder in (shard.worker, shard.worker.admission):
                     assert "metrics" not in vars(holder)
                 assert shard.scheduler.database is shard.database is shard.worker.database
