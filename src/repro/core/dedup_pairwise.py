@@ -15,16 +15,22 @@ Built-in features:
   exactly the tokens two metric IDs share).
 - ``stack_overlap`` — max fraction of shared stack samples between the
   source's subroutine and the union of the group's subroutines.
+
+A group keeps only what those features read of its first
+:data:`MAX_MEMBERS_COMPARED` members — their metric context and their
+analysis + extended samples — so the groups a pipeline carries from run
+to run (and in every pickle of it) stay small however many regressions
+merge into them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
-from repro.core.types import DetectionVerdict, FilterReason, Regression, RegressionGroup
+from repro.core.types import DetectionVerdict, FilterReason, MetricContext, Regression
 from repro.profiling.gcpu import stack_trace_overlap
 from repro.profiling.stacktrace import StackTrace
 from repro.stats.correlation import aligned_pearson
@@ -32,8 +38,8 @@ from repro.text.similarity import token_cosine_similarity
 
 __all__ = ["MergeRule", "PairwiseDedup"]
 
-#: ``id(regression) -> series_mapping()``, each built once per ``process()``
-#: call however many comparisons read it (a Regression is unhashable).
+#: ``id(member) -> series_mapping()``, each built once per ``process()``
+#: call however many comparisons read it.
 _SeriesMemo = Dict[int, Dict[float, float]]
 
 
@@ -74,8 +80,40 @@ MERGE_RULES = (
         {"time_correlation": 0.7, "text_similarity": 0.65}, require_all=True
     ),
 )
-#: Cap on per-group member comparisons, to bound the pairwise cost.
+#: Cap on the members a group keeps and compares, to bound the pairwise
+#: cost: the first ones merged.
 MAX_MEMBERS_COMPARED = 10
+
+
+@dataclass(frozen=True, eq=False)
+class _Member:
+    """What the features read of one regression: its context and owned
+    copies of its analysis + extended samples (not its window)."""
+
+    context: MetricContext
+    times: np.ndarray
+    values: np.ndarray
+
+    @classmethod
+    def of(cls, regression: Regression) -> "_Member":
+        window = regression.window
+        return cls(
+            regression.context,
+            window.times[window.analysis_at :].copy(),
+            window.analysis_and_extended.copy(),
+        )
+
+    def series_mapping(self) -> Dict[float, float]:
+        """``{time: value}``, as :meth:`Regression.series_mapping`."""
+        return dict(zip(self.times.tolist(), self.values.tolist()))
+
+
+@dataclass
+class _Group:
+    """One pairwise group: its id and its first members."""
+
+    group_id: int
+    members: List[_Member] = field(default_factory=list)
 
 
 class PairwiseDedup:
@@ -87,7 +125,7 @@ class PairwiseDedup:
 
     def __init__(self, samples: Sequence[StackTrace] = ()) -> None:
         self.samples = list(samples)
-        self.groups: List[RegressionGroup] = []
+        self.groups: List[_Group] = []
         self._next_group_id = 1_000_000  # distinct from SOMDedup ids
 
     def process(self, regressions: Sequence[Regression]) -> None:
@@ -97,10 +135,11 @@ class PairwiseDedup:
         PAIRWISE_DUPLICATE verdict; group openers a keep verdict.
         """
         series: _SeriesMemo = {}
-        for regression in regressions:
-            group = self._best_group(regression, series)
+        # All held to the end of the call: the memo is keyed by id().
+        members = [_Member.of(regression) for regression in regressions]
+        for regression, member in zip(regressions, members):
+            group = self._best_group(member, series)
             if group is not None:
-                group.add(regression)
                 regression.representative = False
                 regression.record(
                     DetectionVerdict.drop(
@@ -109,23 +148,24 @@ class PairwiseDedup:
                     )
                 )
             else:
-                group = RegressionGroup(group_id=self._next_group_id)
+                group = _Group(group_id=self._next_group_id)
                 self._next_group_id += 1
-                group.add(regression)
-                group.representative = regression
                 regression.record(DetectionVerdict.keep(detail="PairwiseDedup new group"))
                 self.groups.append(group)
+            regression.group_id = group.group_id
+            if len(group.members) < MAX_MEMBERS_COMPARED:
+                group.members.append(member)
 
     # ------------------------------------------------------------------
     # Scoring
     # ------------------------------------------------------------------
 
-    def _best_group(self, regression: Regression, series: _SeriesMemo) -> Optional[RegressionGroup]:
+    def _best_group(self, source: _Member, series: _SeriesMemo) -> Optional[_Group]:
         """The matching group with the highest aggregate score, if any."""
-        best: Optional[RegressionGroup] = None
+        best: Optional[_Group] = None
         best_score = -np.inf
         for group in self.groups:
-            scores = self.feature_scores(regression, group, series)
+            scores = self.feature_scores(source, group, series)
             if any(rule.matches(scores) for rule in MERGE_RULES):
                 aggregate = sum(scores.values())
                 if aggregate > best_score:
@@ -133,14 +173,14 @@ class PairwiseDedup:
         return best
 
     def feature_scores(
-        self, regression: Regression, group: RegressionGroup, series: _SeriesMemo
+        self, source: _Member, group: _Group, series: _SeriesMemo
     ) -> Dict[str, float]:
         """Similarity features between a regression and a group."""
-        members = group.members[:MAX_MEMBERS_COMPARED]
-        for one in (regression, *members):
+        members = group.members
+        for one in (source, *members):
             if id(one) not in series:
                 series[id(one)] = one.series_mapping()
-        source_series = series[id(regression)]
+        source_series = series[id(source)]
 
         time_correlation = 0.0
         text_similarity = 0.0
@@ -148,12 +188,12 @@ class PairwiseDedup:
             correlation = aligned_pearson(source_series, series[id(member)])
             time_correlation = max(time_correlation, correlation)
             similarity = token_cosine_similarity(
-                regression.context.metric_id, member.context.metric_id
+                source.context.metric_id, member.context.metric_id
             )
             text_similarity = max(text_similarity, similarity)
 
         stack_overlap = 0.0
-        source_subroutine = regression.context.subroutine
+        source_subroutine = source.context.subroutine
         if source_subroutine and self.samples:
             for member in members:
                 target = member.context.subroutine

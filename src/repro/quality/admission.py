@@ -49,7 +49,7 @@ from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.quality.quarantine import QuarantineStore
-from repro.tsdb.columnar import SeriesFrame, rising_runs
+from repro.tsdb.columnar import FrameColumns, SeriesFrame
 
 __all__ = ["ADMIT", "DROP", "HELD", "REORDER_WINDOW", "AdmissionController"]
 
@@ -81,8 +81,9 @@ def _screen(frames: Sequence[SeriesFrame]) -> Tuple[list, list, list, list, list
     the timestamps strictly increase, its smallest value (NaN when one
     is), and its first and last timestamp — as Python lists, so the
     per-frame loop that follows compares numbers, not arrays."""
-    starts, stops, timestamps, clean = rising_runs(frames)
-    values = np.concatenate([frame.values for frame in frames])
+    columns = FrameColumns.of(frames)
+    starts, stops, clean = columns.rising_runs()
+    timestamps, values = columns.timestamps, columns.values
     clean &= np.isfinite(values)
     return (
         (stops - starts).tolist(),

@@ -59,7 +59,9 @@ __all__ = ["CheckpointError", "CheckpointManager", "CHECKPOINT_VERSION"]
 #: 8: a regression's window holds its samples' timestamps and one value
 #: array (``WindowedView.times`` / ``values``), not three value arrays.
 #: 9: a pipeline holds no shadow scorer and a monitor spec no shadow ids.
-CHECKPOINT_VERSION = 9
+#: 10: a pairwise-dedup group holds at most ``MAX_MEMBERS_COMPARED``
+#: member records (context and samples), not whole regressions.
+CHECKPOINT_VERSION = 10
 MANIFEST_NAME = "manifest.json"
 
 _GEN_MANIFEST_RE = re.compile(r"^manifest\.g(\d+)\.json$")

@@ -56,7 +56,7 @@ from typing import Any, Deque, Dict, Iterable, Iterator, List, Mapping, Optional
 
 from repro.quality.admission import AdmissionController
 from repro.service.metrics import Histogram
-from repro.tsdb.columnar import SeriesFrame
+from repro.tsdb.columnar import FrameColumns, SeriesFrame
 from repro.tsdb.database import TimeSeriesDatabase
 
 __all__ = ["Sample", "BackpressurePolicy", "ShardIngestWorker", "frames_of"]
@@ -274,12 +274,13 @@ class ShardIngestWorker:
         taken: List[SeriesFrame] = []
         while limit and self._queue:
             head = self._queue.popleft()
-            if len(head) > limit:
+            rows = len(head)
+            if rows > limit:
                 self._queue.appendleft(head[limit:])
-                head = head[:limit]
+                head, rows = head[:limit], limit
             taken.append(head)
-            limit -= len(head)
-            self._pending -= len(head)
+            limit -= rows
+            self._pending -= rows
         return taken
 
     def _evict(self, count: int) -> None:
@@ -328,15 +329,16 @@ class ShardIngestWorker:
         if not batch:
             return 0
         started = time.perf_counter()
+        columns = FrameColumns.of(batch)
         try:
-            written = self.database.write_batch(batch)
+            written = self.database.write_batch(columns)
         except Exception:
             self._requeue(batch)
             self.flush_failures += 1
             raise
         self.flushed += written
         self.flushes += 1
-        if self.write_log is not None and not self.write_log.wrote(batch, written):
+        if self.write_log is not None and not self.write_log.wrote(columns):
             self.write_log = None  # replaying it would cost more than a re-fork
         self.flush_seconds.observe(time.perf_counter() - started)
         return written

@@ -19,11 +19,13 @@ ascending shard-id order**, so reports are byte-identical to one
 process's.  A worker handed a delta for another generation *refuses* it
 and is re-forked at once, which turns the blobs already cut for its
 shards into ``b""`` ("advance what the fork holds") and marks what it
-returned earlier in the round ``stale``.  One request is in flight per
-worker: one that crashed, raised or blew the deadline is killed and its
-shard retried on a re-fork, then handed back (``fallback="in_process"``)
-for the parent to advance in place.  DESIGN.md has why a mid-life fork
-is safe and the failure table.
+returned earlier in the round ``stale``.  A worker is sent all its
+shards for the round in one message and answers each as it is done.  A
+worker that crashed, raised or blew the deadline of the shard at the
+head of its queue is killed; that shard is retried on a re-fork, then
+handed back (``fallback="in_process"``) for the parent to advance in
+place, and those behind it go to the re-fork outside the retry budget.
+DESIGN.md has why a mid-life fork is safe and the failure table.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import pickle
 import time
 from collections import deque
 from contextlib import ExitStack
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from multiprocessing.connection import Connection, wait
 from typing import Any, Callable, ContextManager, Dict, List, Optional, Set, Tuple
 
@@ -44,10 +46,10 @@ __all__ = ["ADVANCE_DEADLINE", "ShardAdvanceResult", "ParallelShardExecutor"]
 
 _log = get_logger("repro.service.parallel")
 
-#: Seconds one shard's advance may take before it counts as failed and its
-#: worker is killed.  Far above a real advance (under 2 s on every benchmark
-#: workload); finite so a wedged worker cannot park ``advance_to`` for ever.
-#: Read at every send, so a test patches it.
+#: Seconds one shard's advance may take, from the send or the answer before
+#: it, before it counts as failed and its worker is killed.  Far above a real
+#: advance (under 2 s on every benchmark workload); finite so a wedged worker
+#: cannot park ``advance_to`` for ever.  Read as it is used: a test patches it.
 ADVANCE_DEADLINE = 60.0
 
 #: Retry rounds for a failed shard advance before the parent runs it.
@@ -72,7 +74,8 @@ class ShardAdvanceResult:
         shard_id: The shard that was advanced.
         state: The advanced scheduler, detached from the replica.
         outcomes: Scan outcomes, in the scheduler's deterministic
-            order, each carrying its ledger for the parent to publish.
+            order, each carrying its ledger for the parent to publish;
+            ``all_candidates`` empty (the parent never reads it).
         elapsed: Wall-clock seconds the worker spent on this shard.
         retries: Retry rounds before this result (0 on the happy path).
         fallback: ``"in_process"`` when retries ran out: no state, the
@@ -109,7 +112,10 @@ def _advance_shard(
         delta.replay(database)
     scheduler.database = database
     started = time.perf_counter()
-    outcomes = scheduler.advance_to(target)
+    outcomes = [  # every candidate's window stays here
+        replace(outcome, result=outcome.result and replace(outcome.result, all_candidates=[]))
+        for outcome in scheduler.advance_to(target)
+    ]
     elapsed = time.perf_counter() - started
     # Only scheduler state goes back: the replica stays here.
     scheduler.database = None
@@ -118,27 +124,31 @@ def _advance_shard(
 
 
 def _serve(conn: Connection, inherited: List[Connection], forked: Dict[int, tuple]) -> None:
-    """A resident worker's life: one request at a time, the replicas it
-    was ``forked`` with (``shard id -> (scheduler, database)``) kept in
-    between; it answers a result, a refusal or what the advance raised.
+    """A resident worker's life: a round's requests at a time, the replicas
+    it was ``forked`` with (``shard id -> (scheduler, database)``) kept in
+    between; it answers each with a result, a refusal or what the advance
+    raised, and stops at the first that is not a result.
     ``inherited``: parent-side pipe ends; open, the parent's death is no EOF."""
     for end in inherited:
         end.close()
     replicas = {shard_id: (0, *state) for shard_id, state in forked.items()}
     while True:
         try:
-            request = conn.recv()
+            requests = conn.recv()
         except EOFError:  # the parent is gone
             return
-        try:
-            # Through the module global: a tracer, or a drill that crashes
-            # or stalls a worker, wraps it before the fork.
-            answer: Any = _advance_shard(*request, replicas)
-        except ReplicaRefused as refusal:
-            answer = refusal
-        except Exception as error:
-            answer = repr(error)
-        conn.send(answer)
+        for request in requests:
+            try:
+                # Through the module global: a tracer, or a drill that crashes
+                # or stalls a worker, wraps it before the fork.
+                answer: Any = _advance_shard(*request, replicas)
+            except ReplicaRefused as refusal:
+                answer = refusal
+            except Exception as error:
+                answer = repr(error)
+            conn.send(answer)
+            if not isinstance(answer, ShardAdvanceResult):
+                break  # the rest go to the re-fork that replaces this one
 
 
 class ParallelShardExecutor:
@@ -240,8 +250,8 @@ class ParallelShardExecutor:
         self, shards: Dict[int, Optional[bytes]], target: float,
         results: Dict[int, ShardAdvanceResult], attempt: int,
     ) -> List[int]:
-        """Run round ``attempt``, each worker taking its shards one
-        after another; returns the shard ids that failed."""
+        """Run round ``attempt``, each worker sent its shards at once and
+        taking them one after another; returns the shard ids that failed."""
         queues = [deque(s for s in shards if s % self.workers == w) for w in range(self.workers)]
         due: Dict[int, float] = {}  # busy worker -> when the head of its queue is due
         failed: List[int] = []
@@ -251,16 +261,16 @@ class ParallelShardExecutor:
                 for index, queue in enumerate(queues)
                 if queue and (self._procs[index] is None or b"" in [shards[s] for s in queue])
             }
-            for index in held:  # each scans its first shard while the next one forks
+            for index in held:  # each scans its shards while the next one forks
                 self._fork(index, held[index], shards, results)
-                self._send(index, queues[index][0], shards, target, due)
+                self._send(index, queues[index], shards, target, due)
         while True:
             for index, queue in enumerate(queues):
                 if queue and index not in due:
                     if self._procs[index] is None:  # retired in this round
                         with self.replicas(index) as state:
                             self._fork(index, state, shards, results)
-                    self._send(index, queue[0], shards, target, due)
+                    self._send(index, queue, shards, target, due)
             if not due:
                 return failed
             wake = max(min(due.values()) - time.monotonic(), 0.0)
@@ -274,18 +284,21 @@ class ParallelShardExecutor:
                 if isinstance(answer, ShardAdvanceResult):
                     answer.retries = attempt  # every round retries all that failed
                     results[queues[index].popleft()] = answer
+                    if queues[index]:  # the next is due counting from this answer
+                        due[index] = time.monotonic() + ADVANCE_DEADLINE
                     continue
-                self._retire(index)  # the next send to it re-forks it
+                self._retire(index)  # the next send, of all its queue, re-forks it
                 if isinstance(answer, ReplicaRefused) and shards[shard_id] is not None:
                     continue  # a delta: again at once, to the re-fork, outside the budget
                 failed.append(queues[index].popleft())
                 _log.warning("shard advance failed", shard=shard_id, error=str(answer))
 
-    def _send(self, index: int, shard_id: int, blobs: dict, target: float, due) -> None:
-        blob = blobs[shard_id] or b""
+    def _send(self, index: int, queue: deque, blobs: dict, target: float, due) -> None:
+        """Send worker ``index`` every shard in its ``queue``, in one message."""
+        requests = [(shard_id, blobs[shard_id] or b"", target) for shard_id in queue]
         try:
-            self._procs[index][1].send((shard_id, blob, target))
-            self._inc("advance.bytes_out", len(blob))  # only what left
+            self._procs[index][1].send(requests)
+            self._inc("advance.bytes_out", sum(len(blob) for _, blob, _ in requests))
         except OSError:
             pass  # it died idle: the read below says so
         due[index] = time.monotonic() + ADVANCE_DEADLINE

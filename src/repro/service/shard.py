@@ -32,12 +32,10 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Tuple
 
-import numpy as np
-
 from repro.quality import AdmissionController
 from repro.runtime.scheduler import DetectionScheduler, ScanOutcome
 from repro.service.ingest import BackpressurePolicy, ShardIngestWorker
-from repro.tsdb.columnar import SeriesFrame
+from repro.tsdb.columnar import FrameColumns
 from repro.tsdb.database import TimeSeriesDatabase
 
 __all__ = ["Shard", "ShardDelta", "ShardStats", "WriteLog"]
@@ -61,33 +59,24 @@ class ShardStats:
 
 @dataclass
 class ShardDelta:
-    """A cut of a :class:`WriteLog`: the frames written, flattened to two
-    contiguous ``float64`` columns plus names, tags and lengths, and the
-    retention cutoffs applied between them (``(frames before it,
-    cutoff)``).  ``generation`` names the replica state it extends."""
+    """A cut of a :class:`WriteLog`: the batches written, end to end as one
+    :class:`~repro.tsdb.columnar.FrameColumns`, and the retention cutoffs
+    applied between them (``(frames before it, cutoff)``).
+    ``generation`` names the replica state it extends."""
 
     generation: int
-    names: List[str]
-    tags: List[dict]
-    lengths: np.ndarray
-    timestamps: np.ndarray
-    values: np.ndarray
+    columns: FrameColumns
     cutoffs: List[Tuple[int, float]]
 
     def replay(self, database: TimeSeriesDatabase) -> None:
         """Write to ``database`` what was written to the logged one,
         through the same calls in the same order."""
-        stops = np.cumsum(self.lengths).tolist()
-        frames = [
-            SeriesFrame(name, tags, self.timestamps[start:stop], self.values[start:stop])
-            for name, tags, start, stop in zip(self.names, self.tags, [0] + stops, stops)
-        ]
         done = 0
         for before, cutoff in self.cutoffs:
-            database.write_batch(frames[done:before])
+            database.write_batch(self.columns[done:before])
             database.apply_retention(cutoff)
             done = before
-        database.write_batch(frames[done:])
+        database.write_batch(self.columns[done:])
 
 
 class WriteLog:
@@ -108,8 +97,9 @@ class WriteLog:
         self._room = 0  # the database's size when last counted
 
     def _clear(self) -> None:
-        self.frames: List[SeriesFrame] = []
+        self.batches: List[FrameColumns] = []
         self.cutoffs: List[Tuple[int, float]] = []
+        self.frames = 0
         self.points = 0
 
     def _fits(self) -> bool:
@@ -119,32 +109,24 @@ class WriteLog:
             self._room = sum(len(series) for series in self.database)
         return self.points <= self._room
 
-    def wrote(self, frames: List[SeriesFrame], points: int) -> bool:
+    def wrote(self, batch: FrameColumns) -> bool:
         """Note one ``write_batch`` that succeeded."""
-        self.frames.extend(frames)
-        self.points += points
+        self.batches.append(batch)
+        self.frames += len(batch.names)
+        self.points += len(batch)
         return self._fits()
 
     def trimmed(self, cutoff: float) -> bool:
         """Note one ``apply_retention`` — a write like any other: a
         straggler older than the cutoff, flushed after the cut, is gone
         from the live database and must go from the replica."""
-        self.cutoffs.append((len(self.frames), cutoff))
+        self.cutoffs.append((self.frames, cutoff))
         self._room = 0
         return self._fits()
 
     def cut(self) -> ShardDelta:
         """Everything logged so far, as a delta; the log starts over."""
-        nothing = [np.empty(0)]  # concatenate refuses an empty list
-        delta = ShardDelta(
-            self.generation,
-            [frame.name for frame in self.frames],
-            [frame.tags for frame in self.frames],
-            np.array([len(frame) for frame in self.frames], dtype=np.int64),
-            np.concatenate([frame.timestamps for frame in self.frames] or nothing),
-            np.concatenate([frame.values for frame in self.frames] or nothing),
-            self.cutoffs,
-        )
+        delta = ShardDelta(self.generation, FrameColumns.join(self.batches), self.cutoffs)
         self._clear()
         return delta
 

@@ -32,7 +32,7 @@ from typing import Iterable, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["FloatColumn", "SeriesFrame", "rising_runs"]
+__all__ = ["FloatColumn", "FrameColumns", "SeriesFrame"]
 
 #: Smallest non-zero capacity; doubling starts here.
 _MIN_CAPACITY = 8
@@ -69,28 +69,91 @@ class SeriesFrame:
         return SeriesFrame(self.name, self.tags, self.timestamps[rows], self.values[rows])
 
 
-def rising_runs(
-    frames: Sequence[SeriesFrame],
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The timestamps of non-empty ``frames`` end to end, for one array
-    pass over a batch instead of a few numpy calls per frame.
+class FrameColumns:
+    """A batch of frames end to end: one name, tags and length per frame,
+    and two contiguous ``float64`` columns holding every frame's rows in
+    order — what a flush writes and what a replica replays, in one form.
+    No frame in it is empty.
 
-    Returns:
-        ``(starts, stops, timestamps, rising)``: where each frame's rows
-        begin and end in the concatenated timestamp column, that column,
-        and per row whether it lies above the row before it in its frame
-        (a first row always does) — so a frame's timestamps strictly
-        increase when ``np.logical_and.reduceat(rising, starts)`` says so.
+    Slicing selects whole frames (``columns[2:5]``) and copies nothing.
     """
-    columns = [frame.timestamps for frame in frames]
-    lengths = np.fromiter(map(len, columns), dtype=np.intp, count=len(columns))
-    stops = np.cumsum(lengths)
-    starts = stops - lengths
-    timestamps = np.concatenate(columns)
-    rising = np.empty(timestamps.size, dtype=bool)
-    np.greater(timestamps[1:], timestamps[:-1], out=rising[1:])
-    rising[starts] = True
-    return starts, stops, timestamps, rising
+
+    __slots__ = ("names", "tags", "lengths", "timestamps", "values")
+
+    def __init__(
+        self,
+        names: Sequence[str],
+        tags: Sequence[Mapping[str, str]],
+        lengths: np.ndarray,
+        timestamps: np.ndarray,
+        values: np.ndarray,
+    ) -> None:
+        self.names = names
+        self.tags = tags
+        self.lengths = lengths
+        self.timestamps = timestamps
+        self.values = values
+
+    @classmethod
+    def of(cls, frames: Sequence[SeriesFrame]) -> "FrameColumns":
+        """The non-empty ``frames`` flattened: one concatenation per column."""
+        stamps = [frame.timestamps for frame in frames]
+        lengths = np.fromiter(map(len, stamps), dtype=np.intp, count=len(stamps))
+        if not lengths.all():
+            frames = [frame for frame in frames if len(frame)]
+            stamps = [frame.timestamps for frame in frames]
+            lengths = lengths[lengths > 0]
+        nothing = [np.empty(0)]  # concatenate refuses an empty list
+        return cls(
+            [frame.name for frame in frames],
+            [frame.tags for frame in frames],
+            lengths,
+            np.concatenate(stamps or nothing),
+            np.concatenate([frame.values for frame in frames] or nothing),
+        )
+
+    @classmethod
+    def join(cls, batches: Sequence["FrameColumns"]) -> "FrameColumns":
+        """``batches`` end to end."""
+        if not batches:
+            return cls.of(())
+        return cls(
+            [name for batch in batches for name in batch.names],
+            [tags for batch in batches for tags in batch.tags],
+            np.concatenate([batch.lengths for batch in batches]),
+            np.concatenate([batch.timestamps for batch in batches]),
+            np.concatenate([batch.values for batch in batches]),
+        )
+
+    def __len__(self) -> int:
+        """Rows, over every frame."""
+        return int(self.timestamps.size)
+
+    def __getitem__(self, frames: slice) -> "FrameColumns":
+        stops = np.cumsum(self.lengths)
+        start, stop, _ = frames.indices(len(self.lengths))
+        first = int(stops[start - 1]) if start else 0
+        last = int(stops[stop - 1]) if stop > start else first
+        return FrameColumns(
+            self.names[frames], self.tags[frames], self.lengths[frames],
+            self.timestamps[first:last], self.values[first:last],
+        )
+
+    def rising_runs(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """For one array pass over the batch instead of a few numpy calls
+        per frame: ``(starts, stops, rising)`` — where each frame's rows
+        begin and end in the columns, and per row whether its timestamp
+        lies above the row before it in its frame (a first row always
+        does) — so a frame's timestamps strictly increase when
+        ``np.logical_and.reduceat(rising, starts)`` says so.
+        """
+        stops = np.cumsum(self.lengths)
+        starts = stops - self.lengths
+        timestamps = self.timestamps
+        rising = np.empty(timestamps.size, dtype=bool)
+        np.greater(timestamps[1:], timestamps[:-1], out=rising[1:])
+        rising[starts] = True
+        return starts, stops, rising
 
 
 class FloatColumn:
@@ -185,6 +248,11 @@ class FloatColumn:
         if not 0 <= index < self._length:
             raise IndexError(f"column index {index} out of range")
         return float(self._buffer[index])
+
+    def last(self) -> Optional[float]:
+        """The last value as a Python float, ``None`` when empty: one
+        read, for the per-frame "does it append?" check."""
+        return float(self._buffer[self._length - 1]) if self._length else None
 
     def view(self, start: int = 0, stop: Optional[int] = None) -> np.ndarray:
         """Zero-copy read-only view of ``[start, stop)``."""

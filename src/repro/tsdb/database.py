@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional
+from typing import Dict, Iterator, List, Mapping, Optional
 
 import numpy as np
 
-from repro.tsdb.columnar import SeriesFrame, rising_runs
+from repro.tsdb.columnar import FrameColumns
 from repro.tsdb.series import TimeSeries
 
 __all__ = ["TimeSeriesDatabase"]
@@ -58,37 +58,41 @@ class TimeSeriesDatabase:
         """Append one point, creating the series if needed."""
         self.create(name, tags).append(timestamp, value)
 
-    def write_batch(self, frames: Iterable[SeriesFrame]) -> int:
-        """Append every frame's columns to its series, in the order given.
+    def write_batch(self, batch: FrameColumns) -> int:
+        """Append every frame's rows to its series, in the order given.
 
-        The streaming-service flush path.  Whether a frame's timestamps
+        The one write path of the streaming service: a flush writes its
+        frames as :class:`~repro.tsdb.columnar.FrameColumns`, and a
+        replica replays the same columns.  Whether a frame's timestamps
         strictly increase is one array pass over the batch
-        (:func:`~repro.tsdb.columnar.rising_runs`); whether it starts
-        above its series' last stored timestamp is decided per frame,
-        live, so a series repeated in the batch sees its earlier frames.
-        A frame that passes both is two bulk appends; any other goes
-        through
+        (:meth:`FrameColumns.rising_runs
+        <repro.tsdb.columnar.FrameColumns.rising_runs>`); whether it
+        starts above its series' last stored timestamp is decided per
+        frame, live, so a series repeated in the batch sees its earlier
+        frames.  A frame that passes both is two bulk appends; any other
+        goes through
         :meth:`TimeSeries.ingest_columns <repro.tsdb.series.TimeSeries.ingest_columns>`
-        and its merge.  Empty frames write nothing and create no series.
+        and its merge.  A batch holds no empty frame, so none creates a
+        series.
 
         Returns:
             Number of points written.
         """
-        frames = [frame for frame in frames if len(frame)]
-        if not frames:
+        if not len(batch):
             return 0
-        starts, _, timestamps, rising = rising_runs(frames)
-        ordered = np.logical_and.reduceat(rising, starts).tolist()
-        written = 0
-        for frame, in_order, first in zip(frames, ordered, timestamps[starts].tolist()):
-            series = self.create(frame.name, frame.tags)
+        starts, stops, rising = batch.rising_runs()
+        timestamps, values = batch.timestamps, batch.values
+        for name, tags, start, stop, in_order, first in zip(
+            batch.names, batch.tags, starts.tolist(), stops.tolist(),
+            np.logical_and.reduceat(rising, starts).tolist(), timestamps[starts].tolist(),
+        ):
+            series = self.create(name, tags)
             end = series.end
             if in_order and (end is None or first > end):
-                series.append_columns(frame.timestamps, frame.values)
+                series.append_columns(timestamps[start:stop], values[start:stop])
             else:
-                series.ingest_columns(frame.timestamps, frame.values)
-            written += len(frame)
-        return written
+                series.ingest_columns(timestamps[start:stop], values[start:stop])
+        return len(batch)
 
     def query(self, **tag_filters: str) -> List[TimeSeries]:
         """Series whose tags match all ``tag_filters`` exactly.

@@ -174,7 +174,7 @@ class TimeSeries:
 
     @property
     def end(self) -> Optional[float]:
-        return self._timestamps.get(-1) if len(self._timestamps) else None
+        return self._timestamps.last()
 
     def between(self, start: float, end: float) -> "TimeSeries":
         """Sub-series with timestamps in ``[start, end)`` (own storage)."""

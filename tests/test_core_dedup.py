@@ -1,8 +1,12 @@
 """Tests for SOMDedup, PairwiseDedup, SameRegressionMerger, importance."""
 
+import io
+import pickle
+
 import numpy as np
 import pytest
 
+from repro.core import dedup_pairwise
 from repro.core.dedup_pairwise import MergeRule, PairwiseDedup
 from repro.core.dedup_som import SOMDedup
 from repro.core import importance
@@ -12,6 +16,7 @@ from repro.core.types import FilterReason, MetricContext, Regression, Regression
 from repro.fleet.changes import ChangeEffect, ChangeLog, CodeChange
 from repro.profiling.stacktrace import StackTrace
 from repro.tsdb import TimeSeries, WindowSpec
+from repro.tsdb.windows import WindowedView
 
 
 def make_regression(
@@ -211,15 +216,17 @@ class TestPairwiseDedup:
 
     def test_series_mapping_built_once_per_regression_per_call(self, rng, monkeypatch):
         """One mapping per regression per ``process()`` call, however many
-        group members it is compared against."""
+        group members it is compared against.  A group member is the
+        record :class:`PairwiseDedup` keeps of a regression, so the count
+        is kept on the record, by metric id."""
         calls = []
-        original = Regression.series_mapping
+        original = dedup_pairwise._Member.series_mapping
 
         def counted(self):
-            calls.append(id(self))
+            calls.append(self.context.metric_id)
             return original(self)
 
-        monkeypatch.setattr(Regression, "series_mapping", counted)
+        monkeypatch.setattr(dedup_pairwise._Member, "series_mapping", counted)
         family = correlated_family(rng, 3)
         others = [
             make_regression(f"{name}.qps", rng.normal(5.0, 0.5, 900), metric_name="qps")
@@ -228,11 +235,63 @@ class TestPairwiseDedup:
         batch = [family[0], others[0], family[1], others[1], family[2]]
         dedup = PairwiseDedup()
         dedup.process(batch[:3])
-        assert sorted(calls) == sorted(id(one) for one in batch[:3])
+        assert sorted(calls) == sorted(one.context.metric_id for one in batch[:3])
         calls.clear()
         dedup.process(batch[3:])  # a new call maps the members it meets afresh, once each
-        assert sorted(calls) == sorted(id(one) for one in batch)
+        assert sorted(calls) == sorted(one.context.metric_id for one in batch)
         assert [len(group.members) for group in dedup.groups] == [3, 1, 1]
+
+    def test_a_group_keeps_only_the_members_it_compares(self, rng):
+        """The bug: every member merged was kept, each a whole regression
+        with its window, though scoring reads only the first
+        ``MAX_MEMBERS_COMPARED`` and only their context and samples —
+        and the groups ride every shard pickle."""
+        family = correlated_family(rng, 51)
+        dedup = PairwiseDedup()
+        for regression in family:
+            dedup.process([regression])
+        (group,) = dedup.groups
+        assert group.group_id == 1_000_000
+        assert [r.group_id for r in family] == [1_000_000] * 51
+        assert family[0].verdicts[-1].passed
+        assert all(
+            r.verdicts[-1].reason is FilterReason.PAIRWISE_DUPLICATE
+            and r.verdicts[-1].detail == "merged into group 1000000"
+            for r in family[1:]
+        )
+        assert len(group.members) == dedup_pairwise.MAX_MEMBERS_COMPARED
+        assert [m.context.metric_id for m in group.members] == [
+            r.context.metric_id for r in family[: dedup_pairwise.MAX_MEMBERS_COMPARED]
+        ]
+        windows = []
+
+        class Counting(pickle.Pickler):
+            def reducer_override(self, obj):
+                if isinstance(obj, WindowedView):
+                    windows.append(obj)
+                return NotImplemented
+
+        Counting(io.BytesIO(), protocol=pickle.HIGHEST_PROTOCOL).dump(dedup)
+        assert windows == []
+
+    def test_group_ids_and_verdicts_on_the_fixtures(self, rng):
+        """Openers are kept and numbered from 1,000,000 in order; a merge
+        names the group it joined."""
+        shared = rng.normal(0, 0.00002, 900)
+        r1 = make_regression("svc.sub.gcpu", 0.001 + shared, metric_name="gcpu")
+        r2 = make_regression("svc.sub.throughput", 0.002 + shared * 1.01,
+                             metric_name="throughput")
+        r3 = make_regression("zzz.qps", rng.normal(5.0, 0.5, 900), metric_name="qps")
+        dedup = PairwiseDedup()
+        dedup.process([r1, r2, r3])
+        assert [r.group_id for r in (r1, r2, r3)] == [1_000_000, 1_000_000, 1_000_001]
+        assert [v.passed for v in (r1.verdicts[-1], r2.verdicts[-1], r3.verdicts[-1])] == [
+            True, False, True
+        ]
+        assert r2.verdicts[-1].detail == "merged into group 1000000"
+        assert [(g.group_id, len(g.members)) for g in dedup.groups] == [
+            (1_000_000, 2), (1_000_001, 1)
+        ]
 
 
 class TestSameRegressionMerger:

@@ -16,7 +16,7 @@ from repro.obs.spans import (
 from repro.runtime import CollectingSink
 from repro.service import Sample, StreamingDetectionService
 from repro.service import views
-from repro.tsdb import SeriesFrame, TimeSeriesDatabase, WindowSpec
+from repro.tsdb import FrameColumns, SeriesFrame, TimeSeriesDatabase, WindowSpec
 
 
 def test_pipeline_reexports_canonical_stages():
@@ -110,9 +110,9 @@ def _seeded_database(n_series=6, n_regressed=2, n=1_700, step=600.0, seed=0):
             # Starts mid-analysis-window and persists through the
             # extended window, so the went-away check keeps it.
             values[-50:] += 0.5
-        database.write_batch(
+        database.write_batch(FrameColumns.of(
             [SeriesFrame(f"s{index}.gcpu", {"metric": "gcpu"}, np.arange(n) * step, values)]
-        )
+        ))
     return database, n * step
 
 

@@ -228,7 +228,7 @@ class TestTheManifestCarriesNoOwnedCount:
 
     def test_meta_metrics_holds_no_owned_name(self, drills, checkpointed):
         manifest = json.loads((checkpointed / "manifest.json").read_text(encoding="utf-8"))
-        assert manifest["version"] == 9
+        assert manifest["version"] == 10
         recorded = manifest["meta"]["metrics"]
         assert recorded["counters"], "the registry's own counts still ride the manifest"
         assert [name for kind in recorded.values() for name in kind if owned(name)] == []
@@ -263,6 +263,9 @@ class TestTheManifestCarriesNoOwnedCount:
         # A v8 blob's pipelines may pickle a shadow scorer, whose module
         # is gone: unpickled, it would raise past the fallback.
         8,
+        # A v9 blob's pairwise-dedup groups hold whole regressions, which
+        # the scoring no longer reads.
+        9,
     ])
     def test_an_older_checkpoint_is_refused(self, checkpointed, version):
         for name in ("manifest.json", "manifest.g1.json"):
@@ -270,7 +273,7 @@ class TestTheManifestCarriesNoOwnedCount:
             manifest = json.loads(path.read_text(encoding="utf-8"))
             manifest["version"] = version
             path.write_text(json.dumps(manifest), encoding="utf-8")
-        with pytest.raises(CheckpointError, match=f"version {version} != supported 9"):
+        with pytest.raises(CheckpointError, match=f"version {version} != supported 10"):
             StreamingDetectionService.restore(str(checkpointed))
 
 

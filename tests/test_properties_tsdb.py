@@ -77,7 +77,7 @@ from repro.service import (
 )
 from repro.service.ingest import Sample
 from repro.service.shard import WriteLog
-from repro.tsdb import SeriesFrame, TimeSeries, TimeSeriesDatabase, WindowSpec
+from repro.tsdb import FrameColumns, SeriesFrame, TimeSeries, TimeSeriesDatabase, WindowSpec
 
 
 class ListSeries:
@@ -614,9 +614,10 @@ class TestReplicaFollowsTheLog:
         state = {"replica": None, "log": None, "seeds": 0}
 
         def write(frames):
-            live.write_batch(frames)
+            batch = FrameColumns.of(frames)
+            live.write_batch(batch)
             log = state["log"]
-            if log is not None and not log.wrote(frames, sum(len(f) for f in frames)):
+            if log is not None and not log.wrote(batch):
                 state["log"] = None  # outgrew the database
 
         def level():

@@ -668,6 +668,45 @@ class TestAdvanceFailureRecovery:
         assert counters["advance.retries"] > 0
         assert report_bytes(sink.reports) == report_bytes(reference_reports)
 
+    def test_a_kill_mid_queue_fails_the_head_and_resends_the_rest(self, monkeypatch, tmp_path):
+        """A worker is sent both of its shards at once.  Killed while it
+        scans the first, only that one is retried within the budget; the
+        second, already sent, runs on the re-fork outside it."""
+        samples = make_stream(seed=7, regress_index=2)
+        reference_reports, _ = run_stream(samples, workers=1)
+        ran = tmp_path / "ran"
+        crash_at = 3 * 200 * INTERVAL  # the third round: deltas, not forks
+
+        def die_in_shard_0(shard_id, target):
+            with open(ran, "a") as log:
+                log.write(f"{os.getpid()} {shard_id} {target}\n")
+            if shard_id == 0 and target == crash_at and once(tmp_path / "crash"):
+                os._exit(13)
+
+        wrap_advance(monkeypatch, die_in_shard_0)
+        sink = CollectingSink()
+        service = make_service(sink, workers=2)
+        rounds = record_results(service)
+        stream_through(service, samples)
+        counters = service.metrics.snapshot()["counters"]
+        service.close()
+
+        (crashed,) = [results for results in rounds if results[0].retries]
+        assert [(r.shard_id, r.retries, r.fallback) for r in crashed] == [
+            (0, 1, None), (1, 0, None), (2, 0, None), (3, 0, None)
+        ]
+        assert counters["advance.retries"] == 1.0  # shard 0 alone
+        assert counters["advance.pool_recreations"] == 1.0
+        assert "advance.fallbacks" not in counters
+        pids = {0: [], 2: []}
+        for line in ran.read_text().splitlines():
+            pid, shard_id, target = line.split()
+            if float(target) == crash_at and int(shard_id) in pids:
+                pids[int(shard_id)].append(int(pid))
+        killed, refork = pids[0]
+        assert killed != refork and pids[2] == [refork]  # never scanned by the dead one
+        assert report_bytes(sink.reports) == report_bytes(reference_reports)
+
     def test_hang_past_deadline_retries_and_recovers(self, monkeypatch, tmp_path):
         """A hung worker trips the per-shard deadline, then the retry wins."""
         monkeypatch.setattr(parallel, "RETRY_BACKOFF", 0.01)

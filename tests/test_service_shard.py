@@ -29,6 +29,7 @@ from repro.service import (
 from repro.service import parallel
 from repro.service.metrics import Counter, Histogram, MetricsRegistry
 from repro.tsdb import SeriesFrame, WindowSpec
+from repro.tsdb.windows import WindowedView
 
 TAGS = {"metric": "gcpu"}
 
@@ -192,12 +193,15 @@ class _NoHandles(pickle.Pickler):
         return NotImplemented
 
 
-def worker_answer(shard):
+def worker_answer(shard, target=None):
     """What a worker process sends home for ``shard``: an advance of a
-    replica copied as a fork copies it, pickled as its pipe pickles it."""
+    replica copied as a fork copies it (to ``target``, by default where
+    the shard stands), pickled as its pipe pickles it."""
     with shard.forking() as state:
         replicas = {shard.shard_id: (0, *copy.deepcopy(state))}
-    result = parallel._advance_shard(shard.shard_id, b"", shard.scheduler.now, replicas)
+    if target is None:
+        target = shard.scheduler.now
+    result = parallel._advance_shard(shard.shard_id, b"", target, replicas)
     return pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
 
 
@@ -285,6 +289,50 @@ class TestNothingProcessLocalOnBoard:
             restored.close()
 
 
+class TestAnAnswerShipsOnlyWhatTheParentReads:
+    """The bug: a worker's answer carried every candidate's window
+    (``PipelineResult.all_candidates``) and every pairwise-dedup group
+    member as a whole regression with its window, though the parent reads
+    only the reported regressions, the funnel and the ledger — over half
+    of what workers sent home on the parallel benchmark."""
+
+    def test_the_only_windows_on_board_are_the_reported_ones(self):
+        service = StreamingDetectionService(
+            n_shards=1, queue_capacity=1 << 16, backpressure=BackpressurePolicy.BLOCK
+        )
+        service.register_monitor("gcpu", small_config(), series_filter=TAGS)
+        rng = np.random.default_rng(0)
+        stamps = [tick * 60.0 for tick in range(1_500)]
+        shared = rng.normal(0, 0.00002, len(stamps))
+        for index in range(6):
+            if index < 3:  # one family: three candidates, one report
+                values = 0.001 + shared + rng.normal(0, 0.000002, len(stamps))
+                values[1_000:] += 0.0003
+            else:
+                values = rng.normal(0.001, 0.00002, len(stamps))
+            service.ingest_frames([SeriesFrame(f"svc.sub{index}.gcpu", TAGS, stamps, values)])
+        service.advance_to(54_000.0)  # anchored before the step
+        try:
+            answer = worker_answer(service._shards[0], target=90_000.0)
+        finally:
+            service.close()
+        windows = set()
+
+        class Counting(pickle.Pickler):
+            def reducer_override(self, obj):
+                if isinstance(obj, WindowedView):
+                    windows.add(id(obj))
+                return NotImplemented
+
+        result = pickle.loads(answer)
+        Counting(io.BytesIO(), protocol=pickle.HIGHEST_PROTOCOL).dump(result)
+        results = [outcome.result for outcome in result.outcomes]
+        reported = sum(len(one.reported) for one in results)
+        assert reported == 1 and sum(one.funnel.counts["change_points"] for one in results) > 1
+        assert all(one.all_candidates == [] for one in results)
+        assert len(windows) == reported
+
+
 class TestVersionTwoIsRefused:
     def test_restore_names_both_versions(self, tmp_path):
         service = StreamingDetectionService(n_shards=1)
@@ -295,7 +343,7 @@ class TestVersionTwoIsRefused:
             manifest = json.loads(path.read_text(encoding="utf-8"))
             manifest["version"] = 2
             path.write_text(json.dumps(manifest), encoding="utf-8")
-        with pytest.raises(CheckpointError, match="version 2 != supported 9"):
+        with pytest.raises(CheckpointError, match="version 2 != supported 10"):
             StreamingDetectionService.restore(str(tmp_path))
 
 

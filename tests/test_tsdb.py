@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.service.shard import WriteLog
-from repro.tsdb import SeriesFrame, TimeSeries, TimeSeriesDatabase, WindowSpec
+from repro.tsdb import FrameColumns, SeriesFrame, TimeSeries, TimeSeriesDatabase, WindowSpec
 
 
 class TestTimeSeries:
@@ -153,7 +153,7 @@ class TestWriteBatch:
 
     def test_one_batch_equals_one_ingest_columns_call_per_frame(self):
         batched = TimeSeriesDatabase()
-        assert batched.write_batch(self.BATCH) == 13
+        assert batched.write_batch(FrameColumns.of(self.BATCH)) == 13
         sequential = TimeSeriesDatabase()
         for frame in self.BATCH:
             if len(frame):
@@ -168,11 +168,12 @@ class TestWriteBatch:
 
     def test_a_replayed_delta_equals_the_live_database(self):
         live = TimeSeriesDatabase()
-        live.write_batch(self.BATCH[:1])
+        live.write_batch(FrameColumns.of(self.BATCH[:1]))
         replica = pickle.loads(pickle.dumps(live))
         log = WriteLog(live)
-        written = live.write_batch(self.BATCH[1:])
-        assert log.wrote(self.BATCH[1:], written)
+        batch = FrameColumns.of(self.BATCH[1:])
+        assert live.write_batch(batch) == len(batch) == 10
+        assert log.wrote(batch)
         pickle.loads(pickle.dumps(log.cut())).replay(replica)
         assert self.columns(replica) == self.columns(live)
 
