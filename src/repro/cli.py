@@ -509,13 +509,11 @@ def _cmd_serve_demo(args: argparse.Namespace) -> int:
     stale = quality["stale_series"]
     if stale:
         print(f"stale series evicted from scheduling: {', '.join(stale)}")
-    retries = snapshot["counters"].get("advance.retries", 0.0)
     fallbacks = snapshot["counters"].get("advance.fallbacks", 0.0)
     ckpt_fallbacks = snapshot["counters"].get("checkpoint.fallbacks", 0.0)
-    if retries or fallbacks or ckpt_fallbacks:  # a worker killed from outside shows here
+    if fallbacks or ckpt_fallbacks:  # a worker killed from outside shows here
         print()
-        print(f"recoveries: advance retries={retries:.0f}, "
-              f"in-process fallbacks={fallbacks:.0f}, "
+        print(f"recoveries: in-process fallbacks={fallbacks:.0f}, "
               f"checkpoint fallbacks={ckpt_fallbacks:.0f}")
         degraded = service.degraded_reasons()
         print("degraded shards at exit: "

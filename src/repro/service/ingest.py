@@ -113,7 +113,9 @@ class ShardIngestWorker:
             every offer.
         capacity: Queue bound in samples; offers beyond it trigger the
             policy.
-        policy: Backpressure policy (see module docstring).
+        policy: Backpressure policy (see module docstring); ``BLOCK``
+            by default: no thread drains the queue, so only a flush in
+            the caller makes room without losing what was offered.
         batch_size: Samples per TSDB write batch.
 
     Thread-safe: producers may ``offer()`` concurrently with ``flush()``.
@@ -130,7 +132,7 @@ class ShardIngestWorker:
         database: TimeSeriesDatabase,
         admission: AdmissionController,
         capacity: int = 1024,
-        policy: BackpressurePolicy = BackpressurePolicy.DROP_OLDEST,
+        policy: BackpressurePolicy = BackpressurePolicy.BLOCK,
         batch_size: int = 256,
     ) -> None:
         if capacity <= 0:

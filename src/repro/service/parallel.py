@@ -8,24 +8,23 @@ database and ingest queue; a worker holds a read replica (what its fork
 copied plus, in order, every write the parent made since) and returns
 scheduler state.**
 
-A worker is forked by the advancing thread at the first round that
-needs it, its shards held still by
+A worker is forked by the advancing thread at the start of the first
+round that needs it, its shards held still by
 :meth:`~repro.service.shard.Shard.forking`, so nothing is pickled to
-build a replica.  Per advance a shard sends a **delta** (what it wrote
-since the last cut, naming the replica generation it extends), or
-``b""`` with no trusted replica, and its worker is forked afresh; the
-advanced scheduler comes back to be adopted, and outcomes merge **in
-ascending shard-id order**, so reports are byte-identical to one
-process's.  A worker handed a delta for another generation *refuses* it
-and is re-forked at once, which turns the blobs already cut for its
-shards into ``b""`` ("advance what the fork holds") and marks what it
-returned earlier in the round ``stale``.  A worker is sent all its
-shards for the round in one message and answers each as it is done.  A
-worker that crashed, raised or blew the deadline of the shard at the
-head of its queue is killed; that shard is retried on a re-fork, then
-handed back (``fallback="in_process"``) for the parent to advance in
-place, and those behind it go to the re-fork outside the retry budget.
-DESIGN.md has why a mid-life fork is safe and the failure table.
+build a replica; round start is the only place a fork happens.  Per
+advance a shard sends a **delta** (what it wrote since the last cut,
+naming the replica generation it extends), or ``b""`` with no trusted
+replica, and its worker is forked afresh; the advanced scheduler comes
+back to be adopted, and outcomes merge **in ascending shard-id order**,
+so reports are byte-identical to one process's.  A worker is sent all
+its shards for the round in one message and answers each as it is done.
+There is one recovery: a worker that crashed, raised, refused a delta
+for a generation it does not hold, or blew the deadline of the shard at
+the head of its queue is killed, and every shard it had not answered
+comes back with no state, for the parent — which holds the live shard —
+to advance in place as ``workers=1`` does.  The worker is forked afresh
+at its next round.  DESIGN.md has why a mid-life fork is safe and the
+failure table.
 """
 
 from __future__ import annotations
@@ -52,18 +51,12 @@ _log = get_logger("repro.service.parallel")
 #: cannot park ``advance_to`` for ever.  Read as it is used: a test patches it.
 ADVANCE_DEADLINE = 60.0
 
-#: Retry rounds for a failed shard advance before the parent runs it.
-ADVANCE_RETRIES = 2
-
-#: Backoff between retry rounds: ``RETRY_BACKOFF * 2**round`` seconds.
-RETRY_BACKOFF = 0.05
-
 #: Pinned, not the platform default: the fork *is* the replica.
 _FORK = multiprocessing.get_context("fork")
 
 
 class ReplicaRefused(Exception):
-    """A delta met no replica of the generation it extends: "re-fork me"."""
+    """A delta met no replica of the generation it extends."""
 
 
 @dataclass
@@ -72,24 +65,19 @@ class ShardAdvanceResult:
 
     Attributes:
         shard_id: The shard that was advanced.
-        state: The advanced scheduler, detached from the replica.
+        state: The advanced scheduler, detached from the replica; ``None``
+            when its worker failed first: the caller advances the shard
+            itself.
         outcomes: Scan outcomes, in the scheduler's deterministic
             order, each carrying its ledger for the parent to publish;
             ``all_candidates`` empty (the parent never reads it).
         elapsed: Wall-clock seconds the worker spent on this shard.
-        retries: Retry rounds before this result (0 on the happy path).
-        fallback: ``"in_process"`` when retries ran out: no state, the
-            caller advances the shard itself.
-        stale: Its worker was re-forked after it: that replica is gone.
     """
 
     shard_id: int
     state: Optional[DetectionScheduler]
     outcomes: List[ScanOutcome]
     elapsed: float
-    retries: int = 0
-    fallback: Optional[str] = None
-    stale: bool = False
 
 
 def _advance_shard(
@@ -126,7 +114,7 @@ def _advance_shard(
 def _serve(conn: Connection, inherited: List[Connection], forked: Dict[int, tuple]) -> None:
     """A resident worker's life: a round's requests at a time, the replicas
     it was ``forked`` with (``shard id -> (scheduler, database)``) kept in
-    between; it answers each with a result, a refusal or what the advance
+    between; it answers each with a result or the text of what the advance
     raised, and stops at the first that is not a result.
     ``inherited``: parent-side pipe ends; open, the parent's death is no EOF."""
     for end in inherited:
@@ -142,18 +130,17 @@ def _serve(conn: Connection, inherited: List[Connection], forked: Dict[int, tupl
                 # Through the module global: a tracer, or a drill that crashes
                 # or stalls a worker, wraps it before the fork.
                 answer: Any = _advance_shard(*request, replicas)
-            except ReplicaRefused as refusal:
-                answer = refusal
-            except Exception as error:
+            except Exception as error:  # a refusal too
                 answer = repr(error)
             conn.send(answer)
             if not isinstance(answer, ShardAdvanceResult):
-                break  # the rest go to the re-fork that replaces this one
+                return  # the parent advances the rest and kills this one
 
 
 class ParallelShardExecutor:
     """Advances shards on ``workers`` resident processes, each forked at
-    the first advance that needs it (the constructor starts none).
+    the start of the first advance that needs it (the constructor starts
+    none).
 
     Args:
         workers: Worker process count (must be >= 1).  With one worker
@@ -162,11 +149,11 @@ class ParallelShardExecutor:
             (scheduler, database)}`` for the shards that worker hosts, held
             still (queue locks, flush, fresh logs) until its fork is done.
         metrics: Optional registry-like object receiving the ``advance.*``
-            counters (bytes out and in, retries, fallbacks, deadlines,
-            respawns, re-forks).
+            counters (bytes out and in, fallbacks, deadlines, deaths,
+            re-forks).
 
-    A shard that takes longer than :data:`ADVANCE_DEADLINE` is failed and
-    retried, its worker replaced.
+    A shard that takes longer than :data:`ADVANCE_DEADLINE` fails its
+    worker, like a crash.
     """
 
     def __init__(
@@ -181,10 +168,10 @@ class ParallelShardExecutor:
         self._procs: List[Optional[Tuple[Any, Connection]]] = [None] * workers
         self._forked: Set[int] = set()  # indices forked at least once
 
-    def _fork(self, index: int, held: dict, blobs: dict, results: dict) -> None:
+    def _fork(self, index: int, held: dict, blobs: dict) -> None:
         """(Re-)fork worker ``index`` holding ``held``, what its open
         ``replicas`` context yields.  Its shards' logs restarted: their
-        ``blobs`` become ``None`` ("as forked"), its results ``stale``."""
+        ``blobs`` become ``None`` ("as forked")."""
         if self._procs[index] is not None:
             self._retire(index)
         ours, theirs = _FORK.Pipe()
@@ -197,8 +184,6 @@ class ParallelShardExecutor:
             self._inc("advance.reseeds")
         self._forked.add(index)
         blobs.update((shard_id, None) for shard_id in blobs if shard_id % self.workers == index)
-        for shard_id, result in results.items():
-            result.stale |= shard_id % self.workers == index
 
     def _retire(self, index: int) -> None:
         process, conn = self._procs[index]
@@ -220,41 +205,17 @@ class ParallelShardExecutor:
 
         The sort is the determinism contract: callers fold results in
         ascending shard-id order, as the serial path iterates shards.
-        Shards whose worker crashed, raised or blew the deadline are
-        retried on a re-fork with exponential backoff, for
-        :data:`ADVANCE_RETRIES` rounds, then returned as
-        ``fallback="in_process"`` for the caller to advance itself.
+        Each worker is sent its shards at once and takes them one after
+        another.  One that fails is killed, and each shard it had not
+        answered comes back with ``state=None`` for the caller to advance
+        itself.
         """
         if not self._procs:
             raise RuntimeError("map_shards on a closed executor: it forks no workers")
-        results: Dict[int, ShardAdvanceResult] = {}
-        remaining: Dict[int, Optional[bytes]] = dict(sorted(blobs.items()))
-        for attempt in range(ADVANCE_RETRIES + 1):
-            if not remaining:
-                break
-            if attempt:
-                time.sleep(RETRY_BACKOFF * (2 ** (attempt - 1)))
-                self._inc("advance.retries", len(remaining))
-            failed = self._attempt(remaining, target, results, attempt)
-            # Each was on a worker now retired or re-forked since.
-            remaining = {shard_id: None for shard_id in sorted(failed)}
-        for shard_id in remaining:
-            _log.warning("shard advance falling back in-process", shard=shard_id)
-            results[shard_id] = ShardAdvanceResult(
-                shard_id, None, [], 0.0, ADVANCE_RETRIES, "in_process"
-            )
-            self._inc("advance.fallbacks")
-        return [results[shard_id] for shard_id in sorted(results)]
-
-    def _attempt(
-        self, shards: Dict[int, Optional[bytes]], target: float,
-        results: Dict[int, ShardAdvanceResult], attempt: int,
-    ) -> List[int]:
-        """Run round ``attempt``, each worker sent its shards at once and
-        taking them one after another; returns the shard ids that failed."""
+        shards: Dict[int, Optional[bytes]] = dict(sorted(blobs.items()))
         queues = [deque(s for s in shards if s % self.workers == w) for w in range(self.workers)]
+        results: Dict[int, ShardAdvanceResult] = {}
         due: Dict[int, float] = {}  # busy worker -> when the head of its queue is due
-        failed: List[int] = []
         with ExitStack() as stack:  # held from their flush to their fork
             held = {
                 index: stack.enter_context(self.replicas(index))
@@ -262,36 +223,29 @@ class ParallelShardExecutor:
                 if queue and (self._procs[index] is None or b"" in [shards[s] for s in queue])
             }
             for index in held:  # each scans its shards while the next one forks
-                self._fork(index, held[index], shards, results)
+                self._fork(index, held[index], shards)
                 self._send(index, queues[index], shards, target, due)
-        while True:
-            for index, queue in enumerate(queues):
-                if queue and index not in due:
-                    if self._procs[index] is None:  # retired in this round
-                        with self.replicas(index) as state:
-                            self._fork(index, state, shards, results)
-                    self._send(index, queue, shards, target, due)
-            if not due:
-                return failed
+        for index, queue in enumerate(queues):
+            if queue and index not in due:
+                self._send(index, queue, shards, target, due)
+        while due:
             wake = max(min(due.values()) - time.monotonic(), 0.0)
-            conns = [self._procs[index][1] for index in due]
-            ready = wait(conns, wake)
+            ready = wait([self._procs[index][1] for index in due], wake)
             now = time.monotonic()
             for index in [i for i in due if self._procs[i][1] in ready or due[i] <= now]:
-                shard_id = queues[index][0]
                 del due[index]
+                queue = queues[index]
                 answer = self._answer(index, self._procs[index][1] in ready)
                 if isinstance(answer, ShardAdvanceResult):
-                    answer.retries = attempt  # every round retries all that failed
-                    results[queues[index].popleft()] = answer
-                    if queues[index]:  # the next is due counting from this answer
+                    results[queue.popleft()] = answer
+                    if queue:  # the next is due counting from this answer
                         due[index] = time.monotonic() + ADVANCE_DEADLINE
                     continue
-                self._retire(index)  # the next send, of all its queue, re-forks it
-                if isinstance(answer, ReplicaRefused) and shards[shard_id] is not None:
-                    continue  # a delta: again at once, to the re-fork, outside the budget
-                failed.append(queues[index].popleft())
-                _log.warning("shard advance failed", shard=shard_id, error=str(answer))
+                self._retire(index)  # forked afresh at its next round
+                _log.warning("shard advance failed", shard=queue[0], error=str(answer))
+                self._inc("advance.fallbacks", len(queue))
+                results.update((s, ShardAdvanceResult(s, None, [], 0.0)) for s in queue)
+        return [results[shard_id] for shard_id in sorted(results)]
 
     def _send(self, index: int, queue: deque, blobs: dict, target: float, due) -> None:
         """Send worker ``index`` every shard in its ``queue``, in one message."""
@@ -304,7 +258,7 @@ class ParallelShardExecutor:
         due[index] = time.monotonic() + ADVANCE_DEADLINE
 
     def _answer(self, index: int, in_time: bool) -> Any:
-        """A result, a refusal, or the text of what went wrong."""
+        """A result, or the text of what went wrong."""
         if not in_time:
             self._inc("advance.deadline_exceeded")
             self._inc("advance.pool_recreations")

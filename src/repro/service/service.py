@@ -93,7 +93,8 @@ class StreamingDetectionService:
             detector state).
         sinks: Incident sinks for delivered reports.
         queue_capacity: Per-shard ingest queue bound.
-        backpressure: Policy when a shard queue is full.
+        backpressure: Policy when a shard queue is full; ``BLOCK``, the
+            default, loses nothing offered.
         batch_size: Samples per TSDB flush batch.
         workers: Worker *processes* for shard advances, forked by the
             advances that need them (the service starts no threads).  With
@@ -125,7 +126,7 @@ class StreamingDetectionService:
         n_shards: int = 4,
         sinks: Sequence[IncidentSink] = (),
         queue_capacity: int = 1024,
-        backpressure: BackpressurePolicy = BackpressurePolicy.DROP_OLDEST,
+        backpressure: BackpressurePolicy = BackpressurePolicy.BLOCK,
         batch_size: int = 256,
         workers: int = 1,
         retention: float = 0.0,
@@ -347,13 +348,13 @@ class StreamingDetectionService:
         advanced scheduler; the shards keep their databases and queues,
         so there is nothing to roll back — a fan-out that raises leaves
         every shard as it was, flushed, and every replica untrusted.  A
-        shard no worker could advance is advanced here, before anything
-        is adopted."""
+        shard whose worker failed first comes back with no state and is
+        advanced here, before anything is adopted."""
         try:
             blobs = {shard_id: shard.delta() for shard_id, shard in self._shards.items()}
             results = self._executor.map_shards(blobs, target)  # sorted by id
             advanced = [
-                (result.outcomes, result.elapsed) if result.fallback is None
+                (result.outcomes, result.elapsed) if result.state is not None
                 else self._shards[result.shard_id].advance(target)
                 for result in results
             ]
@@ -365,16 +366,12 @@ class StreamingDetectionService:
         self.metrics.inc("service.parallel_advances")
         for result, (outcomes, elapsed) in zip(results, advanced):
             shard = self._shards[result.shard_id]
-            if result.fallback is not None:
+            if result.state is None:
                 self._set_degraded(result.shard_id, "in_process_fallback")
-            elif result.retries:
-                self._set_degraded(result.shard_id, "advance_retried")
+                shard.forget_replica()  # start over from a fork
             else:
                 self._clear_degraded(result.shard_id)
-            if result.fallback is None:
                 shard.adopt(result.state)
-            if result.fallback is not None or result.retries or result.stale:
-                shard.forget_replica()  # start over from a fork
             self._deliver(shard, outcomes, elapsed, delivered)
 
     @contextmanager

@@ -185,10 +185,10 @@ def healthz(service) -> View:
     """``/healthz``: liveness/readiness.
 
     A shard is *saturated* when its queue has reached the backpressure
-    threshold (pending >= capacity), *degraded* while an advance's
-    recovery path is engaged on its behalf (retries or the in-process
-    fallback) — the per-shard ``degraded`` entry names the reason
-    (``null`` when healthy), and it clears on the next clean advance.
+    threshold (pending >= capacity), *degraded* after its worker failed
+    and the service advanced it in place — the per-shard ``degraded``
+    entry names the reason (``in_process_fallback``; ``null`` when
+    healthy), and it clears on the next clean advance.
     Either condition degrades the whole service: the view answers 503 so
     probes and load balancers shed traffic before samples are lost.
 

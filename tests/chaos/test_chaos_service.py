@@ -254,6 +254,9 @@ class TestChaosDrill:
             counters = service.metrics.snapshot()["counters"]
             assert counters["advance.deadline_exceeded"] >= 1
             assert counters["advance.pool_recreations"] >= 2
+            # One recovery: the parent advanced what a dead worker held.
+            assert counters["advance.fallbacks"] >= 1
+            assert "advance.retries" not in counters
 
             # Byte-identical incident reports despite the chaos.
             assert report_bytes(sink.reports) == reference

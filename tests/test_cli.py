@@ -238,5 +238,5 @@ class TestServeDemoCommand:
         )
         assert code == 0
         out = capsys.readouterr().out
-        assert "recoveries: advance retries=1, in-process fallbacks=0" in out
+        assert "recoveries: in-process fallbacks=1, checkpoint fallbacks=0" in out
         assert "degraded shards at exit: none (recovered)" in out

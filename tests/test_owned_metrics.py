@@ -182,11 +182,9 @@ def drills():
         return advance(shard_id, *args)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(parallel, "ADVANCE_RETRIES", 1)
-        patch.setattr(parallel, "RETRY_BACKOFF", 0.01)
         drills = {"workers=1": drill(1), "workers=2": drill(2)}
-        # Shard 0's worker dies on every attempt (wrapped before the
-        # fork): the in-process fallback runs it.
+        # Shard 0's worker dies on every advance (wrapped before the
+        # fork): the parent advances it in place.
         patch.setattr(parallel, "_advance_shard", crashing)
         drills["fallback"] = drill(2)
         return drills

@@ -108,6 +108,25 @@ class TestBlockPolicy:
         assert list(db.get("s.gcpu").values) == [float(i + 1) for i in range(10)]
 
 
+class TestTheDefaultPolicy:
+    def test_a_default_built_service_loses_nothing(self):
+        """The bug: with no thread draining a queue, the default policy
+        (``DROP_OLDEST``) kept 4,096 of the 20,000 rows one call offered
+        and said so only in ``dropped``.  The default is ``BLOCK``."""
+        service = StreamingDetectionService()
+        rows = [Sample(f"s{i}.gcpu", t * 60.0, 1.0) for t in range(2_000) for i in range(10)]
+        assert service.ingest_many(rows) == 20_000
+        service.flush()
+        stored = sum(
+            len(series)
+            for shard_id in range(service.n_shards)
+            for series in service.shard_database(shard_id)
+        )
+        assert stored == 20_000 and service.stats().dropped == 0
+        worker = ShardIngestWorker(0, TimeSeriesDatabase(), AdmissionController(0))
+        assert worker.policy is BackpressurePolicy.BLOCK
+
+
 class TestFlushing:
     def test_flush_returns_written_count(self):
         db, worker = make_worker(BackpressurePolicy.BLOCK, capacity=100)

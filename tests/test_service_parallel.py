@@ -158,15 +158,15 @@ class TestParallelShardExecutor:
         with ParallelShardExecutor(2, no_replicas) as executor:
             assert executor.workers == 2
 
-    def test_a_fork_that_lacks_the_shard_fails_it_once(self, monkeypatch):
-        """A refusal of what the fork should hold is a failure, not one
-        more re-fork: a ``replicas`` that leaves a shard out must not
-        make ``map_shards`` fork for ever."""
-        monkeypatch.setattr(parallel, "ADVANCE_RETRIES", 1)
-        monkeypatch.setattr(parallel, "RETRY_BACKOFF", 0.01)
+    def test_a_fork_that_lacks_the_shard_fails_it_once(self):
+        """A refusal of what the fork should hold fails its worker once:
+        a ``replicas`` that leaves a shard out must not make
+        ``map_shards`` fork for ever.  Each shard comes back with no
+        state, for the caller to advance."""
         with ParallelShardExecutor(2, no_replicas) as executor:
             results = executor.map_shards({0: b"", 1: b""}, target=1.0)
-        assert [(r.retries, r.fallback) for r in results] == [(1, "in_process")] * 2
+            assert executor.worker_pids() == []
+        assert [(r.shard_id, r.state) for r in results] == [(0, None), (1, None)]
 
     def test_a_closed_executor_forks_nothing(self):
         """The bug: once forking is lazy, an advance after ``close()``
@@ -560,10 +560,10 @@ class TestAdvanceFailureRecovery:
 
     Regression tests for the poisoned-pool bug: a worker crash used to
     raise ``BrokenProcessPool`` out of ``advance_to`` *and* leave the
-    broken pool cached, so every later advance failed too.  Now the
-    executor retries on a fresh pool and, when retries exhaust, advances
-    the shard in-process — and either way the delivered reports are
-    byte-identical to an undisturbed run.
+    broken pool cached, so every later advance failed too.  Now a worker
+    that fails is killed, the parent advances in place every shard it had
+    not answered, and the worker is forked afresh at its next round —
+    and the delivered reports are byte-identical to an undisturbed run.
     """
 
     def test_sigkill_pool_worker_with_live_producers_loses_nothing(self):
@@ -665,13 +665,14 @@ class TestAdvanceFailureRecovery:
         service.close()
 
         assert counters["advance.pool_recreations"] == 2.0
-        assert counters["advance.retries"] > 0
+        assert counters["advance.fallbacks"] == 2.0  # one shard a worker
+        assert "advance.retries" not in counters
         assert report_bytes(sink.reports) == report_bytes(reference_reports)
 
-    def test_a_kill_mid_queue_fails_the_head_and_resends_the_rest(self, monkeypatch, tmp_path):
-        """A worker is sent both of its shards at once.  Killed while it
-        scans the first, only that one is retried within the budget; the
-        second, already sent, runs on the re-fork outside it."""
+    def test_a_kill_mid_queue_hands_the_rest_to_the_parent(self, monkeypatch, tmp_path):
+        """Worker 0 is sent shards 0 and 2 at once.  Killed while it scans
+        shard 0, it is sent neither again: the parent advances both in the
+        same round, and the worker is forked once, at the next."""
         samples = make_stream(seed=7, regress_index=2)
         reference_reports, _ = run_stream(samples, workers=1)
         ran = tmp_path / "ran"
@@ -679,7 +680,7 @@ class TestAdvanceFailureRecovery:
 
         def die_in_shard_0(shard_id, target):
             with open(ran, "a") as log:
-                log.write(f"{os.getpid()} {shard_id} {target}\n")
+                log.write(f"{shard_id} {target}\n")
             if shard_id == 0 and target == crash_at and once(tmp_path / "crash"):
                 os._exit(13)
 
@@ -687,59 +688,39 @@ class TestAdvanceFailureRecovery:
         sink = CollectingSink()
         service = make_service(sink, workers=2)
         rounds = record_results(service)
-        stream_through(service, samples)
-        counters = service.metrics.snapshot()["counters"]
+        seen = []  # (counters, degraded) after each round
+        for begin in range(0, len(samples), 200 * len(SERIES)):
+            batch = samples[begin : begin + 200 * len(SERIES)]
+            service.ingest_many(batch)
+            service.advance_to(batch[-1].timestamp + INTERVAL)
+            seen.append((service.metrics.snapshot()["counters"], service.degraded_reasons()))
         service.close()
 
-        (crashed,) = [results for results in rounds if results[0].retries]
-        assert [(r.shard_id, r.retries, r.fallback) for r in crashed] == [
-            (0, 1, None), (1, 0, None), (2, 0, None), (3, 0, None)
-        ]
-        assert counters["advance.retries"] == 1.0  # shard 0 alone
+        counters, degraded = seen[2]
+        assert [r.state is None for r in rounds[2]] == [True, False, True, False]
+        assert counters["advance.fallbacks"] == 2.0
         assert counters["advance.pool_recreations"] == 1.0
-        assert "advance.fallbacks" not in counters
-        pids = {0: [], 2: []}
-        for line in ran.read_text().splitlines():
-            pid, shard_id, target = line.split()
-            if float(target) == crash_at and int(shard_id) in pids:
-                pids[int(shard_id)].append(int(pid))
-        killed, refork = pids[0]
-        assert killed != refork and pids[2] == [refork]  # never scanned by the dead one
+        assert "advance.reseeds" not in counters
+        assert degraded == {0: "in_process_fallback", 2: "in_process_fallback"}
+        # The next round forks worker 0 once and adopts both its shards.
+        counters, degraded = seen[3]
+        assert all(r.state is not None for r in rounds[3])
+        assert counters["advance.reseeds"] == 1.0
+        assert counters["advance.fallbacks"] == 2.0
+        assert degraded == {}
+        assert not any("advance.retries" in each for each, _ in seen)
+        scanned = [line.split() for line in ran.read_text().splitlines()]
+        # Shard 2 was sent to the dead worker but never scanned by one.
+        assert sorted(int(s) for s, target in scanned if float(target) == crash_at) == [0, 1, 3]
         assert report_bytes(sink.reports) == report_bytes(reference_reports)
-
-    def test_hang_past_deadline_retries_and_recovers(self, monkeypatch, tmp_path):
-        """A hung worker trips the per-shard deadline, then the retry wins."""
-        monkeypatch.setattr(parallel, "RETRY_BACKOFF", 0.01)
-        monkeypatch.setattr(parallel, "ADVANCE_DEADLINE", 0.5)
-        wrap_advance(
-            monkeypatch, lambda shard_id, target: once(tmp_path / "hang") and time.sleep(5.0)
-        )
-        service = StreamingDetectionService(n_shards=2, workers=2)
-        service.register_monitor(
-            "gcpu", small_config(), series_filter={"metric": "gcpu"}
-        )
-        rounds = record_results(service)
-        try:
-            started = time.perf_counter()
-            service.advance_to(100.0)
-            elapsed = time.perf_counter() - started
-            (results,) = rounds
-            assert [r.shard_id for r in results] == [0, 1]
-            assert elapsed < 5.0, "the hung worker was abandoned, not awaited"
-            counters = service.metrics.snapshot()["counters"]
-            assert counters["advance.deadline_exceeded"] == 1.0
-            assert counters["advance.retries"] >= 1.0
-            hung = [r for r in results if r.retries > 0]
-            assert hung and all(r.fallback is None for r in results)
-        finally:
-            service.close()
 
     def test_default_built_service_waits_a_finite_time(self, monkeypatch, tmp_path):
         """The bug: the advance deadline defaulted to ``None``, so a
         worker killed mid-task could park ``future.result()`` for ever.
         It is a finite module constant now, and it is the one the hang
         recovery reads: shortened (nobody waits 60 s in a test), a
-        stalled worker trips it and the retry delivers."""
+        stalled worker trips it, is waited on no longer, and the parent
+        advances its shard."""
         samples = make_stream(seed=7, regress_index=3)
         reference_reports, _ = run_stream(samples, workers=1, n_shards=2)
         assert parallel.ADVANCE_DEADLINE < float("inf")
@@ -749,41 +730,25 @@ class TestAdvanceFailureRecovery:
         )
         sink = CollectingSink()
         service = make_service(sink, workers=2, n_shards=2)
-        stream_through(service, samples)
+        rounds = record_results(service)
+        first = 200 * len(SERIES)
+        service.ingest_many(samples[:first])
+        started = time.perf_counter()
+        service.advance_to(samples[first - 1].timestamp + INTERVAL)
+        assert time.perf_counter() - started < 5.0, "the hung worker was awaited"
+        stream_through(service, samples[first:])
         counters = service.metrics.snapshot()["counters"]
         service.close()
+        assert sorted(r.state is None for r in rounds[0]) == [False, True]
         assert counters["advance.deadline_exceeded"] == 1.0
-        assert counters["advance.retries"] >= 1.0
+        assert counters["advance.fallbacks"] == 1.0
         assert report_bytes(sink.reports) == report_bytes(reference_reports)
 
     def test_persistent_crash_falls_back_in_process(self, monkeypatch):
-        """Retries exhausted -> the parent advances the live shard itself,
-        as ``workers=1`` does, and keeps no replica of it."""
-        monkeypatch.setattr(parallel, "ADVANCE_RETRIES", 1)
-        monkeypatch.setattr(parallel, "RETRY_BACKOFF", 0.01)
-        wrap_advance(monkeypatch, lambda shard_id, target: shard_id == 0 and os._exit(13))
-        service = StreamingDetectionService(n_shards=2, workers=2)
-        service.register_monitor(
-            "gcpu", small_config(), series_filter={"metric": "gcpu"}
-        )
-        rounds = record_results(service)
-        try:
-            service.advance_to(100.0)
-            by_shard = {r.shard_id: r for r in rounds[0]}
-            assert by_shard[0].fallback == "in_process"
-            assert by_shard[1].fallback is None
-            counters = service.metrics.snapshot()["counters"]
-            assert counters["advance.fallbacks"] == 1.0
-            assert service._shards[0].worker.write_log is None
-            assert [shard.scheduler.now for shard in service._shards.values()] == [100.0] * 2
-        finally:
-            service.close()
-
-    def test_collateral_shards_are_rerun_apart_and_outside_the_budget(self, monkeypatch):
-        """One dead worker breaks every in-flight future.  With no retry
-        budget at all, the innocent shards must still come back from the
-        pool — only the shard that crashes by itself falls back."""
-        monkeypatch.setattr(parallel, "ADVANCE_RETRIES", 0)
+        """A worker that dies on every advance costs its own shard and no
+        other's: each round the parent advances that shard itself, as
+        ``workers=1`` does, keeps no replica of it, and forks the worker
+        afresh at the next."""
         wrap_advance(monkeypatch, lambda shard_id, target: shard_id == 1 and os._exit(13))
         service = StreamingDetectionService(n_shards=3, workers=3)
         service.register_monitor(
@@ -792,8 +757,15 @@ class TestAdvanceFailureRecovery:
         rounds = record_results(service)
         try:
             service.advance_to(100.0)
-            assert [r.fallback for r in rounds[0]] == [None, "in_process", None]
-            assert service.metrics.snapshot()["counters"]["advance.fallbacks"] == 1.0
+            service.advance_to(200.0)
+            assert [[r.state is None for r in each] for each in rounds] == [
+                [False, True, False]
+            ] * 2
+            counters = service.metrics.snapshot()["counters"]
+            assert counters["advance.fallbacks"] == 2.0
+            assert counters["advance.reseeds"] == 1.0
+            assert service._shards[1].worker.write_log is None
+            assert [shard.scheduler.now for shard in service._shards.values()] == [200.0] * 3
         finally:
             service.close()
 
@@ -805,13 +777,9 @@ class TestAdvanceFailureRecovery:
         service.register_monitor(
             "gcpu", small_config(), series_filter={"metric": "gcpu"}
         )
-        service.advance_to(10_000.0)  # crash fires -> retry -> degraded
+        service.advance_to(10_000.0)  # crash fires -> fallback -> degraded
         degraded = service.degraded_reasons()
-        assert degraded, "retried advance must surface as degraded"
-        assert all(
-            reason in {"advance_retried", "in_process_fallback"}
-            for reason in degraded.values()
-        )
+        assert list(degraded.values()) == ["in_process_fallback"]
         assert views.healthz(service)[1]["status"] == "degraded"
         service.advance_to(20_000.0)  # budget spent -> clean advance
         assert service.degraded_reasons() == {}
@@ -822,9 +790,7 @@ class TestAdvanceFailureRecovery:
 
     def test_deterministic_error_still_propagates(self, monkeypatch):
         """A genuine bug (not a crash) must fail the advance, loudly:
-        in the workers, in their retries, and in the parent's fallback."""
-        monkeypatch.setattr(parallel, "ADVANCE_RETRIES", 1)
-        monkeypatch.setattr(parallel, "RETRY_BACKOFF", 0.01)
+        in the workers, and then in the parent that advances their shards."""
 
         def bug(scheduler, target):
             raise ZeroDivisionError("a bug, not a crash")
@@ -835,8 +801,8 @@ class TestAdvanceFailureRecovery:
             with pytest.raises(ZeroDivisionError, match="a bug"):
                 service.advance_to(1.0)
             counters = service.metrics.snapshot()["counters"]
-            assert counters["advance.retries"] == 2.0
             assert counters["advance.fallbacks"] == 2.0
+            assert "advance.retries" not in counters
         finally:
             service.close()
 

@@ -7,8 +7,8 @@ only writer and per advance ships what it wrote since the last one
 worker afresh — no shard is pickled to build one.  The tests here hold
 the protocol to its promises: workers are forked at the first parallel
 advance even with a producer thread writing and a hung one is killed, a
-restore ships no seed, a delta for the wrong generation is refused and
-the worker re-forked, a parent-side scheduler change reaches the
+restore ships no seed, a delta for the wrong generation is refused, its
+shards advanced by the parent and the worker re-forked, a parent-side scheduler change reaches the
 replica, the log never outgrows the database, and replay off the TSDB's
 fast path (backfill merges, re-sent tails, late heads, NaN bursts)
 leaves the replica equal to the live database — all with reports
@@ -107,8 +107,8 @@ class TestWorkerLifecycle:
     def test_a_hung_worker_is_killed_not_abandoned(self, monkeypatch):
         """The bug: a worker that blew the deadline stayed alive —
         asleep, holding its shard copy — for the life of the service.
-        A worker stopped by ``SIGSTOP`` answers nothing until it is killed."""
-        monkeypatch.setattr(parallel, "RETRY_BACKOFF", 0.01)
+        A worker stopped by ``SIGSTOP`` answers nothing until it is killed;
+        the parent advances its shard, and the next advance forks it anew."""
         monkeypatch.setattr(parallel, "ADVANCE_DEADLINE", 0.5)
         service = fleet.make_service(CollectingSink(), workers=2, n_shards=2)
         rounds = fleet.record_results(service)
@@ -117,9 +117,11 @@ class TestWorkerLifecycle:
             before = service._executor.worker_pids()
             os.kill(before[0], signal.SIGSTOP)
             service.advance_to(100.0)
-            assert [r.retries for r in rounds[-1]] == [1, 0]
-            after = service._executor.worker_pids()
+            assert [r.state is None for r in rounds[-1]] == [True, False]
             assert not alive(before[0]), "the hung worker outlived its deadline"
+            assert service._executor.worker_pids() == before[1:]
+            service.advance_to(150.0)
+            after = service._executor.worker_pids()
             assert after[1] == before[1] and after[0] != before[0]
             assert all(alive(pid) for pid in after) and len(after) == 2
             counters = advance_counters(service)
@@ -128,13 +130,12 @@ class TestWorkerLifecycle:
             service.close()
         assert not any(alive(pid) for pid in after)
 
-    def test_bytes_out_counts_only_blobs_that_left(self, monkeypatch):
+    def test_bytes_out_counts_only_blobs_that_left(self):
         """The bug: ``advance.bytes_out`` grew by a blob's size when the
         send raised on a worker that had died idle — bytes that never
         left.  Kill an idle worker, advance both shards: the counter
         grows by the delta the surviving worker got, and by nothing for
-        the re-forked one, which holds its shard as forked."""
-        monkeypatch.setattr(parallel, "RETRY_BACKOFF", 0.01)
+        the dead one, whose shard the parent advances."""
         samples = fleet.make_stream(seed=7, regress_index=3)
         service = fleet.make_service(CollectingSink(), workers=2, n_shards=2)
         sent = []
@@ -155,9 +156,9 @@ class TestWorkerLifecycle:
             process.join(timeout=5)
             service.ingest_many(samples[400 * len(fleet.SERIES) : 500 * len(fleet.SERIES)])
             service.advance_to(500 * fleet.INTERVAL)
-            # Shard 0's first send failed; its retry reached the re-forked worker.
-            assert [r.retries for r in rounds[-1]] == [1, 0]
-            assert service._executor.worker_pids()[0] != victim
+            # Shard 0's send failed; the parent advanced it.
+            assert [r.state is None for r in rounds[-1]] == [True, False]
+            assert victim not in service._executor.worker_pids()
             counters = advance_counters(service)
             assert counters["pool_recreations"] == 1.0
             assert all(sent[-1].values()), "both blobs were deltas"
@@ -270,22 +271,27 @@ class TestGenerations:
                 batch = samples[begin : begin + chunk]
                 service.ingest_many(batch)
                 service.advance_to(batch[-1].timestamp + fleet.INTERVAL)
+                if round_index == 3:
+                    # Worker 1 hosts shards 1 and 3: the parent advanced both.
+                    assert service.degraded_reasons() == {
+                        1: "in_process_fallback", 3: "in_process_fallback",
+                    }
             counters = advance_counters(service)
-            assert counters["reseeds"] == 1.0
-            assert "retries" not in counters and "fallbacks" not in counters
+            assert counters["reseeds"] == 1.0 and counters["fallbacks"] == 2.0
+            assert "retries" not in counters
             assert service.degraded_reasons() == {}
             # Trusted again from the re-fork on: deltas all the way.
-            assert service._shards[1].worker.write_log.generation == 3
+            assert service._shards[1].worker.write_log.generation == 2
         finally:
             service.close()
         assert fleet.report_bytes(sink.reports) == fleet.report_bytes(reference)
 
     def test_a_result_its_worker_outlived_is_forgotten(self):
         """Worker 1 hosts shards 1 and 3 and takes them in that order.
-        Shard 3's delta is refused after shard 1's result came back, so
-        the re-fork holds shard 1 as it was before that advance: its
-        result is still adopted, but stale, and the next advance forks
-        worker 1 again rather than trust a replica one generation behind."""
+        Shard 3's delta is refused after shard 1's result came back: that
+        result is still adopted, the parent advances shard 3, and the
+        worker's replicas are forgotten with it — the next advance forks
+        worker 1 once, holding both shards afresh."""
         samples = fleet.make_stream(seed=7, regress_index=3)
         reference, _ = fleet.run_stream(samples, workers=1)
         sink = CollectingSink()
@@ -300,11 +306,15 @@ class TestGenerations:
                 service.ingest_many(batch)
                 service.advance_to(batch[-1].timestamp + fleet.INTERVAL)
                 if round_index == 3:
-                    assert [r.stale for r in rounds[-1]] == [False, True, False, False]
-                    assert service._shards[1].worker.write_log is None
-                    assert service._shards[3].worker.write_log.generation == 1
+                    assert [r.state is None for r in rounds[-1]] == [False, False, False, True]
+                    assert service._shards[1].worker.write_log is not None
+                    assert service._shards[3].worker.write_log is None
+                    assert len(service._executor.worker_pids()) == 1
+                if round_index == 4:  # as forked, then adopted once
+                    assert all(r.state is not None for r in rounds[-1])
+                    assert service._shards[1].worker.write_log.generation == 1
             counters = advance_counters(service)
-            assert counters["reseeds"] == 2.0  # the refusal, then the stale shard
+            assert counters["reseeds"] == 1.0 and counters["fallbacks"] == 1.0
             assert "retries" not in counters and service.degraded_reasons() == {}
         finally:
             service.close()
