@@ -714,13 +714,39 @@ class TestAdvanceFailureRecovery:
         assert sorted(int(s) for s, target in scanned if float(target) == crash_at) == [0, 1, 3]
         assert report_bytes(sink.reports) == report_bytes(reference_reports)
 
+    def test_hang_past_deadline_retries_and_recovers(self, monkeypatch, tmp_path):
+        """A hung worker trips the per-shard deadline and is waited on no
+        longer: the round recovers with the parent advancing that shard."""
+        monkeypatch.setattr(parallel, "ADVANCE_DEADLINE", 0.5)
+        wrap_advance(
+            monkeypatch, lambda shard_id, target: once(tmp_path / "hang") and time.sleep(5.0)
+        )
+        service = StreamingDetectionService(n_shards=2, workers=2)
+        service.register_monitor(
+            "gcpu", small_config(), series_filter={"metric": "gcpu"}
+        )
+        rounds = record_results(service)
+        try:
+            started = time.perf_counter()
+            service.advance_to(100.0)
+            elapsed = time.perf_counter() - started
+            (results,) = rounds
+            assert [r.shard_id for r in results] == [0, 1]
+            assert elapsed < 5.0, "the hung worker was abandoned, not awaited"
+            assert sorted(r.state is None for r in results) == [False, True]
+            counters = service.metrics.snapshot()["counters"]
+            assert counters["advance.deadline_exceeded"] == 1.0
+            assert counters["advance.fallbacks"] == 1.0
+            assert [shard.scheduler.now for shard in service._shards.values()] == [100.0] * 2
+        finally:
+            service.close()
+
     def test_default_built_service_waits_a_finite_time(self, monkeypatch, tmp_path):
         """The bug: the advance deadline defaulted to ``None``, so a
         worker killed mid-task could park ``future.result()`` for ever.
         It is a finite module constant now, and it is the one the hang
         recovery reads: shortened (nobody waits 60 s in a test), a
-        stalled worker trips it, is waited on no longer, and the parent
-        advances its shard."""
+        stalled worker trips it and the parent advances its shard."""
         samples = make_stream(seed=7, regress_index=3)
         reference_reports, _ = run_stream(samples, workers=1, n_shards=2)
         assert parallel.ADVANCE_DEADLINE < float("inf")
@@ -730,27 +756,19 @@ class TestAdvanceFailureRecovery:
         )
         sink = CollectingSink()
         service = make_service(sink, workers=2, n_shards=2)
-        rounds = record_results(service)
-        first = 200 * len(SERIES)
-        service.ingest_many(samples[:first])
-        started = time.perf_counter()
-        service.advance_to(samples[first - 1].timestamp + INTERVAL)
-        assert time.perf_counter() - started < 5.0, "the hung worker was awaited"
-        stream_through(service, samples[first:])
+        stream_through(service, samples)
         counters = service.metrics.snapshot()["counters"]
         service.close()
-        assert sorted(r.state is None for r in rounds[0]) == [False, True]
         assert counters["advance.deadline_exceeded"] == 1.0
         assert counters["advance.fallbacks"] == 1.0
         assert report_bytes(sink.reports) == report_bytes(reference_reports)
 
     def test_persistent_crash_falls_back_in_process(self, monkeypatch):
-        """A worker that dies on every advance costs its own shard and no
-        other's: each round the parent advances that shard itself, as
-        ``workers=1`` does, keeps no replica of it, and forks the worker
-        afresh at the next."""
+        """A worker that dies on every advance: each round the parent
+        advances its shard itself, as ``workers=1`` does, keeps no replica
+        of it, and forks the worker afresh at the next."""
         wrap_advance(monkeypatch, lambda shard_id, target: shard_id == 1 and os._exit(13))
-        service = StreamingDetectionService(n_shards=3, workers=3)
+        service = StreamingDetectionService(n_shards=2, workers=2)
         service.register_monitor(
             "gcpu", small_config(), series_filter={"metric": "gcpu"}
         )
@@ -759,13 +777,31 @@ class TestAdvanceFailureRecovery:
             service.advance_to(100.0)
             service.advance_to(200.0)
             assert [[r.state is None for r in each] for each in rounds] == [
-                [False, True, False]
+                [False, True]
             ] * 2
             counters = service.metrics.snapshot()["counters"]
             assert counters["advance.fallbacks"] == 2.0
             assert counters["advance.reseeds"] == 1.0
             assert service._shards[1].worker.write_log is None
-            assert [shard.scheduler.now for shard in service._shards.values()] == [200.0] * 3
+            assert [shard.scheduler.now for shard in service._shards.values()] == [200.0] * 2
+        finally:
+            service.close()
+
+    def test_collateral_shards_are_rerun_apart_and_outside_the_budget(self, monkeypatch):
+        """One dead worker costs its own shard and no other's: with no
+        retry at all, the innocent shards still come back from their
+        workers — only the shard that crashes falls back."""
+        wrap_advance(monkeypatch, lambda shard_id, target: shard_id == 1 and os._exit(13))
+        service = StreamingDetectionService(n_shards=3, workers=3)
+        service.register_monitor(
+            "gcpu", small_config(), series_filter={"metric": "gcpu"}
+        )
+        rounds = record_results(service)
+        try:
+            service.advance_to(100.0)
+            assert [r.state is None for r in rounds[0]] == [False, True, False]
+            assert service.metrics.snapshot()["counters"]["advance.fallbacks"] == 1.0
+            assert [shard.scheduler.now for shard in service._shards.values()] == [100.0] * 3
         finally:
             service.close()
 
