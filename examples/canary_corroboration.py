@@ -25,7 +25,7 @@ from repro.tsdb import WindowSpec
 
 
 def build_graph():
-    graph = CallGraph(root="_start")
+    graph = CallGraph()
     graph.add(SubroutineSpec("svc::Api::serve", 0.0, parent="_start"))
     graph.add(SubroutineSpec("svc::Enc::encode", 30.0, parent="svc::Api::serve"))
     graph.add(SubroutineSpec("svc::Db::query", 70.0, parent="svc::Api::serve"))

@@ -40,7 +40,7 @@ from repro.tsdb import WindowSpec
 
 
 def build_service() -> ServiceSpec:
-    graph = CallGraph(root="_start")
+    graph = CallGraph()
     graph.add(SubroutineSpec("web::Server::serve", 0.0, parent="_start", endpoint="/home"))
     graph.add(SubroutineSpec("feed::Ranker::rank", 35.0, parent="web::Server::serve"))
     graph.add(SubroutineSpec("feed::Fetcher::fetch", 25.0, parent="web::Server::serve"))

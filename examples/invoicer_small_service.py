@@ -23,7 +23,7 @@ from repro.tsdb import WindowSpec
 
 
 def main() -> None:
-    graph = CallGraph(root="_start")
+    graph = CallGraph()
     graph.add(SubroutineSpec("invoicer::Biller::run", 0.0, parent="_start"))
     graph.add(SubroutineSpec("invoicer::Biller::aggregate", 50.0, parent="invoicer::Biller::run"))
     graph.add(SubroutineSpec("invoicer::Pdf::render", 30.0, parent="invoicer::Biller::run"))

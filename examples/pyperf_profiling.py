@@ -35,7 +35,7 @@ def part1_merged_stacks() -> None:
     process.call_python("render_feed")
     process.call_native("zlib_compress")
 
-    profiler = PyPerfProfiler(sample_interval=1.0)
+    profiler = PyPerfProfiler()
     naive = profiler.naive_sample(process)
     merged = profiler.sample(process)
 

@@ -85,7 +85,7 @@ def main(argv=None):
             failures.append(message)
 
     endpoint = RecordingEndpoint()
-    sink = WebhookSink(endpoint.url, max_retries=2, backoff=0.05)
+    sink = WebhookSink(endpoint.url, max_retries=2)
     try:
         corpus, stats, reports, labels = run_corpus(args.slice, sinks=[sink])
         sink.flush(timeout=10.0)

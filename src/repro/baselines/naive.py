@@ -15,16 +15,16 @@ from repro.core.change_point import ChangePointCandidate, ChangePointDetector
 
 __all__ = ["NaiveChangePointDetector"]
 
+#: LRT rejection level.
+SIGNIFICANCE_LEVEL = 0.01
+
 
 class NaiveChangePointDetector:
-    """Reports every statistically significant mean increase.
+    """Reports every statistically significant mean increase at
+    :data:`SIGNIFICANCE_LEVEL`."""
 
-    Args:
-        significance_level: LRT rejection level.
-    """
-
-    def __init__(self, significance_level: float = 0.01) -> None:
-        self._detector = ChangePointDetector(significance_level=significance_level)
+    def __init__(self) -> None:
+        self._detector = ChangePointDetector(significance_level=SIGNIFICANCE_LEVEL)
 
     def detect(self, analysis: Sequence[float]) -> Optional[ChangePointCandidate]:
         """The validated change point of ``analysis``, any direction.

@@ -14,8 +14,8 @@ Two formats, mirroring what real exporters produce:
 - **CSV** (:class:`CsvImporter`).  Either the long form
   ``name,timestamp,value[,extra...]`` (one row per point of many
   series; extra header columns become per-point tags) or the narrow
-  ``timestamp,value`` form (one unnamed series; the importer's
-  ``series_name`` names it).  This is the shape ``repro-fbdetect
+  ``timestamp,value`` form (one unnamed series, named
+  :data:`SERIES_NAME`).  This is the shape ``repro-fbdetect
   simulate --out`` writes and the shape most ad-hoc exports take.
 - **JSON lines** (:class:`JsonLinesImporter`).  One object per line:
   ``{"name": ..., "timestamp": ..., "value": ..., "tags": {...}}``
@@ -46,6 +46,8 @@ _log = get_logger("repro.connectors")
 
 #: Log at most this many malformed-row diagnostics per import.
 _MAX_LOGGED_BAD_ROWS = 5
+#: The name of a series whose rows carry none.
+SERIES_NAME = "imported.series"
 
 
 @dataclass
@@ -90,16 +92,11 @@ class ImportStats:
 class _FileImporter:
     """Shared machinery: source handling, mapping, the ingest loop."""
 
-    #: ``tags["source"]`` value and default mapper source.
+    #: ``tags["source"]`` value and mapper source.
     source_name = "file"
 
-    def __init__(
-        self,
-        mapper: Optional[SeriesMapper] = None,
-        series_name: str = "imported.series",
-    ) -> None:
-        self.mapper = mapper or SeriesMapper(source=self.source_name)
-        self.series_name = series_name
+    def __init__(self) -> None:
+        self.mapper = SeriesMapper(source=self.source_name)
 
     # -- parsing (format-specific) --------------------------------------
 
@@ -190,7 +187,7 @@ class CsvImporter(_FileImporter):
                 timestamp = float(row[ts_col])
                 value = float(row[value_col])
                 raw_name = (
-                    row[name_col].strip() if name_col is not None else self.series_name
+                    row[name_col].strip() if name_col is not None else SERIES_NAME
                 )
                 labels: Dict[str, str] = {
                     column: row[index].strip()
@@ -220,7 +217,7 @@ class JsonLinesImporter(_FileImporter):
                 record = json.loads(line)
                 labels = record.get("tags") or record.get("labels") or {}
                 mapped = self.mapper.map(
-                    record.get("name", self.series_name), labels
+                    record.get("name", SERIES_NAME), labels
                 )
                 timestamp = float(record["timestamp"])
                 value = float(record["value"])

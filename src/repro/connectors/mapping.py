@@ -78,11 +78,6 @@ class SeriesMapper:
     Args:
         source: Connector name recorded under ``tags["source"]``
             (``csv``, ``jsonl``, ``remote_write``, ``mozilla`` ...).
-        prefix: Optional namespace prepended to every mapped name
-            (``prefix.name``) so imported series can't collide with
-            native ones.
-        default_tags: Tags merged under every mapped series (sample
-            tags win on key collisions).
 
     Mapping is pure and deterministic, so the same external series
     always lands on the same internal identity — across importers,
@@ -90,15 +85,8 @@ class SeriesMapper:
     because receivers map the same hot series on every scrape.
     """
 
-    def __init__(
-        self,
-        source: str,
-        prefix: str = "",
-        default_tags: Optional[Mapping[str, str]] = None,
-    ) -> None:
+    def __init__(self, source: str) -> None:
         self.source = source
-        self.prefix = prefix.rstrip(".")
-        self.default_tags = dict(default_tags or {})
         self._cache: Dict[Tuple[str, Tuple[Tuple[str, str], ...]], MappedSeries] = {}
 
     def map(
@@ -134,7 +122,7 @@ class SeriesMapper:
             raise ValueError(f"unmappable external series name: {name!r}")
 
         base = clean
-        tags: Dict[str, str] = dict(self.default_tags)
+        tags: Dict[str, str] = {}
         is_counter = False
         # Counter suffixes come off before unit suffixes so
         # ``*_seconds_total`` yields unit=seconds AND type=counter.
@@ -164,11 +152,14 @@ class SeriesMapper:
             tags["type"] = "counter"
         tags.setdefault("source", self.source)
 
-        internal = f"{self.prefix}.{clean}" if self.prefix else clean
+        internal = clean
         if label_items:
-            # Labelled series fan out into distinct internal series;
-            # the sorted key=value suffix keeps the expansion
-            # deterministic and collision-free per label set.
+            # Labelled series fan out into internal series; the sorted
+            # key=value suffix keeps the expansion deterministic, but it
+            # is not collision-free: ``=`` and a space both fold to
+            # ``_``, so {"host": "a b"}, {"host": "a_b"} and
+            # {"host_a": "b"} all map to ``name.host_a_b``, and three
+            # external series merge into one.
             label_part = ".".join(
                 _INVALID.sub("_", f"{k}={v}")
                 for k, v in label_items

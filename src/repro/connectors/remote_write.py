@@ -39,7 +39,7 @@ under ``connectors.remote_write.*`` and surface on ``/metrics``.
 from __future__ import annotations
 
 import json
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
@@ -178,8 +178,6 @@ class RemoteWriteReceiver(HttpEndpoint):
             :class:`~repro.service.service.StreamingDetectionService`);
             its ``metrics`` registry, when present, receives the
             ``connectors.remote_write.*`` counters.
-        mapper: Series mapper override (default: a ``remote_write``
-            sourced :class:`~repro.connectors.mapping.SeriesMapper`).
         host / port: Bind address; ``port=0`` picks an ephemeral port.
 
     Lifecycle is :class:`~repro.obs.http.HttpEndpoint`'s: ``start()``
@@ -190,15 +188,9 @@ class RemoteWriteReceiver(HttpEndpoint):
     handler = _Handler
     label = "remote-write"
 
-    def __init__(
-        self,
-        service: object,
-        mapper: Optional[SeriesMapper] = None,
-        host: str = "127.0.0.1",
-        port: int = 0,
-    ) -> None:
+    def __init__(self, service: object, host: str = "127.0.0.1", port: int = 0) -> None:
         super().__init__(service, host, port)
-        self.mapper = mapper or SeriesMapper(source="remote_write")
+        self.mapper = SeriesMapper(source="remote_write")
 
     def _count(self, name: str, amount: int = 1) -> None:
         metrics = getattr(self.service, "metrics", None)

@@ -14,22 +14,21 @@ back into detection.  The contract the chaos drills assert:
   an exception in the scan loop.  (Every sink call is additionally
   isolated by the one fan-out, :func:`repro.runtime.sinks.deliver`.)
 - **Retry with exponential backoff.**  Each queued alert is attempted
-  up to ``1 + max_retries`` times, sleeping ``backoff * 2**attempt``
-  (capped) between attempts, so a webhook endpoint restarting mid-run
-  receives the alert when it comes back.
+  up to ``1 + max_retries`` times, sleeping ``BACKOFF * 2**attempt``
+  (capped at :data:`BACKOFF_CAP`) between attempts, so a webhook
+  endpoint restarting mid-run receives the alert when it comes back.
 - **Dedup on the blake2b alert id.**  The same (metric, change time)
   incident enqueues at most once per sink lifetime — the deterministic
   :func:`~repro.obs.logging.correlation_id` every other layer already
   joins on — so monitor overlap or replay can't double-page.
-- **Bounded everything.**  The queue holds ``capacity`` alerts; beyond
+- **Bounded everything.**  The queue holds :data:`CAPACITY` alerts; beyond
   that the *oldest* undelivered alert is evicted (freshest-page-wins,
   counted under ``evicted``).  The dedup set is bounded the same way
   (:data:`DEDUP_CAPACITY` ids).
 
 The payload is Slack's incoming-webhook shape (``text`` plus one
 ``attachments`` entry with short fields) built by :func:`slack_payload`.
-Posting uses stdlib ``urllib`` — ``poster`` is injectable for tests and
-transports.
+Posting uses stdlib ``urllib`` (:func:`_http_post`).
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ import threading
 import time
 import urllib.error
 import urllib.request
-from typing import Any, Callable, Deque, Dict, Optional, Tuple
+from typing import Any, Deque, Dict, Optional, Tuple
 from collections import deque
 
 from repro.obs.logging import correlation_id, get_logger
@@ -52,6 +51,14 @@ _log = get_logger("repro.connectors.webhook")
 
 #: Remembered alert ids per sink (oldest forgotten first).
 DEDUP_CAPACITY = 4096
+#: Per-request socket timeout (seconds).
+TIMEOUT = 2.0
+#: Delivery-queue depth; overflow evicts the oldest undelivered alert.
+CAPACITY = 256
+#: Base seconds of the exponential inter-attempt backoff.
+BACKOFF = 0.05
+#: Upper bound on one backoff sleep (seconds).
+BACKOFF_CAP = 2.0
 
 
 def alert_id(report: IncidentReport) -> str:
@@ -119,41 +126,18 @@ class WebhookSink(IncidentSink):
 
     Args:
         url: Endpoint to POST payloads to.
-        timeout: Per-request socket timeout (seconds).
-        capacity: Bounded delivery-queue depth; overflow evicts the
-            oldest undelivered alert.
         max_retries: Re-attempts after the first failed post.
-        backoff: Base seconds of the exponential inter-attempt backoff.
-        backoff_cap: Upper bound on one backoff sleep.
-        poster: ``(url, body_bytes, timeout) -> None`` transport
-            override; raises to signal failure.
-        metrics: Optional registry-like object (``inc(name, n)``);
-            mirrors the sink counters under ``sink.webhook.*``.
+
+    Assign a registry-like object (``inc(name, n)``) to :attr:`metrics`
+    to mirror the sink counters under ``sink.webhook.*``.
     """
 
-    def __init__(
-        self,
-        url: str,
-        timeout: float = 2.0,
-        capacity: int = 256,
-        max_retries: int = 4,
-        backoff: float = 0.05,
-        backoff_cap: float = 2.0,
-        poster: Optional[Callable[[str, bytes, float], None]] = None,
-        metrics: Optional[Any] = None,
-    ) -> None:
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
+    def __init__(self, url: str, max_retries: int = 4) -> None:
         if max_retries < 0:
             raise ValueError("max_retries must be >= 0")
         self.url = url
-        self.timeout = timeout
-        self.capacity = capacity
         self.max_retries = max_retries
-        self.backoff = backoff
-        self.backoff_cap = backoff_cap
-        self.poster = poster or _http_post
-        self.metrics = metrics
+        self.metrics: Optional[Any] = None
         self._queue: Deque[Tuple[str, bytes]] = deque()
         self._lock = threading.Lock()
         self._wakeup = threading.Event()
@@ -186,7 +170,7 @@ class WebhookSink(IncidentSink):
             self._seen.append(key)
             while len(self._seen) > DEDUP_CAPACITY:
                 self._seen_set.discard(self._seen.popleft())
-            if len(self._queue) >= self.capacity:
+            if len(self._queue) >= CAPACITY:
                 evicted_key, _ = self._queue.popleft()
                 self._count("evicted")
                 _log.warning(
@@ -248,7 +232,7 @@ class WebhookSink(IncidentSink):
             if self._stop.is_set() and attempt > 0:
                 break  # closing: don't sit out the remaining backoff
             try:
-                self.poster(self.url, body, self.timeout)
+                _http_post(self.url, body, TIMEOUT)
             except Exception as error:
                 if attempt >= self.max_retries:
                     self._count("failed")
@@ -259,7 +243,7 @@ class WebhookSink(IncidentSink):
                     )
                     return
                 self._count("retries")
-                delay = min(self.backoff * (2.0 ** attempt), self.backoff_cap)
+                delay = min(BACKOFF * (2.0 ** attempt), BACKOFF_CAP)
                 # Interruptible sleep: close() must not wait out a
                 # backoff ladder on a dead endpoint.
                 if self._stop.wait(timeout=delay):

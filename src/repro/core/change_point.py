@@ -45,23 +45,22 @@ class ChangePointCandidate:
         return self.mean_after - self.mean_before
 
 
+#: Minimum points on each side of a change point.
+MIN_SEGMENT = 3
+
+
 class ChangePointDetector:
     """CUSUM + EM iterative change-point detection with LRT validation.
 
     Args:
         significance_level: LRT rejection level (paper: 0.01).
-        min_segment: Minimum points on each side of a change point.
     """
 
-    def __init__(
-        self,
-        significance_level: float = 0.01,
-        min_segment: int = 3,
-    ) -> None:
+    def __init__(self, significance_level: float = 0.01) -> None:
         if not 0 < significance_level < 1:
             raise ValueError("significance_level must be in (0, 1)")
         self.significance_level = significance_level
-        self.min_segment = min_segment
+        self.min_segment = MIN_SEGMENT
 
     def detect_rows(
         self, rows: np.ndarray, increases_only: bool = False

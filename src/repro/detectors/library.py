@@ -5,8 +5,8 @@ Five detectors spanning the approaches the literature disagrees on
 analyzer wins everywhere), and :func:`default_suite`, one of each as the
 scorecard runs them:
 
-- :class:`IncumbentDetector` — the paper's own stack (CUSUM+EM screen,
-  went-away predicate, seasonality filter, threshold) wrapped as a
+- :class:`IncumbentDetector` — the paper's own stack, the Figure 6
+  pipeline :class:`~repro.core.detector.FBDetect` runs, wrapped as a
   detector unit, so challengers are always measured against it.
 - :class:`EDivisiveDetector` — Hunter-style energy-statistic split with
   permutation significance (:mod:`repro.stats.e_divisive`).
@@ -21,7 +21,9 @@ scorecard runs them:
 
 All decisions use *global* indices into the concatenated
 historic+analysis+extended window so detection-latency comparisons need
-no per-detector offset bookkeeping.
+no per-detector offset bookkeeping.  Each challenger's settings are
+module constants (a test patches them); only the incumbent's threshold
+and the static level are set per instance.
 """
 
 from __future__ import annotations
@@ -30,15 +32,14 @@ from typing import List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from repro.core.change_point import ChangePointDetector
-from repro.core.seasonality import SeasonalityDetector
-from repro.core.went_away import WentAwayDetector
+from repro.config import DetectionConfig
+from repro.core.detector import FBDetect
 from repro.detectors.base import Detector, DetectorDecision, DetectorWindow
 from repro.stats.changepoint_dp import best_split_normal_loss
 from repro.stats.e_divisive import e_divisive_test
 from repro.stats.hypothesis import likelihood_ratio_test
 from repro.stats.robust import mad_threshold
-from repro.tsdb.windows import WindowSpec, WindowedView
+from repro.tsdb.windows import WindowSpec
 
 __all__ = [
     "DPChangePointDetector",
@@ -48,6 +49,32 @@ __all__ = [
     "ThresholdDetector",
     "default_suite",
 ]
+
+#: Historic points a challenger scans before the analysis window.
+CONTEXT_POINTS = 100
+#: E-divisive: smallest segment, permutations, significance level, the
+#: longest series scanned (the statistic is O(n^2)) and the permutation
+#: RNG's seed.
+E_DIVISIVE_MIN_SEGMENT = 8
+E_DIVISIVE_PERMUTATIONS = 99
+E_DIVISIVE_ALPHA = 0.05
+E_DIVISIVE_MAX_POINTS = 256
+E_DIVISIVE_SEED = 1
+#: DP change point: smallest segment and the LRT's significance level.
+DP_MIN_SEGMENT = 5
+DP_SIGNIFICANCE_LEVEL = 0.01
+#: MAD preset: the fire level is ``median + MAD_COEFFICIENT * MAD``.
+MAD_COEFFICIENT = 3.0
+#: Consecutive exceedances the MAD and threshold presets need to fire.
+MIN_RUN = 5
+
+
+def _with_context(window: DetectorWindow) -> Tuple[np.ndarray, int]:
+    """The last :data:`CONTEXT_POINTS` historic points, then analysis and
+    extended: ``(series to scan, global index of its first point)``."""
+    tail = window.historic[-CONTEXT_POINTS:] if CONTEXT_POINTS else window.historic[:0]
+    x = np.concatenate([tail, window.analysis, window.extended])
+    return x, window.historic.size - tail.size
 
 
 def _first_run(exceeds: np.ndarray, min_run: int) -> Optional[int]:
@@ -63,87 +90,43 @@ def _first_run(exceeds: np.ndarray, min_run: int) -> Optional[int]:
 
 
 class IncumbentDetector(Detector):
-    """The paper's short-term pipeline as a detector unit.
+    """The paper's Figure 6 pipeline as a detector unit.
 
-    Runs the same stage chain the production scan runs on a window —
-    CUSUM+EM change-point screen, went-away predicate, seasonality
-    filter, absolute-magnitude threshold — so a scorecard always
-    includes the stack challengers must beat.
+    Scans a window with :class:`~repro.core.detector.FBDetect` — the
+    pipeline every monitor runs — laid on a one-second grid sized to
+    the window's three segments, so a scorecard always includes the
+    stack challengers must beat, and a change to a Figure 6 stage
+    reaches its row.  Its score is the reported relative magnitude.
     """
 
     type_name = "incumbent"
-    version = 1
+    version = 2
 
-    def __init__(
-        self,
-        threshold: float = 0.00002,
-        significance_level: float = 0.01,
-        min_segment: int = 3,
-        went_away: bool = True,
-        seasonality: bool = True,
-    ) -> None:
+    def __init__(self, threshold: float = 0.00002) -> None:
         self.threshold = threshold
-        self.significance_level = significance_level
-        self.min_segment = min_segment
-        self.went_away = went_away
-        self.seasonality = seasonality
-        self._change_points = ChangePointDetector(
-            significance_level=significance_level, min_segment=min_segment
-        )
-        self._went_away = WentAwayDetector()
-        self._seasonality = SeasonalityDetector()
 
     def params(self) -> Mapping[str, object]:
-        return {
-            "threshold": self.threshold,
-            "significance_level": self.significance_level,
-            "min_segment": self.min_segment,
-            "went_away": self.went_away,
-            "seasonality": self.seasonality,
-        }
-
-    @staticmethod
-    def _as_view(window: DetectorWindow) -> WindowedView:
-        """A synthetic 1-second-per-point :class:`WindowedView`.
-
-        The stage detectors only read the value arrays, but their API
-        takes a view; the time geometry just has to be self-consistent.
-        """
-        nh, na = window.historic.size, window.analysis.size
-        h, a, e = float(max(nh, 1)), float(max(na, 1)), float(window.extended.size)
-        values = np.concatenate([window.historic, window.analysis, window.extended])
-        return WindowedView(
-            spec=WindowSpec(historic=h, analysis=a, extended=e),
-            now=h + a + e,
-            times=np.arange(values.size, dtype=float),
-            values=values,
-            analysis_at=nh,
-            extended_at=nh + na,
-        )
+        return {"threshold": self.threshold}
 
     def scan(self, window: DetectorWindow) -> DetectorDecision:
-        candidate = self._change_points.detect_increase(window.analysis)
-        if candidate is None:
-            return DetectorDecision.quiet("no significant change point")
-        view = self._as_view(window)
-        if self.went_away:
-            verdict = self._went_away.check(view, candidate)
-            if not verdict.passed:
-                return DetectorDecision.quiet(verdict.detail)
-        if self.seasonality:
-            verdict = self._seasonality.check(view, candidate)
-            if not verdict.passed:
-                return DetectorDecision.quiet(verdict.detail)
-        if candidate.magnitude < self.threshold:
-            return DetectorDecision.quiet(
-                f"magnitude {candidate.magnitude:.3g} below threshold"
-            )
+        spec = WindowSpec(
+            historic=float(window.historic.size),
+            analysis=float(window.analysis.size),
+            extended=float(window.extended.size),
+        )
+        config = DetectionConfig(
+            name=self.type_name, threshold=self.threshold, windows=spec, long_term=False
+        )
+        result = FBDetect(config).detect_series(window.full)
+        if not result.reported:
+            return DetectorDecision.quiet("pipeline reported no regression")
+        regression = result.reported[0]
         return DetectorDecision(
             fired=True,
-            index=window.analysis_start + candidate.index,
-            magnitude=float(candidate.magnitude),
-            score=float(candidate.p_value),
-            detail="pipeline chain kept the candidate",
+            index=window.analysis_start + regression.change_index,
+            magnitude=float(regression.magnitude),
+            score=float(regression.relative_magnitude),
+            detail="pipeline reported the change point",
         )
 
 
@@ -159,53 +142,28 @@ class EDivisiveDetector(Detector):
     type_name = "e_divisive"
     version = 1
 
-    def __init__(
-        self,
-        min_segment: int = 8,
-        n_permutations: int = 99,
-        alpha: float = 0.05,
-        context_points: int = 100,
-        max_points: int = 256,
-        seed: int = 1,
-    ) -> None:
-        self.min_segment = min_segment
-        self.n_permutations = n_permutations
-        self.alpha = alpha
-        self.context_points = context_points
-        self.max_points = max_points
-        self.seed = seed
-
     def params(self) -> Mapping[str, object]:
         return {
-            "min_segment": self.min_segment,
-            "n_permutations": self.n_permutations,
-            "alpha": self.alpha,
-            "context_points": self.context_points,
-            "max_points": self.max_points,
-            "seed": self.seed,
+            "min_segment": E_DIVISIVE_MIN_SEGMENT,
+            "n_permutations": E_DIVISIVE_PERMUTATIONS,
+            "alpha": E_DIVISIVE_ALPHA,
+            "context_points": CONTEXT_POINTS,
+            "max_points": E_DIVISIVE_MAX_POINTS,
+            "seed": E_DIVISIVE_SEED,
         }
 
-    def _clipped(self, window: DetectorWindow) -> Tuple[np.ndarray, int]:
-        """(series to scan, global index of its first point)."""
-        tail = window.historic[-self.context_points :] if self.context_points else (
-            window.historic[:0]
-        )
-        x = np.concatenate([tail, window.analysis, window.extended])
-        offset = window.historic.size - tail.size
-        if x.size > self.max_points:
-            clip = x.size - self.max_points
+    def scan(self, window: DetectorWindow) -> DetectorDecision:
+        x, offset = _with_context(window)
+        if x.size > E_DIVISIVE_MAX_POINTS:
+            clip = x.size - E_DIVISIVE_MAX_POINTS
             x = x[clip:]
             offset += clip
-        return x, offset
-
-    def scan(self, window: DetectorWindow) -> DetectorDecision:
-        x, offset = self._clipped(window)
         result = e_divisive_test(
             x,
-            min_segment=self.min_segment,
-            n_permutations=self.n_permutations,
-            alpha=self.alpha,
-            seed=self.seed,
+            min_segment=E_DIVISIVE_MIN_SEGMENT,
+            n_permutations=E_DIVISIVE_PERMUTATIONS,
+            alpha=E_DIVISIVE_ALPHA,
+            seed=E_DIVISIVE_SEED,
         )
         if result is None:
             return DetectorDecision.quiet("window too short")
@@ -233,35 +191,19 @@ class DPChangePointDetector(Detector):
     type_name = "dp_change"
     version = 1
 
-    def __init__(
-        self,
-        min_segment: int = 5,
-        significance_level: float = 0.01,
-        context_points: int = 100,
-    ) -> None:
-        self.min_segment = min_segment
-        self.significance_level = significance_level
-        self.context_points = context_points
-
     def params(self) -> Mapping[str, object]:
         return {
-            "min_segment": self.min_segment,
-            "significance_level": self.significance_level,
-            "context_points": self.context_points,
+            "min_segment": DP_MIN_SEGMENT,
+            "significance_level": DP_SIGNIFICANCE_LEVEL,
+            "context_points": CONTEXT_POINTS,
         }
 
     def scan(self, window: DetectorWindow) -> DetectorDecision:
-        tail = window.historic[-self.context_points :] if self.context_points else (
-            window.historic[:0]
-        )
-        x = np.concatenate([tail, window.analysis, window.extended])
-        offset = window.historic.size - tail.size
-        split = best_split_normal_loss(x, min_segment=self.min_segment)
+        x, offset = _with_context(window)
+        split = best_split_normal_loss(x, min_segment=DP_MIN_SEGMENT)
         if split is None:
             return DetectorDecision.quiet("window too short")
-        test = likelihood_ratio_test(
-            x, split.index, significance_level=self.significance_level
-        )
+        test = likelihood_ratio_test(x, split.index, significance_level=DP_SIGNIFICANCE_LEVEL)
         if not test.significant:
             return DetectorDecision.quiet(
                 f"LRT p={test.p_value:.3f} not significant"
@@ -286,8 +228,8 @@ class MADDetector(Detector):
 
     The fire level derives entirely from the historic baseline via the
     MAD threshold (:mod:`repro.stats.robust` semantics:
-    ``coefficient * MAD * 1.4826``); a run of
-    ``min_run`` consecutive exceedances in analysis+extended fires.  A
+    ``MAD_COEFFICIENT * MAD * 1.4826``); a run of
+    :data:`MIN_RUN` consecutive exceedances in analysis+extended fires.  A
     zero-dispersion baseline is treated as unscannable rather than
     letting every noise point exceed the median.
     """
@@ -295,28 +237,22 @@ class MADDetector(Detector):
     type_name = "mad"
     version = 1
 
-    def __init__(self, coefficient: float = 3.0, min_run: int = 5) -> None:
-        self.coefficient = coefficient
-        self.min_run = min_run
-
     def params(self) -> Mapping[str, object]:
-        return {"coefficient": self.coefficient, "min_run": self.min_run}
+        return {"coefficient": MAD_COEFFICIENT, "min_run": MIN_RUN}
 
     def scan(self, window: DetectorWindow) -> DetectorDecision:
         baseline = window.historic
         if baseline.size == 0:
             return DetectorDecision.quiet("no baseline")
         median = float(np.median(baseline))
-        scale = mad_threshold(baseline, self.coefficient)
+        scale = mad_threshold(baseline, MAD_COEFFICIENT)
         if scale <= 0.0:
             return DetectorDecision.quiet("baseline has zero dispersion")
         level = median + scale
         tail = np.concatenate([window.analysis, window.extended])
-        start = _first_run(tail > level, self.min_run)
+        start = _first_run(tail > level, MIN_RUN)
         if start is None:
-            return DetectorDecision.quiet(
-                f"no {self.min_run}-point run above {level:.3g}"
-            )
+            return DetectorDecision.quiet(f"no {MIN_RUN}-point run above {level:.3g}")
         index = window.analysis_start + start
         magnitude = float(np.mean(tail[start:]) - median)
         return DetectorDecision(
@@ -324,7 +260,7 @@ class MADDetector(Detector):
             index=index,
             magnitude=magnitude,
             score=magnitude / scale,
-            detail=f"run above median + {self.coefficient} MAD",
+            detail=f"run above median + {MAD_COEFFICIENT} MAD",
         )
 
 
@@ -334,20 +270,17 @@ class ThresholdDetector(Detector):
     type_name = "threshold"
     version = 1
 
-    def __init__(self, level: float, min_run: int = 5) -> None:
+    def __init__(self, level: float) -> None:
         self.level = level
-        self.min_run = min_run
 
     def params(self) -> Mapping[str, object]:
-        return {"level": self.level, "min_run": self.min_run}
+        return {"level": self.level, "min_run": MIN_RUN}
 
     def scan(self, window: DetectorWindow) -> DetectorDecision:
         tail = np.concatenate([window.analysis, window.extended])
-        start = _first_run(tail > self.level, self.min_run)
+        start = _first_run(tail > self.level, MIN_RUN)
         if start is None:
-            return DetectorDecision.quiet(
-                f"no {self.min_run}-point run above {self.level:.3g}"
-            )
+            return DetectorDecision.quiet(f"no {MIN_RUN}-point run above {self.level:.3g}")
         magnitude = float(np.mean(tail[start:]) - self.level)
         return DetectorDecision(
             fired=True,

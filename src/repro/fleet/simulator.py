@@ -25,7 +25,7 @@ import numpy as np
 from repro.fleet.changes import ChangeLog, CodeChange
 from repro.fleet.events import TransientEvent
 from repro.fleet.service import ServiceSpec
-from repro.profiling.collector import FleetProfileCollector
+from repro.profiling.collector import MIN_GCPU, FleetProfileCollector
 from repro.tsdb.database import TimeSeriesDatabase
 
 __all__ = ["FleetSimulator", "SimulationResult"]
@@ -76,7 +76,6 @@ class FleetSimulator:
         interval: float = 60.0,
         seed: int = 0,
         database: Optional[TimeSeriesDatabase] = None,
-        start_time: float = 0.0,
     ) -> None:
         if interval <= 0:
             raise ValueError("interval must be positive")
@@ -88,7 +87,7 @@ class FleetSimulator:
         # Explicit None check: an empty TimeSeriesDatabase is falsy.
         self.database = database if database is not None else TimeSeriesDatabase()
         self.collector = FleetProfileCollector(self.database, service=spec.name)
-        self.time = start_time
+        self.time = 0.0
         self.servers = spec.build_servers()
         self._applied_changes: set = set()
         self._ticks = 0
@@ -145,7 +144,7 @@ class FleetSimulator:
         for subroutine, p in probabilities.items():
             if subroutine == self.spec.call_graph.root:
                 continue
-            if p < self.collector.min_gcpu:
+            if p < MIN_GCPU:
                 continue
             observed = self.rng.binomial(n, min(1.0, p)) / n
             self.database.write(

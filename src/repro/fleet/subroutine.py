@@ -21,6 +21,9 @@ from repro.profiling.stacktrace import Frame, StackTrace
 
 __all__ = ["SubroutineSpec", "CallPath", "CallGraph"]
 
+#: The root frame of every call graph.
+ROOT = "_start"
+
 
 @dataclass
 class SubroutineSpec:
@@ -59,26 +62,23 @@ class CallPath:
 
 
 class CallGraph:
-    """A mutable call tree supporting sampling and cost edits.
-
-    Args:
-        root: Name of the root frame (e.g. ``"_start"`` or the service
-            main loop).
+    """A mutable call tree supporting sampling and cost edits, rooted at
+    the :data:`ROOT` frame (which starts with no self cost).
 
     Example::
 
-        graph = CallGraph(root="main")
-        graph.add(SubroutineSpec("main::handle", self_cost=1.0, parent="main"))
+        graph = CallGraph()
+        graph.add(SubroutineSpec("main::handle", self_cost=1.0, parent="_start"))
         graph.add(SubroutineSpec("util::parse", self_cost=0.5, parent="main::handle"))
         samples = graph.sample_traces(1000, rng)
     """
 
-    def __init__(self, root: str = "_start", root_self_cost: float = 0.0) -> None:
+    def __init__(self) -> None:
+        self.root = ROOT
         self._nodes: Dict[str, SubroutineSpec] = {
-            root: SubroutineSpec(name=root, self_cost=root_self_cost, parent=None)
+            ROOT: SubroutineSpec(name=ROOT, self_cost=0.0, parent=None)
         }
-        self._children: Dict[str, List[str]] = {root: []}
-        self.root = root
+        self._children: Dict[str, List[str]] = {ROOT: []}
 
     # ------------------------------------------------------------------
     # Construction and mutation
@@ -242,7 +242,8 @@ class CallGraph:
 
     def clone(self) -> "CallGraph":
         """Deep copy (used to snapshot pre-change state)."""
-        copy = CallGraph(root=self.root, root_self_cost=self._nodes[self.root].self_cost)
+        copy = CallGraph()
+        copy._nodes[self.root].self_cost = self._nodes[self.root].self_cost
         order = [self.root]
         seen = {self.root}
         while order:
@@ -290,7 +291,7 @@ def build_random_call_graph(
     Returns:
         A populated :class:`CallGraph`.
     """
-    graph = CallGraph(root="_start")
+    graph = CallGraph()
     names: List[str] = []
     for i in range(n_subroutines):
         class_id = i % n_classes
@@ -298,8 +299,8 @@ def build_random_call_graph(
         if names and rng.random() > 1.0 / max(1, fanout):
             parent = names[int(rng.integers(0, len(names)))]
         else:
-            parent = "_start"
-        endpoint = f"/endpoint/{i % n_endpoints}" if parent == "_start" else None
+            parent = ROOT
+        endpoint = f"/endpoint/{i % n_endpoints}" if parent == ROOT else None
         graph.add(
             SubroutineSpec(
                 name=name,

@@ -229,16 +229,18 @@ class RunTrace:
         )
 
 
+#: Items a :class:`TraceStore` or :class:`EventLog` retains.
+RING_CAPACITY = 256
+
+
 class _Ring:
-    """Thread-safe buffer of the ``capacity`` most recent items: an
-    always-on service pays O(capacity) memory however long it lives.
+    """Thread-safe buffer of the :data:`RING_CAPACITY` most recent items:
+    an always-on service pays O(capacity) memory however long it lives.
     Process-local — nothing that is pickled holds one."""
 
-    def __init__(self, capacity: int = 256) -> None:
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        self.capacity = capacity
-        self._items: deque = deque(maxlen=capacity)
+    def __init__(self) -> None:
+        self.capacity = RING_CAPACITY
+        self._items: deque = deque(maxlen=self.capacity)
         self._recorded = 0
         self._lock = threading.Lock()
 

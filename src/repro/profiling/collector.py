@@ -16,6 +16,10 @@ from repro.tsdb.database import TimeSeriesDatabase
 
 __all__ = ["FleetProfileCollector"]
 
+#: Subroutines below this gCPU are not written — the paper's
+#: "non-trivial" cutoff (0.001%).
+MIN_GCPU = 1e-5
+
 
 class FleetProfileCollector:
     """Turns per-interval sample batches into gCPU time series.
@@ -29,22 +33,11 @@ class FleetProfileCollector:
     Args:
         database: Destination TSDB.
         service: Service name for series naming and tags.
-        min_gcpu: Subroutines below this gCPU are not written — the
-            paper's "non-trivial" cutoff (default 0.001%).
-        track_metadata: Whether to emit metadata-annotated series.
     """
 
-    def __init__(
-        self,
-        database: TimeSeriesDatabase,
-        service: str,
-        min_gcpu: float = 1e-5,
-        track_metadata: bool = True,
-    ) -> None:
+    def __init__(self, database: TimeSeriesDatabase, service: str) -> None:
         self.database = database
         self.service = service
-        self.min_gcpu = min_gcpu
-        self.track_metadata = track_metadata
         self.sample_history: List[StackTrace] = []
         self._history_limit = 200_000
 
@@ -63,7 +56,7 @@ class FleetProfileCollector:
 
         table = compute_gcpu(samples)
         written = 0
-        for subroutine in table.non_trivial(self.min_gcpu):
+        for subroutine in table.non_trivial(MIN_GCPU):
             self.database.write(
                 f"{self.service}.{subroutine}.gcpu",
                 timestamp,
@@ -75,10 +68,7 @@ class FleetProfileCollector:
                 },
             )
             written += 1
-
-        if self.track_metadata:
-            written += self._ingest_metadata(timestamp, samples)
-        return written
+        return written + self._ingest_metadata(timestamp, samples)
 
     def _ingest_metadata(self, timestamp: float, samples: Sequence[StackTrace]) -> int:
         """Emit gCPU series keyed by (subroutine, metadata) pairs."""
@@ -97,7 +87,7 @@ class FleetProfileCollector:
         written = 0
         for (subroutine, metadata), weight in weights.items():
             gcpu = weight / total if total > 0 else 0.0
-            if gcpu < self.min_gcpu:
+            if gcpu < MIN_GCPU:
                 continue
             self.database.write(
                 f"{self.service}.{subroutine}@{metadata}.gcpu",

@@ -163,16 +163,11 @@ class SimulatedCPythonProcess:
 class PyPerfProfiler:
     """Takes merged-stack samples of simulated CPython processes.
 
-    Args:
-        sample_interval: Seconds between samples of one process (the
-            paper: 1/1800 Hz for PythonFaaS, up to 1 Hz for tiny services
-            like Invoicer).
+    The caller decides when to sample (the paper: 1/1800 Hz for
+    PythonFaaS, up to 1 Hz for tiny services like Invoicer).
     """
 
-    def __init__(self, sample_interval: float = 1.0) -> None:
-        if sample_interval <= 0:
-            raise ValueError("sample_interval must be positive")
-        self.sample_interval = sample_interval
+    def __init__(self) -> None:
         self.samples_taken = 0
 
     def sample(self, process: SimulatedCPythonProcess) -> StackTrace:

@@ -20,6 +20,9 @@ from repro.profiling.stacktrace import Frame, StackTrace
 
 __all__ = ["ThreadStackSampler", "SamplerStats"]
 
+#: Frames a sampled stack keeps; deeper stacks are truncated.
+MAX_DEPTH = 128
+
 
 @dataclass(frozen=True)
 class SamplerStats:
@@ -47,7 +50,8 @@ class ThreadStackSampler:
             highest production rate, used for tiny services).
         target_thread_ids: Thread idents to sample; defaults to every
             thread except the sampler itself.
-        max_depth: Truncate stacks deeper than this many frames.
+
+    Stacks deeper than :data:`MAX_DEPTH` frames are truncated.
 
     Example::
 
@@ -62,12 +66,10 @@ class ThreadStackSampler:
         self,
         interval: float = 1.0,
         target_thread_ids: Optional[List[int]] = None,
-        max_depth: int = 128,
     ) -> None:
         if interval <= 0:
             raise ValueError("interval must be positive")
         self.interval = interval
-        self.max_depth = max_depth
         self._targets = set(target_thread_ids) if target_thread_ids else None
         self.samples: List[StackTrace] = []
         self._stop = threading.Event()
@@ -117,7 +119,7 @@ class ThreadStackSampler:
             stack: List[Frame] = []
             frame = top
             depth = 0
-            while frame is not None and depth < self.max_depth:
+            while frame is not None and depth < MAX_DEPTH:
                 code = frame.f_code
                 name = f"{code.co_filename.rsplit('/', 1)[-1]}:{code.co_name}"
                 stack.append(Frame(name, kind="python"))

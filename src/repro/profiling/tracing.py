@@ -24,6 +24,9 @@ from repro.tsdb.database import TimeSeriesDatabase
 
 __all__ = ["Span", "RequestTrace", "Tracer", "EndpointCostAggregator"]
 
+#: The clock a span's start and duration are read from.
+CLOCK = time.monotonic
+
 
 @dataclass
 class Span:
@@ -118,8 +121,7 @@ class Tracer:
         print(trace.total_cpu_cost)
     """
 
-    def __init__(self, clock=time.monotonic) -> None:
-        self._clock = clock
+    def __init__(self) -> None:
         self._trace_counter = itertools.count(1)
         self._span_counter = itertools.count(1)
         self._local = threading.local()
@@ -141,7 +143,7 @@ class Tracer:
         trace = RequestTrace(
             trace_id=next(self._trace_counter),
             endpoint=endpoint,
-            start=self._clock(),
+            start=CLOCK(),
         )
         return _RequestContext(self, trace)
 
@@ -174,7 +176,7 @@ class Tracer:
             parent_id=effective_parent.span_id if effective_parent else None,
             thread_name=threading.current_thread().name,
             cpu_cost=cpu_cost,
-            start=self._clock(),
+            start=CLOCK(),
         )
         return _SpanContext(self, active_trace, span)
 
@@ -216,7 +218,7 @@ class _SpanContext:
 
     def __exit__(self, *exc_info: object) -> None:
         local = self._tracer._local
-        self.span.duration = self._tracer._clock() - self.span.start
+        self.span.duration = CLOCK() - self.span.start
         local.span_stack.pop()
         self._trace.spans.append(self.span)
         if not self._had_local_trace:

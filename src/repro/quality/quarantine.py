@@ -19,7 +19,8 @@ from typing import Deque, Dict, List, Optional, Tuple
 
 __all__ = ["QuarantineStore", "QUARANTINE_CAPACITY", "REASONS"]
 
-#: Point records a shard's store retains by default.
+#: Point records a shard's store retains; beyond it the oldest records
+#: are evicted (their per-series counts remain).
 QUARANTINE_CAPACITY = 1024
 
 #: Closed vocabulary of quarantine reason codes (see docs/RUNBOOK.md).
@@ -31,22 +32,16 @@ REASONS: Tuple[str, ...] = (
 class QuarantineStore:
     """Capped store of rejected points with per-series accounting.
 
-    Args:
-        capacity: Maximum retained point records; beyond it the oldest
-            records are evicted (their per-series counts remain).
-
-    Picklable: rides inside the ingest worker's shard state, so
-    quarantine survives checkpoints, restores, and parallel shard
-    advances.
+    Holds at most :data:`QUARANTINE_CAPACITY` point records.  Picklable:
+    rides inside the ingest worker's shard state, so quarantine survives
+    checkpoints, restores, and parallel shard advances.
     """
 
-    def __init__(self, capacity: int = QUARANTINE_CAPACITY) -> None:
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        self.capacity = capacity
+    def __init__(self) -> None:
+        self.capacity = QUARANTINE_CAPACITY
         # (series, timestamp, repr(value), reason) — value kept as repr
         # so NaN/Inf stay JSON-safe on /quality.
-        self._records: Deque[Tuple[str, float, str, str]] = deque(maxlen=capacity)
+        self._records: Deque[Tuple[str, float, str, str]] = deque(maxlen=self.capacity)
         self._by_series: Dict[str, Dict[str, int]] = {}
         self.total = 0
         self.evicted = 0

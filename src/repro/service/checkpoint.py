@@ -1,6 +1,6 @@
 """Durable checkpoint/restore for the streaming service.
 
-Layout of a checkpoint directory (``keep_generations=3`` shown)::
+Layout of a checkpoint directory (``KEEP_GENERATIONS = 3`` shown)::
 
     manifest.json          # pointer copy of the newest manifest
     manifest.g7.json       # newest generation's manifest
@@ -31,7 +31,7 @@ Durability is layered:
   manifest), falls back to the next-newest intact generation instead of
   refusing to start — the degradation is reported via
   :meth:`CheckpointManager.last_load`;
-- old generations beyond ``keep_generations`` are pruned after a
+- old generations beyond :data:`KEEP_GENERATIONS` are pruned after a
   successful save, along with any blob no retained manifest references.
 """
 
@@ -63,6 +63,11 @@ __all__ = ["CheckpointError", "CheckpointManager", "CHECKPOINT_VERSION"]
 #: member records (context and samples), not whole regressions.
 CHECKPOINT_VERSION = 10
 MANIFEST_NAME = "manifest.json"
+#: Complete generations a save retains.  More than one is what makes
+#: corruption survivable: when the newest generation fails its
+#: checksums, :meth:`CheckpointManager.load` falls back to the next
+#: intact one.
+KEEP_GENERATIONS = 3
 
 _GEN_MANIFEST_RE = re.compile(r"^manifest\.g(\d+)\.json$")
 _GEN_BLOB_RE = re.compile(r"^shard-.+\.g\d+\.pkl$")
@@ -77,10 +82,6 @@ class CheckpointManager:
 
     Args:
         directory: Checkpoint directory (created on first save).
-        keep_generations: How many complete generations to retain.  More
-            than one is what makes corruption survivable: when the
-            newest generation fails its checksums, :meth:`load` falls
-            back to the next intact one.
 
     Example::
 
@@ -89,15 +90,8 @@ class CheckpointManager:
         meta, shard_states = manager.load()  # blobs verified and unpickled
     """
 
-    def __init__(
-        self,
-        directory: str,
-        keep_generations: int = 3,
-    ) -> None:
-        if keep_generations < 1:
-            raise ValueError("keep_generations must be >= 1")
+    def __init__(self, directory: str) -> None:
         self.directory = str(directory)
-        self.keep_generations = keep_generations
         # Filled by load(): which generation satisfied it and how many
         # newer generations had to be skipped as corrupt.
         self._last_load: Optional[Dict[str, object]] = None
@@ -256,7 +250,7 @@ class CheckpointManager:
         retained = [
             gen
             for gen in self._generations()
-            if gen > keep_from - self.keep_generations
+            if gen > keep_from - KEEP_GENERATIONS
         ]
         referenced = {MANIFEST_NAME}
         for gen in retained:

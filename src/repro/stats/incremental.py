@@ -34,6 +34,12 @@ import numpy as np
 
 __all__ = ["StreamingCusum", "cusum_screen_batch"]
 
+#: :class:`StreamingCusum`'s allowance ``k`` and decision interval ``h``,
+#: in reference standard deviations: the incremental screen's
+#: ``SCREEN_DRIFT`` and ``SCREEN_THRESHOLD`` (:mod:`repro.core.incremental`).
+DRIFT = 0.75
+THRESHOLD = 6.0
+
 
 def cusum_screen_batch(
     values: np.ndarray,
@@ -131,13 +137,14 @@ class StreamingCusum:
         S+ = max(0, S+ + (z - drift))
         S- = max(0, S- + (-z - drift))
 
-    and fires when either side reaches ``threshold``.  ``drift`` (the
-    allowance ``k``) absorbs noise around the reference mean.  Its
-    contract: a sustained shift of ``d`` standard deviations with ``d >
-    drift`` adds ``d - drift`` to one side per point, so a noiseless one
-    fires after ``ceil(threshold / (d - drift))`` points; a shift of at
-    most ``drift`` never fires it (see :mod:`repro.core.incremental` for
-    what the scan cache does about that).
+    and fires when either side reaches :data:`THRESHOLD`.  The drift
+    (:data:`DRIFT`, the allowance ``k``) absorbs noise around the
+    reference mean.  Its contract: a sustained shift of ``d`` standard
+    deviations with ``d > drift`` adds ``d - drift`` to one side per
+    point, so a noiseless one fires after ``ceil(threshold / (d -
+    drift))`` points; a shift of at most ``drift`` never fires it (see
+    :mod:`repro.core.incremental` for what the scan cache does about
+    that).
 
     A zero/degenerate reference std means the anchored window was
     constant: any deviation from the reference mean fires immediately.
@@ -145,26 +152,13 @@ class StreamingCusum:
     Args:
         mean: Reference mean (anchor).
         std: Reference standard deviation (anchor); may be 0.
-        drift: Allowance ``k`` in reference standard deviations.
-        threshold: Decision interval ``h`` in reference standard
-            deviations.
     """
 
-    def __init__(
-        self,
-        mean: float,
-        std: float,
-        drift: float = 0.75,
-        threshold: float = 6.0,
-    ) -> None:
-        if drift < 0:
-            raise ValueError("drift must be >= 0")
-        if threshold <= 0:
-            raise ValueError("threshold must be positive")
+    def __init__(self, mean: float, std: float) -> None:
         self.mean = float(mean)
         self.std = float(std)
-        self.drift = float(drift)
-        self.threshold = float(threshold)
+        self.drift = DRIFT
+        self.threshold = THRESHOLD
         self.pos = 0.0
         self.neg = 0.0
         self.fired = False

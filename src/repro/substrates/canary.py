@@ -20,6 +20,11 @@ from scipy import stats as sp_stats
 
 __all__ = ["CanaryVerdict", "CanaryAnalysis", "compare_canary"]
 
+#: Smallest relative delta that counts as a regression even when
+#: statistically significant (guards against flagging
+#: measurement-resolution differences on huge sample counts).
+MIN_RELATIVE_DELTA = 0.0
+
 
 @dataclass(frozen=True)
 class CanaryVerdict:
@@ -48,25 +53,13 @@ class CanaryAnalysis:
 
     Args:
         significance_level: Two-sided rejection level for the t-test.
-        min_relative_delta: Smallest relative delta that counts as a
-            regression even when statistically significant (guards
-            against flagging measurement-resolution differences on huge
-            sample counts).
         higher_is_worse: Metric orientation.
     """
 
-    def __init__(
-        self,
-        significance_level: float = 0.01,
-        min_relative_delta: float = 0.0,
-        higher_is_worse: bool = True,
-    ) -> None:
+    def __init__(self, significance_level: float = 0.01, higher_is_worse: bool = True) -> None:
         if not 0 < significance_level < 1:
             raise ValueError("significance_level must be in (0, 1)")
-        if min_relative_delta < 0:
-            raise ValueError("min_relative_delta must be >= 0")
         self.significance_level = significance_level
-        self.min_relative_delta = min_relative_delta
         self.higher_is_worse = higher_is_worse
 
     def compare(
@@ -113,7 +106,7 @@ class CanaryAnalysis:
         regressed = (
             bool(p_value < self.significance_level)
             and worse
-            and abs(relative_delta) >= self.min_relative_delta
+            and abs(relative_delta) >= MIN_RELATIVE_DELTA
         )
         return CanaryVerdict(
             regressed=regressed,

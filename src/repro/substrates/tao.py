@@ -23,6 +23,9 @@ from repro.tsdb.database import TimeSeriesDatabase
 
 __all__ = ["TaoObject", "Association", "TaoStore", "TaoMetricsEmitter"]
 
+#: The service name the TAO series are written under.
+SERVICE = "tao"
+
 
 @dataclass(frozen=True)
 class TaoObject:
@@ -174,9 +177,8 @@ class TaoMetricsEmitter:
     overall ``tao.query_throughput`` — the metrics of Table 1's TAO rows.
     """
 
-    def __init__(self, database: TimeSeriesDatabase, service: str = "tao") -> None:
+    def __init__(self, database: TimeSeriesDatabase) -> None:
         self.database = database
-        self.service = service
 
     def ingest(self, timestamp: float, store: TaoStore, interval: float = 60.0) -> int:
         """Harvest and reset the store's accounting; returns points written."""
@@ -193,24 +195,24 @@ class TaoMetricsEmitter:
         written = 0
         for data_type in sorted(per_type_cost):
             self.database.write(
-                f"{self.service}.{data_type}.io_cost",
+                f"{SERVICE}.{data_type}.io_cost",
                 timestamp,
                 per_type_cost[data_type],
-                {"service": self.service, "data_type": data_type, "metric": "io_cost"},
+                {"service": SERVICE, "data_type": data_type, "metric": "io_cost"},
             )
             self.database.write(
-                f"{self.service}.{data_type}.io_count",
+                f"{SERVICE}.{data_type}.io_count",
                 timestamp,
                 float(per_type_count.get(data_type, 0)),
-                {"service": self.service, "data_type": data_type, "metric": "io_count"},
+                {"service": SERVICE, "data_type": data_type, "metric": "io_count"},
             )
             written += 2
 
         total_ops = sum(per_type_count.values())
         self.database.write(
-            f"{self.service}.query_throughput",
+            f"{SERVICE}.query_throughput",
             timestamp,
             total_ops / interval,
-            {"service": self.service, "metric": "throughput"},
+            {"service": SERVICE, "metric": "throughput"},
         )
         return written + 1

@@ -8,7 +8,7 @@ with L2 normalization, over either word tokens (root-cause text analysis,
 from __future__ import annotations
 
 from collections import Counter
-from typing import Callable, Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List
 
 import numpy as np
 
@@ -20,20 +20,21 @@ __all__ = ["TfidfVectorizer", "NgramTfidfVectorizer"]
 class TfidfVectorizer:
     """Fit a TF-IDF model on a corpus and transform documents to vectors.
 
-    Args:
-        tokenizer: Callable mapping a document to its token list; defaults
-            to :func:`repro.text.tokenize.tokenize_text`.
+    Documents are split into word tokens by
+    :func:`repro.text.tokenize.tokenize_text`.
     """
 
-    def __init__(self, tokenizer: Callable[[str], List[str]] | None = None) -> None:
-        self._tokenizer = tokenizer or tokenize_text
+    def __init__(self) -> None:
         self._vocabulary: Dict[str, int] = {}
         self._idf: np.ndarray = np.empty(0)
         self._fitted = False
 
+    def _tokenize(self, document: str) -> List[str]:
+        return tokenize_text(document)
+
     def fit(self, corpus: Iterable[str]) -> "TfidfVectorizer":
         """Learn vocabulary and inverse document frequencies from ``corpus``."""
-        doc_tokens = [self._tokenizer(doc) for doc in corpus]
+        doc_tokens = [self._tokenize(doc) for doc in corpus]
         n_docs = len(doc_tokens)
         df: Counter = Counter()
         for tokens in doc_tokens:
@@ -57,7 +58,7 @@ class TfidfVectorizer:
         if not self._fitted:
             raise RuntimeError("TfidfVectorizer.transform called before fit")
         vector = np.zeros(len(self._vocabulary))
-        counts = Counter(self._tokenizer(document))
+        counts = Counter(self._tokenize(document))
         for token, count in counts.items():
             col = self._vocabulary.get(token)
             if col is not None:
@@ -67,15 +68,11 @@ class TfidfVectorizer:
 
 
 class NgramTfidfVectorizer(TfidfVectorizer):
-    """TF-IDF over character n-grams (SOMDedup's metric-ID encoding).
+    """TF-IDF over character 2- and 3-grams (SOMDedup's metric-ID
+    encoding, the paper's n-gram lengths)."""
 
-    Args:
-        n_values: N-gram lengths; the paper uses 2- and 3-grams.
-    """
-
-    def __init__(self, n_values: Tuple[int, ...] = (2, 3)) -> None:
-        super().__init__(tokenizer=lambda text: char_ngrams(text, n_values))
-        self.n_values = n_values
+    def _tokenize(self, document: str) -> List[str]:
+        return char_ngrams(document)
 
     def fit(self, corpus: Iterable[str]) -> "NgramTfidfVectorizer":
         corpus = list(corpus)

@@ -22,7 +22,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import numpy as np
 
 from repro.config import DetectionConfig
-from repro.connectors import WebhookSink
+from repro.connectors import WebhookSink, webhook
 from repro.runtime import CollectingSink
 from repro.service import BackpressurePolicy, Sample, StreamingDetectionService
 from repro.tsdb import WindowSpec
@@ -122,7 +122,10 @@ def run_stream(ticks, webhook_sink=None, on_round=None):
     return keys, counters
 
 
-def test_webhook_endpoint_dies_mid_run():
+def test_webhook_endpoint_dies_mid_run(monkeypatch):
+    monkeypatch.setattr(webhook, "TIMEOUT", 0.5)
+    monkeypatch.setattr(webhook, "BACKOFF", 0.01)
+    monkeypatch.setattr(webhook, "BACKOFF_CAP", 0.05)
     ticks = make_stream()
 
     # Clean reference: no webhook at all.
@@ -131,10 +134,7 @@ def test_webhook_endpoint_dies_mid_run():
 
     # Chaos run: the endpoint is killed partway through the stream.
     endpoint = RecordingEndpoint()
-    sink = WebhookSink(
-        endpoint.url, timeout=0.5, max_retries=2,
-        backoff=0.01, backoff_cap=0.05,
-    )
+    sink = WebhookSink(endpoint.url, max_retries=2)
 
     def on_round(round_index):
         if round_index == KILL_ROUND:
@@ -161,15 +161,15 @@ def test_webhook_endpoint_dies_mid_run():
     assert counters.get("service.sinks.errors", 0) == 0
 
 
-def test_webhook_endpoint_dead_from_the_start():
+def test_webhook_endpoint_dead_from_the_start(monkeypatch):
     """Same stream against an endpoint that never existed."""
+    monkeypatch.setattr(webhook, "TIMEOUT", 0.2)
+    monkeypatch.setattr(webhook, "BACKOFF", 0.01)
+    monkeypatch.setattr(webhook, "BACKOFF_CAP", 0.02)
     ticks = make_stream()
     clean_keys, _ = run_stream(ticks)
 
-    sink = WebhookSink(
-        "http://127.0.0.1:9/hook", timeout=0.2, max_retries=1,
-        backoff=0.01, backoff_cap=0.02,
-    )
+    sink = WebhookSink("http://127.0.0.1:9/hook", max_retries=1)
     chaos_keys, _ = run_stream(ticks, webhook_sink=sink)
     sink.close(timeout=10.0)
 

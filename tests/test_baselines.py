@@ -8,6 +8,7 @@ from repro.baselines import (
     ExtremeLowDensityModel,
     KSigmaModel,
     NaiveChangePointDetector,
+    naive,
     sweep_tradeoff,
 )
 
@@ -107,7 +108,8 @@ class TestNaiveChangePoint:
         analysis[100:] += 0.0004
         assert NaiveChangePointDetector().is_anomalous([], analysis)
 
-    def test_rejects_flat(self, rng):
-        assert not NaiveChangePointDetector(significance_level=1e-6).is_anomalous(
+    def test_rejects_flat(self, rng, monkeypatch):
+        monkeypatch.setattr(naive, "SIGNIFICANCE_LEVEL", 1e-6)
+        assert not NaiveChangePointDetector().is_anomalous(
             [], rng.normal(0.001, 0.00002, 200)
         )

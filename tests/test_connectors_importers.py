@@ -44,10 +44,9 @@ class TestCsvImporter:
     def test_narrow_form_uses_series_name(self):
         stream = io.StringIO("timestamp,value\n0,1.0\n60,1.1\n")
         service = _Collecting()
-        importer = CsvImporter(series_name="ext.latency")
-        stats = importer.import_into(service, stream)
+        stats = CsvImporter().import_into(service, stream)
         assert stats.offered == 2
-        assert all(s.name == "ext.latency" for s in service.samples)
+        assert all(s.name == "imported.series" for s in service.samples)
 
     def test_headerless_narrow_file_keeps_first_row(self):
         stream = io.StringIO("0,1.0\n60,1.1\n")

@@ -17,10 +17,6 @@ class TestNameMangling:
         assert " " not in mapped.name
         assert "{" not in mapped.name and '"' not in mapped.name
 
-    def test_prefix_namespaces_imports(self):
-        mapped = SeriesMapper(source="csv", prefix="imported").map("svc.gcpu")
-        assert mapped.name == "imported.svc.gcpu"
-
     def test_empty_name_rejected(self):
         mapper = SeriesMapper(source="csv")
         with pytest.raises(ValueError):
@@ -75,11 +71,6 @@ class TestLabelHandling:
         )
         assert "__name__" not in mapped.tags
         assert "__name__" not in mapped.name
-
-    def test_default_tags_lose_to_labels(self):
-        mapper = SeriesMapper(source="rw", default_tags={"job": "default"})
-        assert mapper.map("lat", {"job": "api"}).tags["job"] == "api"
-        assert mapper.map("other").tags["job"] == "default"
 
 
 class TestDeterminismAndMemo:

@@ -6,7 +6,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
-from repro.connectors import WebhookSink, alert_id, slack_payload
+from repro.connectors import WebhookSink, alert_id, slack_payload, webhook
 from repro.obs.logging import correlation_id
 from repro.reporting import build_report
 
@@ -110,12 +110,12 @@ class TestDelivery:
         assert sink.counters["delivered"] == 1
         assert endpoint.accepted[0]["attachments"][0]["footer"] == alert_id(report)
 
-    def test_retries_until_endpoint_recovers(self, report):
+    def test_retries_until_endpoint_recovers(self, report, monkeypatch):
+        monkeypatch.setattr(webhook, "BACKOFF", 0.01)
+        monkeypatch.setattr(webhook, "BACKOFF_CAP", 0.05)
         endpoint = FlakyEndpoint(fail_first=2)
         try:
-            sink = WebhookSink(
-                endpoint.url, max_retries=4, backoff=0.01, backoff_cap=0.05
-            )
+            sink = WebhookSink(endpoint.url, max_retries=4)
             sink.deliver(report)
             assert sink.flush(timeout=10.0)
             sink.close()
@@ -126,12 +126,12 @@ class TestDelivery:
         assert sink.counters["failed"] == 0
         assert len(endpoint.accepted) == 1  # delivered exactly once
 
-    def test_gives_up_after_max_retries(self, report):
+    def test_gives_up_after_max_retries(self, report, monkeypatch):
+        monkeypatch.setattr(webhook, "BACKOFF", 0.01)
+        monkeypatch.setattr(webhook, "BACKOFF_CAP", 0.02)
         endpoint = FlakyEndpoint(fail_first=10**6)
         try:
-            sink = WebhookSink(
-                endpoint.url, max_retries=2, backoff=0.01, backoff_cap=0.02
-            )
+            sink = WebhookSink(endpoint.url, max_retries=2)
             sink.deliver(report)
             sink.flush(timeout=10.0)
             sink.close()
@@ -141,12 +141,11 @@ class TestDelivery:
         assert sink.counters["retries"] == 2
         assert sink.counters["delivered"] == 0
 
-    def test_dead_endpoint_never_raises_into_caller(self, report):
+    def test_dead_endpoint_never_raises_into_caller(self, report, monkeypatch):
+        monkeypatch.setattr(webhook, "TIMEOUT", 0.2)
+        monkeypatch.setattr(webhook, "BACKOFF", 0.01)
         # Port 9 (discard) is never bound: connection refused instantly.
-        sink = WebhookSink(
-            "http://127.0.0.1:9/hook", timeout=0.2,
-            max_retries=1, backoff=0.01,
-        )
+        sink = WebhookSink("http://127.0.0.1:9/hook", max_retries=1)
         sink.deliver(report)  # must not raise, must not block
         sink.close(timeout=5.0)
         assert sink.counters["enqueued"] == 1
@@ -166,7 +165,7 @@ class TestDelivery:
         assert sink.counters["deduped"] == 1
         assert len(endpoint.accepted) == 1
 
-    def test_queue_overflow_evicts_oldest(self):
+    def test_queue_overflow_evicts_oldest(self, monkeypatch):
         import time
 
         gate = threading.Event()
@@ -176,8 +175,9 @@ class TestDelivery:
             gate.wait(5.0)  # stall the drain so the queue backs up
             posted.append(json.loads(body))
 
-        sink = WebhookSink("http://example.invalid/hook",
-                           capacity=2, poster=poster)
+        monkeypatch.setattr(webhook, "_http_post", poster)
+        monkeypatch.setattr(webhook, "CAPACITY", 2)
+        sink = WebhookSink("http://example.invalid/hook")
         reports = []
         for change_time in (100.0, 200.0, 300.0, 400.0):
             regression = make_regression()
@@ -206,7 +206,8 @@ class TestDelivery:
         registry = MetricsRegistry()
         endpoint = FlakyEndpoint()
         try:
-            sink = WebhookSink(endpoint.url, metrics=registry)
+            sink = WebhookSink(endpoint.url)
+            sink.metrics = registry
             sink.deliver(report)
             assert sink.flush(timeout=5.0)
             sink.close()
@@ -216,13 +217,13 @@ class TestDelivery:
         assert counters["sink.webhook.enqueued"] == 1
         assert counters["sink.webhook.delivered"] == 1
 
-    def test_close_on_dead_endpoint_is_bounded(self, report):
+    def test_close_on_dead_endpoint_is_bounded(self, report, monkeypatch):
         import time
 
-        sink = WebhookSink(
-            "http://127.0.0.1:9/hook", timeout=0.2,
-            max_retries=8, backoff=0.5, backoff_cap=5.0,
-        )
+        monkeypatch.setattr(webhook, "TIMEOUT", 0.2)
+        monkeypatch.setattr(webhook, "BACKOFF", 0.5)
+        monkeypatch.setattr(webhook, "BACKOFF_CAP", 5.0)
+        sink = WebhookSink("http://127.0.0.1:9/hook", max_retries=8)
         sink.deliver(report)
         started = time.monotonic()
         sink.close(timeout=0.5)

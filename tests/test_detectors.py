@@ -7,6 +7,8 @@ import sys
 import numpy as np
 import pytest
 
+from repro.config import DetectionConfig
+from repro.core.detector import FBDetect
 from repro.detectors import (
     DetectorDecision,
     DetectorWindow,
@@ -18,6 +20,8 @@ from repro.detectors import (
     make_detector_id,
     param_hash,
 )
+from repro.tsdb import WindowSpec
+from repro.workloads import generate_corpus
 
 HISTORIC, ANALYSIS, EXTENDED = 400, 150, 50
 CHANGE_OFFSET = 60  # into the analysis window
@@ -58,9 +62,9 @@ class TestIdentity:
         # Literal pins: scorecard rows are compared across runs and
         # commits on these strings — changing a default parameter or the
         # hashing scheme must be a conscious, version-bumped act.
-        assert IncumbentDetector().detector_id == "incumbent-v1-24aeac9b"
+        assert IncumbentDetector().detector_id == "incumbent-v2-fdfcba4f"
         assert IncumbentDetector(threshold=0.000004).detector_id == (
-            "incumbent-v1-b9523665"  # the default_suite / fig8 tuning
+            "incumbent-v2-e25e062c"  # the default_suite / fig8 tuning
         )
         assert EDivisiveDetector().detector_id == "e_divisive-v1-6040f0e3"
         assert MADDetector().detector_id == "mad-v1-6a16dc1f"
@@ -148,3 +152,44 @@ class TestLibrary:
         assert window.analysis_start == labeled.historic_points
         assert window.full.size == labeled.values.size
         assert labeled.change_index >= window.analysis_start
+
+
+class TestIncumbentIsThePipeline:
+    """The incumbent's row is the Figure 6 pipeline's own verdict: on a
+    seeded slice of the generated corpus it fires exactly when
+    ``FBDetect.detect_series`` reports, at the change point the report
+    carries (a one-second grid makes its time the global index) — also
+    where the pipeline's own gates decide, as on a history too short to
+    scan."""
+
+    THRESHOLD = 0.000004
+
+    def test_fires_exactly_when_fbdetect_reports(self):
+        detector = IncumbentDetector(threshold=self.THRESHOLD)
+        corpus = [
+            window
+            for historic_points, extended_points in ((400, 50), (400, 0), (10, 50))
+            for window in generate_corpus(
+                5, 3, 4, n_seasonal=2, n_wobble=3, n_drift=2, seed=43,
+                historic_points=historic_points, extended_points=extended_points,
+            )
+        ]
+        fired = 0
+        for labeled in corpus:
+            window = DetectorWindow.from_labeled(labeled)
+            spec = WindowSpec(
+                historic=float(window.historic.size),
+                analysis=float(window.analysis.size),
+                extended=float(window.extended.size),
+            )
+            config = DetectionConfig(
+                name="slice", threshold=self.THRESHOLD, windows=spec, long_term=False
+            )
+            reported = FBDetect(config).detect_series(window.full).reported
+            decision = detector.scan(window)
+            assert decision.fired == bool(reported), (labeled.kind, window.historic.size)
+            if reported:
+                fired += 1
+                assert decision.index == int(reported[0].change_time)
+                assert decision.magnitude == pytest.approx(reported[0].magnitude)
+        assert 0 < fired < len(corpus)

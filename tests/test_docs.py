@@ -903,26 +903,21 @@ class TestEveryPublicNameHasACaller:
 
 
 class TestEveryKnobIsSet:
-    """Every parameter of the ingest path's and the Figure 6 scan stack's
-    constructors, and every init field of their dataclasses, is set by
-    some call in ``src/``, ``benchmarks/``, ``examples/`` or
-    ``scripts/``, or sits in :attr:`ALLOWED` with the reason it is kept.
-    A value only tests set is a second configuration every property has
-    to cover: make it a module constant (a test patches it) or delete it.
+    """Every parameter of a constructor in ``src/repro`` — each class
+    with an ``__init__`` of its own — and every init field of the config
+    dataclasses in :attr:`DATACLASSES` is set by some call in ``src/``,
+    ``benchmarks/``, ``examples/`` or ``scripts/``, or sits in
+    :attr:`ALLOWED` with the reason it is kept.  A value only tests set
+    is a second configuration every property has to cover: make it a
+    module constant (a test patches it) or delete it.
     A call sets a parameter by position or by keyword, unless the
     keyword's value is spelled as the default is; a call inside the class
-    itself sets nothing, nor does ``**kwargs``.  The calls in
-    :attr:`FORWARDERS` hand their ``**kwargs`` to the pipeline, so a
+    itself sets nothing, nor does ``**kwargs``.  A call to a subclass
+    without an ``__init__`` of its own is a call to its base.  The calls
+    in :attr:`FORWARDERS` hand their ``**kwargs`` to the pipeline, so a
     keyword on one of them naming a :class:`DetectionPipeline` parameter
     sets that parameter."""
 
-    CONSTRUCTORS = (
-        "StreamingDetectionService", "Shard", "ShardIngestWorker", "AdmissionController",
-        "ConsistentHashRouter", "DetectionPipeline", "FBDetect", "DetectionScheduler",
-        "ChangePointDetector", "WentAwayDetector", "SeasonalityDetector", "LongTermDetector",
-        "SameRegressionMerger", "SOMDedup", "PairwiseDedup", "CostShiftDetector",
-        "RootCauseAnalyzer", "IncrementalScanCache", "PlannedChangeCorrelator",
-    )
     DATACLASSES = ("TimeSeries", "QualityGate", "DetectionConfig", "MergeRule")
     FORWARDERS = ("FBDetect", "register", "register_monitor")
     #: Reasons a knob nothing sets may stay: a deployment sizes it, or it
@@ -931,9 +926,33 @@ class TestEveryKnobIsSet:
     ALLOWED = {
         "StreamingDetectionService.retention":
             "deployment: bounds a long-running service's memory",
+        "HttpEndpoint.host":
+            "deployment: the observability endpoint's bind address",
+        "RemoteWriteReceiver.host":
+            "deployment: the remote-write endpoint's bind address",
+        "RemoteWriteReceiver.port":
+            "deployment: the remote-write endpoint's port; 0 picks a free one",
         "RootCauseAnalyzer.setup_series":
             "input: the setup metrics behind section 5.6's third factor, "
             "reported as time_correlation",
+        "FrameColumns.names":
+            "input: a batch's columns, built by FrameColumns.of and .join",
+        "FrameColumns.tags":
+            "input: a batch's columns, built by FrameColumns.of and .join",
+        "FrameColumns.lengths":
+            "input: a batch's columns, built by FrameColumns.of and .join",
+        "FrameColumns.timestamps":
+            "input: a batch's columns, built by FrameColumns.of and .join",
+        "FrameColumns.values":
+            "input: a batch's columns, built by FrameColumns.of and .join",
+        "FunnelTrace.runs":
+            "input: the run traces FunnelTrace.from_store folds",
+        "StreamingCusum.mean":
+            "input: the screen's anchor, the reference window's mean",
+        "StreamingCusum.std":
+            "input: the screen's anchor, the reference window's std",
+        "EgadsModel.sensitivity":
+            "input: the Figure 8 sweep's x axis, set through model_class(s)",
     }
 
     @staticmethod
@@ -959,19 +978,37 @@ class TestEveryKnobIsSet:
     @classmethod
     def _knobs(cls):
         """Class name -> ``(path, class node, [(name, default)] in
-        positional order)``."""
-        knobs = {}
+        positional order)`` of every constructor and config dataclass,
+        and subclass name -> base name for each subclass that has no
+        ``__init__`` of its own."""
+        knobs, bases, seen = {}, {}, []
         for path, tree in TestEveryPublicNameHasACaller._trees(os.path.join("src", "repro")):
             for node in tree.body:
-                if isinstance(node, ast.ClassDef) and node.name in cls.CONSTRUCTORS:
-                    inits = [  # a class without one takes nothing
-                        member for member in node.body
-                        if isinstance(member, ast.FunctionDef) and member.name == "__init__"
-                    ]
-                    knobs[node.name] = (path, node, [p for i in inits for p in cls._parameters(i)])
-                elif isinstance(node, ast.ClassDef) and node.name in cls.DATACLASSES:
-                    knobs[node.name] = (path, node, list(cls._fields(node.body)))
-        return knobs
+                if not isinstance(node, ast.ClassDef):
+                    continue
+                inits = [
+                    member for member in node.body
+                    if isinstance(member, ast.FunctionDef) and member.name == "__init__"
+                ]
+                if inits:
+                    parameters = [p for i in inits for p in cls._parameters(i)]
+                elif node.name in cls.DATACLASSES:
+                    parameters = list(cls._fields(node.body))
+                else:
+                    bases[node.name] = [ast.unparse(base) for base in node.bases]
+                    continue
+                knobs[node.name] = (path, node, parameters)
+                seen.append(node.name)
+        # Knobs are keyed by class name, so a name must not repeat.
+        assert sorted(name for name in set(seen) if seen.count(name) > 1) == []
+        aliases = {}
+        for name in bases:
+            base = name
+            while base in bases:  # up a chain of subclasses without one
+                base = next((b for b in bases[base] if b in knobs or b in bases), None)
+            if base in knobs:
+                aliases[name] = base
+        return knobs, aliases
 
     @staticmethod
     def _keywords(node, parameters):
@@ -983,7 +1020,7 @@ class TestEveryKnobIsSet:
         ]
 
     @classmethod
-    def _set(cls, knobs):
+    def _set(cls, knobs, aliases):
         """``Class.name`` of every knob some call sets."""
         done = set()
         pipeline = knobs["DetectionPipeline"][2]
@@ -998,6 +1035,7 @@ class TestEveryKnobIsSet:
                     done.update(
                         f"DetectionPipeline.{name}" for name in cls._keywords(node, pipeline)
                     )
+                callee = aliases.get(callee, callee)
                 if callee not in knobs:
                     continue
                 where, owner, parameters = knobs[callee]
@@ -1014,13 +1052,13 @@ class TestEveryKnobIsSet:
         return done
 
     def test_every_knob_is_set_outside_the_tests_or_has_a_reason(self):
-        knobs = self._knobs()
-        assert sorted(knobs) == sorted(self.CONSTRUCTORS + self.DATACLASSES)
+        knobs, aliases = self._knobs()
+        assert set(self.DATACLASSES) <= knobs.keys()
         every = {
             f"{owner}.{name}" for owner, (_, _, parameters) in knobs.items()
             for name, _ in parameters
         }
-        unset = every - self._set(knobs)
+        unset = every - self._set(knobs, aliases)
         assert sorted(unset - self.ALLOWED.keys()) == [], "make it a constant, or delete it"
         # An entry whose knob gained a caller, or is gone, leaves the list.
         assert sorted(self.ALLOWED.keys() - unset) == []
@@ -1155,6 +1193,24 @@ class TestChallengersAreJudgedOffline:
         }
         assert "--obs-port" in flags  # sees the flags ...
         assert "--shadow" not in flags  # ... and this one is gone
+
+    def test_the_incumbent_is_the_pipeline_not_a_copy_of_its_stages(self):
+        """``IncumbentDetector`` scans through ``FBDetect``: the detectors
+        import none of the Figure 6 stage classes, so no second chain of
+        them can drift from the one every monitor runs."""
+        imported = set()
+        for folder, _, files in os.walk(os.path.join(self.SRC, "detectors")):
+            for name in files:
+                if name.endswith(".py"):
+                    imported.update(
+                        alias.name
+                        for node in ast.walk(ast.parse(_read(folder, name)))
+                        if isinstance(node, (ast.Import, ast.ImportFrom))
+                        for alias in node.names
+                    )
+        stages = {"ChangePointDetector", "WentAwayDetector", "SeasonalityDetector"}
+        assert imported & stages == set()
+        assert "FBDetect" in imported
 
 
 class TestServiceStartsNoThreads:

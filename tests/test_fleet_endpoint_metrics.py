@@ -8,7 +8,7 @@ from repro.fleet.subroutine import CallGraph, SubroutineSpec
 
 
 def endpoint_graph():
-    graph = CallGraph(root="_start")
+    graph = CallGraph()
     graph.add(SubroutineSpec("svc::A::feed", self_cost=6.0, parent="_start", endpoint="/feed"))
     graph.add(SubroutineSpec("svc::B::profile", self_cost=3.0, parent="_start", endpoint="/profile"))
     graph.add(SubroutineSpec("svc::C::helper", self_cost=1.0, parent="svc::A::feed"))

@@ -19,7 +19,7 @@ from repro.fleet.subroutine import CallGraph, SubroutineSpec
 
 
 def small_graph():
-    graph = CallGraph(root="_start")
+    graph = CallGraph()
     graph.add(SubroutineSpec("svc::M::main", self_cost=0.0, parent="_start", endpoint="/home"))
     graph.add(SubroutineSpec("svc::A::hot", self_cost=6.0, parent="svc::M::main"))
     graph.add(SubroutineSpec("svc::A::warm", self_cost=3.0, parent="svc::M::main"))

@@ -7,7 +7,7 @@ from repro.fleet.subroutine import CallGraph, SubroutineSpec, build_random_call_
 
 
 def simple_graph():
-    graph = CallGraph(root="_start")
+    graph = CallGraph()
     graph.add(SubroutineSpec("main", self_cost=0.0, parent="_start"))
     graph.add(SubroutineSpec("ns::A::f", self_cost=2.0, parent="main"))
     graph.add(SubroutineSpec("ns::A::g", self_cost=3.0, parent="main"))

@@ -28,7 +28,7 @@ from repro.tsdb import WindowSpec
 
 
 def build_graph():
-    graph = CallGraph(root="_start")
+    graph = CallGraph()
     graph.add(SubroutineSpec("svc::Main::serve", self_cost=0.0, parent="_start", endpoint="/api"))
     graph.add(SubroutineSpec("svc::Feed::rank", self_cost=40.0, parent="svc::Main::serve"))
     graph.add(SubroutineSpec("svc::Feed::fetch", self_cost=30.0, parent="svc::Main::serve"))

@@ -25,7 +25,7 @@ from scipy.special import chdtrc, ndtr
 import _reference_kernels as ref
 from repro.config import DetectionConfig
 from repro.core.change_point import ChangePointDetector
-from repro.core import went_away
+from repro.core import change_point, went_away
 from repro.core.pipeline import DetectionPipeline
 from repro.core.went_away import WentAwayDetector
 from repro.obs.spans import RunCounts
@@ -215,12 +215,18 @@ def reference_rows(detector, rows):
     return ref.detect_rows(detector, rows)[0]
 
 
+def change_point_detector(significance_level, min_segment):
+    """A detector built while ``MIN_SEGMENT`` reads ``min_segment``."""
+    with patch.object(change_point, "MIN_SEGMENT", min_segment):
+        return ChangePointDetector(significance_level=significance_level)
+
+
 class TestFullScanRows:
     """A round's full scans as one matrix pass: the row-wise CUSUM -> EM ->
     LRT returns, row by row, what the per-series ``detect`` returned."""
 
     DETECTORS = st.builds(
-        ChangePointDetector,
+        change_point_detector,
         significance_level=st.sampled_from([0.01, 0.01, 0.05, 1e-6, 0.5]),
         min_segment=st.sampled_from([3, 3, 1, 2, 5]),
     )

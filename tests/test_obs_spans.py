@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.config import DetectionConfig
+from repro.obs import spans
 from repro.core.pipeline import DetectionPipeline, STAGES as PIPELINE_STAGES
 from repro.obs.spans import (
     STAGES,
@@ -88,17 +89,14 @@ class TestTraceStore:
             monitor="m", now=now, wall_started=now, seconds=0.0, spans=()
         )
 
-    def test_ring_buffer_evicts_oldest(self):
-        store = TraceStore(capacity=3)
+    def test_ring_buffer_evicts_oldest(self, monkeypatch):
+        monkeypatch.setattr(spans, "RING_CAPACITY", 3)
+        store = TraceStore()
         for now in range(5):
             store.record(self._run(float(now)))
         assert len(store) == 3
         assert store.recorded == 5
         assert [run.now for run in store.runs()] == [2.0, 3.0, 4.0]
-
-    def test_zero_capacity_rejected(self):
-        with pytest.raises(ValueError):
-            TraceStore(capacity=0)
 
 
 def _seeded_database(n_series=6, n_regressed=2, n=1_700, step=600.0, seed=0):
@@ -284,7 +282,7 @@ class TestEventLog:
     def test_record_and_filter(self):
         from repro.obs.spans import EventLog
 
-        log = EventLog(capacity=8)
+        log = EventLog()
         log.record("degraded", shard=1, reason="advance_retried")
         log.record("recovered", shard=1)
         log.record("degraded", shard=0, reason="in_process_fallback")
@@ -294,10 +292,11 @@ class TestEventLog:
         assert [e.fields["shard"] for e in degraded] == [1, 0]
         assert degraded[0].to_dict()["reason"] == "advance_retried"
 
-    def test_capacity_bounds_buffer_but_not_recorded(self):
+    def test_capacity_bounds_buffer_but_not_recorded(self, monkeypatch):
         from repro.obs.spans import EventLog
 
-        log = EventLog(capacity=4)
+        monkeypatch.setattr(spans, "RING_CAPACITY", 4)
+        log = EventLog()
         for index in range(10):
             log.record("tick", index=index)
         assert len(log) == 4

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.profiling import collector as collector_module
 from repro.profiling.collector import FleetProfileCollector
 from repro.profiling.stacktrace import Frame, StackTrace
 from repro.tsdb import TimeSeriesDatabase
@@ -35,9 +36,10 @@ class TestFleetProfileCollector:
             "metric": "gcpu",
         }
 
-    def test_min_gcpu_cutoff(self):
+    def test_min_gcpu_cutoff(self, monkeypatch):
+        monkeypatch.setattr(collector_module, "MIN_GCPU", 0.5)
         db = TimeSeriesDatabase()
-        collector = FleetProfileCollector(db, service="svc", min_gcpu=0.5)
+        collector = FleetProfileCollector(db, service="svc")
         collector.ingest(0.0, make_samples())
         assert db.get("svc.svc::B::step.gcpu") is None  # 0.3 < 0.5
         assert db.get("svc.svc::A::run.gcpu") is not None
@@ -79,12 +81,3 @@ class TestFleetProfileCollector:
         assert meta_series is not None
         assert meta_series.values[0] == pytest.approx(0.25)
         assert meta_series.tags["metadata"] == "user:enterprise"
-
-    def test_metadata_tracking_disabled(self):
-        db = TimeSeriesDatabase()
-        collector = FleetProfileCollector(db, service="svc", track_metadata=False)
-        annotated = StackTrace(
-            frames=(Frame("f", metadata="m:1"),), weight=1.0
-        )
-        collector.ingest(0.0, [annotated])
-        assert db.get("svc.f@m:1.gcpu") is None

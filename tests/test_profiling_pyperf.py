@@ -79,10 +79,6 @@ class TestPyPerfProfiler:
         assert "main" not in names
         assert "handler" not in names
 
-    def test_invalid_interval_raises(self):
-        with pytest.raises(ValueError):
-            PyPerfProfiler(sample_interval=0)
-
     def test_frame_kinds(self):
         trace = PyPerfProfiler().sample(self._proc())
         kinds = [f.kind for f in trace.frames]

@@ -13,7 +13,7 @@ from repro.tsdb import TimeSeries, WindowSpec
 
 def graph_from_spec(costs):
     """Build a chain-with-branches graph from a list of costs."""
-    graph = CallGraph(root="_start")
+    graph = CallGraph()
     parents = ["_start"]
     for i, cost in enumerate(costs):
         parent = parents[i % len(parents)]

@@ -14,7 +14,7 @@ from repro.quality import (
     QuarantineStore,
     REASONS,
 )
-from repro.quality import admission
+from repro.quality import admission, quarantine
 from repro.service import Sample
 from repro.tsdb import SeriesFrame
 
@@ -354,8 +354,9 @@ class TestPickling:
 
 
 class TestQuarantineStore:
-    def test_capacity_evicts_records_not_counts(self):
-        store = QuarantineStore(capacity=2)
+    def test_capacity_evicts_records_not_counts(self, monkeypatch):
+        monkeypatch.setattr(quarantine, "QUARANTINE_CAPACITY", 2)
+        store = QuarantineStore()
         for index in range(5):
             store.add("s", float(index), math.nan, "not_finite")
         assert store.total == 5

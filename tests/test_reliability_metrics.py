@@ -20,7 +20,7 @@ from conftest import fill_series
 
 
 def tiny_graph():
-    graph = CallGraph(root="_start")
+    graph = CallGraph()
     graph.add(SubroutineSpec("svc::M::run", self_cost=1.0, parent="_start"))
     return graph
 

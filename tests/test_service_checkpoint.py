@@ -23,7 +23,7 @@ from repro.service import (
     Sample,
     StreamingDetectionService,
 )
-from repro.service import views
+from repro.service import checkpoint, views
 from repro.tsdb import WindowSpec
 
 
@@ -191,8 +191,9 @@ class TestCheckpointGenerations:
         assert meta == {"clock": 2.0}
         assert manager.last_load()["fallbacks"] == 0
 
-    def test_old_generations_and_orphans_pruned(self, tmp_path):
-        manager = CheckpointManager(str(tmp_path), keep_generations=2)
+    def test_old_generations_and_orphans_pruned(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(checkpoint, "KEEP_GENERATIONS", 2)
+        manager = CheckpointManager(str(tmp_path))
         for round_index in range(5):
             manager.save({"round": round_index}, _blobs({0: "x", 1: "y"}))
         names = sorted(os.listdir(tmp_path))
@@ -208,8 +209,9 @@ class TestCheckpointGenerations:
         blobs = {name for name in names if name.endswith(".pkl")}
         assert blobs == referenced
 
-    def test_shard_shrink_prunes_stale_blobs(self, tmp_path):
-        manager = CheckpointManager(str(tmp_path), keep_generations=1)
+    def test_shard_shrink_prunes_stale_blobs(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(checkpoint, "KEEP_GENERATIONS", 1)
+        manager = CheckpointManager(str(tmp_path))
         manager.save({}, _blobs({0: "a", 1: "b", 2: "c"}))
         manager.save({}, _blobs({0: "a"}))
         blobs = {n for n in os.listdir(tmp_path) if n.endswith(".pkl")}
@@ -224,10 +226,6 @@ class TestCheckpointGenerations:
             blob.write_bytes(b"garbage")
         with pytest.raises(CheckpointError, match="every checkpoint generation"):
             manager.load()
-
-    def test_keep_generations_validated(self, tmp_path):
-        with pytest.raises(ValueError, match="keep_generations"):
-            CheckpointManager(str(tmp_path), keep_generations=0)
 
 
 class TestServiceRestoreFallback:

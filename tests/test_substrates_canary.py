@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.substrates import canary as canary_module
 from repro.substrates.canary import CanaryAnalysis, compare_canary
 
 
@@ -34,11 +35,12 @@ class TestCanaryAnalysis:
         verdict = compare_canary(control, canary, higher_is_worse=False)
         assert verdict.regressed
 
-    def test_min_relative_delta_guard(self, rng):
+    def test_min_relative_delta_guard(self, rng, monkeypatch):
         # Statistically significant but operationally negligible.
+        monkeypatch.setattr(canary_module, "MIN_RELATIVE_DELTA", 0.005)
         control = rng.normal(100.0, 0.1, 100_000)
         canary = rng.normal(100.01, 0.1, 100_000)
-        analysis = CanaryAnalysis(min_relative_delta=0.005)
+        analysis = CanaryAnalysis()
         assert not analysis.compare(control, canary).regressed
 
     def test_too_few_samples_raises(self):
@@ -48,8 +50,6 @@ class TestCanaryAnalysis:
     def test_invalid_params_raise(self):
         with pytest.raises(ValueError):
             CanaryAnalysis(significance_level=0.0)
-        with pytest.raises(ValueError):
-            CanaryAnalysis(min_relative_delta=-0.1)
 
     def test_zero_control_mean(self):
         verdict = compare_canary([0.0, 0.0, 0.0], [1.0, 1.0, 1.1])
