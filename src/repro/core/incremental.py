@@ -15,8 +15,10 @@ detector re-runs only when something could plausibly have changed:
 - the window drifted a full analysis span past the anchor (bounds the
   approximation: a skip is only ever based on a window that still
   overlaps the anchored one),
-- or the series stopped being append-only under the anchor (backfill
-  or retention), which invalidates the anchor outright.
+- or history was rewritten under the anchor (a backfill, or a
+  retention trim past the anchored end), which invalidates the anchor
+  outright.  A trim that drops only samples before the anchored end
+  leaves the anchor valid: it re-bases on the end's new position.
 
 One cut: the screen folds, and anchors on, exactly the samples a window
 ending at ``now`` holds — those stamped before ``now``
@@ -46,10 +48,11 @@ batch array ops.  Screening thousands of series costs a handful of
 Checkpoint semantics: the cache pickles with its pipeline — in every
 parallel round trip and in every checkpoint — with columns compacted
 to the live rows.  Wherever it lands, its anchors are trusted by one
-per-series rule: the series still holds at least ``anchor_len``
-samples before ``now`` and the anchored end timestamp still sits at
-``anchor_len - 1``.  A restored service keeps the anchors its
-checkpoint carried, and its first advance is an ordinary screened one.
+per-series rule: the anchored end timestamp is still stored before
+``now``, at ``anchor_len - 1`` or — samples before it retired by
+retention — earlier, where the anchor re-bases.  A restored service
+keeps the anchors its checkpoint carried, and its first advance is an
+ordinary screened one.
 """
 
 from __future__ import annotations
@@ -235,15 +238,22 @@ class IncrementalScanCache:
                 # The tail runs ahead of the clock: cut at ``now``.
                 n = int(np.searchsorted(buf[:n], now))
             anchor_len = r_anchor_len[row]
-            if (
-                n < anchor_len
-                or anchor_len == 0
-                or buf[anchor_len - 1] != r_anchor_end[row]
-            ):
-                # History was rewritten under the anchor (retention or
-                # backfill): the screen's reference is no longer valid.
-                # Removal is deferred so row indices collected above
-                # stay stable for the whole batch.
+            if anchor_len and (n < anchor_len or buf[anchor_len - 1] != r_anchor_end[row]):
+                # The anchored end moved.  Retention only drops samples
+                # from the front: the end still stored, earlier, means the
+                # anchor holds and re-bases on it.
+                anchor_end = r_anchor_end[row]
+                at = int(np.searchsorted(buf[:n], anchor_end))
+                if at < anchor_len - 1 and at < n and buf[at] == anchor_end:
+                    anchor_len = at + 1
+                    c_anchor_len[row] = anchor_len
+                else:
+                    anchor_len = 0
+            if not anchor_len:
+                # History was rewritten under the anchor (backfill, or a
+                # trim past its end): the screen's reference is no longer
+                # valid.  Removal is deferred so row indices collected
+                # above stay stable for the whole batch.
                 invalidations += 1
                 misses += 1
                 invalidated.append(name)

@@ -61,7 +61,9 @@ __all__ = ["CheckpointError", "CheckpointManager", "CHECKPOINT_VERSION"]
 #: 9: a pipeline holds no shadow scorer and a monitor spec no shadow ids.
 #: 10: a pairwise-dedup group holds at most ``MAX_MEMBERS_COMPARED``
 #: member records (context and samples), not whole regressions.
-CHECKPOINT_VERSION = 10
+#: 11: a TSDB column that is an exact arithmetic progression pickles as
+#: ``(first, step, n)``, not as its values.
+CHECKPOINT_VERSION = 11
 MANIFEST_NAME = "manifest.json"
 #: Complete generations a save retains.  More than one is what makes
 #: corruption survivable: when the newest generation fails its

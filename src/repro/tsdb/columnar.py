@@ -22,12 +22,19 @@ Invariants the rest of the stack relies on:
   the live buffer; callers that must not observe it (stored window
   snapshots) take copies at the boundary (``WindowSpec.view``).
 - **Pickles are compact.**  Only the live prefix round-trips through
-  ``__getstate__`` — slack capacity never rides shard checkpoints or
-  worker round trips.
+  ``__getstate__`` — slack capacity never rides shard checkpoints.  A
+  prefix that is an exact, finite arithmetic progression (a timestamp
+  column at a regular cadence, a constant column) pickles as
+  ``(first, step, n)``; any other pickles as a read-only view of
+  itself, copied once, by the pickler, and restores as the pickle's
+  read-only bytes until its first write.  Either way the restored
+  column holds the stored bits and its capacity equals its length.
 """
 
 from __future__ import annotations
 
+import math
+import struct
 from typing import Iterable, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -36,6 +43,8 @@ __all__ = ["FloatColumn", "FrameColumns", "SeriesFrame"]
 
 #: Smallest non-zero capacity; doubling starts here.
 _MIN_CAPACITY = 8
+#: One ``float64`` in the layout of a column's bytes.
+_F64 = struct.Struct("d")
 
 
 class SeriesFrame:
@@ -213,6 +222,10 @@ class FloatColumn:
             index += self._length
         if not 0 <= index < self._length:
             raise IndexError(f"column index {index} out of range")
+        if not self._buffer.flags.writeable:
+            # Restored from a pickle: the buffer is the pickle's own
+            # read-only bytes until a first write copies it.
+            self._buffer = self._buffer.copy()
         self._buffer[index] = value
 
     def splice(self, start: int, values: np.ndarray) -> None:
@@ -284,10 +297,37 @@ class FloatColumn:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"FloatColumn(len={self._length}, capacity={self.capacity})"
 
-    def __getstate__(self) -> np.ndarray:
-        # Compact: only the live prefix rides checkpoints and pools.
-        return self.array()
+    def __getstate__(self):
+        n = self._length
+        live = self.view(0, n)
+        if n >= 2:
+            first = float(live[0])
+            step = float(live[1]) - first
+            last = first + step * (n - 1)
+            # The last element rejects a column that is no finite
+            # progression before the whole one is built.  Bytes decide,
+            # not ``==``: -0.0 is not 0.0.
+            if (
+                math.isfinite(last)
+                and _F64.pack(last) == live[n - 1 :].tobytes()
+                and _progression(first, step, n).tobytes() == live.tobytes()
+            ):
+                return first, step, n
+        return live
 
     def __setstate__(self, state) -> None:
-        self._buffer = np.asarray(state, dtype=np.float64).ravel()
+        # Any other prefix is adopted as the pickle left it, read-only:
+        # an append outgrows it into a fresh buffer, and ``set`` copies.
+        if isinstance(state, tuple):
+            self._buffer = _progression(*state)
+        else:
+            self._buffer = np.asarray(state, dtype=np.float64).ravel()
         self._length = int(self._buffer.size)
+
+
+def _progression(first: float, step: float, n: int) -> np.ndarray:
+    """``first + step * k`` for ``k`` in ``0 .. n - 1``: the one expression
+    a pickled progression is both checked and rebuilt with, so a restore
+    holds the checked bits.  Its ends are finite, so no element between
+    them overflows."""
+    return first + step * np.arange(n, dtype=np.float64)

@@ -6,8 +6,12 @@ import pickle
 import numpy as np
 import pytest
 
+from repro.config import DetectionConfig
 from repro.core import IncrementalScanCache
 from repro.core.incremental import SCREEN_DRIFT, SCREEN_THRESHOLD
+from repro.runtime import CollectingSink
+from repro.service import Sample, StreamingDetectionService
+from repro.tsdb import WindowSpec
 from repro.tsdb.series import TimeSeries
 
 
@@ -88,6 +92,29 @@ class TestIncrementalScanCache:
         anchor(cache, series, series.timestamps[-1])
         shorter = make_series(n=100, seed=6, name=series.name)
         assert cache.should_scan(shorter, 1e6)
+        assert cache.invalidations == 1
+
+    def test_retention_before_the_anchor_re_bases_it(self):
+        cache = IncrementalScanCache(max_staleness=1e9)
+        series = make_series(seed=9)
+        now = series.timestamps[-1] + 60.0
+        anchor(cache, series, now)
+        series.append(now, 0.001)
+        # Retention drops the oldest 100 samples: the anchored end moves
+        # from position 299 to 199, and the anchor follows it.
+        assert series.drop_before(100 * 60.0) == 100
+        assert not cache.should_scan(series, now + 60.0)
+        assert cache.invalidations == 0
+        assert cache.screen_state(series.name)["anchor_len"] == 201
+
+    def test_retention_past_the_anchored_end_invalidates(self):
+        cache = IncrementalScanCache(max_staleness=1e9)
+        series = make_series(seed=10)
+        now = series.timestamps[-1] + 60.0
+        anchor(cache, series, now)
+        series.append(now, 0.001)
+        series.drop_before(now)  # the anchored end is gone
+        assert cache.should_scan(series, now + 60.0)
         assert cache.invalidations == 1
 
     def test_rejects_nonpositive_staleness(self):
@@ -174,3 +201,58 @@ class TestScreenContract:
         # one at which the anchor is max_staleness old, and none before.
         stale_from = int(max_staleness / 60.0) - 1
         assert decided == [False] * stale_from + [True] * (points - stale_from)
+
+
+class TestRetentionKeepsAnchors:
+    """Retention that keeps what a scan reads — the monitor's span and one
+    rerun interval — retires only samples before every anchored end: the
+    screen decides as it would with nothing retired."""
+
+    N_SERIES = 12
+    TICKS = 2_400  # 40 h at 60 s, the step at tick 1,800
+
+    @staticmethod
+    def _config():
+        return DetectionConfig(
+            name="quiet",
+            threshold=0.00005,
+            rerun_interval=6_000.0,
+            windows=WindowSpec(historic=36_000.0, analysis=12_000.0, extended=6_000.0),
+            long_term=False,
+        )
+
+    def _run(self, retention):
+        rng = np.random.default_rng(11)
+        values = rng.normal(0.001, 0.00002, (self.N_SERIES, self.TICKS))
+        values[0, 1_800:] += 0.0003
+        sink = CollectingSink()
+        service = StreamingDetectionService(n_shards=1, sinks=[sink], retention=retention)
+        service.register_monitor("gcpu", self._config(), series_filter={"metric": "gcpu"})
+        try:
+            for begin in range(0, self.TICKS, 100):
+                service.ingest_many([
+                    Sample(f"svc.sub{row}.gcpu", tick * 60.0, float(values[row, tick]),
+                           {"metric": "gcpu"})
+                    for tick in range(begin, begin + 100)
+                    for row in range(self.N_SERIES)
+                ])
+                service.advance_to((begin + 100) * 60.0)
+            (shard,) = service._shards.values()
+            (registration,) = shard.scheduler._monitors.values()
+            cache = registration.pipeline.incremental_cache
+            reports = sorted((r.metric_id, r.change_time) for r in sink.reports)
+            return cache.counters(), reports, len(service.shard_database(0).get("svc.sub1.gcpu"))
+        finally:
+            service.close()
+
+    def test_same_hits_and_reports_as_without_retention(self):
+        span = self._config().windows.total
+        kept, kept_reports, kept_points = self._run(retention=0.0)
+        trimmed, trimmed_reports, trimmed_points = self._run(
+            retention=span + self._config().rerun_interval
+        )
+        assert trimmed_points < kept_points, "retention retired samples"
+        assert kept_reports and trimmed_reports == kept_reports
+        assert trimmed["invalidations"] == kept["invalidations"] == 0
+        assert trimmed["hits"] == kept["hits"] > 0
+        assert trimmed == kept
