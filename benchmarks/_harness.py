@@ -21,7 +21,7 @@ import numpy as np
 
 from repro import FBDetect, TimeSeriesDatabase
 from repro.config import DetectionConfig
-from repro.core.pipeline import PipelineResult
+from repro.core.types import PipelineResult
 from repro.tsdb import WindowSpec
 from repro.workloads import LabeledWindow
 

@@ -21,7 +21,7 @@ import pytest
 from _harness import ANALYSIS_POINTS, EXTENDED_POINTS, HISTORIC_POINTS, emit
 from repro.core.dedup_pairwise import PairwiseDedup
 from repro.core.dedup_som import SOMDedup
-from repro.core.types import MetricContext, Regression, RegressionKind
+from repro.core.types import MetricContext, MonitorState, Regression, RegressionKind, ScanContext
 from repro.som import som_cluster, som_grid_size
 from repro.tsdb import TimeSeries, WindowSpec
 
@@ -64,7 +64,7 @@ def make_family(rng, n_members: int, n_families: int):
 
 def test_som_collapses_families(rng):
     regressions = make_family(rng, n_members=10, n_families=4)
-    groups = SOMDedup().deduplicate(regressions)
+    groups = SOMDedup().deduplicate(regressions, ScanContext(), MonitorState())
     # 40 regressions -> close to 4 groups (one per family).
     assert len(groups) <= 10
     representatives = sum(1 for g in groups if g.representative)
@@ -84,13 +84,13 @@ def test_scalability_som_vs_pairwise(rng):
     for n in sizes:
         regressions = make_family(rng, n_members=n // 4, n_families=4)
         start = time.perf_counter()
-        SOMDedup().deduplicate(regressions)
+        SOMDedup().deduplicate(regressions, ScanContext(), MonitorState())
         som_times.append(time.perf_counter() - start)
 
         start = time.perf_counter()
-        dedup = PairwiseDedup()
+        dedup, context, state = PairwiseDedup(), ScanContext(), MonitorState()
         for regression in regressions:
-            dedup.process([regression])
+            dedup.process([regression], context, state)
         pairwise_times.append(time.perf_counter() - start)
 
     som_growth = som_times[1] / max(som_times[0], 1e-9)
@@ -110,9 +110,10 @@ def test_scalability_som_vs_pairwise(rng):
 def test_grid_rule_competitive(rng):
     regressions = make_family(rng, n_members=8, n_families=4)
     dedup_rule = SOMDedup()
-    groups_rule = dedup_rule.deduplicate(list(regressions))
+    context = ScanContext()
+    groups_rule = dedup_rule.deduplicate(list(regressions), context, MonitorState())
 
-    features = dedup_rule._feature_matrix(list(regressions))
+    features = dedup_rule._feature_matrix(list(regressions), context.change_log)
     rule_clusters = som_cluster(features, grid_size=som_grid_size(len(regressions)))
     oversized = som_cluster(features, grid_size=8)  # 64 units for 32 items
 
@@ -125,6 +126,7 @@ def test_grid_rule_competitive(rng):
 def test_dedup_benchmark(benchmark, rng):
     regressions = make_family(rng, n_members=6, n_families=3)
     groups = benchmark.pedantic(
-        SOMDedup().deduplicate, args=(regressions,), rounds=3, iterations=1
+        SOMDedup().deduplicate, args=(regressions, ScanContext(), MonitorState()),
+        rounds=3, iterations=1,
     )
     assert groups

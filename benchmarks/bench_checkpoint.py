@@ -11,22 +11,35 @@ end-to-end benchmark's preload plus 30 rounds) over four shards — and
 asserts that the restore is byte-equal and the bytes per point stay
 under those two costs plus a small per-series overhead.
 
+A third row, "regular, monitored", checkpoints the regular series again
+with the end-to-end benchmark's monitor registered and one advance run,
+so the blob also holds the monitor's configuration and scan state.  Every
+row prints the bytes per series of everything in the blob that is not a
+column: for the monitored row, mostly that scan state.
+
 Nothing here is a gate on time: the seconds are printed, not bounded.
 """
 
+import pickle
 import time
 
 import numpy as np
 
 from _harness import emit
+from repro.config import DetectionConfig
 from repro.service import StreamingDetectionService
-from repro.tsdb import SeriesFrame
+from repro.tsdb import SeriesFrame, WindowSpec
 
 N_SHARDS = 4
 N_POINTS = 1_650
 INTERVAL = 60.0
 #: Bytes a point may cost, checkpoint overhead included.
 MAX_BYTES_PER_POINT = {"regular": 8.6, "jittered": 16.6}
+#: The end-to-end benchmark's monitor configuration.
+MONITOR = DetectionConfig(
+    name="e2e", threshold=5e-5, rerun_interval=25 * INTERVAL, long_term=False,
+    windows=WindowSpec(historic=36000, analysis=12000, extended=6000),
+)
 
 
 def _frames(kind, n_series, rng):
@@ -50,20 +63,47 @@ def _column_bytes(service):
     }
 
 
+def _pickled_column_bytes(service):
+    """What every series' two columns pickle to, in one pickle."""
+    columns = [
+        column
+        for shard_id in range(N_SHARDS)
+        for series in service.shard_database(shard_id)
+        for column in (series._timestamps, series._values)
+    ]
+    return len(pickle.dumps(columns, protocol=pickle.HIGHEST_PROTOCOL))
+
+
 def test_checkpoint_bytes_per_series(tmp_path):
     rng = np.random.default_rng(2024)
-    rows = ["kind      series  bytes/series  bytes/point  save s  restore s"]
-    for kind, n_series in (("regular", 2_000), ("jittered", 200)):
+    frames = {kind: _frames(kind, n_series, rng) for kind, n_series in (("regular", 2_000),
+                                                                         ("jittered", 200))}
+    rows = [
+        "kind                series  bytes/series  bytes/point  not columns/series"
+        "  save s  restore s"
+    ]
+    for row, kind in (
+        ("regular", "regular"), ("jittered", "jittered"), ("regular, monitored", "regular")
+    ):
+        n_series, monitored = len(frames[kind]), row != kind
         service = StreamingDetectionService(n_shards=N_SHARDS)
-        assert service.ingest_frames(_frames(kind, n_series, rng)) == n_series * N_POINTS
+        if monitored:
+            service.register_monitor(
+                "e2e", MONITOR, series_filter={"metric": "gcpu"}, first_run=N_POINTS * INTERVAL
+            )
+        assert service.ingest_frames(frames[kind]) == n_series * N_POINTS
         service.flush()
-        directory = str(tmp_path / kind)
+        if monitored:
+            service.advance_to(N_POINTS * INTERVAL)
+            assert service.stats().scans == N_SHARDS
+        directory = tmp_path / row.replace(", ", "_")
         started = time.perf_counter()
-        service.checkpoint(directory)
+        service.checkpoint(str(directory))
         save_s = time.perf_counter() - started
-        blob_bytes = sum(entry.stat().st_size for entry in (tmp_path / kind).glob("shard-*.pkl"))
+        blob_bytes = sum(entry.stat().st_size for entry in directory.glob("shard-*.pkl"))
+        other_bytes = blob_bytes - _pickled_column_bytes(service)
         started = time.perf_counter()
-        restored = StreamingDetectionService.restore(directory)
+        restored = StreamingDetectionService.restore(str(directory))
         restore_s = time.perf_counter() - started
         try:
             assert _column_bytes(restored) == _column_bytes(service)
@@ -72,8 +112,9 @@ def test_checkpoint_bytes_per_series(tmp_path):
             service.close()
         per_point = blob_bytes / (n_series * N_POINTS)
         rows.append(
-            f"{kind:8s}  {n_series:6d}  {blob_bytes / n_series:12,.0f}  {per_point:11.2f}"
-            f"  {save_s:6.3f}  {restore_s:9.3f}"
+            f"{row:18s}  {n_series:6d}  {blob_bytes / n_series:12,.0f}  {per_point:11.2f}"
+            f"  {other_bytes / n_series:18,.0f}  {save_s:6.3f}  {restore_s:9.3f}"
         )
-        assert per_point <= MAX_BYTES_PER_POINT[kind], (kind, per_point)
+        if not monitored:
+            assert per_point <= MAX_BYTES_PER_POINT[kind], (kind, per_point)
     emit(f"Checkpoint cost per series ({N_SHARDS} shards, {N_POINTS} points a series)", rows)

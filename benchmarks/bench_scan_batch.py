@@ -322,11 +322,12 @@ def measure_reanchor(n_series=N_SERIES, per_series=False, trace_memory=False):
         pipeline = DetectionPipeline(
             config, incremental=True, enable_went_away=False, enable_seasonality=False
         )
-        pipeline.run(database, REANCHOR_POINTS * INTERVAL)
+        state = pipeline.new_state()
+        pipeline.run(database, REANCHOR_POINTS * INTERVAL, state=state)
         if trace_memory:
             tracemalloc.start()
         started = time.perf_counter()
-        result = pipeline.run(database, (REANCHOR_POINTS + 200) * INTERVAL)
+        result = pipeline.run(database, (REANCHOR_POINTS + 200) * INTERVAL, state=state)
         seconds = time.perf_counter() - started
         kept, peak = 0, 0
         if trace_memory:
@@ -337,7 +338,7 @@ def measure_reanchor(n_series=N_SERIES, per_series=False, trace_memory=False):
     counts = result.trace.counts
     assert counts["pipeline.full_scan.rows"] == n_series  # every anchor was stale
     assert "pipeline.incremental.hits" not in counts
-    cache = pipeline.incremental_cache
+    cache = state.cache
     candidates = [
         (c.context.metric_id, c.change_index, c.mean_before, c.mean_after)
         for c in result.all_candidates

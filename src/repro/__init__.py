@@ -43,12 +43,13 @@ Subpackages:
 
 from repro.config import TABLE1_CONFIGS, DetectionConfig, table1_config
 from repro.core.detector import FBDetect
-from repro.core.pipeline import DetectionPipeline, FunnelCounters, PipelineResult
+from repro.core.pipeline import DetectionPipeline, FunnelCounters
 from repro.core.planned_changes import PlannedChange, PlannedChangeCorrelator
 from repro.core.types import (
     DetectionVerdict,
     FilterReason,
     MetricContext,
+    PipelineResult,
     Regression,
     RegressionGroup,
     RegressionKind,

@@ -26,9 +26,9 @@ Decision rules per (regression, domain):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Set
+from typing import Callable, List, Optional, Sequence, Set
 
-from repro.core.types import DetectionVerdict, FilterReason, Regression
+from repro.core.types import DetectionVerdict, FilterReason, Regression, ScanContext
 from repro.fleet.changes import ChangeLog
 from repro.profiling.stacktrace import StackTrace
 from repro.tsdb.database import TimeSeriesDatabase
@@ -74,25 +74,16 @@ class CostShiftDetector:
 
     Args:
         database: TSDB holding gCPU series (domain cost lookups).
-        samples: Stack-trace history for caller-domain derivation.
-        change_log: Change log for commit domains.
     """
 
-    def __init__(
-        self,
-        database: TimeSeriesDatabase,
-        samples: Optional[Sequence[StackTrace]] = None,
-        change_log: Optional[ChangeLog] = None,
-    ) -> None:
+    def __init__(self, database: TimeSeriesDatabase) -> None:
         self.database = database
-        self.samples = list(samples or [])
-        self.change_log = change_log
 
     # ------------------------------------------------------------------
     # Verdict
     # ------------------------------------------------------------------
 
-    def check(self, regression: Regression) -> DetectionVerdict:
+    def check(self, regression: Regression, context: ScanContext) -> DetectionVerdict:
         """Drop the regression if any domain reveals a pure cost shift."""
         if regression.context.subroutine is None:
             return DetectionVerdict.keep(detail="not a subroutine-level metric")
@@ -100,15 +91,13 @@ class CostShiftDetector:
         if regression_delta == 0:
             return DetectionVerdict.keep(detail="zero-magnitude regression")
 
-        domains: List[CostDomain] = []
-        for provider in (
-            self._caller_domains,
-            self._class_domains,
-            self._metadata_domains,
-            self._endpoint_domains,
-            self._commit_domains,
-        ):
-            domains.extend(provider(regression))
+        domains: List[CostDomain] = [
+            *self._caller_domains(regression, context.samples),
+            *self._class_domains(regression),
+            *self._metadata_domains(regression),
+            *self._endpoint_domains(regression),
+            *self._commit_domains(regression, context.change_log),
+        ]
 
         for domain in domains:
             outcome = self._evaluate_domain(regression, domain, regression_delta)
@@ -186,7 +175,10 @@ class CostShiftDetector:
     # Default domain providers
     # ------------------------------------------------------------------
 
-    def _caller_domains(self, regression: Regression) -> List[CostDomain]:
+    @staticmethod
+    def _caller_domains(
+        regression: Regression, samples: Sequence[StackTrace]
+    ) -> List[CostDomain]:
         """Each direct upstream caller is a domain of its own.
 
         A caller's gCPU covers the regressed subroutine *and* its
@@ -194,7 +186,7 @@ class CostShiftDetector:
         """
         target = regression.context.subroutine
         callers: Set[str] = set()
-        for trace in self.samples:
+        for trace in samples:
             callers.update(trace.callers_of(target))
         callers.discard("_start")
         return [
@@ -202,21 +194,27 @@ class CostShiftDetector:
             for caller in sorted(callers)
         ]
 
+    def _tag_domain(
+        self, kind: str, name: str, metric: str, tag: str, admits: Callable[[dict], bool]
+    ) -> List[CostDomain]:
+        """The ``tag`` values of every ``metric`` series whose tags
+        ``admits``, as one domain when there are at least two of them."""
+        members = {
+            s.tags[tag] for s in self.database.query(metric=metric)
+            if tag in s.tags and admits(s.tags)
+        }
+        return [CostDomain(name, kind, frozenset(members))] if len(members) >= 2 else []
+
     def _class_domains(self, regression: Regression) -> List[CostDomain]:
         """All subroutines sharing the regressed subroutine's class."""
-        target = regression.context.subroutine
-        parts = target.rsplit("::", 1)
+        parts = regression.context.subroutine.rsplit("::", 1)
         if len(parts) != 2:
             return []
         prefix = parts[0] + "::"
-        members = {
-            s.tags["subroutine"]
-            for s in self.database.query(metric="gcpu")
-            if s.tags.get("subroutine", "").startswith(prefix)
-        }
-        if len(members) < 2:
-            return []
-        return [CostDomain(name=parts[0], kind="class", members=frozenset(members))]
+        return self._tag_domain(
+            "class", parts[0], "gcpu", "subroutine",
+            lambda tags: tags["subroutine"].startswith(prefix),
+        )
 
     def _metadata_domains(self, regression: Regression) -> List[CostDomain]:
         """Subroutines sharing the regression's metadata prefix."""
@@ -224,15 +222,10 @@ class CostShiftDetector:
         if not metadata:
             return []
         prefix = metadata.split(":", 1)[0]
-        members = {
-            s.tags["subroutine"]
-            for s in self.database.query(metric="gcpu")
-            if s.tags.get("metadata", "").split(":", 1)[0] == prefix
-            and "subroutine" in s.tags
-        }
-        if len(members) < 2:
-            return []
-        return [CostDomain(name=f"metadata:{prefix}", kind="metadata", members=frozenset(members))]
+        return self._tag_domain(
+            "metadata", f"metadata:{prefix}", "gcpu", "subroutine",
+            lambda tags: tags.get("metadata", "").split(":", 1)[0] == prefix,
+        )
 
     def _endpoint_domains(self, regression: Regression) -> List[CostDomain]:
         """Endpoints whose names share the regressed endpoint's prefix."""
@@ -240,33 +233,24 @@ class CostShiftDetector:
         if not endpoint:
             return []
         prefix = endpoint.rsplit("/", 1)[0] or "/"
-        members = {
-            s.tags["endpoint"]
-            for s in self.database.query(metric="endpoint_gcpu")
-            if s.tags.get("endpoint", "").startswith(prefix)
-        }
-        if len(members) < 2:
-            return []
-        return [CostDomain(name=f"endpoint:{prefix}", kind="endpoint", members=frozenset(members))]
+        return self._tag_domain(
+            "endpoint", f"endpoint:{prefix}", "endpoint_gcpu", "endpoint",
+            lambda tags: tags["endpoint"].startswith(prefix),
+        )
 
-    def _commit_domains(self, regression: Regression) -> List[CostDomain]:
+    @staticmethod
+    def _commit_domains(regression: Regression, change_log: ChangeLog) -> List[CostDomain]:
         """All subroutines modified by one commit near the change time."""
-        if self.change_log is None or regression.context.subroutine is None:
+        if regression.context.subroutine is None:
             return []
         view = regression.window
-        candidates = self.change_log.deployed_between(
+        candidates = change_log.deployed_between(
             view.analysis_start - (view.now - view.analysis_start),
             view.now,
         )
-        domains = []
-        for change in candidates:
-            touched = set(change.modified_subroutines)
-            if regression.context.subroutine in touched and len(touched) >= 2:
-                domains.append(
-                    CostDomain(
-                        name=f"commit:{change.change_id}",
-                        kind="commit",
-                        members=frozenset(touched),
-                    )
-                )
-        return domains
+        return [
+            CostDomain(f"commit:{change.change_id}", "commit", frozenset(touched))
+            for change in candidates
+            for touched in [change.modified_subroutines]
+            if regression.context.subroutine in touched and len(touched) >= 2
+        ]

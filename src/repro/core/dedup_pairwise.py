@@ -18,19 +18,26 @@ Built-in features:
 
 A group keeps only what those features read of its first
 :data:`MAX_MEMBERS_COMPARED` members — their metric context and their
-analysis + extended samples — so the groups a pipeline carries from run
-to run (and in every pickle of it) stay small however many regressions
-merge into them.
+analysis + extended samples, as a list — so the groups a monitor's state
+carries from run to run stay small however many regressions merge into
+them.  A group's id is its position plus :data:`FIRST_GROUP_ID`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
-from repro.core.types import DetectionVerdict, FilterReason, MetricContext, Regression
+from repro.core.types import (
+    DetectionVerdict,
+    FilterReason,
+    MetricContext,
+    MonitorState,
+    Regression,
+    ScanContext,
+)
 from repro.profiling.gcpu import stack_trace_overlap
 from repro.profiling.stacktrace import StackTrace
 from repro.stats.correlation import aligned_pearson
@@ -83,6 +90,8 @@ MERGE_RULES = (
 #: Cap on the members a group keeps and compares, to bound the pairwise
 #: cost: the first ones merged.
 MAX_MEMBERS_COMPARED = 10
+#: The first pairwise group's id, distinct from SOMDedup's.
+FIRST_GROUP_ID = 1_000_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,75 +117,66 @@ class _Member:
         return dict(zip(self.times.tolist(), self.values.tolist()))
 
 
-@dataclass
-class _Group:
-    """One pairwise group: its id and its first members."""
-
-    group_id: int
-    members: List[_Member] = field(default_factory=list)
-
-
 class PairwiseDedup:
-    """Pairwise-comparison deduplication against persistent groups.
+    """Pairwise-comparison deduplication against the persistent groups
+    of a monitor's state."""
 
-    Args:
-        samples: Stack-trace history for the stack-overlap feature.
-    """
-
-    def __init__(self, samples: Sequence[StackTrace] = ()) -> None:
-        self.samples = list(samples)
-        self.groups: List[_Group] = []
-        self._next_group_id = 1_000_000  # distinct from SOMDedup ids
-
-    def process(self, regressions: Sequence[Regression]) -> None:
-        """Merge each new regression into :attr:`groups` or open a new one.
+    def process(
+        self, regressions: Sequence[Regression], context: ScanContext, state: MonitorState
+    ) -> None:
+        """Merge each new regression into ``state``'s groups or open a new one.
 
         Regressions merged into an existing group receive a
         PAIRWISE_DUPLICATE verdict; group openers a keep verdict.
         """
+        groups: List[List[_Member]] = state.pairwise_groups
         series: _SeriesMemo = {}
         # All held to the end of the call: the memo is keyed by id().
         members = [_Member.of(regression) for regression in regressions]
         for regression, member in zip(regressions, members):
-            group = self._best_group(member, series)
-            if group is not None:
+            index = self._best_group(member, groups, series, context.samples)
+            if index is not None:
                 regression.representative = False
                 regression.record(
                     DetectionVerdict.drop(
                         FilterReason.PAIRWISE_DUPLICATE,
-                        detail=f"merged into group {group.group_id}",
+                        detail=f"merged into group {FIRST_GROUP_ID + index}",
                     )
                 )
             else:
-                group = _Group(group_id=self._next_group_id)
-                self._next_group_id += 1
+                index = len(groups)
                 regression.record(DetectionVerdict.keep(detail="PairwiseDedup new group"))
-                self.groups.append(group)
-            regression.group_id = group.group_id
-            if len(group.members) < MAX_MEMBERS_COMPARED:
-                group.members.append(member)
+                groups.append([])
+            regression.group_id = FIRST_GROUP_ID + index
+            if len(groups[index]) < MAX_MEMBERS_COMPARED:
+                groups[index].append(member)
 
     # ------------------------------------------------------------------
     # Scoring
     # ------------------------------------------------------------------
 
-    def _best_group(self, source: _Member, series: _SeriesMemo) -> Optional[_Group]:
-        """The matching group with the highest aggregate score, if any."""
-        best: Optional[_Group] = None
+    def _best_group(
+        self, source: _Member, groups: List[List[_Member]], series: _SeriesMemo,
+        samples: Sequence[StackTrace],
+    ) -> Optional[int]:
+        """The index of the matching group with the highest aggregate
+        score, if any."""
+        best: Optional[int] = None
         best_score = -np.inf
-        for group in self.groups:
-            scores = self.feature_scores(source, group, series)
+        for index, members in enumerate(groups):
+            scores = self.feature_scores(source, members, series, samples)
             if any(rule.matches(scores) for rule in MERGE_RULES):
                 aggregate = sum(scores.values())
                 if aggregate > best_score:
-                    best, best_score = group, aggregate
+                    best, best_score = index, aggregate
         return best
 
+    @staticmethod
     def feature_scores(
-        self, source: _Member, group: _Group, series: _SeriesMemo
+        source: _Member, members: List[_Member], series: _SeriesMemo,
+        samples: Sequence[StackTrace],
     ) -> Dict[str, float]:
-        """Similarity features between a regression and a group."""
-        members = group.members
+        """Similarity features between a regression and a group's members."""
         for one in (source, *members):
             if id(one) not in series:
                 series[id(one)] = one.series_mapping()
@@ -194,12 +194,12 @@ class PairwiseDedup:
 
         stack_overlap = 0.0
         source_subroutine = source.context.subroutine
-        if source_subroutine and self.samples:
+        if source_subroutine and samples:
             for member in members:
                 target = member.context.subroutine
                 if not target:
                     continue
-                overlap = stack_trace_overlap(self.samples, source_subroutine, target)
+                overlap = stack_trace_overlap(samples, source_subroutine, target)
                 stack_overlap = max(stack_overlap, overlap)
 
         return {

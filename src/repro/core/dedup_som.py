@@ -19,14 +19,20 @@ presented as the representative.
 from __future__ import annotations
 
 import zlib
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
 from repro.core.importance import importance_score
-from repro.core.types import DetectionVerdict, FilterReason, Regression, RegressionGroup
+from repro.core.types import (
+    DetectionVerdict,
+    FilterReason,
+    MonitorState,
+    Regression,
+    RegressionGroup,
+    ScanContext,
+)
 from repro.fleet.changes import ChangeLog
-from repro.profiling.stacktrace import StackTrace
 from repro.som import som_cluster
 from repro.text.tfidf import NgramTfidfVectorizer
 
@@ -44,27 +50,12 @@ SOM_SEED = 0
 
 
 class SOMDedup:
-    """SOM-based deduplication of same-window, same-type regressions.
+    """SOM-based deduplication of same-window, same-type regressions;
+    group ids continue from the monitor's state."""
 
-    Args:
-        change_log: Change log for the root-cause-bitmap feature.
-        samples: Stack-trace history for ImportanceScore's popularity.
-    """
-
-    def __init__(
-        self,
-        change_log: Optional[ChangeLog] = None,
-        samples: Sequence[StackTrace] = (),
-    ) -> None:
-        self.change_log = change_log
-        self.samples = samples
-        self._next_group_id = 0
-
-    # ------------------------------------------------------------------
-    # Public API
-    # ------------------------------------------------------------------
-
-    def deduplicate(self, regressions: Sequence[Regression]) -> List[RegressionGroup]:
+    def deduplicate(
+        self, regressions: Sequence[Regression], context: ScanContext, state: MonitorState
+    ) -> List[RegressionGroup]:
         """Cluster ``regressions`` and elect representatives.
 
         Non-representative members receive a SOM_DUPLICATE verdict;
@@ -81,22 +72,24 @@ class SOMDedup:
             by_type.setdefault(regression.context.metric_name, []).append(regression)
 
         for metric_type in sorted(by_type):
-            groups.extend(self._dedup_one_type(by_type[metric_type]))
+            groups.extend(self._dedup_one_type(by_type[metric_type], context, state))
         return groups
 
-    def _dedup_one_type(self, regressions: List[Regression]) -> List[RegressionGroup]:
+    def _dedup_one_type(
+        self, regressions: List[Regression], context: ScanContext, state: MonitorState
+    ) -> List[RegressionGroup]:
         if not regressions:
             return []
-        features = self._feature_matrix(regressions)
+        features = self._feature_matrix(regressions, context.change_log)
         clusters = som_cluster(features, seed=SOM_SEED)
 
         groups = []
         for member_indices in clusters:
-            group = RegressionGroup(group_id=self._next_group_id)
-            self._next_group_id += 1
+            group = RegressionGroup(group_id=state.som_groups)
+            state.som_groups += 1
             members = [regressions[i] for i in member_indices]
             scored = [
-                (importance_score(m, self.samples), i, m)
+                (importance_score(m, context.samples), i, m)
                 for i, m in enumerate(members)
             ]
             scored.sort(key=lambda item: (-item[0], item[1]))
@@ -120,15 +113,15 @@ class SOMDedup:
     # Features
     # ------------------------------------------------------------------
 
-    def _feature_matrix(self, regressions: List[Regression]) -> np.ndarray:
+    def _feature_matrix(self, regressions: List[Regression], change_log: ChangeLog) -> np.ndarray:
         vectorizer = NgramTfidfVectorizer().fit(
             [r.context.metric_id for r in regressions]
         )
-        rows = [self._features_for(r, vectorizer) for r in regressions]
+        rows = [self._features_for(r, vectorizer, change_log) for r in regressions]
         return np.asarray(rows, dtype=float)
 
     def _features_for(
-        self, regression: Regression, vectorizer: NgramTfidfVectorizer
+        self, regression: Regression, vectorizer: NgramTfidfVectorizer, change_log: ChangeLog
     ) -> List[float]:
         series = regression.window.analysis
         fourier = self._fourier_features(series)
@@ -136,7 +129,7 @@ class SOMDedup:
         change_position = (
             regression.change_index / series.size if series.size else 0.0
         )
-        bitmap = self._root_cause_bitmap(regression)
+        bitmap = self._root_cause_bitmap(regression, change_log)
         metric_feature = vectorizer.metric_id_feature(regression.context.metric_id)
 
         features = list(fourier)
@@ -169,7 +162,8 @@ class SOMDedup:
         padded[: top.size] = top
         return list(map(float, padded))
 
-    def _root_cause_bitmap(self, regression: Regression) -> List[float]:
+    @staticmethod
+    def _root_cause_bitmap(regression: Regression, change_log: ChangeLog) -> List[float]:
         """Candidate-root-cause bitmap projected into a few buckets.
 
         Each recent change that modifies the regressed subroutine sets
@@ -177,10 +171,10 @@ class SOMDedup:
         share candidates land near each other in feature space.
         """
         buckets = [0.0] * _BITMAP_BUCKETS
-        if self.change_log is None or regression.context.subroutine is None:
+        if regression.context.subroutine is None:
             return buckets
         window_start = regression.change_time - LOOKBACK
-        for change in self.change_log.deployed_between(
+        for change in change_log.deployed_between(
             window_start, regression.change_time + 1.0
         ):
             if regression.context.subroutine in change.modified_subroutines:

@@ -1,7 +1,7 @@
 """FBDetect: the top-level facade.
 
-Wraps a :class:`DetectionPipeline` with the periodic re-run loop of
-Table 1 and a convenience single-series API.
+Wraps a :class:`DetectionPipeline` with its scan context and state, the
+periodic re-run loop of Table 1 and a convenience single-series API.
 
 Example::
 
@@ -20,8 +20,8 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.config import DetectionConfig
-from repro.core.pipeline import DetectionPipeline, FunnelCounters, PipelineResult
-from repro.core.types import MetricContext, Regression
+from repro.core.pipeline import DetectionPipeline
+from repro.core.types import PipelineResult, ScanContext
 from repro.fleet.changes import ChangeLog
 from repro.profiling.stacktrace import StackTrace
 from repro.tsdb.database import TimeSeriesDatabase
@@ -50,17 +50,13 @@ class FBDetect:
         **pipeline_kwargs,
     ) -> None:
         self.config = config
-        self.pipeline = DetectionPipeline(
-            config,
-            change_log=change_log,
-            samples=samples,
-            series_filter=series_filter,
-            **pipeline_kwargs,
-        )
+        self.pipeline = DetectionPipeline(config, series_filter=series_filter, **pipeline_kwargs)
+        self.context = ScanContext(tuple(samples), change_log or ChangeLog())
+        self.state = self.pipeline.new_state()
 
     def run(self, database: TimeSeriesDatabase, now: float) -> PipelineResult:
         """One detection scan at reference time ``now``."""
-        return self.pipeline.run(database, now)
+        return self.pipeline.run(database, now, self.context, self.state)
 
     def run_periodic(
         self,

@@ -45,8 +45,8 @@ screen fold, state writeback, scan decisions, and counters are all whole-
 batch array ops.  Screening thousands of series costs a handful of
 ``(k, n)`` kernels instead of ~10 interpreter operations per series.
 
-Checkpoint semantics: the cache pickles with its pipeline — in every
-parallel round trip and in every checkpoint — with columns compacted
+Checkpoint semantics: the cache pickles with its monitor's state — in
+every parallel round trip and in every checkpoint — with columns compacted
 to the live rows.  Wherever it lands, its anchors are trusted by one
 per-series rule: the anchored end timestamp is still stored before
 ``now``, at ``anchor_len - 1`` or — samples before it retired by
@@ -87,20 +87,20 @@ class IncrementalScanCache:
     inside shard checkpoints and across process-pool boundaries.
     """
 
-    # One entry per column of the struct-of-arrays anchor store.  Order
-    # matters only for _remove/_grow loops, which treat them uniformly.
-    _COLUMNS = (
-        "_c_anchor_end",
-        "_c_anchor_len",
-        "_c_full_scan_at",
-        "_c_had_candidate",
-        "_c_mean",
-        "_c_std",
-        "_c_pos",
-        "_c_neg",
-        "_c_fired",
-        "_c_n",
-    )
+    # One entry per column of the struct-of-arrays anchor store, with its
+    # dtype.  Every loop over them treats them uniformly.
+    _COLUMNS = {
+        "_c_anchor_end": np.float64,
+        "_c_anchor_len": np.int64,
+        "_c_full_scan_at": np.float64,
+        "_c_had_candidate": bool,
+        "_c_mean": np.float64,
+        "_c_std": np.float64,
+        "_c_pos": np.float64,
+        "_c_neg": np.float64,
+        "_c_fired": bool,
+        "_c_n": np.int64,
+    }
 
     def __init__(self, max_staleness: float) -> None:
         if max_staleness <= 0:
@@ -116,16 +116,8 @@ class IncrementalScanCache:
 
     def _alloc(self, capacity: int) -> None:
         """Allocate fresh columns with room for ``capacity`` rows."""
-        self._c_anchor_end = np.zeros(capacity)
-        self._c_anchor_len = np.zeros(capacity, dtype=np.int64)
-        self._c_full_scan_at = np.zeros(capacity)
-        self._c_had_candidate = np.zeros(capacity, dtype=bool)
-        self._c_mean = np.zeros(capacity)
-        self._c_std = np.zeros(capacity)
-        self._c_pos = np.zeros(capacity)
-        self._c_neg = np.zeros(capacity)
-        self._c_fired = np.zeros(capacity, dtype=bool)
-        self._c_n = np.zeros(capacity, dtype=np.int64)
+        for name, dtype in self._COLUMNS.items():
+            setattr(self, name, np.zeros(capacity, dtype=dtype))
 
     def _grow(self) -> None:
         """Double capacity (amortized O(1) row appends, like FloatColumn)."""
@@ -438,33 +430,12 @@ class IncrementalScanCache:
     # ------------------------------------------------------------------
 
     def __getstate__(self) -> dict:
-        """Pickle support: columns compact to the live prefix."""
-        return {
-            "max_staleness": self.max_staleness,
-            "hits": self.hits,
-            "misses": self.misses,
-            "invalidations": self.invalidations,
-            "names": list(self._names),
-            "columns": {
-                col: getattr(self, col)[: self._size].copy()
-                for col in self._COLUMNS
-            },
-        }
+        """Pickle support: columns compact to the live rows (the next new
+        row grows them again), and the name index is rebuilt on load."""
+        state = {key: value for key, value in vars(self).items() if key != "_rows"}
+        state.update((col, getattr(self, col)[: self._size]) for col in self._COLUMNS)
+        return state
 
     def __setstate__(self, state: dict) -> None:
-        self.max_staleness = state["max_staleness"]
-        self.hits = state["hits"]
-        self.misses = state["misses"]
-        self.invalidations = state["invalidations"]
-        self._rows = {}
-        self._names = []
-        self._size = 0
-        names = state["names"]
-        columns = state["columns"]
-        size = len(names)
-        self._alloc(max(_MIN_ROWS, size))
-        for col in self._COLUMNS:
-            getattr(self, col)[:size] = columns[col]
-        self._names = list(names)
-        self._rows = {name: row for row, name in enumerate(names)}
-        self._size = size
+        self.__dict__.update(state)
+        self._rows = {name: row for row, name in enumerate(self._names)}

@@ -18,9 +18,13 @@ anomalies after each technique") is read off the tallies' ``outputs``
 when the run ends, and the same tallies — inputs, drop reasons and elapsed
 time included — are frozen into one :class:`~repro.obs.spans.Span` per stage.
 
-A run is a function of ``(pipeline state, database, now)``: it holds no
-registry, trace store or sink and pushes nothing anywhere.  Its spans,
-run-level counts and block timings come back as one
+A pipeline is configuration, rebuilt from its arguments wherever it is
+needed and never pickled.  A run is a function of ``(database, now,
+context, state)``: what it reads beside the TSDB is a
+:class:`~repro.core.types.ScanContext`, and what it carries to the next
+run is the :class:`~repro.core.types.MonitorState` it updates in place.
+It holds no registry, trace store or sink and pushes nothing anywhere.
+Its spans, run-level counts and block timings come back as one
 :class:`~repro.obs.spans.RunTrace` on :attr:`PipelineResult.trace`, and
 the caller publishes them (:func:`repro.runtime.scheduler.publish`).
 """
@@ -30,7 +34,7 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -49,55 +53,34 @@ from repro.core.types import (
     DetectionVerdict,
     FilterReason,
     MetricContext,
+    MonitorState,
+    PipelineResult,
     Regression,
     RegressionKind,
+    ScanContext,
 )
 from repro.core.went_away import WentAwayDetector
-from repro.fleet.changes import ChangeLog
 from repro.obs.logging import get_logger
 from repro.obs.spans import STAGES, FunnelCounters, RunCounts, RunTrace, StageTally
-from repro.profiling.stacktrace import StackTrace
 from repro.quality.gaps import QualityGate
 from repro.tsdb.database import TimeSeriesDatabase
 from repro.tsdb.series import TimeSeries
 from repro.tsdb.windows import WindowedView
 
-__all__ = ["STAGES", "FunnelCounters", "PipelineResult", "DetectionPipeline"]
+__all__ = ["STAGES", "FunnelCounters", "DetectionPipeline"]
 
 # STAGES and FunnelCounters live in repro.obs.spans; re-exported here.
 
 _log = get_logger("repro.core.pipeline")
 
 
-@dataclass
-class PipelineResult:
-    """Outcome of one detection run.
-
-    Attributes:
-        reported: Final regressions presented to developers (group
-            representatives after all filtering and deduplication).
-        all_candidates: Every change-point candidate turned regression
-            (including later-filtered ones, each carrying its verdicts).
-        funnel: Per-stage survivor counts.
-        now: The run's reference time.
-        trace: The run's ledger — one span per funnel stage, plus the
-            run-level counts and block timings under their metric names.
-    """
-
-    reported: List[Regression]
-    all_candidates: List[Regression]
-    funnel: FunnelCounters
-    now: float
-    trace: RunTrace
-
-
 @dataclass(frozen=True)
 class _Stage:
     """One per-candidate filter: a row of the Figure 6 stage table.
 
-    The table is built per run from the pipeline's detectors and
-    ``enable_*`` flags (:meth:`DetectionPipeline._stage_table`), so it
-    never rides a shard pickle.
+    The table is built per run from the pipeline's detectors, its
+    ``enable_*`` flags and the run's state
+    (:meth:`DetectionPipeline._stage_table`).
 
     Attributes:
         row: The Table 3 row (span and funnel count) the stage is
@@ -153,9 +136,6 @@ class DetectionPipeline:
 
     Args:
         config: Workload configuration (Table 1 row).
-        change_log: Change log for root-cause analysis, SOM features and
-            commit cost domains.
-        samples: Stack-trace history (cost shift, dedup, root cause).
         series_filter: Optional tag filters selecting which series this
             pipeline scans (e.g. ``{"service": "frontfaas"}``).
         planned_changes: Optional correlator suppressing regressions
@@ -165,25 +145,23 @@ class DetectionPipeline:
         enable_seasonality: Ablation switch for the seasonality detector.
         enable_cost_shift: Ablation switch for cost-shift analysis
             (AdServing runs without it, per Table 3).
-        incremental: Enable the per-series incremental scan cache
-            (:mod:`repro.core.incremental`): a CUSUM screen anchored at
-            each full scan makes a repeat scan of a quiet series O(new
-            points), not O(window).  Off by default so offline analyses
-            stay byte-identical; the streaming service turns it on.
+        incremental: Give each :meth:`new_state` the per-series
+            incremental scan cache (:mod:`repro.core.incremental`): a
+            CUSUM screen anchored at each full scan makes a repeat scan of
+            a quiet series O(new points), not O(window).  Off by default so
+            offline analyses stay byte-identical; the service turns it on.
         quality_gate: Optional :class:`~repro.quality.gaps.QualityGate`
             making detection gap-aware: windows whose coverage (points
             present vs the series' own cadence) is below its floor are
             suppressed — mostly-gap windows fire false positives — and
             series that stopped reporting are evicted until they resume
-            (:meth:`stale_series`).  Windows holding a non-finite value
-            are never scanned, gate or not.
+            (:attr:`MonitorState.stale`).  Windows holding a non-finite
+            value are never scanned, gate or not.
     """
 
     def __init__(
         self,
         config: DetectionConfig,
-        change_log: Optional[ChangeLog] = None,
-        samples: Sequence[StackTrace] = (),
         series_filter: Optional[Dict[str, str]] = None,
         planned_changes: Optional[PlannedChangeCorrelator] = None,
         enable_went_away: bool = True,
@@ -193,23 +171,13 @@ class DetectionPipeline:
         quality_gate: Optional[QualityGate] = None,
     ) -> None:
         self.config = config
-        self.change_log = change_log if change_log is not None else ChangeLog()
-        self.samples = list(samples)
         self.series_filter = dict(series_filter or {})
         self.planned_changes = planned_changes
         self.enable_went_away = enable_went_away
         self.enable_seasonality = enable_seasonality
         self.enable_cost_shift = enable_cost_shift
-        self.incremental_cache: Optional[IncrementalScanCache] = (
-            IncrementalScanCache(max_staleness=config.windows.analysis)
-            if incremental
-            else None
-        )
+        self.incremental = incremental
         self.quality_gate = quality_gate
-        # Series currently evicted for staleness; membership is
-        # re-evaluated every run, so a series that resumes reporting
-        # leaves the set on its next scan.
-        self._stale: set = set()
 
         self.change_point_detector = ChangePointDetector()
         self.went_away_detector = WentAwayDetector()
@@ -219,19 +187,34 @@ class DetectionPipeline:
         self.same_regression_merger = SameRegressionMerger(
             time_tolerance=max(config.rerun_interval, 3600.0)
         )
-        self.som_dedup = SOMDedup(change_log=self.change_log, samples=self.samples)
-        self.pairwise_dedup = PairwiseDedup(samples=self.samples)
+        self.som_dedup = SOMDedup()
+        self.pairwise_dedup = PairwiseDedup()
+        self.root_cause_analyzer = RootCauseAnalyzer()
         self.long_term_detector = LongTermDetector(
             threshold=config.threshold if not config.relative_threshold else 0.0,
             known_period=config.seasonality_period,
         )
 
+    def new_state(self) -> MonitorState:
+        """A monitor's state before its first scan."""
+        staleness = self.config.windows.analysis
+        return MonitorState(IncrementalScanCache(staleness) if self.incremental else None)
+
     # ------------------------------------------------------------------
     # Run
     # ------------------------------------------------------------------
 
-    def run(self, database: TimeSeriesDatabase, now: float) -> PipelineResult:
-        """One periodic detection scan at reference time ``now``."""
+    def run(
+        self,
+        database: TimeSeriesDatabase,
+        now: float,
+        context: Optional[ScanContext] = None,
+        state: Optional[MonitorState] = None,
+    ) -> PipelineResult:
+        """One periodic detection scan at reference time ``now``, updating
+        ``state`` in place (by default a fresh one: the run is a one-off)."""
+        context = context if context is not None else ScanContext()
+        state = state if state is not None else self.new_state()
         run_started = time.perf_counter()
         wall_started = time.time()
         # The run's only ledger: one tally per Table 3 row, and beside
@@ -242,11 +225,13 @@ class DetectionPipeline:
         timings: Dict[str, float] = {}
         block = _Stopwatch()
 
-        candidates = self._detect(database, now, tallies, counts)
+        candidates = self._detect(database, now, state, tallies, counts)
         timings["pipeline.stage.detect_seconds"] = block.lap()
 
         alive = [c for c in candidates if not c.verdicts or c.verdicts[-1].passed]
-        for name, enabled, apply, drop_reason in self._collection_stages(database):
+        for name, enabled, apply, drop_reason in self._collection_stages(
+            database, context, state
+        ):
             kept = apply(alive) if enabled else alive
             seconds = timings[f"pipeline.stage.{name}_seconds"] = block.lap()
             if drop_reason is not None:
@@ -289,7 +274,9 @@ class DetectionPipeline:
     # Stage tables
     # ------------------------------------------------------------------
 
-    def _stage_table(self, went_away: Dict[int, DetectionVerdict]) -> Tuple[_Stage, ...]:
+    def _stage_table(
+        self, went_away: Dict[int, DetectionVerdict], state: MonitorState
+    ) -> Tuple[_Stage, ...]:
         """The per-candidate filters of Figure 6, in order.  Went-away is judged a
         block at a time (:meth:`_went_away`): its row pops the regression's verdict."""
         return (
@@ -315,7 +302,7 @@ class DetectionPipeline:
                 "same_regression",
                 True,
                 lambda regression, candidate: self.same_regression_merger.check(
-                    regression
+                    regression, state
                 ),
             ),
         )
@@ -339,7 +326,9 @@ class DetectionPipeline:
             ),
         )
 
-    def _collection_stages(self, database: TimeSeriesDatabase) -> tuple:
+    def _collection_stages(
+        self, database: TimeSeriesDatabase, context: ScanContext, state: MonitorState
+    ) -> tuple:
         """The stages that see all survivors at once, in order.
 
         Rows are ``(name, enabled, apply, drop_reason)``: ``apply`` maps
@@ -349,16 +338,14 @@ class DetectionPipeline:
         """
 
         def som_representatives(alive: List[Regression]) -> List[Regression]:
-            groups = self.som_dedup.deduplicate(alive)
+            groups = self.som_dedup.deduplicate(alive, context, state)
             return [g.representative for g in groups if g.representative]
 
         def cost_shift_survivors(alive: List[Regression]) -> List[Regression]:
-            cost_shift = CostShiftDetector(
-                database, samples=self.samples, change_log=self.change_log
-            )
+            cost_shift = CostShiftDetector(database)
             kept: List[Regression] = []
             for regression in alive:
-                verdict = cost_shift.check(regression)
+                verdict = cost_shift.check(regression, context)
                 regression.record(verdict)
                 if verdict.passed:
                     kept.append(regression)
@@ -366,17 +353,15 @@ class DetectionPipeline:
 
         def pairwise_openers(alive: List[Regression]) -> List[Regression]:
             # Against groups from prior runs as well as this one's.
-            self.pairwise_dedup.process(alive)
+            self.pairwise_dedup.process(alive, context, state)
             return [r for r in alive if r.verdicts and r.verdicts[-1].passed]
 
         def root_caused(alive: List[Regression]) -> List[Regression]:
-            analyzer = RootCauseAnalyzer(
-                self.change_log,
-                samples_before=self.samples,
-                samples_after=self.samples,
-            )
+            # One list is both the before and the after samples until the
+            # context's samples are sliced at the change time (ROADMAP 3(b)).
+            samples = context.samples
             for regression in alive:
-                analyzer.analyze(regression)
+                self.root_cause_analyzer.analyze(regression, context.change_log, samples, samples)
             return alive
 
         return (
@@ -395,6 +380,7 @@ class DetectionPipeline:
         self,
         database: TimeSeriesDatabase,
         now: float,
+        state: MonitorState,
         tallies: Dict[str, StageTally],
         counts: RunCounts,
     ) -> List[Regression]:
@@ -408,13 +394,13 @@ class DetectionPipeline:
         # (an evicted series must cost nothing and fold nothing).
         scannable = self._matching_series(database)
         if self.quality_gate is not None:
-            fresh = [s for s in scannable if not self._evict_if_stale(s, now, counts)]
+            fresh = [s for s in scannable if not self._evict_if_stale(s, now, state.stale, counts)]
             if len(fresh) < len(scannable):
                 detected.bulk(len(scannable) - len(fresh), 0, "stale_series", 0.0)
             scannable = fresh
         # Pass 2: one vectorized screen over every scannable series —
         # thousands of per-series CUSUM folds become a few array ops.
-        cache = self.incremental_cache
+        cache = state.cache
         decisions: Optional[Dict[str, bool]] = None
         if cache is not None:
             hits = cache.hits
@@ -433,7 +419,7 @@ class DetectionPipeline:
         # pass's seconds reach its tally on the next lap, so the spans
         # still account for the block.
         went_away: Dict[int, DetectionVerdict] = {}
-        stages = self._stage_table(went_away)
+        stages = self._stage_table(went_away, state)
         long_term = self.config.long_term
         joins = [stage.row for stage in stages].index(_LONG_TERM_JOINS_AT)
         long_term_stages = stages[joins:]
@@ -452,7 +438,7 @@ class DetectionPipeline:
 
         def flush() -> None:
             scanned = [(series, windowed) for series, windowed, short in block if short]
-            hits = iter(self._change_points(scanned, now, counts))
+            hits = iter(self._change_points(scanned, now, cache, counts))
             found = [
                 self._short_term(series, now, windowed, next(hits)) if short else None
                 for series, windowed, short in block
@@ -526,13 +512,10 @@ class DetectionPipeline:
             return database.query(**self.series_filter)
         return list(database)
 
-    def stale_series(self) -> List[str]:
-        """Series currently evicted from scanning for staleness, sorted
-        (``sorted`` copies the set first: safe beside a running scan)."""
-        return sorted(self._stale)
-
-    def _evict_if_stale(self, series: TimeSeries, now: float, counts: RunCounts) -> bool:
-        """Track and report whether ``series`` stopped reporting.
+    def _evict_if_stale(
+        self, series: TimeSeries, now: float, stale: Set[str], counts: RunCounts
+    ) -> bool:
+        """Track in ``stale`` and report whether ``series`` stopped reporting.
 
         A stale series is evicted from scheduling until it resumes: a
         dead host must cost nothing per tick and never alert.  Its last
@@ -546,12 +529,12 @@ class DetectionPipeline:
         if not n:
             return False
         if self.quality_gate.is_stale(stamps.get(n - 1), now, self.config.windows.analysis):
-            if series.name not in self._stale:
-                self._stale.add(series.name)
+            if series.name not in stale:
+                stale.add(series.name)
                 counts.inc("pipeline.quality.stale_evictions")
             counts.inc("pipeline.quality.stale_skips")
             return True
-        self._stale.discard(series.name)
+        stale.discard(series.name)
         return False
 
     def _window_skip_reason(self, windowed: WindowedView, counts: RunCounts) -> Optional[str]:
@@ -583,7 +566,8 @@ class DetectionPipeline:
         return values if self.config.higher_is_worse else -values
 
     def _change_points(
-        self, scanned: Sequence[Tuple[TimeSeries, WindowedView]], now: float, counts: RunCounts
+        self, scanned: Sequence[Tuple[TimeSeries, WindowedView]], now: float,
+        cache: Optional[IncrementalScanCache], counts: RunCounts,
     ) -> List[Optional[ChangePointCandidate]]:
         """CUSUM+EM+LRT (§5.2.1) over the analysis windows of a block of
         series — stacked by length, never padded, one row-wise pass per
@@ -611,8 +595,8 @@ class DetectionPipeline:
             means[members], stds[members] = raw.mean(axis=1), raw.std(axis=1)
         counts.inc("pipeline.full_scan.rows", len(scanned))
         counts.inc("pipeline.full_scan.exact_lrt", exact)
-        if self.incremental_cache is not None:
-            self.incremental_cache.record_full_scans(
+        if cache is not None:
+            cache.record_full_scans(
                 [series for series, _ in scanned], now, means, stds,
                 [hit is not None for hit in found],
             )

@@ -96,44 +96,44 @@ class RootCauseAnalyzer:
     """Ranks candidate changes for a regression.
 
     Args:
-        change_log: Source of candidate changes.
-        samples_before: Stack samples from before the regression (gCPU
-            attribution factor).
-        samples_after: Stack samples from after the regression.
         setup_series: Optional ``{change_id: {timestamp: value}}`` setup
             metrics for the time-correlation factor.
     """
 
     def __init__(
-        self,
-        change_log: ChangeLog,
-        samples_before: Sequence[StackTrace] = (),
-        samples_after: Sequence[StackTrace] = (),
-        setup_series: Optional[Mapping[str, Mapping[float, float]]] = None,
+        self, setup_series: Optional[Mapping[str, Mapping[float, float]]] = None
     ) -> None:
-        self.change_log = change_log
-        self.samples_before = list(samples_before)
-        self.samples_after = list(samples_after)
         self.setup_series = dict(setup_series or {})
 
     # ------------------------------------------------------------------
     # Public API
     # ------------------------------------------------------------------
 
-    def analyze(self, regression: Regression) -> List[RootCauseCandidate]:
-        """Ranked root-cause candidates (possibly empty).
+    def analyze(
+        self,
+        regression: Regression,
+        change_log: ChangeLog,
+        samples_before: Sequence[StackTrace] = (),
+        samples_after: Sequence[StackTrace] = (),
+    ) -> List[RootCauseCandidate]:
+        """Ranked root-cause candidates (possibly empty) among the changes
+        ``change_log`` deployed shortly before the regression, with stack
+        samples from before and after it for the gCPU attribution factor.
 
         An empty list means FBDetect's confidence was too low to suggest
         a root cause — the appropriate outcome for regressions caused by
         diffuse feature releases or un-exported changes (§6.3).
         """
-        candidates = self.change_log.deployed_between(
+        candidates = change_log.deployed_between(
             regression.change_time - LOOKBACK, regression.change_time + 1.0
         )
         if not candidates:
             return []
 
-        scored = [self._score(regression, change) for change in candidates]
+        scored = [
+            self._score(regression, change, samples_before, samples_after)
+            for change in candidates
+        ]
         scored.sort(key=lambda c: -c.score)
         if not scored or scored[0].score < CONFIDENCE_THRESHOLD:
             return []
@@ -148,9 +148,17 @@ class RootCauseAnalyzer:
     # Factors
     # ------------------------------------------------------------------
 
-    def _score(self, regression: Regression, change: CodeChange) -> RootCauseCandidate:
+    def _score(
+        self, regression: Regression, change: CodeChange,
+        before: Sequence[StackTrace], after: Sequence[StackTrace],
+    ) -> RootCauseCandidate:
+        subroutine = regression.context.subroutine
+        attributed = subroutine is not None and len(before) > 0
         factors = {
-            "gcpu_attribution": self._attribution_factor(regression, change),
+            "gcpu_attribution": (
+                gcpu_attribution(before, after, subroutine, change.modified_subroutines)
+                if attributed else 0.0
+            ),
             "text_similarity": self._text_factor(regression, change),
             "time_correlation": self._correlation_factor(regression, change),
         }
@@ -158,32 +166,24 @@ class RootCauseAnalyzer:
         # Direct modification of the regressed subroutine is itself strong
         # code-and-stack-trace evidence ("changes that modify downstream
         # subroutines transitively invoked ... are flagged as suspects").
-        if regression.context.subroutine and self._modifies_stack(regression, change):
+        if subroutine and self._modifies_stack(subroutine, change, after):
             score = min(1.0, score + 0.25)
         return RootCauseCandidate(change=change, score=float(score), factors=factors)
 
-    def _modifies_stack(self, regression: Regression, change: CodeChange) -> bool:
+    @staticmethod
+    def _modifies_stack(
+        target: str, change: CodeChange, samples_after: Sequence[StackTrace]
+    ) -> bool:
         """Change touches the regressed subroutine or one it invokes."""
-        target = regression.context.subroutine
         modified = set(change.modified_subroutines)
         if target in modified:
             return True
-        for trace in self.samples_after:
+        for trace in samples_after:
             if not trace.contains(target):
                 continue
             if set(trace.callees_of(target)) & modified:
                 return True
         return False
-
-    def _attribution_factor(self, regression: Regression, change: CodeChange) -> float:
-        if regression.context.subroutine is None or not self.samples_before:
-            return 0.0
-        return gcpu_attribution(
-            self.samples_before,
-            self.samples_after,
-            regression.context.subroutine,
-            change.modified_subroutines,
-        )
 
     def _text_factor(self, regression: Regression, change: CodeChange) -> float:
         regression_text = " ".join(

@@ -9,10 +9,7 @@ at (approximately) the same change time with a similar magnitude.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List
-
-from repro.core.types import DetectionVerdict, FilterReason, Regression
+from repro.core.types import DetectionVerdict, FilterReason, MonitorState, Regression
 
 __all__ = ["SameRegressionMerger"]
 
@@ -21,14 +18,9 @@ __all__ = ["SameRegressionMerger"]
 MAGNITUDE_TOLERANCE = 0.5
 
 
-@dataclass
-class _PriorRegression:
-    change_time: float
-    magnitude: float
-
-
 class SameRegressionMerger:
-    """Stateful same-regression filter across detection runs.
+    """Same-regression filter across detection runs; its ledger is the
+    monitor's (:attr:`~repro.core.types.MonitorState.seen`).
 
     Args:
         time_tolerance: Change times within this many seconds count as
@@ -37,31 +29,25 @@ class SameRegressionMerger:
 
     def __init__(self, time_tolerance: float = 3600.0) -> None:
         self.time_tolerance = time_tolerance
-        self._seen: Dict[str, List[_PriorRegression]] = {}
 
-    def check(self, regression: Regression) -> DetectionVerdict:
-        """Drop duplicates of previously recorded regressions.
+    def check(self, regression: Regression, state: MonitorState) -> DetectionVerdict:
+        """Drop duplicates of regressions in ``state``'s ledger.
 
-        New (non-duplicate) regressions are recorded for future runs.
+        New (non-duplicate) regressions are recorded there for future runs.
         """
-        metric = regression.context.metric_id
-        priors = self._seen.setdefault(metric, [])
-        for prior in priors:
-            if abs(prior.change_time - regression.change_time) > self.time_tolerance:
+        priors = state.seen.setdefault(regression.context.metric_id, [])
+        for change_time, magnitude in priors:
+            if abs(change_time - regression.change_time) > self.time_tolerance:
                 continue
-            if self._similar_magnitude(prior.magnitude, regression.magnitude):
+            if self._similar_magnitude(magnitude, regression.magnitude):
                 return DetectionVerdict.drop(
                     FilterReason.SAME_REGRESSION,
                     detail=(
-                        f"already reported at t={prior.change_time:.0f} "
-                        f"with magnitude {prior.magnitude:.3g}"
+                        f"already reported at t={change_time:.0f} "
+                        f"with magnitude {magnitude:.3g}"
                     ),
                 )
-        priors.append(
-            _PriorRegression(
-                change_time=regression.change_time, magnitude=regression.magnitude
-            )
-        )
+        priors.append((regression.change_time, regression.magnitude))
         return DetectionVerdict.keep()
 
     def _similar_magnitude(self, a: float, b: float) -> bool:
@@ -69,7 +55,3 @@ class SameRegressionMerger:
         if scale == 0:
             return True
         return abs(a - b) / scale <= MAGNITUDE_TOLERANCE
-
-    def reset(self) -> None:
-        """Forget all prior regressions (new evaluation period)."""
-        self._seen.clear()

@@ -4,8 +4,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from repro.core.incremental import IncrementalScanCache
+from repro.fleet.changes import ChangeLog
+from repro.obs.spans import FunnelCounters, RunTrace
+from repro.profiling.stacktrace import StackTrace
 from repro.tsdb.windows import WindowedView
 
 __all__ = [
@@ -15,6 +19,9 @@ __all__ = [
     "MetricContext",
     "Regression",
     "RegressionGroup",
+    "PipelineResult",
+    "ScanContext",
+    "MonitorState",
 ]
 
 
@@ -191,3 +198,63 @@ class RegressionGroup:
     def add(self, regression: Regression) -> None:
         regression.group_id = self.group_id
         self.members.append(regression)
+
+
+@dataclass
+class PipelineResult:
+    """Outcome of one detection run.
+
+    Attributes:
+        reported: Final regressions presented to developers (group
+            representatives after all filtering and deduplication).
+        all_candidates: Every change-point candidate turned regression
+            (including later-filtered ones, each carrying its verdicts).
+        funnel: Per-stage survivor counts.
+        now: The run's reference time.
+        trace: The run's ledger — one span per funnel stage, plus the
+            run-level counts and block timings under their metric names.
+    """
+
+    reported: List[Regression]
+    all_candidates: List[Regression]
+    funnel: FunnelCounters
+    now: float
+    trace: RunTrace
+
+
+@dataclass(frozen=True)
+class ScanContext:
+    """What a scan reads beside the TSDB, handed to each run.
+
+    Attributes:
+        samples: Stack-trace samples (cost shift, dedup, root cause).
+        change_log: Deployed changes (root cause, SOM features, commit
+            cost domains).
+    """
+
+    samples: Tuple[StackTrace, ...] = ()
+    change_log: ChangeLog = field(default_factory=ChangeLog)
+
+
+@dataclass
+class MonitorState:
+    """What one monitor carries from a scan to the next, as plain data.
+
+    A scan mutates it in place; a checkpoint or a worker's answer
+    pickles it beside the monitor's configuration, never a detector.
+
+    Attributes:
+        cache: The incremental screen's anchors (``None``: screen off).
+        stale: Series evicted for staleness, re-judged every scan.
+        seen: The same-regression ledger: metric id -> ``(change time,
+            magnitude)`` of each regression already let through.
+        som_groups: SOM groups opened so far (the next group's id).
+        pairwise_groups: PairwiseDedup's groups in opening order, each
+            the list of its first members.
+    """
+
+    cache: Optional[IncrementalScanCache] = None
+    stale: Set[str] = field(default_factory=set)
+    seen: Dict[str, List[Tuple[float, float]]] = field(default_factory=dict)
+    som_groups: int = 0
+    pairwise_groups: list = field(default_factory=list)

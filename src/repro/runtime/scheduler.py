@@ -1,11 +1,10 @@
 """The detection scheduler.
 
-Owns many monitors — each a (name, detection config, series filter)
-triple with its own persistent
-:class:`~repro.core.pipeline.DetectionPipeline` — and advances simulated
-time, running every monitor whose re-run interval has elapsed.  The
-offline :class:`~repro.core.detector.FBDetect` facade wraps the same
-pipeline.  Monitors due at the same instant are scanned one
+Owns many monitors — each a :class:`~repro.core.pipeline.DetectionPipeline`
+with the context its scans read and the state they carry forward — and
+advances simulated time, running every monitor whose re-run interval has
+elapsed.  The offline :class:`~repro.core.detector.FBDetect` facade
+wraps the same.  Monitors due at the same instant are scanned one
 after another, in registration order, on the calling thread; the paper's
 fan-out (§5.1: serverless functions scanning different series side by
 side) happens a level up, where the streaming service runs one scheduler
@@ -22,18 +21,21 @@ A scheduler holds no registry, trace store or sink: an advance
 seconds, a scan that raised included — and the caller hands them to
 :func:`publish` (registry and trace store) and :func:`deliver_outcomes`
 (sinks).  So a pickled scheduler carries its monitors and the database
-it reads, and nothing process-local but the lock it re-creates.
+it reads, and nothing process-local but the lock it re-creates; a
+monitor's pipeline is built again from its configuration.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Dict, Iterable, List, Optional, Sequence
 
 from repro.config import DetectionConfig
-from repro.core.pipeline import DetectionPipeline, PipelineResult
+from repro.core.pipeline import DetectionPipeline
+from repro.core.types import MonitorState, PipelineResult, ScanContext
 from repro.fleet.changes import ChangeLog
 from repro.obs.logging import get_logger
 from repro.profiling.stacktrace import StackTrace
@@ -58,13 +60,31 @@ class MonitorRegistration:
 
     Attributes:
         name: Monitor label (shows up in outcomes).
-        pipeline: The monitor's pipeline (holds dedup state across scans).
+        config: The monitor's detection configuration.
+        switches: The rest of its :class:`DetectionPipeline` arguments.
         next_run: Simulated time of the next scheduled scan.
+        context: What its scans read beside the TSDB.
+        state: What its scans carry from one to the next.
     """
 
     name: str
-    pipeline: DetectionPipeline
+    config: DetectionConfig
+    switches: Dict[str, Any]
     next_run: float
+    context: ScanContext
+    state: MonitorState = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.state = self.pipeline.new_state()
+
+    @cached_property
+    def pipeline(self) -> DetectionPipeline:
+        """Built from ``config`` and ``switches`` at first use, here and
+        wherever the registration is unpickled: it never rides a pickle."""
+        return DetectionPipeline(self.config, **self.switches)
+
+    def __getstate__(self) -> dict:
+        return {key: value for key, value in vars(self).items() if key != "pipeline"}
 
 
 @dataclass(frozen=True)
@@ -170,26 +190,21 @@ class DetectionScheduler:
     ) -> MonitorRegistration:
         """Register a monitor; its first scan happens at ``first_run``
         (default: one full window after time zero, when enough data
-        exists).  Extra keyword arguments reach the underlying
-        :class:`DetectionPipeline` (ablation switches,
-        ``planned_changes`` ...).
+        exists).  ``change_log`` and ``samples`` are its scans' context;
+        extra keyword arguments reach the underlying
+        :class:`DetectionPipeline` (ablation switches, ``planned_changes`` ...).
 
         Raises:
             ValueError: On a duplicate monitor name.
         """
         if name in self._monitors:
             raise ValueError(f"monitor {name!r} already registered")
-        pipeline = DetectionPipeline(
-            config,
-            change_log=change_log,
-            samples=samples,
-            series_filter=series_filter,
-            **pipeline_kwargs,
-        )
         registration = MonitorRegistration(
             name=name,
-            pipeline=pipeline,
+            config=config,
+            switches=dict(pipeline_kwargs, series_filter=series_filter),
             next_run=first_run if first_run is not None else config.windows.total,
+            context=ScanContext(tuple(samples), change_log or ChangeLog()),
         )
         self._monitors[name] = registration
         return registration
@@ -201,13 +216,13 @@ class DetectionScheduler:
     def stale_series(self) -> List[str]:
         """Series evicted from scanning for staleness, across monitors.
 
-        Sorted union of every monitor pipeline's
-        :meth:`~repro.core.pipeline.DetectionPipeline.stale_series`
-        (surfaced on the service's ``/quality`` endpoint).
+        Sorted union of every monitor's
+        :attr:`~repro.core.types.MonitorState.stale` (surfaced on the
+        service's ``/quality`` endpoint), each copied in one C-level call.
         """
         stale: set = set()
         for registration in list(self._monitors.values()):
-            stale.update(registration.pipeline.stale_series())
+            stale.update(registration.state.stale)
         return sorted(stale)
 
     def incremental_counts(self) -> Dict[str, int]:
@@ -217,7 +232,7 @@ class DetectionScheduler:
         ``pipeline.incremental.*``."""
         counts = {"hits": 0, "misses": 0}
         for registration in list(self._monitors.values()):
-            cache = registration.pipeline.incremental_cache
+            cache = registration.state.cache
             if cache is not None:
                 counts["hits"] += cache.hits
                 counts["misses"] += cache.misses
@@ -258,7 +273,7 @@ class DetectionScheduler:
                 due = [m for m in self._monitors.values() if m.next_run == due_time]
                 executed.extend(self._run_batch(due, due_time))
                 for monitor in due:
-                    monitor.next_run = due_time + monitor.pipeline.config.rerun_interval
+                    monitor.next_run = due_time + monitor.config.rerun_interval
                 if self.retention > 0:
                     self.retention_cutoff = due_time - self.retention
                     self.database.apply_retention(self.retention_cutoff)
@@ -273,7 +288,9 @@ class DetectionScheduler:
         for monitor in monitors:
             started = time.perf_counter()
             try:
-                result: Optional[PipelineResult] = monitor.pipeline.run(self.database, now)
+                result: Optional[PipelineResult] = monitor.pipeline.run(
+                    self.database, now, monitor.context, monitor.state
+                )
                 self.scans += 1
             except Exception as error:
                 # One monitor's scan blowing up must not abort the whole

@@ -63,7 +63,9 @@ __all__ = ["CheckpointError", "CheckpointManager", "CHECKPOINT_VERSION"]
 #: member records (context and samples), not whole regressions.
 #: 11: a TSDB column that is an exact arithmetic progression pickles as
 #: ``(first, step, n)``, not as its values.
-CHECKPOINT_VERSION = 11
+#: 12: a monitor pickles as its configuration, scan context and
+#: ``MonitorState``; no pipeline or detector object is in a blob.
+CHECKPOINT_VERSION = 12
 MANIFEST_NAME = "manifest.json"
 #: Complete generations a save retains.  More than one is what makes
 #: corruption survivable: when the newest generation fails its

@@ -10,8 +10,8 @@ scaled down to one process:
   :class:`~repro.tsdb.database.TimeSeriesDatabase`, a
   :class:`~repro.service.ingest.ShardIngestWorker` (bounded queue +
   backpressure + batch flush), and a
-  :class:`~repro.runtime.scheduler.DetectionScheduler` whose monitors'
-  pipelines carry the per-shard dedup state;
+  :class:`~repro.runtime.scheduler.DetectionScheduler` whose monitors
+  carry the per-shard dedup state;
 - :meth:`StreamingDetectionService.advance_to` flushes queues, runs due
   scans, filters re-alerts through a durable reported-ledger, and
   delivers :class:`~repro.reporting.report.IncidentReport`\\ s to sinks;
@@ -32,7 +32,7 @@ handle afterwards is :mod:`repro.service.shard`; the on-disk format is
 over shards in :mod:`repro.service.views`.
 
 Deduplication scope: SOM/pairwise dedup runs *within* a shard (each
-shard has its own detectors).  A frame is routed by its series name
+shard's monitors carry their own dedup state).  A frame is routed by its series name
 alone, so series of one service share a shard only by hash accident,
 and regressions on series in different shards are never deduplicated
 against each other.
@@ -229,10 +229,11 @@ class StreamingDetectionService:
     ) -> None:
         """Register a monitor on *every* shard.
 
-        Each shard gets its own pipeline (and dedup state) scanning the
+        Each shard gets its own pipeline (and monitor state) scanning the
         shard-local slice of the series space, gap-aware through a
         :class:`~repro.quality.gaps.QualityGate`: low-coverage windows
-        are suppressed and stale series evicted.  The pipeline's
+        are suppressed and stale series evicted.  ``change_log`` and
+        ``samples``, when given, are every shard's scan context.  The
         incremental scan cache is on: re-scans over quiet series then
         cost O(n) in new points instead of O(window).  ``incremental=False``
         scans every due series in full, the baseline the screen's
@@ -508,8 +509,8 @@ class StreamingDetectionService:
         """Write a full checkpoint; returns the manifest path.
 
         Captures per-shard TSDBs, un-flushed queue contents, scheduler
-        clocks and detector/dedup state, the reported-ledger, the
-        aggregate funnel, and the registry's snapshot.
+        clocks and monitors (configuration, context, state), the
+        reported-ledger, the aggregate funnel, and the registry's snapshot.
         """
         meta = {key: getattr(self, attr) for key, attr in _DURABLE.items()}
         meta.update(

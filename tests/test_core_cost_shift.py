@@ -8,7 +8,7 @@ import pytest
 
 from repro.core import cost_shift
 from repro.core.cost_shift import CostDomain, CostShiftDetector
-from repro.core.types import FilterReason, MetricContext, Regression, RegressionKind
+from repro.core.types import FilterReason, MetricContext, Regression, RegressionKind, ScanContext
 from repro.fleet.changes import ChangeEffect, ChangeLog, CodeChange, CostShift
 from repro.profiling.stacktrace import StackTrace
 from repro.tsdb import TimeSeriesDatabase, WindowSpec
@@ -63,9 +63,9 @@ class TestCostShiftDetector:
 
     def test_cost_shift_filtered_via_class_domain(self):
         db = self._db_with_shift()
-        detector = CostShiftDetector(db)
+        detector, context = CostShiftDetector(db), ScanContext()
         regression = make_regression(db, "ns::K::B")
-        verdict = detector.check(regression)
+        verdict = detector.check(regression, context)
         assert not verdict.passed
         assert verdict.reason is FilterReason.COST_SHIFT
         assert "class" in verdict.detail
@@ -76,9 +76,9 @@ class TestCostShiftDetector:
             StackTrace.from_names(["_start", "ns::P::caller", "ns::K::B"], weight=5.0),
             StackTrace.from_names(["_start", "ns::P::caller", "ns::K::A"], weight=5.0),
         ]
-        detector = CostShiftDetector(db, samples=samples)
+        detector, context = CostShiftDetector(db), ScanContext(tuple(samples))
         regression = make_regression(db, "ns::K::B")
-        verdict = detector.check(regression)
+        verdict = detector.check(regression, context)
         assert not verdict.passed
 
     def test_true_regression_kept(self):
@@ -88,8 +88,8 @@ class TestCostShiftDetector:
                      {"service": "svc", "subroutine": "ns::K::B", "metric": "gcpu"})
         write_series(db, "svc.ns::K::A.gcpu", 0.0012, 0.0012,
                      {"service": "svc", "subroutine": "ns::K::A", "metric": "gcpu"})
-        detector = CostShiftDetector(db)
-        verdict = detector.check(make_regression(db, "ns::K::B"))
+        detector, context = CostShiftDetector(db), ScanContext()
+        verdict = detector.check(make_regression(db, "ns::K::B"), context)
         assert verdict.passed
 
     def test_huge_domain_excluded(self):
@@ -100,7 +100,7 @@ class TestCostShiftDetector:
         write_series(db, "svc.ns::K::A.gcpu", 0.2, 0.2,  # 20% CPU class-mate
                      {"service": "svc", "subroutine": "ns::K::A", "metric": "gcpu"})
         with patch.object(cost_shift, "EXCLUSION_RATIO", 100.0):
-            verdict = CostShiftDetector(db).check(make_regression(db, "ns::K::B"))
+            verdict = CostShiftDetector(db).check(make_regression(db, "ns::K::B"), ScanContext())
         assert verdict.passed
 
     def test_new_subroutine_not_cost_shift(self):
@@ -130,7 +130,7 @@ class TestCostShiftDetector:
         )
         # Give it a class sibling so a class domain exists but with no
         # pre-change data either.
-        verdict = CostShiftDetector(db).check(regression)
+        verdict = CostShiftDetector(db).check(regression, ScanContext())
         assert verdict.passed
 
     def test_non_subroutine_metric_kept(self):
@@ -139,7 +139,7 @@ class TestCostShiftDetector:
                      {"service": "svc", "subroutine": "ns::K::B", "metric": "gcpu"})
         regression = make_regression(db, "ns::K::B")
         object.__setattr__(regression.context, "subroutine", None)
-        verdict = CostShiftDetector(db).check(regression)
+        verdict = CostShiftDetector(db).check(regression, ScanContext())
         assert verdict.passed
 
     def test_commit_domain(self):
@@ -154,8 +154,8 @@ class TestCostShiftDetector:
                 )
             ]
         )
-        detector = CostShiftDetector(db, change_log=log)
-        verdict = detector.check(make_regression(db, "ns::K::B"))
+        detector, context = CostShiftDetector(db), ScanContext(change_log=log)
+        verdict = detector.check(make_regression(db, "ns::K::B"), context)
         assert not verdict.passed
 
     def test_endpoint_domain(self):
@@ -166,11 +166,11 @@ class TestCostShiftDetector:
                      {"service": "svc", "endpoint": "/feed/a", "metric": "endpoint_gcpu"})
         write_series(db, "svc.endpoint.feed.b.gcpu", 0.0008, 0.0006,
                      {"service": "svc", "endpoint": "/feed/b", "metric": "endpoint_gcpu"})
-        detector = CostShiftDetector(db)
+        detector, context = CostShiftDetector(db), ScanContext()
         regression = make_regression(db, "ns::K::B", endpoint="/feed/a")
         # Endpoint domain members are looked up by endpoint tag series;
         # domain total flat -> cost shift between sibling endpoints.
-        verdict = detector.check(regression)
+        verdict = detector.check(regression, context)
         assert not verdict.passed
 
 

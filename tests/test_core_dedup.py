@@ -12,7 +12,14 @@ from repro.core.dedup_som import SOMDedup
 from repro.core import importance
 from repro.core.importance import importance_score, popularity_score
 from repro.core.same_regression import SameRegressionMerger
-from repro.core.types import FilterReason, MetricContext, Regression, RegressionKind
+from repro.core.types import (
+    FilterReason,
+    MetricContext,
+    MonitorState,
+    Regression,
+    RegressionKind,
+    ScanContext,
+)
 from repro.fleet.changes import ChangeEffect, ChangeLog, CodeChange
 from repro.profiling.stacktrace import StackTrace
 from repro.tsdb import TimeSeries, WindowSpec
@@ -109,7 +116,7 @@ class TestImportanceScore:
 class TestSOMDedup:
     def test_correlated_family_merged(self, rng):
         family = correlated_family(rng, 8)
-        groups = SOMDedup().deduplicate(family)
+        groups = SOMDedup().deduplicate(family, ScanContext(), MonitorState())
         assert len(groups) < len(family)
         representatives = [g.representative for g in groups]
         assert all(r is not None for r in representatives)
@@ -119,7 +126,7 @@ class TestSOMDedup:
 
     def test_duplicates_get_verdict(self, rng):
         family = correlated_family(rng, 8)
-        groups = SOMDedup().deduplicate(family)
+        groups = SOMDedup().deduplicate(family, ScanContext(), MonitorState())
         for group in groups:
             for member in group.members:
                 if member is group.representative:
@@ -132,15 +139,17 @@ class TestSOMDedup:
         values[700:] += 0.0002
         r1 = make_regression("m.gcpu", values, metric_name="gcpu")
         r2 = make_regression("m.throughput", values, metric_name="throughput")
-        groups = SOMDedup().deduplicate([r1, r2])
+        groups = SOMDedup().deduplicate([r1, r2], ScanContext(), MonitorState())
         assert len(groups) == 2
 
     def test_empty_input(self):
-        assert SOMDedup().deduplicate([]) == []
+        assert SOMDedup().deduplicate([], ScanContext(), MonitorState()) == []
 
     def test_single_regression(self, rng):
         values = rng.normal(0.001, 0.00002, 900)
-        groups = SOMDedup().deduplicate([make_regression("m", values)])
+        groups = SOMDedup().deduplicate(
+            [make_regression("m", values)], ScanContext(), MonitorState()
+        )
         assert len(groups) == 1
         assert groups[0].representative.representative
 
@@ -148,10 +157,9 @@ class TestSOMDedup:
         log = ChangeLog(
             [CodeChange("c1", deploy_time=690.0, effects=(ChangeEffect("sub", 1.5),))]
         )
-        dedup = SOMDedup(change_log=log)
         values = rng.normal(0.001, 0.00002, 900)
         regression = make_regression("m", values, subroutine="sub", change_time=700.0)
-        bitmap = dedup._root_cause_bitmap(regression)
+        bitmap = SOMDedup._root_cause_bitmap(regression, log)
         assert sum(bitmap) == 1.0
 
 
@@ -164,18 +172,18 @@ class TestPairwiseDedup:
         v2[700:] += 0.0002
         r1 = make_regression("svc.sub.gcpu", v1, metric_name="gcpu")
         r2 = make_regression("svc.sub.throughput", v2, metric_name="throughput")
-        dedup = PairwiseDedup()
-        dedup.process([r1])
-        dedup.process([r2])
-        assert len(dedup.groups) == 1
+        dedup, context, state = PairwiseDedup(), ScanContext(), MonitorState()
+        dedup.process([r1], context, state)
+        dedup.process([r2], context, state)
+        assert len(state.pairwise_groups) == 1
         assert r2.verdicts[-1].reason is FilterReason.PAIRWISE_DUPLICATE
 
     def test_unrelated_opens_new_group(self, rng):
         r1 = make_regression("aaa.gcpu", rng.normal(0.001, 0.0001, 900))
         r2 = make_regression("zzz.qps", rng.normal(5.0, 0.5, 900), metric_name="qps")
-        dedup = PairwiseDedup()
-        dedup.process([r1, r2])
-        assert len(dedup.groups) == 2
+        dedup, context, state = PairwiseDedup(), ScanContext(), MonitorState()
+        dedup.process([r1, r2], context, state)
+        assert len(state.pairwise_groups) == 2
         assert r1.verdicts[-1].passed and r2.verdicts[-1].passed
 
     def test_stack_overlap_merges(self, rng):
@@ -189,10 +197,10 @@ class TestPairwiseDedup:
             "x.callee.gcpu", 5.0 + rng.normal(0, 0.5, 900), subroutine="callee",
             metric_name="other",
         )
-        dedup = PairwiseDedup(samples=samples)
-        dedup.process([r1])
-        dedup.process([r2])
-        assert len(dedup.groups) == 1
+        dedup, context, state = PairwiseDedup(), ScanContext(tuple(samples)), MonitorState()
+        dedup.process([r1], context, state)
+        dedup.process([r2], context, state)
+        assert len(state.pairwise_groups) == 1
 
     def test_merge_rule_semantics(self):
         any_rule = MergeRule({"a": 0.5, "b": 0.5}, require_all=False)
@@ -208,10 +216,10 @@ class TestPairwiseDedup:
             "svc.feed::Ranker::score.latency", 20 + rng.normal(0, 1, 900),
             metric_name="latency",
         )
-        dedup = PairwiseDedup()
-        dedup.process([r1])
-        dedup.process([r2])
-        assert len(dedup.groups) == 1
+        dedup, context, state = PairwiseDedup(), ScanContext(), MonitorState()
+        dedup.process([r1], context, state)
+        dedup.process([r2], context, state)
+        assert len(state.pairwise_groups) == 1
 
 
     def test_series_mapping_built_once_per_regression_per_call(self, rng, monkeypatch):
@@ -233,13 +241,14 @@ class TestPairwiseDedup:
             for name in ("zzz", "yyy")
         ]
         batch = [family[0], others[0], family[1], others[1], family[2]]
-        dedup = PairwiseDedup()
-        dedup.process(batch[:3])
+        dedup, context, state = PairwiseDedup(), ScanContext(), MonitorState()
+        dedup.process(batch[:3], context, state)
         assert sorted(calls) == sorted(one.context.metric_id for one in batch[:3])
         calls.clear()
-        dedup.process(batch[3:])  # a new call maps the members it meets afresh, once each
+        # A new call maps the members it meets afresh, once each.
+        dedup.process(batch[3:], context, state)
         assert sorted(calls) == sorted(one.context.metric_id for one in batch)
-        assert [len(group.members) for group in dedup.groups] == [3, 1, 1]
+        assert [len(members) for members in state.pairwise_groups] == [3, 1, 1]
 
     def test_a_group_keeps_only_the_members_it_compares(self, rng):
         """The bug: every member merged was kept, each a whole regression
@@ -247,11 +256,10 @@ class TestPairwiseDedup:
         ``MAX_MEMBERS_COMPARED`` and only their context and samples —
         and the groups ride every shard pickle."""
         family = correlated_family(rng, 51)
-        dedup = PairwiseDedup()
+        dedup, context, state = PairwiseDedup(), ScanContext(), MonitorState()
         for regression in family:
-            dedup.process([regression])
-        (group,) = dedup.groups
-        assert group.group_id == 1_000_000
+            dedup.process([regression], context, state)
+        (members,) = state.pairwise_groups
         assert [r.group_id for r in family] == [1_000_000] * 51
         assert family[0].verdicts[-1].passed
         assert all(
@@ -259,8 +267,8 @@ class TestPairwiseDedup:
             and r.verdicts[-1].detail == "merged into group 1000000"
             for r in family[1:]
         )
-        assert len(group.members) == dedup_pairwise.MAX_MEMBERS_COMPARED
-        assert [m.context.metric_id for m in group.members] == [
+        assert len(members) == dedup_pairwise.MAX_MEMBERS_COMPARED
+        assert [m.context.metric_id for m in members] == [
             r.context.metric_id for r in family[: dedup_pairwise.MAX_MEMBERS_COMPARED]
         ]
         windows = []
@@ -271,7 +279,7 @@ class TestPairwiseDedup:
                     windows.append(obj)
                 return NotImplemented
 
-        Counting(io.BytesIO(), protocol=pickle.HIGHEST_PROTOCOL).dump(dedup)
+        Counting(io.BytesIO(), protocol=pickle.HIGHEST_PROTOCOL).dump(state)
         assert windows == []
 
     def test_group_ids_and_verdicts_on_the_fixtures(self, rng):
@@ -282,16 +290,14 @@ class TestPairwiseDedup:
         r2 = make_regression("svc.sub.throughput", 0.002 + shared * 1.01,
                              metric_name="throughput")
         r3 = make_regression("zzz.qps", rng.normal(5.0, 0.5, 900), metric_name="qps")
-        dedup = PairwiseDedup()
-        dedup.process([r1, r2, r3])
+        dedup, context, state = PairwiseDedup(), ScanContext(), MonitorState()
+        dedup.process([r1, r2, r3], context, state)
         assert [r.group_id for r in (r1, r2, r3)] == [1_000_000, 1_000_000, 1_000_001]
         assert [v.passed for v in (r1.verdicts[-1], r2.verdicts[-1], r3.verdicts[-1])] == [
             True, False, True
         ]
         assert r2.verdicts[-1].detail == "merged into group 1000000"
-        assert [(g.group_id, len(g.members)) for g in dedup.groups] == [
-            (1_000_000, 2), (1_000_001, 1)
-        ]
+        assert [len(members) for members in state.pairwise_groups] == [2, 1]
 
 
 class TestSameRegressionMerger:
@@ -302,31 +308,31 @@ class TestSameRegressionMerger:
         )
 
     def test_duplicate_across_runs_dropped(self, rng):
-        merger = SameRegressionMerger(time_tolerance=3600.0)
+        merger, state = SameRegressionMerger(time_tolerance=3600.0), MonitorState()
         first = self._regression(rng, change_time=1000.0)
         again = self._regression(rng, change_time=1500.0)
-        assert merger.check(first).passed
-        verdict = merger.check(again)
+        assert merger.check(first, state).passed
+        verdict = merger.check(again, state)
         assert not verdict.passed
         assert verdict.reason is FilterReason.SAME_REGRESSION
 
     def test_different_time_not_merged(self, rng):
-        merger = SameRegressionMerger(time_tolerance=600.0)
-        assert merger.check(self._regression(rng, change_time=1000.0)).passed
-        assert merger.check(self._regression(rng, change_time=50_000.0)).passed
+        merger, state = SameRegressionMerger(time_tolerance=600.0), MonitorState()
+        assert merger.check(self._regression(rng, change_time=1000.0), state).passed
+        assert merger.check(self._regression(rng, change_time=50_000.0), state).passed
 
     def test_different_magnitude_not_merged(self, rng):
-        merger = SameRegressionMerger()
-        assert merger.check(self._regression(rng, 1000.0, magnitude=0.0002)).passed
-        assert merger.check(self._regression(rng, 1200.0, magnitude=0.002)).passed
+        merger, state = SameRegressionMerger(), MonitorState()
+        assert merger.check(self._regression(rng, 1000.0, magnitude=0.0002), state).passed
+        assert merger.check(self._regression(rng, 1200.0, magnitude=0.002), state).passed
 
     def test_different_metric_not_merged(self, rng):
-        merger = SameRegressionMerger()
-        assert merger.check(self._regression(rng, 1000.0, metric="a.gcpu")).passed
-        assert merger.check(self._regression(rng, 1000.0, metric="b.gcpu")).passed
+        merger, state = SameRegressionMerger(), MonitorState()
+        assert merger.check(self._regression(rng, 1000.0, metric="a.gcpu"), state).passed
+        assert merger.check(self._regression(rng, 1000.0, metric="b.gcpu"), state).passed
 
-    def test_reset(self, rng):
-        merger = SameRegressionMerger()
-        assert merger.check(self._regression(rng, 1000.0)).passed
-        merger.reset()
-        assert merger.check(self._regression(rng, 1000.0)).passed
+    def test_a_fresh_state_remembers_nothing(self, rng):
+        merger, state = SameRegressionMerger(), MonitorState()
+        assert merger.check(self._regression(rng, 1000.0), state).passed
+        assert not merger.check(self._regression(rng, 1000.0), state).passed
+        assert merger.check(self._regression(rng, 1000.0), MonitorState()).passed

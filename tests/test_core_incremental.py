@@ -239,7 +239,7 @@ class TestRetentionKeepsAnchors:
                 service.advance_to((begin + 100) * 60.0)
             (shard,) = service._shards.values()
             (registration,) = shard.scheduler._monitors.values()
-            cache = registration.pipeline.incremental_cache
+            cache = registration.state.cache
             reports = sorted((r.metric_id, r.change_time) for r in sink.reports)
             return cache.counters(), reports, len(service.shard_database(0).get("svc.sub1.gcpu"))
         finally:

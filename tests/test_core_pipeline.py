@@ -6,7 +6,7 @@ import pytest
 from repro import FBDetect, TimeSeriesDatabase, table1_config
 from repro.config import DetectionConfig
 from repro.core.pipeline import STAGES, DetectionPipeline, FunnelCounters
-from repro.core.types import FilterReason, RegressionKind
+from repro.core.types import FilterReason, RegressionKind, ScanContext
 from repro.fleet.changes import ChangeEffect, ChangeLog, CodeChange
 from repro.tsdb import WindowSpec
 
@@ -129,8 +129,9 @@ class TestDetectionPipeline:
         fill_series(db, "svc.s.gcpu", regression_values(rng),
                     tags={"metric": "gcpu", "service": "svc", "subroutine": "s"})
         pipeline = DetectionPipeline(small_config(long_term=False))
-        first = pipeline.run(db, now=54_000.0)
-        second = pipeline.run(db, now=54_000.0 + 1800.0)
+        state = pipeline.new_state()
+        first = pipeline.run(db, now=54_000.0, state=state)
+        second = pipeline.run(db, now=54_000.0 + 1800.0, state=state)
         assert len(first.reported) == 1
         assert second.reported == []  # SameRegressionMerger suppressed it
 
@@ -160,8 +161,8 @@ class TestDetectionPipeline:
                 )
             ]
         )
-        pipeline = DetectionPipeline(small_config(long_term=False), change_log=log)
-        result = pipeline.run(db, now=54_000.0)
+        pipeline = DetectionPipeline(small_config(long_term=False))
+        result = pipeline.run(db, now=54_000.0, context=ScanContext(change_log=log))
         assert result.reported
         assert result.reported[0].root_cause_candidates
         assert result.reported[0].root_cause_candidates[0].change_id == "culprit"
@@ -220,10 +221,11 @@ class TestIncrementalScanIntegration:
         pipeline = DetectionPipeline(
             small_config(higher_is_worse=False), incremental=True
         )
-        pipeline.run(db, now=54_000.0)
+        state = pipeline.new_state()
+        pipeline.run(db, now=54_000.0, state=state)
         self.append_quiet(db.get("svc.qps"), rng, start=54_000.0)
-        pipeline.run(db, now=54_600.0)
-        cache = pipeline.incremental_cache
+        pipeline.run(db, now=54_600.0, state=state)
+        cache = state.cache
         assert cache.hits >= 1
         assert cache.invalidations == 0
 
@@ -251,8 +253,10 @@ class TestIncrementalScanIntegration:
         fill_series(db, "svc.sparse.gcpu", [0.001] * 5,
                     tags={"metric": "gcpu"})
         pipeline = DetectionPipeline(small_config(), incremental=True)
-        runs = [pipeline.run(db, now=54_000.0), pipeline.run(db, now=54_060.0)]
-        cache = pipeline.incremental_cache
+        state = pipeline.new_state()
+        runs = [pipeline.run(db, now=54_000.0, state=state),
+                pipeline.run(db, now=54_060.0, state=state)]
+        cache = state.cache
 
         assert (cache.hits, cache.misses) == (0, 2)
         assert not any(

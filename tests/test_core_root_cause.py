@@ -119,24 +119,23 @@ class TestRootCauseAnalyzer:
     def test_ranks_guilty_change_first(self):
         # Lookback of 2000s covers the two recent changes only.
         with patch.object(root_cause, "LOOKBACK", 2_000.0):
-            candidates = RootCauseAnalyzer(self._log()).analyze(make_regression())
+            candidates = RootCauseAnalyzer().analyze(make_regression(), self._log())
         assert candidates
         assert candidates[0].change.change_id == "guilty"
 
     def test_candidates_limited_to_lookback(self):
         with patch.object(root_cause, "LOOKBACK", 2_000.0):
-            found = RootCauseAnalyzer(self._log()).analyze(make_regression())
+            found = RootCauseAnalyzer().analyze(make_regression(), self._log())
         ids = [c.change.change_id for c in found]
         assert "too-old" not in ids
 
     def test_no_candidates_when_log_empty(self):
-        analyzer = RootCauseAnalyzer(ChangeLog())
-        assert analyzer.analyze(make_regression()) == []
+        assert RootCauseAnalyzer().analyze(make_regression(), ChangeLog()) == []
 
     def test_low_confidence_suggests_nothing(self):
         log = ChangeLog([CodeChange("vague", deploy_time=11_900.0, title="misc")])
         with patch.object(root_cause, "CONFIDENCE_THRESHOLD", 0.9):
-            assert RootCauseAnalyzer(log).analyze(make_regression()) == []
+            assert RootCauseAnalyzer().analyze(make_regression(), log) == []
 
     def test_attribution_factor_uses_samples(self):
         before, after = table2_samples()
@@ -149,10 +148,9 @@ class TestRootCauseAnalyzer:
                 )
             ]
         )
-        analyzer = RootCauseAnalyzer(
-            log, samples_before=before, samples_after=after
+        candidates = RootCauseAnalyzer().analyze(
+            make_regression(subroutine="B"), log, samples_before=before, samples_after=after
         )
-        candidates = analyzer.analyze(make_regression(subroutine="B"))
         assert candidates
         assert candidates[0].factors["gcpu_attribution"] == pytest.approx(0.8)
 
@@ -162,16 +160,16 @@ class TestRootCauseAnalyzer:
             "flagged": dict(regression.series_mapping()),
         }
         log = ChangeLog([CodeChange("flagged", deploy_time=11_900.0, title="algo switch")])
-        analyzer = RootCauseAnalyzer(log, setup_series=setup)
+        analyzer = RootCauseAnalyzer(setup_series=setup)
         with patch.object(root_cause, "CONFIDENCE_THRESHOLD", 0.1):
-            candidates = analyzer.analyze(regression)
+            candidates = analyzer.analyze(regression, log)
         assert candidates
         assert candidates[0].factors["time_correlation"] == pytest.approx(1.0)
 
     def test_results_stored_on_regression(self):
         regression = make_regression()
         with patch.object(root_cause, "LOOKBACK", 2_000.0):
-            RootCauseAnalyzer(self._log()).analyze(regression)
+            RootCauseAnalyzer().analyze(regression, self._log())
         assert regression.root_cause_candidates
         assert regression.root_cause_candidates[0].change_id == "guilty"
 
@@ -186,7 +184,7 @@ class TestRootCauseAnalyzer:
             for i in range(6)
         ]
         assert root_cause.TOP_K == 3
-        assert len(RootCauseAnalyzer(ChangeLog(changes)).analyze(make_regression())) == 3
+        assert len(RootCauseAnalyzer().analyze(make_regression(), ChangeLog(changes))) == 3
 
     def test_unexported_changes_invisible(self):
         log = ChangeLog(
@@ -200,4 +198,4 @@ class TestRootCauseAnalyzer:
                 )
             ]
         )
-        assert RootCauseAnalyzer(log).analyze(make_regression()) == []
+        assert RootCauseAnalyzer().analyze(make_regression(), log) == []

@@ -455,6 +455,21 @@ class TestScanStackHoldsNoHandles:
         )
         assert not re.search(r'state\["(metrics|tracer|sinks)"\]', scan_stack)
 
+    def test_no_scan_class_holds_a_scan_context(self):
+        """Stack samples and the change log are a scan's context, handed to
+        each run: no detector, pipeline or scheduler keeps them."""
+        held = [
+            f"{name}: self.{target.attr}"
+            for name, function in self._functions("core", "runtime", "detectors")
+            for node in ast.walk(function)
+            if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign))
+            for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+            if isinstance(target, ast.Attribute)
+            and ast.unparse(target.value) == "self"
+            and target.attr in ("samples", "change_log", "samples_before", "samples_after")
+        ]
+        assert not held, held
+
     @staticmethod
     def _calls(function):
         return [node for node in ast.walk(function) if isinstance(node, ast.Call)]
@@ -1311,3 +1326,83 @@ class TestReplicasAreForked:
         ]
         assert len(kept) == 2 and all(kept)
         assert dumps(tree) == set().union(*kept)
+
+
+class TestNoDetectorRidesAPickle:
+    """A monitor travels as its configuration, scan context and state: a
+    shard checkpoint blob and a worker's pickled answer name no class of
+    ``repro.core.pipeline`` and no Figure 6 stage.  The classes a pickle
+    names are read off its ``GLOBAL`` / ``STACK_GLOBAL`` opcodes, without
+    unpickling it."""
+
+    STAGES = {
+        "ChangePointDetector", "WentAwayDetector", "SeasonalityDetector",
+        "SameRegressionMerger", "SOMDedup", "PairwiseDedup", "LongTermDetector",
+        "CostShiftDetector", "RootCauseAnalyzer",
+    }
+
+    @staticmethod
+    def _classes(blob):
+        """``(module, name)`` of every global ``blob`` names."""
+        import pickletools
+
+        named, memo, strings, last = set(), {}, [], None
+        for opcode, arg, _ in pickletools.genops(blob):
+            if opcode.name == "GLOBAL":
+                named.add(tuple(arg.split(" ", 1)))
+            elif opcode.name == "STACK_GLOBAL":
+                named.add((strings[-2], strings[-1]))
+            if "UNICODE" in opcode.name:
+                last = arg
+                strings.append(arg)
+            elif opcode.name in ("GET", "BINGET", "LONG_BINGET"):
+                last = memo.get(arg)
+                strings.append(last)
+            elif opcode.name == "MEMOIZE":
+                memo[len(memo)] = last
+            elif opcode.name in ("PUT", "BINPUT", "LONG_BINPUT"):
+                memo[arg] = last
+            else:
+                last = None
+        return named
+
+    def test_a_blob_and_an_answer_name_no_pipeline_or_stage(self):
+        import copy
+        import pickle
+
+        import numpy as np
+
+        from repro.config import DetectionConfig
+        from repro.fleet.changes import ChangeEffect, ChangeLog, CodeChange
+        from repro.profiling.stacktrace import StackTrace
+        from repro.service import StreamingDetectionService, parallel
+        from repro.tsdb import SeriesFrame, WindowSpec
+
+        config = DetectionConfig(
+            name="pickle", threshold=5e-5, rerun_interval=6_000.0, long_term=False,
+            windows=WindowSpec(historic=36_000.0, analysis=12_000.0, extended=6_000.0),
+        )
+        service = StreamingDetectionService(n_shards=1)
+        service.register_monitor(
+            "gcpu", config, series_filter={"metric": "gcpu"},
+            change_log=ChangeLog([CodeChange("c", 41_500.0, effects=(ChangeEffect("s0", 1.3),))]),
+            samples=[StackTrace.from_names(["_start", "s0"])],
+        )
+        rng = np.random.default_rng(0)
+        stamps = np.arange(1_000) * 60.0
+        for index in range(4):
+            values = rng.normal(1e-3, 2e-5, 1_000) + (3e-4 if index < 2 else 0.0) * (stamps >= 42e3)
+            tags = {"metric": "gcpu", "service": "svc", "subroutine": f"s{index}"}
+            service.ingest_frames([SeriesFrame(f"svc.s{index}.gcpu", tags, stamps, values)])
+        assert service.advance_to(60_000.0), "the monitor reported, so its state is full"
+        (shard,) = service._shards.values()
+        with shard.forking() as held:
+            replicas = {0: (0, *copy.deepcopy(held))}
+        answer = parallel._advance_shard(0, b"", 66_000.0, replicas)
+        for blob in (shard.checkpoint_blob(), pickle.dumps(answer, pickle.HIGHEST_PROTOCOL)):
+            named = self._classes(blob)
+            assert [
+                (module, name) for module, name in sorted(named)
+                if module == "repro.core.pipeline" or name in self.STAGES
+            ] == []
+            assert ("repro.core.types", "MonitorState") in named

@@ -49,6 +49,7 @@ def _scan(higher_is_worse, block_rows, monkeypatch, reference=False):
     pipeline = DetectionPipeline(
         _config(higher_is_worse), incremental=True, quality_gate=QualityGate()
     )
+    monitor = pipeline.new_state()
     database = TimeSeriesDatabase()
     stored = [database.create(name, tag) for name, tag in zip(names, tags)]
     found, anchors, at = [], [], 0
@@ -61,7 +62,7 @@ def _scan(higher_is_worse, block_rows, monkeypatch, reference=False):
                 series.append(k * fence.INTERVAL, float(row[k]))
         at = stop
         now = stop * fence.INTERVAL
-        result = pipeline.run(database, now)
+        result = pipeline.run(database, now, state=monitor)
         found.append([
             (
                 c.context.metric_id, c.change_index, c.change_time, c.mean_before,
@@ -69,7 +70,7 @@ def _scan(higher_is_worse, block_rows, monkeypatch, reference=False):
             )
             for c in result.all_candidates
         ])
-        cache = pipeline.incremental_cache
+        cache = monitor.cache
         anchors.append({name: cache.screen_state(name) for name in names})
         # The moments of every anchor laid this round are the 1-D calls'.
         for series in stored:
@@ -110,11 +111,12 @@ def test_a_refused_window_gets_no_anchor_and_one_skip():
             values[105:108] = float("nan")
         fill_series(database, f"svc.sub{i}.gcpu", values, 60.0, tags={"metric": "gcpu"})
     pipeline = DetectionPipeline(config, incremental=True)
-    trace = pipeline.run(database, 150 * 60.0).trace
+    monitor = pipeline.new_state()
+    trace = pipeline.run(database, 150 * 60.0, state=monitor).trace
     span = trace.span("change_points")
     assert span.inputs == 51 and span.drops["non_finite_window"] == 1
     assert span.outputs + span.drops.get("no_change_point", 0) == 50
     assert trace.counts["pipeline.full_scan.rows"] == 50
     assert trace.counts["pipeline.quality.non_finite_skips"] == 1
-    cache = pipeline.incremental_cache
+    cache = monitor.cache
     assert len(cache) == 50 and cache.screen_state("svc.sub20.gcpu") is None

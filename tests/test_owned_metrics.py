@@ -226,7 +226,7 @@ class TestTheManifestCarriesNoOwnedCount:
 
     def test_meta_metrics_holds_no_owned_name(self, drills, checkpointed):
         manifest = json.loads((checkpointed / "manifest.json").read_text(encoding="utf-8"))
-        assert manifest["version"] == 11
+        assert manifest["version"] == 12
         recorded = manifest["meta"]["metrics"]
         assert recorded["counters"], "the registry's own counts still ride the manifest"
         assert [name for kind in recorded.values() for name in kind if owned(name)] == []
@@ -267,6 +267,8 @@ class TestTheManifestCarriesNoOwnedCount:
         # A v10 blob pickles every TSDB column as its values; it would
         # load, but the version says what a blob holds.
         10,
+        # A v11 blob pickles pipelines and their detectors.
+        11,
     ])
     def test_an_older_checkpoint_is_refused(self, checkpointed, version):
         for name in ("manifest.json", "manifest.g1.json"):
@@ -274,7 +276,7 @@ class TestTheManifestCarriesNoOwnedCount:
             manifest = json.loads(path.read_text(encoding="utf-8"))
             manifest["version"] = version
             path.write_text(json.dumps(manifest), encoding="utf-8")
-        with pytest.raises(CheckpointError, match=f"version {version} != supported 11"):
+        with pytest.raises(CheckpointError, match=f"version {version} != supported 12"):
             StreamingDetectionService.restore(str(checkpointed))
 
 
@@ -289,7 +291,7 @@ def owner_sums(service):
     scheduler and every monitor's incremental-scan cache."""
     schedulers = [shard.scheduler for shard in service._shards.values()]
     caches = [
-        registration.pipeline.incremental_cache
+        registration.state.cache
         for scheduler in schedulers
         for registration in scheduler._monitors.values()
     ]
@@ -306,10 +308,10 @@ def raised(request):
     the screen (the workers fork with the patch in place)."""
     change_points = DetectionPipeline._change_points
 
-    def raising(self, scanned, now, counts):
+    def raising(self, scanned, now, *rest):
         if now == FAILS_AT:
             raise RuntimeError("injected: the scan raised after the screen")
-        return change_points(self, scanned, now, counts)
+        return change_points(self, scanned, now, *rest)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(DetectionPipeline, "_change_points", raising)

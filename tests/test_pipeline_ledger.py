@@ -106,8 +106,9 @@ def _run(database, switches, planned, long_term):
     )
     # Two scans: the second meets the merger's and PairwiseDedup's memory
     # of the first, and the incremental cache's hits.
-    runs = [pipeline.run(database, NOW), pipeline.run(database, NOW + 300.0)]
-    return pipeline.incremental_cache, runs
+    state = pipeline.new_state()
+    runs = [pipeline.run(database, now, state=state) for now in (NOW, NOW + 300.0)]
+    return state.cache, runs
 
 
 def _published(results):

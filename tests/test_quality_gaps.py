@@ -140,16 +140,17 @@ class TestPipelineGapGating:
             tags={"metric": "gcpu"},
         )
         pipeline = DetectionPipeline(small_config(), quality_gate=QualityGate())
+        state = pipeline.new_state()
         # Newest point is 900 ticks old => far beyond 3 analysis spans.
         far_future = 900 * INTERVAL + 4 * 12_000.0
-        result = pipeline.run(db, now=far_future)
+        result = pipeline.run(db, now=far_future, state=state)
         assert result.reported == []
-        assert pipeline.stale_series() == ["svc.dead.gcpu"]
+        assert state.stale == {"svc.dead.gcpu"}
         assert result.trace.counts.get("pipeline.quality.stale_evictions", 0) == 1
         # The series resumes: next run un-evicts it.
         series.append(far_future - INTERVAL, 0.001)
-        pipeline.run(db, now=far_future)
-        assert pipeline.stale_series() == []
+        pipeline.run(db, now=far_future, state=state)
+        assert state.stale == set()
 
     def test_no_gate_means_no_gating(self):
         rng = np.random.default_rng(13)
@@ -157,5 +158,6 @@ class TestPipelineGapGating:
         fill_series(db, "svc.dead.gcpu", rng.normal(0.001, 0.00002, 900),
                     tags={"metric": "gcpu"})
         pipeline = DetectionPipeline(small_config())
-        pipeline.run(db, now=900 * INTERVAL + 4 * 12_000.0)
-        assert pipeline.stale_series() == []
+        state = pipeline.new_state()
+        pipeline.run(db, now=900 * INTERVAL + 4 * 12_000.0, state=state)
+        assert state.stale == set()

@@ -136,7 +136,7 @@ class TestScanFailureIsolation:
         scheduler.register("healthy", small_config(), first_run=54_000.0)
         broken = scheduler.register("broken", small_config(), first_run=54_000.0)
 
-        def explode(database, now):
+        def explode(database, now, context, state):
             raise RuntimeError("scan bug")
 
         broken.pipeline.run = explode

@@ -15,6 +15,8 @@ import pytest
 
 from repro.config import DetectionConfig
 from repro.core.incremental import IncrementalScanCache
+from repro.fleet.changes import ChangeEffect, ChangeLog, CodeChange
+from repro.profiling.stacktrace import StackTrace
 from repro.runtime import CollectingSink
 from repro.service import (
     BackpressurePolicy,
@@ -114,10 +116,10 @@ class TestCheckpointManager:
         for name in ("manifest.json", "manifest.g1.json"):
             path = tmp_path / name
             manifest = json.loads(path.read_text(encoding="utf-8"))
-            assert manifest["version"] == 11
+            assert manifest["version"] == 12
             manifest["version"] = 1
             path.write_text(json.dumps(manifest), encoding="utf-8")
-        with pytest.raises(CheckpointError, match="version 1 != supported 11"):
+        with pytest.raises(CheckpointError, match="version 1 != supported 12"):
             StreamingDetectionService.restore(str(tmp_path))
 
     def test_corrupt_manifest_raises(self, tmp_path):
@@ -394,17 +396,56 @@ class TestKillRestoreEquivalence:
         assert stats.scans == reference.stats().scans
         assert stats.clock == reference.stats().clock
 
+    def test_the_scan_context_rides_a_checkpoint(self, stream, tmp_path):
+        """A monitor registered with a change log and stack samples keeps
+        them across a restore: killed before its first scan, the restored
+        service root-causes the regression as the uninterrupted one does."""
+        context = dict(
+            change_log=ChangeLog([
+                CodeChange("culprit", deploy_time=41_500.0, title="rework sub3 inner loop",
+                           effects=(ChangeEffect("sub3", 1.3),)),
+                CodeChange("decoy", deploy_time=41_000.0, title="update dashboard colors",
+                           effects=(ChangeEffect("web::render", 1.0),)),
+            ]),
+            samples=[StackTrace.from_names(["_start", "handler", "sub3"], weight=0.2),
+                     StackTrace.from_names(["_start", "handler", "sub5"], weight=0.8)],
+        )
+
+        def run(*spans):
+            """Reports of the stream fed over ``spans``, restored between them."""
+            sink = CollectingSink()
+            service = StreamingDetectionService(n_shards=2, sinks=[sink])
+            service.register_monitor(
+                "gcpu", small_config(), series_filter={"metric": "gcpu"}, **context
+            )
+            for index, (start, end) in enumerate(spans):
+                if index:
+                    service.checkpoint(str(tmp_path / "ckpt"))
+                    service = StreamingDetectionService.restore(
+                        str(tmp_path / "ckpt"), sinks=[sink]
+                    )
+                feed(service, stream, start, end)
+            return [
+                (r.metric_id, r.change_time, [(c.change_id, c.score) for c in r.root_causes])
+                for r in sink.reports
+            ]
+
+        reference = run((0, N_TICKS))
+        assert reference[0][0] == "svc.sub3.gcpu"
+        assert reference[0][2][0][0] == "culprit"
+        assert run((0, 850), (850, N_TICKS)) == reference
+
     def test_a_checkpoint_from_before_the_options_went_restores_and_advances(
         self, stream, tmp_path, monkeypatch
     ):
         """Admission's ``config`` / ``quarantine_capacity`` /
-        ``non_negative_metrics``, ``DetectionPipeline.min_*_points`` and the
-        screen's ``drift`` / ``threshold`` became module constants, and the
-        scan stack stopped
-        holding ``metrics`` / ``tracer`` / ``sinks``.  A pickle written
-        while they were attributes still carries them (the handles nulled):
-        they sit in ``__dict__`` unread, and the run goes on as if
-        uninterrupted."""
+        ``non_negative_metrics`` and the screen's ``drift`` / ``threshold``
+        became module constants, and the scan stack stopped holding
+        ``metrics`` / ``tracer`` / ``sinks``.  A pickle written while they
+        were attributes still carries them (the handles nulled): they sit
+        in ``__dict__`` unread, and the run goes on as if uninterrupted.
+        (A pipeline no longer rides a pickle at all: it is built again
+        from its configuration.)"""
         reference_sink = CollectingSink()
         feed(make_service(reference_sink), stream, 0, N_TICKS)
         sink = CollectingSink()
@@ -416,11 +457,6 @@ class TestKillRestoreEquivalence:
                 non_negative_metrics=frozenset({"gcpu"}),
             )
             vars(shard.scheduler).update(metrics=None, sinks=[])
-            for registration in shard.scheduler._monitors.values():
-                vars(registration.pipeline).update(
-                    min_historic_points=12, min_analysis_points=8,
-                    metrics=None, tracer=None,
-                )
         cache_state = IncrementalScanCache.__getstate__
         monkeypatch.setattr(
             IncrementalScanCache, "__getstate__",

@@ -864,7 +864,7 @@ class TestKillRestoreUnderWorkersCaches:
                 for monitor, registration in shard.scheduler._monitors.items()
                 for series in svc.shard_database(shard_id)
                 for state in [
-                    registration.pipeline.incremental_cache.screen_state(series.name)
+                    registration.state.cache.screen_state(series.name)
                 ]
                 if state is not None
             }

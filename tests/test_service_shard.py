@@ -343,7 +343,7 @@ class TestVersionTwoIsRefused:
             manifest = json.loads(path.read_text(encoding="utf-8"))
             manifest["version"] = 2
             path.write_text(json.dumps(manifest), encoding="utf-8")
-        with pytest.raises(CheckpointError, match="version 2 != supported 11"):
+        with pytest.raises(CheckpointError, match="version 2 != supported 12"):
             StreamingDetectionService.restore(str(tmp_path))
 
 

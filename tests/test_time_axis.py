@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 from repro.config import DetectionConfig
 from repro.core.cost_shift import CostShiftDetector
 from repro.core.long_term import LongTermDetector
-from repro.core.types import MetricContext, Regression, RegressionKind
+from repro.core.types import MetricContext, Regression, RegressionKind, ScanContext
 from repro.runtime import CollectingSink, DetectionScheduler
 from repro.service import BackpressurePolicy, StreamingDetectionService
 from repro.tsdb import SeriesFrame, TimeSeries, TimeSeriesDatabase, WindowSpec
@@ -108,7 +108,7 @@ class TestCostShiftSplit:
             return values_between(series, start, end)
 
         monkeypatch.setattr(TimeSeries, "values_between", spy)
-        CostShiftDetector(db).check(regression)
+        CostShiftDetector(db).check(regression, ScanContext())
         view = regression.window
         assert set(reads) == {
             (view.historic_start, regression.change_time), (regression.change_time, view.now)
