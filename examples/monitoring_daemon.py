@@ -3,8 +3,8 @@
 
 Mirrors production operation (§5.1): one :class:`DetectionScheduler`
 owns monitors for several services with different configurations and
-re-run intervals, scans them as simulated time advances, applies TSDB
-retention, suppresses a regression explained by a registered *planned*
+re-run intervals, scans them as simulated time advances, trims the TSDB
+to what the monitors read, suppresses a regression explained by a registered *planned*
 capacity change (the paper's §8 extension), and hands back what each
 scan found; ``deliver_outcomes`` files the incident reports through a
 sink.
@@ -67,7 +67,7 @@ def main() -> None:
     changes_a, hot = simulate_services(db)
 
     sink = CollectingSink()
-    scheduler = DetectionScheduler(db, retention=90_000.0)
+    scheduler = DetectionScheduler(db)
 
     windows = WindowSpec(36_000.0, 12_000.0, 6_000.0)
     scheduler.register(

@@ -13,10 +13,10 @@ per-candidate filters are rows of a stage table (:class:`_Stage`) run by
 one loop — the long-term path runs the same table from the threshold row
 on — and the collection stages run through a second loop.  Each loop
 feeds one :class:`~repro.obs.spans.StageTally` per Table 3 row, the only
-ledger of a run: :class:`~repro.obs.spans.FunnelCounters` ("remaining
-anomalies after each technique") is read off the tallies' ``outputs``
-when the run ends, and the same tallies — inputs, drop reasons and elapsed
-time included — are frozen into one :class:`~repro.obs.spans.Span` per stage.
+ledger of a run: the tallies — inputs, drop reasons and elapsed time
+included — are frozen into one :class:`~repro.obs.spans.Span` per stage,
+and :attr:`PipelineResult.funnel` ("remaining anomalies after each
+technique") is read off the spans' ``outputs``.
 
 A pipeline is configuration, rebuilt from its arguments wherever it is
 needed and never pickled.  A run is a function of ``(database, now,
@@ -257,7 +257,6 @@ class DetectionPipeline:
         return PipelineResult(
             reported=reported,
             all_candidates=candidates,
-            funnel=FunnelCounters({stage: tallies[stage].outputs for stage in STAGES}),
             now=now,
             trace=RunTrace(
                 monitor=self.config.name,
@@ -522,13 +521,15 @@ class DetectionPipeline:
         sample is the last one stamped before ``now`` — the cut a window
         at ``now`` holds — however far ingest runs ahead of the clock.
         """
-        stamps = series._timestamps
+        stamps, analysis = series._timestamps, self.config.windows.analysis
         n = len(stamps)
         if n and stamps.get(-1) >= now:  # the tail runs ahead of the clock
             n = stamps.searchsorted(now)
-        if not n:
-            return False
-        if self.quality_gate.is_stale(stamps.get(n - 1), now, self.config.windows.analysis):
+        if n:
+            stopped = self.quality_gate.is_stale(stamps.get(n - 1), now, analysis)
+        else:  # not started yet, or trimmed away while evicted
+            stopped = series.name in stale
+        if stopped:
             if series.name not in stale:
                 stale.add(series.name)
                 counts.inc("pipeline.quality.stale_evictions")

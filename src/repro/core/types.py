@@ -209,7 +209,6 @@ class PipelineResult:
             representatives after all filtering and deduplication).
         all_candidates: Every change-point candidate turned regression
             (including later-filtered ones, each carrying its verdicts).
-        funnel: Per-stage survivor counts.
         now: The run's reference time.
         trace: The run's ledger — one span per funnel stage, plus the
             run-level counts and block timings under their metric names.
@@ -217,9 +216,13 @@ class PipelineResult:
 
     reported: List[Regression]
     all_candidates: List[Regression]
-    funnel: FunnelCounters
     now: float
     trace: RunTrace
+
+    @property
+    def funnel(self) -> FunnelCounters:
+        """Per-stage survivor counts, read off the ledger's spans."""
+        return FunnelCounters({span.stage: span.outputs for span in self.trace.spans})
 
 
 @dataclass(frozen=True)

@@ -11,10 +11,11 @@ side) happens a level up, where the streaming service runs one scheduler
 per shard and advances the shards in worker processes.
 
 A scheduler reads its database and writes nothing to it except
-retention.  It remembers the last cutoff it applied
-(:attr:`DetectionScheduler.retention_cutoff`), so one that advanced over
-a copy of a database can be pointed back at the original and the
-original trimmed to match.
+retention, which its monitors' windows set: a scan at ``now`` reads
+nothing before ``now - windows.total``.  It remembers the last cutoff it
+applied (:attr:`DetectionScheduler.retention_cutoff`), so one that
+advanced over a copy of a database can be pointed back at the original
+and the original trimmed to match.
 
 A scheduler holds no registry, trace store or sink: an advance
 *returns* its :class:`ScanOutcome`\\ s — each scan's result, ledger and
@@ -140,8 +141,6 @@ class DetectionScheduler:
 
     Args:
         database: The TSDB all monitors scan.
-        retention: Seconds of history to keep; older points are dropped
-            as time advances (0 disables retention).
 
     Concurrency: :meth:`advance_to` is safe to call from multiple
     threads — the scheduling loop runs under a lock, so each due scan
@@ -156,15 +155,8 @@ class DetectionScheduler:
         deliver_outcomes(scheduler.advance_to(simulation_end), [CollectingSink()])
     """
 
-    def __init__(
-        self,
-        database: TimeSeriesDatabase,
-        retention: float = 0.0,
-    ) -> None:
-        if retention < 0:
-            raise ValueError("retention must be >= 0")
+    def __init__(self, database: TimeSeriesDatabase) -> None:
         self.database = database
-        self.retention = retention
         #: The last cutoff handed to ``database.apply_retention``
         #: (``None`` before the first).
         self.retention_cutoff: Optional[float] = None
@@ -189,21 +181,24 @@ class DetectionScheduler:
         **pipeline_kwargs,
     ) -> MonitorRegistration:
         """Register a monitor; its first scan happens at ``first_run``
-        (default: one full window after time zero, when enough data
-        exists).  ``change_log`` and ``samples`` are its scans' context;
-        extra keyword arguments reach the underlying
-        :class:`DetectionPipeline` (ablation switches, ``planned_changes`` ...).
+        (default: one full window after time zero, or the clock if later:
+        a late monitor reads what was kept for those before it).
+        ``change_log`` and ``samples`` are its scans' context; extra
+        keyword arguments reach the underlying :class:`DetectionPipeline`
+        (ablation switches, ``planned_changes`` ...).
 
         Raises:
-            ValueError: On a duplicate monitor name.
+            ValueError: On a duplicate name or a ``first_run`` before the clock.
         """
         if name in self._monitors:
             raise ValueError(f"monitor {name!r} already registered")
+        if first_run is not None and first_run < self._clock:
+            raise ValueError(f"first_run {first_run} is before the clock ({self._clock})")
         registration = MonitorRegistration(
             name=name,
             config=config,
             switches=dict(pipeline_kwargs, series_filter=series_filter),
-            next_run=first_run if first_run is not None else config.windows.total,
+            next_run=max(config.windows.total, self._clock) if first_run is None else first_run,
             context=ScanContext(tuple(samples), change_log or ChangeLog()),
         )
         self._monitors[name] = registration
@@ -274,9 +269,13 @@ class DetectionScheduler:
                 executed.extend(self._run_batch(due, due_time))
                 for monitor in due:
                     monitor.next_run = due_time + monitor.config.rerun_interval
-                if self.retention > 0:
-                    self.retention_cutoff = due_time - self.retention
-                    self.database.apply_retention(self.retention_cutoff)
+                # Drop what no monitor reads again, a span at a time: a
+                # series holds one to two spans plus a rerun interval.
+                span = max(m.config.windows.total for m in self._monitors.values())
+                cutoff = due_time - span
+                if self.retention_cutoff is None or cutoff - self.retention_cutoff >= span:
+                    self.retention_cutoff = cutoff
+                    self.database.apply_retention(cutoff)
 
             self._clock = max(self._clock, target)
             return executed

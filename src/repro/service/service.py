@@ -104,7 +104,6 @@ class StreamingDetectionService:
             worker holds, advances shards truly in parallel, and merges
             the results deterministically (ascending shard id —
             identical report order to the serial path).
-        retention: Per-shard TSDB retention (seconds; 0 disables).
 
     Every shard runs per-series admission on ingest (NaN/Inf quarantine,
     negative-value repair, counter-reset rebasing, last-write-wins
@@ -129,7 +128,6 @@ class StreamingDetectionService:
         backpressure: BackpressurePolicy = BackpressurePolicy.BLOCK,
         batch_size: int = 256,
         workers: int = 1,
-        retention: float = 0.0,
     ) -> None:
         if n_shards <= 0:
             raise ValueError("n_shards must be positive")
@@ -153,7 +151,6 @@ class StreamingDetectionService:
                 queue_capacity=queue_capacity,
                 backpressure=BackpressurePolicy(backpressure),
                 batch_size=batch_size,
-                retention=retention,
             )
             for shard_id in range(n_shards)
         }
@@ -238,7 +235,8 @@ class StreamingDetectionService:
         cost O(n) in new points instead of O(window).  ``incremental=False``
         scans every due series in full, the baseline the screen's
         deferrals are measured against.  Each scan's funnel spans are
-        published into the service's :attr:`traces` store.
+        published into the service's :attr:`traces` store.  Register
+        monitors before ingest: a later one reads what was kept for them.
         """
         for shard in self._shards.values():
             shard.scheduler.register(

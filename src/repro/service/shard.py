@@ -140,7 +140,6 @@ class Shard:
         queue_capacity: int,
         backpressure: BackpressurePolicy,
         batch_size: int,
-        retention: float,
     ) -> None:
         self.shard_id = shard_id
         self.database = TimeSeriesDatabase()
@@ -152,7 +151,7 @@ class Shard:
             policy=backpressure,
             batch_size=batch_size,
         )
-        self.scheduler = DetectionScheduler(self.database, retention=retention)
+        self.scheduler = DetectionScheduler(self.database)
 
     def advance(self, target: float) -> Tuple[List[ScanOutcome], float]:
         """Flush and scan in this process; ``(outcomes, seconds)`` — what

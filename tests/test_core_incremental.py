@@ -2,6 +2,7 @@
 
 import math
 import pickle
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from repro.core import IncrementalScanCache
 from repro.core.incremental import SCREEN_DRIFT, SCREEN_THRESHOLD
 from repro.runtime import CollectingSink
 from repro.service import Sample, StreamingDetectionService
-from repro.tsdb import WindowSpec
+from repro.tsdb import TimeSeriesDatabase, WindowSpec
 from repro.tsdb.series import TimeSeries
 
 
@@ -204,9 +205,9 @@ class TestScreenContract:
 
 
 class TestRetentionKeepsAnchors:
-    """Retention that keeps what a scan reads — the monitor's span and one
-    rerun interval — retires only samples before every anchored end: the
-    screen decides as it would with nothing retired."""
+    """Retention keeps what a scan reads — the monitor's span, cut once a
+    span has passed — so it retires only samples before every anchored
+    end: the screen decides as it would with nothing retired."""
 
     N_SERIES = 12
     TICKS = 2_400  # 40 h at 60 s, the step at tick 1,800
@@ -221,12 +222,12 @@ class TestRetentionKeepsAnchors:
             long_term=False,
         )
 
-    def _run(self, retention):
+    def _run(self):
         rng = np.random.default_rng(11)
         values = rng.normal(0.001, 0.00002, (self.N_SERIES, self.TICKS))
         values[0, 1_800:] += 0.0003
         sink = CollectingSink()
-        service = StreamingDetectionService(n_shards=1, sinks=[sink], retention=retention)
+        service = StreamingDetectionService(n_shards=1, sinks=[sink])
         service.register_monitor("gcpu", self._config(), series_filter={"metric": "gcpu"})
         try:
             for begin in range(0, self.TICKS, 100):
@@ -246,12 +247,11 @@ class TestRetentionKeepsAnchors:
             service.close()
 
     def test_same_hits_and_reports_as_without_retention(self):
-        span = self._config().windows.total
-        kept, kept_reports, kept_points = self._run(retention=0.0)
-        trimmed, trimmed_reports, trimmed_points = self._run(
-            retention=span + self._config().rerun_interval
-        )
-        assert trimmed_points < kept_points, "retention retired samples"
+        with mock.patch.object(TimeSeriesDatabase, "apply_retention", lambda db, cutoff: 0):
+            kept, kept_reports, kept_points = self._run()
+        trimmed, trimmed_reports, trimmed_points = self._run()
+        # The 54,000 s span is cut at 54,000 s (cutoff 0), then at 108,000 s.
+        assert (kept_points, trimmed_points) == (self.TICKS, self.TICKS - 900)
         assert kept_reports and trimmed_reports == kept_reports
         assert trimmed["invalidations"] == kept["invalidations"] == 0
         assert trimmed["hits"] == kept["hits"] > 0

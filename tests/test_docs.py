@@ -939,8 +939,6 @@ class TestEveryKnobIsSet:
     #: is input data the paper's method reads.
     CATEGORIES = ("deployment:", "input:")
     ALLOWED = {
-        "StreamingDetectionService.retention":
-            "deployment: bounds a long-running service's memory",
         "HttpEndpoint.host":
             "deployment: the observability endpoint's bind address",
         "RemoteWriteReceiver.host":
@@ -1291,7 +1289,7 @@ class TestReplicasAreForked:
         from repro.service import BackpressurePolicy
         from repro.service.shard import Shard
 
-        shard = Shard(0, 4, BackpressurePolicy.BLOCK, 4, 0.0)
+        shard = Shard(0, 4, BackpressurePolicy.BLOCK, 4)
         names = set(dir(Shard)) | set(vars(shard))
         assert not {"seed", "snapshot", "seeded"} & names
 

@@ -3,7 +3,7 @@
 ``DetectionPipeline`` keeps a single ledger per run — one
 :class:`~repro.obs.spans.StageTally` per Table 3 row, and beside them
 the run-level counts — and hands it back on ``PipelineResult.trace``;
-``PipelineResult.funnel`` is read off the same tallies and
+``PipelineResult.funnel`` is read off its spans and
 :func:`~repro.runtime.scheduler.publish` is the only thing that turns it
 into registry counters.  These tests pin that spans, funnel and
 published counters agree over every run shape the constructor can

@@ -100,16 +100,51 @@ class TestDetectionScheduler:
             scheduler.advance_to(50.0)
 
     def test_retention_applied(self, rng):
+        """Retention keeps the largest registered window and cuts once a
+        span has passed since the last cut (the first due time cuts too)."""
         db = regression_db(rng)
-        scheduler = DetectionScheduler(db, retention=30_000.0)
-        scheduler.register("svc", small_config(), first_run=54_000.0)
-        scheduler.advance_to(54_000.0)
-        series = db.get("svc.sub.gcpu")
-        assert series.start >= 24_000.0
+        scheduler = DetectionScheduler(db)
+        scheduler.register("small", small_config(
+            rerun_interval=1_500.0, windows=WindowSpec(6_000.0, 3_000.0, 1_500.0)))
+        scheduler.register("large", small_config(
+            rerun_interval=1_500.0, windows=WindowSpec(12_000.0, 6_000.0, 3_000.0)))
+        cutoffs = []
+        for target in np.arange(1_500.0, 66_001.0, 1_500.0):
+            scheduler.advance_to(target)
+            if scheduler.retention_cutoff not in cutoffs + [None]:
+                cutoffs.append(scheduler.retention_cutoff)
+        # span 21,000: first due 10,500 (the small monitor), then every 21,000.
+        assert cutoffs == [-10_500.0, 10_500.0, 31_500.0]
+        assert db.get("svc.sub.gcpu").start == 31_500.0
 
     def test_invalid_params_raise(self):
-        with pytest.raises(ValueError):
-            DetectionScheduler(TimeSeriesDatabase(), retention=-1.0)
+        scheduler = DetectionScheduler(TimeSeriesDatabase())
+        scheduler.advance_to(60_000.0)
+        with pytest.raises(ValueError, match="before the clock"):
+            scheduler.register("past", small_config(), first_run=54_000.0)
+        assert scheduler.monitors() == []
+
+    def test_a_late_monitor_starts_at_the_clock(self, rng):
+        """A monitor registered at clock 100,000 s is not owed the scans
+        due before it existed: none runs in the past, and the clock
+        never moves backwards to run one."""
+        scheduler = DetectionScheduler(regression_db(rng))
+        scheduler.register("early", small_config(rerun_interval=1_500.0))
+        scheduler.advance_to(100_000.0)
+        scheduler.register("late", small_config(rerun_interval=1_500.0))
+        clocks = []
+        original = scheduler._run_batch
+
+        def recording(monitors, now):
+            clocks.append(scheduler.now)
+            return original(monitors, now)
+
+        scheduler._run_batch = recording
+        outcomes = scheduler.advance_to(101_500.0)
+        assert [(o.monitor, o.now) for o in outcomes] == [
+            ("late", 100_000.0), ("early", 100_500.0), ("late", 101_500.0),
+        ]
+        assert clocks == sorted(clocks) and min(clocks) >= 100_000.0
 
     def test_no_monitors_noop(self):
         scheduler = DetectionScheduler(TimeSeriesDatabase())

@@ -69,7 +69,15 @@ def make_stream(seed, regress_index):
     return samples
 
 
-def make_service(sink, workers, n_shards=4, **kwargs):
+#: Windows a 1,100-tick stream passes three times over: retention trims
+#: at 21,000 s (cutoff 0), 42,000 s and 63,000 s.
+TRIMMING = small_config(
+    rerun_interval=1_500.0,
+    windows=WindowSpec(historic=12_000.0, analysis=6_000.0, extended=3_000.0),
+)
+
+
+def make_service(sink, workers, n_shards=4, config=None, **kwargs):
     service = StreamingDetectionService(
         n_shards=n_shards,
         workers=workers,
@@ -79,7 +87,9 @@ def make_service(sink, workers, n_shards=4, **kwargs):
         batch_size=128,
         **kwargs,
     )
-    service.register_monitor("gcpu", small_config(), series_filter={"metric": "gcpu"})
+    service.register_monitor(
+        "gcpu", config or small_config(), series_filter={"metric": "gcpu"}
+    )
     return service
 
 
@@ -434,14 +444,14 @@ class TestSnapshotOwnership:
         runs = {}
         for workers in (1, 2):
             sink = CollectingSink()
-            service = make_service(sink, workers, retention=56_000.0)
+            service = make_service(sink, workers, config=TRIMMING)
             stream_through(service, samples)
             runs[workers] = (self.series_shape(service), report_bytes(sink.reports))
             assert sink.reports
             service.close()
         shape, _ = runs[2]
         # The worker trimmed its copy; the parent trimmed the original.
-        assert all(first > 0.0 for _, first in shape.values())
+        assert {first for _, first in shape.values()} == {42_000.0}
         assert all(length < N_TICKS for length, _ in shape.values())
         assert runs[2] == runs[1]
 
@@ -451,21 +461,21 @@ class TestSnapshotOwnership:
         with it and carries on under ``workers=2`` to the databases and
         reports of the uninterrupted run."""
         samples = make_stream(seed=7, regress_index=3)
-        split = 1_000 * len(SERIES)  # past the first scans (t=54000, 60000)
+        split = 1_000 * len(SERIES)  # past the trims at 21,000 and 42,000 s
 
         reference_sink = CollectingSink()
-        reference = make_service(reference_sink, workers=1, retention=56_000.0)
+        reference = make_service(reference_sink, workers=1, config=TRIMMING)
         stream_through(reference, samples)
         reference_shape = self.series_shape(reference)
         reference.close()
 
         before = CollectingSink()
-        victim = make_service(before, workers=1, retention=56_000.0)
+        victim = make_service(before, workers=1, config=TRIMMING)
         stream_through(victim, samples[:split])
         cutoffs = [
             shard.scheduler.retention_cutoff for shard in victim._shards.values()
         ]
-        assert all(cutoff is not None for cutoff in cutoffs)
+        assert cutoffs == [21_000.0] * len(cutoffs)
         directory = str(tmp_path / "ckpt")
         victim.checkpoint(directory)
         victim.close()

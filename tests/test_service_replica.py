@@ -457,11 +457,10 @@ class TestReplayOffTheFastPath:
         """The worker entry point run in-process, its replicas in a
         dict this test can read: after every dirty round, each shard's
         replica holds exactly what the live database holds."""
-        service = StreamingDetectionService(
-            n_shards=2, workers=1, retention=400 * drill.INTERVAL, batch_size=64,
-        )
+        service = StreamingDetectionService(n_shards=2, workers=1, batch_size=64)
+        # Windows the stream passes three times over: rounds 2, 4 and 6 trim.
         service.register_monitor(
-            "gcpu", drill.small_config(), series_filter={"metric": "gcpu"}
+            "gcpu", fleet.TRIMMING, series_filter={"metric": "gcpu"}
         )
         replicas = {}
         try:
@@ -479,6 +478,6 @@ class TestReplayOffTheFastPath:
                     assert generation == round_index + 1
                     assert list(replica) == list(shard.database) and len(replica) > 0
                     assert scheduler.retention_cutoff == shard.scheduler.retention_cutoff
-            assert shard.scheduler.retention_cutoff is not None
+            assert shard.scheduler.retention_cutoff == 42_000.0
         finally:
             service.close()
