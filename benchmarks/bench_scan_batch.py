@@ -458,3 +458,114 @@ def test_went_away_is_a_row_pass(capsys):
     )
     assert us["reference"] / us["k=block"] >= WENT_AWAY_FLOOR
     assert us["k=1"] <= us["reference"]
+
+
+# ---------------------------------------------------------------------------
+# Seasonality: two STL decompositions per seasonal candidate
+# ---------------------------------------------------------------------------
+
+#: The end-to-end workloads' seasonality windows: historic + analysis
+#: (800 points) and all three windows (900), at a 24-point season.
+STL_LENGTHS = (800, 900)
+STL_PERIOD = 24
+
+
+def measure_stl():
+    """ms per decomposition at each length: the per-point loess reference
+    against the blocked kernel, every component asserted equal first."""
+    from repro.stats.stl import stl_decompose
+
+    rng = np.random.default_rng(52)
+    best = {}
+    for n in STL_LENGTHS:
+        t = np.arange(n)
+        values = 0.001 + 0.0001 * np.sin(2 * np.pi * t / STL_PERIOD) + rng.normal(0, 2e-5, n)
+        values[n // 2 :] += 0.0002
+        result = stl_decompose(values, STL_PERIOD)
+        expected = ref.stl_decompose(values, STL_PERIOD)
+        for got, want in zip((result.seasonal, result.trend, result.residual), expected):
+            assert np.array_equal(got, want)
+        for name, run, reps in (
+            ("reference", lambda: ref.stl_decompose(values, STL_PERIOD), 1),
+            ("kernel", lambda: stl_decompose(values, STL_PERIOD), 20),
+        ):
+            for _ in range(REPS):
+                started = time.perf_counter()
+                for _ in range(reps):
+                    run()
+                elapsed = (time.perf_counter() - started) / reps * 1e3
+                best[name, n] = min(best.get((name, n), float("inf")), elapsed)
+    return best
+
+
+def test_stl_kernel_matches_the_reference(capsys):
+    ms = measure_stl()
+    emit(
+        "Seasonality: stl_decompose, blocked loess vs the per-point reference",
+        ["points  reference ms  kernel ms  speedup"]
+        + [
+            f"{n:6d}  {ms['reference', n]:12.2f}  {ms['kernel', n]:9.3f}  "
+            f"{ms['reference', n] / ms['kernel', n]:.0f}x"
+            for n in STL_LENGTHS
+        ]
+        + [f"period {STL_PERIOD}, seasonal, trend and residual equal at every length"],
+    )
+    assert all(ms["kernel", n] < ms["reference", n] for n in STL_LENGTHS)
+
+
+# ---------------------------------------------------------------------------
+# PairwiseDedup's time correlation: one member pair at a time
+# ---------------------------------------------------------------------------
+
+#: Members of one comparison round, each an analysis + extended window
+#: (300 points) on a grid shifted against the others'.
+PAIR_MEMBERS = 30
+PAIR_POINTS = 300
+
+
+def measure_time_correlation():
+    """µs per member pair: the ``{time: value}`` dicts the reference aligns
+    (built once per member, as a ``process()`` call built them) against
+    the sorted-array kernel, every coefficient asserted equal first."""
+    from repro.stats.correlation import aligned_pearson
+
+    rng = np.random.default_rng(52)
+    shape = rng.normal(0, 1, PAIR_POINTS + PAIR_MEMBERS * 10)
+    members = []
+    for i in range(PAIR_MEMBERS):
+        offset = int(rng.integers(0, PAIR_MEMBERS * 10))
+        times = 36_617.0 + INTERVAL * (offset + np.arange(PAIR_POINTS))
+        values = shape[offset : offset + PAIR_POINTS] + rng.normal(0, 0.3, PAIR_POINTS)
+        members.append((times, values))
+    pairs = [(a, b) for i, a in enumerate(members) for b in members[i + 1 :]]
+
+    def by_dicts():
+        mappings = {id(times): dict(zip(times.tolist(), values.tolist())) for times, values in members}
+        return [ref.aligned_pearson(mappings[id(a[0])], mappings[id(b[0])]) for a, b in pairs]
+
+    def by_arrays():
+        return [aligned_pearson(*a, *b) for a, b in pairs]
+
+    assert by_arrays() == by_dicts()
+    best = {}
+    for _ in range(REPS):
+        for name, run in (("dicts", by_dicts), ("arrays", by_arrays)):
+            started = time.perf_counter()
+            run()
+            elapsed = (time.perf_counter() - started) / len(pairs) * 1e6
+            best[name] = min(best.get(name, float("inf")), elapsed)
+    return best, len(pairs)
+
+
+def test_time_correlation_on_sorted_arrays(capsys):
+    us, pairs = measure_time_correlation()
+    emit(
+        "Time correlation: sorted-array intersection vs {time: value} dicts",
+        [
+            "path    us/pair  speedup",
+            f"dicts   {us['dicts']:7.1f}  1.0x",
+            f"arrays  {us['arrays']:7.1f}  {us['dicts'] / us['arrays']:.1f}x",
+            f"{pairs} pairs of {PAIR_POINTS}-point members, coefficients equal on every pair",
+        ],
+    )
+    assert us["arrays"] <= us["dicts"]

@@ -45,10 +45,6 @@ from repro.text.similarity import token_cosine_similarity
 
 __all__ = ["MergeRule", "PairwiseDedup"]
 
-#: ``id(member) -> series_mapping()``, each built once per ``process()``
-#: call however many comparisons read it.
-_SeriesMemo = Dict[int, Dict[float, float]]
-
 
 @dataclass(frozen=True)
 class MergeRule:
@@ -112,10 +108,6 @@ class _Member:
             window.analysis_and_extended.copy(),
         )
 
-    def series_mapping(self) -> Dict[float, float]:
-        """``{time: value}``, as :meth:`Regression.series_mapping`."""
-        return dict(zip(self.times.tolist(), self.values.tolist()))
-
 
 class PairwiseDedup:
     """Pairwise-comparison deduplication against the persistent groups
@@ -130,11 +122,9 @@ class PairwiseDedup:
         PAIRWISE_DUPLICATE verdict; group openers a keep verdict.
         """
         groups: List[List[_Member]] = state.pairwise_groups
-        series: _SeriesMemo = {}
-        # All held to the end of the call: the memo is keyed by id().
-        members = [_Member.of(regression) for regression in regressions]
-        for regression, member in zip(regressions, members):
-            index = self._best_group(member, groups, series, context.samples)
+        for regression in regressions:
+            member = _Member.of(regression)
+            index = self._best_group(member, groups, context.samples)
             if index is not None:
                 regression.representative = False
                 regression.record(
@@ -156,15 +146,14 @@ class PairwiseDedup:
     # ------------------------------------------------------------------
 
     def _best_group(
-        self, source: _Member, groups: List[List[_Member]], series: _SeriesMemo,
-        samples: Sequence[StackTrace],
+        self, source: _Member, groups: List[List[_Member]], samples: Sequence[StackTrace]
     ) -> Optional[int]:
         """The index of the matching group with the highest aggregate
         score, if any."""
         best: Optional[int] = None
         best_score = -np.inf
         for index, members in enumerate(groups):
-            scores = self.feature_scores(source, members, series, samples)
+            scores = self.feature_scores(source, members, samples)
             if any(rule.matches(scores) for rule in MERGE_RULES):
                 aggregate = sum(scores.values())
                 if aggregate > best_score:
@@ -173,19 +162,15 @@ class PairwiseDedup:
 
     @staticmethod
     def feature_scores(
-        source: _Member, members: List[_Member], series: _SeriesMemo,
-        samples: Sequence[StackTrace],
+        source: _Member, members: List[_Member], samples: Sequence[StackTrace]
     ) -> Dict[str, float]:
         """Similarity features between a regression and a group's members."""
-        for one in (source, *members):
-            if id(one) not in series:
-                series[id(one)] = one.series_mapping()
-        source_series = series[id(source)]
-
         time_correlation = 0.0
         text_similarity = 0.0
         for member in members:
-            correlation = aligned_pearson(source_series, series[id(member)])
+            correlation = aligned_pearson(
+                source.times, source.values, member.times, member.values
+            )
             time_correlation = max(time_correlation, correlation)
             similarity = token_cosine_similarity(
                 source.context.metric_id, member.context.metric_id

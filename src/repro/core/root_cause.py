@@ -21,7 +21,7 @@ otherwise FBDetect appropriately declines to guess.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -211,5 +211,16 @@ class RootCauseAnalyzer:
         series = self.setup_series.get(change.change_id)
         if not series:
             return 0.0
-        correlation = aligned_pearson(regression.series_mapping(), series)
+        window = regression.window
+        correlation = aligned_pearson(
+            window.times[window.analysis_at :], window.analysis_and_extended,
+            *_time_ordered(series),
+        )
         return max(0.0, correlation)
+
+
+def _time_ordered(series: Mapping[float, float]) -> Tuple[np.ndarray, np.ndarray]:
+    """A ``{timestamp: value}`` setup series as ascending times and their values."""
+    times = np.fromiter(series.keys(), float, len(series))
+    order = np.argsort(times)
+    return times[order], np.fromiter(series.values(), float, len(series))[order]

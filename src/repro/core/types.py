@@ -156,13 +156,6 @@ class Regression:
     def record(self, verdict: DetectionVerdict) -> None:
         self.verdicts.append(verdict)
 
-    def series_mapping(self) -> Dict[float, float]:
-        """``{time: value}`` of the analysis and extended samples, keyed
-        by the times they were stored at."""
-        window = self.window
-        times = window.times[window.analysis_at :]
-        return dict(zip(times.tolist(), window.analysis_and_extended.tolist()))
-
 
 @dataclass(frozen=True)
 class RootCauseScore:

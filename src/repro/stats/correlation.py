@@ -7,7 +7,7 @@ with a regression's timing.
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -38,23 +38,30 @@ def pearson(a: Sequence[float], b: Sequence[float]) -> float:
 MIN_OVERLAP = 3
 
 
-def aligned_pearson(a: Mapping[float, float], b: Mapping[float, float]) -> float:
+def aligned_pearson(
+    a_times: np.ndarray, a_values: np.ndarray, b_times: np.ndarray, b_values: np.ndarray
+) -> float:
     """Pearson correlation over the timestamps two series share.
 
     Production series rarely sample at identical instants; this aligns two
-    ``{timestamp: value}`` mappings on their common timestamps first.  A
-    handful of shared points says nothing about two long series, so the
-    shared timestamps must cover at least half of the shorter mapping, and
-    at least :data:`MIN_OVERLAP` points.
+    series on their common timestamps first.  A handful of shared points
+    says nothing about two long series, so the shared timestamps must cover
+    at least half of the shorter series, and at least :data:`MIN_OVERLAP`
+    points.
 
     Args:
-        a: First series as a timestamp-to-value mapping.
-        b: Second series.
+        a_times: First series' timestamps, ascending and distinct (the
+            TSDB stores one sample per timestamp).
+        a_values: Its values, one per timestamp.
+        b_times: Second series' timestamps, likewise.
+        b_values: Its values.
 
     Returns:
         The correlation, or 0.0 when overlap is insufficient.
     """
-    shared = sorted(set(a) & set(b))
-    if len(shared) < max(MIN_OVERLAP, min(len(a), len(b)) / 2):
+    # The shared timestamps come out ascending: the pairs pearson sees are
+    # in time order.
+    shared, ia, ib = np.intersect1d(a_times, b_times, assume_unique=True, return_indices=True)
+    if shared.size < max(MIN_OVERLAP, min(len(a_times), len(b_times)) / 2):
         return 0.0
-    return pearson([a[t] for t in shared], [b[t] for t in shared])
+    return pearson(a_values[ia], b_values[ib])

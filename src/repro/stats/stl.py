@@ -5,8 +5,8 @@ decompose a time series into seasonality + trend + residual with STL
 [Cleveland et al. 1990].  This is a self-contained implementation:
 
 - :func:`loess_smooth` — locally weighted linear regression with the
-  classic tricube kernel, every point's fit at once from a cached plan
-  of the weights.
+  classic tricube kernel, the points' fits a block at a time from a
+  cached plan of the weights.
 - :func:`stl_decompose` — the inner STL loop: cycle-subseries smoothing
   for the seasonal component, low-pass filtering to de-trend it, and
   loess smoothing of the deseasonalized series for the trend.
@@ -22,6 +22,11 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = ["STLResult", "loess_smooth", "stl_decompose"]
+
+#: Local fits per block: one reused ``(block, window)`` scratch holds a
+#: block's products, so a pass allocates no ``n x window`` temporary.
+#: Chosen by measurement at the scans' 800- and 900-point windows.
+LOESS_BLOCK_ROWS = 128
 
 
 @dataclass(frozen=True)
@@ -79,13 +84,26 @@ def loess_smooth(
         return y.copy()  # every local window is the point itself
 
     plan = _loess_plan(n, window)
-    ys = sliding_window_view(y, window)[plan.lo]
-    ym = (plan.w * ys).sum(axis=1) / plan.sw
-    if degree == 0:
-        return ym
-    # Weighted least squares for a local line, evaluated at each point.
-    slope = (plan.wdx * (ys - ym[:, None])).sum(axis=1) / plan.sxx
-    return ym + slope * plan.offset
+    windows = sliding_window_view(y, window)
+    smoothed = np.empty(n)
+    scratch = np.empty((min(n, LOESS_BLOCK_ROWS), window))
+    for start in range(0, n, LOESS_BLOCK_ROWS):
+        rows = slice(start, start + LOESS_BLOCK_ROWS)
+        lo = plan.lo[rows]
+        products = scratch[: lo.size]
+        if lo[-1] - lo[0] == lo.size - 1:  # interior: consecutive windows
+            ys = windows[lo[0] : lo[-1] + 1]
+        else:
+            ys = windows[lo]
+        np.multiply(plan.w[rows], ys, out=products)
+        ym = products.sum(axis=1) / plan.sw[rows]
+        if degree == 1:
+            # Weighted least squares for a local line, evaluated at each point.
+            np.subtract(ys, ym[:, None], out=products)
+            np.multiply(plan.wdx[rows], products, out=products)
+            ym += products.sum(axis=1) / plan.sxx[rows] * plan.offset[rows]
+        smoothed[rows] = ym
+    return smoothed
 
 
 class _LoessPlan(NamedTuple):

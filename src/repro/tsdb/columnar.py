@@ -243,14 +243,18 @@ class FloatColumn:
         self._length = length
 
     def replace(self, values: np.ndarray) -> None:
-        """Adopt ``values`` as the new content, in a fresh buffer.
+        """Adopt ``values`` as the new content, in a fresh buffer of the
+        current capacity.
 
         Used by retention compaction: outstanding views keep pointing at
         the old buffer (stale but intact) rather than observing shifted
-        data.
+        data, and the appends until the next trim fill the slack the trim
+        freed instead of copying the column again.
         """
-        self._buffer = np.array(values, dtype=np.float64).ravel()
-        self._length = int(self._buffer.size)
+        length = int(values.size)
+        fresh = np.empty(max(self._buffer.size, length), dtype=np.float64)
+        fresh[:length] = values
+        self._buffer, self._length = fresh, length
 
     # -- reads ---------------------------------------------------------
 

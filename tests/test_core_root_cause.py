@@ -5,6 +5,7 @@ from unittest.mock import patch
 import numpy as np
 import pytest
 
+import _reference_kernels as ref
 from repro.core import root_cause
 from repro.core.root_cause import RootCauseAnalyzer, gcpu_attribution
 from repro.core.types import MetricContext, Regression, RegressionKind
@@ -156,8 +157,10 @@ class TestRootCauseAnalyzer:
 
     def test_setup_series_correlation(self):
         regression = make_regression()
+        window = regression.window
+        times = window.times[window.analysis_at :]
         setup = {  # tracks the regression's post-change series shape
-            "flagged": dict(regression.series_mapping()),
+            "flagged": dict(zip(times.tolist(), window.analysis_and_extended.tolist())),
         }
         log = ChangeLog([CodeChange("flagged", deploy_time=11_900.0, title="algo switch")])
         analyzer = RootCauseAnalyzer(setup_series=setup)
@@ -165,6 +168,26 @@ class TestRootCauseAnalyzer:
             candidates = analyzer.analyze(regression, log)
         assert candidates
         assert candidates[0].factors["time_correlation"] == pytest.approx(1.0)
+
+    def test_a_setup_series_in_any_key_order_correlates_as_its_dict_did(self):
+        """Root cause hands its ``{timestamp: value}`` setup series to the
+        sorted-array kernel in time order: shuffled, partly overlapping,
+        with int keys, the factor is the dict alignment's."""
+        regression = make_regression()
+        window = regression.window
+        times = window.times[window.analysis_at :]
+        rng = np.random.default_rng(5)
+        keys = np.concatenate([times[40:], times[-1] + 60.0 * np.arange(1, 80)])
+        values = np.concatenate([window.analysis_and_extended[40:], np.zeros(79)])
+        values += rng.normal(0, 1e-5, keys.size)
+        setup = {int(t): float(v) for t, v in zip(keys, values)}
+        setup = dict(sorted(setup.items(), key=lambda item: rng.random()))
+        flagged = dict(zip(times.tolist(), window.analysis_and_extended.tolist()))
+        expected = ref.aligned_pearson(flagged, setup)
+        assert expected > 0.5
+        analyzer = RootCauseAnalyzer(setup_series={"flagged": setup})
+        change = CodeChange("flagged", deploy_time=11_900.0)
+        assert analyzer._correlation_factor(regression, change) == expected
 
     def test_results_stored_on_regression(self):
         regression = make_regression()

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.stats.correlation import aligned_pearson, pearson
+from repro.stats import correlation
+from repro.stats.correlation import pearson
 from repro.stats.descriptive import percentile, summarize
 
 
@@ -29,6 +30,16 @@ class TestPearson:
     def test_too_short_raises(self):
         with pytest.raises(ValueError):
             pearson([1.0], [2.0])
+
+
+def aligned_pearson(a, b):
+    """The array kernel on two ``{timestamp: value}`` dicts, keys ascending."""
+    return correlation.aligned_pearson(*arrays(a), *arrays(b))
+
+
+def arrays(mapping):
+    times = sorted(mapping)
+    return np.array(times), np.array([mapping[t] for t in times])
 
 
 class TestAlignedPearson:

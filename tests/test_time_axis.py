@@ -2,8 +2,8 @@
 
 A window carries its samples' timestamps (``WindowedView.times``), and
 every index -> time question reads them: a short-term change time, a
-long-term one, cost shift's pre/post split and the ``{time: value}``
-mapping PairwiseDedup and root cause correlate.  Each unit test builds a
+long-term one, cost shift's pre/post split and the times PairwiseDedup
+and root cause align two series on.  Each unit test builds a
 window whose samples sit off the uniform grid its bounds suggest — the
 clock run past the data, frame heads arriving late, a series younger than
 its historic window — where a time rebuilt from an index and a spacing
@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 
 from repro.config import DetectionConfig
 from repro.core.cost_shift import CostShiftDetector
+from repro.core.dedup_pairwise import _Member
 from repro.core.long_term import LongTermDetector
 from repro.core.types import MetricContext, Regression, RegressionKind, ScanContext
 from repro.runtime import CollectingSink, DetectionScheduler
@@ -65,10 +66,10 @@ class TestSeriesMapping:
         stamps = np.arange(900) * 60.0 + 17.0  # every frame head 17 s late
         series.ingest_columns(stamps, stepped())
         view = WINDOWS.view(series, now=54_000.0)
-        mapping = short_term(view, 10, 36_617.0).series_mapping()
+        member = _Member.of(short_term(view, 10, 36_617.0))  # what time correlation aligns
         kept = (stamps >= view.analysis_start) & (stamps < view.now)
-        assert list(mapping) == stamps[kept].tolist()
-        assert list(mapping.values()) == view.analysis_and_extended.tolist()
+        assert member.times.tolist() == stamps[kept].tolist()
+        assert member.values.tolist() == view.analysis_and_extended.tolist()
 
 
 class TestShortTermChangeTime:

@@ -89,6 +89,22 @@ class TestTimeSeries:
         assert dropped == 4
         assert series.start == 4.0
 
+    def test_a_trim_keeps_the_capacity_the_appends_fill(self):
+        """A retention trim copies the live points once, into a buffer of
+        the capacity the column had: the appends up to the next trim fill
+        it in place, and no column outgrows its pre-trim buffer."""
+        series = TimeSeries("s")
+        series.extend([(60.0 * i, float(i)) for i in range(2_700)])
+        columns = (series._timestamps, series._values)
+        capacity = columns[0].capacity
+        assert columns[1].capacity == capacity >= 2_700
+        for cutoff in (54_000.0, 108_000.0):
+            series.drop_before(cutoff)
+            buffers = [column._buffer for column in columns]
+            while len(series) < capacity:  # up to the next trim
+                series.append(series.end + 60.0, 0.0)
+                assert all(c._buffer is b for c, b in zip(columns, buffers))
+            assert [column.capacity for column in columns] == [capacity, capacity]
 
 class TestTimeSeriesDatabase:
     def test_write_autocreates(self):
