@@ -569,3 +569,79 @@ def test_time_correlation_on_sorted_arrays(capsys):
         ],
     )
     assert us["arrays"] <= us["dicts"]
+
+
+# ---------------------------------------------------------------------------
+# The incremental screen against a full scan of every due series
+# ---------------------------------------------------------------------------
+
+#: A monitor at the end-to-end benchmark's windows and rerun interval.
+SCREEN_MONITOR = DetectionConfig(
+    name="screen", threshold=5e-5, rerun_interval=25 * INTERVAL, long_term=False,
+    windows=WindowSpec(historic=36_000, analysis=12_000, extended=6_000),
+)
+SCREEN_SERIES = 200
+SCREEN_ROUNDS = 12
+#: One series in this many steps up, two rounds into the stream.
+SCREEN_STEP_EVERY = 20
+
+
+def screen_stream():
+    """Quiet gCPU frames, one in :data:`SCREEN_STEP_EVERY` with a clean step."""
+    from repro.tsdb import SeriesFrame
+
+    rng = np.random.default_rng(53)
+    first_scan = int(SCREEN_MONITOR.windows.total / INTERVAL)
+    round_points = int(SCREEN_MONITOR.rerun_interval / INTERVAL)
+    n_points = first_scan + SCREEN_ROUNDS * round_points
+    stamps = np.arange(n_points) * INTERVAL
+    frames = []
+    for index in range(SCREEN_SERIES):
+        values = rng.normal(0.001, 0.00002, n_points)
+        if index % SCREEN_STEP_EVERY == 0:
+            values[first_scan + 2 * round_points :] += 0.0004
+        frames.append(SeriesFrame(f"svc.sub{index}.gcpu", {"metric": "gcpu"}, stamps, values))
+    return frames, first_scan, round_points
+
+
+def measure_screen(incremental):
+    """Reports and series advanced per second for one stream of rounds."""
+    from repro.service import StreamingDetectionService
+    from repro.tsdb import SeriesFrame
+
+    frames, first_scan, round_points = screen_stream()
+    service = StreamingDetectionService(n_shards=2)
+    service.register_monitor(
+        "screen", SCREEN_MONITOR, series_filter={"metric": "gcpu"}, incremental=incremental
+    )
+    reports, advance_s = [], 0.0
+    try:
+        for end in range(first_scan, first_scan + SCREEN_ROUNDS * round_points + 1, round_points):
+            begin = end - (first_scan if end == first_scan else round_points)
+            service.ingest_frames([
+                SeriesFrame(f.name, f.tags, f.timestamps[begin:end], f.values[begin:end])
+                for f in frames
+            ])
+            service.flush()
+            started = time.perf_counter()
+            reports += service.advance_to(end * INTERVAL)
+            advance_s += time.perf_counter() - started
+    finally:
+        service.close()
+    return reports, SCREEN_SERIES * (SCREEN_ROUNDS + 1) / advance_s
+
+
+def test_screen_against_full_scans(capsys):
+    screened, screened_rate = measure_screen(incremental=True)
+    full, full_rate = measure_screen(incremental=False)
+    emit(
+        "Incremental screen: register_monitor(incremental=False) scans every due series",
+        [
+            "screen  advance_series_per_s  ratio",
+            f"on      {screened_rate:20,.0f}  {screened_rate / full_rate:.2f}x",
+            f"off     {full_rate:20,.0f}  1.00x",
+            f"{SCREEN_SERIES} series, {SCREEN_ROUNDS + 1} rounds, "
+            f"{len(screened)} reports, equal on both sides",
+        ],
+    )
+    assert screened and screened == full

@@ -31,7 +31,9 @@ import numpy as np
 
 from repro.core.change_point import ChangePointCandidate
 from repro.core.types import DetectionVerdict, FilterReason
-from repro.stats.mann_kendall import mann_kendall_scores, mann_kendall_test, pair_plan
+from repro.stats.mann_kendall import (
+    SIGNIFICANCE_LEVEL, mann_kendall_scores, mann_kendall_test, pair_plan,
+)
 from repro.stats.robust import NORMALITY_CONSTANT, sorted_medians, sorted_percentiles
 from repro.stats.sax import DEFAULT_BUCKETS, DEFAULT_VALID_FRACTION, sax_encode
 from repro.stats.theil_sen import _EXACT_PAIR_LIMIT, theil_sen
@@ -48,8 +50,6 @@ REGRESSION_COEFFICIENT = 1.5
 NEW_PATTERN_FRACTION = 0.65
 #: Final data points RegressionGoneAway examines ("the last few data points").
 TAIL_POINTS = 5
-#: Mann-Kendall's level, as :func:`mann_kendall_test` defaults it.
-_TREND_LEVEL = 0.05
 #: Dense ranks are int16: a row longer than this takes :func:`mann_kendall_test`.
 _RANKED_POINTS = int(np.iinfo(np.int16).max)
 
@@ -380,7 +380,7 @@ class WentAwayDetector:
             tied = ties * (ties - 1)
             s = 2 * concordant - (n * (n - 1) - tied.sum(axis=1)) // 2
             z, p_value = mann_kendall_scores(s, n, (tied * (2 * ties + 5)).sum(axis=1) * 1.0)
-            trend = np.sign(z).astype(int) * (p_value < _TREND_LEVEL)
+            trend = np.sign(z).astype(int) * (p_value < SIGNIFICANCE_LEVEL)
             post, analysis = trend[:k] * (n_post >= 3), trend[k:]
         for i in np.flatnonzero(exact).tolist():
             post[i] = _direction(mann_kendall_test(tail[i, at[i] :])) if n_post[i] >= 3 else 0

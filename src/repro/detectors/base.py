@@ -37,8 +37,8 @@ __all__ = [
 ]
 
 
-def param_hash(params: Mapping[str, object], digest_size: int = 4) -> str:
-    """Deterministic short hash of a parameter mapping.
+def param_hash(params: Mapping[str, object]) -> str:
+    """Deterministic 8-hex-digit hash of a parameter mapping.
 
     Canonical encoding: JSON with sorted keys and compact separators,
     hashed with blake2b.  Stable across processes and
@@ -53,7 +53,7 @@ def param_hash(params: Mapping[str, object], digest_size: int = 4) -> str:
         separators=(",", ":"),
         default=str,
     )
-    return hashlib.blake2b(encoded.encode("utf-8"), digest_size=digest_size).hexdigest()
+    return hashlib.blake2b(encoded.encode("utf-8"), digest_size=4).hexdigest()
 
 
 def make_detector_id(type_name: str, version: int, params: Mapping[str, object]) -> str:

@@ -47,6 +47,10 @@ __all__ = [
     "rollover_counter",
 ]
 
+#: Which of a series' points :func:`rollover_counter` restarts the counter
+#: at; ``None`` takes the midpoint.
+ROLLOVER_AT: Optional[int] = None
+
 
 def reorder_within_blocks(
     samples: Sequence[Any],
@@ -163,15 +167,11 @@ def drop_gaps(
     ]
 
 
-def rollover_counter(
-    samples: Sequence[Any],
-    series: str,
-    at_index: Optional[int] = None,
-) -> List[Any]:
+def rollover_counter(samples: Sequence[Any], series: str) -> List[Any]:
     """Restart a cumulative counter mid-stream.
 
-    From the ``at_index``-th point of ``series`` onward (default: the
-    midpoint), raw values are re-based to the last pre-restart value —
+    From the :data:`ROLLOVER_AT`-th point of ``series`` onward (by
+    default the midpoint), raw values are re-based to the last pre-restart value —
     the counter drops toward zero exactly as a restarted process's
     would.  Admission's reset detection rebases the tail by that same
     last-raw value, so for integer-valued counters the reconstructed
@@ -181,8 +181,6 @@ def rollover_counter(
         samples: The clean stream.
         series: The counter series to restart (its samples should carry
             ``tags["type"] == "counter"`` for admission to repair it).
-        at_index: Which of the series' points restarts the counter
-            (default midpoint); must leave at least one point before it.
 
     Returns:
         A new list with the tail of ``series`` re-based.
@@ -190,10 +188,10 @@ def rollover_counter(
     slots = [i for i, s in enumerate(samples) if s.name == series]
     if len(slots) < 2:
         return list(samples)
-    cut = at_index if at_index is not None else len(slots) // 2
-    if not 1 <= cut < len(slots):
+    cut = ROLLOVER_AT if ROLLOVER_AT is not None else len(slots) // 2
+    if not 1 <= cut < len(slots):  # at least one point before the restart
         raise ValueError(
-            f"at_index must be in [1, {len(slots) - 1}] for {series!r}"
+            f"ROLLOVER_AT must be in [1, {len(slots) - 1}] for {series!r}"
         )
     base = samples[slots[cut - 1]].value  # last value the old process saw
     out = list(samples)

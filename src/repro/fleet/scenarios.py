@@ -181,19 +181,16 @@ def cost_shift_series(
 
 def transient_throughput_drop(
     n_points: int = 500,
-    base: float = 120.0,
-    drop_fraction: float = 0.5,
     drop_start: Optional[int] = None,
     drop_length: int = 40,
-    noise_std: float = 4.0,
     seed: int = 0,
 ) -> np.ndarray:
-    """Figure 1(c): throughput dips for a while, then fully recovers."""
+    """Figure 1(c): throughput (120 ± 4) halves for a while, then fully recovers."""
     rng = np.random.default_rng(seed)
-    series = rng.normal(base, noise_std, n_points)
+    series = rng.normal(120.0, 4.0, n_points)
     start = drop_start if drop_start is not None else int(0.55 * n_points)
     end = min(n_points, start + drop_length)
-    series[start:end] *= 1.0 - drop_fraction
+    series[start:end] *= 0.5
     return np.maximum(series, 0.0)
 
 

@@ -23,6 +23,9 @@ __all__ = ["SubroutineSpec", "CallPath", "CallGraph"]
 
 #: The root frame of every call graph.
 ROOT = "_start"
+#: :meth:`CallGraph.sample_traces` merges identical traces into one
+#: weighted trace (the storage format of production profilers).
+COLLAPSE_TRACES = True
 
 
 @dataclass
@@ -201,19 +204,16 @@ class CallGraph:
         self,
         n_samples: int,
         rng: np.random.Generator,
-        collapse: bool = True,
     ) -> List[StackTrace]:
         """Draw ``n_samples`` stack traces from the cost distribution.
 
         Args:
             n_samples: Number of samples.
             rng: Random generator.
-            collapse: Merge identical traces into one weighted trace
-                (the storage format of production profilers).
 
         Returns:
-            Stack traces; with ``collapse`` their weights sum to
-            ``n_samples``.
+            Stack traces, merged by :data:`COLLAPSE_TRACES`; their
+            weights sum to ``n_samples``.
         """
         paths = self.paths()
         if not paths or n_samples <= 0:
@@ -234,7 +234,7 @@ class CallGraph:
                 )
                 for name in path.subroutines
             )
-            if collapse:
+            if COLLAPSE_TRACES:
                 traces.append(StackTrace(frames=frames, weight=float(count)))
             else:
                 traces.extend(StackTrace(frames=frames) for _ in range(count))
@@ -270,23 +270,19 @@ def build_random_call_graph(
     n_subroutines: int,
     rng: np.random.Generator,
     n_classes: int = 10,
-    n_endpoints: int = 5,
-    fanout: int = 4,
-    cost_dispersion: float = 1.0,
 ) -> CallGraph:
     """Generate a realistic random service call graph.
 
-    Subroutine self costs are log-normal (a few hot subroutines, a long
-    tail of cold ones — matching the paper's observation that non-trivial
-    subroutines have a median gCPU of 0.0083%).
+    Subroutine self costs are log-normal with sigma 1 (a few hot
+    subroutines, a long tail of cold ones — matching the paper's
+    observation that non-trivial subroutines have a median gCPU of
+    0.0083%).  A node has four children on average, and top-level
+    subroutines serve five endpoints in turn.
 
     Args:
         n_subroutines: Nodes to create, excluding the root.
         rng: Random generator.
         n_classes: Number of ``Class::method`` groupings.
-        n_endpoints: Endpoints assigned to top-level subroutines.
-        fanout: Average children per node.
-        cost_dispersion: Sigma of the log-normal cost distribution.
 
     Returns:
         A populated :class:`CallGraph`.
@@ -296,15 +292,15 @@ def build_random_call_graph(
     for i in range(n_subroutines):
         class_id = i % n_classes
         name = f"svc::Class{class_id}::method_{i}"
-        if names and rng.random() > 1.0 / max(1, fanout):
+        if names and rng.random() > 0.25:
             parent = names[int(rng.integers(0, len(names)))]
         else:
             parent = ROOT
-        endpoint = f"/endpoint/{i % n_endpoints}" if parent == ROOT else None
+        endpoint = f"/endpoint/{i % 5}" if parent == ROOT else None
         graph.add(
             SubroutineSpec(
                 name=name,
-                self_cost=float(rng.lognormal(mean=0.0, sigma=cost_dispersion)),
+                self_cost=float(rng.lognormal(mean=0.0, sigma=1.0)),
                 parent=parent,
                 endpoint=endpoint,
             )

@@ -76,11 +76,10 @@ class StageTally:
         passed: bool,
         reason: Optional[str] = None,
         seconds: float = 0.0,
-        wall: Optional[float] = None,
     ) -> None:
         """Record one candidate passing through the stage."""
         if self.first_entered is None:
-            self.first_entered = wall if wall is not None else time.time()
+            self.first_entered = time.time()
         self.inputs += 1
         self.seconds += seconds
         if passed:
@@ -95,11 +94,10 @@ class StageTally:
         outputs: int,
         reason: str,
         seconds: float,
-        wall: Optional[float] = None,
     ) -> None:
         """Record a whole-collection stage (dedup passes) in one call."""
         if self.first_entered is None:
-            self.first_entered = wall if wall is not None else time.time()
+            self.first_entered = time.time()
         self.inputs += inputs
         self.outputs += outputs
         dropped = inputs - outputs
@@ -313,20 +311,15 @@ class EventLog(_Ring):
     through the service's ``/faults`` endpoint.
     """
 
-    def record(self, kind: str, wall: Optional[float] = None, **fields: object) -> Event:
+    def record(self, kind: str, **fields: object) -> Event:
         """Append one event (evicting the oldest when full)."""
-        event = Event(
-            kind=kind, wall=wall if wall is not None else time.time(), fields=fields
-        )
+        event = Event(kind=kind, wall=time.time(), fields=fields)
         self._append(event)
         return event
 
-    def events(self, kind: Optional[str] = None) -> List[Event]:
-        """Retained events oldest-first, optionally filtered by kind."""
-        retained = self._retained()
-        if kind is None:
-            return retained
-        return [event for event in retained if event.kind == kind]
+    def events(self) -> List[Event]:
+        """Retained events oldest-first."""
+        return self._retained()
 
 
 class FunnelTrace:

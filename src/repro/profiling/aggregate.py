@@ -16,6 +16,9 @@ from repro.profiling.stacktrace import StackTrace
 
 __all__ = ["StackTrieNode", "StackTrie", "diff_tries", "FrameDiff"]
 
+#: :func:`diff_tries` suppresses paths whose relative weight moves less.
+MIN_DELTA = 1e-6
+
 
 @dataclass
 class StackTrieNode:
@@ -134,21 +137,17 @@ class FrameDiff:
         return self.after - self.before
 
 
-def diff_tries(
-    before: StackTrie,
-    after: StackTrie,
-    min_delta: float = 1e-6,
-) -> List[FrameDiff]:
+def diff_tries(before: StackTrie, after: StackTrie) -> List[FrameDiff]:
     """Differential view: paths whose relative weight changed.
 
     Both tries are normalized to relative weights so fleets of different
     sample counts compare fairly.  Results are sorted by descending
     absolute delta — the first entries are where the regression lives.
+    Paths moving less than :data:`MIN_DELTA` are left out.
 
     Args:
         before: Baseline samples (pre-change).
         after: Comparison samples (post-change).
-        min_delta: Suppress paths moving less than this.
     """
     paths: Dict[Tuple[str, ...], FrameDiff] = {}
 
@@ -179,6 +178,6 @@ def diff_tries(
 
     collect(before, is_before=True)
     collect(after, is_before=False)
-    diffs = [d for d in paths.values() if abs(d.delta) >= min_delta]
+    diffs = [d for d in paths.values() if abs(d.delta) >= MIN_DELTA]
     diffs.sort(key=lambda d: (-abs(d.delta), d.path))
     return diffs

@@ -63,11 +63,9 @@ class StackTrace:
         return iter(self.frames)
 
     @classmethod
-    def from_names(
-        cls, names: Sequence[str], kind: str = "native", weight: float = 1.0
-    ) -> "StackTrace":
-        """Build a trace from plain subroutine names."""
-        return cls(frames=tuple(Frame(name, kind=kind) for name in names), weight=weight)
+    def from_names(cls, names: Sequence[str], weight: float = 1.0) -> "StackTrace":
+        """Build a trace of native frames from plain subroutine names."""
+        return cls(frames=tuple(Frame(name) for name in names), weight=weight)
 
     @property
     def subroutines(self) -> Tuple[str, ...]:

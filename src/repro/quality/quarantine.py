@@ -97,8 +97,8 @@ class QuarantineStore:
         self.total -= released
         return released
 
-    def snapshot(self, limit: int = 50) -> dict:
-        """JSON view for ``/quality``: totals plus the worst offenders.
+    def snapshot(self) -> dict:
+        """JSON view for ``/quality``: totals plus the 50 worst offenders.
 
         Read without the lock :meth:`add` runs under, so it copies first:
         ``dict(d)`` and ``list(q)`` allocate nothing per element.  Not
@@ -116,7 +116,7 @@ class QuarantineStore:
             "evicted": self.evicted,
             "series": {
                 name: {"count": sum(counts.values()), "reasons": dict(counts)}
-                for name, counts in offenders[:limit]
+                for name, counts in offenders[:50]
             },
             "recent": [
                 {"series": s, "timestamp": ts, "value": value, "reason": reason}

@@ -24,12 +24,13 @@ from __future__ import annotations
 import threading
 import time
 from contextlib import contextmanager
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterator, List, Tuple
 
-__all__ = ["Counter", "Histogram", "MetricsRegistry", "DEFAULT_LATENCY_BUCKETS", "render"]
+__all__ = ["Counter", "Histogram", "MetricsRegistry", "LATENCY_BUCKETS", "render"]
 
-#: Log-spaced latency buckets (seconds): 100µs .. 30s, plus +inf.
-DEFAULT_LATENCY_BUCKETS: Tuple[float, ...] = (
+#: Every histogram's log-spaced latency buckets (seconds): 100µs .. 30s,
+#: plus +inf.
+LATENCY_BUCKETS: Tuple[float, ...] = (
     0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025,
     0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0,
 )
@@ -67,11 +68,11 @@ class Histogram:
     p50/p99 pipeline-latency reporting.
     """
 
-    def __init__(self, buckets: Sequence[float] = DEFAULT_LATENCY_BUCKETS) -> None:
+    def __init__(self) -> None:
         self._lock = threading.Lock()
-        if not buckets or list(buckets) != sorted(buckets):
+        if not LATENCY_BUCKETS or list(LATENCY_BUCKETS) != sorted(LATENCY_BUCKETS):
             raise ValueError("buckets must be a non-empty ascending sequence")
-        self.bounds: Tuple[float, ...] = tuple(float(b) for b in buckets)
+        self.bounds: Tuple[float, ...] = tuple(float(b) for b in LATENCY_BUCKETS)
         self._counts: List[int] = [0] * (len(self.bounds) + 1)
         self._count = 0
         self._sum = 0.0
@@ -145,7 +146,8 @@ class Histogram:
     @classmethod
     def from_state(cls, state: dict) -> "Histogram":
         """The histogram a :meth:`state` describes."""
-        histogram = cls(state["bounds"])
+        histogram = cls()
+        histogram.bounds = tuple(float(b) for b in state["bounds"])
         histogram._counts = list(state["counts"])
         histogram._count = state["count"]
         histogram._sum = state["sum"]
@@ -180,13 +182,11 @@ class MetricsRegistry:
                 counter = self._counters[name] = Counter()
             return counter
 
-    def histogram(
-        self, name: str, buckets: Sequence[float] = DEFAULT_LATENCY_BUCKETS
-    ) -> Histogram:
+    def histogram(self, name: str) -> Histogram:
         with self._lock:
             histogram = self._histograms.get(name)
             if histogram is None:
-                histogram = self._histograms[name] = Histogram(buckets)
+                histogram = self._histograms[name] = Histogram()
             return histogram
 
     # -- convenience recorders -----------------------------------------

@@ -17,6 +17,10 @@ import numpy as np
 
 __all__ = ["SelfOrganizingMap", "som_cluster", "som_grid_size"]
 
+#: :func:`som_cluster` merges units closer than this fraction of the
+#: median inter-unit distance into one cluster; 0 disables the merge.
+MERGE_FACTOR = 0.25
+
 
 def som_grid_size(n_items: int) -> int:
     """The paper's robust grid-size rule: ``L = ceil(n ** (1/4))``."""
@@ -155,21 +159,18 @@ def som_cluster(
     features: Sequence[Sequence[float]],
     grid_size: Optional[int] = None,
     seed: int = 0,
-    merge_factor: float = 0.25,
 ) -> List[List[int]]:
     """Cluster items by shared (or nearby) best-matching unit.
 
     Items mapping to the same BMU form a cluster; units whose codebook
     vectors are much closer than typical are merged, since a trained map
-    spreads a dense region across adjacent units.
+    spreads a dense region across adjacent units (:data:`MERGE_FACTOR`).
 
     Args:
         features: ``(n_items, n_features)`` feature matrix.
         grid_size: Side of the square grid; defaults to the paper's
             ``ceil(n ** 1/4)`` rule.
         seed: Training RNG seed.
-        merge_factor: Units closer than this fraction of the median
-            inter-unit distance merge into one cluster; 0 disables.
 
     Returns:
         A list of clusters, each a list of item indices, ordered by the
@@ -186,8 +187,8 @@ def som_cluster(
     assignments = som.predict(x)
 
     used = sorted(set(int(u) for u in assignments))
-    if merge_factor > 0:
-        roots = _merge_close_units(som.weights, used, merge_factor)
+    if MERGE_FACTOR > 0:
+        roots = _merge_close_units(som.weights, used, MERGE_FACTOR)
     else:
         roots = {u: u for u in used}
 

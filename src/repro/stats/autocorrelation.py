@@ -15,6 +15,12 @@ import numpy as np
 __all__ = ["acf", "detect_season_length"]
 
 
+#: The longest admissible season; ``None`` admits up to ``n // 2``.
+MAX_PERIOD: Optional[int] = None
+#: The correlation a peak must exceed; ``None`` takes the large-sample 5%
+#: bound ``1.96 / sqrt(n)``.
+SIGNIFICANCE: Optional[float] = None
+
 # Slack on each comparison the FFT screen makes: its values sit within
 # 1e-15 of the lagged products (tests hold the gap under 1e-12).
 _SCREEN_SLACK = 1e-9
@@ -58,18 +64,12 @@ def acf(values: Sequence[float], max_lag: Optional[int] = None) -> np.ndarray:
     return np.array([_correlation(x, denom, lag) for lag in range(max_lag + 1)])
 
 
-def detect_season_length(
-    values: Sequence[float],
-    min_period: int = 2,
-    max_period: Optional[int] = None,
-    significance: Optional[float] = None,
-) -> Optional[int]:
+def detect_season_length(values: Sequence[float], min_period: int = 2) -> Optional[int]:
     """Find the dominant season length: the highest significant ACF peak.
 
-    A lag qualifies when it is a local maximum of the ACF (no smaller than
-    either neighbour) and its correlation exceeds the large-sample
-    significance bound ``z / sqrt(n)`` (z=1.96 for 5%), or the
-    caller-provided threshold.  Of the qualifying lags the one with the
+    A lag up to :data:`MAX_PERIOD` qualifies when it is a local maximum of
+    the ACF (no smaller than either neighbour) and its correlation exceeds
+    :data:`SIGNIFICANCE`.  Of the qualifying lags the one with the
     highest correlation wins (not the first), the shortest on a tie.
 
     Every value that decides is a lagged product, as in :func:`acf`; the
@@ -81,9 +81,6 @@ def detect_season_length(
     Args:
         values: The time series.
         min_period: Smallest admissible period (at least 1).
-        max_period: Largest admissible period; defaults to ``n // 2``.
-        significance: Absolute correlation threshold; defaults to the
-            large-sample 5% bound.
 
     Returns:
         The detected period, or ``None`` when no significant peak exists.
@@ -92,9 +89,8 @@ def detect_season_length(
     n = x.size
     if n < 2 * min_period:
         return None
-    if max_period is None:
-        max_period = n // 2
-    threshold = significance if significance is not None else 1.96 / np.sqrt(n)
+    max_period = MAX_PERIOD if MAX_PERIOD is not None else n // 2
+    threshold = SIGNIFICANCE if SIGNIFICANCE is not None else 1.96 / np.sqrt(n)
     # Lags first .. last - 1 are judged, each against both neighbours.
     first, last = max(min_period, 1), min(max_period, n - 1)
     if last <= first:

@@ -21,6 +21,10 @@ __all__ = [
     "cusum_changepoint",
 ]
 
+#: :func:`cusum_changepoint` keeps at least this many points on each side
+#: of the split.
+MIN_SEGMENT = 2
+
 
 @dataclass(frozen=True)
 class CusumResult:
@@ -88,27 +92,23 @@ def cusum_split_rows(
     return lo + np.argmax(np.abs(curve[:, lo:hi]), axis=1) + 1, curve
 
 
-def cusum_changepoint(
-    values: Sequence[float],
-    min_segment: int = 2,
-) -> Optional[CusumResult]:
-    """Locate the most likely single mean-shift change point via CUSUM.
+def cusum_changepoint(values: Sequence[float]) -> Optional[CusumResult]:
+    """Locate the most likely single mean-shift change point via CUSUM,
+    at least :data:`MIN_SEGMENT` points from either edge.
 
     Args:
         values: The time series to scan.
-        min_segment: Minimum number of points required on each side of the
-            change point.  Candidates closer to either edge are ignored.
 
     Returns:
         A :class:`CusumResult`, or ``None`` when the series is too short to
-        contain a change point with the requested segment sizes.
+        contain a change point with those segment sizes.
     """
     x = np.asarray(values, dtype=float)
     n = x.size
-    if n < max(2 * min_segment, 1):
+    if n < max(2 * MIN_SEGMENT, 1):
         return None
 
-    indices, curves = cusum_split_rows((x - x.mean())[None, :], min_segment)
+    indices, curves = cusum_split_rows((x - x.mean())[None, :], MIN_SEGMENT)
     index, curve = int(indices[0]), curves[0]
 
     std = float(x.std())

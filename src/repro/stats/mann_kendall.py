@@ -19,6 +19,9 @@ from scipy.special import ndtr
 
 __all__ = ["MannKendallResult", "mann_kendall_scores", "mann_kendall_test", "pair_plan"]
 
+#: The two-sided level at which a trend is called.
+SIGNIFICANCE_LEVEL = 0.05
+
 # The pair plan both trend kernels read: ``upper[i, j]`` is ``i < j``,
 # ``gaps[i, j]`` is ``float(j - i)``.  Read-only, n^2 bytes for the largest
 # window seen plus 8 MB at most, and replaced in one assignment: a scan on
@@ -49,7 +52,7 @@ class MannKendallResult:
         z: Normal-approximation z score (continuity corrected).
         p_value: Two-sided p-value.
         trend: ``"increasing"``, ``"decreasing"``, or ``"no trend"`` at the
-            requested significance level.
+            :data:`SIGNIFICANCE_LEVEL`.
     """
 
     s: int
@@ -66,17 +69,13 @@ class MannKendallResult:
         return self.trend == "decreasing"
 
 
-def mann_kendall_test(
-    values: Sequence[float],
-    significance_level: float = 0.05,
-) -> MannKendallResult:
-    """Run the Mann-Kendall trend test.
+def mann_kendall_test(values: Sequence[float]) -> MannKendallResult:
+    """Run the Mann-Kendall trend test at :data:`SIGNIFICANCE_LEVEL`.
 
     Args:
         values: The series to test (at least 3 points for a meaningful
             result; shorter series, and series holding a NaN or an
             infinity, report "no trend").
-        significance_level: Two-sided rejection level.
 
     Returns:
         A :class:`MannKendallResult` with the detected trend direction.
@@ -102,7 +101,7 @@ def mann_kendall_test(
         tie_term = float((counts * (counts - 1) * (2 * counts + 5)).sum())
     z, p_value = mann_kendall_scores(np.array([s]), np.array([n]), np.array([tie_term]))
     z, p_value = float(z[0]), float(p_value[0])
-    if p_value < significance_level:
+    if p_value < SIGNIFICANCE_LEVEL:
         trend = "increasing" if z > 0 else "decreasing"
     else:
         trend = "no trend"

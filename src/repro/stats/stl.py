@@ -28,6 +28,13 @@ __all__ = ["STLResult", "loess_smooth", "stl_decompose"]
 #: Chosen by measurement at the scans' 800- and 900-point windows.
 LOESS_BLOCK_ROWS = 128
 
+#: The local polynomial's degree: 1 fits a weighted line, 0 a weighted mean.
+LOESS_DEGREE = 1
+#: STL's inner-loop passes (2 is the STL default) and the trend smoother's
+#: loess span.
+STL_ITERATIONS = 2
+TREND_SPAN = 0.4
+
 
 @dataclass(frozen=True)
 class STLResult:
@@ -51,18 +58,13 @@ class STLResult:
         return self.trend + self.residual
 
 
-def loess_smooth(
-    values: Sequence[float],
-    span: float = 0.3,
-    degree: int = 1,
-) -> np.ndarray:
-    """Loess-smooth a series with the tricube kernel.
+def loess_smooth(values: Sequence[float], span: float = 0.3) -> np.ndarray:
+    """Loess-smooth a series with the tricube kernel, fitting local
+    polynomials of degree :data:`LOESS_DEGREE`.
 
     Args:
         values: The series to smooth.
         span: Fraction of points in each local window (0 < span <= 1).
-        degree: Local polynomial degree, 0 (weighted mean) or 1 (weighted
-            linear fit).
 
     Returns:
         The smoothed series, same length as the input.
@@ -70,6 +72,7 @@ def loess_smooth(
     Raises:
         ValueError: On an invalid span or degree.
     """
+    degree = LOESS_DEGREE
     if not 0 < span <= 1:
         raise ValueError("span must be in (0, 1]")
     if degree not in (0, 1):
@@ -175,12 +178,7 @@ def _moving_average(y: np.ndarray, window: int) -> np.ndarray:
     return np.convolve(padded, kernel, mode="valid")
 
 
-def stl_decompose(
-    values: Sequence[float],
-    period: int,
-    iterations: int = 2,
-    trend_span: float = 0.4,
-) -> STLResult:
+def stl_decompose(values: Sequence[float], period: int) -> STLResult:
     """Decompose ``values`` into seasonal, trend, and residual components.
 
     Implements the inner STL loop with a periodic seasonal smoother:
@@ -189,14 +187,15 @@ def stl_decompose(
     2. Seasonal: cycle-subseries means of ``d``, then remove any residual
        trend in the seasonal component with a ``period``-wide low-pass
        (moving-average) filter and center it.
-    3. Trend: loess-smooth the deseasonalized series.
+    3. Trend: loess-smooth the deseasonalized series (span
+       :data:`TREND_SPAN`).
+
+    :data:`STL_ITERATIONS` passes run.
 
     Args:
         values: The series to decompose; must contain at least two full
             periods.
         period: Season length in samples.
-        iterations: Number of inner-loop passes (2 is the STL default).
-        trend_span: Loess span for the trend smoother.
 
     Returns:
         An :class:`STLResult`.
@@ -214,7 +213,7 @@ def stl_decompose(
 
     trend = np.zeros(n)
     seasonal = np.zeros(n)
-    for _ in range(max(1, iterations)):
+    for _ in range(STL_ITERATIONS):
         detrended = y - trend
         raw_seasonal = _cycle_subseries_means(detrended, period)
         # Low-pass the seasonal estimate so leftover trend moves to the
@@ -223,7 +222,7 @@ def stl_decompose(
         seasonal = raw_seasonal - low_pass
         seasonal -= seasonal.mean()
         deseasonalized = y - seasonal
-        trend = loess_smooth(deseasonalized, span=trend_span, degree=1)
+        trend = loess_smooth(deseasonalized, span=TREND_SPAN)
 
     residual = y - seasonal - trend
     return STLResult(seasonal=seasonal, trend=trend, residual=residual, period=period)

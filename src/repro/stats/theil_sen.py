@@ -52,15 +52,12 @@ def _median(values: np.ndarray) -> float:
 def theil_sen(
     values: Sequence[float],
     x: Optional[Sequence[float]] = None,
-    rng: Optional[np.random.Generator] = None,
 ) -> TheilSenFit:
     """Fit a Theil-Sen line to ``values``.
 
     Args:
         values: Dependent variable.
         x: Independent variable; defaults to ``0..n-1``.
-        rng: Random generator for pair subsampling on very long series.
-            A fixed default seed keeps results deterministic.
 
     Returns:
         The fitted :class:`TheilSenFit`.
@@ -83,7 +80,7 @@ def theil_sen(
         dx = (gaps if x is None else xs[None, :] - xs[:, None])[pairs]
         dy = (y[None, :] - y[:, None])[pairs]
     else:
-        rng = rng or np.random.default_rng(0)
+        rng = np.random.default_rng(0)  # a fixed seed keeps the pair subsample deterministic
         count = _EXACT_PAIR_LIMIT * (_EXACT_PAIR_LIMIT - 1) // 2
         i = rng.integers(0, n, size=count)
         j = rng.integers(0, n, size=count)

@@ -9,12 +9,11 @@
   findings §6.2 uses to corroborate FBDetect's reports.
 """
 
-from repro.substrates.canary import CanaryAnalysis, CanaryVerdict, compare_canary
+from repro.substrates.canary import CanaryVerdict, compare_canary
 from repro.substrates.tao import Association, TaoMetricsEmitter, TaoObject, TaoStore
 
 __all__ = [
     "Association",
-    "CanaryAnalysis",
     "CanaryVerdict",
     "TaoMetricsEmitter",
     "TaoObject",

@@ -10,6 +10,10 @@ from repro.text.tfidf import TfidfVectorizer
 
 __all__ = ["cosine_similarity", "text_cosine_similarity", "token_cosine_similarity"]
 
+#: A vectorizer fitted on a corpus for :func:`text_cosine_similarity`;
+#: ``None`` fits a fresh one on each pair of texts.
+VECTORIZER: Optional[TfidfVectorizer] = None
+
 
 def cosine_similarity(a: Sequence[float], b: Sequence[float]) -> float:
     """Cosine of the angle between two vectors (0.0 if either is zero).
@@ -27,19 +31,14 @@ def cosine_similarity(a: Sequence[float], b: Sequence[float]) -> float:
     return float(x @ y / (nx * ny))
 
 
-def text_cosine_similarity(
-    a: str,
-    b: str,
-    vectorizer: Optional[TfidfVectorizer] = None,
-) -> float:
+def text_cosine_similarity(a: str, b: str) -> float:
     """TF-IDF cosine similarity between two texts.
 
-    When no pre-fitted ``vectorizer`` is given, a fresh one is fitted on
+    Without a pre-fitted :data:`VECTORIZER`, a fresh one is fitted on
     the two texts alone — adequate for pairwise scoring where only the
     relative overlap matters.
     """
-    if vectorizer is None:
-        vectorizer = TfidfVectorizer().fit([a, b])
+    vectorizer = VECTORIZER if VECTORIZER is not None else TfidfVectorizer().fit([a, b])
     return cosine_similarity(vectorizer.transform(a), vectorizer.transform(b))
 
 

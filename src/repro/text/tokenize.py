@@ -16,6 +16,9 @@ __all__ = ["tokenize_identifier", "tokenize_text", "char_ngrams"]
 _CAMEL_BOUNDARY = re.compile(r"(?<=[a-z0-9])(?=[A-Z])|(?<=[A-Z])(?=[A-Z][a-z])")
 _NON_WORD = re.compile(r"[^0-9A-Za-z]+")
 
+#: The gram lengths :func:`char_ngrams` cuts: SOMDedup's 2- and 3-grams.
+NGRAM_LENGTHS = (2, 3)
+
 
 def tokenize_identifier(identifier: str) -> List[str]:
     """Split a code identifier into lowercase word tokens.
@@ -51,15 +54,15 @@ def _text_tokens(text: str) -> Tuple[str, ...]:
     return tuple(tokens)
 
 
-def char_ngrams(text: str, n_values: tuple = (2, 3)) -> List[str]:
-    """Character n-grams of ``text`` for the requested lengths.
+def char_ngrams(text: str) -> List[str]:
+    """Character n-grams of ``text`` for each of :data:`NGRAM_LENGTHS`.
 
     SOMDedup converts metric IDs "into integers using TF-IDF with 2- and
     3-gram lengths" (§5.5.1); these are the grams it vectorizes.
     """
     cleaned = text.lower()
     grams: List[str] = []
-    for n in n_values:
+    for n in NGRAM_LENGTHS:
         if n <= 0:
             raise ValueError("n-gram lengths must be positive")
         grams.extend(cleaned[i : i + n] for i in range(max(0, len(cleaned) - n + 1)))

@@ -22,6 +22,11 @@ __all__ = [
     "generate_corpus",
 ]
 
+#: A generated window's baseline, analysis-window and extended-window lengths.
+HISTORIC_POINTS = 400
+ANALYSIS_POINTS = 150
+EXTENDED_POINTS = 50
+
 
 class WindowKind(str, enum.Enum):
     """What a labelled window actually contains."""
@@ -94,21 +99,17 @@ def sample_regression_magnitude(rng: np.random.Generator, base: float) -> float:
 def generate_labeled_window(
     kind: WindowKind,
     rng: np.random.Generator,
-    historic_points: int = 400,
-    analysis_points: int = 150,
-    extended_points: int = 50,
     base: float = 0.001,
     noise_fraction: float = 0.02,
     magnitude: Optional[float] = None,
 ) -> LabeledWindow:
-    """Generate one labelled window of the requested kind.
+    """Generate one labelled window of the requested kind, its three
+    windows :data:`HISTORIC_POINTS`, :data:`ANALYSIS_POINTS` and
+    :data:`EXTENDED_POINTS` long.
 
     Args:
         kind: Content to inject.
         rng: Random generator.
-        historic_points: Baseline length.
-        analysis_points: Analysis-window length.
-        extended_points: Extended-window length.
         base: Baseline mean (gCPU-scale by default).
         noise_fraction: Noise std as a fraction of ``base``.
         magnitude: Regression magnitude override; sampled paper-like
@@ -117,6 +118,9 @@ def generate_labeled_window(
     Returns:
         A :class:`LabeledWindow`.
     """
+    historic_points, analysis_points, extended_points = (
+        HISTORIC_POINTS, ANALYSIS_POINTS, EXTENDED_POINTS
+    )
     n = historic_points + analysis_points + extended_points
     noise = base * noise_fraction
     values = rng.normal(base, noise, n)

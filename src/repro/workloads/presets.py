@@ -40,8 +40,8 @@ class WorkloadPreset:
     description: str
 
 
-def _graph(n_subroutines: int, seed: int, **kwargs) -> CallGraph:
-    return build_random_call_graph(n_subroutines, np.random.default_rng(seed), **kwargs)
+def _graph(n_subroutines: int, seed: int) -> CallGraph:
+    return build_random_call_graph(n_subroutines, np.random.default_rng(seed))
 
 
 def _presets() -> Dict[str, dict]:

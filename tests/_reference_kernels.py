@@ -15,9 +15,10 @@ judged every counter frame, one row at a time (:class:`RowAdmission`),
 before an orderly counter frame was held whole, and the window skip check
 as it read every window before a window became one copy
 (:func:`window_skip_reason`).  :func:`went_away_terms` is the
-per-candidate form the went-away row pass is held to, and
+per-candidate form the went-away row pass is held to,
 :func:`aligned_pearson` time correlation as it aligned two ``{time:
-value}`` dicts before it intersected two sorted time arrays.
+value}`` dicts before it intersected two sorted time arrays, and
+:func:`pearson` the coefficient as it centred each side twice.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from repro.core.pipeline import MIN_ANALYSIS_POINTS, MIN_HISTORIC_POINTS
 from repro.quality import admission, gaps
 from repro.quality.admission import ADMIT, DROP, HELD, AdmissionController
 from repro.quality.gaps import window_coverage
-from repro.stats.correlation import MIN_OVERLAP, pearson  # pearson is one call either way
+from repro.stats.correlation import MIN_OVERLAP
 from repro.stats.hypothesis import likelihood_ratio_test  # exact, and never batched
 from repro.stats.sax import sax_encode  # went_away_terms; its own reference is sax_fields
 from repro.stats.stl import _moving_average  # np.convolve: never was a loop
@@ -471,6 +472,21 @@ def count_outside(letters, valid_letters):
 # ---------------------------------------------------------------------------
 # Time correlation: two {time: value} dicts aligned on their shared keys
 # ---------------------------------------------------------------------------
+
+
+def pearson(a, b):
+    """The Pearson coefficient with each mean and centred copy taken twice,
+    once by ``np.std`` and once for the product."""
+    x = np.asarray(a, dtype=float)
+    y = np.asarray(b, dtype=float)
+    if x.size != y.size:
+        raise ValueError(f"length mismatch: {x.size} vs {y.size}")
+    if x.size < 2:
+        raise ValueError("pearson requires at least 2 points")
+    sx, sy = x.std(), y.std()
+    if sx == 0 or sy == 0:
+        return 0.0
+    return float(((x - x.mean()) * (y - y.mean())).mean() / (sx * sy))
 
 
 def aligned_pearson(a, b):

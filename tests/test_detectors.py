@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from repro.detectors import (
     param_hash,
 )
 from repro.tsdb import WindowSpec
-from repro.workloads import generate_corpus
+from repro.workloads import generate_corpus, generators
 
 HISTORIC, ANALYSIS, EXTENDED = 400, 150, 50
 CHANGE_OFFSET = 60  # into the analysis window
@@ -164,15 +165,19 @@ class TestIncumbentIsThePipeline:
 
     THRESHOLD = 0.000004
 
+    @staticmethod
+    def _corpus(historic_points, extended_points):
+        with patch.multiple(
+            generators, HISTORIC_POINTS=historic_points, EXTENDED_POINTS=extended_points
+        ):
+            return generate_corpus(5, 3, 4, n_seasonal=2, n_wobble=3, n_drift=2, seed=43)
+
     def test_fires_exactly_when_fbdetect_reports(self):
         detector = IncumbentDetector(threshold=self.THRESHOLD)
         corpus = [
             window
             for historic_points, extended_points in ((400, 50), (400, 0), (10, 50))
-            for window in generate_corpus(
-                5, 3, 4, n_seasonal=2, n_wobble=3, n_drift=2, seed=43,
-                historic_points=historic_points, extended_points=extended_points,
-            )
+            for window in self._corpus(historic_points, extended_points)
         ]
         fired = 0
         for labeled in corpus:

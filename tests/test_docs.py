@@ -919,15 +919,20 @@ class TestEveryPublicNameHasACaller:
 
 class TestEveryKnobIsSet:
     """Every parameter of a constructor in ``src/repro`` — each class
-    with an ``__init__`` of its own — and every init field of the config
-    dataclasses in :attr:`DATACLASSES` is set by some call in ``src/``,
-    ``benchmarks/``, ``examples/`` or ``scripts/``, or sits in
-    :attr:`ALLOWED` with the reason it is kept.  A value only tests set
-    is a second configuration every property has to cover: make it a
-    module constant (a test patches it) or delete it.
+    with an ``__init__`` of its own — every init field of the config
+    dataclasses in :attr:`DATACLASSES`, and every defaulted parameter of
+    a function or method in ``src/repro`` that something outside
+    ``tests/`` calls is set by some call in ``src/``, ``benchmarks/``,
+    ``examples/`` or ``scripts/``, or sits in :attr:`ALLOWED` with the
+    reason it is kept.  A value only tests set is a second configuration
+    every property has to cover: make it a module constant (a test
+    patches it) or delete it.  A function nothing outside the tests calls
+    is :class:`TestEveryPublicNameHasACaller`'s business.
     A call sets a parameter by position or by keyword, unless the
     keyword's value is spelled as the default is; a call inside the class
-    itself sets nothing, nor does ``**kwargs``.  A call to a subclass
+    (for a function, inside its own body) sets nothing, nor does
+    ``**kwargs``.  Calls match by bare name, so a function is keyed
+    ``name`` and a method ``Class.name``.  A call to a subclass
     without an ``__init__`` of its own is a call to its base.  The calls
     in :attr:`FORWARDERS` hand their ``**kwargs`` to the pipeline, so a
     keyword on one of them naming a :class:`DetectionPipeline` parameter
@@ -966,6 +971,19 @@ class TestEveryKnobIsSet:
             "input: the screen's anchor, the reference window's std",
         "EgadsModel.sensitivity":
             "input: the Figure 8 sweep's x axis, set through model_class(s)",
+        "configure_json_logging.stream":
+            "deployment: where the JSON logs go; the CLI keeps stderr",
+        "configure_json_logging.level":
+            "deployment: the level the repro logger tree runs at",
+        "theil_sen.x":
+            "input: the fit's abscissa; the scans fit against the point index",
+        "TaoStore.assoc_add.data":
+            "input: an association's payload, as TAO's assoc_add takes it",
+        "TaoStore.assoc_range.offset":
+            "input: where a page of associations starts, as TAO's assoc_range takes it",
+        "DetectionScheduler.register.samples":
+            "input: the stack-trace samples of a monitor's scan context; the "
+            "end-to-end workloads pass them through register_monitor's **kwargs",
     }
 
     @staticmethod
@@ -980,48 +998,65 @@ class TestEveryKnobIsSet:
             yield statement.target.id, value and ast.unparse(value)
 
     @staticmethod
-    def _parameters(init):
-        """``(name, default)`` of ``__init__``'s parameters after ``self``."""
-        arguments = init.args
-        positional = arguments.args[1:]
+    def _parameters(function, method):
+        """``(name, default)`` of ``function``'s parameters, after
+        ``self`` or ``cls`` when it is a ``method`` (not a static one)."""
+        arguments = function.args
+        positional = arguments.posonlyargs + arguments.args
+        if method and "staticmethod" not in map(ast.unparse, function.decorator_list):
+            positional = positional[1:]
         defaults = [None] * (len(positional) - len(arguments.defaults)) + arguments.defaults
         pairs = list(zip(positional, defaults)) + list(zip(arguments.kwonlyargs, arguments.kw_defaults))
         return [(argument.arg, default and ast.unparse(default)) for argument, default in pairs]
 
     @classmethod
     def _knobs(cls):
-        """Class name -> ``(path, class node, [(name, default)] in
-        positional order)`` of every constructor and config dataclass,
-        and subclass name -> base name for each subclass that has no
-        ``__init__`` of its own."""
-        knobs, bases, seen = {}, {}, []
+        """Owner -> ``(path, node, [(name, default)] in positional order)``
+        of every constructor and config dataclass (the owner is the class)
+        and every function or method with a defaulted parameter, and
+        callee name -> the owners a call by that bare name reaches."""
+        knobs, bases, callees = {}, {}, {}
+
+        def add(owner, callee, path, node, parameters):
+            # Owners are keyed by name, so a name must not repeat.
+            assert owner not in knobs, owner
+            knobs[owner] = (path, node, parameters)
+            callees.setdefault(callee, []).append(owner)
+
+        def functions(path, body, prefix):
+            for node in body:
+                if (
+                    isinstance(node, ast.FunctionDef) and not node.name.startswith("__")
+                    and (node.args.defaults or any(node.args.kw_defaults))
+                ):
+                    add(prefix + node.name, node.name, path, node,
+                        cls._parameters(node, method=bool(prefix)))
+
         for path, tree in TestEveryPublicNameHasACaller._trees(os.path.join("src", "repro")):
+            functions(path, tree.body, "")
             for node in tree.body:
                 if not isinstance(node, ast.ClassDef):
                     continue
+                functions(path, node.body, node.name + ".")
                 inits = [
                     member for member in node.body
                     if isinstance(member, ast.FunctionDef) and member.name == "__init__"
                 ]
                 if inits:
-                    parameters = [p for i in inits for p in cls._parameters(i)]
+                    parameters = [p for i in inits for p in cls._parameters(i, method=True)]
                 elif node.name in cls.DATACLASSES:
                     parameters = list(cls._fields(node.body))
                 else:
                     bases[node.name] = [ast.unparse(base) for base in node.bases]
                     continue
-                knobs[node.name] = (path, node, parameters)
-                seen.append(node.name)
-        # Knobs are keyed by class name, so a name must not repeat.
-        assert sorted(name for name in set(seen) if seen.count(name) > 1) == []
-        aliases = {}
+                add(node.name, node.name, path, node, parameters)
         for name in bases:
             base = name
             while base in bases:  # up a chain of subclasses without one
                 base = next((b for b in bases[base] if b in knobs or b in bases), None)
             if base in knobs:
-                aliases[name] = base
-        return knobs, aliases
+                callees[name] = [base]
+        return knobs, callees
 
     @staticmethod
     def _keywords(node, parameters):
@@ -1033,9 +1068,10 @@ class TestEveryKnobIsSet:
         ]
 
     @classmethod
-    def _set(cls, knobs, aliases):
-        """``Class.name`` of every knob some call sets."""
-        done = set()
+    def _set(cls, knobs, callees):
+        """``Owner.name`` of every knob some call sets, and the owners
+        some call reaches from outside their own body."""
+        done, called = set(), set()
         pipeline = knobs["DetectionPipeline"][2]
         for path, tree in TestEveryPublicNameHasACaller._trees(
             "src", "benchmarks", "examples", "scripts"
@@ -1048,30 +1084,33 @@ class TestEveryKnobIsSet:
                     done.update(
                         f"DetectionPipeline.{name}" for name in cls._keywords(node, pipeline)
                     )
-                callee = aliases.get(callee, callee)
-                if callee not in knobs:
-                    continue
-                where, owner, parameters = knobs[callee]
-                if where == path and owner.lineno <= node.lineno <= owner.end_lineno:
-                    continue
-                positional = []
-                for argument in node.args:
-                    if isinstance(argument, ast.Starred):
-                        break
-                    positional.append(argument)
-                names = [name for name, _ in parameters[: len(positional)]]
-                names += cls._keywords(node, parameters)
-                done.update(f"{callee}.{name}" for name in names)
-        return done
+                for owner in callees.get(callee, ()):
+                    where, scope, parameters = knobs[owner]
+                    if where == path and scope.lineno <= node.lineno <= scope.end_lineno:
+                        continue
+                    called.add(owner)
+                    positional = []
+                    for argument in node.args:
+                        if isinstance(argument, ast.Starred):
+                            break
+                        positional.append(argument)
+                    names = [name for name, _ in parameters[: len(positional)]]
+                    names += cls._keywords(node, parameters)
+                    done.update(f"{owner}.{name}" for name in names)
+        return done, called
 
     def test_every_knob_is_set_outside_the_tests_or_has_a_reason(self):
-        knobs, aliases = self._knobs()
+        knobs, callees = self._knobs()
         assert set(self.DATACLASSES) <= knobs.keys()
+        done, called = self._set(knobs, callees)
         every = {
-            f"{owner}.{name}" for owner, (_, _, parameters) in knobs.items()
-            for name, _ in parameters
+            f"{owner}.{name}" for owner, (_, node, parameters) in knobs.items()
+            for name, default in parameters
+            # A function's knobs are its defaulted parameters, and only
+            # once something outside the tests calls it.
+            if isinstance(node, ast.ClassDef) or (owner in called and default is not None)
         }
-        unset = every - self._set(knobs, aliases)
+        unset = every - done
         assert sorted(unset - self.ALLOWED.keys()) == [], "make it a constant, or delete it"
         # An entry whose knob gained a caller, or is gone, leaves the list.
         assert sorted(self.ALLOWED.keys() - unset) == []

@@ -1,9 +1,11 @@
 """Tests for repro.fleet.dirty (dirty-data stream transforms)."""
 
 import math
+from unittest.mock import patch
 
 import pytest
 
+from repro.fleet import dirty as dirty_module
 from repro.fleet import (
     DirtyDataSpec,
     dirty_stream,
@@ -87,7 +89,8 @@ class TestRollover:
             Sample("c", float(t), float(10 * (t + 1)), {"type": "counter"})
             for t in range(6)
         ]
-        dirty = rollover_counter(counter, "c", at_index=3)
+        with patch.object(dirty_module, "ROLLOVER_AT", 3):
+            dirty = rollover_counter(counter, "c")
         values = [s.value for s in dirty]
         # Pre-restart untouched; tail re-based to the last value (30).
         assert values == [10.0, 20.0, 30.0, 10.0, 20.0, 30.0]
@@ -115,8 +118,8 @@ class TestRollover:
 
     def test_bad_index_rejected(self):
         counter = [Sample("c", float(t), 1.0, {}) for t in range(4)]
-        with pytest.raises(ValueError):
-            rollover_counter(counter, "c", at_index=0)
+        with patch.object(dirty_module, "ROLLOVER_AT", 0), pytest.raises(ValueError):
+            rollover_counter(counter, "c")
 
 
 class TestDirtyStream:

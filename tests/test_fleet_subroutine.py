@@ -1,8 +1,11 @@
 """Tests for repro.fleet.subroutine."""
 
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 
+from repro.fleet import subroutine
 from repro.fleet.subroutine import CallGraph, SubroutineSpec, build_random_call_graph
 
 
@@ -98,7 +101,8 @@ class TestSampling:
         assert simple_graph().sample_traces(0, rng) == []
 
     def test_uncollapsed(self, rng):
-        traces = simple_graph().sample_traces(50, rng, collapse=False)
+        with patch.object(subroutine, "COLLAPSE_TRACES", False):
+            traces = simple_graph().sample_traces(50, rng)
         assert len(traces) == 50
         assert all(t.weight == 1.0 for t in traces)
 

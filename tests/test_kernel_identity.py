@@ -31,7 +31,7 @@ from repro.core.went_away import WentAwayDetector
 from repro.obs.spans import RunCounts
 from repro.quality import gaps
 from repro.quality.gaps import QualityGate
-from repro.stats import autocorrelation, correlation, mann_kendall
+from repro.stats import autocorrelation, correlation, cusum, mann_kendall, stl
 from repro.stats.autocorrelation import acf, detect_season_length
 from repro.stats.cusum import cusum_changepoint, cusum_split_rows
 from repro.stats.em import em_mean_split, em_split_rows
@@ -109,11 +109,17 @@ def periodic_series(draw, min_size=0, max_size=500):
     return values * 10.0 ** draw(st.sampled_from([0, 0, 0, -3, 7, -160, -120, 120, 155]))
 
 
+def loess_of_degree(values, span, degree):
+    """:func:`loess_smooth` with :data:`repro.stats.stl.LOESS_DEGREE` patched."""
+    with patch.object(stl, "LOESS_DEGREE", degree):
+        return loess_smooth(values, span)
+
+
 class TestLoess:
     @settings(max_examples=80, deadline=None)
     @given(series(), st.sampled_from([0.01, 0.3, 0.4, 1.0]), st.sampled_from([0, 1]))
     def test_loess_matches_per_point_fits(self, values, span, degree):
-        assert same(loess_smooth(values, span, degree), ref.loess_smooth(values, span, degree))
+        assert same(loess_of_degree(values, span, degree), ref.loess_smooth(values, span, degree))
 
     @pytest.mark.parametrize("degree", [0, 1])
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 50, 301])
@@ -122,7 +128,7 @@ class TestLoess:
         for span in (1.0 / n, 2.0 / n, 1.0):  # window == 1 or 2, window == n
             span = min(span, 1.0)
             assert same(
-                loess_smooth(values, span, degree), ref.loess_smooth(values, span, degree)
+                loess_of_degree(values, span, degree), ref.loess_smooth(values, span, degree)
             )
 
     @pytest.mark.parametrize("degree", [0, 1])
@@ -134,7 +140,7 @@ class TestLoess:
     )
     def test_block_edges_and_scan_windows(self, n, span, degree):
         values = np.random.default_rng(n).normal(0, 1, n) + np.sin(np.arange(n) / 3.8)
-        assert same(loess_smooth(values, span, degree), ref.loess_smooth(values, span, degree))
+        assert same(loess_of_degree(values, span, degree), ref.loess_smooth(values, span, degree))
 
     def test_result_is_writable_and_plan_is_not(self):
         from repro.stats.stl import _loess_plan
@@ -181,7 +187,29 @@ def time_grids(draw):
     return base + 60.0 * a, base + 60.0 * b
 
 
+@st.composite
+def pearson_pairs(draw):
+    """Two equal-length series, 2 to 1,200 points, each at a scale from
+    1e-8 to 1e8; one side in seven is constant."""
+    n = draw(st.integers(2, 1_200))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pair = []
+    for _ in range(2):
+        scale = 10.0 ** draw(st.floats(-8, 8))
+        if draw(st.integers(0, 6)) == 0:
+            pair.append(np.full(n, scale * draw(st.floats(-10, 10))))
+        else:
+            pair.append(scale * (rng.normal(0, 1, n) + draw(st.floats(-10, 10))))
+    return pair
+
+
 class TestTimeCorrelation:
+    @settings(max_examples=300, deadline=None)
+    @given(pearson_pairs())
+    def test_pearson_centres_each_side_once(self, pair):
+        got = correlation.pearson(*pair)
+        assert got == ref.pearson(*pair) and type(got) is float
+
     @settings(max_examples=200, deadline=None)
     @given(time_grids(), st.data())
     def test_sorted_arrays_equal_the_dict_alignment(self, grids, data):
@@ -227,7 +255,8 @@ class TestEm:
     @settings(max_examples=100, deadline=None)
     @given(series(min_size=6, max_size=250))
     def test_detector_refinement_is_one_call(self, values):
-        proposal = cusum_changepoint(values, min_segment=3)
+        with patch.object(cusum, "MIN_SEGMENT", 3):
+            proposal = cusum_changepoint(values)
         if proposal is None:
             assert ChangePointDetector().detect(values) is None
             return
@@ -667,6 +696,12 @@ class TestMannKendall:
         assert mann_kendall._pair_plan[0].shape == mann_kendall._pair_plan[1].shape
 
 
+def season_length(values, min_period, max_period, significance):
+    """:func:`detect_season_length` with ``MAX_PERIOD`` and ``SIGNIFICANCE`` patched."""
+    with patch.multiple(autocorrelation, MAX_PERIOD=max_period, SIGNIFICANCE=significance):
+        return detect_season_length(values, min_period)
+
+
 class TestSeasonLength:
     """The FFT proposes, the lagged dot product disposes."""
 
@@ -683,7 +718,7 @@ class TestSeasonLength:
     def test_matches_the_scan_over_every_lag(self, values, kwargs):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # 1.96 / sqrt(0), overflowing squares
-            got = detect_season_length(values, **kwargs)
+            got = season_length(values, **kwargs)
             expected = ref.detect_season_length(values, **kwargs)
         assert got == expected and type(got) is type(expected)
 
@@ -692,9 +727,7 @@ class TestSeasonLength:
     def test_non_finite_input_judges_every_lag(self, values, kwargs):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            assert detect_season_length(values, **kwargs) == ref.detect_season_length(
-                values, **kwargs
-            )
+            assert season_length(values, **kwargs) == ref.detect_season_length(values, **kwargs)
             assert same(acf(values), ref.acf(values))
 
     @settings(max_examples=200, deadline=None)

@@ -288,7 +288,7 @@ class TestEventLog:
         log.record("degraded", shard=0, reason="in_process_fallback")
         assert len(log) == 3
         assert log.recorded == 3
-        degraded = log.events(kind="degraded")
+        degraded = [e for e in log.events() if e.kind == "degraded"]
         assert [e.fields["shard"] for e in degraded] == [1, 0]
         assert degraded[0].to_dict()["reason"] == "advance_retried"
 

@@ -1,7 +1,10 @@
 """Tests for repro.profiling.aggregate (stack tries and differentials)."""
 
+from unittest.mock import patch
+
 import pytest
 
+from repro.profiling import aggregate
 from repro.profiling.aggregate import StackTrie, diff_tries
 from repro.profiling.stacktrace import StackTrace
 
@@ -74,7 +77,8 @@ class TestDiffTries:
     def test_min_delta_suppresses_noise(self):
         before = StackTrie().add_all(traces((["a"], 1000.0), (["b"], 1.0)))
         after = StackTrie().add_all(traces((["a"], 1000.0), (["b"], 1.1)))
-        assert diff_tries(before, after, min_delta=0.01) == []
+        with patch.object(aggregate, "MIN_DELTA", 0.01):
+            assert diff_tries(before, after) == []
 
     def test_different_sample_counts_normalized(self):
         before = StackTrie().add_all(traces((["a"], 10.0), (["b"], 10.0)))

@@ -287,7 +287,9 @@ class TestServiceRestoreFallback:
         assert restored._reported_ledger == ledger_before
         counters = restored.metrics.snapshot()["counters"]
         assert counters["checkpoint.fallbacks"] == 1.0
-        fallback_events = restored.events.events(kind="checkpoint_fallback")
+        fallback_events = [
+            e for e in restored.events.events() if e.kind == "checkpoint_fallback"
+        ]
         assert len(fallback_events) == 1
         assert fallback_events[0].fields["generation"] == 1
 

@@ -1,10 +1,12 @@
 """Tests for repro.service.metrics (counters, histograms, registry, exposition)."""
 
 import threading
+from unittest.mock import patch
 
 import pytest
 
 from repro.service import Counter, Histogram, MetricsRegistry
+from repro.service import metrics as metrics_module
 from repro.service.metrics import render
 
 
@@ -33,7 +35,8 @@ class TestHistogram:
         assert Histogram().quantile(0.5) == 0.0
 
     def test_quantile_brackets_observations(self):
-        histogram = Histogram(buckets=[1.0, 2.0, 4.0, 8.0])
+        with patch.object(metrics_module, "LATENCY_BUCKETS", (1.0, 2.0, 4.0, 8.0)):
+            histogram = Histogram()
         for value in (0.5, 1.5, 3.0, 6.0):
             histogram.observe(value)
         p50 = histogram.quantile(0.5)
@@ -42,7 +45,8 @@ class TestHistogram:
         assert p50 <= p99 <= 6.0
 
     def test_overflow_bucket(self):
-        histogram = Histogram(buckets=[1.0])
+        with patch.object(metrics_module, "LATENCY_BUCKETS", (1.0,)):
+            histogram = Histogram()
         histogram.observe(100.0)
         assert histogram.quantile(1.0) == pytest.approx(100.0)
         assert histogram.state()["counts"] == [0, 1]
@@ -52,10 +56,10 @@ class TestHistogram:
             Histogram().quantile(1.5)
 
     def test_invalid_buckets(self):
-        with pytest.raises(ValueError):
-            Histogram(buckets=[])
-        with pytest.raises(ValueError):
-            Histogram(buckets=[2.0, 1.0])
+        for buckets in ((), (2.0, 1.0)):
+            with patch.object(metrics_module, "LATENCY_BUCKETS", buckets):
+                with pytest.raises(ValueError):
+                    Histogram()
 
 
 class TestRegistry:

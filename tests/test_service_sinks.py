@@ -107,7 +107,7 @@ class TestServiceSinkIsolation:
             backpressure=BackpressurePolicy.BLOCK, batch_size=8,
         )
         deliver(build_report(make_regression()), service.sinks, service._sink_failed)
-        events = service.events.events("sink_error")
+        events = [e for e in service.events.events() if e.kind == "sink_error"]
         assert len(events) == 1
         assert events[0].fields["sink"] == "RaisingSink"
         counters = service.metrics.snapshot()["counters"]

@@ -1,9 +1,12 @@
 """Tests for repro.som."""
 
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 
 from repro.som import SelfOrganizingMap, som_cluster, som_grid_size
+from repro.som import som as som_module
 
 
 class TestGridSize:
@@ -75,8 +78,9 @@ class TestSomCluster:
     def test_merge_factor_zero_allows_fragmentation(self, rng):
         a = rng.normal(0, 0.1, (20, 3))
         b = rng.normal(5, 0.1, (15, 3))
-        merged = som_cluster(np.vstack([a, b]), merge_factor=0.25)
-        unmerged = som_cluster(np.vstack([a, b]), merge_factor=0.0)
+        merged = som_cluster(np.vstack([a, b]))
+        with patch.object(som_module, "MERGE_FACTOR", 0.0):
+            unmerged = som_cluster(np.vstack([a, b]))
         assert len(unmerged) >= len(merged)
 
     def test_identical_items_single_cluster(self):

@@ -1,8 +1,11 @@
 """Tests for repro.stats.autocorrelation."""
 
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 
+from repro.stats import autocorrelation
 from repro.stats.autocorrelation import acf, detect_season_length
 
 
@@ -43,7 +46,8 @@ class TestDetectSeasonLength:
         assert detect_season_length(rng.normal(0, 1, 300)) is None
 
     def test_no_season_in_trend(self):
-        assert detect_season_length(np.arange(100, dtype=float), max_period=30) is None
+        with patch.object(autocorrelation, "MAX_PERIOD", 30):
+            assert detect_season_length(np.arange(100, dtype=float)) is None
 
     def test_short_series_none(self):
         assert detect_season_length([1.0, 2.0, 3.0]) is None

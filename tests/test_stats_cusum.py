@@ -1,8 +1,11 @@
 """Tests for repro.stats.cusum."""
 
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 
+from repro.stats import cusum
 from repro.stats.cusum import cusum_changepoint, cusum_statistic
 
 
@@ -37,7 +40,7 @@ class TestCusumChangepoint:
         assert result.shift == pytest.approx(1.0, abs=0.3)
 
     def test_too_short_returns_none(self):
-        assert cusum_changepoint([1.0, 2.0, 3.0], min_segment=2) is None
+        assert cusum_changepoint([1.0, 2.0, 3.0]) is None
 
     def test_statistic_higher_for_cleaner_step(self, rng):
         clean = np.concatenate([rng.normal(0, 0.1, 100), rng.normal(1, 0.1, 100)])
@@ -46,7 +49,8 @@ class TestCusumChangepoint:
 
     def test_respects_min_segment(self):
         x = np.concatenate([np.zeros(4), np.ones(46)])
-        result = cusum_changepoint(x, min_segment=10)
+        with patch.object(cusum, "MIN_SEGMENT", 10):
+            result = cusum_changepoint(x)
         assert result.index >= 10
         assert result.index <= 40
 

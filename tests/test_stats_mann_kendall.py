@@ -1,8 +1,11 @@
 """Tests for repro.stats.mann_kendall."""
 
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 
+from repro.stats import mann_kendall
 from repro.stats.mann_kendall import mann_kendall_test
 
 
@@ -45,7 +48,8 @@ class TestMannKendall:
 
     def test_significance_level(self, rng):
         x = np.arange(20) * 0.05 + rng.normal(0, 1, 20)  # weak trend
-        strict = mann_kendall_test(x, significance_level=1e-10)
+        with patch.object(mann_kendall, "SIGNIFICANCE_LEVEL", 1e-10):
+            strict = mann_kendall_test(x)
         assert strict.trend == "no trend"
 
     def test_p_value_in_unit_interval(self, rng):

@@ -1,8 +1,11 @@
 """Tests for repro.text."""
 
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 
+from repro.text import similarity, tokenize
 from repro.text.similarity import cosine_similarity, text_cosine_similarity
 from repro.text.tfidf import NgramTfidfVectorizer, TfidfVectorizer
 from repro.text.tokenize import char_ngrams, tokenize_identifier, tokenize_text
@@ -63,15 +66,16 @@ class TestCharNgrams:
         assert "abcd" not in grams
 
     def test_counts(self):
-        grams = char_ngrams("abcd", n_values=(2,))
+        with patch.object(tokenize, "NGRAM_LENGTHS", (2,)):
+            grams = char_ngrams("abcd")
         assert grams == ["ab", "bc", "cd"]
 
     def test_short_text(self):
-        assert char_ngrams("a", n_values=(2, 3)) == []
+        assert char_ngrams("a") == []
 
     def test_invalid_n_raises(self):
-        with pytest.raises(ValueError):
-            char_ngrams("abc", n_values=(0,))
+        with patch.object(tokenize, "NGRAM_LENGTHS", (0,)), pytest.raises(ValueError):
+            char_ngrams("abc")
 
 
 class TestTfidfVectorizer:
@@ -139,4 +143,5 @@ class TestTextCosineSimilarity:
 
     def test_prefitted_vectorizer(self):
         v = TfidfVectorizer().fit(["alpha beta gamma", "beta gamma delta"])
-        assert text_cosine_similarity("alpha beta", "beta delta", vectorizer=v) > 0.0
+        with patch.object(similarity, "VECTORIZER", v):
+            assert text_cosine_similarity("alpha beta", "beta delta") > 0.0

@@ -1,8 +1,11 @@
 """Tests for repro.workloads."""
 
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 
+from repro.workloads import generators
 from repro.workloads import (
     LabeledWindow,
     WindowKind,
@@ -15,9 +18,10 @@ from repro.workloads import (
 
 class TestGenerateLabeledWindow:
     def test_window_slices(self, rng):
-        window = generate_labeled_window(
-            WindowKind.CLEAN, rng, historic_points=100, analysis_points=40, extended_points=10
-        )
+        with patch.multiple(
+            generators, HISTORIC_POINTS=100, ANALYSIS_POINTS=40, EXTENDED_POINTS=10
+        ):
+            window = generate_labeled_window(WindowKind.CLEAN, rng)
         assert window.historic.size == 100
         assert window.analysis.size == 40
         assert window.extended.size == 10
