@@ -19,14 +19,33 @@ counters rolled over and kept in order, NaN bursts on both — and puts
 ns/sample through offer and through flush on record.  It asserts only
 counts that cannot flake: the in-order counters never take the TSDB's
 backfill merge, and the TSDB ends byte-equal to the clean stream's.
+
+A fourth row is the wire ahead of all of that: a remote-write POST in
+the end-to-end benchmark's ``steady_wire`` body shape (80 series x 25
+samples, prompb-shaped JSON), decoded and parsed the way the receiver
+does it (orjson, one column pair per POST) and the way it did before
+(``json.loads``, one column pair per series — the reference in
+``tests/_reference_kernels.py``).  It prints ms per POST for each step
+and asserts only that both readings give equal frames.
 """
 
+import json
+import os
+import sys
 import time
 
+import numpy as np
+import orjson
+
 from _harness import emit
+from repro.connectors import SeriesMapper, parse_remote_write
 from repro.fleet.dirty import inject_nan_bursts, reorder_within_blocks, rollover_counter
 from repro.service import BackpressurePolicy, Sample, StreamingDetectionService
 from repro.tsdb import SeriesFrame, TimeSeries
+
+# The receiver's parse before orjson lives with the tests.
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "tests"))
+import _reference_kernels as ref  # noqa: E402
 
 N_SERIES = 64
 INTERVAL = 60.0
@@ -204,3 +223,64 @@ def test_dirty_stream_cost(monkeypatch):
         ],
     )
     assert counter_merges == 0
+
+
+POST_SERIES = 80       # the e2e benchmark's series per POST
+POST_REPEATS = 30      # best-of-N per step
+
+
+def _post_body():
+    """One POST in ``steady_wire``'s shape: gCPU-scale values, ms stamps."""
+    rng = np.random.default_rng(5)
+    base = rng.uniform(5e-4, 2e-3, POST_SERIES)
+    values = rng.normal(base[:, None], 0.02 * base[:, None], (POST_SERIES, FRAME_ROWS)).tolist()
+    stamps = [int((1_000 + k) * INTERVAL * 1000) for k in range(FRAME_ROWS)]
+    return json.dumps({"timeseries": [
+        {
+            "labels": [
+                {"name": "__name__", "value": "gcpu"},
+                {"name": "service", "value": f"svc{i % 20}"},
+                {"name": "subroutine", "value": f"sub{i}"},
+            ],
+            "samples": [{"value": v, "timestamp": t} for v, t in zip(values[i], stamps)],
+        }
+        for i in range(POST_SERIES)
+    ]}).encode("utf-8")
+
+
+def _best_ms(step, argument):
+    best = float("inf")
+    for _ in range(POST_REPEATS):
+        started = time.perf_counter()
+        step(argument)
+        best = min(best, time.perf_counter() - started)
+    return best * 1e3
+
+
+def test_remote_write_post_cost():
+    """ms per POST to decode and to parse a steady_wire body, the
+    receiver's way and the reference's; the frames must be equal."""
+    body = _post_body()
+    mapper = SeriesMapper(source="remote_write")
+    frames = parse_remote_write(orjson.loads(body), mapper)
+    want = ref.remote_write_frames(body, mapper)
+    assert [(f.name, f.tags) for f in frames] == [(f.name, f.tags) for f in want]
+    for got, expected in zip(frames, want):
+        assert got.timestamps.tobytes() == expected.timestamps.tobytes()
+        assert got.values.tobytes() == expected.values.tobytes()
+
+    payload = json.loads(body)
+    rows = ["reading                               decode ms  parse ms"]
+    for label, decode, parse in (
+        ("json.loads + a column pair per series", lambda b: json.loads(b.decode("utf-8")),
+         ref.parse_remote_write),
+        ("orjson + one column pair per POST", orjson.loads, parse_remote_write),
+    ):
+        decode_ms = _best_ms(decode, body)
+        parse_ms = _best_ms(lambda p: parse(p, mapper), payload)
+        rows.append(f"{label:36s}  {decode_ms:9.2f}  {parse_ms:8.2f}")
+    emit(
+        f"Remote-write POST ({POST_SERIES} series x {FRAME_ROWS} samples, "
+        f"{len(body) / 1024:.0f} KiB), best of {POST_REPEATS}",
+        rows,
+    )

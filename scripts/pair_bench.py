@@ -6,8 +6,9 @@ Unpacks ``REV`` (``git archive``) into a temporary directory and runs
 unmodified, from that tree and from this one in turn — the side that goes
 first alternates — ``--pairs`` times per workload.  Prints, per metric,
 both sides' medians and quartiles, how many pairs the change won, the
-failed operations of each side, and whether the outputs that must repeat
-exactly (report digest, funnel, admission, ...) are equal.  ``--json
+failed operations of each side, whether the outputs that must repeat
+exactly (report digest, funnel, admission, ...) are equal, and each
+run's first host-probe reading (what ``setup_s`` is corrected by).  ``--json
 PATH`` also writes all of that, with the host's facts, the seed and the
 commit ``REV`` names — one PR's entry of the ``BENCH_<n>.json``
 trajectory at the repo root.
@@ -142,6 +143,12 @@ def summarise(runs, contract):
         },
         "exact_equal": len(exact) == 1,
         "exact": json.loads(min(exact)) if len(exact) == 1 else None,
+        # The host probe before the first set-up phase: setup_s is
+        # corrected by it, so a slow first reading moves setup_s.
+        "first_probe_s": {
+            side: [run["phases"][0]["probe_before_s"] for run in side_runs]
+            for side, side_runs in runs.items()
+        },
     }
 
 
@@ -161,6 +168,8 @@ def report(workload, summary):
         print(f"  {side}: failed ops {ops['failed']}/{ops['attempted']}, "
               f"wrong runs {ops['wrong_runs']}")
     print(f"  exact outputs equal across all runs: {summary['exact_equal']}")
+    for side, probes in summary["first_probe_s"].items():
+        print(f"  {side}: first probe ms " + " ".join(f"{s * 1e3:.1f}" for s in probes))
 
 
 def report_layers(traced, prefixes):

@@ -20,15 +20,26 @@ A flat convenience form is accepted too — ``{"series": [{"name": ...,
 "labels": {...}, "samples": [[timestamp_ms, value], ...]}]}`` — since
 that is what most homegrown forwarders actually send.
 
+A body is decoded with ``orjson`` (a runtime dependency, imported when
+a receiver is built, so ``import repro`` needs only numpy and scipy).
+A body orjson refuses — ``NaN`` / ``Infinity`` literals, numbers past
+the double range, lone surrogates, invalid UTF-8 — or whose payload
+the parse refuses is read again by the stdlib ``json`` module, whose
+reading gives the verdict and the 400's message.  The two readings
+differ in one place only: orjson reads an integer past 64 bits as the
+nearest double, which is the float64 the json module's integer becomes
+in a sample column, but stringifies differently where it is a label
+value or a series name.
+
 Every series is mapped through the shared
 :class:`~repro.connectors.mapping.SeriesMapper` (name mangling, unit
 tags, counter detection — an imported ``*_total`` series gets admission
-counter-rebasing automatically), its samples become one
-:class:`~repro.tsdb.columnar.SeriesFrame`, and a POST's frames are
-offered to the service's normal ingest path in one ``ingest_frames``
-call from the handler thread; the service's queue locks make that
-safe, and its backpressure policy applies to pushed data exactly as it
-does to native ingest.
+counter-rebasing automatically).  A POST's samples are converted as one
+pair of columns and each series' :class:`~repro.tsdb.columnar.SeriesFrame`
+is a slice of it; the frames are offered to the service's normal ingest
+path in one ``ingest_frames`` call from the handler thread; the
+service's queue locks make that safe, and its backpressure policy
+applies to pushed data exactly as it does to native ingest.
 
 Responses: ``200`` with a JSON body ``{"offered": n, "accepted": m}``;
 ``400`` on malformed payloads (with the parse error); ``404`` off-path;
@@ -70,13 +81,17 @@ def _float_column(raw: list) -> np.ndarray:
     return np.array(raw, dtype=np.float64)
 
 
+_NOT_NUMERIC = (TypeError, ValueError, OverflowError)
+
+
 def parse_remote_write(payload: dict, mapper: SeriesMapper) -> List[SeriesFrame]:
     """One mapped frame per series of a remote-write-shaped JSON payload.
 
     Accepts both the prompb-mirrored ``timeseries`` form and the flat
     ``series`` form (see module doc).  Timestamps are Prometheus
     milliseconds and converted to internal seconds.  Series without
-    samples yield no frame.
+    samples yield no frame.  Every series' samples go into one pair of
+    columns, converted at once; each frame is a slice of that pair.
 
     Raises:
         ValueError: On a structurally malformed payload.  Individual
@@ -89,7 +104,9 @@ def parse_remote_write(payload: dict, mapper: SeriesMapper) -> List[SeriesFrame]
     entries = payload.get("timeseries", payload.get("series"))
     if not isinstance(entries, list):
         raise ValueError("payload needs a 'timeseries' (or 'series') list")
-    frames = []
+    series = []  # (external name, mapped, end row) per non-empty entry
+    stamps: list = []
+    values: list = []
     for entry in entries:
         if not isinstance(entry, dict):
             raise ValueError("each timeseries entry must be an object")
@@ -112,25 +129,44 @@ def parse_remote_write(payload: dict, mapper: SeriesMapper) -> List[SeriesFrame]
         if not samples:
             continue
         try:  # prompb shape: [{value, timestamp}, ...]
-            stamps = [sample["timestamp"] for sample in samples]
-            values = [sample["value"] for sample in samples]
+            entry_stamps = [sample["timestamp"] for sample in samples]
+            entry_values = [sample["value"] for sample in samples]
         except (TypeError, KeyError, IndexError):
-            stamps, values = [], []
+            entry_stamps, entry_values = [], []
             for sample in samples:
                 if isinstance(sample, dict):
                     sample = (sample.get("timestamp"), sample.get("value"))
                 elif not isinstance(sample, (list, tuple)) or len(sample) != 2:
                     raise ValueError(f"unparseable sample: {sample!r}") from None
-                stamps.append(sample[0])
-                values.append(sample[1])
-        try:
-            frame = SeriesFrame(
-                mapped.name, mapped.tags, _float_column(stamps) / 1000.0, _float_column(values)
-            )
-        except (TypeError, ValueError, OverflowError):
-            raise ValueError(f"non-numeric sample in series {name!r}") from None
-        frames.append(frame)
+                entry_stamps.append(sample[0])
+                entry_values.append(sample[1])
+        stamps += entry_stamps
+        values += entry_values
+        series.append((name, mapped, len(stamps)))
+    try:
+        seconds, readings = _float_column(stamps) / 1000.0, _float_column(values)
+    except _NOT_NUMERIC:
+        name = _first_bad(series, stamps, values)
+        raise ValueError(f"non-numeric sample in series {name!r}") from None
+    frames = []
+    start = 0
+    for _, mapped, end in series:
+        rows = slice(start, end)
+        frames.append(SeriesFrame(mapped.name, mapped.tags, seconds[rows], readings[rows]))
+        start = end
     return frames
+
+
+def _first_bad(series: list, stamps: list, values: list) -> object:
+    """The external name of the first series whose samples do not convert."""
+    start = 0
+    for name, _, end in series:
+        try:
+            _float_column(stamps[start:end])
+            _float_column(values[start:end])
+        except _NOT_NUMERIC:
+            return name
+        start = end
 
 
 class _Handler(ReplyHandler):
@@ -146,9 +182,16 @@ class _Handler(ReplyHandler):
             length = int(self.headers.get("Content-Length", 0))
             if length <= 0 or length > MAX_BODY_BYTES:
                 raise ValueError(f"bad Content-Length: {length}")
-            payload = json.loads(self.rfile.read(length).decode("utf-8"))
-            frames = parse_remote_write(payload, receiver.mapper)
-        except (ValueError, UnicodeDecodeError, json.JSONDecodeError) as error:
+            body = self.rfile.read(length)
+            try:
+                frames = parse_remote_write(receiver._decode(body), receiver.mapper)
+            except ValueError:
+                # A body orjson refuses (NaN / Infinity literals, numbers
+                # past the double range, lone surrogates, bad UTF-8) or a
+                # payload the parse refuses is judged again from the json
+                # module's reading: the verdict and its message are its.
+                frames = parse_remote_write(json.loads(body.decode("utf-8")), receiver.mapper)
+        except ValueError as error:  # UnicodeDecodeError and JSONDecodeError included
             receiver._count("rejected_requests")
             self._send_json(400, {"error": str(error)})
             return
@@ -191,6 +234,11 @@ class RemoteWriteReceiver(HttpEndpoint):
     def __init__(self, service: object, host: str = "127.0.0.1", port: int = 0) -> None:
         super().__init__(service, host, port)
         self.mapper = SeriesMapper(source="remote_write")
+        # Imported here, not with the module: ``import repro`` needs only
+        # numpy and scipy.
+        import orjson
+
+        self._decode = orjson.loads
 
     def _count(self, name: str, amount: int = 1) -> None:
         metrics = getattr(self.service, "metrics", None)

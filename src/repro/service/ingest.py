@@ -62,7 +62,7 @@ from repro.tsdb.database import TimeSeriesDatabase
 __all__ = ["Sample", "BackpressurePolicy", "ShardIngestWorker", "frames_of"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Sample:
     """One streamed metric point.
 

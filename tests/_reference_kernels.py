@@ -19,16 +19,21 @@ per-candidate form the went-away row pass is held to,
 :func:`aligned_pearson` time correlation as it aligned two ``{time:
 value}`` dicts before it intersected two sorted time arrays, and
 :func:`pearson` the coefficient as it centred each side twice.
+:func:`remote_write_frames` is the remote-write receiver's reading of a
+body as it was before orjson and one column pair per POST: ``json.loads``
+and one pair of columns converted per series.
 """
 
 from __future__ import annotations
 
 import bisect
+import json
 from statistics import median
 
 import numpy as np
 from scipy import stats as sp_stats
 
+from repro.connectors.remote_write import _float_column
 from repro.core import went_away
 from repro.core.change_point import ChangePointCandidate
 from repro.core.pipeline import MIN_ANALYSIS_POINTS, MIN_HISTORIC_POINTS
@@ -638,3 +643,64 @@ class RowAdmission(AdmissionController):
                 if state.counter_offset:
                     values[index] = raw + state.counter_offset
         return SeriesFrame(name, state.tags, timestamps, values)
+
+
+# ---------------------------------------------------------------------------
+# Remote write: json.loads, then one pair of columns per series
+# ---------------------------------------------------------------------------
+
+
+def remote_write_frames(body, mapper):
+    """The frames of a remote-write body, or ``ValueError``."""
+    return parse_remote_write(json.loads(body.decode("utf-8")), mapper)
+
+
+def parse_remote_write(payload, mapper):
+    """One mapped frame per series, each series' columns converted apart."""
+    if not isinstance(payload, dict):
+        raise ValueError("payload must be a JSON object")
+    entries = payload.get("timeseries", payload.get("series"))
+    if not isinstance(entries, list):
+        raise ValueError("payload needs a 'timeseries' (or 'series') list")
+    frames = []
+    for entry in entries:
+        if not isinstance(entry, dict):
+            raise ValueError("each timeseries entry must be an object")
+        labels = entry.get("labels", {})
+        if isinstance(labels, list):  # prompb shape: [{name, value}, ...]
+            labels = {
+                str(pair.get("name")): str(pair.get("value"))
+                for pair in labels
+                if isinstance(pair, dict)
+            }
+        elif not isinstance(labels, dict):
+            raise ValueError("labels must be a list of {name, value} or a map")
+        name = entry.get("name") or labels.get("__name__")
+        if not name:
+            raise ValueError("timeseries entry has no metric name")
+        mapped = mapper.map(name, labels)
+        samples = entry.get("samples", [])
+        if not isinstance(samples, list):
+            raise ValueError("samples must be a list")
+        if not samples:
+            continue
+        try:  # prompb shape: [{value, timestamp}, ...]
+            stamps = [sample["timestamp"] for sample in samples]
+            values = [sample["value"] for sample in samples]
+        except (TypeError, KeyError, IndexError):
+            stamps, values = [], []
+            for sample in samples:
+                if isinstance(sample, dict):
+                    sample = (sample.get("timestamp"), sample.get("value"))
+                elif not isinstance(sample, (list, tuple)) or len(sample) != 2:
+                    raise ValueError(f"unparseable sample: {sample!r}") from None
+                stamps.append(sample[0])
+                values.append(sample[1])
+        try:
+            frame = SeriesFrame(
+                mapped.name, mapped.tags, _float_column(stamps) / 1000.0, _float_column(values)
+            )
+        except (TypeError, ValueError, OverflowError):
+            raise ValueError(f"non-numeric sample in series {name!r}") from None
+        frames.append(frame)
+    return frames

@@ -1,11 +1,18 @@
 """Tests for the remote-write-shaped HTTP ingest receiver."""
 
+import http.client
 import json
+import os
+import subprocess
+import sys
 import urllib.error
 import urllib.request
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import _reference_kernels as ref
 from repro.connectors import RemoteWriteReceiver, SeriesMapper, parse_remote_write
 from repro.service import BackpressurePolicy, StreamingDetectionService
 from repro.service import views
@@ -216,3 +223,236 @@ class TestReceiver:
         # The receiver's default mapper marks it for admission rebasing.
         mapped = SeriesMapper(source="remote_write").map("http_requests_total")
         assert mapped.tags["type"] == "counter"
+
+
+# ---------------------------------------------------------------------------
+# The receiver's reading of a body against json.loads + a per-series parse
+# ---------------------------------------------------------------------------
+
+
+class _Recorder:
+    """A service that keeps the frames offered to it."""
+
+    def __init__(self):
+        self.frames = []
+
+    def ingest_frames(self, frames):
+        self.frames.extend(frames)
+        return sum(map(len, frames))
+
+
+def _send(connection, body):
+    connection.request("POST", "/api/v1/write", body=body,
+                       headers={"Content-Type": "application/json"})
+    response = connection.getresponse()
+    return response.status, json.loads(response.read())
+
+
+def _reference(body):
+    """``(200, frames)`` or ``(400, message)``: the receiver's verdict
+    before orjson, from ``tests/_reference_kernels.py``."""
+    try:
+        return 200, ref.remote_write_frames(body, SeriesMapper(source="remote_write"))
+    except ValueError as error:
+        return 400, str(error)
+
+
+def _same_frames(got, want):
+    assert [(f.name, f.tags) for f in got] == [(f.name, f.tags) for f in want]
+    for mine, theirs in zip(got, want):
+        assert mine.timestamps.tobytes() == theirs.timestamps.tobytes()
+        assert mine.values.tobytes() == theirs.values.tobytes()
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _number(draw):
+    """One JSON number (or numeric string) in one of the forms clients write."""
+    form = draw(st.sampled_from(
+        ["repr", "exponent", "ms", "int", "big_int", "string", "literal"]
+    ))
+    if form == "repr":
+        return repr(draw(_FINITE))
+    if form == "exponent":
+        text = f"{draw(_FINITE):.{draw(st.integers(0, 17))}e}"
+        return text.upper() if draw(st.booleans()) else text
+    if form == "ms":
+        return str(draw(st.integers(1_600_000_000_000, 1_800_000_000_000)))
+    if form == "int":
+        return str(draw(st.integers(-(2**63), 2**64 - 1)))
+    if form == "big_int":  # orjson reads these as doubles, json as ints
+        return str(draw(st.integers(2**64, 2**90) | st.integers(-(2**90), -(2**63) - 1)))
+    if form == "string":
+        return json.dumps(repr(draw(st.floats())))
+    return draw(st.sampled_from(["NaN", "Infinity", "-Infinity", "1e400", "-1e999"]))
+
+
+def _string(draw, text):
+    return json.dumps(text, ensure_ascii=draw(st.booleans()))
+
+
+_NAMES = st.sampled_from(["gcpu", "http_requests_total", "latency_seconds", "q.depth"]) | st.text(
+    min_size=1, max_size=8
+)
+_LABELS = st.lists(st.tuples(st.text(max_size=6), st.text(max_size=6)), max_size=3)
+
+
+@st.composite
+def _body(draw):
+    """A body in either payload shape, its numbers in mixed forms, and a
+    body for each of its entries alone."""
+    prompb = draw(st.booleans())
+    entries = []
+    for _ in range(draw(st.integers(0, 4))):
+        name = _string(draw, draw(_NAMES))
+        labels = [(_string(draw, k), _string(draw, v)) for k, v in draw(_LABELS)]
+        samples = [[draw(_number()), draw(_number())] for _ in range(draw(st.integers(0, 6)))]
+        if samples and draw(st.integers(0, 5)) == 0:  # one sample that is no number
+            row = draw(st.sampled_from(samples))
+            row[draw(st.integers(0, 1))] = draw(st.sampled_from(['"fast"', "null", "true", "[]"]))
+        if prompb:
+            pairs = [f'{{"name": "__name__", "value": {name}}}'] + [
+                f'{{"name": {k}, "value": {v}}}' for k, v in labels
+            ]
+            rows = [f'{{"value": {v}, "timestamp": {t}}}' for t, v in samples]
+            entries.append(f'{{"labels": [{", ".join(pairs)}], "samples": [{", ".join(rows)}]}}')
+        else:
+            tags = ", ".join(f"{k}: {v}" for k, v in labels)
+            rows = ", ".join(f"[{t}, {v}]" for t, v in samples)
+            entries.append(f'{{"name": {name}, "labels": {{{tags}}}, "samples": [{rows}]}}')
+    key = "timeseries" if prompb else "series"
+    return _wrap(key, entries), [_wrap(key, [entry]) for entry in entries]
+
+
+def _wrap(key, entries):
+    return f'{{"{key}": [{", ".join(entries)}]}}'.encode("utf-8")
+
+
+@pytest.fixture(scope="module")
+def recorder():
+    recorder = _Recorder()
+    with RemoteWriteReceiver(recorder) as receiver:
+        connection = http.client.HTTPConnection(receiver.host, receiver.port, timeout=10)
+        yield recorder, connection
+        connection.close()
+
+
+class TestReceiverMatchesReference:
+    """Every body gets the verdict, message and frames ``json.loads`` and
+    a per-series parse gave it, whichever decoder read it."""
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+    @given(drawn=_body())
+    def test_frames_equal_the_references(self, recorder, drawn):
+        body, alone = drawn
+        service, connection = recorder
+        service.frames.clear()
+        status, reply = _send(connection, body)
+        want_status, want = _reference(body)
+        assert status == want_status
+        if status == 200:
+            _same_frames(service.frames, want)
+            assert reply == {"offered": sum(map(len, want)), "accepted": sum(map(len, want))}
+            return
+        assert service.frames == []
+        # With more than one fault the message may name another of them.
+        faults = [message for code, message in map(_reference, alone) if code == 400]
+        assert reply["error"] in [want] + faults
+        if len(faults) == 1:
+            assert reply == {"error": want}
+
+    def test_big_integers_are_the_same_doubles(self, recorder):
+        service, connection = recorder
+        service.frames.clear()
+        body = (
+            b'{"series": [{"name": "x", "samples": [[18446744073709551617, -9223372036854775809],'
+            b' [1e3, 340282366920938463463374607431768211457]]}]}'
+        )
+        assert _send(connection, body)[0] == 200
+        _same_frames(service.frames, _reference(body)[1])
+
+
+def _enumerated():
+    nan = b'{"series": [{"name": "x", "samples": [[1000, NaN], [2000, 1.0]]}]}'
+    return {
+        "nan": nan,
+        "infinity": nan.replace(b"NaN", b"Infinity"),
+        "minus_infinity_stamp": b'{"series": [{"name": "x", "samples": [[-Infinity, 1.0]]}]}',
+        "1e400": nan.replace(b"NaN", b"1e400"),
+        "integer_past_double": nan.replace(b"NaN", b"1" * 400),
+        "lone_surrogate_name": b'{"series": [{"name": "x\\ud800y", "samples": [[1000, 1.0]]}]}',
+        "lone_surrogate_label": b'{"timeseries": [{"labels": [{"name": "__name__", "value": "x"}, '
+                                b'{"name": "job", "value": "\\udc00"}], '
+                                b'"samples": [{"value": 1, "timestamp": 1}]}]}',
+        "invalid_utf8": b'{"series": [{"name": "x\xff", "samples": [[1000, 1.0]]}]}',
+        "nan_beside_a_bad_series": b'{"series": [{"name": "a", "samples": [[1000, NaN]]}, '
+                                   b'{"name": "b", "samples": [[1000, "fast"]]}]}',
+    }
+
+
+class TestBodiesOrjsonRefuses:
+    """NaN / Infinity literals, numbers past the double range, lone
+    surrogates and invalid UTF-8 keep the stdlib's verdict: its status,
+    its counters and, when refused, nothing offered."""
+
+    @pytest.mark.parametrize("case", sorted(_enumerated()))
+    def test_status_counters_and_offers_are_the_references(self, service, case):
+        body = _enumerated()[case]
+        want_status, want = _reference(body)
+        with RemoteWriteReceiver(service) as receiver:
+            connection = http.client.HTTPConnection(receiver.host, receiver.port, timeout=10)
+            status, reply = _send(connection, body)
+            connection.close()
+        assert status == want_status
+        counters = service.metrics.snapshot()["counters"]
+        if status == 200:
+            offered = sum(map(len, want))
+            assert reply["offered"] == offered == service.stats().offered
+            assert counters["connectors.remote_write.requests"] == 1
+            assert "connectors.remote_write.rejected_requests" not in counters
+        else:
+            assert reply == {"error": want}
+            assert service.stats().offered == 0
+            assert counters["connectors.remote_write.rejected_requests"] == 1
+            assert "connectors.remote_write.requests" not in counters
+
+    def test_cases_cover_both_verdicts(self):
+        verdicts = {case: _reference(body)[0] for case, body in _enumerated().items()}
+        assert verdicts["nan"] == verdicts["lone_surrogate_name"] == 200
+        assert verdicts["integer_past_double"] == verdicts["invalid_utf8"] == 400
+
+
+class TestOneColumnPairPerPost:
+    def test_frames_are_slices_of_one_pair(self):
+        payload = {"series": [
+            {"name": "a", "samples": [[1000, 1.0], [2000, 2.0]]},
+            {"name": "b", "samples": []},
+            {"name": "c", "samples": [[3000, 3.0]]},
+        ]}
+        first, last = parse_remote_write(payload, SeriesMapper(source="rw"))
+        assert first.values.base is last.values.base is not None
+        assert first.timestamps.base is last.timestamps.base is not None
+
+    @pytest.mark.parametrize("bad_stamp", [False, True])
+    def test_the_first_bad_series_is_named(self, bad_stamp):
+        bad = ["soon", 1.0] if bad_stamp else [1000, "fast"]
+        payload = {"series": [
+            {"name": "good", "samples": [[1000, 1.0]]},
+            {"name": "second", "samples": [[1000, 1.0], bad]},
+            {"name": "third", "samples": [[1000, None]]},
+        ]}
+        with pytest.raises(ValueError, match="non-numeric sample in series 'second'"):
+            parse_remote_write(payload, SeriesMapper(source="rw"))
+
+
+def test_import_repro_leaves_orjson_unloaded():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, ["src", env.get("PYTHONPATH")]))
+    script = "import sys, repro, repro.connectors; print('orjson' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
+    )
+    assert result.stdout.strip() == "False"

@@ -1,5 +1,6 @@
 """Tests for repro.service.ingest (bounded queues and backpressure)."""
 
+import dataclasses
 import json
 import pickle
 import urllib.request
@@ -169,6 +170,31 @@ class TestFlushing:
         worker.offer([frame(7)])
         assert worker.flush() == 7
         assert worker.flushes == 3  # 3 + 3 + 1, as for seven one-row frames
+
+
+class TestSample:
+    """A streamed point holds no per-instance dict and stays a value."""
+
+    def test_has_no_dict(self):
+        point = Sample("s.gcpu", 60.0, 1.5, {"metric": "gcpu"})
+        assert not hasattr(point, "__dict__")
+        with pytest.raises(AttributeError):
+            point.value = 2.0
+
+    def test_pickle_round_trip(self):
+        point = Sample("s.gcpu", 60.0, float("inf"), {"metric": "gcpu"})
+        copy = pickle.loads(pickle.dumps(point))
+        assert copy == point and copy is not point
+        assert copy.tags == {"metric": "gcpu"}
+
+    def test_replace_equality_and_hash(self):
+        point = Sample("s.gcpu", 60.0, 1.5)
+        moved = dataclasses.replace(point, value=2.5)
+        assert moved == Sample("s.gcpu", 60.0, 2.5) != point
+        with pytest.raises(TypeError):  # the tags dict is unhashable, as it always was
+            hash(point)
+        # The hash is the fields' tuple's, so hashable tags make a hashable point.
+        assert hash(Sample("a", 1.0, 2.0, None)) == hash(("a", 1.0, 2.0, None))
 
 
 class TestCountersAndMetrics:
