@@ -63,7 +63,7 @@ REPS = 4                # best-of-N: skims first-touch page-fault noise
 class SeedScreen:
     """The seed's scalar Page CUSUM (pre-vectorization), one float at a time."""
 
-    __slots__ = ("mean", "std", "drift", "threshold", "pos", "neg", "fired", "n")
+    __slots__ = ("mean", "std", "drift", "threshold", "pos", "neg", "fired")
 
     def __init__(self, state, drift, threshold):
         self.mean = state["mean"]
@@ -73,10 +73,8 @@ class SeedScreen:
         self.pos = state["pos"]
         self.neg = state["neg"]
         self.fired = state["fired"]
-        self.n = state["n"]
 
     def update(self, value):
-        self.n += 1
         if self.fired:
             return True
         if self.std <= 0.0:
@@ -190,7 +188,6 @@ def measure_batch_scan(n_series=N_SERIES):
             screen.pos = 0.0
             screen.neg = 0.0
             screen.fired = False
-            screen.n = 0
 
     seed_elapsed = float("inf")
     batch_elapsed = float("inf")

@@ -3,7 +3,10 @@
 A :class:`DetectionConfig` carries everything one periodic detection run
 needs: window durations (Figure 4), the re-run interval, the detection
 threshold (absolute, like FrontFaaS's 0.005% gCPU, or relative, like
-Capacity Triage's 5%), and which detection paths run.
+Capacity Triage's 5%), and which detection paths run.  Table 1's
+"Leverage Stack Trace" column is not a field: a workload without stack
+traces registers no samples, and its scans read an empty
+:class:`~repro.core.types.ScanContext`.
 """
 
 from __future__ import annotations
@@ -33,8 +36,6 @@ class DetectionConfig:
             three rows are relative).
         rerun_interval: Seconds between detection runs.
         windows: Historic/analysis/extended durations.
-        uses_stack_traces: Whether the workload has subroutine-level
-            gCPU series (Table 1 "Leverage Stack Trace").
         long_term: Whether the long-term path runs for this workload
             (PythonFaaS skips it, per Table 3).
         higher_is_worse: Metric orientation; throughput-style metrics
@@ -49,7 +50,6 @@ class DetectionConfig:
     windows: WindowSpec = field(
         default_factory=lambda: WindowSpec(historic=10 * DAY, analysis=4 * HOUR, extended=6 * HOUR)
     )
-    uses_stack_traces: bool = True
     long_term: bool = True
     higher_is_worse: bool = True
     seasonality_period: Optional[int] = None
@@ -152,7 +152,6 @@ TABLE1_CONFIGS: Dict[str, DetectionConfig] = {
         relative_threshold=True,
         rerun_interval=12 * HOUR,
         windows=_spec(7, 1 * DAY, 1 * DAY),
-        uses_stack_traces=False,
         higher_is_worse=False,
     ),
     "ct_supply_long": DetectionConfig(
@@ -161,7 +160,6 @@ TABLE1_CONFIGS: Dict[str, DetectionConfig] = {
         relative_threshold=True,
         rerun_interval=12 * HOUR,
         windows=_spec(10, 7 * DAY, 1 * DAY),
-        uses_stack_traces=False,
         higher_is_worse=False,
     ),
     "ct_demand": DetectionConfig(
@@ -170,7 +168,6 @@ TABLE1_CONFIGS: Dict[str, DetectionConfig] = {
         relative_threshold=True,
         rerun_interval=12 * HOUR,
         windows=_spec(7, 1 * DAY, 0.0),
-        uses_stack_traces=False,
         higher_is_worse=True,
     ),
 }

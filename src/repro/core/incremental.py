@@ -99,7 +99,6 @@ class IncrementalScanCache:
         "_c_pos": np.float64,
         "_c_neg": np.float64,
         "_c_fired": bool,
-        "_c_n": np.int64,
     }
 
     def __init__(self, max_staleness: float) -> None:
@@ -181,7 +180,6 @@ class IncrementalScanCache:
         c_anchor_len = self._c_anchor_len
         c_anchor_end = self._c_anchor_end
         c_fired = self._c_fired
-        c_n = self._c_n
         if len(series_list) > 64 and self._size:
             # Large batch: one bulk tolist() per hot column turns the
             # per-series scalar reads below into plain list indexing
@@ -253,9 +251,7 @@ class IncrementalScanCache:
                 continue
             if n > anchor_len:
                 if r_fired[row]:
-                    # Latched screen: the scalar fold consumes a single
-                    # point and stays fired; no matrix work needed.
-                    c_n[row] += 1
+                    # Latched screen: it stays fired; no matrix work needed.
                     c_anchor_len[row] = n
                     c_anchor_end[row] = buf[n - 1]
                     settled_names.append(name)
@@ -295,9 +291,6 @@ class IncrementalScanCache:
             self._c_pos[idx] = pos_out
             self._c_neg[idx] = neg_out
             c_fired[idx] = fired_rows
-            # n counts through the firing point and freezes consumption
-            # there, like the scalar StreamingCusum.update loop.
-            c_n[idx] += np.where(fired_rows, fired_at + 1, width)
             c_anchor_len[idx] += width
             c_anchor_end[idx] = g_ends
             must = (
@@ -377,7 +370,6 @@ class IncrementalScanCache:
         self._c_pos[idx] = 0.0
         self._c_neg[idx] = 0.0
         self._c_fired[idx] = False
-        self._c_n[idx] = 0
 
     def record_full_scan(
         self,
@@ -413,7 +405,6 @@ class IncrementalScanCache:
             "pos": float(self._c_pos[row]),
             "neg": float(self._c_neg[row]),
             "fired": bool(self._c_fired[row]),
-            "n": int(self._c_n[row]),
         }
 
     def counters(self) -> Dict[str, int]:

@@ -215,8 +215,6 @@ class DetectionPipeline:
         ``state`` in place (by default a fresh one: the run is a one-off)."""
         context = context if context is not None else ScanContext()
         state = state if state is not None else self.new_state()
-        run_started = time.perf_counter()
-        wall_started = time.time()
         # The run's only ledger: one tally per Table 3 row, and beside
         # them the run-level counts and block timings.  Funnel counts,
         # spans and what the caller publishes are all read off it.
@@ -239,8 +237,6 @@ class DetectionPipeline:
             alive = kept
         reported = alive
 
-        run_seconds = timings["pipeline.run_seconds"] = time.perf_counter() - run_started
-        counts.inc("pipeline.runs")
         counts.inc("pipeline.candidates", len(candidates))
         counts.inc("pipeline.reported", len(reported))
         if reported and _log.isEnabledFor(logging.INFO):
@@ -261,8 +257,6 @@ class DetectionPipeline:
             trace=RunTrace(
                 monitor=self.config.name,
                 now=now,
-                wall_started=wall_started,
-                seconds=run_seconds,
                 spans=tuple(tallies[stage].freeze(stage) for stage in STAGES),
                 counts=counts,
                 timings=timings,

@@ -50,6 +50,16 @@ class SameRegressionMerger:
         priors.append((regression.change_time, regression.magnitude))
         return DetectionVerdict.keep()
 
+    def forget_before(self, state: MonitorState, cutoff: float) -> None:
+        """Drop from ``state``'s ledger the priors no regression changing
+        at or after ``cutoff`` can match, and the metrics left with none."""
+        for metric, priors in list(state.seen.items()):
+            kept = [prior for prior in priors if cutoff - prior[0] <= self.time_tolerance]
+            if kept:
+                state.seen[metric] = kept
+            else:
+                del state.seen[metric]
+
     def _similar_magnitude(self, a: float, b: float) -> bool:
         scale = max(abs(a), abs(b))
         if scale == 0:

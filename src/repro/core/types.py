@@ -243,7 +243,8 @@ class MonitorState:
         cache: The incremental screen's anchors (``None``: screen off).
         stale: Series evicted for staleness, re-judged every scan.
         seen: The same-regression ledger: metric id -> ``(change time,
-            magnitude)`` of each regression already let through.
+            magnitude)`` of each regression already let through, less
+            what a retention cut made unmatchable.
         som_groups: SOM groups opened so far (the next group's id).
         pairwise_groups: PairwiseDedup's groups in opening order, each
             the list of its first members.

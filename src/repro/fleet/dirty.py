@@ -96,9 +96,8 @@ def inject_nan_bursts(
 
     Models a collector emitting garbage for a few intervals.  The NaN
     points duplicate the timestamps of real points but carry no
-    information — admission quarantines every one (reason
-    ``not_finite``), so the TSDB after the dirty run is identical to the
-    clean run's.
+    information — admission quarantines every one, so the TSDB after
+    the dirty run is identical to the clean run's.
 
     Args:
         samples: The clean stream.

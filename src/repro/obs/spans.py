@@ -69,7 +69,6 @@ class StageTally:
     outputs: int = 0
     seconds: float = 0.0
     drops: Dict[str, int] = field(default_factory=dict)
-    first_entered: Optional[float] = None
 
     def observe(
         self,
@@ -78,8 +77,6 @@ class StageTally:
         seconds: float = 0.0,
     ) -> None:
         """Record one candidate passing through the stage."""
-        if self.first_entered is None:
-            self.first_entered = time.time()
         self.inputs += 1
         self.seconds += seconds
         if passed:
@@ -96,8 +93,6 @@ class StageTally:
         seconds: float,
     ) -> None:
         """Record a whole-collection stage (dedup passes) in one call."""
-        if self.first_entered is None:
-            self.first_entered = time.time()
         self.inputs += inputs
         self.outputs += outputs
         dropped = inputs - outputs
@@ -112,7 +107,6 @@ class StageTally:
             outputs=self.outputs,
             seconds=self.seconds,
             drops=dict(self.drops),
-            started=self.first_entered,
         )
 
 
@@ -126,8 +120,6 @@ class Span:
         outputs: Candidates surviving the stage.
         seconds: Time spent in the stage across all candidates.
         drops: Drop reason -> count; sums to ``inputs - outputs``.
-        started: Wall-clock time the stage first ran this scan (``None``
-            when no candidate ever reached the stage).
     """
 
     stage: str
@@ -135,7 +127,6 @@ class Span:
     outputs: int
     seconds: float
     drops: Dict[str, int] = field(default_factory=dict)
-    started: Optional[float] = None
 
     @property
     def dropped(self) -> int:
@@ -187,19 +178,16 @@ class RunTrace:
     Attributes:
         monitor: The detection config name that ran.
         now: The scan's reference (detection) time.
-        wall_started: Wall-clock start of the run.
-        seconds: Wall-clock run duration.
         spans: One span per funnel stage, in :data:`STAGES` order.
         counts: Run-level counters under their metric names
-            (``pipeline.runs``, ``detector.<id>.scans`` ...).
+            (``pipeline.candidates``, ``pipeline.reported`` ...).
         timings: Block seconds under their histogram names
-            (``pipeline.run_seconds``, ``pipeline.stage.*_seconds``).
+            (``pipeline.stage.*_seconds``); the whole scan is timed by
+            its caller (``ScanOutcome.seconds``).
     """
 
     monitor: str
     now: float
-    wall_started: float
-    seconds: float
     spans: Tuple[Span, ...]
     counts: Dict[str, int] = field(default_factory=dict)
     timings: Dict[str, float] = field(default_factory=dict)

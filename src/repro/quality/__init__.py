@@ -16,7 +16,7 @@ apply before data reaches analysis:
   reach the TSDB as one batched backfill merge instead of interleaving
   O(n) single-point inserts with the hot append path.
 - :class:`~repro.quality.quarantine.QuarantineStore` keeps the
-  irreparable points (capped, with reason codes and per-series quality
+  irreparable points (capped, with per-series counts behind the quality
   scores) for operator triage on the ``/quality`` endpoint.
 - :class:`~repro.quality.gaps.QualityGate` makes detection *gap-aware*:
   change-point scans over windows with excessive missing or quarantined
@@ -31,7 +31,7 @@ from repro.quality.admission import (
     AdmissionController,
 )
 from repro.quality.gaps import QualityGate, window_coverage
-from repro.quality.quarantine import QuarantineStore, REASONS
+from repro.quality.quarantine import QuarantineStore
 
 __all__ = [
     "ADMIT",
@@ -40,6 +40,5 @@ __all__ = [
     "AdmissionController",
     "QualityGate",
     "QuarantineStore",
-    "REASONS",
     "window_coverage",
 ]

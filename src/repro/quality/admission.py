@@ -12,7 +12,7 @@ passes them and lies above its held rows is held whole, up to the
 reorder bound.  A frame that flags on any of them drops to the row
 logic below for that frame only:
 
-- **Not finite** (NaN/Inf) → quarantined, reason ``not_finite``.
+- **Not finite** (NaN/Inf) → quarantined.
 - **Negative value** on a non-negative metric (gCPU cannot go below
   zero) → clamped to 0.0 and counted as ``repaired``.
 - **Counter reset** on a counter-typed series (``tags["type"] ==
@@ -99,7 +99,7 @@ class _SeriesState:
 
     __slots__ = (
         "watermark", "pending_ts", "pending_vals", "tags", "non_negative",
-        "is_counter", "counter_offset", "last_raw", "admitted", "quarantined",
+        "is_counter", "counter_offset", "last_raw", "admitted",
     )
 
     def __init__(self, tags: Mapping[str, str], non_negative: bool, is_counter: bool) -> None:
@@ -112,7 +112,6 @@ class _SeriesState:
         self.counter_offset = 0.0
         self.last_raw: Optional[float] = None
         self.admitted = 0
-        self.quarantined = 0
 
     def __getstate__(self) -> tuple:
         return tuple(getattr(self, slot) for slot in self.__slots__)
@@ -144,10 +143,9 @@ class AdmissionController:
         # Aggregate counters: plain ints, checkpointed with the shard.
         # (``admitted`` is derived from per-series counts — see the
         # property — so the hot path pays one increment, not two.)
+        # ``quarantined`` is cumulative: a release drops only the
+        # store's per-series count.
         self.quarantined = 0
-        #: ``quarantined`` by reason code, cumulative like it — unlike the
-        #: store's per-series attribution, which ``release_series`` drops.
-        self.quarantined_by_reason: Dict[str, int] = {}
         self.repaired = 0
         self.counter_resets = 0
         self.duplicates = 0
@@ -269,7 +267,8 @@ class AdmissionController:
         """
         # Validators.  NaN is the only float that is != itself.
         if value != value or value == _INF or value == -_INF:
-            self._quarantine(state, name, timestamp, value, "not_finite")
+            self.quarantine.add(name, timestamp, value)
+            self.quarantined += 1
             return DROP, value
         if value < 0.0 and state.non_negative:
             value = 0.0
@@ -350,20 +349,12 @@ class AdmissionController:
 
     # -- operator surface -------------------------------------------------
 
-    def release_series(self, name: str) -> int:
-        """Un-quarantine one series: clear its records and reset its score."""
-        released = self.quarantine.release(name)
-        state = self._series.get(name)
-        if state is not None:
-            state.quarantined = 0
-        return released
-
     def quality_score(self, name: str) -> Optional[float]:
         """Fraction of the series' offered points that were admitted."""
         state = self._series.get(name)
         if state is None:
             return None
-        seen = state.admitted + state.quarantined
+        seen = state.admitted + self.quarantine.count(name)
         return state.admitted / seen if seen else 1.0
 
     @property
@@ -408,12 +399,3 @@ class AdmissionController:
         )
         self._series[frame.name] = state
         return state
-
-    def _quarantine(
-        self, state: _SeriesState, name: str, timestamp: float, value: float, reason: str
-    ) -> None:
-        self.quarantine.add(name, timestamp, value, reason)
-        state.quarantined += 1
-        self.quarantined += 1
-        by_reason = self.quarantined_by_reason
-        by_reason[reason] = by_reason.get(reason, 0) + 1

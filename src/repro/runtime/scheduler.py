@@ -12,10 +12,12 @@ per shard and advances the shards in worker processes.
 
 A scheduler reads its database and writes nothing to it except
 retention, which its monitors' windows set: a scan at ``now`` reads
-nothing before ``now - windows.total``.  It remembers the last cutoff it
-applied (:attr:`DetectionScheduler.retention_cutoff`), so one that
-advanced over a copy of a database can be pointed back at the original
-and the original trimmed to match.
+nothing before ``now - windows.total``.  At the same cut its monitors
+forget the same-regression priors no later change time can match.  It
+remembers the last cutoff it applied
+(:attr:`DetectionScheduler.retention_cutoff`), so one that advanced over
+a copy of a database can be pointed back at the original and the
+original trimmed to match.
 
 A scheduler holds no registry, trace store or sink: an advance
 *returns* its :class:`ScanOutcome`\\ s — each scan's result, ledger and
@@ -116,7 +118,6 @@ def publish(outcomes: Iterable[ScanOutcome], metrics: Any, tracer: Any) -> None:
             metrics.inc("scheduler.scan_failures")
             continue
         metrics.observe("scheduler.scan_seconds", outcome.seconds)
-        metrics.inc("scheduler.regressions_reported", len(outcome.result.reported))
         trace = outcome.result.trace
         for name, amount in trace.counts.items():
             metrics.inc(name, amount)
@@ -276,6 +277,11 @@ class DetectionScheduler:
                 if self.retention_cutoff is None or cutoff - self.retention_cutoff >= span:
                     self.retention_cutoff = cutoff
                     self.database.apply_retention(cutoff)
+                    # Every later window starts after the cutoff.
+                    for monitor in self._monitors.values():
+                        monitor.pipeline.same_regression_merger.forget_before(
+                            monitor.state, cutoff
+                        )
 
             self._clock = max(self._clock, target)
             return executed

@@ -65,7 +65,9 @@ __all__ = ["CheckpointError", "CheckpointManager", "CHECKPOINT_VERSION"]
 #: ``(first, step, n)``, not as its values.
 #: 12: a monitor pickles as its configuration, scan context and
 #: ``MonitorState``; no pipeline or detector object is in a blob.
-CHECKPOINT_VERSION = 12
+#: 13: no per-reason quarantine counts, no ``flushes`` counter, no
+#: per-series quarantine count beside the store's, no screen point count.
+CHECKPOINT_VERSION = 13
 MANIFEST_NAME = "manifest.json"
 #: Complete generations a save retains.  More than one is what makes
 #: corruption survivable: when the newest generation fails its

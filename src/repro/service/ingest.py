@@ -155,10 +155,10 @@ class ShardIngestWorker:
         self.dropped_oldest = 0
         self.rejected = 0
         self.blocking_flushes = 0
-        self.flushes = 0
         self.flush_failures = 0
-        #: Seconds per batch written (``ingest.flush_seconds``); pickled
-        #: as its plain :meth:`~repro.service.metrics.Histogram.state`.
+        #: Seconds per batch written (``ingest.flush_seconds``; its count
+        #: is the batches written); pickled as its plain
+        #: :meth:`~repro.service.metrics.Histogram.state`.
         self.flush_seconds = Histogram()
 
     # -- producer side --------------------------------------------------
@@ -339,7 +339,6 @@ class ShardIngestWorker:
             self.flush_failures += 1
             raise
         self.flushed += written
-        self.flushes += 1
         if self.write_log is not None and not self.write_log.wrote(columns):
             self.write_log = None  # replaying it would cost more than a re-fork
         self.flush_seconds.observe(time.perf_counter() - started)
@@ -366,11 +365,9 @@ class ShardIngestWorker:
             "offered": self.offered,
             "accepted": self.accepted,
             "flushed": self.flushed,
-            "pending": self.pending,
             "dropped_oldest": self.dropped_oldest,
             "rejected": self.rejected,
             "blocking_flushes": self.blocking_flushes,
-            "flushes": self.flushes,
             "flush_failures": self.flush_failures,
         }
         for key, value in self.admission.counters().items():

@@ -334,6 +334,7 @@ class StreamingDetectionService:
             else:
                 for shard in self._shards.values():
                     self._deliver(shard, *shard.advance(target), delivered)
+        self._forget_reported()
         self._clock = max(self._clock, target)
         return delivered
 
@@ -459,6 +460,20 @@ class StreamingDetectionService:
                 return False
         priors.append(float(regression.change_time))
         return True
+
+    def _forget_reported(self) -> None:
+        """Drop the ledger entries no later regression can match: each
+        shard reports change times at or after its retention cutoff."""
+        cutoffs = [shard.retention_cutoff for shard in self._shards.values()]
+        if None in cutoffs:
+            return
+        cutoff = min(cutoffs)
+        for metric, priors in list(self._reported_ledger.items()):
+            kept = [prior for prior in priors if cutoff - prior <= REALERT_TOLERANCE]
+            if kept:
+                self._reported_ledger[metric] = kept
+            else:
+                del self._reported_ledger[metric]
 
     def close(self) -> None:
         """Release resources: the worker processes, and the sinks.

@@ -30,7 +30,7 @@ import pickle
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.quality import AdmissionController
 from repro.runtime.scheduler import DetectionScheduler, ScanOutcome
@@ -53,7 +53,6 @@ class ShardStats:
     counters: Dict[str, int]
     scans: int
     incremental: Dict[str, int]
-    quarantined_by_reason: Dict[str, int]
     flush_seconds: dict
 
 
@@ -185,7 +184,6 @@ class Shard:
             counters=self.worker.counters(),
             scans=self.scheduler.scans,
             incremental=self.scheduler.incremental_counts(),
-            quarantined_by_reason=dict(self.worker.admission.quarantined_by_reason),
             flush_seconds=self.worker.flush_seconds.state(),
         )
 
@@ -208,13 +206,19 @@ class Shard:
         series evicted as stale."""
         return self.worker.admission.snapshot(), self.scheduler.stale_series()
 
+    @property
+    def retention_cutoff(self) -> Optional[float]:
+        """The scheduler's last retention cut (``None`` before the first):
+        every regression this shard reports from here on changed after it."""
+        return self.scheduler.retention_cutoff
+
     def unquarantine(self, name: str) -> int:
         """Release one series from quarantine; returns the points that
         were attributed to it.  Under the queue lock, like the offers
         that quarantine: released beside a concurrent ``add``, the
-        store's total and its per-series counts drift apart for good."""
+        store's records and its per-series counts drift apart for good."""
         with self.worker.paused():
-            return self.worker.admission.release_series(name)
+            return self.worker.admission.quarantine.release(name)
 
     # -- the durable form ------------------------------------------------
 

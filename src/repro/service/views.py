@@ -125,8 +125,6 @@ def _snapshot(service, shards: List[ShardStats]) -> dict:
     for shard in shards:
         for key, name in _SHARD_COUNTERS.items():
             counters[name] += shard.counters.get(key, 0)
-        for reason, count in shard.quarantined_by_reason.items():
-            counters[f"quality.quarantined.{reason}"] += count
         counters["scheduler.scans"] += shard.scans
         for key, count in shard.incremental.items():
             counters[f"pipeline.incremental.{key}"] += count
@@ -266,7 +264,7 @@ def quality(service) -> View:
     """``/quality``: data quality across shards.
 
     Aggregate admission counters, per-shard quarantine snapshots (worst
-    offenders with reason codes and quality scores), and the series
+    offenders and quality scores), and the series
     currently evicted from scanning for staleness.  See docs/RUNBOOK.md
     for the triage workflow.
     """

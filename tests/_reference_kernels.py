@@ -596,7 +596,8 @@ class RowAdmission(AdmissionController):
 
     def _admit_row(self, state, name, timestamp, value):
         if value != value or value == _INF or value == -_INF:
-            self._quarantine(state, name, timestamp, value, "not_finite")
+            self.quarantine.add(name, timestamp, value)
+            self.quarantined += 1
             return DROP, value
         if value < 0.0 and state.non_negative:
             value = 0.0

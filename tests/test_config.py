@@ -47,7 +47,6 @@ class TestTable1Presets:
         assert config.windows.historic == 10 * DAY
         assert config.windows.analysis == 4 * HOUR
         assert config.windows.extended == 6 * HOUR
-        assert config.uses_stack_traces
 
     def test_frontfaas_large_matches_paper(self):
         config = table1_config("frontfaas_large")
@@ -69,7 +68,6 @@ class TestTable1Presets:
             config = table1_config(key)
             assert config.relative_threshold
             assert config.threshold == 0.05
-            assert not config.uses_stack_traces
 
     def test_ct_supply_is_lower_worse(self):
         # Supply-side: a *drop* in max throughput is the regression.

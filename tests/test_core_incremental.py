@@ -154,7 +154,8 @@ class TestOneCut:
         for tick in range(30):  # a 5-sigma shift, stamped from ``now`` on
             series.append(now + tick * 60.0, 0.0011)
         assert not cache.should_scan(series, now)
-        assert cache.screen_state(series.name)["n"] == 0
+        state = cache.screen_state(series.name)
+        assert (state["anchor_len"], state["pos"], state["neg"]) == (len(series) - 30, 0.0, 0.0)
         assert cache.should_scan(series, now + 1_800.0)
 
 

@@ -625,6 +625,35 @@ class TestOneHomePerCount:
         service = _read(self.SRC, "service", "service.py")
         assert len(service.splitlines()) < 760
 
+    def test_the_twins_stay_deleted(self):
+        """Each second name for one fact, the one-code quarantine
+        vocabulary and the state nothing read: no identifier or string in
+        ``src/`` names one again (a fold of ``quality.quarantined.<reason>``
+        included)."""
+        metrics = {"pipeline.runs", "pipeline.run_seconds", "scheduler.regressions_reported"}
+        identifiers = {
+            "quarantined_by_reason", "REASONS", "first_entered", "wall_started", "_c_n",
+            "uses_stack_traces", "flushes",
+        }
+        seen = set()
+        for folder, _, files in os.walk(self.SRC):
+            for node in (
+                node
+                for name in files if name.endswith(".py")
+                for node in ast.walk(ast.parse(_read(folder, name)))
+            ):
+                if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    seen.add(node.value)
+                for field in ("id", "attr", "arg", "name"):
+                    if isinstance(getattr(node, field, None), str):
+                        seen.add(getattr(node, field))
+        assert {"scheduler.scan_seconds", "quarantined", "_c_fired", "long_term"} <= seen
+        back = sorted(
+            name for name in seen
+            if name in metrics | identifiers or name.startswith("quality.quarantined.")
+        )
+        assert not back, back
+
 
 class TestRunbookNamesWhatMetricsServes:
     """Every name in RUNBOOK's ``/metrics`` table is served: it is in the
@@ -668,7 +697,7 @@ class TestRunbookNamesWhatMetricsServes:
             and not any(_overlap(re.sub(r"\{[^}]*\}", "*", name), glob) for glob in known)
         ]
         assert not unserved, unserved
-        assert {"ingest_dropped_oldest", "quality_quarantined_{reason}"} <= set(names)
+        assert {"ingest_dropped_oldest", "quality_quarantined"} <= set(names)
 
     def test_every_row_names_its_owner(self):
         owners = {"worker", "admission", "scheduler", "cache", "service", "registry"}

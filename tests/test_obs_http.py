@@ -364,7 +364,8 @@ class TestScrapeUnderLiveIngest:
     iterated the live per-series dict (``dictionary changed size during
     iteration`` out of ``stats()``, ``/status`` and ``/quality`` — a 500)
     and ``unquarantine`` released outside the lock ``add`` runs under
-    (``quarantine.total`` drifted from the per-series counts for good)."""
+    (the quarantine store's total drifted from its per-series counts for
+    good)."""
 
     NAN = float("nan")
 

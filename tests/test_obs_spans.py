@@ -59,9 +59,7 @@ class TestRunTrace:
             Span(stage=stage, inputs=inp, outputs=out, seconds=0.0)
             for stage, (inp, out) in zip(STAGES, counts)
         )
-        return RunTrace(
-            monitor="m", now=1.0, wall_started=0.0, seconds=0.0, spans=spans
-        )
+        return RunTrace(monitor="m", now=1.0, spans=spans)
 
     def test_telescoping_counts(self):
         run = self._chain(
@@ -85,9 +83,7 @@ class TestRunTrace:
 class TestTraceStore:
     @staticmethod
     def _run(now):
-        return RunTrace(
-            monitor="m", now=now, wall_started=now, seconds=0.0, spans=()
-        )
+        return RunTrace(monitor="m", now=now, spans=())
 
     def test_ring_buffer_evicts_oldest(self, monkeypatch):
         monkeypatch.setattr(spans, "RING_CAPACITY", 3)

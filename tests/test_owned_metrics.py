@@ -1,7 +1,7 @@
 """One number per fact: a count an owner keeps is served from that owner.
 
-Ingest workers (``ingest.*``), admission controllers (``quality.*``,
-quarantines by reason included), schedulers (``scheduler.scans``),
+Ingest workers (``ingest.*``), admission controllers (``quality.*``),
+schedulers (``scheduler.scans``),
 incremental-scan caches
 (``pipeline.incremental.*``) and the service's own ints
 (``service.reports.*`` and the shape gauges) hold their counts
@@ -33,7 +33,7 @@ import test_report_fence as fence
 OWNED = (
     "ingest.accepted", "ingest.flushed", "ingest.rejected", "ingest.dropped_oldest",
     "ingest.blocking_flushes", "ingest.flush_failures", "ingest.flush_seconds",
-    "quality.quarantined", "quality.quarantined.*", "quality.repaired",
+    "quality.quarantined", "quality.repaired",
     "quality.counter_resets", "quality.duplicates", "quality.reordered",
     "service.reports.delivered", "service.reports.suppressed",
     "service.shards", "service.workers", "service.shard*.series",
@@ -66,12 +66,6 @@ def disagreements(service):
         expected[f"quality.{key}"] = quality["counters"].get(key, 0)
     expected["service.reports.delivered"] = status["reported"]
     expected["service.reports.suppressed"] = status["suppressed_realerts"]
-    # The reasons add up to the total.
-    expected["quality.quarantined.*"] = quality["counters"].get("quarantined", 0)
-    counters = dict(counters)
-    counters["quality.quarantined.*"] = sum(
-        value for name, value in counters.items() if name.startswith("quality.quarantined.")
-    )
     wrong = [
         (name, counters.get(name, 0), value)
         for name, value in expected.items()
@@ -82,7 +76,7 @@ def disagreements(service):
         shape[f"service.shard{shard_id}.series"] = len(service.shard_database(shard_id))
     wrong += [(name, gauges.get(name), value) for name, value in shape.items()
               if gauges.get(name) != value]
-    flushes = sum(shard.counters["flushes"] for shard in stats.shards)
+    flushes = sum(shard.flush_seconds["count"] for shard in stats.shards)
     histogram = stats.metrics["histograms"].get("ingest.flush_seconds", {"count": 0})
     if histogram["count"] != flushes:
         wrong.append(("ingest.flush_seconds", histogram["count"], flushes))
@@ -98,15 +92,15 @@ def split(service):
 
 
 class TestRestoredServicesServeTheirOwners:
-    """The bug: the per-reason quarantine counters lived only in the
-    registry, whose snapshot ``checkpoint()`` takes before the shards
-    pickle their workers — so with a live producer every restored
-    service served ``quality_quarantined`` != the sum of
-    ``quality_quarantined_<reason>``, and nothing reconciled them."""
+    """The bug: quarantine counters lived in the registry, whose
+    snapshot ``checkpoint()`` takes before the shards pickle their
+    workers — so with a live producer a restored service served
+    quarantine counts its admission controllers did not hold, and
+    nothing reconciled them."""
 
     SERIES = 400
 
-    def test_quarantines_by_reason_add_up_after_every_restore(self, tmp_path):
+    def test_quarantines_agree_after_restore(self, tmp_path):
         service = StreamingDetectionService(
             n_shards=4, queue_capacity=1 << 20, backpressure=BackpressurePolicy.BLOCK,
         )
@@ -129,7 +123,7 @@ class TestRestoredServicesServeTheirOwners:
 
         producer = threading.Thread(target=produce, daemon=True)
         producer.start()
-        torn, reasons = [], set()
+        torn, quarantined = [], 0
         try:
             deadline = time.monotonic() + 30.0
             while service.stats().accepted < 5 * self.SERIES and time.monotonic() < deadline:
@@ -139,9 +133,7 @@ class TestRestoredServicesServeTheirOwners:
                 service.checkpoint(directory)
                 restored = StreamingDetectionService.restore(directory)
                 counters = restored.stats().metrics["counters"]
-                reasons |= {
-                    name for name in counters if name.startswith("quality.quarantined.")
-                }
+                quarantined = counters.get("quality.quarantined", 0)
                 torn += [(round_index, *row) for row in disagreements(restored)]
                 restored.close()
         finally:
@@ -149,7 +141,7 @@ class TestRestoredServicesServeTheirOwners:
             producer.join(timeout=10.0)
             service.close()
         assert not producer.is_alive()
-        assert reasons == {"quality.quarantined.not_finite"}
+        assert quarantined > 0
         assert torn == []
 
 
@@ -196,7 +188,7 @@ class TestEveryPathFoldsTheSameOwners:
         service = drills[path]
         assert disagreements(service) == []
         counters = service.stats().metrics["counters"]
-        assert counters["quality.quarantined.not_finite"] > 0
+        assert counters["quality.quarantined"] > 0
         assert counters["service.reports.delivered"] > 0
 
     @pytest.mark.parametrize("path", ["workers=1", "workers=2", "fallback"])
@@ -226,7 +218,7 @@ class TestTheManifestCarriesNoOwnedCount:
 
     def test_meta_metrics_holds_no_owned_name(self, drills, checkpointed):
         manifest = json.loads((checkpointed / "manifest.json").read_text(encoding="utf-8"))
-        assert manifest["version"] == 12
+        assert manifest["version"] == 13
         recorded = manifest["meta"]["metrics"]
         assert recorded["counters"], "the registry's own counts still ride the manifest"
         assert [name for kind in recorded.values() for name in kind if owned(name)] == []
@@ -269,6 +261,10 @@ class TestTheManifestCarriesNoOwnedCount:
         10,
         # A v11 blob pickles pipelines and their detectors.
         11,
+        # A v12 blob's admission keeps quarantines by reason and a
+        # per-series count beside the store's, its worker a ``flushes``
+        # counter and its screens a point count.
+        12,
     ])
     def test_an_older_checkpoint_is_refused(self, checkpointed, version):
         for name in ("manifest.json", "manifest.g1.json"):
@@ -276,7 +272,7 @@ class TestTheManifestCarriesNoOwnedCount:
             manifest = json.loads(path.read_text(encoding="utf-8"))
             manifest["version"] = version
             path.write_text(json.dumps(manifest), encoding="utf-8")
-        with pytest.raises(CheckpointError, match=f"version {version} != supported 12"):
+        with pytest.raises(CheckpointError, match=f"version {version} != supported 13"):
             StreamingDetectionService.restore(str(checkpointed))
 
 

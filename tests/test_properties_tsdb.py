@@ -408,7 +408,7 @@ def _observe(worker):
             name: [record for record in admission.quarantine._records if record[0] == name]
             for name in names
         },
-        "reasons": {name: admission.quarantine.reasons(name) for name in names},
+        "counts": {name: admission.quarantine.count(name) for name in names},
         "scores": {name: admission.quality_score(name) for name in names},
         "columns": {
             series.name: (series._timestamps.view().tobytes(), series._values.view().tobytes())
@@ -531,7 +531,7 @@ class TestFrameSplitsMatchRowByRow:
             for frame in frames_of(chunk):
                 worker.offer([frame])
         worker.flush()
-        counters = worker.counters()
+        counters = dict(worker.counters(), flushes=worker.flush_seconds.count)
         assert {key: counters[key] for key in model.counts} == model.counts
         stored = worker.database.get("g")
         assert ([] if stored is None else list(stored)) == [
@@ -593,7 +593,6 @@ def _shard_states(service):
         controller = worker.admission
         states.append({
             "counters": worker.counters(),
-            "by_reason": dict(controller.quarantined_by_reason),
             "quarantine": list(controller.quarantine._records),
             "admission_series": list(controller._series),
             "columns": [
@@ -811,8 +810,7 @@ class TestAdmissionMatchesTheRowReference:
                 _frame_bytes(f) for f in reference.drain_pending()
             ]
         assert controller.counters() == reference.counters()
-        assert controller.quarantined_by_reason == reference.quarantined_by_reason
-        assert controller.quarantine.reasons("c") == reference.quarantine.reasons("c")
+        assert controller.quarantine.count("c") == reference.quarantine.count("c")
         assert list(controller.quarantine._records) == list(reference.quarantine._records)
 
 

@@ -117,9 +117,9 @@ class TestMetricsAreWhatTheyWere:
         """A golden that misses a family guards nothing."""
         names = golden["names"]
         for family in (
-            "pipeline_runs", "pipeline_incremental_hits", "pipeline_incremental_misses",
+            "pipeline_reported", "pipeline_incremental_hits", "pipeline_incremental_misses",
             "pipeline_quality_stale_evictions", "pipeline_quality_low_coverage_skips",
-            "pipeline_run_seconds", "pipeline_stage_detect_seconds",
+            "pipeline_stage_detect_seconds",
             "pipeline_stage_root_cause_seconds", "scheduler_scans",
             "scheduler_scan_seconds", "service_sinks_delivered", "quality_quarantined",
         ):

@@ -12,7 +12,6 @@ from repro.quality import (
     HELD,
     AdmissionController,
     QuarantineStore,
-    REASONS,
 )
 from repro.quality import admission, quarantine
 from repro.service import Sample
@@ -78,7 +77,7 @@ class TestValidators:
         verdict, sample = admit(ctl, make(ts=1.0, value=bad))
         assert verdict == DROP and sample is None
         assert ctl.quarantined == 1
-        assert ctl.quarantine.reasons("s.gcpu")["not_finite"] == 1
+        assert ctl.quarantine.count("s.gcpu") == 1
 
     def test_negative_gcpu_repaired_to_zero(self):
         ctl = controller()
@@ -300,10 +299,10 @@ class TestOperatorSurface:
         ctl = controller()
         admit(ctl, make(ts=1.0, value=math.nan))
         admit(ctl, make(ts=2.0, value=math.nan))
-        assert ctl.release_series("s.gcpu") == 2
+        assert ctl.quarantine.release("s.gcpu") == 2
         assert ctl.quarantine.count("s.gcpu") == 0
         assert ctl.quality_score("s.gcpu") == 1.0
-        assert ctl.release_series("s.gcpu") == 0
+        assert ctl.quarantine.release("s.gcpu") == 0
 
     def test_snapshot_shape(self):
         ctl = controller()
@@ -316,11 +315,10 @@ class TestOperatorSurface:
 
     def test_metrics_events_only(self):
         """The controller is the one home of ``quality.*``: only events
-        move its counts, and the per-reason totals are cumulative — a
-        release drops the attribution, not the count."""
+        move its counts, and ``quarantined`` is cumulative — a release
+        drops the attribution, not the count."""
         ctl = controller()
         admit(ctl, make(ts=1.0, value=0.5))   # clean: no event counted
-        assert ctl.quarantined_by_reason == {}
         assert {k: v for k, v in ctl.counters().items() if k != "admitted"} == dict.fromkeys(
             ("quarantined", "repaired", "counter_resets", "duplicates", "reordered",
              "buffered"), 0
@@ -329,16 +327,15 @@ class TestOperatorSurface:
         admit(ctl, make(ts=3.0, value=-1.0))  # repaired, not quarantined
         admit(ctl, make(ts=4.0, value=math.inf))
         assert (ctl.quarantined, ctl.repaired) == (2, 1)
-        assert ctl.quarantined_by_reason == {"not_finite": 2}
-        assert ctl.release_series("s.gcpu") == 2
-        assert ctl.quarantined_by_reason == {"not_finite": 2}
+        assert ctl.quarantine.release("s.gcpu") == 2
+        assert ctl.quarantined == 2
         assert not hasattr(ctl, "metrics")
 
 
 class TestPickling:
     def test_round_trip_preserves_state_and_drops_metrics(self):
         """There is no registry handle to drop any more: the pickle is
-        the controller's own state, per-reason totals included."""
+        the controller's own state, quarantine included."""
         ctl = AdmissionController(shard_id=3)
         admit(ctl, make(ts=5.0))
         admit(ctl, make(ts=1.0))           # held straggler
@@ -346,8 +343,8 @@ class TestPickling:
         clone = pickle.loads(pickle.dumps(ctl))
         assert "metrics" not in vars(clone)
         assert clone.counters() == ctl.counters()
-        assert clone.quarantined_by_reason == {"not_finite": 1}
-        assert clone.quarantine.total == 1
+        assert clone.quarantine.snapshot() == ctl.quarantine.snapshot()
+        assert clone.quarantine.count("s.gcpu") == 1
         assert [s.timestamp for s in rows(clone.drain_pending())] == [1.0]
         # Watermark survives: the old straggler is still a straggler.
         assert admit(clone, make(ts=2.0))[0] == HELD
@@ -358,19 +355,11 @@ class TestQuarantineStore:
         monkeypatch.setattr(quarantine, "QUARANTINE_CAPACITY", 2)
         store = QuarantineStore()
         for index in range(5):
-            store.add("s", float(index), math.nan, "not_finite")
-        assert store.total == 5
+            store.add("s", float(index), math.nan)
+        assert store.snapshot()["total"] == 5
         assert store.evicted == 3
         assert store.count("s") == 5
         assert len(store.snapshot()["recent"]) == 2
-
-    def test_unknown_reason_rejected(self):
-        store = QuarantineStore()
-        with pytest.raises(ValueError):
-            store.add("s", 0.0, 1.0, "because")
-
-    def test_reasons_is_closed_vocabulary(self):
-        assert REASONS == ("not_finite",)
 
 
 class TestQualityConfig:

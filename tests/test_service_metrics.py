@@ -131,15 +131,15 @@ class TestRegistry:
     def test_render_text_exposition(self):
         metrics = MetricsRegistry()
         metrics.inc("service.ingest.accepted", 12)
-        metrics.observe("pipeline.run_seconds", 0.12)
+        metrics.observe("scheduler.scan_seconds", 0.12)
         # Gauges come from the owners ``/metrics`` folds in beside the registry.
         text = render({**metrics.snapshot(), "gauges": {"service.queue.depth": 3}})
         assert "# TYPE service_ingest_accepted counter" in text
         assert "service_ingest_accepted 12" in text
         assert "# TYPE service_queue_depth gauge" in text
-        assert "# TYPE pipeline_run_seconds histogram" in text
-        assert 'pipeline_run_seconds_bucket{le="+Inf"} 1' in text
-        assert "pipeline_run_seconds_count 1" in text
+        assert "# TYPE scheduler_scan_seconds histogram" in text
+        assert 'scheduler_scan_seconds_bucket{le="+Inf"} 1' in text
+        assert "scheduler_scan_seconds_count 1" in text
 
     def test_render_empty(self):
         assert render(MetricsRegistry().snapshot()) == ""

@@ -207,7 +207,7 @@ class TestQualityEndpoint:
                 if s["quarantine"]["total"] == 3
             )
             offender = shard["quarantine"]["series"][SERIES[0]]
-            assert offender["reasons"] == {"not_finite": 3}
+            assert offender == {"count": 3}
             assert shard["scores"][SERIES[0]] == pytest.approx(20 / 23)
         finally:
             service.close()
@@ -276,6 +276,29 @@ class TestUnquarantine:
         finally:
             service.close()
 
+    def test_release_keeps_the_cumulative_count_and_resets_the_score(self):
+        """A release drops what is attributed to the series, not the
+        cumulative ``quarantined`` count; its score starts over."""
+        service = make_service(CollectingSink(), workers=1)
+        try:
+            for tick in range(6):
+                value = math.nan if tick % 2 else 0.001
+                service.ingest(SERIES[0], tick * INTERVAL, value, {"metric": "gcpu"})
+            admission = service._shards[service.router.shard_for(SERIES[0])].worker.admission
+            assert admission.quality_score(SERIES[0]) == pytest.approx(0.5)
+            assert service.unquarantine(SERIES[0]) == 3
+            quality = views.quality(service)[1]
+            assert (quality["counters"]["quarantined"], quality["quarantined_points"]) == (3, 0)
+            assert admission.quality_score(SERIES[0]) == 1.0
+            for shard in quality["shards"]:
+                assert shard["scores"] == {} and shard["quarantine"]["series"] == {}
+            service.ingest(SERIES[0], 6 * INTERVAL, math.nan, {"metric": "gcpu"})
+            quality = views.quality(service)[1]
+            assert (quality["counters"]["quarantined"], quality["quarantined_points"]) == (4, 1)
+            assert admission.quality_score(SERIES[0]) == pytest.approx(3 / 4)
+        finally:
+            service.close()
+
 
 class TestPrometheusNaming:
     """ISSUE satellite: quality metrics follow the text-format naming
@@ -289,7 +312,7 @@ class TestPrometheusNaming:
             service.ingest(SERIES[0], INTERVAL, -1.0, {"metric": "gcpu"})
             text = views.metrics(service)[1]
             assert "# TYPE quality_quarantined counter" in text
-            assert "quality_quarantined_not_finite 1" in text
+            assert "quality_quarantined 1" in text
             assert "# TYPE quality_repaired counter" in text
             for line in text.splitlines():
                 if line.startswith("# TYPE "):

@@ -100,7 +100,6 @@ class TestPresets:
     def test_ct_has_no_stack_samples(self):
         preset = build_preset("ct_supply_short")
         assert preset.service.samples_per_interval == 0
-        assert not preset.config.uses_stack_traces
 
     def test_unknown_preset_raises(self):
         with pytest.raises(KeyError):
